@@ -1,4 +1,4 @@
-//! `repro bench` — the tracked performance baseline behind `BENCH_0009.json`.
+//! `repro bench` — the tracked performance baseline behind `BENCH_0010.json`.
 //!
 //! Runs a fixed set of hot-path scenarios (event engine, simulated
 //! deployment, dispatcher state machine, in-process runtime, TCP runtime,
@@ -29,9 +29,10 @@ use falkon_sim::{Engine, SimDuration};
 use std::hint::black_box;
 
 /// The commit whose build produced every `baseline` rate below (the state
-/// of the tree immediately before the timer-wheel event core; both columns
-/// re-measured on one machine per DESIGN.md §10's baseline discipline).
-pub const BASELINE_COMMIT: &str = "1762ae6";
+/// of the tree immediately before the connection engine, when `tcp/sleep0_*`
+/// still ran thread-per-connection; both columns re-measured on one
+/// machine per DESIGN.md §10's baseline discipline).
+pub const BASELINE_COMMIT: &str = "c42fe76";
 
 /// Keep sampling until a scenario has accumulated this much measured time.
 const MIN_SAMPLE_US: u64 = 300_000;
@@ -308,9 +309,9 @@ fn inproc(wire: WireMode) -> f64 {
 
 /// A real TCP deployment end to end: dispatcher server, 4 executor
 /// threads, one client submitting `N` sleep-0 tasks in bundles of 300.
-/// This is the scenario the event-driven transport (blocking reads,
-/// `select!`-driven core, channel-woken batched writers — no polling
-/// cadence anywhere) is measured by.
+/// This is the scenario the connection engine (one poll loop per shard
+/// and per peer, a core blocked on one channel — no polling cadence
+/// anywhere) is measured by at small fan-in.
 fn tcp_sleep0(security: TcpSecurity) -> f64 {
     const N: u64 = 1_000;
     const EXECS: usize = 4;
@@ -348,15 +349,15 @@ fn tcp_sleep0(security: TcpSecurity) -> f64 {
     rate(N as f64, us)
 }
 
-/// Connection fan-out: a sharded dispatcher (4 shards) holding 1000
+/// Connection fan-out: a dispatcher with 4 shard threads holding 1000
 /// concurrent executor connections — the paper's many-executors regime on
 /// real sockets. The 1000 peers are multiplexed on a single OS thread by
 /// [`run_executors_mux`], so both sides of the measurement run with O(1)
 /// threads per process and the scenario fits on a small CI box.
 ///
 /// The reported rate is dispatch throughput measured by the client clock —
-/// first submit to workload completion — so the 1000 serial handshakes of
-/// each iteration's setup are excluded. Methodology deviates from
+/// first submit to workload completion — so the 1000 connects of each
+/// iteration's setup are excluded. Methodology deviates from
 /// [`time_us`] only in that per-iteration cost: a fixed 3 timed iterations
 /// (plus warm-up) instead of a 300 ms accumulation target, because each
 /// iteration's setup dwarfs its measured window.
@@ -395,8 +396,8 @@ fn tcp_conn_fanout() -> f64 {
 }
 
 /// The three-tier deployment end to end: a forwarder routing to
-/// `dispatchers` dispatcher servers (every tier on the single-shard
-/// multiplexed transport), each dispatcher's executors multiplexed on one
+/// `dispatchers` dispatcher servers (every tier with one shard thread),
+/// each dispatcher's executors multiplexed on one
 /// OS thread by [`run_executors_mux`], one client submitting `N` sleep-0
 /// tasks in bundles of 300 through the forwarder.
 ///
@@ -529,7 +530,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "sim/chained_timer_events",
         "events/s",
-        Some(93.28e6),
+        Some(109.530e6),
         sim_chained,
     );
     measure(
@@ -537,7 +538,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "sim/outstanding_50k_timers",
         "events/s",
-        Some(9.136e6),
+        Some(32.321e6),
         sim_outstanding,
     );
     measure(
@@ -545,7 +546,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "sim/same_instant_bursts",
         "events/s",
-        Some(187.3e6),
+        Some(211.860e6),
         sim_same_instant,
     );
     measure(
@@ -553,16 +554,15 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "sim/deployment_sleep0_1000",
         "tasks/s",
-        Some(1.110e6),
+        Some(1.258e6),
         sim_deployment,
     );
-    // New in BENCH_0009 (the heap-backed queue took minutes here).
     measure(
         &mut out,
         filter,
         "sim/deployment_sleep0_100k",
         "tasks/s",
-        None,
+        Some(232.70e3),
         sim_deployment_100k,
     );
     measure(
@@ -570,7 +570,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "dispatcher/lifecycle_1000",
         "tasks/s",
-        Some(3.759e6),
+        Some(4.405e6),
         dispatcher_lifecycle,
     );
     measure(
@@ -578,7 +578,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "inproc/sleep0_plain",
         "tasks/s",
-        Some(273.8e3),
+        Some(274.99e3),
         || inproc(WireMode::Plain),
     );
     measure(
@@ -586,7 +586,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "inproc/sleep0_encoded",
         "tasks/s",
-        Some(251.6e3),
+        Some(246.46e3),
         || inproc(WireMode::Encoded),
     );
     measure(
@@ -594,7 +594,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "inproc/sleep0_secure",
         "tasks/s",
-        Some(219.8e3),
+        Some(202.27e3),
         || inproc(WireMode::Secure),
     );
     measure(
@@ -602,7 +602,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/sleep0_plain",
         "tasks/s",
-        Some(65.2e3),
+        Some(68.78e3),
         || tcp_sleep0(None),
     );
     measure(
@@ -610,7 +610,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/sleep0_secure",
         "tasks/s",
-        Some(62.2e3),
+        Some(66.95e3),
         || tcp_sleep0(Some(0xFA1C0)),
     );
     measure(
@@ -618,7 +618,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/conn_fanout",
         "tasks/s",
-        Some(17.2e3),
+        Some(29.09e3),
         tcp_conn_fanout,
     );
     // The headline `tcp/three_tier` runs the 4-dispatcher sweep point; the
@@ -629,7 +629,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/three_tier_1d",
         "tasks/s",
-        Some(80.0e3),
+        Some(77.17e3),
         || tcp_three_tier(1),
     );
     measure(
@@ -637,7 +637,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/three_tier_2d",
         "tasks/s",
-        Some(86.8e3),
+        Some(139.97e3),
         || tcp_three_tier(2),
     );
     measure(
@@ -645,7 +645,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "tcp/three_tier",
         "tasks/s",
-        Some(87.3e3),
+        Some(176.49e3),
         || tcp_three_tier(4),
     );
     measure(
@@ -653,7 +653,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "codec/encode_efficient_1000",
         "MB/s",
-        Some(2778.5),
+        Some(4.38e3),
         codec_encode,
     );
     measure(
@@ -661,7 +661,7 @@ pub fn run_benches() -> Vec<BenchResult> {
         filter,
         "codec/decode_efficient_1000",
         "MB/s",
-        Some(960.6),
+        Some(1.28e3),
         codec_decode,
     );
     out
@@ -669,13 +669,13 @@ pub fn run_benches() -> Vec<BenchResult> {
 
 /// Serial quick-scale `repro all` wall time at [`BASELINE_COMMIT`] on the
 /// reference machine (the "before" of the `repro_all_quick` row).
-pub const REPRO_ALL_QUICK_BASELINE_S: f64 = 1.63;
+pub const REPRO_ALL_QUICK_BASELINE_S: f64 = 1.52;
 
 /// Render the results as the committed JSON report. `jobs` is the worker
 /// count the `repro_all_quick` wall time was measured with.
 pub fn render_json(results: &[BenchResult], repro_all_quick_s: Option<f64>, jobs: usize) -> String {
     let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"BENCH_0009\",\n");
+    s.push_str("  \"bench\": \"BENCH_0010\",\n");
     s.push_str(&format!("  \"baseline_commit\": \"{BASELINE_COMMIT}\",\n"));
     if let Some(wall) = repro_all_quick_s {
         s.push_str(&format!(
@@ -768,7 +768,7 @@ mod tests {
             },
         ];
         let json = render_json(&results, Some(1.5), 4);
-        assert!(json.contains("\"bench\": \"BENCH_0009\""));
+        assert!(json.contains("\"bench\": \"BENCH_0010\""));
         assert!(json.contains("\"speedup\": 2.00"));
         assert!(json.contains("\"repro_all_quick\""));
         assert!(json.contains("\"jobs\": 4"));

@@ -14,9 +14,7 @@ use falkon_proto::message::ExecutorId;
 use falkon_proto::task::TaskSpec;
 use falkon_rt::forwarder::ForwarderServer;
 use falkon_rt::inproc::{run_sleep_workload, InprocConfig};
-use falkon_rt::tcp::{
-    run_client, run_executor, DispatcherServer, ServerConfig, TcpSecurity, TransportKind,
-};
+use falkon_rt::tcp::{run_client, run_executor, DispatcherServer, ServerConfig, TcpSecurity};
 use falkon_rt::wscounter::{measure_call_rate, CounterServer};
 use falkon_rt::WireMode;
 use std::time::Duration;
@@ -63,12 +61,10 @@ pub struct TcpMeasuredRow {
 pub struct Measured {
     /// One row per wire mode.
     pub rows: Vec<MeasuredRow>,
-    /// One row per (security, transport) arm of the full TCP deployment:
+    /// One row per (security, shard count) arm of the full TCP deployment:
     /// dispatcher server, 4 executor threads, and a client on real loopback
-    /// sockets, driven by the event-driven transport (no polling cadence).
-    /// Covers thread-per-connection, the sharded connection-multiplexed
-    /// transport, and the three-tier forwarder deployment, so every path
-    /// of the `Transport` API gets a measured number.
+    /// sockets, all on the one connection engine (no polling cadence) —
+    /// plus the three-tier forwarder deployment.
     pub tcp_rows: Vec<TcpMeasuredRow>,
     /// The GT4-counter-service analog: raw request/response over TCP,
     /// calls/sec with 8 concurrent clients.
@@ -76,24 +72,17 @@ pub struct Measured {
 }
 
 /// One full TCP deployment run: `n` sleep-0 tasks over 4 executors.
-fn tcp_arm(
-    label: &'static str,
-    n: u64,
-    security: TcpSecurity,
-    transport: TransportKind,
-) -> TcpMeasuredRow {
+fn tcp_arm(label: &'static str, n: u64, security: TcpSecurity, shards: usize) -> TcpMeasuredRow {
     const EXECS: u64 = 4;
-    let mut builder = ServerConfig::builder()
+    let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
             client_notify_batch: 1_000,
             ..DispatcherConfig::default()
         })
-        .security(security);
-    builder = match transport {
-        TransportKind::ThreadPerConn => builder.thread_per_conn(),
-        TransportKind::Sharded { shards } => builder.sharded(shards),
-    };
-    let config = builder.build().expect("valid tcp server config");
+        .security(security)
+        .sharded(shards)
+        .build()
+        .expect("valid tcp server config");
     let server = DispatcherServer::start(config).expect("bind tcp dispatcher");
     let addr = server.addr;
     let execs: Vec<_> = (0..EXECS)
@@ -198,24 +187,14 @@ pub fn run(scale: Scale) -> Measured {
     .collect();
     let n_tcp = scale.pick(2_000, 20_000);
     let tcp_rows = vec![
-        tcp_arm(
-            "plain (no security)",
-            n_tcp,
-            None,
-            TransportKind::ThreadPerConn,
-        ),
+        tcp_arm("plain (no security)", n_tcp, None, 1),
         tcp_arm(
             "secure (GSISecureConversation analog)",
             n_tcp,
             Some(0xFA1C0),
-            TransportKind::ThreadPerConn,
+            1,
         ),
-        tcp_arm(
-            "plain (sharded transport, 2 shards)",
-            n_tcp,
-            None,
-            TransportKind::Sharded { shards: 2 },
-        ),
+        tcp_arm("plain (2 shard threads)", n_tcp, None, 2),
         three_tier_arm("three-tier (forwarder, 2 dispatchers)", n_tcp, 2),
     ];
     let server = CounterServer::start().expect("bind counter service");

@@ -65,8 +65,9 @@ pub fn end_frame(out: &mut [u8], pos: usize) {
 
 /// Minimum spare capacity [`FrameCursor::space`] guarantees: large enough
 /// that a socket read can pull a full TCP window's worth of small frames in
-/// one syscall.
-const MIN_READ_SPACE: usize = 64 * 1024;
+/// one syscall. A read into that space that returns fewer bytes than this
+/// has therefore emptied the socket.
+pub const MIN_READ_SPACE: usize = 64 * 1024;
 
 /// Incremental frame reassembler yielding borrowed frame views.
 ///

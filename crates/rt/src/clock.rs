@@ -1,6 +1,7 @@
 //! Monotonic microsecond clock.
 
-use std::time::Instant;
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// A shared origin for microsecond timestamps (`falkon_core::Micros`).
 #[derive(Clone, Copy, Debug)]
@@ -19,6 +20,27 @@ impl Clock {
     /// Microseconds since the clock started.
     pub fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
+    }
+
+    /// Block on `rx` for the next value, bounded only by a deadline the
+    /// caller's machine armed itself (absolute µs on this clock): the one
+    /// wait every channel-driven core in this crate uses, so none of them
+    /// wakes on a cadence. `Ok(None)` means the deadline passed first;
+    /// `Err` that every sender is gone.
+    pub fn recv_until<T>(
+        &self,
+        rx: &Receiver<T>,
+        deadline_us: Option<u64>,
+    ) -> Result<Option<T>, RecvError> {
+        let Some(deadline) = deadline_us else {
+            return rx.recv().map(Some);
+        };
+        let wait = Duration::from_micros(deadline.saturating_sub(self.now_us()).max(1));
+        match rx.recv_timeout(wait) {
+            Ok(v) => Ok(Some(v)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+        }
     }
 }
 

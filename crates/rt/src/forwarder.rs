@@ -1,63 +1,65 @@
 //! The 3-tier deployment on real sockets: clients → forwarder → N
-//! dispatchers → executors (DESIGN.md §10.5).
+//! dispatchers → executors (DESIGN.md §10.3).
 //!
 //! [`ForwarderServer::start`] mounts the whole server side of the topology
-//! in one process: `n` [`DispatcherServer`]s (each with its own transport,
-//! listener, and core thread), plus a client-facing transport whose events
-//! drive the sans-io [`Forwarder`] machine from `falkon-core`. The
-//! forwarder speaks the ordinary client protocol on both faces:
+//! in one process: `n` [`DispatcherServer`]s (each with its own shards,
+//! listener, and core thread), plus the forwarder's own shards and a core
+//! thread driving the sans-io [`Forwarder`] machine from `falkon-core`.
+//! The forwarder speaks the ordinary client protocol on both faces, and
+//! both faces are connections of the *same* shards, delivered on the same
+//! event channel:
 //!
-//! * **Upstream** (as a server): a client connects, sends `CreateInstance`,
-//!   and gets a forwarder-tier `InstanceId`; each `Submit` bundle becomes a
-//!   [`ForwarderEvent::ClientSubmit`], and the machine's least-loaded
-//!   policy picks the downstream dispatcher. Results are pushed back as
-//!   `Results` frames on the owning client's connection (the direct-push
-//!   variant of the notify protocol — `message_to_client_event` feeds them
-//!   straight to the client machine).
-//! * **Downstream** (as a client of each dispatcher): one connection per
-//!   dispatcher, established with a `CreateInstance` handshake before the
-//!   core starts. `ClientNotify` from a dispatcher is answered with
-//!   `GetResults`; the `Results` reply becomes a
-//!   [`ForwarderEvent::DispatcherResults`] and funnels back upstream.
+//! * **Upstream** (accepted connections): a client connects, sends
+//!   `CreateInstance`, and gets a forwarder-tier `InstanceId`; each
+//!   `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`], and the
+//!   machine's least-loaded policy picks the downstream dispatcher.
+//!   Results are pushed back as `Results` frames on the owning client's
+//!   connection (the direct-push variant of the notify protocol —
+//!   `message_to_client_event` feeds them straight to the client machine).
+//! * **Downstream** (dialed connections, one per dispatcher): the server
+//!   handle dials the dispatcher and has a shard adopt the stream under
+//!   the dispatcher's slot tag. The core opens it with `CreateInstance`;
+//!   the link is *up* once `InstanceCreated` comes back, which
+//!   [`ForwarderServer::start`] and
+//!   [`ForwarderServer::readmit_dispatcher`] wait for. `ClientNotify` from
+//!   a dispatcher is answered with `GetResults`; the `Results` reply
+//!   becomes a [`ForwarderEvent::DispatcherResults`] and funnels back
+//!   upstream.
 //!
-//! Failure semantics: a downstream link dying (EOF, enqueue or flush
-//! error) feeds [`ForwarderEvent::DispatcherLost`] to the machine, which
-//! poisons the dispatcher's load and re-routes every in-flight task to the
-//! survivors — the driver never re-routes on its own. Tasks that cannot be
-//! delivered because *every* dispatcher is down park in the driver and
-//! replay on the next [`ForwarderServer::readmit_dispatcher`], which
-//! installs a fresh link under a bumped generation (stale `Closed` events
-//! from the old link are ignored) and calls [`Forwarder::readmit`] so the
-//! machine emits `DispatcherReadmitted` and admits new work.
+//! Failure semantics: a downstream link closing feeds
+//! [`ForwarderEvent::DispatcherLost`] to the machine, which poisons the
+//! dispatcher's load and re-routes every in-flight task to the survivors —
+//! the driver never re-routes on its own. Tasks that cannot be delivered
+//! because *every* dispatcher is down park in the driver and replay when
+//! their slot's next link comes up, at which point [`Forwarder::readmit`]
+//! makes the machine emit `DispatcherReadmitted` and admit new work there.
+//! Events of a link that was already replaced carry a connection id no
+//! slot maps to any more, so they fall away.
 //!
 //! Lifecycle events are emitted by the *machine* (probe provenance,
 //! DESIGN.md §7): this driver only ever reports wire bytes, via the
-//! [`WireTap`]s inside each [`Conn`] — upstream through the transport's
-//! merged counters, downstream through the per-link reader/writer halves —
-//! so `obs_parity` extends across the sim and rt three-tier deployments.
+//! [`WireTap`]s inside each connection, merged per face by the shards — so
+//! `obs_parity` extends across the sim and rt three-tier deployments.
 //!
 //! [`WireTap`]: falkon_obs::WireTap
 
 use crate::clock::Clock;
-use crate::tcp::{
-    bind_thread_per_conn, Conn, ConnHandle, ConnId, ConnReader, ConnWriter, DispatcherServer,
-    ServerConfig, TcpSecurity, Transport, TransportEvent, TransportKind,
-};
+use crate::server::{ConnHandle, ConnId, ServerEvent, Shards};
+use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig, MAX_DRAIN};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use crossbeam::select;
-use falkon_core::dispatcher::{DispatcherStats, TaskRecord};
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::message::{InstanceId, Message};
 use falkon_proto::task::TaskSpec;
 use std::collections::HashMap;
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
 
 /// What a finished forwarder core observed. Wire counters stay split by
 /// face so tests can balance each tier's bytes exactly: `upstream_wire`
 /// against the clients, `downstream_wire` against the dispatchers'
-/// transport-side counters.
+/// server-side counters.
 pub struct ForwarderOutcome {
     /// Machine counters (bundles/results routed, re-routes, losses).
     pub stats: ForwarderStats,
@@ -71,66 +73,36 @@ pub struct ForwarderOutcome {
     pub downstream_wire: Counters,
 }
 
-/// What one stopped dispatcher tier hands back (the
-/// [`DispatcherServer::shutdown`] tuple).
-pub type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
-
-/// One hop on the core's downstream/control channel. `Msg`/`Closed` come
-/// from the per-link reader threads; `Admit`/`Stop` from the server
-/// handle. Sharing one channel keeps the core's wait a two-way select
-/// (client transport + this), and `gen` guards link replacement: events
-/// from a link that was already torn down and replaced (readmit) carry a
-/// stale generation and are dropped.
-enum Downstream {
-    Msg {
-        d: usize,
-        gen: u64,
-        msg: Message,
-    },
-    Closed {
-        d: usize,
-        gen: u64,
-    },
-    /// A re-established downstream link (fresh connection + instance).
-    /// Boxed: the conn halves dwarf the `Msg` hops this channel mostly
-    /// carries.
-    Admit {
-        d: usize,
-        instance: InstanceId,
-        reader: Box<ConnReader>,
-        writer: Box<ConnWriter>,
-    },
-    Stop,
-}
-
 /// Handle to a running three-tier deployment: the forwarder core, its
-/// client-facing transport, and the `n` dispatcher servers it routes to.
+/// shards, and the `n` dispatcher servers it routes to.
 pub struct ForwarderServer {
     /// The client-facing address (clients connect here).
     pub addr: SocketAddr,
     dispatcher_addrs: Vec<SocketAddr>,
     dispatchers: Vec<Option<DispatcherServer>>,
     dispatcher_config: ServerConfig,
-    security: TcpSecurity,
-    clock: Clock,
-    cmd_tx: Sender<Downstream>,
-    core_handle: Option<JoinHandle<ForwarderOutcome>>,
+    events: Sender<ServerEvent>,
+    shards: Shards,
+    /// One message per dialed link: `Ok` when it came up, `Err` if it
+    /// closed first.
+    link_up: Receiver<io::Result<()>>,
+    core: JoinHandle<(ForwarderStats, Recorder)>,
 }
 
 impl ForwarderServer {
     /// Start the full server side of the 3-tier topology: `config` must
     /// carry a forwarder tier ([`ServerConfig::builder`]`.forwarder(n)`).
     /// Binds `n` dispatchers plus the client-facing listener on ephemeral
-    /// ports, connects one downstream link per dispatcher (each with its
-    /// `CreateInstance` handshake), and spawns the core thread.
-    pub fn start(config: ServerConfig) -> std::io::Result<ForwarderServer> {
+    /// ports, spawns the core thread, and brings one downstream link per
+    /// dispatcher up.
+    pub fn start(config: ServerConfig) -> io::Result<ForwarderServer> {
         let n = config.forwarder_dispatchers().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
                 "config has no forwarder tier; build with ServerConfig::builder().forwarder(n)",
             )
         })?;
-        let dispatcher_config = config.dispatcher_tier();
+        let dispatcher_config = config.clone().without_forwarder();
         let mut dispatchers = Vec::with_capacity(n);
         let mut dispatcher_addrs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -138,52 +110,37 @@ impl ForwarderServer {
             dispatcher_addrs.push(server.addr);
             dispatchers.push(Some(server));
         }
-        let (transport, ev_rx) = match config.transport() {
-            TransportKind::ThreadPerConn => {
-                bind_thread_per_conn(config.security(), config.flush_high_water())?
-            }
-            #[cfg(unix)]
-            TransportKind::Sharded { shards } => {
-                crate::shard::bind_sharded(config.security(), config.flush_high_water(), shards)?
-            }
-            #[cfg(not(unix))]
-            TransportKind::Sharded { .. } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "sharded transport requires poll(2)",
-                ))
-            }
-        };
-        let addr = transport.addr();
-        let clock = Clock::start();
-        let (down_tx, down_rx) = unbounded::<Downstream>();
-        let cmd_tx = down_tx.clone();
-        let mut links = Vec::with_capacity(n);
-        for (d, dispatcher_addr) in dispatcher_addrs.iter().enumerate() {
-            let (instance, reader, writer) =
-                connect_downstream(*dispatcher_addr, config.security(), clock)?;
-            let handle = spawn_downstream_reader(d, 0, reader, down_tx.clone());
-            links.push(Link {
-                instance,
-                writer: Some(writer),
-                gen: 0,
-                alive: true,
-                reader: Some(handle),
-                parked: Vec::new(),
-            });
-        }
-        let core_handle =
-            thread::spawn(move || forwarder_core(transport, ev_rx, down_rx, down_tx, links, clock));
-        Ok(ForwarderServer {
-            addr,
+        let (events, rx) = unbounded::<ServerEvent>();
+        let shards = Shards::bind(config.security(), config.shards(), &events)?;
+        let (up_tx, link_up) = unbounded();
+        let core = thread::spawn(move || Core::new(n, up_tx).run(rx));
+        let server = ForwarderServer {
+            addr: shards.addr,
             dispatcher_addrs,
             dispatchers,
             dispatcher_config,
-            security: config.security(),
-            clock,
-            cmd_tx,
-            core_handle: Some(core_handle),
-        })
+            events,
+            shards,
+            link_up,
+            core,
+        };
+        for d in 0..n {
+            if let Err(e) = server.link(d) {
+                server.shutdown();
+                return Err(e);
+            }
+        }
+        Ok(server)
+    }
+
+    /// Dial dispatcher `d`, have a shard adopt the stream as slot `d`'s
+    /// link, and wait until the core reports it up.
+    fn link(&self, d: usize) -> io::Result<()> {
+        let stream = TcpStream::connect(self.dispatcher_addrs[d])?;
+        self.shards.adopt(stream, d);
+        self.link_up
+            .recv()
+            .unwrap_or_else(|_| Err(io::ErrorKind::BrokenPipe.into()))
     }
 
     /// Downstream dispatcher addresses (connect executors here). Index `d`
@@ -192,8 +149,8 @@ impl ForwarderServer {
         &self.dispatcher_addrs
     }
 
-    /// Hard-stop dispatcher `d` (the fault-injection hook). Its transport
-    /// closes every connection, so the forwarder's link sees EOF and the
+    /// Hard-stop dispatcher `d` (the fault-injection hook). Its shards
+    /// close every connection, so the forwarder's link sees EOF and the
     /// machine re-routes whatever was in flight there. Panics if `d` was
     /// already killed and not readmitted.
     pub fn kill_dispatcher(&mut self, d: usize) -> DispatcherOutcome {
@@ -203,43 +160,37 @@ impl ForwarderServer {
             .shutdown()
     }
 
-    /// Mount a fresh dispatcher in slot `d` (new listener, new port),
-    /// connect a new downstream link, and tell the core to admit it. The
-    /// machine's `readmit` runs on the core thread, so `DispatcherLost`
-    /// from the old link can never race the fresh one. Returns the new
+    /// Mount a fresh dispatcher in slot `d` (new listener, new port) and
+    /// bring a new downstream link to it up. The machine's `readmit` runs
+    /// on the core thread when the link comes up, so `DispatcherLost` from
+    /// the old link can never race the fresh one. Returns the new
     /// dispatcher address for executors to connect to.
-    pub fn readmit_dispatcher(&mut self, d: usize) -> std::io::Result<SocketAddr> {
+    pub fn readmit_dispatcher(&mut self, d: usize) -> io::Result<SocketAddr> {
         let server = DispatcherServer::start(self.dispatcher_config.clone())?;
         let addr = server.addr;
-        let (instance, reader, writer) = connect_downstream(addr, self.security, self.clock)?;
         self.dispatcher_addrs[d] = addr;
         self.dispatchers[d] = Some(server);
-        self.cmd_tx
-            .send(Downstream::Admit {
-                d,
-                instance,
-                reader: Box::new(reader),
-                writer: Box::new(writer),
-            })
-            .ok();
+        self.link(d)?;
         Ok(addr)
     }
 
-    /// Stop the forwarder core first (so nothing new is routed), then every
+    /// Stop the forwarder tier first (so nothing new is routed), then every
     /// still-running dispatcher. Returns the forwarder's outcome and the
     /// surviving dispatchers' outcomes in slot order (killed-and-not-
     /// readmitted slots are skipped).
-    pub fn shutdown(mut self) -> (ForwarderOutcome, Vec<DispatcherOutcome>) {
-        self.cmd_tx.send(Downstream::Stop).ok();
-        let outcome = self
-            .core_handle
-            .take()
-            .expect("not yet shut down")
-            .join()
-            .expect("forwarder core thread");
+    pub fn shutdown(self) -> (ForwarderOutcome, Vec<DispatcherOutcome>) {
+        self.events.send(ServerEvent::Stop).ok();
+        let (stats, recorder) = self.core.join().expect("forwarder core thread");
+        let wire = self.shards.shutdown();
+        let outcome = ForwarderOutcome {
+            stats,
+            recorder,
+            upstream_wire: wire.accepted,
+            downstream_wire: wire.dialed,
+        };
         let dispatchers = self
             .dispatchers
-            .drain(..)
+            .into_iter()
             .flatten()
             .map(DispatcherServer::shutdown)
             .collect();
@@ -247,437 +198,216 @@ impl ForwarderServer {
     }
 }
 
-/// Connect to a dispatcher and run the `CreateInstance` handshake
-/// synchronously, so the core only ever owns links with a bound instance.
-fn connect_downstream(
-    addr: SocketAddr,
-    security: TcpSecurity,
-    clock: Clock,
-) -> std::io::Result<(InstanceId, ConnReader, ConnWriter)> {
-    let stream = TcpStream::connect(addr)?;
-    let mut conn = Conn::establish(stream, security, clock)?;
-    conn.enqueue(&Message::CreateInstance)?;
-    conn.flush()?;
-    let instance = loop {
-        if let Message::InstanceCreated { instance } = conn.recv()? {
-            break instance;
-        }
-    };
-    let (reader, writer) = conn.split();
-    Ok((instance, reader, writer))
-}
-
-/// Blocking reader for one downstream link: forward decoded messages
-/// tagged with the link's slot and generation, report `Closed` on EOF or
-/// error, surrender the wire shard on exit.
-fn spawn_downstream_reader(
-    d: usize,
-    gen: u64,
-    mut reader: ConnReader,
-    tx: Sender<Downstream>,
-) -> JoinHandle<Counters> {
-    thread::spawn(move || {
-        while let Ok(msg) = reader.recv() {
-            if tx.send(Downstream::Msg { d, gen, msg }).is_err() {
-                break;
-            }
-        }
-        tx.send(Downstream::Closed { d, gen }).ok();
-        reader.into_wire()
-    })
-}
-
-/// One downstream dispatcher link as the core sees it.
+/// One downstream dispatcher slot as the core sees it.
 struct Link {
-    /// Our instance at that dispatcher (rebound on readmit).
-    instance: InstanceId,
-    /// The outbound half; `None` once the link is down.
-    writer: Option<ConnWriter>,
-    /// Bumped on every readmit; stale reader events are ignored.
-    gen: u64,
+    /// The connection currently serving this slot.
+    conn: Option<(ConnId, ConnHandle)>,
+    /// Our instance at that dispatcher; `Some` once the link is up.
+    instance: Option<InstanceId>,
+    /// The machine's view: not lost since it was last (re)admitted.
     alive: bool,
-    reader: Option<JoinHandle<Counters>>,
-    /// Bundles the machine routed here while *every* dispatcher was down;
-    /// replayed in order when this slot is readmitted.
+    /// Bundles the machine routed here while the link was down (it only
+    /// does that when *every* dispatcher is); replayed in order when the
+    /// slot's next link comes up.
     parked: Vec<Vec<TaskSpec>>,
 }
 
-/// Upper bound on events absorbed per wakeup (mirrors the dispatcher
-/// core), so one chatty face cannot starve the other.
-const MAX_DRAIN: usize = 256;
-
-enum Wake {
-    Up(TransportEvent),
-    Down(Downstream),
+/// The forwarder state machine and the routing tables of both faces.
+struct Core {
+    fwd: Forwarder<Recorder>,
+    actions: Vec<ForwarderAction>,
+    links: Vec<Link>,
+    /// Which slot a dialed connection serves (current links only).
+    link_of: HashMap<ConnId, usize>,
+    link_up: Sender<io::Result<()>>,
+    clients: HashMap<ConnId, ConnHandle>,
+    inst_conn: HashMap<InstanceId, ConnId>,
+    conn_insts: HashMap<ConnId, Vec<InstanceId>>,
+    next_instance: u64,
 }
 
-/// The forwarder state machine driven by both faces: client transport
-/// events upstream, per-link reader channels (shared with the server
-/// handle's control commands) downstream. Blocks on `select!`; the machine
-/// arms no deadlines, so there is no timed wait at all.
-fn forwarder_core(
-    transport: Box<dyn Transport>,
-    ev_rx: Receiver<TransportEvent>,
-    down_rx: Receiver<Downstream>,
-    down_tx: Sender<Downstream>,
-    mut links: Vec<Link>,
-    clock: Clock,
-) -> ForwarderOutcome {
-    let n = links.len();
-    let mut fwd: Forwarder<Recorder> = Forwarder::with_probe(n, Recorder::new());
-    let mut clients: HashMap<ConnId, ConnHandle> = HashMap::new();
-    let mut inst_conn: HashMap<InstanceId, ConnId> = HashMap::new();
-    let mut conn_insts: HashMap<ConnId, Vec<InstanceId>> = HashMap::new();
-    let mut next_instance = 1u64;
-    let mut lost_wire = Counters::new();
-    let mut actions: Vec<ForwarderAction> = Vec::new();
-    let mut dirty = vec![false; n];
-    let mut stop = false;
-    while !stop {
-        let first = select! {
-            recv(ev_rx) -> m => match m {
-                Ok(m) => Wake::Up(m),
-                Err(_) => break,
-            },
-            recv(down_rx) -> m => match m {
-                Ok(Downstream::Stop) | Err(_) => break,
-                Ok(m) => Wake::Down(m),
-            },
+impl Core {
+    fn new(n: usize, link_up: Sender<io::Result<()>>) -> Core {
+        let link = || Link {
+            conn: None,
+            instance: None,
+            alive: true,
+            parked: Vec::new(),
         };
-        // Clock read follows the wait; one read covers the drained batch.
-        let now = clock.now_us();
-        let mut next = Some(first);
-        let mut drained = 0usize;
-        while let Some(wake) = next.take() {
-            match wake {
-                Wake::Up(ev) => on_upstream(
-                    ev,
-                    now,
-                    &mut fwd,
-                    &mut actions,
-                    &mut clients,
-                    &mut inst_conn,
-                    &mut conn_insts,
-                    &mut next_instance,
-                ),
-                Wake::Down(Downstream::Admit {
-                    d,
-                    instance,
-                    reader,
-                    writer,
-                }) => {
-                    admit(
-                        d,
-                        instance,
-                        *reader,
-                        *writer,
-                        now,
-                        &mut fwd,
-                        &mut actions,
-                        &mut links,
-                        &mut dirty,
-                        &mut lost_wire,
-                        &down_tx,
-                    );
-                }
-                Wake::Down(Downstream::Stop) => {
-                    stop = true;
-                    break;
-                }
-                Wake::Down(hop) => on_downstream(
-                    hop,
-                    now,
-                    &mut fwd,
-                    &mut actions,
-                    &mut links,
-                    &mut dirty,
-                    &mut lost_wire,
-                ),
-            }
-            deliver(
-                now,
-                &mut fwd,
-                &mut actions,
-                &mut links,
-                &mut dirty,
-                &mut lost_wire,
-                &clients,
-                &inst_conn,
-            );
-            drained += 1;
-            if drained < MAX_DRAIN {
-                next = ev_rx
-                    .try_recv()
-                    .ok()
-                    .map(Wake::Up)
-                    .or_else(|| down_rx.try_recv().ok().map(Wake::Down));
-            }
-        }
-        // Flush every link the batch touched with one syscall each.
-        flush_dirty(
-            now,
-            &mut fwd,
-            &mut actions,
-            &mut links,
-            &mut dirty,
-            &mut lost_wire,
-            &clients,
-            &inst_conn,
-        );
-    }
-    // Shutdown. Upstream first (drop handles, then the transport joins its
-    // threads and surrenders the clients' wire counters) ...
-    drop(clients);
-    drop(ev_rx);
-    let upstream_wire = transport.shutdown();
-    // ... then every live downstream link: final flush, socket shutdown
-    // (which EOFs the reader thread), join, merge.
-    let mut downstream_wire = lost_wire;
-    for link in links {
-        if let Some(mut writer) = link.writer {
-            let _ = writer.flush();
-            writer.shutdown();
-            downstream_wire.merge(&writer.into_wire());
-        }
-        if let Some(handle) = link.reader {
-            if let Ok(wire) = handle.join() {
-                downstream_wire.merge(&wire);
-            }
+        Core {
+            fwd: Forwarder::with_probe(n, Recorder::new()),
+            actions: Vec::new(),
+            links: (0..n).map(|_| link()).collect(),
+            link_of: HashMap::new(),
+            link_up,
+            clients: HashMap::new(),
+            inst_conn: HashMap::new(),
+            conn_insts: HashMap::new(),
+            next_instance: 1,
         }
     }
-    ForwarderOutcome {
-        stats: fwd.stats(),
-        recorder: fwd.probe().clone(),
-        upstream_wire,
-        downstream_wire,
-    }
-}
 
-/// Handle one client-facing transport event.
-#[allow(clippy::too_many_arguments)] // core loop plumbing, never re-exported
-fn on_upstream(
-    ev: TransportEvent,
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    clients: &mut HashMap<ConnId, ConnHandle>,
-    inst_conn: &mut HashMap<InstanceId, ConnId>,
-    conn_insts: &mut HashMap<ConnId, Vec<InstanceId>>,
-    next_instance: &mut u64,
-) {
-    match ev {
-        TransportEvent::Connected(id, handle) => {
-            clients.insert(id, handle);
-        }
-        TransportEvent::Closed(id) => {
-            clients.remove(&id);
-            // Results for a gone client's instances are dropped at
-            // delivery time; the tasks themselves still complete.
-            for inst in conn_insts.remove(&id).unwrap_or_default() {
-                inst_conn.remove(&inst);
+    /// Drive the machine from the one event channel until stopped. The
+    /// machine arms no deadlines, so the wait is a plain `recv`.
+    fn run(mut self, rx: Receiver<ServerEvent>) -> (ForwarderStats, Recorder) {
+        let clock = Clock::start();
+        'run: while let Ok(first) = rx.recv() {
+            // Clock read follows the wait; one read covers the batch.
+            let now = clock.now_us();
+            let mut next = Some(first);
+            let mut drained = 0usize;
+            while let Some(ev) = next.take() {
+                match ev {
+                    ServerEvent::Connected(id, handle, Some(d)) => self.admit(d, id, handle, now),
+                    ServerEvent::Connected(id, handle, None) => {
+                        self.clients.insert(id, handle);
+                    }
+                    ServerEvent::Msg(id, msg) => match self.link_of.get(&id) {
+                        Some(&d) => self.on_downstream(d, msg, now),
+                        None => self.on_upstream(id, msg, now),
+                    },
+                    ServerEvent::Closed(id) => match self.link_of.get(&id) {
+                        Some(&d) => self.lose(d, now),
+                        None => self.on_client_closed(id),
+                    },
+                    ServerEvent::Stop => break 'run,
+                }
+                self.deliver();
+                drained += 1;
+                if drained < MAX_DRAIN {
+                    next = rx.try_recv().ok();
+                }
             }
         }
-        TransportEvent::Msg(id, msg) => match msg {
+        (self.fwd.stats(), self.fwd.probe().clone())
+    }
+
+    /// A dialed connection for slot `d` is established: open it with
+    /// `CreateInstance`. If the old link is somehow still in place (an
+    /// admit without a preceding loss), it is torn down — with its
+    /// re-routes — first.
+    fn admit(&mut self, d: usize, id: ConnId, handle: ConnHandle, now: u64) {
+        if self.links[d].conn.is_some() {
+            self.lose(d, now);
+        }
+        handle.send(Message::CreateInstance);
+        self.link_of.insert(id, d);
+        self.links[d].conn = Some((id, handle));
+    }
+
+    /// Tear down slot `d`'s link and tell the machine, which re-routes
+    /// everything that was in flight there. Dropping the handle closes the
+    /// connection if the peer has not already.
+    fn lose(&mut self, d: usize, now: u64) {
+        let link = &mut self.links[d];
+        if let Some((id, _handle)) = link.conn.take() {
+            self.link_of.remove(&id);
+        }
+        if link.instance.take().is_none() {
+            // It never came up: whoever dialed it is waiting to hear.
+            self.link_up
+                .send(Err(io::ErrorKind::UnexpectedEof.into()))
+                .ok();
+        }
+        if std::mem::take(&mut link.alive) {
+            let lost = ForwarderEvent::DispatcherLost { dispatcher: d };
+            self.fwd.on_event(now, lost, &mut self.actions);
+        }
+    }
+
+    /// Handle one message from dispatcher `d`.
+    fn on_downstream(&mut self, d: usize, msg: Message, now: u64) {
+        let link = &mut self.links[d];
+        let Some((_, handle)) = &link.conn else {
+            return;
+        };
+        match (msg, link.instance) {
+            (Message::InstanceCreated { instance }, None) => {
+                // The link is up: admit the slot if the machine had lost
+                // it, and replay what was parked. Parked bundles are
+                // already in flight on `d` in the machine's books.
+                link.instance = Some(instance);
+                if !std::mem::replace(&mut link.alive, true) {
+                    self.fwd.readmit(now, d);
+                }
+                for tasks in std::mem::take(&mut link.parked) {
+                    handle.send(Message::Submit { instance, tasks });
+                }
+                self.link_up.send(Ok(())).ok();
+            }
+            // Answer the notify with a fetch, like any client.
+            (Message::ClientNotify { .. }, Some(instance)) => {
+                handle.send(Message::GetResults { instance });
+            }
+            (Message::Results { results }, _) => {
+                let ev = ForwarderEvent::DispatcherResults {
+                    dispatcher: d,
+                    results,
+                };
+                self.fwd.on_event(now, ev, &mut self.actions);
+            }
+            // SubmitAck and friends carry no forwarder-visible state.
+            _ => {}
+        }
+    }
+
+    /// Handle one message from a client.
+    fn on_upstream(&mut self, id: ConnId, msg: Message, now: u64) {
+        match msg {
             Message::CreateInstance => {
-                let instance = InstanceId(*next_instance);
-                *next_instance += 1;
-                inst_conn.insert(instance, id);
-                conn_insts.entry(id).or_default().push(instance);
-                if let Some(handle) = clients.get(&id) {
+                let instance = InstanceId(self.next_instance);
+                self.next_instance += 1;
+                self.inst_conn.insert(instance, id);
+                self.conn_insts.entry(id).or_default().push(instance);
+                if let Some(handle) = self.clients.get(&id) {
                     handle.send(Message::InstanceCreated { instance });
                 }
             }
             Message::Submit { instance, tasks } => {
-                fwd.on_event(
-                    now,
-                    ForwarderEvent::ClientSubmit { instance, tasks },
-                    actions,
-                );
+                let ev = ForwarderEvent::ClientSubmit { instance, tasks };
+                self.fwd.on_event(now, ev, &mut self.actions);
             }
-            Message::DestroyInstance { instance } if inst_conn.remove(&instance).is_some() => {
-                if let Some(insts) = conn_insts.get_mut(&id) {
+            Message::DestroyInstance { instance } if self.inst_conn.remove(&instance).is_some() => {
+                if let Some(insts) = self.conn_insts.get_mut(&id) {
                     insts.retain(|i| *i != instance);
                 }
             }
             // GetResults never arrives in the push protocol; everything
             // else on this face is a peer speaking the wrong role.
             _ => {}
-        },
-    }
-}
-
-/// Handle one hop from a downstream reader thread.
-fn on_downstream(
-    hop: Downstream,
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    links: &mut [Link],
-    dirty: &mut [bool],
-    lost_wire: &mut Counters,
-) {
-    match hop {
-        Downstream::Msg { d, gen, msg } => {
-            if links[d].gen != gen || !links[d].alive {
-                return;
-            }
-            match msg {
-                Message::ClientNotify { .. } => {
-                    // Answer the notify with a fetch, like any client.
-                    let instance = links[d].instance;
-                    let ok = links[d]
-                        .writer
-                        .as_mut()
-                        .is_some_and(|w| w.enqueue(&Message::GetResults { instance }).is_ok());
-                    if ok {
-                        dirty[d] = true;
-                    } else {
-                        lose(d, now, fwd, actions, links, lost_wire);
-                    }
-                }
-                Message::Results { results } => {
-                    fwd.on_event(
-                        now,
-                        ForwarderEvent::DispatcherResults {
-                            dispatcher: d,
-                            results,
-                        },
-                        actions,
-                    );
-                }
-                // SubmitAck and friends carry no forwarder-visible state.
-                _ => {}
-            }
-        }
-        Downstream::Closed { d, gen } => {
-            if links[d].gen == gen && links[d].alive {
-                lose(d, now, fwd, actions, links, lost_wire);
-            }
-        }
-        // Control variants are routed by the core loop before this point.
-        Downstream::Admit { .. } | Downstream::Stop => {}
-    }
-}
-
-/// Tear down link `d` and tell the machine, which re-routes everything
-/// that was in flight there. Idempotent per generation.
-fn lose(
-    d: usize,
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    links: &mut [Link],
-    lost_wire: &mut Counters,
-) {
-    let link = &mut links[d];
-    link.alive = false;
-    if let Some(writer) = link.writer.take() {
-        // No final flush: the peer is gone. Closing the socket EOFs our
-        // reader thread, whose wire shard we then collect.
-        writer.shutdown();
-        lost_wire.merge(&writer.into_wire());
-    }
-    if let Some(handle) = link.reader.take() {
-        if let Ok(wire) = handle.join() {
-            lost_wire.merge(&wire);
         }
     }
-    fwd.on_event(
-        now,
-        ForwarderEvent::DispatcherLost { dispatcher: d },
-        actions,
-    );
-}
 
-/// Install a fresh link in slot `d` and readmit it to the machine. If the
-/// old link is somehow still alive (an admit without a preceding loss),
-/// it is torn down — with its re-routes — first.
-#[allow(clippy::too_many_arguments)] // core loop plumbing, never re-exported
-fn admit(
-    d: usize,
-    instance: InstanceId,
-    reader: ConnReader,
-    writer: ConnWriter,
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    links: &mut [Link],
-    dirty: &mut [bool],
-    lost_wire: &mut Counters,
-    down_tx: &Sender<Downstream>,
-) {
-    if links[d].alive {
-        lose(d, now, fwd, actions, links, lost_wire);
-    }
-    let link = &mut links[d];
-    link.gen += 1;
-    link.instance = instance;
-    link.writer = Some(writer);
-    link.alive = true;
-    link.reader = Some(spawn_downstream_reader(
-        d,
-        link.gen,
-        reader,
-        down_tx.clone(),
-    ));
-    fwd.readmit(now, d);
-    // Replay bundles that had nowhere to go while every dispatcher was
-    // down. They are already in flight on `d` in the machine's books.
-    let parked = std::mem::take(&mut link.parked);
-    for tasks in parked {
-        let ok = links[d]
-            .writer
-            .as_mut()
-            .is_some_and(|w| w.enqueue(&Message::Submit { instance, tasks }).is_ok());
-        if ok {
-            dirty[d] = true;
-        } else {
-            lose(d, now, fwd, actions, links, lost_wire);
-            return;
+    /// Results for a gone client's instances are dropped at delivery time;
+    /// the tasks themselves still complete.
+    fn on_client_closed(&mut self, id: ConnId) {
+        self.clients.remove(&id);
+        for inst in self.conn_insts.remove(&id).unwrap_or_default() {
+            self.inst_conn.remove(&inst);
         }
     }
-}
 
-/// Drain the machine's actions, feeding delivery failures back in as
-/// losses until the queue is empty.
-#[allow(clippy::too_many_arguments)] // core loop plumbing, never re-exported
-fn deliver(
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    links: &mut [Link],
-    dirty: &mut [bool],
-    lost_wire: &mut Counters,
-    clients: &HashMap<ConnId, ConnHandle>,
-    inst_conn: &HashMap<InstanceId, ConnId>,
-) {
-    while !actions.is_empty() {
-        for act in std::mem::take(actions) {
+    /// Send the machine's pending actions on their way. A send never fails
+    /// here: a dead connection is reported by its own `Closed` event.
+    fn deliver(&mut self) {
+        for act in self.actions.drain(..) {
             match act {
                 ForwarderAction::SubmitTo { dispatcher, tasks } => {
-                    if !links[dispatcher].alive {
-                        // Every dispatcher is poisoned (the machine never
-                        // picks a dead one otherwise): park for replay at
-                        // the next readmit of this slot.
-                        links[dispatcher].parked.push(tasks);
-                        continue;
-                    }
-                    let instance = links[dispatcher].instance;
-                    let ok = links[dispatcher]
-                        .writer
-                        .as_mut()
-                        .is_some_and(|w| w.enqueue(&Message::Submit { instance, tasks }).is_ok());
-                    if ok {
-                        dirty[dispatcher] = true;
-                    } else {
-                        // The loss re-routes these tasks (still in flight
-                        // on `dispatcher` in the machine's books) and any
-                        // others that were there.
-                        lose(dispatcher, now, fwd, actions, links, lost_wire);
+                    match &mut self.links[dispatcher] {
+                        Link {
+                            conn: Some((_, handle)),
+                            instance: Some(instance),
+                            ..
+                        } => handle.send(Message::Submit {
+                            instance: *instance,
+                            tasks,
+                        }),
+                        link => link.parked.push(tasks),
                     }
                 }
                 ForwarderAction::DeliverResults { instance, results } => {
-                    if let Some(handle) = inst_conn.get(&instance).and_then(|c| clients.get(c)) {
+                    let conn = self.inst_conn.get(&instance);
+                    if let Some(handle) = conn.and_then(|c| self.clients.get(c)) {
                         handle.send(Message::Results { results });
                     }
                 }
@@ -686,54 +416,15 @@ fn deliver(
     }
 }
 
-/// Flush every link the last batch wrote to; a flush failure is a loss,
-/// whose re-routes are delivered (and flushed) in turn.
-#[allow(clippy::too_many_arguments)] // core loop plumbing, never re-exported
-fn flush_dirty(
-    now: u64,
-    fwd: &mut Forwarder<Recorder>,
-    actions: &mut Vec<ForwarderAction>,
-    links: &mut [Link],
-    dirty: &mut [bool],
-    lost_wire: &mut Counters,
-    clients: &HashMap<ConnId, ConnHandle>,
-    inst_conn: &HashMap<InstanceId, ConnId>,
-) {
-    loop {
-        let mut failed: Vec<usize> = Vec::new();
-        for d in 0..links.len() {
-            if !dirty[d] {
-                continue;
-            }
-            dirty[d] = false;
-            if links[d].alive {
-                let ok = links[d].writer.as_mut().is_some_and(|w| w.flush().is_ok());
-                if !ok {
-                    failed.push(d);
-                }
-            }
-        }
-        if failed.is_empty() {
-            return;
-        }
-        for d in failed {
-            lose(d, now, fwd, actions, links, lost_wire);
-            deliver(
-                now, fwd, actions, links, dirty, lost_wire, clients, inst_conn,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::TcpSecurity;
     use falkon_core::executor::ExecutorConfig;
     use falkon_core::DispatcherConfig;
     use falkon_obs::ObsEventKind;
     use falkon_proto::bundle::BundleConfig;
     use falkon_proto::message::ExecutorId;
-    use falkon_proto::task::TaskSpec;
 
     fn three_tier(
         dispatchers: usize,

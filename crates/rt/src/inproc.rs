@@ -7,19 +7,19 @@
 //! "GSISecureConversation" comparison is reproduced as a *measurement*.
 
 use crate::clock::Clock;
+use crate::exec::{pump_executor, route_actions, Dest};
 use crate::transport::{link, Endpoint, Packet, WireMode};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, TaskRecord};
-use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
+use falkon_core::executor::{Executor, ExecutorConfig, ExecutorEvent};
 use falkon_core::DispatcherConfig;
 use falkon_obs::{Counters, Recorder, WireTap};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::ExecutorId;
-use falkon_proto::task::{TaskResult, TaskSpec};
+use falkon_proto::task::TaskSpec;
 use std::collections::HashMap;
 use std::thread;
-use std::time::Duration;
 
 /// Configuration of an in-process deployment.
 #[derive(Clone, Debug)]
@@ -85,15 +85,6 @@ enum DispIn {
     FromExecutor(ExecutorId, Packet),
     FromClient(Packet),
     Stop,
-}
-
-/// Execute one task on the executor thread.
-fn execute(spec: &TaskSpec, spawn: bool) -> TaskResult {
-    if spawn {
-        crate::exec::execute_process(spec)
-    } else {
-        crate::exec::execute_builtin(spec)
-    }
 }
 
 /// Run `tasks` through a fresh deployment; returns when all results have
@@ -239,60 +230,51 @@ fn dispatcher_thread(
     let mut d = Dispatcher::with_probe(config, Recorder::new());
     let mut wire = WireTap::with_probe(Recorder::new());
     let mut records = Vec::new();
-    let mut out = Vec::new();
+    let mut out: Vec<DispatcherAction> = Vec::new();
+    // Deliver one wake-up's accumulated dispatcher actions. A send failure
+    // means the peer already exited (e.g. an idle-released executor); the
+    // dispatcher will time the task out and replay.
+    let mut route = |out: &mut Vec<DispatcherAction>,
+                     now: u64,
+                     wire: &mut WireTap<Recorder>,
+                     exec_eps: &mut [Endpoint],
+                     client_ep: &mut Endpoint| {
+        route_actions(out, &mut records, |dest, msg| {
+            let (ep, tx) = match dest {
+                Dest::Executor(e) => (&mut exec_eps[e.0 as usize], &exec_txs[&e]),
+                Dest::Client(_) => (&mut *client_ep, &client_tx),
+                Dest::Provisioner => return,
+            };
+            let pkt = ep.pack(msg).expect("packable");
+            if let Some(bytes) = packet_bytes(&pkt) {
+                wire.encoded(now, bytes);
+            }
+            let _ = tx.send(pkt);
+        });
+    };
     // Cap on messages handled per wake-up, so deadline checks and action
     // routing cannot be starved by a firehose of inbound packets.
     const MAX_DRAIN: u32 = 256;
-    'main: loop {
-        // Event-driven wait: a pending replay deadline bounds the sleep;
-        // with nothing outstanding, block until a message arrives — there
-        // is no periodic wake-up.
-        let recv = match d.next_deadline() {
-            Some(dl) => {
-                let timeout = Duration::from_micros(dl.saturating_sub(clock.now_us()).max(1));
-                rx.recv_timeout(timeout)
-            }
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
+    // Event-driven wait: a pending replay deadline bounds the sleep; with
+    // nothing outstanding, block until a message arrives — there is no
+    // periodic wake-up.
+    'main: while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
         // Read the clock after the (possibly long) wait, or deadline checks
         // would be evaluated against a stale pre-wait timestamp.
         let now = clock.now_us();
-        let mut next = match recv {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {
-                d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
-                route_actions(
-                    &mut out,
-                    now,
-                    &mut wire,
-                    &mut exec_eps,
-                    &mut client_ep,
-                    &exec_txs,
-                    &client_tx,
-                    &mut records,
-                );
-                continue;
-            }
-        };
+        if first.is_none() {
+            d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
+        }
         // Batch-drain: after the blocking receive, feed everything already
         // queued (bounded) into the machine under one timestamp, then route
         // the accumulated actions in one pass — one wake-up, one clock
         // read, one action drain for the whole burst.
+        let mut next = first;
         let mut drained = 0u32;
         while let Some(msg) = next.take() {
             let ev = match msg {
                 DispIn::Stop => {
-                    route_actions(
-                        &mut out,
-                        now,
-                        &mut wire,
-                        &mut exec_eps,
-                        &mut client_ep,
-                        &exec_txs,
-                        &client_tx,
-                        &mut records,
-                    );
+                    route(&mut out, now, &mut wire, &mut exec_eps, &mut client_ep);
                     break 'main;
                 }
                 DispIn::FromExecutor(id, pkt) => {
@@ -318,58 +300,12 @@ fn dispatcher_thread(
                 next = rx.try_recv().ok();
             }
         }
-        route_actions(
-            &mut out,
-            now,
-            &mut wire,
-            &mut exec_eps,
-            &mut client_ep,
-            &exec_txs,
-            &client_tx,
-            &mut records,
-        );
+        route(&mut out, now, &mut wire, &mut exec_eps, &mut client_ep);
     }
     let stats = d.stats();
     let mut obs = d.probe().clone();
     obs.merge(wire.probe());
     (records, stats, obs)
-}
-
-/// Deliver one wake-up's accumulated dispatcher actions.
-#[allow(clippy::too_many_arguments)]
-fn route_actions(
-    out: &mut Vec<DispatcherAction>,
-    now: u64,
-    wire: &mut WireTap<Recorder>,
-    exec_eps: &mut [Endpoint],
-    client_ep: &mut Endpoint,
-    exec_txs: &HashMap<ExecutorId, Sender<Packet>>,
-    client_tx: &Sender<Packet>,
-    records: &mut Vec<TaskRecord>,
-) {
-    for act in out.drain(..) {
-        match act {
-            DispatcherAction::ToExecutor { executor, msg } => {
-                let pkt = exec_eps[executor.0 as usize].pack(msg).expect("packable");
-                if let Some(bytes) = packet_bytes(&pkt) {
-                    wire.encoded(now, bytes);
-                }
-                // A send failure means the executor already exited
-                // (e.g. idle-released); the dispatcher will time the
-                // task out and replay.
-                let _ = exec_txs[&executor].send(pkt);
-            }
-            DispatcherAction::ToClient { msg, .. } => {
-                let pkt = client_ep.pack(msg).expect("packable");
-                if let Some(bytes) = packet_bytes(&pkt) {
-                    wire.encoded(now, bytes);
-                }
-                let _ = client_tx.send(pkt);
-            }
-            DispatcherAction::TaskDone { record, .. } => records.push(record),
-            DispatcherAction::TaskFailed { .. } | DispatcherAction::ToProvisioner { .. } => {}
-        }
-    }
 }
 
 fn executor_thread(
@@ -383,59 +319,40 @@ fn executor_thread(
     let mut machine = Executor::new(id, format!("inproc-{}", id.0), config.executor);
     let mut wire = WireTap::new();
     let mut actions = Vec::new();
+    let mut queue = Vec::new();
     machine.on_event(clock.now_us(), ExecutorEvent::Start, &mut actions);
-    let mut pending_events: Vec<ExecutorEvent> = Vec::new();
-    'main: loop {
+    loop {
         // Drain actions (possibly generating follow-up events locally).
-        while !actions.is_empty() || !pending_events.is_empty() {
-            for act in std::mem::take(&mut actions) {
-                match act {
-                    ExecutorAction::Send(msg) => {
-                        let pkt = ep.pack(msg).expect("packable");
-                        if let Some(bytes) = packet_bytes(&pkt) {
-                            wire.encoded(clock.now_us(), bytes);
-                        }
-                        if disp_tx.send(DispIn::FromExecutor(id, pkt)).is_err() {
-                            break 'main;
-                        }
-                    }
-                    ExecutorAction::Run(spec) => {
-                        let t0 = clock.now_us();
-                        let mut result = execute(&spec, config.spawn_processes);
-                        result.executor_time_us = clock.now_us() - t0;
-                        pending_events.push(ExecutorEvent::TaskCompleted { result });
-                    }
-                    ExecutorAction::Shutdown => break 'main,
+        let pumped = pump_executor(
+            &clock,
+            &mut machine,
+            &mut actions,
+            &mut queue,
+            config.spawn_processes,
+            |msg| {
+                let pkt = ep.pack(msg).expect("packable");
+                if let Some(bytes) = packet_bytes(&pkt) {
+                    wire.encoded(clock.now_us(), bytes);
                 }
-            }
-            for ev in std::mem::take(&mut pending_events) {
-                machine.on_event(clock.now_us(), ev, &mut actions);
-            }
+                disp_tx.send(DispIn::FromExecutor(id, pkt)).map_err(drop)
+            },
+        );
+        // Shut down, or the dispatcher is gone.
+        if pumped != Ok(false) {
+            break;
         }
         // Fast path: a message is already queued — take it without the
-        // deadline arithmetic or a park/unpark round trip.
-        let msg = match rx.try_recv() {
+        // deadline arithmetic or a park/unpark round trip. Otherwise wait
+        // for the next message (or the idle-release deadline).
+        let pkt = match rx.try_recv() {
             Ok(pkt) => Some(pkt),
-            Err(TryRecvError::Disconnected) => break 'main,
-            // Nothing pending: wait for the next message (or the
-            // idle-release deadline).
-            Err(TryRecvError::Empty) => match machine.idle_deadline_us() {
-                Some(deadline) => {
-                    let wait = deadline.saturating_sub(clock.now_us());
-                    match rx.recv_timeout(Duration::from_micros(wait.max(1))) {
-                        Ok(pkt) => Some(pkt),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break 'main,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(pkt) => Some(pkt),
-                    Err(_) => break 'main,
-                },
+            Err(_) => match clock.recv_until(&rx, machine.idle_deadline_us()) {
+                Ok(pkt) => pkt,
+                Err(_) => break,
             },
         };
         let now = clock.now_us();
-        match msg {
+        match pkt {
             None => machine.on_event(now, ExecutorEvent::IdleTimeout, &mut actions),
             Some(pkt) => {
                 if let Some(bytes) = packet_bytes(&pkt) {

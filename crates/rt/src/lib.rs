@@ -11,12 +11,12 @@
 //!   WS stack.
 //! * [`tcp`] — the same deployment over real localhost TCP sockets with
 //!   length-delimited frames (the custom TCP notification path of Figure 2,
-//!   extended to all messages). The dispatcher side is built on a
-//!   [`tcp::Transport`] abstraction with two implementations: thread-per-
-//!   connection, and the [`shard`] module's connection-multiplexed event
-//!   loops (O(shards) OS threads for thousands of connections).
-//! * [`muxpeer`] — the peer-side counterpart: many executor machines
-//!   multiplexed on one thread, for fan-out harnesses.
+//!   extended to all messages), and [`forwarder`] — the 3-tier deployment
+//!   on top of it. Every socket is a [`conn::Conn`] serviced by the one
+//!   readiness loop in [`engine`]; [`server`] mounts that loop as shard
+//!   threads behind a listener (O(shards) OS threads for thousands of
+//!   connections), [`muxpeer`] mounts it on the caller's thread for any
+//!   number of executor peers.
 //! * [`wscounter`] — the paper's GT4 "counter service" baseline: a trivial
 //!   request/response server whose call rate upper-bounds achievable
 //!   dispatch throughput on the same transport.
@@ -30,12 +30,14 @@
 
 pub mod bufpool;
 pub mod clock;
+pub mod conn;
+pub mod engine;
 pub mod exec;
 pub mod forwarder;
 pub mod inproc;
 pub mod muxpeer;
 pub mod poll;
-pub mod shard;
+pub mod server;
 pub mod tcp;
 pub mod transport;
 pub mod wscounter;

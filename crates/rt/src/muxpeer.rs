@@ -1,26 +1,27 @@
-//! Many executor peers multiplexed on one OS thread.
+//! Executor peers: any number of them multiplexed on the caller's thread.
 //!
-//! The sharded transport keeps the *dispatcher's* thread count O(shards);
-//! this module does the same on the peer side so a single process can hold
-//! a thousand executor connections without a thousand reader threads. One
-//! call to [`run_executors_mux`] connects `count` executors, then drives
-//! all of their sans-io machines from one `poll(2)` loop: nonblocking
-//! sockets, coalesced nonblocking writes, and the machines' idle deadlines
-//! folded into the poll timeout. The only threads are the caller's.
+//! The server mount keeps the *dispatcher's* thread count O(shards); this
+//! module mounts the same [`Engine`] on the peer side, so one thread can
+//! hold a thousand executor connections. [`run_executors_mux`] dials
+//! `count` executors and drives all of their sans-io machines from the
+//! engine's callbacks: nonblocking sockets, coalesced writes, and each
+//! machine's idle deadline carried as its connection's deadline. The only
+//! threads are the caller's. [`crate::tcp::run_executor`] is this pool
+//! with one member.
 //!
-//! Task bodies run inline on the mux thread, so this driver is only
+//! Task bodies run inline on the calling thread, so a pool of many is only
 //! appropriate for dispatch-rate workloads (sleep-0 tasks) — a task that
-//! actually sleeps would stall every peer in the loop. The fanout bench
-//! and soak test are exactly such workloads; use [`crate::tcp::run_executor`]
-//! (one thread per peer) when task bodies do real work.
-#![cfg(unix)]
+//! actually sleeps stalls every peer in the loop. Give each executor its
+//! own thread (and its own pool of one) when task bodies do real work.
 
 use crate::clock::Clock;
-use crate::poll as sys;
-use crate::tcp::{Conn, ConnReader, ConnWriter, TcpSecurity};
+use crate::conn::{Closed, Conn, Inbound, TcpSecurity};
+use crate::engine::{Engine, Handler, Token};
+use crate::exec::pump_executor;
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
-use falkon_obs::{Counters, NoopProbe};
+use falkon_obs::{Counters, NoopProbe, Probe};
 use falkon_proto::message::ExecutorId;
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 
 /// What a multiplexed executor pool observed across all of its peers.
@@ -34,24 +35,113 @@ pub struct MuxOutcome {
     pub clean_exits: u64,
 }
 
-struct MuxPeer {
-    machine: Executor<NoopProbe>,
-    reader: ConnReader,
-    writer: ConnWriter,
+/// The pool's [`Handler`]: each connection's datum is its machine.
+pub(crate) struct Pool<P> {
+    clock: Clock,
+    /// Pump scratch, shared by every machine (each pump runs to quiet).
     actions: Vec<ExecutorAction>,
     queue: Vec<ExecutorEvent>,
+    pub(crate) outcome: MuxOutcome,
+    /// Every finished machine's probe, in the order they finished.
+    pub(crate) probes: Vec<P>,
+    /// A peer that never got as far as `Opened`: fatal for the pool.
+    handshake_error: Option<io::Error>,
+    /// The first real socket error (not EOF) on an established peer.
+    pub(crate) socket_error: Option<io::Error>,
 }
 
-/// How one peer's socket drain ended.
-enum ReadEnd {
-    Open,
-    Eof,
-    Error,
+impl<P: Probe> Handler<Executor<P>> for Pool<P> {
+    fn inbound(
+        &mut self,
+        _: Token,
+        conn: &mut Conn,
+        machine: &mut Executor<P>,
+        ev: Inbound,
+    ) -> io::Result<bool> {
+        let ev = match ev {
+            Inbound::Opened => Some(ExecutorEvent::Start),
+            Inbound::Msg(msg) => falkon_core::mapping::message_to_executor_event(msg),
+            Inbound::Deadline => Some(ExecutorEvent::IdleTimeout),
+        };
+        if let Some(ev) = ev {
+            machine.on_event(self.clock.now_us(), ev, &mut self.actions);
+        }
+        // Sends coalesce in the connection's batch and leave in one write
+        // on the engine's next turn.
+        let shutdown = pump_executor(
+            &self.clock,
+            machine,
+            &mut self.actions,
+            &mut self.queue,
+            false,
+            |msg| conn.enqueue(&msg),
+        )?;
+        conn.set_deadline(machine.idle_deadline_us());
+        Ok(shutdown)
+    }
+
+    fn closed(&mut self, _: Token, machine: Executor<P>, closed: Closed) {
+        self.outcome.tasks += machine.tasks_run;
+        self.outcome.wire.merge(&closed.wire);
+        self.outcome.clean_exits += u64::from(closed.local);
+        self.probes.push(machine.into_probe());
+        if !closed.opened {
+            self.handshake_error = Some(
+                closed
+                    .cause
+                    .unwrap_or_else(|| io::ErrorKind::UnexpectedEof.into()),
+            );
+        } else if !closed.local && self.socket_error.is_none() {
+            self.socket_error = closed.cause;
+        }
+    }
 }
 
-/// Per-wake cap on `read()` calls per peer (fairness; `poll` is
-/// level-triggered so leftovers re-arm the fd).
-const READ_BUDGET: usize = 8;
+/// Connect `count` executors (ids `first_id..first_id+count`, one probe
+/// from `probe` each) and drive them all from this thread until every
+/// connection has closed: the dispatcher went away, or the machine
+/// released itself.
+pub(crate) fn run_pool<P: Probe>(
+    addr: SocketAddr,
+    first_id: u64,
+    count: usize,
+    config: ExecutorConfig,
+    security: TcpSecurity,
+    mut probe: impl FnMut() -> P,
+) -> io::Result<Pool<P>> {
+    let clock = Clock::start();
+    let mut engine = Engine::new(clock);
+    // Connect serially. This does NOT bound the listener's accept queue:
+    // `connect` returns when the kernel completes the handshake, not when
+    // the server accepts, so a fast dialer still piles connections into
+    // the backlog — the deep listen queue (`poll::LISTEN_BACKLOG`) is what
+    // absorbs the fleet.
+    for i in 0..count as u64 {
+        let conn = Conn::new(TcpStream::connect(addr)?, security, clock)?;
+        let id = ExecutorId(first_id + i);
+        engine.add(conn, Executor::with_probe(id, "tcp-exec", config, probe()));
+    }
+    let mut pool = Pool {
+        clock,
+        actions: Vec::new(),
+        queue: Vec::new(),
+        outcome: MuxOutcome {
+            tasks: 0,
+            wire: Counters::new(),
+            clean_exits: 0,
+        },
+        probes: Vec::with_capacity(count),
+        handshake_error: None,
+        socket_error: None,
+    };
+    while engine.live() > 0 {
+        engine.turn(&[], &mut pool)?;
+        if let Some(e) = pool.handshake_error.take() {
+            return Err(e);
+        }
+    }
+    Ok(pool)
+}
 
 /// Connect `count` executors (ids `first_id..first_id+count`) to a TCP
 /// dispatcher and drive them all from this thread until every connection
@@ -62,213 +152,6 @@ pub fn run_executors_mux(
     count: usize,
     config: ExecutorConfig,
     security: TcpSecurity,
-) -> std::io::Result<MuxOutcome> {
-    let clock = Clock::start();
-    let mut peers: Vec<Option<MuxPeer>> = Vec::with_capacity(count);
-    // Connect serially. Note this does NOT bound the listener's accept
-    // queue: `connect` returns when the kernel completes the handshake,
-    // not when the dispatcher's accept thread picks the socket up, so a
-    // fast dialer still piles connections into the backlog — the deep
-    // listen queue (`poll::LISTEN_BACKLOG`) is what absorbs the fleet.
-    for i in 0..count {
-        let stream = TcpStream::connect(addr)?;
-        let mut conn = Conn::establish(stream, security, clock)?;
-        conn.set_nonblocking()?;
-        let (reader, writer) = conn.split();
-        let mut machine = Executor::with_probe(
-            ExecutorId(first_id + i as u64),
-            "mux-exec",
-            config,
-            NoopProbe,
-        );
-        let mut actions = Vec::new();
-        machine.on_event(clock.now_us(), ExecutorEvent::Start, &mut actions);
-        peers.push(Some(MuxPeer {
-            machine,
-            reader,
-            writer,
-            actions,
-            queue: Vec::new(),
-        }));
-    }
-
-    let mut outcome = MuxOutcome {
-        tasks: 0,
-        wire: Counters::new(),
-        clean_exits: 0,
-    };
-    let mut alive = count;
-    let mut pollfds: Vec<sys::PollFd> = Vec::new();
-    let mut poll_peers: Vec<usize> = Vec::new();
-    while alive > 0 {
-        // Pump every machine: actions → sends/inline task runs → feedback
-        // events, until quiet; then a nonblocking flush.
-        for slot in peers.iter_mut() {
-            let Some(peer) = slot.as_mut() else { continue };
-            match pump_peer(&clock, peer) {
-                Ok(false) => {}
-                Ok(true) => {
-                    finish(slot, &mut outcome, true);
-                    alive -= 1;
-                }
-                Err(_) => {
-                    finish(slot, &mut outcome, false);
-                    alive -= 1;
-                }
-            }
-        }
-        if alive == 0 {
-            break;
-        }
-        // Fold every armed idle deadline into the poll timeout.
-        let now = clock.now_us();
-        let mut timeout_ms = -1i32;
-        for peer in peers.iter().flatten() {
-            if let Some(deadline) = peer.machine.idle_deadline_us() {
-                let ms = deadline.saturating_sub(now).div_ceil(1000).max(1);
-                let ms = i32::try_from(ms).unwrap_or(i32::MAX);
-                if timeout_ms < 0 || ms < timeout_ms {
-                    timeout_ms = ms;
-                }
-            }
-        }
-        pollfds.clear();
-        poll_peers.clear();
-        for (idx, peer) in peers.iter().enumerate() {
-            let Some(peer) = peer else { continue };
-            let mut events = sys::POLLIN;
-            if peer.writer.pending() > 0 {
-                events |= sys::POLLOUT;
-            }
-            pollfds.push(sys::PollFd {
-                fd: peer.reader.raw_fd(),
-                events,
-                revents: 0,
-            });
-            poll_peers.push(idx);
-        }
-        sys::poll_wait(&mut pollfds, timeout_ms)?;
-        for i in 0..pollfds.len() {
-            let revents = pollfds[i].revents;
-            if revents == 0 {
-                continue;
-            }
-            let slot = &mut peers[poll_peers[i]];
-            let Some(peer) = slot.as_mut() else { continue };
-            if revents & sys::POLLOUT != 0 && peer.writer.try_flush().is_err() {
-                finish(slot, &mut outcome, false);
-                alive -= 1;
-                continue;
-            }
-            if revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP) != 0 {
-                match drain_reads(&clock, slot.as_mut().expect("checked live")) {
-                    ReadEnd::Open => {}
-                    ReadEnd::Eof | ReadEnd::Error => {
-                        finish(slot, &mut outcome, false);
-                        alive -= 1;
-                    }
-                }
-            }
-        }
-        // Fire idle timeouts that elapsed while we were parked.
-        let now = clock.now_us();
-        for peer in peers.iter_mut().flatten() {
-            if peer.machine.idle_deadline_us().is_some_and(|d| d <= now) {
-                let mut actions = std::mem::take(&mut peer.actions);
-                peer.machine
-                    .on_event(now, ExecutorEvent::IdleTimeout, &mut actions);
-                peer.actions = actions;
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-/// Drive one peer's machine until it has no pending actions or feedback
-/// events. Returns `Ok(true)` when the machine asked to shut down.
-fn pump_peer(clock: &Clock, peer: &mut MuxPeer) -> std::io::Result<bool> {
-    while !peer.actions.is_empty() || !peer.queue.is_empty() {
-        for act in std::mem::take(&mut peer.actions) {
-            match act {
-                ExecutorAction::Send(msg) => peer.writer.enqueue(&msg)?,
-                ExecutorAction::Run(spec) => {
-                    // Inline on the mux thread — see module docs.
-                    let t0 = clock.now_us();
-                    let mut result = crate::exec::execute_builtin(&spec);
-                    result.executor_time_us = clock.now_us() - t0;
-                    peer.queue.push(ExecutorEvent::TaskCompleted { result });
-                }
-                ExecutorAction::Shutdown => return Ok(true),
-            }
-        }
-        for ev in std::mem::take(&mut peer.queue) {
-            peer.machine.on_event(clock.now_us(), ev, &mut peer.actions);
-        }
-    }
-    peer.writer.try_flush()?;
-    Ok(false)
-}
-
-/// Nonblocking drain of one peer's socket, feeding decoded messages to its
-/// machine.
-fn drain_reads(clock: &Clock, peer: &mut MuxPeer) -> ReadEnd {
-    let mut budget = READ_BUDGET;
-    loop {
-        loop {
-            match peer.reader.poll_msg() {
-                Ok(Some(msg)) => {
-                    if let Some(ev) = falkon_core::mapping::message_to_executor_event(msg) {
-                        peer.machine.on_event(clock.now_us(), ev, &mut peer.actions);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return ReadEnd::Error,
-            }
-        }
-        if budget == 0 {
-            return ReadEnd::Open;
-        }
-        budget -= 1;
-        match peer.reader.fill() {
-            Ok(0) => return ReadEnd::Eof,
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ReadEnd::Open,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadEnd::Error,
-        }
-    }
-}
-
-/// Retire one peer: count its work, merge its wire shards, close the
-/// socket. Clean exits get a final blocking flush first (the machine's
-/// deregistration message must reach the dispatcher).
-fn finish(slot: &mut Option<MuxPeer>, outcome: &mut MuxOutcome, clean: bool) {
-    let peer = slot.take().expect("live peer");
-    outcome.tasks += peer.machine.tasks_run;
-    let mut writer = peer.writer;
-    // Mirror the shard's close-time drain: tap-charge any frames already
-    // buffered on our side so the wire balance stays exact (the messages
-    // go nowhere — this machine is done). Runs before set_blocking so an
-    // open socket stops at WouldBlock instead of parking the loop.
-    let mut reader = peer.reader;
-    loop {
-        match reader.poll_msg() {
-            Ok(Some(_)) => continue,
-            Ok(None) => {}
-            Err(_) => break,
-        }
-        match reader.fill() {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    if clean {
-        writer.set_blocking();
-        let _ = writer.flush();
-        outcome.clean_exits += 1;
-    }
-    writer.shutdown();
-    outcome.wire.merge(&writer.into_wire());
-    outcome.wire.merge(&reader.into_wire());
+) -> io::Result<MuxOutcome> {
+    run_pool(addr, first_id, count, config, security, || NoopProbe).map(|pool| pool.outcome)
 }

@@ -8,575 +8,78 @@
 //! use; it exercises the exact Figure 2 message sequence over a real
 //! network stack (localhost).
 //!
-//! # The `Transport` API (DESIGN.md §10.3–§10.4)
+//! Every socket here — server side and peer side — is a [`Conn`] serviced
+//! by the one readiness loop in [`crate::engine`] (DESIGN.md §10.3). A
+//! [`DispatcherServer`] is that loop mounted as [`crate::server`] shard
+//! threads plus one core thread that owns the sans-io [`Dispatcher`]
+//! machine and blocks on a single channel: connection events from the
+//! shards and the stop request, bounded only by the machine's own next
+//! deadline. [`run_executor`] and [`run_client`] mount the same loop over
+//! one connection on the caller's thread; the machine runs inline in the
+//! loop's callbacks, so there is no reader thread and no channel hop.
 //!
-//! The dispatcher core is transport-agnostic: it blocks on a stream of
-//! [`TransportEvent`]s and routes replies through per-connection
-//! [`ConnHandle`]s. *How* those events are produced is a construction
-//! choice made once, in [`ServerConfig`]:
-//!
-//! * [`TransportKind::ThreadPerConn`] — every connection gets a blocking
-//!   reader thread and a channel-woken writer thread (the PR 5 design).
-//!   Lowest latency per connection, but 2 OS threads per peer.
-//! * [`TransportKind::Sharded`] — N shard threads, each multiplexing many
-//!   connections behind `poll(2)` with a wake-pipe for outbound traffic
-//!   (see [`crate::shard`]). OS thread count is O(shards), not
-//!   O(connections): this is the configuration that holds thousands of
-//!   executor connections on one box.
-//!
-//! Every steady-state wait in this module blocks on readiness — a socket
-//! read, a channel `recv`, `crossbeam::select!`, or `poll(2)` — never on a
-//! fixed sleep or read-timeout cadence (`falkon-lint`'s `rt_cadence` rule
-//! pins this). The dispatcher core blocks on `select!` over the transport
-//! event and command channels, with a timeout only when the machine itself
-//! has armed a deadline. Accept loops block in `accept()` and are woken
-//! for shutdown by a self-connect.
-//!
-//! # Write path
-//!
-//! There is exactly one outbound path: [`Conn::enqueue`] encodes (and
-//! seals) a frame into the connection's coalesced batch buffer, charging
-//! the [`WireTap`] once per frame *at enqueue time*, and [`Conn::flush`]
-//! writes everything queued with a single syscall (the paper's §3.1
-//! bundling argument applied at the syscall layer). There is no separate
-//! immediate-send entry point, so a frame can never be charged twice or
-//! race a partially flushed batch.
-//!
-//! Ordering protocol: cross-thread hand-offs in this module synchronize
-//! through channels and thread joins. The two atomics carry no payload:
-//! `NONCE` is a `Relaxed` uniqueness counter (each handshake just needs a
-//! value nobody else drew), and the `stop` flag is a `Relaxed` latch whose
-//! observation is forced by a self-connect wake-up and whose correctness
-//! is sealed by the joins in `shutdown`.
+//! No wait in this module is a fixed sleep or a read-timeout cadence
+//! (`falkon-lint`'s `rt_cadence` rule pins this).
 
 use crate::clock::Clock;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbeam::select;
+pub use crate::conn::TcpSecurity;
+use crate::conn::{Closed, Conn, Inbound};
+use crate::engine::{Engine, Handler, Token};
+use crate::exec::{route_actions, Dest};
+use crate::server::{ConnHandle, ConnId, ServerEvent, Shards};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, TaskRecord};
-use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
+use falkon_core::dispatcher::{
+    Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
+};
+use falkon_core::executor::ExecutorConfig;
 use falkon_core::DispatcherConfig;
-use falkon_obs::{Counters, NoopProbe, Probe, Recorder, WireTap};
+use falkon_obs::{Counters, NoopProbe, Probe, Recorder};
 use falkon_proto::bundle::BundleConfig;
-use falkon_proto::codec::{Codec, EfficientCodec};
-use falkon_proto::frame::{begin_frame, end_frame, write_frame, FrameCursor};
 use falkon_proto::message::{ExecutorId, InstanceId, Message};
-use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel};
 use falkon_proto::task::TaskSpec;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
-
-static NONCE: AtomicU64 = AtomicU64::new(0x9E37_79B9);
-
-/// Security setting for a TCP deployment: `Some(psk)` enables the secure
-/// conversation stand-in on every connection.
-pub type TcpSecurity = Option<u64>;
-
-/// Default for [`ServerConfigBuilder::flush_high_water`]: flush the
-/// coalesced outbound buffer once it holds this many bytes, so an
-/// unbounded drain cannot grow the buffer without bound.
-pub const DEFAULT_FLUSH_HIGH_WATER: usize = 256 * 1024;
-
-/// A framed, optionally sealed TCP connection: a [`ConnReader`] /
-/// [`ConnWriter`] pair over one stream. [`Conn::establish`] performs the
-/// handshake sequentially; [`Conn::split`] then hands each direction to its
-/// own owner (the secure channel's send/receive counters are independent,
-/// so the halves never need a lock). The thread-per-conn transport gives
-/// each half its own thread; a shard services both halves of many
-/// connections from one thread.
-pub struct Conn {
-    reader: ConnReader,
-    writer: ConnWriter,
-}
-
-/// The inbound direction: frame reads, unsealing, decoding.
-///
-/// Zero-copy: the socket reads straight into the [`FrameCursor`]'s buffer
-/// ([`ConnReader::fill`]), each frame is yielded as a borrowed view, the
-/// secure path unseals that view in place, and the codec decodes from it —
-/// no intermediate `Vec<u8>` per frame anywhere on the path. The cursor's
-/// buffer comes from (and returns to) the [`crate::bufpool`] free-list so
-/// connection churn does not re-allocate it.
-pub struct ConnReader {
-    stream: TcpStream,
-    cursor: FrameCursor,
-    opener: Option<OpenHalf>,
-    codec: EfficientCodec,
-    clock: Clock,
-    wire: WireTap,
-}
-
-/// The outbound direction: encoding, sealing, coalesced frame writes.
-pub struct ConnWriter {
-    stream: TcpStream,
-    sealer: Option<SealHalf>,
-    codec: EfficientCodec,
-    /// Encode scratch for the secure path, reused across sends (drawn from
-    /// the [`crate::bufpool`] free-list, returned on drop).
-    writebuf: Vec<u8>,
-    /// Coalesced outbound frames awaiting [`ConnWriter::flush`]: an entire
-    /// drain of the outbound queue becomes one `write` syscall instead of
-    /// one per frame.
-    batchbuf: Vec<u8>,
-    /// Bytes of `batchbuf` already written by a partial nonblocking flush.
-    batch_pos: usize,
-    /// Flush early once `batchbuf` exceeds this many bytes.
-    high_water: usize,
-    /// Nonblocking mode (shard-owned connections): `enqueue` must never
-    /// block, so the high-water flush becomes a best-effort partial write.
-    nonblocking: bool,
-    clock: Clock,
-    wire: WireTap,
-}
-
-impl Conn {
-    /// Wrap a connected stream, performing the security handshake if asked.
-    /// `clock` supplies the timestamps handed to the wire tap alongside each
-    /// frame's byte count.
-    pub fn establish(
-        stream: TcpStream,
-        security: TcpSecurity,
-        clock: Clock,
-    ) -> std::io::Result<Conn> {
-        stream.set_nodelay(true).ok();
-        // Bound writes: a peer that stops reading while we flush a large
-        // outbound burst must not wedge this thread (write-write deadlock);
-        // on timeout the connection drops and the dispatcher replays.
-        stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
-        let mut reader = ConnReader {
-            stream: stream.try_clone()?,
-            cursor: FrameCursor::with_buf(crate::bufpool::take()),
-            opener: None,
-            codec: EfficientCodec,
-            clock,
-            wire: WireTap::new(),
-        };
-        let mut writer = ConnWriter {
-            stream,
-            sealer: None,
-            codec: EfficientCodec,
-            writebuf: crate::bufpool::take(),
-            batchbuf: crate::bufpool::take(),
-            batch_pos: 0,
-            high_water: DEFAULT_FLUSH_HIGH_WATER,
-            nonblocking: false,
-            clock,
-            wire: WireTap::new(),
-        };
-        if let Some(psk) = security {
-            // Bound the handshake: a peer that connects and never speaks
-            // must not pin this thread forever. This is the only read
-            // timeout on the connection — it is cleared before steady state.
-            reader
-                .stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .ok();
-            // Relaxed: uniqueness is all that matters — fetch_add is
-            // atomic at every ordering, so two handshakes never draw the
-            // same nonce; no other data rides on this edge.
-            let nonce = NONCE.fetch_add(0x517C_C1B7_2722_0A95, Ordering::Relaxed);
-            let mut chan = SecureChannel::new(psk, nonce);
-            writer.write_raw(&chan.handshake_message())?;
-            let peer = reader.read_raw_frame()?;
-            chan.complete_handshake(&peer)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            reader.stream.set_read_timeout(None).ok();
-            let (seal, open) = chan
-                .into_halves()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            writer.sealer = Some(seal);
-            reader.opener = Some(open);
-        }
-        Ok(Conn { reader, writer })
-    }
-
-    /// Tear the connection into its two directions so a reader and a writer
-    /// can each be owned independently.
-    pub fn split(self) -> (ConnReader, ConnWriter) {
-        (self.reader, self.writer)
-    }
-
-    /// Switch both directions to nonblocking mode (the two halves share one
-    /// open file description, so one call covers both). Shard loops call
-    /// this before registering the socket with `poll(2)`.
-    pub(crate) fn set_nonblocking(&mut self) -> std::io::Result<()> {
-        self.reader.stream.set_nonblocking(true)?;
-        self.writer.nonblocking = true;
-        Ok(())
-    }
-
-    /// Override the coalesced-flush high-water mark (see
-    /// [`ServerConfigBuilder::flush_high_water`]).
-    pub(crate) fn set_high_water(&mut self, bytes: usize) {
-        self.writer.high_water = bytes;
-    }
-
-    /// Queue one message into the coalesced outbound buffer (see
-    /// [`ConnWriter::enqueue`]).
-    pub fn enqueue(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.writer.enqueue(msg)
-    }
-
-    /// Write every queued frame in one syscall (see [`ConnWriter::flush`]).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.writer.flush()
-    }
-
-    /// Blocking receive of one message.
-    pub fn recv(&mut self) -> std::io::Result<Message> {
-        self.reader.recv()
-    }
-
-    /// Wire-level observability: one `BundleEncoded`/`BundleDecoded` per
-    /// frame sent/received on this connection, both directions merged.
-    pub fn wire_counters(&self) -> Counters {
-        let mut c = self.writer.wire.probe().clone();
-        c.merge(self.reader.wire.probe());
-        c
-    }
-}
-
-impl ConnReader {
-    /// Blocking read of one raw frame, copied out to outlive the buffer
-    /// (handshake only — steady state goes through [`ConnReader::poll_msg`]).
-    fn read_raw_frame(&mut self) -> std::io::Result<Vec<u8>> {
-        loop {
-            if let Some(frame) = self
-                .cursor
-                .next_frame()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            {
-                return Ok(frame.to_vec());
-            }
-            if self.fill()? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-        }
-    }
-
-    /// Decode one already-buffered message, if a complete frame is queued.
-    /// Never touches the socket: shard loops interleave `poll_msg` with
-    /// [`ConnReader::fill`] so a nonblocking read can't be mistaken for
-    /// end-of-stream.
-    ///
-    /// Allocation-free up to the decoded [`Message`]'s own fields: the
-    /// frame is a borrowed view into the cursor buffer, the secure path
-    /// decrypts it in place, and the codec reads straight out of it.
-    pub(crate) fn poll_msg(&mut self) -> std::io::Result<Option<Message>> {
-        let Some(frame) = self
-            .cursor
-            .next_frame()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-        else {
-            return Ok(None);
-        };
-        self.wire.decoded(self.clock.now_us(), frame.len() as u64);
-        let plain: &[u8] = match self.opener.as_mut() {
-            Some(open) => open
-                .open_in_place(frame)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
-            None => frame,
-        };
-        self.codec
-            .decode(plain)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-            .map(Some)
-    }
-
-    /// One `read()` straight into the frame cursor's buffer (no
-    /// intermediate copy). Returns the byte count (0 = EOF); `WouldBlock`
-    /// surfaces as an error for nonblocking sockets.
-    pub(crate) fn fill(&mut self) -> std::io::Result<usize> {
-        let space = self.cursor.space(1);
-        let n = self.stream.read(space)?;
-        self.cursor.commit(n);
-        Ok(n)
-    }
-
-    /// Blocking receive of one message.
-    pub fn recv(&mut self) -> std::io::Result<Message> {
-        loop {
-            if let Some(msg) = self.poll_msg()? {
-                return Ok(msg);
-            }
-            if self.fill()? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-        }
-    }
-
-    /// The raw socket fd, for readiness registration.
-    #[cfg(unix)]
-    pub(crate) fn raw_fd(&self) -> i32 {
-        use std::os::fd::AsRawFd;
-        self.stream.as_raw_fd()
-    }
-
-    /// Consume the half, yielding its wire-level observability shard.
-    pub fn into_wire(mut self) -> Counters {
-        std::mem::replace(&mut self.wire, WireTap::new()).into_probe()
-    }
-}
-
-impl Drop for ConnReader {
-    fn drop(&mut self) {
-        crate::bufpool::give(std::mem::take(&mut self.cursor).into_buf());
-    }
-}
-
-impl ConnWriter {
-    fn write_raw(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        write_frame(&mut self.batchbuf, payload);
-        self.flush()
-    }
-
-    /// Queue one message into the coalesced outbound buffer *without*
-    /// writing. The frame is encoded (and sealed) directly into the batch
-    /// buffer — no per-message allocation on either the plain or the secure
-    /// path. The wire tap is charged exactly once per frame, here, at
-    /// enqueue time; the bytes hit the socket on the next
-    /// [`ConnWriter::flush`] (or a partial nonblocking flush). Flushes
-    /// early past the high-water mark so a long drain cannot balloon the
-    /// buffer; in nonblocking mode that early flush is best-effort and the
-    /// buffer may transiently exceed the mark.
-    pub fn enqueue(&mut self, msg: &Message) -> std::io::Result<()> {
-        let pos = begin_frame(&mut self.batchbuf);
-        match self.sealer.as_mut() {
-            Some(seal) => {
-                // Sealing needs the plaintext as a separate slice (the
-                // cipher+MAC passes run over the appended copy), so the
-                // secure path encodes into the reusable scratch first.
-                let mut bytes = std::mem::take(&mut self.writebuf);
-                self.codec.encode_into(msg, &mut bytes);
-                seal.seal_into(&bytes, &mut self.batchbuf);
-                self.writebuf = bytes;
-            }
-            None => self.codec.encode_append(msg, &mut self.batchbuf),
-        }
-        end_frame(&mut self.batchbuf, pos);
-        let framed = (self.batchbuf.len() - pos - 4) as u64;
-        self.wire.encoded(self.clock.now_us(), framed);
-        if self.batchbuf.len() - self.batch_pos >= self.high_water {
-            if self.nonblocking {
-                self.try_flush()?;
-            } else {
-                self.flush()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Write every queued frame in one (blocking) syscall. No-op when
-    /// nothing is queued, so callers flush unconditionally before blocking.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        if self.batchbuf.len() == self.batch_pos {
-            self.batchbuf.clear();
-            self.batch_pos = 0;
-            return Ok(());
-        }
-        let result = self.stream.write_all(&self.batchbuf[self.batch_pos..]);
-        self.batchbuf.clear();
-        self.batch_pos = 0;
-        result
-    }
-
-    /// Nonblocking drain of the queued frames: writes as much as the socket
-    /// accepts. Returns `Ok(true)` once the buffer is empty, `Ok(false)` if
-    /// bytes remain (the socket would block — poll for writability).
-    pub(crate) fn try_flush(&mut self) -> std::io::Result<bool> {
-        while self.batch_pos < self.batchbuf.len() {
-            match self.stream.write(&self.batchbuf[self.batch_pos..]) {
-                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.batch_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.batchbuf.clear();
-        self.batch_pos = 0;
-        Ok(true)
-    }
-
-    /// Bytes queued and not yet written.
-    pub(crate) fn pending(&self) -> usize {
-        self.batchbuf.len() - self.batch_pos
-    }
-
-    /// Restore blocking mode for a final drain (shard teardown).
-    #[cfg(unix)]
-    pub(crate) fn set_blocking(&mut self) {
-        self.stream.set_nonblocking(false).ok();
-        self.nonblocking = false;
-    }
-
-    /// Close both directions of the underlying stream. The peer sees EOF,
-    /// and — crucially — so does this connection's own blocked reader
-    /// thread, which is how a writer going away unblocks its reader.
-    pub fn shutdown(&self) {
-        self.stream.shutdown(Shutdown::Both).ok();
-    }
-
-    /// Consume the half, yielding its wire-level observability shard.
-    pub fn into_wire(mut self) -> Counters {
-        std::mem::replace(&mut self.wire, WireTap::new()).into_probe()
-    }
-}
-
-impl Drop for ConnWriter {
-    fn drop(&mut self) {
-        crate::bufpool::give(std::mem::take(&mut self.writebuf));
-        crate::bufpool::give(std::mem::take(&mut self.batchbuf));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The unified transport surface
-// ---------------------------------------------------------------------------
-
-/// Identifier of one accepted dispatcher-side connection.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ConnId(pub u64);
-
-/// What a transport reports to the dispatcher core. Wire-byte shards never
-/// travel here: each transport merges its connections' [`WireTap`]
-/// counters internally and surrenders the total from
-/// [`Transport::shutdown`].
-pub enum TransportEvent {
-    /// A connection completed its handshake; route replies via the handle.
-    Connected(ConnId, ConnHandle),
-    /// One decoded inbound message.
-    Msg(ConnId, Message),
-    /// The peer (or an I/O error) ended the connection. Not emitted for
-    /// closes the core itself initiated by dropping the [`ConnHandle`].
-    Closed(ConnId),
-}
-
-/// Outbound handle to one established connection. [`ConnHandle::send`]
-/// queues a message and wakes whoever owns the socket — a writer thread's
-/// channel or a shard's op queue; either way the frames coalesce into one
-/// write syscall per wake. Dropping the handle closes the connection after
-/// a final flush.
-pub struct ConnHandle(HandleInner);
-
-enum HandleInner {
-    /// Thread-per-conn: the writer thread's queue. Dropping the sender
-    /// disconnects the channel, which releases the writer thread.
-    Chan(Sender<Message>),
-    /// Sharded: a slab token on a shard's op queue.
-    #[cfg(unix)]
-    Shard(crate::shard::ShardSender, crate::shard::Token),
-}
-
-impl ConnHandle {
-    pub(crate) fn chan(tx: Sender<Message>) -> ConnHandle {
-        ConnHandle(HandleInner::Chan(tx))
-    }
-
-    #[cfg(unix)]
-    pub(crate) fn shard(tx: crate::shard::ShardSender, token: crate::shard::Token) -> ConnHandle {
-        ConnHandle(HandleInner::Shard(tx, token))
-    }
-
-    /// Queue one message for this connection. Silently drops the message if
-    /// the connection is already gone (the transport reports the loss via
-    /// [`TransportEvent::Closed`] and the dispatcher replays the task).
-    pub fn send(&self, msg: Message) {
-        match &self.0 {
-            HandleInner::Chan(tx) => {
-                tx.send(msg).ok();
-            }
-            #[cfg(unix)]
-            HandleInner::Shard(tx, token) => tx.send_msg(*token, msg),
-        }
-    }
-}
-
-impl Drop for ConnHandle {
-    fn drop(&mut self) {
-        // Chan: dropping the sender is the close signal. Shard: tell the
-        // shard to flush and release the token.
-        #[cfg(unix)]
-        if let HandleInner::Shard(tx, token) = &self.0 {
-            tx.close(*token);
-        }
-    }
-}
-
-/// A running dispatcher-side transport: everything between the listening
-/// socket and the core's [`TransportEvent`] stream. Implementations own
-/// their accept loop and connection servicing threads.
-pub trait Transport: Send {
-    /// The bound address (connect executors/clients here).
-    fn addr(&self) -> SocketAddr;
-
-    /// Stop accepting, close every connection (flushing queued frames),
-    /// join every owned thread, and return the merged wire counters of all
-    /// connections that ever completed a handshake. Callers must drop
-    /// their [`ConnHandle`]s and the event receiver first, or
-    /// thread-per-conn writer threads (released by sender disconnect)
-    /// cannot exit.
-    fn shutdown(self: Box<Self>) -> Counters;
-}
 
 // ---------------------------------------------------------------------------
 // Server configuration
 // ---------------------------------------------------------------------------
 
-/// Which transport a [`DispatcherServer`] mounts (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransportKind {
-    /// Two OS threads per connection: a blocking reader and a channel-woken
-    /// writer. Fine for a handful of executors.
-    ThreadPerConn,
-    /// `shards` event-loop threads multiplexing all connections (round-robin
-    /// assignment at accept time). OS thread count stays O(shards).
-    Sharded {
-        /// Number of shard threads (must be ≥ 1).
-        shards: usize,
-    },
-}
-
-/// Validated configuration for [`DispatcherServer::start`]. Build one with
-/// [`ServerConfig::builder`]; nonsense values (zero shards, zero high-water)
-/// are rejected with a typed [`ConfigError`] instead of panicking at
-/// runtime.
+/// Validated configuration for [`DispatcherServer::start`] and
+/// [`crate::forwarder::ForwarderServer::start`]. Build one with
+/// [`ServerConfig::builder`]; nonsense values (zero shards, zero
+/// dispatchers) are rejected with a typed [`ConfigError`] instead of
+/// panicking at runtime.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     dispatcher: DispatcherConfig,
     security: TcpSecurity,
-    transport: TransportKind,
-    flush_high_water: usize,
+    shards: usize,
     forwarder_dispatchers: Option<usize>,
 }
 
 impl ServerConfig {
     /// Start building a config. Defaults: default [`DispatcherConfig`], no
-    /// security, [`TransportKind::ThreadPerConn`],
-    /// [`DEFAULT_FLUSH_HIGH_WATER`], no forwarder tier.
+    /// security, one shard thread, no forwarder tier.
     pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
+        ServerConfigBuilder(ServerConfig {
             dispatcher: DispatcherConfig::default(),
             security: None,
-            transport: TransportKind::ThreadPerConn,
-            flush_high_water: DEFAULT_FLUSH_HIGH_WATER,
+            shards: 1,
             forwarder_dispatchers: None,
-        }
-    }
-
-    /// The configured transport kind.
-    pub fn transport(&self) -> TransportKind {
-        self.transport
+        })
     }
 
     /// The configured security setting.
     pub fn security(&self) -> TcpSecurity {
         self.security
+    }
+
+    /// Shard threads per tier.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
     }
 
     /// Downstream dispatcher count of the forwarder tier, if
@@ -585,106 +88,69 @@ impl ServerConfig {
         self.forwarder_dispatchers
     }
 
-    /// The configured coalesced-flush high-water mark.
-    pub(crate) fn flush_high_water(&self) -> usize {
-        self.flush_high_water
-    }
-
-    /// The config one tier down: identical transport/security/machine
-    /// tunables, without the forwarder field — what
-    /// [`crate::forwarder::ForwarderServer`] hands to each
+    /// The config one tier down: identical but for the forwarder field —
+    /// what [`crate::forwarder::ForwarderServer`] hands to each
     /// [`DispatcherServer`] it mounts.
-    pub(crate) fn dispatcher_tier(&self) -> ServerConfig {
-        ServerConfig {
-            forwarder_dispatchers: None,
-            ..self.clone()
-        }
+    pub(crate) fn without_forwarder(mut self) -> ServerConfig {
+        self.forwarder_dispatchers = None;
+        self
     }
 }
 
 /// Builder for [`ServerConfig`].
 #[derive(Clone, Debug)]
-pub struct ServerConfigBuilder {
-    dispatcher: DispatcherConfig,
-    security: TcpSecurity,
-    transport: TransportKind,
-    flush_high_water: usize,
-    forwarder_dispatchers: Option<usize>,
-}
+pub struct ServerConfigBuilder(ServerConfig);
 
 impl ServerConfigBuilder {
     /// The sans-io dispatcher machine's tunables.
     pub fn dispatcher(mut self, config: DispatcherConfig) -> Self {
-        self.dispatcher = config;
+        self.0.dispatcher = config;
         self
     }
 
     /// `Some(psk)` enables the GSISecureConversation stand-in on every
-    /// connection (previously a separate `start` argument).
+    /// connection.
     pub fn security(mut self, security: TcpSecurity) -> Self {
-        self.security = security;
+        self.0.security = security;
         self
     }
 
-    /// Mount the thread-per-connection transport.
-    pub fn thread_per_conn(mut self) -> Self {
-        self.transport = TransportKind::ThreadPerConn;
-        self
-    }
-
-    /// Mount the sharded transport with `shards` event-loop threads.
+    /// Service each tier's connections with `shards` event-loop threads
+    /// (round-robin assignment at accept time).
     pub fn sharded(mut self, shards: usize) -> Self {
-        self.transport = TransportKind::Sharded { shards };
-        self
-    }
-
-    /// Flush a connection's coalesced outbound buffer early once it holds
-    /// this many bytes.
-    pub fn flush_high_water(mut self, bytes: usize) -> Self {
-        self.flush_high_water = bytes;
+        self.0.shards = shards;
         self
     }
 
     /// Mount a forwarder tier over `dispatchers` downstream dispatcher
-    /// cores (the paper's 3-tier deployment). The transport, security, and
-    /// dispatcher-machine settings apply to every tier: the forwarder's
-    /// client-facing listener and each downstream [`DispatcherServer`].
-    /// Consumed by [`crate::forwarder::ForwarderServer::start`];
+    /// cores (the paper's 3-tier deployment). The shard count, security,
+    /// and dispatcher-machine settings apply to every tier: the
+    /// forwarder's client-facing listener and each downstream
+    /// [`DispatcherServer`]. Consumed by
+    /// [`crate::forwarder::ForwarderServer::start`];
     /// [`DispatcherServer::start`] ignores it.
     pub fn forwarder(mut self, dispatchers: usize) -> Self {
-        self.forwarder_dispatchers = Some(dispatchers);
+        self.0.forwarder_dispatchers = Some(dispatchers);
         self
     }
 
     /// Validate and finish.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        if let TransportKind::Sharded { shards: 0 } = self.transport {
+        if self.0.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.flush_high_water == 0 {
-            return Err(ConfigError::ZeroHighWater);
-        }
-        if self.forwarder_dispatchers == Some(0) {
+        if self.0.forwarder_dispatchers == Some(0) {
             return Err(ConfigError::ZeroDispatchers);
         }
-        Ok(ServerConfig {
-            dispatcher: self.dispatcher,
-            security: self.security,
-            transport: self.transport,
-            flush_high_water: self.flush_high_water,
-            forwarder_dispatchers: self.forwarder_dispatchers,
-        })
+        Ok(self.0)
     }
 }
 
 /// Rejected [`ServerConfig`] values.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
-    /// `sharded(0)`: a sharded transport needs at least one shard thread.
+    /// `sharded(0)`: a server needs at least one shard thread.
     ZeroShards,
-    /// `flush_high_water(0)`: every enqueue would trigger a flush of an
-    /// empty buffer and nothing would ever coalesce.
-    ZeroHighWater,
     /// `forwarder(0)`: a forwarder tier needs at least one downstream
     /// dispatcher to route to.
     ZeroDispatchers,
@@ -693,10 +159,7 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroShards => write!(f, "sharded transport needs at least 1 shard"),
-            ConfigError::ZeroHighWater => {
-                write!(f, "flush high-water mark must be at least 1 byte")
-            }
+            ConfigError::ZeroShards => write!(f, "a server needs at least 1 shard"),
             ConfigError::ZeroDispatchers => {
                 write!(f, "forwarder tier needs at least 1 downstream dispatcher")
             }
@@ -707,331 +170,125 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 // ---------------------------------------------------------------------------
-// Thread-per-connection transport
-// ---------------------------------------------------------------------------
-
-struct ThreadPerConn {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    /// Our copy of the shard-reporting sender; dropped in `shutdown` so the
-    /// drain below can observe disconnect once every conn thread exits.
-    wire_tx: Option<Sender<Counters>>,
-    wire_rx: Receiver<Counters>,
-}
-
-/// Bind the thread-per-connection transport on an ephemeral port.
-pub(crate) fn bind_thread_per_conn(
-    security: TcpSecurity,
-    high_water: usize,
-) -> std::io::Result<(Box<dyn Transport>, Receiver<TransportEvent>)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    crate::poll::set_backlog(&listener, crate::poll::LISTEN_BACKLOG)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let (ev_tx, ev_rx) = unbounded::<TransportEvent>();
-    let (wire_tx, wire_rx) = unbounded::<Counters>();
-    // One clock origin shared by every connection thread, so their wire
-    // tap timestamps are mutually comparable.
-    let clock = Clock::start();
-
-    let accept_stop = stop.clone();
-    let accept_wire = wire_tx.clone();
-    let accept_handle = thread::spawn(move || {
-        let mut next_conn = 0u64;
-        let mut conn_threads = Vec::new();
-        // Block in accept(); shutdown() sets the stop flag and then
-        // self-connects to deliver one wake-up.
-        while let Ok((stream, _)) = listener.accept() {
-            // Relaxed: pure latch, no payload; the self-connect guarantees
-            // a check after the store.
-            if accept_stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let id = ConnId(next_conn);
-            next_conn += 1;
-            let ev = ev_tx.clone();
-            let wire = accept_wire.clone();
-            conn_threads.push(thread::spawn(move || {
-                serve_conn(id, stream, security, high_water, clock, ev, wire)
-            }));
-        }
-        for h in conn_threads {
-            h.join().ok();
-        }
-    });
-
-    Ok((
-        Box::new(ThreadPerConn {
-            addr,
-            stop,
-            accept_handle: Some(accept_handle),
-            wire_tx: Some(wire_tx),
-            wire_rx,
-        }),
-        ev_rx,
-    ))
-}
-
-impl Transport for ThreadPerConn {
-    fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn shutdown(mut self: Box<Self>) -> Counters {
-        // Relaxed: latch only; the joins below are the synchronization.
-        self.stop.store(true, Ordering::Relaxed);
-        // Wake the accept loop out of its blocking accept() so it can see
-        // the stop flag; it then joins every connection thread (each of
-        // which joined its own writer).
-        TcpStream::connect(self.addr).ok();
-        if let Some(h) = self.accept_handle.take() {
-            h.join().ok();
-        }
-        // All conn threads have exited and reported their shards; drop our
-        // sender so the drain terminates on disconnect instead of a timeout.
-        drop(self.wire_tx.take());
-        let mut wire = Counters::new();
-        while let Ok(shard) = self.wire_rx.recv() {
-            wire.merge(&shard);
-        }
-        wire
-    }
-}
-
-/// Per-connection entry point: handshake, then split into the blocking
-/// reader (this thread) and a writer thread draining the outbound channel.
-fn serve_conn(
-    id: ConnId,
-    stream: TcpStream,
-    security: TcpSecurity,
-    high_water: usize,
-    clock: Clock,
-    events: Sender<TransportEvent>,
-    wire_tx: Sender<Counters>,
-) {
-    // A failed handshake never announced itself to the core, so it owes no
-    // shard and sends nothing.
-    let Ok(mut conn) = Conn::establish(stream, security, clock) else {
-        return;
-    };
-    conn.set_high_water(high_water);
-    let (mut reader, writer) = conn.split();
-    let (out_tx, out_rx) = unbounded::<Message>();
-    if events
-        .send(TransportEvent::Connected(id, ConnHandle::chan(out_tx)))
-        .is_err()
-    {
-        return;
-    }
-    let writer_wire = wire_tx.clone();
-    let writer_handle = thread::spawn(move || writer_loop(writer, out_rx, writer_wire));
-    while let Ok(msg) = reader.recv() {
-        if events.send(TransportEvent::Msg(id, msg)).is_err() {
-            break;
-        }
-    }
-    events.send(TransportEvent::Closed(id)).ok();
-    wire_tx.send(reader.into_wire()).ok();
-    writer_handle.join().ok();
-}
-
-/// Writer side of a dispatcher connection: block until the core queues
-/// something, drain everything queued into the coalesced buffer, write it
-/// with one syscall, repeat. Exits when the core drops the handle (conn
-/// removed or shutdown) or the socket errors; on exit it closes the stream,
-/// which wakes this connection's blocked reader with EOF.
-fn writer_loop(mut writer: ConnWriter, out_rx: Receiver<Message>, wire_tx: Sender<Counters>) {
-    'conn: while let Ok(msg) = out_rx.recv() {
-        let mut next = Some(msg);
-        while let Some(m) = next.take() {
-            if writer.enqueue(&m).is_err() {
-                break 'conn;
-            }
-            next = out_rx.try_recv().ok();
-        }
-        if writer.flush().is_err() {
-            break;
-        }
-    }
-    let _ = writer.flush();
-    writer.shutdown();
-    wire_tx.send(writer.into_wire()).ok();
-}
-
-// ---------------------------------------------------------------------------
 // The dispatcher server and core
 // ---------------------------------------------------------------------------
+
+/// What a stopped dispatcher hands back: per-task records, machine
+/// counters, and the observability recorder.
+pub type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
 
 /// Handle to a running TCP dispatcher.
 pub struct DispatcherServer {
     /// The bound address (connect executors/clients here).
     pub addr: SocketAddr,
-    cmd_tx: Sender<Command>,
-    core_handle: Option<
-        JoinHandle<(
-            Vec<TaskRecord>,
-            falkon_core::dispatcher::DispatcherStats,
-            Recorder,
-        )>,
-    >,
-}
-
-/// Control-plane commands, on their own channel so `select!` can wake the
-/// core for shutdown without racing the data path.
-enum Command {
-    Stop,
+    events: Sender<ServerEvent>,
+    shards: Shards,
+    core: JoinHandle<DispatcherOutcome>,
 }
 
 impl DispatcherServer {
-    /// Bind and start a dispatcher on `127.0.0.1:0` (ephemeral port) with
-    /// the transport `config` selects.
-    pub fn start(config: ServerConfig) -> std::io::Result<Self> {
-        let (transport, ev_rx) = match config.transport {
-            TransportKind::ThreadPerConn => {
-                bind_thread_per_conn(config.security, config.flush_high_water)?
-            }
-            #[cfg(unix)]
-            TransportKind::Sharded { shards } => {
-                crate::shard::bind_sharded(config.security, config.flush_high_water, shards)?
-            }
-            #[cfg(not(unix))]
-            TransportKind::Sharded { .. } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "sharded transport requires poll(2)",
-                ))
-            }
-        };
-        let addr = transport.addr();
-        let (cmd_tx, cmd_rx) = unbounded::<Command>();
+    /// Bind and start a dispatcher on `127.0.0.1:0` (ephemeral port).
+    pub fn start(config: ServerConfig) -> io::Result<Self> {
+        let (events, rx) = unbounded::<ServerEvent>();
+        let shards = Shards::bind(config.security, config.shards, &events)?;
         let dispatcher = config.dispatcher;
-        let core_handle =
-            thread::spawn(move || dispatcher_core(dispatcher, transport, ev_rx, cmd_rx));
+        let core = thread::spawn(move || dispatcher_core(dispatcher, rx));
         Ok(DispatcherServer {
-            addr,
-            cmd_tx,
-            core_handle: Some(core_handle),
+            addr: shards.addr,
+            events,
+            shards,
+            core,
         })
     }
 
     /// Stop the server, returning dispatcher records, stats, and the merged
-    /// observability recorder — lifecycle events plus the wire shards of
-    /// *every* connection, surrendered by [`Transport::shutdown`] as the
-    /// transport's threads unwind.
-    pub fn shutdown(
-        mut self,
-    ) -> (
-        Vec<TaskRecord>,
-        falkon_core::dispatcher::DispatcherStats,
-        Recorder,
-    ) {
-        self.cmd_tx.send(Command::Stop).ok();
-        self.core_handle
-            .take()
-            .expect("not yet shut down")
-            .join()
-            .expect("core thread")
+    /// observability recorder — lifecycle events plus the wire counters of
+    /// *every* connection. The core stops first, dropping its connection
+    /// handles; the shards then flush, close, and join.
+    pub fn shutdown(self) -> DispatcherOutcome {
+        self.events.send(ServerEvent::Stop).ok();
+        let (records, stats, mut obs) = self.core.join().expect("core thread");
+        let wire = self.shards.shutdown();
+        obs.merge_counters(&wire.accepted);
+        obs.merge_counters(&wire.dialed);
+        (records, stats, obs)
     }
 }
 
-/// Upper bound on messages absorbed per wakeup before routing, so one
-/// chatty connection cannot starve deadline checks.
-const MAX_DRAIN: usize = 256;
+/// Upper bound on events absorbed per wakeup, so one chatty connection
+/// cannot starve deadline checks.
+pub(crate) const MAX_DRAIN: usize = 256;
 
-/// The dispatcher state machine driven by transport events. Blocks on
-/// `select!` over the event and command channels; the only timed wait is
-/// the machine's own next deadline.
-fn dispatcher_core(
-    config: DispatcherConfig,
-    transport: Box<dyn Transport>,
-    rx: Receiver<TransportEvent>,
-    cmd_rx: Receiver<Command>,
-) -> (
-    Vec<TaskRecord>,
-    falkon_core::dispatcher::DispatcherStats,
-    Recorder,
-) {
+/// Which connection serves which executor and instance, and the handles
+/// to reach them.
+#[derive(Default)]
+struct Routes {
+    conns: HashMap<ConnId, ConnHandle>,
+    exec_conn: HashMap<ExecutorId, ConnId>,
+    inst_conn: HashMap<InstanceId, ConnId>,
+    conn_execs: HashMap<ConnId, Vec<ExecutorId>>,
+    records: Vec<TaskRecord>,
+}
+
+impl Routes {
+    /// Deliver the machine's pending actions. `current` is the connection
+    /// whose message produced them: fresh instances bind to it, and a
+    /// status poll is answered on it.
+    fn deliver(&mut self, out: &mut Vec<DispatcherAction>, current: Option<ConnId>) {
+        route_actions(out, &mut self.records, |dest, msg| {
+            let conn = match dest {
+                Dest::Executor(executor) => self.exec_conn.get(&executor).copied(),
+                Dest::Client(instance) => {
+                    if let (Message::InstanceCreated { instance }, Some(c)) = (&msg, current) {
+                        self.inst_conn.insert(*instance, c);
+                    }
+                    self.inst_conn.get(&instance).copied()
+                }
+                Dest::Provisioner => current,
+            };
+            if let Some(handle) = conn.and_then(|c| self.conns.get(&c)) {
+                handle.send(msg);
+            }
+        });
+    }
+}
+
+/// The dispatcher state machine driven by server events.
+fn dispatcher_core(config: DispatcherConfig, rx: Receiver<ServerEvent>) -> DispatcherOutcome {
     let clock = Clock::start();
     let mut d = Dispatcher::with_probe(config, Recorder::new());
-    let mut records = Vec::new();
-    let mut conns: HashMap<ConnId, ConnHandle> = HashMap::new();
-    let mut exec_conn: HashMap<ExecutorId, ConnId> = HashMap::new();
-    let mut inst_conn: HashMap<InstanceId, ConnId> = HashMap::new();
-    let mut conn_execs: HashMap<ConnId, Vec<ExecutorId>> = HashMap::new();
-    let mut out = Vec::new();
-    loop {
-        let first = match d.next_deadline() {
-            Some(dl) => {
-                let timeout = Duration::from_micros(dl.saturating_sub(clock.now_us()).max(1));
-                select! {
-                    recv(rx) -> m => match m {
-                        Ok(m) => Some(m),
-                        Err(_) => break,
-                    },
-                    recv(cmd_rx) -> _ => break,
-                    default(timeout) => None,
-                }
-            }
-            None => {
-                select! {
-                    recv(rx) -> m => match m {
-                        Ok(m) => Some(m),
-                        Err(_) => break,
-                    },
-                    recv(cmd_rx) -> _ => break,
-                }
-            }
-        };
+    let mut routes = Routes::default();
+    let mut out: Vec<DispatcherAction> = Vec::new();
+    'run: while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
         // Clock read must follow the wait (deadline checks compare to now);
         // one read covers the whole drained batch.
         let now = clock.now_us();
         let Some(first) = first else {
             d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
-            route(
-                &mut d,
-                &mut out,
-                &mut records,
-                &conns,
-                &mut exec_conn,
-                &mut inst_conn,
-                None,
-            );
+            routes.deliver(&mut out, None);
             continue;
         };
         let mut next = Some(first);
         let mut drained = 0usize;
         while let Some(ev) = next.take() {
             match ev {
-                TransportEvent::Connected(id, handle) => {
-                    conns.insert(id, handle);
+                ServerEvent::Connected(id, handle, _) => {
+                    routes.conns.insert(id, handle);
                 }
-                TransportEvent::Closed(id) => {
-                    conns.remove(&id);
+                ServerEvent::Closed(id) => {
+                    routes.conns.remove(&id);
                     // Any executors on this connection are lost.
-                    for exec in conn_execs.remove(&id).unwrap_or_default() {
-                        exec_conn.remove(&exec);
-                        d.on_event(
-                            now,
-                            DispatcherEvent::ExecutorLost { executor: exec },
-                            &mut out,
-                        );
+                    for executor in routes.conn_execs.remove(&id).unwrap_or_default() {
+                        routes.exec_conn.remove(&executor);
+                        d.on_event(now, DispatcherEvent::ExecutorLost { executor }, &mut out);
                     }
-                    route(
-                        &mut d,
-                        &mut out,
-                        &mut records,
-                        &conns,
-                        &mut exec_conn,
-                        &mut inst_conn,
-                        None,
-                    );
+                    routes.deliver(&mut out, None);
                 }
-                TransportEvent::Msg(id, msg) => {
+                ServerEvent::Msg(id, msg) => {
                     // Remember which connection each executor registered on.
                     if let Message::Register { executor, .. } = &msg {
-                        exec_conn.insert(*executor, id);
-                        conn_execs.entry(id).or_default().push(*executor);
+                        routes.exec_conn.insert(*executor, id);
+                        routes.conn_execs.entry(id).or_default().push(*executor);
                     }
                     let ev =
                         falkon_core::mapping::executor_message_to_dispatcher_event(msg.clone())
@@ -1040,17 +297,10 @@ fn dispatcher_core(
                             });
                     if let Some(ev) = ev {
                         d.on_event(now, ev, &mut out);
-                        route(
-                            &mut d,
-                            &mut out,
-                            &mut records,
-                            &conns,
-                            &mut exec_conn,
-                            &mut inst_conn,
-                            Some(id),
-                        );
+                        routes.deliver(&mut out, Some(id));
                     }
                 }
+                ServerEvent::Stop => break 'run,
             }
             drained += 1;
             if drained < MAX_DRAIN {
@@ -1058,68 +308,20 @@ fn dispatcher_core(
             }
         }
     }
-    // Shutdown. Ordering matters: dropping every ConnHandle (and the event
-    // receiver, whose queue may hold not-yet-seen handles) releases the
-    // transport's writers; only then can `Transport::shutdown` join its
-    // threads and surrender the merged wire counters of every connection.
-    drop(conns);
-    drop(rx);
-    let wire = transport.shutdown();
-    let stats = d.stats();
-    let mut obs = d.probe().clone();
-    obs.merge_counters(&wire);
-    (records, stats, obs)
-}
-
-/// Deliver dispatcher actions to the right connections.
-fn route<P: falkon_obs::Probe>(
-    _d: &mut Dispatcher<P>,
-    out: &mut Vec<DispatcherAction>,
-    records: &mut Vec<TaskRecord>,
-    conns: &HashMap<ConnId, ConnHandle>,
-    exec_conn: &mut HashMap<ExecutorId, ConnId>,
-    inst_conn: &mut HashMap<InstanceId, ConnId>,
-    current: Option<ConnId>,
-) {
-    for act in out.drain(..) {
-        match act {
-            DispatcherAction::ToExecutor { executor, msg } => {
-                if let Some(conn) = exec_conn.get(&executor) {
-                    if let Some(handle) = conns.get(conn) {
-                        handle.send(msg);
-                    }
-                }
-            }
-            DispatcherAction::ToClient { instance, msg } => {
-                // Bind fresh instances to the connection that created them.
-                if let Message::InstanceCreated { instance } = msg {
-                    if let Some(c) = current {
-                        inst_conn.insert(instance, c);
-                    }
-                }
-                if let Some(conn) = inst_conn.get(&instance) {
-                    if let Some(handle) = conns.get(conn) {
-                        handle.send(msg);
-                    }
-                }
-            }
-            DispatcherAction::TaskDone { record, .. } => records.push(record),
-            DispatcherAction::TaskFailed { .. } | DispatcherAction::ToProvisioner { .. } => {}
-        }
-    }
+    (routes.records, d.stats(), d.probe().clone())
 }
 
 // ---------------------------------------------------------------------------
 // Peers
 // ---------------------------------------------------------------------------
 
-/// What a finished TCP peer observed: work done plus the merged wire-level
-/// counters from both directions of its connection — enough for a test to
-/// balance byte totals against the dispatcher's shards.
+/// What a finished TCP executor observed: work done plus the wire-level
+/// counters of its connection — enough for a test to balance byte totals
+/// against the dispatcher's.
 pub struct TcpRunOutcome {
     /// Tasks this executor ran.
     pub tasks: u64,
-    /// Frame counts and sealed byte totals, reader + writer merged.
+    /// Frame counts and sealed byte totals, both directions.
     pub wire: Counters,
 }
 
@@ -1129,34 +331,8 @@ pub struct TcpClientOutcome {
     pub done: u64,
     /// Wall time from first submit to workload completion.
     pub elapsed_us: u64,
-    /// Frame counts and sealed byte totals, reader + writer merged.
+    /// Frame counts and sealed byte totals, both directions.
     pub wire: Counters,
-}
-
-/// How a peer's driving loop ended.
-enum PumpEnd {
-    /// The machine shut itself down (idle release / deregistration).
-    Clean(u64),
-    /// The inbound channel disconnected: the reader saw EOF or an error.
-    Disconnected(u64),
-}
-
-/// Reader thread shared by executor and client runs: block on the socket,
-/// forward decoded messages, and report the wire shard plus any non-EOF
-/// terminal error on exit.
-fn reader_pump(mut reader: ConnReader, tx: Sender<Message>) -> (Counters, Option<std::io::Error>) {
-    let err = loop {
-        match reader.recv() {
-            Ok(msg) => {
-                if tx.send(msg).is_err() {
-                    break None;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break None,
-            Err(e) => break Some(e),
-        }
-    };
-    (reader.into_wire(), err)
 }
 
 /// Run an executor against a TCP dispatcher until the connection closes or
@@ -1167,216 +343,143 @@ pub fn run_executor(
     id: ExecutorId,
     config: ExecutorConfig,
     security: TcpSecurity,
-) -> std::io::Result<TcpRunOutcome> {
+) -> io::Result<TcpRunOutcome> {
     run_executor_probe(addr, id, config, security, NoopProbe).map(|(outcome, _)| outcome)
 }
 
 /// Run an executor with `probe` mounted on the sans-io machine, returning
-/// the run outcome (tasks + merged wire counters) alongside the probe.
-/// This is the single executor entry point; [`run_executor`] is the
-/// `NoopProbe` convenience wrapper.
+/// the run outcome alongside the probe: [`crate::muxpeer`]'s pool with one
+/// member. The dispatcher closing on us is a normal end-of-run; a real
+/// socket error is surfaced.
 pub fn run_executor_probe<P: Probe>(
     addr: SocketAddr,
     id: ExecutorId,
     config: ExecutorConfig,
     security: TcpSecurity,
     probe: P,
-) -> std::io::Result<(TcpRunOutcome, P)> {
-    let clock = Clock::start();
-    let stream = TcpStream::connect(addr)?;
-    let conn = Conn::establish(stream, security, clock)?;
-    let (reader, mut writer) = conn.split();
-    let (in_tx, in_rx) = unbounded::<Message>();
-    let reader_handle = thread::spawn(move || reader_pump(reader, in_tx));
-    let mut machine = Executor::with_probe(id, "tcp-exec", config, probe);
-    let result = executor_pump(&clock, &mut writer, &in_rx, &mut machine);
-    // Unblock the reader (EOF on our own socket) and collect its shard.
-    writer.shutdown();
-    let (reader_wire, reader_err) = match reader_handle.join() {
-        Ok(r) => r,
-        Err(_) => (Counters::new(), None),
-    };
-    let mut wire = writer.into_wire();
-    wire.merge(&reader_wire);
-    let probe = machine.into_probe();
-    match result? {
-        PumpEnd::Clean(tasks) => Ok((TcpRunOutcome { tasks, wire }, probe)),
-        // The dispatcher closing on us is a normal end-of-run; surface any
-        // real socket error the reader hit instead.
-        PumpEnd::Disconnected(tasks) => match reader_err {
-            None => Ok((TcpRunOutcome { tasks, wire }, probe)),
-            Some(e) => Err(e),
-        },
+) -> io::Result<(TcpRunOutcome, P)> {
+    let mut probe = Some(probe);
+    let make = || probe.take().expect("a pool of one mounts one probe");
+    let mut pool = crate::muxpeer::run_pool(addr, id.0, 1, config, security, make)?;
+    if let Some(e) = pool.socket_error {
+        return Err(e);
     }
+    let outcome = TcpRunOutcome {
+        tasks: pool.outcome.tasks,
+        wire: pool.outcome.wire,
+    };
+    Ok((outcome, pool.probes.pop().expect("one machine ran")))
 }
 
-fn executor_pump<P: Probe>(
-    clock: &Clock,
-    writer: &mut ConnWriter,
-    in_rx: &Receiver<Message>,
-    machine: &mut Executor<P>,
-) -> std::io::Result<PumpEnd> {
-    let mut actions = Vec::new();
-    machine.on_event(clock.now_us(), ExecutorEvent::Start, &mut actions);
-    let mut queue: Vec<ExecutorEvent> = Vec::new();
-    loop {
-        // Pump the machine: sends go into the coalesced buffer and hit the
-        // socket in one write when the pump goes quiet (or returns).
-        while !actions.is_empty() || !queue.is_empty() {
-            for act in std::mem::take(&mut actions) {
-                match act {
-                    ExecutorAction::Send(msg) => writer.enqueue(&msg)?,
-                    ExecutorAction::Run(spec) => {
-                        let t0 = clock.now_us();
-                        let mut result = crate::exec::execute_builtin(&spec);
-                        result.executor_time_us = clock.now_us() - t0;
-                        queue.push(ExecutorEvent::TaskCompleted { result });
-                    }
-                    ExecutorAction::Shutdown => {
-                        writer.flush()?;
-                        return Ok(PumpEnd::Clean(machine.tasks_run));
-                    }
+/// One client workload over one connection: the [`Handler`] of
+/// [`run_client`].
+struct ClientRun {
+    clock: Clock,
+    client: Client,
+    /// The workload, until `Opened` submits it.
+    tasks: Vec<TaskSpec>,
+    actions: Vec<ClientAction>,
+    t0: u64,
+    /// `(completions, elapsed µs)` once the workload completed.
+    done: Option<(u64, u64)>,
+    closed: Option<Closed>,
+}
+
+impl Handler<()> for ClientRun {
+    fn inbound(&mut self, _: Token, conn: &mut Conn, _: &mut (), ev: Inbound) -> io::Result<bool> {
+        match ev {
+            Inbound::Opened => {
+                self.client
+                    .on_event(self.clock.now_us(), ClientEvent::Start, &mut self.actions);
+                self.t0 = self.clock.now_us();
+                let tasks = std::mem::take(&mut self.tasks);
+                if tasks.is_empty() {
+                    self.done = Some((0, 0));
+                }
+                self.client.enqueue(self.t0, tasks, &mut self.actions);
+            }
+            Inbound::Msg(msg) => {
+                if let Some(ev) = falkon_core::mapping::message_to_client_event(msg) {
+                    self.client
+                        .on_event(self.clock.now_us(), ev, &mut self.actions);
                 }
             }
-            for ev in std::mem::take(&mut queue) {
-                machine.on_event(clock.now_us(), ev, &mut actions);
+            Inbound::Deadline => {}
+        }
+        // Everything queued here leaves in one write on the next turn —
+        // partially, if the socket is full, while results keep being read.
+        for act in self.actions.drain(..) {
+            match act {
+                ClientAction::Send(msg) => conn.enqueue(&msg)?,
+                ClientAction::WorkloadComplete => {
+                    let done = self.client.completions().len() as u64;
+                    self.done = Some((done, self.clock.now_us() - self.t0));
+                }
             }
         }
-        writer.flush()?;
-        // Block for the next inbound message; the only timed wait is the
-        // machine's own idle-release deadline, when it has armed one.
-        let received = match machine.idle_deadline_us() {
-            Some(deadline) => {
-                let wait = Duration::from_micros(deadline.saturating_sub(clock.now_us()).max(1));
-                match in_rx.recv_timeout(wait) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Ok(PumpEnd::Disconnected(machine.tasks_run))
-                    }
-                }
-            }
-            None => match in_rx.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => return Ok(PumpEnd::Disconnected(machine.tasks_run)),
-            },
-        };
-        match received {
-            Some(msg) => {
-                if let Some(ev) = falkon_core::mapping::message_to_executor_event(msg) {
-                    machine.on_event(clock.now_us(), ev, &mut actions);
-                }
-            }
-            None => machine.on_event(clock.now_us(), ExecutorEvent::IdleTimeout, &mut actions),
-        }
+        Ok(self.done.is_some())
+    }
+
+    fn closed(&mut self, _: Token, _: (), closed: Closed) {
+        self.closed = Some(closed);
     }
 }
 
 /// Run a client workload against a TCP dispatcher, returning completions,
-/// elapsed µs, and the connection's merged wire counters. (The client
-/// machine mounts no probe — its observable behaviour is the completion
-/// records the dispatcher keeps.)
+/// elapsed µs, and the connection's wire counters. (The client machine
+/// mounts no probe — its observable behaviour is the completion records
+/// the dispatcher keeps.)
 pub fn run_client(
     addr: SocketAddr,
     tasks: Vec<TaskSpec>,
     bundle: BundleConfig,
     security: TcpSecurity,
-) -> std::io::Result<TcpClientOutcome> {
+) -> io::Result<TcpClientOutcome> {
     let clock = Clock::start();
-    let stream = TcpStream::connect(addr)?;
-    let conn = Conn::establish(stream, security, clock)?;
-    let (reader, mut writer) = conn.split();
-    let (in_tx, in_rx) = unbounded::<Message>();
-    let reader_handle = thread::spawn(move || reader_pump(reader, in_tx));
-    let result = client_pump(&clock, &mut writer, &in_rx, tasks, bundle);
-    writer.shutdown();
-    let (reader_wire, reader_err) = match reader_handle.join() {
-        Ok(r) => r,
-        Err(_) => (Counters::new(), None),
+    let mut engine = Engine::new(clock);
+    engine.add(Conn::new(TcpStream::connect(addr)?, security, clock)?, ());
+    let mut run = ClientRun {
+        clock,
+        client: Client::new(bundle),
+        tasks,
+        actions: Vec::new(),
+        t0: 0,
+        done: None,
+        closed: None,
     };
-    let mut wire = writer.into_wire();
-    wire.merge(&reader_wire);
-    match result? {
+    while engine.live() > 0 {
+        engine.turn(&[], &mut run)?;
+    }
+    let closed = run.closed.expect("the connection closed");
+    match run.done {
         Some((done, elapsed_us)) => Ok(TcpClientOutcome {
             done,
             elapsed_us,
-            wire,
+            wire: closed.wire,
         }),
         // Disconnected before the workload completed: a dead dispatcher is
         // an error for a client (unlike an executor, which it releases).
-        None => Err(reader_err.unwrap_or_else(|| std::io::ErrorKind::UnexpectedEof.into())),
+        None => Err(closed
+            .cause
+            .unwrap_or_else(|| io::ErrorKind::UnexpectedEof.into())),
     }
-}
-
-fn client_pump(
-    clock: &Clock,
-    writer: &mut ConnWriter,
-    in_rx: &Receiver<Message>,
-    tasks: Vec<TaskSpec>,
-    bundle: BundleConfig,
-) -> std::io::Result<Option<(u64, u64)>> {
-    let mut client = Client::new(bundle);
-    let n = tasks.len() as u64;
-    let mut actions = Vec::new();
-    client.on_event(clock.now_us(), ClientEvent::Start, &mut actions);
-    let t0 = clock.now_us();
-    client.enqueue(t0, tasks, &mut actions);
-    flush_client(writer, &mut actions)?;
-    if n == 0 {
-        return Ok(Some((0, 0)));
-    }
-    loop {
-        let Ok(msg) = in_rx.recv() else {
-            return Ok(None);
-        };
-        let Some(ev) = falkon_core::mapping::message_to_client_event(msg) else {
-            continue;
-        };
-        client.on_event(clock.now_us(), ev, &mut actions);
-        let complete = actions
-            .iter()
-            .any(|a| matches!(a, ClientAction::WorkloadComplete));
-        flush_client(writer, &mut actions)?;
-        if complete {
-            return Ok(Some((
-                client.completions().len() as u64,
-                clock.now_us() - t0,
-            )));
-        }
-    }
-}
-
-fn flush_client(writer: &mut ConnWriter, actions: &mut Vec<ClientAction>) -> std::io::Result<()> {
-    // Queue every outbound message, then write the whole batch once.
-    for act in actions.drain(..) {
-        if let ClientAction::Send(msg) = act {
-            writer.enqueue(&msg)?;
-        }
-    }
-    writer.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn deploy(
-        n_exec: usize,
-        security: TcpSecurity,
-        n_tasks: u64,
-        transport: TransportKind,
-    ) -> (u64, u64) {
-        let mut builder = ServerConfig::builder()
+    fn deploy(n_exec: usize, security: TcpSecurity, n_tasks: u64, shards: usize) -> (u64, u64) {
+        let config = ServerConfig::builder()
             .dispatcher(DispatcherConfig {
                 client_notify_batch: 64,
                 ..DispatcherConfig::default()
             })
-            .security(security);
-        builder = match transport {
-            TransportKind::ThreadPerConn => builder.thread_per_conn(),
-            TransportKind::Sharded { shards } => builder.sharded(shards),
-        };
-        let server = DispatcherServer::start(builder.build().expect("valid config")).expect("bind");
+            .security(security)
+            .sharded(shards)
+            .build()
+            .expect("valid config");
+        let server = DispatcherServer::start(config).expect("bind");
         let addr = server.addr;
         let mut execs = Vec::new();
         for i in 0..n_exec {
@@ -1402,58 +505,50 @@ mod tests {
 
     #[test]
     fn tcp_plain_roundtrip() {
-        let (done, _) = deploy(2, None, 100, TransportKind::ThreadPerConn);
+        let (done, _) = deploy(2, None, 100, 1);
         assert_eq!(done, 100);
     }
 
     #[test]
     fn tcp_secure_roundtrip() {
-        let (done, _) = deploy(2, Some(0xFA1C0), 100, TransportKind::ThreadPerConn);
+        let (done, _) = deploy(2, Some(0xFA1C0), 100, 1);
         assert_eq!(done, 100);
     }
 
     #[test]
     fn tcp_many_executors() {
-        let (done, _) = deploy(8, None, 400, TransportKind::ThreadPerConn);
+        let (done, _) = deploy(8, None, 400, 1);
         assert_eq!(done, 400);
     }
 
     #[test]
     fn tcp_sharded_plain_roundtrip() {
-        let (done, _) = deploy(4, None, 200, TransportKind::Sharded { shards: 2 });
+        let (done, _) = deploy(4, None, 200, 2);
         assert_eq!(done, 200);
     }
 
     #[test]
     fn tcp_sharded_secure_roundtrip() {
-        let (done, _) = deploy(3, Some(0xFA1C0), 150, TransportKind::Sharded { shards: 2 });
+        let (done, _) = deploy(3, Some(0xFA1C0), 150, 2);
         assert_eq!(done, 150);
     }
 
     #[test]
-    fn tcp_sharded_single_shard() {
-        let (done, _) = deploy(4, None, 120, TransportKind::Sharded { shards: 1 });
+    fn tcp_more_shards_than_connections() {
+        let (done, _) = deploy(2, None, 120, 4);
         assert_eq!(done, 120);
     }
 
     #[test]
-    fn builder_rejects_zero_shards() {
-        assert_eq!(
-            ServerConfig::builder().sharded(0).build().unwrap_err(),
-            ConfigError::ZeroShards
-        );
+    fn tcp_empty_workload_completes() {
+        let (done, _) = deploy(1, None, 0, 1);
+        assert_eq!(done, 0);
     }
 
     #[test]
-    fn builder_rejects_zero_high_water() {
-        assert_eq!(
-            ServerConfig::builder()
-                .flush_high_water(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroHighWater
-        );
-        let err = ServerConfig::builder().flush_high_water(0).build();
-        assert!(format!("{}", err.unwrap_err()).contains("high-water"));
+    fn builder_rejects_zero_shards() {
+        let err = ServerConfig::builder().sharded(0).build().unwrap_err();
+        assert_eq!(err, ConfigError::ZeroShards);
+        assert!(format!("{err}").contains("shard"));
     }
 }

@@ -9,6 +9,11 @@
 //! 500 tasks costs a small per-*message* constant (the decoded task `Vec`
 //! plus slack), not a per-*task* cost.
 //!
+//! The connection under test is the engine's own [`Conn`], driven through
+//! the same two calls the readiness loop makes (`poll_inbound`, then `fill`
+//! when it wants more bytes), so the count covers exactly the path every
+//! server shard and peer runs.
+//!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter is
 //! a monotonic `Relaxed` tally; the test is effectively single-threaded
 //! around the measured region (the peer writes *before* the reader starts
@@ -17,7 +22,8 @@
 
 use falkon_proto::{Codec, EfficientCodec, Message, TaskSpec};
 use falkon_rt::clock::Clock;
-use falkon_rt::tcp::Conn;
+use falkon_rt::conn::{Conn, Inbound};
+use falkon_rt::poll::{poll_wait, PollFd, POLLIN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,6 +65,32 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The next decoded message, the way the engine gets it: decode what is
+/// buffered, read when that runs dry, wait for readability when the socket
+/// does.
+fn recv(conn: &mut Conn) -> Message {
+    loop {
+        match conn.poll_inbound().expect("decode") {
+            Some(Inbound::Msg(msg)) => return msg,
+            Some(_) => continue,
+            None => {}
+        }
+        match conn.fill() {
+            Ok(0) => panic!("peer closed"),
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let mut fds = [PollFd {
+                    fd: conn.raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
+                }];
+                poll_wait(&mut fds, -1).expect("poll");
+            }
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+}
+
 #[test]
 fn inbound_tcp_path_is_allocation_free_per_task() {
     const TASKS_PER_BUNDLE: u64 = 500;
@@ -70,8 +102,7 @@ fn inbound_tcp_path_is_allocation_free_per_task() {
     let (server, _) = listener.accept().expect("accept");
 
     let clock = Clock::start();
-    let conn = Conn::establish(server, None, clock).expect("establish");
-    let (mut reader, _writer) = conn.split();
+    let mut conn = Conn::new(server, None, clock).expect("conn");
 
     // The peer writes raw framed bytes directly (no Conn on that side, so
     // its own encode allocations cannot be confused with the reader's).
@@ -93,7 +124,7 @@ fn inbound_tcp_path_is_allocation_free_per_task() {
 
     // Warm-up: first recv may grow the cursor buffer and populate the
     // intern tables.
-    let warm = reader.recv().expect("warmup recv");
+    let warm = recv(&mut conn);
     assert!(
         matches!(warm, Message::Work { ref tasks } if tasks.len() == TASKS_PER_BUNDLE as usize)
     );
@@ -101,7 +132,7 @@ fn inbound_tcp_path_is_allocation_free_per_task() {
 
     let before = allocs();
     for _ in 0..BUNDLES {
-        let msg = reader.recv().expect("recv");
+        let msg = recv(&mut conn);
         match &msg {
             Message::Work { tasks } => assert_eq!(tasks.len(), TASKS_PER_BUNDLE as usize),
             other => panic!("unexpected message {other:?}"),

@@ -12,7 +12,7 @@
 //!   (dispatcher, provisioner, executors, LRM) one actor per component.
 
 use crate::event::EventQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::{SimDuration, SimTime};
 
 /// Identifies a registered [`Process`] within an [`ActorSystem`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

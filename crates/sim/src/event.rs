@@ -33,8 +33,8 @@
 //! sequences and requires byte-identical behaviour.
 
 use crate::heap::{key_time, pack};
-use crate::time::SimTime;
 use crate::wheel::TimerWheel;
+use crate::SimTime;
 use std::collections::VecDeque;
 
 /// A priority queue of `(SimTime, E)` pairs popped in time order, FIFO within
@@ -163,7 +163,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::SimTime;
 
     #[test]
     fn pops_in_time_order() {

@@ -24,7 +24,7 @@
 //! payloads never moving — was measured and is *slower* for the small
 //! event types the simulations actually use; see DESIGN.md § perf.)
 
-use crate::time::SimTime;
+use crate::SimTime;
 use std::collections::VecDeque;
 
 /// One heap entry: the packed ordering key and the payload.
@@ -258,7 +258,7 @@ impl<E> HeapQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::SimTime;
 
     #[test]
     fn pops_in_time_order() {

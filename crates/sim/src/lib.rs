@@ -6,8 +6,8 @@
 //! the virtual-time machinery used to run the *same* Falkon state machines
 //! (from `falkon-core`) against modelled clusters:
 //!
-//! * [`time`] — a microsecond-resolution virtual clock ([`SimTime`],
-//!   [`SimDuration`]) with ergonomic constructors and arithmetic.
+//! * [`SimTime`], [`SimDuration`] — the microsecond-resolution virtual
+//!   clock, shared with (and defined in) `falkon-obs`.
 //! * [`event`] — a deterministic event queue with stable FIFO ordering for
 //!   simultaneous events, backed by the hierarchical timer wheel in
 //!   [`wheel`] (the previous heap-backed queue survives as
@@ -15,8 +15,9 @@
 //!   and benchmarked against).
 //! * [`engine`] — the event loop: actors implement [`engine::Process`] and the
 //!   [`engine::Engine`] delivers timed events to them.
-//! * [`metrics`] — histograms, time series, moving averages, and summary
-//!   statistics used to regenerate the paper's figures.
+//! * [`Histogram`], [`TimeSeries`], [`MovingAverage`], [`Summary`] — the
+//!   `falkon-obs` measurement primitives used to regenerate the paper's
+//!   figures.
 //! * [`rng`] — deterministic, seedable random distributions so every
 //!   experiment is exactly reproducible.
 //! * [`platform`] — the Table 1 testbed profiles (node counts, CPUs, network).
@@ -25,16 +26,14 @@
 pub mod engine;
 pub mod event;
 pub mod heap;
-pub mod metrics;
 pub mod platform;
 pub mod rng;
 pub mod table;
-pub mod time;
 pub mod wheel;
 
 pub use engine::{Engine, Process, ProcessId};
 pub use event::EventQueue;
+pub use falkon_obs::metrics::{Histogram, MovingAverage, Summary, TimeSeries};
+pub use falkon_obs::time::{SimDuration, SimTime};
 pub use heap::HeapQueue;
-pub use metrics::{Histogram, MovingAverage, Summary, TimeSeries};
 pub use rng::SimRng;
-pub use time::{SimDuration, SimTime};

@@ -40,7 +40,7 @@
 //! * The earliest entry always lives in the *lowest* occupied level: an
 //!   entry placed at level `L` against an older reference can become
 //!   "stale-high" (its fresh level against the current reference is lower),
-//!   but the byte-squeeze argument in DESIGN.md §10.7 shows a stale entry
+//!   but the byte-squeeze argument in DESIGN.md §10.5 shows a stale entry
 //!   can never be earlier than a fresh entry at a lower level.
 //! * Within a level, slots ascend by time (stale entries collect in slot
 //!   `byte_k(ref_time)`, below every fresh slot), so the first occupied

@@ -109,9 +109,10 @@ fn nightly_supports(cargo: &str, probe: &[&str]) -> bool {
 }
 
 /// ThreadSanitizer over the concurrency surface: the pool's deque model
-/// tests (`-p falkon-pool`), the 1k-connection fan-out soak and the
-/// three-tier dispatcher-loss soak (root-package integration tests
-/// `tcp_fanout` / `tcp_threetier`), and the vendored channel's own tests.
+/// tests (`-p falkon-pool`), the connection engine's three soaks — wire
+/// balance and backpressure, 1k-connection fan-out, three-tier dispatcher
+/// loss (root-package integration tests `tcp_soak` / `tcp_fanout` /
+/// `tcp_threetier`) — and the vendored channel's own tests.
 /// TSan needs nightly (`-Zsanitizer=thread`) plus rust-src for a
 /// `-Zbuild-std` rebuild of std with the sanitizer runtime.
 fn tsan(rest: &[String]) -> ExitCode {
@@ -129,6 +130,7 @@ fn tsan(rest: &[String]) -> ExitCode {
         &["test", "-p", "falkon-pool"],
         // The soak tests are integration tests of the root `falkon`
         // package (they live in the top-level tests/), not of falkon-rt.
+        &["test", "-p", "falkon", "--test", "tcp_soak"],
         &["test", "-p", "falkon", "--test", "tcp_fanout"],
         &["test", "-p", "falkon", "--test", "tcp_threetier"],
         &["test", "-p", "crossbeam"],
@@ -155,7 +157,7 @@ fn tsan(rest: &[String]) -> ExitCode {
         }
     }
     println!(
-        "xtask tsan: PASSED (pool deque model, tcp_fanout + tcp_threetier soaks, vendored channel)"
+        "xtask tsan: PASSED (pool deque model, tcp_soak + tcp_fanout + tcp_threetier soaks, vendored channel)"
     );
     ExitCode::SUCCESS
 }

@@ -22,8 +22,8 @@ use std::thread;
 fn main() -> std::io::Result<()> {
     // Security on: every connection handshakes and seals all frames.
     let security = Some(0xFA1C0);
-    // Mount the sharded transport: two event-loop threads multiplex every
-    // connection (swap `.sharded(2)` for `.thread_per_conn()` to compare).
+    // Two shard threads multiplex every connection (the default is one);
+    // OS thread count does not grow with the number of peers.
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
             client_notify_batch: 100,

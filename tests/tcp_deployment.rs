@@ -1,18 +1,26 @@
 //! Integration tests for the TCP deployment: the full Figure 2 message
 //! sequence over real sockets, with and without the security layer, plus
-//! executor churn.
+//! executor churn, the handshake's corner cases (a first frame sent with
+//! the hello, a peer that never speaks, a wrong key), and the status poll.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
 #![allow(clippy::disallowed_methods)]
 
+mod common;
+
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
+use falkon::obs::ObsEventKind;
 use falkon::proto::bundle::BundleConfig;
-use falkon::proto::message::ExecutorId;
+use falkon::proto::message::{ExecutorId, Message};
 use falkon::proto::task::TaskSpec;
+use falkon::proto::{write_frame, Codec, EfficientCodec, SecureChannel};
 use falkon::rt::tcp::{run_client, run_executor, DispatcherServer, ServerConfig};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn tasks(n: u64) -> Vec<TaskSpec> {
     (0..n).map(|i| TaskSpec::sleep(i, 0)).collect()
@@ -127,4 +135,143 @@ fn tcp_executor_joining_late_still_gets_work() {
     assert_eq!(out.done, 50);
     assert_eq!(exec.join().expect("join").expect("io").tasks, 50);
     server.shutdown();
+}
+
+/// One length-prefixed frame off a blocking test socket (panics on the
+/// socket's read timeout).
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("frame header");
+    let mut frame = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut frame).expect("frame body");
+    frame
+}
+
+/// The regression test for the secure first-frame hang: a peer may send its
+/// first sealed frame in the same segment as its hello. The server's read
+/// path must decode what is buffered behind the handshake without waiting
+/// for more socket bytes — before the connection engine, the handshake read
+/// both frames and the steady-state loop never looked at the second until
+/// the peer spoke again, which a freshly registered executor never does.
+#[test]
+fn tcp_secure_first_frame_sent_with_the_hello_is_served() {
+    let psk = 0xFA1C0;
+    let config = ServerConfig::builder()
+        .security(Some(psk))
+        .sharded(1)
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let mut peer = TcpStream::connect(server.addr).expect("connect");
+    peer.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+
+    let server_hello = read_frame(&mut peer);
+    let mut chan = SecureChannel::new(psk, 42);
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &chan.handshake_message());
+    chan.complete_handshake(&server_hello)
+        .expect("server hello verifies");
+    let register = EfficientCodec.encode(&Message::Register {
+        executor: ExecutorId(7),
+        host: "raw-peer".into(),
+    });
+    write_frame(&mut bytes, &chan.seal(&register).expect("seal"));
+    peer.write_all(&bytes)
+        .expect("hello + Register in one write");
+
+    // Served within the 2 s read timeout: the dispatcher acks the register.
+    let ack = chan
+        .open(&read_frame(&mut peer))
+        .expect("sealed reply opens");
+    assert_eq!(
+        EfficientCodec.decode(&ack).expect("decodes"),
+        Message::RegisterAck {
+            executor: ExecutorId(7)
+        }
+    );
+    let (_, _, obs) = server.shutdown();
+    assert_eq!(obs.counters.count(ObsEventKind::ExecutorRegistered), 1);
+}
+
+/// With security on, a peer that connects and never speaks must not hold
+/// anyone else up — the handshake bound is a per-connection deadline in
+/// the poll timeout, not a blocking read on the accept path — and is
+/// itself dropped once the bound (10 s) passes.
+#[test]
+fn tcp_silent_peer_neither_delays_a_secure_deployment_nor_lingers() {
+    let psk = Some(0xFA1C0);
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            client_notify_batch: 50,
+            ..DispatcherConfig::default()
+        })
+        .security(psk)
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let connected = Instant::now();
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    // The server greets at once; the silent peer never answers.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .expect("timeout");
+    read_frame(&mut silent);
+
+    let started = Instant::now();
+    let execs: Vec<_> = (0..4)
+        .map(|i| {
+            thread::spawn(move || run_executor(addr, ExecutorId(i), ExecutorConfig::default(), psk))
+        })
+        .collect();
+    let client = run_client(addr, tasks(200), BundleConfig::of(50), psk).expect("client");
+    assert_eq!(client.done, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "deployment waited {:?} behind a silent peer",
+        started.elapsed()
+    );
+
+    // The server gives up on the silent peer at its handshake deadline.
+    let mut rest = Vec::new();
+    let eof = silent.read_to_end(&mut rest);
+    assert!(
+        matches!(eof, Ok(0)),
+        "silent peer not dropped at the deadline: {eof:?}"
+    );
+    let waited = connected.elapsed();
+    assert!(
+        waited >= Duration::from_secs(9) && waited < Duration::from_secs(14),
+        "dropped after {waited:?}, want the 10 s handshake bound"
+    );
+    server.shutdown();
+    for e in execs {
+        e.join().expect("join").ok();
+    }
+}
+
+/// A `StatusPoll` is answered with `Status` on the polling connection.
+#[test]
+fn tcp_status_poll_reports_registered_executors() {
+    let config = ServerConfig::builder().build().expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let execs: Vec<_> = (0..3)
+        .map(|i| {
+            thread::spawn(move || {
+                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+            })
+        })
+        .collect();
+    // Registration is asynchronous: poll until all three are counted.
+    common::wait_registered(addr, None, 3);
+    let status = common::StatusClient::connect(addr, None).poll();
+    assert_eq!(status.registered_executors, 3);
+    assert_eq!(status.queued_tasks, 0);
+    assert_eq!(status.busy_executors, 0);
+    server.shutdown();
+    for e in execs {
+        e.join().expect("join").ok();
+    }
 }

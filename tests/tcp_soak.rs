@@ -1,19 +1,20 @@
 //! TCP transport soak tests: sustained mixed-size traffic with exact
 //! wire-byte accounting, and shutdown under load.
 //!
-//! The event-driven transport collects a wire shard ([`falkon::obs::WireTap`]
-//! counters) from *every* connection thread as it unwinds — reader and
-//! writer halves on the dispatcher side, both halves of each peer's
-//! connection on the peer side. That makes a strong end-to-end invariant
-//! checkable: every frame charged as encoded at one end of a socket must be
-//! charged as decoded at the other end, byte for byte. Handshake frames are
-//! excluded symmetrically (neither end charges them), so the totals balance
-//! exactly — any lost frame, double count, or dropped shard breaks the
-//! equality.
+//! The connection engine collects the wire counters ([`falkon::obs::WireTap`])
+//! of *every* connection as it closes — the server's shards on the
+//! dispatcher side, each peer's own loop on the peer side. That makes a
+//! strong end-to-end invariant checkable: every frame charged as encoded at
+//! one end of a socket must be charged as decoded at the other end, byte
+//! for byte. Handshake frames are excluded symmetrically (neither end
+//! charges them), so the totals balance exactly — any lost frame, double
+//! count, or dropped counter breaks the equality.
 
 // Deployment tests: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
 #![allow(clippy::disallowed_methods)]
+
+mod common;
 
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
@@ -46,9 +47,11 @@ fn wire_total(c: &Counters, kind: ObsEventKind) -> (u64, u64) {
     (c.count(kind), c.value(kind))
 }
 
-/// Run `n_exec` executors × `n_tasks` mixed-size tasks to completion and
-/// check completion exactness plus both directions of the byte balance.
-fn soak(n_exec: u64, n_tasks: u64, security: TcpSecurity) {
+/// Run `tasks` on `n_exec` executors to completion and check completion
+/// exactness plus both directions of the byte balance. Returns the bytes
+/// the client put on the wire.
+fn soak(n_exec: u64, tasks: Vec<TaskSpec>, security: TcpSecurity) -> u64 {
+    let n_tasks = tasks.len() as u64;
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
             client_notify_batch: 64,
@@ -67,18 +70,15 @@ fn soak(n_exec: u64, n_tasks: u64, security: TcpSecurity) {
         })
         .collect();
 
-    let client = run_client(
-        addr,
-        mixed_size_tasks(n_tasks),
-        BundleConfig::of(50),
-        security,
-    )
-    .expect("client");
+    let client = run_client(addr, tasks, BundleConfig::of(50), security).expect("client");
     assert_eq!(client.done, n_tasks, "client lost completions");
 
-    // Shut down with the executors still attached: the core drops their
-    // outbound queues, the writers flush + close, the executors see EOF and
-    // report their shards.
+    // Shut down with the executors still attached (all of them: a slow
+    // starter must have registered before its server goes, or its
+    // `Register` is charged and never decoded): the core drops their
+    // handles, the shard flushes + closes, the executors see EOF and report
+    // their counters.
+    let poll_wire = common::wait_registered(addr, security, n_exec);
     let (records, stats, obs) = server.shutdown();
     let mut exec_wire = Counters::new();
     let mut total_exec_tasks = 0;
@@ -98,8 +98,10 @@ fn soak(n_exec: u64, n_tasks: u64, security: TcpSecurity) {
 
     // Byte balance. The dispatcher's recorder holds every server-side
     // connection shard; the peers' outcomes hold the other socket ends.
+    let client_sent = client.wire.value(ObsEventKind::BundleEncoded);
     let mut peer_wire = client.wire;
     peer_wire.merge(&exec_wire);
+    peer_wire.merge(&poll_wire);
     let disp_enc = wire_total(&obs.counters, ObsEventKind::BundleEncoded);
     let disp_dec = wire_total(&obs.counters, ObsEventKind::BundleDecoded);
     let peer_enc = wire_total(&peer_wire, ObsEventKind::BundleEncoded);
@@ -116,24 +118,45 @@ fn soak(n_exec: u64, n_tasks: u64, security: TcpSecurity) {
     // bundle, and the padded env blocks make the byte totals substantial.
     assert!(disp_dec.0 >= n_tasks / 50, "suspiciously few frames");
     assert!(disp_dec.1 > n_tasks * 64, "suspiciously few bytes");
+    client_sent
 }
 
 #[test]
 fn soak_plain_wire_bytes_balance() {
-    soak(4, 1200, None);
+    soak(4, mixed_size_tasks(1200), None);
 }
 
 #[test]
 fn soak_secure_wire_bytes_balance() {
     // Same invariants through the sealed path: per-frame MAC bytes are
     // charged symmetrically, so the balance must still be exact.
-    soak(3, 900, Some(0xFA1C0));
+    soak(3, mixed_size_tasks(900), Some(0xFA1C0));
+}
+
+/// Backpressure: a client queues its whole workload before it reads a
+/// single reply, here several times what the kernel will buffer for one
+/// socket (the send buffer tops out at 4 MiB). The submit batch can only
+/// leave in partial nonblocking writes, `POLLOUT` by `POLLOUT`, while acks
+/// and results stream back on the same connection — a client that blocked
+/// in `write` instead would deadlock against a server blocked writing to
+/// it. Every invariant of the soak must hold through that.
+#[test]
+fn soak_client_backlog_several_times_the_socket_buffers() {
+    let tasks: Vec<TaskSpec> = (0..6_000)
+        .map(|i| {
+            let mut spec = TaskSpec::sleep_us(i, 0);
+            spec.env = vec![("FALKON_SOAK_PAD".into(), "y".repeat(4096).into())];
+            spec
+        })
+        .collect();
+    let sent = soak(4, tasks, None);
+    assert!(sent > 20 << 20, "only {sent} bytes: not a backlog");
 }
 
 /// Kill the dispatcher mid-workload: every thread must unwind — the core
-/// drains a shard from each connection half, `shutdown()` joins the accept
-/// loop which joins every reader — and the dispatcher's accounting must
-/// stay consistent (nothing recorded twice, nothing half-recorded).
+/// stops, the shard closes every connection and is joined — and the
+/// dispatcher's accounting must stay consistent (nothing recorded twice,
+/// nothing half-recorded).
 #[test]
 fn shutdown_under_load_joins_cleanly() {
     let config = ServerConfig::builder().build().expect("valid config");
@@ -158,9 +181,9 @@ fn shutdown_under_load_joins_cleanly() {
     });
     thread::sleep(Duration::from_millis(50));
 
-    // Must return: the core joins its connection shards, then the accept
-    // thread joins every connection's reader/writer. A leaked or deadlocked
-    // thread hangs the test right here.
+    // Must return: the core is joined, then the shard thread once it has
+    // closed every connection. A leaked or deadlocked thread hangs the
+    // test right here.
     let (records, stats, obs) = server.shutdown();
 
     // Peers must unwind too. The client either finished before the

@@ -13,8 +13,10 @@
 //!    encoded at one socket end equal frames/bytes charged as decoded at
 //!    the other, per direction, on *both* faces of the forwarder — the
 //!    client tier and the dispatcher tier — including the link that died.
-//! 4. **Clean unwind** — every thread of the three-tier deployment joins;
-//!    the process thread count returns to its baseline.
+//! 4. **Thread budget and clean unwind** — at peak each tier runs one core
+//!    thread plus its shards and nothing per connection or per downstream
+//!    link; every thread of the deployment joins, and the process thread
+//!    count returns to its baseline.
 //!
 //! The victim is the one dispatcher with no executors attached: its
 //! backlog is real (nothing drains it), and by kill time its link is
@@ -72,6 +74,7 @@ fn spawn_executors(
         .collect()
 }
 
+const SHARDS: usize = 2;
 const WAVE1: u64 = 600;
 const WAVE2: u64 = 300;
 const VICTIM: usize = 2;
@@ -84,7 +87,7 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
             client_notify_batch: 50,
             ..DispatcherConfig::default()
         })
-        .sharded(2)
+        .sharded(SHARDS)
         .forwarder(3)
         .build()
         .expect("valid config");
@@ -113,6 +116,15 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     // read. Survivor traffic may continue; only the dying link must be
     // drained for the balance to hold exactly.
     thread::sleep(Duration::from_millis(300));
+    // Peak thread count: four servers (the forwarder and 3 dispatchers),
+    // each one core thread plus its shards — a downstream link is a
+    // connection of the forwarder's shards, not a thread — plus the 4
+    // executor threads and the wave-1 client.
+    if let (Some(before), Some(peak)) = (threads_before, process_threads()) {
+        let added = peak.saturating_sub(before);
+        let budget = 4 * (1 + SHARDS as u64) + 4 + 1;
+        assert!(added <= budget, "{added} threads at peak, budget {budget}");
+    }
     let (victim_records, victim_stats, victim_obs) = server.kill_dispatcher(VICTIM);
     let c1 = client1
         .join()
