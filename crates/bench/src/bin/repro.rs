@@ -6,7 +6,8 @@
 //! repro list       enumerate experiments (id + description)
 //! repro all        run everything (the default)
 //! repro <id>       run one experiment (see `repro list`)
-//! repro bench      hot-path performance baseline (see DESIGN.md § perf)
+//! repro bench      floor tripwire over seven hot-path scenarios (DESIGN.md
+//!                  §10); takes no flags, exits 1 on a rate under its floor
 //!
 //! flags:
 //!   --full         the paper's parameters (2,000,000 tasks, 54,000
@@ -18,12 +19,6 @@
 //!                  task's lifecycle (enqueue/dispatch/complete timestamps)
 //!                  as TSV to <path>. Forces serial execution: the trace
 //!                  sink is thread-local.
-//!   --json <path>  with `bench`: also write the machine-readable report
-//!                  (the format committed as BENCH_0005.json)
-//!   --floor <id>=<rate>
-//!                  with `bench`: fail (exit 1) unless scenario <id>
-//!                  measures at least <rate>. Repeatable. CI uses this as
-//!                  a cheap regression tripwire on the TCP hot path.
 //! ```
 //!
 //! Experiments sharing one expensive run (fig9/fig10; table3/table4/
@@ -56,35 +51,6 @@ fn main() {
         None => None,
     };
     let trace_path = value_flag("--trace");
-    let json_path = value_flag("--json");
-    // `--floor id=rate` is repeatable: collect every occurrence.
-    let floors: Vec<(String, f64)> = args
-        .iter()
-        .enumerate()
-        .filter(|&(_, a)| a == "--floor")
-        .map(|(i, _)| {
-            let spec = match args.get(i + 1) {
-                Some(p) if !p.starts_with("--") => p,
-                _ => {
-                    eprintln!("--floor needs a value of the form <id>=<rate>");
-                    std::process::exit(2);
-                }
-            };
-            match spec.split_once('=') {
-                Some((id, rate)) => match rate.parse::<f64>() {
-                    Ok(r) if r > 0.0 => (id.to_string(), r),
-                    _ => {
-                        eprintln!("--floor {spec}: rate must be a positive number");
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("--floor needs <id>=<rate>, got `{spec}`");
-                    std::process::exit(2);
-                }
-            }
-        })
-        .collect();
     let jobs = match value_flag("--jobs") {
         Some(n) => match n.parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -95,7 +61,7 @@ fn main() {
         },
         None => 1,
     };
-    const VALUE_FLAGS: [&str; 4] = ["--trace", "--json", "--jobs", "--floor"];
+    const VALUE_FLAGS: [&str; 2] = ["--trace", "--jobs"];
     if let Some(bad) = args
         .iter()
         .enumerate()
@@ -107,10 +73,7 @@ fn main() {
         })
         .map(|(_, a)| a)
     {
-        eprintln!(
-            "unknown flag `{bad}`; flags are --full, --jobs <n>, --trace <path>, \
-             --json <path>, --floor <id>=<rate>"
-        );
+        eprintln!("unknown flag `{bad}`; flags are --full, --jobs <n>, --trace <path>");
         std::process::exit(2);
     }
     let scale = if full { Scale::Full } else { Scale::Quick };
@@ -125,16 +88,12 @@ fn main() {
         .unwrap_or("all");
 
     if what == "bench" {
-        run_bench(json_path, jobs, &floors);
+        if args.len() > 1 {
+            eprintln!("`repro bench` takes no arguments (floors are constants in perfbench.rs)");
+            std::process::exit(2);
+        }
+        run_bench();
         return;
-    }
-    if json_path.is_some() {
-        eprintln!("--json only applies to `repro bench`");
-        std::process::exit(2);
-    }
-    if !floors.is_empty() {
-        eprintln!("--floor only applies to `repro bench`");
-        std::process::exit(2);
     }
 
     if what == "list" {
@@ -197,55 +156,23 @@ fn run_single(exp: &dyn registry::Experiment, scale: Scale, jobs: usize) -> regi
     pool.install(|| exp.run(scale))
 }
 
-/// `repro bench`: the tracked hot-path baseline (DESIGN.md § perf).
-/// Prints a table; with `--json <path>` also writes the committed report;
-/// with `--floor <id>=<rate>` fails the run if a scenario measures slow.
-fn run_bench(json_path: Option<String>, jobs: usize, floors: &[(String, f64)]) {
+/// `repro bench`: run the floored scenarios, print the table, exit 1 if
+/// any rate is under its floor.
+fn run_bench() {
     use falkon_bench::perfbench;
 
-    eprintln!("repro bench: running hot-path scenarios (~1 min)...");
+    eprintln!("repro bench: running the seven floored scenarios (seconds)...");
     let results = perfbench::run_benches();
-    let mut floor_failed = false;
-    for (id, min_rate) in floors {
-        let Some(r) = results.iter().find(|r| r.id == id) else {
-            eprintln!("--floor {id}: no such scenario (see the table ids)");
-            std::process::exit(2);
-        };
-        if r.rate < *min_rate {
-            eprintln!(
-                "FLOOR VIOLATION: {id} measured {:.1} {} < required {min_rate}",
-                r.rate, r.unit
-            );
-            floor_failed = true;
-        } else {
-            eprintln!(
-                "floor ok: {id} measured {:.1} {} >= {min_rate}",
-                r.rate, r.unit
-            );
-        }
+    emit(&perfbench::render_table(&results));
+    let mut failed = false;
+    for r in results.iter().filter(|r| !r.ok()) {
+        eprintln!(
+            "FLOOR VIOLATION: {} measured {:.1} {} < required {}",
+            r.id, r.rate, r.unit, r.floor
+        );
+        failed = true;
     }
-    // Wall-clock of a full quick-scale `repro all`, output discarded so the
-    // measurement is compute, not terminal I/O. Drop the connection-buffer
-    // pool first: the fan-out scenarios leave it at its byte budget, and
-    // the repro pipeline should not inherit their retained heap.
-    falkon_rt::bufpool::drain();
-    let clock = falkon_rt::Clock::start();
-    let t0 = clock.now_us();
-    let mut sink_len = 0usize;
-    harness::run_all_with(Scale::Quick, jobs, &mut |_id, text| sink_len += text.len());
-    let wall_s = clock.now_us().saturating_sub(t0) as f64 / 1e6;
-    assert!(sink_len > 0, "repro all produced no output");
-
-    emit(&perfbench::render_table(&results, Some(wall_s), jobs));
-    if let Some(path) = json_path {
-        let json = perfbench::render_json(&results, Some(wall_s), jobs);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write bench report to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("bench report -> {path}");
-    }
-    if floor_failed {
+    if failed {
         std::process::exit(1);
     }
 }

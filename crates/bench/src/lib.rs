@@ -1,10 +1,10 @@
-//! Criterion benchmarks and the `repro` harness binary live in this crate.
-//! See `benches/` and `src/bin/repro.rs`.
+//! The `repro` harness binary (`src/bin/repro.rs`) and its two library
+//! halves.
 //!
-//! [`perfbench`] is the self-contained scenario set behind `repro bench`,
-//! the tracked hot-path baseline committed as `BENCH_0004.json`.
 //! [`harness`] is the `repro all` runner (serial or `--jobs N` parallel,
-//! byte-identical output either way).
+//! byte-identical output either way). [`perfbench`] is the scenario table
+//! behind `repro bench`, a floor tripwire for CI — performance is
+//! *measured* by `benchmark/`, not here.
 
 pub mod harness;
 pub mod perfbench;

@@ -40,39 +40,14 @@ impl Default for DispatcherConfig {
     }
 }
 
-impl DispatcherConfig {
-    /// The paper's microbenchmark configuration: piggy-backing on, one task
-    /// per executor exchange.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-
-    /// Disable both optimizations (for ablation benchmarks).
-    pub fn no_optimizations() -> Self {
-        DispatcherConfig {
-            piggyback: false,
-            work_bundle: 1,
-            replay: ReplayPolicy::default(),
-            client_notify_batch: 1,
-            data_aware: false,
-            data_aware_window: 64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_match_paper() {
-        let c = DispatcherConfig::paper_default();
+        let c = DispatcherConfig::default();
         assert!(c.piggyback);
         assert_eq!(c.work_bundle, 1);
-    }
-
-    #[test]
-    fn ablation_config() {
-        assert!(!DispatcherConfig::no_optimizations().piggyback);
     }
 }

@@ -1044,7 +1044,10 @@ mod tests {
 
     #[test]
     fn no_piggyback_falls_back_to_notify() {
-        let mut d = Dispatcher::new(DispatcherConfig::no_optimizations());
+        let mut d = Dispatcher::new(DispatcherConfig {
+            piggyback: false,
+            ..DispatcherConfig::default()
+        });
         let inst = create_instance(&mut d);
         step(
             &mut d,

@@ -10,22 +10,15 @@ use crate::dispatcher::DispatcherEvent;
 use crate::executor::ExecutorEvent;
 use falkon_proto::message::Message;
 
-/// Interpret a message arriving at the dispatcher from an executor.
-/// Returns `None` for messages executors never legitimately send.
-pub fn executor_message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
+/// Interpret a message arriving at the dispatcher, whichever peer sent it
+/// (a socket server learns a connection's role only from what it sends).
+/// Returns `None` for messages a dispatcher never legitimately receives.
+pub fn message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
     Some(match msg {
         Message::Register { executor, host } => DispatcherEvent::Register { executor, host },
         Message::GetWork { executor, key } => DispatcherEvent::GetWork { executor, key },
         Message::Result { executor, results } => DispatcherEvent::Result { executor, results },
         Message::Deregister { executor } => DispatcherEvent::Deregister { executor },
-        _ => return None,
-    })
-}
-
-/// Interpret a message arriving at the dispatcher from a client.
-/// Returns `None` for messages clients never legitimately send.
-pub fn client_message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
-    Some(match msg {
         Message::CreateInstance => DispatcherEvent::CreateInstance,
         Message::Submit { instance, tasks } => DispatcherEvent::Submit { instance, tasks },
         Message::GetResults { instance } => DispatcherEvent::GetResults { instance },
@@ -33,6 +26,38 @@ pub fn client_message_to_dispatcher_event(msg: Message) -> Option<DispatcherEven
         Message::StatusPoll => DispatcherEvent::StatusPoll,
         _ => return None,
     })
+}
+
+/// The dispatcher-bound messages that come from executors; the rest of what
+/// [`message_to_dispatcher_event`] accepts comes from clients.
+fn sent_by_executor(msg: &Message) -> bool {
+    matches!(
+        msg,
+        Message::Register { .. }
+            | Message::GetWork { .. }
+            | Message::Result { .. }
+            | Message::Deregister { .. }
+    )
+}
+
+/// Interpret a message arriving at the dispatcher from an executor.
+/// Returns `None` for messages executors never legitimately send.
+pub fn executor_message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
+    if sent_by_executor(&msg) {
+        message_to_dispatcher_event(msg)
+    } else {
+        None
+    }
+}
+
+/// Interpret a message arriving at the dispatcher from a client.
+/// Returns `None` for messages clients never legitimately send.
+pub fn client_message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
+    if sent_by_executor(&msg) {
+        None
+    } else {
+        message_to_dispatcher_event(msg)
+    }
 }
 
 /// Interpret a message arriving at an executor from the dispatcher.
@@ -74,10 +99,27 @@ mod tests {
             }),
             Some(DispatcherEvent::Register { .. })
         ));
-        // A dispatcher-to-executor message must not be accepted from one.
+        // A dispatcher-to-executor message must not be accepted from one,
+        // nor a client's.
         assert!(
             executor_message_to_dispatcher_event(Message::Notify { key: NotifyKey(1) }).is_none()
         );
+        assert!(executor_message_to_dispatcher_event(Message::StatusPoll).is_none());
+    }
+
+    #[test]
+    fn dispatcher_inbox_takes_either_role() {
+        assert!(matches!(
+            message_to_dispatcher_event(Message::Deregister {
+                executor: ExecutorId(1)
+            }),
+            Some(DispatcherEvent::Deregister { .. })
+        ));
+        assert!(matches!(
+            message_to_dispatcher_event(Message::StatusPoll),
+            Some(DispatcherEvent::StatusPoll)
+        ));
+        assert!(message_to_dispatcher_event(Message::Notify { key: NotifyKey(1) }).is_none());
     }
 
     #[test]
@@ -90,6 +132,11 @@ mod tests {
             Some(DispatcherEvent::Submit { .. })
         ));
         assert!(client_message_to_dispatcher_event(Message::RegisterAck {
+            executor: ExecutorId(1)
+        })
+        .is_none());
+        // Nor an executor's message from a client.
+        assert!(client_message_to_dispatcher_event(Message::Deregister {
             executor: ExecutorId(1)
         })
         .is_none());

@@ -5,8 +5,7 @@
 //! complete frames as **borrowed views** out of its own buffer — the
 //! inbound hot path never copies a frame into a fresh allocation. The
 //! property tests feed it byte-by-byte and in random splits to verify
-//! reassembly; [`FrameDecoder`] is the legacy owned-frame API, kept as a
-//! thin shim over the cursor.
+//! reassembly.
 //!
 //! # Buffer discipline
 //!
@@ -193,62 +192,17 @@ impl FrameCursor {
     }
 }
 
-/// Legacy owned-frame reassembler: a thin shim over [`FrameCursor`] that
-/// copies each yielded view into a fresh `Vec<u8>`. Hot paths should use
-/// the cursor directly; this exists for callers that need frames to outlive
-/// the buffer (handshakes, tests, the GT4 counter baseline).
-#[derive(Default)]
-pub struct FrameDecoder {
-    cursor: FrameCursor,
-}
-
-impl FrameDecoder {
-    /// Create an empty decoder.
-    pub fn new() -> Self {
-        FrameDecoder::default()
-    }
-
-    /// Feed a chunk of stream bytes.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.cursor.feed(chunk);
-    }
-
-    /// Pop the next complete frame, if one is fully buffered.
-    ///
-    /// Returns `Err` if the stream declares a frame longer than
-    /// [`MAX_FRAME_LEN`] (the connection should be dropped).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
-        Ok(self.cursor.next_frame()?.map(|frame| frame.to_vec()))
-    }
-
-    /// Drain all complete frames currently buffered.
-    pub fn drain_frames(&mut self) -> Result<Vec<Vec<u8>>, CodecError> {
-        let mut out = Vec::new();
-        while let Some(f) = self.next_frame()? {
-            out.push(f);
-        }
-        Ok(out)
-    }
-
-    /// Bytes currently buffered but not yet framed.
-    pub fn buffered(&self) -> usize {
-        self.cursor.buffered()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_single_frame() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"hello");
-        let mut dec = FrameDecoder::new();
-        dec.feed(&stream);
-        assert_eq!(dec.next_frame().unwrap().unwrap(), b"hello");
-        assert!(dec.next_frame().unwrap().is_none());
-        assert_eq!(dec.buffered(), 0);
+    /// Every frame currently complete in the cursor, copied out.
+    fn drain_frames(cur: &mut FrameCursor) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(f) = cur.next_frame().unwrap() {
+            out.push(f.to_vec());
+        }
+        out
     }
 
     #[test]
@@ -257,11 +211,11 @@ mod tests {
         write_frame(&mut stream, b"abc");
         write_frame(&mut stream, b"");
         write_frame(&mut stream, &[9u8; 1000]);
-        let mut dec = FrameDecoder::new();
+        let mut cur = FrameCursor::new();
         let mut frames = Vec::new();
         for &b in &stream {
-            dec.feed(&[b]);
-            frames.extend(dec.drain_frames().unwrap());
+            cur.feed(&[b]);
+            frames.extend(drain_frames(&mut cur));
         }
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0], b"abc");
@@ -289,18 +243,11 @@ mod tests {
         for i in 0..10u8 {
             write_frame(&mut stream, &[i]);
         }
-        let mut dec = FrameDecoder::new();
-        dec.feed(&stream);
-        let frames = dec.drain_frames().unwrap();
+        let mut cur = FrameCursor::new();
+        cur.feed(&stream);
+        let frames = drain_frames(&mut cur);
         assert_eq!(frames.len(), 10);
         assert_eq!(frames[9], vec![9]);
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&(u32::MAX).to_le_bytes());
-        assert!(dec.next_frame().is_err());
     }
 
     #[test]
@@ -353,9 +300,7 @@ mod tests {
             dst[..chunk].copy_from_slice(&stream[fed..fed + chunk]);
             cur.commit(chunk);
             fed += chunk;
-            while let Some(f) = cur.next_frame().unwrap() {
-                frames.push(f.to_vec());
-            }
+            frames.extend(drain_frames(&mut cur));
         }
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], vec![7u8; 300]);
@@ -400,9 +345,14 @@ mod tests {
 
     #[test]
     fn cursor_oversized_frame_rejected() {
-        let mut cur = FrameCursor::new();
-        cur.feed(&(u32::MAX).to_le_bytes());
-        assert!(cur.next_frame().is_err());
+        let header = (u32::MAX).to_le_bytes();
+        let mut fed = FrameCursor::new();
+        fed.feed(&header);
+        assert!(fed.next_frame().is_err());
+        let mut read = FrameCursor::new();
+        read.space(4)[..4].copy_from_slice(&header);
+        read.commit(4);
+        assert!(read.next_frame().is_err());
     }
 
     #[test]

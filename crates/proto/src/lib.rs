@@ -29,7 +29,7 @@ mod wire;
 pub use bundle::{bundles, BundleConfig};
 pub use codec::{AxisCodec, Codec, EfficientCodec};
 pub use error::CodecError;
-pub use frame::{write_frame, FrameCursor, FrameDecoder, MAX_FRAME_LEN};
+pub use frame::{write_frame, FrameCursor, MAX_FRAME_LEN};
 pub use message::{DispatcherStatus, Message};
 pub use security::{SecureChannel, SecurityMode};
 pub use task::{Args, DataAccess, DataLocation, DataSpec, IStr, TaskId, TaskResult, TaskSpec};

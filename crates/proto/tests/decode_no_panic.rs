@@ -8,7 +8,7 @@
 //! invariant from both sides: statically and dynamically.
 
 use falkon_proto::codec::{AxisCodec, Codec, EfficientCodec};
-use falkon_proto::frame::FrameDecoder;
+use falkon_proto::frame::FrameCursor;
 use falkon_proto::message::{DispatcherStatus, ExecutorId, InstanceId, Message};
 use falkon_proto::security::{established_pair, SecureChannel};
 use falkon_proto::task::{TaskResult, TaskSpec};
@@ -98,15 +98,25 @@ proptest! {
     }
 
     #[test]
-    fn frame_decoder_survives_garbage_streams(
-        chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 0..16),
+    fn frame_cursor_survives_garbage_streams(
+        chunks in prop::collection::vec(
+            (prop::collection::vec(any::<u8>(), 0..64), any::<bool>()),
+            0..16,
+        ),
     ) {
-        let mut dec = FrameDecoder::new();
-        for c in &chunks {
-            dec.feed(c);
+        // Each chunk arrives through one of the cursor's two entry points:
+        // `feed`, or `space`/`commit` as a socket read delivers it.
+        let mut cur = FrameCursor::new();
+        for (c, as_read) in &chunks {
+            if *as_read {
+                cur.space(c.len())[..c.len()].copy_from_slice(c);
+                cur.commit(c.len());
+            } else {
+                cur.feed(c);
+            }
             // An oversized declared length errors the stream; keep feeding
-            // anyway — the decoder must stay panic-free even after errors.
-            while let Ok(Some(_)) = dec.next_frame() {}
+            // anyway — the cursor must stay panic-free even after errors.
+            while let Ok(Some(_)) = cur.next_frame() {}
         }
     }
 

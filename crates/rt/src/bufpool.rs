@@ -66,20 +66,6 @@ pub(crate) fn give(mut buf: Vec<u8>) {
     }
 }
 
-/// Release every pooled buffer back to the allocator.
-///
-/// The bench harness calls this between its scenario suite and the
-/// `repro all` wall-clock measurement: the fan-out scenarios legitimately
-/// leave the pool at its byte budget, and carrying that retained heap into
-/// an unrelated in-process measurement would charge the repro pipeline for
-/// the bench's connection churn.
-pub fn drain() {
-    if let Ok(mut pool) = POOL.lock() {
-        pool.bufs.clear();
-        pool.bytes = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -290,12 +290,7 @@ fn dispatcher_core(config: DispatcherConfig, rx: Receiver<ServerEvent>) -> Dispa
                         routes.exec_conn.insert(*executor, id);
                         routes.conn_execs.entry(id).or_default().push(*executor);
                     }
-                    let ev =
-                        falkon_core::mapping::executor_message_to_dispatcher_event(msg.clone())
-                            .or_else(|| {
-                                falkon_core::mapping::client_message_to_dispatcher_event(msg)
-                            });
-                    if let Some(ev) = ev {
+                    if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
                         d.on_event(now, ev, &mut out);
                         routes.deliver(&mut out, Some(id));
                     }

@@ -1,22 +1,12 @@
 //! The discrete-event loop.
 //!
-//! Two styles are supported:
-//!
-//! * **Closure-driven** — [`Engine::run`] pops timed events and hands each to
-//!   a handler together with `&mut Engine`, so the handler can schedule
-//!   follow-up events. Experiment harnesses that keep all state in one
-//!   "world" struct use this.
-//! * **Actor-driven** — register objects implementing [`Process`] with an
-//!   [`Engine`]-owned [`ActorSystem`] and address events to a [`ProcessId`].
-//!   Used where the simulation mirrors the paper's component diagram
-//!   (dispatcher, provisioner, executors, LRM) one actor per component.
+//! [`Engine::run`] pops timed events and hands each to a handler closure
+//! together with `&mut Engine`, so the handler can schedule follow-up
+//! events. A simulation keeps its state in one "world" struct the closure
+//! borrows.
 
 use crate::event::EventQueue;
 use crate::{SimDuration, SimTime};
-
-/// Identifies a registered [`Process`] within an [`ActorSystem`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ProcessId(pub usize);
 
 /// The simulation clock plus event queue; the heart of every simulated
 /// experiment.
@@ -109,125 +99,6 @@ impl<E> Engine<E> {
     }
 }
 
-/// An actor in an [`ActorSystem`].
-pub trait Process<E> {
-    /// Handle one event addressed to this process. `ctx` allows scheduling
-    /// follow-up events addressed to any process.
-    fn on_event(&mut self, ctx: &mut Ctx<'_, E>, event: E);
-}
-
-/// Scheduling context handed to a [`Process`] during event delivery.
-pub struct Ctx<'a, E> {
-    now: SimTime,
-    self_id: ProcessId,
-    outbox: &'a mut Vec<(SimTime, ProcessId, E)>,
-    stop: &'a mut bool,
-}
-
-impl<'a, E> Ctx<'a, E> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The id of the process currently handling the event.
-    pub fn self_id(&self) -> ProcessId {
-        self.self_id
-    }
-
-    /// Send `event` to process `to` after `delay`.
-    pub fn send_after(&mut self, delay: SimDuration, to: ProcessId, event: E) {
-        self.outbox.push((self.now + delay, to, event));
-    }
-
-    /// Send `event` to process `to` immediately (still queued; delivered in
-    /// FIFO order at the current instant).
-    pub fn send_now(&mut self, to: ProcessId, event: E) {
-        self.send_after(SimDuration::ZERO, to, event);
-    }
-
-    /// Schedule an event to self after `delay` (a timer).
-    pub fn timer(&mut self, delay: SimDuration, event: E) {
-        let id = self.self_id;
-        self.send_after(delay, id, event);
-    }
-
-    /// Request the whole simulation to stop after this event.
-    pub fn stop(&mut self) {
-        *self.stop = true;
-    }
-}
-
-/// A collection of [`Process`] actors driven by an internal [`Engine`].
-pub struct ActorSystem<E> {
-    engine: Engine<(ProcessId, E)>,
-    actors: Vec<Box<dyn Process<E>>>,
-}
-
-impl<E> Default for ActorSystem<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ActorSystem<E> {
-    /// Create an empty actor system at time zero.
-    pub fn new() -> Self {
-        ActorSystem {
-            engine: Engine::new(),
-            actors: Vec::new(),
-        }
-    }
-
-    /// Register an actor, returning its address.
-    pub fn add(&mut self, actor: Box<dyn Process<E>>) -> ProcessId {
-        self.actors.push(actor);
-        ProcessId(self.actors.len() - 1)
-    }
-
-    /// Schedule an initial event for `to` at absolute time `at`.
-    pub fn seed(&mut self, at: SimTime, to: ProcessId, event: E) {
-        self.engine.schedule_at(at, (to, event));
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.engine.now()
-    }
-
-    /// Drive until no events remain or an actor calls [`Ctx::stop`].
-    pub fn run(&mut self) {
-        // Reuse the engine's single-pop path instead of reaching into the
-        // queue directly; `Ctx::stop` maps onto `Engine::stop`.
-        self.engine.stopped = false;
-        let mut outbox: Vec<(SimTime, ProcessId, E)> = Vec::new();
-        let actors = &mut self.actors;
-        self.engine.run_until(SimTime::MAX, &mut |eng, (pid, ev)| {
-            let mut stop = false;
-            {
-                let mut ctx = Ctx {
-                    now: eng.now(),
-                    self_id: pid,
-                    outbox: &mut outbox,
-                    stop: &mut stop,
-                };
-                actors[pid.0].on_event(&mut ctx, ev);
-            }
-            if stop {
-                eng.stop();
-            }
-            for (at, to, event) in outbox.drain(..) {
-                eng.schedule_at(at, (to, event));
-            }
-        });
-    }
-
-    /// Access a registered actor (e.g. to extract results after `run`).
-    pub fn actor(&self, id: ProcessId) -> &dyn Process<E> {
-        self.actors[id.0].as_ref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,53 +155,5 @@ mod tests {
         eng.max_events = 50;
         eng.schedule(SimDuration::ZERO, ());
         eng.run(|eng, ()| eng.schedule(SimDuration::ZERO, ()));
-    }
-
-    /// Bounces an event between itself and a peer until the counter drains.
-    struct Bouncer {
-        hops: u32,
-    }
-    impl Process<u32> for Bouncer {
-        fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, n: u32) {
-            self.hops += 1;
-            if n == 0 {
-                ctx.stop();
-            } else {
-                // Two actors: ids 0 and 1; send to the other one.
-                let peer = ProcessId(1 - ctx.self_id().0);
-                ctx.send_after(SimDuration::from_millis(10), peer, n - 1);
-            }
-        }
-    }
-
-    #[test]
-    fn actor_system_ping_pong() {
-        let mut sys: ActorSystem<u32> = ActorSystem::new();
-        let a = sys.add(Box::new(Bouncer { hops: 0 }));
-        let _b = sys.add(Box::new(Bouncer { hops: 0 }));
-        sys.seed(SimTime::ZERO, a, 3);
-        sys.run();
-        // 3 -> 2 -> 1 -> 0: three 10ms hops after the seed event.
-        assert_eq!(sys.now(), SimTime::from_micros(30_000));
-    }
-
-    #[test]
-    fn actor_timers_fire_on_self() {
-        struct Counter {
-            fired: u32,
-        }
-        impl Process<()> for Counter {
-            fn on_event(&mut self, ctx: &mut Ctx<'_, ()>, _: ()) {
-                self.fired += 1;
-                if self.fired < 5 {
-                    ctx.timer(SimDuration::from_secs(1), ());
-                }
-            }
-        }
-        let mut sys: ActorSystem<()> = ActorSystem::new();
-        let c = sys.add(Box::new(Counter { fired: 0 }));
-        sys.seed(SimTime::ZERO, c, ());
-        sys.run();
-        assert_eq!(sys.now(), SimTime::from_secs(4));
     }
 }

@@ -12,10 +12,10 @@
 //! * The wheel indexes events by the bytes of their absolute time: O(1)
 //!   push and amortised-O(1) pop regardless of how many timers are
 //!   outstanding. This is what keeps 50K-outstanding-timer simulations
-//!   (the paper's 54K-executor runs, and the 100k-executor runs gating
-//!   ROADMAP items 3–4) queue-light: the previous 4-ary heap paid a
-//!   cache-missing O(log n) sift per operation exactly at those scales
-//!   (~9M events/s in BENCH_0008). Events beyond the wheel's 2^32 µs
+//!   (the paper's 54K-executor runs, and the 100k-executor arm beyond
+//!   them) queue-light: a heap pays a cache-missing O(log n) sift per
+//!   operation exactly at those scales (~9M events/s against the wheel's
+//!   ~35M at 50k resident timers). Events beyond the wheel's 2^32 µs
 //!   horizon sit in a far-future overflow heap until their epoch arrives.
 //! * Pushes at exactly the current instant (`at == last_popped`) skip the
 //!   wheel entirely and append to a `VecDeque` lane. Dispatcher pump
@@ -25,12 +25,10 @@
 //!   the two sources back into exactly the order a single heap would
 //!   produce.
 //!
-//! The total order is unchanged from both previous implementations
-//! (`BinaryHeap`, then the packed 4-ary heap now preserved as
-//! [`crate::heap::HeapQueue`]): ascending time, FIFO (ascending push
-//! sequence) within one instant. The `queue_model` proptest suite drives
-//! this queue, the heap queue, and a naive model through identical operation
-//! sequences and requires byte-identical behaviour.
+//! The total order is that of a single heap on `(time, push sequence)`:
+//! ascending time, FIFO within one instant. The `queue_model` proptest
+//! suite drives this queue and a `BinaryHeap` model through identical
+//! operation sequences and requires identical behaviour.
 
 use crate::heap::{key_time, pack};
 use crate::wheel::TimerWheel;

@@ -10,11 +10,10 @@
 //!   clock, shared with (and defined in) `falkon-obs`.
 //! * [`event`] — a deterministic event queue with stable FIFO ordering for
 //!   simultaneous events, backed by the hierarchical timer wheel in
-//!   [`wheel`] (the previous heap-backed queue survives as
-//!   [`heap::HeapQueue`], the reference implementation the wheel is tested
-//!   and benchmarked against).
-//! * [`engine`] — the event loop: actors implement [`engine::Process`] and the
-//!   [`engine::Engine`] delivers timed events to them.
+//!   [`wheel`] (its far-future overflow level is the 4-ary heap in
+//!   [`heap`]).
+//! * [`engine`] — the event loop: [`engine::Engine`] delivers timed events
+//!   to a handler closure.
 //! * [`Histogram`], [`TimeSeries`], [`MovingAverage`], [`Summary`] — the
 //!   `falkon-obs` measurement primitives used to regenerate the paper's
 //!   figures.
@@ -31,9 +30,8 @@ pub mod rng;
 pub mod table;
 pub mod wheel;
 
-pub use engine::{Engine, Process, ProcessId};
+pub use engine::Engine;
 pub use event::EventQueue;
 pub use falkon_obs::metrics::{Histogram, MovingAverage, Summary, TimeSeries};
 pub use falkon_obs::time::{SimDuration, SimTime};
-pub use heap::HeapQueue;
 pub use rng::SimRng;

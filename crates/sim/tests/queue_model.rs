@@ -2,10 +2,9 @@
 //!
 //! The queue has been rewritten twice — first from a
 //! `BinaryHeap<Reverse<(time, seq)>>` to a 4-ary implicit heap with a
-//! same-instant FIFO lane, then to a hierarchical timer wheel (with the
-//! 4-ary heap preserved as [`HeapQueue`] for comparison). Simulations depend
-//! on its *exact* delivery order for bit-for-bit reproducibility, so this
-//! suite drives arbitrary operation sequences through the live queue and
+//! same-instant FIFO lane, then to a hierarchical timer wheel. Simulations
+//! depend on its *exact* delivery order for bit-for-bit reproducibility, so
+//! this suite drives arbitrary operation sequences through the live queue and
 //! through a trivially-correct reimplementation of the original, asserting
 //! that every pop (timestamp and payload), every peek, and every length
 //! agree — and that the "scheduled in the past" causality panic still fires.
@@ -16,7 +15,7 @@
 //! wheel horizon entirely (exercising the far-future overflow heap). The
 //! `*_across_cascades_and_overflow` tests draw from all three regimes.
 
-use falkon_sim::{Engine, EventQueue, HeapQueue, SimTime};
+use falkon_sim::{Engine, EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -164,52 +163,6 @@ proptest! {
         ops in prop::collection::vec(arb_far_op(), 1..250),
     ) {
         drive_against_model(ops)?;
-    }
-
-    // Wheel vs the preserved 4-ary heap: the two real implementations must
-    // be observationally identical over the full offset range, so either
-    // can back the simulators (and benchmark columns stay comparable).
-    #[test]
-    fn wheel_matches_preserved_heap(
-        ops in prop::collection::vec(arb_far_op(), 1..250),
-    ) {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
-        let mut last_popped = 0u64;
-        let mut payload = 0u32;
-        for op in ops {
-            match op {
-                Op::Push { offset } => {
-                    let at = SimTime::from_micros(last_popped + offset);
-                    wheel.push(at, payload);
-                    heap.push(at, payload);
-                    payload += 1;
-                }
-                Op::Pop => {
-                    let got = wheel.pop();
-                    prop_assert_eq!(&got, &heap.pop());
-                    if let Some((t, _)) = got {
-                        last_popped = t.as_micros();
-                    }
-                }
-                Op::PopBefore { slack } => {
-                    let deadline = SimTime::from_micros(
-                        heap.peek_time().map_or(last_popped, |t| t.as_micros()) + slack,
-                    );
-                    let got = wheel.pop_at_or_before(deadline);
-                    prop_assert_eq!(&got, &heap.pop_at_or_before(deadline));
-                    if let Some((t, _)) = got {
-                        last_popped = t.as_micros();
-                    }
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-        }
-        while let Some(got) = wheel.pop() {
-            prop_assert_eq!(Some(got), heap.pop());
-        }
-        prop_assert!(heap.is_empty());
     }
 
     // Same-instant bursts (the lane's fast path) drain in exact insertion

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo xtask lint            architecture-invariant static analysis
-//! cargo xtask bench [--json <path>] [--jobs <n>]
-//!                             hot-path perf baseline (repro bench)
+//! cargo xtask bench           hot-path floor tripwire (repro bench; no flags)
 //! cargo xtask repro [args...] the repro binary (`repro all --jobs 8`, ...)
 //! cargo xtask tsan            ThreadSanitizer pass over the concurrency
 //!                             surface (nightly-only; skips if unavailable)
