@@ -77,7 +77,7 @@ pub const SCENARIOS: [Scenario; 7] = [
         run: tcp_sleep0_plain,
     },
     // 1000 multiplexed connections, ~18k tasks/s or better. The floor sits
-    // above the ~16k of the copying inbound path, so it catches a shard
+    // above the ~16k of the copying inbound path, so it catches a server
     // loop that regresses into timed polling or serial servicing, and —
     // one SYN-retransmit stall costs a full second — any return of the
     // 128-deep accept queue.
@@ -223,8 +223,8 @@ fn sim_deployment_100k() -> f64 {
 
 /// A real TCP deployment end to end: dispatcher server, 4 executor
 /// threads, one client submitting `N` sleep-0 tasks in bundles of 300.
-/// The connection engine (one poll loop per shard and per peer, a core
-/// blocked on one channel — no polling cadence anywhere) at small fan-in.
+/// The connection engine (one poll loop per server and per peer, the
+/// machine inside the turn — no polling cadence anywhere) at small fan-in.
 fn tcp_sleep0_plain() -> f64 {
     const N: u64 = 1_000;
     const EXECS: usize = 4;
@@ -256,7 +256,7 @@ fn tcp_sleep0_plain() -> f64 {
     rate(N as f64, us)
 }
 
-/// Connection fan-out: a dispatcher with 4 shard threads holding 1000
+/// Connection fan-out: a dispatcher — one thread — holding 1000
 /// concurrent executor connections — the paper's many-executors regime on
 /// real sockets. The 1000 peers are multiplexed on a single OS thread by
 /// [`run_executors_mux`], so both sides of the measurement run with O(1)
@@ -270,7 +270,6 @@ fn tcp_sleep0_plain() -> f64 {
 /// iteration's setup dwarfs its measured window.
 fn tcp_conn_fanout() -> f64 {
     const CONNS: usize = 1_000;
-    const SHARDS: usize = 4;
     const N: u64 = 2_000;
     let run_once = || {
         let config = ServerConfig::builder()
@@ -278,7 +277,6 @@ fn tcp_conn_fanout() -> f64 {
                 client_notify_batch: 1_000,
                 ..DispatcherConfig::default()
             })
-            .sharded(SHARDS)
             .build()
             .expect("valid config");
         let server = DispatcherServer::start(config).expect("bind dispatcher");
@@ -303,7 +301,7 @@ fn tcp_conn_fanout() -> f64 {
 }
 
 /// The three-tier deployment end to end: a forwarder routing to four
-/// dispatcher servers (every tier with one shard thread),
+/// dispatcher servers (every tier one thread),
 /// each dispatcher's executors multiplexed on one
 /// OS thread by [`run_executors_mux`], one client submitting `N` sleep-0
 /// tasks in bundles of 300 through the forwarder.
@@ -324,7 +322,6 @@ fn tcp_three_tier() -> f64 {
                 client_notify_batch: 1_000,
                 ..DispatcherConfig::default()
             })
-            .sharded(1)
             .forwarder(DISPATCHERS)
             .build()
             .expect("valid config");

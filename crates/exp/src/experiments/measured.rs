@@ -61,7 +61,7 @@ pub struct TcpMeasuredRow {
 pub struct Measured {
     /// One row per wire mode.
     pub rows: Vec<MeasuredRow>,
-    /// One row per (security, shard count) arm of the full TCP deployment:
+    /// One row per security arm of the full TCP deployment:
     /// dispatcher server, 4 executor threads, and a client on real loopback
     /// sockets, all on the one connection engine (no polling cadence) —
     /// plus the three-tier forwarder deployment.
@@ -72,7 +72,7 @@ pub struct Measured {
 }
 
 /// One full TCP deployment run: `n` sleep-0 tasks over 4 executors.
-fn tcp_arm(label: &'static str, n: u64, security: TcpSecurity, shards: usize) -> TcpMeasuredRow {
+fn tcp_arm(label: &'static str, n: u64, security: TcpSecurity) -> TcpMeasuredRow {
     const EXECS: u64 = 4;
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
@@ -80,7 +80,6 @@ fn tcp_arm(label: &'static str, n: u64, security: TcpSecurity, shards: usize) ->
             ..DispatcherConfig::default()
         })
         .security(security)
-        .sharded(shards)
         .build()
         .expect("valid tcp server config");
     let server = DispatcherServer::start(config).expect("bind tcp dispatcher");
@@ -187,14 +186,12 @@ pub fn run(scale: Scale) -> Measured {
     .collect();
     let n_tcp = scale.pick(2_000, 20_000);
     let tcp_rows = vec![
-        tcp_arm("plain (no security)", n_tcp, None, 1),
+        tcp_arm("plain (no security)", n_tcp, None),
         tcp_arm(
             "secure (GSISecureConversation analog)",
             n_tcp,
             Some(0xFA1C0),
-            1,
         ),
-        tcp_arm("plain (2 shard threads)", n_tcp, None, 2),
         three_tier_arm("three-tier (forwarder, 2 dispatchers)", n_tcp, 2),
     ];
     let server = CounterServer::start().expect("bind counter service");
@@ -253,7 +250,7 @@ mod tests {
             assert!(r.overhead.p90_us <= r.overhead.p99_us);
             assert!(r.overhead.p99_us <= r.overhead.max_us);
         }
-        assert_eq!(m.tcp_rows.len(), 4);
+        assert_eq!(m.tcp_rows.len(), 3);
         for r in &m.tcp_rows {
             assert!(r.tasks > 0, "{}: no tasks completed over TCP", r.label);
             assert!(r.throughput > 0.0, "{}: no TCP throughput", r.label);

@@ -288,10 +288,9 @@ fn registry_catches_unreachable_experiments() {
     assert!(report.diags[0].message.contains("`beta`"));
 }
 
-// The concurrency family (rules 7–9) guards the hand-rolled deque, the
-// sharded transport, and the vendored channel: every unsafe site carries
-// its invariant, every atomics file names its ordering protocol, and the
-// lock graph stays acyclic.
+// The concurrency family (rules 7–9) guards the hand-rolled deque and the
+// rt socket code: every unsafe site carries its invariant, every atomics
+// file names its ordering protocol, and the lock graph stays acyclic.
 
 #[test]
 fn unsafe_safety_requires_attached_safety_comment() {

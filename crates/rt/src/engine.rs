@@ -2,22 +2,21 @@
 //!
 //! An [`Engine`] is a generation-token slab of [`Conn`]s, each carrying a
 //! mount-chosen `T`, plus the only `poll(2)` wait in the crate. Every
-//! socket path mounts it: dispatcher and forwarder server shards, the
-//! forwarder's downstream links (adopted into those same shards), the
+//! socket path mounts it: the dispatcher and forwarder server threads, the
+//! forwarder's downstream links (adopted by the forwarder's thread), the
 //! multiplexed executor pool, and the single-connection executor and
 //! client runs. A mount supplies a [`Handler`] and calls [`Engine::turn`]
 //! in a loop; one turn
 //!
-//! 1. services connections added since the last turn (so a connection's
-//!    `Opened`, and anything its peer already sent, needs no socket event),
-//! 2. flushes every pending outbound batch and builds the poll set —
+//! 1. flushes every pending outbound batch and builds the poll set —
 //!    `POLLOUT` only for batches the socket would not take whole,
-//! 3. blocks in `poll(2)` until a socket, one of the mount's auxiliary
-//!    fds (a server's wake pipe and listener), or the earliest
-//!    per-connection deadline is due,
-//! 4. reads every readable connection (at most [`READ_BUDGET`] reads
+//! 2. blocks in `poll(2)` until a socket, one of the mount's auxiliary
+//!    fds (a server's control fd and listener), the earliest
+//!    per-connection deadline, or the mount's own deadline (a server's
+//!    machine) is due,
+//! 3. reads every readable connection (at most [`READ_BUDGET`] reads
 //!    each), handing each decoded message to the handler, and
-//! 5. expires deadlines: a silent handshake or a stuck final drain is
+//! 4. expires deadlines: a silent handshake or a stuck final drain is
 //!    dropped, a steady-state deadline is delivered to the handler.
 //!
 //! Closing has one path, [`Conn::finish`], whichever side ends the
@@ -67,8 +66,6 @@ pub(crate) struct Engine<T> {
     /// Current generation per slot; bumped when a slot is freed.
     gens: Vec<u32>,
     free: Vec<u32>,
-    /// Slots added since the last turn.
-    fresh: Vec<usize>,
     live: usize,
     clock: Clock,
     pollfds: Vec<PollFd>,
@@ -82,7 +79,6 @@ impl<T> Engine<T> {
             slots: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            fresh: Vec::new(),
             live: 0,
             clock,
             pollfds: Vec::new(),
@@ -95,8 +91,9 @@ impl<T> Engine<T> {
         self.live
     }
 
-    /// Take a connection into the slab; its events start on the next turn.
-    pub(crate) fn add(&mut self, conn: Conn, data: T) -> Token {
+    /// Take a connection into the slab and service it at once, so its
+    /// `Opened`, and anything its peer already sent, needs no socket event.
+    pub(crate) fn add<H: Handler<T>>(&mut self, conn: Conn, data: T, h: &mut H) -> Token {
         let idx = match self.free.pop() {
             Some(idx) => idx as usize,
             None => {
@@ -106,9 +103,10 @@ impl<T> Engine<T> {
             }
         };
         self.slots[idx] = Some((conn, data));
-        self.fresh.push(idx);
         self.live += 1;
-        self.token(idx)
+        let token = self.token(idx);
+        self.service_read(idx, h);
+        token
     }
 
     fn token(&self, idx: usize) -> Token {
@@ -141,13 +139,6 @@ impl<T> Engine<T> {
         }
     }
 
-    /// Orderly close of one connection (stale tokens are ignored).
-    pub(crate) fn close(&mut self, token: Token) {
-        if let Some(conn) = self.conn_mut(token) {
-            conn.begin_drain();
-        }
-    }
-
     /// Orderly close of every established connection, then turn until all
     /// are gone (each bounded by the drain patience). A connection still in
     /// its handshake has nothing of its owner's queued and ends at once.
@@ -160,18 +151,21 @@ impl<T> Engine<T> {
             }
         }
         while self.live > 0 {
-            self.turn(&[], h)?;
+            self.turn(&[], None, h)?;
         }
         Ok(())
     }
 
     /// One pass of the loop (see the module docs). `aux` fds are polled
     /// for readability alongside the connections; bit `i` of the result is
-    /// set when `aux[i]` is ready.
-    pub(crate) fn turn<H: Handler<T>>(&mut self, aux: &[i32], h: &mut H) -> io::Result<u32> {
-        for idx in std::mem::take(&mut self.fresh) {
-            self.service_read(idx, h);
-        }
+    /// set when `aux[i]` is ready. The wait also ends at `mount_deadline`
+    /// (absolute clock µs), which is the mount's to act on.
+    pub(crate) fn turn<H: Handler<T>>(
+        &mut self,
+        aux: &[i32],
+        mount_deadline: Option<u64>,
+        h: &mut H,
+    ) -> io::Result<u32> {
         self.pollfds.clear();
         self.poll_slots.clear();
         self.pollfds.extend(aux.iter().map(|&fd| PollFd {
@@ -208,7 +202,7 @@ impl<T> Engine<T> {
         if self.pollfds.is_empty() {
             return Ok(0);
         }
-        let timeout_ms = match deadline {
+        let timeout_ms = match deadline.into_iter().chain(mount_deadline).min() {
             None => -1,
             Some(d) => {
                 let ms = d.saturating_sub(self.clock.now_us()).div_ceil(1000);
@@ -314,5 +308,40 @@ impl<T> Engine<T> {
         self.free.push(idx as u32);
         self.live -= 1;
         h.closed(token, data, conn.finish(cause));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::UnixStream;
+
+    struct Idle;
+
+    impl Handler<()> for Idle {
+        fn inbound(&mut self, _: Token, _: &mut Conn, _: &mut (), _: Inbound) -> io::Result<bool> {
+            Ok(false)
+        }
+
+        fn closed(&mut self, _: Token, _: (), _: Closed) {}
+    }
+
+    /// With no fd ready and no connection deadline the poll timeout would
+    /// be `-1`; the mount's deadline must bound it instead.
+    #[test]
+    fn turn_returns_at_the_mount_deadline_when_nothing_is_ready() {
+        let clock = Clock::start();
+        let mut engine: Engine<()> = Engine::new(clock);
+        // An auxiliary fd nobody ever writes to.
+        let (quiet, _peer) = UnixStream::pair().expect("socketpair");
+        let deadline = clock.now_us() + 20_000;
+        let ready = engine
+            .turn(&[quiet.as_raw_fd()], Some(deadline), &mut Idle)
+            .expect("turn");
+        assert_eq!(ready, 0, "nothing was ready");
+        let now = clock.now_us();
+        assert!(now >= deadline, "returned {} µs early", deadline - now);
+        assert!(now < deadline + 2_000_000, "overslept: {now} vs {deadline}");
     }
 }

@@ -2,12 +2,11 @@
 //! dispatchers → executors (DESIGN.md §10.3).
 //!
 //! [`ForwarderServer::start`] mounts the whole server side of the topology
-//! in one process: `n` [`DispatcherServer`]s (each with its own shards,
-//! listener, and core thread), plus the forwarder's own shards and a core
-//! thread driving the sans-io [`Forwarder`] machine from `falkon-core`.
-//! The forwarder speaks the ordinary client protocol on both faces, and
-//! both faces are connections of the *same* shards, delivered on the same
-//! event channel:
+//! in one process: `n` [`DispatcherServer`]s (one thread each) plus the
+//! forwarder's own thread, which runs `server::run` with the
+//! sans-io [`Forwarder`] machine from `falkon-core` inside the engine
+//! turn. The forwarder speaks the ordinary client protocol on both faces,
+//! and both faces are connections of the *same* engine:
 //!
 //! * **Upstream** (accepted connections): a client connects, sends
 //!   `CreateInstance`, and gets a forwarder-tier `InstanceId`; each
@@ -17,9 +16,10 @@
 //!   connection (the direct-push variant of the notify protocol —
 //!   `message_to_client_event` feeds them straight to the client machine).
 //! * **Downstream** (dialed connections, one per dispatcher): the server
-//!   handle dials the dispatcher and has a shard adopt the stream under
-//!   the dispatcher's slot tag. The core opens it with `CreateInstance`;
-//!   the link is *up* once `InstanceCreated` comes back, which
+//!   handle dials the dispatcher and has the forwarder's thread adopt the
+//!   stream under the dispatcher's slot tag — the one control-plane
+//!   request besides stop. The mount opens it with `CreateInstance`; the
+//!   link is *up* once `InstanceCreated` comes back, which
 //!   [`ForwarderServer::start`] and
 //!   [`ForwarderServer::readmit_dispatcher`] wait for. `ClientNotify` from
 //!   a dispatcher is answered with `GetResults`; the `Results` reply
@@ -33,20 +33,22 @@
 //! because *every* dispatcher is down park in the driver and replay when
 //! their slot's next link comes up, at which point [`Forwarder::readmit`]
 //! makes the machine emit `DispatcherReadmitted` and admit new work there.
-//! Events of a link that was already replaced carry a connection id no
-//! slot maps to any more, so they fall away.
+//! Events of a link that was already replaced carry a token that is no
+//! longer the slot's, so they fall away.
 //!
 //! Lifecycle events are emitted by the *machine* (probe provenance,
 //! DESIGN.md §7): this driver only ever reports wire bytes, via the
-//! [`WireTap`]s inside each connection, merged per face by the shards — so
-//! `obs_parity` extends across the sim and rt three-tier deployments.
+//! [`WireTap`]s inside each connection, merged per face as connections
+//! close — so `obs_parity` extends across the sim and rt three-tier
+//! deployments.
 //!
 //! [`WireTap`]: falkon_obs::WireTap
 
 use crate::clock::Clock;
-use crate::server::{ConnHandle, ConnId, ServerEvent, Shards};
-use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig, MAX_DRAIN};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::conn::{Closed, Conn, Inbound};
+use crate::engine::{Handler, Token};
+use crate::server::{self, Control, Mount};
+use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::message::{InstanceId, Message};
@@ -54,9 +56,10 @@ use falkon_proto::task::TaskSpec;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 
-/// What a finished forwarder core observed. Wire counters stay split by
+/// What a finished forwarder observed. Wire counters stay split by
 /// face so tests can balance each tier's bytes exactly: `upstream_wire`
 /// against the clients, `downstream_wire` against the dispatchers'
 /// server-side counters.
@@ -73,28 +76,27 @@ pub struct ForwarderOutcome {
     pub downstream_wire: Counters,
 }
 
-/// Handle to a running three-tier deployment: the forwarder core, its
-/// shards, and the `n` dispatcher servers it routes to.
+/// Handle to a running three-tier deployment: the forwarder's thread and
+/// the `n` dispatcher servers it routes to.
 pub struct ForwarderServer {
     /// The client-facing address (clients connect here).
     pub addr: SocketAddr,
     dispatcher_addrs: Vec<SocketAddr>,
     dispatchers: Vec<Option<DispatcherServer>>,
     dispatcher_config: ServerConfig,
-    events: Sender<ServerEvent>,
-    shards: Shards,
+    control: Control<Peer>,
     /// One message per dialed link: `Ok` when it came up, `Err` if it
     /// closed first.
     link_up: Receiver<io::Result<()>>,
-    core: JoinHandle<(ForwarderStats, Recorder)>,
+    thread: JoinHandle<ForwarderMount>,
 }
 
 impl ForwarderServer {
     /// Start the full server side of the 3-tier topology: `config` must
     /// carry a forwarder tier ([`ServerConfig::builder`]`.forwarder(n)`).
     /// Binds `n` dispatchers plus the client-facing listener on ephemeral
-    /// ports, spawns the core thread, and brings one downstream link per
-    /// dispatcher up.
+    /// ports, spawns the forwarder's thread, and brings one downstream
+    /// link per dispatcher up.
     pub fn start(config: ServerConfig) -> io::Result<ForwarderServer> {
         let n = config.forwarder_dispatchers().ok_or_else(|| {
             io::Error::new(
@@ -110,19 +112,19 @@ impl ForwarderServer {
             dispatcher_addrs.push(server.addr);
             dispatchers.push(Some(server));
         }
-        let (events, rx) = unbounded::<ServerEvent>();
-        let shards = Shards::bind(config.security(), config.shards(), &events)?;
-        let (up_tx, link_up) = unbounded();
-        let core = thread::spawn(move || Core::new(n, up_tx).run(rx));
+        let (control, bound) = server::bind(config.security())?;
+        let addr = bound.addr;
+        let (up_tx, link_up) = channel();
+        let mount = ForwarderMount::new(n, bound.clock, up_tx);
+        let thread = thread::spawn(move || server::run(bound, mount));
         let server = ForwarderServer {
-            addr: shards.addr,
+            addr,
             dispatcher_addrs,
             dispatchers,
             dispatcher_config,
-            events,
-            shards,
+            control,
             link_up,
-            core,
+            thread,
         };
         for d in 0..n {
             if let Err(e) = server.link(d) {
@@ -133,11 +135,11 @@ impl ForwarderServer {
         Ok(server)
     }
 
-    /// Dial dispatcher `d`, have a shard adopt the stream as slot `d`'s
-    /// link, and wait until the core reports it up.
+    /// Dial dispatcher `d`, have the forwarder's thread adopt the stream
+    /// as slot `d`'s link, and wait until it reports the link up.
     fn link(&self, d: usize) -> io::Result<()> {
         let stream = TcpStream::connect(self.dispatcher_addrs[d])?;
-        self.shards.adopt(stream, d);
+        self.control.adopt(stream, Some(d));
         self.link_up
             .recv()
             .unwrap_or_else(|_| Err(io::ErrorKind::BrokenPipe.into()))
@@ -149,10 +151,10 @@ impl ForwarderServer {
         &self.dispatcher_addrs
     }
 
-    /// Hard-stop dispatcher `d` (the fault-injection hook). Its shards
-    /// close every connection, so the forwarder's link sees EOF and the
-    /// machine re-routes whatever was in flight there. Panics if `d` was
-    /// already killed and not readmitted.
+    /// Hard-stop dispatcher `d` (the fault-injection hook). It closes
+    /// every connection, so the forwarder's link sees EOF and the machine
+    /// re-routes whatever was in flight there. Panics if `d` was already
+    /// killed and not readmitted.
     pub fn kill_dispatcher(&mut self, d: usize) -> DispatcherOutcome {
         self.dispatchers[d]
             .take()
@@ -162,9 +164,9 @@ impl ForwarderServer {
 
     /// Mount a fresh dispatcher in slot `d` (new listener, new port) and
     /// bring a new downstream link to it up. The machine's `readmit` runs
-    /// on the core thread when the link comes up, so `DispatcherLost` from
-    /// the old link can never race the fresh one. Returns the new
-    /// dispatcher address for executors to connect to.
+    /// on the forwarder's thread when the link comes up, so
+    /// `DispatcherLost` from the old link can never race the fresh one.
+    /// Returns the new dispatcher address for executors to connect to.
     pub fn readmit_dispatcher(&mut self, d: usize) -> io::Result<SocketAddr> {
         let server = DispatcherServer::start(self.dispatcher_config.clone())?;
         let addr = server.addr;
@@ -179,14 +181,13 @@ impl ForwarderServer {
     /// surviving dispatchers' outcomes in slot order (killed-and-not-
     /// readmitted slots are skipped).
     pub fn shutdown(self) -> (ForwarderOutcome, Vec<DispatcherOutcome>) {
-        self.events.send(ServerEvent::Stop).ok();
-        let (stats, recorder) = self.core.join().expect("forwarder core thread");
-        let wire = self.shards.shutdown();
+        drop(self.control);
+        let mount = self.thread.join().expect("forwarder thread");
         let outcome = ForwarderOutcome {
-            stats,
-            recorder,
-            upstream_wire: wire.accepted,
-            downstream_wire: wire.dialed,
+            stats: mount.fwd.stats(),
+            recorder: mount.fwd.probe().clone(),
+            upstream_wire: mount.upstream_wire,
+            downstream_wire: mount.downstream_wire,
         };
         let dispatchers = self
             .dispatchers
@@ -198,146 +199,106 @@ impl ForwarderServer {
     }
 }
 
-/// One downstream dispatcher slot as the core sees it.
+/// What the routes remember about one connection and cannot derive: the
+/// slot it links, if the handle dialed it (`None` for an accepted client).
+type Peer = Option<usize>;
+
+/// One downstream dispatcher slot as the mount sees it.
+#[derive(Default)]
 struct Link {
     /// The connection currently serving this slot.
-    conn: Option<(ConnId, ConnHandle)>,
+    conn: Option<Token>,
     /// Our instance at that dispatcher; `Some` once the link is up.
     instance: Option<InstanceId>,
-    /// The machine's view: not lost since it was last (re)admitted.
-    alive: bool,
+    /// The machine's view: lost, and not readmitted since.
+    lost: bool,
     /// Bundles the machine routed here while the link was down (it only
     /// does that when *every* dispatcher is); replayed in order when the
     /// slot's next link comes up.
     parked: Vec<Vec<TaskSpec>>,
 }
 
-/// The forwarder state machine and the routing tables of both faces.
-struct Core {
+/// The forwarder's [`Mount`]: the machine, run inside the engine turn,
+/// and the routing tables of both faces. The machine arms no deadlines.
+struct ForwarderMount {
+    clock: Clock,
     fwd: Forwarder<Recorder>,
     actions: Vec<ForwarderAction>,
     links: Vec<Link>,
-    /// Which slot a dialed connection serves (current links only).
-    link_of: HashMap<ConnId, usize>,
     link_up: Sender<io::Result<()>>,
-    clients: HashMap<ConnId, ConnHandle>,
-    inst_conn: HashMap<InstanceId, ConnId>,
-    conn_insts: HashMap<ConnId, Vec<InstanceId>>,
+    inst_conn: HashMap<InstanceId, Token>,
     next_instance: u64,
+    outbox: Vec<(Token, Message)>,
+    upstream_wire: Counters,
+    downstream_wire: Counters,
 }
 
-impl Core {
-    fn new(n: usize, link_up: Sender<io::Result<()>>) -> Core {
-        let link = || Link {
-            conn: None,
-            instance: None,
-            alive: true,
-            parked: Vec::new(),
-        };
-        Core {
+impl ForwarderMount {
+    fn new(n: usize, clock: Clock, link_up: Sender<io::Result<()>>) -> ForwarderMount {
+        ForwarderMount {
+            clock,
             fwd: Forwarder::with_probe(n, Recorder::new()),
             actions: Vec::new(),
-            links: (0..n).map(|_| link()).collect(),
-            link_of: HashMap::new(),
+            links: (0..n).map(|_| Link::default()).collect(),
             link_up,
-            clients: HashMap::new(),
             inst_conn: HashMap::new(),
-            conn_insts: HashMap::new(),
             next_instance: 1,
+            outbox: Vec::new(),
+            upstream_wire: Counters::new(),
+            downstream_wire: Counters::new(),
         }
-    }
-
-    /// Drive the machine from the one event channel until stopped. The
-    /// machine arms no deadlines, so the wait is a plain `recv`.
-    fn run(mut self, rx: Receiver<ServerEvent>) -> (ForwarderStats, Recorder) {
-        let clock = Clock::start();
-        'run: while let Ok(first) = rx.recv() {
-            // Clock read follows the wait; one read covers the batch.
-            let now = clock.now_us();
-            let mut next = Some(first);
-            let mut drained = 0usize;
-            while let Some(ev) = next.take() {
-                match ev {
-                    ServerEvent::Connected(id, handle, Some(d)) => self.admit(d, id, handle, now),
-                    ServerEvent::Connected(id, handle, None) => {
-                        self.clients.insert(id, handle);
-                    }
-                    ServerEvent::Msg(id, msg) => match self.link_of.get(&id) {
-                        Some(&d) => self.on_downstream(d, msg, now),
-                        None => self.on_upstream(id, msg, now),
-                    },
-                    ServerEvent::Closed(id) => match self.link_of.get(&id) {
-                        Some(&d) => self.lose(d, now),
-                        None => self.on_client_closed(id),
-                    },
-                    ServerEvent::Stop => break 'run,
-                }
-                self.deliver();
-                drained += 1;
-                if drained < MAX_DRAIN {
-                    next = rx.try_recv().ok();
-                }
-            }
-        }
-        (self.fwd.stats(), self.fwd.probe().clone())
     }
 
     /// A dialed connection for slot `d` is established: open it with
-    /// `CreateInstance`. If the old link is somehow still in place (an
-    /// admit without a preceding loss), it is torn down — with its
-    /// re-routes — first.
-    fn admit(&mut self, d: usize, id: ConnId, handle: ConnHandle, now: u64) {
+    /// `CreateInstance`. If the old link is still in place (a readmit over
+    /// a live slot, whose dispatcher is closing it from the far end), it
+    /// is torn down — with its re-routes — first.
+    fn admit(&mut self, d: usize, token: Token, now: u64) {
         if self.links[d].conn.is_some() {
             self.lose(d, now);
         }
-        handle.send(Message::CreateInstance);
-        self.link_of.insert(id, d);
-        self.links[d].conn = Some((id, handle));
+        self.outbox.push((token, Message::CreateInstance));
+        self.links[d].conn = Some(token);
     }
 
     /// Tear down slot `d`'s link and tell the machine, which re-routes
-    /// everything that was in flight there. Dropping the handle closes the
-    /// connection if the peer has not already.
+    /// everything that was in flight there.
     fn lose(&mut self, d: usize, now: u64) {
         let link = &mut self.links[d];
-        if let Some((id, _handle)) = link.conn.take() {
-            self.link_of.remove(&id);
-        }
+        link.conn = None;
         if link.instance.take().is_none() {
             // It never came up: whoever dialed it is waiting to hear.
             self.link_up
                 .send(Err(io::ErrorKind::UnexpectedEof.into()))
                 .ok();
         }
-        if std::mem::take(&mut link.alive) {
+        if !std::mem::replace(&mut link.lost, true) {
             let lost = ForwarderEvent::DispatcherLost { dispatcher: d };
             self.fwd.on_event(now, lost, &mut self.actions);
         }
     }
 
-    /// Handle one message from dispatcher `d`.
-    fn on_downstream(&mut self, d: usize, msg: Message, now: u64) {
+    /// Handle one message from dispatcher `d` on its current link.
+    fn on_downstream(&mut self, d: usize, token: Token, msg: Message, now: u64) {
         let link = &mut self.links[d];
-        let Some((_, handle)) = &link.conn else {
-            return;
-        };
         match (msg, link.instance) {
             (Message::InstanceCreated { instance }, None) => {
                 // The link is up: admit the slot if the machine had lost
                 // it, and replay what was parked. Parked bundles are
                 // already in flight on `d` in the machine's books.
                 link.instance = Some(instance);
-                if !std::mem::replace(&mut link.alive, true) {
+                if std::mem::take(&mut link.lost) {
                     self.fwd.readmit(now, d);
                 }
                 for tasks in std::mem::take(&mut link.parked) {
-                    handle.send(Message::Submit { instance, tasks });
+                    self.outbox
+                        .push((token, Message::Submit { instance, tasks }));
                 }
                 self.link_up.send(Ok(())).ok();
             }
             // Answer the notify with a fetch, like any client.
             (Message::ClientNotify { .. }, Some(instance)) => {
-                handle.send(Message::GetResults { instance });
+                self.outbox.push((token, Message::GetResults { instance }));
             }
             (Message::Results { results }, _) => {
                 let ev = ForwarderEvent::DispatcherResults {
@@ -352,25 +313,21 @@ impl Core {
     }
 
     /// Handle one message from a client.
-    fn on_upstream(&mut self, id: ConnId, msg: Message, now: u64) {
+    fn on_upstream(&mut self, token: Token, msg: Message, now: u64) {
         match msg {
             Message::CreateInstance => {
                 let instance = InstanceId(self.next_instance);
                 self.next_instance += 1;
-                self.inst_conn.insert(instance, id);
-                self.conn_insts.entry(id).or_default().push(instance);
-                if let Some(handle) = self.clients.get(&id) {
-                    handle.send(Message::InstanceCreated { instance });
-                }
+                self.inst_conn.insert(instance, token);
+                self.outbox
+                    .push((token, Message::InstanceCreated { instance }));
             }
             Message::Submit { instance, tasks } => {
                 let ev = ForwarderEvent::ClientSubmit { instance, tasks };
                 self.fwd.on_event(now, ev, &mut self.actions);
             }
-            Message::DestroyInstance { instance } if self.inst_conn.remove(&instance).is_some() => {
-                if let Some(insts) = self.conn_insts.get_mut(&id) {
-                    insts.retain(|i| *i != instance);
-                }
+            Message::DestroyInstance { instance } => {
+                self.inst_conn.remove(&instance);
             }
             // GetResults never arrives in the push protocol; everything
             // else on this face is a peer speaking the wrong role.
@@ -378,41 +335,82 @@ impl Core {
         }
     }
 
-    /// Results for a gone client's instances are dropped at delivery time;
-    /// the tasks themselves still complete.
-    fn on_client_closed(&mut self, id: ConnId) {
-        self.clients.remove(&id);
-        for inst in self.conn_insts.remove(&id).unwrap_or_default() {
-            self.inst_conn.remove(&inst);
-        }
-    }
-
-    /// Send the machine's pending actions on their way. A send never fails
-    /// here: a dead connection is reported by its own `Closed` event.
+    /// Address the machine's pending actions. A send never fails here: a
+    /// dead connection is reported through its own `closed`.
     fn deliver(&mut self) {
         for act in self.actions.drain(..) {
             match act {
                 ForwarderAction::SubmitTo { dispatcher, tasks } => {
                     match &mut self.links[dispatcher] {
                         Link {
-                            conn: Some((_, handle)),
+                            conn: Some(token),
                             instance: Some(instance),
                             ..
-                        } => handle.send(Message::Submit {
-                            instance: *instance,
-                            tasks,
-                        }),
+                        } => {
+                            let instance = *instance;
+                            self.outbox
+                                .push((*token, Message::Submit { instance, tasks }));
+                        }
                         link => link.parked.push(tasks),
                     }
                 }
                 ForwarderAction::DeliverResults { instance, results } => {
-                    let conn = self.inst_conn.get(&instance);
-                    if let Some(handle) = conn.and_then(|c| self.clients.get(c)) {
-                        handle.send(Message::Results { results });
+                    if let Some(&token) = self.inst_conn.get(&instance) {
+                        self.outbox.push((token, Message::Results { results }));
                     }
                 }
             }
         }
+    }
+}
+
+impl Handler<Peer> for ForwarderMount {
+    fn inbound(
+        &mut self,
+        token: Token,
+        _: &mut Conn,
+        peer: &mut Peer,
+        ev: Inbound,
+    ) -> io::Result<bool> {
+        let now = self.clock.now_us();
+        match (ev, *peer) {
+            (Inbound::Opened, Some(d)) => self.admit(d, token, now),
+            (Inbound::Msg(msg), Some(d)) if self.links[d].conn == Some(token) => {
+                self.on_downstream(d, token, msg, now)
+            }
+            (Inbound::Msg(msg), None) => self.on_upstream(token, msg, now),
+            // An accepted connection opening, a replaced link's stragglers.
+            _ => {}
+        }
+        self.deliver();
+        Ok(false)
+    }
+
+    fn closed(&mut self, token: Token, peer: Peer, closed: Closed) {
+        match peer {
+            Some(d) => {
+                self.downstream_wire.merge(&closed.wire);
+                // Our own stop closing the link is not a lost dispatcher.
+                if !closed.local && self.links[d].conn == Some(token) {
+                    self.lose(d, self.clock.now_us());
+                    self.deliver();
+                }
+            }
+            None => {
+                // Results for a gone client's instances are dropped at
+                // delivery time; the tasks themselves still complete.
+                self.upstream_wire.merge(&closed.wire);
+                self.inst_conn.retain(|_, conn| *conn != token);
+            }
+        }
+    }
+}
+
+impl Mount for ForwarderMount {
+    type Peer = Peer;
+
+    fn outbox(&mut self) -> &mut Vec<(Token, Message)> {
+        &mut self.outbox
     }
 }
 

@@ -13,10 +13,11 @@
 //!   length-delimited frames (the custom TCP notification path of Figure 2,
 //!   extended to all messages), and [`forwarder`] — the 3-tier deployment
 //!   on top of it. Every socket is a [`conn::Conn`] serviced by the one
-//!   readiness loop in [`engine`]; [`server`] mounts that loop as shard
-//!   threads behind a listener (O(shards) OS threads for thousands of
-//!   connections), [`muxpeer`] mounts it on the caller's thread for any
-//!   number of executor peers.
+//!   readiness loop in [`engine`]; `server.rs` mounts that loop as a
+//!   server's one thread — listener, control fd, every connection, and the
+//!   machine run inside the turn (one OS thread per dispatcher or
+//!   forwarder, for thousands of connections) — and [`muxpeer`] mounts it
+//!   on the caller's thread for any number of executor peers.
 //! * [`wscounter`] — the paper's GT4 "counter service" baseline: a trivial
 //!   request/response server whose call rate upper-bounds achievable
 //!   dispatch throughput on the same transport.
@@ -37,7 +38,7 @@ pub mod forwarder;
 pub mod inproc;
 pub mod muxpeer;
 pub mod poll;
-pub mod server;
+mod server;
 pub mod tcp;
 pub mod transport;
 pub mod wscounter;

@@ -1,8 +1,8 @@
 //! Executor peers: any number of them multiplexed on the caller's thread.
 //!
-//! The server mount keeps the *dispatcher's* thread count O(shards); this
-//! module mounts the same [`Engine`] on the peer side, so one thread can
-//! hold a thousand executor connections. [`run_executors_mux`] dials
+//! The server mount holds every connection of a *dispatcher* on its one
+//! thread; this module mounts the same [`Engine`] on the peer side, so one
+//! thread can hold a thousand executor connections. [`run_executors_mux`] dials
 //! `count` executors and drives all of their sans-io machines from the
 //! engine's callbacks: nonblocking sockets, coalesced writes, and each
 //! machine's idle deadline carried as its connection's deadline. The only
@@ -111,16 +111,6 @@ pub(crate) fn run_pool<P: Probe>(
 ) -> io::Result<Pool<P>> {
     let clock = Clock::start();
     let mut engine = Engine::new(clock);
-    // Connect serially. This does NOT bound the listener's accept queue:
-    // `connect` returns when the kernel completes the handshake, not when
-    // the server accepts, so a fast dialer still piles connections into
-    // the backlog — the deep listen queue (`poll::LISTEN_BACKLOG`) is what
-    // absorbs the fleet.
-    for i in 0..count as u64 {
-        let conn = Conn::new(TcpStream::connect(addr)?, security, clock)?;
-        let id = ExecutorId(first_id + i);
-        engine.add(conn, Executor::with_probe(id, "tcp-exec", config, probe()));
-    }
     let mut pool = Pool {
         clock,
         actions: Vec::new(),
@@ -134,13 +124,25 @@ pub(crate) fn run_pool<P: Probe>(
         handshake_error: None,
         socket_error: None,
     };
-    while engine.live() > 0 {
-        engine.turn(&[], &mut pool)?;
-        if let Some(e) = pool.handshake_error.take() {
-            return Err(e);
-        }
+    // Connect serially. This does NOT bound the listener's accept queue:
+    // `connect` returns when the kernel completes the handshake, not when
+    // the server accepts, so a fast dialer still piles connections into
+    // the backlog — the deep listen queue (`poll::LISTEN_BACKLOG`) is what
+    // absorbs the fleet.
+    for i in 0..count as u64 {
+        let conn = Conn::new(TcpStream::connect(addr)?, security, clock)?;
+        let id = ExecutorId(first_id + i);
+        let machine = Executor::with_probe(id, "tcp-exec", config, probe());
+        engine.add(conn, machine, &mut pool);
     }
-    Ok(pool)
+    // A handshake can fail as early as `add`, before the first turn.
+    while engine.live() > 0 && pool.handshake_error.is_none() {
+        engine.turn(&[], None, &mut pool)?;
+    }
+    match pool.handshake_error.take() {
+        Some(e) => Err(e),
+        None => Ok(pool),
+    }
 }
 
 /// Connect `count` executors (ids `first_id..first_id+count`) to a TCP

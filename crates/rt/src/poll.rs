@@ -3,13 +3,11 @@
 //!
 //! `std` already links libc on every unix target, so declaring the two
 //! symbols we need avoids a dependency. This is the crate's only foreign
-//! syscall surface — the sharded dispatcher transport ([`crate::shard`]),
-//! the multiplexed peer pool ([`crate::muxpeer`]), and the forwarder's
-//! downstream links all block in [`poll_wait`] — which keeps the
-//! workspace down to two `unsafe` sites (and two `// SAFETY:` audit
-//! points) for foreign I/O. No atomics live here: the bindings are pure
-//! syscall wrappers, and every cross-thread hand-off around them
-//! synchronizes through channels and wake pipes.
+//! syscall surface — every socket wait in the crate is the one
+//! [`poll_wait`] call in [`crate::engine`] — which keeps the workspace
+//! down to two `unsafe` sites (and two `// SAFETY:` audit points) for
+//! foreign I/O. No atomics live here: the bindings are pure syscall
+//! wrappers.
 #![cfg(unix)]
 
 /// There is data to read.

@@ -1,299 +1,175 @@
-//! The server mount of the connection engine: `n` shard threads behind one
-//! listening socket, feeding one event channel (DESIGN.md §10.3).
+//! The server mount of the connection engine: one thread that owns the
+//! listener, every connection, and the sans-io machine (DESIGN.md §10.3).
 //!
-//! Each shard thread runs an [`Engine`] whose auxiliary fds are its wake
-//! pipe and — on shard 0 — the listener, so accepting is just one more
-//! readiness event: no accept thread, no stop latch, no self-connect.
-//! Shard 0 deals accepted streams round-robin over every shard's op queue,
-//! its own included. A stream the server dialed itself (a forwarder's
-//! downstream link) enters through the same op, [`Shards::adopt`], and from
-//! then on is an ordinary connection of that shard.
+//! [`run`] is the body of that thread, shared by the dispatcher and the
+//! forwarder. It turns one [`Engine`] whose auxiliary fds are the control
+//! fd and the listener, so accepting is one more readiness event and an
+//! accepted stream joins the engine on the spot. The [`Mount`] — the
+//! engine's `Handler` — owns the machine and runs it *inside* the turn:
+//! an inbound message is fed to the machine in the callback that decoded
+//! it, the machine's `next_deadline()` bounds the poll, and whatever the
+//! machine says goes into the mount's outbox, which the loop drains into
+//! the destination connections' batches after each turn. Nothing on the
+//! message path crosses a thread, takes a lock or writes a wake byte.
 //!
-//! What a shard reports to the owning core is a [`ServerEvent`] on the
-//! core's one channel; what the core sends back travels as ops through a
-//! [`ConnHandle`]. The op channel's registered [`SelectWake`] watcher
-//! writes the shard's wake pipe, so a channel send *is* a readiness event
-//! and the shard has exactly one blocking point. OS thread count is
-//! `shards`, independent of connection count.
+//! The only cross-thread traffic is the control plane, O(1) messages per
+//! run: the owning handle's [`Control`] queues a stream to adopt on a
+//! `std::sync::mpsc` inbox and writes one byte to the control fd, or lets
+//! go of both, which stops the server.
 //!
 //! Wake and close rules:
 //!
-//! * **Outbound message** — [`ConnHandle::send`] queues an op; the shard
-//!   drains its op queue into per-connection batches, and the next turn's
-//!   flush pass writes each batch with one syscall.
-//! * **Close by the core** — dropping a [`ConnHandle`] queues a close op;
-//!   the connection stops reading, flushes what is queued, and is
-//!   released. No [`ServerEvent::Closed`] is reported for it.
-//! * **Close by the peer or an error** — reported as
-//!   [`ServerEvent::Closed`], once, if the connection had been announced.
-//! * **Stop** — every connection is closed the orderly way; the thread
-//!   returns the merged wire counters of every connection it ever owned.
+//! * **Outbound message** — an outbox entry is encoded once, into its
+//!   connection's batch; the next turn's flush pass writes each batch with
+//!   one syscall. A failed write closes the connection, and what the
+//!   machine says to *that* is drained in the same pass.
+//! * **Every close** is reported to the mount exactly once, through
+//!   [`Handler::closed`], with the per-connection datum and wire counters;
+//!   `Closed::local` tells the server's own closes from the peer's.
+//! * **Stop** — the handle drops its [`Control`]; every connection is
+//!   closed the orderly way on this thread, and the mount, with the wire
+//!   counters it collected, is the thread's result.
 
 use crate::clock::Clock;
-use crate::conn::{Closed, Conn, Inbound, TcpSecurity};
+use crate::conn::{Conn, TcpSecurity};
 use crate::engine::{Engine, Handler, Token};
 use crate::poll as sys;
-use crossbeam::channel::{unbounded, Receiver, SelectWake, Sender, TryRecvError};
-use falkon_obs::Counters;
 use falkon_proto::message::Message;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
-/// Identifier of one server-side connection: the owning shard plus the
-/// connection's slab token there, so ids are never reused.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ConnId {
-    shard: u32,
-    token: Token,
+/// What a server thread runs: the engine [`Handler`] that owns the machine
+/// and its routes. `Peer` is the per-connection datum — what the routes
+/// remember about one connection, handed back when it closes.
+pub(crate) trait Mount: Handler<Self::Peer> {
+    /// `Default` for an accepted connection; an adopted one brings its own.
+    type Peer: Default;
+
+    /// What the machine has said since the last drain, each message with
+    /// the connection it is for.
+    fn outbox(&mut self) -> &mut Vec<(Token, Message)>;
+
+    /// Absolute clock µs at which the machine wants [`Mount::on_deadline`].
+    fn next_deadline(&mut self) -> Option<u64> {
+        None
+    }
+
+    /// The time [`Mount::next_deadline`] named has come.
+    fn on_deadline(&mut self) {}
 }
 
-/// Everything a server core waits on, in one channel: its connections'
-/// traffic from the shards, and the owner's stop request.
-pub enum ServerEvent {
-    /// A connection is established; route replies via the handle. The
-    /// last field is `Some(slot)` for a stream the server dialed itself
-    /// and adopted under that slot tag, `None` for an accepted one.
-    Connected(ConnId, ConnHandle, Option<usize>),
-    /// One decoded inbound message.
-    Msg(ConnId, Message),
-    /// The peer (or an I/O error) ended the connection. Not emitted for
-    /// closes the core itself initiated by dropping the [`ConnHandle`].
-    Closed(ConnId),
-    /// The owning handle asks the core to wind down.
-    Stop,
+/// The owning handle's end of a server's control plane. Dropping it stops
+/// the server (the inbox disconnects first, then the control fd hangs up).
+pub(crate) struct Control<P> {
+    adoptions: Sender<(TcpStream, P)>,
+    /// One byte per adoption turns it into a readiness event. Nonblocking:
+    /// a full pipe already guarantees a pending wake-up.
+    wake: UnixStream,
 }
 
-/// Outbound handle to one established connection. [`ConnHandle::send`]
-/// queues a message and wakes the owning shard; everything queued by the
-/// time it runs coalesces into one write. Dropping the handle closes the
-/// connection after a final flush.
-pub struct ConnHandle {
-    ops: Sender<Op>,
-    token: Token,
-}
-
-impl ConnHandle {
-    /// Queue one message for this connection. Silently dropped if the
-    /// connection is already gone (the loss is reported as
-    /// [`ServerEvent::Closed`] and the dispatcher replays the task).
-    pub fn send(&self, msg: Message) {
-        self.ops.send(Op::Send(self.token, msg)).ok();
+impl<P> Control<P> {
+    /// Hand the server a stream dialed on its behalf; it is an ordinary
+    /// connection from then on, told apart only by `peer`.
+    pub(crate) fn adopt(&self, stream: TcpStream, peer: P) {
+        self.adoptions.send((stream, peer)).ok();
+        let _ = (&self.wake).write(&[1u8]);
     }
 }
 
-impl Drop for ConnHandle {
-    fn drop(&mut self) {
-        self.ops.send(Op::Close(self.token)).ok();
-    }
-}
-
-enum Op {
-    /// Take a connected stream into this shard (tagged if dialed).
-    Adopt(TcpStream, Option<usize>),
-    /// Queue one outbound message.
-    Send(Token, Message),
-    /// Final-flush and release the connection (core dropped its handle).
-    Close(Token),
-    /// Finish every connection and exit the shard thread.
-    Stop,
-}
-
-/// The watcher registered on a shard's op channel: every send writes one
-/// byte into the shard's wake pipe, turning channel traffic into `poll`
-/// readiness. Writes are nonblocking and failures are ignored — a full
-/// pipe already guarantees a pending wake-up.
-struct PipeWaker {
-    tx: UnixStream,
-}
-
-impl SelectWake for PipeWaker {
-    fn wake(&self) {
-        let _ = (&self.tx).write(&[1u8]);
-    }
-}
-
-/// Wire counters of a shard's finished connections, accepted and dialed
-/// kept apart so a forwarder can balance each face separately.
-#[derive(Default)]
-pub(crate) struct ServerWire {
-    pub(crate) accepted: Counters,
-    pub(crate) dialed: Counters,
-}
-
-/// One shard's [`Handler`]: connection events out to the core, wire
-/// counters kept for the join. The per-connection datum is the dial tag.
-struct Shard {
-    index: u32,
-    /// Our own op sender, for minting [`ConnHandle`]s.
-    ops: Sender<Op>,
-    events: Sender<ServerEvent>,
-    wire: ServerWire,
-}
-
-impl Handler<Option<usize>> for Shard {
-    fn inbound(
-        &mut self,
-        token: Token,
-        _conn: &mut Conn,
-        dialed: &mut Option<usize>,
-        ev: Inbound,
-    ) -> io::Result<bool> {
-        let id = ConnId {
-            shard: self.index,
-            token,
-        };
-        let ev = match ev {
-            Inbound::Opened => {
-                let ops = self.ops.clone();
-                ServerEvent::Connected(id, ConnHandle { ops, token }, *dialed)
-            }
-            Inbound::Msg(msg) => ServerEvent::Msg(id, msg),
-            Inbound::Deadline => return Ok(false),
-        };
-        // If the core is gone the SendError drops any handle inside, which
-        // queues a Close op back to us; the next op drain frees the slot.
-        self.events.send(ev).ok();
-        Ok(false)
-    }
-
-    fn closed(&mut self, token: Token, dialed: Option<usize>, closed: Closed) {
-        match dialed {
-            Some(_) => self.wire.dialed.merge(&closed.wire),
-            None => self.wire.accepted.merge(&closed.wire),
-        }
-        if closed.opened && !closed.local {
-            let shard = self.index;
-            self.events
-                .send(ServerEvent::Closed(ConnId { shard, token }))
-                .ok();
-        }
-    }
-}
-
-/// Body of one shard thread. `accept` is `Some` on shard 0 only: the
-/// listener, and every shard's op sender to deal accepted streams over.
-fn run_shard(
-    mut shard: Shard,
-    ops: Receiver<Op>,
-    wake_rx: UnixStream,
-    accept: Option<(TcpListener, Vec<Sender<Op>>)>,
+/// A bound server that is not running yet: what its thread will own.
+pub(crate) struct Bound<P> {
+    /// The listening address (ephemeral localhost port).
+    pub(crate) addr: SocketAddr,
+    /// The one clock origin of the server: machine time and every
+    /// connection's wire tap timestamps are mutually comparable.
+    pub(crate) clock: Clock,
+    listener: TcpListener,
+    adoptions: Receiver<(TcpStream, P)>,
+    wake: UnixStream,
     security: TcpSecurity,
-) -> ServerWire {
-    // One clock origin per shard, so its connections' wire tap timestamps
-    // are mutually comparable.
-    let clock = Clock::start();
+}
+
+/// Bind `127.0.0.1:0` and set up the control plane.
+pub(crate) fn bind<P>(security: TcpSecurity) -> io::Result<(Control<P>, Bound<P>)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    sys::set_backlog(&listener, sys::LISTEN_BACKLOG)?;
+    listener.set_nonblocking(true)?;
+    let (wake_tx, wake) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    wake.set_nonblocking(true)?;
+    let (adoptions_tx, adoptions) = channel();
+    let bound = Bound {
+        addr: listener.local_addr()?,
+        clock: Clock::start(),
+        listener,
+        adoptions,
+        wake,
+        security,
+    };
+    let control = Control {
+        adoptions: adoptions_tx,
+        wake: wake_tx,
+    };
+    Ok((control, bound))
+}
+
+/// Body of the server thread: serve until the handle lets go, then close
+/// every connection the orderly way and hand the mount back.
+pub(crate) fn run<M: Mount>(bound: Bound<M::Peer>, mut mount: M) -> M {
+    let clock = bound.clock;
     let mut engine = Engine::new(clock);
-    let mut aux = vec![wake_rx.as_raw_fd()];
-    aux.extend(accept.as_ref().map(|(listener, _)| listener.as_raw_fd()));
-    let mut next_shard = 0usize;
-    let mut wakebuf = [0u8; 256];
-    'run: loop {
-        loop {
-            match ops.try_recv() {
-                Ok(Op::Adopt(stream, dialed)) => {
-                    if let Ok(conn) = Conn::new(stream, security, clock) {
-                        engine.add(conn, dialed);
-                    }
-                }
-                Ok(Op::Send(token, msg)) => engine.send(token, &msg, &mut shard),
-                Ok(Op::Close(token)) => engine.close(token),
-                Ok(Op::Stop) | Err(TryRecvError::Disconnected) => break 'run,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        let Ok(ready) = engine.turn(&aux, &mut shard) else {
+    let aux = [bound.wake.as_raw_fd(), bound.listener.as_raw_fd()];
+    let mut wakebuf = [0u8; 16];
+    let mut batch = Vec::new();
+    let mut stop = false;
+    while !stop {
+        let Ok(ready) = engine.turn(&aux, mount.next_deadline(), &mut mount) else {
             break;
         };
         if ready & 1 != 0 {
-            // Drain the wake pipe completely (a short read has): each
-            // queued op wrote at most one byte, and the op drain at the
-            // top of the loop runs *after* this, so no wake-up can be lost.
-            while matches!((&wake_rx).read(&mut wakebuf), Ok(n) if n == wakebuf.len()) {}
+            // Drain the control fd completely (a short read has) *before*
+            // the inbox: each stream was queued before its byte was
+            // written, so none can be left behind a consumed wake.
+            while matches!((&bound.wake).read(&mut wakebuf), Ok(n) if n == wakebuf.len()) {}
+            loop {
+                match bound.adoptions.try_recv() {
+                    Ok((stream, peer)) => {
+                        if let Ok(conn) = Conn::new(stream, bound.security, clock) {
+                            engine.add(conn, peer, &mut mount);
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        stop = true;
+                        break;
+                    }
+                }
+            }
         }
         if ready & 2 != 0 {
-            let (listener, shards) = accept.as_ref().expect("aux[1] is the listener");
             // Nonblocking: ends at WouldBlock; any other accept error is
             // retried on the listener's next readiness.
-            while let Ok((stream, _)) = listener.accept() {
-                shards[next_shard].send(Op::Adopt(stream, None)).ok();
-                next_shard = (next_shard + 1) % shards.len();
+            while let Ok((stream, _)) = bound.listener.accept() {
+                if let Ok(conn) = Conn::new(stream, bound.security, clock) {
+                    engine.add(conn, M::Peer::default(), &mut mount);
+                }
+            }
+        }
+        if mount.next_deadline().is_some_and(|d| d <= clock.now_us()) {
+            mount.on_deadline();
+        }
+        // Repeat until quiet: a send that fails closes its connection, and
+        // the machine may answer that (a lost executor's tasks replayed).
+        while !mount.outbox().is_empty() {
+            std::mem::swap(mount.outbox(), &mut batch);
+            for (token, msg) in batch.drain(..) {
+                engine.send(token, &msg, &mut mount);
             }
         }
     }
-    engine.close_all(&mut shard).ok();
-    shard.wire
-}
-
-/// The running shard threads of one server.
-pub(crate) struct Shards {
-    /// The bound address (connect executors/clients here).
-    pub(crate) addr: SocketAddr,
-    ops: Vec<Sender<Op>>,
-    threads: Vec<JoinHandle<ServerWire>>,
-}
-
-impl Shards {
-    /// Bind an ephemeral localhost port and start `n` shard threads
-    /// reporting to `events`.
-    pub(crate) fn bind(
-        security: TcpSecurity,
-        n: usize,
-        events: &Sender<ServerEvent>,
-    ) -> io::Result<Shards> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        sys::set_backlog(&listener, sys::LISTEN_BACKLOG)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let mut listener = Some(listener);
-        let channels: Vec<_> = (0..n).map(|_| unbounded::<Op>()).collect();
-        let ops: Vec<Sender<Op>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let mut threads = Vec::with_capacity(n);
-        for (index, (op_tx, op_rx)) in channels.into_iter().enumerate() {
-            let (pipe_tx, wake_rx) = UnixStream::pair()?;
-            pipe_tx.set_nonblocking(true)?;
-            wake_rx.set_nonblocking(true)?;
-            op_rx.watch(Arc::new(PipeWaker { tx: pipe_tx }));
-            let shard = Shard {
-                index: index as u32,
-                ops: op_tx,
-                events: events.clone(),
-                wire: ServerWire::default(),
-            };
-            let accept = listener.take().map(|l| (l, ops.clone()));
-            threads.push(thread::spawn(move || {
-                run_shard(shard, op_rx, wake_rx, accept, security)
-            }));
-        }
-        Ok(Shards { addr, ops, threads })
-    }
-
-    /// Hand a stream this server dialed itself to a shard; it is reported
-    /// as [`ServerEvent::Connected`] with `Some(slot)`.
-    pub(crate) fn adopt(&self, stream: TcpStream, slot: usize) {
-        self.ops[slot % self.ops.len()]
-            .send(Op::Adopt(stream, Some(slot)))
-            .ok();
-    }
-
-    /// Close every connection (flushing queued frames), join every shard
-    /// thread, and return the merged wire counters of all connections.
-    /// Close ops from handles the core already dropped precede this stop
-    /// on the same channels, so those connections finish first.
-    pub(crate) fn shutdown(self) -> ServerWire {
-        for tx in &self.ops {
-            tx.send(Op::Stop).ok();
-        }
-        let mut wire = ServerWire::default();
-        for handle in self.threads {
-            if let Ok(shard) = handle.join() {
-                wire.accepted.merge(&shard.accepted);
-                wire.dialed.merge(&shard.dialed);
-            }
-        }
-        wire
-    }
+    engine.close_all(&mut mount).ok();
+    mount
 }

@@ -10,13 +10,13 @@
 //!
 //! Every socket here — server side and peer side — is a [`Conn`] serviced
 //! by the one readiness loop in [`crate::engine`] (DESIGN.md §10.3). A
-//! [`DispatcherServer`] is that loop mounted as [`crate::server`] shard
-//! threads plus one core thread that owns the sans-io [`Dispatcher`]
-//! machine and blocks on a single channel: connection events from the
-//! shards and the stop request, bounded only by the machine's own next
-//! deadline. [`run_executor`] and [`run_client`] mount the same loop over
-//! one connection on the caller's thread; the machine runs inline in the
-//! loop's callbacks, so there is no reader thread and no channel hop.
+//! [`DispatcherServer`] is exactly one thread running that loop
+//! (`server::run`) over the listener, a control fd and every
+//! connection; the sans-io [`Dispatcher`] machine runs inside the turn, in
+//! the loop's callbacks, and its next deadline bounds the poll.
+//! [`run_executor`] and [`run_client`] mount the same loop over one
+//! connection on the caller's thread, their machines inline too: no
+//! socket path in this crate has a reader thread or a channel hop.
 //!
 //! No wait in this module is a fixed sleep or a read-timeout cadence
 //! (`falkon-lint`'s `rt_cadence` rule pins this).
@@ -26,8 +26,7 @@ pub use crate::conn::TcpSecurity;
 use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Engine, Handler, Token};
 use crate::exec::{route_actions, Dest};
-use crate::server::{ConnHandle, ConnId, ServerEvent, Shards};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::server::{self, Control, Mount};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{
     Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
@@ -49,25 +48,22 @@ use std::thread::{self, JoinHandle};
 
 /// Validated configuration for [`DispatcherServer::start`] and
 /// [`crate::forwarder::ForwarderServer::start`]. Build one with
-/// [`ServerConfig::builder`]; nonsense values (zero shards, zero
-/// dispatchers) are rejected with a typed [`ConfigError`] instead of
-/// panicking at runtime.
+/// [`ServerConfig::builder`]; a nonsense value (zero dispatchers) is
+/// rejected with a typed [`ConfigError`] instead of panicking at runtime.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     dispatcher: DispatcherConfig,
     security: TcpSecurity,
-    shards: usize,
     forwarder_dispatchers: Option<usize>,
 }
 
 impl ServerConfig {
     /// Start building a config. Defaults: default [`DispatcherConfig`], no
-    /// security, one shard thread, no forwarder tier.
+    /// security, no forwarder tier.
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder(ServerConfig {
             dispatcher: DispatcherConfig::default(),
             security: None,
-            shards: 1,
             forwarder_dispatchers: None,
         })
     }
@@ -75,11 +71,6 @@ impl ServerConfig {
     /// The configured security setting.
     pub fn security(&self) -> TcpSecurity {
         self.security
-    }
-
-    /// Shard threads per tier.
-    pub(crate) fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Downstream dispatcher count of the forwarder tier, if
@@ -115,16 +106,17 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Service each tier's connections with `shards` event-loop threads
-    /// (round-robin assignment at accept time).
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.0.shards = shards;
+    /// Does nothing: a server is one thread. Kept solely because the
+    /// frozen `benchmark/src/trial.rs` calls `.sharded(1)`; drop the call,
+    /// then the method (ROADMAP item 6).
+    #[doc(hidden)]
+    pub fn sharded(self, _shards: usize) -> Self {
         self
     }
 
-    /// Mount a forwarder tier over `dispatchers` downstream dispatcher
-    /// cores (the paper's 3-tier deployment). The shard count, security,
-    /// and dispatcher-machine settings apply to every tier: the
+    /// Mount a forwarder tier over `dispatchers` downstream dispatchers
+    /// (the paper's 3-tier deployment). The security and
+    /// dispatcher-machine settings apply to every tier: the
     /// forwarder's client-facing listener and each downstream
     /// [`DispatcherServer`]. Consumed by
     /// [`crate::forwarder::ForwarderServer::start`];
@@ -136,9 +128,6 @@ impl ServerConfigBuilder {
 
     /// Validate and finish.
     pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        if self.0.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
         if self.0.forwarder_dispatchers == Some(0) {
             return Err(ConfigError::ZeroDispatchers);
         }
@@ -149,8 +138,6 @@ impl ServerConfigBuilder {
 /// Rejected [`ServerConfig`] values.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
-    /// `sharded(0)`: a server needs at least one shard thread.
-    ZeroShards,
     /// `forwarder(0)`: a forwarder tier needs at least one downstream
     /// dispatcher to route to.
     ZeroDispatchers,
@@ -159,7 +146,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroShards => write!(f, "a server needs at least 1 shard"),
             ConfigError::ZeroDispatchers => {
                 write!(f, "forwarder tier needs at least 1 downstream dispatcher")
             }
@@ -170,7 +156,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 // ---------------------------------------------------------------------------
-// The dispatcher server and core
+// The dispatcher server
 // ---------------------------------------------------------------------------
 
 /// What a stopped dispatcher hands back: per-task records, machine
@@ -181,129 +167,145 @@ pub type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
 pub struct DispatcherServer {
     /// The bound address (connect executors/clients here).
     pub addr: SocketAddr,
-    events: Sender<ServerEvent>,
-    shards: Shards,
-    core: JoinHandle<DispatcherOutcome>,
+    control: Control<Peer>,
+    thread: JoinHandle<DispatcherMount>,
 }
 
 impl DispatcherServer {
-    /// Bind and start a dispatcher on `127.0.0.1:0` (ephemeral port).
+    /// Bind and start a dispatcher on `127.0.0.1:0` (ephemeral port): one
+    /// thread, whatever the number of connections.
     pub fn start(config: ServerConfig) -> io::Result<Self> {
-        let (events, rx) = unbounded::<ServerEvent>();
-        let shards = Shards::bind(config.security, config.shards, &events)?;
-        let dispatcher = config.dispatcher;
-        let core = thread::spawn(move || dispatcher_core(dispatcher, rx));
+        let (control, bound) = server::bind(config.security)?;
+        let addr = bound.addr;
+        let mount = DispatcherMount {
+            clock: bound.clock,
+            machine: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
+            actions: Vec::new(),
+            exec_conn: HashMap::new(),
+            inst_conn: HashMap::new(),
+            records: Vec::new(),
+            outbox: Vec::new(),
+            wire: Counters::new(),
+        };
+        let thread = thread::spawn(move || server::run(bound, mount));
         Ok(DispatcherServer {
-            addr: shards.addr,
-            events,
-            shards,
-            core,
+            addr,
+            control,
+            thread,
         })
     }
 
     /// Stop the server, returning dispatcher records, stats, and the merged
     /// observability recorder — lifecycle events plus the wire counters of
-    /// *every* connection. The core stops first, dropping its connection
-    /// handles; the shards then flush, close, and join.
+    /// *every* connection. The server thread flushes and closes each
+    /// connection itself before it hands the machine back.
     pub fn shutdown(self) -> DispatcherOutcome {
-        self.events.send(ServerEvent::Stop).ok();
-        let (records, stats, mut obs) = self.core.join().expect("core thread");
-        let wire = self.shards.shutdown();
-        obs.merge_counters(&wire.accepted);
-        obs.merge_counters(&wire.dialed);
-        (records, stats, obs)
+        drop(self.control);
+        let mount = self.thread.join().expect("server thread");
+        let mut obs = mount.machine.probe().clone();
+        obs.merge_counters(&mount.wire);
+        (mount.records, mount.machine.stats(), obs)
     }
 }
 
-/// Upper bound on events absorbed per wakeup, so one chatty connection
-/// cannot starve deadline checks.
-pub(crate) const MAX_DRAIN: usize = 256;
+/// What the routes remember about one connection and cannot derive: the
+/// executors that registered on it, in order.
+type Peer = Vec<ExecutorId>;
 
-/// Which connection serves which executor and instance, and the handles
-/// to reach them.
-#[derive(Default)]
-struct Routes {
-    conns: HashMap<ConnId, ConnHandle>,
-    exec_conn: HashMap<ExecutorId, ConnId>,
-    inst_conn: HashMap<InstanceId, ConnId>,
-    conn_execs: HashMap<ConnId, Vec<ExecutorId>>,
+/// The dispatcher's [`Mount`]: the machine, run inside the engine turn,
+/// and which connection serves which executor and instance.
+struct DispatcherMount {
+    clock: Clock,
+    machine: Dispatcher<Recorder>,
+    actions: Vec<DispatcherAction>,
+    exec_conn: HashMap<ExecutorId, Token>,
+    inst_conn: HashMap<InstanceId, Token>,
     records: Vec<TaskRecord>,
+    outbox: Vec<(Token, Message)>,
+    /// Wire counters of every finished connection.
+    wire: Counters,
 }
 
-impl Routes {
-    /// Deliver the machine's pending actions. `current` is the connection
-    /// whose message produced them: fresh instances bind to it, and a
-    /// status poll is answered on it.
-    fn deliver(&mut self, out: &mut Vec<DispatcherAction>, current: Option<ConnId>) {
-        route_actions(out, &mut self.records, |dest, msg| {
-            let conn = match dest {
+impl DispatcherMount {
+    /// Feed the machine one event and address what it says. `current` is
+    /// the connection whose message this is: fresh instances bind to it,
+    /// and a status poll is answered on it.
+    fn step(&mut self, ev: DispatcherEvent, current: Option<Token>) {
+        self.machine
+            .on_event(self.clock.now_us(), ev, &mut self.actions);
+        route_actions(&mut self.actions, &mut self.records, |dest, msg| {
+            let token = match dest {
                 Dest::Executor(executor) => self.exec_conn.get(&executor).copied(),
                 Dest::Client(instance) => {
-                    if let (Message::InstanceCreated { instance }, Some(c)) = (&msg, current) {
-                        self.inst_conn.insert(*instance, c);
+                    if let (Message::InstanceCreated { instance }, Some(token)) = (&msg, current) {
+                        self.inst_conn.insert(*instance, token);
                     }
                     self.inst_conn.get(&instance).copied()
                 }
                 Dest::Provisioner => current,
             };
-            if let Some(handle) = conn.and_then(|c| self.conns.get(&c)) {
-                handle.send(msg);
+            if let Some(token) = token {
+                self.outbox.push((token, msg));
             }
         });
     }
 }
 
-/// The dispatcher state machine driven by server events.
-fn dispatcher_core(config: DispatcherConfig, rx: Receiver<ServerEvent>) -> DispatcherOutcome {
-    let clock = Clock::start();
-    let mut d = Dispatcher::with_probe(config, Recorder::new());
-    let mut routes = Routes::default();
-    let mut out: Vec<DispatcherAction> = Vec::new();
-    'run: while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
-        // Clock read must follow the wait (deadline checks compare to now);
-        // one read covers the whole drained batch.
-        let now = clock.now_us();
-        let Some(first) = first else {
-            d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
-            routes.deliver(&mut out, None);
-            continue;
+impl Handler<Peer> for DispatcherMount {
+    fn inbound(
+        &mut self,
+        token: Token,
+        _: &mut Conn,
+        peer: &mut Peer,
+        ev: Inbound,
+    ) -> io::Result<bool> {
+        let Inbound::Msg(msg) = ev else {
+            return Ok(false);
         };
-        let mut next = Some(first);
-        let mut drained = 0usize;
-        while let Some(ev) = next.take() {
-            match ev {
-                ServerEvent::Connected(id, handle, _) => {
-                    routes.conns.insert(id, handle);
-                }
-                ServerEvent::Closed(id) => {
-                    routes.conns.remove(&id);
-                    // Any executors on this connection are lost.
-                    for executor in routes.conn_execs.remove(&id).unwrap_or_default() {
-                        routes.exec_conn.remove(&executor);
-                        d.on_event(now, DispatcherEvent::ExecutorLost { executor }, &mut out);
-                    }
-                    routes.deliver(&mut out, None);
-                }
-                ServerEvent::Msg(id, msg) => {
-                    // Remember which connection each executor registered on.
-                    if let Message::Register { executor, .. } = &msg {
-                        routes.exec_conn.insert(*executor, id);
-                        routes.conn_execs.entry(id).or_default().push(*executor);
-                    }
-                    if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
-                        d.on_event(now, ev, &mut out);
-                        routes.deliver(&mut out, Some(id));
-                    }
-                }
-                ServerEvent::Stop => break 'run,
-            }
-            drained += 1;
-            if drained < MAX_DRAIN {
-                next = rx.try_recv().ok();
+        // Remember which connection each executor registered on.
+        if let Message::Register { executor, .. } = &msg {
+            self.exec_conn.insert(*executor, token);
+            peer.push(*executor);
+        }
+        if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
+            self.step(ev, Some(token));
+        }
+        Ok(false)
+    }
+
+    fn closed(&mut self, token: Token, peer: Peer, closed: Closed) {
+        self.wire.merge(&closed.wire);
+        // Our own stop closing everything is the end of the run, not a loss.
+        if closed.local {
+            return;
+        }
+        // Only routes that still lead here are lost: an executor that came
+        // back on a fresh connection before this close was seen keeps its
+        // live route (and its tasks).
+        for executor in peer {
+            if self.exec_conn.get(&executor) == Some(&token) {
+                self.exec_conn.remove(&executor);
+                self.step(DispatcherEvent::ExecutorLost { executor }, None);
             }
         }
+        self.inst_conn.retain(|_, conn| *conn != token);
     }
-    (routes.records, d.stats(), d.probe().clone())
+}
+
+impl Mount for DispatcherMount {
+    type Peer = Peer;
+
+    fn outbox(&mut self) -> &mut Vec<(Token, Message)> {
+        &mut self.outbox
+    }
+
+    fn next_deadline(&mut self) -> Option<u64> {
+        self.machine.next_deadline()
+    }
+
+    fn on_deadline(&mut self) {
+        self.step(DispatcherEvent::CheckDeadlines, None);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +434,7 @@ pub fn run_client(
 ) -> io::Result<TcpClientOutcome> {
     let clock = Clock::start();
     let mut engine = Engine::new(clock);
-    engine.add(Conn::new(TcpStream::connect(addr)?, security, clock)?, ());
+    let conn = Conn::new(TcpStream::connect(addr)?, security, clock)?;
     let mut run = ClientRun {
         clock,
         client: Client::new(bundle),
@@ -442,8 +444,9 @@ pub fn run_client(
         done: None,
         closed: None,
     };
+    engine.add(conn, (), &mut run);
     while engine.live() > 0 {
-        engine.turn(&[], &mut run)?;
+        engine.turn(&[], None, &mut run)?;
     }
     let closed = run.closed.expect("the connection closed");
     match run.done {
@@ -464,14 +467,13 @@ pub fn run_client(
 mod tests {
     use super::*;
 
-    fn deploy(n_exec: usize, security: TcpSecurity, n_tasks: u64, shards: usize) -> (u64, u64) {
+    fn deploy(n_exec: usize, security: TcpSecurity, n_tasks: u64) -> (u64, u64) {
         let config = ServerConfig::builder()
             .dispatcher(DispatcherConfig {
                 client_notify_batch: 64,
                 ..DispatcherConfig::default()
             })
             .security(security)
-            .sharded(shards)
             .build()
             .expect("valid config");
         let server = DispatcherServer::start(config).expect("bind");
@@ -500,50 +502,25 @@ mod tests {
 
     #[test]
     fn tcp_plain_roundtrip() {
-        let (done, _) = deploy(2, None, 100, 1);
+        let (done, _) = deploy(2, None, 100);
         assert_eq!(done, 100);
     }
 
     #[test]
     fn tcp_secure_roundtrip() {
-        let (done, _) = deploy(2, Some(0xFA1C0), 100, 1);
+        let (done, _) = deploy(2, Some(0xFA1C0), 100);
         assert_eq!(done, 100);
     }
 
     #[test]
     fn tcp_many_executors() {
-        let (done, _) = deploy(8, None, 400, 1);
+        let (done, _) = deploy(8, None, 400);
         assert_eq!(done, 400);
     }
 
     #[test]
-    fn tcp_sharded_plain_roundtrip() {
-        let (done, _) = deploy(4, None, 200, 2);
-        assert_eq!(done, 200);
-    }
-
-    #[test]
-    fn tcp_sharded_secure_roundtrip() {
-        let (done, _) = deploy(3, Some(0xFA1C0), 150, 2);
-        assert_eq!(done, 150);
-    }
-
-    #[test]
-    fn tcp_more_shards_than_connections() {
-        let (done, _) = deploy(2, None, 120, 4);
-        assert_eq!(done, 120);
-    }
-
-    #[test]
     fn tcp_empty_workload_completes() {
-        let (done, _) = deploy(1, None, 0, 1);
+        let (done, _) = deploy(1, None, 0);
         assert_eq!(done, 0);
-    }
-
-    #[test]
-    fn builder_rejects_zero_shards() {
-        let err = ServerConfig::builder().sharded(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroShards);
-        assert!(format!("{err}").contains("shard"));
     }
 }

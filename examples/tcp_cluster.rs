@@ -22,15 +22,14 @@ use std::thread;
 fn main() -> std::io::Result<()> {
     // Security on: every connection handshakes and seals all frames.
     let security = Some(0xFA1C0);
-    // Two shard threads multiplex every connection (the default is one);
-    // OS thread count does not grow with the number of peers.
+    // The server is one thread multiplexing every connection; OS thread
+    // count does not grow with the number of peers.
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
             client_notify_batch: 100,
             ..DispatcherConfig::default()
         })
         .security(security)
-        .sharded(2)
         .build()
         .expect("valid config");
     let server = DispatcherServer::start(config)?;

@@ -1,7 +1,9 @@
 //! Integration tests for the TCP deployment: the full Figure 2 message
 //! sequence over real sockets, with and without the security layer, plus
 //! executor churn, the handshake's corner cases (a first frame sent with
-//! the hello, a peer that never speaks, a wrong key), and the status poll.
+//! the hello, a peer that never speaks, a wrong key), the status poll, an
+//! executor that re-registers on a fresh connection, and the machine's
+//! replay deadline riding the poll timeout.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -10,15 +12,16 @@
 mod common;
 
 use falkon::core::executor::ExecutorConfig;
-use falkon::core::DispatcherConfig;
+use falkon::core::{DispatcherConfig, ReplayPolicy};
 use falkon::obs::ObsEventKind;
 use falkon::proto::bundle::BundleConfig;
 use falkon::proto::message::{ExecutorId, Message};
-use falkon::proto::task::TaskSpec;
+use falkon::proto::task::{TaskResult, TaskSpec};
 use falkon::proto::{write_frame, Codec, EfficientCodec, SecureChannel};
 use falkon::rt::tcp::{run_client, run_executor, DispatcherServer, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -147,6 +150,148 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
     frame
 }
 
+/// A hand-driven plain-text executor on a blocking socket (2 s read
+/// timeout, so a message that never comes fails the test instead of
+/// hanging it).
+struct RawExecutor {
+    id: ExecutorId,
+    stream: TcpStream,
+}
+
+impl RawExecutor {
+    /// Connect and register as `id`; returns once the dispatcher has acked.
+    fn register(addr: std::net::SocketAddr, id: u64) -> RawExecutor {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let mut raw = RawExecutor {
+            id: ExecutorId(id),
+            stream,
+        };
+        raw.send(&Message::Register {
+            executor: raw.id,
+            host: "raw-peer".into(),
+        });
+        assert_eq!(raw.recv(), Message::RegisterAck { executor: raw.id });
+        raw
+    }
+
+    fn send(&mut self, msg: &Message) {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &EfficientCodec.encode(msg));
+        self.stream.write_all(&bytes).expect("write");
+    }
+
+    fn recv(&mut self) -> Message {
+        EfficientCodec
+            .decode(&read_frame(&mut self.stream))
+            .expect("decodes")
+    }
+
+    /// Answer the next `Notify` with `GetWork` and return the tasks handed
+    /// over.
+    fn take_work(&mut self) -> Vec<TaskSpec> {
+        let Message::Notify { key } = self.recv() else {
+            panic!("expected Notify");
+        };
+        self.send(&Message::GetWork {
+            executor: self.id,
+            key,
+        });
+        match self.recv() {
+            Message::Work { tasks } => tasks,
+            other => panic!("expected Work, got {other:?}"),
+        }
+    }
+}
+
+/// Run a client workload on its own thread; the receiver yields its
+/// completion count, so a workload that never completes is a timeout the
+/// test can assert on, not a hang.
+fn client_in_background(addr: std::net::SocketAddr, n: u64) -> mpsc::Receiver<u64> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let out = run_client(addr, tasks(n), BundleConfig::of(10), None).expect("client");
+        tx.send(out.done).ok();
+    });
+    rx
+}
+
+/// An executor that re-registers on a fresh connection keeps that route
+/// when its *old* connection's close is processed afterwards: the close
+/// forgets only routes that still lead to the closing connection. (The
+/// close used to drop the executor unconditionally — its live route gone,
+/// its tasks replayed.)
+#[test]
+fn tcp_reregistered_executor_survives_its_old_connections_close() {
+    let config = ServerConfig::builder().build().expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let old = RawExecutor::register(addr, 7);
+    let mut new = RawExecutor::register(addr, 7);
+    drop(old);
+    // The close may be processed before or after the submit below; both
+    // orders must leave the live route alone. The pause makes "before"
+    // (where the route used to vanish) the usual one.
+    thread::sleep(Duration::from_millis(100));
+
+    let done = client_in_background(addr, 1);
+    let work = new.take_work();
+    assert_eq!(work.len(), 1, "the task is dispatched on the live route");
+    new.send(&Message::Result {
+        executor: new.id,
+        results: vec![TaskResult::success(work[0].id)],
+    });
+    assert_eq!(done.recv_timeout(Duration::from_secs(5)), Ok(1));
+    let (records, stats, _) = server.shutdown();
+    assert_eq!(records.len(), 1, "completed exactly once");
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.retries, 0, "a live executor's task was replayed");
+}
+
+/// The machine's replay deadline is folded into the server's poll timeout:
+/// an executor takes a task and goes silent, nothing else moves on any
+/// socket, and the task is still replayed to the idle executor on time. A
+/// server that only wakes on socket traffic would sit in `poll` forever.
+#[test]
+fn tcp_replay_deadline_fires_with_no_socket_traffic() {
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            replay: ReplayPolicy {
+                timeout_slack_us: 20_000,
+                ..ReplayPolicy::default()
+            },
+            ..DispatcherConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    // Registered first, so first in line for the one task.
+    let mut silent = RawExecutor::register(addr, 1);
+    let real =
+        thread::spawn(move || run_executor(addr, ExecutorId(2), ExecutorConfig::default(), None));
+    common::wait_registered(addr, None, 2);
+
+    let started = Instant::now();
+    let done = client_in_background(addr, 1);
+    assert_eq!(silent.take_work().len(), 1);
+    // From here on every socket is quiet; only the deadline can wake the
+    // server.
+    assert_eq!(
+        done.recv_timeout(Duration::from_secs(5)),
+        Ok(1),
+        "the silent executor's task was never replayed"
+    );
+    assert!(started.elapsed() >= Duration::from_millis(20));
+    let (records, stats, _) = server.shutdown();
+    assert_eq!(records.len(), 1);
+    assert_eq!(stats.retries, 1, "replayed exactly once");
+    drop(silent);
+    real.join().expect("join").ok();
+}
+
 /// The regression test for the secure first-frame hang: a peer may send its
 /// first sealed frame in the same segment as its hello. The server's read
 /// path must decode what is buffered behind the handshake without waiting
@@ -158,7 +303,6 @@ fn tcp_secure_first_frame_sent_with_the_hello_is_served() {
     let psk = 0xFA1C0;
     let config = ServerConfig::builder()
         .security(Some(psk))
-        .sharded(1)
         .build()
         .expect("valid config");
     let server = DispatcherServer::start(config).expect("bind");

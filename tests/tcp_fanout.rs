@@ -1,10 +1,10 @@
 //! Connection fan-out soak: the connection engine holding ~1000 concurrent
-//! executor connections on one box, with O(shards) OS threads.
+//! executor connections on one box, on one server thread.
 //!
 //! Three invariants, checked at quick scale so the suite stays fast in CI:
 //!
-//! 1. **Thread budget** — the whole deployment (dispatcher core + shards,
-//!    1000 multiplexed peers, client) adds `shards + 2` threads to the
+//! 1. **Thread budget** — the whole deployment (the dispatcher's one
+//!    thread, 1000 multiplexed peers, client) adds 2 threads to the
 //!    process, plus whatever the tests running alongside hold — no thread
 //!    per connection, no accept thread.
 //! 2. **Exact accounting** — every task completes exactly once, and the
@@ -12,7 +12,7 @@
 //!    encoded at one socket end equal frames charged as decoded at the
 //!    other, byte for byte, across all ~1001 connections.
 //! 3. **Clean shutdown under load** — killing the dispatcher mid-workload
-//!    unwinds every shard and 200 live peers without a leak or a deadlock,
+//!    unwinds the server and 200 live peers without a leak or a deadlock,
 //!    with consistent partial accounting.
 
 // Deployment tests: really waiting on real sockets is the point, so the
@@ -47,9 +47,9 @@ fn wire_total(c: &Counters, kind: ObsEventKind) -> (u64, u64) {
     (c.count(kind), c.value(kind))
 }
 
-/// `conns` executors on a `shards`-shard dispatcher, `n_tasks` sleep-0
-/// tasks to completion; returns nothing — all invariants asserted inside.
-fn fanout(conns: usize, shards: usize, n_tasks: u64, security: TcpSecurity) {
+/// `conns` executors on one dispatcher, `n_tasks` sleep-0 tasks to
+/// completion; returns nothing — all invariants asserted inside.
+fn fanout(conns: usize, n_tasks: u64, security: TcpSecurity) {
     let threads_before = process_threads();
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
@@ -57,7 +57,6 @@ fn fanout(conns: usize, shards: usize, n_tasks: u64, security: TcpSecurity) {
             ..DispatcherConfig::default()
         })
         .security(security)
-        .sharded(shards)
         .build()
         .expect("valid config");
     let server = DispatcherServer::start(config).expect("bind");
@@ -70,16 +69,15 @@ fn fanout(conns: usize, shards: usize, n_tasks: u64, security: TcpSecurity) {
     assert_eq!(client.done, n_tasks, "client lost completions");
 
     // Peak: every connection is still open. The entire deployment is the
-    // dispatcher core, the shard loops, and the mux peer thread (the client
-    // is this thread): shards + 2. The two other tests in this binary may
-    // run concurrently; the constant absorbs their threads (at most 6 and
-    // 7 of their own, plus the harness's).
+    // dispatcher's thread and the mux peer thread (the client is this
+    // thread): 2. The two other tests in this binary may run concurrently;
+    // the constant absorbs their threads (deployments of 2 and 3, plus
+    // the harness's).
     if let (Some(before), Some(peak)) = (threads_before, process_threads()) {
         let added = peak.saturating_sub(before);
         assert!(
-            added <= shards as u64 + 2 + 16,
-            "deployment added {added} threads for {conns} connections \
-             (want O(shards), shards = {shards})"
+            added <= 2 + 16,
+            "deployment added {added} threads for {conns} connections (want 2)"
         );
         assert!(
             added < conns as u64 / 2,
@@ -103,10 +101,10 @@ fn fanout(conns: usize, shards: usize, n_tasks: u64, security: TcpSecurity) {
     assert_eq!(ids.len() as u64, n_tasks, "duplicate task records");
 
     // Exact both-direction byte balance: the dispatcher's recorder holds
-    // the shard-merged taps of every server-side connection; the peers'
+    // the merged taps of every server-side connection; the peers'
     // outcomes hold the other socket ends. Handshake frames are excluded
-    // symmetrically, so any lost frame, double count, or dropped shard
-    // breaks the equality.
+    // symmetrically, so any lost frame or double count breaks the
+    // equality.
     let mut peer_wire = client.wire;
     peer_wire.merge(&out.wire);
     peer_wire.merge(&poll_wire);
@@ -128,17 +126,17 @@ fn fanout(conns: usize, shards: usize, n_tasks: u64, security: TcpSecurity) {
 
 #[test]
 fn fanout_1000_conns_plain() {
-    fanout(1_000, 4, 3_000, None);
+    fanout(1_000, 3_000, None);
 }
 
 #[test]
 fn fanout_secure() {
     // The secure arm soaks fewer connections to keep CI time down; the
     // invariants are identical.
-    fanout(300, 2, 900, Some(0xFA1C0));
+    fanout(300, 900, Some(0xFA1C0));
 }
 
-/// Kill the dispatcher while 200 peers hold live work: every shard loop
+/// Kill the dispatcher while 200 peers hold live work: the server loop
 /// and the mux loop must unwind (a leak or deadlock hangs the test), and
 /// the partial accounting must be consistent.
 #[test]
@@ -148,7 +146,6 @@ fn fanout_shutdown_under_load_joins_cleanly() {
             client_notify_batch: 1_000,
             ..DispatcherConfig::default()
         })
-        .sharded(3)
         .build()
         .expect("valid config");
     let server = DispatcherServer::start(config).expect("bind");
@@ -156,7 +153,7 @@ fn fanout_shutdown_under_load_joins_cleanly() {
     let mux =
         thread::spawn(move || run_executors_mux(addr, 0, 200, ExecutorConfig::default(), None));
     // 2000 × 1 ms tasks: the shutdown below lands while submits,
-    // dispatches, and results are all in flight across the shards.
+    // dispatches, and results are all in flight.
     let client = thread::spawn(move || {
         run_client(
             addr,
@@ -169,7 +166,7 @@ fn fanout_shutdown_under_load_joins_cleanly() {
 
     let (records, stats, obs) = server.shutdown();
 
-    // Peers must unwind too: the shards' final flush + close gives every
+    // Peers must unwind too: the server's final flush + close gives every
     // mux peer an EOF. If the shutdown landed while the mux was still in
     // its connect storm, the refused connect is the expected outcome — the
     // already-connected peers are dropped and their sockets closed.

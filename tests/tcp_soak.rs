@@ -2,7 +2,7 @@
 //! wire-byte accounting, and shutdown under load.
 //!
 //! The connection engine collects the wire counters ([`falkon::obs::WireTap`])
-//! of *every* connection as it closes — the server's shards on the
+//! of *every* connection as it closes — the server's thread on the
 //! dispatcher side, each peer's own loop on the peer side. That makes a
 //! strong end-to-end invariant checkable: every frame charged as encoded at
 //! one end of a socket must be charged as decoded at the other end, byte
@@ -75,9 +75,9 @@ fn soak(n_exec: u64, tasks: Vec<TaskSpec>, security: TcpSecurity) -> u64 {
 
     // Shut down with the executors still attached (all of them: a slow
     // starter must have registered before its server goes, or its
-    // `Register` is charged and never decoded): the core drops their
-    // handles, the shard flushes + closes, the executors see EOF and report
-    // their counters.
+    // `Register` is charged and never decoded): the server flushes +
+    // closes every connection, the executors see EOF and report their
+    // counters.
     let poll_wire = common::wait_registered(addr, security, n_exec);
     let (records, stats, obs) = server.shutdown();
     let mut exec_wire = Counters::new();
@@ -97,7 +97,7 @@ fn soak(n_exec: u64, tasks: Vec<TaskSpec>, security: TcpSecurity) -> u64 {
     assert_eq!(ids.len() as u64, n_tasks, "duplicate task records");
 
     // Byte balance. The dispatcher's recorder holds every server-side
-    // connection shard; the peers' outcomes hold the other socket ends.
+    // connection's tap; the peers' outcomes hold the other socket ends.
     let client_sent = client.wire.value(ObsEventKind::BundleEncoded);
     let mut peer_wire = client.wire;
     peer_wire.merge(&exec_wire);
@@ -153,8 +153,8 @@ fn soak_client_backlog_several_times_the_socket_buffers() {
     assert!(sent > 20 << 20, "only {sent} bytes: not a backlog");
 }
 
-/// Kill the dispatcher mid-workload: every thread must unwind — the core
-/// stops, the shard closes every connection and is joined — and the
+/// Kill the dispatcher mid-workload: every thread must unwind — the
+/// server closes every connection and is joined — and the
 /// dispatcher's accounting must stay consistent (nothing recorded twice,
 /// nothing half-recorded).
 #[test]
@@ -181,9 +181,8 @@ fn shutdown_under_load_joins_cleanly() {
     });
     thread::sleep(Duration::from_millis(50));
 
-    // Must return: the core is joined, then the shard thread once it has
-    // closed every connection. A leaked or deadlocked thread hangs the
-    // test right here.
+    // Must return: the server thread is joined once it has closed every
+    // connection. A leaked or deadlocked thread hangs the test right here.
     let (records, stats, obs) = server.shutdown();
 
     // Peers must unwind too. The client either finished before the

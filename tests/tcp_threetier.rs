@@ -13,10 +13,10 @@
 //!    encoded at one socket end equal frames/bytes charged as decoded at
 //!    the other, per direction, on *both* faces of the forwarder — the
 //!    client tier and the dispatcher tier — including the link that died.
-//! 4. **Thread budget and clean unwind** — at peak each tier runs one core
-//!    thread plus its shards and nothing per connection or per downstream
-//!    link; every thread of the deployment joins, and the process thread
-//!    count returns to its baseline.
+//! 4. **Thread budget and clean unwind** — at peak each server is one
+//!    thread and nothing per connection or per downstream link; every
+//!    thread of the deployment joins, and the process thread count
+//!    returns to its baseline.
 //!
 //! The victim is the one dispatcher with no executors attached: its
 //! backlog is real (nothing drains it), and by kill time its link is
@@ -74,7 +74,6 @@ fn spawn_executors(
         .collect()
 }
 
-const SHARDS: usize = 2;
 const WAVE1: u64 = 600;
 const WAVE2: u64 = 300;
 const VICTIM: usize = 2;
@@ -87,7 +86,6 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
             client_notify_batch: 50,
             ..DispatcherConfig::default()
         })
-        .sharded(SHARDS)
         .forwarder(3)
         .build()
         .expect("valid config");
@@ -117,12 +115,12 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     // drained for the balance to hold exactly.
     thread::sleep(Duration::from_millis(300));
     // Peak thread count: four servers (the forwarder and 3 dispatchers),
-    // each one core thread plus its shards — a downstream link is a
-    // connection of the forwarder's shards, not a thread — plus the 4
-    // executor threads and the wave-1 client.
+    // one thread each — a downstream link is a connection of the
+    // forwarder's thread, not a thread of its own — plus the 4 executor
+    // threads and the wave-1 client.
     if let (Some(before), Some(peak)) = (threads_before, process_threads()) {
         let added = peak.saturating_sub(before);
-        let budget = 4 * (1 + SHARDS as u64) + 4 + 1;
+        let budget = 4 + 4 + 1;
         assert!(added <= budget, "{added} threads at peak, budget {budget}");
     }
     let (victim_records, victim_stats, victim_obs) = server.kill_dispatcher(VICTIM);
