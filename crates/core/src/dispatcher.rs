@@ -17,6 +17,7 @@
 use crate::config::DispatcherConfig;
 use crate::ids::{ExecutorId, InstanceId, NotifyKey, TaskId};
 use crate::table::{DenseMap, FxHashMap, FxHashSet, DENSE_ID_CAP};
+use crate::waitqueue::{Queued, WaitQueue};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 use falkon_proto::message::{DispatcherStatus, Message};
@@ -171,14 +172,6 @@ struct ExecState {
 }
 
 #[derive(Clone, Debug)]
-struct QueuedTask {
-    instance: InstanceId,
-    spec: TaskSpec,
-    attempts: u32,
-    enqueued_us: Micros,
-}
-
-#[derive(Clone, Debug)]
 struct Running {
     instance: InstanceId,
     spec: TaskSpec,
@@ -231,7 +224,9 @@ pub struct Dispatcher<P: Probe = NoopProbe> {
     executors: DenseMap<ExecutorId, ExecState>,
     /// Next-available dispatch order; may contain stale ids (lazily skipped).
     idle: VecDeque<ExecutorId>,
-    queue: VecDeque<QueuedTask>,
+    /// The FIFO wait queue, bundle by bundle: O(live queue), given back as
+    /// it drains.
+    queue: WaitQueue,
     /// Task ids span the whole 2 M-task run (sparse at any instant), so this
     /// stays a true map — with the fast seed-free hasher.
     running: FxHashMap<TaskId, Running>,
@@ -275,7 +270,7 @@ impl<P: Probe> Dispatcher<P> {
             instances: DenseMap::new(),
             executors: DenseMap::new(),
             idle: VecDeque::new(),
-            queue: VecDeque::new(),
+            queue: WaitQueue::default(),
             running: FxHashMap::default(),
             deadlines: BinaryHeap::new(),
             counters: Counters::new(),
@@ -395,14 +390,7 @@ impl<P: Probe> Dispatcher<P> {
             DispatcherEvent::Submit { instance, tasks } => {
                 let accepted = if self.instances.contains_key(instance) {
                     let n = tasks.len() as u64;
-                    for spec in tasks {
-                        self.queue.push_back(QueuedTask {
-                            instance,
-                            spec,
-                            attempts: 0,
-                            enqueued_us: now,
-                        });
-                    }
+                    self.queue.push(instance, now, 0, tasks);
                     if let Some(inst) = self.instances.get_mut(instance) {
                         inst.pending += n;
                     }
@@ -564,7 +552,7 @@ impl<P: Probe> Dispatcher<P> {
                 // running tasks will complete and be dropped as duplicates,
                 // but their executors' bookkeeping must be released now or
                 // those executors would stay Busy forever.
-                self.queue.retain(|q| q.instance != instance);
+                self.queue.purge(instance);
                 // Sorted so executor-slot release order (and thus the idle
                 // queue) never depends on map iteration order.
                 let mut orphaned: Vec<TaskId> = self
@@ -587,21 +575,19 @@ impl<P: Probe> Dispatcher<P> {
     /// next-available policy), or — with data-aware dispatch — the first
     /// task within the scan window whose data object this executor has
     /// already staged.
-    fn pick_task(&mut self, now: Micros, executor: ExecutorId) -> QueuedTask {
+    fn pick_task(&mut self, now: Micros, executor: ExecutorId) -> Queued {
         if self.config.data_aware {
-            let window = self.config.data_aware_window.min(self.queue.len());
-            for i in 0..window {
-                let Some(data) = self.queue[i].spec.data else {
-                    continue;
-                };
-                let hit = self
-                    .object_cache
-                    .get(&data.object)
-                    .is_some_and(|s| s.contains(&executor));
-                if hit {
-                    self.emit(now, ObsEvent::DataLocalityHit);
-                    return self.queue.remove(i).expect("index in window");
-                }
+            let cache = &self.object_cache;
+            let staged = |spec: &TaskSpec| {
+                spec.data.is_some_and(|data| {
+                    cache
+                        .get(&data.object)
+                        .is_some_and(|s| s.contains(&executor))
+                })
+            };
+            if let Some(hit) = self.queue.take_first(self.config.data_aware_window, staged) {
+                self.emit(now, ObsEvent::DataLocalityHit);
+                return hit;
             }
         }
         self.queue.pop_front().expect("checked non-empty")
@@ -736,12 +722,8 @@ impl<P: Probe> Dispatcher<P> {
             && r.attempts <= self.config.replay.max_retries
         {
             self.emit(now, ObsEvent::TaskRetried);
-            self.queue.push_back(QueuedTask {
-                instance: r.instance,
-                spec: r.spec,
-                attempts: r.attempts,
-                enqueued_us: r.enqueued_us,
-            });
+            self.queue
+                .push(r.instance, r.enqueued_us, r.attempts, vec![r.spec]);
             return;
         }
         self.emit(
@@ -826,12 +808,8 @@ impl<P: Probe> Dispatcher<P> {
             }
         } else {
             self.emit(now, ObsEvent::TaskRetried);
-            self.queue.push_back(QueuedTask {
-                instance: r.instance,
-                spec: r.spec,
-                attempts: r.attempts,
-                enqueued_us: r.enqueued_us,
-            });
+            self.queue
+                .push(r.instance, r.enqueued_us, r.attempts, vec![r.spec]);
         }
     }
 
@@ -1496,6 +1474,57 @@ mod tests {
             }
         )));
         assert_eq!(d.status().queued_tasks, 0);
+    }
+
+    #[test]
+    fn empty_submit_queues_nothing() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        step(
+            &mut d,
+            0,
+            DispatcherEvent::Register {
+                executor: ExecutorId(1),
+                host: "n1".into(),
+            },
+        );
+        let acts = step(
+            &mut d,
+            1,
+            DispatcherEvent::Submit {
+                instance: inst,
+                tasks: Vec::new(),
+            },
+        );
+        // Acknowledged, but nothing to notify anyone about.
+        assert_eq!(acts.len(), 1);
+        assert_eq!(d.status().queued_tasks, 0);
+        assert!(d.is_drained());
+        // The next bundle is served from the front of the queue, not from
+        // behind an empty batch.
+        step(
+            &mut d,
+            2,
+            DispatcherEvent::Submit {
+                instance: inst,
+                tasks: vec![TaskSpec::sleep(7, 0)],
+            },
+        );
+        let acts = step(
+            &mut d,
+            3,
+            DispatcherEvent::GetWork {
+                executor: ExecutorId(1),
+                key: NotifyKey(1),
+            },
+        );
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            DispatcherAction::ToExecutor {
+                msg: Message::Work { tasks },
+                ..
+            } if tasks.len() == 1 && tasks[0].id == TaskId(7)
+        )));
     }
 
     #[test]

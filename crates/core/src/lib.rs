@@ -30,6 +30,7 @@ pub mod mapping;
 pub mod policy;
 pub mod provisioner;
 pub mod table;
+mod waitqueue;
 
 pub use client::{Client, ClientEvent};
 pub use config::DispatcherConfig;

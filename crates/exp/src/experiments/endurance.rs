@@ -38,7 +38,7 @@ pub struct Fig8 {
 
 /// Run the endurance experiment.
 pub fn fig8(scale: Scale) -> Fig8 {
-    let total: u64 = scale.pick(120_000, 2_000_000);
+    let total: usize = scale.pick(120_000, 2_000_000);
     // The client outpaces the ≈300/s dispatch rate so the queue builds.
     let submit_rate = 1_250.0;
     // The GC pause grows with the live set (queue length); at quick scale
@@ -56,7 +56,9 @@ pub fn fig8(scale: Scale) -> Fig8 {
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()
     });
-    sim.submit(0, (0..total).map(|i| TaskSpec::sleep(i, 0)).collect());
+    // Streamed: the client makes each bundle as it sends it, so the 2 M
+    // tasks never exist all at once.
+    sim.submit_stream(0, (0..total).map(|i| TaskSpec::sleep(i as u64, 0)));
     let out = sim.run_until_drained();
 
     // Raw throughput: completions per 1 s bucket.

@@ -170,7 +170,7 @@ pub fn run(scale: Scale) -> Measured {
         for r in &out.records {
             crate::trace::record(r);
         }
-        let mut overhead = out.obs.overhead_us.clone();
+        let overhead = &out.obs.overhead_us;
         MeasuredRow {
             label,
             tasks: out.tasks,

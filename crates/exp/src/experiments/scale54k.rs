@@ -14,7 +14,6 @@ use crate::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon_core::DispatcherConfig;
 use falkon_proto::task::TaskSpec;
 use falkon_sim::table::series_tsv;
-use falkon_sim::Histogram;
 
 /// Beyond-paper arm (`Scale::Full` only): the identical workload at
 /// 100,000 executors, roughly 2× the paper's headline scale and the size
@@ -136,16 +135,21 @@ pub fn run(scale: Scale) -> Scale54k {
         .map(|&(t, _)| t.as_secs_f64())
         .unwrap_or(0.0);
 
-    let mut hist = Histogram::new();
-    for r in &out.records {
-        let overhead_us = r
-            .result
-            .executor_time_us
-            .saturating_sub(task_secs * 1_000_000);
-        hist.record(overhead_us / 1_000); // ms
-    }
-    let frac_under_200ms = hist.fraction_le(200);
-    let max_overhead_ms = hist.max();
+    // Figure 10 prints exact counts, so it keeps its samples (one per
+    // executor) instead of going through the bucketed `Histogram`.
+    let overhead_ms: Vec<u64> = out
+        .records
+        .iter()
+        .map(|r| {
+            r.result
+                .executor_time_us
+                .saturating_sub(task_secs * 1_000_000)
+                / 1_000
+        })
+        .collect();
+    let under_200ms = overhead_ms.iter().filter(|&&ms| ms <= 200).count();
+    let frac_under_200ms = under_200ms as f64 / overhead_ms.len().max(1) as f64;
+    let max_overhead_ms = overhead_ms.iter().copied().max().unwrap_or(0);
 
     Scale54k {
         executors,
@@ -158,7 +162,7 @@ pub fn run(scale: Scale) -> Scale54k {
             .into_iter()
             .map(|(t, v)| (t.as_secs_f64(), v))
             .collect(),
-        overhead_hist_ms: hist.bins(26),
+        overhead_hist_ms: bins(&overhead_ms, 26),
         frac_under_200ms,
         max_overhead_ms,
         beyond: match scale {
@@ -166,6 +170,26 @@ pub fn run(scale: Scale) -> Scale54k {
             Scale::Full => Some(run_beyond_100k(task_secs)),
         },
     }
+}
+
+/// Bucket `samples` into `n` equal-width bins over `[min, max]`, returning
+/// `(bucket_upper_bound, count)` pairs: the Figure 10 overhead distribution.
+fn bins(samples: &[u64], n: usize) -> Vec<(u64, usize)> {
+    let (Some(&lo), Some(&max)) = (samples.iter().min(), samples.iter().max()) else {
+        return Vec::new();
+    };
+    let hi = max.max(lo + 1);
+    let width = ((hi - lo) as f64 / n as f64).max(1.0);
+    let mut counts = vec![0usize; n];
+    for &s in samples {
+        let idx = (((s - lo) as f64 / width) as usize).min(n - 1);
+        counts[idx] += 1;
+    }
+    counts
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| (lo + ((i + 1) as f64 * width) as u64, c))
+        .collect()
 }
 
 /// Render Figures 9 and 10.
@@ -205,6 +229,17 @@ pub fn render(s: &Scale54k) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bins_partition_the_samples() {
+        let samples: Vec<u64> = (0..1000).collect();
+        let b = bins(&samples, 10);
+        assert_eq!(b.len(), 10);
+        assert_eq!(b.iter().map(|&(_, c)| c).sum::<usize>(), 1000);
+        assert!(b.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(b[9].0, 999, "the last bin ends at the maximum");
+        assert!(bins(&[], 4).is_empty());
+    }
 
     #[test]
     fn quick_run_has_paper_shape() {

@@ -30,7 +30,6 @@ use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use falkon_obs::Recorder;
-use falkon_proto::bundle::bundles;
 use falkon_proto::message::{ExecutorId, InstanceId, Message};
 use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
 use falkon_sim::{EventQueue, SimRng, TimeSeries};
@@ -140,7 +139,6 @@ impl SimOutcome {
     }
 }
 
-#[derive(Clone, Debug)]
 enum Ev {
     /// A message arrives at the dispatcher host (enter the CPU queue).
     DispArrive(DispatcherEvent),
@@ -162,8 +160,10 @@ enum Ev {
     LrmWake,
     /// Metrics sampling tick.
     Sample,
-    /// Rate-limited client submission of the next bundle.
-    ClientSubmit(Vec<TaskSpec>),
+    /// The client's next bundle is due. The event carries the rest of the
+    /// submission and re-arms itself, so a bundle exists only from the
+    /// moment it is sent.
+    ClientSubmit(Box<dyn ExactSizeIterator<Item = TaskSpec>>),
     /// A provisioner allocation request reaches the LRM (after the GRAM-like
     /// request-handling overhead).
     LrmSubmit(JobSpec),
@@ -260,8 +260,11 @@ pub struct SimFalkon {
     lrm_wake_armed: Option<Micros>,
     fs: Option<ClusterFs>,
     instance: Option<InstanceId>,
+    /// O(history) on purpose: the experiment modules read every record.
     records: Vec<TaskRecord>,
-    fresh_completions: Vec<(TaskId, Micros)>,
+    /// `records[..completions_drained]` have been handed out by
+    /// [`SimFalkon::drain_completions`].
+    completions_drained: usize,
     submitted: u64,
     failed: u64,
     gc_counter: u64,
@@ -311,7 +314,7 @@ impl SimFalkon {
             }),
             instance: None,
             records: Vec::new(),
-            fresh_completions: Vec::new(),
+            completions_drained: 0,
             submitted: 0,
             failed: 0,
             gc_counter: 0,
@@ -410,8 +413,9 @@ impl SimFalkon {
     }
 
     /// The merged observability recorder: the dispatcher's event stream
-    /// (histograms + time series on virtual time) plus every executor's
-    /// counter shard. All timestamps are virtual-time [`Micros`].
+    /// (counters and histograms of virtual-time durations) plus every
+    /// executor's counter shard. The recorder is fixed-size, so the copy
+    /// is bucket counts, not samples.
     pub fn obs(&self) -> Recorder {
         let mut obs = self.dispatcher.probe().clone();
         for m in &self.executors.machines {
@@ -423,28 +427,24 @@ impl SimFalkon {
     /// Submit tasks at time `at` (must be ≥ the current time). Respects the
     /// configured bundle size and client submit rate.
     pub fn submit(&mut self, at: Micros, tasks: Vec<TaskSpec>) {
+        self.submit_stream(at, tasks.into_iter());
+    }
+
+    /// [`SimFalkon::submit`] for tasks that need not exist yet: the client
+    /// draws each bundle from `tasks` when the bundle is due, so a long
+    /// paced run holds the bundles in flight, not the whole workload.
+    pub fn submit_stream(
+        &mut self,
+        at: Micros,
+        tasks: impl ExactSizeIterator<Item = TaskSpec> + 'static,
+    ) {
         assert!(at >= self.now, "submission in the past");
         self.submitted += tasks.len() as u64;
-        let chunks = bundles(tasks, self.config.bundle_size.max(1));
-        match self.config.client_submit_rate {
-            None => {
-                for (i, chunk) in chunks.into_iter().enumerate() {
-                    // The +i offset preserves FIFO between bundles.
-                    self.queue.push(
-                        falkon_sim::SimTime::from_micros(at + i as Micros),
-                        Ev::ClientSubmit(chunk),
-                    );
-                }
-            }
-            Some(rate) => {
-                let mut t = at;
-                for chunk in chunks {
-                    let gap = (chunk.len() as f64 / rate * 1e6) as Micros;
-                    self.queue
-                        .push(falkon_sim::SimTime::from_micros(t), Ev::ClientSubmit(chunk));
-                    t += gap.max(1);
-                }
-            }
+        if tasks.len() > 0 {
+            self.queue.push(
+                falkon_sim::SimTime::from_micros(at),
+                Ev::ClientSubmit(Box::new(tasks)),
+            );
         }
     }
 
@@ -455,7 +455,12 @@ impl SimFalkon {
 
     /// Completions recorded since the last call (for provider use).
     pub fn drain_completions(&mut self) -> Vec<(TaskId, Micros)> {
-        std::mem::take(&mut self.fresh_completions)
+        let fresh = &self.records[self.completions_drained..];
+        self.completions_drained = self.records.len();
+        fresh
+            .iter()
+            .map(|r| (r.result.id, r.completed_us))
+            .collect()
     }
 
     /// Process all events with time ≤ `t`.
@@ -498,6 +503,7 @@ impl SimFalkon {
         }
         let mut out = self.summary();
         out.records = std::mem::take(&mut self.records);
+        self.completions_drained = 0;
         out.queue_series = std::mem::take(&mut self.queue_series);
         out.busy_series = std::mem::take(&mut self.busy_series);
         out.registered_series = std::mem::take(&mut self.registered_series);
@@ -575,7 +581,20 @@ impl SimFalkon {
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::ClientSubmit(tasks) => {
+            Ev::ClientSubmit(mut rest) => {
+                let tasks: Vec<TaskSpec> =
+                    rest.by_ref().take(self.config.bundle_size.max(1)).collect();
+                if rest.len() > 0 {
+                    // Unpaced bundles go 1 µs apart, which keeps them FIFO.
+                    let gap = self
+                        .config
+                        .client_submit_rate
+                        .map_or(1, |rate| (tasks.len() as f64 / rate * 1e6) as Micros);
+                    self.queue.push(
+                        falkon_sim::SimTime::from_micros(self.now + gap.max(1)),
+                        Ev::ClientSubmit(rest),
+                    );
+                }
                 let instance = self.instance();
                 self.send_to_dispatcher(DispatcherEvent::Submit { instance, tasks });
             }
@@ -685,6 +704,7 @@ impl SimFalkon {
     fn dispatch(&mut self, ev: DispatcherEvent) {
         let mut out = std::mem::take(&mut self.disp_out);
         self.dispatcher.on_event(self.now, ev, &mut out);
+        let mut notified = false;
         for act in out.drain(..) {
             match act {
                 DispatcherAction::ToExecutor { executor, msg } => {
@@ -696,14 +716,13 @@ impl SimFalkon {
                         Ev::ExecRecv(executor.0 as u32, msg),
                     );
                 }
-                DispatcherAction::ToClient { .. } => {
+                DispatcherAction::ToClient { msg, .. } => {
                     // Client-side handling is not on the measured path; the
                     // send still costs dispatcher CPU.
                     self.charge_dispatcher_send();
+                    notified |= matches!(msg, Message::ClientNotify { .. });
                 }
                 DispatcherAction::TaskDone { record, .. } => {
-                    self.fresh_completions
-                        .push((record.result.id, record.completed_us));
                     crate::trace::record(&record);
                     self.records.push(record);
                     self.completed += 1;
@@ -714,6 +733,15 @@ impl SimFalkon {
                 }
                 DispatcherAction::ToProvisioner { .. } => {}
             }
+        }
+        if notified {
+            // The client picks its results up when told they are ready
+            // (messages {9,10}), so the dispatcher holds none it has
+            // announced. Uncosted, like every client-side step.
+            let instance = self.instance();
+            self.dispatcher
+                .on_event(self.now, DispatcherEvent::GetResults { instance }, &mut out);
+            out.clear();
         }
         self.disp_out = out;
         self.arm_deadline();
@@ -1185,6 +1213,60 @@ mod tests {
         dry.submit(0, sleep_tasks(200, 0));
         let without_io = dry.run_until_drained();
         assert!(with_io.makespan_us > without_io.makespan_us);
+    }
+
+    #[test]
+    fn streamed_client_makes_each_bundle_when_it_is_due() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        // 100 tasks/s in bundles of 10: one bundle every 100 ms.
+        let mut sim = SimFalkon::new(SimFalkonConfig {
+            executors: 4,
+            bundle_size: 10,
+            client_submit_rate: Some(100.0),
+            ..SimFalkonConfig::default()
+        });
+        let made = Rc::new(Cell::new(0usize));
+        let counter = Rc::clone(&made);
+        sim.submit_stream(
+            0,
+            (0..100usize).map(move |i| {
+                counter.set(counter.get() + 1);
+                TaskSpec::sleep(i as u64, 0)
+            }),
+        );
+        assert_eq!(sim.submitted(), 100, "the total is known up front");
+        assert_eq!(
+            made.get(),
+            0,
+            "nothing exists before the first bundle is due"
+        );
+        sim.advance_to(250_000);
+        assert_eq!(made.get(), 30, "bundles due at 0, 100 and 200 ms");
+        let out = sim.run_until_drained();
+        assert_eq!((made.get(), out.tasks), (100, 100));
+    }
+
+    #[test]
+    fn client_picks_results_up_when_notified() {
+        let mut sim = SimFalkon::new(SimFalkonConfig {
+            executors: 8,
+            ..SimFalkonConfig::default()
+        });
+        sim.submit(0, sleep_tasks(500, 0));
+        assert_eq!(sim.run_until_drained().tasks, 500);
+        // Nothing is left waiting for a client that already has it.
+        let instance = sim.instance();
+        let mut out = Vec::new();
+        sim.dispatcher
+            .on_event(sim.now, DispatcherEvent::GetResults { instance }, &mut out);
+        assert!(matches!(
+            &out[..],
+            [DispatcherAction::ToClient {
+                msg: Message::Results { results },
+                ..
+            }] if results.is_empty()
+        ));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`Counters`] — per-[`ObsEventKind`] event counts and value sums. The
 //!   machines keep one internally, which is what their `stats()` accessors
 //!   are derived from.
-//! * [`Recorder`] — counters plus latency [`Histogram`]s and a queue-depth
-//!   [`TimeSeries`]; mounted by the drivers (one per thread in `falkon-rt`,
-//!   merged at join) to report p50/p90/p99/max dispatch overhead.
+//! * [`Recorder`] — counters plus fixed-size latency [`Histogram`]s;
+//!   mounted by the drivers (one per thread in `falkon-rt`, merged at
+//!   join) to report p50/p90/p99/max dispatch overhead.
 //!
 //! Wire-level byte accounting goes through [`WireTap`]: drivers report raw
 //! byte counts (with an explicit `now`) and the tap constructs the

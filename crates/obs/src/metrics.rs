@@ -1,18 +1,60 @@
 //! Measurement primitives used to regenerate the paper's figures:
-//! histograms (Figure 10 per-task overhead), time series with moving
-//! averages (Figure 8 throughput), and scalar summaries (Tables 2–4).
+//! fixed-size latency histograms (the recorder's per-task queue, run and
+//! overhead times), time series with moving averages (Figure 8
+//! throughput), and scalar summaries (Tables 2–4).
 
 use crate::time::{SimDuration, SimTime};
 
-/// An exact-sample histogram with percentile queries.
+/// Sub-buckets per octave, as a power of two: 2^5 = 32.
+const SUB_BITS: u32 = 5;
+/// Sub-buckets per octave.
+const SUB: usize = 1 << SUB_BITS;
+
+/// A fixed-size, mergeable, log-linear histogram with quantile queries.
 ///
-/// Samples are stored raw (u64, caller-chosen unit, typically microseconds)
-/// and sorted lazily on query. At the scales used here (≤ a few million
-/// samples) this is simpler and more accurate than bucketing.
+/// A sample (u64, caller-chosen unit, typically microseconds) bumps one
+/// bucket count and is not kept. Values below 64 have a bucket each;
+/// above that every octave `[2^k, 2^(k+1))` is cut into 32 equal
+/// sub-buckets, so a bucket is never wider than 1/32 of its lower bound.
+/// [`Histogram::quantile`] answers with the upper bound of the bucket that
+/// holds the exact nearest-rank sample (clamped to the exact maximum): the
+/// answer is never below that sample and at most 1/32 ≈ 3.2 % above it,
+/// and `quantile(1.0)` is the maximum. `count`, `min`, `max` and `mean`
+/// are exact.
+///
+/// The bucket array grows to the highest bucket a sample touched and never
+/// past 1,920 counts (15 KiB) — the size is set by the range of the values,
+/// not by how many were recorded — and [`Histogram::merge`] adds counts.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
+    /// `counts[bucket_of(v)]` samples fell in that bucket.
+    counts: Vec<u64>,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+/// The bucket `value` falls in.
+fn bucket_of(value: u64) -> usize {
+    if value < SUB as u64 {
+        return value as usize;
+    }
+    // `shift` drops everything below the leading one and the SUB_BITS
+    // bits after it; those bits, leading one included, are SUB..2*SUB.
+    let shift = (63 - SUB_BITS) - value.leading_zeros();
+    shift as usize * SUB + (value >> shift) as usize
+}
+
+/// The largest value that falls in `bucket`.
+fn bucket_upper(bucket: usize) -> u64 {
+    if bucket < 2 * SUB {
+        return bucket as u64;
+    }
+    let shift = (bucket / SUB - 1) as u32;
+    let top = (SUB + bucket % SUB) as u64;
+    // The last bucket's bound is `u64::MAX`; wrapping keeps it so.
+    ((top + 1) << shift).wrapping_sub(1)
 }
 
 impl Histogram {
@@ -23,8 +65,17 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-        self.sorted = false;
+        let bucket = bucket_of(value);
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+        }
+        self.counts[bucket] += 1;
+        if self.count == 0 || value < self.min {
+            self.min = value;
+        }
+        self.max = self.max.max(value);
+        self.count += 1;
+        self.sum += value as u128;
     }
 
     /// Record a duration in microseconds.
@@ -32,82 +83,64 @@ impl Histogram {
         self.record(d.as_micros());
     }
 
-    /// Absorb every sample of `other` (sharded-recorder merge).
+    /// Absorb `other` (sharded-recorder merge): equal to having recorded
+    /// both sample streams into one histogram.
     pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
+        if other.count == 0 {
+            return;
+        }
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        if self.count == 0 || other.min < self.min {
+            self.min = other.min;
+        }
+        self.max = self.max.max(other.max);
+        self.count += other.count;
+        self.sum += other.sum;
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.count as usize
     }
 
     /// Arithmetic mean, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.samples.iter().map(|&v| v as f64).sum::<f64>() / self.samples.len() as f64
+        self.sum as f64 / self.count as f64
     }
 
     /// Smallest sample, or 0 when empty.
     pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
+        self.min
     }
 
     /// Largest sample, or 0 when empty.
     pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
+        self.max
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-    }
-
-    /// The `q`-th quantile (0.0 ..= 1.0) by nearest-rank; 0 when empty.
-    pub fn quantile(&mut self, q: f64) -> u64 {
-        if self.samples.is_empty() {
+    /// The `q`-th quantile (0.0 ..= 1.0) by nearest rank, to within the
+    /// bucket width (see the type docs); 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
             return 0;
         }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[rank]
-    }
-
-    /// Fraction of samples at or below `threshold`.
-    pub fn fraction_le(&self, threshold: u64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
+        let rank = ((self.count as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as u64;
+        let mut seen = 0u64;
+        for (bucket, &n) in self.counts.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                return bucket_upper(bucket).min(self.max);
+            }
         }
-        let n = self.samples.iter().filter(|&&v| v <= threshold).count();
-        n as f64 / self.samples.len() as f64
-    }
-
-    /// Bucket the samples into `n` equal-width bins over `[min, max]`,
-    /// returning `(bucket_upper_bound, count)` pairs. Used to print the
-    /// Figure 10 overhead distribution.
-    pub fn bins(&self, n: usize) -> Vec<(u64, usize)> {
-        if self.samples.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let lo = self.min();
-        let hi = self.max().max(lo + 1);
-        let width = ((hi - lo) as f64 / n as f64).max(1.0);
-        let mut counts = vec![0usize; n];
-        for &s in &self.samples {
-            let idx = (((s - lo) as f64 / width) as usize).min(n - 1);
-            counts[idx] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (lo + ((i + 1) as f64 * width) as u64, c))
-            .collect()
+        self.max
     }
 }
 
@@ -127,13 +160,6 @@ impl TimeSeries {
     pub fn push(&mut self, t: SimTime, v: f64) {
         debug_assert!(self.points.last().is_none_or(|&(lt, _)| lt <= t));
         self.points.push((t, v));
-    }
-
-    /// Absorb every point of `other`, re-sorting by time (sharded-recorder
-    /// merge: per-thread series are individually ordered but interleave).
-    pub fn merge(&mut self, other: &TimeSeries) {
-        self.points.extend_from_slice(&other.points);
-        self.points.sort_by_key(|a| a.0);
     }
 
     /// All recorded points.
@@ -283,33 +309,49 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fraction_le() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
+    fn buckets_tile_the_u64_range_without_gaps() {
+        assert_eq!(bucket_of(u64::MAX), 1919, "1,920 buckets in all");
+        assert_eq!(bucket_upper(1919), u64::MAX);
+        for bucket in 0..1919 {
+            let upper = bucket_upper(bucket);
+            assert_eq!(bucket_of(upper), bucket);
+            assert_eq!(bucket_of(upper + 1), bucket + 1);
         }
-        assert!((h.fraction_le(50) - 0.5).abs() < 1e-12);
-        assert_eq!(h.fraction_le(0), 0.0);
-        assert_eq!(h.fraction_le(1000), 1.0);
     }
 
     #[test]
-    fn histogram_bins_cover_all_samples() {
+    fn size_follows_the_value_range_not_the_sample_count() {
         let mut h = Histogram::new();
-        for v in 0..1000u64 {
+        for v in 0..1_000_000u64 {
+            h.record(v % 50_000);
+        }
+        assert_eq!(h.count(), 1_000_000);
+        assert_eq!(h.counts.len(), bucket_of(49_999) + 1);
+        assert!(h.counts.len() < 400);
+    }
+
+    #[test]
+    fn quantile_is_within_one_bucket_above_the_exact_sample() {
+        let mut h = Histogram::new();
+        for v in 1..=100_000u64 {
             h.record(v);
         }
-        let bins = h.bins(10);
-        assert_eq!(bins.len(), 10);
-        assert_eq!(bins.iter().map(|&(_, c)| c).sum::<usize>(), 1000);
+        // Exact nearest rank: round(99_999 * 0.5) = 50_000 → sample 50_001.
+        let p50 = h.quantile(0.5);
+        assert!(
+            (50_001..=50_001 + 50_001 / 32).contains(&p50),
+            "p50 = {p50}"
+        );
+        assert_eq!(h.quantile(1.0), 100_000);
+        assert_eq!(h.quantile(0.0), 1);
     }
 
     #[test]
     fn empty_histogram_is_safe() {
-        let mut h = Histogram::new();
+        let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.bins(4).is_empty());
+        assert_eq!((h.min(), h.max()), (0, 0));
     }
 
     #[test]
@@ -353,24 +395,6 @@ mod tests {
         assert!(thinned.len() <= 100);
         assert_eq!(thinned[0].1, 0.0);
         assert_eq!(thinned.last().unwrap().1, 999.0, "last point preserved");
-    }
-
-    #[test]
-    fn timeseries_merge_sorts_by_time() {
-        let mut a = TimeSeries::new();
-        let mut b = TimeSeries::new();
-        for i in [0u64, 2, 4] {
-            a.push(SimTime::from_secs(i), i as f64);
-        }
-        for i in [1u64, 3, 5] {
-            b.push(SimTime::from_secs(i), i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), 6);
-        let times: Vec<u64> = a.points().iter().map(|&(t, _)| t.as_micros()).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! [`Recorder`]: the aggregating probe mounted by the drivers.
 
-use crate::metrics::{Histogram, TimeSeries};
+use crate::metrics::Histogram;
 use crate::probe::{Counters, ObsEvent, Probe};
-use crate::time::SimTime;
 use crate::Micros;
 
-/// Aggregates the event stream into counters, latency histograms, and a
-/// queue-depth time series.
+/// Aggregates the event stream into counters and latency histograms. Its
+/// size is fixed: nothing in it grows with the number of events observed.
 ///
 /// Both drivers mount one: the simulator on the dispatcher (virtual time),
 /// the real-time runtime one per thread (wall-clock-derived micros), merged
@@ -23,8 +22,6 @@ pub struct Recorder {
     /// Per-task dispatch overhead (µs): lifetime minus execution time,
     /// from `TaskCompleted`. Drives the p50/p90/p99/max report.
     pub overhead_us: Histogram,
-    /// Wait-queue depth over time, from `QueueDepth` samples.
-    pub queue_depth: TimeSeries,
 }
 
 impl Recorder {
@@ -39,7 +36,6 @@ impl Recorder {
         self.queue_time_us.merge(&other.queue_time_us);
         self.exec_time_us.merge(&other.exec_time_us);
         self.overhead_us.merge(&other.overhead_us);
-        self.queue_depth.merge(&other.queue_depth);
     }
 
     /// Absorb a bare counter set (machines expose their internal
@@ -50,7 +46,7 @@ impl Recorder {
 }
 
 impl Probe for Recorder {
-    fn on_event(&mut self, now: Micros, event: &ObsEvent) {
+    fn on_event(&mut self, _now: Micros, event: &ObsEvent) {
         self.counters.observe(event);
         match *event {
             ObsEvent::TaskDispatched { queue_us } => self.queue_time_us.record(queue_us),
@@ -61,10 +57,6 @@ impl Probe for Recorder {
             } => {
                 self.exec_time_us.record(exec_us);
                 self.overhead_us.record(overhead_us);
-            }
-            ObsEvent::QueueDepth { depth } => {
-                self.queue_depth
-                    .push(SimTime::from_micros(now), depth as f64);
             }
             _ => {}
         }
@@ -95,8 +87,7 @@ mod tests {
         assert_eq!(r.queue_time_us.count(), 1);
         assert_eq!(r.exec_time_us.count(), 1);
         assert_eq!(r.overhead_us.max(), 60);
-        assert_eq!(r.queue_depth.len(), 1);
-        assert_eq!(r.queue_depth.points()[0].1, 4.0);
+        assert_eq!(r.counters.value(ObsEventKind::QueueDepth), 4);
         assert_eq!(r.counters.count(ObsEventKind::TaskStarted), 1);
     }
 
@@ -110,6 +101,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counters.count(ObsEventKind::TaskDispatched), 2);
         assert_eq!(a.queue_time_us.count(), 2);
-        assert_eq!(a.queue_depth.len(), 1);
+        assert_eq!(a.counters.count(ObsEventKind::QueueDepth), 1);
     }
 }

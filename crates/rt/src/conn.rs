@@ -19,6 +19,15 @@
 //! `Draining` are bounded by [`PEER_PATIENCE_US`] through the connection's
 //! deadline, which the engine folds into its poll timeout.
 //!
+//! # Read path
+//!
+//! An idle connection holds no read buffer. Each thread has one
+//! ([`READ_BUF`]); [`Conn::fill`] borrows it for the `read`, and the
+//! connection hands it back as soon as every byte it received has been
+//! yielded as a frame. Only a connection left mid-frame keeps a buffer —
+//! the next borrower then starts a fresh one — so read memory is
+//! O(connections mid-frame), not O(connections).
+//!
 //! # Write path
 //!
 //! There is exactly one outbound path: [`Conn::enqueue`] encodes (and
@@ -37,11 +46,22 @@ use falkon_proto::codec::{Codec, EfficientCodec};
 use falkon_proto::frame::{begin_frame, end_frame, write_frame, FrameCursor};
 use falkon_proto::message::Message;
 use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel};
+use std::cell::Cell;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NONCE: AtomicU64 = AtomicU64::new(0x9E37_79B9);
+
+thread_local! {
+    /// This thread's read buffer, when no connection has it borrowed.
+    static READ_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Largest read buffer worth keeping for the next borrower — room for a
+/// 300-task bundle of 1 KiB tasks with its growth slack. One grown past
+/// this by a larger frame is freed when its connection lets go of it.
+const MAX_READ_BUF_BYTES: usize = 1024 * 1024;
 
 /// Security setting for a TCP deployment: `Some(psk)` enables the secure
 /// conversation stand-in on every connection.
@@ -95,9 +115,10 @@ pub struct Closed {
 /// A framed, optionally sealed, nonblocking TCP connection.
 ///
 /// Inbound is zero-copy: the socket reads straight into the cursor's
-/// buffer, each frame is a borrowed view, the secure path unseals it in
-/// place, and the codec decodes from it. All three buffers come from (and
-/// return to) the [`crate::bufpool`] free-list.
+/// buffer — the thread's, borrowed while bytes are buffered (see the
+/// module docs) — each frame is a borrowed view, the secure path unseals
+/// it in place, and the codec decodes from it. The two write-side buffers
+/// are the connection's own and grow with what it sends.
 pub struct Conn {
     stream: TcpStream,
     phase: Phase,
@@ -134,12 +155,12 @@ impl Conn {
             stream,
             phase: Phase::Announce,
             deadline_us: None,
-            cursor: FrameCursor::with_buf(crate::bufpool::take()),
+            cursor: FrameCursor::new(),
             opener: None,
             sealer: None,
             codec: EfficientCodec,
-            writebuf: crate::bufpool::take(),
-            batchbuf: crate::bufpool::take(),
+            writebuf: Vec::new(),
+            batchbuf: Vec::new(),
             batch_pos: 0,
             clock,
             wire: WireTap::new(),
@@ -210,9 +231,30 @@ impl Conn {
     /// One `read()` straight into the frame cursor's buffer. Returns the
     /// byte count (0 = EOF); `WouldBlock` surfaces as an error.
     pub fn fill(&mut self) -> io::Result<usize> {
-        let n = self.stream.read(self.cursor.space(1))?;
-        self.cursor.commit(n);
-        Ok(n)
+        if self.cursor.buffered() == 0 {
+            // Nothing to keep: read into the thread's buffer (after giving
+            // back one this connection may still hold behind a last frame).
+            self.release_read_buf();
+            self.cursor = FrameCursor::with_buf(READ_BUF.take());
+        }
+        let read = self.stream.read(self.cursor.space(1));
+        if let Ok(n) = read {
+            self.cursor.commit(n);
+        }
+        self.release_read_buf();
+        read
+    }
+
+    /// Hand the read buffer back to the thread once nothing is buffered.
+    fn release_read_buf(&mut self) {
+        if self.cursor.buffered() == 0 {
+            let buf = std::mem::take(&mut self.cursor).into_buf();
+            // A cursor that held no buffer (capacity 0) has nothing to give
+            // back, and must not displace the one the thread has.
+            if (1..=MAX_READ_BUF_BYTES).contains(&buf.capacity()) {
+                READ_BUF.set(buf);
+            }
+        }
     }
 
     /// Advance on what is already buffered, never touching the socket:
@@ -224,6 +266,8 @@ impl Conn {
             return Ok(Some(Inbound::Opened));
         }
         let Some(frame) = self.cursor.next_frame().map_err(invalid)? else {
+            // The last frame's view is no longer in use: let the buffer go.
+            self.release_read_buf();
             return Ok(None);
         };
         if let Phase::Hello(chan) = &mut self.phase {
@@ -322,13 +366,5 @@ impl Conn {
             cause,
             wire,
         }
-    }
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        crate::bufpool::give(std::mem::take(&mut self.cursor).into_buf());
-        crate::bufpool::give(std::mem::take(&mut self.writebuf));
-        crate::bufpool::give(std::mem::take(&mut self.batchbuf));
     }
 }

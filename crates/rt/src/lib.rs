@@ -29,7 +29,6 @@
 // clippy.toml bans these methods everywhere else.
 #![allow(clippy::disallowed_methods)]
 
-pub mod bufpool;
 pub mod clock;
 pub mod conn;
 pub mod engine;

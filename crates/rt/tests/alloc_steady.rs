@@ -1,4 +1,5 @@
-//! Steady-state allocation accounting for the zero-copy inbound TCP path.
+//! Allocation accounting for the zero-copy inbound TCP path: what a warm
+//! connection allocates per task, and what an idle one keeps.
 //!
 //! The zero-copy rewrite's contract is that receiving a task over TCP
 //! allocates nothing per task once the connection is warm: the socket reads
@@ -14,11 +15,18 @@
 //! when it wants more bytes), so the count covers exactly the path every
 //! server shard and peer runs.
 //!
-//! Ordering protocol: no synchronizes-with edges. The allocation counter is
-//! a monotonic `Relaxed` tally; the test is effectively single-threaded
-//! around the measured region (the peer writes *before* the reader starts
-//! draining, and the count is read after `recv` returns on the same
-//! thread), so program order — not the atomic — sequences the reads.
+//! A second test pins the other half of the read path's contract: a
+//! connection that has received and decoded its traffic and gone idle
+//! holds no read buffer — it borrowed the thread's and handed it back — so
+//! hundreds of registered, idle executor connections cost the server a
+//! few bytes each, not a 64 KiB read space each.
+//!
+//! Ordering protocol: no synchronizes-with edges. The allocation counter
+//! and the live-byte tally are `Relaxed`; the tests take turns (`SERIAL`)
+//! and each is effectively single-threaded around its measured region (the
+//! peer writes *before* the reader starts draining, and the tallies are
+//! read after `recv` returns on the same thread), so program order — not
+//! the atomics — sequences the reads.
 
 use falkon_proto::{Codec, EfficientCodec, Message, TaskSpec};
 use falkon_rt::clock::Clock;
@@ -27,12 +35,19 @@ use falkon_rt::poll::{poll_wait, PollFd, POLLIN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-/// Counts allocations (not frees): the invariant under test is that the
-/// steady-state inbound path requests no fresh memory per task.
+/// Counts allocations (not frees) — the steady-state inbound path must
+/// request no fresh memory per task — and tallies live bytes, for what an
+/// idle connection keeps.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Live heap bytes, modulo 2^64 (only differences are read).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The tallies are process-wide: one test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 // SAFETY: delegates every operation unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a side effect only.
@@ -41,18 +56,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // Relaxed: monotonic tally read on the same thread that bumps it
         // during the measured region; no data is published over this edge.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // Relaxed: as above.
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `layout` is the caller's layout.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // Relaxed: as above.
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `ptr`/`layout` came from this
         // allocator's `alloc` per the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Relaxed: as above, all three.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim per the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +85,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// The next decoded message, the way the engine gets it: decode what is
@@ -95,6 +121,7 @@ fn recv(conn: &mut Conn) -> Message {
 fn inbound_tcp_path_is_allocation_free_per_task() {
     const TASKS_PER_BUNDLE: u64 = 500;
     const BUNDLES: u64 = 20;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -150,5 +177,62 @@ fn inbound_tcp_path_is_allocation_free_per_task() {
         per_message <= 8.0,
         "inbound path allocated {per_message} times per 500-task message; \
          per-task allocations have crept back in"
+    );
+}
+
+#[test]
+fn idle_registered_connections_hold_no_read_buffer() {
+    const CONNS: usize = 256;
+    const PER_CONN_BUDGET: u64 = 16 * 1024;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let clock = Clock::start();
+    // The executors' ends are raw sockets, and everything either end needs
+    // exists before the tally starts: only the server's `Conn`s are counted.
+    let mut peers = Vec::with_capacity(CONNS);
+    let mut accepted = Vec::with_capacity(CONNS);
+    let mut registrations = Vec::with_capacity(CONNS);
+    for id in 0..CONNS as u64 {
+        peers.push(TcpStream::connect(addr).expect("connect"));
+        accepted.push(listener.accept().expect("accept").0);
+        let register = Message::Register {
+            executor: falkon_proto::message::ExecutorId(id),
+            host: format!("node-{id}"),
+        };
+        let mut framed = Vec::new();
+        falkon_proto::write_frame(&mut framed, &EfficientCodec.encode(&register));
+        registrations.push(framed);
+    }
+    let mut conns: Vec<Conn> = Vec::with_capacity(CONNS);
+
+    let before = live_bytes();
+    use std::io::Write;
+    for ((stream, peer), framed) in accepted.into_iter().zip(&mut peers).zip(&registrations) {
+        let mut conn = Conn::new(stream, None, clock).expect("conn");
+        peer.write_all(framed).expect("write");
+        // Register, acknowledge, and go idle: the server's side of an
+        // executor that is waiting for work.
+        let Message::Register { executor, .. } = recv(&mut conn) else {
+            panic!("expected a registration");
+        };
+        conn.enqueue(&Message::RegisterAck { executor })
+            .expect("enqueue");
+        assert!(conn.flush().expect("flush"), "a small ack leaves at once");
+        // The engine polls once more after the last frame before it waits.
+        assert!(conn.poll_inbound().expect("decode").is_none());
+        conns.push(conn);
+    }
+    let held = live_bytes().wrapping_sub(before);
+
+    eprintln!(
+        "{CONNS} idle connections hold {held} B ({} B each)",
+        held / CONNS as u64
+    );
+    assert!(
+        held < CONNS as u64 * PER_CONN_BUDGET,
+        "{CONNS} registered, idle connections hold {held} B of heap: \
+         more than {PER_CONN_BUDGET} B each — read buffers are being kept per connection"
     );
 }
