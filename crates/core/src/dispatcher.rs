@@ -101,6 +101,8 @@ pub struct TaskRecord {
     pub attempts: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 72);
+
 impl TaskRecord {
     /// Time spent waiting in the dispatch queue (µs).
     pub fn queue_time_us(&self) -> Micros {
@@ -786,9 +788,10 @@ impl<P: Probe> Dispatcher<P> {
             let mut delivered = 0u64;
             if let Some(inst) = self.instances.get_mut(r.instance) {
                 inst.pending = inst.pending.saturating_sub(1);
-                let mut res = TaskResult::failure(r.spec.id, -1);
-                res.stderr = Some("falkon: retries exhausted".to_string());
-                inst.ready.push(res);
+                inst.ready.push(
+                    TaskResult::failure(r.spec.id, -1)
+                        .with_output(None, Some("falkon: retries exhausted".to_string())),
+                );
                 inst.unnotified += 1;
                 let ready = inst.ready.len() as u64;
                 if inst.unnotified >= self.config.client_notify_batch || inst.pending == 0 {

@@ -83,14 +83,10 @@ mod tests {
     use falkon_proto::task::{TaskId, TaskResult};
 
     fn rec(id: u64) -> TaskRecord {
+        let mut result = TaskResult::success(TaskId(id));
+        result.executor_time_us = 5;
         TaskRecord {
-            result: TaskResult {
-                id: TaskId(id),
-                exit_code: 0,
-                stdout: None,
-                stderr: None,
-                executor_time_us: 5,
-            },
+            result,
             enqueued_us: 10,
             dispatched_us: 30,
             completed_us: 90,

@@ -8,7 +8,7 @@
 //! queue has drained, everything but `records` is back to a constant.
 //!
 //! Calibration (quick scale: 120,000 tasks, peak queue 82,549): this tree
-//! peaks at 33.7 MB against a bound of 50.1 MB and holds 0.2 MB besides
+//! peaks at 21.6 MB against a bound of 32.6 MB and holds 0.2 MB besides
 //! `records` after the drain. The parent of the change that added this test
 //! read 68.4 MB at the peak — the client's whole workload materialised
 //! twice, a 224-byte ring entry per queued task, every result kept for a
@@ -79,10 +79,10 @@ fn live() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
-/// Bytes a queued task may hold live: a 200-byte `TaskSpec` in the bundle
+/// Bytes a queued task may hold live: a 128-byte `TaskSpec` in the bundle
 /// it arrived in, with room for a bundle's buffer kept whole behind its
 /// last few tasks.
-const PER_QUEUED: usize = 256;
+const PER_QUEUED: usize = 160;
 
 /// Bytes a submitted task may hold live for the whole run: its
 /// `TaskRecord`, twice over because `records` grows by doubling.

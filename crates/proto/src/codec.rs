@@ -174,11 +174,14 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
     const C: &str = "TaskSpec";
     let id = TaskId(r.u64(C)?);
     let command = istr(r, C)?;
-    let nargs = r.len(C)?;
-    let mut args = Args::new();
-    for _ in 0..nargs {
-        args.push(istr(r, C)?);
-    }
+    let args = match r.len(C)? {
+        0 => Args::new(),
+        1 => Args::one(istr(r, C)?),
+        // One argument is every measured task: built directly, it decodes
+        // in half the time the general `collect` takes. `collect` and not
+        // `push` for the rest: a push re-boxes the whole list.
+        n => (0..n).map(|_| istr(r, C)).collect::<Result<Args, _>>()?,
+    };
     let nenv = r.len(C)?;
     let mut env = Vec::with_capacity(nenv.min(1024));
     for _ in 0..nenv {
@@ -226,20 +229,20 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
 fn encode_result<S: Sink>(s: &mut S, res: &TaskResult) {
     s.put_u64(res.id.0);
     s.put_i32(res.exit_code);
-    s.put_opt_string(&res.stdout);
-    s.put_opt_string(&res.stderr);
+    s.put_opt_string(res.stdout());
+    s.put_opt_string(res.stderr());
     s.put_u64(res.executor_time_us);
 }
 
 fn decode_result(r: &mut Reader<'_>) -> Result<TaskResult, CodecError> {
     const C: &str = "TaskResult";
-    Ok(TaskResult {
-        id: TaskId(r.u64(C)?),
-        exit_code: r.i32(C)?,
-        stdout: r.opt_string(C)?,
-        stderr: r.opt_string(C)?,
-        executor_time_us: r.u64(C)?,
-    })
+    let id = TaskId(r.u64(C)?);
+    let exit_code = r.i32(C)?;
+    let stdout = r.opt_string(C)?;
+    let stderr = r.opt_string(C)?;
+    let mut res = TaskResult::failure(id, exit_code).with_output(stdout, stderr);
+    res.executor_time_us = r.u64(C)?;
+    Ok(res)
 }
 
 fn encode_tasks<S: Sink>(s: &mut S, tasks: &[TaskSpec]) {
@@ -430,6 +433,8 @@ mod tests {
     use super::*;
 
     fn sample_messages() -> Vec<Message> {
+        let mut captured = TaskResult::success(TaskId(1)).with_output(Some("ok".into()), None);
+        captured.executor_time_us = 1234;
         vec![
             Message::CreateInstance,
             Message::InstanceCreated {
@@ -460,13 +465,7 @@ mod tests {
             },
             Message::Result {
                 executor: ExecutorId(3),
-                results: vec![TaskResult {
-                    id: TaskId(1),
-                    exit_code: 0,
-                    stdout: Some("ok".into()),
-                    stderr: None,
-                    executor_time_us: 1234,
-                }],
+                results: vec![captured],
             },
             Message::ResultAck {
                 piggybacked: vec![TaskSpec::sleep(5, 1)],

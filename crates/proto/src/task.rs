@@ -59,33 +59,33 @@ pub struct DataSpec {
     pub access: DataAccess,
 }
 
-/// A shared task string: either a pointer into the static intern tables or
-/// a reference-counted heap string.
+/// A shared task string, 16 bytes: either a thin pointer to an entry of
+/// the static intern tables or a reference-counted heap string.
 ///
 /// The microbenchmark workloads funnel millions of `sleep N /tmp` tasks
-/// through encode→decode→clone→drop cycles; with `Arc<str>` fields every
-/// hop cost six refcount RMWs per task even when the strings were interned.
-/// An interned [`IStr`] is a `&'static str`, so cloning and dropping it is
-/// free and decode touches no shared cache line. Strings outside the
-/// interned set fall back to `Arc<str>` and behave exactly as before.
+/// through encode→decode→clone→drop cycles, and a queued task holds three
+/// of these. An interned [`IStr`] points at the `'static` place that holds
+/// the table's `&'static str`, so cloning and dropping it is free, decode
+/// touches no shared cache line, and the pointer fits in the word beside
+/// the `Arc`'s niche. Strings outside the interned set are one `Arc<str>`
+/// allocation.
 #[derive(Clone)]
 pub struct IStr(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// A string from the intern tables (or any `'static` literal).
-    Static(&'static str),
+    /// An entry of the intern tables.
+    Static(&'static &'static str),
     /// An owned, reference-counted string.
     Shared(Arc<str>),
 }
 
-impl IStr {
-    /// Wrap a static string without consulting the intern tables. Clone and
-    /// drop of the result are free.
-    pub const fn from_static(s: &'static str) -> IStr {
-        IStr(Repr::Static(s))
-    }
+// The sizes in this file are pinned without `assert!` (the decode-path lint
+// bans it here): an array of the wrong length, or a subtraction that goes
+// below zero, does not compile.
+const _: [(); 16] = [(); std::mem::size_of::<IStr>()];
 
+impl IStr {
     /// The string contents.
     #[inline]
     pub fn as_str(&self) -> &str {
@@ -126,7 +126,7 @@ impl AsRef<str> for IStr {
 
 impl Default for IStr {
     fn default() -> IStr {
-        IStr(Repr::Static(""))
+        IStr(Repr::Static(&""))
     }
 }
 
@@ -159,19 +159,13 @@ impl fmt::Display for IStr {
 
 impl From<&str> for IStr {
     fn from(s: &str) -> IStr {
-        match interned(s) {
-            Some(st) => IStr(Repr::Static(st)),
-            None => IStr(Repr::Shared(Arc::from(s))),
-        }
+        interned(s).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(s))))
     }
 }
 
 impl From<String> for IStr {
     fn from(s: String) -> IStr {
-        match interned(&s) {
-            Some(st) => IStr(Repr::Static(st)),
-            None => IStr(Repr::Shared(Arc::from(s))),
-        }
+        interned(&s).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(s))))
     }
 }
 
@@ -182,65 +176,55 @@ impl Serialize for IStr {}
 
 impl<'de> Deserialize<'de> for IStr {}
 
-/// A task's argument list with inline storage for the common shapes.
+/// A task's argument list, 24 bytes: nothing, one argument held inline, or
+/// a boxed slice of two or more.
 ///
-/// Paper workloads pass zero, one, or two arguments per task (`sleep N`);
-/// a `Vec` would charge every decoded task a heap allocation and every drop
-/// a free just to hold one interned pointer. `Args` stores up to two
-/// entries inline and spills to a `Vec` only beyond that, so the hot decode
-/// path never allocates for the argument list. Dereferences to `[IStr]`
-/// (the spill move keeps all entries contiguous).
+/// Every paper workload passes one argument per task (`sleep N`); a `Vec`
+/// would charge every decoded task a heap allocation and every drop a free
+/// just to hold one interned pointer, and inline room for a second argument
+/// would be carried by every queued task for none of them to use.
+/// Dereferences to `[IStr]`.
 #[derive(Clone, Default)]
-pub struct Args {
-    /// Inline entries in use (0..=2); stale once `spill` is non-empty.
-    len: u8,
-    inline: [IStr; 2],
-    /// Overflow storage; once used it holds *all* entries.
-    spill: Vec<IStr>,
+pub struct Args(ArgsRepr);
+
+#[derive(Clone, Default)]
+enum ArgsRepr {
+    #[default]
+    None,
+    One(IStr),
+    /// Two or more.
+    Many(Box<[IStr]>),
 }
 
 impl Args {
     /// An empty argument list (allocates nothing).
     pub const fn new() -> Args {
-        Args {
-            len: 0,
-            inline: [IStr::from_static(""), IStr::from_static("")],
-            spill: Vec::new(),
-        }
+        Args(ArgsRepr::None)
     }
 
     /// A single-argument list (allocates nothing).
     pub fn one(arg: impl Into<IStr>) -> Args {
-        let mut args = Args::new();
-        args.push(arg);
-        args
+        Args(ArgsRepr::One(arg.into()))
     }
 
-    /// Append an argument. Allocates only when the list grows past the
-    /// inline capacity of two.
+    /// Append an argument. The first is held inline; every later one
+    /// re-boxes the slice, so build a long list with `collect`.
     pub fn push(&mut self, arg: impl Into<IStr>) {
         let arg = arg.into();
-        if !self.spill.is_empty() {
-            self.spill.push(arg);
-        } else if let Some(slot) = self.inline.get_mut(self.len as usize) {
-            *slot = arg;
-            self.len += 1;
-        } else {
-            let mut v = Vec::with_capacity(4);
-            for slot in &mut self.inline {
-                v.push(std::mem::take(slot));
+        self.0 = match std::mem::take(&mut self.0) {
+            ArgsRepr::None => ArgsRepr::One(arg),
+            ArgsRepr::One(first) => ArgsRepr::Many(Box::new([first, arg])),
+            ArgsRepr::Many(all) => {
+                let mut all = all.into_vec();
+                all.push(arg);
+                ArgsRepr::Many(all.into_boxed_slice())
             }
-            v.push(arg);
-            self.len = 0;
-            self.spill = v;
-        }
+        };
     }
 
-    /// Remove all arguments (keeps any spill capacity).
+    /// Remove all arguments.
     pub fn clear(&mut self) {
-        self.len = 0;
-        self.inline = [IStr::from_static(""), IStr::from_static("")];
-        self.spill.clear();
+        self.0 = ArgsRepr::None;
     }
 }
 
@@ -248,10 +232,10 @@ impl Deref for Args {
     type Target = [IStr];
     #[inline]
     fn deref(&self) -> &[IStr] {
-        if self.spill.is_empty() {
-            self.inline.get(..self.len as usize).unwrap_or_default()
-        } else {
-            &self.spill
+        match &self.0 {
+            ArgsRepr::None => &[],
+            ArgsRepr::One(arg) => std::slice::from_ref(arg),
+            ArgsRepr::Many(all) => all,
         }
     }
 }
@@ -272,11 +256,18 @@ impl fmt::Debug for Args {
 
 impl<S: Into<IStr>> FromIterator<S> for Args {
     fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Args {
-        let mut args = Args::new();
-        for s in iter {
-            args.push(s);
-        }
-        args
+        let mut iter = iter.into_iter().map(Into::into);
+        let Some(first) = iter.next() else {
+            return Args::new();
+        };
+        let Some(second) = iter.next() else {
+            return Args(ArgsRepr::One(first));
+        };
+        let mut all = Vec::with_capacity(2 + iter.size_hint().0);
+        all.push(first);
+        all.push(second);
+        all.extend(iter);
+        Args(ArgsRepr::Many(all.into_boxed_slice()))
     }
 }
 
@@ -294,15 +285,16 @@ impl Serialize for Args {}
 
 impl<'de> Deserialize<'de> for Args {}
 
-/// A unit of work dispatched by Falkon: an executable invocation.
+/// A unit of work dispatched by Falkon: an executable invocation, 128
+/// bytes in memory.
 ///
-/// String fields are [`IStr`]s: every hop of the enqueue→dispatch→complete
-/// pipeline clones the spec, and with 2 M tasks in flight a per-clone string
-/// allocation dominated the dispatch profile. The canonical `sleep`
-/// constructors and the decode path intern their strings, so building,
-/// cloning, or decoding a microbenchmark spec allocates nothing and bumps
-/// no refcounts at all; [`Args`] keeps the argument list inline for the
-/// same reason.
+/// The dispatcher's wait queue holds one of these per queued task (≈1.5 M at
+/// the peak of Figure 8) and every hop of the enqueue→dispatch→complete
+/// pipeline clones one, so the struct is kept small and shallow: string
+/// fields are [`IStr`]s and the argument list is an [`Args`]. The canonical
+/// `sleep` constructors and the decode path intern their strings, so
+/// building, cloning, or decoding a microbenchmark spec allocates nothing
+/// and bumps no refcounts at all.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct TaskSpec {
     /// Unique id.
@@ -323,22 +315,25 @@ pub struct TaskSpec {
     pub data: Option<DataSpec>,
 }
 
-/// The canonical command the benchmark constructors build.
-const SLEEP_COMMAND: &str = "sleep";
+const _: usize = 128 - std::mem::size_of::<TaskSpec>();
+
+/// The canonical command the benchmark constructors build. A `static`, like
+/// the decimal table below: an interned [`IStr`] points at the place.
+static SLEEP_COMMAND: &str = "sleep";
 
 /// The constructors' canonical working directory.
-const TMP_DIR: &str = "/tmp";
+static TMP_DIR: &str = "/tmp";
 
 /// Interned decimal strings for small durations: the paper's microbenchmark
 /// workloads use a handful of distinct `sleep` arguments ("0", "1", "4",
 /// "8"…) across millions of tasks. The 64 strings are leaked exactly once
 /// (a few hundred bytes for the process lifetime) so interned values are
-/// `&'static str` and carry no refcount.
-fn small_decimal(n: u64) -> Option<&'static str> {
+/// `'static` and carry no refcount.
+fn small_decimal(n: u64) -> Option<IStr> {
     static TABLE: OnceLock<[&'static str; 64]> = OnceLock::new();
     let table =
         TABLE.get_or_init(|| std::array::from_fn(|i| &*i.to_string().leak() as &'static str));
-    table.get(n as usize).copied()
+    Some(IStr(Repr::Static(table.get(n as usize)?)))
 }
 
 /// Decode-side interning: map a wire string back onto the static table the
@@ -347,38 +342,39 @@ fn small_decimal(n: u64) -> Option<&'static str> {
 /// set (the caller allocates normally). Exactness matters: only canonical
 /// decimal forms intern (`"07"` must stay `"07"`), so leading zeros are
 /// rejected.
-pub(crate) fn interned(s: &str) -> Option<&'static str> {
-    match s {
-        SLEEP_COMMAND => Some(SLEEP_COMMAND),
-        TMP_DIR => Some(TMP_DIR),
-        _ => {
-            let b = s.as_bytes();
-            let canonical_decimal = matches!(b.len(), 1 | 2)
-                && b.iter().all(|c| c.is_ascii_digit())
-                && (b.len() == 1 || b.first() != Some(&b'0'));
-            if canonical_decimal {
-                small_decimal(s.parse().ok()?)
-            } else {
-                None
-            }
-        }
+fn interned(s: &str) -> Option<IStr> {
+    if s == SLEEP_COMMAND {
+        return Some(IStr(Repr::Static(&SLEEP_COMMAND)));
     }
+    if s == TMP_DIR {
+        return Some(IStr(Repr::Static(&TMP_DIR)));
+    }
+    let b = s.as_bytes();
+    let canonical_decimal = matches!(b.len(), 1 | 2)
+        && b.iter().all(|c| c.is_ascii_digit())
+        && (b.len() == 1 || b.first() != Some(&b'0'));
+    if canonical_decimal {
+        small_decimal(s.parse().ok()?)
+    } else {
+        None
+    }
+}
+
+/// The decimal form of `n`, interned when small.
+fn decimal(n: u64) -> IStr {
+    small_decimal(n).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(n.to_string()))))
 }
 
 impl TaskSpec {
     /// A canonical `sleep <secs>` task, the paper's microbenchmark workload.
     /// `sleep 0` measures pure dispatch overhead.
     pub fn sleep(id: u64, secs: u64) -> TaskSpec {
-        let arg = match small_decimal(secs) {
-            Some(s) => IStr::from_static(s),
-            None => IStr(Repr::Shared(Arc::from(secs.to_string()))),
-        };
         TaskSpec {
             id: TaskId(id),
-            command: IStr::from_static(SLEEP_COMMAND),
-            args: Args::one(arg),
+            command: IStr(Repr::Static(&SLEEP_COMMAND)),
+            args: Args::one(decimal(secs)),
             env: Vec::new(),
-            working_dir: IStr::from_static(TMP_DIR),
+            working_dir: IStr(Repr::Static(&TMP_DIR)),
             estimated_runtime_us: Some(secs * 1_000_000),
             data: None,
         }
@@ -387,19 +383,16 @@ impl TaskSpec {
     /// A sleep task with sub-second resolution (microseconds).
     pub fn sleep_us(id: u64, us: u64) -> TaskSpec {
         let arg = if us.is_multiple_of(1_000_000) {
-            match small_decimal(us / 1_000_000) {
-                Some(s) => IStr::from_static(s),
-                None => IStr(Repr::Shared(Arc::from((us / 1_000_000).to_string()))),
-            }
+            decimal(us / 1_000_000)
         } else {
             IStr(Repr::Shared(Arc::from(format!("{}", us as f64 / 1e6))))
         };
         TaskSpec {
             id: TaskId(id),
-            command: IStr::from_static(SLEEP_COMMAND),
+            command: IStr(Repr::Static(&SLEEP_COMMAND)),
             args: Args::one(arg),
             env: Vec::new(),
-            working_dir: IStr::from_static(TMP_DIR),
+            working_dir: IStr(Repr::Static(&TMP_DIR)),
             estimated_runtime_us: Some(us),
             data: None,
         }
@@ -441,33 +434,35 @@ impl TaskSpec {
     }
 }
 
-/// The outcome of one executed task.
+/// The outcome of one executed task, 32 bytes in memory.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct TaskResult {
     /// The task this result belongs to.
     pub id: TaskId,
     /// Process exit code; 0 means success.
     pub exit_code: i32,
-    /// Captured standard output, if requested.
-    pub stdout: Option<String>,
-    /// Captured standard error, if requested.
-    pub stderr: Option<String>,
+    /// Captured output, boxed: no workload asks for any, so the 2 M results
+    /// a run keeps pay one null pointer for it and not two `Option<String>`s.
+    /// `None` when neither stream was captured.
+    captured: Option<Box<Captured>>,
     /// Executor-measured total handling time (thread creation, WS pickup,
     /// exec, result delivery) in microseconds — the paper's "task overhead"
     /// metric of Figure 10 *includes* the run time; harnesses subtract it.
     pub executor_time_us: u64,
 }
 
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Captured {
+    stdout: Option<String>,
+    stderr: Option<String>,
+}
+
+const _: usize = 32 - std::mem::size_of::<TaskResult>();
+
 impl TaskResult {
     /// A successful result with no captured output.
     pub fn success(id: TaskId) -> TaskResult {
-        TaskResult {
-            id,
-            exit_code: 0,
-            stdout: None,
-            stderr: None,
-            executor_time_us: 0,
-        }
+        TaskResult::failure(id, 0)
     }
 
     /// A failed result with the given exit code.
@@ -475,10 +470,26 @@ impl TaskResult {
         TaskResult {
             id,
             exit_code,
-            stdout: None,
-            stderr: None,
+            captured: None,
             executor_time_us: 0,
         }
+    }
+
+    /// Attach captured standard output and standard error (builder style).
+    pub fn with_output(mut self, stdout: Option<String>, stderr: Option<String>) -> TaskResult {
+        self.captured =
+            (stdout.is_some() || stderr.is_some()).then(|| Box::new(Captured { stdout, stderr }));
+        self
+    }
+
+    /// Captured standard output, if requested.
+    pub fn stdout(&self) -> Option<&str> {
+        self.captured.as_ref()?.stdout.as_deref()
+    }
+
+    /// Captured standard error, if requested.
+    pub fn stderr(&self) -> Option<&str> {
+        self.captured.as_ref()?.stderr.as_deref()
     }
 
     /// Whether the task exited successfully.
@@ -559,7 +570,7 @@ mod tests {
         assert!(args.is_empty());
         for i in 0..5 {
             args.push(i.to_string());
-            // Deref stays contiguous and ordered across the spill move.
+            // Deref stays contiguous and ordered across the move to the box.
             let got: Vec<&str> = args.iter().map(|a| &**a).collect();
             let want: Vec<String> = (0..=i).map(|j| j.to_string()).collect();
             assert_eq!(got, want);
@@ -570,6 +581,19 @@ mod tests {
         cleared.clear();
         assert!(cleared.is_empty());
         assert_eq!(Args::one("x").first().map(|a| &**a), Some("x"));
+        // Pushed and collected lists of the same entries are equal.
+        assert_eq!(args, (0..5).map(|i| i.to_string()).collect::<Args>());
+        assert_eq!(std::mem::size_of::<Args>(), 24);
+    }
+
+    #[test]
+    fn result_output_accessors() {
+        let plain = TaskResult::failure(TaskId(1), 2);
+        assert_eq!((plain.stdout(), plain.stderr()), (None, None));
+        let err = plain.clone().with_output(None, Some("boom".into()));
+        assert_eq!((err.stdout(), err.stderr()), (None, Some("boom")));
+        // Capturing nothing is the same value as never having asked.
+        assert_eq!(err.with_output(None, None), plain);
     }
 
     #[test]

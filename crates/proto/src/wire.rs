@@ -145,7 +145,7 @@ pub trait Sink {
     fn put_string(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
-    fn put_opt_string(&mut self, s: &Option<String>) {
+    fn put_opt_string(&mut self, s: Option<&str>) {
         match s {
             None => self.put_u8(0),
             Some(s) => {
@@ -268,8 +268,8 @@ mod tests {
     fn roundtrip_strings_and_options() {
         let mut s = Vec::new();
         s.put_string("héllo");
-        s.put_opt_string(&None);
-        s.put_opt_string(&Some("x".into()));
+        s.put_opt_string(None);
+        s.put_opt_string(Some("x"));
         s.put_opt_u64(&Some(9));
         s.put_opt_u64(&None);
         let mut r = Reader::new(&s);

@@ -25,12 +25,9 @@ fn arb_valid_message() -> impl Strategy<Value = Message> {
     );
     let results = prop::collection::vec(
         (any::<u64>(), any::<i32>(), prop::option::of("[ -~]{0,24}")).prop_map(
-            |(id, exit_code, stdout)| TaskResult {
-                id: falkon_proto::task::TaskId(id),
-                exit_code,
-                stdout,
-                stderr: None,
-                executor_time_us: 0,
+            |(id, exit_code, stdout)| {
+                TaskResult::failure(falkon_proto::task::TaskId(id), exit_code)
+                    .with_output(stdout, None)
             },
         ),
         0..6,

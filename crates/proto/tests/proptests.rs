@@ -50,12 +50,10 @@ fn arb_result() -> BoxedStrategy<TaskResult> {
         prop::option::of("[ -~]{0,32}"),
         any::<u64>(),
     )
-        .prop_map(|(id, exit_code, stdout, stderr, t)| TaskResult {
-            id: TaskId(id),
-            exit_code,
-            stdout,
-            stderr,
-            executor_time_us: t,
+        .prop_map(|(id, exit_code, stdout, stderr, t)| {
+            let mut res = TaskResult::failure(TaskId(id), exit_code).with_output(stdout, stderr);
+            res.executor_time_us = t;
+            res
         })
         .boxed()
 }
@@ -97,8 +95,47 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// One step against an [`Args`] and its `Vec<IStr>` model: push a string
+/// (`Some`) or clear (`None`).
+fn arb_args_op() -> impl Strategy<Value = Option<String>> {
+    // Interned ("7"), short and empty strings; clears are one step in six.
+    (0u8..6, "[0-9a-z]{0,3}").prop_map(|(k, s)| (k > 0).then_some(s))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn args_match_a_vec_model(ops in prop::collection::vec(arb_args_op(), 0..10)) {
+        // Clears keep the list within 0..=5 entries most of the time, on
+        // both sides of the inline/boxed boundary.
+        let mut args = Args::new();
+        let mut model: Vec<IStr> = Vec::new();
+        for op in ops {
+            match op {
+                Some(s) if model.len() < 5 => {
+                    args.push(s.as_str());
+                    model.push(s.into());
+                }
+                _ => {
+                    args.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(&*args, &model[..]);
+            prop_assert_eq!(args.iter().collect::<Vec<_>>(), model.iter().collect::<Vec<_>>());
+            let copy = args.clone();
+            prop_assert_eq!(&copy, &args);
+            // Built in one go or push by push, equal lists are equal.
+            let collected: Args = model.iter().cloned().collect();
+            prop_assert_eq!(&collected, &args);
+            if let Some(last) = model.last() {
+                let mut longer = copy;
+                longer.push(last.clone());
+                prop_assert_ne!(&longer, &args);
+            }
+        }
+    }
 
     #[test]
     fn efficient_codec_roundtrips(msg in arb_message()) {

@@ -25,7 +25,7 @@ pub(crate) fn pump_executor<P: Probe, E>(
     mut send: impl FnMut(Message) -> Result<(), E>,
 ) -> Result<bool, E> {
     while !actions.is_empty() || !queue.is_empty() {
-        for act in std::mem::take(actions) {
+        for act in actions.drain(..) {
             match act {
                 ExecutorAction::Send(msg) => send(msg)?,
                 ExecutorAction::Run(spec) => {
@@ -41,7 +41,7 @@ pub(crate) fn pump_executor<P: Probe, E>(
                 ExecutorAction::Shutdown => return Ok(true),
             }
         }
-        for ev in std::mem::take(queue) {
+        for ev in queue.drain(..) {
             machine.on_event(clock.now_us(), ev, actions);
         }
     }
@@ -97,13 +97,7 @@ pub fn execute_process(spec: &TaskSpec) -> TaskResult {
         .args(spec.args.iter().map(|a| &**a))
         .output()
     {
-        Ok(o) => TaskResult {
-            id: spec.id,
-            exit_code: o.status.code().unwrap_or(-1),
-            stdout: None,
-            stderr: None,
-            executor_time_us: 0,
-        },
+        Ok(o) => TaskResult::failure(spec.id, o.status.code().unwrap_or(-1)),
         Err(_) => TaskResult::failure(spec.id, 127),
     }
 }

@@ -21,17 +21,29 @@
 //! hundreds of registered, idle executor connections cost the server a
 //! few bytes each, not a 64 KiB read space each.
 //!
+//! A third counts the whole deployment — dispatcher server, sixteen
+//! multiplexed executors and a client, every thread of the process — and
+//! holds a sleep-0 task to the four allocations its messages need; a fourth
+//! pins that a non-interned [`falkon_proto::IStr`] is one allocation and an
+//! interned one none.
+//!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter
 //! and the live-byte tally are `Relaxed`; the tests take turns (`SERIAL`)
 //! and each is effectively single-threaded around its measured region (the
 //! peer writes *before* the reader starts draining, and the tallies are
 //! read after `recv` returns on the same thread), so program order — not
-//! the atomics — sequences the reads.
+//! the atomics — sequences the reads. The deployment test's other threads
+//! only work between `run_client`'s first write and its last read, both on
+//! the counting thread.
 
-use falkon_proto::{Codec, EfficientCodec, Message, TaskSpec};
+use falkon_core::executor::ExecutorConfig;
+use falkon_core::DispatcherConfig;
+use falkon_proto::{BundleConfig, Codec, EfficientCodec, IStr, Message, TaskSpec};
 use falkon_rt::clock::Clock;
 use falkon_rt::conn::{Conn, Inbound};
+use falkon_rt::muxpeer::run_executors_mux;
 use falkon_rt::poll::{poll_wait, PollFd, POLLIN};
+use falkon_rt::tcp::{run_client, DispatcherServer, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,4 +247,83 @@ fn idle_registered_connections_hold_no_read_buffer() {
         "{CONNS} registered, idle connections hold {held} B of heap: \
          more than {PER_CONN_BUDGET} B each — read buffers are being kept per connection"
     );
+}
+
+/// A sleep-0 task through a whole deployment costs the four one-task
+/// `Vec`s its `Vec`-carrying [`Message`]s need and nothing else: the
+/// dispatcher's `take_work` (the `Work`/`ResultAck` it sends), the
+/// executor's `decode_tasks` of that message, the executor's `finished`
+/// (the `Result` it sends) and the dispatcher's `decode_results` of it.
+/// Everything else per task — the submit bundle, `records`, the instance's
+/// ready list, the client's bookkeeping — is amortized growth. The executor
+/// pump's two scratch vectors used to be re-grown for every message, which
+/// made it seven.
+#[test]
+fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
+    const EXECUTORS: usize = 16;
+    const WARMUP: u64 = 5_000;
+    const WINDOW: u64 = 20_000;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            client_notify_batch: 1000,
+            ..DispatcherConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let executors = std::thread::spawn(move || {
+        run_executors_mux(addr, 0, EXECUTORS, ExecutorConfig::default(), None)
+    });
+    let tasks = |ids: std::ops::Range<u64>| ids.map(|i| TaskSpec::sleep(i, 0)).collect();
+    let bundle = BundleConfig::of(300);
+
+    // The warm-up wave grows every long-lived buffer: batches, scratch,
+    // the running map, the recorder.
+    let warm = run_client(addr, tasks(0..WARMUP), bundle, None).expect("warm-up");
+    assert_eq!(warm.done, WARMUP);
+
+    let window = tasks(WARMUP..WARMUP + WINDOW);
+    let before = allocs();
+    let out = run_client(addr, window, bundle, None).expect("window");
+    let per_task = (allocs() - before) as f64 / WINDOW as f64;
+    assert_eq!(out.done, WINDOW);
+
+    let (records, ..) = server.shutdown();
+    assert_eq!(records.len() as u64, WARMUP + WINDOW);
+    let ran = executors.join().expect("executor thread").expect("mux");
+    assert_eq!(ran.tasks, WARMUP + WINDOW);
+
+    eprintln!("allocations per task, whole process: {per_task:.2}");
+    assert!(
+        per_task <= 4.5,
+        "a sleep-0 task allocated {per_task:.2} times end to end; \
+         something per message has crept in beside the four message `Vec`s"
+    );
+}
+
+#[test]
+fn istr_allocates_once_unless_interned() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Populate the decimal table outside the count.
+    assert!(IStr::from("7").is_interned());
+
+    let before = allocs();
+    let interned = [IStr::from("sleep"), IStr::from("/tmp"), IStr::from("42")];
+    let copies = interned.clone();
+    assert_eq!(allocs() - before, 0, "interned strings allocate nothing");
+    drop((interned, copies));
+
+    let before = allocs();
+    let owned = IStr::from("custom-binary");
+    assert_eq!(
+        allocs() - before,
+        1,
+        "a non-interned string is one `Arc<str>`"
+    );
+    let copy = owned.clone();
+    assert_eq!(allocs() - before, 1, "a clone is a reference count");
+    assert!(!owned.is_interned() && owned.ptr_eq(&copy));
 }
