@@ -169,8 +169,6 @@ enum ExecStatus {
 struct ExecState {
     status: ExecStatus,
     outstanding: usize,
-    #[allow(dead_code)] // diagnostics only
-    host: String,
 }
 
 #[derive(Clone, Debug)]
@@ -413,7 +411,7 @@ impl<P: Probe> Dispatcher<P> {
                     },
                 );
             }
-            DispatcherEvent::Register { executor, host } => {
+            DispatcherEvent::Register { executor, .. } => {
                 // The id arrives on the wire; the dense table below indexes
                 // by it directly, so an absurd id must not be allowed to
                 // size the table. Real drivers assign ids sequentially.
@@ -432,7 +430,6 @@ impl<P: Probe> Dispatcher<P> {
                     ExecState {
                         status: ExecStatus::Idle,
                         outstanding: 0,
-                        host,
                     },
                 );
                 self.idle.push_back(executor);

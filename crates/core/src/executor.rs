@@ -91,7 +91,8 @@ enum Phase {
     Done,
 }
 
-/// Aggregate executor counters (monotonic), derived from the event stream.
+/// Aggregate executor counters (monotonic): one per event kind the machine
+/// emits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Tasks executed to completion.
@@ -106,9 +107,9 @@ pub struct ExecutorStats {
 
 /// The Falkon executor state machine. See module docs.
 ///
-/// Generic over a [`Probe`] like [`crate::Dispatcher`]; the machine keeps
-/// internal [`Counters`] so [`Executor::stats`] works with the default
-/// [`NoopProbe`].
+/// Generic over a [`Probe`] like [`crate::Dispatcher`]; the machine counts
+/// the four event kinds it emits itself, so [`Executor::stats`] and
+/// [`Executor::counters`] work with the default [`NoopProbe`].
 pub struct Executor<P: Probe = NoopProbe> {
     id: ExecutorId,
     host: String,
@@ -124,11 +125,15 @@ pub struct Executor<P: Probe = NoopProbe> {
     idle_since_us: Option<Micros>,
     /// A pre-fetch `GetWork` is in flight.
     prefetch_inflight: bool,
-    /// Tasks executed in total.
-    pub tasks_run: u64,
-    counters: Counters,
+    stats: ExecutorStats,
+    /// `ResultsReported` events emitted (`stats.results_reported` is the
+    /// sum of what they carried).
+    reports: u64,
     probe: P,
 }
+
+// A simulated pool holds one machine per executor, 100,000 in Figure 9's arm.
+const _: () = assert!(std::mem::size_of::<Executor>() <= 192);
 
 impl Executor {
     /// Create an executor with the given identity and configuration.
@@ -155,15 +160,24 @@ impl<P: Probe> Executor<P> {
             running: 0,
             idle_since_us: None,
             prefetch_inflight: false,
-            tasks_run: 0,
-            counters: Counters::new(),
+            stats: ExecutorStats::default(),
+            reports: 0,
             probe,
         }
     }
 
     #[inline]
     fn emit(&mut self, now: Micros, event: ObsEvent) {
-        self.counters.observe(&event);
+        match event {
+            ObsEvent::TaskStarted => self.stats.tasks_started += 1,
+            ObsEvent::TaskFinished => self.stats.tasks_run += 1,
+            ObsEvent::WorkRequested => self.stats.work_requests += 1,
+            ObsEvent::ResultsReported { count } => {
+                self.reports += 1;
+                self.stats.results_reported += count;
+            }
+            _ => unreachable!("not an executor event: {event:?}"),
+        }
         self.probe.on_event(now, &event);
     }
 
@@ -172,21 +186,22 @@ impl<P: Probe> Executor<P> {
         self.id
     }
 
-    /// Monotonic counters — a derived view of the internal event
-    /// [`Counters`].
+    /// Monotonic counters (always on, probe or not).
     pub fn stats(&self) -> ExecutorStats {
-        let c = &self.counters;
-        ExecutorStats {
-            tasks_run: c.count(ObsEventKind::TaskFinished),
-            tasks_started: c.count(ObsEventKind::TaskStarted),
-            work_requests: c.count(ObsEventKind::WorkRequested),
-            results_reported: c.value(ObsEventKind::ResultsReported),
-        }
+        self.stats
     }
 
-    /// The internal per-kind event counters (always on, probe or not).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// The same counts as per-kind event [`Counters`]: what a `Counters`
+    /// probe mounted on this machine would hold.
+    pub fn counters(&self) -> Counters {
+        use ObsEventKind as Kind;
+        let s = &self.stats;
+        let mut c = Counters::new();
+        c.add(Kind::TaskStarted, s.tasks_started, s.tasks_started);
+        c.add(Kind::TaskFinished, s.tasks_run, s.tasks_run);
+        c.add(Kind::WorkRequested, s.work_requests, s.work_requests);
+        c.add(Kind::ResultsReported, self.reports, s.results_reported);
+        c
     }
 
     /// The mounted probe.
@@ -257,8 +272,7 @@ impl<P: Probe> Executor<P> {
                             self.phase = Phase::Idle;
                             self.idle_since_us = Some(now);
                         } else {
-                            self.backlog.extend(tasks);
-                            self.start_next(now, out);
+                            self.start_next(now, tasks, out);
                         }
                     }
                     // Pre-fetch answer while running: queue the work locally
@@ -275,12 +289,11 @@ impl<P: Probe> Executor<P> {
                     // when idle.
                     Phase::Reporting | Phase::Idle if self.prefetch_inflight => {
                         self.prefetch_inflight = false;
-                        if !tasks.is_empty() {
+                        if self.phase == Phase::Idle && !tasks.is_empty() {
+                            self.idle_since_us = None;
+                            self.start_next(now, tasks, out);
+                        } else {
                             self.backlog.extend(tasks);
-                            if self.phase == Phase::Idle {
-                                self.idle_since_us = None;
-                                self.start_next(now, out);
-                            }
                         }
                     }
                     _ => {}
@@ -288,43 +301,24 @@ impl<P: Probe> Executor<P> {
             }
             ExecutorEvent::TaskCompleted { result } => {
                 self.running = self.running.saturating_sub(1);
-                self.tasks_run += 1;
                 self.finished.push(result);
                 self.emit(now, ObsEvent::TaskFinished);
                 if self.config.prefetch {
                     // Pre-fetch mode reports each result immediately and
                     // keeps computing from the local backlog — communication
                     // overlaps execution.
-                    self.emit(
-                        now,
-                        ObsEvent::ResultsReported {
-                            count: self.finished.len() as u64,
-                        },
-                    );
-                    out.push(ExecutorAction::Send(Message::Result {
-                        executor: self.id,
-                        results: std::mem::take(&mut self.finished),
-                    }));
+                    self.report(now, out);
                     if !self.backlog.is_empty() {
-                        self.start_next(now, out);
+                        self.start_next(now, Vec::new(), out);
                     } else {
                         self.phase = Phase::Reporting;
                     }
                 } else if !self.backlog.is_empty() {
                     // More local work before reporting (work_bundle > 1).
-                    self.start_next(now, out);
+                    self.start_next(now, Vec::new(), out);
                 } else if self.running == 0 {
                     self.phase = Phase::Reporting;
-                    self.emit(
-                        now,
-                        ObsEvent::ResultsReported {
-                            count: self.finished.len() as u64,
-                        },
-                    );
-                    out.push(ExecutorAction::Send(Message::Result {
-                        executor: self.id,
-                        results: std::mem::take(&mut self.finished),
-                    }));
+                    self.report(now, out);
                 }
             }
             ExecutorEvent::ResultAcked { piggybacked } => {
@@ -334,8 +328,7 @@ impl<P: Probe> Executor<P> {
                             self.phase = Phase::Idle;
                             self.idle_since_us = Some(now);
                         } else {
-                            self.backlog.extend(piggybacked);
-                            self.start_next(now, out);
+                            self.start_next(now, piggybacked, out);
                         }
                     }
                     // Pre-fetch mode: acks (possibly piggy-backing work)
@@ -363,15 +356,33 @@ impl<P: Probe> Executor<P> {
         }
     }
 
-    fn start_next(&mut self, now: Micros, out: &mut Vec<ExecutorAction>) {
+    /// Deliver every finished result in one `Result` message.
+    fn report(&mut self, now: Micros, out: &mut Vec<ExecutorAction>) {
+        let results = std::mem::take(&mut self.finished);
+        let count = results.len() as u64;
+        self.emit(now, ObsEvent::ResultsReported { count });
+        let executor = self.id;
+        out.push(ExecutorAction::Send(Message::Result { executor, results }));
+    }
+
+    /// Take `delivered` work (FIFO behind the backlog) and start the next
+    /// task if none is running. A free executor starts the head of the
+    /// delivery straight from the message, so the usual one-task `Work`
+    /// never allocates a backlog.
+    fn start_next(&mut self, now: Micros, delivered: Vec<TaskSpec>, out: &mut Vec<ExecutorAction>) {
         self.phase = Phase::Running;
+        let mut delivered = delivered.into_iter();
         // One task at a time per executor (1:1 executor-to-CPU mapping).
-        if self.running == 0 {
-            if let Some(task) = self.backlog.pop_front() {
-                self.running = 1;
-                self.emit(now, ObsEvent::TaskStarted);
-                out.push(ExecutorAction::Run(task));
-            }
+        let next = if self.running == 0 {
+            self.backlog.pop_front().or_else(|| delivered.next())
+        } else {
+            None
+        };
+        self.backlog.extend(delivered);
+        if let Some(task) = next {
+            self.running = 1;
+            self.emit(now, ObsEvent::TaskStarted);
+            out.push(ExecutorAction::Run(task));
         }
         // Section 6 "Pre-fetching": request the next task before this one
         // completes, overlapping communication and execution.
@@ -455,7 +466,7 @@ mod tests {
             },
         );
         assert!(e.is_idle());
-        assert_eq!(e.tasks_run, 1);
+        assert_eq!(e.stats().tasks_run, 1);
     }
 
     #[test]
@@ -543,6 +554,74 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Ids of the tasks `acts` starts.
+    fn started(acts: &[ExecutorAction]) -> Vec<u64> {
+        acts.iter()
+            .filter_map(|a| match a {
+                ExecutorAction::Run(t) => Some(t.id.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn complete(e: &mut Executor, now: Micros, id: u64) -> Vec<ExecutorAction> {
+        let result = TaskResult::success(TaskId(id));
+        step(e, now, ExecutorEvent::TaskCompleted { result })
+    }
+
+    #[test]
+    fn lone_task_starts_straight_from_the_message() {
+        let mut e = registered_executor(ExecutorConfig::default());
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        let acts = step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        assert_eq!(started(&acts), [1]);
+        complete(&mut e, 30, 1);
+        let piggybacked = vec![TaskSpec::sleep(2, 0)];
+        let acts = step(&mut e, 40, ExecutorEvent::ResultAcked { piggybacked });
+        assert_eq!(started(&acts), [2]);
+        assert_eq!(e.backlog.capacity(), 0, "one task at a time never queues");
+    }
+
+    #[test]
+    fn bundles_and_prefetched_work_run_in_arrival_order() {
+        let mut e = registered_executor(ExecutorConfig::default());
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = (1..=3).map(|i| TaskSpec::sleep(i, 0)).collect();
+        let mut order = started(&step(&mut e, 20, ExecutorEvent::WorkReceived { tasks }));
+        for id in 1..=3 {
+            order.extend(started(&complete(&mut e, 20 + id, id)));
+        }
+        assert_eq!(order, [1, 2, 3]);
+
+        let mut e = registered_executor(ExecutorConfig {
+            idle_release_us: None,
+            prefetch: true,
+        });
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        let mut order = started(&step(&mut e, 20, ExecutorEvent::WorkReceived { tasks }));
+        // The pre-fetch answer and a piggy-backed task both arrive behind
+        // a running task.
+        let tasks = vec![TaskSpec::sleep(2, 0), TaskSpec::sleep(3, 0)];
+        order.extend(started(&step(
+            &mut e,
+            21,
+            ExecutorEvent::WorkReceived { tasks },
+        )));
+        order.extend(started(&complete(&mut e, 22, 1)));
+        let piggybacked = vec![TaskSpec::sleep(4, 0)];
+        order.extend(started(&step(
+            &mut e,
+            23,
+            ExecutorEvent::ResultAcked { piggybacked },
+        )));
+        for id in 2..=4 {
+            order.extend(started(&complete(&mut e, 22 + id, id)));
+        }
+        assert_eq!(order, [1, 2, 3, 4]);
     }
 
     #[test]
@@ -756,6 +835,6 @@ mod prefetch_tests {
         assert!(acts
             .iter()
             .any(|a| matches!(a, ExecutorAction::Run(t) if t.id == TaskId(3))));
-        assert_eq!(e.tasks_run, 2);
+        assert_eq!(e.stats().tasks_run, 2);
     }
 }

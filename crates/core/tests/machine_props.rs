@@ -6,6 +6,7 @@ use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEv
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent};
 use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
+use falkon_obs::Counters;
 use falkon_proto::message::{DispatcherStatus, ExecutorId, InstanceId, NotifyKey};
 use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
 use proptest::prelude::*;
@@ -45,10 +46,11 @@ proptest! {
         idle in prop::option::of(1_000u64..1_000_000),
         script in prop::collection::vec(arb_exec_event(), 0..60),
     ) {
-        let mut e = Executor::new(
+        let mut e = Executor::with_probe(
             ExecutorId(1),
             "prop",
             ExecutorConfig { idle_release_us: idle, prefetch },
+            Counters::new(),
         );
         let mut out = Vec::new();
         e.on_event(0, ExecutorEvent::Start, &mut out);
@@ -106,7 +108,10 @@ proptest! {
             }
         }
         // tasks_run never exceeds tasks started.
-        prop_assert!(e.tasks_run as usize <= ran.len());
+        prop_assert!(e.stats().tasks_run as usize <= ran.len());
+        // The machine's own compact counts are what a full `Counters`
+        // observing the same stream holds, counts and values.
+        prop_assert_eq!(&e.counters(), e.probe());
     }
 }
 

@@ -26,15 +26,8 @@ fn falkon_efficiency(executors: u32, task_secs: u64, tasks_per_executor: u64) ->
         submit_at,
         (0..n).map(|i| TaskSpec::sleep(i, task_secs)).collect(),
     );
-    let out = sim.run_until_drained();
     let ideal_us = n.div_ceil(executors as u64) * task_secs * 1_000_000;
-    let measured = out
-        .records
-        .iter()
-        .map(|r| r.completed_us)
-        .max()
-        .unwrap_or(submit_at)
-        - submit_at;
+    let measured = sim.run_until_drained_with(drop).makespan_us - submit_at;
     (ideal_us as f64 / measured as f64).min(1.0)
 }
 
@@ -126,14 +119,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Point> {
         });
         let submit_at: u64 = 10_000_000;
         sim.submit(submit_at, (0..n).map(|i| TaskSpec::sleep(i, len)).collect());
-        let out = sim.run_until_drained();
-        let measured = out
-            .records
-            .iter()
-            .map(|r| r.completed_us)
-            .max()
-            .unwrap_or(submit_at)
-            - submit_at;
+        let measured = sim.run_until_drained_with(drop).makespan_us - submit_at;
         let falkon = (ideal_us as f64 / measured as f64).min(1.0);
         // PBS / Condor: every task is a batch job.
         let pbs_run = run_direct(PBS_V2_1_8, procs, n, len * 1_000_000);

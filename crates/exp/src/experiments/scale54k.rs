@@ -10,7 +10,8 @@
 
 use crate::costs::CostModel;
 use crate::experiments::Scale;
-use crate::simfalkon::{SimFalkon, SimFalkonConfig};
+use crate::simfalkon::{SimFalkon, SimFalkonConfig, SimOutcome};
+use falkon_core::dispatcher::TaskRecord;
 use falkon_core::DispatcherConfig;
 use falkon_proto::task::TaskSpec;
 use falkon_sim::table::series_tsv;
@@ -83,12 +84,11 @@ fn emulation_config(executors: u32) -> SimFalkonConfig {
     }
 }
 
-/// The beyond-paper 100K arm. Same workload shape as the 54K emulation;
-/// only feasible interactively now that the event core is a timer wheel
-/// (the binary heap paid a cache-missing O(log n) per event with 100K
-/// timers outstanding).
-fn run_beyond_100k(task_secs: u64) -> Beyond100k {
-    let executors: u32 = 100_000;
+/// One task of `task_secs` per executor through a pool of `executors`,
+/// each record handed to `each`. The deployment is gone when this returns:
+/// a pool of this size is tens of MB of machines, `running` entries and
+/// timers, so the two arms run one after the other, never side by side.
+fn emulate(executors: u32, task_secs: u64, each: impl FnMut(TaskRecord)) -> SimOutcome {
     let mut sim = SimFalkon::new(emulation_config(executors));
     sim.submit(
         0,
@@ -96,18 +96,30 @@ fn run_beyond_100k(task_secs: u64) -> Beyond100k {
             .map(|i| TaskSpec::sleep(i, task_secs))
             .collect(),
     );
-    let out = sim.run_until_drained();
+    sim.run_until_drained_with(each)
+}
+
+/// Time for the busy-executor count to reach its maximum, s.
+fn ramp_up_s(out: &SimOutcome) -> f64 {
     let peak = out.busy_series.max_value();
-    let ramp_up_s = out
-        .busy_series
+    out.busy_series
         .points()
         .iter()
         .find(|&&(_, v)| v >= peak * 0.999)
         .map(|&(t, _)| t.as_secs_f64())
-        .unwrap_or(0.0);
+        .unwrap_or(0.0)
+}
+
+/// The beyond-paper 100K arm. Same workload shape as the 54K emulation;
+/// only feasible interactively now that the event core is a timer wheel
+/// (the binary heap paid a cache-missing O(log n) per event with 100K
+/// timers outstanding).
+fn run_beyond_100k(task_secs: u64) -> Beyond100k {
+    let executors: u32 = 100_000;
+    let out = emulate(executors, task_secs, drop);
     Beyond100k {
         executors,
-        ramp_up_s,
+        ramp_up_s: ramp_up_s(&out),
         duration_s: out.makespan_us as f64 / 1e6,
         overall_tps: out.throughput,
     }
@@ -117,36 +129,17 @@ fn run_beyond_100k(task_secs: u64) -> Beyond100k {
 pub fn run(scale: Scale) -> Scale54k {
     let executors: u32 = scale.pick(5_400, 54_000);
     let task_secs: u64 = scale.pick(48, 480);
-    let mut sim = SimFalkon::new(emulation_config(executors));
-    sim.submit(
-        0,
-        (0..executors as u64)
-            .map(|i| TaskSpec::sleep(i, task_secs))
-            .collect(),
-    );
-    let out = sim.run_until_drained();
-
-    let peak = out.busy_series.max_value();
-    let ramp_up_s = out
-        .busy_series
-        .points()
-        .iter()
-        .find(|&&(_, v)| v >= peak * 0.999)
-        .map(|&(t, _)| t.as_secs_f64())
-        .unwrap_or(0.0);
-
     // Figure 10 prints exact counts, so it keeps its samples (one per
     // executor) instead of going through the bucketed `Histogram`.
-    let overhead_ms: Vec<u64> = out
-        .records
-        .iter()
-        .map(|r| {
-            r.result
-                .executor_time_us
-                .saturating_sub(task_secs * 1_000_000)
-                / 1_000
-        })
-        .collect();
+    let mut overhead_ms: Vec<u64> = Vec::with_capacity(executors as usize);
+    let out = emulate(executors, task_secs, |r| {
+        let overhead_us = r
+            .result
+            .executor_time_us
+            .saturating_sub(task_secs * 1_000_000);
+        overhead_ms.push(overhead_us / 1_000);
+    });
+    let ramp_up_s = ramp_up_s(&out);
     let under_200ms = overhead_ms.iter().filter(|&&ms| ms <= 200).count();
     let frac_under_200ms = under_200ms as f64 / overhead_ms.len().max(1) as f64;
     let max_overhead_ms = overhead_ms.iter().copied().max().unwrap_or(0);

@@ -41,13 +41,7 @@ fn run_throughput(executors: u32, costs: CostModel, tasks: u64) -> f64 {
         submit_at,
         (0..tasks).map(|i| TaskSpec::sleep(i, 0)).collect(),
     );
-    let out = sim.run_until_drained();
-    let end = out
-        .records
-        .iter()
-        .map(|r| r.completed_us)
-        .max()
-        .unwrap_or(submit_at);
+    let end = sim.run_until_drained_with(drop).makespan_us;
     tasks as f64 / ((end - submit_at).max(1) as f64 / 1e6)
 }
 

@@ -99,7 +99,9 @@ impl Default for SimFalkonConfig {
 /// Aggregate outcome of a simulated run.
 #[derive(Clone, Debug)]
 pub struct SimOutcome {
-    /// Per-task dispatcher records.
+    /// Per-task dispatcher records, in completion order: filled by
+    /// [`SimFalkon::run_until_drained`] only (the deployment itself keeps
+    /// none).
     pub records: Vec<TaskRecord>,
     /// Virtual time of the last completion.
     pub makespan_us: Micros,
@@ -237,9 +239,11 @@ struct AllocInfo {
 }
 
 /// The simulated deployment. Drive with [`SimFalkon::submit`] +
-/// [`SimFalkon::run_until_drained`], or incrementally via
+/// [`SimFalkon::run_until_drained`] (or its fold,
+/// [`SimFalkon::run_until_drained_with`]), or incrementally via
 /// [`SimFalkon::advance_to`] / [`SimFalkon::drain_completions`] (used by
-/// the workflow providers).
+/// the workflow providers). Either way each task record is handed out as
+/// the task completes; the deployment keeps running totals, not history.
 pub struct SimFalkon {
     config: SimFalkonConfig,
     queue: EventQueue<Ev>,
@@ -260,11 +264,12 @@ pub struct SimFalkon {
     lrm_wake_armed: Option<Micros>,
     fs: Option<ClusterFs>,
     instance: Option<InstanceId>,
-    /// O(history) on purpose: the experiment modules read every record.
-    records: Vec<TaskRecord>,
-    /// `records[..completions_drained]` have been handed out by
+    /// Records completed by the event being handled; the loop that ran the
+    /// event hands them on before the next one.
+    done: Vec<TaskRecord>,
+    /// Completions under [`SimFalkon::advance_to`] not yet taken by
     /// [`SimFalkon::drain_completions`].
-    completions_drained: usize,
+    pending: Vec<(TaskId, Micros)>,
     submitted: u64,
     failed: u64,
     gc_counter: u64,
@@ -272,9 +277,12 @@ pub struct SimFalkon {
     // allocation bookkeeping
     allocs: DenseMap<AllocationId, AllocInfo>,
     allocations_requested: u64,
-    /// Tasks completed (decoupled from `records.len()` so the records can be
-    /// moved out of the sim without disturbing loop conditions).
+    /// Tasks completed, and the running totals [`SimOutcome`] reports over
+    /// them, accumulated in completion order.
     completed: u64,
+    last_completion_us: Option<Micros>,
+    queue_us_sum: f64,
+    exec_us_sum: f64,
     /// Per-node sets of cached data objects (data-caching extension).
     node_caches: Vec<std::collections::HashSet<u64>>,
     // metrics
@@ -313,8 +321,8 @@ impl SimFalkon {
                 ClusterFs::new(f, (pool / config.executors_per_node).max(1))
             }),
             instance: None,
-            records: Vec::new(),
-            completions_drained: 0,
+            done: Vec::new(),
+            pending: Vec::new(),
             submitted: 0,
             failed: 0,
             gc_counter: 0,
@@ -322,6 +330,11 @@ impl SimFalkon {
             allocs: DenseMap::new(),
             allocations_requested: 0,
             completed: 0,
+            last_completion_us: None,
+            // `-0.0` is what `Iterator::sum` starts from: a run with no
+            // completions reads the same as a sum over no records.
+            queue_us_sum: -0.0,
+            exec_us_sum: -0.0,
             node_caches: Vec::new(),
             queue_series: TimeSeries::new(),
             busy_series: TimeSeries::new(),
@@ -397,11 +410,6 @@ impl SimFalkon {
         self.submitted
     }
 
-    /// Completed-task records so far.
-    pub fn records(&self) -> &[TaskRecord] {
-        &self.records
-    }
-
     /// Number of stop-the-world GC pauses taken.
     pub fn gc_pauses(&self) -> u64 {
         self.gc_pauses
@@ -419,7 +427,7 @@ impl SimFalkon {
     pub fn obs(&self) -> Recorder {
         let mut obs = self.dispatcher.probe().clone();
         for m in &self.executors.machines {
-            obs.merge_counters(m.counters());
+            obs.merge_counters(&m.counters());
         }
         obs
     }
@@ -453,22 +461,22 @@ impl SimFalkon {
         self.queue.peek_time().map(|t| t.as_micros())
     }
 
-    /// Completions recorded since the last call (for provider use).
+    /// Tasks that completed under [`SimFalkon::advance_to`] since the last
+    /// call (for provider use).
     pub fn drain_completions(&mut self) -> Vec<(TaskId, Micros)> {
-        let fresh = &self.records[self.completions_drained..];
-        self.completions_drained = self.records.len();
-        fresh
-            .iter()
-            .map(|r| (r.result.id, r.completed_us))
-            .collect()
+        std::mem::take(&mut self.pending)
     }
 
-    /// Process all events with time ≤ `t`.
+    /// Process all events with time ≤ `t`. What completes is held for
+    /// [`SimFalkon::drain_completions`].
     pub fn advance_to(&mut self, t: Micros) {
         let deadline = falkon_sim::SimTime::from_micros(t);
         while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
             self.now = at.as_micros();
             self.handle(ev);
+            let done = self.done.drain(..);
+            self.pending
+                .extend(done.map(|r| (r.result.id, r.completed_us)));
         }
         self.now = self.now.max(t);
     }
@@ -478,13 +486,22 @@ impl SimFalkon {
         self.failed
     }
 
-    /// Run until every submitted task has completed or permanently failed
-    /// (or no events remain). Returns the outcome summary; the per-task
-    /// records and sampled series are **moved** into it (a 2 M-task run
-    /// would otherwise clone ~2 M `TaskRecord`s), so [`SimFalkon::records`]
-    /// is empty afterwards. Use the borrowing [`SimFalkon::outcome`] for
-    /// mid-run snapshots.
+    /// [`SimFalkon::run_until_drained_with`], collecting every record it
+    /// hands out into [`SimOutcome::records`]: for runs small enough to keep
+    /// one `TaskRecord` per task.
     pub fn run_until_drained(&mut self) -> SimOutcome {
+        let mut records = Vec::new();
+        let mut out = self.run_until_drained_with(|r| records.push(r));
+        out.records = records;
+        out
+    }
+
+    /// Run until every submitted task has completed or permanently failed
+    /// (or no events remain), handing `each` task's record over as the task
+    /// completes. Returns the outcome summary with no records in it; the
+    /// sampled series are **moved** into it. Use the borrowing
+    /// [`SimFalkon::outcome`] for mid-run snapshots.
+    pub fn run_until_drained_with(&mut self, mut each: impl FnMut(TaskRecord)) -> SimOutcome {
         let mut guard: u64 = 0;
         while (self.completed + self.failed) < self.submitted {
             let Some((at, ev)) = self.queue.pop() else {
@@ -492,6 +509,7 @@ impl SimFalkon {
             };
             self.now = at.as_micros();
             self.handle(ev);
+            self.done.drain(..).for_each(&mut each);
             guard += 1;
             assert!(
                 guard < 500_000_000,
@@ -502,8 +520,6 @@ impl SimFalkon {
             );
         }
         let mut out = self.summary();
-        out.records = std::mem::take(&mut self.records);
-        self.completions_drained = 0;
         out.queue_series = std::mem::take(&mut self.queue_series);
         out.busy_series = std::mem::take(&mut self.busy_series);
         out.registered_series = std::mem::take(&mut self.registered_series);
@@ -512,10 +528,9 @@ impl SimFalkon {
     }
 
     /// Build the outcome summary at the current instant, cloning the
-    /// records and series (incremental drivers keep the sim alive).
+    /// series (incremental drivers keep the sim alive).
     pub fn outcome(&self) -> SimOutcome {
         let mut out = self.summary();
-        out.records = self.records.clone();
         out.queue_series = self.queue_series.clone();
         out.busy_series = self.busy_series.clone();
         out.registered_series = self.registered_series.clone();
@@ -526,25 +541,8 @@ impl SimFalkon {
     /// The scalar aggregates of the outcome (records/series left empty for
     /// the caller to fill by clone or move).
     fn summary(&self) -> SimOutcome {
-        let makespan_us = self
-            .records
-            .iter()
-            .map(|r| r.completed_us)
-            .max()
-            .unwrap_or(self.now);
-        let n = self.records.len().max(1) as f64;
-        let avg_queue_us = self
-            .records
-            .iter()
-            .map(|r| r.queue_time_us() as f64)
-            .sum::<f64>()
-            / n;
-        let avg_exec_us = self
-            .records
-            .iter()
-            .map(|r| r.exec_time_us() as f64)
-            .sum::<f64>()
-            / n;
+        let makespan_us = self.last_completion_us.unwrap_or(self.now);
+        let n = self.completed.max(1) as f64;
         let used_cpu_us: u64 = self.executors.busy_us.iter().sum();
         let wasted_cpu_us: u64 = self
             .executors
@@ -559,16 +557,16 @@ impl SimFalkon {
             })
             .sum();
         SimOutcome {
-            tasks: self.records.len() as u64,
+            tasks: self.completed,
             makespan_us,
-            throughput: self.records.len() as f64 / (makespan_us.max(1) as f64 / 1e6),
+            throughput: self.completed as f64 / (makespan_us.max(1) as f64 / 1e6),
             records: Vec::new(),
             queue_series: TimeSeries::new(),
             busy_series: TimeSeries::new(),
             registered_series: TimeSeries::new(),
             allocated_series: TimeSeries::new(),
-            avg_queue_us,
-            avg_exec_us,
+            avg_queue_us: self.queue_us_sum / n,
+            avg_exec_us: self.exec_us_sum / n,
             used_cpu_us,
             wasted_cpu_us,
             allocations: self.allocations_requested,
@@ -724,8 +722,12 @@ impl SimFalkon {
                 }
                 DispatcherAction::TaskDone { record, .. } => {
                     crate::trace::record(&record);
-                    self.records.push(record);
                     self.completed += 1;
+                    self.last_completion_us =
+                        self.last_completion_us.max(Some(record.completed_us));
+                    self.queue_us_sum += record.queue_time_us() as f64;
+                    self.exec_us_sum += record.exec_time_us() as f64;
+                    self.done.push(record);
                     self.maybe_gc();
                 }
                 DispatcherAction::TaskFailed { .. } => {

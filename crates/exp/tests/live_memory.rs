@@ -1,27 +1,31 @@
-//! Memory follows live work, not history: a paced, Figure-8-shaped run
-//! through [`SimFalkon`] under a counting global allocator.
+//! Memory follows live work, not history, on both axes: runs through
+//! [`SimFalkon`] under a counting global allocator.
 //!
-//! Two things are pinned. While the run is going, peak live heap is bounded
-//! by the *peak queue* (what the dispatcher holds at once) plus the
-//! per-task `records` the experiments read afterwards — not by anything
-//! else that grows with the number of tasks ever submitted. And once the
-//! queue has drained, everything but `records` is back to a constant.
+//! Tasks: a paced, Figure-8-shaped run driven through the fold. While it is
+//! going, peak live heap is bounded by the *peak queue* (what the
+//! dispatcher holds at once) and by nothing that grows with the number of
+//! tasks ever submitted; once the queue has drained, everything is back to
+//! a constant.
 //!
-//! Calibration (quick scale: 120,000 tasks, peak queue 82,549): this tree
-//! peaks at 21.6 MB against a bound of 32.6 MB and holds 0.2 MB besides
-//! `records` after the drain. The parent of the change that added this test
-//! read 68.4 MB at the peak — the client's whole workload materialised
-//! twice, a 224-byte ring entry per queued task, every result kept for a
-//! client that never fetched it, three raw-sample histograms and a
-//! queue-depth series — and 46.4 MB besides `records` after the drain: it
-//! fails both assertions.
+//! Executors: a Figure-9-shaped run, one task per executor. Peak live heap
+//! is bounded per registered executor — its machine, its row in the
+//! dispatcher's tables, the `running` entry and the timers of its one task.
+//!
+//! Calibration. Tasks (quick scale: 120,000 tasks, peak queue 82,549): this
+//! tree peaks at 11.4 MB against a bound of 15.3 MB and holds 0.15 MB after
+//! the drain. Its parent could only collect — 120,000 `TaskRecord`s on top,
+//! 21.6 MB at the peak — and fails. Executors (20,000): this tree peaks at
+//! 28.4 MB, 1,421 B per executor, against a bound of 36.1 MB. Its parent —
+//! a 616-byte machine carrying 29 counters, a 512-byte backlog block for
+//! the one task, the host name kept a second time by the dispatcher, a
+//! record per task — read 53.7 MB, 2,683 B per executor, and fails.
 //!
 //! Ordering protocol: no synchronizes-with edges. The two byte tallies are
 //! `Relaxed` counters bumped and read on the one thread this file's single
 //! test runs on (the harness's main thread only waits); program order
 //! sequences every access that matters.
 
-use falkon_core::dispatcher::TaskRecord;
+use falkon_core::DispatcherConfig;
 use falkon_exp::costs::CostModel;
 use falkon_exp::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon_proto::task::TaskSpec;
@@ -84,16 +88,30 @@ fn live() -> usize {
 /// last few tasks.
 const PER_QUEUED: usize = 160;
 
-/// Bytes a submitted task may hold live for the whole run: its
-/// `TaskRecord`, twice over because `records` grows by doubling.
-const PER_TASK: usize = 2 * std::mem::size_of::<TaskRecord>();
+/// Bytes a registered executor with one task in flight may hold live: its
+/// 184-byte machine and table row, the dispatcher's `running` entry, the
+/// task in its `Work` message, two or three timers. The tables grow by
+/// doubling and 20,000 rows sit in 32,768 slots, so each counts 1.64 times.
+const PER_EXECUTOR: usize = 1_700;
 
-/// Everything that does not scale: executors, the event wheel, the
-/// recorder's bucket arrays, the bundles in flight.
+/// Everything that does not scale: executors (in the paced run), the event
+/// wheel, the recorder's bucket arrays, the bundles in flight.
 const SLACK: usize = 2 << 20;
 
-#[test]
-fn paced_run_memory_follows_the_live_queue() {
+/// Peak live heap and live heap now, both since `base`.
+fn since(base: usize) -> (usize, usize) {
+    // Relaxed: see `grew`.
+    (PEAK.load(Ordering::Relaxed) - base, live() - base)
+}
+
+fn mark() -> usize {
+    let base = live();
+    // Relaxed: see `grew`.
+    PEAK.store(base, Ordering::Relaxed);
+    base
+}
+
+fn paced_run_follows_the_live_queue() {
     const TASKS: usize = 120_000;
     // `experiments::endurance::fig8` at quick scale.
     let mut sim = SimFalkon::new(SimFalkonConfig {
@@ -107,36 +125,70 @@ fn paced_run_memory_follows_the_live_queue() {
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()
     });
-    let base = live();
-    // Relaxed: see `grew`.
-    PEAK.store(base, Ordering::Relaxed);
+    let base = mark();
     sim.submit_stream(0, (0..TASKS).map(|i| TaskSpec::sleep(i as u64, 0)));
-    let out = sim.run_until_drained();
-    let peak = PEAK.load(Ordering::Relaxed) - base;
-    let held = live() - base;
-    assert_eq!(out.tasks, TASKS as u64);
+    let mut seen = 0usize;
+    let out = sim.run_until_drained_with(|_| seen += 1);
+    let (peak, held) = since(base);
+    assert_eq!((out.tasks, seen), (TASKS as u64, TASKS));
 
     let peak_queue = out.queue_series.max_value() as usize;
     assert!(peak_queue > TASKS / 2, "the queue must build: {peak_queue}");
-    let bound = peak_queue * PER_QUEUED + TASKS * PER_TASK + SLACK;
+    let bound = peak_queue * PER_QUEUED + SLACK;
     eprintln!("peak queue {peak_queue}, peak live {peak} B (bound {bound} B)");
     assert!(
         peak <= bound,
         "peak live heap {peak} B exceeds {bound} B = {peak_queue} queued x {PER_QUEUED} \
-         + {TASKS} tasks x {PER_TASK} + {SLACK}: something besides the queue and \
-         `records` grows with the run"
+         + {SLACK}: something besides the queue grows with the run"
     );
 
-    // Drained: what the run leaves live, besides the records the outcome
-    // was asked for, no longer depends on its length.
-    let records = out.records.capacity() * std::mem::size_of::<TaskRecord>();
-    let rest = held.saturating_sub(records);
-    eprintln!("after the drain: {held} B live, {rest} B besides records");
+    // Drained: what the run leaves live no longer depends on its length.
+    eprintln!("after the drain: {held} B live");
     assert!(
-        rest <= SLACK,
-        "{rest} B still live after the drain besides `records` ({records} B): \
-         memory is following history, not live work"
+        held <= SLACK,
+        "{held} B still live after the drain: memory is following history, not live work"
     );
     // The deployment was alive, drained, for everything measured above.
     drop(sim);
+}
+
+fn pool_is_bounded_per_executor() {
+    const EXECUTORS: usize = 20_000;
+    // `experiments::scale54k` in miniature: one task per executor.
+    let base = mark();
+    let mut sim = SimFalkon::new(SimFalkonConfig {
+        executors: EXECUTORS as u32,
+        executors_per_node: 900,
+        dispatcher: DispatcherConfig {
+            piggyback: false,
+            client_notify_batch: 100_000,
+            ..DispatcherConfig::default()
+        },
+        sample_interval_us: 1_000_000,
+        ..SimFalkonConfig::default()
+    });
+    sim.submit_stream(0, (0..EXECUTORS).map(|i| TaskSpec::sleep(i as u64, 48)));
+    let out = sim.run_until_drained_with(drop);
+    let (peak, _) = since(base);
+    assert_eq!(out.tasks, EXECUTORS as u64);
+    assert_eq!(out.busy_series.max_value() as usize, EXECUTORS);
+
+    let bound = EXECUTORS * PER_EXECUTOR + SLACK;
+    eprintln!(
+        "{EXECUTORS} executors, peak live {peak} B = {} B each (bound {bound} B)",
+        peak / EXECUTORS
+    );
+    assert!(
+        peak <= bound,
+        "peak live heap {peak} B exceeds {bound} B = {EXECUTORS} executors x {PER_EXECUTOR} \
+         + {SLACK}: a registered executor has put on weight"
+    );
+    drop(sim);
+}
+
+/// One test, so the cases have the allocator's tallies to themselves.
+#[test]
+fn memory_follows_live_work() {
+    paced_run_follows_the_live_queue();
+    pool_is_bounded_per_executor();
 }

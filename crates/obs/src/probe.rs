@@ -374,6 +374,13 @@ impl Counters {
         self.values[k] += event.value();
     }
 
+    /// Record `count` events of `kind` whose values sum to `value` (a
+    /// machine that keeps its few counts compactly builds its view here).
+    pub fn add(&mut self, kind: ObsEventKind, count: u64, value: u64) {
+        self.counts[kind as usize] += count;
+        self.values[kind as usize] += value;
+    }
+
     /// Number of events of `kind` observed.
     pub fn count(&self, kind: ObsEventKind) -> u64 {
         self.counts[kind as usize]

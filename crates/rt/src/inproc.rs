@@ -365,7 +365,7 @@ fn executor_thread(
             }
         }
     }
-    let mut shard = machine.counters().clone();
+    let mut shard = machine.counters();
     shard.merge(wire.probe());
     shard
 }

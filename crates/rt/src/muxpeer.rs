@@ -81,7 +81,7 @@ impl<P: Probe> Handler<Executor<P>> for Pool<P> {
     }
 
     fn closed(&mut self, _: Token, machine: Executor<P>, closed: Closed) {
-        self.outcome.tasks += machine.tasks_run;
+        self.outcome.tasks += machine.stats().tasks_run;
         self.outcome.wire.merge(&closed.wire);
         self.outcome.clean_exits += u64::from(closed.local);
         self.probes.push(machine.into_probe());
