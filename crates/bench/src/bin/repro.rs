@@ -12,7 +12,7 @@
 //! flags:
 //!   --full         the paper's parameters (2,000,000 tasks, 54,000
 //!                  executors) instead of the quick smoke scale
-//!   --jobs <n>     run on an n-worker work-stealing pool (default 1 =
+//!   --jobs <n>     run on an n-worker thread pool (default 1 =
 //!                  serial). Output is byte-identical for every n except
 //!                  the wall-clock "measured" block.
 //!   --trace <path> with a single experiment: also dump every completed

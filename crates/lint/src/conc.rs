@@ -1,10 +1,10 @@
 //! The concurrency-soundness rule family (rules 7–9).
 //!
-//! PRs 4–6 bought the headline throughput numbers with a hand-rolled
-//! concurrency surface: `unsafe` in the chase-lev deque and the poll(2)
-//! shard loop, ~40 raw atomic sites with mixed orderings, and a vendored
-//! select-capable channel. These rules make that surface auditable the
-//! same way the sans-io rules made the state machines auditable:
+//! The drivers' concurrency surface is three `unsafe` sites (the pool's
+//! lifetime-erasing `transmute` in `Scope::spawn`; `listen` and `poll(2)`
+//! in `rt/poll.rs`) and atomics in three files (the pool's `pending` count,
+//! `rt/conn.rs`'s nonce, `rt/wscounter.rs`). These rules keep it auditable
+//! the same way the sans-io rules keep the state machines auditable:
 //!
 //! 7. **unsafe provenance** ([`check_unsafe_safety`]) — every `unsafe`
 //!    block/fn/impl carries an attached `// SAFETY:` comment (or a
@@ -517,11 +517,11 @@ mod tests {
             "fn f() {\n    unsafe {\n        // SAFETY: top CAS won.\n        read(b);\n    }\n}\n";
         let doc = "/// # Safety\n/// Caller owns the slot.\nunsafe fn write(&self) { w() }\n";
         for src in [above, trailing, inside, doc] {
-            let f = SourceFile::parse("crates/pool/src/deque.rs", src);
+            let f = SourceFile::parse("crates/pool/src/lib.rs", src);
             assert!(check_unsafe_safety(&f).is_empty(), "src: {src}");
         }
         let bare = "fn f() { let v = unsafe { read(b) }; drop(v); }";
-        let f = SourceFile::parse("crates/pool/src/deque.rs", bare);
+        let f = SourceFile::parse("crates/pool/src/lib.rs", bare);
         assert_eq!(check_unsafe_safety(&f).len(), 1);
     }
 

@@ -459,7 +459,7 @@ mod tests {
         assert!(!in_scope("crates/rt/src/tcp.rs", &SANS_IO_SCOPES));
         // The thread pool is a driver: threads allowed, probe rules apply.
         assert!(!in_scope("crates/pool/src/lib.rs", &SANS_IO_SCOPES));
-        assert!(in_scope("crates/pool/src/deque.rs", &DRIVER_SCOPES));
+        assert!(in_scope("crates/pool/src/lib.rs", &DRIVER_SCOPES));
         // The simulator stays pure even though it is also a driver scope.
         assert!(in_scope("crates/sim/src/engine.rs", &SANS_IO_SCOPES));
         assert!(in_scope("crates/proto/src/wire.rs", &DECODE_SCOPES));

@@ -199,10 +199,10 @@ fn interned_bad(s: &str) -> u8 {
     assert_eq!(n, 2, "diags: {:#?}", report.diags);
 }
 
-// The work-stealing pool added by the parallel-harness work is driver-side:
-// real threads are its whole point. The same `thread::spawn` that is fine
-// there must still flag inside the simulator, which remains sans-io even
-// though both are driver scopes for the probe-provenance rule.
+// The thread pool is driver-side: real threads are its whole point. The
+// same `thread::spawn` that is fine there must still flag inside the
+// simulator, which remains sans-io even though both are driver scopes for
+// the probe-provenance rule.
 #[test]
 fn pool_is_driver_side_but_sim_stays_sans_io() {
     let src = r#"
@@ -288,9 +288,9 @@ fn registry_catches_unreachable_experiments() {
     assert!(report.diags[0].message.contains("`beta`"));
 }
 
-// The concurrency family (rules 7–9) guards the hand-rolled deque and the
-// rt socket code: every unsafe site carries its invariant, every atomics
-// file names its ordering protocol, and the lock graph stays acyclic.
+// The concurrency family (rules 7–9) guards the pool and the rt socket
+// code: every unsafe site carries its invariant, every atomics file names
+// its ordering protocol, and the lock graph stays acyclic.
 
 #[test]
 fn unsafe_safety_requires_attached_safety_comment() {
@@ -389,7 +389,7 @@ fn atomics_are_confined_to_driver_crates() {
     assert_eq!(confined.len(), 1, "diags: {:#?}", report.diags);
     assert!(confined[0].message.contains("confined"));
 
-    let inside = SourceFile::parse("crates/pool/src/deque.rs", src);
+    let inside = SourceFile::parse("crates/pool/src/lib.rs", src);
     assert!(lint_files(&[inside], None).unwrap().clean());
 }
 

@@ -43,7 +43,7 @@ const PATHS: [&str; 6] = [
     "crates/core/src/dispatcher.rs",
     "crates/proto/src/frame.rs",
     "crates/rt/src/tcp.rs",
-    "crates/pool/src/deque.rs",
+    "crates/pool/src/lib.rs",
     "vendor/crossbeam/src/lib.rs",
     "crates/exp/src/costs.rs",
 ];
@@ -127,7 +127,7 @@ proptest! {
             .zip(pads.iter().cycle())
             .map(|(l, p)| format!("{}{l}\n", " ".repeat(*p)))
             .collect();
-        let f = SourceFile::parse("crates/pool/src/deque.rs", &src);
+        let f = SourceFile::parse("crates/pool/src/lib.rs", &src);
         // Whatever the indentation, the SAFETY comment stays attached to
         // the unsafe fn and the justification to its statement.
         prop_assert!(f.attached_comment(2).contains("SAFETY"));

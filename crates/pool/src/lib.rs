@@ -1,87 +1,100 @@
-//! falkon-pool — a work-stealing scoped thread pool for the *drivers*.
+//! falkon-pool — a scoped thread pool for the *drivers*: one queue, one lock.
 //!
 //! The sans-io core (`falkon-core`, `falkon-sim`, …) stays single-threaded;
-//! this crate is mounted only by drivers (`repro`, `falkon-rt` harnesses) to
-//! fan independent work — whole experiments, or the embarrassingly parallel
-//! inner sweeps inside one — across cores. No external dependencies: the
-//! scheduler is a chase-lev deque per worker (see [`deque`]) plus a shared
-//! injector queue, all over `std::sync` primitives.
+//! this crate is mounted only by drivers (`repro`, the benchmark) to fan
+//! independent work — whole experiments, or the embarrassingly parallel
+//! inner sweeps inside one — across cores. What it schedules is coarse: a
+//! `repro all --full` is about 125 jobs of milliseconds to seconds each.
+//! At that grain a lock taken twice per job cannot be seen, so the
+//! scheduler is the simplest one that is obviously right: a FIFO
+//! `VecDeque<Job>` and a `shutdown` flag behind one `Mutex`, and one
+//! `Condvar`. No external dependencies.
 //!
-//! Design constraints inherited from the workspace:
-//!
-//! - **Scoped, blocking joins.** [`scope`] returns only after every job it
-//!   spawned has completed, so jobs may borrow the enclosing stack frame
-//!   (the lifetime erasure in [`Scope::spawn`] is sound for exactly this
-//!   reason). A thread that waits on a scope does not idle: workers run
-//!   other pool jobs while they wait, and non-worker threads drain the
-//!   injector/steal, so nested scopes cannot deadlock and dropping the pool
-//!   cannot strand queued jobs.
+//! - **One loop, one wake-up rule.** Pool workers and threads joining a
+//!   [`scope`] run the same loop (`Shared::run_until`): pop a job and run
+//!   it, else return if finished, else `wait`. Everything a sleeper waits
+//!   for — a job queued, a scope's last job done, shutdown — changes under
+//!   the pool lock and is followed by `notify_all`, so a wake-up cannot be
+//!   lost and nothing polls or times out.
+//! - **Scoped, blocking joins; join helps.** [`scope`] returns only after
+//!   every job it spawned has completed, so jobs may borrow the enclosing
+//!   stack frame (the lifetime erasure in [`Scope::spawn`] is sound for
+//!   exactly this reason). A thread waiting on a scope runs queued jobs
+//!   instead of idling — its own scope's or anyone's — so nested scopes
+//!   cannot deadlock however few workers there are. Workers pop before they
+//!   look at `shutdown`, so dropping the pool drains the queue first.
 //! - **Ambient, optional.** [`Pool::install`] plants the pool in TLS for the
 //!   duration of a closure; [`parallel_map`] and [`scope`] pick it up if
 //!   present and degrade to serial execution otherwise. Experiment code can
 //!   therefore call `parallel_map` unconditionally — under `repro all
 //!   --jobs 1` (or in unit tests) it is a plain `map`, byte-identical by
 //!   construction.
-//! - **No clock, no sleep.** Workers park on a `Condvar` with a bounded
-//!   `wait_timeout`; the crate never reads wall-clock time (that remains
-//!   `falkon-rt`'s monopoly, enforced by clippy.toml and falkon-lint).
+//! - **No clock, no sleep.** The crate never reads wall-clock time (that
+//!   remains `falkon-rt`'s monopoly, enforced by clippy.toml and
+//!   falkon-lint).
 //!
-//! Ordering protocol: this crate's cross-thread hand-offs all synchronize
-//! through `Mutex`/`Condvar` (injector, sleep counter, panic slot, scope
-//! `done` counter) or through the deque's own fence/CAS protocol (see
-//! [`deque`]). The two atomics here form one explicit edge and one
-//! non-edge: the `shutdown` `Release` store synchronizes-with the worker
-//! loop's `Acquire` loads (a worker that observes shutdown also observes
-//! every job pushed before it), and `next_victim` is a `Relaxed`
-//! round-robin hint that carries no payload at all.
+//! Ordering protocol: there is none to get wrong. The one atomic, a
+//! scope's `pending` count, is read and written only with the pool lock
+//! held; it is an atomic so that jobs on several threads can share it, and
+//! the lock, not the `SeqCst` it is given, is what orders its accesses.
 
-pub mod deque;
-
-use deque::{Steal, Stealer, Worker};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send>;
 
-/// How long a worker with nothing to do parks before re-polling. Wake-ups
-/// are notified eagerly on every push; the timeout only bounds the cost of
-/// a lost race between "checked queues" and "went to sleep".
-const PARK: Duration = Duration::from_millis(1);
+struct State {
+    queue: VecDeque<Job>,
+    shutdown: bool,
+}
 
 struct Shared {
-    threads: usize,
-    /// Spill queue for jobs pushed from non-worker threads.
-    injector: Mutex<VecDeque<Job>>,
-    /// One thief handle per worker deque, indexed like the workers.
-    stealers: Vec<Stealer<Job>>,
-    /// Rotates the first victim a thief tries, to spread contention.
-    next_victim: AtomicUsize,
-    sleep: Mutex<()>,
-    wake: Condvar,
-    shutdown: AtomicBool,
+    state: Mutex<State>,
+    /// Notified (all waiters) after every change a sleeper could be waiting
+    /// for; always paired with `state`.
+    changed: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // The lock is never held while a job runs and jobs catch their own
+        // panics, so poison means this crate itself panicked mid-update.
+        self.state.lock().expect("pool lock poisoned")
+    }
+
+    /// Run queued jobs until the queue is empty and `finished` holds,
+    /// sleeping on the condvar in between. `finished` is evaluated under
+    /// the pool lock.
+    fn run_until(&self, finished: impl Fn(&State) -> bool) {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.queue.pop_front() {
+                drop(st);
+                job();
+                st = self.lock();
+            } else if finished(&st) {
+                return;
+            } else {
+                st = self.changed.wait(st).expect("pool lock poisoned");
+            }
+        }
+    }
 }
 
 thread_local! {
-    /// The ambient pool context: set for the lifetime of a worker thread,
-    /// or for the duration of [`Pool::install`] on any other thread.
-    static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// The ambient pool: set for the lifetime of a worker thread, or for
+    /// the duration of [`Pool::install`] on any other thread.
+    static CURRENT: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
-struct Ctx {
-    shared: Arc<Shared>,
-    /// The thread's own deque — `Some` only on pool worker threads.
-    local: Option<Worker<Job>>,
-}
-
-/// A fixed-size work-stealing pool. Dropping it joins every worker after
-/// draining any queued jobs.
+/// A fixed-size pool of worker threads. Dropping it joins every worker
+/// after draining any queued jobs.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -90,38 +103,21 @@ pub struct Pool {
 impl Pool {
     /// Spawn `threads` workers (clamped to at least 1).
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let mut owners = Vec::with_capacity(threads);
-        let mut stealers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (w, s) = deque::deque();
-            owners.push(w);
-            stealers.push(s);
-        }
         let shared = Arc::new(Shared {
-            threads,
-            injector: Mutex::new(VecDeque::new()),
-            stealers,
-            next_victim: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                shutdown: false,
+            }),
+            changed: Condvar::new(),
         });
-        let handles = owners
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        let handles = (0..threads.max(1))
+            .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("falkon-pool-{i}"))
                     .spawn(move || {
-                        CURRENT.with_borrow_mut(|c| {
-                            *c = Some(Ctx {
-                                shared: shared.clone(),
-                                local: Some(local),
-                            })
-                        });
-                        worker_loop(&shared);
+                        CURRENT.set(Some(shared.clone()));
+                        shared.run_until(|st| st.shutdown);
                     })
                     .expect("spawn pool worker")
             })
@@ -129,128 +125,35 @@ impl Pool {
         Pool { shared, handles }
     }
 
-    pub fn threads(&self) -> usize {
-        self.shared.threads
-    }
-
     /// Run `f` with this pool as the thread's ambient pool: [`scope`] and
     /// [`parallel_map`] inside `f` will use it. The previous ambient pool
     /// (if any) is restored afterwards.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = CURRENT.with_borrow_mut(|c| {
-            c.replace(Ctx {
-                shared: self.shared.clone(),
-                local: None,
-            })
-        });
-        struct Restore(Option<Ctx>);
+        struct Restore(Option<Arc<Shared>>);
         impl Drop for Restore {
             fn drop(&mut self) {
-                let prev = self.0.take();
-                CURRENT.with_borrow_mut(|c| *c = prev);
+                CURRENT.set(self.0.take());
             }
         }
-        let _restore = Restore(prev);
+        let _restore = Restore(CURRENT.replace(Some(self.shared.clone())));
         f()
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Take the sleep lock so no worker is between its last queue check
-        // and parking when we notify.
-        drop(self.shared.sleep.lock().unwrap());
-        self.shared.wake.notify_all();
+        self.shared.lock().shutdown = true;
+        self.shared.changed.notify_all();
         for h in self.handles.drain(..) {
             h.join().expect("pool worker panicked outside a job");
         }
     }
 }
 
-/// Main loop of a worker thread: run jobs until shutdown AND empty.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        if let Some(job) = take_job(shared) {
-            job();
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            // One more sweep closed the race where a job lands between the
-            // failed `take_job` and the flag read; queues are empty now and
-            // scoped spawners block, so nothing new can arrive.
-            return;
-        }
-        let guard = shared.sleep.lock().unwrap();
-        if shared.shutdown.load(Ordering::Acquire) {
-            continue;
-        }
-        let _ = shared.wake.wait_timeout(guard, PARK).unwrap();
-    }
-}
-
-/// Find one runnable job: own deque first (LIFO, cache-warm), then the
-/// injector, then steal the oldest job from a sibling.
-fn take_job(shared: &Arc<Shared>) -> Option<Job> {
-    let local = CURRENT.with_borrow(|c| {
-        c.as_ref()
-            .filter(|ctx| Arc::ptr_eq(&ctx.shared, shared))
-            .and_then(|ctx| ctx.local.as_ref().and_then(Worker::pop))
-    });
-    if local.is_some() {
-        return local;
-    }
-    if let Some(job) = shared.injector.lock().unwrap().pop_front() {
-        return Some(job);
-    }
-    let n = shared.stealers.len();
-    // Relaxed: `next_victim` is only a rotation hint spreading thieves
-    // across victims; any interleaving of the counter is equally correct.
-    let start = shared.next_victim.fetch_add(1, Ordering::Relaxed);
-    // A couple of full sweeps absorb transient Retry races; beyond that the
-    // caller re-polls anyway.
-    for _ in 0..2 {
-        let mut saw_retry = false;
-        for i in 0..n {
-            match shared.stealers[(start + i) % n].steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Retry => saw_retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !saw_retry {
-            return None;
-        }
-    }
-    None
-}
-
-/// Queue a job: onto the current worker's own deque when called from a
-/// worker of the same pool, else onto the injector. Wakes a sleeper.
-fn push_job(shared: &Arc<Shared>, job: Job) {
-    let job = CURRENT.with_borrow(|c| {
-        match c
-            .as_ref()
-            .filter(|ctx| Arc::ptr_eq(&ctx.shared, shared))
-            .and_then(|ctx| ctx.local.as_ref())
-        {
-            Some(local) => {
-                local.push(job);
-                None
-            }
-            None => Some(job),
-        }
-    });
-    if let Some(job) = job {
-        shared.injector.lock().unwrap().push_back(job);
-    }
-    shared.wake.notify_all();
-}
-
 struct ScopeState {
+    /// Jobs spawned and not yet finished. Only touched under the pool lock
+    /// (see the module's ordering protocol).
     pending: AtomicUsize,
-    done: Mutex<()>,
-    cv: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -274,96 +177,57 @@ impl<'env> Scope<'env> {
             f();
             return;
         };
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let state = self.state.clone();
+        let (pool, state) = (shared.clone(), self.state.clone());
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+                state
+                    .panic
+                    .lock()
+                    .expect("panic slot poisoned")
+                    .get_or_insert(payload);
             }
+            // Under the pool lock, so the joiner cannot check `pending`
+            // between this store and the notify and then sleep through it.
+            let _st = pool.lock();
             if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last job out: take the lock so the notify cannot slip
-                // between a waiter's pending-check and its wait.
-                drop(state.done.lock().unwrap());
-                state.cv.notify_all();
+                pool.changed.notify_all();
             }
         });
         // SAFETY: only the lifetime is erased. `scope` blocks until
-        // `pending` reaches zero before 'env can end (even on panic), so
-        // every borrow inside the job outlives the job.
+        // `pending` reaches zero before 'env can end (even on panic), and
+        // the job consumes `f` with everything it borrowed before it
+        // decrements `pending`, so every borrow outlives its last use.
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
         };
-        push_job(shared, job);
+        let mut st = shared.lock();
+        self.state.pending.fetch_add(1, Ordering::SeqCst);
+        st.queue.push_back(job);
+        drop(st);
+        shared.changed.notify_all();
     }
-
-    fn join(&self) {
-        let Some(shared) = &self.shared else { return };
-        let is_worker = CURRENT.with_borrow(|c| {
-            c.as_ref()
-                .is_some_and(|ctx| Arc::ptr_eq(&ctx.shared, shared) && ctx.local.is_some())
-        });
-        while self.state.pending.load(Ordering::SeqCst) != 0 {
-            // Work while waiting: a worker runs anything (its own deque
-            // included); an installer thread drains the injector and
-            // steals. Either way the scope's own jobs make progress even
-            // if every worker is busy elsewhere.
-            let job = if is_worker {
-                take_job(shared)
-            } else {
-                take_job_external(shared)
-            };
-            match job {
-                Some(job) => job(),
-                None => {
-                    let guard = self.state.done.lock().unwrap();
-                    if self.state.pending.load(Ordering::SeqCst) != 0 {
-                        let _ = self.state.cv.wait_timeout(guard, PARK).unwrap();
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Like [`take_job`] for threads that own no deque (scope waiters outside
-/// the pool): injector first, then steal.
-fn take_job_external(shared: &Arc<Shared>) -> Option<Job> {
-    if let Some(job) = shared.injector.lock().unwrap().pop_front() {
-        return Some(job);
-    }
-    let n = shared.stealers.len();
-    // Relaxed: rotation hint only, as in `take_job`.
-    let start = shared.next_victim.fetch_add(1, Ordering::Relaxed);
-    for i in 0..n {
-        if let Steal::Success(job) = shared.stealers[(start + i) % n].steal() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Create a scope on the ambient pool. Returns after every spawned job has
-/// finished; re-raises the first captured job panic. With no ambient pool,
-/// spawns run inline and this is plain function application.
+/// finished — running queued jobs itself while it waits — and re-raises
+/// the first captured job panic. With no ambient pool, spawns run inline
+/// and this is plain function application.
 pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    let shared = CURRENT.with_borrow(|c| c.as_ref().map(|ctx| ctx.shared.clone()));
     let sc = Scope {
-        shared,
+        shared: CURRENT.with_borrow(Clone::clone),
         state: Arc::new(ScopeState {
             pending: AtomicUsize::new(0),
-            done: Mutex::new(()),
-            cv: Condvar::new(),
             panic: Mutex::new(None),
         }),
         _env: PhantomData,
     };
     // Join even if `f` panics: spawned jobs may borrow `f`'s frame.
     let out = catch_unwind(AssertUnwindSafe(|| f(&sc)));
-    sc.join();
-    if let Some(payload) = sc.state.panic.lock().unwrap().take() {
+    if let Some(shared) = &sc.shared {
+        shared.run_until(|_| sc.state.pending.load(Ordering::SeqCst) == 0);
+    }
+    let job_panic = sc.state.panic.lock().expect("panic slot poisoned").take();
+    if let Some(payload) = job_panic {
         resume_unwind(payload);
     }
     match out {
@@ -374,8 +238,8 @@ pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
 
 /// Whether an ambient pool is installed on this thread (so `parallel_map`
 /// would actually fan out).
-pub fn active() -> bool {
-    CURRENT.with_borrow(|c| c.is_some())
+fn active() -> bool {
+    CURRENT.with_borrow(Option::is_some)
 }
 
 /// Map `f` over `items`, fanning out across the ambient pool when one is
@@ -488,5 +352,27 @@ mod tests {
             assert!(active());
         });
         assert!(!active());
+    }
+
+    /// A scope blocks its owner — who borrows the pool — until its jobs
+    /// have run, so no caller can drop a pool with work queued; the state
+    /// is built by hand here to pin that workers pop before they look at
+    /// `shutdown`.
+    #[test]
+    fn drop_runs_jobs_still_queued() {
+        let pool = Pool::new(2);
+        let ran = Arc::new(AtomicU64::new(0));
+        {
+            let mut st = pool.shared.lock();
+            st.shutdown = true;
+            for _ in 0..100 {
+                let ran = ran.clone();
+                st.queue.push_back(Box::new(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }));
+            }
+        }
+        drop(pool);
+        assert_eq!(ran.load(Ordering::SeqCst), 100);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo xtask repro [args...] the repro binary (`repro all --jobs 8`, ...)
 //! cargo xtask tsan            ThreadSanitizer pass over the concurrency
 //!                             surface (nightly-only; skips if unavailable)
-//! cargo xtask miri            Miri pass over the deque model suite
+//! cargo xtask miri            Miri pass over the pool and event-queue tests
 //!                             (nightly + cargo-miri; skips if unavailable)
 //! ```
 //!
@@ -107,11 +107,11 @@ fn nightly_supports(cargo: &str, probe: &[&str]) -> bool {
         .unwrap_or(false)
 }
 
-/// ThreadSanitizer over the concurrency surface: the pool's deque model
-/// tests (`-p falkon-pool`), the connection engine's three soaks — wire
-/// balance and backpressure, 1k-connection fan-out, three-tier dispatcher
-/// loss (root-package integration tests `tcp_soak` / `tcp_fanout` /
-/// `tcp_threetier`) — and the vendored channel's own tests.
+/// ThreadSanitizer over the concurrency surface: the pool's unit tests and
+/// job-tree model (`-p falkon-pool`), the connection engine's three soaks —
+/// wire balance and backpressure, 1k-connection fan-out, three-tier
+/// dispatcher loss (root-package integration tests `tcp_soak` /
+/// `tcp_fanout` / `tcp_threetier`) — and the vendored channel's own tests.
 /// TSan needs nightly (`-Zsanitizer=thread`) plus rust-src for a
 /// `-Zbuild-std` rebuild of std with the sanitizer runtime.
 fn tsan(rest: &[String]) -> ExitCode {
@@ -156,18 +156,19 @@ fn tsan(rest: &[String]) -> ExitCode {
         }
     }
     println!(
-        "xtask tsan: PASSED (pool deque model, tcp_soak + tcp_fanout + tcp_threetier soaks, vendored channel)"
+        "xtask tsan: PASSED (pool unit + model suites, tcp_soak + tcp_fanout + tcp_threetier soaks, vendored channel)"
     );
     ExitCode::SUCCESS
 }
 
-/// Miri over the deque's model/proptest suite and the event-queue model
+/// Miri over the pool's tests (the `transmute` in `Scope::spawn` and the
+/// condvar protocol, under the job-tree model) and the event-queue model
 /// suite — the interpreter catches provenance and aliasing violations TSan
 /// cannot. Scoped to `falkon-pool` plus `falkon-sim`'s `queue_model` test
-/// because Miri cannot execute real sockets or poll(2). The queue models
-/// run thousands of proptest cases natively; under Miri's ~50× slowdown we
-/// cap them via `PROPTEST_CASES` — the interpreter's value is per-operation
-/// soundness, not case volume.
+/// because Miri cannot execute real sockets or poll(2). The models run
+/// hundreds to thousands of proptest cases natively; under Miri's ~50×
+/// slowdown we cap them via `PROPTEST_CASES` — the interpreter's value is
+/// per-operation soundness, not case volume.
 fn miri(rest: &[String]) -> ExitCode {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     if !nightly_supports(&cargo, &["--version"]) {
@@ -210,7 +211,7 @@ fn miri(rest: &[String]) -> ExitCode {
             }
         }
     }
-    println!("xtask miri: PASSED (pool deque model suite, sim event-queue model suite)");
+    println!("xtask miri: PASSED (pool unit + model suites, sim event-queue model suite)");
     ExitCode::SUCCESS
 }
 
