@@ -21,7 +21,7 @@ use crate::waitqueue::{Queued, WaitQueue};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 use falkon_proto::message::{DispatcherStatus, Message};
-use falkon_proto::task::{TaskResult, TaskSpec};
+use falkon_proto::task::{DataSpec, TaskResult, TaskSpec};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Inputs to the dispatcher state machine.
@@ -577,8 +577,8 @@ impl<P: Probe> Dispatcher<P> {
     fn pick_task(&mut self, now: Micros, executor: ExecutorId) -> Queued {
         if self.config.data_aware {
             let cache = &self.object_cache;
-            let staged = |spec: &TaskSpec| {
-                spec.data.is_some_and(|data| {
+            let staged = |data: Option<DataSpec>| {
+                data.is_some_and(|data| {
                     cache
                         .get(&data.object)
                         .is_some_and(|s| s.contains(&executor))

@@ -1,15 +1,22 @@
-//! The dispatcher's FIFO wait queue, kept bundle by bundle.
+//! The dispatcher's FIFO wait queue, kept bundle by bundle and, inside a
+//! bundle, run-length by shape.
 //!
-//! A submitted bundle stays the buffer it arrived in: the instance, the
-//! enqueue time and the attempt count are stored once per bundle, tasks
-//! leave from its front, and the buffer is freed when its last task has
-//! left. Memory therefore follows the live queue — it is given back bundle
-//! by bundle as the queue drains — and accepting a bundle copies no task.
-//! A replayed task re-enters as a bundle of one.
+//! The bundles Falkon is fed are parameter sweeps: tasks that share
+//! command, arguments, environment, directory, estimate and data, and
+//! differ in their id. A queued bundle is therefore a column of ids beside
+//! the runs of consecutive tasks of one *shape* (every [`TaskSpec`] field
+//! but `id`): 300 `sleep 0` tasks are one spec and 300 ids, and a task's
+//! spec is put back together as it leaves. The instance, the enqueue time
+//! and the attempt count are stored once per bundle, tasks leave from its
+//! front, and its buffers are freed when its last task has left. Memory
+//! therefore follows the live queue — it is given back bundle by bundle as
+//! the queue drains — and accepting a bundle copies one id per task. A
+//! bundle of all-distinct tasks is as many runs of one, each spec moved in
+//! and moved out again. A replayed task re-enters as a bundle of one.
 
 use crate::ids::InstanceId;
 use crate::Micros;
-use falkon_proto::task::TaskSpec;
+use falkon_proto::task::{DataSpec, TaskId, TaskSpec};
 use std::collections::VecDeque;
 
 /// Tasks that entered the queue together.
@@ -18,8 +25,32 @@ struct Batch {
     enqueued_us: Micros,
     /// Dispatch attempts already made (0 for a fresh submission).
     attempts: u32,
+    /// The shapes of the queued tasks in queue order, each with how many
+    /// consecutive `ids` have it (never 0). A shape's own `id` means nothing.
+    runs: VecDeque<(TaskSpec, u32)>,
     /// Never empty while the batch is in the queue.
-    tasks: VecDeque<TaskSpec>,
+    ids: VecDeque<TaskId>,
+}
+
+/// Whether two tasks differ in nothing but their id. The cheap fields that
+/// tell sweeps apart come first; the destructuring makes a new `TaskSpec`
+/// field a compile error here rather than a silently merged run.
+fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
+    let TaskSpec {
+        id: _,
+        command,
+        args,
+        env,
+        working_dir,
+        estimated_runtime_us,
+        data,
+    } = a;
+    *data == b.data
+        && *estimated_runtime_us == b.estimated_runtime_us
+        && *args == b.args
+        && *command == b.command
+        && *working_dir == b.working_dir
+        && *env == b.env
 }
 
 /// One task taken off the queue, with its batch's bookkeeping.
@@ -60,46 +91,73 @@ impl WaitQueue {
             return;
         }
         self.len += tasks.len();
+        let mut ids = VecDeque::with_capacity(tasks.len());
+        let mut runs: VecDeque<(TaskSpec, u32)> = VecDeque::with_capacity(1);
+        for task in tasks {
+            ids.push_back(task.id);
+            match runs.back_mut() {
+                Some((shape, n)) if *n < u32::MAX && same_shape(shape, &task) => *n += 1,
+                _ => runs.push_back((task, 1)),
+            }
+        }
         self.batches.push_back(Batch {
             instance,
             enqueued_us,
             attempts,
-            // O(1): the deque takes over the vector's buffer.
-            tasks: VecDeque::from(tasks),
+            runs,
+            ids,
         });
     }
 
     /// Take the task at the front of the queue.
     pub(crate) fn pop_front(&mut self) -> Option<Queued> {
-        (!self.batches.is_empty()).then(|| self.take(0, 0))
+        (!self.batches.is_empty()).then(|| self.take(0, 0, 0))
     }
 
-    /// Take the first of the front `window` tasks that `wanted` accepts.
+    /// Take the first of the front `window` tasks whose data `wanted`
+    /// accepts. A run's tasks share their data, so `wanted` is asked once
+    /// per run and a hit is the run's first task.
     pub(crate) fn take_first(
         &mut self,
         window: usize,
-        mut wanted: impl FnMut(&TaskSpec) -> bool,
+        mut wanted: impl FnMut(Option<DataSpec>) -> bool,
     ) -> Option<Queued> {
-        let (b, i) = self
-            .batches
-            .iter()
-            .enumerate()
-            .flat_map(|(b, batch)| batch.tasks.iter().enumerate().map(move |(i, t)| (b, i, t)))
-            .take(window)
-            .find_map(|(b, i, t)| wanted(t).then_some((b, i)))?;
-        Some(self.take(b, i))
+        let mut seen = 0;
+        for (b, batch) in self.batches.iter().enumerate() {
+            let mut at = 0;
+            for (r, (shape, n)) in batch.runs.iter().enumerate() {
+                if seen >= window {
+                    return None;
+                }
+                if wanted(shape.data) {
+                    return Some(self.take(b, r, at));
+                }
+                seen += *n as usize;
+                at += *n as usize;
+            }
+        }
+        None
     }
 
-    fn take(&mut self, b: usize, i: usize) -> Queued {
+    /// Take the task at `at` in batch `b`, which belongs to that batch's
+    /// run `r`. The last task of a run leaves with the run's spec itself.
+    fn take(&mut self, b: usize, r: usize, at: usize) -> Queued {
         let batch = &mut self.batches[b];
-        let spec = batch.tasks.remove(i).expect("index within the batch");
+        let id = batch.ids.remove(at).expect("index within the batch");
+        let (shape, n) = &mut batch.runs[r];
+        *n -= 1;
+        let mut spec = match *n {
+            0 => batch.runs.remove(r).expect("indexed above").0,
+            _ => shape.clone(),
+        };
+        spec.id = id;
         let queued = Queued {
             instance: batch.instance,
             spec,
             attempts: batch.attempts,
             enqueued_us: batch.enqueued_us,
         };
-        if batch.tasks.is_empty() {
+        if batch.ids.is_empty() {
             self.batches.remove(b);
         }
         self.len -= 1;
@@ -109,13 +167,14 @@ impl WaitQueue {
     /// Drop every task `instance` has queued.
     pub(crate) fn purge(&mut self, instance: InstanceId) {
         self.batches.retain(|b| b.instance != instance);
-        self.len = self.batches.iter().map(|b| b.tasks.len()).sum();
+        self.len = self.batches.iter().map(|b| b.ids.len()).sum();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falkon_proto::task::{DataAccess, DataLocation, IStr};
 
     fn ids(q: &mut WaitQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.pop_front())
@@ -127,12 +186,22 @@ mod tests {
         ids.map(|i| TaskSpec::sleep(i, 0)).collect()
     }
 
+    /// `sleep 0` reading `object`.
+    fn reads(id: u64, object: u64) -> TaskSpec {
+        TaskSpec::sleep(id, 0).with_object(object, 1, DataLocation::SharedFs, DataAccess::Read)
+    }
+
+    fn wants(object: u64) -> impl FnMut(Option<DataSpec>) -> bool {
+        move |data| data.is_some_and(|d| d.object == object)
+    }
+
     #[test]
     fn fifo_across_bundles_with_per_bundle_bookkeeping() {
         let mut q = WaitQueue::default();
         q.push(InstanceId(1), 10, 0, bundle(0..3));
         q.push(InstanceId(2), 20, 2, bundle(3..4));
         assert_eq!(q.len(), 4);
+        assert_eq!(q.batches[0].runs.len(), 1, "one shape, one run");
         let first = q.pop_front().unwrap();
         assert_eq!(
             (first.spec.id.0, first.enqueued_us, first.attempts),
@@ -163,25 +232,62 @@ mod tests {
     }
 
     #[test]
+    fn a_task_leaves_as_the_spec_that_entered() {
+        let tasks = vec![
+            TaskSpec::sleep(0, 0),
+            TaskSpec::sleep(1, 0),
+            TaskSpec::sleep(2, 4),
+            reads(3, 7),
+            reads(4, 7),
+            TaskSpec::sleep(5, 0),
+        ];
+        let mut q = WaitQueue::default();
+        q.push(InstanceId(1), 0, 0, tasks.clone());
+        let counts: Vec<u32> = q.batches[0].runs.iter().map(|r| r.1).collect();
+        assert_eq!(counts, vec![2, 1, 2, 1]);
+        let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
+            .map(|t| t.spec)
+            .collect();
+        assert_eq!(out, tasks);
+    }
+
+    #[test]
     fn take_first_scans_the_window_across_bundles() {
         let mut q = WaitQueue::default();
         q.push(InstanceId(1), 0, 0, bundle(0..2));
-        q.push(InstanceId(1), 1, 0, bundle(2..4));
+        q.push(InstanceId(1), 1, 0, vec![reads(2, 7), reads(3, 9)]);
         // Task 3 is the fourth in line: outside a window of three.
-        assert!(q.take_first(3, |t| t.id.0 == 3).is_none());
+        assert!(q.take_first(3, wants(9)).is_none());
+        assert!(q.take_first(0, |_| true).is_none());
         assert_eq!(q.len(), 4);
-        let hit = q.take_first(4, |t| t.id.0 >= 2).unwrap();
+        let hit = q.take_first(4, |data| data.is_some()).unwrap();
         assert_eq!((hit.spec.id.0, hit.enqueued_us), (2, 1));
         assert_eq!(ids(&mut q), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn take_first_walks_a_run_from_its_first_task_to_its_last() {
+        let mut q = WaitQueue::default();
+        let mut tasks = bundle(0..2);
+        tasks.extend((2..5).map(|i| reads(i, 7)));
+        tasks.extend(bundle(5..6));
+        q.push(InstanceId(1), 0, 0, tasks);
+        for want in 2..5 {
+            let hit = q.take_first(3, wants(7)).unwrap();
+            assert_eq!(hit.spec, reads(want, 7));
+        }
+        assert!(q.take_first(3, wants(7)).is_none());
+        assert_eq!(q.batches[0].runs.len(), 2, "the drained run is gone");
+        assert_eq!(ids(&mut q), vec![0, 1, 5]);
     }
 
     #[test]
     fn a_drained_middle_bundle_is_removed() {
         let mut q = WaitQueue::default();
         q.push(InstanceId(1), 0, 0, bundle(0..1));
-        q.push(InstanceId(1), 0, 0, bundle(1..2));
+        q.push(InstanceId(1), 0, 0, vec![reads(1, 7)]);
         q.push(InstanceId(1), 0, 0, bundle(2..3));
-        assert_eq!(q.take_first(3, |t| t.id.0 == 1).unwrap().spec.id.0, 1);
+        assert_eq!(q.take_first(3, wants(7)).unwrap().spec.id.0, 1);
         assert_eq!(q.batches.len(), 2);
         assert_eq!(ids(&mut q), vec![0, 2]);
     }
@@ -195,5 +301,34 @@ mod tests {
         q.purge(InstanceId(1));
         assert_eq!(q.len(), 2);
         assert_eq!(ids(&mut q), vec![3, 4]);
+    }
+
+    #[test]
+    fn distinct_tasks_are_moved_through_the_queue_not_cloned() {
+        let tasks: Vec<TaskSpec> = (0..4)
+            .map(|i| {
+                let mut t = TaskSpec::sleep(i, 0);
+                t.env = vec![(IStr::from("SWEEP_POINT"), IStr::from(format!("value-{i}")))];
+                t
+            })
+            .collect();
+        // One reference held here, one by the task — wherever it is.
+        let held: Vec<(IStr, IStr)> = tasks.iter().map(|t| t.env[0].clone()).collect();
+        let counts = || -> Vec<_> {
+            held.iter()
+                .map(|(k, v)| (k.strong_count(), v.strong_count()))
+                .collect()
+        };
+        let mut q = WaitQueue::default();
+        q.push(InstanceId(1), 0, 0, tasks);
+        assert_eq!(q.batches[0].runs.len(), 4);
+        assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
+        let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
+            .map(|t| t.spec)
+            .collect();
+        assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
+        for (i, (t, env)) in out.iter().zip(&held).enumerate() {
+            assert_eq!((t.id.0, &t.env[0]), (i as u64, env));
+        }
     }
 }

@@ -1,15 +1,21 @@
 //! Model test for the dispatcher's wait queue.
 //!
-//! The dispatcher keeps queued tasks bundle by bundle (`waitqueue.rs`). The
+//! The dispatcher keeps queued tasks bundle by bundle and, inside a bundle,
+//! as runs of one shape beside a column of ids (`waitqueue.rs`). The
 //! reference here is the structure that replaced: one flat
-//! `VecDeque<(instance, spec, attempts, enqueued_us)>`, an entry per task.
-//! Random interleavings of Submit (empty bundles included), GetWork and
-//! piggy-backed hand-outs with and without data-aware dispatch, failed
-//! results that are retried, timeout replays and `DestroyInstance` are fed
-//! to a real [`Dispatcher`] and to the model; after every step the tasks
-//! handed out (in order, per message), the completion records' enqueue
-//! time and attempt count, the abandoned tasks, `status().queued_tasks`,
-//! `status().running_tasks` and `is_drained()` must agree.
+//! `VecDeque<(instance, spec, attempts, enqueued_us)>`, a whole `TaskSpec`
+//! per task. Random interleavings of Submit (empty bundles included),
+//! GetWork and piggy-backed hand-outs with and without data-aware dispatch,
+//! failed results that are retried, timeout replays (each re-entering as a
+//! bundle of one) and `DestroyInstance` are fed to a real [`Dispatcher`]
+//! and to the model. Bundles are uniform, two shapes in alternating runs,
+//! all-distinct (`with_data`: object = id) or short runs over three shared
+//! objects, so a data-aware scan takes the first, the middle and the last
+//! task of a run and crosses run and bundle boundaries. After every step
+//! the tasks handed out (whole specs, in order, per message), the
+//! completion records' instance, enqueue time and attempt count, the
+//! abandoned tasks, `status().queued_tasks`, `status().running_tasks` and
+//! `is_drained()` must agree.
 
 use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent};
 use falkon_core::policy::ReplayPolicy;
@@ -22,10 +28,10 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 /// What one dispatcher event visibly did to the queue.
 #[derive(Debug, Default, PartialEq)]
 struct Effects {
-    /// Task ids per `Work` / `ResultAck` message, in message order.
-    handed: Vec<(ExecutorId, Vec<TaskId>)>,
-    /// `(task, enqueued_us, attempts)` per completion record.
-    done: Vec<(TaskId, u64, u32)>,
+    /// Tasks per `Work` / `ResultAck` message, in message order.
+    handed: Vec<(ExecutorId, Vec<TaskSpec>)>,
+    /// `(task, instance, enqueued_us, attempts)` per completion record.
+    done: Vec<(TaskId, InstanceId, u64, u32)>,
     /// `(task, attempts)` per abandoned task.
     failed: Vec<(TaskId, u32)>,
 }
@@ -39,12 +45,14 @@ fn feed(d: &mut Dispatcher, now: u64, ev: DispatcherEvent) -> Effects {
             DispatcherAction::ToExecutor {
                 executor,
                 msg: Message::Work { tasks } | Message::ResultAck { piggybacked: tasks },
-            } => fx
-                .handed
-                .push((executor, tasks.iter().map(|t| t.id).collect())),
-            DispatcherAction::TaskDone { record, .. } => {
-                fx.done
-                    .push((record.result.id, record.enqueued_us, record.attempts));
+            } => fx.handed.push((executor, tasks)),
+            DispatcherAction::TaskDone { instance, record } => {
+                fx.done.push((
+                    record.result.id,
+                    instance,
+                    record.enqueued_us,
+                    record.attempts,
+                ));
             }
             DispatcherAction::TaskFailed { task, attempts, .. } => fx.failed.push((task, attempts)),
             _ => {}
@@ -74,9 +82,9 @@ struct Model {
 }
 
 impl Model {
-    fn take_work(&mut self, now: u64, executor: ExecutorId) -> Vec<TaskId> {
+    fn take_work(&mut self, now: u64, executor: ExecutorId) -> Vec<TaskSpec> {
         let n = self.cfg.work_bundle.max(1).min(self.queue.len());
-        let mut ids = Vec::new();
+        let mut handed = Vec::new();
         for _ in 0..n {
             let window = self.cfg.data_aware_window.min(self.queue.len());
             let hit = (0..window)
@@ -90,7 +98,7 @@ impl Model {
                 .unwrap_or(0);
             let (instance, spec, attempts, enqueued_us) =
                 self.queue.remove(hit).expect("n is bounded by the length");
-            ids.push(spec.id);
+            handed.push(spec.clone());
             self.running.insert(
                 spec.id,
                 Run {
@@ -103,7 +111,7 @@ impl Model {
                 },
             );
         }
-        ids
+        handed
     }
 
     fn submit(&mut self, now: u64, instance: InstanceId, tasks: &[TaskSpec]) {
@@ -137,7 +145,8 @@ impl Model {
                 self.queue
                     .push_back((r.instance, r.spec, r.attempts, r.enqueued_us));
             } else {
-                fx.done.push((result.id, r.enqueued_us, r.attempts));
+                fx.done
+                    .push((result.id, r.instance, r.enqueued_us, r.attempts));
             }
         }
         let piggybacked = if self.cfg.piggyback {
@@ -187,7 +196,7 @@ proptest! {
         data_aware in any::<bool>(),
         piggyback in any::<bool>(),
         work_bundle in 1usize..4,
-        window in 1usize..6,
+        window in 1usize..12,
         script in prop::collection::vec((0u8..10, any::<u16>(), any::<u16>()), 1..300),
     ) {
         let cfg = DispatcherConfig {
@@ -236,18 +245,26 @@ proptest! {
             let (got, want) = match kind {
                 0 | 1 => {
                     let instance = instances[(a % 2) as usize];
-                    let tasks: Vec<TaskSpec> = (0..b % 5)
+                    let reads = |spec: TaskSpec, object: u16| {
+                        let (fs, read) = (DataLocation::SharedFs, DataAccess::Read);
+                        spec.with_object(object as u64 % 3, 1 << 20, fs, read)
+                    };
+                    let run = 1 + a / 64 % 3;
+                    let tasks: Vec<TaskSpec> = (0..b % 10)
                         .map(|j| {
                             let spec = TaskSpec::sleep(next_id, 0);
                             next_id += 1;
-                            match (a / 2 + j) % 3 {
-                                0 => spec,
-                                _ => spec.with_object(
-                                    ((a / 7 + j) % 3) as u64,
-                                    1 << 20,
-                                    DataLocation::SharedFs,
-                                    DataAccess::Read,
-                                ),
+                            match a / 2 % 4 {
+                                // Uniform: one run.
+                                0 if a / 8 % 2 == 0 => spec,
+                                0 => reads(spec, a),
+                                // Two shapes, in alternating runs of `run`.
+                                1 if j / run % 2 == 0 => spec,
+                                1 => reads(spec, a),
+                                // All distinct: every task a run of one.
+                                2 => spec.with_data(1 << 20, DataLocation::SharedFs, DataAccess::Read),
+                                // Runs of `run` over three shared objects.
+                                _ => reads(spec, a + j / run),
                             }
                         })
                         .collect();

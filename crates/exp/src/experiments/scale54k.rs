@@ -90,11 +90,9 @@ fn emulation_config(executors: u32) -> SimFalkonConfig {
 /// timers, so the two arms run one after the other, never side by side.
 fn emulate(executors: u32, task_secs: u64, each: impl FnMut(TaskRecord)) -> SimOutcome {
     let mut sim = SimFalkon::new(emulation_config(executors));
-    sim.submit(
+    sim.submit_stream(
         0,
-        (0..executors as u64)
-            .map(|i| TaskSpec::sleep(i, task_secs))
-            .collect(),
+        (0..executors).map(move |i| TaskSpec::sleep(i as u64, task_secs)),
     );
     sim.run_until_drained_with(each)
 }

@@ -12,7 +12,7 @@
 //! * [`simfalkon`] — a full simulated deployment: client, dispatcher,
 //!   executors, provisioner, LRM, shared/local filesystems.
 //! * [`lrmdirect`] — baseline runs that submit every task straight to
-//!   PBS/Condor/GRAM4 (what Falkon is compared against).
+//!   PBS or Condor (what Falkon is compared against).
 //! * [`providers`] — `falkon-workflow` providers backed by the simulator
 //!   (Falkon, GRAM4+PBS, clustered GRAM4+PBS) for the Section 5
 //!   application experiments.

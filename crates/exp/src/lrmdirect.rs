@@ -1,9 +1,7 @@
 //! Baselines that submit every task straight to the batch scheduler —
-//! what the paper compares Falkon against (Table 2, Figure 7, and the
-//! GRAM4+PBS columns of Tables 3–4 and Figures 14–15).
+//! what the paper compares Falkon against in Table 2 and Figure 7.
 
 use crate::Micros;
-use falkon_lrm::gram::{Gram, GramConfig, GramInput, GramOutput};
 use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
@@ -99,85 +97,6 @@ fn drain(
     }
 }
 
-/// Outcome of a GRAM4-fronted run (adds gateway serialization and delayed
-/// notifications; the client-visible timings of Table 3).
-pub fn run_via_gram(
-    profile: LrmProfile,
-    gram: GramConfig,
-    nodes: u32,
-    // (submit_time_us, runtime_us) per task — workflows submit in waves.
-    tasks: &[(Micros, Micros)],
-) -> DirectOutcome {
-    let lrm = BatchScheduler::new(profile, nodes);
-    let mut g = Gram::new(gram, lrm);
-    // Interleave submissions with gateway progress in time order.
-    let mut subs: Vec<(Micros, u64)> = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, &(t, _))| (t, i as u64))
-        .collect();
-    subs.sort_unstable();
-    let n = tasks.len() as u64;
-    let mut submitted_at: HashMap<JobId, Micros> = HashMap::new();
-    let mut active: HashMap<JobId, Micros> = HashMap::new();
-    let mut queue_sum = 0u64;
-    let mut exec_sum = 0u64;
-    let mut done = 0u64;
-    let mut makespan = 0u64;
-    let mut next_sub = 0usize;
-    let mut guard = 0u64;
-    while done < n {
-        // What happens first: the next submission or the gateway wakeup?
-        let next_wake = g.next_wakeup();
-        let next_submit = subs.get(next_sub).map(|&(t, _)| t);
-        let (t, submit_now) = match (next_submit, next_wake) {
-            (Some(ts), Some(tw)) if ts <= tw => (ts, true),
-            (Some(ts), None) => (ts, true),
-            (_, Some(tw)) => (tw, false),
-            (None, None) => break,
-        };
-        let events = if submit_now {
-            let (ts, idx) = subs[next_sub];
-            next_sub += 1;
-            let spec = JobSpec::task(idx, tasks[idx as usize].1);
-            submitted_at.insert(spec.id, ts);
-            let mut ev = Vec::new();
-            g.handle(t, GramInput::Submit(spec), &mut ev);
-            ev
-        } else {
-            let mut ev = Vec::new();
-            g.handle(t, GramInput::Tick, &mut ev);
-            ev
-        };
-        for GramOutput::Notification { job, state } in events {
-            match state {
-                JobState::Queued => {}
-                JobState::Active => {
-                    active.insert(job, t);
-                    let sub_t = submitted_at.get(&job).copied().unwrap_or(0);
-                    queue_sum += t - sub_t;
-                }
-                JobState::Done(_) => {
-                    if let Some(t_active) = active.remove(&job) {
-                        exec_sum += t - t_active;
-                        done += 1;
-                        makespan = makespan.max(t);
-                    }
-                }
-            }
-        }
-        guard += 1;
-        assert!(guard < 50_000_000, "GRAM run stuck at {done}/{n}");
-    }
-    DirectOutcome {
-        tasks: done,
-        makespan_us: makespan,
-        throughput: done as f64 / (makespan.max(1) as f64 / 1e6),
-        avg_queue_us: queue_sum as f64 / done.max(1) as f64,
-        avg_exec_us: exec_sum as f64 / done.max(1) as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,16 +136,5 @@ mod tests {
             (0.75..1.0).contains(&efficiency),
             "efficiency = {efficiency:.2}"
         );
-    }
-
-    #[test]
-    fn gram_adds_visible_overheads() {
-        let tasks: Vec<(Micros, Micros)> = (0..20).map(|_| (0, 60_000_000)).collect();
-        let out = run_via_gram(PBS_V2_1_8, GramConfig::default(), 32, &tasks);
-        assert_eq!(out.tasks, 20);
-        // Client-visible exec must exceed the 60 s payload by the GRAM
-        // done-delay (≈38 s).
-        let exec_s = out.avg_exec_us / 1e6;
-        assert!((90.0..115.0).contains(&exec_s), "exec = {exec_s:.1} s");
     }
 }

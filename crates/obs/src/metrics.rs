@@ -78,11 +78,6 @@ impl Histogram {
         self.sum += value as u128;
     }
 
-    /// Record a duration in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
     /// Absorb `other` (sharded-recorder merge): equal to having recorded
     /// both sample streams into one histogram.
     pub fn merge(&mut self, other: &Histogram) {

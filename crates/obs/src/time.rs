@@ -90,19 +90,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Milliseconds in this duration (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds as a float (lossy, for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Whether this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction.
@@ -113,11 +103,6 @@ impl SimDuration {
     /// Multiply by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
-    }
-
-    /// Scale by a float factor (clamped at zero).
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
 }
 
@@ -199,7 +184,6 @@ mod tests {
     fn construction_and_accessors() {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
         assert!((SimTime::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
     }
 
@@ -210,9 +194,9 @@ mod tests {
         assert_eq!(t - SimTime::from_secs(10), SimDuration::from_secs(5));
         let mut d = SimDuration::from_secs(1);
         d += SimDuration::from_millis(500);
-        assert_eq!(d.as_millis(), 1_500);
+        assert_eq!(d, SimDuration::from_millis(1_500));
         d -= SimDuration::from_millis(1_500);
-        assert!(d.is_zero());
+        assert_eq!(d, SimDuration::ZERO);
     }
 
     #[test]
@@ -234,10 +218,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs(2).saturating_mul(3),
             SimDuration::from_secs(6)
-        );
-        assert_eq!(
-            SimDuration::from_secs(2).mul_f64(0.5),
-            SimDuration::from_secs(1)
         );
         assert_eq!(SimDuration::MAX.saturating_mul(2), SimDuration::MAX);
     }

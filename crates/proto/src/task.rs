@@ -108,6 +108,15 @@ impl IStr {
         let b = other.as_str();
         std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len()
     }
+
+    /// How many `IStr`s share this one's heap string (`None` when interned,
+    /// which is not counted): tells a move from a clone.
+    pub fn strong_count(&self) -> Option<usize> {
+        match &self.0 {
+            Repr::Static(_) => None,
+            Repr::Shared(s) => Some(Arc::strong_count(s)),
+        }
+    }
 }
 
 impl Deref for IStr {
@@ -133,7 +142,9 @@ impl Default for IStr {
 impl PartialEq for IStr {
     #[inline]
     fn eq(&self, other: &IStr) -> bool {
-        self.as_str() == other.as_str()
+        // Identity first: the wait queue compares every arriving task with
+        // the one before it, and in a sweep they share their strings.
+        self.ptr_eq(other) || self.as_str() == other.as_str()
     }
 }
 
@@ -288,8 +299,9 @@ impl<'de> Deserialize<'de> for Args {}
 /// A unit of work dispatched by Falkon: an executable invocation, 128
 /// bytes in memory.
 ///
-/// The dispatcher's wait queue holds one of these per queued task (≈1.5 M at
-/// the peak of Figure 8) and every hop of the enqueue→dispatch→complete
+/// The dispatcher's wait queue holds one of these per run of same-shaped
+/// queued tasks (and an 8-byte id per task), its `running` table one per
+/// task in flight, and every hop of the enqueue→dispatch→complete
 /// pipeline clones one, so the struct is kept small and shallow: string
 /// fields are [`IStr`]s and the argument list is an [`Args`]. The canonical
 /// `sleep` constructors and the decode path intern their strings, so

@@ -42,14 +42,6 @@ impl SimRng {
         lo + self.unit() * (hi - lo)
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            return lo;
-        }
-        self.inner.random_range(lo..=hi)
-    }
-
     /// Exponentially distributed value with the given mean (inter-arrival
     /// gaps, service jitter).
     pub fn exponential(&mut self, mean: f64) -> f64 {
@@ -60,14 +52,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Normally distributed value via Box–Muller, clamped at `min`.
-    pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, min: f64) -> f64 {
-        let u1 = (1.0 - self.unit()).max(f64::MIN_POSITIVE);
-        let u2 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (mean + std_dev * z).max(min)
-    }
-
     /// Log-normal-ish heavy tail: `base * exp(normal(0, sigma))`, clamped to
     /// `[base_min, cap]`. Used for the per-task overhead noise of Figure 10.
     pub fn heavy_tail(&mut self, base: f64, sigma: f64, cap: f64) -> f64 {
@@ -75,11 +59,6 @@ impl SimRng {
         let u2 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         (base * (sigma * z).exp()).clamp(0.0, cap)
-    }
-
-    /// Bernoulli trial.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p
     }
 }
 
@@ -119,11 +98,8 @@ mod tests {
         for _ in 0..1000 {
             let v = r.uniform(2.0, 5.0);
             assert!((2.0..5.0).contains(&v));
-            let n = r.uniform_u64(10, 20);
-            assert!((10..=20).contains(&n));
         }
         assert_eq!(r.uniform(5.0, 2.0), 5.0);
-        assert_eq!(r.uniform_u64(9, 3), 9);
     }
 
     #[test]
@@ -136,26 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn normal_clamped_respects_floor() {
-        let mut r = SimRng::seed_from_u64(13);
-        for _ in 0..1000 {
-            assert!(r.normal_clamped(0.0, 10.0, -1.0) >= -1.0);
-        }
-    }
-
-    #[test]
     fn heavy_tail_within_cap() {
         let mut r = SimRng::seed_from_u64(17);
         for _ in 0..1000 {
             let v = r.heavy_tail(0.05, 0.8, 1.3);
             assert!((0.0..=1.3).contains(&v));
         }
-    }
-
-    #[test]
-    fn chance_probability_roughly_correct() {
-        let mut r = SimRng::seed_from_u64(19);
-        let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
-        assert!((2_700..3_300).contains(&hits), "hits = {hits}");
     }
 }

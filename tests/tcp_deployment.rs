@@ -2,8 +2,8 @@
 //! sequence over real sockets, with and without the security layer, plus
 //! executor churn, the handshake's corner cases (a first frame sent with
 //! the hello, a peer that never speaks, a wrong key), the status poll, an
-//! executor that re-registers on a fresh connection, and the machine's
-//! replay deadline riding the poll timeout.
+//! executor that re-registers on a fresh connection, the machine's replay
+//! deadline riding the poll timeout, and work bundles with pre-fetch.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -156,6 +156,12 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
 struct RawExecutor {
     id: ExecutorId,
     stream: TcpStream,
+    /// `(frames, payload bytes)` written and read: what a [`Conn`]'s wire
+    /// tap would have charged.
+    ///
+    /// [`Conn`]: falkon::rt::conn::Conn
+    sent: (u64, u64),
+    received: (u64, u64),
 }
 
 impl RawExecutor {
@@ -168,6 +174,8 @@ impl RawExecutor {
         let mut raw = RawExecutor {
             id: ExecutorId(id),
             stream,
+            sent: (0, 0),
+            received: (0, 0),
         };
         raw.send(&Message::Register {
             executor: raw.id,
@@ -181,12 +189,42 @@ impl RawExecutor {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &EfficientCodec.encode(msg));
         self.stream.write_all(&bytes).expect("write");
+        self.sent = (self.sent.0 + 1, self.sent.1 + bytes.len() as u64 - 4);
     }
 
     fn recv(&mut self) -> Message {
-        EfficientCodec
-            .decode(&read_frame(&mut self.stream))
-            .expect("decodes")
+        let frame = read_frame(&mut self.stream);
+        self.received = (self.received.0 + 1, self.received.1 + frame.len() as u64);
+        EfficientCodec.decode(&frame).expect("decodes")
+    }
+
+    /// Behave from here on: answer every `Notify`, report every task handed
+    /// over from now on as a success, until the dispatcher closes the
+    /// connection. Returns how many tasks that was.
+    fn serve_until_closed(&mut self) -> u64 {
+        self.stream.set_read_timeout(None).expect("timeout");
+        let mut ran = 0;
+        loop {
+            let mut first = [0u8; 1];
+            if self.stream.peek(&mut first).expect("peek") == 0 {
+                return ran;
+            }
+            let tasks = match self.recv() {
+                Message::Notify { key } => {
+                    let executor = self.id;
+                    self.send(&Message::GetWork { executor, key });
+                    continue;
+                }
+                Message::Work { tasks } | Message::ResultAck { piggybacked: tasks } => tasks,
+                other => panic!("unexpected {other:?}"),
+            };
+            if !tasks.is_empty() {
+                ran += tasks.len() as u64;
+                let executor = self.id;
+                let results = tasks.iter().map(|t| TaskResult::success(t.id)).collect();
+                self.send(&Message::Result { executor, results });
+            }
+        }
     }
 
     /// Answer the next `Notify` with `GetWork` and return the tasks handed
@@ -290,6 +328,100 @@ fn tcp_replay_deadline_fires_with_no_socket_traffic() {
     assert_eq!(stats.retries, 1, "replayed exactly once");
     drop(silent);
     real.join().expect("join").ok();
+}
+
+/// ROADMAP item 2(b) on real sockets: work leaves the dispatcher in bundles
+/// of four and the executors ask for the next bundle while the current one
+/// runs, so the wait queue hands several tasks of one run to one message. An
+/// executor that takes the first bundle and sits on it must not lose those
+/// four tasks: each is replayed once its deadline passes, while everything
+/// else completes around them. Every task completes exactly once, and
+/// every frame charged at one end of a socket is charged at the other.
+#[test]
+fn tcp_work_bundles_with_prefetch_complete_exactly_once_and_replay_on_time() {
+    const TASKS: u64 = 400;
+    const SLACK: Duration = Duration::from_millis(300);
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            work_bundle: 4,
+            client_notify_batch: 50,
+            replay: ReplayPolicy {
+                timeout_slack_us: SLACK.as_micros() as u64,
+                ..ReplayPolicy::default()
+            },
+            ..DispatcherConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+
+    // The only executor when the first bundle arrives, so first in line.
+    let mut hoarder = RawExecutor::register(addr, 9);
+    let started = Instant::now();
+    let client = thread::spawn(move || run_client(addr, tasks(TASKS), BundleConfig::of(50), None));
+    let held = hoarder.take_work();
+    assert_eq!(held.len(), 4, "work leaves in bundles of `work_bundle`");
+    // It never reports those four. Notified again once they have been
+    // taken from it, it serves like any executor, so the run cannot hang
+    // on it whichever executor the replays are offered to.
+    let hoarder = thread::spawn(move || {
+        let ran = hoarder.serve_until_closed();
+        (ran, hoarder.sent, hoarder.received)
+    });
+    let prefetching = ExecutorConfig {
+        idle_release_us: None,
+        prefetch: true,
+    };
+    let execs: Vec<_> = (0..2)
+        .map(|i| thread::spawn(move || run_executor(addr, ExecutorId(i), prefetching, None)))
+        .collect();
+
+    let client = client.join().expect("client thread").expect("client io");
+    assert_eq!(client.done, TASKS, "client lost completions");
+    assert!(
+        started.elapsed() >= SLACK,
+        "the held bundle completed before its deadline could pass"
+    );
+    let poll_wire = common::wait_registered(addr, None, 3);
+    let (records, stats, obs) = server.shutdown();
+    let (mut ran, sent, received) = hoarder.join().expect("hoarder thread");
+    let mut peer_wire = client.wire;
+    peer_wire.merge(&poll_wire);
+    for e in execs {
+        let out = e.join().expect("executor thread").expect("executor run");
+        ran += out.tasks;
+        peer_wire.merge(&out.wire);
+    }
+
+    // Exactly once, the held bundle included.
+    assert_eq!(ran, TASKS, "a task ran twice or not at all");
+    assert_eq!((records.len() as u64, stats.completed), (TASKS, TASKS));
+    let ids: std::collections::HashSet<_> = records.iter().map(|r| r.result.id).collect();
+    assert_eq!(ids.len() as u64, TASKS, "duplicate task records");
+    assert_eq!(stats.duplicate_results, 0);
+    assert_eq!(
+        stats.retries, 4,
+        "the held bundle, and only it, is replayed"
+    );
+    for task in &held {
+        let record = records.iter().find(|r| r.result.id == task.id);
+        assert_eq!(record.map(|r| r.attempts), Some(2), "{task:?}");
+    }
+
+    // Wire balance, the hand-driven socket's tallies included.
+    let total = |c: &falkon::obs::Counters, kind| (c.count(kind), c.value(kind));
+    let plus = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
+    assert_eq!(
+        total(&obs.counters, ObsEventKind::BundleDecoded),
+        plus(total(&peer_wire, ObsEventKind::BundleEncoded), sent),
+        "frames/bytes sent by peers != received by dispatcher"
+    );
+    assert_eq!(
+        total(&obs.counters, ObsEventKind::BundleEncoded),
+        plus(total(&peer_wire, ObsEventKind::BundleDecoded), received),
+        "frames/bytes sent by dispatcher != received by peers"
+    );
 }
 
 /// The regression test for the secure first-frame hang: a peer may send its
