@@ -17,12 +17,13 @@
 use crate::config::DispatcherConfig;
 use crate::ids::{ExecutorId, InstanceId, NotifyKey, TaskId};
 use crate::table::{DenseMap, FxHashMap, FxHashSet, DENSE_ID_CAP};
-use crate::waitqueue::{Queued, WaitQueue};
+use crate::waitqueue::{spec_of, Queued, WaitQueue};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 use falkon_proto::message::{DispatcherStatus, Message};
 use falkon_proto::task::{DataSpec, TaskResult, TaskSpec};
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Inputs to the dispatcher state machine.
 #[derive(Clone, Debug)]
@@ -36,12 +37,11 @@ pub enum DispatcherEvent {
         /// The submitted bundle.
         tasks: Vec<TaskSpec>,
     },
-    /// An executor registers.
+    /// An executor registers. (The host name its `Register` message
+    /// carries is not kept: nothing here reads it.)
     Register {
         /// The new executor's id.
         executor: ExecutorId,
-        /// Hostname for diagnostics.
-        host: String,
     },
     /// An executor answers a notification and asks for work `{4}`.
     GetWork {
@@ -171,16 +171,20 @@ struct ExecState {
     outstanding: usize,
 }
 
+/// A task in flight, keyed by its id in `running`. Its spec is that id
+/// under its run's shape, the handle the wait queue gave it out with.
 #[derive(Clone, Debug)]
 struct Running {
     instance: InstanceId,
-    spec: TaskSpec,
+    shape: Arc<TaskSpec>,
     executor: ExecutorId,
     attempts: u32,
     enqueued_us: Micros,
     dispatched_us: Micros,
     deadline_us: Micros,
 }
+
+const _: () = assert!(std::mem::size_of::<Running>() <= 56);
 
 /// Aggregate dispatcher counters (monotonic).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -411,7 +415,7 @@ impl<P: Probe> Dispatcher<P> {
                     },
                 );
             }
-            DispatcherEvent::Register { executor, .. } => {
+            DispatcherEvent::Register { executor } => {
                 // The id arrives on the wire; the dense table below indexes
                 // by it directly, so an absurd id must not be allowed to
                 // size the table. Real drivers assign ids sequentially.
@@ -598,15 +602,16 @@ impl<P: Probe> Dispatcher<P> {
         let mut tasks = Vec::with_capacity(n);
         for _ in 0..n {
             let q = self.pick_task(now, executor);
-            let deadline_us = now.saturating_add(self.config.replay.deadline_for(&q.spec));
+            let deadline_us = now.saturating_add(self.config.replay.deadline_for(&q.shape));
             let attempts = q.attempts + 1;
             self.deadlines
-                .push(std::cmp::Reverse((deadline_us, q.spec.id, attempts)));
+                .push(std::cmp::Reverse((deadline_us, q.id, attempts)));
+            tasks.push(spec_of(&q.shape, q.id));
             self.running.insert(
-                q.spec.id,
+                q.id,
                 Running {
                     instance: q.instance,
-                    spec: q.spec.clone(),
+                    shape: q.shape,
                     executor,
                     attempts,
                     enqueued_us: q.enqueued_us,
@@ -620,7 +625,6 @@ impl<P: Probe> Dispatcher<P> {
                     queue_us: now.saturating_sub(q.enqueued_us),
                 },
             );
-            tasks.push(q.spec);
         }
         tasks
     }
@@ -679,7 +683,7 @@ impl<P: Probe> Dispatcher<P> {
         orphaned.sort_unstable();
         for id in orphaned {
             let r = self.running.remove(&id).expect("collected above");
-            self.replay(now, r, out);
+            self.replay(now, id, r, out);
         }
     }
 
@@ -708,7 +712,7 @@ impl<P: Probe> Dispatcher<P> {
         }
         // Data-aware dispatch: this executor now has the task's data staged.
         if self.config.data_aware {
-            if let Some(data) = r.spec.data {
+            if let Some(data) = r.shape.data {
                 self.object_cache
                     .entry(data.object)
                     .or_default()
@@ -721,8 +725,9 @@ impl<P: Probe> Dispatcher<P> {
             && r.attempts <= self.config.replay.max_retries
         {
             self.emit(now, ObsEvent::TaskRetried);
+            let spec = spec_of(&r.shape, result.id);
             self.queue
-                .push(r.instance, r.enqueued_us, r.attempts, vec![r.spec]);
+                .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
             return;
         }
         self.emit(
@@ -772,13 +777,13 @@ impl<P: Probe> Dispatcher<P> {
         }
     }
 
-    /// Re-dispatch or abandon a task per the replay policy.
-    fn replay(&mut self, now: Micros, r: Running, out: &mut Vec<DispatcherAction>) {
+    /// Re-dispatch or abandon task `id` per the replay policy.
+    fn replay(&mut self, now: Micros, id: TaskId, r: Running, out: &mut Vec<DispatcherAction>) {
         if r.attempts > self.config.replay.max_retries {
             self.emit(now, ObsEvent::TaskFailed);
             out.push(DispatcherAction::TaskFailed {
                 instance: r.instance,
-                task: r.spec.id,
+                task: id,
                 attempts: r.attempts,
             });
             // Also surface a synthesized failure so clients can complete.
@@ -786,7 +791,7 @@ impl<P: Probe> Dispatcher<P> {
             if let Some(inst) = self.instances.get_mut(r.instance) {
                 inst.pending = inst.pending.saturating_sub(1);
                 inst.ready.push(
-                    TaskResult::failure(r.spec.id, -1)
+                    TaskResult::failure(id, -1)
                         .with_output(None, Some("falkon: retries exhausted".to_string())),
                 );
                 inst.unnotified += 1;
@@ -808,8 +813,9 @@ impl<P: Probe> Dispatcher<P> {
             }
         } else {
             self.emit(now, ObsEvent::TaskRetried);
+            let spec = spec_of(&r.shape, id);
             self.queue
-                .push(r.instance, r.enqueued_us, r.attempts, vec![r.spec]);
+                .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
         }
     }
 
@@ -832,7 +838,7 @@ impl<P: Probe> Dispatcher<P> {
             let r = self.running.remove(&task).expect("checked above");
             // The executor that lost the task has one fewer outstanding.
             self.release_executor_slot(now, r.executor);
-            self.replay(now, r, out);
+            self.replay(now, task, r, out);
         }
     }
 
@@ -925,7 +931,6 @@ mod tests {
             20,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         // RegisterAck + Notify.
@@ -947,7 +952,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1032,7 +1036,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1090,7 +1093,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1171,7 +1173,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1226,7 +1227,6 @@ mod tests {
                 0,
                 DispatcherEvent::Register {
                     executor: ExecutorId(e),
-                    host: format!("n{e}"),
                 },
             );
         }
@@ -1299,7 +1299,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1364,7 +1363,6 @@ mod tests {
                 0,
                 DispatcherEvent::Register {
                     executor: ExecutorId(e),
-                    host: format!("n{e}"),
                 },
             );
         }
@@ -1423,7 +1421,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         step(
@@ -1485,7 +1482,6 @@ mod tests {
             0,
             DispatcherEvent::Register {
                 executor: ExecutorId(1),
-                host: "n1".into(),
             },
         );
         let acts = step(
@@ -1580,7 +1576,6 @@ mod tests {
                 0,
                 DispatcherEvent::Register {
                     executor: ExecutorId(e),
-                    host: format!("n{e}"),
                 },
             );
         }

@@ -15,7 +15,7 @@ use falkon_proto::message::Message;
 /// Returns `None` for messages a dispatcher never legitimately receives.
 pub fn message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
     Some(match msg {
-        Message::Register { executor, host } => DispatcherEvent::Register { executor, host },
+        Message::Register { executor, .. } => DispatcherEvent::Register { executor },
         Message::GetWork { executor, key } => DispatcherEvent::GetWork { executor, key },
         Message::Result { executor, results } => DispatcherEvent::Result { executor, results },
         Message::Deregister { executor } => DispatcherEvent::Deregister { executor },

@@ -10,14 +10,21 @@
 //! and the attempt count are stored once per bundle, tasks leave from its
 //! front, and its buffers are freed when its last task has left. Memory
 //! therefore follows the live queue — it is given back bundle by bundle as
-//! the queue drains — and accepting a bundle copies one id per task. A
-//! bundle of all-distinct tasks is as many runs of one, each spec moved in
-//! and moved out again. A replayed task re-enters as a bundle of one.
+//! the queue drains — and accepting a bundle copies one id per task.
+//!
+//! A run's shape is one shared [`Arc`], allocated as the run is folded in:
+//! a task leaves as its id and a handle on that shape, which the
+//! dispatcher keeps in its `running` entry for as long as the task is in
+//! flight, so 300 tasks of one shape cost one spec whether they wait or
+//! run. A bundle of all-distinct tasks is as many runs of one, each spec
+//! moved into an `Arc` of its own. A replayed task re-enters as a bundle
+//! of one. (`Arc`, not `Rc`: the rt dispatcher is moved onto its thread.)
 
 use crate::ids::InstanceId;
 use crate::Micros;
 use falkon_proto::task::{DataSpec, TaskId, TaskSpec};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Tasks that entered the queue together.
 struct Batch {
@@ -27,7 +34,7 @@ struct Batch {
     attempts: u32,
     /// The shapes of the queued tasks in queue order, each with how many
     /// consecutive `ids` have it (never 0). A shape's own `id` means nothing.
-    runs: VecDeque<(TaskSpec, u32)>,
+    runs: VecDeque<(Arc<TaskSpec>, u32)>,
     /// Never empty while the batch is in the queue.
     ids: VecDeque<TaskId>,
 }
@@ -53,10 +60,20 @@ fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
         && *env == b.env
 }
 
+/// The spec of task `id`, whose run's shape is `shape`.
+pub(crate) fn spec_of(shape: &TaskSpec, id: TaskId) -> TaskSpec {
+    TaskSpec {
+        id,
+        ..shape.clone()
+    }
+}
+
 /// One task taken off the queue, with its batch's bookkeeping.
 pub(crate) struct Queued {
     pub(crate) instance: InstanceId,
-    pub(crate) spec: TaskSpec,
+    pub(crate) id: TaskId,
+    /// The task's run's shape, shared with the run's other tasks.
+    pub(crate) shape: Arc<TaskSpec>,
     pub(crate) attempts: u32,
     pub(crate) enqueued_us: Micros,
 }
@@ -92,12 +109,12 @@ impl WaitQueue {
         }
         self.len += tasks.len();
         let mut ids = VecDeque::with_capacity(tasks.len());
-        let mut runs: VecDeque<(TaskSpec, u32)> = VecDeque::with_capacity(1);
+        let mut runs: VecDeque<(Arc<TaskSpec>, u32)> = VecDeque::with_capacity(1);
         for task in tasks {
             ids.push_back(task.id);
             match runs.back_mut() {
                 Some((shape, n)) if *n < u32::MAX && same_shape(shape, &task) => *n += 1,
-                _ => runs.push_back((task, 1)),
+                _ => runs.push_back((Arc::new(task), 1)),
             }
         }
         self.batches.push_back(Batch {
@@ -140,20 +157,20 @@ impl WaitQueue {
     }
 
     /// Take the task at `at` in batch `b`, which belongs to that batch's
-    /// run `r`. The last task of a run leaves with the run's spec itself.
+    /// run `r`. The last task of a run takes the run's handle by move.
     fn take(&mut self, b: usize, r: usize, at: usize) -> Queued {
         let batch = &mut self.batches[b];
         let id = batch.ids.remove(at).expect("index within the batch");
         let (shape, n) = &mut batch.runs[r];
         *n -= 1;
-        let mut spec = match *n {
+        let shape = match *n {
             0 => batch.runs.remove(r).expect("indexed above").0,
-            _ => shape.clone(),
+            _ => Arc::clone(shape),
         };
-        spec.id = id;
         let queued = Queued {
             instance: batch.instance,
-            spec,
+            id,
+            shape,
             attempts: batch.attempts,
             enqueued_us: batch.enqueued_us,
         };
@@ -178,7 +195,7 @@ mod tests {
 
     fn ids(q: &mut WaitQueue) -> Vec<u64> {
         std::iter::from_fn(|| q.pop_front())
-            .map(|t| t.spec.id.0)
+            .map(|t| t.id.0)
             .collect()
     }
 
@@ -203,13 +220,10 @@ mod tests {
         assert_eq!(q.len(), 4);
         assert_eq!(q.batches[0].runs.len(), 1, "one shape, one run");
         let first = q.pop_front().unwrap();
-        assert_eq!(
-            (first.spec.id.0, first.enqueued_us, first.attempts),
-            (0, 10, 0)
-        );
+        assert_eq!((first.id.0, first.enqueued_us, first.attempts), (0, 10, 0));
         assert_eq!(first.instance, InstanceId(1));
         let rest: Vec<_> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| (t.spec.id.0, t.instance, t.enqueued_us, t.attempts))
+            .map(|t| (t.id.0, t.instance, t.enqueued_us, t.attempts))
             .collect();
         assert_eq!(
             rest,
@@ -246,7 +260,7 @@ mod tests {
         let counts: Vec<u32> = q.batches[0].runs.iter().map(|r| r.1).collect();
         assert_eq!(counts, vec![2, 1, 2, 1]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| t.spec)
+            .map(|t| spec_of(&t.shape, t.id))
             .collect();
         assert_eq!(out, tasks);
     }
@@ -261,7 +275,7 @@ mod tests {
         assert!(q.take_first(0, |_| true).is_none());
         assert_eq!(q.len(), 4);
         let hit = q.take_first(4, |data| data.is_some()).unwrap();
-        assert_eq!((hit.spec.id.0, hit.enqueued_us), (2, 1));
+        assert_eq!((hit.id.0, hit.enqueued_us), (2, 1));
         assert_eq!(ids(&mut q), vec![0, 1, 3]);
     }
 
@@ -274,7 +288,7 @@ mod tests {
         q.push(InstanceId(1), 0, 0, tasks);
         for want in 2..5 {
             let hit = q.take_first(3, wants(7)).unwrap();
-            assert_eq!(hit.spec, reads(want, 7));
+            assert_eq!(spec_of(&hit.shape, hit.id), reads(want, 7));
         }
         assert!(q.take_first(3, wants(7)).is_none());
         assert_eq!(q.batches[0].runs.len(), 2, "the drained run is gone");
@@ -287,7 +301,7 @@ mod tests {
         q.push(InstanceId(1), 0, 0, bundle(0..1));
         q.push(InstanceId(1), 0, 0, vec![reads(1, 7)]);
         q.push(InstanceId(1), 0, 0, bundle(2..3));
-        assert_eq!(q.take_first(3, wants(7)).unwrap().spec.id.0, 1);
+        assert_eq!(q.take_first(3, wants(7)).unwrap().id.0, 1);
         assert_eq!(q.batches.len(), 2);
         assert_eq!(ids(&mut q), vec![0, 2]);
     }
@@ -324,7 +338,7 @@ mod tests {
         assert_eq!(q.batches[0].runs.len(), 4);
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| t.spec)
+            .map(|t| spec_of(&t.shape, t.id))
             .collect();
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         for (i, (t, env)) in out.iter().zip(&held).enumerate() {

@@ -73,7 +73,6 @@ impl World {
         for e in 0..n_exec {
             w.feed(DispatcherEvent::Register {
                 executor: ExecutorId(e),
-                host: format!("n{e}"),
             });
             w.alive.insert(ExecutorId(e));
         }
@@ -209,10 +208,7 @@ impl World {
                 // Queued tasks with no live executor: add a rescue executor.
                 let e = ExecutorId(1_000_000);
                 if self.alive.insert(e) {
-                    self.feed(DispatcherEvent::Register {
-                        executor: e,
-                        host: "rescue".into(),
-                    });
+                    self.feed(DispatcherEvent::Register { executor: e });
                 }
             }
         }

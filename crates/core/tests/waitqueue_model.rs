@@ -227,7 +227,6 @@ proptest! {
         for e in 0..EXECUTORS {
             let register = DispatcherEvent::Register {
                 executor: ExecutorId(e),
-                host: format!("n{e}"),
             };
             feed(&mut d, now, register);
         }

@@ -86,8 +86,9 @@ fn emulation_config(executors: u32) -> SimFalkonConfig {
 
 /// One task of `task_secs` per executor through a pool of `executors`,
 /// each record handed to `each`. The deployment is gone when this returns:
-/// a pool of this size is tens of MB of machines, `running` entries and
-/// timers, so the two arms run one after the other, never side by side.
+/// a pool of this size is ≈820 B per executor — its machine, its 65-byte
+/// `running` slot (the tasks share their bundle's spec), its timers — so
+/// tens of MB, and the two arms run one after the other, never side by side.
 fn emulate(executors: u32, task_secs: u64, each: impl FnMut(TaskRecord)) -> SimOutcome {
     let mut sim = SimFalkon::new(emulation_config(executors));
     sim.submit_stream(

@@ -152,7 +152,8 @@ enum Ev {
     ExecRecv(u32, Message),
     /// A task payload finishes on an executor.
     ExecDone(u32, TaskResult),
-    /// An executor process starts (begins registration).
+    /// A provisioned executor's process starts (begins registration). A
+    /// static pool's executors start in [`SimFalkon::new`] instead.
     ExecStart(u32),
     /// An executor's idle-release timer fires.
     ExecIdleCheck(u32),
@@ -184,8 +185,6 @@ struct ExecutorTable {
     /// The sans-io executor machines (cold relative to the flags below:
     /// touched only when a machine actually runs an event).
     machines: Vec<Executor>,
-    /// Physical node index per executor.
-    node: Vec<u32>,
     /// First-level allocation backing each executor (`None` = static pool).
     allocation: Vec<Option<AllocationId>>,
     /// Liveness flag, checked on every delivery.
@@ -200,12 +199,11 @@ struct ExecutorTable {
 
 impl ExecutorTable {
     /// A table with room for exactly `rows`: a static pool knows its size,
-    /// and seven columns doubled up to 100,000 rows leave a third of their
+    /// and six columns doubled up to 100,000 rows leave a third of their
     /// final size behind as holes.
     fn with_capacity(rows: usize) -> ExecutorTable {
         ExecutorTable {
             machines: Vec::with_capacity(rows),
-            node: Vec::with_capacity(rows),
             allocation: Vec::with_capacity(rows),
             alive: Vec::with_capacity(rows),
             registered_at: Vec::with_capacity(rows),
@@ -218,9 +216,8 @@ impl ExecutorTable {
         self.machines.len()
     }
 
-    fn push(&mut self, machine: Executor, node: u32, allocation: Option<AllocationId>) {
+    fn push(&mut self, machine: Executor, allocation: Option<AllocationId>) {
         self.machines.push(machine);
-        self.node.push(node);
         self.allocation.push(allocation);
         self.alive.push(true);
         self.registered_at.push(None);
@@ -371,12 +368,12 @@ impl SimFalkon {
             sim.queue
                 .push(falkon_sim::SimTime::from_micros(poll), Ev::ProvisionerPoll);
         } else {
-            // Static pool: all executors start at t=0 (registration costs
-            // still apply through the dispatcher CPU model).
+            // Static pool: all executors start here, at t=0, in index order
+            // (registration costs still apply through the dispatcher CPU
+            // model).
             for e in 0..sim.config.executors {
                 sim.spawn_executor(e, None);
-                sim.queue
-                    .push(falkon_sim::SimTime::from_micros(0), Ev::ExecStart(e));
+                sim.executor_event(e, ExecutorEvent::Start);
             }
         }
         if sim.config.sample_interval_us > 0 {
@@ -388,16 +385,16 @@ impl SimFalkon {
         sim
     }
 
+    /// Add executor `index`'s machine. Its host name is empty: the
+    /// dispatcher keeps none, and nothing else here reads it.
     fn spawn_executor(&mut self, index: u32, allocation: Option<AllocationId>) {
         debug_assert_eq!(index as usize, self.executors.len());
-        let node = index / self.config.executors_per_node.max(1);
         self.executors.push(
             Executor::new(
                 ExecutorId(index as u64),
-                format!("sim-node-{node}"),
+                String::new(),
                 self.config.executor,
             ),
-            node,
             allocation,
         );
     }
@@ -850,7 +847,7 @@ impl SimFalkon {
 
     /// Model one task execution: staging + payload + jittered overhead.
     fn run_task(&mut self, e: u32, spec: TaskSpec) {
-        let node = self.executors.node[e as usize];
+        let node = e / self.config.executors_per_node.max(1);
         let mut duration = spec.runtime_us();
         if let (Some(fs), Some(mut data)) = (self.fs.as_mut(), spec.data) {
             if self.config.data_caching {

@@ -12,18 +12,17 @@
 //! dispatcher's tables, the `running` entry and the timers of its one task.
 //!
 //! Calibration. Tasks (quick scale: 120,000 tasks, peak queue 82,549): this
-//! tree peaks at 1.62 MB — an 8-byte id per queued task and one 136-byte
-//! shape per bundle of 300, under 20 B per queued task with every constant
-//! counted in — against a bound of 4.74 MB, and holds 0.16 MB after the
-//! drain. Its parent queued a 128-byte `TaskSpec` per task, read 11.4 MB at
-//! the peak (138 B per queued task) and fails. Executors (20,000): this
-//! tree peaks at 24.6 MB, 1,229 B per executor, against a bound of 36.1 MB;
-//! its parent, whose simulator grew its seven per-executor columns by
-//! doubling, read 28.4 MB, 1,421 B per executor, and passes. The tree this
-//! bound was written against — a 616-byte machine carrying 29 counters, a
-//! 512-byte backlog block for the one task, the host name kept a second
-//! time by the dispatcher, a record per task — read 53.7 MB, 2,683 B per
-//! executor, and fails.
+//! tree peaks at 1.60 MB — an 8-byte id per queued task and one 144-byte
+//! shared shape per bundle of 300, under 20 B per queued task with every
+//! constant counted in — against a bound of 4.74 MB, and holds 0.16 MB
+//! after the drain. A tree that queued a 128-byte `TaskSpec` per task read
+//! 11.4 MB at the peak (138 B per queued task) and fails. Executors
+//! (20,000): this tree peaks at 16.4 MB, 821 B per executor, against a
+//! bound of 22.1 MB. Its parent, whose `running` entry carried a clone of
+//! the task's 128-byte spec and whose simulator built a `sim-node-N` host
+//! name per executor, read 24.6 MB, 1,229 B per executor, and fails; so
+//! does every tree before it (2,683 B per executor for a 616-byte machine
+//! with a 512-byte backlog block and a record per task).
 //!
 //! Ordering protocol: no synchronizes-with edges. The two byte tallies are
 //! `Relaxed` counters bumped and read on the one thread this file's single
@@ -89,17 +88,18 @@ fn live() -> usize {
 }
 
 /// Bytes a queued task may hold live: its 8-byte id, its share of its
-/// run's 136-byte shape and of its bundle's bookkeeping, with room for a
+/// run's 144-byte shape and of its bundle's bookkeeping, with room for a
 /// bundle's id column kept whole behind its last few tasks. Any
 /// per-queued-task structure heavier than ≈16 B on top of the id crosses it.
 const PER_QUEUED: usize = 32;
 
 /// Bytes a registered executor with one task in flight may hold live: its
-/// 184-byte machine and table row, the dispatcher's `running` entry, the
-/// task in its `Work` message, two or three timers. The dispatcher's
-/// tables grow by doubling and 20,000 rows sit in 32,768 slots, so each
-/// of those counts 1.64 times.
-const PER_EXECUTOR: usize = 1_700;
+/// 184-byte machine and table row, the dispatcher's 65-byte `running` slot
+/// (an id, and a handle on the shape its task shares with the rest of its
+/// bundle), the task in its `Work` message, two or three timers. The
+/// dispatcher's tables grow by doubling and 20,000 rows sit in 32,768
+/// slots, so each of those counts 1.64 times.
+const PER_EXECUTOR: usize = 1_000;
 
 /// Everything that does not scale: executors (in the paced run), the event
 /// wheel, the recorder's bucket arrays, the bundles in flight.

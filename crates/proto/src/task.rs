@@ -299,9 +299,9 @@ impl<'de> Deserialize<'de> for Args {}
 /// A unit of work dispatched by Falkon: an executable invocation, 128
 /// bytes in memory.
 ///
-/// The dispatcher's wait queue holds one of these per run of same-shaped
-/// queued tasks (and an 8-byte id per task), its `running` table one per
-/// task in flight, and every hop of the enqueue→dispatch→complete
+/// The dispatcher holds one of these per run of same-shaped tasks, shared
+/// by the run's queued tasks (an 8-byte id each) and its tasks in flight
+/// (an id and a handle each), and every hop of the enqueue→dispatch→complete
 /// pipeline clones one, so the struct is kept small and shallow: string
 /// fields are [`IStr`]s and the argument list is an [`Args`]. The canonical
 /// `sleep` constructors and the decode path intern their strings, so
