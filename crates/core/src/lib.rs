@@ -19,6 +19,7 @@
 //!
 //! Because both drivers execute identical dispatch logic, simulated results
 //! reflect the actual implementation rather than a separate model of it.
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod config;

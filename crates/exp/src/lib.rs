@@ -20,6 +20,7 @@
 //!   results that the `repro` binary renders (see
 //!   [`experiments::registry`] for the dispatch table).
 //! * [`trace`] — opt-in per-task lifecycle capture behind `repro --trace`.
+#![forbid(unsafe_code)]
 
 pub mod costs;
 pub mod experiments;

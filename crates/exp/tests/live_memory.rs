@@ -28,6 +28,8 @@
 //! `Relaxed` counters bumped and read on the one thread this file's single
 //! test runs on (the harness's main thread only waits); program order
 //! sequences every access that matters.
+// A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
+#![allow(unsafe_code)]
 
 use falkon_core::DispatcherConfig;
 use falkon_exp::costs::CostModel;

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-/// Stable identifiers for the nine enforced invariants.
+/// Stable identifiers for the seven enforced invariants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
     /// No sockets, threads, sleeps, or wall-clock reads in sans-io crates.
@@ -18,16 +18,10 @@ pub enum Rule {
     /// No fixed-cadence sleeps or read-timeout polling in `falkon-rt`
     /// steady-state code — the transport is event-driven.
     RtCadence,
-    /// Every `unsafe` block/fn/impl carries an attached `// SAFETY:`
-    /// comment; `unsafe` is banned in the sans-io crates.
-    UnsafeSafety,
     /// Atomics-using files document their ordering protocol; `Relaxed`
     /// and `fence` sites carry justification comments; atomics stay in
     /// driver crates.
     AtomicProtocol,
-    /// The static lock-order graph is acyclic and no guard is held across
-    /// a blocking call in `falkon-rt`.
-    LockDiscipline,
     /// An allowlist entry no longer matches any diagnostic.
     StaleAllow,
 }
@@ -42,9 +36,7 @@ impl Rule {
             Rule::Calibration => "calibration",
             Rule::Registry => "registry",
             Rule::RtCadence => "rt_cadence",
-            Rule::UnsafeSafety => "unsafe_safety",
             Rule::AtomicProtocol => "atomic_protocol",
-            Rule::LockDiscipline => "lock_discipline",
             Rule::StaleAllow => "stale_allow",
         }
     }
@@ -54,17 +46,15 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.id() == id)
     }
 
-    /// The nine checkable rules (excludes the allowlist meta-rule).
-    pub const ALL: [Rule; 9] = [
+    /// The seven checkable rules (excludes the allowlist meta-rule).
+    pub const ALL: [Rule; 7] = [
         Rule::SansIo,
         Rule::DecodePanic,
         Rule::ProbeProvenance,
         Rule::Calibration,
         Rule::Registry,
         Rule::RtCadence,
-        Rule::UnsafeSafety,
         Rule::AtomicProtocol,
-        Rule::LockDiscipline,
     ];
 }
 

@@ -3,12 +3,10 @@
 //! Every source file is read and lexed exactly once; each file visit runs
 //! all selected rules over the shared [`SourceFile`] before moving on, so
 //! adding a rule costs one pure function call per file, not another pass
-//! over the tree. Two rules need cross-file state and run after the pass:
-//! registry completeness (rule 5) and lock-order cycle detection (rule 9's
-//! graph half).
+//! over the tree. One rule needs cross-file state and runs after the pass:
+//! registry completeness (rule 5).
 
 use crate::allow::{AllowParseError, Allowlist};
-use crate::conc::{self, LockEdge};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::SourceFile;
 use crate::rules;
@@ -70,8 +68,8 @@ pub fn lint_files(
 
 /// [`lint_files`] restricted to `selected` rules. One pass over `files`:
 /// each file's diagnostics for all selected rules are gathered in a single
-/// visit, then the cross-file rules (registry, lock cycles) and per-rule
-/// allowlists are applied.
+/// visit, then the cross-file registry rule and per-rule allowlists are
+/// applied.
 pub fn lint_files_filtered(
     files: &[SourceFile],
     allow_dir: Option<&Path>,
@@ -91,7 +89,6 @@ pub fn lint_files_filtered(
             b.extend(diags);
         }
     };
-    let mut lock_edges: Vec<LockEdge> = Vec::new();
     for f in files {
         if on(Rule::SansIo) {
             push(Rule::SansIo, rules::check_sans_io(f));
@@ -108,23 +105,12 @@ pub fn lint_files_filtered(
         if on(Rule::RtCadence) {
             push(Rule::RtCadence, rules::check_rt_cadence(f));
         }
-        if on(Rule::UnsafeSafety) {
-            push(Rule::UnsafeSafety, conc::check_unsafe_safety(f));
-        }
         if on(Rule::AtomicProtocol) {
-            push(Rule::AtomicProtocol, conc::check_atomic_protocol(f));
-        }
-        if on(Rule::LockDiscipline) {
-            let (edges, diags) = conc::lock_edges_and_blocking(f);
-            lock_edges.extend(edges);
-            push(Rule::LockDiscipline, diags);
+            push(Rule::AtomicProtocol, rules::check_atomic_protocol(f));
         }
     }
     if on(Rule::Registry) {
         push(Rule::Registry, registry_diags(files));
-    }
-    if on(Rule::LockDiscipline) {
-        push(Rule::LockDiscipline, conc::lock_cycle_diags(&lock_edges));
     }
     for (rule, raw) in buckets {
         let (allowlist, allow_path) = load_allowlist(allow_dir, rule)?;
@@ -190,8 +176,8 @@ fn load_allowlist(
 /// `vendor/*/src`, and the root facade `src/` (integration `tests/`,
 /// `benches/`, and `examples/` trees are exempt by construction — the
 /// invariants govern shipped library code). Vendored stand-ins are scanned
-/// because the concurrency rules (7–9) apply to every line the workspace
-/// actually runs, not just the lines it authored.
+/// because the atomics rule applies to every line the workspace actually
+/// runs, not just the lines it authored.
 pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, EngineError> {
     let mut files = Vec::new();
     for tree in ["crates", "vendor"] {
@@ -274,36 +260,5 @@ mod tests {
         let r = lint_files_filtered(&files, None, &[Rule::DecodePanic]).unwrap();
         assert_eq!(r.diags.len(), 1);
         assert_eq!(r.diags[0].rule, Rule::DecodePanic);
-    }
-
-    #[test]
-    fn lock_cycles_cross_file_boundaries() {
-        // a→b in one file, b→a in another, same crate: still a cycle.
-        let files = vec![
-            SourceFile::parse(
-                "crates/pool/src/x.rs",
-                "fn f(s: &S) { let g = s.a.lock().unwrap(); s.b.lock().unwrap().push(1); drop(g); }",
-            ),
-            SourceFile::parse(
-                "crates/pool/src/y.rs",
-                "fn f(s: &S) { let g = s.b.lock().unwrap(); s.a.lock().unwrap().push(1); drop(g); }",
-            ),
-        ];
-        let r = lint_files_filtered(&files, None, &[Rule::LockDiscipline]).unwrap();
-        assert_eq!(r.diags.len(), 1, "{:#?}", r.diags);
-        assert!(r.diags[0].message.contains("lock-order cycle"));
-        // Same field names in *different* crates never alias.
-        let files = vec![
-            SourceFile::parse(
-                "crates/pool/src/x.rs",
-                "fn f(s: &S) { let g = s.a.lock().unwrap(); s.b.lock().unwrap().push(1); drop(g); }",
-            ),
-            SourceFile::parse(
-                "vendor/crossbeam/src/y.rs",
-                "fn f(s: &S) { let g = s.b.lock().unwrap(); s.a.lock().unwrap().push(1); drop(g); }",
-            ),
-        ];
-        let r = lint_files_filtered(&files, None, &[Rule::LockDiscipline]).unwrap();
-        assert!(r.diags.is_empty(), "{:#?}", r.diags);
     }
 }

@@ -5,12 +5,12 @@
 //! it produces a flat token stream with comments and literal *contents*
 //! removed (so a forbidden name inside a string or comment never trips a
 //! rule), tracks line/column positions for diagnostics, records every `//`
-//! line comment (for the [`crate::syntax`] attachment layer), and marks the
-//! token regions belonging to `#[cfg(test)]` / `#[test]` items so rules can
-//! exempt test code. The block-structure layer built on top of this stream
-//! (item spans, `unsafe` extents, test regions) lives in [`crate::syntax`].
+//! line comment (for comment attachment), and marks the token regions
+//! belonging to `#[cfg(test)]` / `#[test]` items so rules can exempt test
+//! code. Those regions come from the brace-matching layer in
+//! [`crate::syntax`].
 
-use crate::syntax::Syntax;
+use crate::syntax::test_spans;
 
 /// Classification of one scanned token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,8 +80,8 @@ impl Comment {
 }
 
 /// One lexed source file: raw lines for diagnostics and allowlist matching,
-/// the sanitized token stream, every `//` comment, and the block-structure
-/// [`Syntax`] layer (item spans, `unsafe` extents, test regions).
+/// the sanitized token stream (test regions flagged), and every `//`
+/// comment.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
     /// Repo-relative path with `/` separators (`crates/core/src/lib.rs`).
@@ -92,19 +92,16 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Every `//` line comment in source order (doc comments included).
     pub comments: Vec<Comment>,
-    /// The block-structure layer derived from `toks`.
-    pub syntax: Syntax,
 }
 
 impl SourceFile {
-    /// Lex `source` under the given repo-relative path and build the
-    /// block-structure layer. One pass over the bytes, one over the tokens;
-    /// every rule shares the result.
+    /// Lex `source` under the given repo-relative path and flag its test
+    /// regions. One pass over the bytes, one over the tokens; every rule
+    /// shares the result.
     pub fn parse(path: &str, source: &str) -> SourceFile {
         let lines: Vec<String> = source.lines().map(|l| l.to_string()).collect();
         let (mut toks, comments) = lex(source);
-        let syntax = Syntax::build(&toks);
-        for &(a, b) in &syntax.test_spans {
+        for (a, b) in test_spans(&toks) {
             for t in toks.iter_mut().take(b + 1).skip(a) {
                 t.in_test = true;
             }
@@ -114,7 +111,6 @@ impl SourceFile {
             lines,
             toks,
             comments,
-            syntax,
         }
     }
 
@@ -157,15 +153,10 @@ impl SourceFile {
         self.comments.iter().find(|c| c.line == line && !c.own_line)
     }
 
-    /// The own-line comment on 1-based `line`, if the line is comment-only.
-    pub fn own_line_comment(&self, line: usize) -> Option<&Comment> {
-        self.comments.iter().find(|c| c.line == line && c.own_line)
-    }
-
     /// The comment text attached to 1-based `line`: the contiguous comment
     /// block above it plus a trailing comment on the line itself,
-    /// concatenated. This is the attachment primitive the syntax-aware
-    /// rules (SAFETY comments, ordering justifications) are built on.
+    /// concatenated. This is the attachment primitive the atomics rule's
+    /// ordering justifications are built on.
     pub fn attached_comment(&self, line: usize) -> String {
         let mut parts: Vec<&str> = self
             .comments_above(line)
@@ -552,15 +543,14 @@ mod tests {
 
     #[test]
     fn attachment_collects_block_above_and_trailing() {
-        let src =
-            "// SAFETY: slot is owned.\n// Second line.\n#[inline]\nunsafe { go() } // tail\n";
+        let src = "// Relaxed: monotonic tally.\n// Second line.\n#[inline]\nbump(); // tail\n";
         let f = SourceFile::parse("x.rs", src);
         let a = f.attached_comment(4);
-        assert!(a.contains("SAFETY: slot is owned"));
+        assert!(a.contains("Relaxed: monotonic tally"));
         assert!(a.contains("Second line"));
         assert!(a.contains("tail"));
         // A blank line breaks attachment.
-        let g = SourceFile::parse("x.rs", "// far away\n\nunsafe { go() }\n");
+        let g = SourceFile::parse("x.rs", "// far away\n\nbump();\n");
         assert!(!g.attached_comment(3).contains("far away"));
     }
 

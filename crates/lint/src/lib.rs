@@ -24,21 +24,18 @@
 //!    under `crates/exp/src/experiments/` is reachable from `REGISTRY`.
 //! 6. **event-driven rt** ([`rules::check_rt_cadence`]) — no fixed-cadence
 //!    sleeps or read-timeout polling in `falkon-rt` steady-state code.
-//! 7. **unsafe provenance** ([`conc::check_unsafe_safety`]) — every
-//!    `unsafe` block/fn/impl carries an attached `// SAFETY:` comment;
-//!    `unsafe` is banned outright in the sans-io crates.
-//! 8. **atomic ordering protocols** ([`conc::check_atomic_protocol`]) —
+//! 7. **atomic ordering protocols** ([`rules::check_atomic_protocol`]) —
 //!    files touching `std::sync::atomic` open with a `//! Ordering
 //!    protocol:` module doc; every `Ordering::Relaxed` and `fence` site
 //!    carries a justification; atomics stay in the driver crates.
-//! 9. **lock discipline** ([`conc::lock_edges_and_blocking`]) — the static
-//!    lock-order graph built from nested `.lock()` calls is acyclic, and
-//!    no guard is held across a blocking call in `falkon-rt`.
+//!
+//! `unsafe` is not this crate's business: the workspace lints deny
+//! `unsafe_code` and clippy's `undocumented_unsafe_blocks`, and the sans-io
+//! crates `forbid` it at their roots (DESIGN.md §7.1).
 //!
 //! The workspace builds fully offline (no `syn`), so the rules run over a
-//! purpose-built token scanner ([`lexer`]) plus a block-structure layer
-//! ([`syntax`]: brace-matched item spans, `unsafe` extents, comment
-//! attachment) that elides comments and literal contents and exempts
+//! purpose-built token scanner ([`lexer`]) that elides comments and literal
+//! contents, plus a brace-matching layer ([`syntax`]) that exempts
 //! `#[cfg(test)]` / `#[test]` regions. Exceptions are explicit: each rule
 //! has an allowlist file under `crates/lint/allow/` whose entries carry
 //! mandatory justifications and must keep matching (stale entries are
@@ -49,7 +46,6 @@
 //! (repeatable) to run a subset. Exits non-zero on any violation.
 
 pub mod allow;
-pub mod conc;
 pub mod diag;
 pub mod engine;
 pub mod lexer;

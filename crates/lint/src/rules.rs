@@ -1,15 +1,15 @@
-//! Architecture-invariant checks 1–6 (the concurrency-soundness family,
-//! rules 7–9, lives in [`crate::conc`]).
+//! The seven architecture-invariant checks.
 //!
 //! Each rule is a pure function over lexed [`SourceFile`]s, so the unit
 //! tests can run them on inline fixture snippets and the engine on the
 //! real workspace. Test regions (`#[cfg(test)]` / `#[test]` items) are
-//! exempt from every token-level rule; they are computed by the
-//! block-structure layer ([`crate::syntax`]), which also backs the
-//! doc-comment attachment the calibration rule reads.
+//! exempt from every rule; they are computed by the block-structure layer
+//! ([`crate::syntax`]), which also anchors the statement-level comment
+//! attachment the atomics rule reads.
 
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{SourceFile, Tok, TokKind};
+use crate::syntax::stmt_start;
 
 /// Crate source prefixes that must stay sans-io (state machines only).
 pub const SANS_IO_SCOPES: [&str; 4] = [
@@ -51,13 +51,13 @@ pub const CALIBRATION_SCOPES: [&str; 2] = ["crates/exp/src/costs.rs", "crates/lr
 /// sleeps or read-timeout polling loops.
 pub const RT_CADENCE_SCOPES: [&str; 1] = ["crates/rt/src/"];
 
-pub(crate) fn in_scope(path: &str, scopes: &[&str]) -> bool {
+fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes
         .iter()
         .any(|s| path == *s || (s.ends_with('/') && path.starts_with(s)))
 }
 
-pub(crate) fn diag(rule: Rule, file: &SourceFile, tok: &Tok, message: String) -> Diagnostic {
+fn diag(rule: Rule, file: &SourceFile, tok: &Tok, message: String) -> Diagnostic {
     Diagnostic {
         rule,
         path: file.path.clone(),
@@ -70,7 +70,7 @@ pub(crate) fn diag(rule: Rule, file: &SourceFile, tok: &Tok, message: String) ->
 
 /// Does the token sequence starting at `i` match `pat`? Each pattern element
 /// matches an identifier by text or a single punctuation character.
-pub(crate) fn seq_matches(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
+fn seq_matches(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
     pat.iter().enumerate().all(|(k, p)| match toks.get(i + k) {
         Some(t) => {
             if p.len() == 1
@@ -445,6 +445,122 @@ pub fn check_registry(modules: &[String], registry: &SourceFile) -> Vec<Diagnost
     out
 }
 
+// ---------------------------------------------------------------------------
+// Rule 7: atomic ordering protocols
+// ---------------------------------------------------------------------------
+
+/// Crates allowed to use raw atomics: the thread-pool, the real-I/O
+/// runtime, and vendored stand-ins. Everyone else synchronizes through
+/// channels/locks or stays single-threaded.
+pub const ATOMIC_SCOPES: [&str; 3] = ["crates/pool/src/", "crates/rt/src/", "vendor/"];
+
+const ATOMIC_TYPES: [&str; 12] = [
+    "AtomicBool",
+    "AtomicUsize",
+    "AtomicIsize",
+    "AtomicU8",
+    "AtomicU16",
+    "AtomicU32",
+    "AtomicU64",
+    "AtomicI8",
+    "AtomicI16",
+    "AtomicI32",
+    "AtomicI64",
+    "AtomicPtr",
+];
+
+/// Does non-test code in `file` touch `std::sync::atomic`? Anchored on the
+/// import path, the `Atomic*` type names, and `fence(` — deliberately not
+/// on bare `Ordering`, which `std::cmp` also exports.
+fn first_atomic_site(file: &SourceFile) -> Option<&Tok> {
+    file.toks.iter().enumerate().find_map(|(i, t)| {
+        if t.in_test {
+            return None;
+        }
+        let hit = (t.kind == TokKind::Ident && ATOMIC_TYPES.contains(&t.text.as_str()))
+            || (t.is_ident("sync") && seq_matches(&file.toks, i + 1, &[":", ":", "atomic"]))
+            || (t.is_ident("fence") && file.toks.get(i + 1).is_some_and(|n| n.is_punct('(')));
+        hit.then_some(t)
+    })
+}
+
+/// Rule 7: a file whose non-test code touches `std::sync::atomic` must
+/// (a) live in an allowlisted driver crate, (b) open with a `//! Ordering
+/// protocol:` module doc naming the synchronizes-with edges, and (c)
+/// justify every `Ordering::Relaxed` access and every `fence` with a
+/// comment attached to the enclosing statement.
+pub fn check_atomic_protocol(file: &SourceFile) -> Vec<Diagnostic> {
+    let Some(anchor) = first_atomic_site(file) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    if !in_scope(&file.path, &ATOMIC_SCOPES) {
+        out.push(diag(
+            Rule::AtomicProtocol,
+            file,
+            anchor,
+            "atomics are confined to the driver crates (`crates/pool`, \
+             `crates/rt`, vendor stand-ins); synchronize through channels \
+             or locks here"
+                .into(),
+        ));
+        return out;
+    }
+    let has_protocol_doc = file
+        .comments
+        .iter()
+        .any(|c| c.is_inner_doc() && c.text.contains("Ordering protocol:"));
+    if !has_protocol_doc {
+        out.push(diag(
+            Rule::AtomicProtocol,
+            file,
+            anchor,
+            "file uses atomics but its module docs have no `//! Ordering \
+             protocol:` section; name the synchronizes-with edges (which \
+             store publishes what, which load/fence observes it)"
+                .into(),
+        ));
+    }
+    for (i, t) in file.toks.iter().enumerate() {
+        if t.in_test {
+            continue;
+        }
+        if t.is_ident("Ordering") && seq_matches(&file.toks, i + 1, &[":", ":", "Relaxed"]) {
+            if !justified(file, i) {
+                out.push(diag(
+                    Rule::AtomicProtocol,
+                    file,
+                    t,
+                    "`Ordering::Relaxed` without a justification comment; \
+                     say why unordered access is sound here (single writer? \
+                     monotonic counter? ordering provided by a fence?)"
+                        .into(),
+                ));
+            }
+        } else if t.is_ident("fence")
+            && file.toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            && !justified(file, i)
+        {
+            out.push(diag(
+                Rule::AtomicProtocol,
+                file,
+                t,
+                "`fence` without a justification comment; name the paired \
+                 access it synchronizes with"
+                    .into(),
+            ));
+        }
+    }
+    out
+}
+
+/// Is a comment attached to the statement containing token `i` (above its
+/// first line, or trailing either that line or the token's own line)?
+fn justified(file: &SourceFile, i: usize) -> bool {
+    let anchor = file.toks[stmt_start(&file.toks, i)].line;
+    !file.attached_comment(anchor).is_empty() || file.trailing_comment(file.toks[i].line).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,5 +605,35 @@ mod tests {
             "{:?}",
             check_decode_panic(&f)
         );
+    }
+
+    #[test]
+    fn atomic_protocol_requires_module_doc_and_justifications() {
+        let src = "use std::sync::atomic::{AtomicUsize, Ordering};\n\
+                   fn bump(c: &AtomicUsize) { c.fetch_add(1, Ordering::Relaxed); }\n";
+        let f = SourceFile::parse("crates/pool/src/lib.rs", src);
+        let d = check_atomic_protocol(&f);
+        assert_eq!(d.len(), 2, "{d:#?}"); // missing module doc + unjustified Relaxed
+        let fixed = "//! Ordering protocol: counter is monotonic, no edges.\n\
+                     use std::sync::atomic::{AtomicUsize, Ordering};\n\
+                     fn bump(c: &AtomicUsize) {\n\
+                         // Monotonic stat counter; readers tolerate staleness.\n\
+                         c.fetch_add(1, Ordering::Relaxed);\n\
+                     }\n";
+        let f = SourceFile::parse("crates/pool/src/lib.rs", fixed);
+        assert!(check_atomic_protocol(&f).is_empty());
+    }
+
+    #[test]
+    fn atomics_confined_to_driver_crates() {
+        let src = "//! Ordering protocol: none.\nuse std::sync::atomic::AtomicBool;\nstatic F: AtomicBool = AtomicBool::new(false);\n";
+        let f = SourceFile::parse("crates/lrm/src/profile.rs", src);
+        let d = check_atomic_protocol(&f);
+        assert_eq!(d.len(), 1);
+        assert!(d[0].message.contains("confined"));
+        // Test-only atomics don't drag a file into the rule.
+        let test_only = "#[cfg(test)]\nmod tests {\n use std::sync::atomic::AtomicBool;\n static F: AtomicBool = AtomicBool::new(false);\n}\n";
+        let f = SourceFile::parse("crates/lrm/src/profile.rs", test_only);
+        assert!(check_atomic_protocol(&f).is_empty());
     }
 }

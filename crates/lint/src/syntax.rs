@@ -1,159 +1,22 @@
 //! Block-structure layer over the flat token stream.
 //!
-//! [`Syntax::build`] runs one brace-matching pass over a lexed file and
-//! derives everything the syntax-aware rules need:
+//! One brace-matching pass over a lexed file derives the **test regions**
+//! ([`test_spans`]): the bodies of items under a `cfg(test)` or `test`
+//! attribute, which [`crate::lexer::SourceFile::parse`] folds back into
+//! per-token `in_test` flags so every rule can exempt test code.
 //!
-//! - matched `{ … }` pairs ([`Syntax::close_of`]);
-//! - brace-matched **item spans** for `fn` / `impl` / `mod` / `trait`
-//!   bodies ([`Syntax::items`]) — the unit the lock-discipline rule scans;
-//! - **`unsafe` extents** ([`Syntax::unsafes`]): blocks, `unsafe fn`,
-//!   `unsafe impl`, `unsafe trait` — the sites the SAFETY-comment rule
-//!   audits;
-//! - `#[cfg(test)]` / `#[test]` **test regions** ([`Syntax::test_spans`]),
-//!   which the lexer folds back into per-token `in_test` flags.
+//! Comment *attachment* (which `//` lines document which statement) lives
+//! on [`crate::lexer::SourceFile`] because it needs the raw lines; this
+//! module contributes the statement-boundary helper ([`stmt_start`]) that
+//! anchors an attachment to the first line of the enclosing statement.
 //!
-//! Comment *attachment* (which `//` lines document which item/statement)
-//! lives on [`crate::lexer::SourceFile`] because it needs the raw lines;
-//! this module contributes the statement-boundary helper ([`stmt_start`])
-//! that anchors an attachment to the first line of the enclosing statement.
-//!
-//! This is still not a parser. Spans are heuristic (good enough for a
+//! This is not a parser. Spans are heuristic (good enough for a
 //! conventional rustfmt'd workspace) and building them must never panic,
 //! whatever the input bytes — `tests/syntax_no_panic.rs` feeds the builder
 //! arbitrary byte soup to keep that true. Unbalanced braces degrade to
 //! "span runs to end of file", never to an index error.
 
 use crate::lexer::{Tok, TokKind};
-
-/// What kind of item a brace-matched span belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ItemKind {
-    /// A `fn` with a body.
-    Fn,
-    /// An `impl` block.
-    Impl,
-    /// An inline `mod` with a body.
-    Mod,
-    /// A `trait` definition.
-    Trait,
-}
-
-/// One brace-matched item span.
-#[derive(Clone, Debug)]
-pub struct ItemSpan {
-    /// Item kind.
-    pub kind: ItemKind,
-    /// Item name (`fn` name, `impl` self-type, `mod`/`trait` name); empty
-    /// when none could be extracted.
-    pub name: String,
-    /// Token index of the introducing keyword.
-    pub kw: usize,
-    /// Token index of the body's opening `{`.
-    pub open: usize,
-    /// Token index of the matching `}` (clamped to the last token when the
-    /// file is unbalanced).
-    pub close: usize,
-}
-
-/// What kind of construct an `unsafe` keyword introduces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// An `unsafe { … }` block.
-    Block,
-    /// An `unsafe fn` (declaration or definition).
-    Fn,
-    /// An `unsafe impl` (e.g. `unsafe impl Send for T`).
-    Impl,
-    /// An `unsafe trait` definition.
-    Trait,
-}
-
-impl UnsafeKind {
-    /// Human-readable label for diagnostics.
-    pub const fn label(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "block",
-            UnsafeKind::Fn => "fn",
-            UnsafeKind::Impl => "impl",
-            UnsafeKind::Trait => "trait",
-        }
-    }
-}
-
-/// One `unsafe` extent.
-#[derive(Clone, Debug)]
-pub struct UnsafeSpan {
-    /// What the `unsafe` keyword introduces.
-    pub kind: UnsafeKind,
-    /// Token index of the `unsafe` keyword.
-    pub kw: usize,
-    /// Token index of the body's opening `{`, when there is a body
-    /// (`unsafe impl Send for T {}` has one; a trait-level `unsafe fn`
-    /// declaration does not).
-    pub open: Option<usize>,
-    /// Token index of the matching `}` for `open`.
-    pub close: Option<usize>,
-}
-
-/// The block-structure layer for one file. Built once per file in
-/// [`crate::lexer::SourceFile::parse`] and shared by every rule.
-#[derive(Clone, Debug, Default)]
-pub struct Syntax {
-    /// `close[i]` is the token index of the `}` matching the `{` at token
-    /// `i`, or `usize::MAX` when `i` is not an opening brace / unmatched.
-    close: Vec<usize>,
-    /// Brace-matched item spans, in source order (nested items appear after
-    /// their parents).
-    pub items: Vec<ItemSpan>,
-    /// Every `unsafe` extent, in source order.
-    pub unsafes: Vec<UnsafeSpan>,
-    /// Token ranges (inclusive) covered by `#[cfg(test)]` / `#[test]`
-    /// items.
-    pub test_spans: Vec<(usize, usize)>,
-}
-
-impl Syntax {
-    /// Build the layer from a lexed token stream.
-    pub fn build(toks: &[Tok]) -> Syntax {
-        let close = match_braces(toks);
-        let items = find_items(toks, &close);
-        let unsafes = find_unsafes(toks, &close);
-        let test_spans = find_test_spans(toks, &close);
-        Syntax {
-            close,
-            items,
-            unsafes,
-            test_spans,
-        }
-    }
-
-    /// The token index of the `}` matching the `{` at token `open`.
-    pub fn close_of(&self, open: usize) -> Option<usize> {
-        match self.close.get(open) {
-            Some(&c) if c != usize::MAX => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The opening `{` of the innermost block containing token `idx`, if
-    /// any.
-    pub fn enclosing_open(&self, toks: &[Tok], idx: usize) -> Option<usize> {
-        let mut depth = 0usize;
-        for j in (0..idx.min(toks.len())).rev() {
-            match toks[j].kind {
-                TokKind::Punct('}') => depth += 1,
-                TokKind::Punct('{') => {
-                    if depth == 0 {
-                        return Some(j);
-                    }
-                    depth -= 1;
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-}
 
 /// Token index where the statement containing token `idx` starts: the first
 /// token after the previous `;`, `{`, or `}` (or the start of the file).
@@ -190,145 +53,14 @@ fn match_braces(toks: &[Tok]) -> Vec<usize> {
     close
 }
 
-/// Forward-scan from an item keyword at `kw` to its body `{`, tracking
-/// generic-angle and paren depth (the fn's own parameter list is interior,
-/// not a terminator). Returns `(open_brace, last_top_level_ident)`;
-/// `open_brace` is `None` when a top-level terminator (`;`, `,`, an
-/// *unbalanced* `)`, `}`, `=`) appears first — i.e. the keyword sits in
-/// type position or introduces a body-less declaration.
-fn find_body(toks: &[Tok], kw: usize) -> (Option<usize>, Option<usize>) {
-    let mut angle = 0usize;
-    let mut paren = 0usize;
-    let mut last_ident = None;
-    let mut j = kw + 1;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct('<') if paren == 0 => angle += 1,
-            // `->` is not an angle close; `>>` arrives as two tokens and
-            // saturating_sub keeps shift-like sequences from underflowing.
-            TokKind::Punct('>') if paren == 0 && !(j > 0 && toks[j - 1].is_punct('-')) => {
-                angle = angle.saturating_sub(1);
-            }
-            TokKind::Punct('(') => paren += 1,
-            TokKind::Punct(')') => {
-                if paren == 0 {
-                    // Closes a paren *enclosing* the keyword: type position.
-                    break;
-                }
-                paren -= 1;
-            }
-            TokKind::Punct('{') if angle == 0 && paren == 0 => return (Some(j), last_ident),
-            TokKind::Punct(';' | ',' | '}' | '=') if angle == 0 && paren == 0 => break,
-            TokKind::Ident if angle == 0 && paren == 0 => last_ident = Some(j),
-            _ => {}
-        }
-        j += 1;
-    }
-    (None, last_ident)
-}
-
-fn find_items(toks: &[Tok], close: &[usize]) -> Vec<ItemSpan> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let kind = match t.text.as_str() {
-            "fn" => ItemKind::Fn,
-            "impl" => ItemKind::Impl,
-            "mod" => ItemKind::Mod,
-            "trait" => ItemKind::Trait,
-            _ => continue,
-        };
-        // `-> impl Trait`, `: impl Trait`, `&impl …`, `dyn`-adjacent etc.
-        // are type positions: skip them so they never swallow an enclosing
-        // body. (`fn` in type position has no body and is rejected by
-        // `find_body`'s terminator set anyway.)
-        if i > 0 {
-            if let TokKind::Punct(c) = toks[i - 1].kind {
-                if matches!(c, '>' | ':' | '(' | ',' | '&' | '+' | '=' | '<' | '|') {
-                    continue;
-                }
-            }
-        }
-        let (open, last_ident) = find_body(toks, i);
-        let Some(open) = open else { continue };
-        let close_idx = match close.get(open) {
-            Some(&c) if c != usize::MAX => c,
-            // Unbalanced file: degrade to "runs to the last token".
-            _ => toks.len().saturating_sub(1),
-        };
-        let name = match kind {
-            // `impl A for B { … }` / `impl<T> B<T> { … }`: the self type is
-            // the last top-level ident before the brace.
-            ItemKind::Impl => last_ident,
-            // `fn name…`, `mod name`, `trait Name: Bounds`: first ident
-            // after the keyword.
-            _ => toks
-                .get(i + 1)
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|_| i + 1),
-        }
-        .and_then(|ix| toks.get(ix))
-        .map(|t| t.text.clone())
-        .unwrap_or_default();
-        out.push(ItemSpan {
-            kind,
-            name,
-            kw: i,
-            open,
-            close: close_idx,
-        });
-    }
-    out
-}
-
-fn find_unsafes(toks: &[Tok], close: &[usize]) -> Vec<UnsafeSpan> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else {
-            continue;
-        };
-        let (kind, open) = if next.is_punct('{') {
-            (UnsafeKind::Block, Some(i + 1))
-        } else if next.is_ident("fn") {
-            (UnsafeKind::Fn, find_body(toks, i + 1).0)
-        } else if next.is_ident("impl") {
-            (UnsafeKind::Impl, find_body(toks, i + 1).0)
-        } else if next.is_ident("trait") {
-            (UnsafeKind::Trait, find_body(toks, i + 1).0)
-        } else {
-            // `unsafe` in some position we don't model (future editions'
-            // `unsafe extern`, attribute contents, …): ignore rather than
-            // guess.
-            continue;
-        };
-        let close_idx = open.map(|o| match close.get(o) {
-            Some(&c) if c != usize::MAX => c,
-            // Unclosed brace (truncated file): clamp to the last token.
-            _ => toks.len().saturating_sub(1),
-        });
-        out.push(UnsafeSpan {
-            kind,
-            kw: i,
-            open,
-            close: close_idx,
-        });
-    }
-    out
-}
-
 /// `#[cfg(test)]` / `#[test]` regions, as inclusive token ranges.
 ///
-/// Same semantics as the pre-syntax-layer lexer marking: a `test` ident
-/// inside an outer attribute (not under `not(…)`) exempts the next braced
-/// body; an intervening `;` (e.g. `#[cfg(test)] mod t;`) clears the
-/// pending exemption. The body extent now comes from the shared brace
-/// matcher instead of a local depth count.
-fn find_test_spans(toks: &[Tok], close: &[usize]) -> Vec<(usize, usize)> {
+/// A `test` ident inside an outer attribute (not under `not(…)`) exempts
+/// the next braced body; an intervening `;` (e.g. `#[cfg(test)] mod t;`)
+/// clears the pending exemption. The body extent comes from the brace
+/// matcher.
+pub fn test_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let close = match_braces(toks);
     let mut out = Vec::new();
     let mut i = 0;
     let mut pending = false;
@@ -380,62 +112,7 @@ fn find_test_spans(toks: &[Tok], close: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use crate::lexer::SourceFile;
-    use crate::syntax::{stmt_start, ItemKind, UnsafeKind};
-
-    #[test]
-    fn items_are_brace_matched_and_named() {
-        let src = "impl<T: Send> Worker<T> {\n    fn push(&self, v: T) { body(); }\n}\nmod util { }\ntrait Probe { fn on(&self); }\n";
-        let f = SourceFile::parse("x.rs", src);
-        let kinds: Vec<(ItemKind, &str)> = f
-            .syntax
-            .items
-            .iter()
-            .map(|i| (i.kind, i.name.as_str()))
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                (ItemKind::Impl, "Worker"),
-                (ItemKind::Fn, "push"),
-                (ItemKind::Mod, "util"),
-                (ItemKind::Trait, "Probe"),
-            ]
-        );
-        // The fn span nests inside the impl span.
-        let (imp, push) = (&f.syntax.items[0], &f.syntax.items[1]);
-        assert!(imp.open < push.open && push.close < imp.close);
-    }
-
-    #[test]
-    fn type_position_keywords_are_not_items() {
-        let src = "fn f() -> impl Iterator<Item = u8> { g() }\nfn g(x: impl Clone, h: fn(u8) -> u8) { let _ = (x, h); }\n";
-        let f = SourceFile::parse("x.rs", src);
-        let fns: Vec<&str> = f.syntax.items.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(fns, ["f", "g"]);
-    }
-
-    #[test]
-    fn unsafe_extents_classified() {
-        let src = "unsafe impl<T: Send> Send for Inner<T> {}\nunsafe fn grow(&self) -> *mut u8 { core() }\nfn pop(&self) { let v = unsafe { read(b) }; drop(v); }\ntrait T { unsafe fn decl(&self); }\n";
-        let f = SourceFile::parse("x.rs", src);
-        let kinds: Vec<UnsafeKind> = f.syntax.unsafes.iter().map(|u| u.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                UnsafeKind::Impl,
-                UnsafeKind::Fn,
-                UnsafeKind::Block,
-                UnsafeKind::Fn,
-            ]
-        );
-        // The trait-level declaration has no body.
-        assert!(f.syntax.unsafes[3].open.is_none());
-        // The block extent is exactly `{ read(b) }`.
-        let blk = &f.syntax.unsafes[2];
-        let (o, c) = (blk.open.unwrap(), blk.close.unwrap());
-        assert!(f.toks[o].is_punct('{') && f.toks[c].is_punct('}'));
-        assert!(f.toks[o..c].iter().any(|t| t.is_ident("read")));
-    }
+    use crate::syntax::{stmt_start, test_spans};
 
     #[test]
     fn stmt_start_walks_to_statement_head() {
@@ -449,18 +126,26 @@ mod tests {
 
     #[test]
     fn unbalanced_braces_degrade_gracefully() {
-        let f = SourceFile::parse("x.rs", "fn f() { if x { y(); \n}"); // one `}` short
-        assert_eq!(f.syntax.items.len(), 1);
-        assert!(f.syntax.items[0].close >= f.syntax.items[0].open);
-        let g = SourceFile::parse("x.rs", "}}}{{{fn"); // nonsense
-        assert!(g.syntax.items.is_empty());
+        // One `}` short: the test region runs to the last token.
+        let f = SourceFile::parse("x.rs", "#[cfg(test)]\nmod t { fn f() { if x { y(); \n}");
+        let spans = test_spans(&f.toks);
+        assert_eq!(
+            spans,
+            [(
+                f.toks.iter().position(|t| t.is_punct('{')).unwrap(),
+                f.toks.len() - 1
+            )]
+        );
+        assert!(f.toks.last().unwrap().in_test);
+        let g = SourceFile::parse("x.rs", "}}}{{{#[test]"); // nonsense
+        assert!(test_spans(&g.toks).is_empty());
     }
 
     #[test]
     fn test_spans_match_old_marking_semantics() {
         let src = "#[cfg(test)]\nuse foo;\nfn live() {}\n#[cfg(test)]\nmod t { fn x() {} }\n";
         let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.syntax.test_spans.len(), 1);
+        assert_eq!(test_spans(&f.toks).len(), 1);
         let live = f.toks.iter().find(|t| t.is_ident("live")).unwrap();
         assert!(!live.in_test);
         let x = f.toks.iter().find(|t| t.is_ident("x")).unwrap();

@@ -4,41 +4,28 @@
 //! every run, so the syntax layer inherits the same contract as the proto
 //! decode paths: *never* panic, whatever the bytes. Three properties:
 //!
-//! 1. Arbitrary byte soup parses without panicking, and so do all nine
+//! 1. Arbitrary byte soup parses without panicking, and so do all seven
 //!    rules run over the result.
 //! 2. Mutated Rust-ish sources (random token splices into real-looking
-//!    code) parse without panicking and keep spans in bounds.
+//!    code) parse without panicking and keep test spans in bounds.
 //! 3. Comment attachment is stable under horizontal-whitespace shuffles —
-//!    re-indenting a file must not detach its SAFETY comments.
+//!    re-indenting a file must not detach its `Relaxed` justifications.
 
 use falkon_lint::engine::lint_files;
 use falkon_lint::lexer::SourceFile;
+use falkon_lint::syntax::test_spans;
 use proptest::prelude::*;
 
-/// Every span recorded by the syntax layer must index into the token
-/// stream (or be the documented `None`).
+/// Every test span must index into the token stream, in order.
 fn assert_spans_in_bounds(f: &SourceFile) {
     let n = f.toks.len();
-    for it in &f.syntax.items {
-        assert!(it.kw < n && it.open < n && it.close < n, "item span oob");
-        assert!(it.kw <= it.open && it.open <= it.close, "item span order");
-    }
-    for us in &f.syntax.unsafes {
-        assert!(us.kw < n, "unsafe kw oob");
-        if let Some(o) = us.open {
-            assert!(o < n, "unsafe open oob");
-        }
-        if let Some(c) = us.close {
-            assert!(c < n, "unsafe close oob");
-        }
-    }
-    for &(a, b) in &f.syntax.test_spans {
+    for (a, b) in test_spans(&f.toks) {
         assert!(a < n && b < n && a <= b, "test span oob");
     }
 }
 
 /// Paths chosen to route the parsed soup through every scope-sensitive
-/// rule (sans-io, decode, rt-cadence, unsafe ban, atomic confinement…).
+/// rule (sans-io, decode, rt-cadence, atomic confinement…).
 const PATHS: [&str; 6] = [
     "crates/core/src/dispatcher.rs",
     "crates/proto/src/frame.rs",
@@ -49,11 +36,11 @@ const PATHS: [&str; 6] = [
 ];
 
 /// Splice fragments for the Rust-flavored mutation test: real constructs
-/// the syntax layer models, combined in arbitrary (mostly ill-formed)
+/// the lexer and the rules see, combined in arbitrary (mostly ill-formed)
 /// orders.
 const PIECES: [&str; 26] = [
     "fn f",
-    "unsafe",
+    "#[test]",
     "{",
     "}",
     "(",
@@ -71,7 +58,7 @@ const PIECES: [&str; 26] = [
     "Ordering::Relaxed",
     "fence(",
     "AtomicUsize",
-    "// SAFETY: x",
+    "// Relaxed: x",
     "//! Ordering protocol:",
     "w.write_all(&q)",
     "r#\"raw\"#",
@@ -91,7 +78,7 @@ proptest! {
         let src = String::from_utf8_lossy(&bytes).into_owned();
         let f = SourceFile::parse(PATHS[which], &src);
         assert_spans_in_bounds(&f);
-        // All nine rules must also survive the resulting token stream.
+        // All seven rules must also survive the resulting token stream.
         let _ = lint_files(&[f], None).unwrap();
     }
 
@@ -113,9 +100,9 @@ proptest! {
         pads in proptest::collection::vec(0usize..12, 8..9),
     ) {
         let lines = [
-            "// SAFETY: slot owned by the caller.",
-            "unsafe fn write(&self) {",
-            "    w();",
+            "fn push(&self) {",
+            "    // Relaxed: monotonic tally, readers tolerate staleness.",
+            "    n.fetch_add(1, Ordering::Relaxed);",
             "}",
             "fn pop(&self) {",
             "    // Relaxed: owner-only writer.",
@@ -128,10 +115,10 @@ proptest! {
             .map(|(l, p)| format!("{}{l}\n", " ".repeat(*p)))
             .collect();
         let f = SourceFile::parse("crates/pool/src/lib.rs", &src);
-        // Whatever the indentation, the SAFETY comment stays attached to
-        // the unsafe fn and the justification to its statement.
-        prop_assert!(f.attached_comment(2).contains("SAFETY"));
-        prop_assert!(f.attached_comment(7).contains("Relaxed"));
+        // Whatever the indentation, each justification stays attached to
+        // its statement.
+        prop_assert!(f.attached_comment(3).contains("monotonic tally"));
+        prop_assert!(f.attached_comment(7).contains("owner-only writer"));
         // And linting keeps accepting both annotated sites (the missing
         // module-doc finding is expected; site-level findings are not).
         let report = lint_files(&[f], None).unwrap();
@@ -139,7 +126,7 @@ proptest! {
             report
                 .diags
                 .iter()
-                .all(|d| !d.message.contains("SAFETY") && !d.message.contains("justification")),
+                .all(|d| !d.message.contains("justification")),
             "diags: {:#?}",
             report.diags
         );

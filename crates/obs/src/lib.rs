@@ -25,6 +25,7 @@
 //! The metric primitives ([`Histogram`], [`TimeSeries`], [`MovingAverage`],
 //! [`Summary`]) and the virtual-time types ([`SimTime`], [`SimDuration`])
 //! live here too; `falkon-sim` re-exports them for compatibility.
+#![forbid(unsafe_code)]
 
 pub mod metrics;
 pub mod probe;

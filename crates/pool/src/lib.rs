@@ -197,6 +197,7 @@ impl<'env> Scope<'env> {
         // `pending` reaches zero before 'env can end (even on panic), and
         // the job consumes `f` with everything it borrowed before it
         // decrements `pending`, so every borrow outlives its last use.
+        #[allow(unsafe_code)]
         let job: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
         };

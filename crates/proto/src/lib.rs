@@ -16,6 +16,7 @@
 //!   the cause of throughput degradation for bundles larger than ~300 tasks
 //!   (Section 4.3 / Figure 5). Benchmarking the two against each other is the
 //!   bundling ablation.
+#![forbid(unsafe_code)]
 
 pub mod bundle;
 pub mod codec;

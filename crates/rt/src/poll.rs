@@ -53,6 +53,7 @@ pub const LISTEN_BACKLOG: i32 = 4096;
 /// Deepen an already-listening socket's accept queue. Linux re-applies
 /// `listen(2)` on a listening fd by updating the backlog in place, which
 /// lets us keep `std`'s safe bind path and fix only the queue depth.
+#[allow(unsafe_code)]
 pub fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> std::io::Result<()> {
     use std::os::fd::AsRawFd;
     // SAFETY: `listener` owns a valid, open, listening socket fd for the
@@ -68,6 +69,7 @@ pub fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> std::io::R
 
 /// Block until a registered fd is ready (`timeout_ms < 0` = forever),
 /// retrying on `EINTR`.
+#[allow(unsafe_code)]
 pub fn poll_wait(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
     loop {
         // SAFETY: `fds` is a valid, exclusively borrowed slice of

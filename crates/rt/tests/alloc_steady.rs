@@ -35,6 +35,8 @@
 //! the atomics — sequences the reads. The deployment test's other threads
 //! only work between `run_client`'s first write and its last read, both on
 //! the counting thread.
+// A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
+#![allow(unsafe_code)]
 
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::DispatcherConfig;

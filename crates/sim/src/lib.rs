@@ -21,6 +21,7 @@
 //!   experiment is exactly reproducible.
 //! * [`platform`] — the Table 1 testbed profiles (node counts, CPUs, network).
 //! * [`table`] — plain-text table/TSV formatting for experiment output.
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod event;

@@ -384,12 +384,6 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Remove and return the entry with the minimal key.
-    #[cfg(test)]
-    pub(crate) fn pop_earliest(&mut self) -> Option<(u128, E)> {
-        self.pop_key_at_most(u128::MAX)
-    }
-
     /// Remove and return the entry with the minimal key **iff** that key is
     /// ≤ `bound`; otherwise return `None` without mutating anything. The
     /// purity of refusal is load-bearing: a refused `pop_at_or_before` may
@@ -466,6 +460,13 @@ impl<E> TimerWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> TimerWheel<E> {
+        /// Remove and return the entry with the minimal key.
+        fn pop_earliest(&mut self) -> Option<(u128, E)> {
+            self.pop_key_at_most(u128::MAX)
+        }
+    }
 
     const fn k(t: u64, seq: u64) -> u128 {
         ((t as u128) << 64) | seq as u128

@@ -13,11 +13,11 @@
 //! Each task shells back out to cargo so it always runs the current tree;
 //! extra arguments are forwarded to the underlying tool.
 //!
-//! `tsan` and `miri` are the *dynamic* complement to `falkon-lint`'s
-//! static concurrency rules (unsafe provenance, atomic ordering protocols,
-//! lock discipline): the lint proves the invariants are *stated*; the
-//! sanitizers check the stated orderings actually hold under real
-//! interleavings. Both need a nightly toolchain (TSan needs
+//! `tsan` and `miri` are the *dynamic* complement to the static checks on
+//! the concurrency surface (the workspace's `unsafe` lints and
+//! `falkon-lint`'s atomic ordering protocols): those prove the invariants
+//! are *stated*; the sanitizers check the stated orderings actually hold
+//! under real interleavings. Both need a nightly toolchain (TSan needs
 //! `-Zsanitizer=thread` + rust-src; Miri needs the `cargo-miri`
 //! component). When the toolchain isn't present — as in the offline CI
 //! container — they print `SKIPPED` and exit 0, so only a genuine test
