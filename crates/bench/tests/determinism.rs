@@ -7,7 +7,7 @@
 //! bench-smoke job strip it with a single `sed` range.
 
 use falkon_bench::harness::run_all_blocks;
-use falkon_exp::experiments::Scale;
+use falkon_exp::experiments::{Scale, REGISTRY};
 
 /// Concatenate a run's blocks, dropping the wall-clock `measured` block.
 fn deterministic_output(jobs: usize) -> String {
@@ -35,4 +35,22 @@ fn repro_all_is_byte_identical_across_job_counts() {
             "repro all --jobs {jobs} diverged from the serial reference"
         );
     }
+}
+
+/// A run renders a block for every entry of its group, keyed by id; this
+/// pins that each id gets its own. `fig10` is the same plot as `fig9`, so
+/// `repro all` prints it once.
+#[test]
+fn every_entry_but_fig10_prints_a_block() {
+    let printed: Vec<&str> = run_all_blocks(Scale::Quick, 1)
+        .iter()
+        .filter(|b| !b.text.trim().is_empty())
+        .map(|b| b.id)
+        .collect();
+    let expected: Vec<&str> = REGISTRY
+        .iter()
+        .map(|e| e.id())
+        .filter(|&id| id != "fig10")
+        .collect();
+    assert_eq!(printed, expected);
 }

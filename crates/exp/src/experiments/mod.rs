@@ -5,8 +5,10 @@
 //! binary prints. [`Scale::Full`] reproduces the paper's parameters
 //! (2,000,000 tasks, 54,000 executors, …); [`Scale::Quick`] shrinks the
 //! workloads for tests and smoke runs while preserving every qualitative
-//! feature. The [`registry`] module wraps every runner in the uniform
-//! [`registry::Experiment`] trait that the `repro` binary dispatches over.
+//! feature. The [`registry`] module lists every runner as one entry of the
+//! [`registry::Experiment`] table that the `repro` binary dispatches over; an
+//! entry's run renders its text block, so the typed results here are read
+//! only by their own module's renderer and by tests that check numbers.
 
 pub mod ablation;
 pub mod applications;

@@ -17,8 +17,8 @@
 //!   (Falkon, GRAM4+PBS, clustered GRAM4+PBS) for the Section 5
 //!   application experiments.
 //! * [`experiments`] — one runner per table/figure, returning structured
-//!   results that the `repro` binary renders (see
-//!   [`experiments::registry`] for the dispatch table).
+//!   results and rendering them as text; [`experiments::registry`] is the
+//!   dispatch table, whose runs hand the `repro` binary rendered blocks.
 //! * [`trace`] — opt-in per-task lifecycle capture behind `repro --trace`.
 #![forbid(unsafe_code)]
 

@@ -66,11 +66,6 @@ impl IoResource {
         self.busy_us += busy;
         done
     }
-
-    /// When the entire bank becomes free (for drain accounting).
-    pub fn all_free_at(&self) -> Micros {
-        self.free_at.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,6 @@ mod tests {
         let mut r = IoResource::new(1, 1e6, 500);
         r.request(0, 1_000_000);
         assert_eq!(r.busy_us, 1_000_500);
-        assert_eq!(r.all_free_at(), 1_000_500);
     }
 
     #[test]

@@ -435,8 +435,8 @@ pub fn check_registry(modules: &[String], registry: &SourceFile) -> Vec<Diagnost
                 col: 1,
                 message: format!(
                     "experiment module `{m}` is never referenced from the \
-                     registry; add a `Report` variant and a `REGISTRY` entry \
-                     or the `repro` binary cannot reach it"
+                     registry; add a run function that renders its block and \
+                     a `REGISTRY` entry, or the `repro` binary cannot reach it"
                 ),
                 snippet: registry.line_text(1).to_string(),
             });

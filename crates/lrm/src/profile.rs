@@ -38,11 +38,6 @@ impl LrmProfile {
             1e6 / self.dispatch_overhead_us as f64
         }
     }
-
-    /// Total non-payload time a 1-node task job occupies its node.
-    pub fn per_job_node_overhead_us(&self) -> Micros {
-        self.startup_us + self.cleanup_us + self.node_release_us
-    }
 }
 
 /// PBS v2.1.8 as measured on TG_ANL (Table 2: 0.45 tasks/sec; Table 3:
@@ -119,7 +114,8 @@ mod tests {
         // Raw PBS node overhead is small; the ≈39 s per-task overhead that
         // Table 3 attributes to GRAM4+PBS lives in the GRAM gateway model
         // (`GramConfig::done_delay_us`), not here.
-        let oh = PBS_V2_1_8.per_job_node_overhead_us() as f64 / 1e6;
+        let p = PBS_V2_1_8;
+        let oh = (p.startup_us + p.cleanup_us + p.node_release_us) as f64 / 1e6;
         assert!(oh < 10.0, "overhead = {oh}");
     }
 }

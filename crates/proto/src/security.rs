@@ -214,11 +214,6 @@ impl SecureChannel {
         Ok(())
     }
 
-    /// Whether the handshake has completed.
-    pub fn is_established(&self) -> bool {
-        self.session_key.is_some()
-    }
-
     /// Encrypt-and-MAC a payload. Consumes a send-counter so each frame uses
     /// a distinct keystream.
     pub fn seal(&mut self, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn handshake_derives_matching_keys() {
         let (a, b) = established_pair(0x5ec3e7, 111, 222);
-        assert!(a.is_established());
+        assert!(a.session_key.is_some());
         assert_eq!(a.session_key, b.session_key);
     }
 

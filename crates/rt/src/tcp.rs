@@ -379,6 +379,10 @@ struct ClientRun {
     t0: u64,
     /// `(completions, elapsed µs)` once the workload completed.
     done: Option<(u64, u64)>,
+    /// `GetResults` sent and not yet answered: the connection closes only
+    /// once the last is read (one that overlapped the completing fetch gets
+    /// an empty `Results`), so every frame the dispatcher sends is decoded.
+    fetches: u64,
     closed: Option<Closed>,
 }
 
@@ -396,6 +400,10 @@ impl Handler<()> for ClientRun {
                 self.client.enqueue(self.t0, tasks, &mut self.actions);
             }
             Inbound::Msg(msg) => {
+                if matches!(msg, Message::Results { .. }) {
+                    // Saturating: a forwarder pushes `Results` unasked.
+                    self.fetches = self.fetches.saturating_sub(1);
+                }
                 if let Some(ev) = falkon_core::mapping::message_to_client_event(msg) {
                     self.client
                         .on_event(self.clock.now_us(), ev, &mut self.actions);
@@ -407,14 +415,17 @@ impl Handler<()> for ClientRun {
         // partially, if the socket is full, while results keep being read.
         for act in self.actions.drain(..) {
             match act {
-                ClientAction::Send(msg) => conn.enqueue(&msg)?,
+                ClientAction::Send(msg) => {
+                    self.fetches += u64::from(matches!(msg, Message::GetResults { .. }));
+                    conn.enqueue(&msg)?;
+                }
                 ClientAction::WorkloadComplete => {
                     let done = self.client.completions().len() as u64;
                     self.done = Some((done, self.clock.now_us() - self.t0));
                 }
             }
         }
-        Ok(self.done.is_some())
+        Ok(self.done.is_some() && self.fetches == 0)
     }
 
     fn closed(&mut self, _: Token, _: (), closed: Closed) {
@@ -442,6 +453,7 @@ pub fn run_client(
         actions: Vec::new(),
         t0: 0,
         done: None,
+        fetches: 0,
         closed: None,
     };
     engine.add(conn, (), &mut run);

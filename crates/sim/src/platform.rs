@@ -24,13 +24,6 @@ pub struct Platform {
     pub network_mbps: u32,
 }
 
-impl Platform {
-    /// Total executor slots (nodes × CPUs), the paper's 1:1 mapping.
-    pub fn executor_slots(&self) -> u32 {
-        self.nodes * self.cpus_per_node
-    }
-}
-
 /// `TG_ANL_IA32`: 98 dual-Xeon 2.4 GHz nodes, 4 GB, 1 Gb/s.
 pub const TG_ANL_IA32: Platform = Platform {
     name: "TG_ANL_IA32",
@@ -94,8 +87,8 @@ mod tests {
     #[test]
     fn executor_slots_match_paper() {
         // 64 IA64 nodes × 2 CPUs = 128 executors (the Fig. 4 configuration)
-        assert_eq!(TG_ANL_IA64.executor_slots(), 128);
-        assert_eq!(UC_IA32.executor_slots(), 1);
+        assert_eq!(TG_ANL_IA64.nodes * TG_ANL_IA64.cpus_per_node, 128);
+        assert_eq!(UC_IA32.nodes * UC_IA32.cpus_per_node, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
 //! The `repro` harness prints every paper table/figure as an aligned text
-//! table plus an optional TSV block that is trivially machine-parseable.
+//! table plus TSV series blocks that are trivially machine-parseable.
 
 use std::fmt::Write as _;
 
@@ -70,16 +70,6 @@ impl Table {
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
             line(&mut out, row);
-        }
-        out
-    }
-
-    /// Render as tab-separated values (header + rows).
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join("\t"));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join("\t"));
         }
         out
     }
@@ -167,15 +157,6 @@ mod tests {
     fn rejects_wrong_arity() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn tsv_roundtrip_structure() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let tsv = t.to_tsv();
-        let lines: Vec<_> = tsv.lines().collect();
-        assert_eq!(lines, vec!["a\tb", "1\t2"]);
     }
 
     #[test]

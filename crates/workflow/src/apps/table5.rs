@@ -1,8 +1,4 @@
-//! The Swift application catalogue (paper Table 5) and a generic
-//! stage-structured workload generator derived from it.
-
-use crate::dag::{Dag, WfTask};
-use crate::Micros;
+//! The Swift application catalogue (paper Table 5).
 
 /// One row of Table 5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,31 +97,6 @@ pub const APPLICATIONS: [SwiftApp; 11] = [
     },
 ];
 
-/// Build a generic stage-barrier workload shaped like a Table 5 entry:
-/// `stages` sequential stages of `tasks_per_stage` independent tasks, each
-/// running `runtime_us`.
-pub fn staged_workload(stages: u32, tasks_per_stage: u32, runtime_us: Micros) -> Dag {
-    assert!(stages > 0 && tasks_per_stage > 0);
-    let mut g = Dag::new();
-    let mut prev: Vec<crate::dag::NodeId> = Vec::new();
-    for s in 0..stages {
-        let mut cur = Vec::with_capacity(tasks_per_stage as usize);
-        for i in 0..tasks_per_stage {
-            let id = g.add(WfTask::new(
-                format!("s{s}-t{i}"),
-                format!("stage{s:02}"),
-                runtime_us,
-            ));
-            for &p in &prev {
-                g.depend(p, id);
-            }
-            cur.push(id);
-        }
-        prev = cur;
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,16 +106,5 @@ mod tests {
         assert_eq!(APPLICATIONS.len(), 11);
         assert!(APPLICATIONS.iter().any(|a| a.name.contains("ATLAS")));
         assert!(APPLICATIONS.iter().all(|a| a.tasks > 0 && a.stages > 0));
-    }
-
-    #[test]
-    fn staged_workload_shape() {
-        let g = staged_workload(3, 10, 1_000_000);
-        assert_eq!(g.len(), 30);
-        let h = g.stage_histogram();
-        assert_eq!(h.len(), 3);
-        assert!(h.iter().all(|(_, n, _)| *n == 10));
-        // Stage barrier: any stage-1 task has 10 predecessors.
-        assert_eq!(g.preds(crate::dag::NodeId(10)).len(), 10);
     }
 }

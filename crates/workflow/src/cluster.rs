@@ -39,17 +39,6 @@ pub fn cluster_ready(
     out
 }
 
-/// Split `n` ready tasks into exactly `groups` near-equal clusters (the
-/// paper's fMRI baseline clusters each stage "into eight groups").
-pub fn cluster_into_groups(
-    ready: Vec<(NodeId, WfTask)>,
-    groups: usize,
-) -> Vec<Vec<(NodeId, WfTask)>> {
-    assert!(groups > 0, "group count must be positive");
-    let per = ready.len().div_ceil(groups).max(1);
-    cluster_ready(ready, per)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,23 +81,6 @@ mod tests {
         let clusters = cluster_ready(tasks(&[("a", 4)]), 1);
         assert_eq!(clusters.len(), 4);
         assert!(clusters.iter().all(|c| c.len() == 1));
-    }
-
-    #[test]
-    fn groups_split_evenly() {
-        let clusters = cluster_into_groups(tasks(&[("a", 120)]), 8);
-        assert_eq!(clusters.len(), 8);
-        assert!(clusters.iter().all(|c| c.len() == 15));
-    }
-
-    #[test]
-    fn groups_with_remainder() {
-        let clusters = cluster_into_groups(tasks(&[("a", 10)]), 3);
-        // ceil(10/3) = 4 per cluster → 4+4+2
-        assert_eq!(
-            clusters.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
     }
 
     #[test]

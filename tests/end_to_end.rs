@@ -4,9 +4,10 @@
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
 use falkon::exp::simfalkon::{SimFalkon, SimFalkonConfig};
+use falkon::obs::ObsEventKind;
 use falkon::proto::bundle::BundleConfig;
 use falkon::proto::task::TaskSpec;
-use falkon::rt::inproc::{run_sleep_workload, run_workload, InprocConfig};
+use falkon::rt::inproc::{run_sleep_workload, run_workload, InprocConfig, RunOutcome};
 use falkon::rt::WireMode;
 
 fn quick(executors: usize, wire: WireMode) -> InprocConfig {
@@ -48,19 +49,33 @@ fn inproc_and_sim_agree_on_accounting() {
     assert_eq!(sim_ids, (0..n).collect::<Vec<_>>());
 }
 
+/// Every task id in `0..n`, each exactly once.
+fn completed_exactly_once(out: &RunOutcome, n: u64) -> bool {
+    let mut ids: Vec<u64> = out.records.iter().map(|r| r.result.id.0).collect();
+    ids.sort_unstable();
+    out.tasks == n && ids == (0..n).collect::<Vec<_>>()
+}
+
 #[test]
-fn wire_modes_all_complete_and_secure_is_not_faster() {
+fn wire_modes_complete_exactly_once_and_secure_frames_carry_a_mac() {
     let n = 3_000;
-    let plain = run_sleep_workload(&quick(8, WireMode::Plain), n, 0);
-    let secure = run_sleep_workload(&quick(8, WireMode::Secure), n, 0);
-    assert_eq!(plain.tasks, n);
-    assert_eq!(secure.tasks, n);
-    // Security does real work; it cannot beat plain by more than noise.
+    let [plain, encoded, secure] =
+        [WireMode::Plain, WireMode::Encoded, WireMode::Secure].map(|wire| {
+            let out = run_sleep_workload(&quick(8, wire), n, 0);
+            assert!(completed_exactly_once(&out, n), "{wire:?}");
+            out
+        });
+    let frames = |out: &RunOutcome| out.obs.counters.count(ObsEventKind::BundleEncoded);
+    let bytes = |out: &RunOutcome| out.obs.counters.value(ObsEventKind::BundleEncoded);
+    // Plain passes messages by value: nothing reaches a wire.
+    assert_eq!((frames(&plain), bytes(&plain)), (0, 0));
+    // Each seal appends an 8-byte MAC to the encoded frame.
+    let per_frame = |out: &RunOutcome| bytes(out) as f64 / frames(out) as f64;
     assert!(
-        secure.throughput < plain.throughput * 1.3,
-        "secure {:.0}/s vs plain {:.0}/s",
-        secure.throughput,
-        plain.throughput
+        per_frame(&secure) > per_frame(&encoded),
+        "secure {:.1} B/frame vs encoded {:.1}",
+        per_frame(&secure),
+        per_frame(&encoded)
     );
 }
 
@@ -118,8 +133,18 @@ fn bundling_reduces_submit_messages() {
         },
         (0..n).map(|i| TaskSpec::sleep(i, 0)).collect(),
     );
-    assert_eq!(unbundled.tasks, n);
-    assert_eq!(bundled.tasks, n);
+    let submits = |out: &RunOutcome| {
+        let c = &out.obs.counters;
+        (
+            c.count(ObsEventKind::TaskSubmitted),
+            c.value(ObsEventKind::TaskSubmitted),
+        )
+    };
+    assert!(completed_exactly_once(&unbundled, n));
+    assert!(completed_exactly_once(&bundled, n));
+    // One submit message per task, then one per 300 (2,000 = 6 × 300 + 200).
+    assert_eq!(submits(&unbundled), (2_000, n));
+    assert_eq!(submits(&bundled), (7, n));
 }
 
 #[test]
