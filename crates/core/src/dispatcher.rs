@@ -724,10 +724,7 @@ impl<P: Probe> Dispatcher<P> {
             && self.config.replay.retry_on_failure
             && r.attempts <= self.config.replay.max_retries
         {
-            self.emit(now, ObsEvent::TaskRetried);
-            let spec = spec_of(&r.shape, result.id);
-            self.queue
-                .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
+            self.requeue(now, result.id, &r);
             return;
         }
         self.emit(
@@ -752,29 +749,45 @@ impl<P: Probe> Dispatcher<P> {
             instance: r.instance,
             record,
         });
-        let mut delivered = 0u64;
-        if let Some(inst) = self.instances.get_mut(r.instance) {
-            inst.pending = inst.pending.saturating_sub(1);
-            inst.ready.push(result);
-            inst.unnotified += 1;
-            let flush = inst.unnotified >= self.config.client_notify_batch
-                || (inst.pending == 0 && inst.unnotified > 0);
-            if flush {
-                let ready = inst.ready.len() as u64;
-                delivered = inst.unnotified;
-                inst.unnotified = 0;
-                out.push(DispatcherAction::ToClient {
-                    instance: r.instance,
-                    msg: Message::ClientNotify {
-                        instance: r.instance,
-                        ready,
-                    },
-                });
-            }
+        self.deliver(now, r.instance, result, out);
+    }
+
+    /// Put task `id` back on the queue for attempt `r.attempts + 1`.
+    fn requeue(&mut self, now: Micros, id: TaskId, r: &Running) {
+        self.emit(now, ObsEvent::TaskRetried);
+        let spec = spec_of(&r.shape, id);
+        self.queue
+            .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
+    }
+
+    /// Hand a final result to its instance and send `ClientNotify` once
+    /// `client_notify_batch` results are waiting or the instance has none
+    /// left pending.
+    fn deliver(
+        &mut self,
+        now: Micros,
+        instance: InstanceId,
+        result: TaskResult,
+        out: &mut Vec<DispatcherAction>,
+    ) {
+        let Some(inst) = self.instances.get_mut(instance) else {
+            return;
+        };
+        inst.pending = inst.pending.saturating_sub(1);
+        inst.ready.push(result);
+        inst.unnotified += 1;
+        if inst.unnotified < self.config.client_notify_batch && inst.pending > 0 {
+            return;
         }
-        if delivered > 0 {
-            self.emit(now, ObsEvent::TaskDelivered { count: delivered });
-        }
+        let delivered = std::mem::take(&mut inst.unnotified);
+        out.push(DispatcherAction::ToClient {
+            instance,
+            msg: Message::ClientNotify {
+                instance,
+                ready: inst.ready.len() as u64,
+            },
+        });
+        self.emit(now, ObsEvent::TaskDelivered { count: delivered });
     }
 
     /// Re-dispatch or abandon task `id` per the replay policy.
@@ -787,35 +800,11 @@ impl<P: Probe> Dispatcher<P> {
                 attempts: r.attempts,
             });
             // Also surface a synthesized failure so clients can complete.
-            let mut delivered = 0u64;
-            if let Some(inst) = self.instances.get_mut(r.instance) {
-                inst.pending = inst.pending.saturating_sub(1);
-                inst.ready.push(
-                    TaskResult::failure(id, -1)
-                        .with_output(None, Some("falkon: retries exhausted".to_string())),
-                );
-                inst.unnotified += 1;
-                let ready = inst.ready.len() as u64;
-                if inst.unnotified >= self.config.client_notify_batch || inst.pending == 0 {
-                    delivered = inst.unnotified;
-                    inst.unnotified = 0;
-                    out.push(DispatcherAction::ToClient {
-                        instance: r.instance,
-                        msg: Message::ClientNotify {
-                            instance: r.instance,
-                            ready,
-                        },
-                    });
-                }
-            }
-            if delivered > 0 {
-                self.emit(now, ObsEvent::TaskDelivered { count: delivered });
-            }
+            let failure = TaskResult::failure(id, -1)
+                .with_output(None, Some("falkon: retries exhausted".to_string()));
+            self.deliver(now, r.instance, failure, out);
         } else {
-            self.emit(now, ObsEvent::TaskRetried);
-            let spec = spec_of(&r.shape, id);
-            self.queue
-                .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
+            self.requeue(now, id, &r);
         }
     }
 

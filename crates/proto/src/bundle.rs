@@ -14,37 +14,20 @@ use serde::{Deserialize, Serialize};
 pub struct BundleConfig {
     /// Maximum tasks per submit message. 1 disables bundling.
     pub max_bundle: usize,
-    /// Whether the dispatcher may piggy-back new tasks on result acks
-    /// (messages {6,7} collapse to one WS call per task).
-    pub piggyback: bool,
 }
 
 impl Default for BundleConfig {
     fn default() -> Self {
         // The paper's measured optimum is around 300 tasks per bundle.
-        BundleConfig {
-            max_bundle: 300,
-            piggyback: true,
-        }
+        BundleConfig { max_bundle: 300 }
     }
 }
 
 impl BundleConfig {
-    /// No bundling, no piggy-backing: every exchange is per-task.
-    pub fn unbundled() -> Self {
-        BundleConfig {
-            max_bundle: 1,
-            piggyback: false,
-        }
-    }
-
-    /// Bundles of exactly `n` with piggy-backing enabled.
+    /// Bundles of at most `n` tasks.
     pub fn of(n: usize) -> Self {
         assert!(n > 0, "bundle size must be positive");
-        BundleConfig {
-            max_bundle: n,
-            piggyback: true,
-        }
+        BundleConfig { max_bundle: n }
     }
 }
 
@@ -109,12 +92,7 @@ mod tests {
 
     #[test]
     fn config_constructors() {
-        let u = BundleConfig::unbundled();
-        assert_eq!(u.max_bundle, 1);
-        assert!(!u.piggyback);
-        let d = BundleConfig::default();
-        assert_eq!(d.max_bundle, 300);
-        assert!(d.piggyback);
+        assert_eq!(BundleConfig::default().max_bundle, 300);
         assert_eq!(BundleConfig::of(42).max_bundle, 42);
     }
 }

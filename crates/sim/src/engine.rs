@@ -81,8 +81,8 @@ impl<E> Engine<E> {
         handler: &mut F,
     ) -> bool {
         while !self.stopped {
-            // One heap operation per event: `pop_at_or_before` folds the old
-            // peek-then-pop double traversal into a single conditional pop.
+            // One queue operation per event: `pop_at_or_before` is a
+            // conditional pop, not a peek followed by a pop.
             let Some((t, ev)) = self.queue.pop_at_or_before(deadline) else {
                 return !self.queue.is_empty();
             };

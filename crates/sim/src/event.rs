@@ -6,45 +6,39 @@
 //!
 //! # Layout
 //!
-//! The queue is a **hierarchical timer wheel** ([`crate::wheel`]) ordered by
-//! a packed `(time, sequence)` key, plus a **same-instant FIFO lane**:
-//!
-//! * The wheel indexes events by the bytes of their absolute time: O(1)
-//!   push and amortised-O(1) pop regardless of how many timers are
-//!   outstanding. This is what keeps 50K-outstanding-timer simulations
-//!   (the paper's 54K-executor runs, and the 100k-executor arm beyond
-//!   them) queue-light: a heap pays a cache-missing O(log n) sift per
-//!   operation exactly at those scales (~9M events/s against the wheel's
-//!   ~35M at 50k resident timers). Events beyond the wheel's 2^32 µs
-//!   horizon sit in a far-future overflow heap until their epoch arrives.
-//! * Pushes at exactly the current instant (`at == last_popped`) skip the
-//!   wheel entirely and append to a `VecDeque` lane. Dispatcher pump
-//!   cascades — dozens of notify/ack events emitted "now" — cost O(1) each
-//!   with no wheel traffic. Because every wheel entry is keyed `(at, seq)`
-//!   and lane entries keep their global `seq`, [`EventQueue::pop`] merges
-//!   the two sources back into exactly the order a single heap would
-//!   produce.
+//! The queue is the causality check and a push sequence number around one
+//! **hierarchical timer wheel** ([`crate::wheel`]). Every event is keyed by
+//! the packed `(time << 64) | seq`, and the wheel pops in ascending key
+//! order. It indexes events by the bytes of their absolute time: O(1) push
+//! and amortised-O(1) pop regardless of how many timers are outstanding,
+//! which keeps 50K-outstanding-timer simulations (the paper's 54K-executor
+//! runs, and the 100k-executor arm beyond them) queue-light.
 //!
 //! The total order is that of a single heap on `(time, push sequence)`:
 //! ascending time, FIFO within one instant. The `queue_model` proptest
 //! suite drives this queue and a `BinaryHeap` model through identical
 //! operation sequences and requires identical behaviour.
 
-use crate::heap::{key_time, pack};
 use crate::wheel::TimerWheel;
 use crate::SimTime;
-use std::collections::VecDeque;
+
+/// The ordering key: `(time << 64) | seq` compares exactly like
+/// `(time, seq)`.
+#[inline]
+const fn pack(at: SimTime, seq: u64) -> u128 {
+    ((at.as_micros() as u128) << 64) | seq as u128
+}
+
+/// The time half of a [`pack`]ed key.
+#[inline]
+const fn key_time(key: u128) -> SimTime {
+    SimTime::from_micros((key >> 64) as u64)
+}
 
 /// A priority queue of `(SimTime, E)` pairs popped in time order, FIFO within
 /// a single instant.
 pub struct EventQueue<E> {
-    /// Hierarchical timer wheel + far-future overflow heap.
     wheel: TimerWheel<E>,
-    /// Events pushed at exactly `last_popped`: already in pop order, no wheel
-    /// traffic. Invariant: every lane entry's time equals `last_popped`, and
-    /// the lane drains before `last_popped` can advance (any later event
-    /// compares greater than the lane front).
-    lane: VecDeque<(u64, E)>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -60,7 +54,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             wheel: TimerWheel::new(),
-            lane: VecDeque::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -81,12 +74,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        if at == self.last_popped {
-            // Same-instant fast lane: globally minimal among future pushes,
-            // ordered against same-instant wheel entries by `seq` at pop.
-            self.lane.push_back((seq, event));
-            return;
-        }
         self.wheel.insert(pack(at, seq), event);
     }
 
@@ -98,39 +85,12 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event if it is scheduled at or before
     /// `deadline`; otherwise leave the queue untouched and return `None`.
-    /// A refused pop is pure: the wheel peek never cascades, so pushes that
-    /// arrive before the deadline event keep their correct order.
+    /// A refused pop is pure: the wheel never cascades on refusal, so pushes
+    /// that arrive before the deadline event keep their correct order.
     #[inline]
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        // The lane, when non-empty, holds events at `last_popped`, which is
-        // ≤ every wheel time; it loses only to a same-instant wheel entry
-        // with an earlier sequence number.
-        if let Some(&(lane_seq, _)) = self.lane.front() {
-            let lane_key = pack(self.last_popped, lane_seq);
-            // Pop the wheel iff its minimum is strictly below the lane
-            // front: same instant, earlier push. (`last_popped` is
-            // unchanged by construction: such a key ties its time.) The
-            // peek is pure and fully inline, so the common all-lane case —
-            // dispatcher pump cascades with an empty wheel — never pays the
-            // out-of-line slab pop.
-            if let Some(k) = self.wheel.peek_key() {
-                if k < lane_key {
-                    let (key, event) = self
-                        .wheel
-                        .pop_key_at_most(lane_key - 1)
-                        .expect("peeked key below the bound");
-                    return Some((key_time(key), event));
-                }
-            }
-            if self.last_popped > deadline {
-                return None;
-            }
-            let (_, event) = self.lane.pop_front().expect("front checked");
-            return Some((self.last_popped, event));
-        }
         // Sequence numbers never reach u64::MAX, so the inclusive key bound
-        // is exactly "time ≤ deadline". A refused pop leaves the wheel
-        // untouched (see `TimerWheel::pop_key_at_most`).
+        // is exactly "time ≤ deadline".
         let (key, event) = self.wheel.pop_key_at_most(pack(deadline, u64::MAX))?;
         let at = key_time(key);
         self.last_popped = at;
@@ -140,21 +100,17 @@ impl<E> EventQueue<E> {
     /// The timestamp of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if !self.lane.is_empty() {
-            // A same-instant wheel entry can only tie the lane's time.
-            return Some(self.last_popped);
-        }
         self.wheel.peek_key().map(key_time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len() + self.lane.len()
+        self.wheel.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty() && self.lane.is_empty()
+        self.wheel.is_empty()
     }
 }
 
@@ -214,19 +170,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_respects_earlier_wheel_entries_at_same_instant() {
+    fn same_instant_pushes_queue_behind_earlier_pushes_at_that_instant() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        q.push(t, "wheel-early"); // seq 0, via wheel (last_popped = 0)
+        q.push(t, "early"); // seq 0
         q.push(SimTime::from_micros(500), "first"); // seq 1
         assert_eq!(q.pop().unwrap().1, "first"); // last_popped = 500µs
-        q.push(SimTime::from_secs(1), "wheel-late"); // seq 2, wheel (1s > 0.5s)
-        assert_eq!(q.pop().unwrap().1, "wheel-early"); // last_popped = 1s
-        q.push(t, "lane-1"); // seq 3, lane
-        q.push(t, "lane-2"); // seq 4, lane
-                             // wheel-late (seq 2) precedes the lane entries (seqs 3, 4).
+        q.push(SimTime::from_secs(1), "late"); // seq 2
+        assert_eq!(q.pop().unwrap().1, "early"); // last_popped = 1s
+        q.push(t, "now-1"); // seq 3, at the current instant
+        q.push(t, "now-2"); // seq 4
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["wheel-late", "lane-1", "lane-2"]);
+        assert_eq!(order, vec!["late", "now-1", "now-2"]);
     }
 
     #[test]
@@ -248,18 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_or_before_holds_lane_events_past_deadline() {
+    fn pop_at_or_before_holds_current_instant_events_past_deadline() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), "a");
         q.pop();
-        q.push(SimTime::from_secs(10), "lane"); // same instant: lane
-                                                // Deadline before the lane's instant: nothing deliverable.
+        q.push(SimTime::from_secs(10), "now"); // the current instant
         assert!(q.pop_at_or_before(SimTime::from_secs(9)).is_none());
         assert_eq!(q.len(), 1);
-        assert_eq!(
-            q.pop_at_or_before(SimTime::from_secs(10)).unwrap().1,
-            "lane"
-        );
+        assert_eq!(q.pop_at_or_before(SimTime::from_secs(10)).unwrap().1, "now");
     }
 
     #[test]
@@ -279,7 +230,7 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_in_order() {
-        // Past the wheel horizon (2^32 µs ≈ 71.6 min): overflow heap path.
+        // Past the wheel horizon (2^32 µs ≈ 71.6 min): the overflow path.
         let mut q = EventQueue::new();
         let far = SimTime::from_secs(100_000); // 1e11 µs >> 2^32
         q.push(far, "far-1");
@@ -288,6 +239,41 @@ mod tests {
         q.push(SimTime::from_secs(200_000), "farther");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["near", "far-1", "far-2", "farther"]);
+    }
+
+    #[test]
+    fn overflow_drains_one_epoch_at_a_time() {
+        // An epoch is the 2^32 µs the wheel resolves. Draining the overflow
+        // one epoch late would place the next epoch's events beyond the
+        // horizon; one epoch early would drain nothing and never return.
+        const EPOCH: u64 = 1 << 32;
+        let us = SimTime::from_micros;
+        let mut q = EventQueue::new();
+        // Four epochs pending in the overflow, the last one included.
+        q.push(SimTime::MAX, "last-epoch");
+        q.push(us(3 * EPOCH + 5), "e3");
+        q.push(us(2 * EPOCH + 3), "e2");
+        q.push(us(EPOCH), "e1-a"); // ties at epoch 1's first µs
+        q.push(us(EPOCH), "e1-b");
+        assert_eq!(q.pop(), Some((us(EPOCH), "e1-a")));
+        q.push(us(EPOCH), "e1-c"); // same instant, pushed after the drain
+        assert_eq!(q.pop(), Some((us(EPOCH), "e1-b")));
+        assert_eq!(q.pop(), Some((us(EPOCH), "e1-c")));
+        // Refused across the boundary into epoch 2: nothing moves, so a
+        // push into the current epoch still comes first.
+        assert_eq!(q.pop_at_or_before(us(2 * EPOCH + 2)), None);
+        assert_eq!(q.len(), 3);
+        q.push(us(2 * EPOCH - 1), "e1-late");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (us(2 * EPOCH - 1), "e1-late"),
+                (us(2 * EPOCH + 3), "e2"),
+                (us(3 * EPOCH + 5), "e3"),
+                (SimTime::MAX, "last-epoch"),
+            ]
+        );
     }
 
     #[test]
@@ -301,7 +287,7 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            // Offsets spanning all four levels plus the overflow heap.
+            // Offsets spanning all four levels plus the overflow.
             q.push(SimTime::from_micros(now + x % (3 << 30)), round);
             if x.is_multiple_of(3) {
                 if let Some((t, _)) = q.pop() {

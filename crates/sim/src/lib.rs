@@ -10,8 +10,7 @@
 //!   clock, shared with (and defined in) `falkon-obs`.
 //! * [`event`] — a deterministic event queue with stable FIFO ordering for
 //!   simultaneous events, backed by the hierarchical timer wheel in
-//!   [`wheel`] (its far-future overflow level is the 4-ary heap in
-//!   [`heap`]).
+//!   [`wheel`] (events past its 2^32 µs horizon wait in a `BTreeMap`).
 //! * [`engine`] — the event loop: [`engine::Engine`] delivers timed events
 //!   to a handler closure.
 //! * [`Histogram`], [`TimeSeries`], [`MovingAverage`], [`Summary`] — the
@@ -25,7 +24,6 @@
 
 pub mod engine;
 pub mod event;
-pub mod heap;
 pub mod platform;
 pub mod rng;
 pub mod table;

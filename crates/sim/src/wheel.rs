@@ -5,18 +5,12 @@
 //! Four levels of 256 slots each, indexed directly by the bytes of the
 //! absolute event time in microseconds: level `k` slot `byte_k(t)`. Level 0
 //! spans 256 µs at 1 µs granularity; each level up widens the slot by 256×,
-//! so the wheel covers a 2^32 µs (~71 virtual minutes) horizon. Events
-//! beyond the horizon go to a **far-future overflow heap** (the same packed
-//! 4-ary [`KeyHeap`] the old queue used), where O(log n) is paid only by
-//! the rare long-range timer rather than by every operation.
+//! so the wheel covers a 2^32 µs (~71 virtual minutes) horizon, one
+//! *epoch*. Events in a later epoch wait in a far-future **overflow**
+//! `BTreeMap` on their packed key, where O(log n) is paid only by the rare
+//! long-range timer rather than by every operation; an epoch moves into the
+//! wheel when the wheel has drained.
 //!
-//! * A one-entry **front register** caches the global minimum when it can
-//!   be tracked for free (push onto an empty structure, or a push that
-//!   undercuts the current front). Short event chains — the dispatcher
-//!   pump's steady state of one or two outstanding timers — live entirely
-//!   in the register: push and pop are a compare and a move, matching the
-//!   old heap's near-empty fast path. The register never moves `ref_time`,
-//!   so the slab invariants below do not depend on it.
 //! * Slots are intrusive singly-linked lists over one node slab
 //!   (`Vec<Node>` + free list): pushes and pops allocate nothing in steady
 //!   state, and a cascade relinks nodes without moving payloads.
@@ -32,7 +26,7 @@
 //! # Determinism
 //!
 //! The wheel pops in exactly ascending packed `(time << 64 | seq)` key
-//! order, byte-for-byte the order the old heap produced:
+//! order:
 //!
 //! * The placement reference `ref_time` only advances to popped times
 //!   (or cascade bases below them), so `ref_time ≤ last popped time` and
@@ -45,25 +39,25 @@
 //! * Within a level, slots ascend by time (stale entries collect in slot
 //!   `byte_k(ref_time)`, below every fresh slot), so the first occupied
 //!   slot holds the minimum; `slot_min` (level ≥ 1) or the list head
-//!   (level 0, where all entries share one instant and appends happen in
-//!   sequence order) identifies it exactly.
-//! * Cascades walk the drained slot in list order and the overflow drains
-//!   in heap (key) order, so same-instant entries keep ascending-`seq`
-//!   list order everywhere — FIFO within an instant is preserved without
-//!   ever sorting.
+//!   (level 0, where all entries share one instant) identifies it exactly.
+//! * Keys arrive in ascending `seq` (the queue's push sequence), every
+//!   insert appends, cascades walk the drained slot in list order and the
+//!   overflow drains in key order, so same-instant entries keep
+//!   ascending-`seq` list order everywhere — FIFO within an instant is
+//!   preserved without ever sorting.
 //!
 //! Costs: push O(1); pop O(1) amortised — each entry is relinked by at
 //! most `LEVELS - 1` cascades over its lifetime; peek O(1); far-future
 //! push/drain O(log overflow).
 
-use crate::heap::KeyHeap;
+use std::collections::BTreeMap;
 
 /// Slot count per level (one byte of the time).
 const SLOTS: usize = 256;
 /// Bitmap words per level.
 const WORDS: usize = SLOTS / 64;
 /// Wheel levels; beyond `SLOTS^LEVELS` µs from the reference lies the
-/// overflow heap.
+/// overflow.
 const LEVELS: usize = 4;
 /// Bits of absolute time the wheel resolves (`8 * LEVELS`).
 const HORIZON_BITS: u32 = 32;
@@ -79,19 +73,9 @@ struct Node<E> {
     event: Option<E>,
 }
 
-/// The wheel proper: timing structure only. Causality checks and the
-/// same-instant FIFO lane live in [`crate::EventQueue`].
+/// The wheel proper: timing structure only. Causality checks and the push
+/// sequence live in [`crate::EventQueue`].
 pub(crate) struct TimerWheel<E> {
-    /// Fast-path cache of the global minimum. **Invariant: when `Some`, the
-    /// held key is strictly below every key in the wheel slab and the
-    /// overflow heap.** It is populated only by a push onto an otherwise
-    /// empty structure or by a push that displaces the current front; it is
-    /// never refilled from the slab on pop. The register never touches
-    /// `ref_time`, so every slab invariant holds verbatim whether or not it
-    /// is occupied. Simulations dominated by short event chains (one or two
-    /// timers outstanding — the dispatcher pump steady state) run entirely
-    /// through this register and pay no slab bookkeeping at all.
-    front: Option<(u128, E)>,
     nodes: Vec<Node<E>>,
     free_head: u32,
     /// Intrusive list head/tail per `level * SLOTS + slot`.
@@ -104,16 +88,17 @@ pub(crate) struct TimerWheel<E> {
     occ: [[u64; WORDS]; LEVELS],
     /// One bit per `occ` word (bit `lvl * WORDS + word`), in scan order:
     /// `trailing_zeros` finds the lowest occupied level's first non-empty
-    /// word without touching the bitmaps. Keeps peek/pop O(1) even when the
-    /// wheel is empty — the lane-heavy facade paths peek on every pop.
+    /// word without touching the bitmaps, so peek/pop stay O(1) however
+    /// sparse the wheel is.
     summary: u16,
     /// Placement reference. Invariants: `ref_time` never exceeds the last
     /// popped time, and every live entry's time is ≥ `ref_time`.
     ref_time: u64,
     /// Entries resident in the wheel slab (excludes overflow).
     in_wheel: usize,
-    /// Events scheduled ≥ 2^32 µs past `ref_time`'s epoch.
-    overflow: KeyHeap<E>,
+    /// Events in a later epoch than `ref_time`'s. Keys are unique: each
+    /// embeds its push sequence number.
+    overflow: BTreeMap<u128, E>,
 }
 
 #[inline]
@@ -124,7 +109,6 @@ const fn key_micros(key: u128) -> u64 {
 impl<E> TimerWheel<E> {
     pub(crate) fn new() -> Self {
         TimerWheel {
-            front: None,
             nodes: Vec::new(),
             free_head: NIL,
             head: vec![NIL; LEVELS * SLOTS],
@@ -134,16 +118,16 @@ impl<E> TimerWheel<E> {
             summary: 0,
             ref_time: 0,
             in_wheel: 0,
-            overflow: KeyHeap::new(),
+            overflow: BTreeMap::new(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        usize::from(self.front.is_some()) + self.in_wheel + self.overflow.len()
+        self.in_wheel + self.overflow.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.front.is_none() && self.in_wheel == 0 && self.overflow.is_empty()
+        self.in_wheel == 0 && self.overflow.is_empty()
     }
 
     /// Level and slot for time `t` relative to the current reference.
@@ -184,34 +168,11 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Prepend an existing slab node to `(lvl, slot)`. Only legal for a key
-    /// ≤ every key already in the slot — the displaced-front path, where
-    /// the key is the strict slab minimum. Appending it instead would break
-    /// the level-0 "list head is the slot minimum / ascending-seq list
-    /// order" invariant whenever the slot already holds a same-instant
-    /// entry with a later sequence number.
+    /// Take a node off the free list or grow the slab, and link it at the
+    /// tail of its slot.
     #[inline]
-    fn link_node_at_head(&mut self, lvl: usize, slot: usize, idx: u32) {
-        let s = lvl * SLOTS + slot;
-        let h = self.head[s];
-        self.nodes[idx as usize].next = h;
-        self.head[s] = idx;
-        if h == NIL {
-            self.tail[s] = idx;
-            self.occ[lvl][slot / 64] |= 1u64 << (slot % 64);
-            self.summary |= 1u16 << (lvl * WORDS + slot / 64);
-        }
-        if lvl != 0 {
-            let key = self.nodes[idx as usize].key;
-            debug_assert!(key <= self.slot_min[s], "head link above slot min");
-            self.slot_min[s] = key;
-        }
-    }
-
-    /// Take a node off the free list or grow the slab.
-    #[inline]
-    fn alloc(&mut self, key: u128, event: E) -> u32 {
-        if self.free_head != NIL {
+    fn link_new(&mut self, key: u128, event: E) {
+        let idx = if self.free_head != NIL {
             let idx = self.free_head;
             let node = &mut self.nodes[idx as usize];
             self.free_head = node.next;
@@ -226,65 +187,25 @@ impl<E> TimerWheel<E> {
                 event: Some(event),
             });
             idx
-        }
-    }
-
-    /// Insert an entry. `key`'s time must be ≥ the last popped time (the
-    /// facade's causality check guarantees this).
-    ///
-    /// Routing: an empty structure captures the entry in the front
-    /// register; a key below the current front displaces it (the old front
-    /// re-enters the slab — its time is ≥ `ref_time` because `ref_time`
-    /// cannot advance while the register is occupied, see
-    /// [`Self::pop_key_at_most`]); anything else goes straight to the slab.
-    #[inline]
-    pub(crate) fn insert(&mut self, key: u128, event: E) {
-        match self.front.as_ref().map(|(k, _)| *k) {
-            None if self.in_wheel == 0 && self.overflow.is_empty() => {
-                self.front = Some((key, event));
-            }
-            Some(front_key) if key < front_key => {
-                let (old_key, old_event) = self.front.take().expect("front checked");
-                self.front = Some((key, event));
-                self.insert_slab_min(old_key, old_event);
-            }
-            _ => self.insert_slab(key, event),
-        }
-    }
-
-    /// Insert into the wheel slab or the overflow heap. `key`'s time must
-    /// be ≥ `ref_time` (causality keeps pushes ≥ the last popped time, and
-    /// `ref_time` never exceeds that).
-    fn insert_slab(&mut self, key: u128, event: E) {
-        let t = key_micros(key);
-        debug_assert!(t >= self.ref_time, "insert below wheel reference");
-        if (t ^ self.ref_time) >> HORIZON_BITS != 0 {
-            self.overflow.push(key, event);
-            return;
-        }
-        let (lvl, slot) = self.place(t);
-        let idx = self.alloc(key, event);
+        };
+        let (lvl, slot) = self.place(key_micros(key));
         self.link_node(lvl, slot, idx);
         self.in_wheel += 1;
     }
 
-    /// Re-slab a displaced front. The key is the strict slab minimum (front
-    /// invariant), so it must *prepend* its slot list — a plain append
-    /// would put a lower sequence number behind a same-instant entry and
-    /// corrupt the FIFO order. Its time is ≥ `ref_time` because `ref_time`
-    /// cannot advance while the register is occupied
-    /// (see [`Self::pop_key_at_most`]).
-    fn insert_slab_min(&mut self, key: u128, event: E) {
+    /// Insert an entry. `key`'s time must be ≥ the last popped time (the
+    /// queue's causality check guarantees this, and `ref_time` never
+    /// exceeds it), and keys of one instant must arrive in ascending
+    /// sequence (the queue's push counter), so appending keeps FIFO.
+    #[inline]
+    pub(crate) fn insert(&mut self, key: u128, event: E) {
         let t = key_micros(key);
         debug_assert!(t >= self.ref_time, "insert below wheel reference");
         if (t ^ self.ref_time) >> HORIZON_BITS != 0 {
-            self.overflow.push(key, event);
+            self.overflow.insert(key, event);
             return;
         }
-        let (lvl, slot) = self.place(t);
-        let idx = self.alloc(key, event);
-        self.link_node_at_head(lvl, slot, idx);
-        self.in_wheel += 1;
+        self.link_new(key, event);
     }
 
     /// Lowest occupied (level, slot) in the wheel proper, via the summary
@@ -315,16 +236,12 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// The minimal key, if any. Pure: never cascades, never drains. One
-    /// load when the front register is occupied.
+    /// The minimal key, if any. Pure: never cascades, never drains.
     #[inline]
     pub(crate) fn peek_key(&self) -> Option<u128> {
-        if let Some((k, _)) = self.front.as_ref() {
-            return Some(*k);
-        }
         match self.first_occupied() {
             Some((lvl, slot)) => Some(self.slot_min_key(lvl, slot)),
-            None => self.overflow.peek_key(),
+            None => self.overflow.first_key_value().map(|(&key, _)| key),
         }
     }
 
@@ -362,26 +279,25 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Move every overflow entry in the earliest pending epoch into the
-    /// wheel. Called only when the wheel is empty, so jumping the
-    /// reference to the epoch base skips no live entry.
-    fn drain_overflow_epoch(&mut self) {
+    /// Move every overflow entry in the epoch of `root`, the overflow's
+    /// minimal key, into the wheel. Called only when the wheel is empty, so
+    /// jumping the reference to the epoch base skips no live entry.
+    fn drain_overflow_epoch(&mut self, root: u128) {
         debug_assert_eq!(self.in_wheel, 0);
-        let root = self.overflow.peek_key().expect("drain on empty overflow");
         let epoch = key_micros(root) >> HORIZON_BITS;
         self.ref_time = epoch << HORIZON_BITS;
-        while let Some(k) = self.overflow.peek_key() {
-            if key_micros(k) >> HORIZON_BITS != epoch {
-                break;
-            }
-            let (key, event) = self.overflow.pop().expect("peeked");
-            // Heap pops ascend by key, so same-instant entries append in
-            // seq order — the FIFO invariant survives the epoch hop.
-            let (lvl, slot) = self.place(key_micros(key));
-            let idx = self.alloc(key, event);
-            self.link_node(lvl, slot, idx);
-            self.in_wheel += 1;
+        // Split at the epoch's last µs with sequence number u64::MAX, which
+        // no push reaches: every key of this epoch sorts below it, every
+        // later key above. (The next epoch's first key, `(epoch + 1) << 96`,
+        // wraps to 0 in the last epoch.)
+        let epoch_end = (u128::from(epoch) << (HORIZON_BITS + 64)) | (u128::MAX >> HORIZON_BITS);
+        let later = self.overflow.split_off(&epoch_end);
+        // Ascending key order: same-instant entries append in seq order, so
+        // the FIFO invariant survives the epoch hop.
+        for (key, event) in std::mem::replace(&mut self.overflow, later) {
+            self.link_new(key, event);
         }
+        debug_assert_ne!(self.in_wheel, 0, "drained an empty epoch");
     }
 
     /// Remove and return the entry with the minimal key **iff** that key is
@@ -389,35 +305,16 @@ impl<E> TimerWheel<E> {
     /// purity of refusal is load-bearing: a refused `pop_at_or_before` may
     /// be followed by pushes earlier than the refused event, and a cascade
     /// (or overflow drain) here would advance the placement reference past
-    /// them.
-    ///
-    /// The front register, when occupied, *is* the minimum: a hit costs one
-    /// compare and one move, and leaves `ref_time` alone — which is exactly
-    /// why a later push may displace the next front (its time is still
-    /// ≥ `ref_time`; see [`Self::insert`]). A miss falls through to the
-    /// slab scan.
-    #[inline]
+    /// them. The bound is checked against the slot minimum *before* any
+    /// cascade, so a single scan serves both the refusal and the pop.
     pub(crate) fn pop_key_at_most(&mut self, bound: u128) -> Option<(u128, E)> {
-        if let Some((k, _)) = self.front.as_ref() {
-            if *k > bound {
-                return None;
-            }
-            return self.front.take();
-        }
-        self.pop_slab_at_most(bound)
-    }
-
-    /// Slab/overflow half of [`Self::pop_key_at_most`]: the bound is
-    /// checked against the slot minimum *before* any cascade, so a single
-    /// scan serves both the refusal and the pop.
-    fn pop_slab_at_most(&mut self, bound: u128) -> Option<(u128, E)> {
         loop {
             let Some((lvl, slot)) = self.first_occupied() else {
-                let root = self.overflow.peek_key()?;
+                let (&root, _) = self.overflow.first_key_value()?;
                 if root > bound {
                     return None;
                 }
-                self.drain_overflow_epoch();
+                self.drain_overflow_epoch(root);
                 continue;
             };
             if self.slot_min_key(lvl, slot) > bound {
@@ -505,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_heap_handles_far_future() {
+    fn overflow_handles_far_future() {
         let mut w = TimerWheel::new();
         let far = 1u64 << 40; // ~12 days past the horizon
         w.insert(k(far + 7, 0), 0);
@@ -548,42 +445,15 @@ mod tests {
     }
 
     #[test]
-    fn front_register_displacement_chain_keeps_order() {
-        // Each push undercuts the previous minimum, so every one displaces
-        // the front register and re-slabs the old front; the drain must
-        // still come out fully sorted.
+    fn same_instant_entries_keep_insert_order_around_an_earlier_one() {
+        // Seqs 0 and 1 share t = 5 in level-0 slot 5; an earlier seq 2
+        // pops first, then the two in sequence order.
         let mut w = TimerWheel::new();
-        for (seq, t) in (0u64..64).map(|i| (i, 1_000_000 - i * 1_000)) {
-            w.insert(k(t, seq), seq);
-        }
-        let keys = drain_all(&mut w);
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        assert_eq!(keys.len(), 64);
-    }
-
-    #[test]
-    fn displaced_front_prepends_into_occupied_same_instant_slot() {
-        // Regression (found by the queue_model fuzz): seq 1 at t=5 sits in
-        // level-0 slot 5; displacing the front (seq 0, t=5) must re-slab it
-        // *ahead* of seq 1, or the same-instant FIFO inverts.
-        let mut w = TimerWheel::new();
-        w.insert(k(5, 0), 0); // front register
-        w.insert(k(5, 1), 1); // slab, level-0 slot 5
-        w.insert(k(2, 2), 2); // displaces seq 0 back into slot 5
+        w.insert(k(5, 0), 0);
+        w.insert(k(5, 1), 1);
+        w.insert(k(2, 2), 2);
         let keys = drain_all(&mut w);
         assert_eq!(keys, vec![k(2, 2), k(5, 0), k(5, 1)]);
-    }
-
-    #[test]
-    fn front_register_respects_pop_bound() {
-        let mut w = TimerWheel::new();
-        w.insert(k(500, 0), 0); // held in the front register
-        assert_eq!(w.pop_key_at_most(k(499, u64::MAX)), None);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop_key_at_most(k(500, u64::MAX)), Some((k(500, 0), 0)));
-        assert!(w.is_empty());
     }
 
     #[test]

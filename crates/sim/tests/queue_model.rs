@@ -1,18 +1,16 @@
 //! Model-equivalence proofs for the timer-wheel [`EventQueue`].
 //!
-//! The queue has been rewritten twice — first from a
-//! `BinaryHeap<Reverse<(time, seq)>>` to a 4-ary implicit heap with a
-//! same-instant FIFO lane, then to a hierarchical timer wheel. Simulations
-//! depend on its *exact* delivery order for bit-for-bit reproducibility, so
-//! this suite drives arbitrary operation sequences through the live queue and
-//! through a trivially-correct reimplementation of the original, asserting
-//! that every pop (timestamp and payload), every peek, and every length
-//! agree — and that the "scheduled in the past" causality panic still fires.
+//! Simulations depend on the queue's *exact* delivery order for bit-for-bit
+//! reproducibility, so this suite drives arbitrary operation sequences
+//! through the live queue and through a trivially-correct model of its
+//! contract — a `BinaryHeap<Reverse<(time, seq)>>` — asserting that every
+//! pop (timestamp and payload), every refused pop, every peek, and every
+//! length agree, and that the "scheduled in the past" causality panic fires.
 //!
-//! Two offset regimes matter for the wheel: small offsets stay in level 0
-//! and the front register, while offsets of 2^8..2^32 µs land in higher
-//! levels (exercising cascades on pop) and offsets ≥ 2^32 µs leave the
-//! wheel horizon entirely (exercising the far-future overflow heap). The
+//! Three offset regimes matter for the wheel: small offsets stay in level 0
+//! (offset 0 is the current instant), offsets of 2^8..2^32 µs land in higher
+//! levels (exercising cascades on pop), and offsets ≥ 2^32 µs leave the
+//! wheel horizon entirely (exercising the far-future overflow). The
 //! `*_across_cascades_and_overflow` tests draw from all three regimes.
 
 use falkon_sim::{Engine, EventQueue, SimTime};
@@ -20,8 +18,8 @@ use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The original queue, restated as directly as possible: a binary min-heap
-/// on `(time, insertion sequence)`. Ties in time resolve by sequence, giving
+/// The contract, restated as directly as possible: a binary min-heap on
+/// `(time, insertion sequence)`. Ties in time resolve by sequence, giving
 /// FIFO within an instant.
 struct ModelQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -65,8 +63,8 @@ impl ModelQueue {
 }
 
 /// One step of a driving sequence. Push offsets are relative to the last
-/// popped time so generated schedules are always causal; offset 0 exercises
-/// the same-instant fast lane.
+/// popped time so generated schedules are always causal; offset 0 schedules
+/// at the current instant, behind every event already pending there.
 #[derive(Clone, Debug)]
 enum Op {
     Push {
@@ -78,6 +76,12 @@ enum Op {
     PopBefore {
         slack: u64,
     },
+    /// Pop with a deadline `early + 1` µs before the current minimum: the
+    /// pop is refused and must leave the queue as it was, so the pushes
+    /// that follow — possibly earlier than the refused event — keep order.
+    PopEarly {
+        early: u64,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -88,14 +92,15 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..50).prop_map(|offset| Op::Push { offset }),
         Just(Op::Pop),
         (0u64..80).prop_map(|slack| Op::PopBefore { slack }),
+        (0u64..50).prop_map(|early| Op::PopEarly { early }),
     ]
 }
 
 /// Like [`arb_op`], but push offsets span the wheel's full placement range:
 /// level 0 (< 2^8 µs), the upper levels whose delivery requires cascading
-/// (up to the 2^32 µs horizon), and the far-future overflow heap beyond it.
-/// `PopBefore` slack gets the same treatment so deadline-bounded pops also
-/// land mid-cascade and mid-overflow.
+/// (up to the 2^32 µs horizon), and the far-future overflow beyond it.
+/// `PopBefore` slack and `PopEarly` distance get the same treatment so
+/// deadline-bounded pops also land mid-cascade and mid-overflow.
 fn arb_far_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..50).prop_map(|offset| Op::Push { offset }),
@@ -104,6 +109,7 @@ fn arb_far_op() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         (0u64..80).prop_map(|slack| Op::PopBefore { slack }),
         (0u64..(1u64 << 33)).prop_map(|slack| Op::PopBefore { slack }),
+        (0u64..(1u64 << 33)).prop_map(|early| Op::PopEarly { early }),
     ]
 }
 
@@ -134,6 +140,13 @@ fn drive_against_model(ops: Vec<Op>) -> Result<(), TestCaseError> {
                 let want = model.pop_at_or_before(deadline);
                 prop_assert_eq!(got.map(|(t, p)| (t.as_micros(), p)), want);
             }
+            Op::PopEarly { early } => {
+                let next = model.peek_time().unwrap_or(model.last_popped);
+                let deadline = next.saturating_sub(early + 1);
+                let got = q.pop_at_or_before(SimTime::from_micros(deadline));
+                let want = model.pop_at_or_before(deadline);
+                prop_assert_eq!(got.map(|(t, p)| (t.as_micros(), p)), want);
+            }
         }
         prop_assert_eq!(q.len(), model.len());
         prop_assert_eq!(q.is_empty(), model.len() == 0);
@@ -148,7 +161,7 @@ fn drive_against_model(ops: Vec<Op>) -> Result<(), TestCaseError> {
 }
 
 // Every operation sequence produces identical observable behaviour on the
-// new queue and the old-implementation model.
+// queue and the model.
 proptest! {
     #[test]
     fn matches_binary_heap_model(ops in prop::collection::vec(arb_op(), 1..400)) {
@@ -156,8 +169,7 @@ proptest! {
     }
 
     // The same proof with offsets that land in every wheel level, force
-    // cascades on delivery, and spill past the horizon into the overflow
-    // heap.
+    // cascades on delivery, and spill past the horizon into the overflow.
     #[test]
     fn matches_model_across_cascades_and_overflow(
         ops in prop::collection::vec(arb_far_op(), 1..250),
@@ -165,17 +177,17 @@ proptest! {
         drive_against_model(ops)?;
     }
 
-    // Same-instant bursts (the lane's fast path) drain in exact insertion
-    // order even when interleaved with strictly later heap entries.
+    // Same-instant bursts at the current instant drain in exact insertion
+    // order even when interleaved with strictly later entries.
     #[test]
-    fn lane_preserves_fifo_against_model(
+    fn same_instant_bursts_preserve_fifo_against_model(
         burst in 1usize..60,
         later in prop::collection::vec(1u64..40, 0..20),
     ) {
         let mut q: EventQueue<u32> = EventQueue::new();
         let mut model = ModelQueue::new();
-        // Advance both so `last_popped` is non-zero and pushes at that
-        // instant take the lane.
+        // Advance both so `last_popped` is non-zero and the bursts land at
+        // the current instant.
         q.push(SimTime::from_micros(10), 0);
         model.push(10, 0);
         assert_eq!(q.pop().map(|(t, p)| (t.as_micros(), p)), model.pop_at_or_before(u64::MAX));
@@ -204,7 +216,7 @@ proptest! {
 
 #[test]
 #[should_panic(expected = "scheduled in the past")]
-fn push_into_the_past_panics_after_heap_pop() {
+fn push_into_the_past_panics_after_pop() {
     let mut q: EventQueue<u32> = EventQueue::new();
     q.push(SimTime::from_micros(100), 1);
     q.pop();
@@ -213,11 +225,11 @@ fn push_into_the_past_panics_after_heap_pop() {
 
 #[test]
 #[should_panic(expected = "scheduled in the past")]
-fn push_into_the_past_panics_after_lane_pop() {
+fn push_into_the_past_panics_after_same_instant_pop() {
     let mut q: EventQueue<u32> = EventQueue::new();
     q.push(SimTime::from_micros(100), 1);
     q.pop();
-    q.push(SimTime::from_micros(100), 2); // lane
+    q.push(SimTime::from_micros(100), 2); // the current instant
     q.pop();
     q.push(SimTime::from_micros(99), 3);
 }

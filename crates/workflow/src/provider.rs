@@ -98,7 +98,7 @@ impl IdealProvider {
     }
 
     fn try_start(&mut self, now: Micros) {
-        while let Some(sub) = self.waiting.front() {
+        while let Some(sub) = self.waiting.pop_front() {
             // Earliest-free worker.
             let (idx, &free) = self
                 .workers
@@ -106,10 +106,7 @@ impl IdealProvider {
                 .enumerate()
                 .min_by_key(|&(_, &t)| t)
                 .expect("non-empty");
-            let start = free.max(now);
-            let _ = sub;
-            let sub = self.waiting.pop_front().expect("front checked");
-            let mut t = start;
+            let mut t = free.max(now);
             let mut finishes = Vec::with_capacity(sub.tasks.len());
             for (node, task) in &sub.tasks {
                 t += task.runtime_us;
