@@ -2,42 +2,32 @@
 
 use std::fmt::Write as _;
 
-/// Stable identifiers for the seven enforced invariants.
+/// Stable identifiers for the five enforced invariants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rule {
     /// No sockets, threads, sleeps, or wall-clock reads in sans-io crates.
     SansIo,
-    /// No panicking constructs reachable from `falkon-proto` decode paths.
-    DecodePanic,
     /// Drivers mount recorders but never construct `ObsEvent` values.
     ProbeProvenance,
     /// Calibration constants must cite a paper table/figure/section.
     Calibration,
     /// Every experiment module must be registered in `REGISTRY`.
     Registry,
-    /// No fixed-cadence sleeps or read-timeout polling in `falkon-rt`
-    /// steady-state code — the transport is event-driven.
-    RtCadence,
     /// Atomics-using files document their ordering protocol; `Relaxed`
     /// and `fence` sites carry justification comments; atomics stay in
     /// driver crates.
     AtomicProtocol,
-    /// An allowlist entry no longer matches any diagnostic.
-    StaleAllow,
 }
 
 impl Rule {
-    /// The rule's stable snake_case id (used in output and allowlist names).
+    /// The rule's stable snake_case id (used in output and `--rule`).
     pub const fn id(self) -> &'static str {
         match self {
             Rule::SansIo => "sans_io",
-            Rule::DecodePanic => "decode_panic",
             Rule::ProbeProvenance => "probe_provenance",
             Rule::Calibration => "calibration",
             Rule::Registry => "registry",
-            Rule::RtCadence => "rt_cadence",
             Rule::AtomicProtocol => "atomic_protocol",
-            Rule::StaleAllow => "stale_allow",
         }
     }
 
@@ -46,14 +36,12 @@ impl Rule {
         Rule::ALL.into_iter().find(|r| r.id() == id)
     }
 
-    /// The seven checkable rules (excludes the allowlist meta-rule).
-    pub const ALL: [Rule; 7] = [
+    /// Every rule, in rule-number order.
+    pub const ALL: [Rule; 5] = [
         Rule::SansIo,
-        Rule::DecodePanic,
         Rule::ProbeProvenance,
         Rule::Calibration,
         Rule::Registry,
-        Rule::RtCadence,
         Rule::AtomicProtocol,
     ];
 }

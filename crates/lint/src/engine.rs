@@ -4,9 +4,9 @@
 //! all selected rules over the shared [`SourceFile`] before moving on, so
 //! adding a rule costs one pure function call per file, not another pass
 //! over the tree. One rule needs cross-file state and runs after the pass:
-//! registry completeness (rule 5).
+//! registry completeness (rule 4). There is no exceptions mechanism: a
+//! finding is fixed at the site.
 
-use crate::allow::{AllowParseError, Allowlist};
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::SourceFile;
 use crate::rules;
@@ -14,13 +14,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The outcome of linting a workspace.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LintReport {
-    /// Unsuppressed violations plus stale-allowlist diagnostics.
+    /// Every violation, sorted by location.
     pub diags: Vec<Diagnostic>,
-    /// Diagnostics suppressed by allowlist entries (for `--verbose`-style
-    /// accounting and the fixture tests).
-    pub suppressed: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -32,7 +29,7 @@ impl LintReport {
     }
 }
 
-/// A fatal engine error (unreadable tree, malformed allowlist).
+/// A fatal engine error (unreadable tree).
 #[derive(Debug)]
 pub struct EngineError(pub String);
 
@@ -44,90 +41,52 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Lint the workspace rooted at `root` using the allowlists under
-/// `root/crates/lint/allow/`.
+/// Lint the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, EngineError> {
     lint_workspace_filtered(root, &Rule::ALL)
 }
 
 /// [`lint_workspace`] restricted to `selected` rules (`--rule` filters).
 pub fn lint_workspace_filtered(root: &Path, selected: &[Rule]) -> Result<LintReport, EngineError> {
-    let files = collect_sources(root)?;
-    let allow_dir = root.join("crates/lint/allow");
-    lint_files_filtered(&files, Some(&allow_dir), selected)
+    Ok(lint_files_filtered(&collect_sources(root)?, selected))
 }
 
 /// Lint pre-lexed sources (the fixture tests call this directly).
-/// `allow_dir` of `None` means "no allowlists".
-pub fn lint_files(
-    files: &[SourceFile],
-    allow_dir: Option<&Path>,
-) -> Result<LintReport, EngineError> {
-    lint_files_filtered(files, allow_dir, &Rule::ALL)
+pub fn lint_files(files: &[SourceFile]) -> LintReport {
+    lint_files_filtered(files, &Rule::ALL)
 }
 
 /// [`lint_files`] restricted to `selected` rules. One pass over `files`:
 /// each file's diagnostics for all selected rules are gathered in a single
-/// visit, then the cross-file registry rule and per-rule allowlists are
-/// applied.
-pub fn lint_files_filtered(
-    files: &[SourceFile],
-    allow_dir: Option<&Path>,
-    selected: &[Rule],
-) -> Result<LintReport, EngineError> {
-    let mut report = LintReport {
-        files_scanned: files.len(),
-        ..LintReport::default()
-    };
+/// visit, then the cross-file registry rule runs.
+pub fn lint_files_filtered(files: &[SourceFile], selected: &[Rule]) -> LintReport {
     let on = |r: Rule| selected.contains(&r);
-    // Bucket diagnostics per rule so each allowlist applies only to its
-    // own rule's findings.
-    let mut buckets: Vec<(Rule, Vec<Diagnostic>)> =
-        selected.iter().map(|&r| (r, Vec::new())).collect();
-    let mut push = |rule: Rule, diags: Vec<Diagnostic>| {
-        if let Some((_, b)) = buckets.iter_mut().find(|(r, _)| *r == rule) {
-            b.extend(diags);
-        }
-    };
+    let mut diags = Vec::new();
     for f in files {
         if on(Rule::SansIo) {
-            push(Rule::SansIo, rules::check_sans_io(f));
-        }
-        if on(Rule::DecodePanic) {
-            push(Rule::DecodePanic, rules::check_decode_panic(f));
+            diags.extend(rules::check_sans_io(f));
         }
         if on(Rule::ProbeProvenance) {
-            push(Rule::ProbeProvenance, rules::check_probe_provenance(f));
+            diags.extend(rules::check_probe_provenance(f));
         }
         if on(Rule::Calibration) {
-            push(Rule::Calibration, rules::check_calibration(f));
-        }
-        if on(Rule::RtCadence) {
-            push(Rule::RtCadence, rules::check_rt_cadence(f));
+            diags.extend(rules::check_calibration(f));
         }
         if on(Rule::AtomicProtocol) {
-            push(Rule::AtomicProtocol, rules::check_atomic_protocol(f));
+            diags.extend(rules::check_atomic_protocol(f));
         }
     }
     if on(Rule::Registry) {
-        push(Rule::Registry, registry_diags(files));
+        diags.extend(registry_diags(files));
     }
-    for (rule, raw) in buckets {
-        let (allowlist, allow_path) = load_allowlist(allow_dir, rule)?;
-        let (kept, suppressed, used) = allowlist.apply(raw);
-        report.diags.extend(kept);
-        report.suppressed.extend(suppressed);
-        report
-            .diags
-            .extend(allowlist.stale(rule, &used, &allow_path));
+    diags.sort_by(|a, b| (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col)));
+    LintReport {
+        diags,
+        files_scanned: files.len(),
     }
-    report
-        .diags
-        .sort_by(|a, b| (a.path.as_str(), a.line, a.col).cmp(&(b.path.as_str(), b.line, b.col)));
-    Ok(report)
 }
 
-/// Run rule 5 over whatever experiment modules are present in `files`.
+/// Run rule 4 over whatever experiment modules are present in `files`.
 fn registry_diags(files: &[SourceFile]) -> Vec<Diagnostic> {
     const EXP_DIR: &str = "crates/exp/src/experiments/";
     let modules: Vec<String> = files
@@ -149,27 +108,6 @@ fn registry_diags(files: &[SourceFile]) -> Vec<Diagnostic> {
         return Vec::new();
     };
     rules::check_registry(&modules, registry)
-}
-
-fn load_allowlist(
-    allow_dir: Option<&Path>,
-    rule: Rule,
-) -> Result<(Allowlist, String), EngineError> {
-    let Some(dir) = allow_dir else {
-        return Ok((Allowlist::default(), String::new()));
-    };
-    let path = dir.join(format!("{}.allow", rule.id()));
-    let display = format!("crates/lint/allow/{}.allow", rule.id());
-    match fs::read_to_string(&path) {
-        Ok(text) => {
-            let list = Allowlist::parse(&text).map_err(|e: AllowParseError| {
-                EngineError(format!("{display}:{}: {}", e.line, e.message))
-            })?;
-            Ok((list, display))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok((Allowlist::default(), display)),
-        Err(e) => Err(EngineError(format!("reading {display}: {e}"))),
-    }
 }
 
 /// Collect and lex every non-test `.rs` source under `crates/*/src`,
@@ -233,16 +171,22 @@ fn walk_rs(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> Result<(), Eng
 mod tests {
     use super::*;
 
-    #[test]
-    fn lint_files_runs_all_rules_and_sorts() {
-        let files = vec![
+    fn two_violations() -> Vec<SourceFile> {
+        vec![
+            SourceFile::parse(
+                "crates/rt/src/tcp.rs",
+                "fn g() -> ObsEvent { ObsEvent::BundleEncoded { bytes: 1 } }",
+            ),
             SourceFile::parse(
                 "crates/core/src/bad.rs",
                 "fn f() { let t = Instant::now(); }",
             ),
-            SourceFile::parse("crates/proto/src/wire.rs", "fn g(x: &[u8]) { x[0]; }"),
-        ];
-        let r = lint_files(&files, None).unwrap();
+        ]
+    }
+
+    #[test]
+    fn lint_files_runs_all_rules_and_sorts() {
+        let r = lint_files(&two_violations());
         assert_eq!(r.files_scanned, 2);
         assert_eq!(r.diags.len(), 2);
         assert!(r.diags[0].path < r.diags[1].path);
@@ -250,15 +194,8 @@ mod tests {
 
     #[test]
     fn rule_filter_restricts_findings() {
-        let files = vec![
-            SourceFile::parse(
-                "crates/core/src/bad.rs",
-                "fn f() { let t = Instant::now(); }",
-            ),
-            SourceFile::parse("crates/proto/src/wire.rs", "fn g(x: &[u8]) { x[0]; }"),
-        ];
-        let r = lint_files_filtered(&files, None, &[Rule::DecodePanic]).unwrap();
+        let r = lint_files_filtered(&two_violations(), &[Rule::ProbeProvenance]);
         assert_eq!(r.diags.len(), 1);
-        assert_eq!(r.diags[0].rule, Rule::DecodePanic);
+        assert_eq!(r.diags[0].rule, Rule::ProbeProvenance);
     }
 }

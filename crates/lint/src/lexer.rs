@@ -79,9 +79,8 @@ impl Comment {
     }
 }
 
-/// One lexed source file: raw lines for diagnostics and allowlist matching,
-/// the sanitized token stream (test regions flagged), and every `//`
-/// comment.
+/// One lexed source file: raw lines for diagnostic snippets, the sanitized
+/// token stream (test regions flagged), and every `//` comment.
 #[derive(Clone, Debug)]
 pub struct SourceFile {
     /// Repo-relative path with `/` separators (`crates/core/src/lib.rs`).

@@ -10,42 +10,34 @@
 //! 1. **sans-io purity** ([`rules::check_sans_io`]) — no sockets, threads,
 //!    sleeps, or wall-clock reads in `falkon-core`, `falkon-proto`,
 //!    `falkon-obs`, or `falkon-sim`; time enters as an explicit `Micros`.
-//! 2. **panic-free decode** ([`rules::check_decode_panic`]) — nothing
-//!    panicking (macros, `.unwrap()`/`.expect()`, unchecked indexing) in
-//!    `falkon-proto` decode-path files; untrusted bytes must never crash a
-//!    peer.
-//! 3. **probe provenance** ([`rules::check_probe_provenance`]) — drivers
+//! 2. **probe provenance** ([`rules::check_probe_provenance`]) — drivers
 //!    mount recorders but never construct `ObsEvent`s, the invariant behind
 //!    `tests/obs_parity.rs`.
-//! 4. **calibration traceability** ([`rules::check_calibration`]) — every
+//! 3. **calibration traceability** ([`rules::check_calibration`]) — every
 //!    `const` in `crates/exp/src/costs.rs` and `crates/lrm/src/profile.rs`
 //!    cites the paper number it reproduces.
-//! 5. **registry completeness** ([`rules::check_registry`]) — every module
+//! 4. **registry completeness** ([`rules::check_registry`]) — every module
 //!    under `crates/exp/src/experiments/` is reachable from `REGISTRY`.
-//! 6. **event-driven rt** ([`rules::check_rt_cadence`]) — no fixed-cadence
-//!    sleeps or read-timeout polling in `falkon-rt` steady-state code.
-//! 7. **atomic ordering protocols** ([`rules::check_atomic_protocol`]) —
+//! 5. **atomic ordering protocols** ([`rules::check_atomic_protocol`]) —
 //!    files touching `std::sync::atomic` open with a `//! Ordering
 //!    protocol:` module doc; every `Ordering::Relaxed` and `fence` site
 //!    carries a justification; atomics stay in the driver crates.
 //!
-//! `unsafe` is not this crate's business: the workspace lints deny
-//! `unsafe_code` and clippy's `undocumented_unsafe_blocks`, and the sans-io
-//! crates `forbid` it at their roots (DESIGN.md §7.1).
+//! Three properties are the toolchain's, not this crate's (DESIGN.md §7.1):
+//! `unsafe` (the workspace lints and the sans-io roots' `forbid`), panic-free
+//! decode (`falkon-proto` denies clippy's panic lints at its root), and the
+//! event-driven runtime (`clippy.toml` bans sleeps and read timeouts).
 //!
 //! The workspace builds fully offline (no `syn`), so the rules run over a
 //! purpose-built token scanner ([`lexer`]) that elides comments and literal
 //! contents, plus a brace-matching layer ([`syntax`]) that exempts
-//! `#[cfg(test)]` / `#[test]` regions. Exceptions are explicit: each rule
-//! has an allowlist file under `crates/lint/allow/` whose entries carry
-//! mandatory justifications and must keep matching (stale entries are
-//! errors), so every exception is visible in diffs.
+//! `#[cfg(test)]` / `#[test]` regions. No rule has exceptions: a finding is
+//! fixed at the site.
 //!
 //! Run as `cargo run -p falkon-lint` or `cargo xtask lint`; pass
 //! `--format json` for machine-readable output and `--rule <id>`
 //! (repeatable) to run a subset. Exits non-zero on any violation.
 
-pub mod allow;
 pub mod diag;
 pub mod engine;
 pub mod lexer;

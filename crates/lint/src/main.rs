@@ -73,11 +73,10 @@ fn main() -> ExitCode {
             print!("{}", d.render_text());
         }
         eprintln!(
-            "falkon-lint: {} file(s) scanned, {} rule(s), {} violation(s), {} allowlisted in {:.0?}",
+            "falkon-lint: {} file(s) scanned, {} rule(s), {} violation(s) in {:.0?}",
             report.files_scanned,
             selected.len(),
             report.diags.len(),
-            report.suppressed.len(),
             t0.elapsed()
         );
     }

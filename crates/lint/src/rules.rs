@@ -1,4 +1,4 @@
-//! The seven architecture-invariant checks.
+//! The five architecture-invariant checks.
 //!
 //! Each rule is a pure function over lexed [`SourceFile`]s, so the unit
 //! tests can run them on inline fixture snippets and the engine on the
@@ -19,18 +19,6 @@ pub const SANS_IO_SCOPES: [&str; 4] = [
     "crates/sim/src/",
 ];
 
-/// `falkon-proto` files whose non-test code is reachable from decode paths.
-/// (`task.rs` joined when decode-side string interning made `task::interned`
-/// reachable from untrusted bytes.)
-pub const DECODE_SCOPES: [&str; 6] = [
-    "crates/proto/src/frame.rs",
-    "crates/proto/src/wire.rs",
-    "crates/proto/src/codec.rs",
-    "crates/proto/src/bundle.rs",
-    "crates/proto/src/security.rs",
-    "crates/proto/src/task.rs",
-];
-
 /// Driver-side crates: they may own threads and mount probes, but never
 /// construct `ObsEvent`s. `crates/pool` is driver-side by definition — it
 /// exists to run driver work on real threads — and must never be pulled
@@ -45,11 +33,6 @@ pub const DRIVER_SCOPES: [&str; 4] = [
 /// Files whose `const` items are calibration constants and must cite the
 /// paper.
 pub const CALIBRATION_SCOPES: [&str; 2] = ["crates/exp/src/costs.rs", "crates/lrm/src/profile.rs"];
-
-/// The real-I/O runtime: steady-state code must be event-driven (blocking
-/// reads, channel waits, deadline-bounded timeouts) — never paced by fixed
-/// sleeps or read-timeout polling loops.
-pub const RT_CADENCE_SCOPES: [&str; 1] = ["crates/rt/src/"];
 
 fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes
@@ -133,106 +116,10 @@ pub fn check_sans_io(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: panic-free decode
+// Rule 2: probe provenance
 // ---------------------------------------------------------------------------
 
-const PANIC_MACROS: [&str; 10] = [
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
-/// Keywords that may legitimately precede `[` without it being indexing
-/// (array types and expressions like `&mut [u8; 4]`, `return [a, b]`).
-const NON_INDEX_KEYWORDS: [&str; 14] = [
-    "mut", "dyn", "ref", "box", "move", "return", "break", "in", "as", "if", "else", "match",
-    "where", "const",
-];
-
-/// Rule 2: no `panic!`-family macros, `.unwrap()`/`.expect()`, or unchecked
-/// indexing/slicing in `falkon-proto` decode-path files (test code exempt).
-pub fn check_decode_panic(file: &SourceFile) -> Vec<Diagnostic> {
-    if !in_scope(&file.path, &DECODE_SCOPES) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let toks = &file.toks;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.in_test {
-            continue;
-        }
-        // panic!-family macro invocation.
-        if tok.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&tok.text.as_str())
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-        {
-            out.push(diag(
-                Rule::DecodePanic,
-                file,
-                tok,
-                format!(
-                    "`{}!` reachable from a decode path; return a typed \
-                     `CodecError` instead — decoding untrusted bytes must never panic",
-                    tok.text
-                ),
-            ));
-            continue;
-        }
-        // .unwrap( / .expect( method calls.
-        if tok.kind == TokKind::Ident
-            && (tok.text == "unwrap" || tok.text == "expect")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(diag(
-                Rule::DecodePanic,
-                file,
-                tok,
-                format!(
-                    "`.{}()` reachable from a decode path; propagate a typed \
-                     `CodecError` instead",
-                    tok.text
-                ),
-            ));
-            continue;
-        }
-        // Unchecked indexing/slicing: `expr[` where expr ends in an
-        // identifier, `)`, or `]`.
-        if tok.is_punct('[') && i > 0 {
-            let prev = &toks[i - 1];
-            let indexable = match prev.kind {
-                TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                TokKind::Punct(c) => c == ')' || c == ']',
-                _ => false,
-            };
-            if indexable {
-                out.push(diag(
-                    Rule::DecodePanic,
-                    file,
-                    tok,
-                    "unchecked indexing/slicing reachable from a decode path; \
-                     use `get`/`split_first_chunk`-style APIs that return `Option`"
-                        .into(),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: probe provenance
-// ---------------------------------------------------------------------------
-
-/// Rule 3: drivers (`falkon-rt`, `falkon-exp`, `falkon-sim`) may mount
+/// Rule 2: drivers (`falkon-rt`, `falkon-exp`, `falkon-sim`) may mount
 /// recorders but must never construct (or otherwise path-reference)
 /// `ObsEvent` values — lifecycle events are emitted by the sans-io machines
 /// only, or cross-driver parity (`tests/obs_parity.rs`) silently breaks.
@@ -262,7 +149,7 @@ pub fn check_probe_provenance(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: calibration traceability
+// Rule 3: calibration traceability
 // ---------------------------------------------------------------------------
 
 /// Does `text` contain a paper reference (`Table N`, `Figure N` / `Fig. N`,
@@ -294,7 +181,7 @@ pub fn has_paper_reference(text: &str) -> bool {
     false
 }
 
-/// Rule 4: every `const` in the calibration files must carry a doc comment
+/// Rule 3: every `const` in the calibration files must carry a doc comment
 /// citing the paper number it reproduces.
 pub fn check_calibration(file: &SourceFile) -> Vec<Diagnostic> {
     if !in_scope(&file.path, &CALIBRATION_SCOPES) {
@@ -349,64 +236,10 @@ pub fn check_calibration(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: no polling cadences in the runtime
+// Rule 4: registry completeness
 // ---------------------------------------------------------------------------
 
-/// Cadence constructs forbidden in `falkon-rt`: `(pattern, what it is)`.
-/// Each of these turns an event-driven path back into a polling loop —
-/// `thread::sleep` paces work on a fixed cadence, and `set_read_timeout`
-/// converts a blocking read into a spin over `WouldBlock`/`TimedOut`.
-const RT_CADENCE_FORBIDDEN: [(&[&str], &str); 2] = [
-    (
-        &["thread", ":", ":", "sleep"],
-        "fixed-cadence sleep (`thread::sleep`)",
-    ),
-    (
-        &["set_read_timeout"],
-        "read-timeout polling (`set_read_timeout`)",
-    ),
-];
-
-/// Rule 6: `falkon-rt` steady-state code is event-driven — threads block on
-/// sockets or channels (optionally bounded by a machine-supplied deadline)
-/// and wake on data, never on a timer. Reintroducing a sleep or a read
-/// timeout silently re-caps throughput at the polling cadence, which is
-/// exactly the GT4 pathology the paper's architecture removes. Genuine
-/// exceptions (sleep-task bodies, measurement windows, handshake bounds) go
-/// in `rt_cadence.allow` with a `why:`.
-pub fn check_rt_cadence(file: &SourceFile) -> Vec<Diagnostic> {
-    if !in_scope(&file.path, &RT_CADENCE_SCOPES) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, tok) in file.toks.iter().enumerate() {
-        if tok.in_test {
-            continue;
-        }
-        for (pat, what) in RT_CADENCE_FORBIDDEN {
-            if seq_matches(&file.toks, i, pat) {
-                out.push(diag(
-                    Rule::RtCadence,
-                    file,
-                    tok,
-                    format!(
-                        "{what} in runtime steady-state code; block on the \
-                         socket/channel (bounded by a machine-supplied \
-                         deadline if one exists) instead of polling"
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: registry completeness
-// ---------------------------------------------------------------------------
-
-/// Rule 5: every module under `crates/exp/src/experiments/` must be
+/// Rule 4: every module under `crates/exp/src/experiments/` must be
 /// referenced from `experiments/registry.rs` — the `repro` binary only
 /// dispatches through `REGISTRY`, so an unregistered experiment is
 /// unreachable.
@@ -446,7 +279,7 @@ pub fn check_registry(modules: &[String], registry: &SourceFile) -> Vec<Diagnost
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: atomic ordering protocols
+// Rule 5: atomic ordering protocols
 // ---------------------------------------------------------------------------
 
 /// Crates allowed to use raw atomics: the thread-pool, the real-I/O
@@ -484,11 +317,11 @@ fn first_atomic_site(file: &SourceFile) -> Option<&Tok> {
     })
 }
 
-/// Rule 7: a file whose non-test code touches `std::sync::atomic` must
-/// (a) live in an allowlisted driver crate, (b) open with a `//! Ordering
-/// protocol:` module doc naming the synchronizes-with edges, and (c)
-/// justify every `Ordering::Relaxed` access and every `fence` with a
-/// comment attached to the enclosing statement.
+/// Rule 5: a file whose non-test code touches `std::sync::atomic` must
+/// (a) live in a driver crate ([`ATOMIC_SCOPES`]), (b) open with a
+/// `//! Ordering protocol:` module doc naming the synchronizes-with edges,
+/// and (c) justify every `Ordering::Relaxed` access and every `fence` with
+/// a comment attached to the enclosing statement.
 pub fn check_atomic_protocol(file: &SourceFile) -> Vec<Diagnostic> {
     let Some(anchor) = first_atomic_site(file) else {
         return Vec::new();
@@ -565,10 +398,6 @@ fn justified(file: &SourceFile, i: usize) -> bool {
 mod tests {
     use super::*;
 
-    fn parse(path: &str, src: &str) -> SourceFile {
-        SourceFile::parse(path, src)
-    }
-
     #[test]
     fn scope_matching() {
         assert!(in_scope("crates/core/src/dispatcher.rs", &SANS_IO_SCOPES));
@@ -578,9 +407,13 @@ mod tests {
         assert!(in_scope("crates/pool/src/lib.rs", &DRIVER_SCOPES));
         // The simulator stays pure even though it is also a driver scope.
         assert!(in_scope("crates/sim/src/engine.rs", &SANS_IO_SCOPES));
-        assert!(in_scope("crates/proto/src/wire.rs", &DECODE_SCOPES));
-        assert!(in_scope("crates/proto/src/task.rs", &DECODE_SCOPES));
-        assert!(!in_scope("crates/proto/src/message.rs", &DECODE_SCOPES));
+        // Exact-file scopes match only that file.
+        assert!(in_scope("crates/exp/src/costs.rs", &CALIBRATION_SCOPES));
+        assert!(!in_scope(
+            "crates/exp/src/costs.rs.bak",
+            &CALIBRATION_SCOPES
+        ));
+        assert!(!in_scope("crates/exp/src/params.rs", &CALIBRATION_SCOPES));
     }
 
     #[test]
@@ -594,17 +427,6 @@ mod tests {
         assert!(has_paper_reference("measured on p. 7"));
         assert!(!has_paper_reference("a carefully chosen number"));
         assert!(!has_paper_reference("see the Table below"));
-    }
-
-    #[test]
-    fn indexing_heuristic_spares_types_and_arrays() {
-        let src = "fn f(x: &[u8], b: [u8; 4]) { let _: Vec<[u8; 2]> = vec![]; let a = [0u8; 8]; }";
-        let f = parse("crates/proto/src/wire.rs", src);
-        assert!(
-            check_decode_panic(&f).is_empty(),
-            "{:?}",
-            check_decode_panic(&f)
-        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The workspace itself must lint clean — this is the tier-1 form of the
 //! CI gate, so `cargo test --workspace` fails the moment an architecture
 //! invariant regresses, even without running the `falkon-lint` binary.
-//! The compiler enforces `unsafe` only where the manifests opt in, so the
-//! opt-in is pinned here too.
+//! The toolchain enforces `unsafe`, panic-free decode and the no-sleep
+//! runtime only where the manifests, crate roots and `clippy.toml` opt in,
+//! so those opt-ins are pinned here too.
 
-use falkon_lint::engine::lint_workspace;
+use falkon_lint::engine::{collect_sources, lint_workspace};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -91,6 +92,64 @@ fn unsafe_is_enforced_by_the_toolchain() {
             "#![forbid(unsafe_code)]",
             "{} must open with `#![forbid(unsafe_code)]`",
             lib.display()
+        );
+    }
+}
+
+#[test]
+fn decode_panics_and_cadence_are_enforced_by_clippy() {
+    let root = root();
+    let read = |p: &Path| fs::read_to_string(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+
+    // `falkon-proto` denies every panicking construct at its root.
+    let proto = read(&root.join("crates/proto/src/lib.rs"));
+    let denied: Vec<&str> = proto
+        .split_once("#![deny(")
+        .and_then(|(_, rest)| rest.split_once(")]"))
+        .map(|(list, _)| list.split(',').map(str::trim).collect())
+        .unwrap_or_default();
+    for lint in [
+        "clippy::indexing_slicing",
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::unreachable",
+        "clippy::todo",
+        "clippy::unimplemented",
+        "clippy::panic_in_result_fn",
+    ] {
+        assert!(
+            denied.contains(&lint),
+            "crates/proto/src/lib.rs must `#![deny({lint})]`"
+        );
+    }
+
+    // `falkon-rt` lifts the sleep/read-timeout ban only site by site, with
+    // an `#[expect]` that fails once the call it excuses is gone.
+    let sources = collect_sources(&root).expect("sources read");
+    let rt: Vec<_> = sources
+        .iter()
+        .filter(|f| f.path.starts_with("crates/rt/src/"))
+        .collect();
+    assert!(rt.len() > 5, "wrong root? {} rt files", rt.len());
+    for f in rt {
+        assert!(
+            !f.lines
+                .iter()
+                .any(|l| l.contains("allow(clippy::disallowed_methods)")),
+            "{} allows `disallowed_methods`; use an `#[expect]` with a reason at the site",
+            f.path
+        );
+    }
+
+    let clippy = read(&root.join("clippy.toml")).replace(' ', "");
+    for banned in [
+        "std::thread::sleep",
+        "std::net::TcpStream::set_read_timeout",
+    ] {
+        assert!(
+            clippy.contains(&format!(r#"path="{banned}""#)),
+            "clippy.toml must list `{banned}` in `disallowed-methods`"
         );
     }
 }

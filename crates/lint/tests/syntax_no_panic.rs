@@ -4,7 +4,7 @@
 //! every run, so the syntax layer inherits the same contract as the proto
 //! decode paths: *never* panic, whatever the bytes. Three properties:
 //!
-//! 1. Arbitrary byte soup parses without panicking, and so do all seven
+//! 1. Arbitrary byte soup parses without panicking, and so do all five
 //!    rules run over the result.
 //! 2. Mutated Rust-ish sources (random token splices into real-looking
 //!    code) parse without panicking and keep test spans in bounds.
@@ -25,7 +25,7 @@ fn assert_spans_in_bounds(f: &SourceFile) {
 }
 
 /// Paths chosen to route the parsed soup through every scope-sensitive
-/// rule (sans-io, decode, rt-cadence, atomic confinement…).
+/// rule (sans-io, probe provenance, calibration, atomic confinement…).
 const PATHS: [&str; 6] = [
     "crates/core/src/dispatcher.rs",
     "crates/proto/src/frame.rs",
@@ -78,8 +78,8 @@ proptest! {
         let src = String::from_utf8_lossy(&bytes).into_owned();
         let f = SourceFile::parse(PATHS[which], &src);
         assert_spans_in_bounds(&f);
-        // All seven rules must also survive the resulting token stream.
-        let _ = lint_files(&[f], None).unwrap();
+        // All five rules must also survive the resulting token stream.
+        let _ = lint_files(&[f]);
     }
 
     #[test]
@@ -92,7 +92,7 @@ proptest! {
         let src = src.join(SEPS[sep]);
         let f = SourceFile::parse(PATHS[which], &src);
         assert_spans_in_bounds(&f);
-        let _ = lint_files(&[f], None).unwrap();
+        let _ = lint_files(&[f]);
     }
 
     #[test]
@@ -121,7 +121,7 @@ proptest! {
         prop_assert!(f.attached_comment(7).contains("owner-only writer"));
         // And linting keeps accepting both annotated sites (the missing
         // module-doc finding is expected; site-level findings are not).
-        let report = lint_files(&[f], None).unwrap();
+        let report = lint_files(&[f]);
         prop_assert!(
             report
                 .diags

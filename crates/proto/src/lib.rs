@@ -16,7 +16,23 @@
 //!   the cause of throughput degradation for bundles larger than ~300 tasks
 //!   (Section 4.3 / Figure 5). Benchmarking the two against each other is the
 //!   bundling ablation.
+//!
+//! Decoding untrusted bytes must never crash a peer, so nothing in this
+//! crate may panic: no indexing or slicing, no `unwrap`/`expect`, no
+//! `panic!`-family macros. Clippy enforces it below; tests are exempt
+//! through `clippy.toml`, and an exception is an `#[expect]` with a
+//! `reason` at the site.
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::panic_in_result_fn
+)]
 
 pub mod bundle;
 pub mod codec;

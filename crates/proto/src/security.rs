@@ -261,6 +261,11 @@ impl SecureChannel {
 
 /// Establish a pair of channels that have completed a mutual handshake —
 /// convenience for tests and in-process deployments.
+#[expect(
+    clippy::expect_used,
+    reason = "both endpoints share one psk in-process, so the MAC check cannot fail; \
+              real peers go through the fallible `complete_handshake`"
+)]
 pub fn established_pair(psk: u64, nonce_a: u64, nonce_b: u64) -> (SecureChannel, SecureChannel) {
     let mut a = SecureChannel::new(psk, nonce_a);
     let mut b = SecureChannel::new(psk, nonce_b);

@@ -3,9 +3,10 @@
 //! that *valid* encodings round-trip; this harness feeds each decoder three
 //! hostile shapes — arbitrary garbage, truncations of valid encodings, and
 //! bit-flipped valid encodings — and only asserts survival. Together with
-//! the `decode_panic` lint rule (which bans panicking constructs from the
-//! decode-path sources) this pins the "untrusted bytes never crash a peer"
-//! invariant from both sides: statically and dynamically.
+//! the clippy panic lints `falkon-proto` denies at its root (no indexing,
+//! `unwrap`/`expect` or `panic!` anywhere in the crate) this pins the
+//! "untrusted bytes never crash a peer" invariant from both sides:
+//! statically and dynamically.
 
 use falkon_proto::codec::{AxisCodec, Codec, EfficientCodec};
 use falkon_proto::frame::FrameCursor;

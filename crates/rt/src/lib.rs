@@ -22,12 +22,12 @@
 //!   request/response server whose call rate upper-bounds achievable
 //!   dispatch throughput on the same transport.
 //! * [`clock`] — a monotonic microsecond clock shared by all components.
-
-// This crate is the workspace's designated time/IO authority: it is where
-// wall-clock reads and blocking waits are *supposed* to live (the sans-io
-// machines it drives get time as explicit `Micros`). The workspace-level
-// clippy.toml bans these methods everywhere else.
-#![allow(clippy::disallowed_methods)]
+//!
+//! The runtime is event-driven: threads block on sockets or channels and
+//! wake on data or on a deadline a machine armed, never on a timer. The
+//! `disallowed-methods` in `clippy.toml` (wall-clock reads, sleeps, socket
+//! read timeouts) bind here as everywhere else; the three functions that
+//! must call one carry an `#[expect]` with a `reason`.
 
 pub mod clock;
 pub mod conn;

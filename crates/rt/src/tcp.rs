@@ -19,7 +19,7 @@
 //! socket path in this crate has a reader thread or a channel hop.
 //!
 //! No wait in this module is a fixed sleep or a read-timeout cadence
-//! (`falkon-lint`'s `rt_cadence` rule pins this).
+//! (`clippy.toml`'s `disallowed-methods` pins this).
 
 use crate::clock::Clock;
 pub use crate::conn::TcpSecurity;
@@ -108,7 +108,7 @@ impl ServerConfigBuilder {
 
     /// Does nothing: a server is one thread. Kept solely because the
     /// frozen `benchmark/src/trial.rs` calls `.sharded(1)`; drop the call,
-    /// then the method (ROADMAP item 6).
+    /// then the method (ROADMAP item 8(e), which waits on item 9).
     #[doc(hidden)]
     pub fn sharded(self, _shards: usize) -> Self {
         self
