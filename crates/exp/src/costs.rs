@@ -23,7 +23,7 @@ use crate::Micros;
 use serde::{Deserialize, Serialize};
 
 // Calibration constants. Every value cites the paper number it reproduces
-// (the `calibration` lint rule enforces the citation); the constructors
+// (`tests/architecture.rs` checks the citation); the constructors
 // below only assemble these, so a recalibration is a one-line diff next to
 // its justification.
 

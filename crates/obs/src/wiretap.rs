@@ -4,7 +4,7 @@
 //! links) know how many bytes each encoded bundle occupies, but drivers must
 //! not construct [`ObsEvent`]s themselves — event provenance belongs to the
 //! machines so both drivers produce identical streams (the invariant behind
-//! `tests/obs_parity.rs`, enforced by the `probe_provenance` lint rule). A
+//! `tests/obs_parity.rs`, checked by `tests/architecture.rs`). A
 //! `WireTap` closes the gap: the driver reports raw byte counts with an
 //! explicit `now`, and the tap — which lives on the sans-io side — turns
 //! them into [`ObsEvent::BundleEncoded`] / [`ObsEvent::BundleDecoded`] and

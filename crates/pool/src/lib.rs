@@ -30,8 +30,8 @@
 //!   --jobs 1` (or in unit tests) it is a plain `map`, byte-identical by
 //!   construction.
 //! - **No clock, no sleep.** The crate never reads wall-clock time (that
-//!   remains `falkon-rt`'s monopoly, enforced by clippy.toml and
-//!   falkon-lint).
+//!   remains `falkon-rt`'s monopoly, enforced by clippy.toml's
+//!   `disallowed-methods`).
 //!
 //! Ordering protocol: there is none to get wrong. The one atomic, a
 //! scope's `pending` count, is read and written only with the pool lock

@@ -1,7 +1,6 @@
 //! `cargo xtask <task>` — the blessed spellings for workspace chores.
 //!
 //! ```text
-//! cargo xtask lint            architecture-invariant static analysis
 //! cargo xtask bench           hot-path floor tripwire (repro bench; no flags)
 //! cargo xtask repro [args...] the repro binary (`repro all --jobs 8`, ...)
 //! cargo xtask tsan            ThreadSanitizer pass over the concurrency
@@ -14,10 +13,10 @@
 //! extra arguments are forwarded to the underlying tool.
 //!
 //! `tsan` and `miri` are the *dynamic* complement to the static checks on
-//! the concurrency surface (the workspace's `unsafe` lints and
-//! `falkon-lint`'s atomic ordering protocols): those prove the invariants
-//! are *stated*; the sanitizers check the stated orderings actually hold
-//! under real interleavings. Both need a nightly toolchain (TSan needs
+//! the concurrency surface (the workspace's `unsafe` lints and the atomic
+//! ordering protocols `tests/architecture.rs` checks): those prove the
+//! invariants are *stated*; the sanitizers check the stated orderings
+//! actually hold under real interleavings. Both need a nightly toolchain (TSan needs
 //! `-Zsanitizer=thread` + rust-src; Miri needs the `cargo-miri`
 //! component). When the toolchain isn't present — as in the offline CI
 //! container — they print `SKIPPED` and exit 0, so only a genuine test
@@ -25,7 +24,7 @@
 
 use std::process::{Command, ExitCode};
 
-const USAGE: &str = "usage: cargo xtask <lint|bench|repro|tsan|miri> [tool args...]";
+const USAGE: &str = "usage: cargo xtask <bench|repro|tsan|miri> [tool args...]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -36,10 +35,6 @@ fn main() -> ExitCode {
     let rest: Vec<String> = args.collect();
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let status = match task.as_str() {
-        "lint" => Command::new(&cargo)
-            .args(["run", "--quiet", "--release", "-p", "falkon-lint", "--"])
-            .args(&rest)
-            .status(),
         "bench" => Command::new(&cargo)
             .args([
                 "run",
