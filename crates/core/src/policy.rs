@@ -147,29 +147,16 @@ impl AcquisitionPolicy {
 pub enum ReleasePolicy {
     /// Never release (the paper's "Falkon-∞" configuration).
     Never,
-    /// Distributed: each executor deregisters itself after being idle for
-    /// the given time (µs). This is the policy used in the paper's
-    /// provisioning experiments (idle times 15/60/120/180 s).
-    DistributedIdle {
-        /// Idle time before self-release, µs.
-        idle_us: Micros,
-    },
+    /// Distributed: executors self-release after
+    /// `ExecutorConfig::idle_release_us`. This is the policy used in the
+    /// paper's provisioning experiments (idle times 15/60/120/180 s).
+    DistributedIdle,
     /// Centralized: the provisioner releases one allocation whenever the
     /// dispatcher has fewer than `min_queued` queued tasks.
     CentralizedQueueThreshold {
         /// Queue-length threshold below which resources are released.
         min_queued: u64,
     },
-}
-
-impl ReleasePolicy {
-    /// The executor-side idle timeout, if this is a distributed policy.
-    pub fn executor_idle_us(&self) -> Option<Micros> {
-        match *self {
-            ReleasePolicy::DistributedIdle { idle_us } => Some(idle_us),
-            _ => None,
-        }
-    }
 }
 
 /// Full provisioner configuration: bounds plus acquisition/release strategy
@@ -198,9 +185,7 @@ impl Default for ProvisionerPolicy {
             min_executors: 0,
             max_executors: 32,
             acquisition: AcquisitionPolicy::AllAtOnce,
-            release: ReleasePolicy::DistributedIdle {
-                idle_us: 60_000_000,
-            },
+            release: ReleasePolicy::DistributedIdle,
             allocation_duration_us: 3_600_000_000, // one hour
             poll_interval_us: 1_000_000,           // 1 s
         }
@@ -286,22 +271,6 @@ mod tests {
                 assert_eq!(total, needed, "{policy:?} needed={needed}");
             }
         }
-    }
-
-    #[test]
-    fn release_policy_idle_accessor() {
-        assert_eq!(
-            ReleasePolicy::DistributedIdle {
-                idle_us: 15_000_000
-            }
-            .executor_idle_us(),
-            Some(15_000_000)
-        );
-        assert_eq!(ReleasePolicy::Never.executor_idle_us(), None);
-        assert_eq!(
-            ReleasePolicy::CentralizedQueueThreshold { min_queued: 2 }.executor_idle_us(),
-            None
-        );
     }
 }
 

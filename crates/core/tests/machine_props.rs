@@ -133,7 +133,7 @@ proptest! {
             min_executors: 0,
             max_executors: max,
             acquisition: AcquisitionPolicy::AllAtOnce,
-            release: ReleasePolicy::DistributedIdle { idle_us: 1 },
+            release: ReleasePolicy::DistributedIdle,
             allocation_duration_us: 1_000_000,
             poll_interval_us: 1_000,
         });

@@ -162,9 +162,7 @@ pub fn acquisition_policies(_scale: Scale) -> Vec<AcquisitionRun> {
                     min_executors: 0,
                     max_executors: 32,
                     acquisition: *acquisition,
-                    release: ReleasePolicy::DistributedIdle {
-                        idle_us: 60_000_000,
-                    },
+                    release: ReleasePolicy::DistributedIdle,
                     allocation_duration_us: 3_600_000_000,
                     poll_interval_us: 1_000_000,
                 }),

@@ -55,13 +55,11 @@ fn ideal_time_s() -> f64 {
 }
 
 fn falkon_config(idle_release_s: Option<u64>) -> SimFalkonConfig {
-    let provisioner = idle_release_s.map(|idle| ProvisionerPolicy {
+    let provisioner = idle_release_s.is_some().then_some(ProvisionerPolicy {
         min_executors: 0,
         max_executors: 32,
         acquisition: AcquisitionPolicy::AllAtOnce,
-        release: ReleasePolicy::DistributedIdle {
-            idle_us: idle * 1_000_000,
-        },
+        release: ReleasePolicy::DistributedIdle,
         allocation_duration_us: 3_600_000_000,
         poll_interval_us: 1_000_000,
     });

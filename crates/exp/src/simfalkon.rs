@@ -1146,9 +1146,7 @@ mod tests {
                 min_executors: 0,
                 max_executors: 8,
                 acquisition: AcquisitionPolicy::AllAtOnce,
-                release: ReleasePolicy::DistributedIdle {
-                    idle_us: 15_000_000,
-                },
+                release: ReleasePolicy::DistributedIdle,
                 allocation_duration_us: 3_600_000_000,
                 poll_interval_us: 1_000_000,
             }),

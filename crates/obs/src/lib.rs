@@ -22,9 +22,9 @@
 //! `BundleEncoded`/`BundleDecoded` events, so drivers never build
 //! [`ObsEvent`]s themselves.
 //!
-//! The metric primitives ([`Histogram`], [`TimeSeries`], [`MovingAverage`],
-//! [`Summary`]) and the virtual-time types ([`SimTime`], [`SimDuration`])
-//! live here too; `falkon-sim` re-exports them for compatibility.
+//! The metric primitives ([`Histogram`], [`TimeSeries`]) and the
+//! virtual-time types ([`SimTime`], [`SimDuration`]) live here too;
+//! `falkon-sim` re-exports them.
 #![forbid(unsafe_code)]
 
 pub mod metrics;
@@ -33,7 +33,7 @@ pub mod recorder;
 pub mod time;
 pub mod wiretap;
 
-pub use metrics::{Histogram, MovingAverage, Summary, TimeSeries};
+pub use metrics::{Histogram, TimeSeries};
 pub use probe::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 pub use recorder::Recorder;
 pub use time::{SimDuration, SimTime};

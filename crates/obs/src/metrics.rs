@@ -1,9 +1,9 @@
 //! Measurement primitives used to regenerate the paper's figures:
 //! fixed-size latency histograms (the recorder's per-task queue, run and
-//! overhead times), time series with moving averages (Figure 8
-//! throughput), and scalar summaries (Tables 2–4).
+//! overhead times) and time series with moving averages (Figure 8
+//! throughput).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Sub-buckets per octave, as a power of two: 2^5 = 32.
 const SUB_BITS: u32 = 5;
@@ -191,8 +191,9 @@ impl TimeSeries {
         out
     }
 
-    /// Centred moving average over a window of `w` points (as the paper's
-    /// Figure 8 uses a 60-sample moving average over 1 Hz samples).
+    /// Trailing moving average: each point's value is the mean of it and the
+    /// up to `w - 1` points before it (the paper's Figure 8 plots a 60-sample
+    /// moving average over 1 Hz samples).
     pub fn moving_average(&self, w: usize) -> Vec<(SimTime, f64)> {
         if self.points.is_empty() || w == 0 {
             return Vec::new();
@@ -214,73 +215,6 @@ impl TimeSeries {
     /// Maximum value in the series (0.0 when empty).
     pub fn max_value(&self) -> f64 {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-}
-
-/// Incremental moving average over the last `window` samples.
-#[derive(Clone, Debug)]
-pub struct MovingAverage {
-    window: usize,
-    buf: std::collections::VecDeque<f64>,
-    sum: f64,
-}
-
-impl MovingAverage {
-    /// Create with a window of `window` samples (must be > 0).
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        MovingAverage {
-            window,
-            buf: std::collections::VecDeque::with_capacity(window),
-            sum: 0.0,
-        }
-    }
-
-    /// Push a sample and return the current average.
-    pub fn push(&mut self, v: f64) -> f64 {
-        self.buf.push_back(v);
-        self.sum += v;
-        if self.buf.len() > self.window {
-            self.sum -= self.buf.pop_front().unwrap();
-        }
-        self.value()
-    }
-
-    /// Current average (0.0 before any sample).
-    pub fn value(&self) -> f64 {
-        if self.buf.is_empty() {
-            0.0
-        } else {
-            self.sum / self.buf.len() as f64
-        }
-    }
-}
-
-/// Scalar run summary shared by the experiment harnesses.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Summary {
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Wall (virtual) time from first submission to last completion.
-    pub makespan: SimDuration,
-    /// Mean per-task queue time.
-    pub avg_queue_time: SimDuration,
-    /// Mean per-task execution time (as observed, including dispatch cost).
-    pub avg_exec_time: SimDuration,
-    /// Aggregate throughput over the run, tasks per second.
-    pub throughput: f64,
-}
-
-impl Summary {
-    /// `exec / (exec + queue)` — the "execution time %" of Table 3.
-    pub fn exec_time_fraction(&self) -> f64 {
-        let q = self.avg_queue_time.as_secs_f64();
-        let e = self.avg_exec_time.as_secs_f64();
-        if q + e == 0.0 {
-            0.0
-        } else {
-            e / (q + e)
-        }
     }
 }
 
@@ -390,30 +324,5 @@ mod tests {
         assert!(thinned.len() <= 100);
         assert_eq!(thinned[0].1, 0.0);
         assert_eq!(thinned.last().unwrap().1, 999.0, "last point preserved");
-    }
-
-    #[test]
-    fn moving_average_incremental() {
-        let mut ma = MovingAverage::new(3);
-        assert_eq!(ma.value(), 0.0);
-        ma.push(3.0);
-        ma.push(6.0);
-        assert!((ma.value() - 4.5).abs() < 1e-12);
-        ma.push(9.0);
-        ma.push(12.0); // 3.0 falls out of the window
-        assert!((ma.value() - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_exec_fraction() {
-        let s = Summary {
-            tasks: 10,
-            makespan: SimDuration::from_secs(100),
-            avg_queue_time: SimDuration::from_secs(30),
-            avg_exec_time: SimDuration::from_secs(10),
-            throughput: 0.1,
-        };
-        assert!((s.exec_time_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(Summary::default().exec_time_fraction(), 0.0);
     }
 }

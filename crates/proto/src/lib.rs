@@ -48,5 +48,5 @@ pub use codec::{AxisCodec, Codec, EfficientCodec};
 pub use error::CodecError;
 pub use frame::{write_frame, FrameCursor, MAX_FRAME_LEN};
 pub use message::{DispatcherStatus, Message};
-pub use security::{SecureChannel, SecurityMode};
+pub use security::SecureChannel;
 pub use task::{Args, DataAccess, DataLocation, DataSpec, IStr, TaskId, TaskResult, TaskSpec};

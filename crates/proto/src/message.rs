@@ -185,18 +185,11 @@ impl Message {
             Message::DestroyInstance { .. } => "DestroyInstance",
         }
     }
-
-    /// Whether this message is carried by the one-way TCP notification
-    /// channel (dotted lines in Figure 2) rather than a WS request/response.
-    pub fn is_notification(&self) -> bool {
-        matches!(self, Message::Notify { .. } | Message::ClientNotify { .. })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskSpec;
 
     #[test]
     fn kinds_are_distinct_for_key_messages() {
@@ -206,21 +199,6 @@ mod tests {
             key: NotifyKey(1),
         };
         assert_ne!(m1.kind(), m2.kind());
-    }
-
-    #[test]
-    fn notification_classification() {
-        assert!(Message::Notify { key: NotifyKey(0) }.is_notification());
-        assert!(Message::ClientNotify {
-            instance: InstanceId(0),
-            ready: 1
-        }
-        .is_notification());
-        assert!(!Message::Submit {
-            instance: InstanceId(0),
-            tasks: vec![TaskSpec::sleep(1, 0)]
-        }
-        .is_notification());
     }
 
     #[test]

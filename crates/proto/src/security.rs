@@ -13,20 +13,10 @@
 //!
 //! **This is not cryptographically secure** — it is a calibrated CPU-cost
 //! stand-in, clearly out of scope to replace a vetted AEAD. The work per byte
-//! (two passes: cipher + MAC) is what produces the ~2.4× throughput gap in
-//! the Figure 3 reproduction.
+//! (two passes: cipher + MAC) is what the secure arms of `repro measured`
+//! pay; the Figure 3 reproduction's gap is the simulator's calibrated cost.
 
 use crate::error::CodecError;
-
-/// Whether a channel runs plaintext or secured.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SecurityMode {
-    /// No authentication, no encryption (paper: "no security").
-    #[default]
-    None,
-    /// Toy authenticated encryption (paper: GSISecureConversation).
-    SecureConversation,
-}
 
 const MAC_LEN: usize = 8;
 

@@ -3,8 +3,8 @@
 //! One dispatcher thread, N executor threads, and the calling thread as the
 //! client, connected by crossbeam channels. Every hop optionally pays real
 //! serialization ([`WireMode::Encoded`]) and security ([`WireMode::Secure`])
-//! costs, which is how the Figure 3 "no security" vs
-//! "GSISecureConversation" comparison is reproduced as a *measurement*.
+//! costs, so the "no security" vs "GSISecureConversation" arms of
+//! `repro measured` are real CPU work.
 
 use crate::clock::Clock;
 use crate::exec::{pump_executor, route_actions, Dest};

@@ -1,8 +1,8 @@
 //! The real-time Falkon runtime.
 //!
 //! This crate mounts the sans-io state machines of `falkon-core` onto real
-//! OS threads and sockets, for the experiments where the paper *measures*
-//! throughput rather than modelling it (Figures 3 and 5, Table 2):
+//! OS threads and sockets. `repro measured` and the benchmark run on it;
+//! the paper's figures and tables are simulated (`falkon-exp`):
 //!
 //! * [`inproc`] — dispatcher, executors, and client as threads connected by
 //!   crossbeam channels; message encoding and the GSISecureConversation

@@ -13,9 +13,8 @@
 //!   [`wheel`] (events past its 2^32 µs horizon wait in a `BTreeMap`).
 //! * [`engine`] — the event loop: [`engine::Engine`] delivers timed events
 //!   to a handler closure.
-//! * [`Histogram`], [`TimeSeries`], [`MovingAverage`], [`Summary`] — the
-//!   `falkon-obs` measurement primitives used to regenerate the paper's
-//!   figures.
+//! * [`Histogram`], [`TimeSeries`] — the `falkon-obs` measurement
+//!   primitives used to regenerate the paper's figures.
 //! * [`rng`] — deterministic, seedable random distributions so every
 //!   experiment is exactly reproducible.
 //! * [`platform`] — the Table 1 testbed profiles (node counts, CPUs, network).
@@ -31,6 +30,6 @@ pub mod wheel;
 
 pub use engine::Engine;
 pub use event::EventQueue;
-pub use falkon_obs::metrics::{Histogram, MovingAverage, Summary, TimeSeries};
+pub use falkon_obs::metrics::{Histogram, TimeSeries};
 pub use falkon_obs::time::{SimDuration, SimTime};
 pub use rng::SimRng;

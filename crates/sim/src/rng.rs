@@ -2,13 +2,13 @@
 //!
 //! Every experiment takes an explicit seed so that reported numbers are
 //! exactly reproducible run-to-run. `SimRng` wraps ChaCha8 (fast, portable,
-//! stable across platforms) and exposes the handful of distributions the
-//! cost models need.
+//! stable across platforms) and exposes the two draws the cost models
+//! need: a uniform unit float and a clamped heavy tail.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// A seedable RNG with the distributions used by the Falkon cost models.
+/// A seedable RNG with the draws used by the Falkon cost models.
 #[derive(Clone, Debug)]
 pub struct SimRng {
     inner: ChaCha8Rng,
@@ -22,34 +22,9 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child RNG (e.g. one per executor) whose stream
-    /// does not overlap with the parent's.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let seed = self.inner.random::<u64>() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from_u64(seed)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.random::<f64>()
-    }
-
-    /// Uniform float in `[lo, hi)`; returns `lo` when the range is empty.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.unit() * (hi - lo)
-    }
-
-    /// Exponentially distributed value with the given mean (inter-arrival
-    /// gaps, service jitter).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u = 1.0 - self.unit(); // (0, 1]
-        -mean * u.ln()
     }
 
     /// Log-normal-ish heavy tail: `base * exp(normal(0, sigma))`, clamped to
@@ -81,34 +56,6 @@ mod tests {
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..100).filter(|_| a.unit() == b.unit()).count();
         assert!(same < 5);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::seed_from_u64(7);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..100).filter(|_| c1.unit() == c2.unit()).count();
-        assert!(same < 5);
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut r = SimRng::seed_from_u64(3);
-        for _ in 0..1000 {
-            let v = r.uniform(2.0, 5.0);
-            assert!((2.0..5.0).contains(&v));
-        }
-        assert_eq!(r.uniform(5.0, 2.0), 5.0);
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let mut r = SimRng::seed_from_u64(11);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(4.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "mean = {mean}");
     }
 
     #[test]

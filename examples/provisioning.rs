@@ -42,9 +42,7 @@ fn main() {
             min_executors: 0,
             max_executors: 32,
             acquisition: AcquisitionPolicy::AllAtOnce,
-            release: ReleasePolicy::DistributedIdle {
-                idle_us: idle_s * 1_000_000,
-            },
+            release: ReleasePolicy::DistributedIdle,
             allocation_duration_us: 3_600_000_000,
             poll_interval_us: 1_000_000,
         }),

@@ -1,6 +1,7 @@
 //! The architecture invariants rustc and clippy cannot see, checked over
 //! the text of every `.rs` file under `crates/*/src`, `vendor/*/src` and
-//! `src` (DESIGN.md §7.1).
+//! `src` (DESIGN.md §7.1), and the docs' backticked paths, checked against
+//! the tree.
 //!
 //! A check reads a file's *code*: the lines before its first line that is a
 //! `#[cfg(test)]` attribute (the rule CI's line counter applies), each cut
@@ -25,9 +26,15 @@ const DRIVERS: [&str; 4] = ["rt", "exp", "sim", "pool"];
 const CALIBRATION: [&str; 2] = ["crates/exp/src/costs.rs", "crates/lrm/src/profile.rs"];
 /// `repro` reaches an experiment module only through `registry.rs`.
 const EXP_DIR: &str = "crates/exp/src/experiments/";
+/// The docs that map the tree as it is; ROADMAP.md and CHANGES.md are
+/// plans and history.
+const DOCS: [&str; 4] = ["DESIGN.md", "README.md", "CLAUDE.md", "EXPERIMENTS.md"];
+/// A backticked span ending in one of these names a file.
+const FILE_TYPES: [&str; 6] = [".rs", ".md", ".toml", ".json", ".yml", ".lock"];
 
 type Check = fn(&str, &str) -> Vec<String>;
-/// The per-file checks, by name; `registry` reads the whole file set.
+/// The per-source-file checks, by name; `registry` and `docs` read the
+/// whole file set.
 const CHECKS: [(&str, Check); 5] = [
     ("sans_io", sans_io),
     ("probe_provenance", probe_provenance),
@@ -47,6 +54,14 @@ fn has_word(line: &str, word: &str) -> bool {
         let glued_after = word.ends_with(is_ident) && line[i + word.len()..].starts_with(is_ident);
         !line[..i].ends_with(is_ident) && !glued_after
     })
+}
+
+/// Whether `path` is a `.rs` file under `crates/*/src`, `vendor/*/src` or
+/// `src`, the files the per-file checks read.
+fn is_source(path: &str) -> bool {
+    let in_crate = path.starts_with("crates/") || path.starts_with("vendor/");
+    let in_src = path.starts_with("src/") || in_crate && path.contains("/src/");
+    in_src && path.ends_with(".rs")
 }
 
 /// The crate `path` is a source of: `rt` for `crates/rt/src/tcp.rs`.
@@ -208,15 +223,119 @@ fn test_layout(path: &str, src: &str) -> Vec<String> {
     out
 }
 
+/// Each backticked span of `doc` that opens and closes on one line outside
+/// a fenced block, with its line number. A span spread over lines is prose:
+/// it has a space in it, so it names no path.
+fn spans(doc: &str) -> Vec<(usize, &str)> {
+    let (mut out, mut fenced, mut open) = (Vec::new(), false, false);
+    for (i, line) in doc.lines().enumerate() {
+        let fence = line.trim_start().starts_with("```");
+        fenced ^= fence;
+        if fence || fenced || line.trim().is_empty() {
+            open = false;
+            continue;
+        }
+        // Piece `j` is inside a span when a span was left open above or `j`
+        // backticks precede it, but not both.
+        let pieces: Vec<&str> = line.split('`').collect();
+        for (j, piece) in pieces.iter().enumerate() {
+            if (open ^ (j % 2 == 1)) && j > 0 && j + 1 < pieces.len() {
+                out.push((i + 1, *piece));
+            }
+        }
+        // An odd number of backticks leaves the state flipped.
+        open ^= pieces.len().is_multiple_of(2);
+    }
+    out
+}
+
+/// The file or directory path `span` names, if it names one: `rt/conn.rs`,
+/// `conn.rs::READ_BUF` (the part before `:`), `crates/exp/src/experiments/`.
+fn path_of(span: &str) -> Option<&str> {
+    let path = span.split(':').next()?;
+    let plain = path.contains(is_ident) && path.chars().all(|c| is_ident(c) || "./-".contains(c));
+    let file = FILE_TYPES
+        .iter()
+        .any(|t| path.len() > t.len() && path.ends_with(t));
+    let dir = path.len() > 1 && path.ends_with('/');
+    (plain && (file || dir)).then_some(path)
+}
+
+/// Whether `path` is a file or directory of `tree`, from the root or as a
+/// suffix that starts after a `/`; a crate's `src/` may be left out
+/// (`rt/conn.rs`).
+fn in_tree(tree: &[&str], path: &str) -> bool {
+    let glued = format!("/{path}");
+    let names = |t: &str| match path.ends_with('/') {
+        true => t.starts_with(path) || t.contains(&glued),
+        false => t == path || t.ends_with(&glued),
+    };
+    tree.iter()
+        .any(|t| names(t) || names(&t.replace("/src/", "/")))
+}
+
+/// `a::{b, c}` as `a::b` and `a::c`.
+fn expand(span: &str) -> Vec<String> {
+    let Some((head, group)) = span.split_once('{') else {
+        return vec![span.to_string()];
+    };
+    let items = group.trim_end_matches('}').split(',');
+    items.map(|item| format!("{head}{}", item.trim())).collect()
+}
+
+/// What is wrong with a `falkon[-_]<crate>::a::b…` span, if anything. Each
+/// segment resolves to `a.rs` or `a/mod.rs` below `crates/<crate>/src/`,
+/// and the first that does not must be a word in the code of the last file
+/// resolved (`lib.rs` at the crate root).
+fn module_path(files: &[(&str, &str)], span: &str) -> Option<String> {
+    let rest = span
+        .strip_prefix("falkon-")
+        .or(span.strip_prefix("falkon_"))?;
+    let (krate, rest) = rest.split_once("::")?;
+    let src = |p: &str| files.iter().find(|(f, _)| *f == p).map(|(_, s)| *s);
+    let mut dir = format!("crates/{krate}/src/");
+    let mut file = format!("{dir}lib.rs");
+    for segment in rest.split("::") {
+        let Some(text) = src(&file) else {
+            return Some(format!("no `{file}`"));
+        };
+        let word = segment.split(|c| !is_ident(c)).next().unwrap_or("");
+        let module = [format!("{dir}{word}.rs"), format!("{dir}{word}/mod.rs")];
+        let Some(m) = module.into_iter().find(|m| src(m).is_some()) else {
+            let known = word.is_empty() || code(text).iter().any(|l| has_word(l, word));
+            return (!known).then(|| format!("`{word}` is no module of, nor a word in, `{file}`"));
+        };
+        (dir, file) = (format!("{dir}{word}/"), m);
+    }
+    None
+}
+
+/// Every backticked path in the four `DOCS` that names nothing in `files`.
+fn docs(files: &[(&str, &str)]) -> Vec<String> {
+    let tree: Vec<&str> = files.iter().map(|(p, _)| *p).collect();
+    let mut out = Vec::new();
+    for (doc, text) in files.iter().filter(|(p, _)| DOCS.contains(p)) {
+        for (line, span) in spans(text) {
+            let found = match path_of(span) {
+                Some(p) => (!in_tree(&tree, p)).then(|| "no such file or directory".to_string()),
+                None => expand(span).iter().find_map(|s| module_path(files, s)),
+            };
+            out.extend(found.map(|m| format!("{doc}:{line}: `{span}`: {m}")));
+        }
+    }
+    out
+}
+
 /// Every finding over `files`, each with the name of the check behind it.
 fn check(files: &[(&str, &str)]) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
-    for (path, src) in files {
+    for (path, src) in files.iter().filter(|(p, _)| is_source(p)) {
         for (name, f) in CHECKS {
             out.extend(f(path, src).into_iter().map(|m| (name, m)));
         }
     }
     out.extend(registry(files).into_iter().map(|m| ("registry", m)));
+    out.extend(docs(files).into_iter().map(|m| ("docs", m)));
     out
 }
 
@@ -239,22 +358,24 @@ fn entries(dir: &Path) -> impl Iterator<Item = PathBuf> {
     list.map(|e| e.expect("a directory entry").path())
 }
 
-/// Every `.rs` file under `crates/*/src`, `vendor/*/src` and `src`, as
-/// (repo-relative path, source).
-fn sources() -> Vec<(String, String)> {
+/// Every file of the repository bar `.git` and build output, as
+/// (repo-relative path, text); only `.rs` and `.md` files are read.
+fn tree() -> Vec<(String, String)> {
     let root = root();
-    let crates = entries(&root.join("crates")).chain(entries(&root.join("vendor")));
-    let mut dirs = vec![root.join("src")];
-    dirs.extend(crates.map(|c| c.join("src")));
-    let mut out = Vec::new();
+    let (mut dirs, mut out) = (vec![root.clone()], Vec::new());
     while let Some(dir) = dirs.pop() {
         for p in entries(&dir) {
+            let name = p.file_name().map_or("".into(), |n| n.to_string_lossy());
             if p.is_dir() {
-                dirs.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                let rel = p.strip_prefix(&root).expect("a path under the root");
-                out.push((rel.to_string_lossy().replace('\\', "/"), read(&p)));
+                if ![".git", "target", ".bench_build"].contains(&&*name) {
+                    dirs.push(p);
+                }
+                continue;
             }
+            let rel = p.strip_prefix(&root).expect("a path under the root");
+            let text = [".rs", ".md"].iter().any(|x| name.ends_with(x));
+            let src = if text { read(&p) } else { String::new() };
+            out.push((rel.to_string_lossy().replace('\\', "/"), src));
         }
     }
     out
@@ -262,9 +383,10 @@ fn sources() -> Vec<(String, String)> {
 
 #[test]
 fn tree_keeps_the_architecture_invariants() {
-    let sources = sources();
-    assert!(sources.len() > 50, "wrong root? {} files", sources.len());
-    let files: Vec<_> = sources.iter().map(|(p, s)| (&p[..], &s[..])).collect();
+    let tree = tree();
+    let sources = tree.iter().filter(|(p, _)| is_source(p)).count();
+    assert!(sources > 50, "wrong root? {sources} source files");
+    let files: Vec<_> = tree.iter().map(|(p, s)| (&p[..], &s[..])).collect();
     let found = check(&files);
     assert!(found.is_empty(), "{found:#?}");
 }
@@ -327,6 +449,19 @@ const FIXTURES: &[Fixture] = &[
           /// A helper.\n#[cfg(test)]\nfn fixture() {}"),
         ("vendor/crossbeam/src/lib.rs", "pub mod channel {\n    #[cfg(test)]\n    mod tests {}\n}"),
     ], &["test_layout crates/core/src/dispatcher.rs:4", "test_layout crates/core/src/table.rs:3"]),
+    ("docs: a module and a file that do not exist, a word only a comment has; an item, a directory module, \
+      a path suffix, a `file::item`, a directory, a brace group; spans in a fence or over two lines; ROADMAP.md", &[
+        ("DESIGN.md", "PBS is `falkon-lrm::pbs`, read through `crates/rt/src/bufpool.rs`.\n\
+          It is `falkon-lrm::scheduler::BatchScheduler` under `falkon_workflow::apps::fmri`, `lrm/scheduler.rs`,\n\
+          `scheduler.rs::BatchScheduler`, `crates/lrm/` and `falkon_lrm::{scheduler, Micros}`.\n\
+          Condor is `falkon_lrm::Condor`.\n```\n`falkon-lrm::condor`\n```\nA `falkon-lrm::\nmatchmaker`."),
+        ("ROADMAP.md", "`falkon-lrm::pbs`"),
+        ("crates/lrm/src/lib.rs", "pub mod scheduler;\npub type Micros = u64; // Condor"),
+        ("crates/lrm/src/scheduler.rs", "pub struct BatchScheduler;"),
+        ("crates/workflow/src/lib.rs", "pub mod apps;"),
+        ("crates/workflow/src/apps/mod.rs", "pub mod fmri;"),
+        ("crates/workflow/src/apps/fmri.rs", ""),
+    ], &["docs DESIGN.md:1", "docs DESIGN.md:1", "docs DESIGN.md:4"]),
 ];
 
 #[test]
@@ -376,8 +511,8 @@ fn decode_panics_and_cadence_are_enforced_by_clippy() {
     }
     // `falkon-rt` lifts the sleep/read-timeout ban only site by site, with
     // an `#[expect]` that fails once the call it excuses is gone.
-    let sources = sources();
-    let rt: Vec<_> = sources.iter().filter(|(p, _)| krate(p) == "rt").collect();
+    let tree = tree();
+    let rt: Vec<_> = tree.iter().filter(|(p, _)| krate(p) == "rt").collect();
     assert!(rt.len() > 5, "wrong root? {} rt files", rt.len());
     for (path, src) in rt {
         let allows = src.contains("allow(clippy::disallowed_methods)");
