@@ -117,8 +117,9 @@ pub struct Closed {
 /// Inbound is zero-copy: the socket reads straight into the cursor's
 /// buffer — the thread's, borrowed while bytes are buffered (see the
 /// module docs) — each frame is a borrowed view, the secure path unseals
-/// it in place, and the codec decodes from it. The two write-side buffers
-/// are the connection's own and grow with what it sends.
+/// it in place, and the codec decodes from it. Outbound is one pass too:
+/// each frame is encoded straight into the batch buffer, which is the
+/// connection's own and grows with what it sends, and sealed there.
 pub struct Conn {
     stream: TcpStream,
     phase: Phase,
@@ -130,8 +131,6 @@ pub struct Conn {
     opener: Option<OpenHalf>,
     sealer: Option<SealHalf>,
     codec: EfficientCodec,
-    /// Plaintext encode scratch for the secure path.
-    writebuf: Vec<u8>,
     /// Coalesced outbound frames; `batch_pos..` is not yet written.
     batchbuf: Vec<u8>,
     batch_pos: usize,
@@ -159,7 +158,6 @@ impl Conn {
             opener: None,
             sealer: None,
             codec: EfficientCodec,
-            writebuf: Vec::new(),
             batchbuf: Vec::new(),
             batch_pos: 0,
             clock,
@@ -179,23 +177,19 @@ impl Conn {
     }
 
     /// Queue one message into the coalesced outbound buffer. The frame is
-    /// encoded (and sealed) directly into the batch — no per-message
-    /// allocation — and the wire tap is charged exactly once, here. Past
-    /// [`FLUSH_HIGH_WATER`] a best-effort flush keeps the buffer bounded
-    /// while the socket accepts data.
+    /// encoded directly into the batch and, on a secure connection, sealed
+    /// there in place — no per-message allocation or copy — and the wire
+    /// tap is charged exactly once, here. Past [`FLUSH_HIGH_WATER`] a
+    /// best-effort flush keeps the buffer bounded while the socket accepts
+    /// data.
     pub fn enqueue(&mut self, msg: &Message) -> io::Result<()> {
         if !matches!(self.phase, Phase::Ready) {
             return Err(ErrorKind::NotConnected.into());
         }
         let pos = begin_frame(&mut self.batchbuf);
-        match self.sealer.as_mut() {
-            Some(seal) => {
-                // Sealing needs the plaintext as a separate slice (the
-                // cipher+MAC passes run over the appended copy).
-                self.codec.encode_into(msg, &mut self.writebuf);
-                seal.seal_into(&self.writebuf, &mut self.batchbuf);
-            }
-            None => self.codec.encode_append(msg, &mut self.batchbuf),
+        self.codec.encode_append(msg, &mut self.batchbuf);
+        if let Some(seal) = self.sealer.as_mut() {
+            seal.seal_in_place(&mut self.batchbuf, pos + 4);
         }
         end_frame(&mut self.batchbuf, pos);
         let framed = (self.batchbuf.len() - pos - 4) as u64;

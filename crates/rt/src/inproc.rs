@@ -202,7 +202,7 @@ fn send_client_actions(
 ) {
     for act in actions.drain(..) {
         if let ClientAction::Send(msg) = act {
-            let pkt = ep.pack(msg).expect("packable");
+            let pkt = ep.pack(msg);
             if let Some(bytes) = packet_bytes(&pkt) {
                 wire.encoded(now, bytes);
             }
@@ -245,7 +245,7 @@ fn dispatcher_thread(
                 Dest::Client(_) => (&mut *client_ep, &client_tx),
                 Dest::Provisioner => return,
             };
-            let pkt = ep.pack(msg).expect("packable");
+            let pkt = ep.pack(msg);
             if let Some(bytes) = packet_bytes(&pkt) {
                 wire.encoded(now, bytes);
             }
@@ -330,7 +330,7 @@ fn executor_thread(
             &mut queue,
             config.spawn_processes,
             |msg| {
-                let pkt = ep.pack(msg).expect("packable");
+                let pkt = ep.pack(msg);
                 if let Some(bytes) = packet_bytes(&pkt) {
                     wire.encoded(clock.now_us(), bytes);
                 }

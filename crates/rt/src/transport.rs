@@ -10,7 +10,7 @@
 use falkon_proto::codec::{Codec, EfficientCodec};
 use falkon_proto::error::CodecError;
 use falkon_proto::message::Message;
-use falkon_proto::security::SecureChannel;
+use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel, MAC_LEN};
 
 /// How messages are processed on each hop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -38,11 +38,8 @@ pub enum Packet {
 /// One side of a link, holding the security state when needed.
 pub struct Endpoint {
     mode: WireMode,
-    secure: Option<SecureChannel>,
+    secure: Option<(SealHalf, OpenHalf)>,
     codec: EfficientCodec,
-    /// Plaintext encode scratch for [`WireMode::Secure`], reused across
-    /// packs (the sealed output must still be owned by the packet).
-    scratch: Vec<u8>,
     /// Messages processed (observability).
     pub sent: u64,
     /// Messages received (observability).
@@ -60,28 +57,26 @@ impl Endpoint {
         );
         Endpoint {
             mode,
-            secure,
+            secure: secure.map(|chan| chan.into_halves().expect("an established channel")),
             codec: EfficientCodec,
-            scratch: Vec::new(),
             sent: 0,
             received: 0,
         }
     }
 
     /// Prepare a message for the wire.
-    pub fn pack(&mut self, msg: Message) -> Result<Packet, CodecError> {
+    pub fn pack(&mut self, msg: Message) -> Packet {
         self.sent += 1;
         match self.mode {
-            WireMode::Plain => Ok(Packet::Value(msg)),
-            WireMode::Encoded => Ok(Packet::Bytes(self.codec.encode(&msg))),
+            WireMode::Plain => Packet::Value(msg),
+            WireMode::Encoded => Packet::Bytes(self.codec.encode(&msg)),
             WireMode::Secure => {
-                self.codec.encode_into(&msg, &mut self.scratch);
-                let sealed = self
-                    .secure
-                    .as_mut()
-                    .expect("checked in new")
-                    .seal(&self.scratch)?;
-                Ok(Packet::Bytes(sealed))
+                // Encoded straight into the packet and sealed there.
+                let mut bytes = Vec::with_capacity(self.codec.encoded_len(&msg) + MAC_LEN);
+                self.codec.encode_append(&msg, &mut bytes);
+                let (seal, _) = self.secure.as_mut().expect("checked in new");
+                seal.seal_in_place(&mut bytes, 0);
+                Packet::Bytes(bytes)
             }
         }
     }
@@ -92,9 +87,9 @@ impl Endpoint {
         match (self.mode, packet) {
             (WireMode::Plain, Packet::Value(m)) => Ok(m),
             (WireMode::Encoded, Packet::Bytes(b)) => self.codec.decode(&b),
-            (WireMode::Secure, Packet::Bytes(b)) => {
-                let plain = self.secure.as_mut().expect("checked in new").open(&b)?;
-                self.codec.decode(&plain)
+            (WireMode::Secure, Packet::Bytes(mut b)) => {
+                let (_, open) = self.secure.as_mut().expect("checked in new");
+                self.codec.decode(open.open_in_place(&mut b)?)
             }
             _ => Err(CodecError::Truncated {
                 context: "mode/packet mismatch",
@@ -129,14 +124,14 @@ mod tests {
     #[test]
     fn plain_roundtrip() {
         let (mut a, mut b) = link(WireMode::Plain, 0, 0, 0);
-        let p = a.pack(sample()).unwrap();
+        let p = a.pack(sample());
         assert_eq!(b.unpack(p).unwrap(), sample());
     }
 
     #[test]
     fn encoded_roundtrip() {
         let (mut a, mut b) = link(WireMode::Encoded, 0, 0, 0);
-        let p = a.pack(sample()).unwrap();
+        let p = a.pack(sample());
         match &p {
             Packet::Bytes(bytes) => assert!(!bytes.is_empty()),
             _ => panic!("expected bytes"),
@@ -149,7 +144,7 @@ mod tests {
         let (mut a, mut b) = link(WireMode::Secure, 99, 1, 2);
         for i in 0..20 {
             let m = Message::Notify { key: NotifyKey(i) };
-            let p = a.pack(m.clone()).unwrap();
+            let p = a.pack(m.clone());
             assert_eq!(b.unpack(p).unwrap(), m);
         }
         assert_eq!(a.sent, 20);
@@ -159,8 +154,8 @@ mod tests {
     #[test]
     fn secure_duplex() {
         let (mut a, mut b) = link(WireMode::Secure, 99, 1, 2);
-        let p1 = a.pack(sample()).unwrap();
-        let p2 = b.pack(Message::StatusPoll).unwrap();
+        let p1 = a.pack(sample());
+        let p2 = b.pack(Message::StatusPoll);
         assert_eq!(b.unpack(p1).unwrap(), sample());
         assert_eq!(a.unpack(p2).unwrap(), Message::StatusPoll);
     }
