@@ -9,6 +9,11 @@
 //! least-loaded first — and funnels results back to the owning client
 //! instance.
 //!
+//! The machine alone decides where work goes when dispatchers die. A lost
+//! slot is down until [`ForwarderEvent::DispatcherReadmitted`]: nothing is
+//! routed to it, and its in-flight tasks move to the live slots. With every
+//! slot down, bundles wait here and go to whichever slot comes up first.
+//!
 //! Sans-io like every other component: the driver owns the actual
 //! connections to the dispatchers (which may sit on cluster head nodes
 //! bridging public and private networks).
@@ -40,8 +45,16 @@ pub enum ForwarderEvent {
         /// The completed results.
         results: Vec<TaskResult>,
     },
-    /// A downstream dispatcher was lost (its tasks must be re-routed).
+    /// A downstream dispatcher was lost: its slot goes down and its tasks
+    /// are re-routed. Losing a slot that is already down does nothing.
     DispatcherLost {
+        /// Which dispatcher.
+        dispatcher: DispatcherIndex,
+    },
+    /// A lost dispatcher's slot serves again: it takes new work, starting
+    /// with every waiting bundle. Readmitting a slot that is up does
+    /// nothing.
+    DispatcherReadmitted {
         /// Which dispatcher.
         dispatcher: DispatcherIndex,
     },
@@ -79,8 +92,17 @@ pub struct ForwarderStats {
     pub rerouted: u64,
     /// Dispatcher-loss events observed.
     pub dispatchers_lost: u64,
-    /// Dispatchers re-admitted after the driver re-established them.
+    /// Lost dispatchers readmitted.
     pub readmitted: u64,
+}
+
+/// One task accepted from a client and not yet delivered back.
+struct InFlight {
+    instance: InstanceId,
+    /// The slot it was routed to; `None` while it waits for one to come up.
+    slot: Option<DispatcherIndex>,
+    /// Kept for re-routing after the slot is lost.
+    spec: TaskSpec,
 }
 
 /// The forwarder state machine. See module docs.
@@ -89,12 +111,9 @@ pub struct ForwarderStats {
 /// [`Counters`] keep [`Forwarder::stats`] working with the default
 /// [`NoopProbe`].
 pub struct Forwarder<P: Probe = NoopProbe> {
-    /// Tasks outstanding at each downstream dispatcher.
-    outstanding: Vec<u64>,
-    /// Which instance owns each in-flight task, and where it went.
-    in_flight: FxHashMap<TaskId, (InstanceId, DispatcherIndex)>,
-    /// Copies of in-flight specs for re-routing after dispatcher loss.
-    specs: FxHashMap<TaskId, TaskSpec>,
+    /// Tasks outstanding at each downstream slot; `None` while it is down.
+    outstanding: Vec<Option<u64>>,
+    in_flight: FxHashMap<TaskId, InFlight>,
     counters: Counters,
     probe: P,
 }
@@ -107,13 +126,13 @@ impl Forwarder {
 }
 
 impl<P: Probe> Forwarder<P> {
-    /// Create a forwarder that reports lifecycle events to `probe`.
+    /// Create a forwarder that reports lifecycle events to `probe`. Every
+    /// slot starts up.
     pub fn with_probe(dispatchers: usize, probe: P) -> Self {
         assert!(dispatchers > 0, "need at least one dispatcher");
         Forwarder {
-            outstanding: vec![0; dispatchers],
+            outstanding: vec![Some(0); dispatchers],
             in_flight: FxHashMap::default(),
-            specs: FxHashMap::default(),
             counters: Counters::new(),
             probe,
         }
@@ -123,11 +142,6 @@ impl<P: Probe> Forwarder<P> {
     fn emit(&mut self, now: Micros, event: ObsEvent) {
         self.counters.observe(&event);
         self.probe.on_event(now, &event);
-    }
-
-    /// Downstream dispatcher count.
-    pub fn dispatchers(&self) -> usize {
-        self.outstanding.len()
     }
 
     /// Monotonic counters — a derived view of the internal event
@@ -154,21 +168,23 @@ impl<P: Probe> Forwarder<P> {
         &self.probe
     }
 
-    /// Tasks currently in flight downstream.
+    /// Tasks accepted and not yet delivered: downstream or waiting.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
 
-    /// The least-loaded dispatcher right now.
-    fn least_loaded(&self) -> DispatcherIndex {
+    /// The least-loaded live slot (lowest index on ties), if any is up.
+    fn least_loaded(&self) -> Option<DispatcherIndex> {
         self.outstanding
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &n)| n)
-            .map(|(i, _)| i)
-            .expect("non-empty")
+            .filter_map(|(i, n)| n.map(|n| (n, i)))
+            .min()
+            .map(|(_, i)| i)
     }
 
+    /// Route a bundle whole to the least-loaded live slot, or keep it
+    /// waiting when every slot is down.
     fn route(
         &mut self,
         now: Micros,
@@ -179,22 +195,33 @@ impl<P: Probe> Forwarder<P> {
         if tasks.is_empty() {
             return;
         }
-        let target = self.least_loaded();
-        self.outstanding[target] += tasks.len() as u64;
-        self.emit(
-            now,
-            ObsEvent::BundleRouted {
-                tasks: tasks.len() as u64,
-            },
-        );
-        for t in &tasks {
-            self.in_flight.insert(t.id, (instance, target));
-            self.specs.insert(t.id, t.clone());
+        let slot = self.least_loaded();
+        for spec in &tasks {
+            let entry = InFlight {
+                instance,
+                slot,
+                spec: spec.clone(),
+            };
+            self.in_flight.insert(spec.id, entry);
         }
-        out.push(ForwarderAction::SubmitTo {
-            dispatcher: target,
-            tasks,
-        });
+        let Some(dispatcher) = slot else { return };
+        let n = tasks.len() as u64;
+        self.outstanding[dispatcher] = self.outstanding[dispatcher].map(|o| o + n);
+        self.emit(now, ObsEvent::BundleRouted { tasks: n });
+        out.push(ForwarderAction::SubmitTo { dispatcher, tasks });
+    }
+
+    /// Take every task held at `slot` out of the books, grouped by owner
+    /// in task-id order, so routing them again is deterministic.
+    fn take(&mut self, slot: Option<DispatcherIndex>) -> BTreeMap<InstanceId, Vec<TaskSpec>> {
+        let mut taken: Vec<(TaskId, InFlight)> =
+            self.in_flight.extract_if(|_, t| t.slot == slot).collect();
+        taken.sort_unstable_by_key(|&(id, _)| id);
+        let mut by_instance: BTreeMap<InstanceId, Vec<TaskSpec>> = BTreeMap::new();
+        for (_, t) in taken {
+            by_instance.entry(t.instance).or_default().push(t.spec);
+        }
+        by_instance
     }
 
     /// Feed one event; actions are appended to `out`.
@@ -211,13 +238,14 @@ impl<P: Probe> Forwarder<P> {
                 // BTreeMap: delivery order must not depend on hash iteration.
                 let mut by_instance: BTreeMap<InstanceId, Vec<TaskResult>> = BTreeMap::new();
                 for r in results {
-                    let Some((instance, routed_to)) = self.in_flight.remove(&r.id) else {
+                    let Some(t) = self.in_flight.remove(&r.id) else {
                         continue; // unknown/duplicate
                     };
-                    debug_assert_eq!(routed_to, dispatcher);
-                    self.specs.remove(&r.id);
-                    self.outstanding[dispatcher] = self.outstanding[dispatcher].saturating_sub(1);
-                    by_instance.entry(instance).or_default().push(r);
+                    debug_assert_eq!(t.slot, Some(dispatcher));
+                    if let Some(n) = &mut self.outstanding[dispatcher] {
+                        *n = n.saturating_sub(1);
+                    }
+                    by_instance.entry(t.instance).or_default().push(r);
                 }
                 for (instance, results) in by_instance {
                     self.emit(
@@ -230,27 +258,12 @@ impl<P: Probe> Forwarder<P> {
                 }
             }
             ForwarderEvent::DispatcherLost { dispatcher } => {
-                self.emit(now, ObsEvent::DispatcherLost);
-                // Mark the dead dispatcher saturated immediately so neither
-                // the re-routes below nor new client submissions land on it
-                // until the driver calls `readmit` — even when nothing was
-                // in flight there.
-                self.outstanding[dispatcher] = u64::MAX / 2;
-                // Re-route everything that was in flight there.
-                let mut orphaned: Vec<TaskId> = self
-                    .in_flight
-                    .iter()
-                    .filter(|(_, &(_, d))| d == dispatcher)
-                    .map(|(&id, _)| id)
-                    .collect();
-                orphaned.sort_unstable();
-                let mut by_instance: BTreeMap<InstanceId, Vec<TaskSpec>> = BTreeMap::new();
-                for id in orphaned {
-                    let (instance, _) = self.in_flight.remove(&id).expect("collected");
-                    let spec = self.specs.remove(&id).expect("paired");
-                    by_instance.entry(instance).or_default().push(spec);
+                // A slot already down holds nothing to re-route.
+                if self.outstanding[dispatcher].take().is_none() {
+                    return;
                 }
-                for (instance, tasks) in by_instance {
+                self.emit(now, ObsEvent::DispatcherLost);
+                for (instance, tasks) in self.take(Some(dispatcher)) {
                     self.emit(
                         now,
                         ObsEvent::TaskRerouted {
@@ -260,17 +273,18 @@ impl<P: Probe> Forwarder<P> {
                     self.route(now, instance, tasks, out);
                 }
             }
-        }
-    }
-
-    /// Re-admit a dispatcher after the driver re-established it. Like
-    /// every other state change this is a machine-observed lifecycle edge:
-    /// the driver supplies `now` and the machine emits the event, so sim
-    /// and rt deployments stay parity-comparable.
-    pub fn readmit(&mut self, now: Micros, dispatcher: DispatcherIndex) {
-        if let Some(o) = self.outstanding.get_mut(dispatcher) {
-            *o = 0;
-            self.emit(now, ObsEvent::DispatcherReadmitted);
+            ForwarderEvent::DispatcherReadmitted { dispatcher } => {
+                if self.outstanding[dispatcher].is_some() {
+                    return;
+                }
+                self.outstanding[dispatcher] = Some(0);
+                self.emit(now, ObsEvent::DispatcherReadmitted);
+                // Waiting tasks exist only while every slot was down, so
+                // they all go to this one.
+                for (instance, tasks) in self.take(None) {
+                    self.route(now, instance, tasks, out);
+                }
+            }
         }
     }
 }
@@ -409,7 +423,10 @@ mod tests {
         assert_eq!(f.stats().dispatchers_lost, 1);
         assert_eq!(f.in_flight(), 8);
         // After re-admission new work can land on dispatcher 0 again.
-        f.readmit(0, 0);
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
+        );
         assert_eq!(f.stats().readmitted, 1);
         let acts = step(
             &mut f,
@@ -422,6 +439,97 @@ mod tests {
             ForwarderAction::SubmitTo { dispatcher, .. } => assert_eq!(*dispatcher, 0),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn submitted_to(acts: &[ForwarderAction]) -> Vec<(DispatcherIndex, usize)> {
+        acts.iter()
+            .filter_map(|a| match a {
+                ForwarderAction::SubmitTo { dispatcher, tasks } => Some((*dispatcher, tasks.len())),
+                ForwarderAction::DeliverResults { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Bug: with both slots lost, the backlog was routed to dead slot 0,
+    /// and readmitting slot 1 left it stranded there.
+    #[test]
+    fn every_slot_down_keeps_bundles_for_the_first_slot_up() {
+        let mut f = Forwarder::new(2);
+        for range in [0..4, 4..8] {
+            let tasks = tasks(range);
+            let instance = InstanceId(1);
+            step(&mut f, ForwarderEvent::ClientSubmit { instance, tasks });
+        }
+        let acts = step(&mut f, ForwarderEvent::DispatcherLost { dispatcher: 0 });
+        assert_eq!(submitted_to(&acts), [(1, 4)]);
+        let acts = step(&mut f, ForwarderEvent::DispatcherLost { dispatcher: 1 });
+        assert!(acts.is_empty(), "routed to a dead slot: {acts:?}");
+        let acts = step(
+            &mut f,
+            ForwarderEvent::ClientSubmit {
+                instance: InstanceId(2),
+                tasks: tasks(8..10),
+            },
+        );
+        assert!(acts.is_empty(), "routed to a dead slot: {acts:?}");
+        assert_eq!(f.in_flight(), 10);
+        // Slot 1 comes up first and takes everything, one bundle per owner.
+        let acts = step(
+            &mut f,
+            ForwarderEvent::DispatcherReadmitted { dispatcher: 1 },
+        );
+        assert_eq!(submitted_to(&acts), [(1, 8), (1, 2)]);
+        let results = (0..10).map(|i| TaskResult::success(TaskId(i))).collect();
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherResults {
+                dispatcher: 1,
+                results,
+            },
+        );
+        assert_eq!(f.in_flight(), 0);
+        let stats = f.stats();
+        assert_eq!((stats.dispatchers_lost, stats.readmitted), (2, 1));
+        assert_eq!(stats.rerouted, 12);
+        assert_eq!(stats.tasks_routed, 10 + stats.rerouted);
+    }
+
+    #[test]
+    fn loss_and_readmission_are_idempotent() {
+        let mut f = Forwarder::new(2);
+        // Readmitting a slot that is up emits nothing and keeps its load.
+        step(
+            &mut f,
+            ForwarderEvent::ClientSubmit {
+                instance: InstanceId(1),
+                tasks: tasks(0..4),
+            },
+        );
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
+        );
+        assert_eq!(f.stats().readmitted, 0);
+        let acts = step(
+            &mut f,
+            ForwarderEvent::ClientSubmit {
+                instance: InstanceId(1),
+                tasks: tasks(4..5),
+            },
+        );
+        assert_eq!(submitted_to(&acts), [(1, 1)]);
+        for _ in 0..2 {
+            step(&mut f, ForwarderEvent::DispatcherLost { dispatcher: 0 });
+        }
+        for _ in 0..2 {
+            step(
+                &mut f,
+                ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
+            );
+        }
+        let stats = f.stats();
+        assert_eq!((stats.dispatchers_lost, stats.readmitted), (1, 1));
+        assert_eq!(stats.rerouted, 4);
     }
 
     #[test]
@@ -439,7 +547,7 @@ mod loss_regressions {
     /// Bug: losing a dispatcher with zero in-flight tasks left its load at
     /// 0, making the dead dispatcher the preferred target for new work.
     #[test]
-    fn idle_dispatcher_loss_is_poisoned() {
+    fn idle_dispatcher_loss_takes_it_out_of_routing() {
         let mut f = Forwarder::new(2);
         let mut out = Vec::new();
         // Dispatcher 0 never had work; it dies.
@@ -463,8 +571,13 @@ mod loss_regressions {
             other => panic!("unexpected {other:?}"),
         }
         // After re-admission it participates again.
-        f.readmit(1, 0);
         out.clear();
+        f.on_event(
+            1,
+            ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
+            &mut out,
+        );
+        assert!(out.is_empty());
         f.on_event(
             2,
             ForwarderEvent::ClientSubmit {

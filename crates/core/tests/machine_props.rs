@@ -180,9 +180,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Forwarder: across arbitrary interleavings of submissions, results, and
-// dispatcher losses, every task is delivered exactly once and in-flight
-// accounting stays consistent.
+// Forwarder: across arbitrary interleavings of submissions, results,
+// dispatcher losses and readmissions — every slot down included — every
+// task is delivered exactly once, no bundle goes to a slot that is down,
+// and in-flight accounting drains to zero.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -191,17 +192,35 @@ proptest! {
     #[test]
     fn forwarder_delivers_exactly_once(
         k in 1usize..5,
-        script in prop::collection::vec((0u8..3, any::<u16>()), 1..80),
+        script in prop::collection::vec((0u8..4, any::<u16>()), 1..80),
     ) {
         let mut f = Forwarder::new(k);
         let mut next_task = 0u64;
-        // What each dispatcher currently holds (driver-side mirror).
+        // What each dispatcher currently holds (driver-side mirror), and
+        // which slots the script has taken down.
         let mut held: Vec<Vec<TaskId>> = vec![Vec::new(); k];
+        let mut down = vec![false; k];
         let mut delivered: Vec<TaskId> = Vec::new();
         let mut out = Vec::new();
         let mut submitted = 0usize;
+        let mut apply = |f: &mut Forwarder, ev: ForwarderEvent, held: &mut Vec<Vec<TaskId>>, down: &[bool]| {
+            f.on_event(0, ev, &mut out);
+            for act in out.drain(..) {
+                match act {
+                    ForwarderAction::SubmitTo { dispatcher, tasks } => {
+                        prop_assert!(!down[dispatcher], "bundle routed to down slot {}", dispatcher);
+                        held[dispatcher].extend(tasks.iter().map(|t| t.id));
+                    }
+                    ForwarderAction::DeliverResults { results, .. } => {
+                        delivered.extend(results.iter().map(|r| r.id));
+                    }
+                }
+            }
+            Ok(())
+        };
         for (op, x) in script {
-            match op {
+            let d = x as usize % k;
+            let ev = match op {
                 // Submit a small bundle.
                 0 => {
                     let n = (x % 4) as u64 + 1;
@@ -212,53 +231,39 @@ proptest! {
                             TaskSpec::sleep(next_task, 0)
                         })
                         .collect();
-                    f.on_event(0, ForwarderEvent::ClientSubmit {
-                        instance: InstanceId(1),
-                        tasks,
-                    }, &mut out);
+                    ForwarderEvent::ClientSubmit { instance: InstanceId(1), tasks }
                 }
                 // A dispatcher finishes everything it holds.
                 1 => {
-                    let d = x as usize % k;
-                    let done: Vec<TaskResult> =
+                    let results: Vec<TaskResult> =
                         held[d].drain(..).map(TaskResult::success).collect();
-                    if !done.is_empty() {
-                        f.on_event(0, ForwarderEvent::DispatcherResults {
-                            dispatcher: d,
-                            results: done,
-                        }, &mut out);
+                    if results.is_empty() {
+                        continue;
                     }
+                    ForwarderEvent::DispatcherResults { dispatcher: d, results }
                 }
                 // A dispatcher dies; its held tasks evaporate driver-side.
-                _ => {
-                    let d = x as usize % k;
+                2 => {
                     held[d].clear();
-                    f.on_event(0, ForwarderEvent::DispatcherLost { dispatcher: d }, &mut out);
-                    f.readmit(0, d);
+                    down[d] = true;
+                    ForwarderEvent::DispatcherLost { dispatcher: d }
                 }
-            }
-            for act in out.drain(..) {
-                match act {
-                    ForwarderAction::SubmitTo { dispatcher, tasks } => {
-                        held[dispatcher].extend(tasks.iter().map(|t| t.id));
-                    }
-                    ForwarderAction::DeliverResults { results, .. } => {
-                        delivered.extend(results.iter().map(|r| r.id));
-                    }
+                // A slot comes back up.
+                _ => {
+                    down[d] = false;
+                    ForwarderEvent::DispatcherReadmitted { dispatcher: d }
                 }
-            }
+            };
+            apply(&mut f, ev, &mut held, &down)?;
         }
-        // Flush: every dispatcher completes its remaining work.
-        for (d, h) in held.iter_mut().enumerate() {
-            let done: Vec<TaskResult> = h.drain(..).map(TaskResult::success).collect();
-            if !done.is_empty() {
-                f.on_event(0, ForwarderEvent::DispatcherResults { dispatcher: d, results: done }, &mut out);
-            }
+        // Every slot comes back, then completes its remaining work.
+        for d in 0..k {
+            down[d] = false;
+            apply(&mut f, ForwarderEvent::DispatcherReadmitted { dispatcher: d }, &mut held, &down)?;
         }
-        for act in out.drain(..) {
-            if let ForwarderAction::DeliverResults { results, .. } = act {
-                delivered.extend(results.iter().map(|r| r.id));
-            }
+        for d in 0..k {
+            let results: Vec<TaskResult> = held[d].drain(..).map(TaskResult::success).collect();
+            apply(&mut f, ForwarderEvent::DispatcherResults { dispatcher: d, results }, &mut held, &down)?;
         }
         // Exactly once.
         let mut ids: Vec<u64> = delivered.iter().map(|t| t.0).collect();

@@ -203,11 +203,7 @@ fn measured(scale: Scale) -> Report {
 
 /// Every experiment, in `repro all` emission order.
 pub static REGISTRY: &[&dyn Experiment] = &[
-    &solo(
-        "table1",
-        "Feature comparison across resource-management systems",
-        table1,
-    ),
+    &solo("table1", "Platform descriptions", table1),
     &solo("fig3", "Throughput as function of executor count", fig3),
     &solo(
         "table2",
@@ -221,7 +217,7 @@ pub static REGISTRY: &[&dyn Experiment] = &[
     ),
     &solo("fig5", "Task-bundling throughput sweep", fig5),
     &solo("fig6", "Efficiency vs task length (32/64 executors)", fig6),
-    &solo("fig7", "Speedup vs number of processors", fig7),
+    &solo("fig7", "Efficiency on 64 processors vs task length", fig7),
     &solo("fig8", "Endurance run (2M tasks, JVM GC model)", fig8),
     &shared(
         "scale54k",
@@ -264,13 +260,13 @@ pub static REGISTRY: &[&dyn Experiment] = &[
         "Executor lifecycle trace, Falkon-180 (same run as table3)",
         provisioning,
     ),
+    &solo("fig14", "fMRI workflow end-to-end time", fig14),
+    &solo("fig15", "Montage per-stage span", fig15),
     &solo(
-        "fig14",
-        "Application throughput (astronomy workload)",
-        fig14,
+        "table5",
+        "Swift applications that could benefit from Falkon",
+        table5,
     ),
-    &solo("fig15", "Application comparison (MolDyn workflow)", fig15),
-    &solo("table5", "Reproduction vs paper summary table", table5),
     &solo(
         "ablations",
         "Design-choice ablations and Section 6 extensions",

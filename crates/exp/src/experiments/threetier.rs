@@ -4,8 +4,9 @@
 //! (each bounded at the paper's ≈487 tasks/sec); aggregate throughput
 //! should scale roughly linearly in `k` — the paper's proposed route to
 //! "two or more orders of magnitude more executors" on BlueGene/P-class
-//! machines. Also exercises the forwarder's failure handling: one
-//! dispatcher dies mid-run and its in-flight tasks are re-routed.
+//! machines. No dispatcher fails here: the forwarder's loss and
+//! readmission handling is exercised over real sockets by
+//! `tests/tcp_threetier.rs`.
 
 use crate::experiments::Scale;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};

@@ -26,15 +26,18 @@
 //!   becomes a [`ForwarderEvent::DispatcherResults`] and funnels back
 //!   upstream.
 //!
-//! Failure semantics: a downstream link closing feeds
-//! [`ForwarderEvent::DispatcherLost`] to the machine, which poisons the
-//! dispatcher's load and re-routes every in-flight task to the survivors —
-//! the driver never re-routes on its own. Tasks that cannot be delivered
-//! because *every* dispatcher is down park in the driver and replay when
-//! their slot's next link comes up, at which point [`Forwarder::readmit`]
-//! makes the machine emit `DispatcherReadmitted` and admit new work there.
-//! Events of a link that was already replaced carry a token that is no
-//! longer the slot's, so they fall away.
+//! Failure semantics: the machine alone decides where work goes. A
+//! downstream link closing feeds [`ForwarderEvent::DispatcherLost`]; the
+//! machine takes the slot out of routing and re-routes its in-flight
+//! tasks to the live slots, or keeps them while every slot is down. The
+//! slot's next link coming up feeds [`ForwarderEvent::DispatcherReadmitted`],
+//! and the machine routes whatever waited to it. The machine routes only
+//! to a slot whose link is up: a slot goes down before its link is
+//! replaced and up only on the new link's `InstanceCreated`, and
+//! [`ForwarderServer::start`] hands out the client address only once every
+//! first link is up, so no bundle can be routed before then. Events of a
+//! link that was already replaced carry a token that is no longer the
+//! slot's, so they fall away.
 //!
 //! Lifecycle events are emitted by the *machine* (probe provenance,
 //! DESIGN.md §7): this driver only ever reports wire bytes, via the
@@ -52,7 +55,6 @@ use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::message::{InstanceId, Message};
-use falkon_proto::task::TaskSpec;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -163,9 +165,10 @@ impl ForwarderServer {
     }
 
     /// Mount a fresh dispatcher in slot `d` (new listener, new port) and
-    /// bring a new downstream link to it up. The machine's `readmit` runs
-    /// on the forwarder's thread when the link comes up, so
-    /// `DispatcherLost` from the old link can never race the fresh one.
+    /// bring a new downstream link to it up. The machine sees
+    /// `DispatcherReadmitted` on the forwarder's thread when the link comes
+    /// up, so `DispatcherLost` from the old link can never race the fresh
+    /// one.
     /// Returns the new dispatcher address for executors to connect to.
     pub fn readmit_dispatcher(&mut self, d: usize) -> io::Result<SocketAddr> {
         let server = DispatcherServer::start(self.dispatcher_config.clone())?;
@@ -210,12 +213,6 @@ struct Link {
     conn: Option<Token>,
     /// Our instance at that dispatcher; `Some` once the link is up.
     instance: Option<InstanceId>,
-    /// The machine's view: lost, and not readmitted since.
-    lost: bool,
-    /// Bundles the machine routed here while the link was down (it only
-    /// does that when *every* dispatcher is); replayed in order when the
-    /// slot's next link comes up.
-    parked: Vec<Vec<TaskSpec>>,
 }
 
 /// The forwarder's [`Mount`]: the machine, run inside the engine turn,
@@ -272,10 +269,8 @@ impl ForwarderMount {
                 .send(Err(io::ErrorKind::UnexpectedEof.into()))
                 .ok();
         }
-        if !std::mem::replace(&mut link.lost, true) {
-            let lost = ForwarderEvent::DispatcherLost { dispatcher: d };
-            self.fwd.on_event(now, lost, &mut self.actions);
-        }
+        let lost = ForwarderEvent::DispatcherLost { dispatcher: d };
+        self.fwd.on_event(now, lost, &mut self.actions);
     }
 
     /// Handle one message from dispatcher `d` on its current link.
@@ -283,17 +278,11 @@ impl ForwarderMount {
         let link = &mut self.links[d];
         match (msg, link.instance) {
             (Message::InstanceCreated { instance }, None) => {
-                // The link is up: admit the slot if the machine had lost
-                // it, and replay what was parked. Parked bundles are
-                // already in flight on `d` in the machine's books.
+                // The link is up: the machine readmits the slot if it had
+                // lost it and routes here whatever was waiting.
                 link.instance = Some(instance);
-                if std::mem::take(&mut link.lost) {
-                    self.fwd.readmit(now, d);
-                }
-                for tasks in std::mem::take(&mut link.parked) {
-                    self.outbox
-                        .push((token, Message::Submit { instance, tasks }));
-                }
+                let up = ForwarderEvent::DispatcherReadmitted { dispatcher: d };
+                self.fwd.on_event(now, up, &mut self.actions);
                 self.link_up.send(Ok(())).ok();
             }
             // Answer the notify with a fetch, like any client.
@@ -341,18 +330,17 @@ impl ForwarderMount {
         for act in self.actions.drain(..) {
             match act {
                 ForwarderAction::SubmitTo { dispatcher, tasks } => {
-                    match &mut self.links[dispatcher] {
-                        Link {
-                            conn: Some(token),
-                            instance: Some(instance),
-                            ..
-                        } => {
-                            let instance = *instance;
-                            self.outbox
-                                .push((*token, Message::Submit { instance, tasks }));
-                        }
-                        link => link.parked.push(tasks),
-                    }
+                    // The machine routes only to a slot whose link is up
+                    // (module docs).
+                    let Link {
+                        conn: Some(token),
+                        instance: Some(instance),
+                    } = self.links[dispatcher]
+                    else {
+                        unreachable!("bundle routed to slot {dispatcher}, whose link is down");
+                    };
+                    self.outbox
+                        .push((token, Message::Submit { instance, tasks }));
                 }
                 ForwarderAction::DeliverResults { instance, results } => {
                     if let Some(&token) = self.inst_conn.get(&instance) {
@@ -423,6 +411,7 @@ mod tests {
     use falkon_obs::ObsEventKind;
     use falkon_proto::bundle::BundleConfig;
     use falkon_proto::message::ExecutorId;
+    use falkon_proto::task::TaskSpec;
 
     fn three_tier(
         dispatchers: usize,

@@ -30,9 +30,6 @@ pub struct MuxOutcome {
     pub tasks: u64,
     /// Wire counters merged over every connection, both directions.
     pub wire: Counters,
-    /// Peers whose machine shut itself down (idle release / deregistration)
-    /// rather than seeing the dispatcher close the connection.
-    pub clean_exits: u64,
 }
 
 /// The pool's [`Handler`]: each connection's datum is its machine.
@@ -83,7 +80,6 @@ impl<P: Probe> Handler<Executor<P>> for Pool<P> {
     fn closed(&mut self, _: Token, machine: Executor<P>, closed: Closed) {
         self.outcome.tasks += machine.stats().tasks_run;
         self.outcome.wire.merge(&closed.wire);
-        self.outcome.clean_exits += u64::from(closed.local);
         self.probes.push(machine.into_probe());
         if !closed.opened {
             self.handshake_error = Some(
@@ -118,7 +114,6 @@ pub(crate) fn run_pool<P: Probe>(
         outcome: MuxOutcome {
             tasks: 0,
             wire: Counters::new(),
-            clean_exits: 0,
         },
         probes: Vec::with_capacity(count),
         handshake_error: None,

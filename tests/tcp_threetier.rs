@@ -22,6 +22,9 @@
 //! backlog is real (nothing drains it), and by kill time its link is
 //! quiescent — every flushed frame has been decoded at the far end — so
 //! the enqueue-time wire charge stays balanced across the loss.
+//!
+//! A second case loses *every* dispatcher: the backlog waits in the
+//! forwarder and goes to whichever slot comes up first.
 
 // Deployment tests: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -38,8 +41,15 @@ use falkon::rt::forwarder::ForwarderServer;
 use falkon::rt::tcp::{run_client, run_executor, ServerConfig, TcpRunOutcome};
 use std::collections::HashSet;
 use std::net::SocketAddr;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// The cases run one at a time: the soak counts the process's threads.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Live thread count of this process (`/proc/self/status`), or `None` off
 /// Linux — the thread-budget assertion is skipped there.
@@ -80,6 +90,7 @@ const VICTIM: usize = 2;
 
 #[test]
 fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
+    let _serial = serial();
     let threads_before = process_threads();
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
@@ -259,4 +270,62 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
         let leaked = after.saturating_sub(before);
         assert!(leaked <= 4, "three-tier deployment leaked {leaked} threads");
     }
+}
+
+const BACKLOG: u64 = 400;
+
+#[test]
+fn backlog_survives_every_dispatcher_lost_and_goes_to_the_first_readmitted() {
+    let _serial = serial();
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            client_notify_batch: 50,
+            ..DispatcherConfig::default()
+        })
+        .forwarder(2)
+        .build()
+        .expect("valid config");
+    let mut server = ForwarderServer::start(config).expect("bind three-tier");
+    let addr = server.addr;
+
+    // No executors yet: the whole backlog sits at the two dispatchers.
+    let (done_tx, done_rx) = mpsc::channel();
+    let client = thread::spawn(move || {
+        let tasks = (0..BACKLOG).map(|i| TaskSpec::sleep(i, 0)).collect();
+        let outcome = run_client(addr, tasks, BundleConfig::of(50), None);
+        done_tx.send(()).ok();
+        outcome
+    });
+    // Let the backlog reach the dispatchers. Either order of the two
+    // losses at the forwarder ends with every slot down.
+    thread::sleep(Duration::from_millis(300));
+    let (_, lost0, _) = server.kill_dispatcher(0);
+    let (_, lost1, _) = server.kill_dispatcher(1);
+    assert_eq!(lost0.completed + lost1.completed, 0, "no executors ran");
+
+    // Only slot 1 comes back, and only it gets executors.
+    let new_addr = server.readmit_dispatcher(1).expect("readmit");
+    let execs = spawn_executors(new_addr, 0, 2);
+    let finished = done_rx.recv_timeout(Duration::from_secs(20)).is_ok();
+    // Stopping the tier also releases a client that is still waiting.
+    let (outcome, dispatcher_outcomes) = server.shutdown();
+    let c = client.join().expect("client thread");
+    for e in execs {
+        e.join().expect("executor thread").ok();
+    }
+    assert!(finished, "the backlog never reached readmitted slot 1");
+    assert_eq!(c.expect("client").done, BACKLOG);
+
+    // Exactly once, all of it on the readmitted slot.
+    assert_eq!(dispatcher_outcomes.len(), 1, "only slot 1 is running");
+    let (records, stats, _) = &dispatcher_outcomes[0];
+    assert_eq!(stats.completed, BACKLOG);
+    assert_eq!(stats.duplicate_results, 0, "a task ran twice");
+    let ids: HashSet<u64> = records.iter().map(|r| r.result.id.0).collect();
+    assert_eq!(records.len() as u64, BACKLOG);
+    assert_eq!(ids.len() as u64, BACKLOG, "task records not unique");
+    let s = outcome.stats;
+    assert_eq!((s.dispatchers_lost, s.readmitted), (2, 1));
+    assert_eq!(s.results_delivered, BACKLOG);
+    assert_eq!(s.tasks_routed, BACKLOG + s.rerouted);
 }
