@@ -149,7 +149,6 @@ fn three_tier_arm(label: &'static str, n: u64, dispatchers: usize) -> TcpMeasure
 pub fn run(scale: Scale) -> Measured {
     let n = scale.pick(5_000, 50_000);
     let rows = [
-        ("plain (no serialization)", WireMode::Plain),
         ("encoded (WS-serialization analog)", WireMode::Encoded),
         ("secure (GSISecureConversation analog)", WireMode::Secure),
     ]
@@ -241,7 +240,7 @@ mod tests {
     #[test]
     fn measured_reports_throughput_and_overhead_quantiles() {
         let m = run(Scale::Quick);
-        assert_eq!(m.rows.len(), 3);
+        assert_eq!(m.rows.len(), 2);
         for r in &m.rows {
             assert!(r.throughput > 0.0, "{}: no throughput", r.label);
             // The recorder saw every task: quantiles are ordered and

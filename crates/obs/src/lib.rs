@@ -18,9 +18,8 @@
 //!   join) to report p50/p90/p99/max dispatch overhead.
 //!
 //! Wire-level byte accounting goes through [`WireTap`]: drivers report raw
-//! byte counts (with an explicit `now`) and the tap constructs the
-//! `BundleEncoded`/`BundleDecoded` events, so drivers never build
-//! [`ObsEvent`]s themselves.
+//! byte counts and the tap constructs the `BundleEncoded`/`BundleDecoded`
+//! events, so drivers never build [`ObsEvent`]s themselves.
 //!
 //! The metric primitives ([`Histogram`], [`TimeSeries`]) and the
 //! virtual-time types ([`SimTime`], [`SimDuration`]) live here too;

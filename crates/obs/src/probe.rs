@@ -108,8 +108,8 @@ pub enum ObsEvent {
         /// Tasks rerouted.
         count: u64,
     },
-    /// The forwarder marked a downstream dispatcher lost (its outstanding
-    /// load is poisoned until re-admission).
+    /// The forwarder marked a live downstream dispatcher lost: its slot
+    /// takes no work until re-admission.
     DispatcherLost,
     /// The forwarder re-admitted a dispatcher the driver re-established.
     DispatcherReadmitted,

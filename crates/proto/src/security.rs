@@ -91,12 +91,12 @@ fn crypt<const SEAL: bool>(key: u64, counter: u64, data: &mut [u8]) -> u64 {
 /// One endpoint of a secured conversation.
 ///
 /// Both sides construct with the same pre-shared secret, exchange
-/// [`SecureChannel::handshake_message`]s, feed the peer's into
-/// [`SecureChannel::complete_handshake`], then [`SecureChannel::seal`] /
-/// [`SecureChannel::open`] frames. Because the send and receive counters
-/// are independent, an established channel can be torn into a
-/// [`SealHalf`]/[`OpenHalf`] pair ([`SecureChannel::into_halves`]) so a
-/// writer thread and a reader thread can each own their direction.
+/// [`SecureChannel::handshake_message`]s and feed the peer's into
+/// [`SecureChannel::complete_handshake`]. The established channel is then
+/// torn into its [`SealHalf`]/[`OpenHalf`] pair
+/// ([`SecureChannel::into_halves`]), which seal and open frames: the send
+/// and receive counters are independent, so each direction can live
+/// wherever its frames are written or read.
 pub struct SecureChannel {
     psk: u64,
     local_nonce: u64,
@@ -201,41 +201,9 @@ impl SecureChannel {
         Ok(())
     }
 
-    /// Encrypt-and-MAC a payload. Consumes a send-counter so each frame uses
-    /// a distinct keystream.
-    pub fn seal(&mut self, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(payload.len() + MAC_LEN);
-        self.seal_into(payload, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`SecureChannel::seal`], but appends ciphertext + MAC to `out`
-    /// instead of allocating.
-    pub fn seal_into(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        let (seal, _) = self
-            .halves
-            .as_mut()
-            .ok_or(CodecError::HandshakeIncomplete)?;
-        seal.seal_into(payload, out);
-        Ok(())
-    }
-
-    /// Verify-and-decrypt a sealed frame into an owned plaintext.
-    pub fn open(&mut self, sealed: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let (_, open) = self
-            .halves
-            .as_mut()
-            .ok_or(CodecError::HandshakeIncomplete)?;
-        let mut plain = sealed.to_vec();
-        let len = open.open_in_place(&mut plain)?.len();
-        plain.truncate(len);
-        Ok(plain)
-    }
-
-    /// Tear an established channel into its two directions so a reader and
-    /// a writer thread can each own one without a lock. Counter state
-    /// carries over, so frames sealed before the split still open on the
-    /// peer and vice versa.
+    /// Tear an established channel into its two directions, each with its
+    /// counter at zero, so a reader and a writer can each own one without
+    /// a lock.
     pub fn into_halves(self) -> Result<(SealHalf, OpenHalf), CodecError> {
         self.halves.ok_or(CodecError::HandshakeIncomplete)
     }
@@ -266,6 +234,18 @@ mod tests {
         c.halves.as_ref().map(|(seal, _)| seal.key)
     }
 
+    /// Both ends of an established pair, each split into its halves.
+    fn split_pair(psk: u64) -> ((SealHalf, OpenHalf), (SealHalf, OpenHalf)) {
+        let (a, b) = established_pair(psk, 1, 2);
+        (a.into_halves().unwrap(), b.into_halves().unwrap())
+    }
+
+    fn sealed(seal: &mut SealHalf, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        seal.seal_into(payload, &mut out);
+        out
+    }
+
     #[test]
     fn handshake_derives_matching_keys() {
         let (a, b) = established_pair(0x5ec3e7, 111, 222);
@@ -275,39 +255,42 @@ mod tests {
 
     #[test]
     fn seal_open_roundtrip() {
-        let (mut a, mut b) = established_pair(42, 1, 2);
+        let ((mut seal, _), (_, mut open)) = split_pair(42);
         for i in 0..10u8 {
             let msg = vec![i; 100 + i as usize];
-            let sealed = a.seal(&msg).unwrap();
-            assert_ne!(sealed[..msg.len()], msg[..], "payload must be transformed");
-            assert_eq!(b.open(&sealed).unwrap(), msg);
+            let mut frame = sealed(&mut seal, &msg);
+            assert_ne!(frame[..msg.len()], msg[..], "payload must be transformed");
+            assert_eq!(open.open_in_place(&mut frame).unwrap(), &msg[..]);
         }
     }
 
     #[test]
     fn bidirectional_counters_independent() {
-        let (mut a, mut b) = established_pair(42, 1, 2);
-        let s1 = a.seal(b"ping").unwrap();
-        let s2 = b.seal(b"pong").unwrap();
-        assert_eq!(b.open(&s1).unwrap(), b"ping");
-        assert_eq!(a.open(&s2).unwrap(), b"pong");
+        let ((mut seal_a, mut open_a), (mut seal_b, mut open_b)) = split_pair(42);
+        let mut s1 = sealed(&mut seal_a, b"ping");
+        let mut s2 = sealed(&mut seal_b, b"pong");
+        assert_eq!(open_b.open_in_place(&mut s1).unwrap(), b"ping");
+        assert_eq!(open_a.open_in_place(&mut s2).unwrap(), b"pong");
     }
 
     #[test]
     fn tampering_detected() {
-        let (mut a, mut b) = established_pair(42, 1, 2);
-        let mut sealed = a.seal(b"secret payload").unwrap();
-        sealed[3] ^= 0x01;
-        assert_eq!(b.open(&sealed), Err(CodecError::MacMismatch));
+        let ((mut seal, _), (_, mut open)) = split_pair(42);
+        let mut frame = sealed(&mut seal, b"secret payload");
+        frame[3] ^= 0x01;
+        assert_eq!(open.open_in_place(&mut frame), Err(CodecError::MacMismatch));
     }
 
     #[test]
     fn replay_detected_by_counter() {
-        let (mut a, mut b) = established_pair(42, 1, 2);
-        let sealed = a.seal(b"once").unwrap();
-        assert!(b.open(&sealed).is_ok());
+        let ((mut seal, _), (_, mut open)) = split_pair(42);
+        let frame = sealed(&mut seal, b"once");
+        assert!(open.open_in_place(&mut frame.clone()).is_ok());
         // Replaying the same frame fails: receive counter advanced.
-        assert_eq!(b.open(&sealed), Err(CodecError::MacMismatch));
+        assert_eq!(
+            open.open_in_place(&mut frame.clone()),
+            Err(CodecError::MacMismatch)
+        );
     }
 
     #[test]
@@ -322,58 +305,45 @@ mod tests {
 
     #[test]
     fn seal_before_handshake_fails() {
-        let mut c = SecureChannel::new(1, 1);
-        assert_eq!(c.seal(b"x"), Err(CodecError::HandshakeIncomplete));
-        assert_eq!(c.open(b"xxxxxxxxx"), Err(CodecError::HandshakeIncomplete));
+        // A channel whose handshake was rejected has no halves to seal or
+        // open with.
+        let a = SecureChannel::new(1, 10);
+        let mut b = SecureChannel::new(2, 20);
+        assert!(b.complete_handshake(&a.handshake_message()).is_err());
+        assert!(matches!(
+            b.into_halves(),
+            Err(CodecError::HandshakeIncomplete)
+        ));
     }
 
     #[test]
     fn seal_into_appends_identically_to_seal() {
-        let (mut a, mut a2) = (established_pair(42, 1, 2).0, established_pair(42, 1, 2).0);
-        let owned = a.seal(b"payload bytes").unwrap();
+        let ((mut seal, _), _) = split_pair(42);
+        let ((mut twin, _), _) = split_pair(42);
+        let owned = sealed(&mut seal, b"payload bytes");
         let mut appended = vec![0xAA, 0xBB];
-        a2.seal_into(b"payload bytes", &mut appended).unwrap();
+        twin.seal_into(b"payload bytes", &mut appended);
         assert_eq!(&appended[..2], &[0xAA, 0xBB], "prefix untouched");
         assert_eq!(&appended[2..], &owned[..]);
     }
 
     #[test]
-    fn split_halves_interoperate_with_whole_channel() {
-        let (mut a, mut b) = established_pair(42, 1, 2);
-        // Advance both directions before splitting so counters carry over.
-        let pre = a.seal(b"pre-split").unwrap();
-        assert_eq!(b.open(&pre).unwrap(), b"pre-split");
-        let s = b.seal(b"reply").unwrap();
-        assert_eq!(a.open(&s).unwrap(), b"reply");
-
-        let (mut seal, mut open) = a.into_halves().unwrap();
-        let mut framed = Vec::new();
-        seal.seal_into(b"post-split", &mut framed);
-        assert_eq!(b.open(&framed).unwrap(), b"post-split");
-        let mut s2 = b.seal(b"second reply").unwrap();
-        assert_eq!(open.open_in_place(&mut s2).unwrap(), b"second reply");
-        // Tampering still detected by the split half.
-        let mut bad = b.seal(b"x").unwrap();
-        bad[0] ^= 1;
-        assert_eq!(open.open_in_place(&mut bad), Err(CodecError::MacMismatch));
-    }
-
-    #[test]
-    fn open_in_place_matches_open() {
-        let (mut a, b) = established_pair(42, 1, 2);
-        let (_, mut open) = b.into_halves().unwrap();
+    fn open_in_place_leaves_a_rejected_frame_and_counter_as_they_came() {
+        let ((mut seal, _), (_, mut open)) = split_pair(42);
         for i in 0..5u8 {
             let msg = vec![i; 50 + i as usize];
-            let mut sealed = a.seal(&msg).unwrap();
-            assert_eq!(open.open_in_place(&mut sealed).unwrap(), &msg[..]);
+            let mut frame = sealed(&mut seal, &msg);
+            assert_eq!(open.open_in_place(&mut frame).unwrap(), &msg[..]);
         }
         // Tampering still detected, and the counter does not advance on
         // failure: re-opening the untampered bytes succeeds afterwards.
-        let sealed = a.seal(b"tampered?").unwrap();
-        let mut bad = sealed.clone();
+        let frame = sealed(&mut seal, b"tampered?");
+        let mut bad = frame.clone();
         bad[0] ^= 1;
         assert_eq!(open.open_in_place(&mut bad), Err(CodecError::MacMismatch));
-        let mut good = sealed;
+        bad[0] ^= 1;
+        assert_eq!(bad, frame, "a rejected frame keeps its ciphertext");
+        let mut good = frame;
         assert_eq!(open.open_in_place(&mut good).unwrap(), b"tampered?");
     }
 
@@ -384,9 +354,9 @@ mod tests {
 
     #[test]
     fn distinct_frames_use_distinct_keystreams() {
-        let (mut a, _) = established_pair(42, 1, 2);
-        let s1 = a.seal(&[0u8; 32]).unwrap();
-        let s2 = a.seal(&[0u8; 32]).unwrap();
+        let ((mut seal, _), _) = split_pair(42);
+        let s1 = sealed(&mut seal, &[0u8; 32]);
+        let s2 = sealed(&mut seal, &[0u8; 32]);
         assert_ne!(s1, s2);
     }
 }

@@ -1,6 +1,6 @@
 //! Monotonic microsecond clock.
 
-use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// A shared origin for microsecond timestamps (`falkon_core::Micros`).

@@ -193,7 +193,7 @@ impl Conn {
         }
         end_frame(&mut self.batchbuf, pos);
         let framed = (self.batchbuf.len() - pos - 4) as u64;
-        self.wire.encoded(self.clock.now_us(), framed);
+        self.wire.encoded(framed);
         if self.pending() >= FLUSH_HIGH_WATER {
             self.flush()?;
         }
@@ -275,7 +275,7 @@ impl Conn {
             self.deadline_us = None;
             return Ok(Some(Inbound::Opened));
         }
-        self.wire.decoded(self.clock.now_us(), frame.len() as u64);
+        self.wire.decoded(frame.len() as u64);
         let plain: &[u8] = match self.opener.as_mut() {
             Some(open) => open.open_in_place(frame).map_err(invalid)?,
             None => frame,
@@ -353,12 +353,11 @@ impl Conn {
             }
         }
         self.stream.shutdown(Shutdown::Both).ok();
-        let wire = std::mem::replace(&mut self.wire, WireTap::new()).into_probe();
         Closed {
             opened,
             local,
             cause,
-            wire,
+            wire: self.wire.into_counters(),
         }
     }
 }

@@ -1,24 +1,25 @@
 //! Threaded in-process Falkon deployment.
 //!
 //! One dispatcher thread, N executor threads, and the calling thread as the
-//! client, connected by crossbeam channels. Every hop optionally pays real
-//! serialization ([`WireMode::Encoded`]) and security ([`WireMode::Secure`])
-//! costs, so the "no security" vs "GSISecureConversation" arms of
-//! `repro measured` are real CPU work.
+//! client, connected by `std::sync::mpsc` channels. Every hop encodes
+//! ([`WireMode::Encoded`]) or encodes and seals ([`WireMode::Secure`]) its
+//! message, so the "no security" vs "GSISecureConversation" arms of
+//! `repro measured` are real CPU work. Each end of a hop is an `Endpoint`
+//! that counts its own wire bytes, as a socket's `Conn` does.
 
 use crate::clock::Clock;
 use crate::exec::{pump_executor, route_actions, Dest};
-use crate::transport::{link, Endpoint, Packet, WireMode};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::transport::{link, Endpoint, WireMode};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, TaskRecord};
+use falkon_core::dispatcher::{Dispatcher, DispatcherEvent, TaskRecord};
 use falkon_core::executor::{Executor, ExecutorConfig, ExecutorEvent};
+use falkon_core::mapping::{message_to_client_event, message_to_dispatcher_event};
 use falkon_core::DispatcherConfig;
-use falkon_obs::{Counters, Recorder, WireTap};
+use falkon_obs::{Counters, Recorder};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::ExecutorId;
 use falkon_proto::task::TaskSpec;
-use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 
 /// Configuration of an in-process deployment.
@@ -72,20 +73,15 @@ pub struct RunOutcome {
     pub obs: Recorder,
 }
 
-/// Wire size of a packet, when it was actually encoded ([`WireMode::Plain`]
-/// passes messages by value and has no wire size).
-fn packet_bytes(pkt: &Packet) -> Option<u64> {
-    match pkt {
-        Packet::Bytes(b) => Some(b.len() as u64),
-        Packet::Value(_) => None,
-    }
-}
-
+/// What reaches the dispatcher thread: a packet from entry `i` of its peer
+/// table, or the order to stop.
 enum DispIn {
-    FromExecutor(ExecutorId, Packet),
-    FromClient(Packet),
+    Packet(usize, Vec<u8>),
     Stop,
 }
+
+/// The dispatcher's side of one link, and the peer's inbox.
+type Peer = (Endpoint, Sender<Vec<u8>>);
 
 /// Run `tasks` through a fresh deployment; returns when all results have
 /// been delivered to the client.
@@ -93,80 +89,60 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
     assert!(config.executors > 0, "need at least one executor");
     let n_tasks = tasks.len() as u64;
     let clock = Clock::start();
+    let (disp_tx, disp_rx) = channel::<DispIn>();
 
-    let (disp_tx, disp_rx) = unbounded::<DispIn>();
-    let (client_tx, client_rx) = unbounded::<Packet>();
-
-    // Build links (one per executor plus one for the client) and spawn the
-    // executor threads; the dispatcher keeps its side of every link.
-    let (client_disp_ep, client_ep) = link(config.wire, 0x5EC, 1_000_001, 1_000_002);
-    let mut exec_txs: HashMap<ExecutorId, Sender<Packet>> = HashMap::new();
-    let mut disp_eps: Vec<Endpoint> = Vec::with_capacity(config.executors);
+    // One link per executor, then the client's: the dispatcher keeps its
+    // side of each in one table, indexed by executor id with the client
+    // last.
+    let mut peers: Vec<Peer> = Vec::with_capacity(config.executors + 1);
     let mut handles = Vec::new();
     for i in 0..config.executors {
         let (disp_side, exec_side) = link(config.wire, 0x5EC, i as u64 * 2 + 1, i as u64 * 2 + 2);
-        disp_eps.push(disp_side);
-        let (tx, rx) = unbounded::<Packet>();
-        let id = ExecutorId(i as u64);
-        exec_txs.insert(id, tx);
+        let (tx, rx) = channel();
+        peers.push((disp_side, tx));
         let disp_tx = disp_tx.clone();
         let cfg = config.clone();
         handles.push(thread::spawn(move || {
-            executor_thread(id, cfg, clock, exec_side, rx, disp_tx)
+            executor_thread(ExecutorId(i as u64), cfg, clock, exec_side, rx, disp_tx)
         }));
     }
+    let client_peer = peers.len();
+    let (disp_side, mut client_ep) = link(config.wire, 0x5EC, 1_000_001, 1_000_002);
+    let (client_tx, client_rx) = channel();
+    peers.push((disp_side, client_tx));
 
-    // Dispatcher thread.
     let disp_cfg = config.dispatcher;
-    let disp_handle = thread::spawn(move || {
-        dispatcher_thread(
-            disp_cfg,
-            clock,
-            disp_rx,
-            exec_txs,
-            client_tx,
-            disp_eps,
-            client_disp_ep,
-        )
-    });
+    let disp_handle = thread::spawn(move || dispatcher_thread(disp_cfg, clock, disp_rx, peers));
 
     // The calling thread is the client.
     let mut client = Client::new(config.bundle);
-    let mut client_ep = client_ep;
-    let mut client_wire = WireTap::new();
     let mut actions = Vec::new();
+    let send = |actions: &mut Vec<ClientAction>, ep: &mut Endpoint| {
+        for act in actions.drain(..) {
+            if let ClientAction::Send(msg) = act {
+                disp_tx
+                    .send(DispIn::Packet(client_peer, ep.pack(&msg)))
+                    .expect("dispatcher alive");
+            }
+        }
+    };
     client.on_event(clock.now_us(), ClientEvent::Start, &mut actions);
     let t_submit = clock.now_us();
     client.enqueue(t_submit, tasks, &mut actions);
-    send_client_actions(
-        t_submit,
-        &mut actions,
-        &mut client_ep,
-        &disp_tx,
-        &mut client_wire,
-    );
+    send(&mut actions, &mut client_ep);
 
     let mut elapsed_us = 0;
     while client.outstanding() > 0 || client.completions().is_empty() && n_tasks > 0 {
         let packet = client_rx.recv().expect("dispatcher alive");
         let now = clock.now_us();
-        if let Some(bytes) = packet_bytes(&packet) {
-            client_wire.decoded(now, bytes);
-        }
         let msg = client_ep.unpack(packet).expect("valid packet");
-        let ev = falkon_core::mapping::message_to_client_event(msg)
+        let ev = message_to_client_event(msg)
             .expect("dispatcher sent a non-client message to the client");
         client.on_event(now, ev, &mut actions);
         let complete = actions
             .iter()
             .any(|a| matches!(a, ClientAction::WorkloadComplete));
-        send_client_actions(
-            now,
-            &mut actions,
-            &mut client_ep,
-            &disp_tx,
-            &mut client_wire,
-        );
+        send(&mut actions, &mut client_ep);
         if complete {
             elapsed_us = clock.now_us() - t_submit;
             break;
@@ -181,7 +157,7 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
         let shard = h.join().expect("executor thread");
         obs.merge_counters(&shard);
     }
-    obs.merge_counters(client_wire.probe());
+    obs.merge_counters(client_ep.wire());
 
     RunOutcome {
         tasks: client.completions().len() as u64,
@@ -193,72 +169,27 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
     }
 }
 
-fn send_client_actions(
-    now: u64,
-    actions: &mut Vec<ClientAction>,
-    ep: &mut Endpoint,
-    disp_tx: &Sender<DispIn>,
-    wire: &mut WireTap,
-) {
-    for act in actions.drain(..) {
-        if let ClientAction::Send(msg) = act {
-            let pkt = ep.pack(msg);
-            if let Some(bytes) = packet_bytes(&pkt) {
-                wire.encoded(now, bytes);
-            }
-            disp_tx
-                .send(DispIn::FromClient(pkt))
-                .expect("dispatcher alive");
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn dispatcher_thread(
     config: DispatcherConfig,
     clock: Clock,
     rx: Receiver<DispIn>,
-    exec_txs: HashMap<ExecutorId, Sender<Packet>>,
-    client_tx: Sender<Packet>,
-    mut exec_eps: Vec<Endpoint>,
-    mut client_ep: Endpoint,
+    mut peers: Vec<Peer>,
 ) -> (
     Vec<TaskRecord>,
     falkon_core::dispatcher::DispatcherStats,
     Recorder,
 ) {
+    let client_peer = peers.len() - 1;
     let mut d = Dispatcher::with_probe(config, Recorder::new());
-    let mut wire = WireTap::with_probe(Recorder::new());
     let mut records = Vec::new();
-    let mut out: Vec<DispatcherAction> = Vec::new();
-    // Deliver one wake-up's accumulated dispatcher actions. A send failure
-    // means the peer already exited (e.g. an idle-released executor); the
-    // dispatcher will time the task out and replay.
-    let mut route = |out: &mut Vec<DispatcherAction>,
-                     now: u64,
-                     wire: &mut WireTap<Recorder>,
-                     exec_eps: &mut [Endpoint],
-                     client_ep: &mut Endpoint| {
-        route_actions(out, &mut records, |dest, msg| {
-            let (ep, tx) = match dest {
-                Dest::Executor(e) => (&mut exec_eps[e.0 as usize], &exec_txs[&e]),
-                Dest::Client(_) => (&mut *client_ep, &client_tx),
-                Dest::Provisioner => return,
-            };
-            let pkt = ep.pack(msg);
-            if let Some(bytes) = packet_bytes(&pkt) {
-                wire.encoded(now, bytes);
-            }
-            let _ = tx.send(pkt);
-        });
-    };
+    let mut out = Vec::new();
     // Cap on messages handled per wake-up, so deadline checks and action
     // routing cannot be starved by a firehose of inbound packets.
     const MAX_DRAIN: u32 = 256;
     // Event-driven wait: a pending replay deadline bounds the sleep; with
     // nothing outstanding, block until a message arrives — there is no
     // periodic wake-up.
-    'main: while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
+    while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
         // Read the clock after the (possibly long) wait, or deadline checks
         // would be evaluated against a stale pre-wait timestamp.
         let now = clock.now_us();
@@ -271,40 +202,42 @@ fn dispatcher_thread(
         // read, one action drain for the whole burst.
         let mut next = first;
         let mut drained = 0u32;
-        while let Some(msg) = next.take() {
-            let ev = match msg {
-                DispIn::Stop => {
-                    route(&mut out, now, &mut wire, &mut exec_eps, &mut client_ep);
-                    break 'main;
-                }
-                DispIn::FromExecutor(id, pkt) => {
-                    if let Some(bytes) = packet_bytes(&pkt) {
-                        wire.decoded(now, bytes);
-                    }
-                    let msg = exec_eps[id.0 as usize].unpack(pkt).expect("valid packet");
-                    falkon_core::mapping::executor_message_to_dispatcher_event(msg)
-                        .expect("executor sent a non-executor message")
-                }
-                DispIn::FromClient(pkt) => {
-                    if let Some(bytes) = packet_bytes(&pkt) {
-                        wire.decoded(now, bytes);
-                    }
-                    let msg = client_ep.unpack(pkt).expect("valid packet");
-                    falkon_core::mapping::client_message_to_dispatcher_event(msg)
-                        .expect("client sent a non-client message")
-                }
+        let mut stop = false;
+        while let Some(input) = next.take() {
+            let DispIn::Packet(from, packet) = input else {
+                stop = true;
+                break;
             };
-            d.on_event(now, ev, &mut out);
+            let msg = peers[from].0.unpack(packet).expect("valid packet");
+            if let Some(ev) = message_to_dispatcher_event(msg) {
+                d.on_event(now, ev, &mut out);
+            }
             drained += 1;
             if drained < MAX_DRAIN {
                 next = rx.try_recv().ok();
             }
         }
-        route(&mut out, now, &mut wire, &mut exec_eps, &mut client_ep);
+        // A send failure means the peer already exited (e.g. an
+        // idle-released executor); the dispatcher will time the task out
+        // and replay.
+        route_actions(&mut out, &mut records, |dest, msg| {
+            let to = match dest {
+                Dest::Executor(e) => e.0 as usize,
+                Dest::Client(_) => client_peer,
+                Dest::Provisioner => return,
+            };
+            let (ep, tx) = &mut peers[to];
+            let _ = tx.send(ep.pack(&msg));
+        });
+        if stop {
+            break;
+        }
     }
     let stats = d.stats();
     let mut obs = d.probe().clone();
-    obs.merge(wire.probe());
+    for (ep, _) in &peers {
+        obs.merge_counters(ep.wire());
+    }
     (records, stats, obs)
 }
 
@@ -313,11 +246,10 @@ fn executor_thread(
     config: InprocConfig,
     clock: Clock,
     mut ep: Endpoint,
-    rx: Receiver<Packet>,
+    rx: Receiver<Vec<u8>>,
     disp_tx: Sender<DispIn>,
 ) -> Counters {
     let mut machine = Executor::new(id, format!("inproc-{}", id.0), config.executor);
-    let mut wire = WireTap::new();
     let mut actions = Vec::new();
     let mut queue = Vec::new();
     machine.on_event(clock.now_us(), ExecutorEvent::Start, &mut actions);
@@ -330,11 +262,8 @@ fn executor_thread(
             &mut queue,
             config.spawn_processes,
             |msg| {
-                let pkt = ep.pack(msg);
-                if let Some(bytes) = packet_bytes(&pkt) {
-                    wire.encoded(clock.now_us(), bytes);
-                }
-                disp_tx.send(DispIn::FromExecutor(id, pkt)).map_err(drop)
+                let pkt = DispIn::Packet(id.0 as usize, ep.pack(&msg));
+                disp_tx.send(pkt).map_err(drop)
             },
         );
         // Shut down, or the dispatcher is gone.
@@ -355,9 +284,6 @@ fn executor_thread(
         match pkt {
             None => machine.on_event(now, ExecutorEvent::IdleTimeout, &mut actions),
             Some(pkt) => {
-                if let Some(bytes) = packet_bytes(&pkt) {
-                    wire.decoded(now, bytes);
-                }
                 let msg = ep.unpack(pkt).expect("valid packet");
                 let ev = falkon_core::mapping::message_to_executor_event(msg)
                     .expect("dispatcher sent a non-executor message");
@@ -366,7 +292,7 @@ fn executor_thread(
         }
     }
     let mut shard = machine.counters();
-    shard.merge(wire.probe());
+    shard.merge(ep.wire());
     shard
 }
 
@@ -394,14 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn completes_all_tasks_plain() {
-        let out = run_sleep_workload(&quick_config(2, WireMode::Plain), 200, 0);
-        assert_eq!(out.tasks, 200);
-        assert_eq!(out.stats.completed, 200);
-        assert!(out.throughput > 0.0);
-    }
-
-    #[test]
     fn completes_all_tasks_encoded() {
         let out = run_sleep_workload(&quick_config(4, WireMode::Encoded), 500, 0);
         assert_eq!(out.tasks, 500);
@@ -417,7 +335,7 @@ mod tests {
 
     #[test]
     fn piggybacking_carries_most_dispatches() {
-        let out = run_sleep_workload(&quick_config(2, WireMode::Plain), 400, 0);
+        let out = run_sleep_workload(&quick_config(2, WireMode::Encoded), 400, 0);
         // With 2 executors and 400 tasks, nearly all hand-offs should ride
         // result acks rather than fresh notifications.
         assert!(
@@ -430,7 +348,7 @@ mod tests {
 
     #[test]
     fn nonzero_sleep_tasks_take_time() {
-        let cfg = quick_config(4, WireMode::Plain);
+        let cfg = quick_config(4, WireMode::Encoded);
         let out = run_sleep_workload(&cfg, 8, 50_000); // 8 × 50 ms on 4 workers
         assert_eq!(out.tasks, 8);
         // At least two waves of 50 ms.
@@ -439,7 +357,7 @@ mod tests {
 
     #[test]
     fn idle_release_shrinks_pool_without_losing_tasks() {
-        let mut cfg = quick_config(3, WireMode::Plain);
+        let mut cfg = quick_config(3, WireMode::Encoded);
         cfg.executor.idle_release_us = Some(30_000); // 30 ms idle release
         let out = run_sleep_workload(&cfg, 100, 0);
         assert_eq!(out.tasks, 100);
@@ -447,7 +365,7 @@ mod tests {
 
     #[test]
     fn empty_workload_returns_immediately() {
-        let out = run_workload(&quick_config(1, WireMode::Plain), Vec::new());
+        let out = run_workload(&quick_config(1, WireMode::Encoded), Vec::new());
         assert_eq!(out.tasks, 0);
     }
 }

@@ -5,10 +5,10 @@
 //! the paper's figures and tables are simulated (`falkon-exp`):
 //!
 //! * [`inproc`] — dispatcher, executors, and client as threads connected by
-//!   crossbeam channels; message encoding and the GSISecureConversation
-//!   stand-in are optionally applied on every hop so that "security on/off"
-//!   and "serialization cost" are real CPU work, exactly like the paper's
-//!   WS stack.
+//!   `std::sync::mpsc` channels; every hop encodes its message, and with
+//!   [`WireMode::Secure`] also seals it with the GSISecureConversation
+//!   stand-in, so "security on/off" and "serialization cost" are real CPU
+//!   work, exactly like the paper's WS stack.
 //! * [`tcp`] — the same deployment over real localhost TCP sockets with
 //!   length-delimited frames (the custom TCP notification path of Figure 2,
 //!   extended to all messages), and [`forwarder`] — the 3-tier deployment

@@ -26,6 +26,7 @@ pub use crate::conn::TcpSecurity;
 use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Engine, Handler, Token};
 use crate::exec::{route_actions, Dest};
+use crate::muxpeer::MuxOutcome;
 use crate::server::{self, Control, Mount};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{
@@ -312,16 +313,6 @@ impl Mount for DispatcherMount {
 // Peers
 // ---------------------------------------------------------------------------
 
-/// What a finished TCP executor observed: work done plus the wire-level
-/// counters of its connection — enough for a test to balance byte totals
-/// against the dispatcher's.
-pub struct TcpRunOutcome {
-    /// Tasks this executor ran.
-    pub tasks: u64,
-    /// Frame counts and sealed byte totals, both directions.
-    pub wire: Counters,
-}
-
 /// A TCP client run's result with its wire-level counters.
 pub struct TcpClientOutcome {
     /// Completions observed before the workload-complete edge.
@@ -340,7 +331,7 @@ pub fn run_executor(
     id: ExecutorId,
     config: ExecutorConfig,
     security: TcpSecurity,
-) -> io::Result<TcpRunOutcome> {
+) -> io::Result<MuxOutcome> {
     run_executor_probe(addr, id, config, security, NoopProbe).map(|(outcome, _)| outcome)
 }
 
@@ -354,18 +345,14 @@ pub fn run_executor_probe<P: Probe>(
     config: ExecutorConfig,
     security: TcpSecurity,
     probe: P,
-) -> io::Result<(TcpRunOutcome, P)> {
+) -> io::Result<(MuxOutcome, P)> {
     let mut probe = Some(probe);
     let make = || probe.take().expect("a pool of one mounts one probe");
     let mut pool = crate::muxpeer::run_pool(addr, id.0, 1, config, security, make)?;
     if let Some(e) = pool.socket_error {
         return Err(e);
     }
-    let outcome = TcpRunOutcome {
-        tasks: pool.outcome.tasks,
-        wire: pool.outcome.wire,
-    };
-    Ok((outcome, pool.probes.pop().expect("one machine ran")))
+    Ok((pool.outcome, pool.probes.pop().expect("one machine ran")))
 }
 
 /// One client workload over one connection: the [`Handler`] of

@@ -106,7 +106,7 @@ fn nightly_supports(cargo: &str, probe: &[&str]) -> bool {
 /// job-tree model (`-p falkon-pool`), the connection engine's three soaks —
 /// wire balance and backpressure, 1k-connection fan-out, three-tier
 /// dispatcher loss (root-package integration tests `tcp_soak` /
-/// `tcp_fanout` / `tcp_threetier`) — and the vendored channel's own tests.
+/// `tcp_fanout` / `tcp_threetier`).
 /// TSan needs nightly (`-Zsanitizer=thread`) plus rust-src for a
 /// `-Zbuild-std` rebuild of std with the sanitizer runtime.
 fn tsan(rest: &[String]) -> ExitCode {
@@ -127,7 +127,6 @@ fn tsan(rest: &[String]) -> ExitCode {
         &["test", "-p", "falkon", "--test", "tcp_soak"],
         &["test", "-p", "falkon", "--test", "tcp_fanout"],
         &["test", "-p", "falkon", "--test", "tcp_threetier"],
-        &["test", "-p", "crossbeam"],
     ];
     for suite in suites {
         let status = Command::new(&cargo)

@@ -8,7 +8,8 @@
 //! Starts one dispatcher thread and eight executor threads connected by
 //! channels, submits 20,000 `sleep 0` tasks in bundles of 300 with
 //! piggy-backing enabled (the paper's recommended configuration), and
-//! prints throughput with and without the security layer.
+//! prints throughput with and without the security layer; every hop
+//! encodes its messages either way.
 
 use falkon::core::DispatcherConfig;
 use falkon::proto::bundle::BundleConfig;
@@ -19,7 +20,6 @@ fn main() {
     let tasks = 20_000;
     println!("Falkon quickstart: {tasks} x `sleep 0` tasks, 8 executors\n");
     for (label, wire) in [
-        ("plain      (no serialization)        ", WireMode::Plain),
         ("encoded    (binary codec every hop)  ", WireMode::Encoded),
         ("secure     (authenticated encryption)", WireMode::Secure),
     ] {

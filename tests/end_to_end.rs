@@ -59,16 +59,13 @@ fn completed_exactly_once(out: &RunOutcome, n: u64) -> bool {
 #[test]
 fn wire_modes_complete_exactly_once_and_secure_frames_carry_a_mac() {
     let n = 3_000;
-    let [plain, encoded, secure] =
-        [WireMode::Plain, WireMode::Encoded, WireMode::Secure].map(|wire| {
-            let out = run_sleep_workload(&quick(8, wire), n, 0);
-            assert!(completed_exactly_once(&out, n), "{wire:?}");
-            out
-        });
+    let [encoded, secure] = [WireMode::Encoded, WireMode::Secure].map(|wire| {
+        let out = run_sleep_workload(&quick(8, wire), n, 0);
+        assert!(completed_exactly_once(&out, n), "{wire:?}");
+        out
+    });
     let frames = |out: &RunOutcome| out.obs.counters.count(ObsEventKind::BundleEncoded);
     let bytes = |out: &RunOutcome| out.obs.counters.value(ObsEventKind::BundleEncoded);
-    // Plain passes messages by value: nothing reaches a wire.
-    assert_eq!((frames(&plain), bytes(&plain)), (0, 0));
     // Each seal appends an 8-byte MAC to the encoded frame.
     let per_frame = |out: &RunOutcome| bytes(out) as f64 / frames(out) as f64;
     assert!(
@@ -81,7 +78,7 @@ fn wire_modes_complete_exactly_once_and_secure_frames_carry_a_mac() {
 
 #[test]
 fn idle_release_with_ongoing_work_never_loses_tasks() {
-    let mut cfg = quick(4, WireMode::Plain);
+    let mut cfg = quick(4, WireMode::Encoded);
     cfg.executor = ExecutorConfig {
         idle_release_us: Some(20_000), // aggressive 20 ms idle release
         prefetch: false,
@@ -106,7 +103,7 @@ fn real_process_execution() {
 
 #[test]
 fn failing_command_reports_nonzero_exit() {
-    let mut cfg = quick(2, WireMode::Plain);
+    let mut cfg = quick(2, WireMode::Encoded);
     cfg.spawn_processes = true;
     let mut task = TaskSpec::sleep(1, 0);
     task.command = "false".into();
@@ -122,14 +119,14 @@ fn bundling_reduces_submit_messages() {
     let unbundled = run_workload(
         &InprocConfig {
             bundle: BundleConfig::of(1),
-            ..quick(4, WireMode::Plain)
+            ..quick(4, WireMode::Encoded)
         },
         (0..n).map(|i| TaskSpec::sleep(i, 0)).collect(),
     );
     let bundled = run_workload(
         &InprocConfig {
             bundle: BundleConfig::of(300),
-            ..quick(4, WireMode::Plain)
+            ..quick(4, WireMode::Encoded)
         },
         (0..n).map(|i| TaskSpec::sleep(i, 0)).collect(),
     );

@@ -448,20 +448,22 @@ fn tcp_secure_first_frame_sent_with_the_hello_is_served() {
     write_frame(&mut bytes, &chan.handshake_message());
     chan.complete_handshake(&server_hello)
         .expect("server hello verifies");
+    let (mut seal, mut open) = chan.into_halves().expect("established");
     let register = EfficientCodec.encode(&Message::Register {
         executor: ExecutorId(7),
         host: "raw-peer".into(),
     });
-    write_frame(&mut bytes, &chan.seal(&register).expect("seal"));
+    let mut sealed = Vec::new();
+    seal.seal_into(&register, &mut sealed);
+    write_frame(&mut bytes, &sealed);
     peer.write_all(&bytes)
         .expect("hello + Register in one write");
 
     // Served within the 2 s read timeout: the dispatcher acks the register.
-    let ack = chan
-        .open(&read_frame(&mut peer))
-        .expect("sealed reply opens");
+    let mut reply = read_frame(&mut peer);
+    let ack = open.open_in_place(&mut reply).expect("sealed reply opens");
     assert_eq!(
-        EfficientCodec.decode(&ack).expect("decodes"),
+        EfficientCodec.decode(ack).expect("decodes"),
         Message::RegisterAck {
             executor: ExecutorId(7)
         }

@@ -38,7 +38,8 @@ use falkon::proto::bundle::BundleConfig;
 use falkon::proto::message::ExecutorId;
 use falkon::proto::task::TaskSpec;
 use falkon::rt::forwarder::ForwarderServer;
-use falkon::rt::tcp::{run_client, run_executor, ServerConfig, TcpRunOutcome};
+use falkon::rt::muxpeer::MuxOutcome;
+use falkon::rt::tcp::{run_client, run_executor, ServerConfig};
 use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
@@ -69,7 +70,7 @@ fn spawn_executors(
     addr: SocketAddr,
     first_id: u64,
     count: usize,
-) -> Vec<JoinHandle<std::io::Result<TcpRunOutcome>>> {
+) -> Vec<JoinHandle<std::io::Result<MuxOutcome>>> {
     (0..count)
         .map(|i| {
             thread::spawn(move || {
@@ -160,7 +161,7 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     assert_eq!(c2.done, WAVE2, "wave 2 lost completions");
 
     let (outcome, dispatcher_outcomes) = server.shutdown();
-    let exec_outcomes: Vec<TcpRunOutcome> = execs
+    let exec_outcomes: Vec<MuxOutcome> = execs
         .into_iter()
         .map(|e| e.join().expect("executor thread").expect("executor run"))
         .collect();
