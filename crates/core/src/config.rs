@@ -1,10 +1,9 @@
 //! Dispatcher configuration.
 
 use crate::policy::ReplayPolicy;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the streamlined dispatcher.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DispatcherConfig {
     /// Piggy-back new tasks on result acknowledgements (messages {6,7}
     /// collapse into one WS call per task; Section 3.4).

@@ -15,11 +15,10 @@ use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 use falkon_proto::message::Message;
 use falkon_proto::task::{TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Executor configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecutorConfig {
     /// Self-release after this much idle time (distributed release policy);
     /// `None` means never self-release.

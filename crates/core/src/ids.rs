@@ -7,12 +7,11 @@
 pub use falkon_proto::message::{ExecutorId, InstanceId, NotifyKey};
 pub use falkon_proto::task::TaskId;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One resource allocation granted by an LRM (a single first-level request;
 /// Table 4 counts these).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AllocationId(pub u64);
 
 impl fmt::Debug for AllocationId {

@@ -30,6 +30,7 @@ pub mod ids;
 pub mod mapping;
 pub mod policy;
 pub mod provisioner;
+pub mod switchboard;
 pub mod table;
 mod waitqueue;
 
@@ -41,6 +42,7 @@ pub use forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 pub use ids::AllocationId;
 pub use policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy, ReplayPolicy};
 pub use provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent, ProvisionerStats};
+pub use switchboard::Switchboard;
 pub use table::{DenseMap, FxHashMap, FxHashSet};
 
 /// Microsecond-resolution timestamp passed explicitly into every state

@@ -13,10 +13,9 @@
 //!   idle timeout) ([`ReleasePolicy`]).
 
 use crate::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Re-dispatch behaviour for lost or failed tasks.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ReplayPolicy {
     /// Maximum number of re-dispatches before the task is reported failed.
     pub max_retries: u32,
@@ -75,7 +74,7 @@ impl ReplayPolicy {
 ///
 /// Each strategy decides, given a deficit of `needed` executors, how many
 /// executors to ask the LRM for and split across how many requests.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum AcquisitionPolicy {
     /// One request for all `n` needed resources (the policy used in all of
     /// the paper's experiments).
@@ -143,7 +142,7 @@ impl AcquisitionPolicy {
 }
 
 /// When to release acquired resources (Section 3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReleasePolicy {
     /// Never release (the paper's "Falkon-∞" configuration).
     Never,
@@ -162,7 +161,7 @@ pub enum ReleasePolicy {
 /// Full provisioner configuration: bounds plus acquisition/release strategy
 /// (the parameters the dispatcher initializes the provisioner with, per
 /// Section 3.2).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ProvisionerPolicy {
     /// Never drop below this many executors.
     pub min_executors: u32,

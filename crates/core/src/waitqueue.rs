@@ -84,7 +84,7 @@ impl WaitQueue {
         for task in tasks {
             ids.push_back(task.id);
             match runs.back_mut() {
-                Some((shape, n)) if *n < u32::MAX && shape.same_shape(&task) => *n += 1,
+                Some((shape, n)) if *n < u32::MAX && same_shape(shape, &task) => *n += 1,
                 _ => runs.push_back((Arc::new(task), 1)),
             }
         }
@@ -159,6 +159,35 @@ impl WaitQueue {
     }
 }
 
+/// Whether `a` and `b` differ in nothing but their id: one *shape*, which
+/// a parameter sweep's tasks share. The cheap fields that tell sweeps
+/// apart come first; the destructuring makes a new `TaskSpec` field a
+/// compile error here rather than a silently merged run.
+#[inline]
+fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
+    let TaskSpec {
+        id: _,
+        command,
+        args,
+        env,
+        working_dir,
+        estimated_runtime_us,
+        data,
+    } = a;
+    *data == b.data
+        && *estimated_runtime_us == b.estimated_runtime_us
+        && *args == b.args
+        && *command == b.command
+        && *working_dir == b.working_dir
+        && *env == b.env
+}
+
+/// Task `id` of `spec`'s shape.
+#[inline]
+pub(crate) fn with_id(spec: &TaskSpec, id: TaskId) -> TaskSpec {
+    TaskSpec { id, ..spec.clone() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +260,7 @@ mod tests {
         let counts: Vec<u32> = q.batches[0].runs.iter().map(|r| r.1).collect();
         assert_eq!(counts, vec![2, 1, 2, 1]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| t.shape.with_id(t.id))
+            .map(|t| with_id(&t.shape, t.id))
             .collect();
         assert_eq!(out, tasks);
     }
@@ -259,7 +288,7 @@ mod tests {
         q.push(InstanceId(1), 0, 0, tasks);
         for want in 2..5 {
             let hit = q.take_first(3, wants(7)).unwrap();
-            assert_eq!(hit.shape.with_id(hit.id), reads(want, 7));
+            assert_eq!(with_id(&hit.shape, hit.id), reads(want, 7));
         }
         assert!(q.take_first(3, wants(7)).is_none());
         assert_eq!(q.batches[0].runs.len(), 2, "the drained run is gone");
@@ -309,7 +338,7 @@ mod tests {
         assert_eq!(q.batches[0].runs.len(), 4);
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| t.shape.with_id(t.id))
+            .map(|t| with_id(&t.shape, t.id))
             .collect();
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         for (i, (t, env)) in out.iter().zip(&held).enumerate() {

@@ -20,7 +20,6 @@
 //!   completions whose length grows with the live set (queue length).
 
 use crate::Micros;
-use serde::{Deserialize, Serialize};
 
 // Calibration constants. Every value cites the paper number it reproduces
 // (`tests/architecture.rs` checks the citation); the constructors
@@ -75,7 +74,7 @@ pub const GC_PAUSE_PER_QUEUED_US: f64 = 2.0;
 pub const GC_PAUSE_MIN_US: Micros = 50_000;
 
 /// Cost model for one simulated deployment.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
     /// Serial dispatcher CPU consumed per received or sent message, µs.
     pub dispatcher_msg_cpu_us: Micros,

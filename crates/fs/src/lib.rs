@@ -26,13 +26,12 @@ pub mod resource;
 pub use resource::IoResource;
 
 use falkon_proto::task::{DataAccess, DataLocation, DataSpec};
-use serde::{Deserialize, Serialize};
 
 /// Microsecond timestamps, matching `falkon-core`.
 pub type Micros = u64;
 
 /// Calibrated I/O cost parameters for one deployment.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FsConfig {
     /// GPFS I/O node count (8 in the paper's testbed).
     pub gpfs_io_nodes: u32,

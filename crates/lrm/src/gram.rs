@@ -11,12 +11,11 @@
 use crate::job::{JobId, JobSpec, JobState};
 use crate::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use crate::Micros;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// GRAM gateway cost parameters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct GramConfig {
     /// Serial handling time per submission (the ≈0.5 req/s bottleneck).
     pub submit_overhead_us: Micros,

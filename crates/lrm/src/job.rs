@@ -1,11 +1,10 @@
 //! Batch job descriptions and lifecycle states.
 
 use crate::Micros;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a job within one scheduler.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Debug for JobId {
@@ -15,7 +14,7 @@ impl fmt::Debug for JobId {
 }
 
 /// A first-level request to the batch scheduler.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JobSpec {
     /// Caller-assigned id (unique per scheduler).
     pub id: JobId,
@@ -53,7 +52,7 @@ impl JobSpec {
 }
 
 /// Why a job reached `Done`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DoneReason {
     /// Payload ran to completion.
     Completed,
@@ -64,7 +63,7 @@ pub enum DoneReason {
 }
 
 /// Job lifecycle, as GRAM4 reports it (Queued → Active → Done).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JobState {
     /// Waiting in the scheduler queue.
     Queued,

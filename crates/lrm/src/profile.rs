@@ -8,10 +8,9 @@
 //! job.
 
 use crate::Micros;
-use serde::{Deserialize, Serialize};
 
 /// Cost model for one batch-scheduler deployment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LrmProfile {
     /// Human-readable name ("PBS v2.1.8", …).
     pub name: &'static str,

@@ -7,10 +7,9 @@
 //! pathology (see [`crate::codec::AxisCodec`]).
 
 use crate::task::TaskSpec;
-use serde::{Deserialize, Serialize};
 
 /// Client-side bundling configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BundleConfig {
     /// Maximum tasks per submit message. 1 disables bundling.
     pub max_bundle: usize,

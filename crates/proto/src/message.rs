@@ -7,11 +7,10 @@
 //! provisioner's `{POLL}` of dispatcher state and executor registration.
 
 use crate::task::{TaskResult, TaskSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a registered executor.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ExecutorId(pub u64);
 
 impl fmt::Debug for ExecutorId {
@@ -23,7 +22,7 @@ impl fmt::Debug for ExecutorId {
 /// A dispatcher *instance* endpoint reference (EPR). The dispatcher
 /// implements the factory/instance pattern: each client creates its own
 /// instance and uses its EPR for all subsequent calls.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstanceId(pub u64);
 
 impl fmt::Debug for InstanceId {
@@ -34,7 +33,7 @@ impl fmt::Debug for InstanceId {
 
 /// The resource key carried by a notification: identifies where pending work
 /// can be picked up at the dispatcher.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NotifyKey(pub u64);
 
 impl fmt::Debug for NotifyKey {
@@ -44,7 +43,7 @@ impl fmt::Debug for NotifyKey {
 }
 
 /// A snapshot of dispatcher state returned to the provisioner's `{POLL}`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DispatcherStatus {
     /// Tasks waiting in the dispatch queue.
     pub queued_tasks: u64,
@@ -57,7 +56,7 @@ pub struct DispatcherStatus {
 }
 
 /// Every message exchanged between Falkon components.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Message {
     /// Client → dispatcher: create a new instance (factory pattern).
     CreateInstance,

@@ -6,13 +6,12 @@
 //! (paper Section 3.2). [`DataSpec`] additionally describes the synthetic
 //! data staging performed by the Section 4.2 experiments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 /// Globally unique task identifier, assigned by the client.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl fmt::Debug for TaskId {
@@ -28,7 +27,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Where a task's input/output data lives (Section 4.2 experiments).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DataLocation {
     /// The GPFS shared filesystem (8 I/O nodes in the paper's testbed).
     SharedFs,
@@ -37,7 +36,7 @@ pub enum DataLocation {
 }
 
 /// Whether a task only reads its data or reads and writes it back.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DataAccess {
     /// Read `bytes` of input only.
     Read,
@@ -46,7 +45,7 @@ pub enum DataAccess {
 }
 
 /// Synthetic data-staging requirements attached to a task.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DataSpec {
     /// Identity of the data object (files with the same id are the same
     /// data; lets caches and the data-aware dispatcher recognise reuse).
@@ -180,13 +179,6 @@ impl From<String> for IStr {
     }
 }
 
-// The workspace's serde is the vendored no-op stand-in (see `vendor/serde`);
-// these marker impls let `TaskSpec` keep its derives. A real serde would
-// serialize an `IStr` as a plain string and re-intern on deserialize.
-impl Serialize for IStr {}
-
-impl<'de> Deserialize<'de> for IStr {}
-
 /// A task's argument list, 24 bytes: nothing, one argument held inline, or
 /// a boxed slice of two or more.
 ///
@@ -290,12 +282,6 @@ impl<'a> IntoIterator for &'a Args {
     }
 }
 
-// No-op marker impls matching the vendored serde stand-in; a real serde
-// would serialize `Args` as a sequence of strings.
-impl Serialize for Args {}
-
-impl<'de> Deserialize<'de> for Args {}
-
 /// A unit of work dispatched by Falkon: an executable invocation, 128
 /// bytes in memory.
 ///
@@ -307,7 +293,7 @@ impl<'de> Deserialize<'de> for Args {}
 /// `sleep` constructors and the decode path intern their strings, so
 /// building, cloning, or decoding a microbenchmark spec allocates nothing
 /// and bumps no refcounts at all.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TaskSpec {
     /// Unique id.
     pub id: TaskId,
@@ -444,40 +430,10 @@ impl TaskSpec {
     pub fn runtime_us(&self) -> u64 {
         self.estimated_runtime_us.unwrap_or(0)
     }
-
-    /// Whether `self` and `other` differ in nothing but their id: one
-    /// *shape*, which a parameter sweep's tasks share. The cheap fields
-    /// that tell sweeps apart come first; the destructuring makes a new
-    /// `TaskSpec` field a compile error here rather than a silently merged
-    /// run.
-    #[inline]
-    pub fn same_shape(&self, other: &TaskSpec) -> bool {
-        let TaskSpec {
-            id: _,
-            command,
-            args,
-            env,
-            working_dir,
-            estimated_runtime_us,
-            data,
-        } = self;
-        *data == other.data
-            && *estimated_runtime_us == other.estimated_runtime_us
-            && *args == other.args
-            && *command == other.command
-            && *working_dir == other.working_dir
-            && *env == other.env
-    }
-
-    /// Task `id` of this spec's shape.
-    #[inline]
-    pub fn with_id(&self, id: TaskId) -> TaskSpec {
-        TaskSpec { id, ..self.clone() }
-    }
 }
 
 /// The outcome of one executed task, 32 bytes in memory.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TaskResult {
     /// The task this result belongs to.
     pub id: TaskId,

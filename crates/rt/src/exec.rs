@@ -1,11 +1,10 @@
-//! What both runtimes do with a machine's actions: run task bodies, pump
-//! an executor until it goes quiet, and route a dispatcher's output.
+//! What both runtimes do with an executor machine's actions: run task
+//! bodies and pump the machine until it goes quiet.
 
 use crate::clock::Clock;
-use falkon_core::dispatcher::{DispatcherAction, TaskRecord};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorEvent};
 use falkon_obs::Probe;
-use falkon_proto::message::{ExecutorId, InstanceId, Message};
+use falkon_proto::message::Message;
 use falkon_proto::task::{TaskResult, TaskSpec};
 use std::thread;
 use std::time::Duration;
@@ -46,36 +45,6 @@ pub(crate) fn pump_executor<P: Probe, E>(
         }
     }
     Ok(false)
-}
-
-/// Where a dispatcher action's message is addressed.
-pub(crate) enum Dest {
-    /// A registered executor.
-    Executor(ExecutorId),
-    /// A client instance.
-    Client(InstanceId),
-    /// Whoever sent the `StatusPoll` being answered.
-    Provisioner,
-}
-
-/// Drain one wake-up's accumulated dispatcher actions: every outbound
-/// message goes to `send` with its destination, completions are recorded.
-pub(crate) fn route_actions(
-    out: &mut Vec<DispatcherAction>,
-    records: &mut Vec<TaskRecord>,
-    mut send: impl FnMut(Dest, Message),
-) {
-    for act in out.drain(..) {
-        match act {
-            DispatcherAction::ToExecutor { executor, msg } => send(Dest::Executor(executor), msg),
-            DispatcherAction::ToClient { instance, msg } => send(Dest::Client(instance), msg),
-            DispatcherAction::ToProvisioner { status } => {
-                send(Dest::Provisioner, Message::Status { status })
-            }
-            DispatcherAction::TaskDone { record, .. } => records.push(record),
-            DispatcherAction::TaskFailed { .. } => {}
-        }
-    }
 }
 
 /// Execute a task without spawning a process: `sleep <secs>` sleeps, any

@@ -12,9 +12,9 @@
 //!   `CreateInstance`, and gets a forwarder-tier `InstanceId`; each
 //!   `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`], and the
 //!   machine's least-loaded policy picks the downstream dispatcher.
-//!   Results are pushed back as `Results` frames on the owning client's
-//!   connection (the direct-push variant of the notify protocol —
-//!   `message_to_client_event` feeds them straight to the client machine).
+//!   Results are pushed back as `Results` frames to the connection the
+//!   [`Switchboard`] binds the instance to, the last one that named it
+//!   (the direct-push variant of the notify protocol).
 //! * **Downstream** (dialed connections, one per dispatcher): the server
 //!   handle dials the dispatcher and has the forwarder's thread adopt the
 //!   stream under the dispatcher's slot tag — the one control-plane
@@ -53,9 +53,9 @@ use crate::engine::{Handler, Token};
 use crate::server::{self, Control, Mount};
 use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
+use falkon_core::Switchboard;
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::message::{InstanceId, Message};
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -216,14 +216,15 @@ struct Link {
 }
 
 /// The forwarder's [`Mount`]: the machine, run inside the engine turn,
-/// and the routing tables of both faces. The machine arms no deadlines.
+/// the slots' links downstream and the [`Switchboard`] upstream. The
+/// machine arms no deadlines.
 struct ForwarderMount {
     clock: Clock,
     fwd: Forwarder<Recorder>,
     actions: Vec<ForwarderAction>,
     links: Vec<Link>,
     link_up: Sender<io::Result<()>>,
-    inst_conn: HashMap<InstanceId, Token>,
+    routes: Switchboard<Token>,
     next_instance: u64,
     outbox: Vec<(Token, Message)>,
     upstream_wire: Counters,
@@ -238,7 +239,7 @@ impl ForwarderMount {
             actions: Vec::new(),
             links: (0..n).map(|_| Link::default()).collect(),
             link_up,
-            inst_conn: HashMap::new(),
+            routes: Switchboard::default(),
             next_instance: 1,
             outbox: Vec::new(),
             upstream_wire: Counters::new(),
@@ -303,23 +304,22 @@ impl ForwarderMount {
 
     /// Handle one message from a client.
     fn on_upstream(&mut self, token: Token, msg: Message, now: u64) {
+        self.routes.heard(token, &msg);
         match msg {
             Message::CreateInstance => {
                 let instance = InstanceId(self.next_instance);
                 self.next_instance += 1;
-                self.inst_conn.insert(instance, token);
-                self.outbox
-                    .push((token, Message::InstanceCreated { instance }));
+                let created = Message::InstanceCreated { instance };
+                if let Some(to) = self.routes.to_instance(instance, &created, Some(token)) {
+                    self.outbox.push((to, created));
+                }
             }
             Message::Submit { instance, tasks } => {
                 let ev = ForwarderEvent::ClientSubmit { instance, tasks };
                 self.fwd.on_event(now, ev, &mut self.actions);
             }
-            Message::DestroyInstance { instance } => {
-                self.inst_conn.remove(&instance);
-            }
-            // GetResults never arrives in the push protocol; everything
-            // else on this face is a peer speaking the wrong role.
+            // Bindings are the switchboard's; anything else here is a peer
+            // speaking the wrong role.
             _ => {}
         }
     }
@@ -343,8 +343,9 @@ impl ForwarderMount {
                         .push((token, Message::Submit { instance, tasks }));
                 }
                 ForwarderAction::DeliverResults { instance, results } => {
-                    if let Some(&token) = self.inst_conn.get(&instance) {
-                        self.outbox.push((token, Message::Results { results }));
+                    let msg = Message::Results { results };
+                    if let Some(to) = self.routes.to_instance(instance, &msg, None) {
+                        self.outbox.push((to, msg));
                     }
                 }
             }
@@ -388,7 +389,7 @@ impl Handler<Peer> for ForwarderMount {
                 // Results for a gone client's instances are dropped at
                 // delivery time; the tasks themselves still complete.
                 self.upstream_wire.merge(&closed.wire);
-                self.inst_conn.retain(|_, conn| *conn != token);
+                self.routes.close(token);
             }
         }
     }

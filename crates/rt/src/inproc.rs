@@ -8,13 +8,14 @@
 //! that counts its own wire bytes, as a socket's `Conn` does.
 
 use crate::clock::Clock;
-use crate::exec::{pump_executor, route_actions, Dest};
+use crate::exec::pump_executor;
+use crate::tcp::DispatcherOutcome;
 use crate::transport::{link, Endpoint, WireMode};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{Dispatcher, DispatcherEvent, TaskRecord};
 use falkon_core::executor::{Executor, ExecutorConfig, ExecutorEvent};
 use falkon_core::mapping::{message_to_client_event, message_to_dispatcher_event};
-use falkon_core::DispatcherConfig;
+use falkon_core::{DispatcherConfig, Switchboard};
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::ExecutorId;
@@ -92,8 +93,8 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
     let (disp_tx, disp_rx) = channel::<DispIn>();
 
     // One link per executor, then the client's: the dispatcher keeps its
-    // side of each in one table, indexed by executor id with the client
-    // last.
+    // side of each in one table, and its switchboard binds each executor
+    // and instance to an index of it as their messages arrive.
     let mut peers: Vec<Peer> = Vec::with_capacity(config.executors + 1);
     let mut handles = Vec::new();
     for i in 0..config.executors {
@@ -174,64 +175,41 @@ fn dispatcher_thread(
     clock: Clock,
     rx: Receiver<DispIn>,
     mut peers: Vec<Peer>,
-) -> (
-    Vec<TaskRecord>,
-    falkon_core::dispatcher::DispatcherStats,
-    Recorder,
-) {
-    let client_peer = peers.len() - 1;
+) -> DispatcherOutcome {
     let mut d = Dispatcher::with_probe(config, Recorder::new());
+    let mut routes: Switchboard<usize> = Switchboard::default();
     let mut records = Vec::new();
     let mut out = Vec::new();
-    // Cap on messages handled per wake-up, so deadline checks and action
-    // routing cannot be starved by a firehose of inbound packets.
-    const MAX_DRAIN: u32 = 256;
     // Event-driven wait: a pending replay deadline bounds the sleep; with
     // nothing outstanding, block until a message arrives — there is no
     // periodic wake-up.
-    while let Ok(first) = clock.recv_until(&rx, d.next_deadline()) {
+    while let Ok(input) = clock.recv_until(&rx, d.next_deadline()) {
         // Read the clock after the (possibly long) wait, or deadline checks
         // would be evaluated against a stale pre-wait timestamp.
         let now = clock.now_us();
-        if first.is_none() {
-            d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
-        }
-        // Batch-drain: after the blocking receive, feed everything already
-        // queued (bounded) into the machine under one timestamp, then route
-        // the accumulated actions in one pass — one wake-up, one clock
-        // read, one action drain for the whole burst.
-        let mut next = first;
-        let mut drained = 0u32;
-        let mut stop = false;
-        while let Some(input) = next.take() {
-            let DispIn::Packet(from, packet) = input else {
-                stop = true;
-                break;
-            };
-            let msg = peers[from].0.unpack(packet).expect("valid packet");
-            if let Some(ev) = message_to_dispatcher_event(msg) {
-                d.on_event(now, ev, &mut out);
+        // Whose message the machine answers, if anyone's.
+        let cause = match input {
+            None => {
+                d.on_event(now, DispatcherEvent::CheckDeadlines, &mut out);
+                None
             }
-            drained += 1;
-            if drained < MAX_DRAIN {
-                next = rx.try_recv().ok();
+            Some(DispIn::Packet(from, packet)) => {
+                let msg = peers[from].0.unpack(packet).expect("valid packet");
+                routes.heard(from, &msg);
+                if let Some(ev) = message_to_dispatcher_event(msg) {
+                    d.on_event(now, ev, &mut out);
+                }
+                Some(from)
             }
-        }
+            Some(DispIn::Stop) => break,
+        };
         // A send failure means the peer already exited (e.g. an
         // idle-released executor); the dispatcher will time the task out
         // and replay.
-        route_actions(&mut out, &mut records, |dest, msg| {
-            let to = match dest {
-                Dest::Executor(e) => e.0 as usize,
-                Dest::Client(_) => client_peer,
-                Dest::Provisioner => return,
-            };
+        routes.route(&mut out, cause, &mut records, |to, msg| {
             let (ep, tx) = &mut peers[to];
             let _ = tx.send(ep.pack(&msg));
         });
-        if stop {
-            break;
-        }
     }
     let stats = d.stats();
     let mut obs = d.probe().clone();

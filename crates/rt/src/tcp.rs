@@ -8,15 +8,12 @@
 //! use; it exercises the exact Figure 2 message sequence over a real
 //! network stack (localhost).
 //!
-//! Every socket here — server side and peer side — is a [`Conn`] serviced
-//! by the one readiness loop in [`crate::engine`] (DESIGN.md §10.3). A
-//! [`DispatcherServer`] is exactly one thread running that loop
-//! (`server::run`) over the listener, a control fd and every
-//! connection; the sans-io [`Dispatcher`] machine runs inside the turn, in
-//! the loop's callbacks, and its next deadline bounds the poll.
-//! [`run_executor`] and [`run_client`] mount the same loop over one
-//! connection on the caller's thread, their machines inline too: no
-//! socket path in this crate has a reader thread or a channel hop.
+//! Every socket here is a [`Conn`] on the one readiness loop of
+//! [`crate::engine`] (DESIGN.md §10.3). A [`DispatcherServer`] is one
+//! thread running it (`server::run`), with the [`Dispatcher`] machine
+//! inside the turn and a [`Switchboard`] deciding which connection each
+//! message goes to; [`run_executor`] and [`run_client`] run the same loop
+//! on the caller's thread.
 //!
 //! No wait in this module is a fixed sleep or a read-timeout cadence
 //! (`clippy.toml`'s `disallowed-methods` pins this).
@@ -25,7 +22,6 @@ use crate::clock::Clock;
 pub use crate::conn::TcpSecurity;
 use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Engine, Handler, Token};
-use crate::exec::{route_actions, Dest};
 use crate::muxpeer::MuxOutcome;
 use crate::server::{self, Control, Mount};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
@@ -33,12 +29,11 @@ use falkon_core::dispatcher::{
     Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
 };
 use falkon_core::executor::ExecutorConfig;
-use falkon_core::DispatcherConfig;
+use falkon_core::{DispatcherConfig, Switchboard};
 use falkon_obs::{Counters, NoopProbe, Probe, Recorder};
 use falkon_proto::bundle::BundleConfig;
-use falkon_proto::message::{ExecutorId, InstanceId, Message};
+use falkon_proto::message::{ExecutorId, Message};
 use falkon_proto::task::TaskSpec;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
@@ -168,7 +163,7 @@ pub type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
 pub struct DispatcherServer {
     /// The bound address (connect executors/clients here).
     pub addr: SocketAddr,
-    control: Control<Peer>,
+    control: Control<()>,
     thread: JoinHandle<DispatcherMount>,
 }
 
@@ -182,8 +177,7 @@ impl DispatcherServer {
             clock: bound.clock,
             machine: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
             actions: Vec::new(),
-            exec_conn: HashMap::new(),
-            inst_conn: HashMap::new(),
+            routes: Switchboard::default(),
             records: Vec::new(),
             outbox: Vec::new(),
             wire: Counters::new(),
@@ -209,18 +203,13 @@ impl DispatcherServer {
     }
 }
 
-/// What the routes remember about one connection and cannot derive: the
-/// executors that registered on it, in order.
-type Peer = Vec<ExecutorId>;
-
 /// The dispatcher's [`Mount`]: the machine, run inside the engine turn,
-/// and which connection serves which executor and instance.
+/// and the [`Switchboard`] addressing what it says.
 struct DispatcherMount {
     clock: Clock,
     machine: Dispatcher<Recorder>,
     actions: Vec<DispatcherAction>,
-    exec_conn: HashMap<ExecutorId, Token>,
-    inst_conn: HashMap<InstanceId, Token>,
+    routes: Switchboard<Token>,
     records: Vec<TaskRecord>,
     outbox: Vec<(Token, Message)>,
     /// Wire counters of every finished connection.
@@ -228,73 +217,45 @@ struct DispatcherMount {
 }
 
 impl DispatcherMount {
-    /// Feed the machine one event and address what it says. `current` is
-    /// the connection whose message this is: fresh instances bind to it,
-    /// and a status poll is answered on it.
-    fn step(&mut self, ev: DispatcherEvent, current: Option<Token>) {
+    /// Feed the machine one event and address what it says; `cause` is
+    /// the connection whose message this is.
+    fn step(&mut self, ev: DispatcherEvent, cause: Option<Token>) {
         self.machine
             .on_event(self.clock.now_us(), ev, &mut self.actions);
-        route_actions(&mut self.actions, &mut self.records, |dest, msg| {
-            let token = match dest {
-                Dest::Executor(executor) => self.exec_conn.get(&executor).copied(),
-                Dest::Client(instance) => {
-                    if let (Message::InstanceCreated { instance }, Some(token)) = (&msg, current) {
-                        self.inst_conn.insert(*instance, token);
-                    }
-                    self.inst_conn.get(&instance).copied()
-                }
-                Dest::Provisioner => current,
-            };
-            if let Some(token) = token {
-                self.outbox.push((token, msg));
-            }
-        });
+        let outbox = &mut self.outbox;
+        self.routes
+            .route(&mut self.actions, cause, &mut self.records, |to, msg| {
+                outbox.push((to, msg))
+            });
     }
 }
 
-impl Handler<Peer> for DispatcherMount {
-    fn inbound(
-        &mut self,
-        token: Token,
-        _: &mut Conn,
-        peer: &mut Peer,
-        ev: Inbound,
-    ) -> io::Result<bool> {
+impl Handler<()> for DispatcherMount {
+    fn inbound(&mut self, token: Token, _: &mut Conn, _: &mut (), ev: Inbound) -> io::Result<bool> {
         let Inbound::Msg(msg) = ev else {
             return Ok(false);
         };
-        // Remember which connection each executor registered on.
-        if let Message::Register { executor, .. } = &msg {
-            self.exec_conn.insert(*executor, token);
-            peer.push(*executor);
-        }
+        self.routes.heard(token, &msg);
         if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
             self.step(ev, Some(token));
         }
         Ok(false)
     }
 
-    fn closed(&mut self, token: Token, peer: Peer, closed: Closed) {
+    fn closed(&mut self, token: Token, _: (), closed: Closed) {
         self.wire.merge(&closed.wire);
         // Our own stop closing everything is the end of the run, not a loss.
         if closed.local {
             return;
         }
-        // Only routes that still lead here are lost: an executor that came
-        // back on a fresh connection before this close was seen keeps its
-        // live route (and its tasks).
-        for executor in peer {
-            if self.exec_conn.get(&executor) == Some(&token) {
-                self.exec_conn.remove(&executor);
-                self.step(DispatcherEvent::ExecutorLost { executor }, None);
-            }
+        for executor in self.routes.close(token) {
+            self.step(DispatcherEvent::ExecutorLost { executor }, None);
         }
-        self.inst_conn.retain(|_, conn| *conn != token);
     }
 }
 
 impl Mount for DispatcherMount {
-    type Peer = Peer;
+    type Peer = ();
 
     fn outbox(&mut self) -> &mut Vec<(Token, Message)> {
         &mut self.outbox

@@ -5,10 +5,8 @@
 //! `UC_x64` machine the paper ran it on, and executor counts respect the node
 //! inventories of the TeraGrid clusters.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of Table 1.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Platform {
     /// Site name as used in the paper.
     pub name: &'static str,

@@ -2,12 +2,11 @@
 
 use crate::Micros;
 use falkon_proto::task::DataSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a task within a [`Dag`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl fmt::Debug for NodeId {
@@ -17,7 +16,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// One workflow task.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct WfTask {
     /// Executable name (e.g. `mProject`).
     pub name: String,

@@ -35,9 +35,10 @@ const FILE_TYPES: [&str; 6] = [".rs", ".md", ".toml", ".json", ".yml", ".lock"];
 type Check = fn(&str, &str) -> Vec<String>;
 /// The per-source-file checks, by name; `registry` and `docs` read the
 /// whole file set.
-const CHECKS: [(&str, Check); 5] = [
+const CHECKS: [(&str, Check); 6] = [
     ("sans_io", sans_io),
     ("probe_provenance", probe_provenance),
+    ("routing", routing),
     ("calibration", calibration),
     ("atomic_protocol", atomic_protocol),
     ("test_layout", test_layout),
@@ -110,6 +111,28 @@ fn sans_io(path: &str, src: &str) -> Vec<String> {
 fn probe_provenance(path: &str, src: &str) -> Vec<String> {
     let why = "machines emit events; drivers report bytes through `WireTap`";
     forbid(path, src, &DRIVERS, "ObsEvent::", why)
+}
+
+/// Whether `line` names a map type (`HashMap<`, `DenseMap::<`…) whose key
+/// is an executor or an instance id.
+fn keyed_by_id(line: &str) -> bool {
+    line.match_indices("Map").any(|(i, m)| {
+        let rest = line[i + m.len()..].trim_start_matches("::");
+        let Some(key) = rest.strip_prefix('<') else {
+            return false;
+        };
+        let key = key.split([',', '>']).next().unwrap_or("");
+        let key = key.rsplit("::").next().unwrap_or("").trim();
+        ["ExecutorId", "InstanceId"].contains(&key)
+    })
+}
+
+fn routing(path: &str, src: &str) -> Vec<String> {
+    if krate(path) != "rt" {
+        return Vec::new();
+    }
+    let why = "drivers keep no routes: `falkon_core::switchboard` binds executors and instances";
+    per_line(path, src, |_, l| keyed_by_id(l).then(|| why.into()))
 }
 
 /// `NAME` if `line` declares `const NAME:` (not `const fn`, not `*const`).
@@ -412,6 +435,13 @@ const FIXTURES: &[Fixture] = &[
         ("crates/rt/src/tcp.rs", "fn leak(c: &mut Counters, bytes: u64) {\n    c.observe(&ObsEvent::BundleEncoded { bytes });\n}"),
         ("crates/obs/src/wiretap.rs", "fn emit(bytes: u64) -> ObsEvent { ObsEvent::BundleEncoded { bytes } }"),
     ], &["probe_provenance crates/rt/src/tcp.rs:2"]),
+    ("routing: the parent's two route maps, one by path; a map keyed by a connection, a comment, a test \
+      and the switchboard itself are fine", &[
+        ("crates/rt/src/tcp.rs", "struct DispatcherMount {\n    exec_conn: HashMap<ExecutorId, Token>,\n    \
+          inst_conn: HashMap::<falkon_proto::message::InstanceId, Token>,\n    peers: HashMap<Token, Vec<ExecutorId>>, \
+          // HashMap<ExecutorId, Token>\n}\n#[cfg(test)]\nmod tests {\n    type Seen = BTreeMap<InstanceId, u64>;\n}"),
+        ("crates/core/src/switchboard.rs", "struct Switchboard<K> {\n    executors: HashMap<ExecutorId, (K, u64)>,\n}"),
+    ], &["routing crates/rt/src/tcp.rs:2", "routing crates/rt/src/tcp.rs:3"]),
     ("calibration: an uncited and an undocumented constant; each citation form, with notes and attributes \
       between; no const fn or *const; only the two calibration files", &[
         ("crates/exp/src/costs.rs", "/// A lovingly hand-tuned number; see the Table below.\npub const UNCITED: u64 = 42;\n\n\

@@ -2,8 +2,9 @@
 //! sequence over real sockets, with and without the security layer, plus
 //! executor churn, the handshake's corner cases (a first frame sent with
 //! the hello, a peer that never speaks, a wrong key), the status poll, an
-//! executor that re-registers on a fresh connection, the machine's replay
-//! deadline riding the poll timeout, and work bundles with pre-fetch.
+//! executor that re-registers on a fresh connection, a client that
+//! reconnects for its results, the machine's replay deadline riding the
+//! poll timeout, and work bundles with pre-fetch.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -152,7 +153,7 @@ fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
 
 /// A hand-driven plain-text executor on a blocking socket (2 s read
 /// timeout, so a message that never comes fails the test instead of
-/// hanging it).
+/// hanging it). Unregistered, it is a hand-driven client.
 struct RawExecutor {
     id: ExecutorId,
     stream: TcpStream,
@@ -165,18 +166,23 @@ struct RawExecutor {
 }
 
 impl RawExecutor {
-    /// Connect and register as `id`; returns once the dispatcher has acked.
-    fn register(addr: std::net::SocketAddr, id: u64) -> RawExecutor {
+    /// Connect as `id` without registering.
+    fn connect(addr: std::net::SocketAddr, id: u64) -> RawExecutor {
         let stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(2)))
             .expect("timeout");
-        let mut raw = RawExecutor {
+        RawExecutor {
             id: ExecutorId(id),
             stream,
             sent: (0, 0),
             received: (0, 0),
-        };
+        }
+    }
+
+    /// Connect and register as `id`; returns once the dispatcher has acked.
+    fn register(addr: std::net::SocketAddr, id: u64) -> RawExecutor {
+        let mut raw = RawExecutor::connect(addr, id);
         raw.send(&Message::Register {
             executor: raw.id,
             host: "raw-peer".into(),
@@ -286,6 +292,78 @@ fn tcp_reregistered_executor_survives_its_old_connections_close() {
     assert_eq!(records.len(), 1, "completed exactly once");
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.retries, 0, "a live executor's task was replayed");
+}
+
+/// Results wait on the instance, not on the connection that created it
+/// (the paper's factory/instance pattern): a client that submits, drops
+/// its connection after the `SubmitAck` and fetches from a fresh one
+/// receives every result exactly once. (The instance used to be reachable
+/// only through the connection that created it: `GetResults` on the new
+/// one took the results off the instance and dropped them.)
+#[test]
+fn tcp_reconnecting_client_fetches_every_result_exactly_once() {
+    const N: u64 = 40;
+    let config = ServerConfig::builder().build().expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let execs: Vec<_> = (0..2)
+        .map(|i| {
+            thread::spawn(move || {
+                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+            })
+        })
+        .collect();
+
+    let mut client = RawExecutor::connect(addr, 0);
+    client.send(&Message::CreateInstance);
+    let Message::InstanceCreated { instance } = client.recv() else {
+        panic!("expected InstanceCreated");
+    };
+    client.send(&Message::Submit {
+        instance,
+        tasks: tasks(N),
+    });
+    loop {
+        match client.recv() {
+            Message::SubmitAck { accepted, .. } => break assert_eq!(accepted, N),
+            Message::ClientNotify { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    drop(client);
+
+    // Fetch from a fresh connection until every result is in, then once
+    // more: nothing may come twice.
+    let mut client = RawExecutor::connect(addr, 0);
+    let mut fetch = || {
+        client.send(&Message::GetResults { instance });
+        loop {
+            match client.recv() {
+                Message::Results { results } => break results,
+                Message::ClientNotify { .. } => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    };
+    let mut seen = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (seen.len() as u64) < N && Instant::now() < deadline {
+        let results = fetch();
+        if results.is_empty() {
+            thread::sleep(Duration::from_millis(5));
+        }
+        seen.extend(results.iter().map(|r| r.id.0));
+    }
+    seen.extend(fetch().iter().map(|r| r.id.0));
+    seen.sort_unstable();
+    assert_eq!(seen, (0..N).collect::<Vec<_>>(), "each result exactly once");
+
+    let (records, stats, _) = server.shutdown();
+    assert_eq!(records.len() as u64, N);
+    assert_eq!(stats.completed, N);
+    for e in execs {
+        e.join().expect("executor thread").ok();
+    }
 }
 
 /// The machine's replay deadline is folded into the server's poll timeout:
