@@ -6,7 +6,6 @@
 //! crate.
 
 use crate::ids::InstanceId;
-use crate::table::FxHashMap;
 use crate::Micros;
 use falkon_proto::bundle::{bundles, BundleConfig};
 use falkon_proto::message::Message;
@@ -45,29 +44,18 @@ pub enum ClientAction {
     WorkloadComplete,
 }
 
-/// Per-task completion record kept by the client.
-#[derive(Clone, Debug)]
-pub struct CompletionRecord {
-    /// The result as delivered.
-    pub result: TaskResult,
-    /// When the client submitted the task (µs).
-    pub submitted_us: Micros,
-    /// When the client received the result (µs).
-    pub received_us: Micros,
-}
-
 /// A Falkon client session. Queue tasks with [`Client::enqueue`], drive it
-/// with events, and read completions from [`Client::completions`].
+/// with events, and take delivered results with [`Client::take_results`].
+/// It keeps nothing per task: a count of what is outstanding, and the
+/// results delivered and not yet taken.
 pub struct Client {
     bundle: BundleConfig,
     instance: Option<InstanceId>,
     /// Tasks waiting for the instance to be created.
     staged: Vec<TaskSpec>,
-    /// Submission timestamps by task id.
-    submitted_at: FxHashMap<u64, Micros>,
     outstanding: u64,
-    completions: Vec<CompletionRecord>,
-    done_emitted: bool,
+    /// Results delivered and not yet taken.
+    results: Vec<TaskResult>,
 }
 
 impl Client {
@@ -77,10 +65,8 @@ impl Client {
             bundle,
             instance: None,
             staged: Vec::new(),
-            submitted_at: FxHashMap::default(),
             outstanding: 0,
-            completions: Vec::new(),
-            done_emitted: false,
+            results: Vec::new(),
         }
     }
 
@@ -94,35 +80,37 @@ impl Client {
         self.outstanding
     }
 
-    /// Completed task records.
-    pub fn completions(&self) -> &[CompletionRecord] {
-        &self.completions
+    /// Results delivered and not yet taken.
+    pub fn completions(&self) -> &[TaskResult] {
+        &self.results
+    }
+
+    /// Take the results delivered since the last call. A driver that
+    /// calls this after every pickup keeps the client's memory flat.
+    pub fn take_results(&mut self) -> Vec<TaskResult> {
+        std::mem::take(&mut self.results)
     }
 
     /// Queue tasks for submission. If the instance already exists, returns
     /// the submit actions immediately; otherwise tasks are staged until
-    /// [`ClientEvent::InstanceCreated`] arrives.
-    pub fn enqueue(&mut self, now: Micros, tasks: Vec<TaskSpec>, out: &mut Vec<ClientAction>) {
-        for t in &tasks {
-            self.submitted_at.insert(t.id.0, now);
-        }
+    /// [`ClientEvent::InstanceCreated`] arrives. The client keeps no
+    /// timestamps, so `_now` is unused.
+    pub fn enqueue(&mut self, _now: Micros, tasks: Vec<TaskSpec>, out: &mut Vec<ClientAction>) {
         self.outstanding += tasks.len() as u64;
-        self.done_emitted = false;
         match self.instance {
-            Some(instance) => {
-                for chunk in bundles(tasks, self.bundle.max_bundle) {
-                    out.push(ClientAction::Send(Message::Submit {
-                        instance,
-                        tasks: chunk,
-                    }));
-                }
-            }
+            Some(instance) => self.submit(instance, tasks, out),
             None => self.staged.extend(tasks),
         }
     }
 
+    fn submit(&self, instance: InstanceId, tasks: Vec<TaskSpec>, out: &mut Vec<ClientAction>) {
+        for tasks in bundles(tasks, self.bundle.max_bundle) {
+            out.push(ClientAction::Send(Message::Submit { instance, tasks }));
+        }
+    }
+
     /// Feed one event; actions are appended to `out`.
-    pub fn on_event(&mut self, now: Micros, ev: ClientEvent, out: &mut Vec<ClientAction>) {
+    pub fn on_event(&mut self, _now: Micros, ev: ClientEvent, out: &mut Vec<ClientAction>) {
         match ev {
             ClientEvent::Start => {
                 out.push(ClientAction::Send(Message::CreateInstance));
@@ -130,14 +118,7 @@ impl Client {
             ClientEvent::InstanceCreated { instance } => {
                 self.instance = Some(instance);
                 let staged = std::mem::take(&mut self.staged);
-                if !staged.is_empty() {
-                    for chunk in bundles(staged, self.bundle.max_bundle) {
-                        out.push(ClientAction::Send(Message::Submit {
-                            instance,
-                            tasks: chunk,
-                        }));
-                    }
-                }
+                self.submit(instance, staged, out);
             }
             ClientEvent::SubmitAcked { .. } => {}
             ClientEvent::ResultsReady => {
@@ -146,17 +127,15 @@ impl Client {
                 }
             }
             ClientEvent::Results { results } => {
-                for result in results {
-                    let submitted_us = self.submitted_at.remove(&result.id.0).unwrap_or(now);
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    self.completions.push(CompletionRecord {
-                        result,
-                        submitted_us,
-                        received_us: now,
-                    });
+                // Complete once per time the outstanding count reaches zero.
+                let before = self.outstanding;
+                self.outstanding = before.saturating_sub(results.len() as u64);
+                if self.results.is_empty() {
+                    self.results = results;
+                } else {
+                    self.results.extend(results);
                 }
-                if self.outstanding == 0 && !self.done_emitted && !self.completions.is_empty() {
-                    self.done_emitted = true;
+                if before > 0 && self.outstanding == 0 {
                     out.push(ClientAction::WorkloadComplete);
                 }
             }
@@ -251,9 +230,7 @@ mod tests {
         );
         assert!(matches!(&acts[0], ClientAction::WorkloadComplete));
         assert_eq!(c.completions().len(), 1);
-        let rec = &c.completions()[0];
-        assert_eq!(rec.submitted_us, 10);
-        assert_eq!(rec.received_us, 30);
+        assert_eq!(c.completions()[0].id, TaskId(1));
         assert_eq!(c.outstanding(), 0);
     }
 
@@ -292,5 +269,59 @@ mod tests {
         // Duplicate empty delivery does not re-emit.
         let acts = step(&mut c, 3, ClientEvent::Results { results: vec![] });
         assert!(acts.is_empty());
+    }
+
+    fn with_instance(tasks: u64) -> Client {
+        let mut c = Client::new(BundleConfig::default());
+        let created = ClientEvent::InstanceCreated {
+            instance: InstanceId(1),
+        };
+        step(&mut c, 0, created);
+        let mut out = Vec::new();
+        c.enqueue(
+            0,
+            (0..tasks).map(|i| TaskSpec::sleep(i, 0)).collect(),
+            &mut out,
+        );
+        c
+    }
+
+    fn deliver(c: &mut Client, ids: std::ops::Range<u64>) -> Vec<ClientAction> {
+        let results = ids.map(|i| TaskResult::success(TaskId(i))).collect();
+        step(c, 1, ClientEvent::Results { results })
+    }
+
+    #[test]
+    fn taken_results_leave_completions() {
+        let mut c = with_instance(3);
+        deliver(&mut c, 0..2);
+        let taken: Vec<TaskId> = c.take_results().iter().map(|r| r.id).collect();
+        assert_eq!(taken, [TaskId(0), TaskId(1)]);
+        assert!(c.completions().is_empty());
+        deliver(&mut c, 2..3);
+        assert_eq!(c.completions().len(), 1);
+        assert_eq!(c.completions()[0].id, TaskId(2));
+        assert_eq!(c.outstanding(), 0);
+    }
+
+    #[test]
+    fn workload_completes_once_when_results_are_taken_mid_run() {
+        let mut c = with_instance(4);
+        assert!(deliver(&mut c, 0..2).is_empty());
+        c.take_results();
+        let acts = deliver(&mut c, 2..4);
+        assert!(matches!(&acts[..], [ClientAction::WorkloadComplete]));
+        c.take_results();
+        // A late, empty delivery (a fetch that overlapped) does not re-emit.
+        assert!(deliver(&mut c, 0..0).is_empty());
+    }
+
+    #[test]
+    fn empty_workload_never_completes() {
+        let mut c = with_instance(0);
+        assert!(deliver(&mut c, 0..0).is_empty());
+        c.take_results();
+        assert_eq!(step(&mut c, 2, ClientEvent::ResultsReady).len(), 1);
+        assert!(deliver(&mut c, 0..0).is_empty());
     }
 }

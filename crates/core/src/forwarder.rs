@@ -31,6 +31,8 @@ pub type DispatcherIndex = usize;
 /// Inputs to the forwarder.
 #[derive(Clone, Debug)]
 pub enum ForwarderEvent {
+    /// A client asks for an instance at the forwarder tier.
+    CreateInstance,
     /// A client submits a bundle.
     ClientSubmit {
         /// The client's instance at the forwarder tier.
@@ -63,6 +65,11 @@ pub enum ForwarderEvent {
 /// Outputs of the forwarder.
 #[derive(Clone, Debug)]
 pub enum ForwarderAction {
+    /// Answer the client that asked with its new instance.
+    InstanceCreated {
+        /// The instance, numbered from 1.
+        instance: InstanceId,
+    },
     /// Forward a bundle to a dispatcher.
     SubmitTo {
         /// Destination dispatcher.
@@ -114,6 +121,7 @@ pub struct Forwarder<P: Probe = NoopProbe> {
     /// Tasks outstanding at each downstream slot; `None` while it is down.
     outstanding: Vec<Option<u64>>,
     in_flight: FxHashMap<TaskId, InFlight>,
+    next_instance: u64,
     counters: Counters,
     probe: P,
 }
@@ -133,6 +141,7 @@ impl<P: Probe> Forwarder<P> {
         Forwarder {
             outstanding: vec![Some(0); dispatchers],
             in_flight: FxHashMap::default(),
+            next_instance: 1,
             counters: Counters::new(),
             probe,
         }
@@ -227,6 +236,11 @@ impl<P: Probe> Forwarder<P> {
     /// Feed one event; actions are appended to `out`.
     pub fn on_event(&mut self, now: Micros, ev: ForwarderEvent, out: &mut Vec<ForwarderAction>) {
         match ev {
+            ForwarderEvent::CreateInstance => {
+                let instance = InstanceId(self.next_instance);
+                self.next_instance += 1;
+                out.push(ForwarderAction::InstanceCreated { instance });
+            }
             ForwarderEvent::ClientSubmit { instance, tasks } => {
                 self.route(now, instance, tasks, out);
             }
@@ -301,6 +315,21 @@ mod tests {
 
     fn tasks(range: std::ops::Range<u64>) -> Vec<TaskSpec> {
         range.map(|i| TaskSpec::sleep(i, 0)).collect()
+    }
+
+    #[test]
+    fn instances_are_numbered_from_one() {
+        let mut f = Forwarder::new(2);
+        let created: Vec<InstanceId> = (0..3)
+            .flat_map(|_| step(&mut f, ForwarderEvent::CreateInstance))
+            .map(|act| match act {
+                ForwarderAction::InstanceCreated { instance } => instance,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(created, [InstanceId(1), InstanceId(2), InstanceId(3)]);
+        assert_eq!(f.in_flight(), 0);
+        assert_eq!(f.stats(), ForwarderStats::default(), "no lifecycle event");
     }
 
     #[test]
@@ -445,7 +474,7 @@ mod tests {
         acts.iter()
             .filter_map(|a| match a {
                 ForwarderAction::SubmitTo { dispatcher, tasks } => Some((*dispatcher, tasks.len())),
-                ForwarderAction::DeliverResults { .. } => None,
+                _ => None,
             })
             .collect()
     }

@@ -5,7 +5,8 @@
 //! LRM (via a GRAM4-like gateway). It tracks allocation lifecycles, enforces
 //! min/max executor bounds, and — under a centralized release policy —
 //! decides when to hand resources back. Under the distributed policy the
-//! executors release themselves and the provisioner merely observes.
+//! executors release themselves, and the provisioner ends an allocation
+//! when its last executor has gone.
 
 use crate::ids::AllocationId;
 use crate::policy::{ProvisionerPolicy, ReleasePolicy};
@@ -57,7 +58,8 @@ pub enum ProvisionerAction {
         /// Requested wall time (µs).
         duration_us: Micros,
     },
-    /// Centralized release: cancel an allocation.
+    /// Cancel an allocation: a centralized release, or the last of its
+    /// executors has terminated.
     ReleaseAllocation {
         /// The allocation to release.
         allocation: AllocationId,
@@ -237,17 +239,18 @@ impl<P: Probe> Provisioner<P> {
                 self.forget(allocation);
             }
             ProvisionerEvent::ExecutorTerminated { allocation } => {
-                let mut drop_alloc = false;
-                if let Some(AllocState::Active { executors }) = self.allocations.get_mut(allocation)
-                {
-                    if *executors > 0 {
-                        *executors -= 1;
-                        self.active_sum -= 1;
-                    }
-                    drop_alloc = *executors == 0;
+                let Some(AllocState::Active { executors }) = self.allocations.get_mut(allocation)
+                else {
+                    return;
+                };
+                if *executors > 0 {
+                    *executors -= 1;
+                    self.active_sum -= 1;
                 }
-                if drop_alloc {
+                if *executors == 0 {
+                    // Its last executor is gone: a distributed release.
                     self.forget(allocation);
+                    out.push(ProvisionerAction::ReleaseAllocation { allocation });
                 }
             }
         }
@@ -459,6 +462,37 @@ mod tests {
             );
         }
         assert_eq!(p.active_executors(), 0);
+    }
+
+    #[test]
+    fn last_executor_out_releases_its_allocation() {
+        let mut p = Provisioner::new(ProvisionerPolicy::default());
+        let acts = step(
+            &mut p,
+            ProvisionerEvent::Status {
+                status: status(3, 0, 0, 0),
+                lrm_available: None,
+            },
+        );
+        let [ProvisionerAction::RequestAllocation { allocation, .. }] = acts[..] else {
+            panic!("unexpected {acts:?}");
+        };
+        let granted = ProvisionerEvent::AllocationGranted {
+            allocation,
+            executors: 3,
+        };
+        step(&mut p, granted);
+        let terminated = || ProvisionerEvent::ExecutorTerminated { allocation };
+        assert!(step(&mut p, terminated()).is_empty());
+        assert!(step(&mut p, terminated()).is_empty());
+        assert_eq!(
+            step(&mut p, terminated()),
+            [ProvisionerAction::ReleaseAllocation { allocation }]
+        );
+        // Forgotten: a straggler releases nothing twice, and the release
+        // is not a centralized one.
+        assert!(step(&mut p, terminated()).is_empty());
+        assert_eq!(p.stats().allocations_released, 0);
     }
 
     #[test]

@@ -214,6 +214,7 @@ proptest! {
                     ForwarderAction::DeliverResults { results, .. } => {
                         delivered.extend(results.iter().map(|r| r.id));
                     }
+                    ForwarderAction::InstanceCreated { .. } => {}
                 }
             }
             Ok(())

@@ -60,6 +60,10 @@ pub const EXECUTOR_OVERHEAD_CAP_US: Micros = 1_300_000;
 /// 5–65 s executor-creation variance reported in Section 4.6.
 pub const EXECUTOR_STARTUP_US: Micros = 5_000_000;
 
+/// GRAM4 handling of an allocation request before it reaches the LRM, µs:
+/// GRAM4 serves roughly 0.5 requests/sec (Section 4.6).
+pub const ALLOC_REQUEST_OVERHEAD_US: Micros = 2_000_000;
+
 /// Endurance runs: one stop-the-world GC pause per this many completed
 /// tasks, calibrated so the Fig. 8 moving average (298/s) sits ≈35% below
 /// the raw burst rate with frequent 0-tasks/sec samples.

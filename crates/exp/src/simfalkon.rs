@@ -16,11 +16,13 @@
 //!   per task on top of the payload runtime and any staging I/O.
 //! * Every hop pays `network_latency_us`.
 
-use crate::costs::CostModel;
+use crate::costs::{CostModel, ALLOC_REQUEST_OVERHEAD_US};
 use crate::Micros;
+use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, TaskRecord};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
 use falkon_core::ids::AllocationId;
+use falkon_core::mapping;
 use falkon_core::policy::ProvisionerPolicy;
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
 use falkon_core::DenseMap;
@@ -30,7 +32,8 @@ use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use falkon_obs::Recorder;
-use falkon_proto::message::{ExecutorId, InstanceId, Message};
+use falkon_proto::bundle::BundleConfig;
+use falkon_proto::message::{ExecutorId, Message};
 use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
 use falkon_sim::{EventQueue, SimRng, TimeSeries};
 
@@ -54,9 +57,6 @@ pub struct SimFalkonConfig {
     pub provisioner: Option<ProvisionerPolicy>,
     /// LRM profile + node count backing the provisioner.
     pub lrm: Option<(LrmProfile, u32)>,
-    /// Extra latency for each allocation request reaching the LRM (GRAM4
-    /// handling, ≈2 s in the paper).
-    pub alloc_request_overhead_us: Micros,
     /// Filesystem model for tasks that declare data staging.
     pub fs: Option<FsConfig>,
     /// Client submission rate, tasks/sec (`None` = submit instantly).
@@ -86,7 +86,6 @@ impl Default for SimFalkonConfig {
             executors_per_node: 2,
             provisioner: None,
             lrm: None,
-            alloc_request_overhead_us: 2_000_000,
             fs: None,
             client_submit_rate: None,
             sample_interval_us: 0,
@@ -251,8 +250,6 @@ impl ExecutorTable {
 struct AllocInfo {
     /// Executor indices started under this allocation.
     executors: Vec<u32>,
-    /// Executors still alive (last one out cancels the LRM job).
-    live: u32,
     /// Executors to start once the LRM grants the job.
     pending: u32,
 }
@@ -282,7 +279,8 @@ pub struct SimFalkon {
     lrm: Option<BatchScheduler>,
     lrm_wake_armed: Option<Micros>,
     fs: Option<ClusterFs>,
-    instance: Option<InstanceId>,
+    /// The one client, bundling at `bundle_size`.
+    client: Client,
     /// Records completed by the event being handled; the loop that ran the
     /// event hands them on before the next one.
     done: Vec<TaskRecord>,
@@ -295,7 +293,6 @@ pub struct SimFalkon {
     gc_pauses: u64,
     // allocation bookkeeping
     allocs: DenseMap<AllocationId, AllocInfo>,
-    allocations_requested: u64,
     /// Tasks completed, and the running totals [`SimOutcome`] reports over
     /// them, accumulated in completion order.
     completed: u64,
@@ -343,7 +340,7 @@ impl SimFalkon {
                     .max(config.executors);
                 ClusterFs::new(f, (pool / config.executors_per_node).max(1))
             }),
-            instance: None,
+            client: Client::new(BundleConfig::of(config.bundle_size.max(1))),
             done: Vec::new(),
             pending: Vec::new(),
             submitted: 0,
@@ -351,7 +348,6 @@ impl SimFalkon {
             gc_counter: 0,
             gc_pauses: 0,
             allocs: DenseMap::new(),
-            allocations_requested: 0,
             completed: 0,
             last_completion_us: None,
             // `-0.0` is what `Iterator::sum` starts from: a run with no
@@ -369,19 +365,10 @@ impl SimFalkon {
             rng,
             config,
         };
-        // Create the client instance synchronously (negligible cost).
+        // The client creates its instance at t=0 (uncosted, below).
         let mut out = Vec::new();
-        sim.dispatcher
-            .on_event(0, DispatcherEvent::CreateInstance, &mut out);
-        for act in out {
-            if let DispatcherAction::ToClient {
-                msg: Message::InstanceCreated { instance },
-                ..
-            } = act
-            {
-                sim.instance = Some(instance);
-            }
-        }
+        sim.client.on_event(0, ClientEvent::Start, &mut out);
+        sim.client_actions(out);
         if let Some(p) = &sim.provisioner {
             let poll = p.poll_interval_us();
             sim.queue
@@ -416,11 +403,6 @@ impl SimFalkon {
             ),
             allocation,
         );
-    }
-
-    /// The client instance id.
-    pub fn instance(&self) -> InstanceId {
-        self.instance.expect("created in new")
     }
 
     /// Current virtual time.
@@ -592,7 +574,10 @@ impl SimFalkon {
             avg_exec_us: self.exec_us_sum / n,
             used_cpu_us,
             wasted_cpu_us,
-            allocations: self.allocations_requested,
+            allocations: self
+                .provisioner
+                .as_ref()
+                .map_or(0, |p| p.stats().allocations_requested),
         }
     }
 
@@ -616,8 +601,9 @@ impl SimFalkon {
                         Ev::ClientSubmit(rest),
                     );
                 }
-                let instance = self.instance();
-                self.send_to_dispatcher(DispatcherEvent::Submit { instance, tasks });
+                let mut out = Vec::new();
+                self.client.enqueue(self.now, tasks, &mut out);
+                self.client_actions(out);
             }
             Ev::DispArrive(ev) => {
                 // Enter the dispatcher's serial CPU queue.
@@ -705,7 +691,6 @@ impl SimFalkon {
     fn dispatch(&mut self, ev: DispatcherEvent) {
         let mut out = std::mem::take(&mut self.disp_out);
         self.dispatcher.on_event(self.now, ev, &mut out);
-        let mut notified = false;
         for act in out.drain(..) {
             match act {
                 DispatcherAction::ToExecutor { executor, msg } => {
@@ -718,10 +703,9 @@ impl SimFalkon {
                     );
                 }
                 DispatcherAction::ToClient { msg, .. } => {
-                    // Client-side handling is not on the measured path; the
-                    // send still costs dispatcher CPU.
+                    // Sending costs dispatcher CPU; the client's step is free.
                     self.charge_dispatcher_send();
-                    notified |= matches!(msg, Message::ClientNotify { .. });
+                    self.client_recv(msg);
                 }
                 DispatcherAction::TaskDone { record, .. } => {
                     crate::trace::record(&record);
@@ -739,17 +723,45 @@ impl SimFalkon {
                 DispatcherAction::ToProvisioner { .. } => {}
             }
         }
-        if notified {
-            // The client picks its results up when told they are ready
-            // (messages {9,10}), so the dispatcher holds none it has
-            // announced. Uncosted, like every client-side step.
-            let instance = self.instance();
-            self.dispatcher
-                .on_event(self.now, DispatcherEvent::GetResults { instance }, &mut out);
-            out.clear();
-        }
         self.disp_out = out;
         self.arm_deadline();
+    }
+
+    /// Deliver a dispatcher message to the client machine. The results it
+    /// picks up {10} are not on the measured path.
+    fn client_recv(&mut self, msg: Message) {
+        let Some(ev) = mapping::message_to_client_event(msg) else {
+            return;
+        };
+        let mut out = Vec::new();
+        self.client.on_event(self.now, ev, &mut out);
+        drop(self.client.take_results());
+        self.client_actions(out);
+    }
+
+    /// A client `Submit` travels like any message. Its other requests —
+    /// creating the instance {1}, fetching results when notified {9} — are
+    /// answered on the spot and uncosted, like every client-side step, so
+    /// the dispatcher holds no result it has announced.
+    fn client_actions(&mut self, out: Vec<ClientAction>) {
+        for act in out {
+            let ClientAction::Send(msg) = act else {
+                continue;
+            };
+            match mapping::client_message_to_dispatcher_event(msg) {
+                Some(ev @ DispatcherEvent::Submit { .. }) => self.send_to_dispatcher(ev),
+                Some(ev) => {
+                    let mut replies = Vec::new();
+                    self.dispatcher.on_event(self.now, ev, &mut replies);
+                    for act in replies {
+                        if let DispatcherAction::ToClient { msg, .. } = act {
+                            self.client_recv(msg);
+                        }
+                    }
+                }
+                None => {}
+            }
+        }
     }
 
     fn charge_dispatcher_send(&mut self) -> Micros {
@@ -893,16 +905,10 @@ impl SimFalkon {
         if !self.executors.kill(e, self.now) {
             return;
         }
+        // The provisioner releases the allocation when its last executor
+        // has gone (the paper's per-resource distributed release).
         if let Some(&alloc) = self.executors.allocation.get(e as usize) {
             self.provision(ProvisionerEvent::ExecutorTerminated { allocation: alloc });
-            // When the last executor of an allocation exits, release the
-            // LRM job (the paper's per-resource distributed release).
-            if let Some(info) = self.allocs.get_mut(alloc) {
-                info.live = info.live.saturating_sub(1);
-                if info.live == 0 {
-                    self.lrm(LrmInput::Cancel(JobId(alloc.0)));
-                }
-            }
         }
     }
 
@@ -934,7 +940,6 @@ impl SimFalkon {
                 executors,
                 duration_us,
             } => {
-                self.allocations_requested += 1;
                 // Allocation and LRM job share one id space (the provisioner
                 // assigns allocation ids sequentially, and this is the only
                 // place jobs are created), so the job↔allocation "maps" are
@@ -951,7 +956,7 @@ impl SimFalkon {
                 // The request reaches the LRM only after the GRAM-like
                 // handling overhead; delivering it as a timed event keeps
                 // the scheduler's clock causal.
-                let submit_at = self.now + self.config.alloc_request_overhead_us;
+                let submit_at = self.now + ALLOC_REQUEST_OVERHEAD_US;
                 self.queue.push(
                     falkon_sim::SimTime::from_micros(submit_at),
                     Ev::LrmSubmit(spec),
@@ -960,7 +965,6 @@ impl SimFalkon {
                     allocation,
                     AllocInfo {
                         executors: Vec::new(),
-                        live: 0,
                         // Remember how many executors to start on grant.
                         pending: executors,
                     },
@@ -978,21 +982,19 @@ impl SimFalkon {
         for LrmOutput::State { job, state } in outs {
             // Inverse of `JobId(allocation.0)` at submission.
             let alloc = AllocationId(job.0);
-            if !self.allocs.contains_key(alloc) {
+            let Some(info) = self.allocs.get_mut(alloc) else {
                 continue;
-            }
+            };
             match state {
                 JobState::Active => {
-                    let count = match self.allocs.get_mut(alloc) {
-                        Some(info) => std::mem::take(&mut info.pending),
-                        None => 0,
-                    };
+                    let count = std::mem::take(&mut info.pending);
+                    let first = self.executors.len() as u32;
+                    info.executors.extend(first..first + count);
                     self.provision(ProvisionerEvent::AllocationGranted {
                         allocation: alloc,
                         executors: count,
                     });
                     // Start the executors after JVM startup.
-                    let first = self.executors.len() as u32;
                     for idx in first..first + count {
                         self.spawn_executor(idx, Some(alloc));
                         self.starting_executors += 1;
@@ -1000,18 +1002,11 @@ impl SimFalkon {
                         self.queue
                             .push(falkon_sim::SimTime::from_micros(start), Ev::ExecStart(idx));
                     }
-                    if let Some(info) = self.allocs.get_mut(alloc) {
-                        info.executors.extend(first..first + count);
-                        info.live += count;
-                    }
                 }
                 JobState::Done(_) => {
                     // Kill any executors still alive under this allocation.
-                    let victims = self
-                        .allocs
-                        .remove(alloc)
-                        .map(|info| info.executors)
-                        .unwrap_or_default();
+                    let victims = std::mem::take(&mut info.executors);
+                    self.allocs.remove(alloc);
                     for v in victims {
                         if self.executors.kill(v, self.now) {
                             let id = ExecutorId(v as u64);
@@ -1223,6 +1218,27 @@ mod tests {
         assert_eq!(made.get(), 30, "bundles due at 0, 100 and 200 ms");
         let out = sim.run_until_drained();
         assert_eq!((made.get(), out.tasks), (100, 100));
+    }
+
+    impl SimFalkon {
+        /// The client's instance.
+        fn instance(&self) -> falkon_proto::message::InstanceId {
+            self.client.instance().expect("created in new")
+        }
+    }
+
+    #[test]
+    fn paced_run_leaves_no_results_with_the_client() {
+        let mut sim = SimFalkon::new(SimFalkonConfig {
+            executors: 8,
+            bundle_size: 50,
+            client_submit_rate: Some(400.0),
+            ..SimFalkonConfig::default()
+        });
+        sim.submit(0, sleep_tasks(1_000, 0));
+        assert_eq!(sim.run_until_drained().tasks, 1_000);
+        assert_eq!(sim.client.outstanding(), 0, "every result reached it");
+        assert!(sim.client.completions().is_empty(), "and it kept none");
     }
 
     #[test]

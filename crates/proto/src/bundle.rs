@@ -31,10 +31,14 @@ impl BundleConfig {
 }
 
 /// Split `tasks` into bundles of at most `max_bundle`, preserving order.
+/// Input that already fits is returned as it is, buffer and all.
 pub fn bundles(tasks: Vec<TaskSpec>, max_bundle: usize) -> Vec<Vec<TaskSpec>> {
     assert!(max_bundle > 0, "bundle size must be positive");
     if tasks.is_empty() {
         return Vec::new();
+    }
+    if tasks.len() <= max_bundle {
+        return vec![tasks];
     }
     let mut out = Vec::with_capacity(tasks.len().div_ceil(max_bundle));
     let mut cur = Vec::with_capacity(max_bundle.min(tasks.len()));
@@ -76,6 +80,20 @@ mod tests {
         let b = bundles(tasks(100), 7);
         let flat: Vec<u64> = b.into_iter().flatten().map(|t| t.id.0).collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn input_that_fits_is_returned_unchanged() {
+        let input = tasks(5);
+        let buffer = input.as_ptr();
+        let b = bundles(input, 5);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b[0].as_ptr(), buffer, "no copy of a bundle that fits");
+        assert_eq!(b[0].len(), 5);
+        // Split output is unchanged: fresh bundles in order.
+        let b = bundles(tasks(6), 5);
+        assert_eq!(b.iter().map(Vec::len).collect::<Vec<_>>(), vec![5, 1]);
+        assert_eq!(b[1][0].id.0, 5);
     }
 
     #[test]

@@ -9,22 +9,22 @@
 //! and both faces are connections of the *same* engine:
 //!
 //! * **Upstream** (accepted connections): a client connects, sends
-//!   `CreateInstance`, and gets a forwarder-tier `InstanceId`; each
-//!   `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`], and the
-//!   machine's least-loaded policy picks the downstream dispatcher.
+//!   `CreateInstance`, and gets a forwarder-tier `InstanceId` the machine
+//!   names; each `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`],
+//!   and the machine's least-loaded policy picks the downstream dispatcher.
 //!   Results are pushed back as `Results` frames to the connection the
 //!   [`Switchboard`] binds the instance to, the last one that named it
 //!   (the direct-push variant of the notify protocol).
 //! * **Downstream** (dialed connections, one per dispatcher): the server
 //!   handle dials the dispatcher and has the forwarder's thread adopt the
 //!   stream under the dispatcher's slot tag — the one control-plane
-//!   request besides stop. The mount opens it with `CreateInstance`; the
-//!   link is *up* once `InstanceCreated` comes back, which
+//!   request besides stop. Each link runs a [`Client`] machine with no
+//!   bundle limit, so a routed bundle stays one `Submit`: it creates its
+//!   instance, and the link is *up* once that exists, which
 //!   [`ForwarderServer::start`] and
-//!   [`ForwarderServer::readmit_dispatcher`] wait for. `ClientNotify` from
-//!   a dispatcher is answered with `GetResults`; the `Results` reply
-//!   becomes a [`ForwarderEvent::DispatcherResults`] and funnels back
-//!   upstream.
+//!   [`ForwarderServer::readmit_dispatcher`] wait for. The client answers
+//!   `ClientNotify` with a fetch; the results it takes become a
+//!   [`ForwarderEvent::DispatcherResults`] and funnel back upstream.
 //!
 //! Failure semantics: the machine alone decides where work goes. A
 //! downstream link closing feeds [`ForwarderEvent::DispatcherLost`]; the
@@ -52,10 +52,12 @@ use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Handler, Token};
 use crate::server::{self, Control, Mount};
 use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
+use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
-use falkon_core::Switchboard;
+use falkon_core::{mapping, Switchboard};
 use falkon_obs::{Counters, Recorder};
-use falkon_proto::message::{InstanceId, Message};
+use falkon_proto::bundle::BundleConfig;
+use falkon_proto::message::Message;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -206,13 +208,11 @@ impl ForwarderServer {
 /// slot it links, if the handle dialed it (`None` for an accepted client).
 type Peer = Option<usize>;
 
-/// One downstream dispatcher slot as the mount sees it.
-#[derive(Default)]
+/// One downstream dispatcher slot's current connection, and the client
+/// session on it; the link is up once the client has its instance.
 struct Link {
-    /// The connection currently serving this slot.
-    conn: Option<Token>,
-    /// Our instance at that dispatcher; `Some` once the link is up.
-    instance: Option<InstanceId>,
+    conn: Token,
+    client: Client,
 }
 
 /// The forwarder's [`Mount`]: the machine, run inside the engine turn,
@@ -222,10 +222,11 @@ struct ForwarderMount {
     clock: Clock,
     fwd: Forwarder<Recorder>,
     actions: Vec<ForwarderAction>,
-    links: Vec<Link>,
+    links: Vec<Option<Link>>,
+    /// What a link's client sends in one step (scratch).
+    sends: Vec<ClientAction>,
     link_up: Sender<io::Result<()>>,
     routes: Switchboard<Token>,
-    next_instance: u64,
     outbox: Vec<(Token, Message)>,
     upstream_wire: Counters,
     downstream_wire: Counters,
@@ -237,34 +238,34 @@ impl ForwarderMount {
             clock,
             fwd: Forwarder::with_probe(n, Recorder::new()),
             actions: Vec::new(),
-            links: (0..n).map(|_| Link::default()).collect(),
+            links: (0..n).map(|_| None).collect(),
+            sends: Vec::new(),
             link_up,
             routes: Switchboard::default(),
-            next_instance: 1,
             outbox: Vec::new(),
             upstream_wire: Counters::new(),
             downstream_wire: Counters::new(),
         }
     }
 
-    /// A dialed connection for slot `d` is established: open it with
-    /// `CreateInstance`. If the old link is still in place (a readmit over
-    /// a live slot, whose dispatcher is closing it from the far end), it
-    /// is torn down — with its re-routes — first.
-    fn admit(&mut self, d: usize, token: Token, now: u64) {
-        if self.links[d].conn.is_some() {
+    /// A dialed connection for slot `d` is established: its client
+    /// starts by creating an instance. If the old link is still in place
+    /// (a readmit over a live slot, whose dispatcher is closing it from the
+    /// far end), it is torn down — with its re-routes — first.
+    fn admit(&mut self, d: usize, conn: Token, now: u64) {
+        if self.links[d].is_some() {
             self.lose(d, now);
         }
-        self.outbox.push((token, Message::CreateInstance));
-        self.links[d].conn = Some(token);
+        let client = Client::new(BundleConfig::of(usize::MAX));
+        self.links[d] = Some(Link { conn, client });
+        self.step(d, now, |c, out| c.on_event(now, ClientEvent::Start, out));
     }
 
     /// Tear down slot `d`'s link and tell the machine, which re-routes
     /// everything that was in flight there.
     fn lose(&mut self, d: usize, now: u64) {
-        let link = &mut self.links[d];
-        link.conn = None;
-        if link.instance.take().is_none() {
+        let link = self.links[d].take();
+        if link.is_some_and(|l| l.client.instance().is_none()) {
             // It never came up: whoever dialed it is waiting to hear.
             self.link_up
                 .send(Err(io::ErrorKind::UnexpectedEof.into()))
@@ -274,82 +275,77 @@ impl ForwarderMount {
         self.fwd.on_event(now, lost, &mut self.actions);
     }
 
-    /// Handle one message from dispatcher `d` on its current link.
-    fn on_downstream(&mut self, d: usize, token: Token, msg: Message, now: u64) {
-        let link = &mut self.links[d];
-        match (msg, link.instance) {
-            (Message::InstanceCreated { instance }, None) => {
-                // The link is up: the machine readmits the slot if it had
-                // lost it and routes here whatever was waiting.
-                link.instance = Some(instance);
-                let up = ForwarderEvent::DispatcherReadmitted { dispatcher: d };
-                self.fwd.on_event(now, up, &mut self.actions);
-                self.link_up.send(Ok(())).ok();
+    /// Run slot `d`'s client on one step and send what it sends. The step
+    /// that creates the instance brings the link up: the machine readmits
+    /// the slot if it had lost it and routes there whatever was waiting.
+    /// Results the step picked up go to the machine.
+    fn step(&mut self, d: usize, now: u64, f: impl FnOnce(&mut Client, &mut Vec<ClientAction>)) {
+        let link = self.links[d].as_mut().expect("a stepped slot has a link");
+        let was_up = link.client.instance().is_some();
+        f(&mut link.client, &mut self.sends);
+        for act in self.sends.drain(..) {
+            if let ClientAction::Send(msg) = act {
+                self.outbox.push((link.conn, msg));
             }
-            // Answer the notify with a fetch, like any client.
-            (Message::ClientNotify { .. }, Some(instance)) => {
-                self.outbox.push((token, Message::GetResults { instance }));
-            }
-            (Message::Results { results }, _) => {
-                let ev = ForwarderEvent::DispatcherResults {
-                    dispatcher: d,
-                    results,
-                };
-                self.fwd.on_event(now, ev, &mut self.actions);
-            }
-            // SubmitAck and friends carry no forwarder-visible state.
-            _ => {}
         }
+        let mut feed = |ev| self.fwd.on_event(now, ev, &mut self.actions);
+        if !was_up && link.client.instance().is_some() {
+            feed(ForwarderEvent::DispatcherReadmitted { dispatcher: d });
+            self.link_up.send(Ok(())).ok();
+        }
+        let results = link.client.take_results();
+        if !results.is_empty() {
+            feed(ForwarderEvent::DispatcherResults {
+                dispatcher: d,
+                results,
+            });
+        }
+    }
+
+    /// Whether `token` is slot `d`'s current link.
+    fn is_link(&self, d: usize, token: Token) -> bool {
+        self.links[d].as_ref().is_some_and(|l| l.conn == token)
     }
 
     /// Handle one message from a client.
     fn on_upstream(&mut self, token: Token, msg: Message, now: u64) {
         self.routes.heard(token, &msg);
-        match msg {
-            Message::CreateInstance => {
-                let instance = InstanceId(self.next_instance);
-                self.next_instance += 1;
-                let created = Message::InstanceCreated { instance };
-                if let Some(to) = self.routes.to_instance(instance, &created, Some(token)) {
-                    self.outbox.push((to, created));
-                }
-            }
-            Message::Submit { instance, tasks } => {
-                let ev = ForwarderEvent::ClientSubmit { instance, tasks };
-                self.fwd.on_event(now, ev, &mut self.actions);
-            }
+        let ev = match msg {
+            Message::CreateInstance => ForwarderEvent::CreateInstance,
+            Message::Submit { instance, tasks } => ForwarderEvent::ClientSubmit { instance, tasks },
             // Bindings are the switchboard's; anything else here is a peer
             // speaking the wrong role.
-            _ => {}
-        }
+            _ => return,
+        };
+        self.fwd.on_event(now, ev, &mut self.actions);
     }
 
-    /// Address the machine's pending actions. A send never fails here: a
-    /// dead connection is reported through its own `closed`.
-    fn deliver(&mut self) {
-        for act in self.actions.drain(..) {
-            match act {
+    /// Address the machine's pending actions; `cause` is the client
+    /// connection whose message the machine answered. A send never fails
+    /// here: a dead connection is reported through its own `closed`.
+    fn deliver(&mut self, cause: Option<Token>, now: u64) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for act in actions.drain(..) {
+            let (instance, msg) = match act {
                 ForwarderAction::SubmitTo { dispatcher, tasks } => {
                     // The machine routes only to a slot whose link is up
-                    // (module docs).
-                    let Link {
-                        conn: Some(token),
-                        instance: Some(instance),
-                    } = self.links[dispatcher]
-                    else {
-                        unreachable!("bundle routed to slot {dispatcher}, whose link is down");
-                    };
-                    self.outbox
-                        .push((token, Message::Submit { instance, tasks }));
+                    // (module docs), so this is one `Submit`.
+                    self.step(dispatcher, now, |c, out| c.enqueue(now, tasks, out));
+                    continue;
+                }
+                ForwarderAction::InstanceCreated { instance } => {
+                    (instance, Message::InstanceCreated { instance })
                 }
                 ForwarderAction::DeliverResults { instance, results } => {
-                    let msg = Message::Results { results };
-                    if let Some(to) = self.routes.to_instance(instance, &msg, None) {
-                        self.outbox.push((to, msg));
-                    }
+                    (instance, Message::Results { results })
                 }
+            };
+            if let Some(to) = self.routes.to_instance(instance, &msg, cause) {
+                self.outbox.push((to, msg));
             }
         }
+        debug_assert!(self.actions.is_empty(), "a submit feeds nothing back");
+        self.actions = actions;
     }
 }
 
@@ -364,14 +360,16 @@ impl Handler<Peer> for ForwarderMount {
         let now = self.clock.now_us();
         match (ev, *peer) {
             (Inbound::Opened, Some(d)) => self.admit(d, token, now),
-            (Inbound::Msg(msg), Some(d)) if self.links[d].conn == Some(token) => {
-                self.on_downstream(d, token, msg, now)
+            (Inbound::Msg(msg), Some(d)) if self.is_link(d, token) => {
+                if let Some(ev) = mapping::message_to_client_event(msg) {
+                    self.step(d, now, |c, out| c.on_event(now, ev, out));
+                }
             }
             (Inbound::Msg(msg), None) => self.on_upstream(token, msg, now),
             // An accepted connection opening, a replaced link's stragglers.
             _ => {}
         }
-        self.deliver();
+        self.deliver(peer.is_none().then_some(token), now);
         Ok(false)
     }
 
@@ -380,9 +378,10 @@ impl Handler<Peer> for ForwarderMount {
             Some(d) => {
                 self.downstream_wire.merge(&closed.wire);
                 // Our own stop closing the link is not a lost dispatcher.
-                if !closed.local && self.links[d].conn == Some(token) {
-                    self.lose(d, self.clock.now_us());
-                    self.deliver();
+                if !closed.local && self.is_link(d, token) {
+                    let now = self.clock.now_us();
+                    self.lose(d, now);
+                    self.deliver(None, now);
                 }
             }
             None => {

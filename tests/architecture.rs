@@ -22,6 +22,17 @@ const IO_WORDS: &str =
 /// Drivers mount probes but never build `ObsEvent`s. `pool` runs driver
 /// work on real threads; `sim` is a driver that stays sans-io.
 const DRIVERS: [&str; 4] = ["rt", "exp", "sim", "pool"];
+/// Drivers that run `falkon_core::client::Client` rather than speak its
+/// half of the protocol themselves.
+const CLIENT_DRIVERS: [&str; 2] = ["rt", "exp"];
+/// The client's requests: creating an instance and fetching results, as
+/// messages or as the dispatcher events they map to.
+const CLIENT_REQUESTS: [&str; 4] = [
+    "Message::CreateInstance",
+    "Message::GetResults",
+    "DispatcherEvent::CreateInstance",
+    "DispatcherEvent::GetResults",
+];
 /// Every constant in these files reproduces a number in the paper.
 const CALIBRATION: [&str; 2] = ["crates/exp/src/costs.rs", "crates/lrm/src/profile.rs"];
 /// `repro` reaches an experiment module only through `registry.rs`.
@@ -35,10 +46,11 @@ const FILE_TYPES: [&str; 6] = [".rs", ".md", ".toml", ".json", ".yml", ".lock"];
 type Check = fn(&str, &str) -> Vec<String>;
 /// The per-source-file checks, by name; `registry` and `docs` read the
 /// whole file set.
-const CHECKS: [(&str, Check); 6] = [
+const CHECKS: [(&str, Check); 7] = [
     ("sans_io", sans_io),
     ("probe_provenance", probe_provenance),
     ("routing", routing),
+    ("client_protocol", client_protocol),
     ("calibration", calibration),
     ("atomic_protocol", atomic_protocol),
     ("test_layout", test_layout),
@@ -133,6 +145,31 @@ fn routing(path: &str, src: &str) -> Vec<String> {
     }
     let why = "drivers keep no routes: `falkon_core::switchboard` binds executors and instances";
     per_line(path, src, |_, l| keyed_by_id(l).then(|| why.into()))
+}
+
+/// Whether the `word` at byte `i` of `line` is a pattern, not a value:
+/// inside `matches!(`, before a match arm's `=>`, or right after `let` or
+/// `|`.
+fn is_pattern(line: &str, i: usize, word: &str) -> bool {
+    let (before, after) = (&line[..i], &line[i + word.len()..]);
+    let lead = before.trim_end();
+    before.contains("matches!(")
+        || after.contains("=>")
+        || lead.ends_with("let")
+        || lead.ends_with('|')
+}
+
+fn client_protocol(path: &str, src: &str) -> Vec<String> {
+    if !CLIENT_DRIVERS.contains(&krate(path)) {
+        return Vec::new();
+    }
+    let why = "drivers run `falkon_core::client::Client`, which makes the client's requests";
+    per_line(path, src, |_, l| {
+        let at = |w: &str, i: usize| !l[..i].ends_with(is_ident) && !is_pattern(l, i, w);
+        let built = |w: &str| l.match_indices(w).any(|(i, _)| at(w, i));
+        let word = CLIENT_REQUESTS.into_iter().find(|w| built(w))?;
+        Some(format!("`{word}`: {why}"))
+    })
 }
 
 /// `NAME` if `line` declares `const NAME:` (not `const fn`, not `*const`).
@@ -442,6 +479,20 @@ const FIXTURES: &[Fixture] = &[
           // HashMap<ExecutorId, Token>\n}\n#[cfg(test)]\nmod tests {\n    type Seen = BTreeMap<InstanceId, u64>;\n}"),
         ("crates/core/src/switchboard.rs", "struct Switchboard<K> {\n    executors: HashMap<ExecutorId, (K, u64)>,\n}"),
     ], &["routing crates/rt/src/tcp.rs:2", "routing crates/rt/src/tcp.rs:3"]),
+    ("client_protocol: the parent's forwarder links and simulator make a client's requests; a `matches!`, a \
+      match arm, an `if let`, a comment, a test and the client machine itself are fine", &[
+        ("crates/rt/src/forwarder.rs", "fn admit(&mut self, token: Token) {\n    self.outbox.push((token, Message::CreateInstance));\n}\n\
+          fn on_downstream(&mut self, token: Token, msg: Message) {\n    match (msg, self.instance) {\n        \
+          (Message::ClientNotify { .. }, Some(instance)) => {\n            self.outbox.push((token, Message::GetResults { instance }));\n        \
+          }\n        _ => {}\n    }\n}\nfn on_upstream(&mut self, msg: Message) {\n    match msg {\n        \
+          Message::CreateInstance => {} // Message::GetResults\n        _ => {}\n    }\n}"),
+        ("crates/exp/src/simfalkon.rs", "fn new() {\n    sim.dispatcher\n        .on_event(0, DispatcherEvent::CreateInstance, &mut out);\n}\n\
+          #[cfg(test)]\nmod tests {\n    fn t() { d.on_event(0, DispatcherEvent::GetResults { instance }, &mut out); }\n}"),
+        ("crates/rt/src/tcp.rs", "fn count(msg: &Message) -> bool {\n    matches!(msg, Message::GetResults { .. })\n}\n\
+          fn fetch(msg: Message) {\n    if let Message::GetResults { instance } = msg {}\n}"),
+        ("crates/core/src/client.rs", "fn start(out: &mut Vec<ClientAction>) {\n    out.push(ClientAction::Send(Message::CreateInstance));\n}"),
+    ], &["client_protocol crates/rt/src/forwarder.rs:2", "client_protocol crates/rt/src/forwarder.rs:7",
+        "client_protocol crates/exp/src/simfalkon.rs:3"]),
     ("calibration: an uncited and an undocumented constant; each citation form, with notes and attributes \
       between; no const fn or *const; only the two calibration files", &[
         ("crates/exp/src/costs.rs", "/// A lovingly hand-tuned number; see the Table below.\npub const UNCITED: u64 = 42;\n\n\
