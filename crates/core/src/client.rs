@@ -1,15 +1,22 @@
 //! Client-side session: submit task bundles, track completions.
 //!
 //! Mirrors the paper's client API: create an instance (receiving an EPR),
-//! submit arrays of tasks (optionally bundled), wait for notifications,
-//! retrieve results, destroy the instance. Sans-io like the rest of the
-//! crate.
+//! submit arrays of tasks (optionally bundled), receive results as the
+//! dispatcher pushes them (notification and retrieval in one message).
+//! The client acknowledges what it has taken (`ResultsAck`) every
+//! [`ACK_EVERY`] results and whenever nothing is left outstanding; until
+//! then the server keeps the results for a client that reconnects.
+//! Sans-io like the rest of the crate.
 
 use crate::ids::InstanceId;
 use crate::Micros;
 use falkon_proto::bundle::{bundles, BundleConfig};
 use falkon_proto::message::Message;
 use falkon_proto::task::{TaskResult, TaskSpec};
+
+/// Unacknowledged results after which a client acknowledges them: what a
+/// server keeps per instance stays near this, for one write per this many.
+pub const ACK_EVERY: u64 = 256;
 
 /// Inputs to the client state machine (messages from the dispatcher).
 #[derive(Clone, Debug)]
@@ -26,9 +33,7 @@ pub enum ClientEvent {
         /// Tasks accepted.
         accepted: u64,
     },
-    /// Results are ready for pick-up `{8}`.
-    ResultsReady,
-    /// The dispatcher delivered results `{10}`.
+    /// The dispatcher delivered results `{8}`–`{10}`.
     Results {
         /// Completed results.
         results: Vec<TaskResult>,
@@ -56,6 +61,8 @@ pub struct Client {
     outstanding: u64,
     /// Results delivered and not yet taken.
     results: Vec<TaskResult>,
+    /// Results delivered and not yet acknowledged.
+    unacked: u64,
 }
 
 impl Client {
@@ -67,6 +74,7 @@ impl Client {
             staged: Vec::new(),
             outstanding: 0,
             results: Vec::new(),
+            unacked: 0,
         }
     }
 
@@ -121,15 +129,16 @@ impl Client {
                 self.submit(instance, staged, out);
             }
             ClientEvent::SubmitAcked { .. } => {}
-            ClientEvent::ResultsReady => {
-                if let Some(instance) = self.instance {
-                    out.push(ClientAction::Send(Message::GetResults { instance }));
-                }
-            }
             ClientEvent::Results { results } => {
                 // Complete once per time the outstanding count reaches zero.
                 let before = self.outstanding;
                 self.outstanding = before.saturating_sub(results.len() as u64);
+                self.unacked += results.len() as u64;
+                let due = self.unacked >= ACK_EVERY || self.outstanding == 0 && self.unacked > 0;
+                if let Some(instance) = self.instance.filter(|_| due) {
+                    let count = std::mem::take(&mut self.unacked);
+                    out.push(ClientAction::Send(Message::ResultsAck { instance, count }));
+                }
                 if self.results.is_empty() {
                     self.results = results;
                 } else {
@@ -205,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn notification_triggers_retrieval_and_completion() {
+    fn pushed_results_complete_the_workload() {
         let mut c = Client::new(BundleConfig::default());
         step(
             &mut c,
@@ -216,11 +225,6 @@ mod tests {
         );
         let mut out = Vec::new();
         c.enqueue(10, vec![TaskSpec::sleep(1, 0)], &mut out);
-        let acts = step(&mut c, 20, ClientEvent::ResultsReady);
-        assert!(matches!(
-            &acts[0],
-            ClientAction::Send(Message::GetResults { .. })
-        ));
         let acts = step(
             &mut c,
             30,
@@ -228,7 +232,14 @@ mod tests {
                 results: vec![TaskResult::success(TaskId(1))],
             },
         );
-        assert!(matches!(&acts[0], ClientAction::WorkloadComplete));
+        // Nothing is fetched: the result is acknowledged, and that is all.
+        assert!(matches!(
+            &acts[..],
+            [
+                ClientAction::Send(Message::ResultsAck { count: 1, .. }),
+                ClientAction::WorkloadComplete
+            ]
+        ));
         assert_eq!(c.completions().len(), 1);
         assert_eq!(c.completions()[0].id, TaskId(1));
         assert_eq!(c.outstanding(), 0);
@@ -265,7 +276,13 @@ mod tests {
                 results: vec![TaskResult::success(TaskId(2))],
             },
         );
-        assert_eq!(acts.len(), 1);
+        assert!(matches!(
+            &acts[..],
+            [
+                ClientAction::Send(Message::ResultsAck { count: 2, .. }),
+                ClientAction::WorkloadComplete
+            ]
+        ));
         // Duplicate empty delivery does not re-emit.
         let acts = step(&mut c, 3, ClientEvent::Results { results: vec![] });
         assert!(acts.is_empty());
@@ -310,9 +327,13 @@ mod tests {
         assert!(deliver(&mut c, 0..2).is_empty());
         c.take_results();
         let acts = deliver(&mut c, 2..4);
-        assert!(matches!(&acts[..], [ClientAction::WorkloadComplete]));
+        assert!(matches!(
+            &acts[..],
+            [ClientAction::Send(_), ClientAction::WorkloadComplete]
+        ));
         c.take_results();
-        // A late, empty delivery (a fetch that overlapped) does not re-emit.
+        // A late, empty delivery (a reconnecting client's fetch) does not
+        // re-emit.
         assert!(deliver(&mut c, 0..0).is_empty());
     }
 
@@ -321,7 +342,26 @@ mod tests {
         let mut c = with_instance(0);
         assert!(deliver(&mut c, 0..0).is_empty());
         c.take_results();
-        assert_eq!(step(&mut c, 2, ClientEvent::ResultsReady).len(), 1);
         assert!(deliver(&mut c, 0..0).is_empty());
+    }
+
+    #[test]
+    fn acknowledges_every_ack_every_results_and_at_the_end() {
+        let mut c = with_instance(ACK_EVERY + 3);
+        assert!(deliver(&mut c, 0..ACK_EVERY - 1).is_empty());
+        let acts = deliver(&mut c, ACK_EVERY - 1..ACK_EVERY + 1);
+        let [ClientAction::Send(Message::ResultsAck { instance, count })] = &acts[..] else {
+            panic!("expected one ack, got {acts:?}");
+        };
+        assert_eq!((*instance, *count), (InstanceId(1), ACK_EVERY + 1));
+        assert!(deliver(&mut c, ACK_EVERY + 1..ACK_EVERY + 2).is_empty());
+        let acts = deliver(&mut c, ACK_EVERY + 2..ACK_EVERY + 3);
+        assert!(matches!(
+            &acts[..],
+            [
+                ClientAction::Send(Message::ResultsAck { count: 2, .. }),
+                ClientAction::WorkloadComplete
+            ]
+        ));
     }
 }

@@ -14,8 +14,8 @@ pub struct DispatcherConfig {
     pub work_bundle: usize,
     /// Replay policy for lost/failed tasks.
     pub replay: ReplayPolicy,
-    /// Coalesce client notifications: notify a client at most once per this
-    /// many newly ready results (1 = notify eagerly).
+    /// Coalesce result pushes: push a client its waiting results once this
+    /// many are ready or none are pending (1 = push each one eagerly).
     pub client_notify_batch: u64,
     /// Data-aware dispatch (paper Section 6 future work): when handing work
     /// to an executor, prefer queued tasks whose data object that executor

@@ -67,7 +67,8 @@ pub enum DispatcherEvent {
         /// The failed executor.
         executor: ExecutorId,
     },
-    /// A client retrieves ready results `{9}`.
+    /// A client retrieves the results not yet pushed to it `{9}` (what a
+    /// reconnecting client asks for).
     GetResults {
         /// The instance to drain.
         instance: InstanceId,
@@ -122,7 +123,7 @@ pub enum DispatcherAction {
     ToClient {
         /// Destination instance.
         instance: InstanceId,
-        /// The message (InstanceCreated, SubmitAck, ClientNotify, Results…).
+        /// The message (InstanceCreated, SubmitAck, Results).
         msg: Message,
     },
     /// Send a protocol message to an executor.
@@ -255,10 +256,8 @@ pub struct Dispatcher<P: Probe = NoopProbe> {
 struct Instance {
     /// Tasks submitted but not yet completed/failed.
     pending: u64,
-    /// Results ready for client pick-up.
+    /// Results not yet pushed to the client.
     ready: Vec<TaskResult>,
-    /// Results ready since the last ClientNotify.
-    unnotified: u64,
 }
 
 impl Dispatcher {
@@ -530,10 +529,7 @@ impl<P: Probe> Dispatcher<P> {
                 let results = self
                     .instances
                     .get_mut(instance)
-                    .map(|inst| {
-                        inst.unnotified = 0;
-                        std::mem::take(&mut inst.ready)
-                    })
+                    .map(|inst| std::mem::take(&mut inst.ready))
                     .unwrap_or_default();
                 out.push(DispatcherAction::ToClient {
                     instance,
@@ -770,9 +766,9 @@ impl<P: Probe> Dispatcher<P> {
             .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
     }
 
-    /// Hand a final result to its instance and send `ClientNotify` once
-    /// `client_notify_batch` results are waiting or the instance has none
-    /// left pending.
+    /// Hand a final result to its instance and push the waiting results
+    /// `{8}`–`{10}` in one `Results` once `client_notify_batch` of them are
+    /// waiting or the instance has none left pending.
     fn deliver(
         &mut self,
         now: Micros,
@@ -785,17 +781,14 @@ impl<P: Probe> Dispatcher<P> {
         };
         inst.pending = inst.pending.saturating_sub(1);
         inst.ready.push(result);
-        inst.unnotified += 1;
-        if inst.unnotified < self.config.client_notify_batch && inst.pending > 0 {
+        let delivered = inst.ready.len() as u64;
+        if delivered < self.config.client_notify_batch && inst.pending > 0 {
             return;
         }
-        let delivered = std::mem::take(&mut inst.unnotified);
+        let results = std::mem::take(&mut inst.ready);
         out.push(DispatcherAction::ToClient {
             instance,
-            msg: Message::ClientNotify {
-                instance,
-                ready: inst.ready.len() as u64,
-            },
+            msg: Message::Results { results },
         });
         self.emit(now, ObsEvent::TaskDelivered { count: delivered });
     }
@@ -1079,6 +1072,17 @@ mod tests {
         )));
     }
 
+    /// The results of the one `Results` among `acts`, if there is one.
+    fn pushed(acts: &[DispatcherAction]) -> Option<Vec<TaskResult>> {
+        acts.iter().find_map(|a| match a {
+            DispatcherAction::ToClient {
+                msg: Message::Results { results },
+                ..
+            } => Some(results.clone()),
+            _ => None,
+        })
+    }
+
     #[test]
     fn results_retrievable_by_client() {
         let mut d = dispatcher();
@@ -1114,39 +1118,12 @@ mod tests {
                 results: vec![TaskResult::success(TaskId(1))],
             },
         );
-        // Client is notified that a result is ready.
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            DispatcherAction::ToClient {
-                msg: Message::ClientNotify { ready: 1, .. },
-                ..
-            }
-        )));
-        let acts = step(&mut d, 4, DispatcherEvent::GetResults { instance: inst });
-        let results = acts
-            .iter()
-            .find_map(|a| match a {
-                DispatcherAction::ToClient {
-                    msg: Message::Results { results },
-                    ..
-                } => Some(results.clone()),
-                _ => None,
-            })
-            .unwrap();
+        // The result is pushed to the client as it is delivered.
+        let results = pushed(&acts).expect("a Results push");
         assert_eq!(results.len(), 1);
-        // Second retrieval is empty.
-        let acts = step(&mut d, 5, DispatcherEvent::GetResults { instance: inst });
-        let results = acts
-            .iter()
-            .find_map(|a| match a {
-                DispatcherAction::ToClient {
-                    msg: Message::Results { results },
-                    ..
-                } => Some(results.len()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(results, 0);
+        // Nothing is left for a fetch.
+        let acts = step(&mut d, 4, DispatcherEvent::GetResults { instance: inst });
+        assert_eq!(pushed(&acts).map(|r| r.len()), Some(0));
     }
 
     #[test]
@@ -1305,7 +1282,7 @@ mod tests {
             },
         );
         let mut now = 2;
-        let mut failed = false;
+        let mut failure = None;
         for _ in 0..5 {
             step(
                 &mut d,
@@ -1321,30 +1298,16 @@ mod tests {
                 .iter()
                 .any(|a| matches!(a, DispatcherAction::TaskFailed { .. }))
             {
-                failed = true;
+                failure = pushed(&acts);
                 break;
             }
         }
-        assert!(failed, "task should fail after retries exhausted");
+        // The client is pushed a (synthesized) result with the failure.
+        let results = failure.expect("task should fail after retries exhausted");
         assert_eq!(d.stats().failed, 1);
         assert!(d.is_drained());
-        // The client still receives a (synthesized) result.
-        let acts = step(
-            &mut d,
-            now + 1,
-            DispatcherEvent::GetResults { instance: inst },
-        );
-        let results = acts
-            .iter()
-            .find_map(|a| match a {
-                DispatcherAction::ToClient {
-                    msg: Message::Results { results },
-                    ..
-                } => Some(results.clone()),
-                _ => None,
-            })
-            .unwrap();
         assert_eq!(results.len(), 1);
+        assert_eq!(results[0].id, TaskId(9));
         assert!(!results[0].is_success());
     }
 

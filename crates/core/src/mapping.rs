@@ -12,7 +12,8 @@ use falkon_proto::message::Message;
 
 /// Interpret a message arriving at the dispatcher, whichever peer sent it
 /// (a socket server learns a connection's role only from what it sends).
-/// Returns `None` for messages a dispatcher never legitimately receives.
+/// Returns `None` for messages a dispatcher never legitimately receives,
+/// and for `ResultsAck`, which only the [`crate::Switchboard`] reads.
 pub fn message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
     Some(match msg {
         Message::Register { executor, .. } => DispatcherEvent::Register { executor },
@@ -73,12 +74,12 @@ pub fn message_to_executor_event(msg: Message) -> Option<ExecutorEvent> {
 }
 
 /// Interpret a message arriving at a client from the dispatcher.
-/// Returns `None` for messages clients never legitimately receive.
+/// Returns `None` for messages clients never legitimately receive, and for
+/// `ClientNotify`: results arrive pushed.
 pub fn message_to_client_event(msg: Message) -> Option<ClientEvent> {
     Some(match msg {
         Message::InstanceCreated { instance } => ClientEvent::InstanceCreated { instance },
         Message::SubmitAck { accepted, .. } => ClientEvent::SubmitAcked { accepted },
-        Message::ClientNotify { .. } => ClientEvent::ResultsReady,
         Message::Results { results } => ClientEvent::Results { results },
         _ => return None,
     })
@@ -160,5 +161,11 @@ mod tests {
             Some(ClientEvent::InstanceCreated { .. })
         ));
         assert!(message_to_client_event(Message::StatusPoll).is_none());
+        // Results arrive pushed: a notification is ignored.
+        let notify = Message::ClientNotify {
+            instance: InstanceId(3),
+            ready: 1,
+        };
+        assert!(message_to_client_event(notify).is_none());
     }
 }

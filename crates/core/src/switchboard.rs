@@ -6,10 +6,17 @@
 //! `InstanceCreated` and `Status` go to the endpoint whose message caused
 //! them, and `InstanceCreated` binds its instance there. A close forgets
 //! only the bindings that still lead to the closing endpoint.
+//!
+//! Every `Results` is kept until the instance's endpoint acknowledges it
+//! (`ResultsAck`), and goes again, ahead of the answer, to an endpoint
+//! that a `Submit` or `GetResults` moves its instance to: results that
+//! went to a connection that died unread, or came while the instance had
+//! none, reach the client that comes back. `DestroyInstance` drops them.
 
 use crate::dispatcher::{DispatcherAction, TaskRecord};
 use crate::ids::{ExecutorId, InstanceId};
 use falkon_proto::message::Message;
+use falkon_proto::task::TaskResult;
 use std::collections::HashMap;
 
 /// The executor and instance bindings of one server (module docs). The
@@ -20,6 +27,8 @@ pub struct Switchboard<K> {
     /// registration.
     executors: HashMap<ExecutorId, (K, u64)>,
     instances: HashMap<InstanceId, K>,
+    /// Each instance's unacknowledged results, in the order they went out.
+    kept: HashMap<InstanceId, Vec<TaskResult>>,
     registrations: u64,
 }
 
@@ -28,31 +37,54 @@ impl<K> Default for Switchboard<K> {
         Switchboard {
             executors: HashMap::new(),
             instances: HashMap::new(),
+            kept: HashMap::new(),
             registrations: 0,
         }
     }
 }
 
 impl<K: Copy + PartialEq> Switchboard<K> {
-    /// `msg` arrived on endpoint `from`: bind what it names there.
-    pub fn heard(&mut self, from: K, msg: &Message) {
+    /// `msg` arrived on endpoint `from`: bind what it names there, sending
+    /// an instance that moves here what it has kept.
+    pub fn heard(&mut self, from: K, msg: &Message, mut send: impl FnMut(K, Message)) {
         match *msg {
             Message::Register { executor, .. } => {
                 self.registrations += 1;
                 self.executors.insert(executor, (from, self.registrations));
             }
             Message::Submit { instance, .. } | Message::GetResults { instance } => {
-                self.instances.insert(instance, from);
+                let moved = self.instances.insert(instance, from) != Some(from);
+                if let Some(results) = self.kept.get(&instance).filter(|_| moved).cloned() {
+                    send(from, Message::Results { results });
+                }
             }
-            Message::DestroyInstance { instance } => _ = self.instances.remove(&instance),
+            Message::ResultsAck { instance, count } => {
+                let bound = self.instances.get(&instance) == Some(&from);
+                let Some(kept) = self.kept.get_mut(&instance).filter(|_| bound) else {
+                    return;
+                };
+                kept.drain(..kept.len().min(count as usize));
+                if kept.is_empty() {
+                    self.kept.remove(&instance);
+                }
+            }
+            Message::DestroyInstance { instance } => {
+                self.instances.remove(&instance);
+                self.kept.remove(&instance);
+            }
             _ => {}
         }
     }
 
     /// Where `msg` for instance `id` goes; `cause` sent what it answers.
+    /// `Results` are kept (module docs).
     pub fn to_instance(&mut self, id: InstanceId, msg: &Message, cause: Option<K>) -> Option<K> {
-        if let (Message::InstanceCreated { .. }, Some(at)) = (msg, cause) {
-            self.instances.insert(id, at);
+        match (msg, cause) {
+            (Message::InstanceCreated { .. }, Some(at)) => _ = self.instances.insert(id, at),
+            (Message::Results { results }, _) if !results.is_empty() => {
+                self.kept.entry(id).or_default().extend_from_slice(results);
+            }
+            _ => {}
         }
         self.instances.get(&id).copied()
     }
@@ -131,18 +163,109 @@ mod tests {
             status: DispatcherStatus::default(),
         };
         assert_eq!(sent(&mut sb, vec![created, status], Some(3)), [3, 3]);
-        let notify = || {
+        let ack = || {
             to_client(
                 4,
-                Message::ClientNotify {
+                Message::SubmitAck {
                     instance: InstanceId(4),
-                    ready: 1,
+                    accepted: 1,
                 },
             )
         };
-        assert_eq!(sent(&mut sb, vec![notify()], None), [3]);
+        assert_eq!(sent(&mut sb, vec![ack()], None), [3]);
         sb.close(3);
-        assert_eq!(sent(&mut sb, vec![notify()], None), []);
+        assert_eq!(sent(&mut sb, vec![ack()], None), []);
+        // Nor is it kept for the next endpoint: only results are.
+        assert_eq!(heard(&mut sb, 5, submit(4)), []);
+    }
+
+    /// What `heard` sends.
+    fn heard(sb: &mut Switchboard<u8>, from: u8, msg: Message) -> Vec<(u8, Message)> {
+        let mut to = Vec::new();
+        sb.heard(from, &msg, |k, m| to.push((k, m)));
+        to
+    }
+
+    fn submit(i: u64) -> Message {
+        Message::Submit {
+            instance: InstanceId(i),
+            tasks: vec![],
+        }
+    }
+
+    fn fetch(i: u64) -> Message {
+        Message::GetResults {
+            instance: InstanceId(i),
+        }
+    }
+
+    fn ack(i: u64, count: u64) -> Message {
+        Message::ResultsAck {
+            instance: InstanceId(i),
+            count,
+        }
+    }
+
+    fn results(ids: &[u64]) -> Message {
+        let results = ids
+            .iter()
+            .map(|&i| TaskResult::success(falkon_proto::task::TaskId(i)))
+            .collect();
+        Message::Results { results }
+    }
+
+    /// Instance 4 bound at endpoint 3, which was sent results 1 and 2 and
+    /// closed, and result 3 pushed to it since.
+    fn orphaned() -> Switchboard<u8> {
+        let mut sb = Switchboard::default();
+        assert_eq!(heard(&mut sb, 3, submit(4)), []);
+        assert_eq!(
+            sent(&mut sb, vec![to_client(4, results(&[1, 2]))], None),
+            [3]
+        );
+        sb.close(3);
+        assert_eq!(sent(&mut sb, vec![to_client(4, results(&[3]))], None), []);
+        sb
+    }
+
+    #[test]
+    fn kept_results_go_to_the_endpoint_an_instance_moves_to_ahead_of_the_answer() {
+        let mut sb = orphaned();
+        // A driver feeds `heard` and `route` the same sink.
+        let mut to = heard(&mut sb, 5, fetch(4));
+        let mut acts = vec![to_client(4, results(&[]))];
+        sb.route(&mut acts, Some(5), &mut Vec::new(), |k, m| to.push((k, m)));
+        assert_eq!(to, [(5, results(&[1, 2, 3])), (5, results(&[]))]);
+        // Kept until acknowledged, then gone.
+        assert_eq!(heard(&mut sb, 6, submit(4)), [(6, results(&[1, 2, 3]))]);
+        assert_eq!(heard(&mut sb, 6, ack(4, 3)), []);
+        assert_eq!(heard(&mut sb, 7, submit(4)), []);
+    }
+
+    #[test]
+    fn an_ack_counts_from_the_front_and_only_from_the_bound_endpoint() {
+        let mut sb = Switchboard::default();
+        assert_eq!(heard(&mut sb, 3, submit(4)), []);
+        assert_eq!(
+            sent(&mut sb, vec![to_client(4, results(&[1, 2, 3]))], None),
+            [3]
+        );
+        assert_eq!(heard(&mut sb, 9, ack(4, 3)), [], "not bound at 9");
+        assert_eq!(heard(&mut sb, 3, ack(4, 2)), []);
+        // Another message on the same endpoint sends nothing again; a
+        // move does, even before the old endpoint's close is seen.
+        assert_eq!(heard(&mut sb, 3, fetch(4)), []);
+        assert_eq!(heard(&mut sb, 5, fetch(4)), [(5, results(&[3]))]);
+    }
+
+    #[test]
+    fn destroy_drops_kept_results() {
+        let mut sb = orphaned();
+        let destroy = Message::DestroyInstance {
+            instance: InstanceId(4),
+        };
+        assert_eq!(heard(&mut sb, 5, destroy), []);
+        assert_eq!(heard(&mut sb, 5, submit(4)), []);
     }
 
     #[test]

@@ -727,8 +727,8 @@ impl SimFalkon {
         self.arm_deadline();
     }
 
-    /// Deliver a dispatcher message to the client machine. The results it
-    /// picks up {10} are not on the measured path.
+    /// Deliver a dispatcher message to the client machine. The results
+    /// pushed to it `{8}`–`{10}` leave the measured path here.
     fn client_recv(&mut self, msg: Message) {
         let Some(ev) = mapping::message_to_client_event(msg) else {
             return;
@@ -739,10 +739,9 @@ impl SimFalkon {
         self.client_actions(out);
     }
 
-    /// A client `Submit` travels like any message. Its other requests —
-    /// creating the instance {1}, fetching results when notified {9} — are
-    /// answered on the spot and uncosted, like every client-side step, so
-    /// the dispatcher holds no result it has announced.
+    /// A client `Submit` travels like any message. Creating the instance
+    /// `{1}` is answered on the spot and uncosted, like every client-side
+    /// step; a `ResultsAck` feeds no machine and is dropped.
     fn client_actions(&mut self, out: Vec<ClientAction>) {
         for act in out {
             let ClientAction::Send(msg) = act else {
@@ -1242,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn client_picks_results_up_when_notified() {
+    fn client_is_pushed_every_result() {
         let mut sim = SimFalkon::new(SimFalkonConfig {
             executors: 8,
             ..SimFalkonConfig::default()

@@ -51,7 +51,7 @@ pub enum ObsEvent {
     TaskRetried,
     /// A result arrived for a task that already completed.
     DuplicateResult,
-    /// The dispatcher sent (or queued) a client notification message.
+    /// The dispatcher notified an idle executor of work `{3}`.
     NotifySent,
     /// `count` tasks rode back to an executor piggybacked on a result ack.
     TaskPiggybacked {
@@ -125,7 +125,8 @@ pub enum ObsEvent {
     },
 }
 
-/// Discriminant-only view of [`ObsEvent`], used to index [`Counters`].
+/// Discriminant-only view of [`ObsEvent`], used to index [`Counters`]; the
+/// `Socket*` kinds have no event: a [`crate::WireTap`] counts calls, valued at bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // each kind documents itself on the ObsEvent variant
@@ -159,11 +160,13 @@ pub enum ObsEventKind {
     DispatcherReadmitted,
     BundleEncoded,
     BundleDecoded,
+    SocketRead,
+    SocketWrite,
 }
 
 impl ObsEventKind {
     /// Every kind, in declaration order (the [`Counters`] index order).
-    pub const ALL: [ObsEventKind; 29] = [
+    pub const ALL: [ObsEventKind; 31] = [
         ObsEventKind::TaskSubmitted,
         ObsEventKind::TaskDispatched,
         ObsEventKind::TaskStarted,
@@ -193,6 +196,8 @@ impl ObsEventKind {
         ObsEventKind::DispatcherReadmitted,
         ObsEventKind::BundleEncoded,
         ObsEventKind::BundleDecoded,
+        ObsEventKind::SocketRead,
+        ObsEventKind::SocketWrite,
     ];
 
     /// Stable snake_case name, used in trace dumps and test diagnostics.
@@ -227,6 +232,8 @@ impl ObsEventKind {
             ObsEventKind::DispatcherReadmitted => "dispatcher_readmitted",
             ObsEventKind::BundleEncoded => "bundle_encoded",
             ObsEventKind::BundleDecoded => "bundle_decoded",
+            ObsEventKind::SocketRead => "socket_read",
+            ObsEventKind::SocketWrite => "socket_write",
         }
     }
 
@@ -376,6 +383,7 @@ impl Counters {
 
     /// Record `count` events of `kind` whose values sum to `value` (a
     /// machine that keeps its few counts compactly builds its view here).
+    #[inline]
     pub fn add(&mut self, kind: ObsEventKind, count: u64, value: u64) {
         self.counts[kind as usize] += count;
         self.values[kind as usize] += value;

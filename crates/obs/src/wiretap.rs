@@ -1,4 +1,5 @@
-//! [`WireTap`]: wire-level byte accounting as a sans-io machine.
+//! [`WireTap`]: wire-level byte and syscall accounting as a sans-io
+//! machine.
 //!
 //! Transports (TCP framing, in-process channels, the simulator's modelled
 //! links) know how many bytes each encoded bundle occupies, but drivers must
@@ -8,9 +9,10 @@
 //! `WireTap` closes the gap: the driver reports raw byte counts, and the
 //! tap — which lives on the sans-io side — turns them into
 //! [`ObsEvent::BundleEncoded`] / [`ObsEvent::BundleDecoded`] and counts
-//! them.
+//! them, and counts each socket `read` and `write` call a driver reports
+//! ([`ObsEventKind::SocketRead`] / [`ObsEventKind::SocketWrite`]).
 
-use crate::probe::{Counters, ObsEvent};
+use crate::probe::{Counters, ObsEvent, ObsEventKind};
 
 /// Sans-io wire accounting: converts driver-reported byte counts into
 /// `BundleEncoded` / `BundleDecoded` events on its own [`Counters`] — one
@@ -39,6 +41,18 @@ impl WireTap {
         self.counters.observe(&ObsEvent::BundleDecoded { bytes });
     }
 
+    /// Record one socket `read` call that moved `bytes`.
+    #[inline]
+    pub fn read(&mut self, bytes: u64) {
+        self.counters.add(ObsEventKind::SocketRead, 1, bytes);
+    }
+
+    /// Record one socket `write` call that moved `bytes`.
+    #[inline]
+    pub fn wrote(&mut self, bytes: u64) {
+        self.counters.add(ObsEventKind::SocketWrite, 1, bytes);
+    }
+
     /// The counters so far (for reading or merging shards).
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -53,7 +67,6 @@ impl WireTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::ObsEventKind;
 
     #[test]
     fn counts_encoded_and_decoded_bytes() {
@@ -66,5 +79,18 @@ mod tests {
         assert_eq!(c.value(ObsEventKind::BundleEncoded), 150);
         assert_eq!(c.count(ObsEventKind::BundleDecoded), 1);
         assert_eq!(c.value(ObsEventKind::BundleDecoded), 7);
+    }
+
+    #[test]
+    fn counts_socket_calls_and_the_bytes_they_moved() {
+        let mut tap = WireTap::new();
+        tap.read(512);
+        tap.read(0);
+        tap.wrote(40);
+        let c = tap.counters();
+        assert_eq!(c.count(ObsEventKind::SocketRead), 2);
+        assert_eq!(c.value(ObsEventKind::SocketRead), 512);
+        assert_eq!(c.count(ObsEventKind::SocketWrite), 1);
+        assert_eq!(c.value(ObsEventKind::SocketWrite), 40);
     }
 }

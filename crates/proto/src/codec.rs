@@ -128,6 +128,7 @@ mod tag {
     pub const STATUS_POLL: u8 = 16;
     pub const STATUS: u8 = 17;
     pub const DESTROY_INSTANCE: u8 = 18;
+    pub const RESULTS_ACK: u8 = 19;
 }
 
 fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
@@ -331,6 +332,11 @@ fn encode_message<S: Sink>(s: &mut S, msg: &Message) {
             s.put_u8(tag::RESULTS);
             encode_results(s, results);
         }
+        Message::ResultsAck { instance, count } => {
+            s.put_u8(tag::RESULTS_ACK);
+            s.put_u64(instance.0);
+            s.put_u64(*count);
+        }
         Message::Register { executor, host } => {
             s.put_u8(tag::REGISTER);
             s.put_u64(executor.0);
@@ -401,6 +407,10 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
         },
         tag::RESULTS => Message::Results {
             results: decode_results(r)?,
+        },
+        tag::RESULTS_ACK => Message::ResultsAck {
+            instance: InstanceId(r.u64(C)?),
+            count: r.u64(C)?,
         },
         tag::REGISTER => Message::Register {
             executor: ExecutorId(r.u64(C)?),
@@ -479,6 +489,10 @@ mod tests {
             },
             Message::Results {
                 results: vec![TaskResult::failure(TaskId(2), -9)],
+            },
+            Message::ResultsAck {
+                instance: InstanceId(1),
+                count: 3,
             },
             Message::Register {
                 executor: ExecutorId(4),

@@ -112,22 +112,33 @@ pub enum Message {
         /// backing is disabled or no work is queued).
         piggybacked: Vec<TaskSpec>,
     },
-    /// Dispatcher → client `{8}`: results are ready for pick-up.
+    /// Dispatcher → client `{8}`: results are ready for pick-up. No server
+    /// sends it any more: each delivery is a pushed `Results`.
     ClientNotify {
         /// The instance with ready results.
         instance: InstanceId,
         /// How many results are ready.
         ready: u64,
     },
-    /// Client → dispatcher `{9}`: retrieve finished results.
+    /// Client → dispatcher `{9}`: retrieve finished results that were not
+    /// pushed, and any a dead connection took with it.
     GetResults {
         /// The instance to drain.
         instance: InstanceId,
     },
-    /// Dispatcher → client `{10}`: the finished results.
+    /// Dispatcher → client `{8}`–`{10}`: the finished results, pushed as
+    /// they are delivered or sent in answer to `GetResults`.
     Results {
         /// Completed task results.
         results: Vec<TaskResult>,
+    },
+    /// Client → dispatcher: the client has taken `count` more results of
+    /// `instance` from this connection; the server may forget them.
+    ResultsAck {
+        /// The instance the results belong to.
+        instance: InstanceId,
+        /// Results received since this connection's previous ack.
+        count: u64,
     },
     /// Executor → dispatcher: register on startup.
     Register {
@@ -176,6 +187,7 @@ impl Message {
             Message::ClientNotify { .. } => "ClientNotify",
             Message::GetResults { .. } => "GetResults",
             Message::Results { .. } => "Results",
+            Message::ResultsAck { .. } => "ResultsAck",
             Message::Register { .. } => "Register",
             Message::RegisterAck { .. } => "RegisterAck",
             Message::Deregister { .. } => "Deregister",

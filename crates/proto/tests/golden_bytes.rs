@@ -109,6 +109,15 @@ fn golden() -> Vec<(&'static str, Message, &'static str)> {
              6d700140420f000000000000090000000000000005000000736c656570010000000200000036340000\
              0000040000002f746d70010090d0030000000000",
         ),
+        (
+            // Added with the message, after the capture above.
+            "results_ack",
+            Message::ResultsAck {
+                instance: InstanceId(1),
+                count: 3,
+            },
+            "1301000000000000000300000000000000",
+        ),
     ]
 }
 

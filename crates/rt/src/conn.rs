@@ -35,6 +35,7 @@
 //! *at enqueue time*, and [`Conn::flush`] writes as much of the batch as
 //! the socket accepts — one syscall for a whole drain of queued messages
 //! (the paper's §3.1 bundling argument applied at the syscall layer).
+//! Each `read` and `write` call is charged to the tap too.
 //!
 //! Ordering protocol: the one atomic, `NONCE`, is a `Relaxed` uniqueness
 //! counter — each handshake just needs a value nobody else drew, and no
@@ -204,7 +205,9 @@ impl Conn {
     /// once nothing is pending; `Ok(false)` if the socket would block.
     pub fn flush(&mut self) -> io::Result<bool> {
         while self.batch_pos < self.batchbuf.len() {
-            match self.stream.write(&self.batchbuf[self.batch_pos..]) {
+            let wrote = self.stream.write(&self.batchbuf[self.batch_pos..]);
+            self.wire.wrote(wrote.as_ref().map_or(0, |&n| n as u64));
+            match wrote {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => self.batch_pos += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
@@ -232,6 +235,7 @@ impl Conn {
             self.cursor = FrameCursor::with_buf(READ_BUF.take());
         }
         let read = self.stream.read(self.cursor.space(1));
+        self.wire.read(read.as_ref().map_or(0, |&n| n as u64));
         if let Ok(n) = read {
             self.cursor.commit(n);
         }

@@ -13,8 +13,8 @@
 //!   names; each `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`],
 //!   and the machine's least-loaded policy picks the downstream dispatcher.
 //!   Results are pushed back as `Results` frames to the connection the
-//!   [`Switchboard`] binds the instance to, the last one that named it
-//!   (the direct-push variant of the notify protocol).
+//!   [`Switchboard`] binds the instance to, the last one that named it,
+//!   and kept there until the client acknowledges them.
 //! * **Downstream** (dialed connections, one per dispatcher): the server
 //!   handle dials the dispatcher and has the forwarder's thread adopt the
 //!   stream under the dispatcher's slot tag — the one control-plane
@@ -22,8 +22,8 @@
 //!   bundle limit, so a routed bundle stays one `Submit`: it creates its
 //!   instance, and the link is *up* once that exists, which
 //!   [`ForwarderServer::start`] and
-//!   [`ForwarderServer::readmit_dispatcher`] wait for. The client answers
-//!   `ClientNotify` with a fetch; the results it takes become a
+//!   [`ForwarderServer::readmit_dispatcher`] wait for. The results the
+//!   dispatcher pushes to it become a
 //!   [`ForwarderEvent::DispatcherResults`] and funnel back upstream.
 //!
 //! Failure semantics: the machine alone decides where work goes. A
@@ -309,7 +309,8 @@ impl ForwarderMount {
 
     /// Handle one message from a client.
     fn on_upstream(&mut self, token: Token, msg: Message, now: u64) {
-        self.routes.heard(token, &msg);
+        let outbox = &mut self.outbox;
+        self.routes.heard(token, &msg, |to, m| outbox.push((to, m)));
         let ev = match msg {
             Message::CreateInstance => ForwarderEvent::CreateInstance,
             Message::Submit { instance, tasks } => ForwarderEvent::ClientSubmit { instance, tasks },
@@ -385,8 +386,8 @@ impl Handler<Peer> for ForwarderMount {
                 }
             }
             None => {
-                // Results for a gone client's instances are dropped at
-                // delivery time; the tasks themselves still complete.
+                // Results for a gone client's instances wait in the
+                // switchboard for the connection that names them next.
                 self.upstream_wire.merge(&closed.wire);
                 self.routes.close(token);
             }

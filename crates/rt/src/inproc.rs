@@ -18,7 +18,7 @@ use falkon_core::mapping::{message_to_client_event, message_to_dispatcher_event}
 use falkon_core::{DispatcherConfig, Switchboard};
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::bundle::BundleConfig;
-use falkon_proto::message::ExecutorId;
+use falkon_proto::message::{ExecutorId, Message};
 use falkon_proto::task::TaskSpec;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
@@ -195,7 +195,7 @@ fn dispatcher_thread(
             }
             Some(DispIn::Packet(from, packet)) => {
                 let msg = peers[from].0.unpack(packet).expect("valid packet");
-                routes.heard(from, &msg);
+                routes.heard(from, &msg, |to, msg| send(&mut peers, to, msg));
                 if let Some(ev) = message_to_dispatcher_event(msg) {
                     d.on_event(now, ev, &mut out);
                 }
@@ -203,12 +203,8 @@ fn dispatcher_thread(
             }
             Some(DispIn::Stop) => break,
         };
-        // A send failure means the peer already exited (e.g. an
-        // idle-released executor); the dispatcher will time the task out
-        // and replay.
         routes.route(&mut out, cause, &mut records, |to, msg| {
-            let (ep, tx) = &mut peers[to];
-            let _ = tx.send(ep.pack(&msg));
+            send(&mut peers, to, msg)
         });
     }
     let stats = d.stats();
@@ -217,6 +213,14 @@ fn dispatcher_thread(
         obs.merge_counters(ep.wire());
     }
     (records, stats, obs)
+}
+
+/// Hand `msg` to peer `to`. A send failure means the peer already exited
+/// (e.g. an idle-released executor); the dispatcher will time the task out
+/// and replay.
+fn send(peers: &mut [Peer], to: usize, msg: Message) {
+    let (ep, tx) = &mut peers[to];
+    let _ = tx.send(ep.pack(&msg));
 }
 
 fn executor_thread(

@@ -5,8 +5,9 @@
 //! With security enabled, each connection performs the toy
 //! GSISecureConversation handshake first and seals every frame. This is the
 //! deployment the `tcp_cluster` example and the TCP throughput benchmarks
-//! use; it exercises the exact Figure 2 message sequence over a real
-//! network stack (localhost).
+//! use; it exercises the Figure 2 message sequence over a real network
+//! stack (localhost), with notification and retrieval `{8}`–`{10}` one
+//! pushed `Results`.
 //!
 //! Every socket here is a [`Conn`] on the one readiness loop of
 //! [`crate::engine`] (DESIGN.md §10.3). A [`DispatcherServer`] is one
@@ -235,7 +236,8 @@ impl Handler<()> for DispatcherMount {
         let Inbound::Msg(msg) = ev else {
             return Ok(false);
         };
-        self.routes.heard(token, &msg);
+        let outbox = &mut self.outbox;
+        self.routes.heard(token, &msg, |to, m| outbox.push((to, m)));
         if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
             self.step(ev, Some(token));
         }
@@ -325,12 +327,8 @@ struct ClientRun {
     tasks: Vec<TaskSpec>,
     actions: Vec<ClientAction>,
     t0: u64,
-    /// `(completions, elapsed µs)` once the workload completed.
+    /// `(completions, elapsed µs)` once the workload completed; the run ends.
     done: Option<(u64, u64)>,
-    /// `GetResults` sent and not yet answered: the connection closes only
-    /// once the last is read (one that overlapped the completing fetch gets
-    /// an empty `Results`), so every frame the dispatcher sends is decoded.
-    fetches: u64,
     closed: Option<Closed>,
 }
 
@@ -348,10 +346,6 @@ impl Handler<()> for ClientRun {
                 self.client.enqueue(self.t0, tasks, &mut self.actions);
             }
             Inbound::Msg(msg) => {
-                if matches!(msg, Message::Results { .. }) {
-                    // Saturating: a forwarder pushes `Results` unasked.
-                    self.fetches = self.fetches.saturating_sub(1);
-                }
                 if let Some(ev) = falkon_core::mapping::message_to_client_event(msg) {
                     self.client
                         .on_event(self.clock.now_us(), ev, &mut self.actions);
@@ -363,17 +357,14 @@ impl Handler<()> for ClientRun {
         // partially, if the socket is full, while results keep being read.
         for act in self.actions.drain(..) {
             match act {
-                ClientAction::Send(msg) => {
-                    self.fetches += u64::from(matches!(msg, Message::GetResults { .. }));
-                    conn.enqueue(&msg)?;
-                }
+                ClientAction::Send(msg) => conn.enqueue(&msg)?,
                 ClientAction::WorkloadComplete => {
                     let done = self.client.completions().len() as u64;
                     self.done = Some((done, self.clock.now_us() - self.t0));
                 }
             }
         }
-        Ok(self.done.is_some() && self.fetches == 0)
+        Ok(self.done.is_some())
     }
 
     fn closed(&mut self, _: Token, _: (), closed: Closed) {
@@ -401,7 +392,6 @@ pub fn run_client(
         actions: Vec::new(),
         t0: 0,
         done: None,
-        fetches: 0,
         closed: None,
     };
     engine.add(conn, (), &mut run);

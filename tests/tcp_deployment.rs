@@ -3,8 +3,9 @@
 //! executor churn, the handshake's corner cases (a first frame sent with
 //! the hello, a peer that never speaks, a wrong key), the status poll, an
 //! executor that re-registers on a fresh connection, a client that
-//! reconnects for its results, the machine's replay deadline riding the
-//! poll timeout, and work bundles with pre-fetch.
+//! reconnects for its results, eager delivery as one pushed frame per
+//! result, the machine's replay deadline riding the poll timeout, and work
+//! bundles with pre-fetch.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -12,6 +13,7 @@
 
 mod common;
 
+use falkon::core::client::ACK_EVERY;
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::{DispatcherConfig, ReplayPolicy};
 use falkon::obs::ObsEventKind;
@@ -364,6 +366,124 @@ fn tcp_reconnecting_client_fetches_every_result_exactly_once() {
     for e in execs {
         e.join().expect("executor thread").ok();
     }
+}
+
+/// Results pushed to a connection that its client closes without reading
+/// them are not lost with it: they stay kept until acknowledged, and the
+/// client's next connection is sent each of them once. These were written
+/// while the connection was up, so no timing decides the outcome.
+#[test]
+fn tcp_results_pushed_to_a_connection_closed_unread_come_again() {
+    const N: u64 = 40;
+    let config = ServerConfig::builder().build().expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let execs: Vec<_> = (0..2)
+        .map(|i| {
+            thread::spawn(move || {
+                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+            })
+        })
+        .collect();
+    common::wait_registered(addr, None, 2);
+
+    let mut client = RawExecutor::connect(addr, 0);
+    client.send(&Message::CreateInstance);
+    let Message::InstanceCreated { instance } = client.recv() else {
+        panic!("expected InstanceCreated");
+    };
+    client.send(&Message::Submit {
+        instance,
+        tasks: tasks(N),
+    });
+    assert!(matches!(
+        client.recv(),
+        Message::SubmitAck { accepted: N, .. }
+    ));
+    // Every task runs, and every result is pushed to this connection.
+    let mut status = common::StatusClient::connect(addr, None);
+    while {
+        let s = status.poll();
+        s.queued_tasks + s.running_tasks > 0
+    } {
+        thread::sleep(Duration::from_millis(2));
+    }
+    status.close();
+    thread::sleep(Duration::from_millis(50));
+    drop(client);
+
+    let mut client = RawExecutor::connect(addr, 0);
+    client.send(&Message::GetResults { instance });
+    let mut seen = Vec::new();
+    while (seen.len() as u64) < N {
+        let Message::Results { results } = client.recv() else {
+            panic!("expected Results");
+        };
+        seen.extend(results.iter().map(|r| r.id.0));
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, (0..N).collect::<Vec<_>>(), "each result exactly once");
+    // Nothing more is on its way: the next frame answers a second fetch.
+    client.send(&Message::GetResults { instance });
+    assert_eq!(client.recv(), Message::Results { results: vec![] });
+
+    let (records, _, _) = server.shutdown();
+    assert_eq!(records.len() as u64, N);
+    for e in execs {
+        e.join().expect("executor thread").ok();
+    }
+}
+
+/// With eager delivery (`client_notify_batch: 1`) every result reaches the
+/// client as it completes, in one pushed `Results` frame: notification and
+/// retrieval `{8}`–`{10}` are one message. The client sends nothing but its
+/// `CreateInstance`, its submits and one `ResultsAck` at the end, and
+/// receives nothing but their answers and one frame per delivery. (Each
+/// delivery used to cost a `ClientNotify`, a `GetResults` and a
+/// `Results`.)
+#[test]
+fn tcp_eager_delivery_is_one_pushed_frame_and_no_fetch() {
+    const N: u64 = 200;
+    const BUNDLE: u64 = 50;
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            client_notify_batch: 1,
+            ..DispatcherConfig::default()
+        })
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let execs: Vec<_> = (0..2)
+        .map(|i| {
+            thread::spawn(move || {
+                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+            })
+        })
+        .collect();
+    let client =
+        run_client(addr, tasks(N), BundleConfig::of(BUNDLE as usize), None).expect("client");
+    assert_eq!(client.done, N);
+    let (records, _, obs) = server.shutdown();
+    for e in execs {
+        e.join().expect("executor thread").ok();
+    }
+    assert_eq!(records.len() as u64, N);
+    let deliveries = obs.counters.count(ObsEventKind::TaskDelivered);
+    assert_eq!(deliveries, N, "one delivery per result");
+    let submits = N / BUNDLE;
+    const { assert!(N < ACK_EVERY, "so the one acknowledgement is the last") };
+    let frames = |kind| client.wire.count(kind);
+    assert_eq!(
+        frames(ObsEventKind::BundleEncoded),
+        1 + submits + 1,
+        "the client sent a GetResults"
+    );
+    assert_eq!(
+        frames(ObsEventKind::BundleDecoded),
+        1 + submits + deliveries,
+        "the client received more than one frame per delivery"
+    );
 }
 
 /// The machine's replay deadline is folded into the server's poll timeout:

@@ -8,7 +8,9 @@
 //! one end of a socket must be charged as decoded at the other end, byte
 //! for byte. Handshake frames are excluded symmetrically (neither end
 //! charges them), so the totals balance exactly — any lost frame, double
-//! count, or dropped counter breaks the equality.
+//! count, or dropped counter breaks the equality. The socket calls balance
+//! the same way: every byte one end's `write` calls moved, the other end's
+//! `read` calls moved, handshakes and frame headers included.
 
 // Deployment tests: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -114,6 +116,15 @@ fn soak(n_exec: u64, tasks: Vec<TaskSpec>, security: TcpSecurity) -> u64 {
         disp_enc, peer_dec,
         "frames/bytes sent by dispatcher != received by peers"
     );
+    let written = |c: &Counters| c.value(ObsEventKind::SocketWrite);
+    let read = |c: &Counters| c.value(ObsEventKind::SocketRead);
+    assert_eq!(read(&obs.counters), written(&peer_wire), "peers' bytes");
+    assert_eq!(
+        written(&obs.counters),
+        read(&peer_wire),
+        "dispatcher's bytes"
+    );
+    assert!(written(&peer_wire) > disp_dec.1, "headers are written too");
     // The workload actually moved data: at least one frame per submit
     // bundle, and the padded env blocks make the byte totals substantial.
     assert!(disp_dec.0 >= n_tasks / 50, "suspiciously few frames");

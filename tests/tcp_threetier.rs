@@ -24,42 +24,54 @@
 //! the enqueue-time wire charge stays balanced across the loss.
 //!
 //! A second case loses *every* dispatcher: the backlog waits in the
-//! forwarder and goes to whichever slot comes up first.
+//! forwarder and goes to whichever slot comes up first. A third has the
+//! client go away while its tasks run: their results wait at the
+//! forwarder for the client's next connection.
 
 // Deployment tests: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
 #![allow(clippy::disallowed_methods)]
 #![cfg(unix)]
 
+mod common;
+
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
 use falkon::obs::{Counters, ObsEventKind};
 use falkon::proto::bundle::BundleConfig;
-use falkon::proto::message::ExecutorId;
+use falkon::proto::message::{ExecutorId, Message};
 use falkon::proto::task::TaskSpec;
+use falkon::proto::{write_frame, Codec, EfficientCodec};
 use falkon::rt::forwarder::ForwarderServer;
 use falkon::rt::muxpeer::MuxOutcome;
 use falkon::rt::tcp::{run_client, run_executor, ServerConfig};
 use std::collections::HashSet;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The cases run one at a time: the soak counts the process's threads.
+/// The cases run one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Live thread count of this process (`/proc/self/status`), or `None` off
-/// Linux — the thread-budget assertion is skipped there.
-fn process_threads() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Live threads of this process that bear the calling thread's name, or
+/// `None` off Linux — the thread-budget assertion is skipped there. The
+/// harness names each case's thread after the case, and Linux hands a
+/// thread's name to the threads it starts, so this counts the case's own
+/// thread and the threads of the deployment it started, whenever the
+/// harness starts or ends the other cases' threads.
+fn case_threads() -> Option<u64> {
+    let comm = |path: std::path::PathBuf| std::fs::read_to_string(path.join("comm")).ok();
+    let own = comm("/proc/thread-self".into())?;
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let named = tasks
+        .flatten()
+        .filter(|t| comm(t.path()).as_ref() == Some(&own));
+    Some(named.count() as u64)
 }
 
 fn wire_total(c: &Counters, kind: ObsEventKind) -> (u64, u64) {
@@ -92,7 +104,7 @@ const VICTIM: usize = 2;
 #[test]
 fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     let _serial = serial();
-    let threads_before = process_threads();
+    let threads_before = case_threads();
     let config = ServerConfig::builder()
         .dispatcher(DispatcherConfig {
             client_notify_batch: 50,
@@ -130,7 +142,7 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     // one thread each — a downstream link is a connection of the
     // forwarder's thread, not a thread of its own — plus the 4 executor
     // threads and the wave-1 client.
-    if let (Some(before), Some(peak)) = (threads_before, process_threads()) {
+    if let (Some(before), Some(peak)) = (threads_before, case_threads()) {
         let added = peak.saturating_sub(before);
         let budget = 4 + 4 + 1;
         assert!(added <= budget, "{added} threads at peak, budget {budget}");
@@ -267,7 +279,7 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
     // -- Invariant 4: every thread joined. ------------------------------
     // All handles joined above; the process count settles back to its
     // baseline (small slack for unrelated test threads and lazy reaping).
-    if let (Some(before), Some(after)) = (threads_before, process_threads()) {
+    if let (Some(before), Some(after)) = (threads_before, case_threads()) {
         let leaked = after.saturating_sub(before);
         assert!(leaked <= 4, "three-tier deployment leaked {leaked} threads");
     }
@@ -329,4 +341,106 @@ fn backlog_survives_every_dispatcher_lost_and_goes_to_the_first_readmitted() {
     assert_eq!((s.dispatchers_lost, s.readmitted), (2, 1));
     assert_eq!(s.results_delivered, BACKLOG);
     assert_eq!(s.tasks_routed, BACKLOG + s.rerouted);
+}
+
+/// A hand-driven plain-text client on a blocking socket.
+struct RawClient(TcpStream);
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let client = RawClient(stream);
+        client.patience(Duration::from_secs(2));
+        client
+    }
+
+    /// How long [`RawClient::recv`] waits for a message.
+    fn patience(&self, wait: Duration) {
+        self.0.set_read_timeout(Some(wait)).expect("timeout");
+    }
+
+    fn send(&mut self, msg: &Message) {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &EfficientCodec.encode(msg));
+        self.0.write_all(&bytes).expect("write");
+    }
+
+    /// The next message, or `None` if none comes within the patience.
+    fn recv(&mut self) -> Option<Message> {
+        let mut len = [0u8; 4];
+        self.0.read_exact(&mut len).ok()?;
+        let mut frame = vec![0u8; u32::from_le_bytes(len) as usize];
+        self.0.read_exact(&mut frame).expect("frame body");
+        Some(EfficientCodec.decode(&frame).expect("decodes"))
+    }
+}
+
+/// Poll until `done` holds, for up to 10 s.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Results wait on the instance at the forwarder tier too. A raw client
+/// submits through the forwarder and drops its connection; executors join
+/// only after that, so every result comes back to an instance with no
+/// connection. A fresh connection's `GetResults` then receives each of
+/// them exactly once. (The forwarder used to drop them at delivery.)
+#[test]
+fn client_gone_while_its_tasks_run_fetches_each_result_from_the_forwarder() {
+    const N: u64 = 60;
+    let _serial = serial();
+    let config = ServerConfig::builder()
+        .forwarder(1)
+        .build()
+        .expect("valid config");
+    let server = ForwarderServer::start(config).expect("bind three-tier");
+    let disp = server.dispatcher_addrs()[0];
+
+    let mut client = RawClient::connect(server.addr);
+    client.send(&Message::CreateInstance);
+    let Some(Message::InstanceCreated { instance }) = client.recv() else {
+        panic!("expected InstanceCreated");
+    };
+    let tasks = (0..N).map(|i| TaskSpec::sleep(i, 0)).collect();
+    client.send(&Message::Submit { instance, tasks });
+    drop(client);
+
+    // The bundle waits at the dispatcher until executors come; then every
+    // task runs, and the last push crosses the forwarder.
+    let mut status = common::StatusClient::connect(disp, None);
+    wait_until("the bundle", || status.poll().queued_tasks == N);
+    let execs = spawn_executors(disp, 0, 2);
+    common::wait_registered(disp, None, 2);
+    wait_until("the tasks", || {
+        let s = status.poll();
+        s.queued_tasks + s.running_tasks == 0
+    });
+    status.close();
+    thread::sleep(Duration::from_millis(100));
+
+    let mut client = RawClient::connect(server.addr);
+    client.send(&Message::GetResults { instance });
+    let mut seen = Vec::new();
+    while (seen.len() as u64) < N {
+        match client.recv() {
+            Some(Message::Results { results }) => seen.extend(results.iter().map(|r| r.id.0)),
+            Some(other) => panic!("unexpected {other:?}"),
+            None => break,
+        }
+    }
+    client.patience(Duration::from_millis(200));
+    assert_eq!(client.recv(), None, "a result came twice");
+    seen.sort_unstable();
+    assert_eq!(seen, (0..N).collect::<Vec<_>>(), "each result exactly once");
+
+    drop(client);
+    let (outcome, _) = server.shutdown();
+    for e in execs {
+        e.join().expect("executor thread").ok();
+    }
+    assert_eq!(outcome.stats.results_delivered, N);
 }
