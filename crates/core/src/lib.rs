@@ -12,7 +12,7 @@
 //! never blocks, spawns, sleeps, or touches sockets. The same machines are
 //! driven by
 //!
-//! * `falkon-rt` — real threads, channels, and TCP for measured
+//! * `falkon-rt` — real threads and TCP sockets for measured
 //!   microbenchmarks, and
 //! * `falkon-exp` — a discrete-event simulator for the paper's at-scale
 //!   experiments (54 K executors, 2 M tasks).

@@ -1,6 +1,6 @@
 //! Wire-message → state-machine-event mapping, shared by every driver.
 //!
-//! The in-process runtime, the TCP runtime, and the simulator all translate
+//! The socket runtime's peers and servers and the simulator all translate
 //! [`Message`]s into [`DispatcherEvent`]s / [`ExecutorEvent`]s /
 //! [`ClientEvent`]s the same way; keeping the mapping here means a new
 //! message variant cannot be handled inconsistently across drivers.

@@ -14,7 +14,7 @@ use falkon_proto::message::ExecutorId;
 use falkon_proto::task::TaskSpec;
 use falkon_rt::forwarder::ForwarderServer;
 use falkon_rt::inproc::{run_sleep_workload, InprocConfig};
-use falkon_rt::tcp::{run_client, run_executor, DispatcherServer, ServerConfig, TcpSecurity};
+use falkon_rt::tcp::{run_client, run_executor, ServerConfig};
 use falkon_rt::wscounter::{measure_call_rate, CounterServer};
 use falkon_rt::WireMode;
 use std::time::Duration;
@@ -45,10 +45,10 @@ pub struct MeasuredRow {
     pub overhead: OverheadQuantiles,
 }
 
-/// One security arm of the real-socket TCP deployment measurement.
+/// One arm of the real-socket TCP deployment measurement.
 #[derive(Clone, Debug)]
 pub struct TcpMeasuredRow {
-    /// Security label.
+    /// Deployment label.
     pub label: &'static str,
     /// Tasks completed.
     pub tasks: u64,
@@ -59,49 +59,15 @@ pub struct TcpMeasuredRow {
 /// The measured-throughput report.
 #[derive(Clone, Debug)]
 pub struct Measured {
-    /// One row per wire mode.
+    /// One row per wire mode of the flat deployment: dispatcher server,
+    /// 8 executor threads, and a client on real loopback sockets, all on
+    /// the one connection engine (no polling cadence).
     pub rows: Vec<MeasuredRow>,
-    /// One row per security arm of the full TCP deployment:
-    /// dispatcher server, 4 executor threads, and a client on real loopback
-    /// sockets, all on the one connection engine (no polling cadence) —
-    /// plus the three-tier forwarder deployment.
+    /// The three-tier forwarder deployment.
     pub tcp_rows: Vec<TcpMeasuredRow>,
     /// The GT4-counter-service analog: raw request/response over TCP,
     /// calls/sec with 8 concurrent clients.
     pub counter_rate: f64,
-}
-
-/// One full TCP deployment run: `n` sleep-0 tasks over 4 executors.
-fn tcp_arm(label: &'static str, n: u64, security: TcpSecurity) -> TcpMeasuredRow {
-    const EXECS: u64 = 4;
-    let config = ServerConfig::builder()
-        .dispatcher(DispatcherConfig {
-            client_notify_batch: 1_000,
-            ..DispatcherConfig::default()
-        })
-        .security(security)
-        .build()
-        .expect("valid tcp server config");
-    let server = DispatcherServer::start(config).expect("bind tcp dispatcher");
-    let addr = server.addr;
-    let execs: Vec<_> = (0..EXECS)
-        .map(|i| {
-            std::thread::spawn(move || {
-                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), security)
-            })
-        })
-        .collect();
-    let tasks: Vec<TaskSpec> = (0..n).map(|i| TaskSpec::sleep(i, 0)).collect();
-    let client = run_client(addr, tasks, BundleConfig::of(300), security).expect("tcp client run");
-    server.shutdown();
-    for e in execs {
-        e.join().expect("executor thread").ok();
-    }
-    TcpMeasuredRow {
-        label,
-        tasks: client.done,
-        throughput: client.done as f64 / (client.elapsed_us.max(1) as f64 / 1e6),
-    }
 }
 
 /// One three-tier deployment run: client → forwarder → `dispatchers`
@@ -144,8 +110,8 @@ fn three_tier_arm(label: &'static str, n: u64, dispatchers: usize) -> TcpMeasure
     }
 }
 
-/// Run the in-process deployments (one per wire mode) and the TCP-bound
-/// counter service.
+/// Run the flat deployment (one per wire mode), the three-tier one and
+/// the TCP-bound counter service.
 pub fn run(scale: Scale) -> Measured {
     let n = scale.pick(5_000, 50_000);
     let rows = [
@@ -184,15 +150,11 @@ pub fn run(scale: Scale) -> Measured {
     })
     .collect();
     let n_tcp = scale.pick(2_000, 20_000);
-    let tcp_rows = vec![
-        tcp_arm("plain (no security)", n_tcp, None),
-        tcp_arm(
-            "secure (GSISecureConversation analog)",
-            n_tcp,
-            Some(0xFA1C0),
-        ),
-        three_tier_arm("three-tier (forwarder, 2 dispatchers)", n_tcp, 2),
-    ];
+    let tcp_rows = vec![three_tier_arm(
+        "three-tier (forwarder, 2 dispatchers)",
+        n_tcp,
+        2,
+    )];
     let server = CounterServer::start().expect("bind counter service");
     let counter_rate = measure_call_rate(server.addr, 8, Duration::from_secs(scale.pick(1, 5)));
     server.shutdown();
@@ -205,8 +167,7 @@ pub fn run(scale: Scale) -> Measured {
 
 /// Render the measured report.
 pub fn render(m: &Measured) -> String {
-    let mut out =
-        String::from("== Measured on this machine (real threads, in-process channels) ==");
+    let mut out = String::from("== Measured on this machine (real threads, loopback sockets) ==");
     for r in &m.rows {
         out.push_str(&format!(
             "\nfalkon inproc {:<38} {:>10.0} tasks/s  ({} tasks)  \
@@ -249,7 +210,7 @@ mod tests {
             assert!(r.overhead.p90_us <= r.overhead.p99_us);
             assert!(r.overhead.p99_us <= r.overhead.max_us);
         }
-        assert_eq!(m.tcp_rows.len(), 3);
+        assert_eq!(m.tcp_rows.len(), 1);
         for r in &m.tcp_rows {
             assert!(r.tasks > 0, "{}: no tasks completed over TCP", r.label);
             assert!(r.throughput > 0.0, "{}: no TCP throughput", r.label);

@@ -1,10 +1,10 @@
 //! [`WireTap`]: wire-level byte and syscall accounting as a sans-io
 //! machine.
 //!
-//! Transports (TCP framing, in-process channels, the simulator's modelled
-//! links) know how many bytes each encoded bundle occupies, but drivers must
-//! not construct [`ObsEvent`]s themselves — event provenance belongs to the
-//! machines so both drivers produce identical streams (the invariant behind
+//! Transports (TCP framing, the simulator's modelled links) know how many
+//! bytes each encoded bundle occupies, but drivers must not construct
+//! [`ObsEvent`]s themselves — event provenance belongs to the machines so
+//! both drivers produce identical streams (the invariant behind
 //! `tests/obs_parity.rs`, checked by `tests/architecture.rs`). A
 //! `WireTap` closes the gap: the driver reports raw byte counts, and the
 //! tap — which lives on the sans-io side — turns them into
@@ -16,7 +16,7 @@ use crate::probe::{Counters, ObsEvent, ObsEventKind};
 
 /// Sans-io wire accounting: converts driver-reported byte counts into
 /// `BundleEncoded` / `BundleDecoded` events on its own [`Counters`] — one
-/// tap per connection or in-process endpoint, merged into the run's
+/// tap per connection, merged into the run's
 /// counters when it ends.
 #[derive(Clone, Debug, Default)]
 pub struct WireTap {

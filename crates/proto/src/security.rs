@@ -210,10 +210,10 @@ impl SecureChannel {
 }
 
 /// Establish a pair of channels that have completed a mutual handshake —
-/// convenience for tests and in-process deployments.
+/// convenience for tests and for replaying the seal and open costs.
 #[expect(
     clippy::expect_used,
-    reason = "both endpoints share one psk in-process, so the MAC check cannot fail; \
+    reason = "both endpoints share one psk in one process, so the MAC check cannot fail; \
               real peers go through the fallible `complete_handshake`"
 )]
 pub fn established_pair(psk: u64, nonce_a: u64, nonce_b: u64) -> (SecureChannel, SecureChannel) {

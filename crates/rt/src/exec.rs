@@ -1,51 +1,8 @@
-//! What both runtimes do with an executor machine's actions: run task
-//! bodies and pump the machine until it goes quiet.
+//! Task bodies: how an executor peer runs the task its machine hands it.
 
-use crate::clock::Clock;
-use falkon_core::executor::{Executor, ExecutorAction, ExecutorEvent};
-use falkon_obs::Probe;
-use falkon_proto::message::Message;
 use falkon_proto::task::{TaskResult, TaskSpec};
 use std::thread;
 use std::time::Duration;
-
-/// Drive an executor machine until it has neither pending actions nor
-/// feedback events: sends go to `send`, task bodies run inline on this
-/// thread (as a spawned OS process when `spawn`), and each completion is
-/// fed straight back in. `actions` and `queue` are caller-owned scratch;
-/// `actions` carries the machine's output in. `Ok(true)` means the machine
-/// asked to shut down; a `send` error aborts the pump.
-pub(crate) fn pump_executor<P: Probe, E>(
-    clock: &Clock,
-    machine: &mut Executor<P>,
-    actions: &mut Vec<ExecutorAction>,
-    queue: &mut Vec<ExecutorEvent>,
-    spawn: bool,
-    mut send: impl FnMut(Message) -> Result<(), E>,
-) -> Result<bool, E> {
-    while !actions.is_empty() || !queue.is_empty() {
-        for act in actions.drain(..) {
-            match act {
-                ExecutorAction::Send(msg) => send(msg)?,
-                ExecutorAction::Run(spec) => {
-                    let t0 = clock.now_us();
-                    let mut result = if spawn {
-                        execute_process(&spec)
-                    } else {
-                        execute_builtin(&spec)
-                    };
-                    result.executor_time_us = clock.now_us() - t0;
-                    queue.push(ExecutorEvent::TaskCompleted { result });
-                }
-                ExecutorAction::Shutdown => return Ok(true),
-            }
-        }
-        for ev in queue.drain(..) {
-            machine.on_event(clock.now_us(), ev, actions);
-        }
-    }
-    Ok(false)
-}
 
 /// Execute a task without spawning a process: `sleep <secs>` sleeps, any
 /// other command is a no-op success (the paper's microbenchmark semantics).

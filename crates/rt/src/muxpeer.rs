@@ -17,7 +17,7 @@
 use crate::clock::Clock;
 use crate::conn::{Closed, Conn, Inbound, TcpSecurity};
 use crate::engine::{Engine, Handler, Token};
-use crate::exec::pump_executor;
+use crate::exec::{execute_builtin, execute_process};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
 use falkon_obs::{Counters, NoopProbe, Probe};
 use falkon_proto::message::ExecutorId;
@@ -38,6 +38,8 @@ pub(crate) struct Pool<P> {
     /// Pump scratch, shared by every machine (each pump runs to quiet).
     actions: Vec<ExecutorAction>,
     queue: Vec<ExecutorEvent>,
+    /// Run each task body as a spawned OS process.
+    spawn: bool,
     pub(crate) outcome: MuxOutcome,
     /// Every finished machine's probe, in the order they finished.
     pub(crate) probes: Vec<P>,
@@ -45,6 +47,38 @@ pub(crate) struct Pool<P> {
     handshake_error: Option<io::Error>,
     /// The first real socket error (not EOF) on an established peer.
     pub(crate) socket_error: Option<io::Error>,
+}
+
+impl<P: Probe> Pool<P> {
+    /// Drive `machine` until it has neither pending actions nor feedback
+    /// events: sends are queued on `conn`, task bodies run inline on this
+    /// thread (as a spawned OS process when `spawn`), and each completion
+    /// is fed straight back in. `Ok(true)` means the machine asked to shut
+    /// down; an enqueue error aborts the pump.
+    fn pump(&mut self, machine: &mut Executor<P>, conn: &mut Conn) -> io::Result<bool> {
+        while !self.actions.is_empty() || !self.queue.is_empty() {
+            for act in self.actions.drain(..) {
+                match act {
+                    ExecutorAction::Send(msg) => conn.enqueue(&msg)?,
+                    ExecutorAction::Run(spec) => {
+                        let t0 = self.clock.now_us();
+                        let mut result = if self.spawn {
+                            execute_process(&spec)
+                        } else {
+                            execute_builtin(&spec)
+                        };
+                        result.executor_time_us = self.clock.now_us() - t0;
+                        self.queue.push(ExecutorEvent::TaskCompleted { result });
+                    }
+                    ExecutorAction::Shutdown => return Ok(true),
+                }
+            }
+            for ev in self.queue.drain(..) {
+                machine.on_event(self.clock.now_us(), ev, &mut self.actions);
+            }
+        }
+        Ok(false)
+    }
 }
 
 impl<P: Probe> Handler<Executor<P>> for Pool<P> {
@@ -65,14 +99,7 @@ impl<P: Probe> Handler<Executor<P>> for Pool<P> {
         }
         // Sends coalesce in the connection's batch and leave in one write
         // on the engine's next turn.
-        let shutdown = pump_executor(
-            &self.clock,
-            machine,
-            &mut self.actions,
-            &mut self.queue,
-            false,
-            |msg| conn.enqueue(&msg),
-        )?;
+        let shutdown = self.pump(machine, conn)?;
         conn.set_deadline(machine.idle_deadline_us());
         Ok(shutdown)
     }
@@ -93,16 +120,16 @@ impl<P: Probe> Handler<Executor<P>> for Pool<P> {
     }
 }
 
-/// Connect `count` executors (ids `first_id..first_id+count`, one probe
-/// from `probe` each) and drive them all from this thread until every
-/// connection has closed: the dispatcher went away, or the machine
-/// released itself.
+/// Mount one executor on each connected stream (ids from `first_id` up,
+/// one probe from `probe` each; task bodies as OS processes when `spawn`)
+/// and drive them all from this thread until every connection has closed:
+/// the dispatcher went away, or the machine released itself.
 pub(crate) fn run_pool<P: Probe>(
-    addr: SocketAddr,
+    streams: impl IntoIterator<Item = io::Result<TcpStream>>,
     first_id: u64,
-    count: usize,
     config: ExecutorConfig,
     security: TcpSecurity,
+    spawn: bool,
     mut probe: impl FnMut() -> P,
 ) -> io::Result<Pool<P>> {
     let clock = Clock::start();
@@ -111,22 +138,23 @@ pub(crate) fn run_pool<P: Probe>(
         clock,
         actions: Vec::new(),
         queue: Vec::new(),
+        spawn,
         outcome: MuxOutcome {
             tasks: 0,
             wire: Counters::new(),
         },
-        probes: Vec::with_capacity(count),
+        probes: Vec::new(),
         handshake_error: None,
         socket_error: None,
     };
-    // Connect serially. This does NOT bound the listener's accept queue:
-    // `connect` returns when the kernel completes the handshake, not when
-    // the server accepts, so a fast dialer still piles connections into
-    // the backlog — the deep listen queue (`poll::LISTEN_BACKLOG`) is what
-    // absorbs the fleet.
-    for i in 0..count as u64 {
-        let conn = Conn::new(TcpStream::connect(addr)?, security, clock)?;
-        let id = ExecutorId(first_id + i);
+    // A lazy `streams` dials serially. This does NOT bound the listener's
+    // accept queue: `connect` returns when the kernel completes the
+    // handshake, not when the server accepts, so a fast dialer still piles
+    // connections into the backlog — the deep listen queue
+    // (`poll::LISTEN_BACKLOG`) is what absorbs the fleet.
+    for (id, stream) in (first_id..).zip(streams) {
+        let conn = Conn::new(stream?, security, clock)?;
+        let id = ExecutorId(id);
         let machine = Executor::with_probe(id, "tcp-exec", config, probe());
         engine.add(conn, machine, &mut pool);
     }
@@ -150,5 +178,6 @@ pub fn run_executors_mux(
     config: ExecutorConfig,
     security: TcpSecurity,
 ) -> io::Result<MuxOutcome> {
-    run_pool(addr, first_id, count, config, security, || NoopProbe).map(|pool| pool.outcome)
+    let streams = (0..count).map(|_| TcpStream::connect(addr));
+    run_pool(streams, first_id, config, security, false, || NoopProbe).map(|pool| pool.outcome)
 }

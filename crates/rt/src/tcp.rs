@@ -311,7 +311,8 @@ pub fn run_executor_probe<P: Probe>(
 ) -> io::Result<(MuxOutcome, P)> {
     let mut probe = Some(probe);
     let make = || probe.take().expect("a pool of one mounts one probe");
-    let mut pool = crate::muxpeer::run_pool(addr, id.0, 1, config, security, make)?;
+    let stream = [TcpStream::connect(addr)];
+    let mut pool = crate::muxpeer::run_pool(stream, id.0, config, security, false, make)?;
     if let Some(e) = pool.socket_error {
         return Err(e);
     }

@@ -1,13 +1,13 @@
-//! Quickstart: run a Falkon deployment in-process and measure dispatch
-//! throughput on your machine.
+//! Quickstart: run a Falkon deployment on loopback sockets and measure
+//! dispatch throughput on your machine.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Starts one dispatcher thread and eight executor threads connected by
-//! channels, submits 20,000 `sleep 0` tasks in bundles of 300 with
-//! piggy-backing enabled (the paper's recommended configuration), and
+//! Starts a dispatcher server and eight executor threads connected to it
+//! over localhost TCP, submits 20,000 `sleep 0` tasks in bundles of 300
+//! with piggy-backing enabled (the paper's recommended configuration), and
 //! prints throughput with and without the security layer; every hop
 //! encodes its messages either way.
 

@@ -5,7 +5,7 @@
 //!
 //! # Quick start
 //!
-//! Run a workload through a real threaded deployment:
+//! Run a workload through a real deployment on loopback sockets:
 //!
 //! ```
 //! use falkon::rt::inproc::{run_sleep_workload, InprocConfig};

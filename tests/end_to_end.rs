@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: the full Falkon stack driven end-to-end
-//! through the facade crate, over both real threads and the simulator.
+//! through the facade crate, over both loopback sockets and the simulator.
 
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
@@ -74,6 +74,29 @@ fn wire_modes_complete_exactly_once_and_secure_frames_carry_a_mac() {
         per_frame(&secure),
         per_frame(&encoded)
     );
+}
+
+#[test]
+fn a_run_counts_its_socket_calls_and_balances_its_wire_in_both_modes() {
+    use ObsEventKind::{BundleDecoded, BundleEncoded, SocketRead, SocketWrite};
+    for wire in [WireMode::Encoded, WireMode::Secure] {
+        // Tasks that take time, so every executor has registered long
+        // before the server stops: a frame charged at enqueue and never
+        // read would break the balance below.
+        let out = run_sleep_workload(&quick(2, wire), 8, 20_000);
+        assert!(completed_exactly_once(&out, 8), "{wire:?}");
+        let c = &out.obs.counters;
+        assert_eq!(c.count(ObsEventKind::ExecutorRegistered), 2, "{wire:?}");
+        assert!(
+            c.count(SocketWrite) > 0,
+            "{wire:?}: no socket writes counted"
+        );
+        // Summed over every end of every connection: each byte a `write`
+        // moved, a `read` moved, and each frame byte encoded was decoded.
+        assert_eq!(c.value(SocketWrite), c.value(SocketRead), "{wire:?}");
+        assert!(c.value(BundleEncoded) > 0, "{wire:?}");
+        assert_eq!(c.value(BundleEncoded), c.value(BundleDecoded), "{wire:?}");
+    }
 }
 
 #[test]

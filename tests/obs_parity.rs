@@ -58,9 +58,15 @@ fn inproc_counters() -> Counters {
 fn sim_and_inproc_agree_on_event_accounting() {
     let sim = sim_counters();
     let rt = inproc_counters();
-    // Wire bytes are the driver's to report, and the simulator never
-    // serializes: every other kind is the machines' alone.
-    let wire = [ObsEventKind::BundleEncoded, ObsEventKind::BundleDecoded];
+    // Wire bytes and socket calls are the driver's to report, and the
+    // simulator neither serializes nor opens a socket: every other kind is
+    // the machines' alone.
+    let wire = [
+        ObsEventKind::BundleEncoded,
+        ObsEventKind::BundleDecoded,
+        ObsEventKind::SocketRead,
+        ObsEventKind::SocketWrite,
+    ];
     for kind in ObsEventKind::ALL.into_iter().filter(|k| !wire.contains(k)) {
         assert_eq!(
             sim.count(kind),
