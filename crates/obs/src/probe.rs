@@ -126,7 +126,7 @@ pub enum ObsEvent {
 }
 
 /// Discriminant-only view of [`ObsEvent`], used to index [`Counters`]; the
-/// `Socket*` kinds have no event: a [`crate::WireTap`] counts calls, valued at bytes.
+/// `Socket*` and `SendDeferred` kinds have no event: a [`crate::WireTap`] counts them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // each kind documents itself on the ObsEvent variant
@@ -162,79 +162,61 @@ pub enum ObsEventKind {
     BundleDecoded,
     SocketRead,
     SocketWrite,
+    SendDeferred,
 }
+
+/// Every kind with its stable snake_case name, in declaration order.
+const TABLE: [(ObsEventKind, &str); 32] = [
+    (ObsEventKind::TaskSubmitted, "task_submitted"),
+    (ObsEventKind::TaskDispatched, "task_dispatched"),
+    (ObsEventKind::TaskStarted, "task_started"),
+    (ObsEventKind::TaskFinished, "task_finished"),
+    (ObsEventKind::TaskCompleted, "task_completed"),
+    (ObsEventKind::TaskDelivered, "task_delivered"),
+    (ObsEventKind::TaskFailed, "task_failed"),
+    (ObsEventKind::TaskRetried, "task_retried"),
+    (ObsEventKind::DuplicateResult, "duplicate_result"),
+    (ObsEventKind::NotifySent, "notify_sent"),
+    (ObsEventKind::TaskPiggybacked, "task_piggybacked"),
+    (ObsEventKind::DataLocalityHit, "data_locality_hit"),
+    (ObsEventKind::QueueDepth, "queue_depth"),
+    (ObsEventKind::ExecutorRegistered, "executor_registered"),
+    (ObsEventKind::ExecutorIdle, "executor_idle"),
+    (ObsEventKind::ExecutorBusy, "executor_busy"),
+    (ObsEventKind::ExecutorReleased, "executor_released"),
+    (ObsEventKind::WorkRequested, "work_requested"),
+    (ObsEventKind::ResultsReported, "results_reported"),
+    (ObsEventKind::AllocationRequested, "allocation_requested"),
+    (ObsEventKind::AllocationGranted, "allocation_granted"),
+    (ObsEventKind::AllocationReleased, "allocation_released"),
+    (ObsEventKind::BundleRouted, "bundle_routed"),
+    (ObsEventKind::ResultsRouted, "results_routed"),
+    (ObsEventKind::TaskRerouted, "task_rerouted"),
+    (ObsEventKind::DispatcherLost, "dispatcher_lost"),
+    (ObsEventKind::DispatcherReadmitted, "dispatcher_readmitted"),
+    (ObsEventKind::BundleEncoded, "bundle_encoded"),
+    (ObsEventKind::BundleDecoded, "bundle_decoded"),
+    (ObsEventKind::SocketRead, "socket_read"),
+    (ObsEventKind::SocketWrite, "socket_write"),
+    (ObsEventKind::SendDeferred, "send_deferred"),
+];
 
 impl ObsEventKind {
     /// Every kind, in declaration order (the [`Counters`] index order).
-    pub const ALL: [ObsEventKind; 31] = [
-        ObsEventKind::TaskSubmitted,
-        ObsEventKind::TaskDispatched,
-        ObsEventKind::TaskStarted,
-        ObsEventKind::TaskFinished,
-        ObsEventKind::TaskCompleted,
-        ObsEventKind::TaskDelivered,
-        ObsEventKind::TaskFailed,
-        ObsEventKind::TaskRetried,
-        ObsEventKind::DuplicateResult,
-        ObsEventKind::NotifySent,
-        ObsEventKind::TaskPiggybacked,
-        ObsEventKind::DataLocalityHit,
-        ObsEventKind::QueueDepth,
-        ObsEventKind::ExecutorRegistered,
-        ObsEventKind::ExecutorIdle,
-        ObsEventKind::ExecutorBusy,
-        ObsEventKind::ExecutorReleased,
-        ObsEventKind::WorkRequested,
-        ObsEventKind::ResultsReported,
-        ObsEventKind::AllocationRequested,
-        ObsEventKind::AllocationGranted,
-        ObsEventKind::AllocationReleased,
-        ObsEventKind::BundleRouted,
-        ObsEventKind::ResultsRouted,
-        ObsEventKind::TaskRerouted,
-        ObsEventKind::DispatcherLost,
-        ObsEventKind::DispatcherReadmitted,
-        ObsEventKind::BundleEncoded,
-        ObsEventKind::BundleDecoded,
-        ObsEventKind::SocketRead,
-        ObsEventKind::SocketWrite,
-    ];
+    pub const ALL: [ObsEventKind; TABLE.len()] = {
+        let mut all = [ObsEventKind::TaskSubmitted; TABLE.len()];
+        let mut i = 0;
+        while i < all.len() {
+            assert!(TABLE[i].0 as usize == i, "TABLE is in declaration order");
+            all[i] = TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// Stable snake_case name, used in trace dumps and test diagnostics.
     pub const fn name(self) -> &'static str {
-        match self {
-            ObsEventKind::TaskSubmitted => "task_submitted",
-            ObsEventKind::TaskDispatched => "task_dispatched",
-            ObsEventKind::TaskStarted => "task_started",
-            ObsEventKind::TaskFinished => "task_finished",
-            ObsEventKind::TaskCompleted => "task_completed",
-            ObsEventKind::TaskDelivered => "task_delivered",
-            ObsEventKind::TaskFailed => "task_failed",
-            ObsEventKind::TaskRetried => "task_retried",
-            ObsEventKind::DuplicateResult => "duplicate_result",
-            ObsEventKind::NotifySent => "notify_sent",
-            ObsEventKind::TaskPiggybacked => "task_piggybacked",
-            ObsEventKind::DataLocalityHit => "data_locality_hit",
-            ObsEventKind::QueueDepth => "queue_depth",
-            ObsEventKind::ExecutorRegistered => "executor_registered",
-            ObsEventKind::ExecutorIdle => "executor_idle",
-            ObsEventKind::ExecutorBusy => "executor_busy",
-            ObsEventKind::ExecutorReleased => "executor_released",
-            ObsEventKind::WorkRequested => "work_requested",
-            ObsEventKind::ResultsReported => "results_reported",
-            ObsEventKind::AllocationRequested => "allocation_requested",
-            ObsEventKind::AllocationGranted => "allocation_granted",
-            ObsEventKind::AllocationReleased => "allocation_released",
-            ObsEventKind::BundleRouted => "bundle_routed",
-            ObsEventKind::ResultsRouted => "results_routed",
-            ObsEventKind::TaskRerouted => "task_rerouted",
-            ObsEventKind::DispatcherLost => "dispatcher_lost",
-            ObsEventKind::DispatcherReadmitted => "dispatcher_readmitted",
-            ObsEventKind::BundleEncoded => "bundle_encoded",
-            ObsEventKind::BundleDecoded => "bundle_decoded",
-            ObsEventKind::SocketRead => "socket_read",
-            ObsEventKind::SocketWrite => "socket_write",
-        }
+        TABLE[self as usize].1
     }
 
     /// Whether [`ObsEvent::value`] for this kind is a measured duration.

@@ -10,7 +10,8 @@
 //! tap — which lives on the sans-io side — turns them into
 //! [`ObsEvent::BundleEncoded`] / [`ObsEvent::BundleDecoded`] and counts
 //! them, and counts each socket `read` and `write` call a driver reports
-//! ([`ObsEventKind::SocketRead`] / [`ObsEventKind::SocketWrite`]).
+//! ([`ObsEventKind::SocketRead`] / [`ObsEventKind::SocketWrite`]) and each
+//! message that waited for the socket ([`ObsEventKind::SendDeferred`]).
 
 use crate::probe::{Counters, ObsEvent, ObsEventKind};
 
@@ -53,6 +54,12 @@ impl WireTap {
         self.counters.add(ObsEventKind::SocketWrite, 1, bytes);
     }
 
+    /// Record one message that waited behind a full batch, encoded to `bytes`.
+    #[inline]
+    pub fn deferred(&mut self, bytes: u64) {
+        self.counters.add(ObsEventKind::SendDeferred, 1, bytes);
+    }
+
     /// The counters so far (for reading or merging shards).
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -87,10 +94,13 @@ mod tests {
         tap.read(512);
         tap.read(0);
         tap.wrote(40);
+        tap.deferred(9);
         let c = tap.counters();
         assert_eq!(c.count(ObsEventKind::SocketRead), 2);
         assert_eq!(c.value(ObsEventKind::SocketRead), 512);
         assert_eq!(c.count(ObsEventKind::SocketWrite), 1);
         assert_eq!(c.value(ObsEventKind::SocketWrite), 40);
+        assert_eq!(c.count(ObsEventKind::SendDeferred), 1);
+        assert_eq!(c.value(ObsEventKind::SendDeferred), 9);
     }
 }

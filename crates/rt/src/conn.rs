@@ -30,12 +30,15 @@
 //!
 //! # Write path
 //!
-//! There is exactly one outbound path: [`Conn::enqueue`] encodes (and
-//! seals) a frame into the batch buffer, charging the tap once per frame
-//! *at enqueue time*, and [`Conn::flush`] writes as much of the batch as
-//! the socket accepts — one syscall for a whole drain of queued messages
-//! (the paper's §3.1 bundling argument applied at the syscall layer).
-//! Each `read` and `write` call is charged to the tap too.
+//! There is exactly one outbound path, and it encodes no further ahead
+//! than the socket. [`Conn::enqueue`] encodes (and seals) a frame into the
+//! batch while that holds under [`FLUSH_HIGH_WATER`] bytes and no message
+//! waits; otherwise the message joins, unencoded, a FIFO behind the batch.
+//! [`Conn::flush`], the only writer, writes as much of the batch as the
+//! socket takes in one call (the paper's §3.1 bundling, at the syscall
+//! layer) and encodes from the FIFO as the batch empties. The tap is
+//! charged per frame when it is encoded — an abortive close drops the FIFO
+//! uncharged — and per `read` and `write` call.
 //!
 //! Ordering protocol: the one atomic, `NONCE`, is a `Relaxed` uniqueness
 //! counter — each handshake just needs a value nobody else drew, and no
@@ -48,6 +51,7 @@ use falkon_proto::frame::{begin_frame, end_frame, write_frame, FrameCursor};
 use falkon_proto::message::Message;
 use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,9 +72,9 @@ const MAX_READ_BUF_BYTES: usize = 1024 * 1024;
 /// conversation stand-in on every connection.
 pub type TcpSecurity = Option<u64>;
 
-/// Flush the coalesced outbound buffer early once it holds this many
-/// bytes, so a long drain of queued messages cannot grow it without bound
-/// while the socket still accepts data.
+/// Cap on a connection's encoded backlog: a message is encoded only into
+/// a batch buffer holding fewer bytes than this, so at most this plus one
+/// frame is encoded ahead of the socket.
 pub const FLUSH_HIGH_WATER: usize = 256 * 1024;
 
 /// How long a connection may sit in a non-steady phase — waiting for the
@@ -120,7 +124,7 @@ pub struct Closed {
 /// module docs) — each frame is a borrowed view, the secure path unseals
 /// it in place, and the codec decodes from it. Outbound is one pass too:
 /// each frame is encoded straight into the batch buffer, which is the
-/// connection's own and grows with what it sends, and sealed there.
+/// connection's own and capped by [`FLUSH_HIGH_WATER`], and sealed there.
 pub struct Conn {
     stream: TcpStream,
     phase: Phase,
@@ -135,6 +139,8 @@ pub struct Conn {
     /// Coalesced outbound frames; `batch_pos..` is not yet written.
     batchbuf: Vec<u8>,
     batch_pos: usize,
+    /// Messages behind a full batch, encoded as the socket drains it.
+    deferred: VecDeque<Message>,
     clock: Clock,
     wire: WireTap,
 }
@@ -161,6 +167,7 @@ impl Conn {
             codec: EfficientCodec,
             batchbuf: Vec::new(),
             batch_pos: 0,
+            deferred: VecDeque::new(),
             clock,
             wire: WireTap::new(),
         };
@@ -177,16 +184,24 @@ impl Conn {
         Ok(conn)
     }
 
-    /// Queue one message into the coalesced outbound buffer. The frame is
-    /// encoded directly into the batch and, on a secure connection, sealed
-    /// there in place — no per-message allocation or copy — and the wire
-    /// tap is charged exactly once, here. Past [`FLUSH_HIGH_WATER`] a
-    /// best-effort flush keeps the buffer bounded while the socket accepts
-    /// data.
-    pub fn enqueue(&mut self, msg: &Message) -> io::Result<()> {
+    /// Queue one message: encoded straight into the batch — sealed there
+    /// in place on a secure connection, no per-message allocation or copy —
+    /// below [`FLUSH_HIGH_WATER`] with no message waiting, else it waits
+    /// unencoded for [`Conn::flush`]. Nothing is written here.
+    pub fn enqueue(&mut self, msg: Message) -> io::Result<()> {
         if !matches!(self.phase, Phase::Ready) {
             return Err(ErrorKind::NotConnected.into());
         }
+        if self.deferred.is_empty() && self.batchbuf.len() < FLUSH_HIGH_WATER {
+            self.encode(&msg);
+        } else {
+            self.deferred.push_back(msg);
+        }
+        Ok(())
+    }
+
+    /// Frame, encode and seal `msg` onto the batch; charge and return its size.
+    fn encode(&mut self, msg: &Message) -> u64 {
         let pos = begin_frame(&mut self.batchbuf);
         self.codec.encode_append(msg, &mut self.batchbuf);
         if let Some(seal) = self.sealer.as_mut() {
@@ -195,32 +210,41 @@ impl Conn {
         end_frame(&mut self.batchbuf, pos);
         let framed = (self.batchbuf.len() - pos - 4) as u64;
         self.wire.encoded(framed);
-        if self.pending() >= FLUSH_HIGH_WATER {
-            self.flush()?;
-        }
-        Ok(())
+        framed
     }
 
-    /// Write as much of the queued batch as the socket accepts. `Ok(true)`
-    /// once nothing is pending; `Ok(false)` if the socket would block.
+    /// Write as much as the socket accepts, encoding the waiting messages
+    /// as the batch empties. `Ok(true)` once nothing is pending or waiting;
+    /// `Ok(false)` if the socket would block.
     pub fn flush(&mut self) -> io::Result<bool> {
-        while self.batch_pos < self.batchbuf.len() {
-            let wrote = self.stream.write(&self.batchbuf[self.batch_pos..]);
-            self.wire.wrote(wrote.as_ref().map_or(0, |&n| n as u64));
-            match wrote {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.batch_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        loop {
+            while self.batch_pos < self.batchbuf.len() {
+                let wrote = self.stream.write(&self.batchbuf[self.batch_pos..]);
+                self.wire.wrote(wrote.as_ref().map_or(0, |&n| n as u64));
+                match wrote {
+                    Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                    Ok(n) => self.batch_pos += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            self.batchbuf.clear();
+            self.batch_pos = 0;
+            while let Some(msg) = self.deferred.pop_front() {
+                let framed = self.encode(&msg);
+                self.wire.deferred(framed);
+                if self.batchbuf.len() >= FLUSH_HIGH_WATER {
+                    break;
+                }
+            }
+            if self.batchbuf.is_empty() {
+                return Ok(true);
             }
         }
-        self.batchbuf.clear();
-        self.batch_pos = 0;
-        Ok(true)
     }
 
-    /// Bytes queued and not yet written.
+    /// Encoded bytes not yet written (waiting messages are not counted).
     pub fn pending(&self) -> usize {
         self.batchbuf.len() - self.batch_pos
     }
@@ -316,20 +340,20 @@ impl Conn {
     }
 
     /// The owner is done with this connection: stop reading, and close as
-    /// soon as the queued batch has left (or patience runs out).
+    /// soon as the batch and the FIFO have left (or patience runs out).
     pub(crate) fn begin_drain(&mut self) {
         self.phase = Phase::Draining;
         self.deadline_us = Some(self.clock.now_us() + PEER_PATIENCE_US);
     }
 
     /// `poll(2)` interest: readable unless draining, writable only while
-    /// bytes are pending.
+    /// bytes are pending or messages wait.
     pub(crate) fn interest(&self) -> i16 {
         let mut events = 0;
         if !self.is_draining() {
             events |= crate::poll::POLLIN;
         }
-        if self.pending() > 0 {
+        if self.pending() > 0 || !self.deferred.is_empty() {
             events |= crate::poll::POLLOUT;
         }
         events
@@ -362,6 +386,138 @@ impl Conn {
             local,
             cause,
             wire: self.wire.into_counters(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use falkon_obs::ObsEventKind::{BundleDecoded, BundleEncoded, SendDeferred};
+    use falkon_obs::ObsEventKind::{SocketRead, SocketWrite};
+    use falkon_proto::message::InstanceId;
+    use falkon_proto::task::{IStr, TaskSpec};
+    use std::net::TcpListener;
+
+    /// One `fat_secure`-sized wave: 40 `Submit`s of 300 tasks of ≈1.1 KiB,
+    /// ≈13 MB encoded — far more than loopback buffers for a peer that
+    /// does not read. The tasks share one pad, so the messages themselves
+    /// are small.
+    fn wave() -> Vec<Message> {
+        let pad: IStr = "x".repeat(1024).into();
+        let task = |id| {
+            let mut spec = TaskSpec::sleep(id, 0);
+            spec.env = vec![("PAD".into(), pad.clone())];
+            spec
+        };
+        (0..40)
+            .map(|b| Message::Submit {
+                instance: InstanceId(b),
+                tasks: (b * 300..(b + 1) * 300).map(task).collect(),
+            })
+            .collect()
+    }
+
+    /// Decode every buffered message into `got`, then read once; `false`
+    /// at EOF.
+    fn take(conn: &mut Conn, got: &mut Vec<Message>) -> bool {
+        while let Some(ev) = conn.poll_inbound().expect("decode") {
+            if let Inbound::Msg(msg) = ev {
+                got.push(msg);
+            }
+        }
+        match conn.fill() {
+            Ok(n) => n > 0,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => true,
+            Err(e) => panic!("read: {e}"),
+        }
+    }
+
+    /// A connected, established pair over loopback.
+    fn pair(security: TcpSecurity) -> (Conn, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dialed = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let clock = Clock::start();
+        let mut a = Conn::new(dialed, security, clock).expect("conn");
+        let mut b = Conn::new(listener.accept().expect("accept").0, security, clock).expect("conn");
+        while !a.is_ready() || !b.is_ready() {
+            a.flush().expect("hello");
+            b.flush().expect("hello");
+            take(&mut a, &mut Vec::new());
+            take(&mut b, &mut Vec::new());
+        }
+        (a, b)
+    }
+
+    /// Enqueue `wave` while the peer reads nothing, and write until the
+    /// socket stops taking bytes; the encoded backlog never passes `cap`.
+    fn stall(a: &mut Conn, wave: Vec<Message>, cap: usize) {
+        for msg in wave {
+            a.enqueue(msg).expect("enqueue");
+            assert!(a.pending() <= cap, "{} bytes encoded ahead", a.pending());
+        }
+        assert!(!a.flush().expect("flush"), "the socket took a whole wave");
+        assert!(a.pending() <= cap, "{} bytes encoded ahead", a.pending());
+        assert!(!a.deferred.is_empty());
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_holds_the_encoded_backlog_at_the_cap() {
+        let sent = wave();
+        let mut one = Vec::new();
+        EfficientCodec.encode_append(&sent[0], &mut one);
+        // One frame: header, payload and (secure) MAC.
+        let cap = FLUSH_HIGH_WATER + one.len() + 64;
+        for security in [None, Some(0xFA1C0)] {
+            // The peer catches up: everything arrives once and in order.
+            let (mut a, mut b) = pair(security);
+            stall(&mut a, sent.clone(), cap);
+            let mut got = Vec::new();
+            while got.len() < sent.len() {
+                a.flush().expect("flush");
+                assert!(a.pending() <= cap);
+                assert!(take(&mut b, &mut got), "early EOF");
+            }
+            assert!(a.flush().expect("flush"), "all written");
+            assert!(got == sent, "{security:?}: lost, duplicated or reordered");
+            let (wa, wb) = (a.wire.counters(), b.wire.counters());
+            assert_eq!(wa.count(BundleEncoded), sent.len() as u64);
+            assert_eq!(wa.value(BundleEncoded), wb.value(BundleDecoded));
+            assert_eq!(wa.value(SocketWrite), wb.value(SocketRead));
+            let waited = wa.count(SendDeferred);
+            assert!(waited > 0 && waited < sent.len() as u64, "{waited}");
+
+            // An orderly close delivers the whole FIFO before the socket
+            // closes, and both ends' taps balance.
+            stall(&mut a, sent.clone(), cap);
+            a.begin_drain();
+            let mut got = Vec::new();
+            while !a.flush().expect("drain") {
+                take(&mut b, &mut got);
+            }
+            let closed = a.finish(None);
+            while take(&mut b, &mut got) {}
+            assert!(closed.local && got == sent, "{security:?}: drain lost");
+            let (wa, wb) = (closed.wire, b.finish(None).wire);
+            assert_eq!(wa.value(BundleEncoded), wb.value(BundleDecoded));
+            assert_eq!(wa.value(SocketWrite), wb.value(SocketRead));
+
+            // An abortive close drops the FIFO uncharged: every frame it
+            // charged was written or is left in the batch, and the peer
+            // reads exactly what was written.
+            let (mut a, mut b) = pair(security);
+            let hello = a.wire.counters().value(SocketWrite);
+            stall(&mut a, sent.clone(), cap);
+            let (left, waiting) = (a.pending() as u64, a.deferred.len() as u64);
+            let wa = a.finish(Some(ErrorKind::ConnectionReset.into())).wire;
+            let frames = wa.count(BundleEncoded);
+            assert_eq!(frames + waiting, sent.len() as u64);
+            assert_eq!(
+                wa.value(BundleEncoded) + 4 * frames + hello,
+                wa.value(SocketWrite) + left
+            );
+            while take(&mut b, &mut Vec::new()) {}
+            assert_eq!(b.finish(None).wire.value(SocketRead), wa.value(SocketWrite));
         }
     }
 }

@@ -116,25 +116,15 @@ impl<T> Engine<T> {
         }
     }
 
-    /// The connection `token` names, unless it is stale.
-    fn conn_mut(&mut self, token: Token) -> Option<&mut Conn> {
-        let idx = token.idx as usize;
-        if self.gens.get(idx) != Some(&token.gen) {
-            return None;
-        }
-        self.slots[idx].as_mut().map(|(conn, _)| conn)
-    }
-
     /// Queue `msg` on the connection `token` names; a stale token or a
-    /// connection that is already draining drops it. A failed write ends
-    /// the connection.
-    pub(crate) fn send<H: Handler<T>>(&mut self, token: Token, msg: &Message, h: &mut H) {
-        let Some(conn) = self.conn_mut(token) else {
-            return;
-        };
-        if conn.is_ready() {
-            if let Err(e) = conn.enqueue(msg) {
-                self.finish(token.idx as usize, Some(e), h);
+    /// connection not `Ready` (one already draining) drops it. Nothing is
+    /// written here: the next turn's flush pass writes, and ends the
+    /// connection if that fails.
+    pub(crate) fn send(&mut self, token: Token, msg: Message) {
+        let idx = token.idx as usize;
+        if self.gens.get(idx) == Some(&token.gen) {
+            if let Some((conn, _)) = self.slots[idx].as_mut() {
+                conn.enqueue(msg).ok();
             }
         }
     }

@@ -59,7 +59,7 @@ impl<P: Probe> Pool<P> {
         while !self.actions.is_empty() || !self.queue.is_empty() {
             for act in self.actions.drain(..) {
                 match act {
-                    ExecutorAction::Send(msg) => conn.enqueue(&msg)?,
+                    ExecutorAction::Send(msg) => conn.enqueue(msg)?,
                     ExecutorAction::Run(spec) => {
                         let t0 = self.clock.now_us();
                         let mut result = if self.spawn {

@@ -14,10 +14,6 @@
 pub const POLLIN: i16 = 0x001;
 /// Writing is now possible.
 pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
 
 /// One registered fd, `struct pollfd` layout.
 #[repr(C)]

@@ -20,9 +20,10 @@
 //! Wake and close rules:
 //!
 //! * **Outbound message** — an outbox entry is encoded once, into its
-//!   connection's batch; the next turn's flush pass writes each batch with
-//!   one syscall. A failed write closes the connection, and what the
-//!   machine says to *that* is drained in the same pass.
+//!   connection's batch or, behind a full one, as that batch drains; the
+//!   next turn's flush pass writes each batch with one syscall. A failed
+//!   write closes the connection there, and what the machine says to
+//!   *that* is drained after the turn.
 //! * **Every close** is reported to the mount exactly once, through
 //!   [`Handler::closed`], with the per-connection datum and wire counters;
 //!   `Closed::local` tells the server's own closes from the peer's.
@@ -161,13 +162,11 @@ pub(crate) fn run<M: Mount>(bound: Bound<M::Peer>, mut mount: M) -> M {
         if mount.next_deadline().is_some_and(|d| d <= clock.now_us()) {
             mount.on_deadline();
         }
-        // Repeat until quiet: a send that fails closes its connection, and
-        // the machine may answer that (a lost executor's tasks replayed).
-        while !mount.outbox().is_empty() {
-            std::mem::swap(mount.outbox(), &mut batch);
-            for (token, msg) in batch.drain(..) {
-                engine.send(token, &msg, &mut mount);
-            }
+        // A send never closes a connection (a failed write is the next
+        // turn's), so one drain leaves the outbox empty.
+        std::mem::swap(mount.outbox(), &mut batch);
+        for (token, msg) in batch.drain(..) {
+            engine.send(token, msg);
         }
     }
     engine.close_all(&mut mount).ok();

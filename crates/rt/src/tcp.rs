@@ -354,11 +354,11 @@ impl Handler<()> for ClientRun {
             }
             Inbound::Deadline => {}
         }
-        // Everything queued here leaves in one write on the next turn —
-        // partially, if the socket is full, while results keep being read.
+        // Everything queued here is written from the next turn on, encoded
+        // as the socket drains, while results keep being read.
         for act in self.actions.drain(..) {
             match act {
-                ClientAction::Send(msg) => conn.enqueue(&msg)?,
+                ClientAction::Send(msg) => conn.enqueue(msg)?,
                 ClientAction::WorkloadComplete => {
                     let done = self.client.completions().len() as u64;
                     self.done = Some((done, self.clock.now_us() - self.t0));

@@ -231,7 +231,7 @@ fn idle_registered_connections_hold_no_read_buffer() {
         let Message::Register { executor, .. } = recv(&mut conn) else {
             panic!("expected a registration");
         };
-        conn.enqueue(&Message::RegisterAck { executor })
+        conn.enqueue(Message::RegisterAck { executor })
             .expect("enqueue");
         assert!(conn.flush().expect("flush"), "a small ack leaves at once");
         // The engine polls once more after the last frame before it waits.

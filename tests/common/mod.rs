@@ -39,7 +39,7 @@ impl StatusClient {
 
     fn pump(&mut self, asked: &mut bool) {
         if self.open && !*asked {
-            self.conn.enqueue(&Message::StatusPoll).expect("enqueue");
+            self.conn.enqueue(Message::StatusPoll).expect("enqueue");
             *asked = true;
         }
         assert!(self.conn.flush().expect("flush"), "tiny message pending");

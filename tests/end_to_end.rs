@@ -81,7 +81,7 @@ fn a_run_counts_its_socket_calls_and_balances_its_wire_in_both_modes() {
     use ObsEventKind::{BundleDecoded, BundleEncoded, SocketRead, SocketWrite};
     for wire in [WireMode::Encoded, WireMode::Secure] {
         // Tasks that take time, so every executor has registered long
-        // before the server stops: a frame charged at enqueue and never
+        // before the server stops: a frame charged as encoded and never
         // read would break the balance below.
         let out = run_sleep_workload(&quick(2, wire), 8, 20_000);
         assert!(completed_exactly_once(&out, 8), "{wire:?}");

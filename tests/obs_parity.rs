@@ -58,14 +58,15 @@ fn inproc_counters() -> Counters {
 fn sim_and_inproc_agree_on_event_accounting() {
     let sim = sim_counters();
     let rt = inproc_counters();
-    // Wire bytes and socket calls are the driver's to report, and the
-    // simulator neither serializes nor opens a socket: every other kind is
-    // the machines' alone.
+    // Wire bytes, socket calls and messages deferred behind a full batch
+    // are the driver's to report, and the simulator neither serializes nor
+    // opens a socket: every other kind is the machines' alone.
     let wire = [
         ObsEventKind::BundleEncoded,
         ObsEventKind::BundleDecoded,
         ObsEventKind::SocketRead,
         ObsEventKind::SocketWrite,
+        ObsEventKind::SendDeferred,
     ];
     for kind in ObsEventKind::ALL.into_iter().filter(|k| !wire.contains(k)) {
         assert_eq!(
