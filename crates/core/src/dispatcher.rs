@@ -215,6 +215,24 @@ pub struct DispatcherStats {
     pub data_locality_hits: u64,
 }
 
+/// Every field maps to one [`ObsEventKind`] only a dispatcher emits, so
+/// counters merged over several dispatchers (and more) give their sum.
+impl From<&Counters> for DispatcherStats {
+    fn from(c: &Counters) -> DispatcherStats {
+        DispatcherStats {
+            submitted: c.value(ObsEventKind::TaskSubmitted),
+            dispatched: c.count(ObsEventKind::TaskDispatched),
+            completed: c.count(ObsEventKind::TaskCompleted),
+            failed: c.count(ObsEventKind::TaskFailed),
+            retries: c.count(ObsEventKind::TaskRetried),
+            duplicate_results: c.count(ObsEventKind::DuplicateResult),
+            notifies: c.count(ObsEventKind::NotifySent),
+            piggybacked: c.value(ObsEventKind::TaskPiggybacked),
+            data_locality_hits: c.count(ObsEventKind::DataLocalityHit),
+        }
+    }
+}
+
 /// The Falkon dispatcher state machine. See module docs.
 ///
 /// Generic over a [`Probe`] that observes the lifecycle event stream; the
@@ -325,20 +343,9 @@ impl<P: Probe> Dispatcher<P> {
     }
 
     /// Monotonic counters — a derived view of the internal event
-    /// [`Counters`]; every field maps to one [`ObsEventKind`].
+    /// [`Counters`].
     pub fn stats(&self) -> DispatcherStats {
-        let c = &self.counters;
-        DispatcherStats {
-            submitted: c.value(ObsEventKind::TaskSubmitted),
-            dispatched: c.count(ObsEventKind::TaskDispatched),
-            completed: c.count(ObsEventKind::TaskCompleted),
-            failed: c.count(ObsEventKind::TaskFailed),
-            retries: c.count(ObsEventKind::TaskRetried),
-            duplicate_results: c.count(ObsEventKind::DuplicateResult),
-            notifies: c.count(ObsEventKind::NotifySent),
-            piggybacked: c.value(ObsEventKind::TaskPiggybacked),
-            data_locality_hits: c.count(ObsEventKind::DataLocalityHit),
-        }
+        DispatcherStats::from(&self.counters)
     }
 
     /// The internal per-kind event counters (always on, probe or not).

@@ -7,14 +7,9 @@
 //! read from the `falkon-obs` recorder mounted on the threaded driver.
 
 use crate::experiments::Scale;
-use falkon_core::executor::ExecutorConfig;
 use falkon_core::DispatcherConfig;
 use falkon_proto::bundle::BundleConfig;
-use falkon_proto::message::ExecutorId;
-use falkon_proto::task::TaskSpec;
-use falkon_rt::forwarder::ForwarderServer;
 use falkon_rt::inproc::{run_sleep_workload, InprocConfig};
-use falkon_rt::tcp::{run_client, run_executor, ServerConfig};
 use falkon_rt::wscounter::{measure_call_rate, CounterServer};
 use falkon_rt::WireMode;
 use std::time::Duration;
@@ -32,10 +27,10 @@ pub struct OverheadQuantiles {
     pub max_us: u64,
 }
 
-/// One wire-mode arm of the measured benchmark.
+/// One deployment arm of the measured benchmark.
 #[derive(Clone, Debug)]
 pub struct MeasuredRow {
-    /// Wire-mode label.
+    /// Deployment label.
     pub label: &'static str,
     /// Tasks completed.
     pub tasks: u64,
@@ -45,83 +40,50 @@ pub struct MeasuredRow {
     pub overhead: OverheadQuantiles,
 }
 
-/// One arm of the real-socket TCP deployment measurement.
-#[derive(Clone, Debug)]
-pub struct TcpMeasuredRow {
-    /// Deployment label.
-    pub label: &'static str,
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Aggregate throughput, tasks/sec.
-    pub throughput: f64,
-}
-
 /// The measured-throughput report.
 #[derive(Clone, Debug)]
 pub struct Measured {
-    /// One row per wire mode of the flat deployment: dispatcher server,
-    /// 8 executor threads, and a client on real loopback sockets, all on
-    /// the one connection engine (no polling cadence).
+    /// One row per deployment, client, servers and executor threads on
+    /// real loopback sockets, all on the one connection engine (no
+    /// polling cadence): the flat one with 8 executors in each wire mode,
+    /// and three tiers — a forwarder over 2 dispatchers × 2 executors.
     pub rows: Vec<MeasuredRow>,
-    /// The three-tier forwarder deployment.
-    pub tcp_rows: Vec<TcpMeasuredRow>,
     /// The GT4-counter-service analog: raw request/response over TCP,
     /// calls/sec with 8 concurrent clients.
     pub counter_rate: f64,
 }
 
-/// One three-tier deployment run: client → forwarder → `dispatchers`
-/// dispatcher cores → 2 executors each, all over real loopback sockets.
-/// On a core-limited box the tiers time-share one CPU, so this measures
-/// the forwarder hop's overhead rather than multi-core scaling (see
-/// EXPERIMENTS.md for the honest framing).
-fn three_tier_arm(label: &'static str, n: u64, dispatchers: usize) -> TcpMeasuredRow {
-    const EXECS_PER_DISPATCHER: u64 = 2;
-    let config = ServerConfig::builder()
-        .dispatcher(DispatcherConfig {
-            client_notify_batch: 1_000,
-            ..DispatcherConfig::default()
-        })
-        .forwarder(dispatchers)
-        .build()
-        .expect("valid three-tier config");
-    let server = ForwarderServer::start(config).expect("bind three-tier");
-    let addr = server.addr;
-    let mut execs = Vec::new();
-    for (d, disp_addr) in server.dispatcher_addrs().iter().enumerate() {
-        let disp_addr = *disp_addr;
-        for i in 0..EXECS_PER_DISPATCHER {
-            let id = ExecutorId(d as u64 * EXECS_PER_DISPATCHER + i);
-            execs.push(std::thread::spawn(move || {
-                run_executor(disp_addr, id, ExecutorConfig::default(), None)
-            }));
-        }
-    }
-    let tasks: Vec<TaskSpec> = (0..n).map(|i| TaskSpec::sleep(i, 0)).collect();
-    let client = run_client(addr, tasks, BundleConfig::of(300), None).expect("three-tier client");
-    server.shutdown();
-    for e in execs {
-        e.join().expect("executor thread").ok();
-    }
-    TcpMeasuredRow {
-        label,
-        tasks: client.done,
-        throughput: client.done as f64 / (client.elapsed_us.max(1) as f64 / 1e6),
-    }
-}
-
-/// Run the flat deployment (one per wire mode), the three-tier one and
-/// the TCP-bound counter service.
+/// Run each deployment and the TCP-bound counter service. On a
+/// core-limited box the three tiers time-share the CPUs, so their row
+/// measures the forwarder hop's overhead rather than multi-core scaling
+/// (see EXPERIMENTS.md for the honest framing).
 pub fn run(scale: Scale) -> Measured {
     let n = scale.pick(5_000, 50_000);
     let rows = [
-        ("encoded (WS-serialization analog)", WireMode::Encoded),
-        ("secure (GSISecureConversation analog)", WireMode::Secure),
+        (
+            "encoded (WS-serialization analog)",
+            WireMode::Encoded,
+            8,
+            None,
+        ),
+        (
+            "secure (GSISecureConversation analog)",
+            WireMode::Secure,
+            8,
+            None,
+        ),
+        (
+            "three-tier (forwarder, 2 dispatchers)",
+            WireMode::Encoded,
+            2,
+            Some(2),
+        ),
     ]
     .into_iter()
-    .map(|(label, wire)| {
+    .map(|(label, wire, executors, forwarder)| {
         let cfg = InprocConfig {
-            executors: 8,
+            executors,
+            forwarder,
             wire,
             bundle: BundleConfig::of(300),
             dispatcher: DispatcherConfig {
@@ -149,20 +111,10 @@ pub fn run(scale: Scale) -> Measured {
         }
     })
     .collect();
-    let n_tcp = scale.pick(2_000, 20_000);
-    let tcp_rows = vec![three_tier_arm(
-        "three-tier (forwarder, 2 dispatchers)",
-        n_tcp,
-        2,
-    )];
     let server = CounterServer::start().expect("bind counter service");
     let counter_rate = measure_call_rate(server.addr, 8, Duration::from_secs(scale.pick(1, 5)));
     server.shutdown();
-    Measured {
-        rows,
-        tcp_rows,
-        counter_rate,
-    }
+    Measured { rows, counter_rate }
 }
 
 /// Render the measured report.
@@ -181,12 +133,6 @@ pub fn render(m: &Measured) -> String {
             r.overhead.max_us,
         ));
     }
-    for r in &m.tcp_rows {
-        out.push_str(&format!(
-            "\nfalkon TCP    {:<38} {:>10.0} tasks/s  ({} tasks, 4 executors, real sockets)",
-            r.label, r.throughput, r.tasks,
-        ));
-    }
     out.push_str(&format!(
         "\ncounter-service TCP bound (8 clients)      {:>10.0} calls/s",
         m.counter_rate
@@ -201,8 +147,9 @@ mod tests {
     #[test]
     fn measured_reports_throughput_and_overhead_quantiles() {
         let m = run(Scale::Quick);
-        assert_eq!(m.rows.len(), 2);
+        assert_eq!(m.rows.len(), 3);
         for r in &m.rows {
+            assert!(r.tasks > 0, "{}: no tasks completed", r.label);
             assert!(r.throughput > 0.0, "{}: no throughput", r.label);
             // The recorder saw every task: quantiles are ordered and
             // bounded by the observed max.
@@ -210,15 +157,9 @@ mod tests {
             assert!(r.overhead.p90_us <= r.overhead.p99_us);
             assert!(r.overhead.p99_us <= r.overhead.max_us);
         }
-        assert_eq!(m.tcp_rows.len(), 1);
-        for r in &m.tcp_rows {
-            assert!(r.tasks > 0, "{}: no tasks completed over TCP", r.label);
-            assert!(r.throughput > 0.0, "{}: no TCP throughput", r.label);
-        }
         assert!(m.counter_rate > 0.0);
         let text = render(&m);
         assert!(text.contains("dispatch overhead p50/p90/p99/max"));
-        assert!(text.contains("falkon TCP"));
-        assert!(text.contains("real sockets"));
+        assert!(text.contains("three-tier"));
     }
 }

@@ -4,15 +4,13 @@
 //! (each bounded at the paper's ≈487 tasks/sec); aggregate throughput
 //! should scale roughly linearly in `k` — the paper's proposed route to
 //! "two or more orders of magnitude more executors" on BlueGene/P-class
-//! machines. No dispatcher fails here: the forwarder's loss and
-//! readmission handling is exercised over real sockets by
-//! `tests/tcp_threetier.rs`.
+//! machines. The topology is one [`SimFalkon`] with
+//! [`SimFalkonConfig::forwarder`] set. No dispatcher fails here: the
+//! forwarder's loss and readmission handling is exercised over real
+//! sockets by `tests/tcp_threetier.rs`.
 
 use crate::experiments::Scale;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
-use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent};
-use falkon_core::ids::InstanceId;
-use falkon_proto::bundle::bundles;
 use falkon_proto::task::TaskSpec;
 use falkon_sim::table::Table;
 
@@ -27,80 +25,23 @@ pub struct ThreeTierRun {
     pub speedup: f64,
 }
 
-/// Drive `tasks` through `k` simulated dispatchers via a forwarder;
-/// returns aggregate throughput (tasks/sec over the whole run).
+/// Drive `tasks` through `k` simulated dispatchers via a forwarder, in
+/// bundles of 300; returns aggregate throughput (tasks/sec from
+/// submission to the last completion).
 pub fn run_three_tier(k: usize, tasks: u64, executors_per_dispatcher: u32) -> f64 {
-    let mut sims: Vec<SimFalkon> = (0..k)
-        .map(|i| {
-            SimFalkon::new(SimFalkonConfig {
-                executors: executors_per_dispatcher,
-                seed: 42 + i as u64,
-                ..SimFalkonConfig::default()
-            })
-        })
-        .collect();
-    let mut fwd = Forwarder::new(k);
-    let instance = InstanceId(1);
-
-    // Client → forwarder: bundles of 300, routed least-loaded.
-    let all: Vec<TaskSpec> = (0..tasks).map(|i| TaskSpec::sleep(i, 0)).collect();
-    let mut actions = Vec::new();
-    for chunk in bundles(all, 300) {
-        fwd.on_event(
-            0,
-            ForwarderEvent::ClientSubmit {
-                instance,
-                tasks: chunk,
-            },
-            &mut actions,
-        );
-    }
-    let submit_at = 10_000_000u64; // after the pools registered
-    for act in actions.drain(..) {
-        if let ForwarderAction::SubmitTo { dispatcher, tasks } = act {
-            sims[dispatcher].submit(submit_at, tasks);
-        }
-    }
-
-    // Lock-step virtual time across the dispatchers: always advance the
-    // one with the earliest pending event, relaying completions through
-    // the forwarder.
-    let mut done = 0u64;
-    let mut first = u64::MAX;
-    let mut last = 0u64;
-    while done < tasks {
-        let next = sims
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.next_wakeup().map(|t| (t, i)))
-            .min();
-        let Some((t, i)) = next else { break };
-        sims[i].advance_to(t);
-        let completions = sims[i].drain_completions();
-        if completions.is_empty() {
-            continue;
-        }
-        for &(_, at) in &completions {
-            first = first.min(at);
-            last = last.max(at);
-        }
-        done += completions.len() as u64;
-        let results = completions
-            .iter()
-            .map(|&(id, _)| falkon_proto::task::TaskResult::success(id))
-            .collect();
-        fwd.on_event(
-            t,
-            ForwarderEvent::DispatcherResults {
-                dispatcher: i,
-                results,
-            },
-            &mut actions,
-        );
-        actions.clear(); // client delivery is not on the measured path
-    }
-    assert_eq!(done, tasks, "all tasks complete through the forwarder");
-    tasks as f64 / ((last.saturating_sub(submit_at)).max(1) as f64 / 1e6)
+    let mut sim = SimFalkon::new(SimFalkonConfig {
+        executors: executors_per_dispatcher,
+        forwarder: Some(k),
+        ..SimFalkonConfig::default()
+    });
+    let submit_at = 10_000_000; // after the pools registered
+    sim.submit(
+        submit_at,
+        (0..tasks).map(|i| TaskSpec::sleep(i, 0)).collect(),
+    );
+    let out = sim.run_until_drained_with(drop);
+    assert_eq!(out.tasks, tasks, "all tasks complete through the forwarder");
+    tasks as f64 / ((out.makespan_us - submit_at) as f64 / 1e6)
 }
 
 /// Sweep dispatcher counts.

@@ -8,20 +8,29 @@
 //! tasks, and the Table 3/4 provisioning study.
 //!
 //! Cost accounting:
-//! * The dispatcher is a serial resource: every inbound and outbound
+//! * Each dispatcher is a serial resource: every inbound and outbound
 //!   message occupies it for `dispatcher_msg_cpu_us`; messages queue behind
-//!   `disp_free_at`. Optional stop-the-world GC pauses (Figure 8) push
-//!   `disp_free_at` further.
+//!   its `free_at`. Optional stop-the-world GC pauses (Figure 8) push
+//!   `free_at` further.
 //! * Executors charge `executor_task_overhead_us` (with log-normal jitter)
 //!   per task on top of the payload runtime and any staging I/O.
 //! * Every hop pays `network_latency_us`.
+//!
+//! Three tiers are a config value: [`SimFalkonConfig::forwarder`] mounts
+//! the `falkon-core` forwarder over `k` dispatcher nodes (paper Section 6).
+//! The client in front of it is not modelled: each bundle reaches the
+//! forwarder as it is made, and the results it delivers leave the measured
+//! path.
 
 use crate::costs::{CostModel, ALLOC_REQUEST_OVERHEAD_US};
 use crate::Micros;
 use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, TaskRecord};
+use falkon_core::dispatcher::{
+    Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
+};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
-use falkon_core::ids::AllocationId;
+use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent};
+use falkon_core::ids::{AllocationId, InstanceId};
 use falkon_core::mapping;
 use falkon_core::policy::ProvisionerPolicy;
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
@@ -35,7 +44,7 @@ use falkon_obs::Recorder;
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::{ExecutorId, Message};
 use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
-use falkon_sim::{EventQueue, SimRng, TimeSeries};
+use falkon_sim::{EventQueue, SimRng, SimTime, TimeSeries};
 
 /// Configuration of a simulated deployment.
 #[derive(Clone, Debug)]
@@ -48,8 +57,13 @@ pub struct SimFalkonConfig {
     pub costs: CostModel,
     /// Client→dispatcher bundle size.
     pub bundle_size: usize,
-    /// Static executor pool size (ignored when a provisioner is set).
+    /// Static executor pool size per dispatcher (ignored when a
+    /// provisioner is set).
     pub executors: u32,
+    /// Mount a forwarder over this many dispatchers (paper Section 6);
+    /// executor `e` serves dispatcher `e / executors`. `None` = one
+    /// dispatcher and no forwarder. Takes no provisioner.
+    pub forwarder: Option<usize>,
     /// Executors per physical node (paper: 2 for dual-CPU nodes; 900 for
     /// the 54K-executor emulation).
     pub executors_per_node: u32,
@@ -83,6 +97,7 @@ impl Default for SimFalkonConfig {
             costs: CostModel::no_security(),
             bundle_size: 300,
             executors: 64,
+            forwarder: None,
             executors_per_node: 2,
             provisioner: None,
             lrm: None,
@@ -140,13 +155,14 @@ impl SimOutcome {
     }
 }
 
+/// Node indices are `u32` here, which keeps an event 48 bytes.
 enum Ev {
-    /// A message arrives at the dispatcher host (enter the CPU queue).
-    DispArrive(DispatcherEvent),
-    /// The dispatcher finishes processing an event.
-    DispProcess(DispatcherEvent),
-    /// Deadline timer at the dispatcher.
-    DispDeadlineCheck,
+    /// A message arrives at a dispatcher node (enter its CPU queue).
+    DispArrive(u32, DispatcherEvent),
+    /// A dispatcher node finishes processing an event.
+    DispProcess(u32, DispatcherEvent),
+    /// Deadline timer at a dispatcher node.
+    DispDeadlineCheck(u32),
     /// A message arrives at an executor.
     ExecRecv(u32, Message),
     /// A task payload finishes on an executor.
@@ -254,6 +270,17 @@ struct AllocInfo {
     pending: u32,
 }
 
+/// One dispatcher host: the machine, its serial CPU (messages queue
+/// behind `free_at`), its armed deadline, and the client session it
+/// serves — the workload's, or behind a forwarder the slot's link.
+struct Node {
+    machine: Dispatcher<Recorder>,
+    free_at: Micros,
+    deadline_armed: Option<Micros>,
+    client: Client,
+    gc_counter: u64,
+}
+
 /// The simulated deployment. Drive with [`SimFalkon::submit`] +
 /// [`SimFalkon::run_until_drained`] (or its fold,
 /// [`SimFalkon::run_until_drained_with`]), or incrementally via
@@ -265,9 +292,9 @@ pub struct SimFalkon {
     queue: EventQueue<Ev>,
     now: Micros,
     rng: SimRng,
-    dispatcher: Dispatcher<Recorder>,
-    disp_free_at: Micros,
-    deadline_armed: Option<Micros>,
+    /// The dispatchers, indexed as the forwarder's slots.
+    nodes: Vec<Node>,
+    forwarder: Option<Forwarder<Recorder>>,
     executors: ExecutorTable,
     /// Scratch buffers for machine actions, reused across events so the
     /// steady-state loop performs no per-event allocation. Taken with
@@ -279,8 +306,6 @@ pub struct SimFalkon {
     lrm: Option<BatchScheduler>,
     lrm_wake_armed: Option<Micros>,
     fs: Option<ClusterFs>,
-    /// The one client, bundling at `bundle_size`.
-    client: Client,
     /// Records completed by the event being handled; the loop that ran the
     /// event hands them on before the next one.
     done: Vec<TaskRecord>,
@@ -289,7 +314,6 @@ pub struct SimFalkon {
     pending: Vec<(TaskId, Micros)>,
     submitted: u64,
     failed: u64,
-    gc_counter: u64,
     gc_pauses: u64,
     // allocation bookkeeping
     allocs: DenseMap<AllocationId, AllocInfo>,
@@ -312,18 +336,38 @@ pub struct SimFalkon {
 impl SimFalkon {
     /// Build a deployment. A static pool starts (and registers) its
     /// executors immediately; a provisioned deployment starts empty and
-    /// begins polling.
+    /// begins polling. Panics on a forwarder over no dispatcher, or with a
+    /// provisioner (which polls, samples and collects one dispatcher).
     pub fn new(config: SimFalkonConfig) -> SimFalkon {
         crate::trace::begin_run();
+        assert!(
+            config.forwarder.is_none() || config.provisioner.is_none(),
+            "a provisioner serves one dispatcher, not a forwarder's"
+        );
         let rng = SimRng::seed_from_u64(config.seed);
+        let dispatchers = config.forwarder.unwrap_or(1);
+        let pool = config.executors * dispatchers as u32;
         let static_pool = match config.provisioner {
-            None => config.executors as usize,
+            None => pool as usize,
             Some(_) => 0,
         };
-        let mut sim = SimFalkon {
-            dispatcher: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
-            disp_free_at: 0,
+        // A slot's link keeps each routed bundle one `Submit`.
+        let bundle = match config.forwarder {
+            None => BundleConfig::of(config.bundle_size.max(1)),
+            Some(_) => BundleConfig::of(usize::MAX),
+        };
+        let node = || Node {
+            machine: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
+            free_at: 0,
             deadline_armed: None,
+            client: Client::new(bundle),
+            gc_counter: 0,
+        };
+        let mut sim = SimFalkon {
+            nodes: (0..dispatchers).map(|_| node()).collect(),
+            forwarder: config
+                .forwarder
+                .map(|k| Forwarder::with_probe(k, Recorder::new())),
             executors: ExecutorTable::with_capacity(static_pool),
             disp_out: Vec::new(),
             exec_out: Vec::new(),
@@ -336,16 +380,14 @@ impl SimFalkon {
                 let pool = config
                     .provisioner
                     .map(|p| p.max_executors)
-                    .unwrap_or(config.executors)
-                    .max(config.executors);
+                    .unwrap_or(pool)
+                    .max(pool);
                 ClusterFs::new(f, (pool / config.executors_per_node).max(1))
             }),
-            client: Client::new(BundleConfig::of(config.bundle_size.max(1))),
             done: Vec::new(),
             pending: Vec::new(),
             submitted: 0,
             failed: 0,
-            gc_counter: 0,
             gc_pauses: 0,
             allocs: DenseMap::new(),
             completed: 0,
@@ -365,30 +407,31 @@ impl SimFalkon {
             rng,
             config,
         };
-        // The client creates its instance at t=0 (uncosted, below).
-        let mut out = Vec::new();
-        sim.client.on_event(0, ClientEvent::Start, &mut out);
-        sim.client_actions(out);
+        // Each client creates its instance at t=0 (uncosted, below).
+        for n in 0..dispatchers {
+            sim.client_step(n, |c, out| c.on_event(0, ClientEvent::Start, out));
+        }
         if let Some(p) = &sim.provisioner {
             let poll = p.poll_interval_us();
-            sim.queue
-                .push(falkon_sim::SimTime::from_micros(poll), Ev::ProvisionerPoll);
+            sim.schedule(poll, Ev::ProvisionerPoll);
         } else {
             // Static pool: all executors start here, at t=0, in index order
             // (registration costs still apply through the dispatcher CPU
             // model).
-            for e in 0..sim.config.executors {
+            for e in 0..pool {
                 sim.spawn_executor(e, None);
                 sim.executor_event(e, ExecutorEvent::Start);
             }
         }
         if sim.config.sample_interval_us > 0 {
-            sim.queue.push(
-                falkon_sim::SimTime::from_micros(sim.config.sample_interval_us),
-                Ev::Sample,
-            );
+            sim.schedule(sim.config.sample_interval_us, Ev::Sample);
         }
         sim
+    }
+
+    /// Queue `ev` for virtual time `at`.
+    fn schedule(&mut self, at: Micros, ev: Ev) {
+        self.queue.push(SimTime::from_micros(at), ev);
     }
 
     /// Add executor `index`'s machine. Its host name is empty: the
@@ -420,17 +463,21 @@ impl SimFalkon {
         self.gc_pauses
     }
 
-    /// The dispatcher's monotonic counters.
-    pub fn dispatcher_stats(&self) -> falkon_core::dispatcher::DispatcherStats {
-        self.dispatcher.stats()
+    /// The dispatchers' monotonic counters, summed.
+    pub fn dispatcher_stats(&self) -> DispatcherStats {
+        DispatcherStats::from(&self.obs().counters)
     }
 
-    /// The merged observability recorder: the dispatcher's event stream
-    /// (counters and histograms of virtual-time durations) plus every
-    /// executor's counter shard. The recorder is fixed-size, so the copy
-    /// is bucket counts, not samples.
+    /// The merged observability recorder: the dispatchers' and the
+    /// forwarder's event streams (counters and histograms of virtual-time
+    /// durations) plus every executor's counter shard. The recorder is
+    /// fixed-size, so the copy is bucket counts, not samples.
     pub fn obs(&self) -> Recorder {
-        let mut obs = self.dispatcher.probe().clone();
+        let mut obs = Recorder::new();
+        let fwd = self.forwarder.iter().map(|f| f.probe());
+        for probe in self.nodes.iter().map(|n| n.machine.probe()).chain(fwd) {
+            obs.merge(probe);
+        }
         for m in &self.executors.machines {
             obs.merge_counters(&m.counters());
         }
@@ -454,10 +501,7 @@ impl SimFalkon {
         assert!(at >= self.now, "submission in the past");
         self.submitted += tasks.len() as u64;
         if tasks.len() > 0 {
-            self.queue.push(
-                falkon_sim::SimTime::from_micros(at),
-                Ev::ClientSubmit(Box::new(tasks)),
-            );
+            self.schedule(at, Ev::ClientSubmit(Box::new(tasks)));
         }
     }
 
@@ -475,7 +519,7 @@ impl SimFalkon {
     /// Process all events with time ≤ `t`. What completes is held for
     /// [`SimFalkon::drain_completions`].
     pub fn advance_to(&mut self, t: Micros) {
-        let deadline = falkon_sim::SimTime::from_micros(t);
+        let deadline = SimTime::from_micros(t);
         while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
             self.now = at.as_micros();
             self.handle(ev);
@@ -596,27 +640,19 @@ impl SimFalkon {
                         .config
                         .client_submit_rate
                         .map_or(1, |rate| (tasks.len() as f64 / rate * 1e6) as Micros);
-                    self.queue.push(
-                        falkon_sim::SimTime::from_micros(self.now + gap.max(1)),
-                        Ev::ClientSubmit(rest),
-                    );
+                    self.schedule(self.now + gap.max(1), Ev::ClientSubmit(rest));
                 }
-                let mut out = Vec::new();
-                self.client.enqueue(self.now, tasks, &mut out);
-                self.client_actions(out);
+                self.client_submit(tasks);
             }
-            Ev::DispArrive(ev) => {
+            Ev::DispArrive(n, ev) => {
                 // Enter the dispatcher's serial CPU queue.
-                let start = self.disp_free_at.max(self.now);
-                let done = start + self.config.costs.dispatcher_msg_cpu_us;
-                self.disp_free_at = done;
-                self.queue
-                    .push(falkon_sim::SimTime::from_micros(done), Ev::DispProcess(ev));
+                let done = self.charge_dispatcher_send(n as usize);
+                self.schedule(done, Ev::DispProcess(n, ev));
             }
-            Ev::DispProcess(ev) => self.dispatch(ev),
-            Ev::DispDeadlineCheck => {
-                self.deadline_armed = None;
-                self.dispatch(DispatcherEvent::CheckDeadlines);
+            Ev::DispProcess(n, ev) => self.dispatch(n as usize, ev),
+            Ev::DispDeadlineCheck(n) => {
+                self.nodes[n as usize].deadline_armed = None;
+                self.dispatch(n as usize, DispatcherEvent::CheckDeadlines);
             }
             Ev::ExecRecv(e, msg) => self.executor_recv(e, msg),
             Ev::ExecDone(e, result) => {
@@ -643,13 +679,12 @@ impl SimFalkon {
             Ev::ProvisionerPoll => {
                 // {POLL}: provisioner reads dispatcher state; answering the
                 // poll costs dispatcher CPU like any other message.
-                self.charge_dispatcher_send();
+                self.charge_dispatcher_send(0);
                 if let Some(p) = &self.provisioner {
                     let next = self.now + p.poll_interval_us();
-                    self.queue
-                        .push(falkon_sim::SimTime::from_micros(next), Ev::ProvisionerPoll);
+                    self.schedule(next, Ev::ProvisionerPoll);
                 }
-                let status = self.dispatcher.status();
+                let status = self.nodes[0].machine.status();
                 let lrm_available = self.lrm.as_ref().map(|l| l.free_nodes());
                 self.provision(ProvisionerEvent::Status {
                     status,
@@ -662,50 +697,78 @@ impl SimFalkon {
                 self.lrm(LrmInput::Tick);
             }
             Ev::Sample => {
-                let st = self.dispatcher.status();
-                let t = falkon_sim::SimTime::from_micros(self.now);
-                self.queue_series.push(t, st.queued_tasks as f64);
-                self.busy_series.push(t, st.busy_executors as f64);
-                self.registered_series
-                    .push(t, st.registered_executors as f64);
+                let (mut queued, mut busy, mut registered) = (0, 0, 0);
+                for st in self.nodes.iter().map(|n| n.machine.status()) {
+                    queued += st.queued_tasks;
+                    busy += st.busy_executors;
+                    registered += st.registered_executors;
+                }
+                let t = SimTime::from_micros(self.now);
+                self.queue_series.push(t, queued as f64);
+                self.busy_series.push(t, busy as f64);
+                self.registered_series.push(t, registered as f64);
                 self.allocated_series
                     .push(t, self.starting_executors as f64);
                 // Keep sampling while anything remains outstanding.
-                if self.completed < self.submitted || st.registered_executors > 0 {
+                if self.completed < self.submitted || registered > 0 {
                     let next = self.now + self.config.sample_interval_us;
-                    self.queue
-                        .push(falkon_sim::SimTime::from_micros(next), Ev::Sample);
+                    self.schedule(next, Ev::Sample);
                 }
             }
         }
     }
 
-    /// Send an event into the dispatcher CPU queue after network latency.
-    fn send_to_dispatcher(&mut self, ev: DispatcherEvent) {
-        let at = self.now + self.config.costs.network_latency_us;
-        self.queue
-            .push(falkon_sim::SimTime::from_micros(at), Ev::DispArrive(ev));
+    /// The client sends a bundle. Behind a forwarder, the client is not
+    /// modelled: the bundle reaches the forwarder as it is made, and each
+    /// slot's link submits what the forwarder routes to it.
+    fn client_submit(&mut self, tasks: Vec<TaskSpec>) {
+        let now = self.now;
+        let Some(fwd) = self.forwarder.as_mut() else {
+            self.client_step(0, |c, out| c.enqueue(now, tasks, out));
+            return;
+        };
+        let mut routed = Vec::new();
+        let instance = InstanceId(1);
+        fwd.on_event(
+            now,
+            ForwarderEvent::ClientSubmit { instance, tasks },
+            &mut routed,
+        );
+        for act in routed {
+            if let ForwarderAction::SubmitTo { dispatcher, tasks } = act {
+                self.client_step(dispatcher, |c, out| c.enqueue(now, tasks, out));
+            }
+        }
     }
 
-    /// Run the dispatcher machine and route its actions.
-    fn dispatch(&mut self, ev: DispatcherEvent) {
+    /// Send an event into node `n`'s CPU queue after network latency.
+    fn send_to_dispatcher(&mut self, n: usize, ev: DispatcherEvent) {
+        let at = self.now + self.config.costs.network_latency_us;
+        self.schedule(at, Ev::DispArrive(n as u32, ev));
+    }
+
+    /// The dispatcher node executor `e` serves (always 0 with one node,
+    /// whose pool may be provisioned past `executors`).
+    fn node_of(&self, e: u32) -> usize {
+        (e / self.config.executors.max(1)) as usize % self.nodes.len()
+    }
+
+    /// Run node `n`'s dispatcher machine and route its actions.
+    fn dispatch(&mut self, n: usize, ev: DispatcherEvent) {
         let mut out = std::mem::take(&mut self.disp_out);
-        self.dispatcher.on_event(self.now, ev, &mut out);
+        self.nodes[n].machine.on_event(self.now, ev, &mut out);
         for act in out.drain(..) {
             match act {
                 DispatcherAction::ToExecutor { executor, msg } => {
                     // Outgoing messages also consume dispatcher CPU.
-                    let sent = self.charge_dispatcher_send();
+                    let sent = self.charge_dispatcher_send(n);
                     let at = sent + self.config.costs.network_latency_us;
-                    self.queue.push(
-                        falkon_sim::SimTime::from_micros(at),
-                        Ev::ExecRecv(executor.0 as u32, msg),
-                    );
+                    self.schedule(at, Ev::ExecRecv(executor.0 as u32, msg));
                 }
                 DispatcherAction::ToClient { msg, .. } => {
                     // Sending costs dispatcher CPU; the client's step is free.
-                    self.charge_dispatcher_send();
-                    self.client_recv(msg);
+                    self.charge_dispatcher_send(n);
+                    self.client_recv(n, msg);
                 }
                 DispatcherAction::TaskDone { record, .. } => {
                     crate::trace::record(&record);
@@ -715,7 +778,7 @@ impl SimFalkon {
                     self.queue_us_sum += record.queue_time_us() as f64;
                     self.exec_us_sum += record.exec_time_us() as f64;
                     self.done.push(record);
-                    self.maybe_gc();
+                    self.maybe_gc(n);
                 }
                 DispatcherAction::TaskFailed { .. } => {
                     self.failed += 1;
@@ -724,37 +787,51 @@ impl SimFalkon {
             }
         }
         self.disp_out = out;
-        self.arm_deadline();
+        self.arm_deadline(n);
     }
 
-    /// Deliver a dispatcher message to the client machine. The results
-    /// pushed to it `{8}`–`{10}` leave the measured path here.
-    fn client_recv(&mut self, msg: Message) {
-        let Some(ev) = mapping::message_to_client_event(msg) else {
-            return;
-        };
+    /// Deliver node `n`'s message to its client machine.
+    fn client_recv(&mut self, n: usize, msg: Message) {
+        if let Some(ev) = mapping::message_to_client_event(msg) {
+            let now = self.now;
+            self.client_step(n, |c, out| c.on_event(now, ev, out));
+        }
+    }
+
+    /// Run node `n`'s client on one step and act on what it sends. The
+    /// results pushed to it `{8}`–`{10}` leave the measured path here, or
+    /// behind a forwarder once it has routed them.
+    fn client_step(&mut self, n: usize, f: impl FnOnce(&mut Client, &mut Vec<ClientAction>)) {
         let mut out = Vec::new();
-        self.client.on_event(self.now, ev, &mut out);
-        drop(self.client.take_results());
-        self.client_actions(out);
+        let client = &mut self.nodes[n].client;
+        f(client, &mut out);
+        let results = client.take_results();
+        if let Some(fwd) = self.forwarder.as_mut() {
+            let ev = ForwarderEvent::DispatcherResults {
+                dispatcher: n,
+                results,
+            };
+            fwd.on_event(self.now, ev, &mut Vec::new());
+        }
+        self.client_actions(n, out);
     }
 
     /// A client `Submit` travels like any message. Creating the instance
     /// `{1}` is answered on the spot and uncosted, like every client-side
     /// step; a `ResultsAck` feeds no machine and is dropped.
-    fn client_actions(&mut self, out: Vec<ClientAction>) {
+    fn client_actions(&mut self, n: usize, out: Vec<ClientAction>) {
         for act in out {
             let ClientAction::Send(msg) = act else {
                 continue;
             };
             match mapping::client_message_to_dispatcher_event(msg) {
-                Some(ev @ DispatcherEvent::Submit { .. }) => self.send_to_dispatcher(ev),
+                Some(ev @ DispatcherEvent::Submit { .. }) => self.send_to_dispatcher(n, ev),
                 Some(ev) => {
                     let mut replies = Vec::new();
-                    self.dispatcher.on_event(self.now, ev, &mut replies);
+                    self.nodes[n].machine.on_event(self.now, ev, &mut replies);
                     for act in replies {
                         if let DispatcherAction::ToClient { msg, .. } = act {
-                            self.client_recv(msg);
+                            self.client_recv(n, msg);
                         }
                     }
                 }
@@ -763,39 +840,37 @@ impl SimFalkon {
         }
     }
 
-    fn charge_dispatcher_send(&mut self) -> Micros {
-        let start = self.disp_free_at.max(self.now);
-        let done = start + self.config.costs.dispatcher_msg_cpu_us;
-        self.disp_free_at = done;
-        done
+    fn charge_dispatcher_send(&mut self, n: usize) -> Micros {
+        let node = &mut self.nodes[n];
+        node.free_at = node.free_at.max(self.now) + self.config.costs.dispatcher_msg_cpu_us;
+        node.free_at
     }
 
-    /// Stop-the-world GC model (Figure 8).
-    fn maybe_gc(&mut self) {
+    /// Stop-the-world GC model (Figure 8), one collector per dispatcher.
+    fn maybe_gc(&mut self, n: usize) {
         let every = self.config.costs.gc_every_done;
         if every == 0 {
             return;
         }
-        self.gc_counter += 1;
-        if self.gc_counter >= every {
-            self.gc_counter = 0;
-            let queued = self.dispatcher.status().queued_tasks as f64;
+        let node = &mut self.nodes[n];
+        node.gc_counter += 1;
+        if node.gc_counter >= every {
+            node.gc_counter = 0;
+            let queued = node.machine.status().queued_tasks as f64;
             let pause = (queued * self.config.costs.gc_pause_per_queued_us) as Micros;
             let pause = pause.max(self.config.costs.gc_pause_min_us);
-            self.disp_free_at = self.disp_free_at.max(self.now) + pause;
+            node.free_at = node.free_at.max(self.now) + pause;
             self.gc_pauses += 1;
         }
     }
 
-    fn arm_deadline(&mut self) {
-        if let Some(dl) = self.dispatcher.next_deadline() {
+    fn arm_deadline(&mut self, n: usize) {
+        let node = &mut self.nodes[n];
+        if let Some(dl) = node.machine.next_deadline() {
             let fire = dl.max(self.now + 1);
-            if self.deadline_armed.is_none_or(|armed| fire < armed) {
-                self.deadline_armed = Some(fire);
-                self.queue.push(
-                    falkon_sim::SimTime::from_micros(fire),
-                    Ev::DispDeadlineCheck,
-                );
+            if node.deadline_armed.is_none_or(|armed| fire < armed) {
+                node.deadline_armed = Some(fire);
+                self.schedule(fire, Ev::DispDeadlineCheck(n as u32));
             }
         }
     }
@@ -805,8 +880,7 @@ impl SimFalkon {
             let fire = next.max(self.now);
             if self.lrm_wake_armed.is_none_or(|armed| fire < armed) {
                 self.lrm_wake_armed = Some(fire);
-                self.queue
-                    .push(falkon_sim::SimTime::from_micros(fire), Ev::LrmWake);
+                self.schedule(fire, Ev::LrmWake);
             }
         }
     }
@@ -838,7 +912,7 @@ impl SimFalkon {
                     else {
                         continue;
                     };
-                    self.send_to_dispatcher(ev);
+                    self.send_to_dispatcher(self.node_of(e), ev);
                 }
                 ExecutorAction::Run(spec) => self.run_task(e, spec),
                 ExecutorAction::Shutdown => self.shutdown_executor(e),
@@ -848,10 +922,7 @@ impl SimFalkon {
         // Arm the idle-release timer if the machine is now idle.
         let deadline = self.executors.machines[e as usize].idle_deadline_us();
         if let Some(dl) = deadline {
-            self.queue.push(
-                falkon_sim::SimTime::from_micros(dl.max(self.now + 1)),
-                Ev::ExecIdleCheck(e),
-            );
+            self.schedule(dl.max(self.now + 1), Ev::ExecIdleCheck(e));
         }
     }
 
@@ -894,10 +965,7 @@ impl SimFalkon {
         let total = duration + overhead;
         let mut result = TaskResult::success(spec.id);
         result.executor_time_us = total;
-        self.queue.push(
-            falkon_sim::SimTime::from_micros(self.now + total),
-            Ev::ExecDone(e, result),
-        );
+        self.schedule(self.now + total, Ev::ExecDone(e, result));
     }
 
     fn shutdown_executor(&mut self, e: u32) {
@@ -956,10 +1024,7 @@ impl SimFalkon {
                 // handling overhead; delivering it as a timed event keeps
                 // the scheduler's clock causal.
                 let submit_at = self.now + ALLOC_REQUEST_OVERHEAD_US;
-                self.queue.push(
-                    falkon_sim::SimTime::from_micros(submit_at),
-                    Ev::LrmSubmit(spec),
-                );
+                self.schedule(submit_at, Ev::LrmSubmit(spec));
                 self.allocs.insert(
                     allocation,
                     AllocInfo {
@@ -998,8 +1063,7 @@ impl SimFalkon {
                         self.spawn_executor(idx, Some(alloc));
                         self.starting_executors += 1;
                         let start = self.now + self.config.costs.executor_startup_us;
-                        self.queue
-                            .push(falkon_sim::SimTime::from_micros(start), Ev::ExecStart(idx));
+                        self.schedule(start, Ev::ExecStart(idx));
                     }
                 }
                 JobState::Done(_) => {
@@ -1009,7 +1073,8 @@ impl SimFalkon {
                     for v in victims {
                         if self.executors.kill(v, self.now) {
                             let id = ExecutorId(v as u64);
-                            self.send_to_dispatcher(DispatcherEvent::ExecutorLost { executor: id });
+                            let lost = DispatcherEvent::ExecutorLost { executor: id };
+                            self.send_to_dispatcher(self.node_of(v), lost);
                         }
                     }
                     self.provision(ProvisionerEvent::AllocationEnded { allocation: alloc });
@@ -1222,7 +1287,7 @@ mod tests {
     impl SimFalkon {
         /// The client's instance.
         fn instance(&self) -> falkon_proto::message::InstanceId {
-            self.client.instance().expect("created in new")
+            self.nodes[0].client.instance().expect("created in new")
         }
     }
 
@@ -1236,8 +1301,9 @@ mod tests {
         });
         sim.submit(0, sleep_tasks(1_000, 0));
         assert_eq!(sim.run_until_drained().tasks, 1_000);
-        assert_eq!(sim.client.outstanding(), 0, "every result reached it");
-        assert!(sim.client.completions().is_empty(), "and it kept none");
+        let client = &sim.nodes[0].client;
+        assert_eq!(client.outstanding(), 0, "every result reached it");
+        assert!(client.completions().is_empty(), "and it kept none");
     }
 
     #[test]
@@ -1251,8 +1317,8 @@ mod tests {
         // Nothing is left waiting for a client that already has it.
         let instance = sim.instance();
         let mut out = Vec::new();
-        sim.dispatcher
-            .on_event(sim.now, DispatcherEvent::GetResults { instance }, &mut out);
+        let get = DispatcherEvent::GetResults { instance };
+        sim.nodes[0].machine.on_event(sim.now, get, &mut out);
         assert!(matches!(
             &out[..],
             [DispatcherAction::ToClient {
@@ -1260,6 +1326,56 @@ mod tests {
                 ..
             }] if results.is_empty()
         ));
+    }
+
+    #[test]
+    fn forwarder_spreads_every_task_over_its_dispatchers_once() {
+        let mut sim = SimFalkon::new(SimFalkonConfig {
+            executors: 4,
+            forwarder: Some(3),
+            bundle_size: 50,
+            ..SimFalkonConfig::default()
+        });
+        sim.submit(0, sleep_tasks(600, 0));
+        let out = sim.run_until_drained();
+        assert_eq!(out.tasks, 600);
+        let mut ids: Vec<u64> = out.records.iter().map(|r| r.result.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..600).collect::<Vec<_>>(), "each task exactly once");
+        // Executor `e` serves dispatcher `e / 4`: all three did work.
+        let mut served: Vec<u64> = out.records.iter().map(|r| r.executor.0 / 4).collect();
+        served.sort_unstable();
+        served.dedup();
+        assert_eq!(served, [0, 1, 2]);
+        assert_eq!(sim.dispatcher_stats().completed, 600);
+        let obs = sim.obs().counters;
+        assert_eq!(obs.value(falkon_obs::ObsEventKind::ResultsRouted), 600);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one dispatcher")]
+    fn forwarder_over_no_dispatcher_is_rejected() {
+        SimFalkon::new(SimFalkonConfig {
+            forwarder: Some(0),
+            ..SimFalkonConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a provisioner serves one dispatcher")]
+    fn forwarder_with_a_provisioner_is_rejected() {
+        SimFalkon::new(SimFalkonConfig {
+            forwarder: Some(2),
+            provisioner: Some(ProvisionerPolicy {
+                min_executors: 0,
+                max_executors: 8,
+                acquisition: AcquisitionPolicy::AllAtOnce,
+                release: ReleasePolicy::DistributedIdle,
+                allocation_duration_us: 3_600_000_000,
+                poll_interval_us: 1_000_000,
+            }),
+            ..SimFalkonConfig::default()
+        });
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //! Lifecycle events are emitted by the *machine* (probe provenance,
 //! DESIGN.md §7): this driver only ever reports wire bytes, via the
 //! [`WireTap`]s inside each connection, merged per face as connections
-//! close — so `obs_parity` extends across the sim and rt three-tier
-//! deployments.
+//! close — so `tests/obs_parity.rs` finds every machine-emitted kind
+//! equal between this deployment, mounted by
+//! [`crate::inproc::run_workload`], and the simulator's three tiers.
 //!
 //! [`WireTap`]: falkon_obs::WireTap
 
@@ -406,84 +407,54 @@ impl Mount for ForwarderMount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::TcpSecurity;
-    use falkon_core::executor::ExecutorConfig;
+    use crate::inproc::{run_sleep_workload, InprocConfig, WireMode};
     use falkon_core::DispatcherConfig;
     use falkon_obs::ObsEventKind;
     use falkon_proto::bundle::BundleConfig;
-    use falkon_proto::message::ExecutorId;
-    use falkon_proto::task::TaskSpec;
 
-    fn three_tier(
-        dispatchers: usize,
-        execs_per_dispatcher: usize,
-        n_tasks: u64,
-        security: TcpSecurity,
-    ) -> (u64, ForwarderOutcome) {
-        let config = ServerConfig::builder()
-            .dispatcher(DispatcherConfig {
+    /// `dispatchers` behind the forwarder, 2 executors each, bundles of 50.
+    fn tiered(dispatchers: usize, wire: WireMode) -> InprocConfig {
+        InprocConfig {
+            executors: 2,
+            forwarder: Some(dispatchers),
+            wire,
+            bundle: BundleConfig::of(50),
+            dispatcher: DispatcherConfig {
                 client_notify_batch: 64,
                 ..DispatcherConfig::default()
-            })
-            .security(security)
-            .forwarder(dispatchers)
-            .build()
-            .expect("valid config");
-        let server = ForwarderServer::start(config).expect("bind three-tier");
-        let addr = server.addr;
-        let mut execs = Vec::new();
-        for (d, disp_addr) in server.dispatcher_addrs().iter().enumerate() {
-            for e in 0..execs_per_dispatcher {
-                let disp_addr = *disp_addr;
-                let id = ExecutorId((d * execs_per_dispatcher + e) as u64);
-                execs.push(thread::spawn(move || {
-                    crate::tcp::run_executor(disp_addr, id, ExecutorConfig::default(), security)
-                }));
-            }
+            },
+            ..InprocConfig::default()
         }
-        let tasks: Vec<TaskSpec> = (0..n_tasks).map(|i| TaskSpec::sleep(i, 0)).collect();
-        let client =
-            crate::tcp::run_client(addr, tasks, BundleConfig::of(50), security).expect("client");
-        let (outcome, dispatcher_outcomes) = server.shutdown();
-        for e in execs {
-            e.join().expect("executor thread").ok();
-        }
-        assert_eq!(dispatcher_outcomes.len(), dispatchers);
-        let completed: u64 = dispatcher_outcomes
-            .iter()
-            .map(|(_, s, _)| s.completed)
-            .sum();
-        assert_eq!(completed, n_tasks, "dispatchers completed every task");
-        (client.done, outcome)
     }
 
     #[test]
     fn three_tier_single_dispatcher_roundtrip() {
-        let (done, outcome) = three_tier(1, 2, 100, None);
-        assert_eq!(done, 100);
-        assert_eq!(outcome.stats.results_delivered, 100);
-        assert_eq!(outcome.stats.rerouted, 0);
+        let out = run_sleep_workload(&tiered(1, WireMode::Encoded), 100, 0);
+        assert_eq!(out.tasks, 100);
+        assert_eq!(out.stats.completed, 100, "dispatchers completed every task");
+        let c = &out.obs.counters;
+        assert_eq!(c.value(ObsEventKind::ResultsRouted), 100);
+        assert_eq!(c.value(ObsEventKind::TaskRerouted), 0);
     }
 
     #[test]
     fn three_tier_multi_dispatcher_roundtrip() {
-        let (done, outcome) = three_tier(3, 2, 300, None);
-        assert_eq!(done, 300);
-        assert_eq!(outcome.stats.tasks_routed, 300);
+        let out = run_sleep_workload(&tiered(3, WireMode::Encoded), 300, 0);
+        assert_eq!(out.tasks, 300);
+        assert_eq!(out.stats.completed, 300, "dispatchers completed every task");
         // 300 tasks in bundles of 50 → 6 bundles over 3 dispatchers;
         // least-loaded routing must not starve any of them.
-        assert_eq!(outcome.stats.bundles_routed, 6);
-        assert_eq!(
-            outcome.recorder.counters.value(ObsEventKind::BundleRouted),
-            300
-        );
+        let c = &out.obs.counters;
+        assert_eq!(c.count(ObsEventKind::BundleRouted), 6);
+        assert_eq!(c.value(ObsEventKind::BundleRouted), 300);
     }
 
     #[test]
     fn three_tier_secure_roundtrip() {
-        let (done, outcome) = three_tier(2, 2, 120, Some(0xFA1C0));
-        assert_eq!(done, 120);
-        assert_eq!(outcome.stats.results_delivered, 120);
+        let out = run_sleep_workload(&tiered(2, WireMode::Secure), 120, 0);
+        assert_eq!(out.tasks, 120);
+        assert_eq!(out.stats.completed, 120, "dispatchers completed every task");
+        assert_eq!(out.obs.counters.value(ObsEventKind::ResultsRouted), 120);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! A whole Falkon deployment in one call, on loopback sockets.
 //!
 //! [`run_workload`] is the deployment of [`crate::tcp`] started and torn
-//! down around one workload: a [`DispatcherServer`], one thread per
-//! executor (each a [`crate::muxpeer`] pool of one), and the calling
-//! thread as the client, every hop a localhost TCP connection on the one
-//! connection engine. [`WireMode::Secure`] puts the GSISecureConversation
-//! stand-in on every connection, so the "no security" vs "secure" arms of
-//! `repro measured` are real CPU work.
+//! down around one workload: a [`DispatcherServer`] — or, with
+//! [`InprocConfig::forwarder`] set, a [`ForwarderServer`] over that many
+//! — one thread per executor (each a [`crate::muxpeer`] pool of one), and
+//! the calling thread as the client, every hop a localhost TCP connection
+//! on the one connection engine. [`WireMode::Secure`] puts the
+//! GSISecureConversation stand-in on every connection, so the "no
+//! security" vs "secure" arms of `repro measured` are real CPU work.
 
+use crate::forwarder::ForwarderServer;
 use crate::muxpeer::run_pool;
 use crate::tcp::{run_client, DispatcherServer, ServerConfig};
-use falkon_core::dispatcher::TaskRecord;
+use falkon_core::dispatcher::{DispatcherStats, TaskRecord};
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::DispatcherConfig;
 use falkon_obs::{Counters, Recorder};
@@ -37,8 +39,12 @@ const PSK: u64 = 0x5EC;
 /// Configuration of an in-process deployment.
 #[derive(Clone, Debug)]
 pub struct InprocConfig {
-    /// Number of executor threads.
+    /// Executor threads per dispatcher; executor `e` serves dispatcher
+    /// `e / executors`.
     pub executors: usize,
+    /// Mount a forwarder over this many dispatchers (the 3-tier
+    /// deployment); `None` = one dispatcher and no forwarder.
+    pub forwarder: Option<usize>,
     /// Dispatcher tunables.
     pub dispatcher: DispatcherConfig,
     /// Executor tunables.
@@ -57,6 +63,7 @@ impl Default for InprocConfig {
     fn default() -> Self {
         InprocConfig {
             executors: 4,
+            forwarder: None,
             dispatcher: DispatcherConfig::default(),
             executor: ExecutorConfig::default(),
             wire: WireMode::Encoded,
@@ -75,13 +82,14 @@ pub struct RunOutcome {
     pub elapsed_us: u64,
     /// Aggregate throughput, tasks/sec.
     pub throughput: f64,
-    /// Dispatcher-side per-task records.
+    /// Dispatcher-side per-task records, dispatcher by dispatcher.
     pub records: Vec<TaskRecord>,
-    /// Dispatcher counters.
-    pub stats: falkon_core::dispatcher::DispatcherStats,
-    /// Merged observability stream: the server's [`Recorder`] (with the
-    /// wire counters of its every connection), each executor machine's
-    /// [`Counters`] and wire counters, and the client's wire counters.
+    /// Dispatcher counters, summed over every dispatcher.
+    pub stats: DispatcherStats,
+    /// Merged observability stream: each server's [`Recorder`] (with the
+    /// wire counters of its every connection, both faces of a forwarder's),
+    /// each executor machine's [`Counters`] and wire counters, and the
+    /// client's wire counters.
     pub obs: Recorder,
 }
 
@@ -90,24 +98,46 @@ pub struct RunOutcome {
 pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
     assert!(config.executors > 0, "need at least one executor");
     let security = (config.wire == WireMode::Secure).then_some(PSK);
-    let server_config = ServerConfig::builder()
+    let mut builder = ServerConfig::builder()
         .dispatcher(config.dispatcher)
-        .security(security)
-        .build()
-        .expect("a dispatcher config without a forwarder tier is valid");
-    let server = DispatcherServer::start(server_config).expect("bind a loopback dispatcher");
-    let addr = server.addr;
+        .security(security);
+    if let Some(k) = config.forwarder {
+        builder = builder.forwarder(k);
+    }
+    let server_config = builder.build().expect("a valid deployment config");
+    let server = match config.forwarder {
+        Some(_) => Server::Tiered(ForwarderServer::start(server_config).expect("bind loopback")),
+        None => Server::Flat(DispatcherServer::start(server_config).expect("bind loopback")),
+    };
+    let (addr, dispatchers) = match &server {
+        Server::Flat(s) => (s.addr, vec![s.addr]),
+        Server::Tiered(s) => (s.addr, s.dispatcher_addrs().to_vec()),
+    };
     // Every executor dials here, before the client starts: however short
     // the run, no executor finds the listener already closed.
-    let executors: Vec<_> = (0..config.executors as u64)
+    let executors: Vec<_> = (0..(config.executors * dispatchers.len()) as u64)
         .map(|id| {
-            let stream = TcpStream::connect(addr);
+            let stream = TcpStream::connect(dispatchers[id as usize / config.executors]);
             let (cfg, spawn) = (config.executor, config.spawn_processes);
             thread::spawn(move || run_pool([stream], id, cfg, security, spawn, Counters::new))
         })
         .collect();
     let client = run_client(addr, tasks, config.bundle, security).expect("client run");
-    let (records, stats, mut obs) = server.shutdown();
+    let (mut records, mut obs) = (Vec::new(), Recorder::new());
+    let outcomes = match server {
+        Server::Flat(s) => vec![s.shutdown()],
+        Server::Tiered(s) => {
+            let (fwd, outcomes) = s.shutdown();
+            obs.merge(&fwd.recorder);
+            obs.merge_counters(&fwd.upstream_wire);
+            obs.merge_counters(&fwd.downstream_wire);
+            outcomes
+        }
+    };
+    for (dispatcher_records, _, recorder) in outcomes {
+        records.extend(dispatcher_records);
+        obs.merge(&recorder);
+    }
     for handle in executors {
         // An executor whose handshake the server's stop cut short fails
         // here, having run no machine.
@@ -125,9 +155,15 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
         elapsed_us,
         throughput: client.done as f64 / (elapsed_us as f64 / 1e6),
         records,
-        stats,
+        stats: DispatcherStats::from(&obs.counters),
         obs,
     }
+}
+
+/// The server side [`run_workload`] mounts.
+enum Server {
+    Flat(DispatcherServer),
+    Tiered(ForwarderServer),
 }
 
 /// Convenience: run `n` sleep tasks of `task_us` microseconds each.
@@ -195,6 +231,16 @@ mod tests {
         cfg.executor.idle_release_us = Some(30_000); // 30 ms idle release
         let out = run_sleep_workload(&cfg, 100, 0);
         assert_eq!(out.tasks, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "ZeroDispatchers")]
+    fn forwarder_over_no_dispatcher_is_rejected() {
+        let config = InprocConfig {
+            forwarder: Some(0),
+            ..quick_config(1, WireMode::Encoded)
+        };
+        run_sleep_workload(&config, 1, 0);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   forwarder, for thousands of connections) — and [`muxpeer`] mounts it
 //!   on the caller's thread for any number of executor peers.
 //! * [`inproc`] — that deployment started and torn down around one
-//!   workload in one call: dispatcher server, a thread per executor, and
-//!   the calling thread as the client, on loopback; with
+//!   workload in one call: dispatcher server (or, with
+//!   [`InprocConfig::forwarder`], a forwarder over several), a thread per
+//!   executor, and the calling thread as the client, on loopback; with
 //!   [`WireMode::Secure`] every connection seals its frames with the
 //!   GSISecureConversation stand-in, so "security on/off" and
 //!   "serialization cost" are real CPU work, like the paper's WS stack.
