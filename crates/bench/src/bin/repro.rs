@@ -12,13 +12,12 @@
 //! flags:
 //!   --full         the paper's parameters (2,000,000 tasks, 54,000
 //!                  executors) instead of the quick smoke scale
-//!   --jobs <n>     run on an n-worker thread pool (default 1 =
-//!                  serial). Output is byte-identical for every n except
-//!                  the wall-clock "measured" block.
+//!   --jobs <n>     with `all`: run up to n shared-run groups at once
+//!                  (default 1 = serial). Output is byte-identical for
+//!                  every n except the wall-clock "measured" block.
 //!   --trace <path> with a single experiment: also dump every completed
 //!                  task's lifecycle (enqueue/dispatch/complete timestamps)
-//!                  as TSV to <path>. Forces serial execution: the trace
-//!                  sink is thread-local.
+//!                  as TSV to <path>.
 //! ```
 //!
 //! Experiments sharing one expensive run (fig9/fig10; table3/table4/
@@ -120,17 +119,14 @@ fn main() {
         );
         std::process::exit(2);
     };
-    // Single-experiment runs stay serial: the lifecycle trace sink is
-    // thread-local, and pool workers would swallow records. The pool's
-    // win is concurrency *across* experiments anyway.
-    if trace_path.is_some() && jobs > 1 {
-        eprintln!("--trace is serial-only; drop --jobs or use --jobs 1");
+    if jobs > 1 {
+        eprintln!("--jobs needs `repro all`; one experiment runs serially");
         std::process::exit(2);
     }
     if trace_path.is_some() {
         trace::enable();
     }
-    let report = run_single(exp, scale, jobs);
+    let report = exp.run(scale);
     let text = exp.render(&report);
     if !text.is_empty() {
         emit(&text);
@@ -144,16 +140,6 @@ fn main() {
         }
         eprintln!("trace: {tasks} tasks over {} runs -> {path}", runs.len());
     }
-}
-
-/// Run one experiment, with the pool installed so its inner sweeps (if
-/// any) fan out when `--jobs` asks for it.
-fn run_single(exp: &dyn registry::Experiment, scale: Scale, jobs: usize) -> registry::Report {
-    if jobs <= 1 {
-        return exp.run(scale);
-    }
-    let pool = falkon_pool::Pool::new(jobs);
-    pool.install(|| exp.run(scale))
 }
 
 /// `repro bench`: run the floored scenarios, print the table, exit 1 if

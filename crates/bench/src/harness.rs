@@ -1,11 +1,9 @@
-//! The `repro all` execution harness: serial or pool-parallel, with
+//! The `repro all` execution harness: serial or on `N` workers, with
 //! byte-identical output either way.
 //!
-//! `repro all --jobs N` fans the registry's shared-run groups across a
-//! [`falkon_pool::Pool`]; experiments whose inner sweeps call
-//! `falkon_pool::parallel_map` split their replicas over the same workers
-//! (the pool is the ambient pool on every worker thread). Output
-//! determinism is structural, not incidental:
+//! `repro all --jobs N` runs the registry's shared-run groups as jobs of a
+//! [`falkon_pool::scope`] with `N` workers; nothing inside a group fans
+//! out. Output determinism is structural, not incidental:
 //!
 //! - each `shared_run_key` group executes exactly once, on one worker —
 //!   consumers of a shared run (fig9/fig10; table3/table4/fig12/fig13)
@@ -13,8 +11,7 @@
 //!   run has arrived;
 //! - rendering and emission happen on the calling thread, walking
 //!   [`registry::REGISTRY`] in declaration order with the same
-//!   per-group dedupe as the serial path;
-//! - `parallel_map` returns results in input order.
+//!   per-group dedupe as the serial path.
 //!
 //! The `measured` experiment reports wall-clock rates and is excluded from
 //! byte-identity comparisons (it is last in the registry, so a single
@@ -35,7 +32,7 @@ pub struct Block {
 
 /// Run every registry entry and stream rendered blocks to `sink` in
 /// registry order. `jobs <= 1` is the serial reference path; higher values
-/// run shared-run groups (and pool-aware inner sweeps) concurrently.
+/// run up to `jobs` shared-run groups at once.
 pub fn run_all_with(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, &str)) {
     if jobs <= 1 {
         run_all_serial(scale, sink);

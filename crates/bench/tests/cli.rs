@@ -1,4 +1,5 @@
-//! The `repro` command line rejects what it does not know. `repro bench`
+//! The `repro` command line rejects what it does not know or cannot do
+//! (`--jobs` above 1 on one experiment). `repro bench`
 //! in particular takes no flags: its floors are constants in
 //! `perfbench.rs`, and the report-writing flags it once had are gone.
 
@@ -20,6 +21,7 @@ fn unknown_flags_and_experiments_exit_2() {
         &["bench", "--floor", "a=1"],
         &["bench", "--jobs", "2"],
         &["fig3", "--json", "x"],
+        &["fig3", "--jobs", "2"],
         &["table1", "--fast"],
         &["bogus"],
     ] {

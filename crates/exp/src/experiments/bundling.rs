@@ -64,20 +64,21 @@ pub fn fig5(scale: Scale) -> Vec<Fig5Point> {
             1, 2, 5, 10, 20, 50, 100, 200, 300, 400, 500, 700, 1_000, 1_500, 2_000,
         ][..],
     );
-    // Each sweep point encodes its own bundle — independent CPU-bound
-    // work, so it fans out over the ambient pool, order-preserving.
-    falkon_pool::parallel_map(sizes.to_vec(), |k| {
-        let (_, copied) = AxisCodec.encode_counting(&bundle_message(k));
-        let axis_us = PER_CALL_US + k as f64 * PER_TASK_US + copied as f64 * COPY_US_PER_BYTE;
-        let eff_us = PER_CALL_US + k as f64 * PER_TASK_US;
-        Fig5Point {
-            bundle: k,
-            axis_tps: k as f64 / (axis_us / 1e6),
-            axis_cost_ms: axis_us / 1e3 / k as f64,
-            efficient_tps: k as f64 / (eff_us / 1e6),
-            copied_bytes: copied,
-        }
-    })
+    sizes
+        .iter()
+        .map(|&k| {
+            let (_, copied) = AxisCodec.encode_counting(&bundle_message(k));
+            let axis_us = PER_CALL_US + k as f64 * PER_TASK_US + copied as f64 * COPY_US_PER_BYTE;
+            let eff_us = PER_CALL_US + k as f64 * PER_TASK_US;
+            Fig5Point {
+                bundle: k,
+                axis_tps: k as f64 / (axis_us / 1e6),
+                axis_cost_ms: axis_us / 1e3 / k as f64,
+                efficient_tps: k as f64 / (eff_us / 1e6),
+                copied_bytes: copied,
+            }
+        })
+        .collect()
 }
 
 /// Render Figure 5 as TSV series.

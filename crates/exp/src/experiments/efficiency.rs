@@ -42,21 +42,20 @@ pub struct Fig6Point {
     pub efficiency: f64,
 }
 
-/// Run the Figure 6 sweep. Every cell is an independent simulation, so the
-/// grid fans out over the ambient pool (`repro all --jobs N`); input order
-/// is preserved, keeping the rendered TSV byte-identical to a serial run.
+/// Run the Figure 6 sweep: one independent simulation per cell.
 pub fn fig6(scale: Scale) -> Vec<Fig6Point> {
     let counts: &[u32] = scale.pick(&[1, 16, 256][..], &[1, 2, 4, 8, 16, 32, 64, 128, 256][..]);
     let lengths: &[u64] = scale.pick(&[1, 8, 64][..], &[1, 2, 4, 8, 16, 32, 64][..]);
-    let cells: Vec<(u32, u64)> = counts
+    counts
         .iter()
-        .flat_map(|&executors| lengths.iter().map(move |&task_secs| (executors, task_secs)))
-        .collect();
-    falkon_pool::parallel_map(cells, |(executors, task_secs)| Fig6Point {
-        executors,
-        task_secs,
-        efficiency: falkon_efficiency(executors, task_secs, 40),
-    })
+        .flat_map(|&executors| {
+            lengths.iter().map(move |&task_secs| Fig6Point {
+                executors,
+                task_secs,
+                efficiency: falkon_efficiency(executors, task_secs, 40),
+            })
+        })
+        .collect()
 }
 
 /// Render Figure 6 as TSV (one series per task length).
@@ -107,39 +106,40 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Point> {
     );
     let n: u64 = 64;
     let procs: u32 = 64;
-    // One independent (sim + two modelled runs) per task length: fan out
-    // over the ambient pool, order-preserving.
-    falkon_pool::parallel_map(lengths.to_vec(), |len| {
-        let ideal_us = n.div_ceil(procs as u64) * len * 1_000_000;
-        // Falkon (warm pool, like the paper's pre-registered executors).
-        let mut sim = SimFalkon::new(SimFalkonConfig {
-            executors: procs,
-            costs: CostModel::no_security(),
-            ..SimFalkonConfig::default()
-        });
-        let submit_at: u64 = 10_000_000;
-        sim.submit(submit_at, (0..n).map(|i| TaskSpec::sleep(i, len)).collect());
-        let measured = sim.run_until_drained_with(drop).makespan_us - submit_at;
-        let falkon = (ideal_us as f64 / measured as f64).min(1.0);
-        // PBS / Condor: every task is a batch job.
-        let pbs_run = run_direct(PBS_V2_1_8, procs, n, len * 1_000_000);
-        let pbs = (ideal_us as f64 / pbs_run.makespan_us as f64).min(1.0);
-        let condor_run = run_direct(CONDOR_V6_7_2, procs, n, len * 1_000_000);
-        let condor672 = (ideal_us as f64 / condor_run.makespan_us as f64).min(1.0);
-        // Condor v6.9.3: derived exactly as the paper derives it — the
-        // 0.0909 s/task dispatch cost is serial, so a wave of 64 tasks
-        // pays 64 × 0.0909 s before the last one starts (matches the
-        // paper's 90%/95%/99% at 50/100/1000 s).
-        let overhead = 64.0 * (1.0 / 11.0);
-        let condor693_derived = len as f64 / (len as f64 + overhead);
-        Fig7Point {
-            task_secs: len,
-            falkon,
-            pbs,
-            condor672,
-            condor693_derived,
-        }
-    })
+    lengths
+        .iter()
+        .map(|&len| {
+            let ideal_us = n.div_ceil(procs as u64) * len * 1_000_000;
+            // Falkon (warm pool, like the paper's pre-registered executors).
+            let mut sim = SimFalkon::new(SimFalkonConfig {
+                executors: procs,
+                costs: CostModel::no_security(),
+                ..SimFalkonConfig::default()
+            });
+            let submit_at: u64 = 10_000_000;
+            sim.submit(submit_at, (0..n).map(|i| TaskSpec::sleep(i, len)).collect());
+            let measured = sim.run_until_drained_with(drop).makespan_us - submit_at;
+            let falkon = (ideal_us as f64 / measured as f64).min(1.0);
+            // PBS / Condor: every task is a batch job.
+            let pbs_run = run_direct(PBS_V2_1_8, procs, n, len * 1_000_000);
+            let pbs = (ideal_us as f64 / pbs_run.makespan_us as f64).min(1.0);
+            let condor_run = run_direct(CONDOR_V6_7_2, procs, n, len * 1_000_000);
+            let condor672 = (ideal_us as f64 / condor_run.makespan_us as f64).min(1.0);
+            // Condor v6.9.3: derived exactly as the paper derives it — the
+            // 0.0909 s/task dispatch cost is serial, so a wave of 64 tasks
+            // pays 64 × 0.0909 s before the last one starts (matches the
+            // paper's 90%/95%/99% at 50/100/1000 s).
+            let overhead = 64.0 * (1.0 / 11.0);
+            let condor693_derived = len as f64 / (len as f64 + overhead);
+            Fig7Point {
+                task_secs: len,
+                falkon,
+                pbs,
+                condor672,
+                condor693_derived,
+            }
+        })
+        .collect()
 }
 
 /// Render Figure 7 as TSV series.

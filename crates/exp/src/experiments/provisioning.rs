@@ -188,9 +188,8 @@ enum Arm {
     Ideal,
 }
 
-/// All six configurations plus the ideal reference. The arms are mutually
-/// independent simulations, so they fan out over the ambient pool; the
-/// result order (and therefore every rendered table) matches serial.
+/// All six configurations plus the ideal reference, each an independent
+/// simulation, in arm order.
 pub fn run_all(scale: Scale) -> Vec<ProvisioningRun> {
     let mut arms = vec![Arm::Gram];
     let idle_settings: &[u64] = scale.pick(&[15, 180][..], &[15, 60, 120, 180][..]);
@@ -205,11 +204,13 @@ pub fn run_all(scale: Scale) -> Vec<ProvisioningRun> {
         idle_s: None,
     });
     arms.push(Arm::Ideal);
-    falkon_pool::parallel_map(arms, |arm| match arm {
-        Arm::Gram => run_gram(),
-        Arm::Falkon { label, idle_s } => run_falkon(&label, idle_s),
-        Arm::Ideal => run_ideal(),
-    })
+    arms.into_iter()
+        .map(|arm| match arm {
+            Arm::Gram => run_gram(),
+            Arm::Falkon { label, idle_s } => run_falkon(&label, idle_s),
+            Arm::Ideal => run_ideal(),
+        })
+        .collect()
 }
 
 /// Render Figure 11 (the workload itself).

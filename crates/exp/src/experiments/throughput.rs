@@ -52,16 +52,17 @@ pub fn fig3(scale: Scale) -> Fig3 {
         &[1, 2, 4, 8, 16, 32, 64, 128, 256][..],
     );
     let per_exec_tasks = scale.pick(100, 400);
-    // Two independent simulations per executor count: fan the sweep out
-    // over the ambient pool, order-preserving.
-    let points = falkon_pool::parallel_map(counts.to_vec(), |executors| {
-        let tasks = (executors as u64 * per_exec_tasks).clamp(200, 60_000);
-        Fig3Point {
-            executors,
-            falkon_tps: run_throughput(executors, CostModel::no_security(), tasks),
-            falkon_secure_tps: run_throughput(executors, CostModel::secure(), tasks),
-        }
-    });
+    let points = counts
+        .iter()
+        .map(|&executors| {
+            let tasks = (executors as u64 * per_exec_tasks).clamp(200, 60_000);
+            Fig3Point {
+                executors,
+                falkon_tps: run_throughput(executors, CostModel::no_security(), tasks),
+                falkon_secure_tps: run_throughput(executors, CostModel::secure(), tasks),
+            }
+        })
+        .collect();
     Fig3 {
         points,
         gt4_bound_tps: 500.0,

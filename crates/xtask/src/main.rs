@@ -5,7 +5,7 @@
 //! cargo xtask repro [args...] the repro binary (`repro all --jobs 8`, ...)
 //! cargo xtask tsan            ThreadSanitizer pass over the concurrency
 //!                             surface (nightly-only; skips if unavailable)
-//! cargo xtask miri            Miri pass over the pool and event-queue tests
+//! cargo xtask miri            Miri pass over the event-queue model suite
 //!                             (nightly + cargo-miri; skips if unavailable)
 //! ```
 //!
@@ -102,10 +102,9 @@ fn nightly_supports(cargo: &str, probe: &[&str]) -> bool {
         .unwrap_or(false)
 }
 
-/// ThreadSanitizer over the concurrency surface: the pool's unit tests and
-/// job-tree model (`-p falkon-pool`), the connection engine's three soaks —
-/// wire balance and backpressure, 1k-connection fan-out, three-tier
-/// dispatcher loss (root-package integration tests `tcp_soak` /
+/// ThreadSanitizer over the concurrency surface: the connection engine's
+/// three soaks — wire balance and backpressure, 1k-connection fan-out,
+/// three-tier dispatcher loss (root-package integration tests `tcp_soak` /
 /// `tcp_fanout` / `tcp_threetier`).
 /// TSan needs nightly (`-Zsanitizer=thread`) plus rust-src for a
 /// `-Zbuild-std` rebuild of std with the sanitizer runtime.
@@ -121,7 +120,6 @@ fn tsan(rest: &[String]) -> ExitCode {
     }
     let host = host_triple(&cargo).unwrap_or_else(|| "x86_64-unknown-linux-gnu".into());
     let suites: &[&[&str]] = &[
-        &["test", "-p", "falkon-pool"],
         // The soak tests are integration tests of the root `falkon`
         // package (they live in the top-level tests/), not of falkon-rt.
         &["test", "-p", "falkon", "--test", "tcp_soak"],
@@ -149,20 +147,16 @@ fn tsan(rest: &[String]) -> ExitCode {
             }
         }
     }
-    println!(
-        "xtask tsan: PASSED (pool unit + model suites, tcp_soak + tcp_fanout + tcp_threetier soaks, vendored channel)"
-    );
+    println!("xtask tsan: PASSED (tcp_soak + tcp_fanout + tcp_threetier soaks, vendored channel)");
     ExitCode::SUCCESS
 }
 
-/// Miri over the pool's tests (the `transmute` in `Scope::spawn` and the
-/// condvar protocol, under the job-tree model) and the event-queue model
-/// suite — the interpreter catches provenance and aliasing violations TSan
-/// cannot. Scoped to `falkon-pool` plus `falkon-sim`'s `queue_model` test
-/// because Miri cannot execute real sockets or poll(2). The models run
-/// hundreds to thousands of proptest cases natively; under Miri's ~50×
-/// slowdown we cap them via `PROPTEST_CASES` — the interpreter's value is
-/// per-operation soundness, not case volume.
+/// Miri over `falkon-sim`'s event-queue model suite (`queue_model`) — the
+/// interpreter catches provenance and aliasing violations TSan cannot.
+/// Scoped to that one suite because Miri cannot execute real sockets or
+/// poll(2). The model runs hundreds to thousands of proptest cases
+/// natively; under Miri's ~50× slowdown we cap them via `PROPTEST_CASES` —
+/// the interpreter's value is per-operation soundness, not case volume.
 fn miri(rest: &[String]) -> ExitCode {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     if !nightly_supports(&cargo, &["--version"]) {
@@ -173,40 +167,28 @@ fn miri(rest: &[String]) -> ExitCode {
         println!("xtask miri: SKIPPED — cargo-miri not installed on nightly");
         return ExitCode::SUCCESS;
     }
-    let passes: &[&[&str]] = &[
-        &["+nightly", "miri", "test", "-p", "falkon-pool"],
-        &[
-            "+nightly",
-            "miri",
-            "test",
-            "-p",
-            "falkon-sim",
-            "--test",
-            "queue_model",
-        ],
-    ];
-    for args in passes {
-        let status = Command::new(&cargo)
-            .args(*args)
-            .args(rest)
-            // Deterministic scheduling preemption surfaces more interleavings.
-            .env("MIRIFLAGS", "-Zmiri-preemption-rate=0.5")
-            .env("PROPTEST_CASES", "16")
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("xtask miri: FAILED");
-                return ExitCode::from(s.code().unwrap_or(1).clamp(0, 255) as u8);
-            }
-            Err(e) => {
-                eprintln!("xtask miri: cannot run {cargo}: {e}");
-                return ExitCode::from(2);
-            }
+    let status = Command::new(&cargo)
+        .args(["+nightly", "miri", "test"])
+        .args(["-p", "falkon-sim", "--test", "queue_model"])
+        .args(rest)
+        // Deterministic scheduling preemption surfaces more interleavings.
+        .env("MIRIFLAGS", "-Zmiri-preemption-rate=0.5")
+        .env("PROPTEST_CASES", "16")
+        .status();
+    match status {
+        Ok(s) if s.success() => {
+            println!("xtask miri: PASSED (sim event-queue model suite)");
+            ExitCode::SUCCESS
+        }
+        Ok(s) => {
+            eprintln!("xtask miri: FAILED");
+            ExitCode::from(s.code().unwrap_or(1).clamp(0, 255) as u8)
+        }
+        Err(e) => {
+            eprintln!("xtask miri: cannot run {cargo}: {e}");
+            ExitCode::from(2)
         }
     }
-    println!("xtask miri: PASSED (pool unit + model suites, sim event-queue model suite)");
-    ExitCode::SUCCESS
 }
 
 /// The nightly sysroot must ship `library/std` sources for `-Zbuild-std`.

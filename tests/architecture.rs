@@ -241,8 +241,8 @@ fn atomic_protocol(path: &str, src: &str) -> Vec<String> {
         return Vec::new();
     };
     let at = format!("{path}:{}", first + 1);
-    if !path.starts_with("vendor/") && !["pool", "rt"].contains(&krate(path)) {
-        return vec![format!("{at}: atomics outside `pool`, `rt` and `vendor/`")];
+    if !path.starts_with("vendor/") && krate(path) != "rt" {
+        return vec![format!("{at}: atomics outside `rt` and `vendor/`")];
     }
     let lines: Vec<&str> = src.lines().collect();
     let mut out = Vec::new();
@@ -510,7 +510,7 @@ const FIXTURES: &[Fixture] = &[
         ("crates/exp/src/experiments/registry.rs", "use super::alpha; // beta\npub static REGISTRY: &[&str] = &[\"alpha\"];"),
     ], &["registry crates/exp/src/experiments/beta.rs"]),
     ("atomic_protocol: no protocol doc, a Relaxed a blank line below its comment, a bare fence; a comment \
-      above each statement or trailing its line; atomics outside pool, rt and vendor; test-only atomics", &[
+      above each statement or trailing its line; atomics outside rt and vendor; test-only atomics", &[
         ("crates/rt/src/stats.rs", "use std::sync::atomic::{fence, AtomicU64, Ordering};\nfn bump() {\n    // Relaxed: too far.\n\n    \
           CALLS.fetch_add(1, Ordering::Relaxed);\n    fence(Ordering::SeqCst);\n}"),
         ("crates/rt/src/conn.rs", "//! Ordering protocol: a tally; the fence pairs with the reader's.\nfn bump(inner: &Inner) {\n    \
@@ -521,7 +521,8 @@ const FIXTURES: &[Fixture] = &[
         ("vendor/crossbeam/src/lib.rs", "//! Ordering protocol: none.\nstatic F: AtomicBool = AtomicBool::new(false);"),
         ("crates/lrm/src/profile.rs", "#[cfg(test)]\nmod tests {\n    fn t(f: &AtomicBool) { f.store(true, Ordering::Relaxed); }\n}"),
     ], &["atomic_protocol crates/rt/src/stats.rs:1", "atomic_protocol crates/rt/src/stats.rs:5",
-        "atomic_protocol crates/rt/src/stats.rs:6", "atomic_protocol crates/lrm/src/job.rs:2"]),
+        "atomic_protocol crates/rt/src/stats.rs:6", "atomic_protocol crates/lrm/src/job.rs:2",
+        "atomic_protocol crates/pool/src/lib.rs:2"]),
     ("test_layout: an item after the tests, one after a test-only `use`; test items under more attributes \
       and docs; a nested test module", &[
         ("crates/core/src/dispatcher.rs", "fn live() {}\n#[cfg(test)]\nmod tests {}\npub fn late() -> Instant { todo!() }"),
