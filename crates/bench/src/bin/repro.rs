@@ -6,8 +6,6 @@
 //! repro list       enumerate experiments (id + description)
 //! repro all        run everything (the default)
 //! repro <id>       run one experiment (see `repro list`)
-//! repro bench      floor tripwire over seven hot-path scenarios (DESIGN.md
-//!                  §10); takes no flags, exits 1 on a rate under its floor
 //!
 //! flags:
 //!   --full         the paper's parameters (2,000,000 tasks, 54,000
@@ -86,15 +84,6 @@ fn main() {
         .next()
         .unwrap_or("all");
 
-    if what == "bench" {
-        if args.len() > 1 {
-            eprintln!("`repro bench` takes no arguments (floors are constants in perfbench.rs)");
-            std::process::exit(2);
-        }
-        run_bench();
-        return;
-    }
-
     if what == "list" {
         for e in registry::REGISTRY {
             emit(&format!("{:<10} {}", e.id(), e.title()));
@@ -139,26 +128,5 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("trace: {tasks} tasks over {} runs -> {path}", runs.len());
-    }
-}
-
-/// `repro bench`: run the floored scenarios, print the table, exit 1 if
-/// any rate is under its floor.
-fn run_bench() {
-    use falkon_bench::perfbench;
-
-    eprintln!("repro bench: running the seven floored scenarios (seconds)...");
-    let results = perfbench::run_benches();
-    emit(&perfbench::render_table(&results));
-    let mut failed = false;
-    for r in results.iter().filter(|r| !r.ok()) {
-        eprintln!(
-            "FLOOR VIOLATION: {} measured {:.1} {} < required {}",
-            r.id, r.rate, r.unit, r.floor
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

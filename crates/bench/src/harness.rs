@@ -1,9 +1,9 @@
 //! The `repro all` execution harness: serial or on `N` workers, with
 //! byte-identical output either way.
 //!
-//! `repro all --jobs N` runs the registry's shared-run groups as jobs of a
-//! [`falkon_pool::scope`] with `N` workers; nothing inside a group fans
-//! out. Output determinism is structural, not incidental:
+//! `repro all --jobs N` runs the registry's shared-run groups on `N` scoped
+//! threads, each taking the next group until none is left; nothing inside a
+//! group fans out. Output determinism is structural, not incidental:
 //!
 //! - each `shared_run_key` group executes exactly once, on one worker —
 //!   consumers of a shared run (fig9/fig10; table3/table4/fig12/fig13)
@@ -19,9 +19,9 @@
 //! job).
 
 use falkon_exp::experiments::{registry, Scale};
-use falkon_pool::Pool;
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
+use std::{panic, thread};
 
 /// One rendered `repro all` block, tagged with the registry id that
 /// produced it (after shared-run dedupe).
@@ -37,7 +37,7 @@ pub fn run_all_with(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str
     if jobs <= 1 {
         run_all_serial(scale, sink);
     } else {
-        run_all_pooled(scale, jobs, sink);
+        run_all_parallel(scale, jobs, sink);
     }
 }
 
@@ -63,7 +63,7 @@ fn run_all_serial(scale: Scale, sink: &mut dyn FnMut(&'static str, &str)) {
     }
 }
 
-fn run_all_pooled(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, &str)) {
+fn run_all_parallel(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, &str)) {
     // One job per shared-run group, in first-occurrence order so the
     // earliest-emitting groups start first.
     let mut groups: Vec<(&'static str, &'static dyn registry::Experiment)> = Vec::new();
@@ -74,37 +74,41 @@ fn run_all_pooled(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, 
         }
     }
 
-    let pool = Pool::new(jobs);
     let (tx, rx) = mpsc::channel::<(&'static str, registry::Report)>();
-    pool.install(|| {
-        falkon_pool::scope(|s| {
-            for &(key, exp) in &groups {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    let report = exp.run(scale);
-                    let _ = tx.send((key, report));
-                });
-            }
-            drop(tx);
+    let next = Mutex::new(groups.into_iter());
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                let (tx, next) = (tx.clone(), &next);
+                s.spawn(move || loop {
+                    let Some((key, exp)) = next.lock().expect("runs unlocked").next() else {
+                        break;
+                    };
+                    let _ = tx.send((key, exp.run(scale)));
+                })
+            })
+            .collect();
+        drop(tx);
 
-            // Emit on this thread, in registry order, as group runs land.
-            let mut ready: HashMap<&'static str, registry::Report> = HashMap::new();
-            let mut printed: HashMap<&'static str, Vec<String>> = HashMap::new();
-            for exp in registry::REGISTRY {
-                let key = exp.shared_run_key();
-                while !ready.contains_key(key) {
-                    match rx.recv() {
-                        Ok((k, report)) => {
-                            ready.insert(k, report);
-                        }
-                        // A group run panicked; stop emitting and let the
-                        // scope re-raise the captured panic at join.
-                        Err(_) => return,
-                    }
-                }
-                emit_block(*exp, &ready[key], &mut printed, sink);
+        // Emit on this thread, in registry order, as group runs land.
+        let mut ready: HashMap<&'static str, registry::Report> = HashMap::new();
+        let mut printed: HashMap<&'static str, Vec<String>> = HashMap::new();
+        'emit: for exp in registry::REGISTRY {
+            let key = exp.shared_run_key();
+            while !ready.contains_key(key) {
+                // A group run panicked: stop emitting; its join re-raises it.
+                let Ok((k, report)) = rx.recv() else {
+                    break 'emit;
+                };
+                ready.insert(k, report);
             }
-        });
+            emit_block(*exp, &ready[key], &mut printed, sink);
+        }
+        for w in workers {
+            if let Err(payload) = w.join() {
+                panic::resume_unwind(payload);
+            }
+        }
     });
 }
 

@@ -1,7 +1,6 @@
 //! The `repro` command line rejects what it does not know or cannot do
-//! (`--jobs` above 1 on one experiment). `repro bench`
-//! in particular takes no flags: its floors are constants in
-//! `perfbench.rs`, and the report-writing flags it once had are gone.
+//! (`--jobs` above 1 on one experiment). `bench` names no experiment, so
+//! it and the flags the rate-floor tripwire of that name took exit 2.
 
 use std::process::Command;
 
@@ -17,7 +16,8 @@ fn exit_code(args: &[&str]) -> Option<i32> {
 #[test]
 fn unknown_flags_and_experiments_exit_2() {
     for args in [
-        &["bench", "--json", "x"][..],
+        &["bench"][..],
+        &["bench", "--json", "x"],
         &["bench", "--floor", "a=1"],
         &["bench", "--jobs", "2"],
         &["fig3", "--json", "x"],

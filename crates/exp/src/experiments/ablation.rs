@@ -158,15 +158,18 @@ pub fn acquisition_policies(_scale: Scale) -> Vec<AcquisitionRun> {
                     idle_release_us: Some(60_000_000),
                     prefetch: false,
                 },
-                provisioner: Some(ProvisionerPolicy {
-                    min_executors: 0,
-                    max_executors: 32,
-                    acquisition: *acquisition,
-                    release: ReleasePolicy::DistributedIdle,
-                    allocation_duration_us: 3_600_000_000,
-                    poll_interval_us: 1_000_000,
-                }),
-                lrm: Some((PBS_V2_1_8, 100)),
+                provisioner: Some((
+                    ProvisionerPolicy {
+                        min_executors: 0,
+                        max_executors: 32,
+                        acquisition: *acquisition,
+                        release: ReleasePolicy::DistributedIdle,
+                        allocation_duration_us: 3_600_000_000,
+                        poll_interval_us: 1_000_000,
+                    },
+                    PBS_V2_1_8,
+                    100,
+                )),
                 costs: CostModel::no_security(),
                 ..SimFalkonConfig::default()
             });

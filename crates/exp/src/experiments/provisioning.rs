@@ -55,23 +55,23 @@ fn ideal_time_s() -> f64 {
 }
 
 fn falkon_config(idle_release_s: Option<u64>) -> SimFalkonConfig {
-    let provisioner = idle_release_s.is_some().then_some(ProvisionerPolicy {
+    let policy = ProvisionerPolicy {
         min_executors: 0,
         max_executors: 32,
         acquisition: AcquisitionPolicy::AllAtOnce,
         release: ReleasePolicy::DistributedIdle,
         allocation_duration_us: 3_600_000_000,
         poll_interval_us: 1_000_000,
-    });
+    };
+    let provisioned = idle_release_s.is_some();
     SimFalkonConfig {
-        executors: if provisioner.is_some() { 0 } else { 32 },
+        executors: if provisioned { 0 } else { 32 },
         executors_per_node: 1,
         executor: ExecutorConfig {
             idle_release_us: idle_release_s.map(|s| s * 1_000_000),
             prefetch: false,
         },
-        provisioner,
-        lrm: Some((PBS_V2_1_8, 100)),
+        provisioner: provisioned.then_some((policy, PBS_V2_1_8, 100)),
         costs: CostModel::no_security(),
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()

@@ -67,10 +67,9 @@ pub struct SimFalkonConfig {
     /// Executors per physical node (paper: 2 for dual-CPU nodes; 900 for
     /// the 54K-executor emulation).
     pub executors_per_node: u32,
-    /// Dynamic provisioning policy; `None` = static pool started at t=0.
-    pub provisioner: Option<ProvisionerPolicy>,
-    /// LRM profile + node count backing the provisioner.
-    pub lrm: Option<(LrmProfile, u32)>,
+    /// Dynamic provisioning: the policy, and the LRM profile and node count
+    /// its allocations come from; `None` = static pool started at t=0.
+    pub provisioner: Option<(ProvisionerPolicy, LrmProfile, u32)>,
     /// Filesystem model for tasks that declare data staging.
     pub fs: Option<FsConfig>,
     /// Client submission rate, tasks/sec (`None` = submit instantly).
@@ -100,7 +99,6 @@ impl Default for SimFalkonConfig {
             forwarder: None,
             executors_per_node: 2,
             provisioner: None,
-            lrm: None,
             fs: None,
             client_submit_rate: None,
             sample_interval_us: 0,
@@ -302,8 +300,8 @@ pub struct SimFalkon {
     /// recurses it degrades to a fresh allocation, never to aliasing).
     disp_out: Vec<DispatcherAction>,
     exec_out: Vec<ExecutorAction>,
-    provisioner: Option<Provisioner>,
-    lrm: Option<BatchScheduler>,
+    /// The provisioner and the LRM its allocations come from.
+    provisioned: Option<(Provisioner, BatchScheduler)>,
     lrm_wake_armed: Option<Micros>,
     fs: Option<ClusterFs>,
     /// Records completed by the event being handled; the loop that ran the
@@ -371,15 +369,16 @@ impl SimFalkon {
             executors: ExecutorTable::with_capacity(static_pool),
             disp_out: Vec::new(),
             exec_out: Vec::new(),
-            provisioner: config.provisioner.map(Provisioner::new),
-            lrm: config.lrm.map(|(p, nodes)| BatchScheduler::new(p, nodes)),
+            provisioned: config
+                .provisioner
+                .map(|(p, l, n)| (Provisioner::new(p), BatchScheduler::new(l, n))),
             lrm_wake_armed: None,
             fs: config.fs.map(|f| {
                 // Provisioned deployments start with `executors == 0`; size
                 // the filesystem for the provisioner's upper bound instead.
                 let pool = config
                     .provisioner
-                    .map(|p| p.max_executors)
+                    .map(|(p, _, _)| p.max_executors)
                     .unwrap_or(pool)
                     .max(pool);
                 ClusterFs::new(f, (pool / config.executors_per_node).max(1))
@@ -411,7 +410,7 @@ impl SimFalkon {
         for n in 0..dispatchers {
             sim.client_step(n, |c, out| c.on_event(0, ClientEvent::Start, out));
         }
-        if let Some(p) = &sim.provisioner {
+        if let Some((p, _)) = &sim.provisioned {
             let poll = p.poll_interval_us();
             sim.schedule(poll, Ev::ProvisionerPoll);
         } else {
@@ -619,9 +618,9 @@ impl SimFalkon {
             used_cpu_us,
             wasted_cpu_us,
             allocations: self
-                .provisioner
+                .provisioned
                 .as_ref()
-                .map_or(0, |p| p.stats().allocations_requested),
+                .map_or(0, |(p, _)| p.stats().allocations_requested),
         }
     }
 
@@ -680,12 +679,12 @@ impl SimFalkon {
                 // {POLL}: provisioner reads dispatcher state; answering the
                 // poll costs dispatcher CPU like any other message.
                 self.charge_dispatcher_send(0);
-                if let Some(p) = &self.provisioner {
+                if let Some((p, _)) = &self.provisioned {
                     let next = self.now + p.poll_interval_us();
                     self.schedule(next, Ev::ProvisionerPoll);
                 }
                 let status = self.nodes[0].machine.status();
-                let lrm_available = self.lrm.as_ref().map(|l| l.free_nodes());
+                let lrm_available = self.provisioned.as_ref().map(|(_, l)| l.free_nodes());
                 self.provision(ProvisionerEvent::Status {
                     status,
                     lrm_available,
@@ -876,7 +875,7 @@ impl SimFalkon {
     }
 
     fn arm_lrm(&mut self) {
-        if let Some(next) = self.lrm.as_ref().and_then(|l| l.next_wakeup()) {
+        if let Some(next) = self.provisioned.as_ref().and_then(|(_, l)| l.next_wakeup()) {
             let fire = next.max(self.now);
             if self.lrm_wake_armed.is_none_or(|armed| fire < armed) {
                 self.lrm_wake_armed = Some(fire);
@@ -982,7 +981,7 @@ impl SimFalkon {
     /// Feed the provisioner one event and carry out its actions.
     fn provision(&mut self, ev: ProvisionerEvent) {
         let mut out = Vec::new();
-        if let Some(p) = self.provisioner.as_mut() {
+        if let Some((p, _)) = self.provisioned.as_mut() {
             p.on_event(self.now, ev, &mut out);
         }
         for act in out {
@@ -993,7 +992,7 @@ impl SimFalkon {
     /// Feed the LRM one input and carry out the job changes it reports.
     fn lrm(&mut self, input: LrmInput) {
         let mut out = Vec::new();
-        if let Some(lrm) = self.lrm.as_mut() {
+        if let Some((_, lrm)) = self.provisioned.as_mut() {
             lrm.handle(self.now, input, &mut out);
         }
         self.lrm_outputs(out);
@@ -1175,20 +1174,23 @@ mod tests {
     #[test]
     fn provisioned_run_acquires_and_releases() {
         let mut sim = SimFalkon::new(SimFalkonConfig {
-            provisioner: Some(ProvisionerPolicy {
-                min_executors: 0,
-                max_executors: 8,
-                acquisition: AcquisitionPolicy::AllAtOnce,
-                release: ReleasePolicy::DistributedIdle,
-                allocation_duration_us: 3_600_000_000,
-                poll_interval_us: 1_000_000,
-            }),
+            provisioner: Some((
+                ProvisionerPolicy {
+                    min_executors: 0,
+                    max_executors: 8,
+                    acquisition: AcquisitionPolicy::AllAtOnce,
+                    release: ReleasePolicy::DistributedIdle,
+                    allocation_duration_us: 3_600_000_000,
+                    poll_interval_us: 1_000_000,
+                },
+                falkon_lrm::profile::PBS_V2_1_8,
+                8,
+            )),
             executor: ExecutorConfig {
                 idle_release_us: Some(15_000_000),
                 prefetch: false,
             },
             executors_per_node: 1,
-            lrm: Some((falkon_lrm::profile::PBS_V2_1_8, 8)),
             ..SimFalkonConfig::default()
         });
         sim.submit(0, sleep_tasks(16, 10));
@@ -1366,14 +1368,18 @@ mod tests {
     fn forwarder_with_a_provisioner_is_rejected() {
         SimFalkon::new(SimFalkonConfig {
             forwarder: Some(2),
-            provisioner: Some(ProvisionerPolicy {
-                min_executors: 0,
-                max_executors: 8,
-                acquisition: AcquisitionPolicy::AllAtOnce,
-                release: ReleasePolicy::DistributedIdle,
-                allocation_duration_us: 3_600_000_000,
-                poll_interval_us: 1_000_000,
-            }),
+            provisioner: Some((
+                ProvisionerPolicy {
+                    min_executors: 0,
+                    max_executors: 8,
+                    acquisition: AcquisitionPolicy::AllAtOnce,
+                    release: ReleasePolicy::DistributedIdle,
+                    allocation_duration_us: 3_600_000_000,
+                    poll_interval_us: 1_000_000,
+                },
+                falkon_lrm::profile::PBS_V2_1_8,
+                8,
+            )),
             ..SimFalkonConfig::default()
         });
     }

@@ -461,6 +461,36 @@ mod tests {
         assert!(!a.deferred.is_empty());
     }
 
+    /// Messages queued between two flushes leave together: 64 frames in
+    /// one `write`, where a flush per frame would make 64.
+    #[test]
+    fn frames_queued_between_flushes_leave_in_one_write() {
+        for security in [None, Some(0xFA1C0)] {
+            let (mut a, mut b) = pair(security);
+            let sent: Vec<Message> = (0..64)
+                .map(|i| Message::Submit {
+                    instance: InstanceId(i),
+                    tasks: vec![TaskSpec::sleep(i, 0)],
+                })
+                .collect();
+            let tally = |a: &Conn| {
+                let w = a.wire.counters();
+                (w.count(SocketWrite), w.count(BundleEncoded))
+            };
+            let (writes, frames) = tally(&a);
+            for msg in sent.clone() {
+                a.enqueue(msg).expect("enqueue");
+            }
+            assert!(a.flush().expect("flush"), "the socket took the batch");
+            assert_eq!(tally(&a), (writes + 1, frames + 64), "{security:?}");
+            let mut got = Vec::new();
+            while got.len() < sent.len() {
+                assert!(take(&mut b, &mut got), "early EOF");
+            }
+            assert!(got == sent, "{security:?}: lost, duplicated or reordered");
+        }
+    }
+
     #[test]
     fn a_peer_that_stops_reading_holds_the_encoded_backlog_at_the_cap() {
         let sent = wave();

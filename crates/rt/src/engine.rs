@@ -192,14 +192,8 @@ impl<T> Engine<T> {
         if self.pollfds.is_empty() {
             return Ok(0);
         }
-        let timeout_ms = match deadline.into_iter().chain(mount_deadline).min() {
-            None => -1,
-            Some(d) => {
-                let ms = d.saturating_sub(self.clock.now_us()).div_ceil(1000);
-                i32::try_from(ms).unwrap_or(i32::MAX)
-            }
-        };
-        sys::poll_wait(&mut self.pollfds, timeout_ms)?;
+        let wake = deadline.into_iter().chain(mount_deadline).min();
+        sys::poll_wait(&mut self.pollfds, timeout_ms(wake, || self.clock.now_us()))?;
         let mut aux_ready = 0u32;
         for i in 0..self.pollfds.len() {
             // Writability needs no service of its own: it ends the wait,
@@ -301,6 +295,16 @@ impl<T> Engine<T> {
     }
 }
 
+/// The `poll(2)` timeout of a turn due to wake at `wake` (absolute clock
+/// µs): with no deadline `-1`, blocking until a socket is ready (a turn has
+/// no cadence) without reading the clock; else the milliseconds left after
+/// `now()`, rounded up so it never wakes early, and saturated at `i32::MAX`.
+fn timeout_ms(wake: Option<u64>, now: impl FnOnce() -> u64) -> i32 {
+    wake.map_or(-1, |d| {
+        i32::try_from(d.saturating_sub(now()).div_ceil(1000)).unwrap_or(i32::MAX)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,6 +319,19 @@ mod tests {
         }
 
         fn closed(&mut self, _: Token, _: (), _: Closed) {}
+    }
+
+    /// No deadline blocks, a past one polls, a far one saturates; in
+    /// between, the wait rounds up to whole milliseconds.
+    #[test]
+    fn the_timeout_blocks_without_a_deadline_and_never_wakes_early() {
+        let now = 5_000_000;
+        assert_eq!(timeout_ms(None, || unreachable!("read the clock")), -1);
+        assert_eq!(timeout_ms(Some(now - 1), || now), 0);
+        assert_eq!(timeout_ms(Some(now), || now), 0);
+        assert_eq!(timeout_ms(Some(now + 1), || now), 1);
+        assert_eq!(timeout_ms(Some(now + 20_000), || now), 20);
+        assert_eq!(timeout_ms(Some(u64::MAX), || now), i32::MAX);
     }
 
     /// With no fd ready and no connection deadline the poll timeout would

@@ -172,3 +172,25 @@ pub(crate) fn run<M: Mount>(bound: Bound<M::Peer>, mut mount: M) -> M {
     engine.close_all(&mut mount).ok();
     mount
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A fleet dials before the server thread accepts anyone, and a
+    /// connect returns once the kernel has queued the handshake. With
+    /// `std`'s 128-deep accept queue the 129th SYN is dropped and its
+    /// dialer waits a second for the retransmit; with the listener's
+    /// deeper queue every one of 1,000 dials completes at once.
+    #[test]
+    fn a_listener_that_never_accepts_queues_a_thousand_dials() {
+        let (_control, bound) = bind::<()>(None).expect("bind");
+        // Held open, so each stays in the queue; the first dial that times
+        // out ends the run rather than waiting out the rest.
+        let established: Vec<TcpStream> = (0..1_000)
+            .map_while(|_| TcpStream::connect_timeout(&bound.addr, Duration::from_millis(500)).ok())
+            .collect();
+        assert_eq!(established.len(), 1_000, "dials queued without an accept");
+    }
+}

@@ -1,7 +1,6 @@
 //! `cargo xtask <task>` — the blessed spellings for workspace chores.
 //!
 //! ```text
-//! cargo xtask bench           hot-path floor tripwire (repro bench; no flags)
 //! cargo xtask repro [args...] the repro binary (`repro all --jobs 8`, ...)
 //! cargo xtask tsan            ThreadSanitizer pass over the concurrency
 //!                             surface (nightly-only; skips if unavailable)
@@ -24,7 +23,7 @@
 
 use std::process::{Command, ExitCode};
 
-const USAGE: &str = "usage: cargo xtask <bench|repro|tsan|miri> [tool args...]";
+const USAGE: &str = "usage: cargo xtask <repro|tsan|miri> [tool args...]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -35,20 +34,6 @@ fn main() -> ExitCode {
     let rest: Vec<String> = args.collect();
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let status = match task.as_str() {
-        "bench" => Command::new(&cargo)
-            .args([
-                "run",
-                "--quiet",
-                "--release",
-                "-p",
-                "falkon-bench",
-                "--bin",
-                "repro",
-                "--",
-                "bench",
-            ])
-            .args(&rest)
-            .status(),
         // `cargo build --bins` at the workspace root is a no-op (the root
         // `falkon` package has no binaries); this is the spelled-out path
         // to the actual repro binary.

@@ -38,15 +38,18 @@ fn main() {
             idle_release_us: Some(idle_s * 1_000_000),
             prefetch: false,
         },
-        provisioner: Some(ProvisionerPolicy {
-            min_executors: 0,
-            max_executors: 32,
-            acquisition: AcquisitionPolicy::AllAtOnce,
-            release: ReleasePolicy::DistributedIdle,
-            allocation_duration_us: 3_600_000_000,
-            poll_interval_us: 1_000_000,
-        }),
-        lrm: Some((PBS_V2_1_8, 100)),
+        provisioner: Some((
+            ProvisionerPolicy {
+                min_executors: 0,
+                max_executors: 32,
+                acquisition: AcquisitionPolicy::AllAtOnce,
+                release: ReleasePolicy::DistributedIdle,
+                allocation_duration_us: 3_600_000_000,
+                poll_interval_us: 1_000_000,
+            },
+            PBS_V2_1_8,
+            100,
+        )),
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()
     });
