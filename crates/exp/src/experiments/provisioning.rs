@@ -111,12 +111,6 @@ fn run_gram() -> ProvisioningRun {
     let dag = synthetic::dag();
     let mut provider = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 100);
     let report = WorkflowEngine::new().run(&dag, &mut provider);
-    // GRAM-visible per-task times: reconstruct from the provider's view is
-    // interwoven with the engine; re-run the raw task stream through the
-    // gram pipeline for the Table 3 row instead (same submission times).
-    // Here we approximate queue/exec from the engine's finish times minus
-    // runtimes: queue = finish - ready - exec_visible.
-    // For the table we track them via a secondary pass below.
     let (avg_queue_s, avg_exec_s, wasted_s) = gram_per_task_times(&dag, &report);
     let used_s = synthetic::total_cpu_secs() as f64;
     ProvisioningRun {

@@ -36,28 +36,31 @@ pub fn run_direct(profile: LrmProfile, nodes: u32, n: u64, runtime_us: Micros) -
     let mut exec_sum = 0u64;
     let mut done = 0u64;
     let mut makespan = 0u64;
+    let mut now = 0;
     let mut guard = 0u64;
-    drain(
-        &mut out,
-        0,
-        &mut active,
-        &mut queue_sum,
-        &mut exec_sum,
-        &mut done,
-        &mut makespan,
-    );
-    while done < n {
+    loop {
+        for LrmOutput::State { job, state } in out.drain(..) {
+            match state {
+                JobState::Queued => {}
+                JobState::Active => {
+                    active.insert(job, now);
+                    queue_sum += now; // submit was at t=0
+                }
+                JobState::Done(_) => {
+                    if let Some(t_active) = active.remove(&job) {
+                        exec_sum += now - t_active;
+                        done += 1;
+                        makespan = makespan.max(now);
+                    }
+                }
+            }
+        }
+        if done == n {
+            break;
+        }
         let Some(t) = lrm.next_wakeup() else { break };
         lrm.handle(t, LrmInput::Tick, &mut out);
-        drain(
-            &mut out,
-            t,
-            &mut active,
-            &mut queue_sum,
-            &mut exec_sum,
-            &mut done,
-            &mut makespan,
-        );
+        now = t;
         guard += 1;
         assert!(guard < 50_000_000, "LRM run stuck at {done}/{n}");
     }
@@ -67,33 +70,6 @@ pub fn run_direct(profile: LrmProfile, nodes: u32, n: u64, runtime_us: Micros) -
         throughput: done as f64 / (makespan.max(1) as f64 / 1e6),
         avg_queue_us: queue_sum as f64 / done.max(1) as f64,
         avg_exec_us: exec_sum as f64 / done.max(1) as f64,
-    }
-}
-
-fn drain(
-    out: &mut Vec<LrmOutput>,
-    now: Micros,
-    active: &mut HashMap<JobId, Micros>,
-    queue_sum: &mut u64,
-    exec_sum: &mut u64,
-    done: &mut u64,
-    makespan: &mut u64,
-) {
-    for LrmOutput::State { job, state } in out.drain(..) {
-        match state {
-            JobState::Queued => {}
-            JobState::Active => {
-                active.insert(job, now);
-                *queue_sum += now; // submit was at t=0
-            }
-            JobState::Done(_) => {
-                if let Some(t_active) = active.remove(&job) {
-                    *exec_sum += now - t_active;
-                    *done += 1;
-                    *makespan = (*makespan).max(now);
-                }
-            }
-        }
     }
 }
 

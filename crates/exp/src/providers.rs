@@ -8,47 +8,61 @@
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
 use crate::Micros;
 use falkon_lrm::gram::{Gram, GramConfig, GramInput, GramOutput};
-use falkon_lrm::job::{JobId, JobSpec, JobState};
+use falkon_lrm::job::{JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::BatchScheduler;
-use falkon_proto::task::{TaskId, TaskSpec};
+use falkon_proto::task::TaskSpec;
+use falkon_workflow::dag::NodeId;
 use falkon_workflow::provider::{Completion, Provider, Submission, SubmissionId};
 use std::collections::HashMap;
+
+/// The open submissions of a simulated provider, by the downstream id
+/// (Falkon task, GRAM job) each went out as.
+#[derive(Default)]
+struct Ledger {
+    subs: HashMap<u64, (SubmissionId, Vec<(NodeId, Micros)>)>,
+    next_id: u64,
+}
+
+impl Ledger {
+    /// Open `sub`: its downstream id, and its tasks' total runtime (a
+    /// cluster runs serially, as one downstream unit).
+    fn open(&mut self, sub: &Submission) -> (u64, Micros) {
+        let id = self.next_id;
+        self.next_id += 1;
+        let tasks = sub.tasks.iter().map(|(n, t)| (*n, t.runtime_us)).collect();
+        self.subs.insert(id, (sub.id, tasks));
+        (id, sub.runtime_us())
+    }
+
+    /// Close downstream `id`, finished at `finished_us`; `None` if it is not
+    /// open. The cluster ran serially on one resource, so each task finished
+    /// earlier than the whole by the runtimes of the tasks after it.
+    fn close(&mut self, id: u64, finished_us: Micros) -> Option<Completion> {
+        let (sub, tasks) = self.subs.remove(&id)?;
+        let mut end = finished_us;
+        let mut task_finish_us: Vec<_> = tasks
+            .iter()
+            .rev()
+            .map(|&(node, runtime)| {
+                let at = end;
+                end = end.saturating_sub(runtime);
+                (node, at)
+            })
+            .collect();
+        task_finish_us.reverse();
+        Some(Completion {
+            id: sub,
+            task_finish_us,
+            finished_us,
+        })
+    }
+}
 
 /// Workflow provider dispatching through a simulated Falkon deployment.
 pub struct FalkonProvider {
     sim: SimFalkon,
-    /// task-id → (submission, index within submission)
-    task_map: HashMap<TaskId, SubmissionId>,
-    subs: HashMap<SubmissionId, SubState>,
-    pending: usize,
-    ready: Vec<Completion>,
-    next_task: u64,
-}
-
-/// Reconstruct per-task finish times for a cluster that ran serially on one
-/// resource finishing at `finished_us`: the k-th task from the end finished
-/// `sum(runtimes after it)` earlier.
-fn serial_finishes(
-    nodes: &[(falkon_workflow::dag::NodeId, Micros)],
-    finished_us: Micros,
-) -> Vec<(falkon_workflow::dag::NodeId, Micros)> {
-    let mut finishes = Vec::with_capacity(nodes.len());
-    let mut tail: Micros = 0;
-    for &(_, rt) in nodes.iter().rev() {
-        finishes.push(finished_us.saturating_sub(tail));
-        tail += rt;
-    }
-    finishes.reverse();
-    nodes
-        .iter()
-        .zip(finishes)
-        .map(|(&(n, _), t)| (n, t))
-        .collect()
-}
-
-struct SubState {
-    nodes: Vec<(falkon_workflow::dag::NodeId, Micros)>, // node, runtime
+    ledger: Ledger,
 }
 
 impl FalkonProvider {
@@ -56,11 +70,7 @@ impl FalkonProvider {
     pub fn new(config: SimFalkonConfig) -> FalkonProvider {
         FalkonProvider {
             sim: SimFalkon::new(config),
-            task_map: HashMap::new(),
-            subs: HashMap::new(),
-            pending: 0,
-            ready: Vec::new(),
-            next_task: 0,
+            ledger: Ledger::default(),
         }
     }
 
@@ -72,65 +82,38 @@ impl FalkonProvider {
 
 impl Provider for FalkonProvider {
     fn submit(&mut self, now: Micros, submission: Submission) {
-        // A cluster runs serially on one executor: one Falkon task whose
-        // runtime is the sum (per-task finishes reconstructed from the
-        // serial order on completion).
-        let total: Micros = submission.tasks.iter().map(|(_, t)| t.runtime_us).sum();
-        let id = TaskId(self.next_task);
-        self.next_task += 1;
-        let mut spec = TaskSpec::sleep_us(id.0, total);
+        let (task, total) = self.ledger.open(&submission);
+        let mut spec = TaskSpec::sleep_us(task, total);
         // Propagate the first task's data requirements (the staging the
         // paper's data-access experiments model per task).
         if let Some((_, wf)) = submission.tasks.first() {
             spec.data = wf.data;
         }
-        self.task_map.insert(id, submission.id);
-        self.subs.insert(
-            submission.id,
-            SubState {
-                nodes: submission
-                    .tasks
-                    .iter()
-                    .map(|(n, t)| (*n, t.runtime_us))
-                    .collect(),
-            },
-        );
-        self.pending += 1;
         self.sim.submit(now.max(self.sim.now()), vec![spec]);
     }
 
-    fn next_wakeup(&self) -> Option<Micros> {
-        self.sim.next_wakeup()
-    }
-
-    fn poll(&mut self, now: Micros) -> Vec<Completion> {
-        self.sim.advance_to(now);
-        // A permanently failed task would otherwise deadlock the workflow
-        // engine (it waits for a completion that never comes). Surface it.
-        assert_eq!(
-            self.sim.failed(),
-            0,
-            "simulated Falkon abandoned {} task(s) after exhausting replays; \
-             raise ReplayPolicy::timeout_slack_us for this workload",
-            self.sim.failed()
-        );
-        for (task, finished_us) in self.sim.drain_completions() {
-            let Some(sub_id) = self.task_map.remove(&task) else {
-                continue;
-            };
-            let st = self.subs.remove(&sub_id).expect("submitted");
-            self.pending -= 1;
-            self.ready.push(Completion {
-                id: sub_id,
-                task_finish_us: serial_finishes(&st.nodes, finished_us),
-                finished_us,
+    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+        let mut done = Vec::new();
+        // A provisioned deployment always has a next event: stop once
+        // nothing is open.
+        while done.is_empty() && !self.ledger.subs.is_empty() {
+            let t = self.sim.next_wakeup()?;
+            let ledger = &mut self.ledger;
+            self.sim.advance_to(t, |r| {
+                done.extend(ledger.close(r.result.id.0, r.completed_us));
             });
+            // A permanently failed task would otherwise deadlock the
+            // workflow engine (it waits for a completion that never
+            // comes). Surface it.
+            assert_eq!(
+                self.sim.failed(),
+                0,
+                "simulated Falkon abandoned {} task(s) after exhausting replays; \
+                 raise ReplayPolicy::timeout_slack_us for this workload",
+                self.sim.failed()
+            );
         }
-        std::mem::take(&mut self.ready)
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
+        (!done.is_empty()).then(|| (self.sim.now(), done))
     }
 }
 
@@ -139,13 +122,10 @@ impl Provider for FalkonProvider {
 /// "GRAM4+PBS clustered" baselines).
 pub struct GramProvider {
     gram: Gram,
-    job_map: HashMap<JobId, SubmissionId>,
-    subs: HashMap<SubmissionId, SubState>,
-    pending: usize,
-    next_job: u64,
+    ledger: Ledger,
     now: Micros,
-    /// Timestamped notifications not yet converted to completions.
-    stashed: Vec<(Micros, GramOutput)>,
+    /// Completed and not yet handed out by `advance`.
+    done: Vec<Completion>,
 }
 
 impl GramProvider {
@@ -153,92 +133,54 @@ impl GramProvider {
     pub fn new(profile: LrmProfile, gram: GramConfig, nodes: u32) -> GramProvider {
         GramProvider {
             gram: Gram::new(gram, BatchScheduler::new(profile, nodes)),
-            job_map: HashMap::new(),
-            subs: HashMap::new(),
-            pending: 0,
-            next_job: 0,
+            ledger: Ledger::default(),
             now: 0,
-            stashed: Vec::new(),
+            done: Vec::new(),
         }
     }
 
-    /// Step the gateway to `t`, stamping every notification with the exact
-    /// wakeup time it fired at.
-    fn advance_to(&mut self, t: Micros) {
-        while let Some(w) = self.gram.next_wakeup() {
-            if w > t {
-                break;
+    /// Deliver the gateway's next wakeup if it is due by `until`, closing
+    /// the jobs it reports done at the exact instant it fired.
+    fn tick(&mut self, until: Micros) -> bool {
+        let Some(t) = self.gram.next_wakeup().filter(|&t| t <= until) else {
+            return false;
+        };
+        self.now = t.max(self.now);
+        let mut out = Vec::new();
+        self.gram.handle(self.now, GramInput::Tick, &mut out);
+        self.close(self.now, out);
+        true
+    }
+
+    /// Close the jobs `out` reports done, as finished at `at`.
+    fn close(&mut self, at: Micros, out: Vec<GramOutput>) {
+        for GramOutput::Notification { job, state } in out {
+            if let JobState::Done(_) = state {
+                self.done.extend(self.ledger.close(job.0, at));
             }
-            let at = w.max(self.now);
-            let mut out = Vec::new();
-            self.gram.handle(at, GramInput::Tick, &mut out);
-            for o in out {
-                self.stashed.push((at, o));
-            }
-            self.now = at;
         }
-        self.now = self.now.max(t);
     }
 }
 
 impl Provider for GramProvider {
     fn submit(&mut self, now: Micros, submission: Submission) {
-        self.advance_to(now);
-        let total: Micros = submission.tasks.iter().map(|(_, t)| t.runtime_us).sum();
-        let job = JobId(self.next_job);
-        self.next_job += 1;
-        self.job_map.insert(job, submission.id);
-        self.subs.insert(
-            submission.id,
-            SubState {
-                nodes: submission
-                    .tasks
-                    .iter()
-                    .map(|(n, t)| (*n, t.runtime_us))
-                    .collect(),
-            },
-        );
-        self.pending += 1;
+        // Catch up to `now` first; what completes on the way is kept for
+        // the next `advance`.
+        while self.tick(now) {}
+        self.now = self.now.max(now);
+        let (job, total) = self.ledger.open(&submission);
         let mut out = Vec::new();
-        self.gram.handle(
-            now,
-            GramInput::Submit(JobSpec::task(job.0, total)),
-            &mut out,
-        );
-        for o in out {
-            self.stashed.push((now, o));
-        }
+        let spec = JobSpec::task(job, total);
+        self.gram.handle(now, GramInput::Submit(spec), &mut out);
+        self.close(now, out);
     }
 
-    fn next_wakeup(&self) -> Option<Micros> {
-        if self.stashed.is_empty() {
-            self.gram.next_wakeup()
-        } else {
-            Some(self.now)
+    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+        while self.done.is_empty() && !self.ledger.subs.is_empty() {
+            let t = self.gram.next_wakeup()?;
+            while self.tick(t) {}
         }
-    }
-
-    fn poll(&mut self, now: Micros) -> Vec<Completion> {
-        self.advance_to(now);
-        let mut done = Vec::new();
-        for (t, GramOutput::Notification { job, state }) in self.stashed.drain(..) {
-            if let JobState::Done(_) = state {
-                if let Some(sub_id) = self.job_map.remove(&job) {
-                    let st = self.subs.remove(&sub_id).expect("submitted");
-                    self.pending -= 1;
-                    done.push(Completion {
-                        id: sub_id,
-                        task_finish_us: serial_finishes(&st.nodes, t),
-                        finished_us: t,
-                    });
-                }
-            }
-        }
-        done
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
+        (!self.done.is_empty()).then(|| (self.now, std::mem::take(&mut self.done)))
     }
 }
 
@@ -248,6 +190,71 @@ mod tests {
     use falkon_lrm::profile::PBS_V2_1_8;
     use falkon_workflow::apps::fmri;
     use falkon_workflow::engine::WorkflowEngine;
+
+    /// Submission `id` of one task per runtime (a cluster when several).
+    fn sub(id: u64, runtimes_s: &[u64]) -> Submission {
+        use falkon_workflow::dag::WfTask;
+        let tasks = runtimes_s.iter().enumerate();
+        Submission {
+            id: SubmissionId(id),
+            tasks: tasks
+                .map(|(i, &r)| (NodeId(i), WfTask::new(format!("t{i}"), "s", r * 1_000_000)))
+                .collect(),
+        }
+    }
+
+    /// Three submissions at 0, one of them a cluster of three, and a fourth
+    /// ten minutes after the first completion, past what else is due by
+    /// then: each completes exactly once, at instants that never decrease,
+    /// and `advance` has nothing more once all are in.
+    fn keeps_the_contract(p: &mut impl Provider) {
+        let sizes = [1, 3, 1, 1];
+        p.submit(0, sub(0, &[5]));
+        p.submit(0, sub(1, &[1, 2, 3]));
+        p.submit(0, sub(2, &[4]));
+        let mut late = Some(sub(3, &[2]));
+        let (mut seen, mut last) = ([0; 4], 0);
+        while let Some((at, done)) = p.advance() {
+            assert!(at >= last, "instant {at} after {last}");
+            last = at;
+            for c in done {
+                seen[c.id.0 as usize] += 1;
+                assert_eq!(c.task_finish_us.len(), sizes[c.id.0 as usize]);
+            }
+            if let Some(s) = late.take() {
+                p.submit(at + 600_000_000, s);
+            }
+        }
+        assert_eq!(seen, [1; 4], "each submission completes exactly once");
+        assert!(p.advance().is_none());
+    }
+
+    #[test]
+    fn providers_keep_the_contract() {
+        keeps_the_contract(&mut falkon_workflow::IdealProvider::new(2));
+        let config = SimFalkonConfig {
+            executors: 2,
+            ..SimFalkonConfig::default()
+        };
+        keeps_the_contract(&mut FalkonProvider::new(config));
+        // Provisioned, the deployment always has a next event.
+        use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
+        let policy = ProvisionerPolicy {
+            min_executors: 0,
+            max_executors: 2,
+            acquisition: AcquisitionPolicy::AllAtOnce,
+            release: ReleasePolicy::DistributedIdle,
+            allocation_duration_us: 3_600_000_000,
+            poll_interval_us: 1_000_000,
+        };
+        let config = SimFalkonConfig {
+            executors: 0,
+            provisioner: Some((policy, PBS_V2_1_8, 2)),
+            ..SimFalkonConfig::default()
+        };
+        keeps_the_contract(&mut FalkonProvider::new(config));
+        keeps_the_contract(&mut GramProvider::new(PBS_V2_1_8, GramConfig::default(), 2));
+    }
 
     #[test]
     fn falkon_provider_runs_fmri_slice() {
@@ -271,7 +278,8 @@ mod tests {
         let mut provider = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 8);
         let report = WorkflowEngine::new().run(&dag, &mut provider);
         assert_eq!(report.finish_us.len(), 4);
-        // PBS poll + GRAM overheads put the makespan far above 10 s.
+        // PBS's scheduling cycle and GRAM's overheads put the makespan far
+        // above 10 s.
         assert!(
             report.makespan_s() > 60.0,
             "makespan = {}",

@@ -43,7 +43,7 @@ use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use falkon_obs::Recorder;
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::{ExecutorId, Message};
-use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
+use falkon_proto::task::{TaskResult, TaskSpec};
 use falkon_sim::{EventQueue, SimRng, SimTime, TimeSeries};
 
 /// Configuration of a simulated deployment.
@@ -281,10 +281,10 @@ struct Node {
 
 /// The simulated deployment. Drive with [`SimFalkon::submit`] +
 /// [`SimFalkon::run_until_drained`] (or its fold,
-/// [`SimFalkon::run_until_drained_with`]), or incrementally via
-/// [`SimFalkon::advance_to`] / [`SimFalkon::drain_completions`] (used by
-/// the workflow providers). Either way each task record is handed out as
-/// the task completes; the deployment keeps running totals, not history.
+/// [`SimFalkon::run_until_drained_with`]), or incrementally with the fold
+/// [`SimFalkon::advance_to`] (used by the workflow providers). Either way
+/// each task record is handed out as the task completes; the deployment
+/// keeps running totals, not history.
 pub struct SimFalkon {
     config: SimFalkonConfig,
     queue: EventQueue<Ev>,
@@ -307,9 +307,6 @@ pub struct SimFalkon {
     /// Records completed by the event being handled; the loop that ran the
     /// event hands them on before the next one.
     done: Vec<TaskRecord>,
-    /// Completions under [`SimFalkon::advance_to`] not yet taken by
-    /// [`SimFalkon::drain_completions`].
-    pending: Vec<(TaskId, Micros)>,
     submitted: u64,
     failed: u64,
     gc_pauses: u64,
@@ -384,7 +381,6 @@ impl SimFalkon {
                 ClusterFs::new(f, (pool / config.executors_per_node).max(1))
             }),
             done: Vec::new(),
-            pending: Vec::new(),
             submitted: 0,
             failed: 0,
             gc_pauses: 0,
@@ -509,23 +505,12 @@ impl SimFalkon {
         self.queue.peek_time().map(|t| t.as_micros())
     }
 
-    /// Tasks that completed under [`SimFalkon::advance_to`] since the last
-    /// call (for provider use).
-    pub fn drain_completions(&mut self) -> Vec<(TaskId, Micros)> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Process all events with time ≤ `t`. What completes is held for
-    /// [`SimFalkon::drain_completions`].
-    pub fn advance_to(&mut self, t: Micros) {
-        let deadline = SimTime::from_micros(t);
-        while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
-            self.now = at.as_micros();
-            self.handle(ev);
-            let done = self.done.drain(..);
-            self.pending
-                .extend(done.map(|r| (r.result.id, r.completed_us)));
-        }
+    /// Handle every event at or before `t`, handing each task's record to
+    /// `each` as the task completes. Events run whether or not work is
+    /// outstanding: a provisioned deployment polls, releases and samples
+    /// between workflow stages.
+    pub fn advance_to(&mut self, t: Micros, each: impl FnMut(TaskRecord)) {
+        self.run_events(Some(t), each);
         self.now = self.now.max(t);
     }
 
@@ -546,13 +531,20 @@ impl SimFalkon {
 
     /// Run until every submitted task has completed or permanently failed
     /// (or no events remain), handing `each` task's record over as the task
-    /// completes. Returns the outcome summary with no records in it; the
-    /// sampled series are **moved** into it. Use the borrowing
-    /// [`SimFalkon::outcome`] for mid-run snapshots.
-    pub fn run_until_drained_with(&mut self, mut each: impl FnMut(TaskRecord)) -> SimOutcome {
+    /// completes. Returns the outcome with no records in it.
+    pub fn run_until_drained_with(&mut self, each: impl FnMut(TaskRecord)) -> SimOutcome {
+        self.run_events(None, each);
+        self.outcome()
+    }
+
+    /// The one event loop: handle events in time order through `until`,
+    /// or with `None` until every submitted task has completed or failed,
+    /// handing each completed task's record to `each`.
+    fn run_events(&mut self, until: Option<Micros>, mut each: impl FnMut(TaskRecord)) {
+        let deadline = until.map_or(SimTime::MAX, SimTime::from_micros);
         let mut guard: u64 = 0;
-        while (self.completed + self.failed) < self.submitted {
-            let Some((at, ev)) = self.queue.pop() else {
+        while until.is_some() || self.completed + self.failed < self.submitted {
+            let Some((at, ev)) = self.queue.pop_at_or_before(deadline) else {
                 break;
             };
             self.now = at.as_micros();
@@ -567,28 +559,10 @@ impl SimFalkon {
                 guard
             );
         }
-        let mut out = self.summary();
-        out.queue_series = std::mem::take(&mut self.queue_series);
-        out.busy_series = std::mem::take(&mut self.busy_series);
-        out.registered_series = std::mem::take(&mut self.registered_series);
-        out.allocated_series = std::mem::take(&mut self.allocated_series);
-        out
     }
 
-    /// Build the outcome summary at the current instant, cloning the
-    /// series (incremental drivers keep the sim alive).
+    /// The outcome at the current instant, without records.
     pub fn outcome(&self) -> SimOutcome {
-        let mut out = self.summary();
-        out.queue_series = self.queue_series.clone();
-        out.busy_series = self.busy_series.clone();
-        out.registered_series = self.registered_series.clone();
-        out.allocated_series = self.allocated_series.clone();
-        out
-    }
-
-    /// The scalar aggregates of the outcome (records/series left empty for
-    /// the caller to fill by clone or move).
-    fn summary(&self) -> SimOutcome {
         let makespan_us = self.last_completion_us.unwrap_or(self.now);
         let n = self.completed.max(1) as f64;
         let used_cpu_us: u64 = self.executors.busy_us.iter().sum();
@@ -609,10 +583,10 @@ impl SimFalkon {
             makespan_us,
             throughput: self.completed as f64 / (makespan_us.max(1) as f64 / 1e6),
             records: Vec::new(),
-            queue_series: TimeSeries::new(),
-            busy_series: TimeSeries::new(),
-            registered_series: TimeSeries::new(),
-            allocated_series: TimeSeries::new(),
+            queue_series: self.queue_series.clone(),
+            busy_series: self.busy_series.clone(),
+            registered_series: self.registered_series.clone(),
+            allocated_series: self.allocated_series.clone(),
             avg_queue_us: self.queue_us_sum / n,
             avg_exec_us: self.exec_us_sum / n,
             used_cpu_us,
@@ -1280,7 +1254,7 @@ mod tests {
             0,
             "nothing exists before the first bundle is due"
         );
-        sim.advance_to(250_000);
+        sim.advance_to(250_000, drop);
         assert_eq!(made.get(), 30, "bundles due at 0, 100 and 200 ms");
         let out = sim.run_until_drained();
         assert_eq!((made.get(), out.tasks), (100, 100));
@@ -1393,19 +1367,19 @@ mod tests {
         sim.submit(0, sleep_tasks(4, 1));
         let mut done = Vec::new();
         while done.len() < 4 {
-            let t = sim.next_wakeup().expect("work pending");
-            sim.advance_to(t);
-            done.extend(sim.drain_completions());
+            let t = sim.next_wakeup().expect("work outstanding");
+            sim.advance_to(t, |r| done.push(r.result.id));
         }
         assert_eq!(done.len(), 4);
         // Second wave reuses the live pool.
         let now = sim.now();
         sim.submit(now, (10..14).map(|i| TaskSpec::sleep(i, 0)).collect());
         while done.len() < 8 {
-            let t = sim.next_wakeup().expect("work pending");
-            sim.advance_to(t);
-            done.extend(sim.drain_completions());
+            let t = sim.next_wakeup().expect("work outstanding");
+            sim.advance_to(t, |r| done.push(r.result.id));
         }
-        assert_eq!(done.len(), 8);
+        done.sort_unstable();
+        let ids = [0, 1, 2, 3, 10, 11, 12, 13];
+        assert_eq!(done, ids.map(falkon_proto::task::TaskId));
     }
 }

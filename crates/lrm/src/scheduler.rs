@@ -37,7 +37,7 @@ pub enum LrmOutput {
     },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Internal {
     /// The scheduler finished dispatching this job; it becomes Active.
     Activate(JobId),
@@ -79,8 +79,7 @@ pub struct BatchScheduler {
     free_nodes: u32,
     queue: VecDeque<JobId>,
     jobs: HashMap<JobId, Job>,
-    internal: BinaryHeap<Reverse<(Micros, u64, JobId)>>,
-    internal_kind: HashMap<u64, Internal>,
+    internal: BinaryHeap<Reverse<(Micros, u64, Internal)>>,
     next_seq: u64,
     next_poll_us: Micros,
     /// The scheduler's serial dispatch pipeline: next job can start
@@ -99,7 +98,6 @@ impl BatchScheduler {
             queue: VecDeque::new(),
             jobs: HashMap::new(),
             internal: BinaryHeap::new(),
-            internal_kind: HashMap::new(),
             next_seq: 0,
             next_poll_us: profile.poll_interval_us,
             sched_free_at_us: 0,
@@ -157,11 +155,10 @@ impl BatchScheduler {
         }
     }
 
-    fn push_internal(&mut self, at: Micros, kind: Internal, job: JobId) {
+    fn push_internal(&mut self, at: Micros, kind: Internal) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.internal.push(Reverse((at, seq, job)));
-        self.internal_kind.insert(seq, kind);
+        self.internal.push(Reverse((at, seq, kind)));
     }
 
     /// Feed one input at time `now`; actions are appended to `out`.
@@ -216,9 +213,8 @@ impl BatchScheduler {
             let next_poll = self.next_poll_us;
             let fire_internal = next_internal.is_some_and(|t| t <= now && t <= next_poll);
             if fire_internal {
-                let Reverse((t, seq, job)) = self.internal.pop().expect("peeked");
-                let kind = self.internal_kind.remove(&seq).expect("paired");
-                self.fire(t, kind, job, out);
+                let Reverse((t, _, kind)) = self.internal.pop().expect("peeked");
+                self.fire(t, kind, out);
                 continue;
             }
             if next_poll <= now {
@@ -239,9 +235,9 @@ impl BatchScheduler {
         }
     }
 
-    fn fire(&mut self, t: Micros, kind: Internal, job: JobId, out: &mut Vec<LrmOutput>) {
+    fn fire(&mut self, t: Micros, kind: Internal, out: &mut Vec<LrmOutput>) {
         match kind {
-            Internal::Activate(_) => {
+            Internal::Activate(job) => {
                 let Some(j) = self.jobs.get_mut(&job) else {
                     return;
                 };
@@ -261,25 +257,18 @@ impl BatchScheduler {
                         let payload_end = t + self.profile.startup_us + rt;
                         let wall_end = t + spec.walltime_us;
                         if payload_end + self.profile.cleanup_us <= wall_end {
-                            self.push_internal(
-                                payload_end + self.profile.cleanup_us,
-                                Internal::Complete(job),
-                                job,
-                            );
+                            let done = payload_end + self.profile.cleanup_us;
+                            self.push_internal(done, Internal::Complete(job));
                         } else {
-                            self.push_internal(wall_end, Internal::WalltimeExpire(job), job);
+                            self.push_internal(wall_end, Internal::WalltimeExpire(job));
                         }
                     }
                     None => {
-                        self.push_internal(
-                            t + spec.walltime_us,
-                            Internal::WalltimeExpire(job),
-                            job,
-                        );
+                        self.push_internal(t + spec.walltime_us, Internal::WalltimeExpire(job));
                     }
                 }
             }
-            Internal::Complete(_) => {
+            Internal::Complete(job) => {
                 if self
                     .jobs
                     .get(&job)
@@ -288,7 +277,7 @@ impl BatchScheduler {
                     self.finish(t, job, DoneReason::Completed, out);
                 }
             }
-            Internal::WalltimeExpire(_) => {
+            Internal::WalltimeExpire(job) => {
                 if self
                     .jobs
                     .get(&job)
@@ -319,7 +308,7 @@ impl BatchScheduler {
             j.nodes_reserved = false;
             let nodes = j.spec.nodes;
             let release_at = t + self.profile.node_release_us;
-            self.push_internal(release_at, Internal::FreeNodes(nodes), job);
+            self.push_internal(release_at, Internal::FreeNodes(nodes));
         }
     }
 
@@ -344,7 +333,7 @@ impl BatchScheduler {
             // scheduler time.
             let start = self.sched_free_at_us.max(t) + self.profile.dispatch_overhead_us;
             self.sched_free_at_us = start;
-            self.push_internal(start, Internal::Activate(head), head);
+            self.push_internal(start, Internal::Activate(head));
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The data-driven workflow executor.
 //!
 //! Tasks whose predecessors have all completed are submitted to the
-//! [`Provider`] (optionally clustered); the engine then advances to the
-//! provider's next completion, releases dependants, and repeats until the
-//! whole DAG has run. This is the execution model of Swift/Karajan that the
-//! paper's Section 5 experiments rely on.
+//! [`Provider`] (optionally clustered); [`Provider::advance`] then runs to
+//! the next instant at which submissions complete, the engine releases
+//! their dependants, and repeats until the whole DAG has run. This is the
+//! execution model of Swift/Karajan that the paper's Section 5 experiments
+//! rely on.
 
 use crate::cluster::cluster_ready;
 use crate::dag::{Dag, NodeId};
@@ -32,44 +33,28 @@ impl RunReport {
     }
 }
 
-/// Engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Cluster ready tasks into serial bundles of this size (1 = off).
-    pub cluster_size: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { cluster_size: 1 }
-    }
-}
-
 /// The data-driven executor. See module docs.
 pub struct WorkflowEngine {
-    config: EngineConfig,
+    /// Cluster ready tasks into serial bundles of this size (1 = off).
+    cluster_size: usize,
 }
 
 impl WorkflowEngine {
-    /// Create an engine with default configuration (no clustering).
+    /// Create an engine with no clustering.
     pub fn new() -> Self {
-        WorkflowEngine {
-            config: EngineConfig::default(),
-        }
+        WorkflowEngine { cluster_size: 1 }
     }
 
     /// Create an engine that clusters ready tasks into bundles of `k`.
     pub fn with_clustering(k: usize) -> Self {
-        WorkflowEngine {
-            config: EngineConfig { cluster_size: k },
-        }
+        WorkflowEngine { cluster_size: k }
     }
 
     /// Execute `dag` on `provider`, starting at time 0.
     ///
     /// # Panics
-    /// Panics if the DAG is cyclic or the provider deadlocks (reports no
-    /// wakeup while work is outstanding).
+    /// Panics if the DAG is cyclic or the provider deadlocks (has nothing
+    /// open while tasks remain).
     pub fn run<P: Provider>(&self, dag: &Dag, provider: &mut P) -> RunReport {
         assert!(dag.topo_order().is_some(), "workflow DAG has a cycle");
         let n = dag.len();
@@ -78,7 +63,6 @@ impl WorkflowEngine {
         let mut stage_first_submit: HashMap<String, Micros> = HashMap::new();
         let mut stage_last_finish: HashMap<String, Micros> = HashMap::new();
         let mut stage_order: Vec<String> = Vec::new();
-        let mut next_sub = 0u64;
         let mut submissions = 0u64;
         let mut now: Micros = 0;
         let mut completed = 0usize;
@@ -92,28 +76,23 @@ impl WorkflowEngine {
                     .drain(..)
                     .map(|id| (id, dag.task(id).clone()))
                     .collect();
-                for (id, task) in &batch {
-                    let _ = id;
+                for (_, task) in &batch {
                     if !stage_first_submit.contains_key(&task.stage) {
                         stage_order.push(task.stage.clone());
                         stage_first_submit.insert(task.stage.clone(), now);
                     }
                 }
-                for cluster in cluster_ready(batch, self.config.cluster_size) {
-                    let id = SubmissionId(next_sub);
-                    next_sub += 1;
+                for cluster in cluster_ready(batch, self.cluster_size) {
+                    let id = SubmissionId(submissions);
                     submissions += 1;
                     provider.submit(now, Submission { id, tasks: cluster });
                 }
             }
-            if completed == n {
-                break;
-            }
-            let wake = provider
-                .next_wakeup()
-                .expect("provider deadlock: work outstanding but no wakeup");
-            now = now.max(wake);
-            for completion in provider.poll(now) {
+            let (at, done) = provider
+                .advance()
+                .expect("provider deadlock: tasks remain but nothing is open");
+            now = now.max(at);
+            for completion in done {
                 for (node, t_fin) in completion.task_finish_us {
                     assert!(finish[node.0].is_none(), "task completed twice");
                     finish[node.0] = Some(t_fin);

@@ -3,9 +3,10 @@
 //! Swift's provider abstraction is what let the paper swap GRAM4+PBS for
 //! Falkon without modifying applications (Section 3.5: the Falkon provider
 //! is 840 lines of Java, comparable to the GRAM providers). Our engine uses
-//! the same shape: a [`Provider`] accepts [`Submission`]s (one or more tasks
-//! executed serially as a unit — a unit of one task normally, several when
-//! clustering) and reports completions with timestamps.
+//! the same shape, two calls: [`Provider::submit`] accepts a [`Submission`]
+//! (one or more tasks executed serially as a unit — a unit of one task
+//! normally, several when clustering), and [`Provider::advance`] runs to the
+//! next instant at which submissions complete and reports them.
 //!
 //! Simulation-backed providers (Falkon, GRAM4+PBS) live in `falkon-exp`;
 //! this module provides [`IdealProvider`], a zero-overhead fixed-size worker
@@ -14,7 +15,7 @@
 use crate::dag::{NodeId, WfTask};
 use crate::Micros;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Identifies a submission within one provider.
@@ -61,27 +62,20 @@ pub trait Provider {
     /// Accept a submission at time `now`.
     fn submit(&mut self, now: Micros, submission: Submission);
 
-    /// The next time something will complete, if any work is pending.
-    fn next_wakeup(&self) -> Option<Micros>;
-
-    /// Collect completions with `finished_us <= now`.
-    fn poll(&mut self, now: Micros) -> Vec<Completion>;
-
-    /// Outstanding submissions.
-    fn pending(&self) -> usize;
+    /// Run to the next instant at which submissions complete and return
+    /// that instant with everything that completed there, or `None` once
+    /// no submission is open.
+    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)>;
 }
 
-/// A zero-overhead pool of `slots` workers: ready submissions start as soon
-/// as a worker frees up, tasks inside a submission run back-to-back.
+/// A zero-overhead pool of `slots` workers: a submission starts as soon as
+/// a worker frees up, tasks inside a submission run back-to-back.
 pub struct IdealProvider {
     /// Worker next-free times.
     workers: Vec<Micros>,
-    /// Completions not yet polled.
+    /// Open submissions by finish time, and their completions.
     done: BinaryHeap<Reverse<(Micros, u64)>>,
-    records: std::collections::HashMap<u64, Completion>,
-    /// Submissions waiting for a worker (FIFO).
-    waiting: std::collections::VecDeque<Submission>,
-    pending: usize,
+    records: HashMap<u64, Completion>,
 }
 
 impl IdealProvider {
@@ -91,67 +85,46 @@ impl IdealProvider {
         IdealProvider {
             workers: vec![0; slots as usize],
             done: BinaryHeap::new(),
-            records: std::collections::HashMap::new(),
-            waiting: std::collections::VecDeque::new(),
-            pending: 0,
-        }
-    }
-
-    fn try_start(&mut self, now: Micros) {
-        while let Some(sub) = self.waiting.pop_front() {
-            // Earliest-free worker.
-            let (idx, &free) = self
-                .workers
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &t)| t)
-                .expect("non-empty");
-            let mut t = free.max(now);
-            let mut finishes = Vec::with_capacity(sub.tasks.len());
-            for (node, task) in &sub.tasks {
-                t += task.runtime_us;
-                finishes.push((*node, t));
-            }
-            self.workers[idx] = t;
-            self.done.push(Reverse((t, sub.id.0)));
-            self.records.insert(
-                sub.id.0,
-                Completion {
-                    id: sub.id,
-                    task_finish_us: finishes,
-                    finished_us: t,
-                },
-            );
+            records: HashMap::new(),
         }
     }
 }
 
 impl Provider for IdealProvider {
-    fn submit(&mut self, now: Micros, submission: Submission) {
-        self.pending += 1;
-        self.waiting.push_back(submission);
-        self.try_start(now);
+    fn submit(&mut self, now: Micros, sub: Submission) {
+        // Earliest-free worker.
+        let (idx, &free) = self
+            .workers
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &t)| t)
+            .expect("non-empty");
+        let mut t = free.max(now);
+        let mut finishes = Vec::with_capacity(sub.tasks.len());
+        for (node, task) in &sub.tasks {
+            t += task.runtime_us;
+            finishes.push((*node, t));
+        }
+        self.workers[idx] = t;
+        self.done.push(Reverse((t, sub.id.0)));
+        self.records.insert(
+            sub.id.0,
+            Completion {
+                id: sub.id,
+                task_finish_us: finishes,
+                finished_us: t,
+            },
+        );
     }
 
-    fn next_wakeup(&self) -> Option<Micros> {
-        self.done.peek().map(|Reverse((t, _))| *t)
-    }
-
-    fn poll(&mut self, now: Micros) -> Vec<Completion> {
+    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+        let &Reverse((at, _)) = self.done.peek()?;
         let mut out = Vec::new();
-        while let Some(&Reverse((t, id))) = self.done.peek() {
-            if t > now {
-                break;
-            }
-            self.done.pop();
-            self.pending -= 1;
+        while self.done.peek().is_some_and(|&Reverse((t, _))| t == at) {
+            let Reverse((_, id)) = self.done.pop().expect("peeked");
             out.push(self.records.remove(&id).expect("recorded"));
         }
-        out
-    }
-
-    fn pending(&self) -> usize {
-        self.pending
+        Some((at, out))
     }
 }
 
@@ -175,13 +148,11 @@ mod tests {
         let mut p = IdealProvider::new(1);
         p.submit(0, sub(1, &[10]));
         p.submit(0, sub(2, &[10]));
-        assert_eq!(p.next_wakeup(), Some(10));
-        let done = p.poll(10);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, SubmissionId(1));
-        let done = p.poll(20);
-        assert_eq!(done[0].finished_us, 20);
-        assert_eq!(p.pending(), 0);
+        let (t, done) = p.advance().expect("two open");
+        assert_eq!((t, done.len(), done[0].id), (10, 1, SubmissionId(1)));
+        let (t, done) = p.advance().expect("one open");
+        assert_eq!((t, done[0].finished_us), (20, 20));
+        assert!(p.advance().is_none());
     }
 
     #[test]
@@ -190,28 +161,20 @@ mod tests {
         for i in 0..4 {
             p.submit(0, sub(i, &[100]));
         }
-        let done = p.poll(100);
-        assert_eq!(done.len(), 4);
+        let (t, done) = p.advance().expect("four open");
+        assert_eq!((t, done.len()), (100, 4));
     }
 
     #[test]
     fn clustered_tasks_run_serially_with_per_task_finishes() {
         let mut p = IdealProvider::new(1);
         p.submit(5, sub(1, &[10, 20, 30]));
-        let done = p.poll(100);
+        let (_, done) = p.advance().expect("one open");
         assert_eq!(done.len(), 1);
         let f = &done[0].task_finish_us;
         assert_eq!(f[0].1, 15);
         assert_eq!(f[1].1, 35);
         assert_eq!(f[2].1, 65);
         assert_eq!(done[0].finished_us, 65);
-    }
-
-    #[test]
-    fn poll_respects_now() {
-        let mut p = IdealProvider::new(1);
-        p.submit(0, sub(1, &[50]));
-        assert!(p.poll(49).is_empty());
-        assert_eq!(p.poll(50).len(), 1);
     }
 }
