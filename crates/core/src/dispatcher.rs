@@ -600,8 +600,13 @@ impl<P: Probe> Dispatcher<P> {
     }
 
     /// Pop up to `work_bundle` tasks for `executor` and mark them running.
+    /// An executor holds at most one bundle beyond the task it runs: the
+    /// paper's pre-fetch is one request ahead (§6), not a hoard.
     fn take_work(&mut self, now: Micros, executor: ExecutorId) -> Vec<TaskSpec> {
-        let n = self.config.work_bundle.max(1).min(self.queue.len());
+        let bundle = self.config.work_bundle.max(1);
+        let held = self.executors.get(executor).map_or(0, |st| st.outstanding);
+        let room = (bundle + 1).saturating_sub(held as usize);
+        let n = bundle.min(self.queue.len()).min(room);
         let mut tasks = Vec::with_capacity(n);
         for _ in 0..n {
             let q = self.pick_task(now, executor);

@@ -235,11 +235,6 @@ impl<P: Probe> Executor<P> {
         self.phase == Phase::Done
     }
 
-    /// Whether the executor is registered and idle (no work anywhere).
-    pub fn is_idle(&self) -> bool {
-        self.phase == Phase::Idle && self.backlog_is_empty() && !self.running
-    }
-
     fn backlog_is_empty(&self) -> bool {
         self.backlog.as_ref().is_none_or(|b| b.is_empty())
     }
@@ -444,10 +439,17 @@ mod tests {
         e
     }
 
+    /// Whether `e` is idle as the dispatcher sees it: a notification gets
+    /// a `GetWork` (which takes it out of idle).
+    pub(super) fn answers_notify(e: &mut Executor) -> bool {
+        let acts = step(e, 1_000, ExecutorEvent::Notified { key: NotifyKey(9) });
+        matches!(&acts[..], [ExecutorAction::Send(Message::GetWork { .. })])
+    }
+
     #[test]
     fn registration_flow() {
-        let e = registered_executor(ExecutorConfig::default());
-        assert!(e.is_idle());
+        let mut e = registered_executor(ExecutorConfig::default());
+        assert!(answers_notify(&mut e));
     }
 
     #[test]
@@ -490,7 +492,7 @@ mod tests {
                 piggybacked: vec![],
             },
         );
-        assert!(e.is_idle());
+        assert!(answers_notify(&mut e));
         assert_eq!(e.stats().tasks_run, 1);
     }
 
@@ -520,7 +522,7 @@ mod tests {
             },
         );
         assert!(matches!(&acts[0], ExecutorAction::Run(t) if t.id == TaskId(2)));
-        assert!(!e.is_idle());
+        assert!(!answers_notify(&mut e));
     }
 
     #[test]
@@ -528,7 +530,7 @@ mod tests {
         let mut e = registered_executor(ExecutorConfig::default());
         step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
         step(&mut e, 20, ExecutorEvent::WorkReceived { tasks: vec![] });
-        assert!(e.is_idle());
+        assert!(answers_notify(&mut e));
     }
 
     #[test]
@@ -702,6 +704,7 @@ mod tests {
 
 #[cfg(test)]
 mod prefetch_tests {
+    use super::tests::answers_notify;
     use super::*;
     use falkon_proto::task::TaskId;
 
@@ -813,7 +816,7 @@ mod prefetch_tests {
                 piggybacked: vec![],
             },
         );
-        assert!(e.is_idle());
+        assert!(answers_notify(&mut e));
     }
 
     #[test]

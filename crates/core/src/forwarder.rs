@@ -13,10 +13,7 @@
 //! slot is down until [`ForwarderEvent::DispatcherReadmitted`]: nothing is
 //! routed to it, and its in-flight tasks move to the live slots. With every
 //! slot down, bundles wait here and go to whichever slot comes up first.
-//!
-//! Sans-io like every other component: the driver owns the actual
-//! connections to the dispatchers (which may sit on cluster head nodes
-//! bridging public and private networks).
+//! [`crate::node::ForwarderNode`] mounts it between clients and links.
 
 use crate::ids::{InstanceId, TaskId};
 use crate::table::FxHashMap;

@@ -6,6 +6,7 @@
 //! [`dispatcher::Dispatcher`], [`executor::Executor`], and
 //! [`provisioner::Provisioner`] — plus the execution-model policies of
 //! Section 3.1 ([`policy`]) and a client-side session ([`client::Client`]).
+//! The servers both runtimes mount are composed of them once, in [`node`].
 //!
 //! **Sans-io design.** Every component is a pure state machine: it consumes
 //! typed events carrying an explicit timestamp and emits typed actions; it
@@ -28,6 +29,7 @@ pub mod executor;
 pub mod forwarder;
 pub mod ids;
 pub mod mapping;
+pub mod node;
 pub mod policy;
 pub mod provisioner;
 pub mod switchboard;
@@ -40,6 +42,7 @@ pub use dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, DispatcherSt
 pub use executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent, ExecutorStats};
 pub use forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 pub use ids::AllocationId;
+pub use node::{DispatcherNode, ForwarderNode};
 pub use policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy, ReplayPolicy};
 pub use provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent, ProvisionerStats};
 pub use switchboard::Switchboard;

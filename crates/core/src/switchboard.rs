@@ -1,10 +1,9 @@
-//! Which endpoint serves an executor or an instance, decided in one place
-//! for every driver (DESIGN.md §10.3); `K` is the driver's endpoint key. A
-//! `Register` binds its executor where it arrived. `Submit` and
-//! `GetResults` rebind their instance there and `DestroyInstance` unbinds
-//! it, so a client that reconnects is answered where it now is.
-//! `InstanceCreated` and `Status` go to the endpoint whose message caused
-//! them, and `InstanceCreated` binds its instance there. A close forgets
+//! Which endpoint serves an executor or an instance, for the servers of
+//! [`crate::node`]; `K` is the endpoint key. A `Register` binds
+//! its executor where it arrived. `Submit` and `GetResults` rebind their
+//! instance there and `DestroyInstance` unbinds it, so a client that
+//! reconnects is answered where it now is. `InstanceCreated` binds its
+//! instance where the message that caused it came from. A close forgets
 //! only the bindings that still lead to the closing endpoint.
 //!
 //! Every `Results` is kept until the instance's endpoint acknowledges it
@@ -13,19 +12,18 @@
 //! went to a connection that died unread, or came while the instance had
 //! none, reach the client that comes back. `DestroyInstance` drops them.
 
-use crate::dispatcher::{DispatcherAction, TaskRecord};
 use crate::ids::{ExecutorId, InstanceId};
+use crate::table::{DenseMap, DENSE_ID_CAP};
 use falkon_proto::message::Message;
 use falkon_proto::task::TaskResult;
 use std::collections::HashMap;
 
-/// The executor and instance bindings of one server (module docs). The
-/// ids come off the wire, so the maps keep std's keyed hasher.
+/// The bindings of one server (module docs): an executor's endpoint and
+/// latest registration's number, dense by id; instance ids come off the
+/// wire, so the rest keep std's keyed hasher.
 #[derive(Debug)]
 pub struct Switchboard<K> {
-    /// Each bound executor's endpoint, and the number of its latest
-    /// registration.
-    executors: HashMap<ExecutorId, (K, u64)>,
+    executors: DenseMap<ExecutorId, (K, u64)>,
     instances: HashMap<InstanceId, K>,
     /// Each instance's unacknowledged results, in the order they went out.
     kept: HashMap<InstanceId, Vec<TaskResult>>,
@@ -35,7 +33,7 @@ pub struct Switchboard<K> {
 impl<K> Default for Switchboard<K> {
     fn default() -> Self {
         Switchboard {
-            executors: HashMap::new(),
+            executors: DenseMap::new(),
             instances: HashMap::new(),
             kept: HashMap::new(),
             registrations: 0,
@@ -45,17 +43,18 @@ impl<K> Default for Switchboard<K> {
 
 impl<K: Copy + PartialEq> Switchboard<K> {
     /// `msg` arrived on endpoint `from`: bind what it names there, sending
-    /// an instance that moves here what it has kept.
-    pub fn heard(&mut self, from: K, msg: &Message, mut send: impl FnMut(K, Message)) {
+    /// (onto `out`) an instance that moves here what it has kept.
+    pub fn heard(&mut self, from: K, msg: &Message, out: &mut Vec<(K, Message)>) {
         match *msg {
-            Message::Register { executor, .. } => {
+            // The dispatcher refuses an id at or above the cap, as here.
+            Message::Register { executor, .. } if executor.0 < DENSE_ID_CAP => {
                 self.registrations += 1;
                 self.executors.insert(executor, (from, self.registrations));
             }
             Message::Submit { instance, .. } | Message::GetResults { instance } => {
                 let moved = self.instances.insert(instance, from) != Some(from);
                 if let Some(results) = self.kept.get(&instance).filter(|_| moved).cloned() {
-                    send(from, Message::Results { results });
+                    out.push((from, Message::Results { results }));
                 }
             }
             Message::ResultsAck { instance, count } => {
@@ -76,6 +75,11 @@ impl<K: Copy + PartialEq> Switchboard<K> {
         }
     }
 
+    /// Where a message for executor `id` goes.
+    pub fn to_executor(&self, id: ExecutorId) -> Option<K> {
+        self.executors.get(id).map(|b| b.0)
+    }
+
     /// Where `msg` for instance `id` goes; `cause` sent what it answers.
     /// `Results` are kept (module docs).
     pub fn to_instance(&mut self, id: InstanceId, msg: &Message, cause: Option<K>) -> Option<K> {
@@ -89,41 +93,14 @@ impl<K: Copy + PartialEq> Switchboard<K> {
         self.instances.get(&id).copied()
     }
 
-    /// Drain a dispatcher's `actions`: each message to `send` with its
-    /// endpoint (dropped if it has none), each completion onto `records`.
-    /// `cause` is the endpoint whose message the machine answered.
-    pub fn route(
-        &mut self,
-        actions: &mut Vec<DispatcherAction>,
-        cause: Option<K>,
-        records: &mut Vec<TaskRecord>,
-        mut send: impl FnMut(K, Message),
-    ) {
-        for act in actions.drain(..) {
-            let (to, msg) = match act {
-                DispatcherAction::ToExecutor { executor, msg } => {
-                    (self.executors.get(&executor).map(|b| b.0), msg)
-                }
-                DispatcherAction::ToClient { instance, msg } => {
-                    (self.to_instance(instance, &msg, cause), msg)
-                }
-                DispatcherAction::ToProvisioner { status } => (cause, Message::Status { status }),
-                DispatcherAction::TaskDone { record, .. } => {
-                    records.push(record);
-                    continue;
-                }
-                DispatcherAction::TaskFailed { .. } => continue,
-            };
-            if let Some(to) = to {
-                send(to, msg);
-            }
-        }
-    }
-
     /// Endpoint `at` closed: forget every binding that still leads there.
     /// Returns the executors that lost their route, in registration order.
     pub fn close(&mut self, at: K) -> Vec<ExecutorId> {
-        let mut lost: Vec<_> = self.executors.extract_if(|_, b| b.0 == at).collect();
+        let dense = self.executors.iter().filter(|(_, b)| b.0 == at);
+        let mut lost: Vec<_> = dense.map(|(e, b)| (e, *b)).collect();
+        for (executor, _) in &lost {
+            self.executors.remove(*executor);
+        }
         lost.sort_unstable_by_key(|(_, (_, n))| *n);
         self.instances.retain(|_, k| *k != at);
         lost.into_iter().map(|(executor, _)| executor).collect()
@@ -133,21 +110,19 @@ impl<K: Copy + PartialEq> Switchboard<K> {
 #[cfg(test)]
 mod tests {
     //! Binding, rebinding and loss are pinned against a model in
-    //! `tests/switchboard_model.rs`; these pin the rest of `route`.
+    //! `tests/switchboard_model.rs`; these pin the rest of addressing.
     use super::*;
-    use falkon_proto::message::DispatcherStatus;
 
-    fn sent(sb: &mut Switchboard<u8>, acts: Vec<DispatcherAction>, cause: Option<u8>) -> Vec<u8> {
-        let (mut acts, mut records, mut to) = (acts, Vec::new(), Vec::new());
-        sb.route(&mut acts, cause, &mut records, |k, _| to.push(k));
-        to
+    /// Where each message for instance `i` goes, if anywhere.
+    fn sent(sb: &mut Switchboard<u8>, msgs: Vec<(u64, Message)>, cause: Option<u8>) -> Vec<u8> {
+        let to = msgs
+            .iter()
+            .map(|(i, msg)| sb.to_instance(InstanceId(*i), msg, cause));
+        to.flatten().collect()
     }
 
-    fn to_client(i: u64, msg: Message) -> DispatcherAction {
-        DispatcherAction::ToClient {
-            instance: InstanceId(i),
-            msg,
-        }
+    fn to_client(i: u64, msg: Message) -> (u64, Message) {
+        (i, msg)
     }
 
     #[test]
@@ -159,10 +134,7 @@ mod tests {
                 instance: InstanceId(4),
             },
         );
-        let status = DispatcherAction::ToProvisioner {
-            status: DispatcherStatus::default(),
-        };
-        assert_eq!(sent(&mut sb, vec![created, status], Some(3)), [3, 3]);
+        assert_eq!(sent(&mut sb, vec![created], Some(3)), [3]);
         let ack = || {
             to_client(
                 4,
@@ -182,7 +154,7 @@ mod tests {
     /// What `heard` sends.
     fn heard(sb: &mut Switchboard<u8>, from: u8, msg: Message) -> Vec<(u8, Message)> {
         let mut to = Vec::new();
-        sb.heard(from, &msg, |k, m| to.push((k, m)));
+        sb.heard(from, &msg, &mut to);
         to
     }
 
@@ -231,11 +203,12 @@ mod tests {
     #[test]
     fn kept_results_go_to_the_endpoint_an_instance_moves_to_ahead_of_the_answer() {
         let mut sb = orphaned();
-        // A driver feeds `heard` and `route` the same sink.
-        let mut to = heard(&mut sb, 5, fetch(4));
-        let mut acts = vec![to_client(4, results(&[]))];
-        sb.route(&mut acts, Some(5), &mut Vec::new(), |k, m| to.push((k, m)));
-        assert_eq!(to, [(5, results(&[1, 2, 3])), (5, results(&[]))]);
+        // What `heard` sends goes out ahead of the answer.
+        assert_eq!(heard(&mut sb, 5, fetch(4)), [(5, results(&[1, 2, 3]))]);
+        assert_eq!(
+            sb.to_instance(InstanceId(4), &results(&[]), Some(5)),
+            Some(5)
+        );
         // Kept until acknowledged, then gone.
         assert_eq!(heard(&mut sb, 6, submit(4)), [(6, results(&[1, 2, 3]))]);
         assert_eq!(heard(&mut sb, 6, ack(4, 3)), []);
@@ -266,35 +239,5 @@ mod tests {
         };
         assert_eq!(heard(&mut sb, 5, destroy), []);
         assert_eq!(heard(&mut sb, 5, submit(4)), []);
-    }
-
-    #[test]
-    fn route_collects_records_and_drops_failures() {
-        let mut sb: Switchboard<u8> = Switchboard::default();
-        let record = TaskRecord {
-            result: falkon_proto::task::TaskResult::success(falkon_proto::task::TaskId(1)),
-            enqueued_us: 0,
-            dispatched_us: 0,
-            completed_us: 0,
-            executor: ExecutorId(1),
-            attempts: 1,
-        };
-        let mut acts = vec![
-            DispatcherAction::TaskDone {
-                instance: InstanceId(1),
-                record,
-            },
-            DispatcherAction::TaskFailed {
-                instance: InstanceId(1),
-                task: falkon_proto::task::TaskId(2),
-                attempts: 3,
-            },
-        ];
-        let mut records = Vec::new();
-        sb.route(&mut acts, None, &mut records, |_, _| {
-            panic!("nothing to send")
-        });
-        assert!(acts.is_empty());
-        assert_eq!(records.len(), 1);
     }
 }

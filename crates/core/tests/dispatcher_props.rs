@@ -9,6 +9,10 @@
 //! 2. the dispatcher fully drains (no queued/running tasks remain);
 //! 3. executor bookkeeping never underflows (checked implicitly by absence
 //!    of panics and by the busy count returning to zero).
+//!
+//! A second script has executors ask for work at any moment, as a
+//! pre-fetching executor does, and report one task at a time: after every
+//! event no executor holds more than one bundle beyond its running task.
 
 use falkon_core::dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent};
 use falkon_core::policy::ReplayPolicy;
@@ -265,5 +269,58 @@ proptest! {
         let stats = w.d.stats();
         prop_assert_eq!(stats.submitted, n_tasks);
         prop_assert_eq!(stats.completed + stats.failed, n_tasks);
+    }
+}
+
+/// The tasks each `ToExecutor` in `out` hands over, by executor.
+fn handed(out: &[DispatcherAction]) -> Vec<(ExecutorId, Vec<TaskId>)> {
+    let ids = |tasks: &[TaskSpec]| tasks.iter().map(|t| t.id).collect();
+    out.iter()
+        .filter_map(|act| match act {
+            DispatcherAction::ToExecutor {
+                executor,
+                msg: Message::Work { tasks } | Message::ResultAck { piggybacked: tasks },
+            } => Some((*executor, ids(tasks))),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn an_executor_holds_one_bundle_beyond_its_running_task(
+        work_bundle in 1usize..4,
+        n_exec in 1u64..4,
+        script in prop::collection::vec((any::<u16>(), any::<bool>()), 0..300),
+    ) {
+        let mut d = Dispatcher::new(DispatcherConfig { work_bundle, ..DispatcherConfig::default() });
+        let mut out = Vec::new();
+        d.on_event(0, DispatcherEvent::CreateInstance, &mut out);
+        for e in 0..n_exec {
+            d.on_event(0, DispatcherEvent::Register { executor: ExecutorId(e) }, &mut out);
+        }
+        let tasks = (0..200).map(|i| TaskSpec::sleep(i, 0)).collect();
+        d.on_event(0, DispatcherEvent::Submit { instance: InstanceId(1), tasks }, &mut out);
+        let mut held: HashMap<ExecutorId, VecDeque<TaskId>> = HashMap::new();
+        for (now, (pick, report)) in (1..).zip(script) {
+            let executor = ExecutorId(u64::from(pick) % n_exec);
+            let running = held.entry(executor).or_default();
+            let ev = match running.front() {
+                Some(&id) if report => {
+                    running.pop_front();
+                    DispatcherEvent::Result { executor, results: vec![TaskResult::success(id)] }
+                }
+                _ => DispatcherEvent::GetWork { executor, key: NotifyKey(0) },
+            };
+            out.clear();
+            d.on_event(now, ev, &mut out);
+            for (e, ids) in handed(&out) {
+                let tasks = held.entry(e).or_default();
+                tasks.extend(ids);
+                prop_assert!(tasks.len() <= work_bundle + 1, "{:?} holds {}", e, tasks.len());
+            }
+        }
     }
 }

@@ -18,7 +18,6 @@
 //! everything kept there. Every pushed result must end up acknowledged
 //! exactly once or dropped by a destroy.
 
-use falkon_core::dispatcher::DispatcherAction;
 use falkon_core::Switchboard;
 use falkon_proto::message::{ExecutorId, InstanceId, Message};
 use falkon_proto::task::{TaskId, TaskResult};
@@ -91,8 +90,8 @@ impl Model {
 /// What `heard` sends for `msg` from `from`, as result ids.
 fn heard(sb: &mut Switchboard<u8>, from: u8, msg: Message) -> Vec<(u8, Vec<u64>)> {
     let mut sent = Vec::new();
-    sb.heard(from, &msg, |k, msg| sent.push((k, ids(msg))));
-    sent
+    sb.heard(from, &msg, &mut sent);
+    sent.into_iter().map(|(k, msg)| (k, ids(msg))).collect()
 }
 
 /// The ids of a `Results` message.
@@ -105,25 +104,17 @@ fn ids(msg: Message) -> Vec<u64> {
 
 /// Where each executor's and each instance's next message would go.
 fn destinations(sb: &mut Switchboard<u8>) -> Vec<Option<u8>> {
-    let execs = (0..EXECUTORS).map(|e| DispatcherAction::ToExecutor {
-        executor: ExecutorId(e),
-        msg: Message::Deregister {
-            executor: ExecutorId(e),
-        },
-    });
-    let insts = (0..INSTANCES).map(|i| DispatcherAction::ToClient {
-        instance: InstanceId(i),
-        msg: Message::SubmitAck {
-            instance: InstanceId(i),
+    let execs = (0..EXECUTORS).map(|e| sb.to_executor(ExecutorId(e)));
+    let execs: Vec<_> = execs.collect();
+    let insts = (0..INSTANCES).map(|i| {
+        let instance = InstanceId(i);
+        let ack = Message::SubmitAck {
+            instance,
             accepted: 0,
-        },
+        };
+        sb.to_instance(instance, &ack, None)
     });
-    let route = |act| {
-        let mut to = None;
-        sb.route(&mut vec![act], None, &mut Vec::new(), |k, _| to = Some(k));
-        to
-    };
-    execs.chain(insts).map(route).collect()
+    execs.into_iter().chain(insts).collect()
 }
 
 fn model_destinations(m: &Model) -> Vec<Option<u8>> {
@@ -175,27 +166,16 @@ proptest! {
                 }
                 Op::Created(i, c) => {
                     let instance = InstanceId(i);
-                    let mut created = vec![DispatcherAction::ToClient {
-                        instance,
-                        msg: Message::InstanceCreated { instance },
-                    }];
-                    let mut to = Vec::new();
-                    sb.route(&mut created, Some(c), &mut Vec::new(), |k, _| to.push(k));
-                    prop_assert_eq!(to, vec![c]);
+                    let created = Message::InstanceCreated { instance };
+                    prop_assert_eq!(sb.to_instance(instance, &created, Some(c)), Some(c));
                     m.inst_conn.insert(instance, c);
                 }
                 Op::Push(i) => {
                     let instance = InstanceId(i);
                     let id = pushed;
                     pushed += 1;
-                    let mut push = vec![DispatcherAction::ToClient {
-                        instance,
-                        msg: Message::Results { results: vec![TaskResult::success(TaskId(id))] },
-                    }];
-                    let mut sent = Vec::new();
-                    sb.route(&mut push, None, &mut Vec::new(), |k, msg| sent.push((k, ids(msg))));
-                    let want: Vec<_> = m.inst_conn.get(&instance).map(|&c| (c, vec![id])).into_iter().collect();
-                    prop_assert_eq!(sent, want);
+                    let push = Message::Results { results: vec![TaskResult::success(TaskId(id))] };
+                    prop_assert_eq!(sb.to_instance(instance, &push, None), m.inst_conn.get(&instance).copied());
                     m.kept.entry(instance).or_default().push(id);
                 }
                 Op::Ack(i, c, n) => {

@@ -83,7 +83,16 @@ struct Model {
 
 impl Model {
     fn take_work(&mut self, now: u64, executor: ExecutorId) -> Vec<TaskSpec> {
-        let n = self.cfg.work_bundle.max(1).min(self.queue.len());
+        // No executor holds more than a bundle beyond its running task.
+        let bundle = self.cfg.work_bundle.max(1);
+        let held = self
+            .running
+            .values()
+            .filter(|r| r.executor == executor)
+            .count();
+        let n = bundle
+            .min(self.queue.len())
+            .min((bundle + 1).saturating_sub(held));
         let mut handed = Vec::new();
         for _ in 0..n {
             let window = self.cfg.data_aware_window.min(self.queue.len());

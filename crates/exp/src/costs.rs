@@ -158,55 +158,49 @@ impl CostModel {
             gc_pause_min_us: 0,
         }
     }
-
-    /// Steady-state dispatch throughput bound implied by the dispatcher CPU
-    /// cost (two messages per task), tasks/sec.
-    pub fn dispatch_bound_tps(&self) -> f64 {
-        if self.dispatcher_msg_cpu_us == 0 {
-            f64::INFINITY
-        } else {
-            1e6 / (2.0 * self.dispatcher_msg_cpu_us as f64)
-        }
-    }
-
-    /// Per-executor throughput bound implied by the executor overhead,
-    /// tasks/sec.
-    pub fn executor_bound_tps(&self) -> f64 {
-        if self.executor_task_overhead_us == 0 {
-            f64::INFINITY
-        } else {
-            1e6 / self.executor_task_overhead_us as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Steady-state dispatch rate the dispatcher CPU allows (two messages
+    /// per task), tasks/sec.
+    fn dispatch_bound_tps(m: CostModel) -> f64 {
+        1e6 / (2.0 * m.dispatcher_msg_cpu_us as f64)
+    }
+
+    /// Per-executor rate the executor overhead allows, tasks/sec.
+    fn executor_bound_tps(m: CostModel) -> f64 {
+        1e6 / m.executor_task_overhead_us as f64
+    }
+
     #[test]
     fn no_security_matches_487() {
-        let tps = CostModel::no_security().dispatch_bound_tps();
+        let tps = dispatch_bound_tps(CostModel::no_security());
         assert!((480.0..500.0).contains(&tps), "tps = {tps}");
     }
 
     #[test]
     fn secure_matches_204() {
-        let tps = CostModel::secure().dispatch_bound_tps();
+        let tps = dispatch_bound_tps(CostModel::secure());
         assert!((195.0..215.0).contains(&tps), "tps = {tps}");
     }
 
     #[test]
     fn per_executor_bounds_match_28_and_12() {
-        let open = CostModel::no_security().executor_bound_tps();
+        let open = executor_bound_tps(CostModel::no_security());
         assert!((27.0..33.0).contains(&open), "open = {open}");
-        let sec = CostModel::secure().executor_bound_tps();
+        let sec = executor_bound_tps(CostModel::secure());
         assert!((11.0..14.0).contains(&sec), "secure = {sec}");
     }
 
     #[test]
     fn ideal_is_unbounded() {
-        assert!(CostModel::ideal().dispatch_bound_tps().is_infinite());
-        assert!(CostModel::ideal().executor_bound_tps().is_infinite());
+        let m = CostModel::ideal();
+        assert_eq!(
+            (m.dispatcher_msg_cpu_us, m.executor_task_overhead_us),
+            (0, 0)
+        );
     }
 }

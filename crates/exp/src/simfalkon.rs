@@ -1,46 +1,41 @@
 //! A complete simulated Falkon deployment in virtual time.
 //!
-//! The *same* `falkon-core` state machines used by the real runtime are
-//! mounted into a discrete-event loop together with the calibrated
-//! [`CostModel`], the `falkon-lrm` batch scheduler (when provisioning), and
-//! the `falkon-fs` staging model (when tasks declare data). This is what
-//! reproduces the paper's at-scale experiments: 54,000 executors, 2,000,000
-//! tasks, and the Table 3/4 provisioning study.
+//! The socket runtime's `falkon-core` nodes and machines — a
+//! [`DispatcherNode`] per dispatcher host and, with
+//! [`SimFalkonConfig::forwarder`], a [`ForwarderNode`] over them (paper
+//! Section 6) — in a discrete-event loop with the calibrated [`CostModel`],
+//! the `falkon-lrm` batch scheduler (when provisioning) and the `falkon-fs`
+//! staging model (when tasks declare data): the paper's at-scale
+//! experiments, 54,000 executors, 2,000,000 tasks, and the Table 3/4
+//! provisioning study.
 //!
 //! Cost accounting:
-//! * Each dispatcher is a serial resource: every inbound and outbound
-//!   message occupies it for `dispatcher_msg_cpu_us`; messages queue behind
-//!   its `free_at`. Optional stop-the-world GC pauses (Figure 8) push
-//!   `free_at` further.
+//! * Each dispatcher is a serial resource: every message that arrives at
+//!   its node and every send from its outbox occupies it for
+//!   `dispatcher_msg_cpu_us`, queued behind its `free_at`. Optional
+//!   stop-the-world GC pauses (Figure 8) push `free_at` further.
 //! * Executors charge `executor_task_overhead_us` (with log-normal jitter)
 //!   per task on top of the payload runtime and any staging I/O.
-//! * Every hop pays `network_latency_us`.
-//!
-//! Three tiers are a config value: [`SimFalkonConfig::forwarder`] mounts
-//! the `falkon-core` forwarder over `k` dispatcher nodes (paper Section 6).
-//! The client in front of it is not modelled: each bundle reaches the
-//! forwarder as it is made, and the results it delivers leave the measured
-//! path.
+//! * Every hop pays `network_latency_us`, but the clients' steps and the
+//!   forwarder's are free: a client's `Submit` travels, while creating its
+//!   instance and acknowledging results reach the node at once, and the
+//!   node's answer to them is uncosted.
 
 use crate::costs::{CostModel, ALLOC_REQUEST_OVERHEAD_US};
 use crate::Micros;
 use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::dispatcher::{
-    Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
-};
+use falkon_core::dispatcher::{DispatcherStats, TaskRecord};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
-use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent};
-use falkon_core::ids::{AllocationId, InstanceId};
+use falkon_core::ids::AllocationId;
 use falkon_core::mapping;
 use falkon_core::policy::ProvisionerPolicy;
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
-use falkon_core::DenseMap;
-use falkon_core::DispatcherConfig;
+use falkon_core::{DenseMap, DispatcherConfig, DispatcherNode, ForwarderNode};
 use falkon_fs::{ClusterFs, FsConfig};
 use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
-use falkon_obs::Recorder;
+use falkon_obs::{ObsEventKind, Recorder};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::{ExecutorId, Message};
 use falkon_proto::task::{TaskResult, TaskSpec};
@@ -153,12 +148,24 @@ impl SimOutcome {
     }
 }
 
-/// Node indices are `u32` here, which keeps an event 48 bytes.
+/// A node's endpoint.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum End {
+    /// The workload's client.
+    Client,
+    /// An executor, by index.
+    Exec(u32),
+    /// Forwarder slot `d`'s link: dispatcher node `d`'s client.
+    Link(u32),
+}
+
+/// Indices are `u32` here, which keeps an event 48 bytes.
 enum Ev {
-    /// A message arrives at a dispatcher node (enter its CPU queue).
-    DispArrive(u32, DispatcherEvent),
-    /// A dispatcher node finishes processing an event.
-    DispProcess(u32, DispatcherEvent),
+    /// What an endpoint (coded by [`SimFalkon::travel`]) said reaches its
+    /// dispatcher node and enters its CPU queue; `None` is its close.
+    DispArrive(u32, Option<Message>),
+    /// The node takes it in.
+    DispProcess(u32, Option<Message>),
     /// Deadline timer at a dispatcher node.
     DispDeadlineCheck(u32),
     /// A message arrives at an executor.
@@ -184,6 +191,9 @@ enum Ev {
     /// request-handling overhead).
     LrmSubmit(JobSpec),
 }
+
+// A static pool's registrations are one event per executor at once.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
 
 /// Per-executor hot state, struct-of-arrays.
 ///
@@ -268,14 +278,12 @@ struct AllocInfo {
     pending: u32,
 }
 
-/// One dispatcher host: the machine, its serial CPU (messages queue
-/// behind `free_at`), its armed deadline, and the client session it
-/// serves — the workload's, or behind a forwarder the slot's link.
-struct Node {
-    machine: Dispatcher<Recorder>,
+/// One dispatcher host: the node, its serial CPU (messages queue behind
+/// `free_at`) and its armed deadline.
+struct Host {
+    node: DispatcherNode<End, Recorder>,
     free_at: Micros,
     deadline_armed: Option<Micros>,
-    client: Client,
     gc_counter: u64,
 }
 
@@ -291,14 +299,15 @@ pub struct SimFalkon {
     now: Micros,
     rng: SimRng,
     /// The dispatchers, indexed as the forwarder's slots.
-    nodes: Vec<Node>,
-    forwarder: Option<Forwarder<Recorder>>,
+    hosts: Vec<Host>,
+    forwarder: Option<ForwarderNode<End, Recorder>>,
+    /// The workload's client.
+    client: Client,
     executors: ExecutorTable,
-    /// Scratch buffers for machine actions, reused across events so the
+    /// Scratch buffer for executor actions, reused across events so the
     /// steady-state loop performs no per-event allocation. Taken with
     /// `mem::take` while in use (handlers are not re-entrant; if one ever
     /// recurses it degrades to a fresh allocation, never to aliasing).
-    disp_out: Vec<DispatcherAction>,
     exec_out: Vec<ExecutorAction>,
     /// The provisioner and the LRM its allocations come from.
     provisioned: Option<(Provisioner, BatchScheduler)>,
@@ -308,7 +317,6 @@ pub struct SimFalkon {
     /// event hands them on before the next one.
     done: Vec<TaskRecord>,
     submitted: u64,
-    failed: u64,
     gc_pauses: u64,
     // allocation bookkeeping
     allocs: DenseMap<AllocationId, AllocInfo>,
@@ -346,25 +354,19 @@ impl SimFalkon {
             None => pool as usize,
             Some(_) => 0,
         };
-        // A slot's link keeps each routed bundle one `Submit`.
-        let bundle = match config.forwarder {
-            None => BundleConfig::of(config.bundle_size.max(1)),
-            Some(_) => BundleConfig::of(usize::MAX),
-        };
-        let node = || Node {
-            machine: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
+        let host = || Host {
+            node: DispatcherNode::new(config.dispatcher, Recorder::new()),
             free_at: 0,
             deadline_armed: None,
-            client: Client::new(bundle),
             gc_counter: 0,
         };
         let mut sim = SimFalkon {
-            nodes: (0..dispatchers).map(|_| node()).collect(),
+            hosts: (0..dispatchers).map(|_| host()).collect(),
             forwarder: config
                 .forwarder
-                .map(|k| Forwarder::with_probe(k, Recorder::new())),
+                .map(|k| ForwarderNode::new(k, Recorder::new())),
+            client: Client::new(BundleConfig::of(config.bundle_size.max(1))),
             executors: ExecutorTable::with_capacity(static_pool),
-            disp_out: Vec::new(),
             exec_out: Vec::new(),
             provisioned: config
                 .provisioner
@@ -382,7 +384,6 @@ impl SimFalkon {
             }),
             done: Vec::new(),
             submitted: 0,
-            failed: 0,
             gc_pauses: 0,
             allocs: DenseMap::new(),
             completed: 0,
@@ -402,10 +403,13 @@ impl SimFalkon {
             rng,
             config,
         };
-        // Each client creates its instance at t=0 (uncosted, below).
-        for n in 0..dispatchers {
-            sim.client_step(n, |c, out| c.on_event(0, ClientEvent::Start, out));
+        // Every client creates its instance at t=0, uncosted (module
+        // docs): each slot's link, then the workload's.
+        let links = sim.config.forwarder.unwrap_or(0);
+        for d in 0..links {
+            sim.forward(|fwd, now| fwd.admit(now, d, End::Link(d as u32)));
         }
+        sim.client_step(|c, out| c.on_event(0, ClientEvent::Start, out));
         if let Some((p, _)) = &sim.provisioned {
             let poll = p.poll_interval_us();
             sim.schedule(poll, Ev::ProvisionerPoll);
@@ -469,8 +473,9 @@ impl SimFalkon {
     /// fixed-size, so the copy is bucket counts, not samples.
     pub fn obs(&self) -> Recorder {
         let mut obs = Recorder::new();
-        let fwd = self.forwarder.iter().map(|f| f.probe());
-        for probe in self.nodes.iter().map(|n| n.machine.probe()).chain(fwd) {
+        let fwd = self.forwarder.iter().map(|f| f.machine().probe());
+        let nodes = self.hosts.iter().map(|h| h.node.machine().probe());
+        for probe in nodes.chain(fwd) {
             obs.merge(probe);
         }
         for m in &self.executors.machines {
@@ -516,7 +521,8 @@ impl SimFalkon {
 
     /// Tasks permanently failed (replay retries exhausted).
     pub fn failed(&self) -> u64 {
-        self.failed
+        let failed = |h: &Host| h.node.machine().counters().count(ObsEventKind::TaskFailed);
+        self.hosts.iter().map(failed).sum()
     }
 
     /// [`SimFalkon::run_until_drained_with`], collecting every record it
@@ -543,7 +549,7 @@ impl SimFalkon {
     fn run_events(&mut self, until: Option<Micros>, mut each: impl FnMut(TaskRecord)) {
         let deadline = until.map_or(SimTime::MAX, SimTime::from_micros);
         let mut guard: u64 = 0;
-        while until.is_some() || self.completed + self.failed < self.submitted {
+        while until.is_some() || self.completed + self.failed() < self.submitted {
             let Some((at, ev)) = self.queue.pop_at_or_before(deadline) else {
                 break;
             };
@@ -615,17 +621,24 @@ impl SimFalkon {
                         .map_or(1, |rate| (tasks.len() as f64 / rate * 1e6) as Micros);
                     self.schedule(self.now + gap.max(1), Ev::ClientSubmit(rest));
                 }
-                self.client_submit(tasks);
+                let now = self.now;
+                self.client_step(|c, out| c.enqueue(now, tasks, out));
             }
-            Ev::DispArrive(n, ev) => {
+            Ev::DispArrive(from, msg) => {
                 // Enter the dispatcher's serial CPU queue.
-                let done = self.charge_dispatcher_send(n as usize);
-                self.schedule(done, Ev::DispProcess(n, ev));
+                let done = self.charge_dispatcher_send(self.host_of(self.end(from)));
+                self.schedule(done, Ev::DispProcess(from, msg));
             }
-            Ev::DispProcess(n, ev) => self.dispatch(n as usize, ev),
+            Ev::DispProcess(from, msg) => {
+                let from = self.end(from);
+                self.dispatch(self.host_of(from), true, |node, now| match msg {
+                    Some(msg) => node.heard(now, from, msg),
+                    None => node.closed(now, from),
+                });
+            }
             Ev::DispDeadlineCheck(n) => {
-                self.nodes[n as usize].deadline_armed = None;
-                self.dispatch(n as usize, DispatcherEvent::CheckDeadlines);
+                self.hosts[n as usize].deadline_armed = None;
+                self.dispatch(n as usize, true, |node, now| node.on_deadline(now));
             }
             Ev::ExecRecv(e, msg) => self.executor_recv(e, msg),
             Ev::ExecDone(e, result) => {
@@ -657,7 +670,7 @@ impl SimFalkon {
                     let next = self.now + p.poll_interval_us();
                     self.schedule(next, Ev::ProvisionerPoll);
                 }
-                let status = self.nodes[0].machine.status();
+                let status = self.hosts[0].node.machine().status();
                 let lrm_available = self.provisioned.as_ref().map(|(_, l)| l.free_nodes());
                 self.provision(ProvisionerEvent::Status {
                     status,
@@ -671,7 +684,7 @@ impl SimFalkon {
             }
             Ev::Sample => {
                 let (mut queued, mut busy, mut registered) = (0, 0, 0);
-                for st in self.nodes.iter().map(|n| n.machine.status()) {
+                for st in self.hosts.iter().map(|h| h.node.machine().status()) {
                     queued += st.queued_tasks;
                     busy += st.busy_executors;
                     registered += st.registered_executors;
@@ -691,132 +704,130 @@ impl SimFalkon {
         }
     }
 
-    /// The client sends a bundle. Behind a forwarder, the client is not
-    /// modelled: the bundle reaches the forwarder as it is made, and each
-    /// slot's link submits what the forwarder routes to it.
-    fn client_submit(&mut self, tasks: Vec<TaskSpec>) {
-        let now = self.now;
-        let Some(fwd) = self.forwarder.as_mut() else {
-            self.client_step(0, |c, out| c.enqueue(now, tasks, out));
-            return;
+    /// The endpoint [`SimFalkon::travel`] coded as `code`.
+    fn end(&self, code: u32) -> End {
+        let links = self.forwarder.as_ref().map_or(0, |_| self.hosts.len());
+        match u32::MAX - code {
+            0 => End::Client,
+            d if (d as usize) <= links => End::Link(d - 1),
+            _ => End::Exec(code),
+        }
+    }
+
+    /// The dispatcher node endpoint `at` talks to (always 0 with one
+    /// node, whose pool may be provisioned past `executors`).
+    fn host_of(&self, at: End) -> usize {
+        match at {
+            End::Client => 0,
+            End::Link(d) => d as usize,
+            End::Exec(e) => (e / self.config.executors.max(1)) as usize % self.hosts.len(),
+        }
+    }
+
+    /// What endpoint `from` says (`None`: it closed) reaches its dispatcher
+    /// node after network latency. In the event, executor `e` is `e`, and
+    /// the client and slot `d`'s link count down from `u32::MAX`.
+    fn travel(&mut self, from: End, msg: Option<Message>) {
+        let code = match from {
+            End::Client => u32::MAX,
+            End::Link(d) => u32::MAX - 1 - d,
+            End::Exec(e) => e,
         };
-        let mut routed = Vec::new();
-        let instance = InstanceId(1);
-        fwd.on_event(
-            now,
-            ForwarderEvent::ClientSubmit { instance, tasks },
-            &mut routed,
-        );
-        for act in routed {
-            if let ForwarderAction::SubmitTo { dispatcher, tasks } = act {
-                self.client_step(dispatcher, |c, out| c.enqueue(now, tasks, out));
-            }
-        }
-    }
-
-    /// Send an event into node `n`'s CPU queue after network latency.
-    fn send_to_dispatcher(&mut self, n: usize, ev: DispatcherEvent) {
         let at = self.now + self.config.costs.network_latency_us;
-        self.schedule(at, Ev::DispArrive(n as u32, ev));
+        self.schedule(at, Ev::DispArrive(code, msg));
     }
 
-    /// The dispatcher node executor `e` serves (always 0 with one node,
-    /// whose pool may be provisioned past `executors`).
-    fn node_of(&self, e: u32) -> usize {
-        (e / self.config.executors.max(1)) as usize % self.nodes.len()
+    /// A client's message to its dispatcher node: a `Submit` travels; the
+    /// rest is heard at once, uncosted (module docs).
+    fn send_up(&mut self, from: End, msg: Message) {
+        if matches!(msg, Message::Submit { .. }) {
+            return self.travel(from, Some(msg));
+        }
+        let heard = |node: &mut DispatcherNode<End, Recorder>, now| node.heard(now, from, msg);
+        self.dispatch(self.host_of(from), false, heard);
     }
 
-    /// Run node `n`'s dispatcher machine and route its actions.
-    fn dispatch(&mut self, n: usize, ev: DispatcherEvent) {
-        let mut out = std::mem::take(&mut self.disp_out);
-        self.nodes[n].machine.on_event(self.now, ev, &mut out);
-        for act in out.drain(..) {
-            match act {
-                DispatcherAction::ToExecutor { executor, msg } => {
-                    // Outgoing messages also consume dispatcher CPU.
-                    let sent = self.charge_dispatcher_send(n);
-                    let at = sent + self.config.costs.network_latency_us;
-                    self.schedule(at, Ev::ExecRecv(executor.0 as u32, msg));
-                }
-                DispatcherAction::ToClient { msg, .. } => {
-                    // Sending costs dispatcher CPU; the client's step is free.
-                    self.charge_dispatcher_send(n);
-                    self.client_recv(n, msg);
-                }
-                DispatcherAction::TaskDone { record, .. } => {
-                    crate::trace::record(&record);
-                    self.completed += 1;
-                    self.last_completion_us =
-                        self.last_completion_us.max(Some(record.completed_us));
-                    self.queue_us_sum += record.queue_time_us() as f64;
-                    self.exec_us_sum += record.exec_time_us() as f64;
-                    self.done.push(record);
-                    self.maybe_gc(n);
-                }
-                DispatcherAction::TaskFailed { .. } => {
-                    self.failed += 1;
-                }
-                DispatcherAction::ToProvisioner { .. } => {}
+    /// Node `n` takes one input; then its completions (whose GC pauses
+    /// delay the sends), and its sends, each charged when `costed`.
+    fn dispatch(
+        &mut self,
+        n: usize,
+        costed: bool,
+        input: impl FnOnce(&mut DispatcherNode<End, Recorder>, Micros),
+    ) {
+        input(&mut self.hosts[n].node, self.now);
+        let mut records = std::mem::take(&mut self.hosts[n].node.records);
+        for record in records.drain(..) {
+            crate::trace::record(&record);
+            self.completed += 1;
+            self.last_completion_us = self.last_completion_us.max(Some(record.completed_us));
+            self.queue_us_sum += record.queue_time_us() as f64;
+            self.exec_us_sum += record.exec_time_us() as f64;
+            self.done.push(record);
+            self.maybe_gc(n);
+        }
+        self.hosts[n].node.records = records;
+        let latency = self.config.costs.network_latency_us;
+        let mut out = std::mem::take(&mut self.hosts[n].node.outbox);
+        for (to, msg) in out.drain(..) {
+            let sent = match costed {
+                true => self.charge_dispatcher_send(n),
+                false => self.now,
+            };
+            match to {
+                End::Exec(e) => self.schedule(sent + latency, Ev::ExecRecv(e, msg)),
+                End::Client => self.client_recv(msg),
+                End::Link(_) => self.forward(|fwd, now| fwd.heard(now, to, msg)),
             }
         }
-        self.disp_out = out;
-        self.arm_deadline(n);
+        self.hosts[n].node.outbox = out;
+        if costed {
+            self.arm_deadline(n);
+        }
     }
 
-    /// Deliver node `n`'s message to its client machine.
-    fn client_recv(&mut self, n: usize, msg: Message) {
+    /// The forwarder takes one input, free, and what it says goes on: to
+    /// the workload's client, or down a slot's link.
+    fn forward(&mut self, input: impl FnOnce(&mut ForwarderNode<End, Recorder>, Micros)) {
+        let fwd = self.forwarder.as_mut().expect("a link is a forwarder's");
+        input(fwd, self.now);
+        for (to, msg) in std::mem::take(&mut fwd.outbox) {
+            match to {
+                End::Client => self.client_recv(msg),
+                _ => self.send_up(to, msg),
+            }
+        }
+    }
+
+    /// The workload's client takes a message from its server.
+    fn client_recv(&mut self, msg: Message) {
         if let Some(ev) = mapping::message_to_client_event(msg) {
             let now = self.now;
-            self.client_step(n, |c, out| c.on_event(now, ev, out));
+            self.client_step(|c, out| c.on_event(now, ev, out));
         }
     }
 
-    /// Run node `n`'s client on one step and act on what it sends. The
-    /// results pushed to it `{8}`–`{10}` leave the measured path here, or
-    /// behind a forwarder once it has routed them.
-    fn client_step(&mut self, n: usize, f: impl FnOnce(&mut Client, &mut Vec<ClientAction>)) {
+    /// Run the workload's client on one step and send what it sends; the
+    /// results pushed to it `{8}`–`{10}` leave the measured path here.
+    fn client_step(&mut self, f: impl FnOnce(&mut Client, &mut Vec<ClientAction>)) {
         let mut out = Vec::new();
-        let client = &mut self.nodes[n].client;
-        f(client, &mut out);
-        let results = client.take_results();
-        if let Some(fwd) = self.forwarder.as_mut() {
-            let ev = ForwarderEvent::DispatcherResults {
-                dispatcher: n,
-                results,
-            };
-            fwd.on_event(self.now, ev, &mut Vec::new());
-        }
-        self.client_actions(n, out);
-    }
-
-    /// A client `Submit` travels like any message. Creating the instance
-    /// `{1}` is answered on the spot and uncosted, like every client-side
-    /// step; a `ResultsAck` feeds no machine and is dropped.
-    fn client_actions(&mut self, n: usize, out: Vec<ClientAction>) {
+        f(&mut self.client, &mut out);
+        drop(self.client.take_results());
         for act in out {
-            let ClientAction::Send(msg) = act else {
-                continue;
-            };
-            match mapping::client_message_to_dispatcher_event(msg) {
-                Some(ev @ DispatcherEvent::Submit { .. }) => self.send_to_dispatcher(n, ev),
-                Some(ev) => {
-                    let mut replies = Vec::new();
-                    self.nodes[n].machine.on_event(self.now, ev, &mut replies);
-                    for act in replies {
-                        if let DispatcherAction::ToClient { msg, .. } = act {
-                            self.client_recv(n, msg);
-                        }
-                    }
+            match (act, &self.forwarder) {
+                (ClientAction::Send(msg), Some(_)) => {
+                    self.forward(|fwd, now| fwd.heard(now, End::Client, msg))
                 }
-                None => {}
+                (ClientAction::Send(msg), None) => self.send_up(End::Client, msg),
+                (ClientAction::WorkloadComplete, _) => {}
             }
         }
     }
 
     fn charge_dispatcher_send(&mut self, n: usize) -> Micros {
-        let node = &mut self.nodes[n];
-        node.free_at = node.free_at.max(self.now) + self.config.costs.dispatcher_msg_cpu_us;
-        node.free_at
+        let host = &mut self.hosts[n];
+        host.free_at = host.free_at.max(self.now) + self.config.costs.dispatcher_msg_cpu_us;
+        host.free_at
     }
 
     /// Stop-the-world GC model (Figure 8), one collector per dispatcher.
@@ -825,24 +836,24 @@ impl SimFalkon {
         if every == 0 {
             return;
         }
-        let node = &mut self.nodes[n];
-        node.gc_counter += 1;
-        if node.gc_counter >= every {
-            node.gc_counter = 0;
-            let queued = node.machine.status().queued_tasks as f64;
+        let host = &mut self.hosts[n];
+        host.gc_counter += 1;
+        if host.gc_counter >= every {
+            host.gc_counter = 0;
+            let queued = host.node.machine().status().queued_tasks as f64;
             let pause = (queued * self.config.costs.gc_pause_per_queued_us) as Micros;
             let pause = pause.max(self.config.costs.gc_pause_min_us);
-            node.free_at = node.free_at.max(self.now) + pause;
+            host.free_at = host.free_at.max(self.now) + pause;
             self.gc_pauses += 1;
         }
     }
 
     fn arm_deadline(&mut self, n: usize) {
-        let node = &mut self.nodes[n];
-        if let Some(dl) = node.machine.next_deadline() {
+        let host = &mut self.hosts[n];
+        if let Some(dl) = host.node.next_deadline() {
             let fire = dl.max(self.now + 1);
-            if node.deadline_armed.is_none_or(|armed| fire < armed) {
-                node.deadline_armed = Some(fire);
+            if host.deadline_armed.is_none_or(|armed| fire < armed) {
+                host.deadline_armed = Some(fire);
                 self.schedule(fire, Ev::DispDeadlineCheck(n as u32));
             }
         }
@@ -880,13 +891,7 @@ impl SimFalkon {
         self.executors.machines[e as usize].on_event(self.now, ev, &mut out);
         for act in out.drain(..) {
             match act {
-                ExecutorAction::Send(msg) => {
-                    let Some(ev) = falkon_core::mapping::executor_message_to_dispatcher_event(msg)
-                    else {
-                        continue;
-                    };
-                    self.send_to_dispatcher(self.node_of(e), ev);
-                }
+                ExecutorAction::Send(msg) => self.travel(End::Exec(e), Some(msg)),
                 ExecutorAction::Run(spec) => self.run_task(e, spec),
                 ExecutorAction::Shutdown => self.shutdown_executor(e),
             }
@@ -1045,9 +1050,7 @@ impl SimFalkon {
                     self.allocs.remove(alloc);
                     for v in victims {
                         if self.executors.kill(v, self.now) {
-                            let id = ExecutorId(v as u64);
-                            let lost = DispatcherEvent::ExecutorLost { executor: id };
-                            self.send_to_dispatcher(self.node_of(v), lost);
+                            self.travel(End::Exec(v), None);
                         }
                     }
                     self.provision(ProvisionerEvent::AllocationEnded { allocation: alloc });
@@ -1181,22 +1184,25 @@ mod tests {
 
     #[test]
     fn gc_model_inserts_pauses() {
-        let mut sim = SimFalkon::new(SimFalkonConfig {
-            executors: 64,
-            costs: CostModel::with_gc(),
-            client_submit_rate: Some(2_000.0),
-            ..SimFalkonConfig::default()
-        });
-        sim.submit(0, sleep_tasks(20_000, 0));
-        let out = sim.run_until_drained();
-        assert_eq!(out.tasks, 20_000);
-        assert!(sim.gc_pauses() > 0, "expected GC pauses");
-        let no_gc_bound = CostModel::no_security().dispatch_bound_tps();
+        let run = |costs| {
+            let mut sim = SimFalkon::new(SimFalkonConfig {
+                executors: 64,
+                costs,
+                client_submit_rate: Some(2_000.0),
+                ..SimFalkonConfig::default()
+            });
+            sim.submit(0, sleep_tasks(20_000, 0));
+            let out = sim.run_until_drained();
+            assert_eq!(out.tasks, 20_000);
+            (out.throughput, sim.gc_pauses())
+        };
+        let (with_gc, pauses) = run(CostModel::with_gc());
+        assert!(pauses > 0, "expected GC pauses");
+        let (without, none) = run(CostModel::no_security());
+        assert_eq!(none, 0);
         assert!(
-            out.throughput < no_gc_bound,
-            "GC must reduce throughput: {} >= {}",
-            out.throughput,
-            no_gc_bound
+            with_gc < without,
+            "GC must reduce throughput: {with_gc} >= {without}"
         );
     }
 
@@ -1263,7 +1269,34 @@ mod tests {
     impl SimFalkon {
         /// The client's instance.
         fn instance(&self) -> falkon_proto::message::InstanceId {
-            self.nodes[0].client.instance().expect("created in new")
+            self.client.instance().expect("created in new")
+        }
+
+        /// Results some node keeps for lack of an acknowledgement: what
+        /// each sends an endpoint that instance 1 (every node's one
+        /// instance here) moves to.
+        fn kept(&mut self) -> usize {
+            let (now, to) = (self.now, End::Exec(u32::MAX));
+            let fetch = || Message::GetResults {
+                instance: falkon_proto::message::InstanceId(1),
+            };
+            let count = |outbox: &mut Vec<(End, Message)>| {
+                let results = outbox.drain(..).map(|(_, m)| match m {
+                    Message::Results { results } => results.len(),
+                    _ => 0,
+                });
+                results.sum::<usize>()
+            };
+            let mut kept = 0;
+            if let Some(f) = &mut self.forwarder {
+                f.heard(now, to, fetch());
+                kept += count(&mut f.outbox);
+            }
+            for h in &mut self.hosts {
+                h.node.heard(now, to, fetch());
+                kept += count(&mut h.node.outbox);
+            }
+            kept
         }
     }
 
@@ -1277,7 +1310,7 @@ mod tests {
         });
         sim.submit(0, sleep_tasks(1_000, 0));
         assert_eq!(sim.run_until_drained().tasks, 1_000);
-        let client = &sim.nodes[0].client;
+        let client = &sim.client;
         assert_eq!(client.outstanding(), 0, "every result reached it");
         assert!(client.completions().is_empty(), "and it kept none");
     }
@@ -1292,16 +1325,29 @@ mod tests {
         assert_eq!(sim.run_until_drained().tasks, 500);
         // Nothing is left waiting for a client that already has it.
         let instance = sim.instance();
-        let mut out = Vec::new();
-        let get = DispatcherEvent::GetResults { instance };
-        sim.nodes[0].machine.on_event(sim.now, get, &mut out);
+        let node = &mut sim.hosts[0].node;
+        node.heard(sim.now, End::Client, Message::GetResults { instance });
         assert!(matches!(
-            &out[..],
-            [DispatcherAction::ToClient {
-                msg: Message::Results { results },
-                ..
-            }] if results.is_empty()
+            &node.outbox[..],
+            [(End::Client, Message::Results { results })] if results.is_empty()
         ));
+    }
+
+    #[test]
+    fn every_result_is_acknowledged_to_the_node_that_kept_it() {
+        for forwarder in [None, Some(3)] {
+            let mut sim = SimFalkon::new(SimFalkonConfig {
+                executors: 4,
+                forwarder,
+                bundle_size: 50,
+                client_submit_rate: Some(400.0),
+                ..SimFalkonConfig::default()
+            });
+            sim.submit(0, sleep_tasks(600, 0));
+            assert_eq!(sim.run_until_drained().tasks, 600);
+            assert_eq!(sim.instance().0, 1);
+            assert_eq!(sim.kept(), 0, "{forwarder:?}");
+        }
     }
 
     #[test]

@@ -115,16 +115,6 @@ impl BatchScheduler {
         self.free_nodes
     }
 
-    /// Total nodes managed.
-    pub fn total_nodes(&self) -> u32 {
-        self.total_nodes
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn queued_jobs(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Monotonic counters.
     pub fn stats(&self) -> LrmStats {
         self.stats
@@ -431,6 +421,14 @@ mod tests {
         );
     }
 
+    /// How many of `jobs` wait in the queue.
+    fn queued(s: &BatchScheduler, jobs: impl IntoIterator<Item = u64>) -> usize {
+        let state = |j| s.job_state(JobId(j));
+        jobs.into_iter()
+            .filter(|&j| state(j) == Some(JobState::Queued))
+            .count()
+    }
+
     #[test]
     fn nodes_limit_concurrency() {
         let mut s = BatchScheduler::new(IDEAL, 2);
@@ -441,7 +439,7 @@ mod tests {
         // After the first poll (IDEAL cycle = 1 ms) only two can run.
         s.handle(1_000, LrmInput::Tick, &mut out);
         assert_eq!(s.free_nodes(), 0);
-        assert_eq!(s.queued_jobs(), 2);
+        assert_eq!(queued(&s, 0..4), 2);
         let (_, _) = run_until_quiet(&mut s, 1_000);
         assert_eq!(s.stats().finished, 4);
         assert_eq!(s.free_nodes(), 2);
@@ -467,8 +465,7 @@ mod tests {
         s.handle(1_002, LrmInput::Submit(JobSpec::task(3, 0)), &mut out);
         s.handle(10_000, LrmInput::Tick, &mut out);
         // Nothing free: both still queued (no backfilling).
-        assert_eq!(s.queued_jobs(), 2);
-        assert_eq!(s.job_state(JobId(3)), Some(JobState::Queued));
+        assert_eq!(queued(&s, 2..4), 2);
     }
 
     #[test]
@@ -529,8 +526,7 @@ mod tests {
                 state: JobState::Done(DoneReason::Cancelled)
             }]
         );
-        // Queue empty; no wakeups besides nothing.
-        assert_eq!(s.queued_jobs(), 0);
+        assert_eq!(queued(&s, [1]), 0);
         // Free pool untouched (job never started).
         assert_eq!(s.free_nodes(), 1);
     }

@@ -77,7 +77,7 @@ proptest! {
                 }
             }
             check_transitions(&mut out, &mut states)?;
-            prop_assert!(s.free_nodes() <= s.total_nodes());
+            prop_assert!(s.free_nodes() <= nodes);
         }
 
         // Quiesce: run every pending wakeup.
@@ -89,7 +89,7 @@ proptest! {
             prop_assert!(guard < 100_000, "scheduler failed to quiesce");
         }
         // Every node returns to the pool.
-        prop_assert_eq!(s.free_nodes(), s.total_nodes());
+        prop_assert_eq!(s.free_nodes(), nodes);
         // Every submitted job reached a terminal state.
         for id in submitted {
             prop_assert!(

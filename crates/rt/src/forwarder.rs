@@ -1,78 +1,38 @@
 //! The 3-tier deployment on real sockets: clients → forwarder → N
 //! dispatchers → executors (DESIGN.md §10.3).
 //!
-//! [`ForwarderServer::start`] mounts the whole server side of the topology
-//! in one process: `n` [`DispatcherServer`]s (one thread each) plus the
-//! forwarder's own thread, which runs `server::run` with the
-//! sans-io [`Forwarder`] machine from `falkon-core` inside the engine
-//! turn. The forwarder speaks the ordinary client protocol on both faces,
-//! and both faces are connections of the *same* engine:
-//!
-//! * **Upstream** (accepted connections): a client connects, sends
-//!   `CreateInstance`, and gets a forwarder-tier `InstanceId` the machine
-//!   names; each `Submit` bundle becomes a [`ForwarderEvent::ClientSubmit`],
-//!   and the machine's least-loaded policy picks the downstream dispatcher.
-//!   Results are pushed back as `Results` frames to the connection the
-//!   [`Switchboard`] binds the instance to, the last one that named it,
-//!   and kept there until the client acknowledges them.
-//! * **Downstream** (dialed connections, one per dispatcher): the server
-//!   handle dials the dispatcher and has the forwarder's thread adopt the
-//!   stream under the dispatcher's slot tag — the one control-plane
-//!   request besides stop. Each link runs a [`Client`] machine with no
-//!   bundle limit, so a routed bundle stays one `Submit`: it creates its
-//!   instance, and the link is *up* once that exists, which
-//!   [`ForwarderServer::start`] and
-//!   [`ForwarderServer::readmit_dispatcher`] wait for. The results the
-//!   dispatcher pushes to it become a
-//!   [`ForwarderEvent::DispatcherResults`] and funnel back upstream.
-//!
-//! Failure semantics: the machine alone decides where work goes. A
-//! downstream link closing feeds [`ForwarderEvent::DispatcherLost`]; the
-//! machine takes the slot out of routing and re-routes its in-flight
-//! tasks to the live slots, or keeps them while every slot is down. The
-//! slot's next link coming up feeds [`ForwarderEvent::DispatcherReadmitted`],
-//! and the machine routes whatever waited to it. The machine routes only
-//! to a slot whose link is up: a slot goes down before its link is
-//! replaced and up only on the new link's `InstanceCreated`, and
-//! [`ForwarderServer::start`] hands out the client address only once every
-//! first link is up, so no bundle can be routed before then. Events of a
-//! link that was already replaced carry a token that is no longer the
-//! slot's, so they fall away.
-//!
-//! Lifecycle events are emitted by the *machine* (probe provenance,
-//! DESIGN.md §7): this driver only ever reports wire bytes, via the
-//! [`WireTap`]s inside each connection, merged per face as connections
-//! close — so `tests/obs_parity.rs` finds every machine-emitted kind
-//! equal between this deployment, mounted by
-//! [`crate::inproc::run_workload`], and the simulator's three tiers.
-//!
-//! [`WireTap`]: falkon_obs::WireTap
+//! [`ForwarderServer::start`] mounts the whole server side in one process:
+//! `n` [`DispatcherServer`]s plus the forwarder's thread, which runs
+//! `server::run` with a [`ForwarderNode`] inside the engine turn, its
+//! endpoints the connections' tokens. Accepted connections are clients.
+//! For each slot the handle dials the dispatcher and has the thread adopt
+//! the stream under the slot's tag — the one control-plane request besides
+//! stop — as the slot's link, and waits until it is up: no bundle is
+//! routed before every first link is. A link closing re-routes its slot's
+//! tasks. This runtime reports only wire bytes, merged per face as
+//! connections close, so `tests/obs_parity.rs` finds every machine-emitted
+//! kind equal between this deployment and the simulator's three tiers.
 
 use crate::clock::Clock;
 use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Handler, Token};
 use crate::server::{self, Control, Mount};
 use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
-use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
-use falkon_core::{mapping, Switchboard};
+use falkon_core::forwarder::ForwarderStats;
+use falkon_core::ForwarderNode;
 use falkon_obs::{Counters, Recorder};
-use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::Message;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 
-/// What a finished forwarder observed. Wire counters stay split by
-/// face so tests can balance each tier's bytes exactly: `upstream_wire`
-/// against the clients, `downstream_wire` against the dispatchers'
-/// server-side counters.
+/// What a finished forwarder observed, wire counters split by face so each
+/// tier's bytes balance exactly.
 pub struct ForwarderOutcome {
     /// Machine counters (bundles/results routed, re-routes, losses).
     pub stats: ForwarderStats,
-    /// The machine's probe: lifecycle events only — wire bytes are
-    /// reported separately below, per face.
+    /// The machine's probe: lifecycle events only.
     pub recorder: Recorder,
     /// Merged wire counters of every client-facing connection.
     pub upstream_wire: Counters,
@@ -97,11 +57,9 @@ pub struct ForwarderServer {
 }
 
 impl ForwarderServer {
-    /// Start the full server side of the 3-tier topology: `config` must
-    /// carry a forwarder tier ([`ServerConfig::builder`]`.forwarder(n)`).
-    /// Binds `n` dispatchers plus the client-facing listener on ephemeral
-    /// ports, spawns the forwarder's thread, and brings one downstream
-    /// link per dispatcher up.
+    /// Start the server side of the 3-tier topology, whose `config` carries
+    /// a forwarder tier ([`ServerConfig::builder`]`.forwarder(n)`): `n`
+    /// dispatchers, the forwarder's thread, and one link up per slot.
     pub fn start(config: ServerConfig) -> io::Result<ForwarderServer> {
         let n = config.forwarder_dispatchers().ok_or_else(|| {
             io::Error::new(
@@ -120,7 +78,13 @@ impl ForwarderServer {
         let (control, bound) = server::bind(config.security())?;
         let addr = bound.addr;
         let (up_tx, link_up) = channel();
-        let mount = ForwarderMount::new(n, bound.clock, up_tx);
+        let mount = ForwarderMount {
+            clock: bound.clock,
+            node: ForwarderNode::new(n, Recorder::new()),
+            link_up: up_tx,
+            upstream_wire: Counters::new(),
+            downstream_wire: Counters::new(),
+        };
         let thread = thread::spawn(move || server::run(bound, mount));
         let server = ForwarderServer {
             addr,
@@ -156,10 +120,9 @@ impl ForwarderServer {
         &self.dispatcher_addrs
     }
 
-    /// Hard-stop dispatcher `d` (the fault-injection hook). It closes
-    /// every connection, so the forwarder's link sees EOF and the machine
-    /// re-routes whatever was in flight there. Panics if `d` was already
-    /// killed and not readmitted.
+    /// Hard-stop dispatcher `d` (the fault-injection hook): its link sees
+    /// EOF and the node re-routes what was there. Panics if `d` was
+    /// already killed and not readmitted.
     pub fn kill_dispatcher(&mut self, d: usize) -> DispatcherOutcome {
         self.dispatchers[d]
             .take()
@@ -167,12 +130,10 @@ impl ForwarderServer {
             .shutdown()
     }
 
-    /// Mount a fresh dispatcher in slot `d` (new listener, new port) and
-    /// bring a new downstream link to it up. The machine sees
-    /// `DispatcherReadmitted` on the forwarder's thread when the link comes
-    /// up, so `DispatcherLost` from the old link can never race the fresh
-    /// one.
-    /// Returns the new dispatcher address for executors to connect to.
+    /// Mount a fresh dispatcher in slot `d` (new port) and bring a link to
+    /// it up, returning its address for executors. The node readmits the
+    /// slot on the forwarder's thread, so the old link's loss cannot race
+    /// the new one.
     pub fn readmit_dispatcher(&mut self, d: usize) -> io::Result<SocketAddr> {
         let server = DispatcherServer::start(self.dispatcher_config.clone())?;
         let addr = server.addr;
@@ -183,15 +144,13 @@ impl ForwarderServer {
     }
 
     /// Stop the forwarder tier first (so nothing new is routed), then every
-    /// still-running dispatcher. Returns the forwarder's outcome and the
-    /// surviving dispatchers' outcomes in slot order (killed-and-not-
-    /// readmitted slots are skipped).
+    /// running dispatcher; their outcomes come in slot order.
     pub fn shutdown(self) -> (ForwarderOutcome, Vec<DispatcherOutcome>) {
         drop(self.control);
         let mount = self.thread.join().expect("forwarder thread");
         let outcome = ForwarderOutcome {
-            stats: mount.fwd.stats(),
-            recorder: mount.fwd.probe().clone(),
+            stats: mount.node.machine().stats(),
+            recorder: mount.node.machine().probe().clone(),
             upstream_wire: mount.upstream_wire,
             downstream_wire: mount.downstream_wire,
         };
@@ -205,149 +164,27 @@ impl ForwarderServer {
     }
 }
 
-/// What the routes remember about one connection and cannot derive: the
-/// slot it links, if the handle dialed it (`None` for an accepted client).
+/// What the forwarder remembers about one connection: the slot it links,
+/// if the handle dialed it (`None` for an accepted client).
 type Peer = Option<usize>;
 
-/// One downstream dispatcher slot's current connection, and the client
-/// session on it; the link is up once the client has its instance.
-struct Link {
-    conn: Token,
-    client: Client,
-}
-
-/// The forwarder's [`Mount`]: the machine, run inside the engine turn,
-/// the slots' links downstream and the [`Switchboard`] upstream. The
-/// machine arms no deadlines.
+/// The forwarder's [`Mount`]: the node, run inside the engine turn. It
+/// arms no deadlines.
 struct ForwarderMount {
     clock: Clock,
-    fwd: Forwarder<Recorder>,
-    actions: Vec<ForwarderAction>,
-    links: Vec<Option<Link>>,
-    /// What a link's client sends in one step (scratch).
-    sends: Vec<ClientAction>,
+    node: ForwarderNode<Token, Recorder>,
     link_up: Sender<io::Result<()>>,
-    routes: Switchboard<Token>,
-    outbox: Vec<(Token, Message)>,
     upstream_wire: Counters,
     downstream_wire: Counters,
 }
 
 impl ForwarderMount {
-    fn new(n: usize, clock: Clock, link_up: Sender<io::Result<()>>) -> ForwarderMount {
-        ForwarderMount {
-            clock,
-            fwd: Forwarder::with_probe(n, Recorder::new()),
-            actions: Vec::new(),
-            links: (0..n).map(|_| None).collect(),
-            sends: Vec::new(),
-            link_up,
-            routes: Switchboard::default(),
-            outbox: Vec::new(),
-            upstream_wire: Counters::new(),
-            downstream_wire: Counters::new(),
+    /// Tell whoever dialed a link whether it came up.
+    fn report_links(&mut self) {
+        for (_, up) in self.node.link_news.drain(..) {
+            let news = up.then_some(()).ok_or(io::ErrorKind::UnexpectedEof);
+            self.link_up.send(news.map_err(io::Error::from)).ok();
         }
-    }
-
-    /// A dialed connection for slot `d` is established: its client
-    /// starts by creating an instance. If the old link is still in place
-    /// (a readmit over a live slot, whose dispatcher is closing it from the
-    /// far end), it is torn down — with its re-routes — first.
-    fn admit(&mut self, d: usize, conn: Token, now: u64) {
-        if self.links[d].is_some() {
-            self.lose(d, now);
-        }
-        let client = Client::new(BundleConfig::of(usize::MAX));
-        self.links[d] = Some(Link { conn, client });
-        self.step(d, now, |c, out| c.on_event(now, ClientEvent::Start, out));
-    }
-
-    /// Tear down slot `d`'s link and tell the machine, which re-routes
-    /// everything that was in flight there.
-    fn lose(&mut self, d: usize, now: u64) {
-        let link = self.links[d].take();
-        if link.is_some_and(|l| l.client.instance().is_none()) {
-            // It never came up: whoever dialed it is waiting to hear.
-            self.link_up
-                .send(Err(io::ErrorKind::UnexpectedEof.into()))
-                .ok();
-        }
-        let lost = ForwarderEvent::DispatcherLost { dispatcher: d };
-        self.fwd.on_event(now, lost, &mut self.actions);
-    }
-
-    /// Run slot `d`'s client on one step and send what it sends. The step
-    /// that creates the instance brings the link up: the machine readmits
-    /// the slot if it had lost it and routes there whatever was waiting.
-    /// Results the step picked up go to the machine.
-    fn step(&mut self, d: usize, now: u64, f: impl FnOnce(&mut Client, &mut Vec<ClientAction>)) {
-        let link = self.links[d].as_mut().expect("a stepped slot has a link");
-        let was_up = link.client.instance().is_some();
-        f(&mut link.client, &mut self.sends);
-        for act in self.sends.drain(..) {
-            if let ClientAction::Send(msg) = act {
-                self.outbox.push((link.conn, msg));
-            }
-        }
-        let mut feed = |ev| self.fwd.on_event(now, ev, &mut self.actions);
-        if !was_up && link.client.instance().is_some() {
-            feed(ForwarderEvent::DispatcherReadmitted { dispatcher: d });
-            self.link_up.send(Ok(())).ok();
-        }
-        let results = link.client.take_results();
-        if !results.is_empty() {
-            feed(ForwarderEvent::DispatcherResults {
-                dispatcher: d,
-                results,
-            });
-        }
-    }
-
-    /// Whether `token` is slot `d`'s current link.
-    fn is_link(&self, d: usize, token: Token) -> bool {
-        self.links[d].as_ref().is_some_and(|l| l.conn == token)
-    }
-
-    /// Handle one message from a client.
-    fn on_upstream(&mut self, token: Token, msg: Message, now: u64) {
-        let outbox = &mut self.outbox;
-        self.routes.heard(token, &msg, |to, m| outbox.push((to, m)));
-        let ev = match msg {
-            Message::CreateInstance => ForwarderEvent::CreateInstance,
-            Message::Submit { instance, tasks } => ForwarderEvent::ClientSubmit { instance, tasks },
-            // Bindings are the switchboard's; anything else here is a peer
-            // speaking the wrong role.
-            _ => return,
-        };
-        self.fwd.on_event(now, ev, &mut self.actions);
-    }
-
-    /// Address the machine's pending actions; `cause` is the client
-    /// connection whose message the machine answered. A send never fails
-    /// here: a dead connection is reported through its own `closed`.
-    fn deliver(&mut self, cause: Option<Token>, now: u64) {
-        let mut actions = std::mem::take(&mut self.actions);
-        for act in actions.drain(..) {
-            let (instance, msg) = match act {
-                ForwarderAction::SubmitTo { dispatcher, tasks } => {
-                    // The machine routes only to a slot whose link is up
-                    // (module docs), so this is one `Submit`.
-                    self.step(dispatcher, now, |c, out| c.enqueue(now, tasks, out));
-                    continue;
-                }
-                ForwarderAction::InstanceCreated { instance } => {
-                    (instance, Message::InstanceCreated { instance })
-                }
-                ForwarderAction::DeliverResults { instance, results } => {
-                    (instance, Message::Results { results })
-                }
-            };
-            if let Some(to) = self.routes.to_instance(instance, &msg, cause) {
-                self.outbox.push((to, msg));
-            }
-        }
-        debug_assert!(self.actions.is_empty(), "a submit feeds nothing back");
-        self.actions = actions;
     }
 }
 
@@ -361,37 +198,24 @@ impl Handler<Peer> for ForwarderMount {
     ) -> io::Result<bool> {
         let now = self.clock.now_us();
         match (ev, *peer) {
-            (Inbound::Opened, Some(d)) => self.admit(d, token, now),
-            (Inbound::Msg(msg), Some(d)) if self.is_link(d, token) => {
-                if let Some(ev) = mapping::message_to_client_event(msg) {
-                    self.step(d, now, |c, out| c.on_event(now, ev, out));
-                }
-            }
-            (Inbound::Msg(msg), None) => self.on_upstream(token, msg, now),
-            // An accepted connection opening, a replaced link's stragglers.
+            (Inbound::Opened, Some(d)) => self.node.admit(now, d, token),
+            (Inbound::Msg(msg), _) => self.node.heard(now, token, msg),
             _ => {}
         }
-        self.deliver(peer.is_none().then_some(token), now);
+        self.report_links();
         Ok(false)
     }
 
     fn closed(&mut self, token: Token, peer: Peer, closed: Closed) {
-        match peer {
-            Some(d) => {
-                self.downstream_wire.merge(&closed.wire);
-                // Our own stop closing the link is not a lost dispatcher.
-                if !closed.local && self.is_link(d, token) {
-                    let now = self.clock.now_us();
-                    self.lose(d, now);
-                    self.deliver(None, now);
-                }
-            }
-            None => {
-                // Results for a gone client's instances wait in the
-                // switchboard for the connection that names them next.
-                self.upstream_wire.merge(&closed.wire);
-                self.routes.close(token);
-            }
+        let face = match peer {
+            Some(_) => &mut self.downstream_wire,
+            None => &mut self.upstream_wire,
+        };
+        face.merge(&closed.wire);
+        // Our own stop closing a link is not a lost dispatcher.
+        if !closed.local {
+            self.node.closed(self.clock.now_us(), token);
+            self.report_links();
         }
     }
 }
@@ -400,7 +224,7 @@ impl Mount for ForwarderMount {
     type Peer = Peer;
 
     fn outbox(&mut self) -> &mut Vec<(Token, Message)> {
-        &mut self.outbox
+        &mut self.node.outbox
     }
 }
 

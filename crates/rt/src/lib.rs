@@ -10,7 +10,7 @@
 //!   on top of it. Every socket is a [`conn::Conn`] serviced by the one
 //!   readiness loop in [`engine`]; `server.rs` mounts that loop as a
 //!   server's one thread — listener, control fd, every connection, and the
-//!   machine run inside the turn (one OS thread per dispatcher or
+//!   `falkon-core` node run inside the turn (one OS thread per dispatcher or
 //!   forwarder, for thousands of connections) — and [`muxpeer`] mounts it
 //!   on the caller's thread for any number of executor peers.
 //! * [`inproc`] — that deployment started and torn down around one

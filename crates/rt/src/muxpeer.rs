@@ -12,7 +12,8 @@
 //! Task bodies run inline on the calling thread, so a pool of many is only
 //! appropriate for dispatch-rate workloads (sleep-0 tasks) — a task that
 //! actually sleeps stalls every peer in the loop. Give each executor its
-//! own thread (and its own pool of one) when task bodies do real work.
+//! own thread (and its own pool of one) when task bodies do real work;
+//! its batch is written before such a body runs.
 
 use crate::clock::Clock;
 use crate::conn::{Closed, Conn, Inbound, TcpSecurity};
@@ -21,6 +22,7 @@ use crate::exec::{execute_builtin, execute_process};
 use falkon_core::executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent};
 use falkon_obs::{Counters, NoopProbe, Probe};
 use falkon_proto::message::ExecutorId;
+use falkon_proto::task::TaskSpec;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 
@@ -37,6 +39,7 @@ pub(crate) struct Pool<P> {
     clock: Clock,
     /// Pump scratch, shared by every machine (each pump runs to quiet).
     actions: Vec<ExecutorAction>,
+    bodies: Vec<TaskSpec>,
     queue: Vec<ExecutorEvent>,
     /// Run each task body as a spawned OS process.
     spawn: bool,
@@ -53,25 +56,31 @@ impl<P: Probe> Pool<P> {
     /// Drive `machine` until it has neither pending actions nor feedback
     /// events: sends are queued on `conn`, task bodies run inline on this
     /// thread (as a spawned OS process when `spawn`), and each completion
-    /// is fed straight back in. `Ok(true)` means the machine asked to shut
-    /// down; an enqueue error aborts the pump.
+    /// is fed straight back in. `Ok(true)` means the machine asked to
+    /// shut down; a socket error aborts the pump.
     fn pump(&mut self, machine: &mut Executor<P>, conn: &mut Conn) -> io::Result<bool> {
         while !self.actions.is_empty() || !self.queue.is_empty() {
             for act in self.actions.drain(..) {
                 match act {
                     ExecutorAction::Send(msg) => conn.enqueue(msg)?,
-                    ExecutorAction::Run(spec) => {
-                        let t0 = self.clock.now_us();
-                        let mut result = if self.spawn {
-                            execute_process(&spec)
-                        } else {
-                            execute_builtin(&spec)
-                        };
-                        result.executor_time_us = self.clock.now_us() - t0;
-                        self.queue.push(ExecutorEvent::TaskCompleted { result });
-                    }
+                    ExecutorAction::Run(spec) => self.bodies.push(spec),
                     ExecutorAction::Shutdown => return Ok(true),
                 }
+            }
+            for spec in self.bodies.drain(..) {
+                // Nothing waits in the batch while a body that takes time
+                // runs; `sleep 0` bodies leave their sends coalescing.
+                if self.spawn || spec.runtime_us() > 0 {
+                    conn.flush()?;
+                }
+                let t0 = self.clock.now_us();
+                let mut result = if self.spawn {
+                    execute_process(&spec)
+                } else {
+                    execute_builtin(&spec)
+                };
+                result.executor_time_us = self.clock.now_us() - t0;
+                self.queue.push(ExecutorEvent::TaskCompleted { result });
             }
             for ev in self.queue.drain(..) {
                 machine.on_event(self.clock.now_us(), ev, &mut self.actions);
@@ -137,6 +146,7 @@ pub(crate) fn run_pool<P: Probe>(
     let mut pool = Pool {
         clock,
         actions: Vec::new(),
+        bodies: Vec::new(),
         queue: Vec::new(),
         spawn,
         outcome: MuxOutcome {

@@ -1,15 +1,13 @@
 //! The server mount of the connection engine: one thread that owns the
-//! listener, every connection, and the sans-io machine (DESIGN.md §10.3).
+//! listener, every connection, and a `falkon-core` node (DESIGN.md §10.3).
 //!
 //! [`run`] is the body of that thread, shared by the dispatcher and the
 //! forwarder. It turns one [`Engine`] whose auxiliary fds are the control
-//! fd and the listener, so accepting is one more readiness event and an
-//! accepted stream joins the engine on the spot. The [`Mount`] — the
-//! engine's `Handler` — owns the machine and runs it *inside* the turn:
-//! an inbound message is fed to the machine in the callback that decoded
-//! it, the machine's `next_deadline()` bounds the poll, and whatever the
-//! machine says goes into the mount's outbox, which the loop drains into
-//! the destination connections' batches after each turn. Nothing on the
+//! fd and the listener, so an accepted stream joins the engine on the
+//! spot. The [`Mount`] — the engine's `Handler` — runs the node *inside*
+//! the turn: a message is heard in the callback that decoded it, the
+//! node's deadline bounds the poll, and its outbox is drained into the
+//! destination connections' batches after each turn. Nothing on the
 //! message path crosses a thread, takes a lock or writes a wake byte.
 //!
 //! The only cross-thread traffic is the control plane, O(1) messages per
@@ -22,8 +20,8 @@
 //! * **Outbound message** — an outbox entry is encoded once, into its
 //!   connection's batch or, behind a full one, as that batch drains; the
 //!   next turn's flush pass writes each batch with one syscall. A failed
-//!   write closes the connection there, and what the machine says to
-//!   *that* is drained after the turn.
+//!   write closes the connection there, and what the node says to *that*
+//!   is drained after the turn.
 //! * **Every close** is reported to the mount exactly once, through
 //!   [`Handler::closed`], with the per-connection datum and wire counters;
 //!   `Closed::local` tells the server's own closes from the peer's.
@@ -42,18 +40,17 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
-/// What a server thread runs: the engine [`Handler`] that owns the machine
-/// and its routes. `Peer` is the per-connection datum — what the routes
-/// remember about one connection, handed back when it closes.
+/// What a server thread runs: the engine [`Handler`] that owns the node.
+/// `Peer` is the per-connection datum, handed back when it closes.
 pub(crate) trait Mount: Handler<Self::Peer> {
     /// `Default` for an accepted connection; an adopted one brings its own.
     type Peer: Default;
 
-    /// What the machine has said since the last drain, each message with
-    /// the connection it is for.
+    /// What the node has said since the last drain, each message with the
+    /// connection it is for.
     fn outbox(&mut self) -> &mut Vec<(Token, Message)>;
 
-    /// Absolute clock µs at which the machine wants [`Mount::on_deadline`].
+    /// Absolute clock µs at which the node wants [`Mount::on_deadline`].
     fn next_deadline(&mut self) -> Option<u64> {
         None
     }

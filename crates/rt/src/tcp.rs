@@ -1,20 +1,14 @@
-//! Falkon over real TCP sockets.
-//!
-//! The dispatcher listens on a socket; executors and clients connect and
-//! exchange length-delimited frames of the `falkon-proto` binary encoding.
-//! With security enabled, each connection performs the toy
-//! GSISecureConversation handshake first and seals every frame. This is the
-//! deployment the `tcp_cluster` example and the TCP throughput benchmarks
-//! use; it exercises the Figure 2 message sequence over a real network
-//! stack (localhost), with notification and retrieval `{8}`–`{10}` one
-//! pushed `Results`.
+//! Falkon over real TCP sockets: the Figure 2 message sequence in
+//! length-delimited frames of the `falkon-proto` encoding, each connection
+//! opening with the toy GSISecureConversation handshake and sealing every
+//! frame when security is on. The `tcp_cluster` example and `benchmark/`
+//! use it.
 //!
 //! Every socket here is a [`Conn`] on the one readiness loop of
 //! [`crate::engine`] (DESIGN.md §10.3). A [`DispatcherServer`] is one
-//! thread running it (`server::run`), with the [`Dispatcher`] machine
-//! inside the turn and a [`Switchboard`] deciding which connection each
-//! message goes to; [`run_executor`] and [`run_client`] run the same loop
-//! on the caller's thread.
+//! thread running it (`server::run`) with a [`DispatcherNode`] inside the
+//! turn, its endpoints the connections' tokens. [`run_executor`] and
+//! [`run_client`] run the same loop on the caller's thread.
 //!
 //! No wait in this module is a fixed sleep or a read-timeout cadence
 //! (`clippy.toml`'s `disallowed-methods` pins this).
@@ -26,11 +20,9 @@ use crate::engine::{Engine, Handler, Token};
 use crate::muxpeer::MuxOutcome;
 use crate::server::{self, Control, Mount};
 use falkon_core::client::{Client, ClientAction, ClientEvent};
-use falkon_core::dispatcher::{
-    Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats, TaskRecord,
-};
+use falkon_core::dispatcher::{DispatcherStats, TaskRecord};
 use falkon_core::executor::ExecutorConfig;
-use falkon_core::{DispatcherConfig, Switchboard};
+use falkon_core::{DispatcherConfig, DispatcherNode};
 use falkon_obs::{Counters, NoopProbe, Probe, Recorder};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::{ExecutorId, Message};
@@ -176,11 +168,7 @@ impl DispatcherServer {
         let addr = bound.addr;
         let mount = DispatcherMount {
             clock: bound.clock,
-            machine: Dispatcher::with_probe(config.dispatcher, Recorder::new()),
-            actions: Vec::new(),
-            routes: Switchboard::default(),
-            records: Vec::new(),
-            outbox: Vec::new(),
+            node: DispatcherNode::new(config.dispatcher, Recorder::new()),
             wire: Counters::new(),
         };
         let thread = thread::spawn(move || server::run(bound, mount));
@@ -191,55 +179,31 @@ impl DispatcherServer {
         })
     }
 
-    /// Stop the server, returning dispatcher records, stats, and the merged
-    /// observability recorder — lifecycle events plus the wire counters of
-    /// *every* connection. The server thread flushes and closes each
-    /// connection itself before it hands the machine back.
+    /// Stop the server (its thread flushes and closes every connection),
+    /// returning records, stats, and the recorder with every connection's
+    /// wire counters merged in.
     pub fn shutdown(self) -> DispatcherOutcome {
         drop(self.control);
         let mount = self.thread.join().expect("server thread");
-        let mut obs = mount.machine.probe().clone();
+        let stats = mount.node.machine().stats();
+        let mut obs = mount.node.machine().probe().clone();
         obs.merge_counters(&mount.wire);
-        (mount.records, mount.machine.stats(), obs)
+        (mount.node.records, stats, obs)
     }
 }
 
-/// The dispatcher's [`Mount`]: the machine, run inside the engine turn,
-/// and the [`Switchboard`] addressing what it says.
+/// The dispatcher's [`Mount`]: the node, run inside the engine turn.
 struct DispatcherMount {
     clock: Clock,
-    machine: Dispatcher<Recorder>,
-    actions: Vec<DispatcherAction>,
-    routes: Switchboard<Token>,
-    records: Vec<TaskRecord>,
-    outbox: Vec<(Token, Message)>,
+    node: DispatcherNode<Token, Recorder>,
     /// Wire counters of every finished connection.
     wire: Counters,
 }
 
-impl DispatcherMount {
-    /// Feed the machine one event and address what it says; `cause` is
-    /// the connection whose message this is.
-    fn step(&mut self, ev: DispatcherEvent, cause: Option<Token>) {
-        self.machine
-            .on_event(self.clock.now_us(), ev, &mut self.actions);
-        let outbox = &mut self.outbox;
-        self.routes
-            .route(&mut self.actions, cause, &mut self.records, |to, msg| {
-                outbox.push((to, msg))
-            });
-    }
-}
-
 impl Handler<()> for DispatcherMount {
     fn inbound(&mut self, token: Token, _: &mut Conn, _: &mut (), ev: Inbound) -> io::Result<bool> {
-        let Inbound::Msg(msg) = ev else {
-            return Ok(false);
-        };
-        let outbox = &mut self.outbox;
-        self.routes.heard(token, &msg, |to, m| outbox.push((to, m)));
-        if let Some(ev) = falkon_core::mapping::message_to_dispatcher_event(msg) {
-            self.step(ev, Some(token));
+        if let Inbound::Msg(msg) = ev {
+            self.node.heard(self.clock.now_us(), token, msg);
         }
         Ok(false)
     }
@@ -247,11 +211,8 @@ impl Handler<()> for DispatcherMount {
     fn closed(&mut self, token: Token, _: (), closed: Closed) {
         self.wire.merge(&closed.wire);
         // Our own stop closing everything is the end of the run, not a loss.
-        if closed.local {
-            return;
-        }
-        for executor in self.routes.close(token) {
-            self.step(DispatcherEvent::ExecutorLost { executor }, None);
+        if !closed.local {
+            self.node.closed(self.clock.now_us(), token);
         }
     }
 }
@@ -260,15 +221,15 @@ impl Mount for DispatcherMount {
     type Peer = ();
 
     fn outbox(&mut self) -> &mut Vec<(Token, Message)> {
-        &mut self.outbox
+        &mut self.node.outbox
     }
 
     fn next_deadline(&mut self) -> Option<u64> {
-        self.machine.next_deadline()
+        self.node.next_deadline()
     }
 
     fn on_deadline(&mut self) {
-        self.step(DispatcherEvent::CheckDeadlines, None);
+        self.node.on_deadline(self.clock.now_us());
     }
 }
 

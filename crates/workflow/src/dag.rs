@@ -164,13 +164,6 @@ impl Dag {
         }
         finish.into_iter().max().unwrap_or(0)
     }
-
-    /// Lower bound on makespan with `machines` machines and zero dispatch
-    /// cost: max(critical path, total work / machines).
-    pub fn ideal_makespan_us(&self, machines: u32) -> Micros {
-        let work = self.total_cpu_us() / machines.max(1) as u64;
-        work.max(self.critical_path_us())
-    }
 }
 
 #[cfg(test)]
@@ -230,12 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn ideal_makespan_respects_both_bounds() {
-        let g = diamond();
-        // 1 machine: total work 100 > critical path 80.
-        assert_eq!(g.ideal_makespan_us(1), 100);
-        // Many machines: critical path dominates.
-        assert_eq!(g.ideal_makespan_us(100), 80);
+    fn total_work_sums_every_task() {
+        assert_eq!(diamond().total_cpu_us(), 100);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Sans-io crates: state machines only; time enters as `Micros`.
-const SANS_IO: [&str; 4] = ["core", "proto", "obs", "sim"];
+const SANS_IO: [&str; 7] = ["core", "proto", "obs", "sim", "fs", "lrm", "workflow"];
 /// What sans-io code may not name: sockets, threads, sleeps, wall clocks.
 const IO_WORDS: &str =
     "std::net std::thread thread::sleep Instant SystemTime TcpStream TcpListener";

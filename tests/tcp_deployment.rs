@@ -4,8 +4,8 @@
 //! the hello, a peer that never speaks, a wrong key), the status poll, an
 //! executor that re-registers on a fresh connection, a client that
 //! reconnects for its results, eager delivery as one pushed frame per
-//! result, the machine's replay deadline riding the poll timeout, and work
-//! bundles with pre-fetch.
+//! result, the machine's replay deadline riding the poll timeout, work
+//! bundles with pre-fetch, and a pre-fetching executor's writes.
 
 // Deployment test: really waiting on real sockets is the point, so the
 // workspace-wide ban on blocking sleeps does not apply here.
@@ -16,12 +16,14 @@ mod common;
 use falkon::core::client::ACK_EVERY;
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::{DispatcherConfig, ReplayPolicy};
-use falkon::obs::ObsEventKind;
+use falkon::obs::{Counters, ObsEventKind};
 use falkon::proto::bundle::BundleConfig;
 use falkon::proto::message::{ExecutorId, Message};
 use falkon::proto::task::{TaskResult, TaskSpec};
 use falkon::proto::{write_frame, Codec, EfficientCodec, SecureChannel};
-use falkon::rt::tcp::{run_client, run_executor, DispatcherServer, ServerConfig};
+use falkon::rt::tcp::{
+    run_client, run_executor, run_executor_probe, DispatcherServer, ServerConfig,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -619,6 +621,38 @@ fn tcp_work_bundles_with_prefetch_complete_exactly_once_and_replay_on_time() {
         total(&obs.counters, ObsEventKind::BundleEncoded),
         plus(total(&peer_wire, ObsEventKind::BundleDecoded), received),
         "frames/bytes sent by dispatcher != received by peers"
+    );
+}
+
+/// Nothing waits in an executor's batch while a body that takes time runs:
+/// a pre-fetching executor on 1 ms tasks writes each result, and the
+/// request for the task after next, before it starts the next body.
+/// Before, the pre-fetched backlog rarely emptied and one write carried
+/// the results of tens of tasks, each delivered late.
+#[test]
+fn tcp_prefetching_executor_writes_before_each_body_that_takes_time() {
+    const TASKS: u64 = 200;
+    let config = ServerConfig::builder().build().expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let prefetching = ExecutorConfig {
+        idle_release_us: None,
+        prefetch: true,
+    };
+    let exec = thread::spawn(move || {
+        run_executor_probe(addr, ExecutorId(0), prefetching, None, Counters::new())
+    });
+    let tasks = (0..TASKS).map(|i| TaskSpec::sleep_us(i, 1_000)).collect();
+    let client = run_client(addr, tasks, BundleConfig::of(50), None).expect("client");
+    assert_eq!(client.done, TASKS);
+    server.shutdown();
+    let (out, probe) = exec.join().expect("executor thread").expect("executor run");
+    assert_eq!(out.tasks, TASKS);
+    let reported = probe.count(ObsEventKind::ResultsReported);
+    let writes = out.wire.count(ObsEventKind::SocketWrite);
+    assert!(
+        reported > 0 && writes >= reported,
+        "{writes} executor writes for {reported} results reported"
     );
 }
 
