@@ -23,13 +23,6 @@ use std::collections::HashMap;
 use std::sync::{mpsc, Mutex};
 use std::{panic, thread};
 
-/// One rendered `repro all` block, tagged with the registry id that
-/// produced it (after shared-run dedupe).
-pub struct Block {
-    pub id: &'static str,
-    pub text: String,
-}
-
 /// Run every registry entry and stream rendered blocks to `sink` in
 /// registry order. `jobs <= 1` is the serial reference path; higher values
 /// run up to `jobs` shared-run groups at once.
@@ -39,18 +32,6 @@ pub fn run_all_with(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str
     } else {
         run_all_parallel(scale, jobs, sink);
     }
-}
-
-/// Collect the blocks of a full run (used by the determinism tests).
-pub fn run_all_blocks(scale: Scale, jobs: usize) -> Vec<Block> {
-    let mut blocks = Vec::new();
-    run_all_with(scale, jobs, &mut |id, text| {
-        blocks.push(Block {
-            id,
-            text: text.to_string(),
-        });
-    });
-    blocks
 }
 
 fn run_all_serial(scale: Scale, sink: &mut dyn FnMut(&'static str, &str)) {

@@ -6,21 +6,30 @@
 //! it is deliberately last in the registry, which is what lets the CI
 //! bench-smoke job strip it with a single `sed` range.
 
-use falkon_bench::harness::run_all_blocks;
+use falkon_bench::harness::run_all_with;
 use falkon_exp::experiments::{Scale, REGISTRY};
+
+/// A run's blocks in emission order, each with the registry id behind it.
+fn blocks(jobs: usize) -> Vec<(&'static str, String)> {
+    let mut blocks = Vec::new();
+    run_all_with(Scale::Quick, jobs, &mut |id, text| {
+        blocks.push((id, text.to_string()))
+    });
+    blocks
+}
 
 /// Concatenate a run's blocks, dropping the wall-clock `measured` block.
 fn deterministic_output(jobs: usize) -> String {
-    let blocks = run_all_blocks(Scale::Quick, jobs);
+    let blocks = blocks(jobs);
     assert!(
-        blocks.iter().position(|b| b.id == "measured") >= Some(blocks.len() - 1),
+        blocks.iter().position(|b| b.0 == "measured") >= Some(blocks.len() - 1),
         "`measured` must stay last in the registry or the byte-identity \
          carve-out (here and in CI) silently excludes real experiments"
     );
     blocks
         .iter()
-        .filter(|b| b.id != "measured")
-        .map(|b| b.text.as_str())
+        .filter(|b| b.0 != "measured")
+        .map(|b| b.1.as_str())
         .collect()
 }
 
@@ -42,10 +51,10 @@ fn repro_all_is_byte_identical_across_job_counts() {
 /// `repro all` prints it once.
 #[test]
 fn every_entry_but_fig10_prints_a_block() {
-    let printed: Vec<&str> = run_all_blocks(Scale::Quick, 1)
+    let printed: Vec<&str> = blocks(1)
         .iter()
-        .filter(|b| !b.text.trim().is_empty())
-        .map(|b| b.id)
+        .filter(|b| !b.1.trim().is_empty())
+        .map(|b| b.0)
         .collect();
     let expected: Vec<&str> = REGISTRY
         .iter()

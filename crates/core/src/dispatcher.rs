@@ -380,11 +380,6 @@ impl<P: Probe> Dispatcher<P> {
         None
     }
 
-    /// Whether all submitted work has completed (no queued or running tasks).
-    pub fn is_drained(&self) -> bool {
-        self.queue.is_empty() && self.running.is_empty()
-    }
-
     /// Feed one event; actions are appended to `out`.
     pub fn on_event(&mut self, now: Micros, ev: DispatcherEvent, out: &mut Vec<DispatcherAction>) {
         match ev {
@@ -1019,7 +1014,7 @@ mod tests {
                 results: vec![TaskResult::success(TaskId(2))],
             },
         );
-        assert!(d.is_drained());
+        assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
         assert_eq!(d.status().busy_executors, 0);
         assert_eq!(d.stats().completed, 2);
     }
@@ -1261,7 +1256,7 @@ mod tests {
             },
         );
         assert_eq!(d.stats().completed, 1);
-        assert!(d.is_drained());
+        assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
     }
 
     #[test]
@@ -1317,7 +1312,7 @@ mod tests {
         // The client is pushed a (synthesized) result with the failure.
         let results = failure.expect("task should fail after retries exhausted");
         assert_eq!(d.stats().failed, 1);
-        assert!(d.is_drained());
+        assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, TaskId(9));
         assert!(!results[0].is_success());
@@ -1465,7 +1460,7 @@ mod tests {
         // Acknowledged, but nothing to notify anyone about.
         assert_eq!(acts.len(), 1);
         assert_eq!(d.status().queued_tasks, 0);
-        assert!(d.is_drained());
+        assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
         // The next bundle is served from the front of the queue, not from
         // behind an empty batch.
         step(

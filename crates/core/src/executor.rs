@@ -106,7 +106,7 @@ pub struct ExecutorStats {
 
 /// The Falkon executor state machine. See module docs.
 ///
-/// Generic over a [`Probe`] like [`crate::Dispatcher`]; the machine counts
+/// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; the machine counts
 /// the four event kinds it emits itself, so [`Executor::stats`] and
 /// [`Executor::counters`] work with the default [`NoopProbe`].
 pub struct Executor<P: Probe = NoopProbe> {
@@ -228,11 +228,6 @@ impl<P: Probe> Executor<P> {
     /// finished run's recorder this way).
     pub fn into_probe(self) -> P {
         self.probe
-    }
-
-    /// Whether the executor has shut down.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
     }
 
     fn backlog_is_empty(&self) -> bool {
@@ -665,7 +660,6 @@ mod tests {
             ExecutorAction::Send(Message::Deregister { .. })
         ));
         assert!(matches!(&acts[1], ExecutorAction::Shutdown));
-        assert!(e.is_done());
     }
 
     #[test]
@@ -680,7 +674,6 @@ mod tests {
         // …so a stale timeout must be ignored.
         let acts = step(&mut e, 16_000_000, ExecutorEvent::IdleTimeout);
         assert!(acts.is_empty());
-        assert!(!e.is_done());
     }
 
     #[test]
@@ -692,7 +685,6 @@ mod tests {
         let mut e = registered_executor(cfg);
         let acts = step(&mut e, 5_000_000, ExecutorEvent::IdleTimeout);
         assert!(acts.is_empty());
-        assert!(!e.is_done());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use falkon_proto::task::{TaskResult, TaskSpec};
 use std::collections::BTreeMap;
 
 /// Identifies a downstream dispatcher (index into the driver's table).
-pub type DispatcherIndex = usize;
+pub(crate) type DispatcherIndex = usize;
 
 /// Inputs to the forwarder.
 #[derive(Clone, Debug)]
@@ -111,7 +111,7 @@ struct InFlight {
 
 /// The forwarder state machine. See module docs.
 ///
-/// Generic over a [`Probe`] like [`crate::Dispatcher`]; internal
+/// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; internal
 /// [`Counters`] keep [`Forwarder::stats`] working with the default
 /// [`NoopProbe`].
 pub struct Forwarder<P: Probe = NoopProbe> {

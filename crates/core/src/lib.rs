@@ -6,7 +6,7 @@
 //! [`dispatcher::Dispatcher`], [`executor::Executor`], and
 //! [`provisioner::Provisioner`] — plus the execution-model policies of
 //! Section 3.1 ([`policy`]) and a client-side session ([`client::Client`]).
-//! The servers both runtimes mount are composed of them once, in [`node`].
+//! The servers both runtimes mount are composed of them once, in `node`.
 //!
 //! **Sans-io design.** Every component is a pure state machine: it consumes
 //! typed events carrying an explicit timestamp and emits typed actions; it
@@ -23,34 +23,28 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod config;
+mod config;
 pub mod dispatcher;
 pub mod executor;
 pub mod forwarder;
 pub mod ids;
 pub mod mapping;
-pub mod node;
+mod node;
 pub mod policy;
 pub mod provisioner;
-pub mod switchboard;
+mod switchboard;
 pub mod table;
 mod waitqueue;
 
-pub use client::{Client, ClientEvent};
 pub use config::DispatcherConfig;
-pub use dispatcher::{Dispatcher, DispatcherAction, DispatcherEvent, DispatcherStats};
-pub use executor::{Executor, ExecutorAction, ExecutorConfig, ExecutorEvent, ExecutorStats};
-pub use forwarder::{Forwarder, ForwarderAction, ForwarderEvent, ForwarderStats};
 pub use ids::AllocationId;
 pub use node::{DispatcherNode, ForwarderNode};
 pub use policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy, ReplayPolicy};
-pub use provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent, ProvisionerStats};
 pub use switchboard::Switchboard;
-pub use table::{DenseMap, FxHashMap, FxHashSet};
+pub use table::DenseMap;
 
 /// Microsecond-resolution timestamp passed explicitly into every state
 /// machine. The real-time driver derives it from a monotonic clock; the
-/// simulator passes virtual time. Identical to `falkon_obs::Micros` (and
-/// semantically to `falkon_sim::SimTime`), re-declared here so downstream
-/// code can use it without importing the observability crate.
-pub type Micros = u64;
+/// simulator passes virtual time. A plain `u64` in every crate's
+/// signatures (semantically `falkon_sim::SimTime`).
+type Micros = u64;

@@ -14,7 +14,7 @@ use falkon_proto::message::Message;
 /// (a socket server learns a connection's role only from what it sends).
 /// Returns `None` for messages a dispatcher never legitimately receives,
 /// and for `ResultsAck`, which only the [`crate::Switchboard`] reads.
-pub fn message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
+pub(crate) fn message_to_dispatcher_event(msg: Message) -> Option<DispatcherEvent> {
     Some(match msg {
         Message::Register { executor, .. } => DispatcherEvent::Register { executor },
         Message::GetWork { executor, key } => DispatcherEvent::GetWork { executor, key },

@@ -331,6 +331,41 @@ mod tests {
         assert_eq!(results_in(&mut node.outbox), 0);
     }
 
+    /// The executors a `StatusPoll` from endpoint 2 reports registered.
+    fn registered(node: &mut DispatcherNode<u8>) -> u64 {
+        node.heard(0, 2, Message::StatusPoll);
+        match node.outbox.pop() {
+            Some((2, Message::Status { status })) => status.registered_executors,
+            other => panic!("a StatusPoll answered with {other:?}"),
+        }
+    }
+
+    /// A `Register` at the dense tables' cap binds nothing and registers
+    /// nothing, and the executor that registers next is served.
+    #[test]
+    fn a_dispatcher_node_refuses_an_executor_id_at_the_dense_cap() {
+        let mut node: DispatcherNode<u8> =
+            DispatcherNode::new(DispatcherConfig::default(), NoopProbe);
+        node.heard(0, 1, register(crate::table::DENSE_ID_CAP));
+        assert_eq!(registered(&mut node), 0);
+        assert_eq!(sent(&mut node.outbox), [], "no RegisterAck");
+        node.heard(1, 3, register(2));
+        node.heard(1, 2, Message::CreateInstance);
+        let (instance, tasks) = (InstanceId(1), vec![TaskSpec::sleep(7, 0)]);
+        node.heard(1, 2, Message::Submit { instance, tasks });
+        let want = [
+            (3, "RegisterAck"),
+            (2, "InstanceCreated"),
+            (2, "SubmitAck"),
+            (3, "Notify"),
+        ];
+        assert_eq!(sent(&mut node.outbox), want);
+        assert_eq!(registered(&mut node), 1);
+        let (executor, key) = (ExecutorId(2), falkon_proto::message::NotifyKey(1));
+        node.heard(2, 3, Message::GetWork { executor, key });
+        assert_eq!(sent(&mut node.outbox), [(3, "Work")]);
+    }
+
     /// Two slots on endpoints 10 and 11, a client on endpoint 1.
     #[test]
     fn a_forwarder_node_routes_only_to_a_link_that_is_up() {

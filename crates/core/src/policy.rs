@@ -51,7 +51,7 @@ impl Default for ReplayPolicy {
 impl ReplayPolicy {
     /// Deadline (µs after dispatch) for a task with the given estimated
     /// runtime. Unknown runtimes get the slack alone.
-    pub fn deadline_us(&self, estimated_runtime_us: Micros) -> Micros {
+    pub(crate) fn deadline_us(&self, estimated_runtime_us: Micros) -> Micros {
         let scaled = (estimated_runtime_us as f64 * self.runtime_factor.max(1.0)) as Micros;
         scaled.saturating_add(self.timeout_slack_us)
     }
@@ -102,7 +102,7 @@ pub enum AcquisitionPolicy {
 impl AcquisitionPolicy {
     /// Split a deficit of `needed` executors into LRM request sizes.
     /// `lrm_available` is the LRM's idle-node report, when known.
-    pub fn request_sizes(&self, needed: u32, lrm_available: Option<u32>) -> Vec<u32> {
+    pub(crate) fn request_sizes(&self, needed: u32, lrm_available: Option<u32>) -> Vec<u32> {
         if needed == 0 {
             return Vec::new();
         }

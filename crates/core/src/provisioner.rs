@@ -89,7 +89,7 @@ pub struct ProvisionerStats {
 
 /// The Falkon provisioner state machine. See module docs.
 ///
-/// Generic over a [`Probe`] like [`crate::Dispatcher`]; internal
+/// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; internal
 /// [`Counters`] keep [`Provisioner::stats`] working with the default
 /// [`NoopProbe`].
 pub struct Provisioner<P: Probe = NoopProbe> {

@@ -18,16 +18,15 @@ use falkon_proto::message::Message;
 use falkon_proto::task::TaskResult;
 use std::collections::HashMap;
 
-/// The bindings of one server (module docs): an executor's endpoint and
-/// latest registration's number, dense by id; instance ids come off the
-/// wire, so the rest keep std's keyed hasher.
+/// The bindings of one server (module docs): an executor's endpoint,
+/// dense by id; instance ids come off the wire, so the rest keep std's
+/// keyed hasher.
 #[derive(Debug)]
 pub struct Switchboard<K> {
-    executors: DenseMap<ExecutorId, (K, u64)>,
+    executors: DenseMap<ExecutorId, K>,
     instances: HashMap<InstanceId, K>,
     /// Each instance's unacknowledged results, in the order they went out.
     kept: HashMap<InstanceId, Vec<TaskResult>>,
-    registrations: u64,
 }
 
 impl<K> Default for Switchboard<K> {
@@ -36,7 +35,6 @@ impl<K> Default for Switchboard<K> {
             executors: DenseMap::new(),
             instances: HashMap::new(),
             kept: HashMap::new(),
-            registrations: 0,
         }
     }
 }
@@ -48,8 +46,7 @@ impl<K: Copy + PartialEq> Switchboard<K> {
         match *msg {
             // The dispatcher refuses an id at or above the cap, as here.
             Message::Register { executor, .. } if executor.0 < DENSE_ID_CAP => {
-                self.registrations += 1;
-                self.executors.insert(executor, (from, self.registrations));
+                self.executors.insert(executor, from);
             }
             Message::Submit { instance, .. } | Message::GetResults { instance } => {
                 let moved = self.instances.insert(instance, from) != Some(from);
@@ -77,7 +74,7 @@ impl<K: Copy + PartialEq> Switchboard<K> {
 
     /// Where a message for executor `id` goes.
     pub fn to_executor(&self, id: ExecutorId) -> Option<K> {
-        self.executors.get(id).map(|b| b.0)
+        self.executors.get(id).copied()
     }
 
     /// Where `msg` for instance `id` goes; `cause` sent what it answers.
@@ -94,16 +91,15 @@ impl<K: Copy + PartialEq> Switchboard<K> {
     }
 
     /// Endpoint `at` closed: forget every binding that still leads there.
-    /// Returns the executors that lost their route, in registration order.
+    /// Returns the executors that lost their route, in ascending id order.
     pub fn close(&mut self, at: K) -> Vec<ExecutorId> {
-        let dense = self.executors.iter().filter(|(_, b)| b.0 == at);
-        let mut lost: Vec<_> = dense.map(|(e, b)| (e, *b)).collect();
-        for (executor, _) in &lost {
+        let bound = self.executors.iter().filter(|(_, k)| **k == at);
+        let lost: Vec<_> = bound.map(|(executor, _)| executor).collect();
+        for executor in &lost {
             self.executors.remove(*executor);
         }
-        lost.sort_unstable_by_key(|(_, (_, n))| *n);
         self.instances.retain(|_, k| *k != at);
-        lost.into_iter().map(|(executor, _)| executor).collect()
+        lost
     }
 }
 

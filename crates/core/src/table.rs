@@ -10,7 +10,7 @@
 //! construction.
 //!
 //! Where keys genuinely are sparse (task ids in a 2 M-task run, data-object
-//! hashes), [`FxHashMap`] keeps a real hash table but swaps SipHash for the
+//! hashes), `FxHashMap` keeps a real hash table but swaps SipHash for the
 //! multiply-xor hash used by rustc ("FxHash", written out here because the
 //! workspace vendors no external crates). It is not DoS-resistant, which is
 //! fine for ids generated by our own clients, and it is *seed-free*: unlike
@@ -66,7 +66,7 @@ impl DenseKey for crate::ids::AllocationId {
 ///
 /// Callers own id assignment and must keep keys small and sequential;
 /// inserting a huge key allocates a slot for every id below it. Wire-facing
-/// machines guard with [`DENSE_ID_CAP`] before inserting ids they did not
+/// machines guard with `DENSE_ID_CAP` before inserting ids they did not
 /// assign themselves.
 #[derive(Debug)]
 pub struct DenseMap<K: DenseKey, V> {
@@ -78,7 +78,7 @@ pub struct DenseMap<K: DenseKey, V> {
 /// Largest id a wire-facing machine should admit into a [`DenseMap`]
 /// (2³² ids — three orders of magnitude beyond the paper's 54 K executors —
 /// while bounding the allocation a hostile registration can trigger).
-pub const DENSE_ID_CAP: u64 = 1 << 32;
+pub(crate) const DENSE_ID_CAP: u64 = 1 << 32;
 
 impl<K: DenseKey, V> Default for DenseMap<K, V> {
     fn default() -> Self {
@@ -111,7 +111,7 @@ impl<K: DenseKey, V> DenseMap<K, V> {
 
     /// The value at `key`, if present.
     #[inline]
-    pub fn get(&self, key: K) -> Option<&V> {
+    pub(crate) fn get(&self, key: K) -> Option<&V> {
         self.slots.get(key.index())?.as_ref()
     }
 
@@ -147,7 +147,7 @@ impl<K: DenseKey, V> DenseMap<K, V> {
     }
 
     /// Live entries in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots
             .iter()
             .enumerate()
@@ -155,7 +155,7 @@ impl<K: DenseKey, V> DenseMap<K, V> {
     }
 
     /// Live values in ascending key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 }
@@ -164,7 +164,7 @@ impl<K: DenseKey, V> DenseMap<K, V> {
 /// across runs (no random seed). Not collision-resistant against adversarial
 /// keys — use only for ids we assign ourselves.
 #[derive(Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -220,13 +220,13 @@ impl Hasher for FxHasher {
 }
 
 /// Seed-free `BuildHasher` for [`FxHashMap`] / [`FxHashSet`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` with the fast deterministic [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` with the fast deterministic [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+pub(crate) type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -62,10 +62,6 @@ impl WaitQueue {
         self.len
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Append `tasks` behind everything queued. An empty bundle leaves
     /// nothing behind.
     pub(crate) fn push(
@@ -233,14 +229,14 @@ mod tests {
                 (3, InstanceId(2), 20, 2)
             ]
         );
-        assert!(q.is_empty() && q.batches.is_empty());
+        assert!(q.len() == 0 && q.batches.is_empty());
     }
 
     #[test]
     fn empty_bundle_leaves_no_batch() {
         let mut q = WaitQueue::default();
         q.push(InstanceId(1), 0, 0, Vec::new());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert!(q.batches.is_empty(), "an empty batch was queued");
         assert!(q.pop_front().is_none());
     }

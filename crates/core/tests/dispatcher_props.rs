@@ -201,14 +201,14 @@ impl World {
                     results,
                 });
             }
-            if self.d.is_drained() && self.wires.is_empty() {
+            if drained(&self.d) && self.wires.is_empty() {
                 return;
             }
             // Fire any deadline timers.
             if let Some(dl) = self.d.next_deadline() {
                 self.now = self.now.max(dl + 1);
                 self.feed(DispatcherEvent::CheckDeadlines);
-            } else if self.wires.is_empty() && !self.d.is_drained() {
+            } else if self.wires.is_empty() && !drained(&self.d) {
                 // Queued tasks with no live executor: add a rescue executor.
                 let e = ExecutorId(1_000_000);
                 if self.alive.insert(e) {
@@ -260,10 +260,7 @@ proptest! {
         prop_assert_eq!(seen.len() as u64, n_tasks, "tasks unaccounted for");
 
         // Invariant 2: fully drained.
-        prop_assert!(w.d.is_drained());
-        let st = w.d.status();
-        prop_assert_eq!(st.queued_tasks, 0);
-        prop_assert_eq!(st.running_tasks, 0);
+        prop_assert!(drained(&w.d));
 
         // Invariant 3: stats are consistent.
         let stats = w.d.stats();
@@ -273,6 +270,12 @@ proptest! {
 }
 
 /// The tasks each `ToExecutor` in `out` hands over, by executor.
+/// No queued and no running task.
+fn drained(d: &Dispatcher) -> bool {
+    let status = d.status();
+    status.queued_tasks == 0 && status.running_tasks == 0
+}
+
 fn handed(out: &[DispatcherAction]) -> Vec<(ExecutorId, Vec<TaskId>)> {
     let ids = |tasks: &[TaskSpec]| tasks.iter().map(|t| t.id).collect();
     out.iter()

@@ -102,8 +102,9 @@ proptest! {
                 ExecScript::IdleTimeout => ExecutorEvent::IdleTimeout,
             };
             e.on_event(now, ev, &mut out);
+            let shut_down = out.iter().any(|a| matches!(a, ExecutorAction::Shutdown));
             drain(&mut out, &mut running, &mut ran)?;
-            if e.is_done() {
+            if shut_down {
                 break;
             }
         }

@@ -159,7 +159,7 @@ fn reregistration_replays_in_flight_tasks_and_fixes_counters() {
         },
     );
     assert_eq!(d.stats().completed, 1);
-    assert!(d.is_drained());
+    assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
 }
 
 /// The tasks in `acts`' `Work` messages.
@@ -329,7 +329,7 @@ fn replays_rebuild_the_spec_a_running_task_left_with() {
     assert_eq!(done, ids.map(TaskId).collect::<Vec<_>>());
     assert_eq!(d.stats().completed, N);
     assert_eq!(d.stats().duplicate_results, 0);
-    assert!(d.is_drained());
+    assert_eq!((d.status().queued_tasks, d.status().running_tasks), (0, 0));
 }
 
 /// Bug: a pre-fetch Work answer that arrived after the current task had

@@ -1,15 +1,14 @@
 //! Model test for the switchboard (`switchboard.rs`).
 //!
 //! The reference is the structure the socket dispatcher kept before the
-//! switchboard replaced it: an executor → connection map, an instance →
-//! connection map, and per connection the executors bound there, in the
-//! order of their latest `Register`s. Random interleavings of
-//! `Register`, client messages naming an instance (`Submit`, `GetResults`,
-//! `DestroyInstance`), `InstanceCreated` answered on a connection,
-//! results pushed to an instance, and closes are fed to both. After every
-//! step, every executor's and every instance's destination must agree, and
-//! a close must lose the same executors in the same order: each one once,
-//! only while its route still led to the closing connection.
+//! switchboard replaced it: an executor → connection map and an instance
+//! → connection map. Random interleavings of `Register`, client messages
+//! naming an instance (`Submit`, `GetResults`, `DestroyInstance`),
+//! `InstanceCreated` answered on a connection, results pushed to an
+//! instance, and closes are fed to both. After every step, every
+//! executor's and every instance's destination must agree, and a close
+//! must lose exactly the executors whose route still led to the closing
+//! connection, each once, in ascending id order.
 //!
 //! The model also keeps every result pushed to an instance, in order,
 //! until a `ResultsAck` from the instance's connection takes some off the
@@ -57,21 +56,20 @@ fn arb_op() -> impl Strategy<Value = Op> {
 struct Model {
     exec_conn: HashMap<ExecutorId, u8>,
     inst_conn: HashMap<InstanceId, u8>,
-    /// Per connection, the executors whose `Register` bound them there.
-    log: HashMap<u8, Vec<ExecutorId>>,
     /// Per instance, the ids of the results pushed and not acknowledged.
     kept: HashMap<InstanceId, Vec<u64>>,
 }
 
 impl Model {
     fn close(&mut self, conn: u8) -> Vec<ExecutorId> {
-        let mut lost = Vec::new();
-        for e in self.log.remove(&conn).unwrap_or_default() {
-            if self.exec_conn.get(&e) == Some(&conn) {
-                self.exec_conn.remove(&e);
-                lost.push(e);
-            }
-        }
+        let mut lost: Vec<_> = self
+            .exec_conn
+            .iter()
+            .filter(|(_, c)| **c == conn)
+            .map(|(e, _)| *e)
+            .collect();
+        lost.sort_unstable_by_key(|e| e.0);
+        self.exec_conn.retain(|_, c| *c != conn);
         self.inst_conn.retain(|_, c| *c != conn);
         lost
     }
@@ -143,9 +141,6 @@ proptest! {
                     let msg = Message::Register { executor, host: "h".into() };
                     prop_assert_eq!(heard(&mut sb, c, msg), vec![]);
                     m.exec_conn.insert(executor, c);
-                    let log = m.log.entry(c).or_default();
-                    log.retain(|&x| x != executor);
-                    log.push(executor);
                 }
                 Op::Submit(i, c) => {
                     let instance = InstanceId(i);

@@ -29,53 +29,53 @@ use crate::Micros;
 /// Serial dispatcher CPU per message without security, µs. Falkon sustains
 /// 487 tasks/sec on UC_x64 (Fig. 3 asymptote); steady state costs two
 /// messages per task, so 1e6 / 487 / 2 ≈ 1,030 µs.
-pub const DISPATCHER_MSG_CPU_US: Micros = 1_030;
+pub(crate) const DISPATCHER_MSG_CPU_US: Micros = 1_030;
 
 /// Serial dispatcher CPU per message with GSISecureConversation, µs.
 /// Fig. 3: throughput drops to 204 tasks/sec → 1e6 / 204 / 2 ≈ 2,450 µs.
-pub const DISPATCHER_MSG_CPU_SECURE_US: Micros = 2_450;
+pub(crate) const DISPATCHER_MSG_CPU_SECURE_US: Micros = 2_450;
 
 /// One-way network latency between any two hosts, µs. The paper's LAN
 /// testbed (Section 4.2) sits in the 1–2 ms regime; we take the midpoint.
-pub const NETWORK_LATENCY_US: Micros = 1_500;
+pub(crate) const NETWORK_LATENCY_US: Micros = 1_500;
 
 /// Executor-side handling cost per task without security (thread create,
 /// WS pickup, fork/exec, result send), µs. One executor drives 28 tasks/sec
 /// (Fig. 3); 32 ms deterministic cost plus the log-normal jitter mean lands
 /// the per-executor bound in that band.
-pub const EXECUTOR_TASK_OVERHEAD_US: Micros = 32_000;
+pub(crate) const EXECUTOR_TASK_OVERHEAD_US: Micros = 32_000;
 
 /// Executor-side handling cost per task with GSISecureConversation, µs.
 /// Fig. 3: one secured executor drives 12 tasks/sec → ≈ 80 ms per task.
-pub const EXECUTOR_TASK_OVERHEAD_SECURE_US: Micros = 80_000;
+pub(crate) const EXECUTOR_TASK_OVERHEAD_SECURE_US: Micros = 80_000;
 
 /// Log-normal sigma for executor overhead jitter (0 = deterministic),
 /// fitted to the spread of the Fig. 10 per-task overhead distribution.
-pub const EXECUTOR_OVERHEAD_SIGMA: f64 = 0.35;
+pub(crate) const EXECUTOR_OVERHEAD_SIGMA: f64 = 0.35;
 
 /// Cap on executor overhead after jitter, µs (Fig. 10 max ≈ 1.3 s).
-pub const EXECUTOR_OVERHEAD_CAP_US: Micros = 1_300_000;
+pub(crate) const EXECUTOR_OVERHEAD_CAP_US: Micros = 1_300_000;
 
 /// JVM startup before a new executor registers, µs — the 5 s floor of the
 /// 5–65 s executor-creation variance reported in Section 4.6.
-pub const EXECUTOR_STARTUP_US: Micros = 5_000_000;
+pub(crate) const EXECUTOR_STARTUP_US: Micros = 5_000_000;
 
 /// GRAM4 handling of an allocation request before it reaches the LRM, µs:
 /// GRAM4 serves roughly 0.5 requests/sec (Section 4.6).
-pub const ALLOC_REQUEST_OVERHEAD_US: Micros = 2_000_000;
+pub(crate) const ALLOC_REQUEST_OVERHEAD_US: Micros = 2_000_000;
 
 /// Endurance runs: one stop-the-world GC pause per this many completed
 /// tasks, calibrated so the Fig. 8 moving average (298/s) sits ≈35% below
 /// the raw burst rate with frequent 0-tasks/sec samples.
-pub const GC_EVERY_DONE: u64 = 1_500;
+pub(crate) const GC_EVERY_DONE: u64 = 1_500;
 
 /// GC pause length per queued task, µs (live-set mark cost): the Fig. 8
 /// queue peaks at ≈1.5 M tasks, stretching pauses to multi-second stalls.
-pub const GC_PAUSE_PER_QUEUED_US: f64 = 2.0;
+pub(crate) const GC_PAUSE_PER_QUEUED_US: f64 = 2.0;
 
 /// Minimum GC pause when triggered, µs — a young-collection floor sized so
 /// even an empty queue shows the Fig. 8 dropout pattern.
-pub const GC_PAUSE_MIN_US: Micros = 50_000;
+pub(crate) const GC_PAUSE_MIN_US: Micros = 50_000;
 
 /// Cost model for one simulated deployment.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -126,7 +126,7 @@ impl CostModel {
 
     /// Calibrated to GSISecureConversation (204 tasks/sec, 12 tasks/sec per
     /// executor).
-    pub fn secure() -> CostModel {
+    pub(crate) fn secure() -> CostModel {
         CostModel {
             dispatcher_msg_cpu_us: DISPATCHER_MSG_CPU_SECURE_US,
             executor_task_overhead_us: EXECUTOR_TASK_OVERHEAD_SECURE_US,

@@ -29,7 +29,7 @@ use falkon_workflow::engine::WorkflowEngine;
 
 /// One arm of the data-diffusion ablation.
 #[derive(Clone, Debug)]
-pub struct DataDiffusionArm {
+pub(crate) struct DataDiffusionArm {
     /// Arm label.
     pub label: &'static str,
     /// Makespan, s.
@@ -63,7 +63,7 @@ fn reuse_workload(objects: u64, reuse: u64) -> Vec<TaskSpec> {
 }
 
 /// Run the three data-diffusion arms.
-pub fn data_diffusion(scale: Scale) -> Vec<DataDiffusionArm> {
+pub(crate) fn data_diffusion(scale: Scale) -> Vec<DataDiffusionArm> {
     let objects = scale.pick(32, 64);
     let reuse = scale.pick(10, 25);
     let mut out = Vec::new();
@@ -98,7 +98,7 @@ pub fn data_diffusion(scale: Scale) -> Vec<DataDiffusionArm> {
 }
 
 /// Render the data-diffusion ablation.
-pub fn render_data_diffusion(arms: &[DataDiffusionArm]) -> String {
+pub(crate) fn render_data_diffusion(arms: &[DataDiffusionArm]) -> String {
     let mut t = Table::new(
         "Ablation: data diffusion (Section 6 extension) — shared 10 MB objects on GPFS",
         &[
@@ -125,7 +125,7 @@ pub fn render_data_diffusion(arms: &[DataDiffusionArm]) -> String {
 
 /// One acquisition-policy run.
 #[derive(Clone, Debug)]
-pub struct AcquisitionRun {
+pub(crate) struct AcquisitionRun {
     /// Policy label.
     pub label: String,
     /// Time to complete the synthetic workload, s.
@@ -137,7 +137,7 @@ pub struct AcquisitionRun {
 }
 
 /// Run the synthetic workload under each acquisition policy.
-pub fn acquisition_policies(_scale: Scale) -> Vec<AcquisitionRun> {
+pub(crate) fn acquisition_policies(_scale: Scale) -> Vec<AcquisitionRun> {
     let policies: [(&str, AcquisitionPolicy); 5] = [
         ("all-at-once", AcquisitionPolicy::AllAtOnce),
         ("one-at-a-time", AcquisitionPolicy::OneAtATime),
@@ -186,7 +186,7 @@ pub fn acquisition_policies(_scale: Scale) -> Vec<AcquisitionRun> {
 }
 
 /// Render the acquisition-policy ablation.
-pub fn render_acquisition(runs: &[AcquisitionRun]) -> String {
+pub(crate) fn render_acquisition(runs: &[AcquisitionRun]) -> String {
     let mut t = Table::new(
         "Ablation: resource acquisition policies (synthetic workload, idle release 60 s)",
         &[
@@ -213,7 +213,7 @@ pub fn render_acquisition(runs: &[AcquisitionRun]) -> String {
 
 /// One pre-fetch arm.
 #[derive(Clone, Debug)]
-pub struct PrefetchArm {
+pub(crate) struct PrefetchArm {
     /// Arm label.
     pub label: &'static str,
     /// Throughput, tasks/s.
@@ -222,7 +222,7 @@ pub struct PrefetchArm {
 
 /// Pre-fetch ablation on a high-latency (50 ms one-way) link, where the
 /// GetWork round-trip would otherwise idle the executor between tasks.
-pub fn prefetch(scale: Scale) -> Vec<PrefetchArm> {
+pub(crate) fn prefetch(scale: Scale) -> Vec<PrefetchArm> {
     let n = scale.pick(300u64, 2_000);
     let mut out = Vec::new();
     for (label, prefetch) in [("no pre-fetch", false), ("pre-fetch", true)] {
@@ -250,7 +250,7 @@ pub fn prefetch(scale: Scale) -> Vec<PrefetchArm> {
 }
 
 /// Render the pre-fetch ablation.
-pub fn render_prefetch(arms: &[PrefetchArm]) -> String {
+pub(crate) fn render_prefetch(arms: &[PrefetchArm]) -> String {
     let mut t = Table::new(
         "Ablation: executor pre-fetching (Section 6 extension) — 100 ms tasks over a 50 ms WAN link, 4 executors",
         &["Configuration", "Throughput (tasks/s)"],

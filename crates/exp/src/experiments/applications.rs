@@ -59,7 +59,7 @@ pub fn fig14(scale: Scale) -> Vec<Fig14Point> {
 }
 
 /// Render Figure 14.
-pub fn render_fig14(points: &[Fig14Point]) -> String {
+pub(crate) fn render_fig14(points: &[Fig14Point]) -> String {
     let mut t = Table::new(
         "Figure 14: fMRI workflow end-to-end time (s)",
         &[
@@ -90,7 +90,7 @@ pub fn render_fig14(points: &[Fig14Point]) -> String {
 
 /// Figure 15 result: per-stage spans and totals for each Montage version.
 #[derive(Clone, Debug)]
-pub struct Fig15 {
+pub(crate) struct Fig15 {
     /// `(stage, gram_clustered_s, falkon_s)` per pipeline stage.
     pub stages: Vec<(String, f64, f64)>,
     /// GRAM4+PBS (clustered) total, s.
@@ -104,7 +104,7 @@ pub struct Fig15 {
 }
 
 /// Run the Montage study.
-pub fn fig15(scale: Scale) -> Fig15 {
+pub(crate) fn fig15(scale: Scale) -> Fig15 {
     let dag = montage::dag();
     let workers = 64;
     // GRAM4+PBS with clustering (the paper's baseline clusters small tasks).
@@ -158,7 +158,7 @@ pub fn fig15(scale: Scale) -> Fig15 {
 }
 
 /// Render Figure 15.
-pub fn render_fig15(f: &Fig15) -> String {
+pub(crate) fn render_fig15(f: &Fig15) -> String {
     let mut t = Table::new(
         "Figure 15: Montage application, per-stage span (s)",
         &["Stage", "GRAM4+PBS clustered", "Falkon"],

@@ -27,16 +27,16 @@ use falkon_proto::task::TaskSpec;
 use falkon_sim::table::series_tsv;
 
 /// Per-submission WS round-trip cost, µs (unbundled rate ≈ 20 tasks/sec).
-pub const PER_CALL_US: f64 = 48_000.0;
+pub(crate) const PER_CALL_US: f64 = 48_000.0;
 /// Per-task handling cost inside a submission, µs.
-pub const PER_TASK_US: f64 = 500.0;
+pub(crate) const PER_TASK_US: f64 = 500.0;
 /// Cost per byte copied by the grow-able-array serializer, µs/byte
 /// (Java array copy + XML re-walk; calibrated to put the peak near 300).
-pub const COPY_US_PER_BYTE: f64 = 0.00185;
+pub(crate) const COPY_US_PER_BYTE: f64 = 0.00185;
 
 /// One Figure 5 sample.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig5Point {
+pub(crate) struct Fig5Point {
     /// Tasks per bundle.
     pub bundle: u64,
     /// Throughput with the Axis-style codec, tasks/sec.
@@ -45,8 +45,6 @@ pub struct Fig5Point {
     pub axis_cost_ms: f64,
     /// Throughput with the efficient codec (ablation), tasks/sec.
     pub efficient_tps: f64,
-    /// Bytes the Axis-style codec copied while encoding the bundle.
-    pub copied_bytes: u64,
 }
 
 fn bundle_message(k: u64) -> Message {
@@ -57,7 +55,7 @@ fn bundle_message(k: u64) -> Message {
 }
 
 /// Run the Figure 5 sweep.
-pub fn fig5(scale: Scale) -> Vec<Fig5Point> {
+pub(crate) fn fig5(scale: Scale) -> Vec<Fig5Point> {
     let sizes: &[u64] = scale.pick(
         &[1, 10, 100, 300, 1_000][..],
         &[
@@ -75,14 +73,13 @@ pub fn fig5(scale: Scale) -> Vec<Fig5Point> {
                 axis_tps: k as f64 / (axis_us / 1e6),
                 axis_cost_ms: axis_us / 1e3 / k as f64,
                 efficient_tps: k as f64 / (eff_us / 1e6),
-                copied_bytes: copied,
             }
         })
         .collect()
 }
 
 /// Render Figure 5 as TSV series.
-pub fn render_fig5(points: &[Fig5Point]) -> String {
+pub(crate) fn render_fig5(points: &[Fig5Point]) -> String {
     let mut out = String::new();
     out.push_str("== Figure 5: Bundling throughput and cost per task ==\n");
     out.push_str(&series_tsv(
@@ -154,10 +151,8 @@ mod tests {
 
     #[test]
     fn copied_bytes_grow_superlinearly() {
-        let pts = fig5(Scale::Quick);
-        let at = |k: u64| pts.iter().find(|p| p.bundle == k).unwrap();
-        let c100 = at(100).copied_bytes as f64;
-        let c1000 = at(1_000).copied_bytes as f64;
+        let copied = |k| AxisCodec.encode_counting(&bundle_message(k)).1 as f64;
+        let (c100, c1000) = (copied(100), copied(1_000));
         assert!(c1000 > 50.0 * c100, "c100 = {c100}, c1000 = {c1000}");
     }
 }

@@ -9,7 +9,7 @@ use falkon_sim::table::series_tsv;
 
 /// The four experiment arms of Figure 4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Arm {
+pub(crate) enum Arm {
     /// GPFS, read-only.
     GpfsRead,
     /// GPFS, read + write.
@@ -30,7 +30,7 @@ impl Arm {
     ];
 
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Arm::GpfsRead => "GPFS read",
             Arm::GpfsReadWrite => "GPFS read+write",
@@ -56,7 +56,7 @@ impl Arm {
 
 /// One Figure 4 sample.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig4Point {
+pub(crate) struct Fig4Point {
     /// Which arm.
     pub arm: Arm,
     /// Data size per task, bytes.
@@ -68,7 +68,7 @@ pub struct Fig4Point {
 }
 
 /// Run the Figure 4 sweep.
-pub fn fig4(scale: Scale) -> Vec<Fig4Point> {
+pub(crate) fn fig4(scale: Scale) -> Vec<Fig4Point> {
     let sizes: &[u64] = scale.pick(
         &[1, 1 << 20, 1 << 30][..],
         &[
@@ -119,7 +119,7 @@ pub fn fig4(scale: Scale) -> Vec<Fig4Point> {
 }
 
 /// Render Figure 4 as TSV series (tasks/sec and Mb/s per arm).
-pub fn render_fig4(points: &[Fig4Point]) -> String {
+pub(crate) fn render_fig4(points: &[Fig4Point]) -> String {
     let mut out = String::new();
     out.push_str("== Figure 4: Throughput as a function of data size on 64 nodes ==\n");
     for &arm in &Arm::ALL {

@@ -33,7 +33,7 @@ fn falkon_efficiency(executors: u32, task_secs: u64, tasks_per_executor: u64) ->
 
 /// One Figure 6 cell.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig6Point {
+pub(crate) struct Fig6Point {
     /// Executor count.
     pub executors: u32,
     /// Task length, seconds.
@@ -43,7 +43,7 @@ pub struct Fig6Point {
 }
 
 /// Run the Figure 6 sweep: one independent simulation per cell.
-pub fn fig6(scale: Scale) -> Vec<Fig6Point> {
+pub(crate) fn fig6(scale: Scale) -> Vec<Fig6Point> {
     let counts: &[u32] = scale.pick(&[1, 16, 256][..], &[1, 2, 4, 8, 16, 32, 64, 128, 256][..]);
     let lengths: &[u64] = scale.pick(&[1, 8, 64][..], &[1, 2, 4, 8, 16, 32, 64][..]);
     counts
@@ -59,7 +59,7 @@ pub fn fig6(scale: Scale) -> Vec<Fig6Point> {
 }
 
 /// Render Figure 6 as TSV (one series per task length).
-pub fn render_fig6(points: &[Fig6Point]) -> String {
+pub(crate) fn render_fig6(points: &[Fig6Point]) -> String {
     let mut out = String::new();
     out.push_str("== Figure 6: Efficiency for various task length and executors ==\n");
     let mut lengths: Vec<u64> = points.iter().map(|p| p.task_secs).collect();
@@ -83,7 +83,7 @@ pub fn render_fig6(points: &[Fig6Point]) -> String {
 
 /// One Figure 7 sample: efficiency of each system at one task length.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig7Point {
+pub(crate) struct Fig7Point {
     /// Task length, seconds.
     pub task_secs: u64,
     /// Falkon (simulated, no security).
@@ -97,7 +97,7 @@ pub struct Fig7Point {
 }
 
 /// Run the Figure 7 sweep: 64 tasks on 64 processors (32 dual-CPU nodes).
-pub fn fig7(scale: Scale) -> Vec<Fig7Point> {
+pub(crate) fn fig7(scale: Scale) -> Vec<Fig7Point> {
     let lengths: &[u64] = scale.pick(
         &[1, 64, 1_200, 16_384][..],
         &[
@@ -143,7 +143,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Point> {
 }
 
 /// Render Figure 7 as TSV series.
-pub fn render_fig7(points: &[Fig7Point]) -> String {
+pub(crate) fn render_fig7(points: &[Fig7Point]) -> String {
     let mut out = String::new();
     out.push_str("== Figure 7: Efficiency on 64 processors vs task length ==\n");
     let series = |name: &str, f: fn(&Fig7Point) -> f64| {

@@ -17,7 +17,7 @@ use falkon_sim::TimeSeries;
 
 /// Figure 8 result.
 #[derive(Clone, Debug)]
-pub struct Fig8 {
+pub(crate) struct Fig8 {
     /// Tasks completed.
     pub tasks: u64,
     /// Total run time, seconds.
@@ -37,7 +37,7 @@ pub struct Fig8 {
 }
 
 /// Run the endurance experiment.
-pub fn fig8(scale: Scale) -> Fig8 {
+pub(crate) fn fig8(scale: Scale) -> Fig8 {
     let total: usize = scale.pick(120_000, 2_000_000);
     // The client outpaces the ≈300/s dispatch rate so the queue builds.
     let submit_rate = 1_250.0;
@@ -103,7 +103,7 @@ pub fn fig8(scale: Scale) -> Fig8 {
 }
 
 /// Render Figure 8.
-pub fn render_fig8(f: &Fig8) -> String {
+pub(crate) fn render_fig8(f: &Fig8) -> String {
     let mut out = String::new();
     out.push_str("== Figure 8: Long running test with 2M tasks ==\n");
     out.push_str(&format!(

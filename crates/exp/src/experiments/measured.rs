@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Dispatch-overhead quantiles of one measured run, in µs.
 #[derive(Clone, Copy, Debug)]
-pub struct OverheadQuantiles {
+pub(crate) struct OverheadQuantiles {
     /// Median per-task overhead.
     pub p50_us: u64,
     /// 90th percentile.
@@ -29,7 +29,7 @@ pub struct OverheadQuantiles {
 
 /// One deployment arm of the measured benchmark.
 #[derive(Clone, Debug)]
-pub struct MeasuredRow {
+pub(crate) struct MeasuredRow {
     /// Deployment label.
     pub label: &'static str,
     /// Tasks completed.
@@ -42,7 +42,7 @@ pub struct MeasuredRow {
 
 /// The measured-throughput report.
 #[derive(Clone, Debug)]
-pub struct Measured {
+pub(crate) struct Measured {
     /// One row per deployment, client, servers and executor threads on
     /// real loopback sockets, all on the one connection engine (no
     /// polling cadence): the flat one with 8 executors in each wire mode,

@@ -10,18 +10,18 @@
 //! entry's run renders its text block, so the typed results here are read
 //! only by their own module's renderer and by tests that check numbers.
 
-pub mod ablation;
+pub(crate) mod ablation;
 pub mod applications;
-pub mod bundling;
-pub mod data;
-pub mod efficiency;
-pub mod endurance;
-pub mod measured;
+pub(crate) mod bundling;
+pub(crate) mod data;
+pub(crate) mod efficiency;
+pub(crate) mod endurance;
+pub(crate) mod measured;
 pub mod provisioning;
 pub mod registry;
-pub mod scale54k;
-pub mod tables;
-pub mod threetier;
+pub(crate) mod scale54k;
+pub(crate) mod tables;
+pub(crate) mod threetier;
 pub mod throughput;
 
 pub use registry::{lookup, Experiment, Report, REGISTRY};
@@ -37,7 +37,7 @@ pub enum Scale {
 
 impl Scale {
     /// Pick `full` or `quick` depending on scale.
-    pub fn pick<T>(self, quick: T, full: T) -> T {
+    pub(crate) fn pick<T>(self, quick: T, full: T) -> T {
         match self {
             Scale::Quick => quick,
             Scale::Full => full,

@@ -45,7 +45,7 @@ pub struct ProvisioningRun {
 
 impl ProvisioningRun {
     /// `exec / (exec + queue)` — the "Execution Time %" row of Table 3.
-    pub fn exec_time_fraction(&self) -> f64 {
+    pub(crate) fn exec_time_fraction(&self) -> f64 {
         self.avg_exec_s / (self.avg_exec_s + self.avg_queue_s)
     }
 }
@@ -208,7 +208,7 @@ pub fn run_all(scale: Scale) -> Vec<ProvisioningRun> {
 }
 
 /// Render Figure 11 (the workload itself).
-pub fn render_fig11() -> String {
+pub(crate) fn render_fig11() -> String {
     let mut out = String::new();
     out.push_str("== Figure 11: The 18-stage synthetic workload ==\n");
     out.push_str(&format!(
@@ -235,7 +235,7 @@ pub fn render_fig11() -> String {
 }
 
 /// Render Table 3.
-pub fn render_table3(runs: &[ProvisioningRun]) -> String {
+pub(crate) fn render_table3(runs: &[ProvisioningRun]) -> String {
     let mut t = Table::new(
         "Table 3: Average per-task queue and execution times (synthetic workload)",
         &["Config", "Queue (s)", "Exec (s)", "Exec %"],
@@ -252,7 +252,7 @@ pub fn render_table3(runs: &[ProvisioningRun]) -> String {
 }
 
 /// Render Table 4.
-pub fn render_table4(runs: &[ProvisioningRun]) -> String {
+pub(crate) fn render_table4(runs: &[ProvisioningRun]) -> String {
     let mut t = Table::new(
         "Table 4: Overall resource utilization and execution efficiency",
         &[
@@ -276,7 +276,7 @@ pub fn render_table4(runs: &[ProvisioningRun]) -> String {
 }
 
 /// Render a Figure 12/13-style executor lifecycle trace.
-pub fn render_trace(run: &ProvisioningRun) -> String {
+pub(crate) fn render_trace(run: &ProvisioningRun) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "== Executor lifecycle trace: {} (Figures 12/13 style) ==\n",

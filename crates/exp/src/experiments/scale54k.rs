@@ -21,7 +21,7 @@ use falkon_sim::table::series_tsv;
 /// ROADMAP items 3–4 simulate at. Only the scalar summary is kept — the
 /// paper figures stay pinned to the 54K run.
 #[derive(Clone, Debug)]
-pub struct Beyond100k {
+pub(crate) struct Beyond100k {
     /// Executors (= tasks).
     pub executors: u32,
     /// Time for the busy-executor count to reach its maximum, s.
@@ -34,7 +34,7 @@ pub struct Beyond100k {
 
 /// Figures 9+10 result.
 #[derive(Clone, Debug)]
-pub struct Scale54k {
+pub(crate) struct Scale54k {
     /// Executors (= tasks).
     pub executors: u32,
     /// Time for the busy-executor count to reach its maximum, s.

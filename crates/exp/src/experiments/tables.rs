@@ -5,7 +5,7 @@ use falkon_sim::table::Table;
 use falkon_workflow::apps::table5;
 
 /// Render Table 1.
-pub fn render_table1() -> String {
+pub(crate) fn render_table1() -> String {
     let mut t = Table::new(
         "Table 1: Platform descriptions",
         &["Name", "# of Nodes", "Processors", "Memory", "Network"],
@@ -27,7 +27,7 @@ pub fn render_table1() -> String {
 }
 
 /// Render Table 5.
-pub fn render_table5() -> String {
+pub(crate) fn render_table5() -> String {
     let mut t = Table::new(
         "Table 5: Swift applications; all could benefit from Falkon",
         &["Application", "#Tasks/workflow", "#Stages"],

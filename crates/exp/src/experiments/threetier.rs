@@ -16,7 +16,7 @@ use falkon_sim::table::Table;
 
 /// One 3-tier configuration's result.
 #[derive(Clone, Debug)]
-pub struct ThreeTierRun {
+pub(crate) struct ThreeTierRun {
     /// Dispatchers behind the forwarder.
     pub dispatchers: usize,
     /// Aggregate throughput, tasks/sec.
@@ -28,7 +28,7 @@ pub struct ThreeTierRun {
 /// Drive `tasks` through `k` simulated dispatchers via a forwarder, in
 /// bundles of 300; returns aggregate throughput (tasks/sec from
 /// submission to the last completion).
-pub fn run_three_tier(k: usize, tasks: u64, executors_per_dispatcher: u32) -> f64 {
+pub(crate) fn run_three_tier(k: usize, tasks: u64, executors_per_dispatcher: u32) -> f64 {
     let mut sim = SimFalkon::new(SimFalkonConfig {
         executors: executors_per_dispatcher,
         forwarder: Some(k),

@@ -11,7 +11,7 @@ use falkon_sim::table::{series_tsv, Table};
 
 /// One Figure 3 series point.
 #[derive(Clone, Copy, Debug)]
-pub struct Fig3Point {
+pub(crate) struct Fig3Point {
     /// Executor count.
     pub executors: u32,
     /// Falkon without security, tasks/sec.
@@ -22,7 +22,7 @@ pub struct Fig3Point {
 
 /// Figure 3 result.
 #[derive(Clone, Debug)]
-pub struct Fig3 {
+pub(crate) struct Fig3 {
     /// Throughput per executor count.
     pub points: Vec<Fig3Point>,
     /// The GT4 WS-call upper bound (≈500 calls/sec on the paper's host).
@@ -46,7 +46,7 @@ fn run_throughput(executors: u32, costs: CostModel, tasks: u64) -> f64 {
 }
 
 /// Run the Figure 3 sweep.
-pub fn fig3(scale: Scale) -> Fig3 {
+pub(crate) fn fig3(scale: Scale) -> Fig3 {
     let counts: &[u32] = scale.pick(
         &[1, 4, 16, 64, 256][..],
         &[1, 2, 4, 8, 16, 32, 64, 128, 256][..],
@@ -70,7 +70,7 @@ pub fn fig3(scale: Scale) -> Fig3 {
 }
 
 /// Render Figure 3 as TSV series.
-pub fn render_fig3(f: &Fig3) -> String {
+pub(crate) fn render_fig3(f: &Fig3) -> String {
     let mut out = String::new();
     out.push_str("== Figure 3: Throughput as function of executor count ==\n");
     out.push_str(&series_tsv(
@@ -183,7 +183,7 @@ pub fn table2(scale: Scale) -> Vec<Table2Row> {
 }
 
 /// Render Table 2.
-pub fn render_table2(rows: &[Table2Row]) -> String {
+pub(crate) fn render_table2(rows: &[Table2Row]) -> String {
     let mut t = Table::new(
         "Table 2: Measured and cited throughput (tasks/sec)",
         &["System", "Comments", "Throughput", "Source"],

@@ -11,7 +11,7 @@
 //! * [`costs`] — the calibrated cost model.
 //! * [`simfalkon`] — a full simulated deployment: client, dispatcher,
 //!   executors, provisioner, LRM, shared/local filesystems.
-//! * [`lrmdirect`] — baseline runs that submit every task straight to
+//! * `lrmdirect` — baseline runs that submit every task straight to
 //!   PBS or Condor (what Falkon is compared against).
 //! * [`providers`] — `falkon-workflow` providers backed by the simulator
 //!   (Falkon, GRAM4+PBS, clustered GRAM4+PBS) for the Section 5
@@ -24,13 +24,10 @@
 
 pub mod costs;
 pub mod experiments;
-pub mod lrmdirect;
+mod lrmdirect;
 pub mod providers;
 pub mod simfalkon;
 pub mod trace;
 
-pub use costs::CostModel;
-pub use simfalkon::{SimFalkon, SimFalkonConfig, SimOutcome};
-
 /// Microsecond timestamps, matching `falkon-core`.
-pub type Micros = u64;
+type Micros = u64;

@@ -5,35 +5,32 @@ use crate::Micros;
 use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Outcome of submitting a batch of tasks directly to an LRM.
 #[derive(Clone, Debug)]
-pub struct DirectOutcome {
-    /// Tasks completed.
-    pub tasks: u64,
+pub(crate) struct DirectOutcome {
     /// Time of the last completion, µs.
     pub makespan_us: Micros,
     /// Aggregate throughput, tasks/sec.
     pub throughput: f64,
-    /// Mean client-visible queue time (submit → Active), µs.
-    pub avg_queue_us: f64,
-    /// Mean client-visible execution time (Active → Done), µs.
-    pub avg_exec_us: f64,
 }
 
 /// Submit `n` tasks of `runtime_us` each as individual jobs to a bare LRM
 /// with `nodes` nodes and run to completion (the Table 2 PBS/Condor
-/// measurement shape).
-pub fn run_direct(profile: LrmProfile, nodes: u32, n: u64, runtime_us: Micros) -> DirectOutcome {
+/// measurement shape). Panics if the LRM goes idle with tasks unfinished.
+pub(crate) fn run_direct(
+    profile: LrmProfile,
+    nodes: u32,
+    n: u64,
+    runtime_us: Micros,
+) -> DirectOutcome {
     let mut lrm = BatchScheduler::new(profile, nodes);
     let mut out = Vec::new();
     for i in 0..n {
         lrm.handle(0, LrmInput::Submit(JobSpec::task(i, runtime_us)), &mut out);
     }
-    let mut active: HashMap<JobId, Micros> = HashMap::new();
-    let mut queue_sum = 0u64;
-    let mut exec_sum = 0u64;
+    let mut active: HashSet<JobId> = HashSet::new();
     let mut done = 0u64;
     let mut makespan = 0u64;
     let mut now = 0;
@@ -43,12 +40,10 @@ pub fn run_direct(profile: LrmProfile, nodes: u32, n: u64, runtime_us: Micros) -
             match state {
                 JobState::Queued => {}
                 JobState::Active => {
-                    active.insert(job, now);
-                    queue_sum += now; // submit was at t=0
+                    active.insert(job);
                 }
                 JobState::Done(_) => {
-                    if let Some(t_active) = active.remove(&job) {
-                        exec_sum += now - t_active;
+                    if active.remove(&job) {
                         done += 1;
                         makespan = makespan.max(now);
                     }
@@ -58,18 +53,17 @@ pub fn run_direct(profile: LrmProfile, nodes: u32, n: u64, runtime_us: Micros) -
         if done == n {
             break;
         }
-        let Some(t) = lrm.next_wakeup() else { break };
+        let Some(t) = lrm.next_wakeup() else {
+            panic!("LRM idle at {done}/{n}")
+        };
         lrm.handle(t, LrmInput::Tick, &mut out);
         now = t;
         guard += 1;
         assert!(guard < 50_000_000, "LRM run stuck at {done}/{n}");
     }
     DirectOutcome {
-        tasks: done,
         makespan_us: makespan,
         throughput: done as f64 / (makespan.max(1) as f64 / 1e6),
-        avg_queue_us: queue_sum as f64 / done.max(1) as f64,
-        avg_exec_us: exec_sum as f64 / done.max(1) as f64,
     }
 }
 
@@ -82,7 +76,6 @@ mod tests {
     fn pbs_table2_rate() {
         // 100 sleep-0 tasks on 64 nodes: paper measured ≈224 s (0.45/s).
         let out = run_direct(PBS_V2_1_8, 64, 100, 0);
-        assert_eq!(out.tasks, 100);
         let rate = out.throughput;
         assert!((0.3..0.65).contains(&rate), "PBS rate = {rate:.2}");
     }

@@ -290,7 +290,7 @@ struct Host {
 /// The simulated deployment. Drive with [`SimFalkon::submit`] +
 /// [`SimFalkon::run_until_drained`] (or its fold,
 /// [`SimFalkon::run_until_drained_with`]), or incrementally with the fold
-/// [`SimFalkon::advance_to`] (used by the workflow providers). Either way
+/// `SimFalkon::advance_to` (used by the workflow providers). Either way
 /// each task record is handed out as the task completes; the deployment
 /// keeps running totals, not history.
 pub struct SimFalkon {
@@ -448,17 +448,12 @@ impl SimFalkon {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> Micros {
+    pub(crate) fn now(&self) -> Micros {
         self.now
     }
 
-    /// Tasks submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
     /// Number of stop-the-world GC pauses taken.
-    pub fn gc_pauses(&self) -> u64 {
+    pub(crate) fn gc_pauses(&self) -> u64 {
         self.gc_pauses
     }
 
@@ -514,7 +509,7 @@ impl SimFalkon {
     /// `each` as the task completes. Events run whether or not work is
     /// outstanding: a provisioned deployment polls, releases and samples
     /// between workflow stages.
-    pub fn advance_to(&mut self, t: Micros, each: impl FnMut(TaskRecord)) {
+    pub(crate) fn advance_to(&mut self, t: Micros, each: impl FnMut(TaskRecord)) {
         self.run_events(Some(t), each);
         self.now = self.now.max(t);
     }
@@ -989,15 +984,9 @@ impl SimFalkon {
                 // assigns allocation ids sequentially, and this is the only
                 // place jobs are created), so the job↔allocation "maps" are
                 // the identity.
-                let job = JobId(allocation.0);
                 // Nodes requested = executors / executors_per_node.
                 let nodes = executors.div_ceil(self.config.executors_per_node.max(1));
-                let spec = JobSpec {
-                    id: job,
-                    nodes,
-                    runtime_us: None,
-                    walltime_us: duration_us,
-                };
+                let spec = JobSpec::service(allocation.0, nodes, duration_us);
                 // The request reaches the LRM only after the GRAM-like
                 // handling overhead; delivering it as a timed event keeps
                 // the scheduler's clock causal.
@@ -1254,7 +1243,7 @@ mod tests {
                 TaskSpec::sleep(i as u64, 0)
             }),
         );
-        assert_eq!(sim.submitted(), 100, "the total is known up front");
+        assert_eq!(sim.submitted, 100, "the total is known up front");
         assert_eq!(
             made.get(),
             0,

@@ -16,7 +16,7 @@ thread_local! {
     static SINK: RefCell<Option<Vec<Vec<TaskRecord>>>> = const { RefCell::new(None) };
 }
 
-/// Start capturing. Each subsequent deployment ([`begin_run`]) opens a new
+/// Start capturing. Each subsequent deployment (`begin_run`) opens a new
 /// run group; records accumulate until [`take`].
 pub fn enable() {
     SINK.with(|s| *s.borrow_mut() = Some(Vec::new()));
@@ -24,7 +24,7 @@ pub fn enable() {
 
 /// Mark the start of a new deployment (one simulated or threaded cluster).
 /// No-op unless capturing.
-pub fn begin_run() {
+pub(crate) fn begin_run() {
     SINK.with(|s| {
         if let Some(runs) = s.borrow_mut().as_mut() {
             runs.push(Vec::new());

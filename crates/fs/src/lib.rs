@@ -21,14 +21,13 @@
 //! FIFO-bank approximation reproduces both the small-size op-rate ceilings
 //! and the large-size bandwidth plateaus.
 
-pub mod resource;
-
-pub use resource::IoResource;
+mod resource;
 
 use falkon_proto::task::{DataAccess, DataLocation, DataSpec};
+use resource::IoResource;
 
 /// Microsecond timestamps, matching `falkon-core`.
-pub type Micros = u64;
+type Micros = u64;
 
 /// Calibrated I/O cost parameters for one deployment.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -103,11 +102,6 @@ impl ClusterFs {
                 .collect(),
             bytes_transferred: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> FsConfig {
-        self.config
     }
 
     /// Number of compute nodes modelled.

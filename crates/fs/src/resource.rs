@@ -9,7 +9,7 @@ use crate::Micros;
 
 /// A bank of identical FIFO servers (e.g. the 8 GPFS I/O nodes).
 #[derive(Clone, Debug)]
-pub struct IoResource {
+pub(crate) struct IoResource {
     /// Each server's next-free time.
     free_at: Vec<Micros>,
     /// Default per-byte service rate, bytes/sec.
@@ -33,19 +33,14 @@ impl IoResource {
         }
     }
 
-    /// Number of servers in the bank.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Issue a request with the default rate/op-cost; returns completion time.
-    pub fn request(&mut self, now: Micros, bytes: u64) -> Micros {
+    pub(crate) fn request(&mut self, now: Micros, bytes: u64) -> Micros {
         self.request_with(now, bytes, self.bandwidth_bps, self.op_cost_us)
     }
 
     /// Issue a request with explicit rate/op-cost (local disks use different
     /// costs for reads and writes on the same spindle).
-    pub fn request_with(
+    pub(crate) fn request_with(
         &mut self,
         now: Micros,
         bytes: u64,

@@ -109,11 +109,6 @@ impl Gram {
         }
     }
 
-    /// Access the wrapped scheduler (e.g. for idle-node queries).
-    pub fn lrm(&self) -> &BatchScheduler {
-        &self.lrm
-    }
-
     /// The next instant at which `Tick` must be delivered.
     pub fn next_wakeup(&self) -> Option<Micros> {
         let mine = self.pending.peek().map(|Reverse((t, _, _))| *t);

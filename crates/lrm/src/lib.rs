@@ -9,8 +9,7 @@
 //!
 //! * PBS v2.1.8 sustains ≈0.45 tasks/sec; Condor v6.7.2 ≈0.49 (the paper
 //!   ran it as a MyCluster personal pool; here it is the Condor profile
-//!   driven directly); Condor v6.9.3 ≈11 (per-task overhead 0.0909 s);
-//!   Condor-J2 ≈22 (Table 2).
+//!   driven directly); Condor v6.9.3 ≈11 (per-task overhead 0.0909 s).
 //! * The scheduler assigns work on a periodic poll cycle (≈60 s for the
 //!   paper's PBS), which is why Falkon executor creation takes 5–65 s.
 //! * GRAM4 handles roughly 0.5 requests/sec and adds its own state-change
@@ -25,10 +24,5 @@ pub mod job;
 pub mod profile;
 pub mod scheduler;
 
-pub use gram::{Gram, GramConfig, GramInput, GramOutput};
-pub use job::{DoneReason, JobId, JobSpec, JobState};
-pub use profile::LrmProfile;
-pub use scheduler::{BatchScheduler, LrmInput, LrmOutput};
-
 /// Microsecond timestamps, matching `falkon-core`.
-pub type Micros = u64;
+type Micros = u64;

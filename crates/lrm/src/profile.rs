@@ -61,16 +61,6 @@ pub const CONDOR_V6_9_3: LrmProfile = LrmProfile {
     node_release_us: 0,
 };
 
-/// Condor-J2 (Table 2: 22 tasks/sec).
-pub const CONDOR_J2: LrmProfile = LrmProfile {
-    name: "Condor-J2",
-    poll_interval_us: 1_000_000,
-    dispatch_overhead_us: 45_454, // 22 jobs/s
-    startup_us: 0,
-    cleanup_us: 0,
-    node_release_us: 0,
-};
-
 /// An idealized LRM with no overheads at all; useful as the "Ideal" column
 /// of Tables 3/4 and in unit tests.
 pub const IDEAL: LrmProfile = LrmProfile {
@@ -95,7 +85,6 @@ mod tests {
         assert!((rate(PBS_V2_1_8) - 0.526).abs() < 0.01);
         assert!((rate(CONDOR_V6_7_2) - 0.571).abs() < 0.01);
         assert!((rate(CONDOR_V6_9_3) - 11.0).abs() < 0.01);
-        assert!((rate(CONDOR_J2) - 22.0).abs() < 0.01);
         assert_eq!(IDEAL.dispatch_overhead_us, 0);
     }
 

@@ -121,7 +121,7 @@ impl BatchScheduler {
     }
 
     /// A job's current state, if known.
-    pub fn job_state(&self, job: JobId) -> Option<JobState> {
+    pub(crate) fn job_state(&self, job: JobId) -> Option<JobState> {
         self.jobs.get(&job).map(|j| j.state)
     }
 

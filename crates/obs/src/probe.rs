@@ -218,17 +218,6 @@ impl ObsEventKind {
     pub const fn name(self) -> &'static str {
         TABLE[self as usize].1
     }
-
-    /// Whether [`ObsEvent::value`] for this kind is a measured duration.
-    /// Durations depend on the driver's clock (wall time vs virtual time),
-    /// so cross-driver accounting comparisons must skip their value sums;
-    /// counts and all other value kinds are clock-independent.
-    pub const fn carries_duration(self) -> bool {
-        matches!(
-            self,
-            ObsEventKind::TaskDispatched | ObsEventKind::TaskCompleted
-        )
-    }
 }
 
 impl ObsEvent {

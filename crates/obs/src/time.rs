@@ -43,16 +43,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Time elapsed since `earlier`, saturating to zero if `earlier` is later.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -66,22 +56,9 @@ impl SimDuration {
         SimDuration(us)
     }
 
-    /// Construct from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000)
-    }
-
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
-    }
-
-    /// Construct from fractional seconds. Negative values clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return SimDuration(0);
-        }
-        SimDuration((s * 1e6).round() as u64)
     }
 
     /// Microseconds in this duration.
@@ -92,16 +69,6 @@ impl SimDuration {
     /// Seconds as a float (lossy, for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiply by an integer factor, saturating on overflow.
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 }
 
@@ -182,7 +149,6 @@ mod tests {
     #[test]
     fn construction_and_accessors() {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
-        assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
         assert!((SimTime::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
     }
 
@@ -192,33 +158,10 @@ mod tests {
         assert_eq!(t, SimTime::from_secs(15));
         assert_eq!(t - SimTime::from_secs(10), SimDuration::from_secs(5));
         let mut d = SimDuration::from_secs(1);
-        d += SimDuration::from_millis(500);
-        assert_eq!(d, SimDuration::from_millis(1_500));
-        d -= SimDuration::from_millis(1_500);
+        d += SimDuration::from_micros(500_000);
+        assert_eq!(d, SimDuration::from_micros(1_500_000));
+        d -= SimDuration::from_micros(1_500_000);
         assert_eq!(d, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(2);
-        assert_eq!(late.since(early), SimDuration::from_secs(1));
-        assert_eq!(early.since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mul_helpers() {
-        assert_eq!(
-            SimDuration::from_secs(2).saturating_mul(3),
-            SimDuration::from_secs(6)
-        );
-        assert_eq!(SimDuration::MAX.saturating_mul(2), SimDuration::MAX);
     }
 
     #[test]

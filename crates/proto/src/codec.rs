@@ -110,25 +110,25 @@ impl Codec for AxisCodec {
 // ---------------------------------------------------------------------------
 
 mod tag {
-    pub const CREATE_INSTANCE: u8 = 1;
-    pub const INSTANCE_CREATED: u8 = 2;
-    pub const SUBMIT: u8 = 3;
-    pub const SUBMIT_ACK: u8 = 4;
-    pub const NOTIFY: u8 = 5;
-    pub const GET_WORK: u8 = 6;
-    pub const WORK: u8 = 7;
-    pub const RESULT: u8 = 8;
-    pub const RESULT_ACK: u8 = 9;
-    pub const CLIENT_NOTIFY: u8 = 10;
-    pub const GET_RESULTS: u8 = 11;
-    pub const RESULTS: u8 = 12;
-    pub const REGISTER: u8 = 13;
-    pub const REGISTER_ACK: u8 = 14;
-    pub const DEREGISTER: u8 = 15;
-    pub const STATUS_POLL: u8 = 16;
-    pub const STATUS: u8 = 17;
-    pub const DESTROY_INSTANCE: u8 = 18;
-    pub const RESULTS_ACK: u8 = 19;
+    pub(crate) const CREATE_INSTANCE: u8 = 1;
+    pub(crate) const INSTANCE_CREATED: u8 = 2;
+    pub(crate) const SUBMIT: u8 = 3;
+    pub(crate) const SUBMIT_ACK: u8 = 4;
+    pub(crate) const NOTIFY: u8 = 5;
+    pub(crate) const GET_WORK: u8 = 6;
+    pub(crate) const WORK: u8 = 7;
+    pub(crate) const RESULT: u8 = 8;
+    pub(crate) const RESULT_ACK: u8 = 9;
+    pub(crate) const CLIENT_NOTIFY: u8 = 10;
+    pub(crate) const GET_RESULTS: u8 = 11;
+    pub(crate) const RESULTS: u8 = 12;
+    pub(crate) const REGISTER: u8 = 13;
+    pub(crate) const REGISTER_ACK: u8 = 14;
+    pub(crate) const DEREGISTER: u8 = 15;
+    pub(crate) const STATUS_POLL: u8 = 16;
+    pub(crate) const STATUS: u8 = 17;
+    pub(crate) const DESTROY_INSTANCE: u8 = 18;
+    pub(crate) const RESULTS_ACK: u8 = 19;
 }
 
 fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {

@@ -45,7 +45,6 @@ mod wire;
 
 pub use bundle::{bundles, BundleConfig};
 pub use codec::{AxisCodec, Codec, EfficientCodec};
-pub use error::CodecError;
 pub use frame::{write_frame, FrameCursor, MAX_FRAME_LEN};
 pub use message::{DispatcherStatus, Message};
 pub use security::SecureChannel;

@@ -25,7 +25,7 @@
 use crate::error::CodecError;
 
 /// Bytes of the tag appended to every sealed frame.
-pub const MAC_LEN: usize = 8;
+pub(crate) const MAC_LEN: usize = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;

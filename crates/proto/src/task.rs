@@ -87,7 +87,7 @@ const _: [(); 16] = [(); std::mem::size_of::<IStr>()];
 impl IStr {
     /// The string contents.
     #[inline]
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Static(s) => s,
             Repr::Shared(s) => s,
@@ -206,7 +206,7 @@ impl Args {
     }
 
     /// A single-argument list (allocates nothing).
-    pub fn one(arg: impl Into<IStr>) -> Args {
+    pub(crate) fn one(arg: impl Into<IStr>) -> Args {
         Args(ArgsRepr::One(arg.into()))
     }
 
@@ -481,12 +481,12 @@ impl TaskResult {
     }
 
     /// Captured standard output, if requested.
-    pub fn stdout(&self) -> Option<&str> {
+    pub(crate) fn stdout(&self) -> Option<&str> {
         self.captured.as_ref()?.stdout.as_deref()
     }
 
     /// Captured standard error, if requested.
-    pub fn stderr(&self) -> Option<&str> {
+    pub(crate) fn stderr(&self) -> Option<&str> {
         self.captured.as_ref()?.stderr.as_deref()
     }
 

@@ -7,10 +7,10 @@
 use crate::error::CodecError;
 
 /// Sanity cap on any single length field (strings, arrays): 64 MiB.
-pub const MAX_LEN: u64 = 64 * 1024 * 1024;
+pub(crate) const MAX_LEN: u64 = 64 * 1024 * 1024;
 
 /// A bounds-checked cursor over an input buffer.
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -20,7 +20,7 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -41,19 +41,19 @@ impl<'a> Reader<'a> {
         <[u8; N]>::try_from(b).map_err(|_| CodecError::Truncated { context })
     }
 
-    pub fn u8(&mut self, context: &'static str) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, CodecError> {
         self.array::<1>(context).map(|[b]| b)
     }
 
-    pub fn u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.array(context)?))
     }
 
-    pub fn u64(&mut self, context: &'static str) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.array(context)?))
     }
 
-    pub fn i32(&mut self, context: &'static str) -> Result<i32, CodecError> {
+    pub(crate) fn i32(&mut self, context: &'static str) -> Result<i32, CodecError> {
         Ok(i32::from_le_bytes(self.array(context)?))
     }
 
@@ -66,12 +66,12 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    pub fn bytes(&mut self, context: &'static str) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn bytes(&mut self, context: &'static str) -> Result<&'a [u8], CodecError> {
         let n = self.len(context)?;
         self.take(n, context)
     }
 
-    pub fn string(&mut self, context: &'static str) -> Result<String, CodecError> {
+    pub(crate) fn string(&mut self, context: &'static str) -> Result<String, CodecError> {
         let b = self.bytes(context)?;
         std::str::from_utf8(b)
             .map(|s| s.to_string())
@@ -81,12 +81,15 @@ impl<'a> Reader<'a> {
     /// A borrowed, UTF-8-validated view of a length-prefixed string: lets
     /// decode paths inspect (e.g. intern) the text before deciding whether
     /// to allocate.
-    pub fn str_slice(&mut self, context: &'static str) -> Result<&'a str, CodecError> {
+    pub(crate) fn str_slice(&mut self, context: &'static str) -> Result<&'a str, CodecError> {
         let b = self.bytes(context)?;
         std::str::from_utf8(b).map_err(|_| CodecError::InvalidUtf8 { context })
     }
 
-    pub fn opt_string(&mut self, context: &'static str) -> Result<Option<String>, CodecError> {
+    pub(crate) fn opt_string(
+        &mut self,
+        context: &'static str,
+    ) -> Result<Option<String>, CodecError> {
         match self.u8(context)? {
             0 => Ok(None),
             1 => Ok(Some(self.string(context)?)),
@@ -94,7 +97,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, CodecError> {
+    pub(crate) fn opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, CodecError> {
         match self.u8(context)? {
             0 => Ok(None),
             1 => Ok(Some(self.u64(context)?)),
@@ -116,7 +119,7 @@ impl<'a> Reader<'a> {
 
 /// A growable output buffer abstraction so the efficient and the Axis-style
 /// codecs can share one encoding routine while differing in append behaviour.
-pub trait Sink {
+pub(crate) trait Sink {
     /// Append raw bytes.
     fn put(&mut self, data: &[u8]);
 
@@ -209,7 +212,7 @@ impl Sink for Vec<u8> {
 /// A sink that discards bytes and counts them — sizes a message without
 /// materialising it.
 #[derive(Default)]
-pub struct CountSink {
+pub(crate) struct CountSink {
     /// Bytes that would have been written.
     pub len: usize,
 }
@@ -226,7 +229,7 @@ impl Sink for CountSink {
 /// items costs O(n²) byte copies, which is what bends the Figure 5 bundling
 /// curve downward past ~300 tasks per bundle.
 #[derive(Default)]
-pub struct GrowByCopySink {
+pub(crate) struct GrowByCopySink {
     /// Accumulated output.
     pub buf: Vec<u8>,
     /// Total bytes copied due to reallocation (observability for tests).

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-/// A shared origin for microsecond timestamps (`falkon_core::Micros`).
+/// A shared origin for microsecond timestamps (`u64` µs, the machines' `Micros`).
 #[derive(Clone, Copy, Debug)]
 pub struct Clock {
     origin: Instant,
@@ -21,7 +21,7 @@ impl Clock {
     }
 
     /// Microseconds since the clock started.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
     }
 }

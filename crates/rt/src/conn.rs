@@ -16,7 +16,7 @@
 //! separate code path: the peer's hello is the first frame the ordinary
 //! read path yields, so frames that arrived in the same `read` behind it
 //! are decoded by the very next [`Conn::poll_inbound`] call. `Hello` and
-//! `Draining` are bounded by [`PEER_PATIENCE_US`] through the connection's
+//! `Draining` are bounded by `PEER_PATIENCE_US` through the connection's
 //! deadline, which the engine folds into its poll timeout.
 //!
 //! # Read path
@@ -32,7 +32,7 @@
 //!
 //! There is exactly one outbound path, and it encodes no further ahead
 //! than the socket. [`Conn::enqueue`] encodes (and seals) a frame into the
-//! batch while that holds under [`FLUSH_HIGH_WATER`] bytes and no message
+//! batch while that holds under `FLUSH_HIGH_WATER` bytes and no message
 //! waits; otherwise the message joins, unencoded, a FIFO behind the batch.
 //! [`Conn::flush`], the only writer, writes as much of the batch as the
 //! socket takes in one call (the paper's §3.1 bundling, at the syscall
@@ -75,12 +75,12 @@ pub type TcpSecurity = Option<u64>;
 /// Cap on a connection's encoded backlog: a message is encoded only into
 /// a batch buffer holding fewer bytes than this, so at most this plus one
 /// frame is encoded ahead of the socket.
-pub const FLUSH_HIGH_WATER: usize = 256 * 1024;
+pub(crate) const FLUSH_HIGH_WATER: usize = 256 * 1024;
 
 /// How long a connection may sit in a non-steady phase — waiting for the
 /// peer's hello, or draining its final flush into a peer that stopped
 /// reading — before it is dropped.
-pub const PEER_PATIENCE_US: u64 = 10_000_000;
+pub(crate) const PEER_PATIENCE_US: u64 = 10_000_000;
 
 enum Phase {
     /// Our hello is queued; the first inbound frame must be the peer's.
@@ -100,7 +100,7 @@ pub enum Inbound {
     Opened,
     /// One decoded message.
     Msg(Message),
-    /// The deadline set with [`Conn::set_deadline`] passed (delivered by
+    /// The deadline set with `Conn::set_deadline` passed (delivered by
     /// the engine, never by `poll_inbound`).
     Deadline,
 }
@@ -124,7 +124,7 @@ pub struct Closed {
 /// module docs) — each frame is a borrowed view, the secure path unseals
 /// it in place, and the codec decodes from it. Outbound is one pass too:
 /// each frame is encoded straight into the batch buffer, which is the
-/// connection's own and capped by [`FLUSH_HIGH_WATER`], and sealed there.
+/// connection's own and capped by `FLUSH_HIGH_WATER`, and sealed there.
 pub struct Conn {
     stream: TcpStream,
     phase: Phase,
@@ -186,7 +186,7 @@ impl Conn {
 
     /// Queue one message: encoded straight into the batch — sealed there
     /// in place on a secure connection, no per-message allocation or copy —
-    /// below [`FLUSH_HIGH_WATER`] with no message waiting, else it waits
+    /// below `FLUSH_HIGH_WATER` with no message waiting, else it waits
     /// unencoded for [`Conn::flush`]. Nothing is written here.
     pub fn enqueue(&mut self, msg: Message) -> io::Result<()> {
         if !matches!(self.phase, Phase::Ready) {
@@ -245,7 +245,7 @@ impl Conn {
     }
 
     /// Encoded bytes not yet written (waiting messages are not counted).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.batchbuf.len() - self.batch_pos
     }
 
@@ -321,7 +321,7 @@ impl Conn {
     /// Ask the engine for an [`Inbound::Deadline`] at `deadline_us` (absolute
     /// clock µs), or cancel with `None`. Only meaningful in steady state;
     /// the handshake and the final drain own the deadline otherwise.
-    pub fn set_deadline(&mut self, deadline_us: Option<u64>) {
+    pub(crate) fn set_deadline(&mut self, deadline_us: Option<u64>) {
         if matches!(self.phase, Phase::Ready) {
             self.deadline_us = deadline_us;
         }

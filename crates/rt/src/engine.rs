@@ -34,7 +34,7 @@ use std::io::{self, ErrorKind};
 /// slot reuse: a stale token (its connection closed, the slot recycled)
 /// resolves to nothing instead of hitting the wrong peer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     idx: u32,
     gen: u32,
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
     clippy::disallowed_methods,
     reason = "the sleep is the task body (the paper's `sleep N` workload), not transport pacing"
 )]
-pub fn execute_builtin(spec: &TaskSpec) -> TaskResult {
+pub(crate) fn execute_builtin(spec: &TaskSpec) -> TaskResult {
     if &*spec.command == "sleep" {
         if let Some(secs) = spec.args.first().and_then(|a| a.parse::<f64>().ok()) {
             if secs > 0.0 {
@@ -22,7 +22,7 @@ pub fn execute_builtin(spec: &TaskSpec) -> TaskResult {
 }
 
 /// Execute a task by spawning the real OS process and waiting for it.
-pub fn execute_process(spec: &TaskSpec) -> TaskResult {
+pub(crate) fn execute_process(spec: &TaskSpec) -> TaskResult {
     match std::process::Command::new(&*spec.command)
         .args(spec.args.iter().map(|a| &**a))
         .output()

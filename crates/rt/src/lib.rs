@@ -34,7 +34,7 @@
 pub mod clock;
 pub mod conn;
 pub mod engine;
-pub mod exec;
+mod exec;
 pub mod forwarder;
 pub mod inproc;
 pub mod muxpeer;
@@ -43,5 +43,4 @@ mod server;
 pub mod tcp;
 pub mod wscounter;
 
-pub use clock::Clock;
 pub use inproc::{InprocConfig, RunOutcome, WireMode};

@@ -13,7 +13,7 @@
 /// There is data to read.
 pub const POLLIN: i16 = 0x001;
 /// Writing is now possible.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 
 /// One registered fd, `struct pollfd` layout.
 #[repr(C)]
@@ -44,13 +44,13 @@ extern "C" {
 /// 128 overflows under that pile-up, the kernel drops the next SYN, and
 /// the dialer stalls a full second in retransmit. Deep enough for the
 /// largest fleet the benchmarks dial; the kernel clamps to `somaxconn`.
-pub const LISTEN_BACKLOG: i32 = 4096;
+pub(crate) const LISTEN_BACKLOG: i32 = 4096;
 
 /// Deepen an already-listening socket's accept queue. Linux re-applies
 /// `listen(2)` on a listening fd by updating the backlog in place, which
 /// lets us keep `std`'s safe bind path and fix only the queue depth.
 #[allow(unsafe_code)]
-pub fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> std::io::Result<()> {
+pub(crate) fn set_backlog(listener: &std::net::TcpListener, backlog: i32) -> std::io::Result<()> {
     use std::os::fd::AsRawFd;
     // SAFETY: `listener` owns a valid, open, listening socket fd for the
     // duration of the call, and `listen(2)` on a listening socket only

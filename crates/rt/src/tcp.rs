@@ -64,7 +64,7 @@ impl ServerConfig {
 
     /// Downstream dispatcher count of the forwarder tier, if
     /// [`ServerConfigBuilder::forwarder`] selected one.
-    pub fn forwarder_dispatchers(&self) -> Option<usize> {
+    pub(crate) fn forwarder_dispatchers(&self) -> Option<usize> {
         self.forwarder_dispatchers
     }
 
@@ -150,7 +150,7 @@ impl std::error::Error for ConfigError {}
 
 /// What a stopped dispatcher hands back: per-task records, machine
 /// counters, and the observability recorder.
-pub type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
+pub(crate) type DispatcherOutcome = (Vec<TaskRecord>, DispatcherStats, Recorder);
 
 /// Handle to a running TCP dispatcher.
 pub struct DispatcherServer {

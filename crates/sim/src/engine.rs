@@ -37,11 +37,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Total events delivered so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -52,39 +47,17 @@ impl<E> Engine<E> {
         self.queue.push(self.now + delay, event);
     }
 
-    /// Schedule `event` at an absolute instant (must not be in the past).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.queue.push(at, event);
-    }
-
     /// Request that the run loop exit after the current event.
     pub fn stop(&mut self) {
         self.stopped = true;
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Drive the simulation until the queue drains, [`Engine::stop`] is
     /// called, or `max_events` is exceeded (panic: indicates a livelock).
     pub fn run<F: FnMut(&mut Engine<E>, E)>(&mut self, mut handler: F) {
-        self.run_until(SimTime::MAX, &mut handler);
-    }
-
-    /// Like [`Engine::run`] but stops (without consuming) at the first event
-    /// scheduled after `deadline`. Returns `true` if stopped by the deadline.
-    pub fn run_until<F: FnMut(&mut Engine<E>, E)>(
-        &mut self,
-        deadline: SimTime,
-        handler: &mut F,
-    ) -> bool {
         while !self.stopped {
-            // One queue operation per event: `pop_at_or_before` is a
-            // conditional pop, not a peek followed by a pop.
-            let Some((t, ev)) = self.queue.pop_at_or_before(deadline) else {
-                return !self.queue.is_empty();
+            let Some((t, ev)) = self.queue.pop() else {
+                return;
             };
             self.now = t;
             self.events_processed += 1;
@@ -95,7 +68,6 @@ impl<E> Engine<E> {
             );
             handler(self, ev);
         }
-        false
     }
 }
 
@@ -109,7 +81,7 @@ mod tests {
         eng.schedule(SimDuration::from_secs(1), 0);
         let mut seen = Vec::new();
         eng.run(|eng, n| {
-            seen.push((eng.now(), n));
+            seen.push((eng.now, n));
             if n < 3 {
                 eng.schedule(SimDuration::from_secs(1), n + 1);
             }
@@ -117,19 +89,6 @@ mod tests {
         assert_eq!(seen.len(), 4);
         assert_eq!(seen[3], (SimTime::from_secs(4), 3));
         assert_eq!(eng.events_processed(), 4);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut eng: Engine<()> = Engine::new();
-        for s in 1..=10 {
-            eng.schedule_at(SimTime::from_secs(s), ());
-        }
-        let mut count = 0;
-        let hit = eng.run_until(SimTime::from_secs(5), &mut |_, _| count += 1);
-        assert!(hit);
-        assert_eq!(count, 5);
-        assert_eq!(eng.pending(), 5);
     }
 
     #[test]

@@ -8,25 +8,25 @@
 //!
 //! * [`SimTime`], [`SimDuration`] — the microsecond-resolution virtual
 //!   clock, shared with (and defined in) `falkon-obs`.
-//! * [`event`] — a deterministic event queue with stable FIFO ordering for
+//! * `event` — a deterministic event queue with stable FIFO ordering for
 //!   simultaneous events, backed by the hierarchical timer wheel in
-//!   [`wheel`] (events past its 2^32 µs horizon wait in a `BTreeMap`).
+//!   `wheel` (events past its 2^32 µs horizon wait in a `BTreeMap`).
 //! * [`engine`] — the event loop: [`engine::Engine`] delivers timed events
 //!   to a handler closure.
 //! * [`Histogram`], [`TimeSeries`] — the `falkon-obs` measurement
 //!   primitives used to regenerate the paper's figures.
-//! * [`rng`] — deterministic, seedable random distributions so every
+//! * `rng` — deterministic, seedable random distributions so every
 //!   experiment is exactly reproducible.
 //! * [`platform`] — the Table 1 testbed profiles (node counts, CPUs, network).
 //! * [`table`] — plain-text table/TSV formatting for experiment output.
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod event;
+mod event;
 pub mod platform;
-pub mod rng;
+mod rng;
 pub mod table;
-pub mod wheel;
+mod wheel;
 
 pub use engine::Engine;
 pub use event::EventQueue;

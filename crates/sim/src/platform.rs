@@ -23,7 +23,7 @@ pub struct Platform {
 }
 
 /// `TG_ANL_IA32`: 98 dual-Xeon 2.4 GHz nodes, 4 GB, 1 Gb/s.
-pub const TG_ANL_IA32: Platform = Platform {
+pub(crate) const TG_ANL_IA32: Platform = Platform {
     name: "TG_ANL_IA32",
     nodes: 98,
     cpus_per_node: 2,
@@ -33,7 +33,7 @@ pub const TG_ANL_IA32: Platform = Platform {
 };
 
 /// `TG_ANL_IA64`: 64 dual-Itanium 1.5 GHz nodes, 4 GB, 1 Gb/s.
-pub const TG_ANL_IA64: Platform = Platform {
+pub(crate) const TG_ANL_IA64: Platform = Platform {
     name: "TG_ANL_IA64",
     nodes: 64,
     cpus_per_node: 2,
@@ -43,7 +43,7 @@ pub const TG_ANL_IA64: Platform = Platform {
 };
 
 /// `TP_UC_x64`: 122 dual-Opteron 2.2 GHz nodes, 4 GB, 1 Gb/s.
-pub const TP_UC_X64: Platform = Platform {
+pub(crate) const TP_UC_X64: Platform = Platform {
     name: "TP_UC_x64",
     nodes: 122,
     cpus_per_node: 2,
@@ -53,7 +53,7 @@ pub const TP_UC_X64: Platform = Platform {
 };
 
 /// `UC_x64`: the single dispatcher host (dual Xeon 3 GHz w/ HT, 2 GB).
-pub const UC_X64: Platform = Platform {
+pub(crate) const UC_X64: Platform = Platform {
     name: "UC_x64",
     nodes: 1,
     cpus_per_node: 2,
@@ -63,7 +63,7 @@ pub const UC_X64: Platform = Platform {
 };
 
 /// `UC_IA32`: single P4 2.4 GHz client host.
-pub const UC_IA32: Platform = Platform {
+pub(crate) const UC_IA32: Platform = Platform {
     name: "UC_IA32",
     nodes: 1,
     cpus_per_node: 1,
@@ -74,9 +74,6 @@ pub const UC_IA32: Platform = Platform {
 
 /// All Table 1 rows in paper order.
 pub const ALL: [&Platform; 5] = [&TG_ANL_IA32, &TG_ANL_IA64, &TP_UC_X64, &UC_X64, &UC_IA32];
-
-/// Of the 162 TG_ANL nodes, 128 were free for the paper's experiments.
-pub const TG_ANL_FREE_NODES: u32 = 128;
 
 #[cfg(test)]
 mod tests {
@@ -94,6 +91,5 @@ mod tests {
         assert_eq!(ALL.len(), 5);
         let total_tg_anl = TG_ANL_IA32.nodes + TG_ANL_IA64.nodes;
         assert_eq!(total_tg_anl, 162);
-        assert!(TG_ANL_FREE_NODES < total_tg_anl);
     }
 }

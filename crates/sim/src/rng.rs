@@ -23,7 +23,7 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         self.inner.random::<f64>()
     }
 

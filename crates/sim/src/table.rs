@@ -75,11 +75,6 @@ impl Table {
     }
 }
 
-/// Format a float with `prec` decimals.
-pub fn f(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
-}
-
 /// Format a fraction as a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -161,7 +156,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pct(0.895), "89.5%");
     }
 

@@ -13,7 +13,7 @@
 //! wheel horizon entirely (exercising the far-future overflow). The
 //! `*_across_cascades_and_overflow` tests draw from all three regimes.
 
-use falkon_sim::{Engine, EventQueue, SimTime};
+use falkon_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -232,21 +232,4 @@ fn push_into_the_past_panics_after_same_instant_pop() {
     q.push(SimTime::from_micros(100), 2); // the current instant
     q.pop();
     q.push(SimTime::from_micros(99), 3);
-}
-
-/// Regression: the `max_events` livelock valve must still trip now that
-/// `Engine::run_until` delivers through `pop_at_or_before` instead of
-/// peek-then-pop.
-#[test]
-#[should_panic(expected = "max_events")]
-fn livelock_detection_fires_through_pop_at_or_before() {
-    let mut eng: Engine<u32> = Engine::new();
-    eng.max_events = 100;
-    eng.schedule_at(SimTime::from_micros(5), 0);
-    eng.run_until(SimTime::from_micros(10), &mut |eng, _| {
-        // Reschedule at the current instant forever: a classic livelock,
-        // entirely inside the deadline window.
-        let now = eng.now();
-        eng.schedule_at(now, 0);
-    });
 }

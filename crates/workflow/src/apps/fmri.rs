@@ -19,10 +19,10 @@ use crate::Micros;
 /// Per-task runtime used for the pipeline stages ("a few seconds" on
 /// TG_ANL_IA64). Chosen so the 120-volume ideal run time is tens of seconds
 /// on 8 executors, matching Figure 14's Falkon bars.
-pub const STAGE_RUNTIME_US: [Micros; 4] = [2_000_000, 4_000_000, 3_000_000, 3_000_000];
+pub(crate) const STAGE_RUNTIME_US: [Micros; 4] = [2_000_000, 4_000_000, 3_000_000, 3_000_000];
 
 /// Names of the four pipeline steps.
-pub const STAGE_NAMES: [&str; 4] = ["reorient", "alignlinear", "reslice", "smooth"];
+pub(crate) const STAGE_NAMES: [&str; 4] = ["reorient", "alignlinear", "reslice", "smooth"];
 
 /// Build the pipeline DAG for a run of `volumes` volumes.
 ///

@@ -17,36 +17,36 @@ use crate::dag::{Dag, NodeId, WfTask};
 use crate::Micros;
 
 /// Input image count for the M16 3°×3° mosaic.
-pub const N_IMAGES: u32 = 487;
+pub(crate) const N_IMAGES: u32 = 487;
 /// Overlapping image-section pairs.
-pub const N_OVERLAPS: u32 = 2_200;
+pub(crate) const N_OVERLAPS: u32 = 2_200;
 /// Partial co-add groups (the decomposed first co-add step).
-pub const N_ADD_SUB: u32 = 24;
+pub(crate) const N_ADD_SUB: u32 = 24;
 
 /// Per-task payload runtimes (µs), calibrated so the end-to-end Falkon run
 /// lands near the paper's ≈1,100 s on 64 executors.
-pub mod runtimes {
+pub(crate) mod runtimes {
     use crate::Micros;
     /// `mProject`: re-project one image.
-    pub const M_PROJECT: Micros = 60_000_000;
+    pub(crate) const M_PROJECT: Micros = 60_000_000;
     /// `mDiff`: difference of one overlapping pair.
-    pub const M_DIFF: Micros = 4_000_000;
+    pub(crate) const M_DIFF: Micros = 4_000_000;
     /// `mFit`: plane fit of one difference image.
-    pub const M_FIT: Micros = 4_000_000;
+    pub(crate) const M_FIT: Micros = 4_000_000;
     /// `mBgModel`: global background model (single task).
-    pub const M_BG_MODEL: Micros = 15_000_000;
+    pub(crate) const M_BG_MODEL: Micros = 15_000_000;
     /// `mBackground`: apply correction to one image.
-    pub const M_BACKGROUND: Micros = 10_000_000;
+    pub(crate) const M_BACKGROUND: Micros = 10_000_000;
     /// `mAddSub`: partial co-add of one group.
-    pub const M_ADD_SUB: Micros = 30_000_000;
+    pub(crate) const M_ADD_SUB: Micros = 30_000_000;
     /// `mAdd`: final co-add (single task).
-    pub const M_ADD: Micros = 80_000_000;
+    pub(crate) const M_ADD: Micros = 80_000_000;
 }
 
 /// Deterministically reconstruct the overlap topology: images on a 23×22
 /// grid (487 used), 8-neighbour adjacency first, then distance-2 pairs
 /// until exactly [`N_OVERLAPS`] pairs exist.
-pub fn overlap_pairs() -> Vec<(u32, u32)> {
+pub(crate) fn overlap_pairs() -> Vec<(u32, u32)> {
     const COLS: i64 = 23;
     const ROWS: i64 = 22;
     let index = |r: i64, c: i64| -> Option<u32> {

@@ -144,7 +144,8 @@ mod tests {
     fn dag_matches_totals_and_runs() {
         let g = dag();
         assert_eq!(g.len(), 1_000);
-        assert_eq!(g.total_cpu_us(), 17_820 * 1_000_000);
+        let work: u64 = g.nodes().map(|n| g.task(n).runtime_us).sum();
+        assert_eq!(work, 17_820 * 1_000_000);
         // Running on an ideal 32-worker pool gives exactly the analytic
         // ideal (stage barriers included).
         let mut p = IdealProvider::new(32);

@@ -11,7 +11,7 @@ use crate::dag::{NodeId, WfTask};
 /// Group `ready` tasks into clusters of at most `cluster_size`, keeping
 /// tasks of the same stage together (clusters never mix stages, mirroring
 /// Swift's per-derivation clustering).
-pub fn cluster_ready(
+pub(crate) fn cluster_ready(
     ready: Vec<(NodeId, WfTask)>,
     cluster_size: usize,
 ) -> Vec<Vec<(NodeId, WfTask)>> {

@@ -91,18 +91,13 @@ impl Dag {
     }
 
     /// Successors of `id`.
-    pub fn succs(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn succs(&self, id: NodeId) -> &[NodeId] {
         &self.succs[id.0]
     }
 
     /// All node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.tasks.len()).map(NodeId)
-    }
-
-    /// Sum of all payload runtimes (the "CPU seconds" of Figure 11).
-    pub fn total_cpu_us(&self) -> Micros {
-        self.tasks.iter().map(|t| t.runtime_us).sum()
     }
 
     /// Task count per stage, in first-seen stage order.
@@ -128,7 +123,7 @@ impl Dag {
 
     /// Verify acyclicity via Kahn's algorithm; returns a topological order
     /// or `None` if a cycle exists.
-    pub fn topo_order(&self) -> Option<Vec<NodeId>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<NodeId>> {
         let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
         let mut stack: Vec<NodeId> = indeg
             .iter()
@@ -190,7 +185,6 @@ mod tests {
         assert_eq!(g.len(), 4);
         assert_eq!(g.preds(NodeId(3)).len(), 2);
         assert_eq!(g.succs(NodeId(0)).len(), 2);
-        assert_eq!(g.total_cpu_us(), 100);
     }
 
     #[test]
@@ -220,11 +214,6 @@ mod tests {
         let g = diamond();
         // a(10) → c(30) → d(40) = 80
         assert_eq!(g.critical_path_us(), 80);
-    }
-
-    #[test]
-    fn total_work_sums_every_task() {
-        assert_eq!(diamond().total_cpu_us(), 100);
     }
 
     #[test]

@@ -240,7 +240,8 @@ mod tests {
         let report = WorkflowEngine::new().run(&dag, &mut p);
         // No dispatch cost: the larger of the critical path and the work
         // spread over the machines.
-        let bound = (dag.total_cpu_us() / 10).max(dag.critical_path_us());
+        let work: u64 = dag.nodes().map(|n| dag.task(n).runtime_us).sum();
+        let bound = (work / 10).max(dag.critical_path_us());
         assert_eq!(report.makespan_us, bound);
     }
 }

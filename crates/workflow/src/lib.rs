@@ -11,21 +11,18 @@
 //! * [`engine`] — the data-driven executor: tasks whose inputs are ready are
 //!   submitted to a pluggable [`provider::Provider`] (Falkon, GRAM4+PBS,
 //!   clustered GRAM4+PBS, an ideal pool, …);
-//! * [`cluster`] — the task-clustering transform;
+//! * `cluster` — the task-clustering transform;
 //! * [`apps`] — workload generators: the 18-stage synthetic provisioning
 //!   workload (Figure 11), the fMRI AIRSN pipeline (Figure 14), the Montage
 //!   mosaic DAG (Figure 15), and the Table 5 application catalogue.
 
 pub mod apps;
-pub mod cluster;
+mod cluster;
 pub mod dag;
 pub mod engine;
 pub mod provider;
 
-pub use cluster::cluster_ready;
-pub use dag::{Dag, NodeId, WfTask};
-pub use engine::{RunReport, WorkflowEngine};
 pub use provider::{IdealProvider, Provider, Submission, SubmissionId};
 
 /// Microsecond timestamps, matching `falkon-core`.
-pub type Micros = u64;
+type Micros = u64;

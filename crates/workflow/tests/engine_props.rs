@@ -67,7 +67,8 @@ proptest! {
 
         // Makespan is bounded below by both work and critical path.
         prop_assert!(report.makespan_us >= dag.critical_path_us());
-        prop_assert!(report.makespan_us >= dag.total_cpu_us() / workers as u64);
+        let work: u64 = dag.nodes().map(|n| dag.task(n).runtime_us).sum();
+        prop_assert!(report.makespan_us >= work / workers as u64);
     }
 
     #[test]

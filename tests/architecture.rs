@@ -1,7 +1,8 @@
 //! The architecture invariants rustc and clippy cannot see, checked over
 //! the text of every `.rs` file under `crates/*/src`, `vendor/*/src` and
-//! `src` (DESIGN.md §7.1), and the docs' backticked paths, checked against
-//! the tree.
+//! `src` (DESIGN.md §7.1), the docs' backticked paths, checked against the
+//! tree, and the `pub` items of `crates/*/src`, checked against every `.rs`
+//! file that could use them.
 //!
 //! A check reads a file's *code*: the lines before its first line that is a
 //! `#[cfg(test)]` attribute (the rule CI's line counter applies), each cut
@@ -44,8 +45,8 @@ const DOCS: [&str; 4] = ["DESIGN.md", "README.md", "CLAUDE.md", "EXPERIMENTS.md"
 const FILE_TYPES: [&str; 6] = [".rs", ".md", ".toml", ".json", ".yml", ".lock"];
 
 type Check = fn(&str, &str) -> Vec<String>;
-/// The per-source-file checks, by name; `registry` and `docs` read the
-/// whole file set.
+/// The per-source-file checks, by name; `registry`, `docs` and
+/// `public_surface` read the whole file set.
 const CHECKS: [(&str, Check); 7] = [
     ("sans_io", sans_io),
     ("probe_provenance", probe_provenance),
@@ -386,6 +387,135 @@ fn docs(files: &[(&str, &str)]) -> Vec<String> {
     out
 }
 
+/// The identifiers of `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c| !is_ident(c)).filter(|w| !w.is_empty())
+}
+
+/// The compilation unit `path` belongs to: its crate, or the file itself
+/// for a `src/bin/` target; `""` for a file outside `crates/*/src`.
+fn unit(path: &str) -> &str {
+    if path.contains("/src/bin/") {
+        return path;
+    }
+    krate(path)
+}
+
+/// The name of the item a code line declares `pub` (`pub fn`, `pub const
+/// fn`, `pub struct`…); `pub(crate)`, `pub use` and fields declare none.
+fn pub_item(line: &str) -> Option<&str> {
+    let decl = line.trim_start().strip_prefix("pub ")?;
+    let decl = decl
+        .strip_prefix("const ")
+        .filter(|d| d.starts_with("fn "))
+        .unwrap_or(decl);
+    let (kind, rest) = decl.split_once(' ')?;
+    let kinds = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    kinds.contains(&kind).then(|| words(rest).next()).flatten()
+}
+
+/// The lines of a crate's public text in one file's code, by index: each
+/// `pub` declaration through the end of its signature, and every line of a
+/// `pub enum` or `pub trait` body, whose variants and methods are public.
+fn public_lines(code: &[&str]) -> Vec<usize> {
+    let (mut out, mut i) = (Vec::new(), 0);
+    while i < code.len() {
+        let decl = code[i].trim_start();
+        let start = i;
+        if decl.starts_with("pub ") && !decl.starts_with("pub use ") {
+            let close = format!("{}}}", &code[i][..code[i].len() - decl.len()]);
+            let body = decl.starts_with("pub enum ") || decl.starts_with("pub trait ");
+            let ends = |l: &str| match body {
+                true => l.trim_end() == close,
+                false => l.contains('{') || l.trim_end().ends_with(';'),
+            };
+            let one_line =
+                decl.trim_end().ends_with([',', ';', '}']) || !body && decl.contains('{');
+            while !one_line && i + 1 < code.len() && !ends(code[i]) {
+                i += 1;
+            }
+            out.extend(start..=i);
+        }
+        i += 1;
+    }
+    out
+}
+
+/// The text of the fenced blocks in `src`'s doc comments: doctests, which
+/// rustdoc compiles as crates of their own.
+fn doctests(src: &str) -> Vec<&str> {
+    let (mut out, mut fenced) = (Vec::new(), false);
+    for l in src.lines().map(str::trim_start) {
+        let Some(doc) = l.strip_prefix("///").or(l.strip_prefix("//!")) else {
+            fenced = false;
+            continue;
+        };
+        let fence = doc.trim_start().starts_with("```");
+        if fenced && !fence {
+            out.push(doc);
+        }
+        fenced ^= fence;
+    }
+    out
+}
+
+/// Every `pub` item in the code of `crates/*/src` whose name appears
+/// nowhere outside its compilation unit: in no other crate, test, example,
+/// `src/` or `benchmark/` file, no doctest, and no other line of its own
+/// crate's public text, where rustc's private-in-public rules need it. A
+/// name that collides with another only hides a finding. `vendor/` is
+/// neither checked nor counted as a user.
+fn public_surface(files: &[(&str, &str)]) -> Vec<String> {
+    use std::collections::{HashMap, HashSet};
+    // Each word, with the units whose files name it (a doctest is a unit of
+    // its own), and the lines of public text that name it.
+    let mut users: HashMap<&str, HashSet<&str>> = HashMap::new();
+    let mut public: HashMap<&str, Vec<(&str, usize)>> = HashMap::new();
+    let mut decls = Vec::new();
+    for (path, src) in files
+        .iter()
+        .filter(|(p, _)| p.ends_with(".rs") && !p.starts_with("vendor/"))
+    {
+        let owner = unit(path);
+        for w in src.lines().flat_map(words) {
+            users.entry(w).or_default().insert(owner);
+        }
+        for w in doctests(src).into_iter().flat_map(words) {
+            users.entry(w).or_default().insert("doctest");
+        }
+        if owner.is_empty() {
+            continue;
+        }
+        let code = code(src);
+        for i in public_lines(&code) {
+            for w in words(code[i]) {
+                public.entry(w).or_default().push((path, i));
+            }
+        }
+        let items = code
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| Some((*path, owner, i, pub_item(l)?)));
+        decls.extend(items);
+    }
+    let used = |&(path, owner, i, name): &(&str, &str, usize, &str)| {
+        let foreign = users
+            .get(name)
+            .is_some_and(|u| u.iter().any(|o| *o != owner));
+        foreign
+            || public
+                .get(name)
+                .is_some_and(|at| at.iter().any(|&a| a != (path, i)))
+    };
+    let why = "is `pub`, but nothing outside its crate names it";
+    let orphans = decls.iter().filter(|d| !used(d));
+    orphans
+        .map(|(path, _, i, name)| format!("{path}:{}: `{name}` {why}", i + 1))
+        .collect()
+}
+
 /// Every finding over `files`, each with the name of the check behind it.
 fn check(files: &[(&str, &str)]) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
@@ -396,6 +526,11 @@ fn check(files: &[(&str, &str)]) -> Vec<(&'static str, String)> {
     }
     out.extend(registry(files).into_iter().map(|m| ("registry", m)));
     out.extend(docs(files).into_iter().map(|m| ("docs", m)));
+    out.extend(
+        public_surface(files)
+            .into_iter()
+            .map(|m| ("public_surface", m)),
+    );
     out
 }
 
@@ -544,13 +679,34 @@ const FIXTURES: &[Fixture] = &[
         ("crates/workflow/src/apps/mod.rs", "pub mod fmri;"),
         ("crates/workflow/src/apps/fmri.rs", ""),
     ], &["docs DESIGN.md:1", "docs DESIGN.md:1", "docs DESIGN.md:4"]),
+    ("public_surface: an orphan `pub fn` and `pub const fn`, a `pub use` of one, a type its own crate names only off a `pub` line; \
+      types named only in a signature over lines, a field, a variant or a trait method; names used only by \
+      `benchmark/src`, a test, a doctest, another crate or a bin target; `pub(crate)`, test code and vendor/", &[
+        ("crates/core/src/orphan.rs", "pub fn orphan() {}\npub use crate::orphan::orphan as alias;\npub struct Local;\n\
+          fn local() -> Local { Local }\npub fn make(\n    a: Arg,\n) -> Made {}\npub struct Arg;\npub struct Made;\n\
+          pub struct Holder {\n    pub field: Field,\n}\npub struct Field;\npub enum Event {\n    Carry(Payload),\n}\n\
+          pub struct Payload;\npub trait Provider {\n    fn submit(&mut self, job: Job);\n}\npub struct Job;\n\
+          pub const fn limit() -> u64 { 1 }\npub(crate) fn internal() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}"),
+        ("crates/core/src/used.rs", "pub const BENCHED: u64 = 1;\npub fn tested() {}\n/// ```\n/// falkon_core::documented();\n\
+          /// ```\npub fn documented() {}\npub static SHARED: u8 = 0;\npub mod visible;"),
+        ("crates/bench/src/harness.rs", "pub fn run_all() {}"),
+        ("crates/bench/src/bin/repro.rs", "fn main() { falkon_bench::harness::run_all(); }"),
+        ("benchmark/src/run.rs", "use falkon_core::used::BENCHED;"),
+        ("tests/end_to_end.rs", "use falkon_core::used::tested;\nfn t() { falkon_core::make(); }"),
+        ("crates/rt/src/tcp.rs", "use falkon_core::{used::visible, Event, Holder, Provider, SHARED};"),
+        ("vendor/rand/src/lib.rs", "pub fn unused() {}"),
+    ], &["public_surface crates/core/src/orphan.rs:1", "public_surface crates/core/src/orphan.rs:3",
+        "public_surface crates/core/src/orphan.rs:22"]),
 ];
 
 #[test]
 fn each_check_flags_its_fixtures_and_passes_their_clean_twins() {
     let at = |(c, m): &(&str, String)| format!("{c} {}", m.split(": ").next().unwrap_or(""));
     for (what, files, want) in FIXTURES {
-        let found = check(files);
+        // A row's planted `pub` items have no users outside it; only the
+        // `public_surface` rows count what that check says of them.
+        let mut found = check(files);
+        found.retain(|(c, _)| *c != "public_surface" || what.starts_with("public_surface"));
         let got: Vec<String> = found.iter().map(at).collect();
         assert_eq!(got, *want, "{what}: {found:#?}");
     }
