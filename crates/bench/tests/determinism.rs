@@ -4,13 +4,23 @@
 //! legitimately nondeterministic block is the `measured` experiment (it
 //! reports wall-clock rates of this machine), so it is excluded here — and
 //! it is deliberately last in the registry, which is what lets the CI
-//! bench-smoke job strip it with a single `sed` range.
+//! bench-smoke job strip it with a single `sed` range. What is left is
+//! pinned byte for byte by a golden file.
 
 use falkon_bench::harness::run_all_with;
 use falkon_exp::experiments::{Scale, REGISTRY};
+use std::sync::OnceLock;
+
+/// `repro all`'s quick output up to `== Measured on this machine`. A change
+/// that moves a row regenerates it, and the diff shows the row:
+/// `cargo repro all | sed '/^== Measured on this machine/,$d' >
+/// crates/bench/tests/golden/repro_all.txt`.
+const GOLDEN: &str = include_str!("golden/repro_all.txt");
+
+type Blocks = Vec<(&'static str, String)>;
 
 /// A run's blocks in emission order, each with the registry id behind it.
-fn blocks(jobs: usize) -> Vec<(&'static str, String)> {
+fn blocks(jobs: usize) -> Blocks {
     let mut blocks = Vec::new();
     run_all_with(Scale::Quick, jobs, &mut |id, text| {
         blocks.push((id, text.to_string()))
@@ -18,9 +28,15 @@ fn blocks(jobs: usize) -> Vec<(&'static str, String)> {
     blocks
 }
 
-/// Concatenate a run's blocks, dropping the wall-clock `measured` block.
-fn deterministic_output(jobs: usize) -> String {
-    let blocks = blocks(jobs);
+/// The serial reference run, made once for every test that reads it.
+fn serial() -> &'static Blocks {
+    static SERIAL: OnceLock<Blocks> = OnceLock::new();
+    SERIAL.get_or_init(|| blocks(1))
+}
+
+/// A run's output as `repro` prints it (each block and a newline), less
+/// the wall-clock `measured` block.
+fn deterministic_output(blocks: &Blocks) -> String {
     assert!(
         blocks.iter().position(|b| b.0 == "measured") >= Some(blocks.len() - 1),
         "`measured` must stay last in the registry or the byte-identity \
@@ -29,16 +45,37 @@ fn deterministic_output(jobs: usize) -> String {
     blocks
         .iter()
         .filter(|b| b.0 != "measured")
-        .map(|b| b.1.as_str())
+        .map(|b| format!("{}\n", b.1))
         .collect()
 }
 
 #[test]
+fn repro_all_matches_the_golden_file() {
+    let now = deterministic_output(serial());
+    let mut lines = GOLDEN.lines().zip(now.lines()).enumerate();
+    if let Some((i, (w, g))) = lines.find(|(_, (w, g))| w != g) {
+        panic!(
+            "repro all differs from the golden file at line {}:\n  golden: {w}\n  now:    {g}",
+            i + 1
+        );
+    }
+    let (want, got) = (GOLDEN.lines().count(), now.lines().count());
+    assert_eq!(
+        got, want,
+        "repro all has {got} lines, the golden file {want}"
+    );
+    assert!(
+        now == GOLDEN,
+        "repro all differs from the golden file in line endings"
+    );
+}
+
+#[test]
 fn repro_all_is_byte_identical_across_job_counts() {
-    let serial = deterministic_output(1);
+    let serial = deterministic_output(serial());
     assert!(!serial.is_empty());
     for jobs in [4, 8] {
-        let parallel = deterministic_output(jobs);
+        let parallel = deterministic_output(&blocks(jobs));
         assert_eq!(
             serial, parallel,
             "repro all --jobs {jobs} diverged from the serial reference"
@@ -51,7 +88,7 @@ fn repro_all_is_byte_identical_across_job_counts() {
 /// `repro all` prints it once.
 #[test]
 fn every_entry_but_fig10_prints_a_block() {
-    let printed: Vec<&str> = blocks(1)
+    let printed: Vec<&str> = serial()
         .iter()
         .filter(|b| !b.1.trim().is_empty())
         .map(|b| b.0)

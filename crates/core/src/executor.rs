@@ -97,11 +97,11 @@ pub struct ExecutorStats {
     /// Tasks executed to completion.
     pub tasks_run: u64,
     /// Tasks started (equals `tasks_run` unless one is in flight).
-    pub tasks_started: u64,
+    tasks_started: u64,
     /// `GetWork` requests sent (notifications answered + pre-fetches).
-    pub work_requests: u64,
+    work_requests: u64,
     /// Results delivered to the dispatcher.
-    pub results_reported: u64,
+    results_reported: u64,
 }
 
 /// The Falkon executor state machine. See module docs.

@@ -18,7 +18,7 @@
 use crate::ids::{InstanceId, TaskId};
 use crate::table::FxHashMap;
 use crate::Micros;
-use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
+use falkon_obs::{Counters, NoopProbe, ObsEvent, Probe};
 use falkon_proto::task::{TaskResult, TaskSpec};
 use std::collections::BTreeMap;
 
@@ -83,23 +83,6 @@ pub enum ForwarderAction {
     },
 }
 
-/// Monotonic forwarder counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ForwarderStats {
-    /// Bundles routed downstream.
-    pub bundles_routed: u64,
-    /// Tasks routed downstream (incl. re-routes).
-    pub tasks_routed: u64,
-    /// Results funnelled back to clients.
-    pub results_delivered: u64,
-    /// Tasks re-routed after a dispatcher loss.
-    pub rerouted: u64,
-    /// Dispatcher-loss events observed.
-    pub dispatchers_lost: u64,
-    /// Lost dispatchers readmitted.
-    pub readmitted: u64,
-}
-
 /// One task accepted from a client and not yet delivered back.
 struct InFlight {
     instance: InstanceId,
@@ -112,7 +95,7 @@ struct InFlight {
 /// The forwarder state machine. See module docs.
 ///
 /// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; internal
-/// [`Counters`] keep [`Forwarder::stats`] working with the default
+/// [`Counters`] keep [`Forwarder::counters`] working with the default
 /// [`NoopProbe`].
 pub struct Forwarder<P: Probe = NoopProbe> {
     /// Tasks outstanding at each downstream slot; `None` while it is down.
@@ -148,20 +131,6 @@ impl<P: Probe> Forwarder<P> {
     fn emit(&mut self, now: Micros, event: ObsEvent) {
         self.counters.observe(&event);
         self.probe.on_event(now, &event);
-    }
-
-    /// Monotonic counters — a derived view of the internal event
-    /// [`Counters`].
-    pub fn stats(&self) -> ForwarderStats {
-        let c = &self.counters;
-        ForwarderStats {
-            bundles_routed: c.count(ObsEventKind::BundleRouted),
-            tasks_routed: c.value(ObsEventKind::BundleRouted),
-            results_delivered: c.value(ObsEventKind::ResultsRouted),
-            rerouted: c.value(ObsEventKind::TaskRerouted),
-            dispatchers_lost: c.count(ObsEventKind::DispatcherLost),
-            readmitted: c.count(ObsEventKind::DispatcherReadmitted),
-        }
     }
 
     /// The internal per-kind event counters (always on, probe or not).
@@ -303,6 +272,7 @@ impl<P: Probe> Forwarder<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falkon_obs::ObsEventKind;
 
     fn step(f: &mut Forwarder, ev: ForwarderEvent) -> Vec<ForwarderAction> {
         let mut out = Vec::new();
@@ -326,7 +296,7 @@ mod tests {
             .collect();
         assert_eq!(created, [InstanceId(1), InstanceId(2), InstanceId(3)]);
         assert_eq!(f.in_flight(), 0);
-        assert_eq!(f.stats(), ForwarderStats::default(), "no lifecycle event");
+        assert_eq!(*f.counters(), Counters::new(), "no lifecycle event");
     }
 
     #[test]
@@ -387,7 +357,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(f.in_flight(), 0);
-        assert_eq!(f.stats().results_delivered, 3);
+        assert_eq!(f.counters().value(ObsEventKind::ResultsRouted), 3);
     }
 
     #[test]
@@ -415,7 +385,7 @@ mod tests {
             },
         );
         assert!(acts.is_empty());
-        assert_eq!(f.stats().results_delivered, 1);
+        assert_eq!(f.counters().value(ObsEventKind::ResultsRouted), 1);
     }
 
     #[test]
@@ -445,15 +415,15 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(f.stats().rerouted, 4);
-        assert_eq!(f.stats().dispatchers_lost, 1);
+        assert_eq!(f.counters().value(ObsEventKind::TaskRerouted), 4);
+        assert_eq!(f.counters().count(ObsEventKind::DispatcherLost), 1);
         assert_eq!(f.in_flight(), 8);
         // After re-admission new work can land on dispatcher 0 again.
         step(
             &mut f,
             ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
         );
-        assert_eq!(f.stats().readmitted, 1);
+        assert_eq!(f.counters().count(ObsEventKind::DispatcherReadmitted), 1);
         let acts = step(
             &mut f,
             ForwarderEvent::ClientSubmit {
@@ -514,10 +484,11 @@ mod tests {
             },
         );
         assert_eq!(f.in_flight(), 0);
-        let stats = f.stats();
-        assert_eq!((stats.dispatchers_lost, stats.readmitted), (2, 1));
-        assert_eq!(stats.rerouted, 12);
-        assert_eq!(stats.tasks_routed, 10 + stats.rerouted);
+        let c = f.counters();
+        let lost = c.count(ObsEventKind::DispatcherLost);
+        assert_eq!((lost, c.count(ObsEventKind::DispatcherReadmitted)), (2, 1));
+        assert_eq!(c.value(ObsEventKind::TaskRerouted), 12);
+        assert_eq!(c.value(ObsEventKind::BundleRouted), 10 + 12);
     }
 
     #[test]
@@ -535,7 +506,7 @@ mod tests {
             &mut f,
             ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
         );
-        assert_eq!(f.stats().readmitted, 0);
+        assert_eq!(f.counters().count(ObsEventKind::DispatcherReadmitted), 0);
         let acts = step(
             &mut f,
             ForwarderEvent::ClientSubmit {
@@ -553,9 +524,10 @@ mod tests {
                 ForwarderEvent::DispatcherReadmitted { dispatcher: 0 },
             );
         }
-        let stats = f.stats();
-        assert_eq!((stats.dispatchers_lost, stats.readmitted), (1, 1));
-        assert_eq!(stats.rerouted, 4);
+        let c = f.counters();
+        let lost = c.count(ObsEventKind::DispatcherLost);
+        assert_eq!((lost, c.count(ObsEventKind::DispatcherReadmitted)), (1, 1));
+        assert_eq!(c.value(ObsEventKind::TaskRerouted), 4);
     }
 
     #[test]

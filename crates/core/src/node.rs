@@ -259,6 +259,7 @@ impl<E: Copy + PartialEq, P: Probe> ForwarderNode<E, P> {
 mod tests {
     use super::*;
     use crate::policy::ReplayPolicy;
+    use falkon_obs::ObsEventKind;
     use falkon_proto::message::{ExecutorId, InstanceId};
     use falkon_proto::task::{TaskResult, TaskSpec};
 
@@ -393,6 +394,9 @@ mod tests {
         let results = vec![TaskResult::success(falkon_proto::task::TaskId(7))];
         node.heard(2, 10, Message::Results { results });
         assert_eq!(sent(&mut node.outbox), [(10, "ResultsAck"), (1, "Results")]);
-        assert_eq!(node.machine().stats().results_delivered, 1);
+        assert_eq!(
+            node.machine().counters().value(ObsEventKind::ResultsRouted),
+            1
+        );
     }
 }

@@ -144,8 +144,6 @@ impl AcquisitionPolicy {
 /// When to release acquired resources (Section 3.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReleasePolicy {
-    /// Never release (the paper's "Falkon-∞" configuration).
-    Never,
     /// Distributed: executors self-release after
     /// `ExecutorConfig::idle_release_us`. This is the policy used in the
     /// paper's provisioning experiments (idle times 15/60/120/180 s).

@@ -12,7 +12,7 @@ use crate::ids::AllocationId;
 use crate::policy::{ProvisionerPolicy, ReleasePolicy};
 use crate::table::DenseMap;
 use crate::Micros;
-use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
+use falkon_obs::{Counters, NoopProbe, ObsEvent, Probe};
 use falkon_proto::message::DispatcherStatus;
 
 /// Inputs to the provisioner state machine.
@@ -74,23 +74,10 @@ enum AllocState {
     Active { executors: u32 },
 }
 
-/// Monotonic provisioner counters (Table 4 reports allocation counts).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProvisionerStats {
-    /// First-level allocation requests issued.
-    pub allocations_requested: u64,
-    /// Allocations granted by the LRM.
-    pub allocations_granted: u64,
-    /// Allocations released by centralized policy.
-    pub allocations_released: u64,
-    /// Total executors requested.
-    pub executors_requested: u64,
-}
-
 /// The Falkon provisioner state machine. See module docs.
 ///
 /// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; internal
-/// [`Counters`] keep [`Provisioner::stats`] working with the default
+/// [`Counters`] keep [`Provisioner::counters`] working with the default
 /// [`NoopProbe`].
 pub struct Provisioner<P: Probe = NoopProbe> {
     policy: ProvisionerPolicy,
@@ -148,18 +135,6 @@ impl<P: Probe> Provisioner<P> {
     /// The configured policy.
     pub fn policy(&self) -> ProvisionerPolicy {
         self.policy
-    }
-
-    /// Monotonic counters — a derived view of the internal event
-    /// [`Counters`].
-    pub fn stats(&self) -> ProvisionerStats {
-        let c = &self.counters;
-        ProvisionerStats {
-            allocations_requested: c.count(ObsEventKind::AllocationRequested),
-            allocations_granted: c.count(ObsEventKind::AllocationGranted),
-            allocations_released: c.count(ObsEventKind::AllocationReleased),
-            executors_requested: c.value(ObsEventKind::AllocationRequested),
-        }
     }
 
     /// The internal per-kind event counters (always on, probe or not).
@@ -334,6 +309,7 @@ impl<P: Probe> Provisioner<P> {
 mod tests {
     use super::*;
     use crate::policy::AcquisitionPolicy;
+    use falkon_obs::ObsEventKind;
 
     fn status(queued: u64, running: u64, registered: u64, busy: u64) -> DispatcherStatus {
         DispatcherStatus {
@@ -390,7 +366,7 @@ mod tests {
             },
         );
         assert!(acts.is_empty());
-        assert_eq!(p.stats().allocations_requested, 1);
+        assert_eq!(p.counters().count(ObsEventKind::AllocationRequested), 1);
     }
 
     #[test]
@@ -492,7 +468,7 @@ mod tests {
         // Forgotten: a straggler releases nothing twice, and the release
         // is not a centralized one.
         assert!(step(&mut p, terminated()).is_empty());
-        assert_eq!(p.stats().allocations_released, 0);
+        assert_eq!(p.counters().count(ObsEventKind::AllocationReleased), 0);
     }
 
     #[test]
@@ -510,7 +486,7 @@ mod tests {
             },
         );
         assert_eq!(acts.len(), 5);
-        assert_eq!(p.stats().allocations_requested, 5);
+        assert_eq!(p.counters().count(ObsEventKind::AllocationRequested), 5);
     }
 
     #[test]
@@ -550,7 +526,7 @@ mod tests {
             acts,
             vec![ProvisionerAction::ReleaseAllocation { allocation: id }]
         );
-        assert_eq!(p.stats().allocations_released, 1);
+        assert_eq!(p.counters().count(ObsEventKind::AllocationReleased), 1);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Dense ID tables and a fast deterministic hasher for the dispatch hot path.
 //!
-//! Falkon's control-plane identifiers ([`ExecutorId`], [`InstanceId`],
-//! [`AllocationId`]) are assigned sequentially, so keying a SipHash
-//! `HashMap` with them pays for hashing and collision probing on every
-//! dispatch just to index what is morally an array. [`DenseMap`] stores
-//! values in a `Vec<Option<V>>` indexed directly by the id: O(1) lookups
-//! with no hashing, and — unlike `HashMap` — **iteration in ascending key
-//! order**, which makes every iteration-dependent decision deterministic by
-//! construction.
+//! Falkon's control-plane identifiers
+//! ([`ExecutorId`](crate::ids::ExecutorId), [`InstanceId`](crate::ids::InstanceId),
+//! [`AllocationId`](crate::ids::AllocationId)) are assigned sequentially, so
+//! keying a SipHash `HashMap` with them pays for hashing and collision
+//! probing on every dispatch just to index what is morally an array.
+//! [`DenseMap`] stores values in a `Vec<Option<V>>` indexed directly by the
+//! id: O(1) lookups with no hashing, and — unlike `HashMap` — **iteration in
+//! ascending key order**, which makes every iteration-dependent decision
+//! deterministic by construction.
 //!
 //! Where keys genuinely are sparse (task ids in a 2 M-task run, data-object
 //! hashes), `FxHashMap` keeps a real hash table but swaps SipHash for the

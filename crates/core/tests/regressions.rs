@@ -394,12 +394,12 @@ fn late_prefetch_answer_is_not_dropped() {
 /// pipeline, so the job later started anyway.
 #[test]
 fn gram_cancel_before_forward_prevents_the_job() {
-    use falkon_lrm::gram::{Gram, GramConfig, GramInput, GramOutput};
+    use falkon_lrm::gram::{Gram, GramInput, GramOutput};
     use falkon_lrm::job::{JobId, JobSpec, JobState};
     use falkon_lrm::profile::PBS_V2_1_8;
     use falkon_lrm::scheduler::BatchScheduler;
 
-    let mut g = Gram::new(GramConfig::default(), BatchScheduler::new(PBS_V2_1_8, 4));
+    let mut g = Gram::new(BatchScheduler::new(PBS_V2_1_8, 4));
     let mut out = Vec::new();
     g.handle(0, GramInput::Submit(JobSpec::task(1, 60_000_000)), &mut out);
     // Cancel immediately, long before the 2 s gateway forward fires.

@@ -16,7 +16,6 @@ use crate::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
 use falkon_core::DispatcherConfig;
-use falkon_fs::FsConfig;
 use falkon_lrm::profile::PBS_V2_1_8;
 use falkon_proto::task::{DataAccess, DataLocation, TaskSpec};
 use falkon_sim::table::Table;
@@ -31,13 +30,13 @@ use falkon_workflow::engine::WorkflowEngine;
 #[derive(Clone, Debug)]
 pub(crate) struct DataDiffusionArm {
     /// Arm label.
-    pub label: &'static str,
+    label: &'static str,
     /// Makespan, s.
-    pub makespan_s: f64,
+    makespan_s: f64,
     /// Aggregate throughput, tasks/s.
-    pub throughput: f64,
+    throughput: f64,
     /// Dispatcher-recorded data-locality hits.
-    pub locality_hits: u64,
+    locality_hits: u64,
 }
 
 /// A workload with heavy data reuse: `objects` shared 10 MB GPFS files,
@@ -75,7 +74,6 @@ pub(crate) fn data_diffusion(scale: Scale) -> Vec<DataDiffusionArm> {
         let mut sim = SimFalkon::new(SimFalkonConfig {
             executors: 64,
             executors_per_node: 2,
-            fs: Some(FsConfig::default()),
             data_caching: caching,
             dispatcher: DispatcherConfig {
                 data_aware: aware,
@@ -127,13 +125,13 @@ pub(crate) fn render_data_diffusion(arms: &[DataDiffusionArm]) -> String {
 #[derive(Clone, Debug)]
 pub(crate) struct AcquisitionRun {
     /// Policy label.
-    pub label: String,
+    label: String,
     /// Time to complete the synthetic workload, s.
-    pub time_to_complete_s: f64,
+    time_to_complete_s: f64,
     /// Allocation requests issued.
-    pub allocations: u64,
+    allocations: u64,
     /// Resource utilization.
-    pub utilization: f64,
+    utilization: f64,
 }
 
 /// Run the synthetic workload under each acquisition policy.
@@ -215,9 +213,9 @@ pub(crate) fn render_acquisition(runs: &[AcquisitionRun]) -> String {
 #[derive(Clone, Debug)]
 pub(crate) struct PrefetchArm {
     /// Arm label.
-    pub label: &'static str,
+    label: &'static str,
     /// Throughput, tasks/s.
-    pub throughput: f64,
+    throughput: f64,
 }
 
 /// Pre-fetch ablation on a high-latency (50 ms one-way) link, where the

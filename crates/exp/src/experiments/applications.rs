@@ -5,7 +5,6 @@ use crate::costs::CostModel;
 use crate::experiments::Scale;
 use crate::providers::{FalkonProvider, GramProvider};
 use crate::simfalkon::SimFalkonConfig;
-use falkon_lrm::gram::GramConfig;
 use falkon_lrm::profile::PBS_V2_1_8;
 use falkon_sim::table::Table;
 use falkon_workflow::apps::{fmri, montage};
@@ -15,11 +14,11 @@ use falkon_workflow::engine::WorkflowEngine;
 #[derive(Clone, Copy, Debug)]
 pub struct Fig14Point {
     /// Input volumes.
-    pub volumes: u32,
+    volumes: u32,
     /// GRAM4+PBS, one job per task, s.
     pub gram_s: f64,
     /// GRAM4+PBS with tasks clustered into 8 groups per stage, s.
-    pub clustered_s: f64,
+    clustered_s: f64,
     /// Falkon with 8 executors, s.
     pub falkon_s: f64,
 }
@@ -32,11 +31,11 @@ pub fn fig14(scale: Scale) -> Vec<Fig14Point> {
         .map(|&volumes| {
             let dag = fmri::dag(volumes);
             // GRAM4+PBS, per-task jobs; up to 62 usable nodes in the paper.
-            let mut gram = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 62);
+            let mut gram = GramProvider::new(PBS_V2_1_8, 62);
             let gram_s = WorkflowEngine::new().run(&dag, &mut gram).makespan_s();
             // Clustered: each ready wave split into 8 groups.
             let cluster_size = (volumes as usize).div_ceil(8);
-            let mut clustered = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 62);
+            let mut clustered = GramProvider::new(PBS_V2_1_8, 62);
             let clustered_s = WorkflowEngine::with_clustering(cluster_size)
                 .run(&dag, &mut clustered)
                 .makespan_s();
@@ -92,15 +91,15 @@ pub(crate) fn render_fig14(points: &[Fig14Point]) -> String {
 #[derive(Clone, Debug)]
 pub(crate) struct Fig15 {
     /// `(stage, gram_clustered_s, falkon_s)` per pipeline stage.
-    pub stages: Vec<(String, f64, f64)>,
+    stages: Vec<(String, f64, f64)>,
     /// GRAM4+PBS (clustered) total, s.
-    pub gram_clustered_total_s: f64,
+    gram_clustered_total_s: f64,
     /// Falkon total, s.
-    pub falkon_total_s: f64,
+    falkon_total_s: f64,
     /// MPI estimate total, s.
-    pub mpi_total_s: f64,
+    mpi_total_s: f64,
     /// Falkon total excluding the final (serial) mAdd, s.
-    pub falkon_no_madd_s: f64,
+    falkon_no_madd_s: f64,
 }
 
 /// Run the Montage study.
@@ -109,7 +108,7 @@ pub(crate) fn fig15(scale: Scale) -> Fig15 {
     let workers = 64;
     // GRAM4+PBS with clustering (the paper's baseline clusters small tasks).
     let cluster = scale.pick(64, 32);
-    let mut gram = GramProvider::new(PBS_V2_1_8, GramConfig::default(), workers);
+    let mut gram = GramProvider::new(PBS_V2_1_8, workers);
     let gram_report = WorkflowEngine::with_clustering(cluster).run(&dag, &mut gram);
     // Falkon.
     let mut falkon = FalkonProvider::new(SimFalkonConfig {

@@ -38,13 +38,13 @@ pub(crate) const COPY_US_PER_BYTE: f64 = 0.00185;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fig5Point {
     /// Tasks per bundle.
-    pub bundle: u64,
+    bundle: u64,
     /// Throughput with the Axis-style codec, tasks/sec.
-    pub axis_tps: f64,
+    axis_tps: f64,
     /// Cost per task with the Axis-style codec, ms.
-    pub axis_cost_ms: f64,
+    axis_cost_ms: f64,
     /// Throughput with the efficient codec (ablation), tasks/sec.
-    pub efficient_tps: f64,
+    efficient_tps: f64,
 }
 
 fn bundle_message(k: u64) -> Message {

@@ -3,7 +3,6 @@
 
 use crate::experiments::Scale;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
-use falkon_fs::FsConfig;
 use falkon_proto::task::{DataAccess, DataLocation, TaskSpec};
 use falkon_sim::table::series_tsv;
 
@@ -58,13 +57,13 @@ impl Arm {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fig4Point {
     /// Which arm.
-    pub arm: Arm,
+    arm: Arm,
     /// Data size per task, bytes.
-    pub bytes: u64,
+    bytes: u64,
     /// Task throughput, tasks/sec.
-    pub tasks_per_sec: f64,
+    tasks_per_sec: f64,
     /// Data throughput, megabits/sec.
-    pub mbps: f64,
+    mbps: f64,
 }
 
 /// Run the Figure 4 sweep.
@@ -94,7 +93,6 @@ pub(crate) fn fig4(scale: Scale) -> Vec<Fig4Point> {
             let mut sim = SimFalkon::new(SimFalkonConfig {
                 executors: 128,
                 executors_per_node: 2,
-                fs: Some(FsConfig::default()),
                 ..SimFalkonConfig::default()
             });
             let specs: Vec<TaskSpec> = (0..tasks)

@@ -35,11 +35,11 @@ fn falkon_efficiency(executors: u32, task_secs: u64, tasks_per_executor: u64) ->
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fig6Point {
     /// Executor count.
-    pub executors: u32,
+    executors: u32,
     /// Task length, seconds.
-    pub task_secs: u64,
+    task_secs: u64,
     /// Efficiency in `[0, 1]`.
-    pub efficiency: f64,
+    efficiency: f64,
 }
 
 /// Run the Figure 6 sweep: one independent simulation per cell.
@@ -85,15 +85,15 @@ pub(crate) fn render_fig6(points: &[Fig6Point]) -> String {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fig7Point {
     /// Task length, seconds.
-    pub task_secs: u64,
+    task_secs: u64,
     /// Falkon (simulated, no security).
-    pub falkon: f64,
+    falkon: f64,
     /// PBS v2.1.8 (modelled).
-    pub pbs: f64,
+    pbs: f64,
     /// Condor v6.7.2 (modelled).
-    pub condor672: f64,
+    condor672: f64,
     /// Condor v6.9.3 (derived from 11 tasks/sec, as the paper does).
-    pub condor693_derived: f64,
+    condor693_derived: f64,
 }
 
 /// Run the Figure 7 sweep: 64 tasks on 64 processors (32 dual-CPU nodes).

@@ -19,21 +19,21 @@ use falkon_sim::TimeSeries;
 #[derive(Clone, Debug)]
 pub(crate) struct Fig8 {
     /// Tasks completed.
-    pub tasks: u64,
+    tasks: u64,
     /// Total run time, seconds.
-    pub duration_s: f64,
+    duration_s: f64,
     /// Mean throughput, tasks/sec.
-    pub avg_throughput: f64,
+    avg_throughput: f64,
     /// Peak queue length observed.
-    pub peak_queue: f64,
+    peak_queue: f64,
     /// Queue length over time (sampled).
-    pub queue_series: Vec<(f64, f64)>,
+    queue_series: Vec<(f64, f64)>,
     /// Raw 1 Hz throughput samples.
-    pub raw_throughput: Vec<(f64, f64)>,
+    raw_throughput: Vec<(f64, f64)>,
     /// 60-sample moving average of the raw throughput.
-    pub avg_series: Vec<(f64, f64)>,
+    avg_series: Vec<(f64, f64)>,
     /// GC pauses taken.
-    pub gc_pauses: u64,
+    gc_pauses: u64,
 }
 
 /// Run the endurance experiment.

@@ -18,26 +18,26 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OverheadQuantiles {
     /// Median per-task overhead.
-    pub p50_us: u64,
+    p50_us: u64,
     /// 90th percentile.
-    pub p90_us: u64,
+    p90_us: u64,
     /// 99th percentile.
-    pub p99_us: u64,
+    p99_us: u64,
     /// Worst task.
-    pub max_us: u64,
+    max_us: u64,
 }
 
 /// One deployment arm of the measured benchmark.
 #[derive(Clone, Debug)]
 pub(crate) struct MeasuredRow {
     /// Deployment label.
-    pub label: &'static str,
+    label: &'static str,
     /// Tasks completed.
-    pub tasks: u64,
+    tasks: u64,
     /// Aggregate throughput, tasks/sec.
-    pub throughput: f64,
+    throughput: f64,
     /// Per-task dispatch overhead from the mounted recorder.
-    pub overhead: OverheadQuantiles,
+    overhead: OverheadQuantiles,
 }
 
 /// The measured-throughput report.
@@ -47,10 +47,10 @@ pub(crate) struct Measured {
     /// real loopback sockets, all on the one connection engine (no
     /// polling cadence): the flat one with 8 executors in each wire mode,
     /// and three tiers — a forwarder over 2 dispatchers × 2 executors.
-    pub rows: Vec<MeasuredRow>,
+    rows: Vec<MeasuredRow>,
     /// The GT4-counter-service analog: raw request/response over TCP,
     /// calls/sec with 8 concurrent clients.
-    pub counter_rate: f64,
+    counter_rate: f64,
 }
 
 /// Run each deployment and the TCP-bound counter service. On a

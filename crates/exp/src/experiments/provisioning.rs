@@ -15,7 +15,7 @@ use crate::providers::{FalkonProvider, GramProvider};
 use crate::simfalkon::SimFalkonConfig;
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
-use falkon_lrm::gram::GramConfig;
+use falkon_lrm::gram;
 use falkon_lrm::profile::PBS_V2_1_8;
 use falkon_sim::table::{pct, series_tsv, Table};
 use falkon_workflow::apps::synthetic;
@@ -37,10 +37,10 @@ pub struct ProvisioningRun {
     /// Execution efficiency (ideal time / actual time).
     pub exec_efficiency: f64,
     /// First-level resource allocations.
-    pub allocations: u64,
+    allocations: u64,
     /// Executor lifecycle traces (for Figures 12/13), when collected:
     /// (t, allocated, registered, active).
-    pub trace: Vec<(f64, f64, f64, f64)>,
+    trace: Vec<(f64, f64, f64, f64)>,
 }
 
 impl ProvisioningRun {
@@ -109,7 +109,7 @@ fn build_trace(out: &crate::simfalkon::SimOutcome) -> Vec<(f64, f64, f64, f64)> 
 /// Run the GRAM4+PBS baseline over the synthetic workload.
 fn run_gram() -> ProvisioningRun {
     let dag = synthetic::dag();
-    let mut provider = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 100);
+    let mut provider = GramProvider::new(PBS_V2_1_8, 100);
     let report = WorkflowEngine::new().run(&dag, &mut provider);
     let (avg_queue_s, avg_exec_s, wasted_s) = gram_per_task_times(&dag, &report);
     let used_s = synthetic::total_cpu_secs() as f64;
@@ -132,8 +132,7 @@ fn gram_per_task_times(
     dag: &falkon_workflow::dag::Dag,
     report: &falkon_workflow::engine::RunReport,
 ) -> (f64, f64, f64) {
-    let g = GramConfig::default();
-    let visible_overhead_s = (g.done_delay_us - g.active_delay_us) as f64 / 1e6;
+    let visible_overhead_s = (gram::DONE_DELAY_US - gram::ACTIVE_DELAY_US) as f64 / 1e6;
     let n = dag.len() as f64;
     let mut queue_sum = 0.0;
     let mut exec_sum = 0.0;

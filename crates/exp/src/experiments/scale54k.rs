@@ -23,36 +23,36 @@ use falkon_sim::table::series_tsv;
 #[derive(Clone, Debug)]
 pub(crate) struct Beyond100k {
     /// Executors (= tasks).
-    pub executors: u32,
+    executors: u32,
     /// Time for the busy-executor count to reach its maximum, s.
-    pub ramp_up_s: f64,
+    ramp_up_s: f64,
     /// Total run time, s.
-    pub duration_s: f64,
+    duration_s: f64,
     /// Overall throughput including ramp up/down, tasks/sec.
-    pub overall_tps: f64,
+    overall_tps: f64,
 }
 
 /// Figures 9+10 result.
 #[derive(Clone, Debug)]
 pub(crate) struct Scale54k {
     /// Executors (= tasks).
-    pub executors: u32,
+    executors: u32,
     /// Time for the busy-executor count to reach its maximum, s.
-    pub ramp_up_s: f64,
+    ramp_up_s: f64,
     /// Total run time, s.
-    pub duration_s: f64,
+    duration_s: f64,
     /// Overall throughput including ramp up/down, tasks/sec.
-    pub overall_tps: f64,
+    overall_tps: f64,
     /// Busy executors over time.
-    pub busy_series: Vec<(f64, f64)>,
+    busy_series: Vec<(f64, f64)>,
     /// Per-task overhead histogram (executor handling time − payload), ms.
-    pub overhead_hist_ms: Vec<(u64, usize)>,
+    overhead_hist_ms: Vec<(u64, usize)>,
     /// Fraction of tasks with overhead ≤ 200 ms.
-    pub frac_under_200ms: f64,
+    frac_under_200ms: f64,
     /// Maximum observed overhead, ms.
-    pub max_overhead_ms: u64,
+    max_overhead_ms: u64,
     /// 100K-executor arm, run at `Scale::Full` only.
-    pub beyond: Option<Beyond100k>,
+    beyond: Option<Beyond100k>,
 }
 
 /// Paper cost model for the 54K emulation: 900 executors per machine mean

@@ -18,11 +18,11 @@ use falkon_sim::table::Table;
 #[derive(Clone, Debug)]
 pub(crate) struct ThreeTierRun {
     /// Dispatchers behind the forwarder.
-    pub dispatchers: usize,
+    dispatchers: usize,
     /// Aggregate throughput, tasks/sec.
-    pub throughput: f64,
+    throughput: f64,
     /// Speedup over the single-dispatcher configuration.
-    pub speedup: f64,
+    speedup: f64,
 }
 
 /// Drive `tasks` through `k` simulated dispatchers via a forwarder, in

@@ -13,20 +13,20 @@ use falkon_sim::table::{series_tsv, Table};
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Fig3Point {
     /// Executor count.
-    pub executors: u32,
+    executors: u32,
     /// Falkon without security, tasks/sec.
-    pub falkon_tps: f64,
+    falkon_tps: f64,
     /// Falkon with GSISecureConversation, tasks/sec.
-    pub falkon_secure_tps: f64,
+    falkon_secure_tps: f64,
 }
 
 /// Figure 3 result.
 #[derive(Clone, Debug)]
 pub(crate) struct Fig3 {
     /// Throughput per executor count.
-    pub points: Vec<Fig3Point>,
+    points: Vec<Fig3Point>,
     /// The GT4 WS-call upper bound (≈500 calls/sec on the paper's host).
-    pub gt4_bound_tps: f64,
+    gt4_bound_tps: f64,
 }
 
 fn run_throughput(executors: u32, costs: CostModel, tasks: u64) -> f64 {
@@ -109,11 +109,11 @@ pub struct Table2Row {
     /// System name.
     pub system: &'static str,
     /// Hardware / provenance comment.
-    pub comments: &'static str,
+    comments: &'static str,
     /// Throughput, tasks/sec.
     pub throughput: f64,
     /// Whether the number was produced by this reproduction (vs cited).
-    pub measured_here: bool,
+    measured_here: bool,
 }
 
 /// Run the Table 2 comparison (simulated Falkon + modelled PBS/Condor +

@@ -11,9 +11,9 @@ use std::collections::HashSet;
 #[derive(Clone, Debug)]
 pub(crate) struct DirectOutcome {
     /// Time of the last completion, µs.
-    pub makespan_us: Micros,
+    pub(crate) makespan_us: Micros,
     /// Aggregate throughput, tasks/sec.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
 }
 
 /// Submit `n` tasks of `runtime_us` each as individual jobs to a bare LRM

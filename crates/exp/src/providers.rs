@@ -7,7 +7,7 @@
 
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
 use crate::Micros;
-use falkon_lrm::gram::{Gram, GramConfig, GramInput, GramOutput};
+use falkon_lrm::gram::{Gram, GramInput, GramOutput};
 use falkon_lrm::job::{JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::BatchScheduler;
@@ -83,13 +83,8 @@ impl FalkonProvider {
 impl Provider for FalkonProvider {
     fn submit(&mut self, now: Micros, submission: Submission) {
         let (task, total) = self.ledger.open(&submission);
-        let mut spec = TaskSpec::sleep_us(task, total);
-        // Propagate the first task's data requirements (the staging the
-        // paper's data-access experiments model per task).
-        if let Some((_, wf)) = submission.tasks.first() {
-            spec.data = wf.data;
-        }
-        self.sim.submit(now.max(self.sim.now()), vec![spec]);
+        let spec = vec![TaskSpec::sleep_us(task, total)];
+        self.sim.submit(now.max(self.sim.now()), spec);
     }
 
     fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
@@ -130,9 +125,9 @@ pub struct GramProvider {
 
 impl GramProvider {
     /// Build over a GRAM gateway fronting `profile` × `nodes`.
-    pub fn new(profile: LrmProfile, gram: GramConfig, nodes: u32) -> GramProvider {
+    pub fn new(profile: LrmProfile, nodes: u32) -> GramProvider {
         GramProvider {
-            gram: Gram::new(gram, BatchScheduler::new(profile, nodes)),
+            gram: Gram::new(BatchScheduler::new(profile, nodes)),
             ledger: Ledger::default(),
             now: 0,
             done: Vec::new(),
@@ -253,7 +248,7 @@ mod tests {
             ..SimFalkonConfig::default()
         };
         keeps_the_contract(&mut FalkonProvider::new(config));
-        keeps_the_contract(&mut GramProvider::new(PBS_V2_1_8, GramConfig::default(), 2));
+        keeps_the_contract(&mut GramProvider::new(PBS_V2_1_8, 2));
     }
 
     #[test]
@@ -275,7 +270,7 @@ mod tests {
         for i in 0..4 {
             dag.add(WfTask::new(format!("t{i}"), "s", 10_000_000));
         }
-        let mut provider = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 8);
+        let mut provider = GramProvider::new(PBS_V2_1_8, 8);
         let report = WorkflowEngine::new().run(&dag, &mut provider);
         assert_eq!(report.finish_us.len(), 4);
         // PBS's scheduling cycle and GRAM's overheads put the makespan far
@@ -297,9 +292,9 @@ mod tests {
             }
             dag
         };
-        let mut plain = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 8);
+        let mut plain = GramProvider::new(PBS_V2_1_8, 8);
         let r1 = WorkflowEngine::new().run(&build(), &mut plain);
-        let mut clustered = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 8);
+        let mut clustered = GramProvider::new(PBS_V2_1_8, 8);
         let r2 = WorkflowEngine::with_clustering(8).run(&build(), &mut clustered);
         assert!(r2.submissions < r1.submissions);
         assert!(

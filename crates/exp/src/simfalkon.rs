@@ -31,7 +31,7 @@ use falkon_core::mapping;
 use falkon_core::policy::ProvisionerPolicy;
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
 use falkon_core::{DenseMap, DispatcherConfig, DispatcherNode, ForwarderNode};
-use falkon_fs::{ClusterFs, FsConfig};
+use falkon_fs::ClusterFs;
 use falkon_lrm::job::{JobId, JobSpec, JobState};
 use falkon_lrm::profile::LrmProfile;
 use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
@@ -65,8 +65,6 @@ pub struct SimFalkonConfig {
     /// Dynamic provisioning: the policy, and the LRM profile and node count
     /// its allocations come from; `None` = static pool started at t=0.
     pub provisioner: Option<(ProvisionerPolicy, LrmProfile, u32)>,
-    /// Filesystem model for tasks that declare data staging.
-    pub fs: Option<FsConfig>,
     /// Client submission rate, tasks/sec (`None` = submit instantly).
     pub client_submit_rate: Option<f64>,
     /// Metrics sampling period (0 = no time series).
@@ -94,7 +92,6 @@ impl Default for SimFalkonConfig {
             forwarder: None,
             executors_per_node: 2,
             provisioner: None,
-            fs: None,
             client_submit_rate: None,
             sample_interval_us: 0,
             data_caching: false,
@@ -123,15 +120,15 @@ pub struct SimOutcome {
     /// Sampled registered-executor count over time.
     pub registered_series: TimeSeries,
     /// Sampled allocated-but-not-yet-registered count over time.
-    pub allocated_series: TimeSeries,
+    pub(crate) allocated_series: TimeSeries,
     /// Mean queue time per task, µs.
     pub avg_queue_us: f64,
     /// Mean (dispatch→completion) time per task, µs.
     pub avg_exec_us: f64,
     /// CPU-seconds of payload actually executed.
-    pub used_cpu_us: u64,
+    used_cpu_us: u64,
     /// Executor-seconds that were registered but idle.
-    pub wasted_cpu_us: u64,
+    wasted_cpu_us: u64,
     /// First-level allocation requests issued (0 for a static pool).
     pub allocations: u64,
 }
@@ -312,7 +309,7 @@ pub struct SimFalkon {
     /// The provisioner and the LRM its allocations come from.
     provisioned: Option<(Provisioner, BatchScheduler)>,
     lrm_wake_armed: Option<Micros>,
-    fs: Option<ClusterFs>,
+    fs: ClusterFs,
     /// Records completed by the event being handled; the loop that ran the
     /// event hands them on before the next one.
     done: Vec<TaskRecord>,
@@ -372,7 +369,7 @@ impl SimFalkon {
                 .provisioner
                 .map(|(p, l, n)| (Provisioner::new(p), BatchScheduler::new(l, n))),
             lrm_wake_armed: None,
-            fs: config.fs.map(|f| {
+            fs: {
                 // Provisioned deployments start with `executors == 0`; size
                 // the filesystem for the provisioner's upper bound instead.
                 let pool = config
@@ -380,8 +377,8 @@ impl SimFalkon {
                     .map(|(p, _, _)| p.max_executors)
                     .unwrap_or(pool)
                     .max(pool);
-                ClusterFs::new(f, (pool / config.executors_per_node).max(1))
-            }),
+                ClusterFs::new((pool / config.executors_per_node).max(1))
+            },
             done: Vec::new(),
             submitted: 0,
             gc_pauses: 0,
@@ -592,10 +589,9 @@ impl SimFalkon {
             avg_exec_us: self.exec_us_sum / n,
             used_cpu_us,
             wasted_cpu_us,
-            allocations: self
-                .provisioned
-                .as_ref()
-                .map_or(0, |(p, _)| p.stats().allocations_requested),
+            allocations: self.provisioned.as_ref().map_or(0, |(p, _)| {
+                p.counters().count(ObsEventKind::AllocationRequested)
+            }),
         }
     }
 
@@ -903,7 +899,7 @@ impl SimFalkon {
     fn run_task(&mut self, e: u32, spec: TaskSpec) {
         let node = e / self.config.executors_per_node.max(1);
         let mut duration = spec.runtime_us();
-        if let (Some(fs), Some(mut data)) = (self.fs.as_mut(), spec.data) {
+        if let Some(mut data) = spec.data {
             if self.config.data_caching {
                 if self.node_caches.len() <= node as usize {
                     self.node_caches
@@ -920,7 +916,7 @@ impl SimFalkon {
                     }
                 }
             }
-            let io_done = fs.stage(self.now, node as usize, data);
+            let io_done = self.fs.stage(self.now, node as usize, data);
             duration += io_done.saturating_sub(self.now);
         }
         let c = self.config.costs;
@@ -1196,31 +1192,22 @@ mod tests {
     }
 
     #[test]
-    fn data_staging_slows_tasks() {
+    fn declared_data_is_staged_under_the_default_config() {
         use falkon_proto::task::{DataAccess, DataLocation};
-        let cfg = SimFalkonConfig {
-            executors: 128,
-            executors_per_node: 2,
-            fs: Some(FsConfig::default()),
-            ..SimFalkonConfig::default()
+        let makespan = |task: TaskSpec| {
+            let mut sim = SimFalkon::new(SimFalkonConfig::default());
+            sim.submit(0, vec![task]);
+            sim.run_until_drained().makespan_us
         };
-        let mut sim = SimFalkon::new(cfg.clone());
-        let tasks: Vec<TaskSpec> = (0..200)
-            .map(|i| {
-                TaskSpec::sleep(i, 0).with_data(
-                    1 << 20,
-                    DataLocation::SharedFs,
-                    DataAccess::ReadWrite,
-                )
-            })
-            .collect();
-        sim.submit(0, tasks);
-        let with_io = sim.run_until_drained();
-
-        let mut dry = SimFalkon::new(cfg);
-        dry.submit(0, sleep_tasks(200, 0));
-        let without_io = dry.run_until_drained();
-        assert!(with_io.makespan_us > without_io.makespan_us);
+        let bare = makespan(TaskSpec::sleep(0, 0));
+        let gib =
+            TaskSpec::sleep(0, 0).with_data(1 << 30, DataLocation::SharedFs, DataAccess::Read);
+        let staged = makespan(gib);
+        // 1 GiB on one of GPFS's 8 I/O nodes (≈48 MB/s each) takes ≈22 s.
+        assert!(
+            staged > bare + 20_000_000,
+            "staged {staged} µs, bare {bare} µs"
+        );
     }
 
     #[test]

@@ -29,84 +29,56 @@ use resource::IoResource;
 /// Microsecond timestamps, matching `falkon-core`.
 type Micros = u64;
 
-/// Calibrated I/O cost parameters for one deployment.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct FsConfig {
-    /// GPFS I/O node count (8 in the paper's testbed).
-    pub gpfs_io_nodes: u32,
-    /// GPFS aggregate read bandwidth, bytes/sec.
-    pub gpfs_read_bps: f64,
-    /// GPFS aggregate write bandwidth, bytes/sec.
-    pub gpfs_write_bps: f64,
-    /// Fixed GPFS cost per read operation (metadata + request), µs.
-    pub gpfs_read_op_us: Micros,
-    /// Fixed GPFS cost per write operation (allocation, token churn), µs.
-    pub gpfs_write_op_us: Micros,
-    /// Local-disk read bandwidth per node, bytes/sec.
-    pub local_read_bps: f64,
-    /// Local-disk write bandwidth per node, bytes/sec.
-    pub local_write_bps: f64,
-    /// Fixed local cost per read operation, µs.
-    pub local_read_op_us: Micros,
-    /// Fixed local cost per write operation, µs.
-    pub local_write_op_us: Micros,
-}
-
-impl Default for FsConfig {
-    fn default() -> Self {
-        // Calibrated to the Figure 4 plateaus (Mb/s → bytes/s is ×125,000).
-        FsConfig {
-            gpfs_io_nodes: 8,
-            gpfs_read_bps: 3_067.0 * 125_000.0, // ≈383 MB/s aggregate
-            gpfs_write_bps: 165.0 * 125_000.0,  // writes starve: ≈21 MB/s
-            gpfs_read_op_us: 5_000,             // 5 ms per read op
-            gpfs_write_op_us: 50_000,           // 50 ms → ≈160 writes/s on 8 nodes
-            local_read_bps: 813.0 * 125_000.0,  // ≈102 MB/s per node
-            local_write_bps: 420.0 * 125_000.0, // ≈53 MB/s per node
-            local_read_op_us: 100,
-            local_write_op_us: 1_000,
-        }
-    }
-}
+/// GPFS I/O nodes in the paper's testbed (§4.2).
+const GPFS_IO_NODES: u32 = 8;
+/// GPFS aggregate read bandwidth, bytes/sec: Figure 4's 3,067 Mb/s read
+/// plateau (Mb/s → bytes/s is ×125,000), ≈383 MB/s.
+const GPFS_READ_BPS: f64 = 3_067.0 * 125_000.0;
+/// GPFS aggregate write bandwidth, bytes/sec: writes starve at ≈21 MB/s,
+/// which puts read+write near Figure 4's 326 Mb/s plateau.
+const GPFS_WRITE_BPS: f64 = 165.0 * 125_000.0;
+/// Fixed GPFS cost per read operation (metadata + request), µs: 8 I/O
+/// nodes at 5 ms serve ≈1,600 small reads/s (Figure 4).
+const GPFS_READ_OP_US: Micros = 5_000;
+/// Fixed GPFS cost per write operation (allocation, token churn), µs: 8
+/// I/O nodes at 50 ms serve ≈160 writes/s, the ≈150 tasks/s read+write
+/// ceiling of §4.2.
+const GPFS_WRITE_OP_US: Micros = 50_000;
+/// Local-disk read bandwidth per node, bytes/sec: 64 nodes make Figure 4's
+/// 52,015 Mb/s LOCAL read plateau, ≈102 MB/s each.
+const LOCAL_READ_BPS: f64 = 813.0 * 125_000.0;
+/// Local-disk write bandwidth per node, bytes/sec (≈53 MB/s): the LOCAL
+/// read+write curve of Figure 4.
+const LOCAL_WRITE_BPS: f64 = 420.0 * 125_000.0;
+/// Fixed local cost per read operation, µs: small beside GPFS's, so the
+/// LOCAL curves of Figure 4 stay bandwidth-bound.
+const LOCAL_READ_OP_US: Micros = 100;
+/// Fixed local cost per write operation, µs (Figure 4's LOCAL read+write).
+const LOCAL_WRITE_OP_US: Micros = 1_000;
 
 /// Data-staging model for one cluster: a GPFS bank shared by all nodes plus
 /// one local-disk resource per compute node.
 pub struct ClusterFs {
-    config: FsConfig,
     gpfs_read: IoResource,
     gpfs_write: IoResource,
     local: Vec<IoResource>,
-    /// Total bytes moved (for Mb/s reporting).
-    pub bytes_transferred: u64,
 }
 
 impl ClusterFs {
     /// Build the model for `nodes` compute nodes.
-    pub fn new(config: FsConfig, nodes: u32) -> Self {
-        let per_io_node_read = config.gpfs_read_bps / config.gpfs_io_nodes as f64;
-        let per_io_node_write = config.gpfs_write_bps / config.gpfs_io_nodes as f64;
+    pub fn new(nodes: u32) -> Self {
+        let per_io_node = |bps: f64| bps / GPFS_IO_NODES as f64;
         ClusterFs {
-            config,
-            gpfs_read: IoResource::new(
-                config.gpfs_io_nodes,
-                per_io_node_read,
-                config.gpfs_read_op_us,
-            ),
+            gpfs_read: IoResource::new(GPFS_IO_NODES, per_io_node(GPFS_READ_BPS), GPFS_READ_OP_US),
             gpfs_write: IoResource::new(
-                config.gpfs_io_nodes,
-                per_io_node_write,
-                config.gpfs_write_op_us,
+                GPFS_IO_NODES,
+                per_io_node(GPFS_WRITE_BPS),
+                GPFS_WRITE_OP_US,
             ),
             local: (0..nodes)
-                .map(|_| IoResource::new(1, config.local_read_bps, config.local_read_op_us))
+                .map(|_| IoResource::new(1, LOCAL_READ_BPS, LOCAL_READ_OP_US))
                 .collect(),
-            bytes_transferred: 0,
         }
-    }
-
-    /// Number of compute nodes modelled.
-    pub fn nodes(&self) -> usize {
-        self.local.len()
     }
 
     /// Perform the staging a task requires before/after compute: returns the
@@ -116,37 +88,22 @@ impl ClusterFs {
         match data.location {
             DataLocation::SharedFs => {
                 let read_done = self.gpfs_read.request(now, data.bytes);
-                self.bytes_transferred += data.bytes;
                 match data.access {
                     DataAccess::Read => read_done,
-                    DataAccess::ReadWrite => {
-                        self.bytes_transferred += data.bytes;
-                        self.gpfs_write.request(read_done, data.bytes)
-                    }
+                    DataAccess::ReadWrite => self.gpfs_write.request(read_done, data.bytes),
                 }
             }
             DataLocation::LocalDisk => {
                 let idx = node % self.local.len().max(1);
                 let disk = &mut self.local[idx];
                 // Local read at read cost…
-                let read_done = disk.request_with(
-                    now,
-                    data.bytes,
-                    self.config.local_read_bps,
-                    self.config.local_read_op_us,
-                );
-                self.bytes_transferred += data.bytes;
+                let read_done =
+                    disk.request_with(now, data.bytes, LOCAL_READ_BPS, LOCAL_READ_OP_US);
                 match data.access {
                     DataAccess::Read => read_done,
+                    // …then write-back at write cost on the same spindle.
                     DataAccess::ReadWrite => {
-                        self.bytes_transferred += data.bytes;
-                        // …then write-back at write cost on the same spindle.
-                        disk.request_with(
-                            read_done,
-                            data.bytes,
-                            self.config.local_write_bps,
-                            self.config.local_write_op_us,
-                        )
+                        disk.request_with(read_done, data.bytes, LOCAL_WRITE_BPS, LOCAL_WRITE_OP_US)
                     }
                 }
             }
@@ -169,7 +126,7 @@ mod tests {
 
     #[test]
     fn tiny_gpfs_reads_are_op_bound() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 64);
+        let mut fs = ClusterFs::new(64);
         // 8 I/O nodes at 5 ms per op → ≈1,600 ops/s steady state.
         let mut done_times = Vec::new();
         for _ in 0..160 {
@@ -182,7 +139,7 @@ mod tests {
 
     #[test]
     fn tiny_gpfs_writes_cap_near_150_per_sec() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 64);
+        let mut fs = ClusterFs::new(64);
         let mut done_times = Vec::new();
         for _ in 0..80 {
             done_times.push(fs.stage(0, 0, spec(1, DataLocation::SharedFs, DataAccess::ReadWrite)));
@@ -195,7 +152,7 @@ mod tests {
 
     #[test]
     fn large_gpfs_reads_hit_bandwidth_plateau() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 64);
+        let mut fs = ClusterFs::new(64);
         let gb = 1u64 << 30;
         let mut last = 0;
         for _ in 0..8 {
@@ -212,7 +169,7 @@ mod tests {
 
     #[test]
     fn local_disks_scale_with_nodes() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 64);
+        let mut fs = ClusterFs::new(64);
         let mb100 = 100u64 << 20;
         let mut last = 0;
         // One 100 MB read per node, all concurrent.
@@ -234,10 +191,10 @@ mod tests {
 
     #[test]
     fn read_write_slower_than_read() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 4);
+        let mut fs = ClusterFs::new(4);
         let mb = 1u64 << 20;
         let r = fs.stage(0, 0, spec(mb, DataLocation::LocalDisk, DataAccess::Read));
-        let mut fs2 = ClusterFs::new(FsConfig::default(), 4);
+        let mut fs2 = ClusterFs::new(4);
         let rw = fs2.stage(
             0,
             0,
@@ -248,25 +205,12 @@ mod tests {
 
     #[test]
     fn same_node_requests_serialize_on_local_disk() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 2);
+        let mut fs = ClusterFs::new(2);
         let mb10 = 10u64 << 20;
         let a = fs.stage(0, 0, spec(mb10, DataLocation::LocalDisk, DataAccess::Read));
         let b = fs.stage(0, 0, spec(mb10, DataLocation::LocalDisk, DataAccess::Read));
         let c = fs.stage(0, 1, spec(mb10, DataLocation::LocalDisk, DataAccess::Read));
         assert!(b > a, "same-node requests must queue");
         assert_eq!(c, a, "different nodes do not contend");
-    }
-
-    #[test]
-    fn bytes_accounting() {
-        let mut fs = ClusterFs::new(FsConfig::default(), 1);
-        fs.stage(
-            0,
-            0,
-            spec(100, DataLocation::SharedFs, DataAccess::ReadWrite),
-        );
-        assert_eq!(fs.bytes_transferred, 200);
-        fs.stage(0, 0, spec(50, DataLocation::LocalDisk, DataAccess::Read));
-        assert_eq!(fs.bytes_transferred, 250);
     }
 }

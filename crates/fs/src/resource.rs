@@ -16,8 +16,6 @@ pub(crate) struct IoResource {
     bandwidth_bps: f64,
     /// Default fixed cost per operation, µs.
     op_cost_us: Micros,
-    /// Total busy time accumulated (for utilization reporting).
-    pub busy_us: u64,
 }
 
 impl IoResource {
@@ -29,7 +27,6 @@ impl IoResource {
             free_at: vec![0; servers as usize],
             bandwidth_bps,
             op_cost_us,
-            busy_us: 0,
         }
     }
 
@@ -55,10 +52,8 @@ impl IoResource {
             .expect("non-empty bank");
         let start = self.free_at[idx].max(now);
         let transfer_us = (bytes as f64 / bandwidth_bps * 1e6).ceil() as Micros;
-        let busy = op_cost_us + transfer_us;
-        let done = start + busy;
+        let done = start + op_cost_us + transfer_us;
         self.free_at[idx] = done;
-        self.busy_us += busy;
         done
     }
 }
@@ -93,13 +88,6 @@ mod tests {
     fn later_now_delays_start() {
         let mut r = IoResource::new(1, 1e6, 0);
         assert_eq!(r.request(5_000_000, 1_000_000), 6_000_000);
-    }
-
-    #[test]
-    fn busy_accounting() {
-        let mut r = IoResource::new(1, 1e6, 500);
-        r.request(0, 1_000_000);
-        assert_eq!(r.busy_us, 1_000_500);
     }
 
     #[test]

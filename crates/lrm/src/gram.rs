@@ -14,31 +14,17 @@ use crate::Micros;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// GRAM gateway cost parameters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct GramConfig {
-    /// Serial handling time per submission (the ≈0.5 req/s bottleneck).
-    pub submit_overhead_us: Micros,
-    /// Delay before the client sees the `Active` notification.
-    pub active_delay_us: Micros,
-    /// Delay before the client sees the `Done` notification (includes GRAM
-    /// stage-out/cleanup; the dominant contributor to the per-task overhead
-    /// the paper measures for GRAM4+PBS).
-    pub done_delay_us: Micros,
-}
-
-impl Default for GramConfig {
-    fn default() -> Self {
-        GramConfig {
-            submit_overhead_us: 2_000_000, // ≈0.5 submissions/sec
-            active_delay_us: 2_000_000,
-            // Table 3/4 calibration: GRAM4+PBS wastes ≈41 s per task
-            // (41,040 s over 1,000 tasks) between payload exit and the
-            // client-visible Done.
-            done_delay_us: 38_000_000,
-        }
-    }
-}
+/// Serial handling time per submission, µs: the gateway's ≈0.5 requests/sec
+/// (§4.6).
+const SUBMIT_OVERHEAD_US: Micros = 2_000_000;
+/// Delay before the client sees the `Active` notification, µs; the Table 3
+/// execution time GRAM reports starts here.
+pub const ACTIVE_DELAY_US: Micros = 2_000_000;
+/// Delay before the client sees the `Done` notification, µs. It includes
+/// GRAM stage-out and cleanup, the bulk of the ≈41 s per task (41,040 s
+/// over 1,000 tasks) that Tables 3/4 charge GRAM4+PBS between payload exit
+/// and the client-visible Done.
+pub const DONE_DELAY_US: Micros = 38_000_000;
 
 /// Inputs to the gateway.
 #[derive(Clone, Debug)]
@@ -65,7 +51,6 @@ pub enum GramOutput {
 
 /// GRAM4 gateway wrapping a [`BatchScheduler`].
 pub struct Gram {
-    config: GramConfig,
     lrm: BatchScheduler,
     /// Serial submission pipeline: next submission forwarded no earlier.
     gateway_free_at_us: Micros,
@@ -96,9 +81,8 @@ enum NotifyState {
 
 impl Gram {
     /// Wrap a scheduler with a GRAM gateway.
-    pub fn new(config: GramConfig, lrm: BatchScheduler) -> Self {
+    pub fn new(lrm: BatchScheduler) -> Self {
         Gram {
-            config,
             lrm,
             gateway_free_at_us: 0,
             pending: BinaryHeap::new(),
@@ -123,7 +107,7 @@ impl Gram {
         match input {
             GramInput::Submit(spec) => {
                 // Serial gateway pipeline.
-                let forward_at = self.gateway_free_at_us.max(now) + self.config.submit_overhead_us;
+                let forward_at = self.gateway_free_at_us.max(now) + SUBMIT_OVERHEAD_US;
                 self.gateway_free_at_us = forward_at;
                 let seq = self.bump();
                 self.pending
@@ -164,8 +148,8 @@ impl Gram {
         for LrmOutput::State { job, state } in lrm_out {
             let (delay, ns) = match state {
                 JobState::Queued => (0, NotifyState::Queued),
-                JobState::Active => (self.config.active_delay_us, NotifyState::Active),
-                JobState::Done(_) => (self.config.done_delay_us, NotifyState::Done),
+                JobState::Active => (ACTIVE_DELAY_US, NotifyState::Active),
+                JobState::Done(_) => (DONE_DELAY_US, NotifyState::Done),
             };
             let seq = self.bump();
             self.last_state.insert(job, state);
@@ -245,7 +229,7 @@ mod tests {
     #[test]
     fn submission_passes_through_with_delays() {
         let lrm = BatchScheduler::new(PBS_V2_1_8, 4);
-        let mut g = Gram::new(GramConfig::default(), lrm);
+        let mut g = Gram::new(lrm);
         let mut out = Vec::new();
         g.handle(0, GramInput::Submit(JobSpec::task(1, 10_000_000)), &mut out);
         let log = drive(&mut g, true);
@@ -278,7 +262,7 @@ mod tests {
     #[test]
     fn gateway_serializes_submissions() {
         let lrm = BatchScheduler::new(PBS_V2_1_8, 100);
-        let mut g = Gram::new(GramConfig::default(), lrm);
+        let mut g = Gram::new(lrm);
         let mut out = Vec::new();
         for i in 0..5 {
             g.handle(0, GramInput::Submit(JobSpec::task(i, 0)), &mut out);
@@ -297,7 +281,7 @@ mod tests {
     #[test]
     fn cancel_relays_done() {
         let lrm = BatchScheduler::new(PBS_V2_1_8, 4);
-        let mut g = Gram::new(GramConfig::default(), lrm);
+        let mut g = Gram::new(lrm);
         let mut out = Vec::new();
         g.handle(
             0,

@@ -13,19 +13,19 @@ use crate::Micros;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LrmProfile {
     /// Human-readable name ("PBS v2.1.8", …).
-    pub name: &'static str,
+    name: &'static str,
     /// Scheduling cycle: queued jobs are only examined this often.
-    pub poll_interval_us: Micros,
+    pub(crate) poll_interval_us: Micros,
     /// Serial scheduler time consumed to dispatch one job. Sustained
     /// throughput can never exceed `1e6 / dispatch_overhead_us` jobs/sec.
-    pub dispatch_overhead_us: Micros,
+    pub(crate) dispatch_overhead_us: Micros,
     /// Node-side job start-up latency (staging, prologue, process launch).
-    pub startup_us: Micros,
+    pub(crate) startup_us: Micros,
     /// Node-side clean-up latency after the payload exits (epilogue).
-    pub cleanup_us: Micros,
+    pub(crate) cleanup_us: Micros,
     /// Additional delay before a freed node is schedulable again (the paper
     /// notes PBS "takes even longer to make the machine available again").
-    pub node_release_us: Micros,
+    pub(crate) node_release_us: Micros,
 }
 
 /// PBS v2.1.8 as measured on TG_ANL (Table 2: 0.45 tasks/sec; Table 3:
@@ -92,7 +92,7 @@ mod tests {
     fn pbs_node_overhead_is_small() {
         // Raw PBS node overhead is small; the ≈39 s per-task overhead that
         // Table 3 attributes to GRAM4+PBS lives in the GRAM gateway model
-        // (`GramConfig::done_delay_us`), not here.
+        // (`gram::DONE_DELAY_US`), not here.
         let p = PBS_V2_1_8;
         let oh = (p.startup_us + p.cleanup_us + p.node_release_us) as f64 / 1e6;
         assert!(oh < 10.0, "overhead = {oh}");

@@ -59,19 +59,6 @@ struct Job {
     nodes_reserved: bool,
 }
 
-/// Monotonic scheduler counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LrmStats {
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Jobs started.
-    pub started: u64,
-    /// Jobs completed (any reason).
-    pub finished: u64,
-    /// Poll cycles executed.
-    pub polls: u64,
-}
-
 /// A batch scheduler over `nodes` nodes with a cost [`LrmProfile`].
 pub struct BatchScheduler {
     profile: LrmProfile,
@@ -85,7 +72,6 @@ pub struct BatchScheduler {
     /// The scheduler's serial dispatch pipeline: next job can start
     /// dispatching no earlier than this.
     sched_free_at_us: Micros,
-    stats: LrmStats,
 }
 
 impl BatchScheduler {
@@ -101,23 +87,12 @@ impl BatchScheduler {
             next_seq: 0,
             next_poll_us: profile.poll_interval_us,
             sched_free_at_us: 0,
-            stats: LrmStats::default(),
         }
-    }
-
-    /// The cost profile in use.
-    pub fn profile(&self) -> LrmProfile {
-        self.profile
     }
 
     /// Nodes currently free (what `showq`-style system functions report).
     pub fn free_nodes(&self) -> u32 {
         self.free_nodes
-    }
-
-    /// Monotonic counters.
-    pub fn stats(&self) -> LrmStats {
-        self.stats
     }
 
     /// A job's current state, if known.
@@ -163,7 +138,6 @@ impl BatchScheduler {
                     spec.nodes,
                     self.total_nodes
                 );
-                self.stats.submitted += 1;
                 self.jobs.insert(
                     spec.id,
                     Job {
@@ -236,7 +210,6 @@ impl BatchScheduler {
                 }
                 j.state = JobState::Active;
                 j.activated_us = Some(t);
-                self.stats.started += 1;
                 out.push(LrmOutput::State {
                     job,
                     state: JobState::Active,
@@ -289,7 +262,6 @@ impl BatchScheduler {
         };
         let must_free_nodes = j.nodes_reserved;
         j.state = JobState::Done(reason);
-        self.stats.finished += 1;
         out.push(LrmOutput::State {
             job,
             state: JobState::Done(reason),
@@ -304,7 +276,6 @@ impl BatchScheduler {
 
     /// One scheduling cycle: start queued jobs that fit the free pool.
     fn poll(&mut self, t: Micros, _out: &mut Vec<LrmOutput>) {
-        self.stats.polls += 1;
         // FIFO without backfilling: the head of the queue blocks smaller
         // jobs behind it (conventional default; the paper's virtual-cluster
         // queue-wait pathologies depend on this).
@@ -440,8 +411,17 @@ mod tests {
         s.handle(1_000, LrmInput::Tick, &mut out);
         assert_eq!(s.free_nodes(), 0);
         assert_eq!(queued(&s, 0..4), 2);
-        let (_, _) = run_until_quiet(&mut s, 1_000);
-        assert_eq!(s.stats().finished, 4);
+        let (log, _) = run_until_quiet(&mut s, 1_000);
+        let done = |(_, o): &&(Micros, LrmOutput)| {
+            matches!(
+                o,
+                LrmOutput::State {
+                    state: JobState::Done(_),
+                    ..
+                }
+            )
+        };
+        assert_eq!(log.iter().filter(done).count(), 4);
         assert_eq!(s.free_nodes(), 2);
     }
 

@@ -11,8 +11,8 @@
 //!
 //! * [`NoopProbe`] — the default; compiles to nothing.
 //! * [`Counters`] — per-[`ObsEventKind`] event counts and value sums. The
-//!   machines keep one internally, which is what their `stats()` accessors
-//!   are derived from.
+//!   machines keep one internally and hand it out from `counters()`;
+//!   `DispatcherStats`, which `benchmark/` reads, is a view of it.
 //! * [`Recorder`] — counters plus fixed-size latency histograms;
 //!   mounted by the drivers (one per thread in `falkon-rt`, merged at
 //!   join) to report p50/p90/p99/max dispatch overhead.

@@ -320,9 +320,10 @@ const KINDS: usize = ObsEventKind::ALL.len();
 /// Per-kind event counts and value sums.
 ///
 /// Every `falkon-core` machine keeps one internally (independent of the
-/// mounted probe); the legacy `*Stats` structs are read out of it, making
-/// them derived views of the event stream rather than hand-maintained
-/// counters.
+/// mounted probe) and hands it out from `counters()`, so a count is a view
+/// of the event stream, never a hand-maintained field. The executor, at
+/// 120 bytes, keeps its four counts in `ExecutorStats` and builds its
+/// `Counters` on demand.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Counters {
     counts: [u64; KINDS],

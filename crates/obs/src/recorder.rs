@@ -18,7 +18,7 @@ pub struct Recorder {
     /// Per-task time spent in the wait queue (µs), from `TaskDispatched`.
     pub queue_time_us: Histogram,
     /// Per-task executor-reported run time (µs), from `TaskCompleted`.
-    pub exec_time_us: Histogram,
+    exec_time_us: Histogram,
     /// Per-task dispatch overhead (µs): lifetime minus execution time,
     /// from `TaskCompleted`. Drives the p50/p90/p99/max report.
     pub overhead_us: Histogram,

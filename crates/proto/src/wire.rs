@@ -214,7 +214,7 @@ impl Sink for Vec<u8> {
 #[derive(Default)]
 pub(crate) struct CountSink {
     /// Bytes that would have been written.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl Sink for CountSink {
@@ -231,9 +231,9 @@ impl Sink for CountSink {
 #[derive(Default)]
 pub(crate) struct GrowByCopySink {
     /// Accumulated output.
-    pub buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
     /// Total bytes copied due to reallocation (observability for tests).
-    pub bytes_copied: u64,
+    pub(crate) bytes_copied: u64,
 }
 
 impl Sink for GrowByCopySink {

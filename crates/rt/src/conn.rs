@@ -22,7 +22,7 @@
 //! # Read path
 //!
 //! An idle connection holds no read buffer. Each thread has one
-//! ([`READ_BUF`]); [`Conn::fill`] borrows it for the `read`, and the
+//! (`READ_BUF`); [`Conn::fill`] borrows it for the `read`, and the
 //! connection hands it back as soon as every byte it received has been
 //! yielded as a frame. Only a connection left mid-frame keeps a buffer —
 //! the next borrower then starts a fresh one — so read memory is
@@ -108,11 +108,11 @@ pub enum Inbound {
 /// What a finished connection leaves behind (see [`Conn::finish`]).
 pub struct Closed {
     /// `Opened` had been yielded: the owner knew this connection.
-    pub opened: bool,
+    pub(crate) opened: bool,
     /// The owner ended it (`Draining`), as opposed to the peer or an error.
-    pub local: bool,
+    pub(crate) local: bool,
     /// The error that ended it; `None` for EOF and for orderly local closes.
-    pub cause: Option<io::Error>,
+    pub(crate) cause: Option<io::Error>,
     /// Both directions' frame counts and byte totals.
     pub wire: Counters,
 }

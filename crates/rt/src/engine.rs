@@ -1,11 +1,11 @@
 //! The one readiness loop (DESIGN.md §10.3).
 //!
-//! An [`Engine`] is a generation-token slab of [`Conn`]s, each carrying a
+//! An `Engine` is a generation-token slab of [`Conn`]s, each carrying a
 //! mount-chosen `T`, plus the only `poll(2)` wait in the crate. Every
 //! socket path mounts it: the dispatcher and forwarder server threads, the
 //! forwarder's downstream links (adopted by the forwarder's thread), the
 //! multiplexed executor pool, and the single-connection executor and
-//! client runs. A mount supplies a [`Handler`] and calls [`Engine::turn`]
+//! client runs. A mount supplies a `Handler` and calls `Engine::turn`
 //! in a loop; one turn
 //!
 //! 1. flushes every pending outbound batch and builds the poll set —
@@ -14,14 +14,14 @@
 //!    fds (a server's control fd and listener), the earliest
 //!    per-connection deadline, or the mount's own deadline (a server's
 //!    machine) is due,
-//! 3. reads every readable connection (at most [`READ_BUDGET`] reads
+//! 3. reads every readable connection (at most `READ_BUDGET` reads
 //!    each), handing each decoded message to the handler, and
 //! 4. expires deadlines: a silent handshake or a stuck final drain is
 //!    dropped, a steady-state deadline is delivered to the handler.
 //!
 //! Closing has one path, [`Conn::finish`], whichever side ends the
 //! connection: the close-time tap drain, the socket shutdown, and one
-//! [`Handler::closed`] call carrying the connection's wire counters.
+//! `Handler::closed` call carrying the connection's wire counters.
 
 use crate::clock::Clock;
 use crate::conn::{Closed, Conn, Inbound};

@@ -18,7 +18,6 @@ use crate::conn::{Closed, Conn, Inbound};
 use crate::engine::{Handler, Token};
 use crate::server::{self, Control, Mount};
 use crate::tcp::{DispatcherOutcome, DispatcherServer, ServerConfig};
-use falkon_core::forwarder::ForwarderStats;
 use falkon_core::ForwarderNode;
 use falkon_obs::{Counters, Recorder};
 use falkon_proto::message::Message;
@@ -30,9 +29,8 @@ use std::thread::{self, JoinHandle};
 /// What a finished forwarder observed, wire counters split by face so each
 /// tier's bytes balance exactly.
 pub struct ForwarderOutcome {
-    /// Machine counters (bundles/results routed, re-routes, losses).
-    pub stats: ForwarderStats,
-    /// The machine's probe: lifecycle events only.
+    /// The machine's probe: lifecycle events only (bundles and results
+    /// routed, re-routes, losses).
     pub recorder: Recorder,
     /// Merged wire counters of every client-facing connection.
     pub upstream_wire: Counters,
@@ -149,7 +147,6 @@ impl ForwarderServer {
         drop(self.control);
         let mount = self.thread.join().expect("forwarder thread");
         let outcome = ForwarderOutcome {
-            stats: mount.node.machine().stats(),
             recorder: mount.node.machine().probe().clone(),
             upstream_wire: mount.upstream_wire,
             downstream_wire: mount.downstream_wire,

@@ -78,8 +78,6 @@ impl Default for InprocConfig {
 pub struct RunOutcome {
     /// Tasks completed.
     pub tasks: u64,
-    /// Wall time from submission to last result, µs.
-    pub elapsed_us: u64,
     /// Aggregate throughput, tasks/sec.
     pub throughput: f64,
     /// Dispatcher-side per-task records, dispatcher by dispatcher.
@@ -152,7 +150,6 @@ pub fn run_workload(config: &InprocConfig, tasks: Vec<TaskSpec>) -> RunOutcome {
     let elapsed_us = client.elapsed_us.max(1);
     RunOutcome {
         tasks: client.done,
-        elapsed_us,
         throughput: client.done as f64 / (elapsed_us as f64 / 1e6),
         records,
         stats: DispatcherStats::from(&obs.counters),
@@ -222,7 +219,8 @@ mod tests {
         let out = run_sleep_workload(&cfg, 8, 50_000); // 8 × 50 ms on 4 workers
         assert_eq!(out.tasks, 8);
         // At least two waves of 50 ms.
-        assert!(out.elapsed_us >= 100_000, "elapsed = {}", out.elapsed_us);
+        let elapsed_s = out.tasks as f64 / out.throughput;
+        assert!(elapsed_s >= 0.1 - 1e-9, "elapsed = {elapsed_s} s");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Executor peers: any number of them multiplexed on the caller's thread.
 //!
 //! The server mount holds every connection of a *dispatcher* on its one
-//! thread; this module mounts the same [`Engine`] on the peer side, so one
+//! thread; this module mounts the same `Engine` on the peer side, so one
 //! thread can hold a thousand executor connections. [`run_executors_mux`] dials
 //! `count` executors and drives all of their sans-io machines from the
 //! engine's callbacks: nonblocking sockets, coalesced writes, and each

@@ -16,7 +16,7 @@ pub struct Engine<E> {
     stopped: bool,
     events_processed: u64,
     /// Safety valve: abort if a run processes more events than this.
-    pub max_events: u64,
+    max_events: u64,
 }
 
 impl<E> Default for Engine<E> {

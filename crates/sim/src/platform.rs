@@ -13,7 +13,7 @@ pub struct Platform {
     /// Number of nodes at the site.
     pub nodes: u32,
     /// Processors (cores) per node; the paper maps one executor per processor.
-    pub cpus_per_node: u32,
+    cpus_per_node: u32,
     /// Human-readable processor description.
     pub processors: &'static str,
     /// Memory per node, GB.

@@ -7,11 +7,11 @@ pub struct SwiftApp {
     pub name: &'static str,
     /// Typical tasks per workflow (representative midpoint of the paper's
     /// ranges).
-    pub tasks: u64,
+    tasks: u64,
     /// The paper's verbatim task-count description.
     pub tasks_text: &'static str,
     /// Pipeline stages (midpoint where the paper gives a range).
-    pub stages: u32,
+    stages: u32,
     /// The paper's verbatim stage description.
     pub stages_text: &'static str,
 }

@@ -1,7 +1,6 @@
 //! Data-driven task graphs.
 
 use crate::Micros;
-use falkon_proto::task::DataSpec;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -19,13 +18,11 @@ impl fmt::Debug for NodeId {
 #[derive(Clone, PartialEq, Debug)]
 pub struct WfTask {
     /// Executable name (e.g. `mProject`).
-    pub name: String,
+    name: String,
     /// Stage label for reporting (e.g. `"stage9"` or `"mDiff"`).
-    pub stage: String,
+    pub(crate) stage: String,
     /// Payload duration, µs.
     pub runtime_us: Micros,
-    /// Optional data staging requirement.
-    pub data: Option<DataSpec>,
 }
 
 impl WfTask {
@@ -35,7 +32,6 @@ impl WfTask {
             name: name.into(),
             stage: stage.into(),
             runtime_us,
-            data: None,
         }
     }
 }

@@ -8,7 +8,6 @@
 
 use falkon::exp::providers::{FalkonProvider, GramProvider};
 use falkon::exp::simfalkon::SimFalkonConfig;
-use falkon::lrm::gram::GramConfig;
 use falkon::lrm::profile::PBS_V2_1_8;
 use falkon::workflow::apps::fmri;
 use falkon::workflow::engine::WorkflowEngine;
@@ -22,11 +21,11 @@ fn main() {
     for &volumes in &fmri::PROBLEM_SIZES {
         let dag = fmri::dag(volumes);
 
-        let mut gram = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 62);
+        let mut gram = GramProvider::new(PBS_V2_1_8, 62);
         let gram_s = WorkflowEngine::new().run(&dag, &mut gram).makespan_s();
 
         let cluster = (volumes as usize).div_ceil(8);
-        let mut clustered = GramProvider::new(PBS_V2_1_8, GramConfig::default(), 62);
+        let mut clustered = GramProvider::new(PBS_V2_1_8, 62);
         let clustered_s = WorkflowEngine::with_clustering(cluster)
             .run(&dag, &mut clustered)
             .makespan_s();

@@ -8,7 +8,6 @@
 
 use falkon::exp::providers::{FalkonProvider, GramProvider};
 use falkon::exp::simfalkon::SimFalkonConfig;
-use falkon::lrm::gram::GramConfig;
 use falkon::lrm::profile::PBS_V2_1_8;
 use falkon::workflow::apps::montage;
 use falkon::workflow::engine::WorkflowEngine;
@@ -29,7 +28,7 @@ fn main() {
     );
 
     let workers = 64;
-    let mut gram = GramProvider::new(PBS_V2_1_8, GramConfig::default(), workers);
+    let mut gram = GramProvider::new(PBS_V2_1_8, workers);
     let gram_report = WorkflowEngine::with_clustering(32).run(&dag, &mut gram);
 
     let mut falkon = FalkonProvider::new(SimFalkonConfig {

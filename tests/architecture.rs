@@ -35,7 +35,12 @@ const CLIENT_REQUESTS: [&str; 4] = [
     "DispatcherEvent::GetResults",
 ];
 /// Every constant in these files reproduces a number in the paper.
-const CALIBRATION: [&str; 2] = ["crates/exp/src/costs.rs", "crates/lrm/src/profile.rs"];
+const CALIBRATION: [&str; 4] = [
+    "crates/exp/src/costs.rs",
+    "crates/fs/src/lib.rs",
+    "crates/lrm/src/gram.rs",
+    "crates/lrm/src/profile.rs",
+];
 /// `repro` reaches an experiment module only through `registry.rs`.
 const EXP_DIR: &str = "crates/exp/src/experiments/";
 /// The docs that map the tree as it is; ROADMAP.md and CHANGES.md are
@@ -401,19 +406,36 @@ fn unit(path: &str) -> &str {
     krate(path)
 }
 
-/// The name of the item a code line declares `pub` (`pub fn`, `pub const
-/// fn`, `pub struct`…); `pub(crate)`, `pub use` and fields declare none.
-fn pub_item(line: &str) -> Option<&str> {
+/// The name a code line declares `pub` (`pub fn`, `pub const fn`, `pub
+/// struct`…, or a field, `pub name: Type`), and whether it is a field;
+/// `pub(crate)` and `pub use` declare none.
+fn pub_item(line: &str) -> Option<(&str, bool)> {
     let decl = line.trim_start().strip_prefix("pub ")?;
     let decl = decl
         .strip_prefix("const ")
         .filter(|d| d.starts_with("fn "))
         .unwrap_or(decl);
     let (kind, rest) = decl.split_once(' ')?;
+    if let Some(field) = kind.strip_suffix(':').filter(|f| f.chars().all(is_ident)) {
+        return Some((field, true));
+    }
     let kinds = [
         "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
     ];
-    kinds.contains(&kind).then(|| words(rest).next()).flatten()
+    kinds
+        .contains(&kind)
+        .then(|| Some((words(rest).next()?, false)))
+        .flatten()
+}
+
+/// `..Name` for each `..Name::` in `src`: a functional record update from
+/// one of `Name`'s constructors, which needs every field of `Name` visible.
+fn spreads(src: &str) -> impl Iterator<Item = &str> {
+    src.match_indices("..").filter_map(|(at, _)| {
+        let (name, _) = src[at + 2..].split_once("::")?;
+        let named = !name.is_empty() && name.chars().all(is_ident);
+        named.then(|| &src[at..at + 2 + name.len()])
+    })
 }
 
 /// The lines of a crate's public text in one file's code, by index: each
@@ -465,12 +487,15 @@ fn doctests(src: &str) -> Vec<&str> {
 /// nowhere outside its compilation unit: in no other crate, test, example,
 /// `src/` or `benchmark/` file, no doctest, and no other line of its own
 /// crate's public text, where rustc's private-in-public rules need it. A
-/// name that collides with another only hides a finding. `vendor/` is
-/// neither checked nor counted as a user.
+/// `pub` field is held to the first rule only, and is kept as well by a
+/// functional record update of its struct (`..Name::default()`) outside
+/// its unit. A name that collides with another only hides a finding.
+/// `vendor/` is neither checked nor counted as a user.
 fn public_surface(files: &[(&str, &str)]) -> Vec<String> {
     use std::collections::{HashMap, HashSet};
-    // Each word, with the units whose files name it (a doctest is a unit of
-    // its own), and the lines of public text that name it.
+    // Each word or `..Name` spread, with the units whose files name it (a
+    // doctest is a unit of its own), and the lines of public text that name
+    // it.
     let mut users: HashMap<&str, HashSet<&str>> = HashMap::new();
     let mut public: HashMap<&str, Vec<(&str, usize)>> = HashMap::new();
     let mut decls = Vec::new();
@@ -479,7 +504,7 @@ fn public_surface(files: &[(&str, &str)]) -> Vec<String> {
         .filter(|(p, _)| p.ends_with(".rs") && !p.starts_with("vendor/"))
     {
         let owner = unit(path);
-        for w in src.lines().flat_map(words) {
+        for w in src.lines().flat_map(words).chain(spreads(src)) {
             users.entry(w).or_default().insert(owner);
         }
         for w in doctests(src).into_iter().flat_map(words) {
@@ -494,25 +519,32 @@ fn public_surface(files: &[(&str, &str)]) -> Vec<String> {
                 public.entry(w).or_default().push((path, i));
             }
         }
-        let items = code
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| Some((*path, owner, i, pub_item(l)?)));
-        decls.extend(items);
+        // A field's struct: the last one declared above it.
+        let mut within = "";
+        for (i, l) in code.iter().enumerate() {
+            let mut w = words(l).skip_while(|w| *w != "struct");
+            within = w.nth(1).unwrap_or(within);
+            if let Some((name, field)) = pub_item(l) {
+                decls.push((*path, owner, i, name, field.then_some(within)));
+            }
+        }
     }
-    let used = |&(path, owner, i, name): &(&str, &str, usize, &str)| {
-        let foreign = users
-            .get(name)
-            .is_some_and(|u| u.iter().any(|o| *o != owner));
-        foreign
-            || public
-                .get(name)
-                .is_some_and(|at| at.iter().any(|&a| a != (path, i)))
+    let foreign = |name: &str, owner: &str| {
+        let u = users.get(name);
+        u.is_some_and(|u| u.iter().any(|o| *o != owner))
+    };
+    let used = |&(path, owner, i, name, within): &(&str, &str, usize, &str, Option<&str>)| {
+        let on_public_text = || {
+            let at = public.get(name);
+            at.is_some_and(|at| at.iter().any(|&a| a != (path, i)))
+        };
+        let spread = |s| foreign(&format!("..{s}"), owner);
+        foreign(name, owner) || within.map_or_else(on_public_text, spread)
     };
     let why = "is `pub`, but nothing outside its crate names it";
     let orphans = decls.iter().filter(|d| !used(d));
     orphans
-        .map(|(path, _, i, name)| format!("{path}:{}: `{name}` {why}", i + 1))
+        .map(|(path, _, i, name, _)| format!("{path}:{}: `{name}` {why}", i + 1))
         .collect()
 }
 
@@ -629,7 +661,7 @@ const FIXTURES: &[Fixture] = &[
     ], &["client_protocol crates/rt/src/forwarder.rs:2", "client_protocol crates/rt/src/forwarder.rs:7",
         "client_protocol crates/exp/src/simfalkon.rs:3"]),
     ("calibration: an uncited and an undocumented constant; each citation form, with notes and attributes \
-      between; no const fn or *const; only the two calibration files", &[
+      between; no const fn or *const; only the calibration files", &[
         ("crates/exp/src/costs.rs", "/// A lovingly hand-tuned number; see the Table below.\npub const UNCITED: u64 = 42;\n\n\
           pub const BARE: u64 = 7;"),
         ("crates/lrm/src/profile.rs", "/// The \"Ideal\" column of Tables 3/4.\npub const A: u64 = 1;\n\
@@ -693,10 +725,21 @@ const FIXTURES: &[Fixture] = &[
         ("crates/bench/src/bin/repro.rs", "fn main() { falkon_bench::harness::run_all(); }"),
         ("benchmark/src/run.rs", "use falkon_core::used::BENCHED;"),
         ("tests/end_to_end.rs", "use falkon_core::used::tested;\nfn t() { falkon_core::make(); }"),
-        ("crates/rt/src/tcp.rs", "use falkon_core::{used::visible, Event, Holder, Provider, SHARED};"),
+        ("crates/rt/src/tcp.rs", "use falkon_core::{used::visible, Event, Holder, Provider, SHARED};\nfn read(h: &Holder) { h.field; }"),
         ("vendor/rand/src/lib.rs", "pub fn unused() {}"),
     ], &["public_surface crates/core/src/orphan.rs:1", "public_surface crates/core/src/orphan.rs:3",
         "public_surface crates/core/src/orphan.rs:22"]),
+    ("public_surface fields: a field named only on its crate's public text, one spread only inside its crate; \
+      fields named by a test or `benchmark/src`, or spread there (`..Config::default()`); `pub(crate)`, tuple and \
+      test-code fields", &[
+        ("crates/exp/src/outcome.rs", "pub struct Config {\n    pub seed: u64,\n    pub caching: bool,\n}\n\
+          pub struct Outcome {\n    pub tasks: u64,\n    pub elapsed_us: u64,\n    pub unread: u64,\n    pub(crate) internal: u64,\n}\n\
+          pub struct Id(pub u64);\npub fn scale(elapsed_us: u64) -> Id { Id(elapsed_us) }\n\
+          fn again(o: Outcome) -> Outcome {\n    Outcome { tasks: 1, ..Outcome::from(o) }\n}\n\
+          #[cfg(test)]\nmod tests {\n    pub struct Fake {\n        pub unused: u64,\n    }\n}"),
+        ("benchmark/src/run.rs", "fn config() -> Config { Config { seed: 1, ..Config::default() } }"),
+        ("tests/end_to_end.rs", "fn t(o: Outcome) -> Id { falkon_exp::outcome::scale(o.tasks) }"),
+    ], &["public_surface crates/exp/src/outcome.rs:7", "public_surface crates/exp/src/outcome.rs:8"]),
 ];
 
 #[test]

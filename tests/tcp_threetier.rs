@@ -207,13 +207,15 @@ fn dispatcher_loss_reroutes_exactly_once_with_balanced_wire() {
 
     // The forwarder's own books agree: the victim's entire backlog was
     // re-routed, results were funnelled back exactly once.
-    assert_eq!(outcome.stats.dispatchers_lost, 1);
-    assert_eq!(outcome.stats.readmitted, 1);
-    assert!(outcome.stats.rerouted > 0, "the victim held no backlog");
-    assert_eq!(outcome.stats.results_delivered, total);
+    let c = &outcome.recorder.counters;
+    assert_eq!(c.count(ObsEventKind::DispatcherLost), 1);
+    assert_eq!(c.count(ObsEventKind::DispatcherReadmitted), 1);
+    let rerouted = c.value(ObsEventKind::TaskRerouted);
+    assert!(rerouted > 0, "the victim held no backlog");
+    assert_eq!(c.value(ObsEventKind::ResultsRouted), total);
     assert_eq!(
-        outcome.stats.tasks_routed,
-        total + outcome.stats.rerouted,
+        c.value(ObsEventKind::BundleRouted),
+        total + rerouted,
         "routed = every task once + the re-routed backlog"
     );
 
@@ -337,10 +339,12 @@ fn backlog_survives_every_dispatcher_lost_and_goes_to_the_first_readmitted() {
     let ids: HashSet<u64> = records.iter().map(|r| r.result.id.0).collect();
     assert_eq!(records.len() as u64, BACKLOG);
     assert_eq!(ids.len() as u64, BACKLOG, "task records not unique");
-    let s = outcome.stats;
-    assert_eq!((s.dispatchers_lost, s.readmitted), (2, 1));
-    assert_eq!(s.results_delivered, BACKLOG);
-    assert_eq!(s.tasks_routed, BACKLOG + s.rerouted);
+    let c = &outcome.recorder.counters;
+    let lost = c.count(ObsEventKind::DispatcherLost);
+    assert_eq!((lost, c.count(ObsEventKind::DispatcherReadmitted)), (2, 1));
+    assert_eq!(c.value(ObsEventKind::ResultsRouted), BACKLOG);
+    let rerouted = c.value(ObsEventKind::TaskRerouted);
+    assert_eq!(c.value(ObsEventKind::BundleRouted), BACKLOG + rerouted);
 }
 
 /// A hand-driven plain-text client on a blocking socket.
@@ -442,5 +446,6 @@ fn client_gone_while_its_tasks_run_fetches_each_result_from_the_forwarder() {
     for e in execs {
         e.join().expect("executor thread").ok();
     }
-    assert_eq!(outcome.stats.results_delivered, N);
+    let delivered = outcome.recorder.counters.value(ObsEventKind::ResultsRouted);
+    assert_eq!(delivered, N);
 }
