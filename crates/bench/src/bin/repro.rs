@@ -11,7 +11,7 @@
 //!   --full         the paper's parameters (2,000,000 tasks, 54,000
 //!                  executors) instead of the quick smoke scale
 //!   --jobs <n>     with `all`: run up to n shared-run groups at once
-//!                  (default 1 = serial). Output is byte-identical for
+//!                  (default 1). Output is byte-identical for
 //!                  every n except the wall-clock "measured" block.
 //!   --trace <path> with a single experiment: also dump every completed
 //!                  task's lifecycle (enqueue/dispatch/complete timestamps)

@@ -1,17 +1,17 @@
-//! The `repro all` execution harness: serial or on `N` workers, with
-//! byte-identical output either way.
+//! The `repro all` execution harness: `N` workers, with byte-identical
+//! output for every `N`.
 //!
 //! `repro all --jobs N` runs the registry's shared-run groups on `N` scoped
-//! threads, each taking the next group until none is left; nothing inside a
-//! group fans out. Output determinism is structural, not incidental:
+//! threads (one by default), each taking the next group until none is
+//! left; nothing inside a group fans out. Output determinism is
+//! structural, not incidental:
 //!
 //! - each `shared_run_key` group executes exactly once, on one worker —
 //!   consumers of a shared run (fig9/fig10; table3/table4/fig12/fig13)
 //!   render the same `Report`, so the emit loop blocks until the group's
 //!   run has arrived;
 //! - rendering and emission happen on the calling thread, walking
-//!   [`registry::REGISTRY`] in declaration order with the same
-//!   per-group dedupe as the serial path.
+//!   [`registry::REGISTRY`] in declaration order.
 //!
 //! The `measured` experiment reports wall-clock rates and is excluded from
 //! byte-identity comparisons (it is last in the registry, so a single
@@ -23,28 +23,9 @@ use std::collections::HashMap;
 use std::sync::{mpsc, Mutex};
 use std::{panic, thread};
 
-/// Run every registry entry and stream rendered blocks to `sink` in
-/// registry order. `jobs <= 1` is the serial reference path; higher values
-/// run up to `jobs` shared-run groups at once.
+/// Run every registry entry on up to `jobs` workers (at least one) and
+/// stream rendered blocks to `sink` in registry order.
 pub fn run_all_with(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, &str)) {
-    if jobs <= 1 {
-        run_all_serial(scale, sink);
-    } else {
-        run_all_parallel(scale, jobs, sink);
-    }
-}
-
-fn run_all_serial(scale: Scale, sink: &mut dyn FnMut(&'static str, &str)) {
-    let mut reports: HashMap<&'static str, registry::Report> = HashMap::new();
-    let mut printed: HashMap<&'static str, Vec<String>> = HashMap::new();
-    for exp in registry::REGISTRY {
-        let key = exp.shared_run_key();
-        let report = reports.entry(key).or_insert_with(|| exp.run(scale));
-        emit_block(*exp, report, &mut printed, sink);
-    }
-}
-
-fn run_all_parallel(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str, &str)) {
     // One job per shared-run group, in first-occurrence order so the
     // earliest-emitting groups start first.
     let mut groups: Vec<(&'static str, &'static dyn registry::Experiment)> = Vec::new();
@@ -58,7 +39,7 @@ fn run_all_parallel(scale: Scale, jobs: usize, sink: &mut dyn FnMut(&'static str
     let (tx, rx) = mpsc::channel::<(&'static str, registry::Report)>();
     let next = Mutex::new(groups.into_iter());
     thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
+        let workers: Vec<_> = (0..jobs.max(1))
             .map(|_| {
                 let (tx, next) = (tx.clone(), &next);
                 s.spawn(move || loop {

@@ -1,5 +1,5 @@
 //! The `repro` harness binary (`src/bin/repro.rs`) and [`harness`], the
-//! `repro all` runner (serial or `--jobs N` parallel, byte-identical output
-//! either way). Performance is measured by `benchmark/`, not here.
+//! `repro all` runner (`--jobs N` workers, byte-identical output for every
+//! `N`). Performance is measured by `benchmark/`, not here.
 
 pub mod harness;

@@ -1,4 +1,4 @@
-//! The parallel harness must not change a single byte of `repro all`
+//! The harness's worker count must not change a single byte of `repro all`
 //! output: rendered blocks are buffered per shared-run group and emitted in
 //! registry order regardless of which worker finished first. The only
 //! legitimately nondeterministic block is the `measured` experiment (it
@@ -28,10 +28,11 @@ fn blocks(jobs: usize) -> Blocks {
     blocks
 }
 
-/// The serial reference run, made once for every test that reads it.
-fn serial() -> &'static Blocks {
-    static SERIAL: OnceLock<Blocks> = OnceLock::new();
-    SERIAL.get_or_init(|| blocks(1))
+/// The one-worker run (`--jobs 1`, the default), made once for every test
+/// that reads it.
+fn one_worker() -> &'static Blocks {
+    static ONE: OnceLock<Blocks> = OnceLock::new();
+    ONE.get_or_init(|| blocks(1))
 }
 
 /// A run's output as `repro` prints it (each block and a newline), less
@@ -51,7 +52,7 @@ fn deterministic_output(blocks: &Blocks) -> String {
 
 #[test]
 fn repro_all_matches_the_golden_file() {
-    let now = deterministic_output(serial());
+    let now = deterministic_output(one_worker());
     let mut lines = GOLDEN.lines().zip(now.lines()).enumerate();
     if let Some((i, (w, g))) = lines.find(|(_, (w, g))| w != g) {
         panic!(
@@ -72,14 +73,11 @@ fn repro_all_matches_the_golden_file() {
 
 #[test]
 fn repro_all_is_byte_identical_across_job_counts() {
-    let serial = deterministic_output(serial());
-    assert!(!serial.is_empty());
+    let one = deterministic_output(one_worker());
+    assert!(!one.is_empty());
     for jobs in [4, 8] {
-        let parallel = deterministic_output(&blocks(jobs));
-        assert_eq!(
-            serial, parallel,
-            "repro all --jobs {jobs} diverged from the serial reference"
-        );
+        let many = deterministic_output(&blocks(jobs));
+        assert_eq!(one, many, "repro all --jobs {jobs} diverged from --jobs 1");
     }
 }
 
@@ -88,7 +86,7 @@ fn repro_all_is_byte_identical_across_job_counts() {
 /// `repro all` prints it once.
 #[test]
 fn every_entry_but_fig10_prints_a_block() {
-    let printed: Vec<&str> = serial()
+    let printed: Vec<&str> = one_worker()
         .iter()
         .filter(|b| !b.1.trim().is_empty())
         .map(|b| b.0)

@@ -19,6 +19,7 @@
 //!   (450–500/s). We model a stop-the-world pause every `gc_every_done`
 //!   completions whose length grows with the live set (queue length).
 
+use crate::experiments::Scale;
 use crate::Micros;
 
 // Calibration constants. Every value cites the paper number it reproduces
@@ -56,6 +57,20 @@ pub(crate) const EXECUTOR_OVERHEAD_SIGMA: f64 = 0.35;
 /// Cap on executor overhead after jitter, µs (Fig. 10 max ≈ 1.3 s).
 pub(crate) const EXECUTOR_OVERHEAD_CAP_US: Micros = 1_300_000;
 
+/// Executor-side cost per task in the 54K emulation, µs: 900 executors
+/// share each machine, so Fig. 10's per-task overhead sits mostly below
+/// 200 ms, well above one uncontended executor's.
+pub(crate) const EMULATION_TASK_OVERHEAD_US: Micros = 110_000;
+
+/// Log-normal sigma of the 54K emulation's overhead jitter, fitted to the
+/// tail of Fig. 10 that reaches the 1.3 s cap.
+pub(crate) const EMULATION_OVERHEAD_SIGMA: f64 = 0.45;
+
+/// One-way latency of a wide-area link, µs, for the pre-fetching that
+/// Section 6 proposes: ≈33× the LAN's, so a `GetWork` round trip is
+/// comparable to a 100 ms task.
+pub(crate) const WIDE_AREA_LATENCY_US: Micros = 50_000;
+
 /// JVM startup before a new executor registers, µs — the 5 s floor of the
 /// 5–65 s executor-creation variance reported in Section 4.6.
 pub(crate) const EXECUTOR_STARTUP_US: Micros = 5_000_000;
@@ -73,6 +88,11 @@ pub(crate) const GC_EVERY_DONE: u64 = 1_500;
 /// queue peaks at ≈1.5 M tasks, stretching pauses to multi-second stalls.
 pub(crate) const GC_PAUSE_PER_QUEUED_US: f64 = 2.0;
 
+/// The same at quick scale, µs: 120,000 tasks never build Fig. 8's
+/// ≈1.5 M queue, so the per-task cost is ten times the full run's to keep
+/// the same heap-pressure dynamics.
+pub(crate) const GC_PAUSE_PER_QUEUED_QUICK_US: f64 = 20.0;
+
 /// Minimum GC pause when triggered, µs — a young-collection floor sized so
 /// even an empty queue shows the Fig. 8 dropout pattern.
 pub(crate) const GC_PAUSE_MIN_US: Micros = 50_000;
@@ -81,24 +101,24 @@ pub(crate) const GC_PAUSE_MIN_US: Micros = 50_000;
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostModel {
     /// Serial dispatcher CPU consumed per received or sent message, µs.
-    pub dispatcher_msg_cpu_us: Micros,
+    pub(crate) dispatcher_msg_cpu_us: Micros,
     /// One-way network latency between any two hosts, µs (paper: 1–2 ms).
-    pub network_latency_us: Micros,
+    pub(crate) network_latency_us: Micros,
     /// Executor-side handling cost per task (thread create, WS pickup,
     /// fork/exec, result send), µs.
-    pub executor_task_overhead_us: Micros,
+    pub(crate) executor_task_overhead_us: Micros,
     /// Log-normal sigma for executor overhead jitter (0 = deterministic).
-    pub executor_overhead_sigma: f64,
+    pub(crate) executor_overhead_sigma: f64,
     /// Cap on executor overhead after jitter, µs (Figure 10 max ≈ 1.3 s).
-    pub executor_overhead_cap_us: Micros,
+    pub(crate) executor_overhead_cap_us: Micros,
     /// JVM startup before a new executor registers, µs.
-    pub executor_startup_us: Micros,
+    pub(crate) executor_startup_us: Micros,
     /// Stop-the-world GC pause every this many completed tasks (0 = off).
-    pub gc_every_done: u64,
+    pub(crate) gc_every_done: u64,
     /// GC pause length per queued task, µs (live-set mark cost).
-    pub gc_pause_per_queued_us: f64,
+    pub(crate) gc_pause_per_queued_us: f64,
     /// Minimum GC pause when triggered, µs.
-    pub gc_pause_min_us: Micros,
+    pub(crate) gc_pause_min_us: Micros,
 }
 
 impl Default for CostModel {
@@ -134,12 +154,31 @@ impl CostModel {
         }
     }
 
-    /// The Figure 8 endurance-run model: GC stalls enabled.
-    pub fn with_gc() -> CostModel {
+    /// The Figure 8 endurance-run model at `scale`: GC stalls enabled.
+    pub fn endurance(scale: Scale) -> CostModel {
         CostModel {
             gc_every_done: GC_EVERY_DONE,
-            gc_pause_per_queued_us: GC_PAUSE_PER_QUEUED_US,
+            gc_pause_per_queued_us: scale
+                .pick(GC_PAUSE_PER_QUEUED_QUICK_US, GC_PAUSE_PER_QUEUED_US),
             gc_pause_min_us: GC_PAUSE_MIN_US,
+            ..CostModel::no_security()
+        }
+    }
+
+    /// The Figures 9–10 emulation: 900 executors per machine make each
+    /// task's overhead heavier and wider.
+    pub(crate) fn emulation() -> CostModel {
+        CostModel {
+            executor_task_overhead_us: EMULATION_TASK_OVERHEAD_US,
+            executor_overhead_sigma: EMULATION_OVERHEAD_SIGMA,
+            ..CostModel::no_security()
+        }
+    }
+
+    /// A wide-area deployment: no security, long links.
+    pub(crate) fn wide_area() -> CostModel {
+        CostModel {
+            network_latency_us: WIDE_AREA_LATENCY_US,
             ..CostModel::no_security()
         }
     }

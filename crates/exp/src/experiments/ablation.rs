@@ -230,10 +230,7 @@ pub(crate) fn prefetch(scale: Scale) -> Vec<PrefetchArm> {
                 idle_release_us: None,
                 prefetch,
             },
-            costs: CostModel {
-                network_latency_us: 50_000, // wide-area deployment
-                ..CostModel::no_security()
-            },
+            costs: CostModel::wide_area(),
             ..SimFalkonConfig::default()
         });
         // 100 ms tasks: comparable to the round trip, so overlap matters.

@@ -41,17 +41,10 @@ pub(crate) fn fig8(scale: Scale) -> Fig8 {
     let total: usize = scale.pick(120_000, 2_000_000);
     // The client outpaces the ≈300/s dispatch rate so the queue builds.
     let submit_rate = 1_250.0;
-    // The GC pause grows with the live set (queue length); at quick scale
-    // the queue never reaches the full run's ≈1.5 M tasks, so the per-task
-    // pause cost is scaled up to keep the same heap-pressure dynamics.
-    let costs = CostModel {
-        gc_pause_per_queued_us: scale.pick(20.0, 2.0),
-        ..CostModel::with_gc()
-    };
     let mut sim = SimFalkon::new(SimFalkonConfig {
         executors: 64,
         executors_per_node: 2,
-        costs,
+        costs: CostModel::endurance(scale),
         client_submit_rate: Some(submit_rate),
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()

@@ -55,22 +55,11 @@ pub(crate) struct Scale54k {
     beyond: Option<Beyond100k>,
 }
 
-/// Paper cost model for the 54K emulation: 900 executors per machine mean
-/// heavy per-task overhead contention.
-fn emulation_costs() -> CostModel {
-    CostModel {
-        executor_task_overhead_us: 110_000,
-        executor_overhead_sigma: 0.45,
-        executor_overhead_cap_us: 1_300_000,
-        ..CostModel::no_security()
-    }
-}
-
 fn emulation_config(executors: u32) -> SimFalkonConfig {
     SimFalkonConfig {
         executors,
         executors_per_node: 900,
-        costs: emulation_costs(),
+        costs: CostModel::emulation(),
         // Piggy-backing is irrelevant here (one task per executor), and the
         // paper disabled everything except client→dispatcher bundling.
         dispatcher: DispatcherConfig {

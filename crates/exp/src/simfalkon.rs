@@ -1049,6 +1049,7 @@ impl SimFalkon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::Scale;
     use falkon_core::policy::{AcquisitionPolicy, ReleasePolicy};
 
     fn sleep_tasks(n: u64, secs: u64) -> Vec<TaskSpec> {
@@ -1181,7 +1182,7 @@ mod tests {
             assert_eq!(out.tasks, 20_000);
             (out.throughput, sim.gc_pauses())
         };
-        let (with_gc, pauses) = run(CostModel::with_gc());
+        let (with_gc, pauses) = run(CostModel::endurance(Scale::Full));
         assert!(pauses > 0, "expected GC pauses");
         let (without, none) = run(CostModel::no_security());
         assert_eq!(none, 0);

@@ -34,6 +34,7 @@
 
 use falkon_core::DispatcherConfig;
 use falkon_exp::costs::CostModel;
+use falkon_exp::experiments::Scale;
 use falkon_exp::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon_proto::task::TaskSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -128,10 +129,7 @@ fn paced_run_follows_the_live_queue() {
     let mut sim = SimFalkon::new(SimFalkonConfig {
         executors: 64,
         executors_per_node: 2,
-        costs: CostModel {
-            gc_pause_per_queued_us: 20.0,
-            ..CostModel::with_gc()
-        },
+        costs: CostModel::endurance(Scale::Quick),
         client_submit_rate: Some(1_250.0),
         sample_interval_us: 1_000_000,
         ..SimFalkonConfig::default()

@@ -1,34 +1,106 @@
 //! Deterministic randomness for simulations.
 //!
 //! Every experiment takes an explicit seed so that reported numbers are
-//! exactly reproducible run-to-run. `SimRng` wraps ChaCha8 (fast, portable,
-//! stable across platforms) and exposes the two draws the cost models
-//! need: a uniform unit float and a clamped heavy tail.
+//! exactly reproducible run-to-run. `SimRng` is a ChaCha8 keystream (8
+//! rounds, 64-bit block counter, zero nonce: fast, portable, stable across
+//! platforms) keyed by a SplitMix64 expansion of the seed, and gives the two
+//! draws the cost models need: a uniform unit float and a clamped heavy
+//! tail. `tests::unit_stream_is_golden` pins the stream.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+/// ChaCha's first four state words, "expand 32-byte k".
+const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-/// A seedable RNG with the draws used by the Falkon cost models.
+#[inline(always)]
+fn quarter_round(x: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(16);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(12);
+    x[a] = x[a].wrapping_add(x[b]);
+    x[d] = (x[d] ^ x[a]).rotate_left(8);
+    x[c] = x[c].wrapping_add(x[d]);
+    x[b] = (x[b] ^ x[c]).rotate_left(7);
+}
+
+/// A seedable ChaCha8 generator with the draws used by the Falkon cost
+/// models.
 #[derive(Clone, Debug)]
 pub struct SimRng {
-    inner: ChaCha8Rng,
+    key: [u32; 8],
+    counter: u64,
+    /// The current keystream block, read a word at a time from `index`.
+    block: [u32; 16],
+    index: usize,
 }
 
 impl SimRng {
-    /// Create from a 64-bit seed.
+    /// Create from a 64-bit seed: four SplitMix64 outputs, each split into
+    /// two little-endian key words.
     pub fn seed_from_u64(seed: u64) -> Self {
+        let mut key = [0u32; 8];
+        let mut s = seed;
+        for pair in key.chunks_exact_mut(2) {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            pair[0] = z as u32;
+            pair[1] = (z >> 32) as u32;
+        }
         SimRng {
-            inner: ChaCha8Rng::seed_from_u64(seed),
+            key,
+            counter: 0,
+            block: [0; 16],
+            index: 16, // the first draw computes block 0
         }
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// The next keystream block.
+    fn refill(&mut self) {
+        let mut input = [0u32; 16];
+        input[..4].copy_from_slice(&SIGMA);
+        input[4..12].copy_from_slice(&self.key);
+        input[12] = self.counter as u32;
+        input[13] = (self.counter >> 32) as u32;
+        let mut x = input;
+        for _ in 0..4 {
+            // A column round, then a diagonal round.
+            quarter_round(&mut x, 0, 4, 8, 12);
+            quarter_round(&mut x, 1, 5, 9, 13);
+            quarter_round(&mut x, 2, 6, 10, 14);
+            quarter_round(&mut x, 3, 7, 11, 15);
+            quarter_round(&mut x, 0, 5, 10, 15);
+            quarter_round(&mut x, 1, 6, 11, 12);
+            quarter_round(&mut x, 2, 7, 8, 13);
+            quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (out, inp) in x.iter_mut().zip(input) {
+            *out = out.wrapping_add(inp);
+        }
+        self.block = x;
+        self.counter = self.counter.wrapping_add(1);
+        self.index = 0;
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        if self.index == 16 {
+            self.refill();
+        }
+        let word = self.block[self.index];
+        self.index += 1;
+        word
+    }
+
+    /// Uniform float in `[0, 1)`: the top 53 bits of two words, low first.
     pub(crate) fn unit(&mut self) -> f64 {
-        self.inner.random::<f64>()
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
+        ((lo | hi << 32) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Log-normal-ish heavy tail: `base * exp(normal(0, sigma))`, clamped to
-    /// `[base_min, cap]`. Used for the per-task overhead noise of Figure 10.
+    /// `[0, cap]`. Used for the per-task overhead noise of Figure 10.
     pub fn heavy_tail(&mut self, base: f64, sigma: f64, cap: f64) -> f64 {
         let u1 = (1.0 - self.unit()).max(f64::MIN_POSITIVE);
         let u2 = self.unit();
@@ -56,6 +128,14 @@ mod tests {
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..100).filter(|_| a.unit() == b.unit()).count();
         assert!(same < 5);
+    }
+
+    #[test]
+    fn unit_draws_look_uniform() {
+        // Crude balance check: the mean of 10k unit floats is near 0.5.
+        let mut r = SimRng::seed_from_u64(9);
+        let mean: f64 = (0..10_000).map(|_| r.unit()).sum::<f64>() / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The architecture invariants rustc and clippy cannot see, checked over
 //! the text of every `.rs` file under `crates/*/src`, `vendor/*/src` and
 //! `src` (DESIGN.md §7.1), the docs' backticked paths, checked against the
-//! tree, and the `pub` items of `crates/*/src`, checked against every `.rs`
-//! file that could use them.
+//! tree, the `pub` items of `crates/*/src`, checked against every `.rs`
+//! file that could use them, and the workspace manifests' dependencies.
 //!
 //! A check reads a file's *code*: the lines before its first line that is a
 //! `#[cfg(test)]` attribute (the rule CI's line counter applies), each cut
@@ -46,12 +46,23 @@ const EXP_DIR: &str = "crates/exp/src/experiments/";
 /// The docs that map the tree as it is; ROADMAP.md and CHANGES.md are
 /// plans and history.
 const DOCS: [&str; 4] = ["DESIGN.md", "README.md", "CLAUDE.md", "EXPERIMENTS.md"];
+/// The tables of a manifest that list dependencies, as the last part of
+/// the table's name (`[workspace.dependencies]` is one).
+const DEP_TABLES: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
+/// The one crate from outside the workspace, test-only, and the manifest
+/// tables that may name it.
+const TEST_CRATE: &str = "proptest";
+const TEST_TABLES: [&str; 3] = [
+    "dev-dependencies",
+    "workspace.dependencies",
+    "patch.crates-io",
+];
 /// A backticked span ending in one of these names a file.
 const FILE_TYPES: [&str; 6] = [".rs", ".md", ".toml", ".json", ".yml", ".lock"];
 
 type Check = fn(&str, &str) -> Vec<String>;
-/// The per-source-file checks, by name; `registry`, `docs` and
-/// `public_surface` read the whole file set.
+/// The per-source-file checks, by name; `registry`, `docs`,
+/// `public_surface` and `dependencies` read the whole file set.
 const CHECKS: [(&str, Check); 7] = [
     ("sans_io", sans_io),
     ("probe_provenance", probe_provenance),
@@ -548,6 +559,69 @@ fn public_surface(files: &[(&str, &str)]) -> Vec<String> {
         .collect()
 }
 
+fn is_dep_table(table: &str) -> bool {
+    DEP_TABLES.contains(&table.rsplit('.').next().unwrap_or(table))
+}
+
+/// Each dependency or patch that manifest `text` names, as (table, name,
+/// line): `rand` in `dependencies` for `rand = "0.9"`, `rand.workspace =
+/// true` or a `[dependencies.rand]` header.
+fn manifest_entries(text: &str) -> Vec<(&str, &str, usize)> {
+    let (mut table, mut out) = ("", Vec::new());
+    for (i, line) in text.lines().map(str::trim).enumerate() {
+        if let Some(header) = line.strip_prefix('[').and_then(|h| h.split(']').next()) {
+            table = header;
+            let dotted = header.rsplit_once('.').filter(|(t, _)| is_dep_table(t));
+            out.extend(dotted.map(|(t, name)| (t, name, i + 1)));
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| !line.starts_with('#')) {
+            out.push((table, key.split('.').next().unwrap_or("").trim(), i + 1));
+        }
+    }
+    out.retain(|&(t, _, _)| is_dep_table(t) || t == "patch.crates-io");
+    out
+}
+
+/// Every dependency or patch of the root's or a member's manifest that is
+/// no workspace crate, bar `TEST_CRATE` in `TEST_TABLES`; and every item in the `src/lib.rs`
+/// of a `vendor/` crate that none of those manifests names, a stub.
+fn dependencies(files: &[(&str, &str)]) -> Vec<String> {
+    let workspace = |p: &str| {
+        let member = p
+            .strip_prefix("crates/")
+            .and_then(|p| p.strip_suffix("/Cargo.toml"));
+        p == "Cargo.toml" || member.is_some_and(|m| !m.contains('/'))
+    };
+    let (mut named, mut out) = (Vec::new(), Vec::new());
+    for (path, text) in files.iter().filter(|(p, _)| workspace(p)) {
+        for (table, name, line) in manifest_entries(text) {
+            named.push(name);
+            let ours = name.starts_with("falkon-") && is_dep_table(table);
+            let test_only = name == TEST_CRATE && TEST_TABLES.contains(&table);
+            if !ours && !test_only {
+                let why = "only workspace crates ship; `proptest` is a dev-dependency";
+                out.push(format!("{path}:{line}: `{name}` in `[{table}]`: {why}"));
+            }
+        }
+    }
+    for (path, src) in files {
+        let stub = path
+            .strip_prefix("vendor/")
+            .and_then(|p| p.strip_suffix("/src/lib.rs"));
+        let Some(name) = stub.filter(|n| !named.contains(n)) else {
+            continue;
+        };
+        for (i, l) in src.lines().enumerate() {
+            let l = l.find("//").map_or(l, |c| &l[..c]).trim();
+            if !l.is_empty() && !l.starts_with("#!") {
+                let why =
+                    format!("no workspace manifest names `{name}`, so its stub holds no item");
+                out.push(format!("{path}:{}: {why}", i + 1));
+            }
+        }
+    }
+    out
+}
+
 /// Every finding over `files`, each with the name of the check behind it.
 fn check(files: &[(&str, &str)]) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
@@ -563,6 +637,7 @@ fn check(files: &[(&str, &str)]) -> Vec<(&'static str, String)> {
             .into_iter()
             .map(|m| ("public_surface", m)),
     );
+    out.extend(dependencies(files).into_iter().map(|m| ("dependencies", m)));
     out
 }
 
@@ -586,7 +661,7 @@ fn entries(dir: &Path) -> impl Iterator<Item = PathBuf> {
 }
 
 /// Every file of the repository bar `.git` and build output, as
-/// (repo-relative path, text); only `.rs` and `.md` files are read.
+/// (repo-relative path, text); only `.rs`, `.md` and `.toml` files are read.
 fn tree() -> Vec<(String, String)> {
     let root = root();
     let (mut dirs, mut out) = (vec![root.clone()], Vec::new());
@@ -600,7 +675,7 @@ fn tree() -> Vec<(String, String)> {
                 continue;
             }
             let rel = p.strip_prefix(&root).expect("a path under the root");
-            let text = [".rs", ".md"].iter().any(|x| name.ends_with(x));
+            let text = [".rs", ".md", ".toml"].iter().any(|x| name.ends_with(x));
             let src = if text { read(&p) } else { String::new() };
             out.push((rel.to_string_lossy().replace('\\', "/"), src));
         }
@@ -740,16 +815,32 @@ const FIXTURES: &[Fixture] = &[
         ("benchmark/src/run.rs", "fn config() -> Config { Config { seed: 1, ..Config::default() } }"),
         ("tests/end_to_end.rs", "fn t(o: Outcome) -> Id { falkon_exp::outcome::scale(o.tasks) }"),
     ], &["public_surface crates/exp/src/outcome.rs:7", "public_surface crates/exp/src/outcome.rs:8"]),
+    ("dependencies: a vendored crate as a dependency, a workspace declaration, a patch and a `[target…]` \
+      header; `proptest` outside the dev tables; an item in a stub no workspace manifest names; workspace crates, a \
+      dev `proptest`, a comment, `benchmark/`'s manifest and a named vendor crate are fine", &[
+        ("Cargo.toml", "[workspace.dependencies]\nfalkon-sim = { path = \"crates/sim\" }\nrand = \"0.9\"\nproptest = \"1\"\n\n\
+          [patch.crates-io]\nrand = { path = \"vendor/rand\" }\nproptest = { path = \"vendor/proptest\" }\n\n\
+          [dependencies]\nfalkon-sim.workspace = true\n# serde = \"1\"\n\n[dev-dependencies]\nproptest.workspace = true"),
+        ("crates/sim/Cargo.toml", "[package]\nname = \"falkon-sim\"\n\n[dependencies]\nrand.workspace = true\n\
+          proptest.workspace = true\n\n[target.'cfg(unix)'.dependencies.libc]\nversion = \"0.2\""),
+        ("benchmark/Cargo.toml", "[patch.crates-io]\nserde = { path = \"../vendor/serde\" }"),
+        ("vendor/serde/src/lib.rs", "//! Empty.\n#![forbid(unsafe_code)]\npub trait Serialize {}"),
+        ("vendor/crossbeam/src/lib.rs", "//! Empty: `pub fn` is no item here.\n#![forbid(unsafe_code)]\n"),
+        ("vendor/rand/src/lib.rs", "pub fn random() -> u64 { 4 }"),
+    ], &["dependencies Cargo.toml:3", "dependencies Cargo.toml:7", "dependencies crates/sim/Cargo.toml:5",
+        "dependencies crates/sim/Cargo.toml:6", "dependencies crates/sim/Cargo.toml:8", "dependencies vendor/serde/src/lib.rs:3"]),
 ];
 
 #[test]
 fn each_check_flags_its_fixtures_and_passes_their_clean_twins() {
     let at = |(c, m): &(&str, String)| format!("{c} {}", m.split(": ").next().unwrap_or(""));
     for (what, files, want) in FIXTURES {
-        // A row's planted `pub` items have no users outside it; only the
-        // `public_surface` rows count what that check says of them.
+        // A row's planted `pub` items have no users outside it, and its
+        // planted vendor files no manifest; only the `public_surface` and
+        // `dependencies` rows count what those checks say of them.
         let mut found = check(files);
-        found.retain(|(c, _)| *c != "public_surface" || what.starts_with("public_surface"));
+        let whole_tree = |c: &str| ["public_surface", "dependencies"].contains(&c);
+        found.retain(|(c, _)| !whole_tree(c) || what.starts_with(c));
         let got: Vec<String> = found.iter().map(at).collect();
         assert_eq!(got, *want, "{what}: {found:#?}");
     }
