@@ -15,8 +15,11 @@
 
 use crate::error::CodecError;
 use crate::message::{DispatcherStatus, ExecutorId, InstanceId, Message, NotifyKey};
-use crate::task::{Args, DataAccess, DataLocation, DataSpec, IStr, TaskId, TaskResult, TaskSpec};
+use crate::task::{
+    interned, Args, DataAccess, DataLocation, DataSpec, IStr, TaskId, TaskResult, TaskSpec,
+};
 use crate::wire::{CountSink, GrowByCopySink, Reader, Sink};
+use std::sync::Arc;
 
 /// A message codec: symmetric encode/decode over byte buffers.
 pub trait Codec {
@@ -163,49 +166,93 @@ fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
     }
 }
 
-/// Read one string into an [`IStr`], reusing the static intern tables for
-/// the hot cases: a `sleep N /tmp` task decodes with zero string
-/// allocations and zero refcount traffic.
-fn istr(r: &mut Reader<'_>, context: &'static str) -> Result<IStr, CodecError> {
-    let s = r.str_slice(context)?;
-    Ok(IStr::from(s))
+const TASK: &str = "TaskSpec";
+
+/// Hand `visit` each string field of a task that the intern tables do not
+/// hold, in wire order: command, arguments, environment, working directory.
+/// Reads a copy of the caller's cursor, positioned after the task id.
+fn heap_strings<'a>(mut r: Reader<'a>, mut visit: impl FnMut(&'a [u8])) -> Result<(), CodecError> {
+    let mut field = |r: &mut Reader<'a>| {
+        let b = r.bytes(TASK)?;
+        interned(b).is_none().then(|| visit(b));
+        Ok(())
+    };
+    field(&mut r)?;
+    for _ in 0..r.len(TASK)? {
+        field(&mut r)?;
+    }
+    for _ in 0..r.len(TASK)? * 2 {
+        field(&mut r)?;
+    }
+    field(&mut r)
+}
+
+/// One buffer holding those strings, back to back: sized by one walk,
+/// filled by a second, checked as UTF-8 once.
+fn task_strings(r: &Reader<'_>) -> Result<Arc<String>, CodecError> {
+    let mut len = 0;
+    heap_strings(r.clone(), |b| len += b.len())?;
+    let mut buf = Vec::with_capacity(len);
+    heap_strings(r.clone(), |b| buf.extend_from_slice(b))?;
+    let buf = String::from_utf8(buf).map_err(|_| CodecError::InvalidUtf8 { context: TASK })?;
+    Ok(Arc::new(buf))
 }
 
 fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
-    const C: &str = "TaskSpec";
-    let id = TaskId(r.u64(C)?);
-    let command = istr(r, C)?;
-    let args = match r.len(C)? {
+    let id = TaskId(r.u64(TASK)?);
+    // Each string is an interned entry or the next span of the buffer, which
+    // is made when the first string the tables do not hold is met: a
+    // `sleep N /tmp` task walks its strings once and allocates none. A span
+    // that does not start and end on char boundaries is not UTF-8 on its
+    // own, though the buffer is (two strings splitting one code point), and
+    // fails the decode.
+    let strings = r.clone();
+    let mut buf = None;
+    let mut at = 0;
+    let mut next = |r: &mut Reader<'_>| {
+        let b = r.bytes(TASK)?;
+        if let Some(s) = interned(b) {
+            return Ok(s);
+        }
+        if buf.is_none() {
+            buf = Some(task_strings(&strings)?);
+        }
+        at += b.len();
+        let span = buf
+            .as_ref()
+            .and_then(|buf| IStr::span(buf, at - b.len(), at));
+        span.ok_or(CodecError::InvalidUtf8 { context: TASK })
+    };
+    let command = next(r)?;
+    let args = match r.len(TASK)? {
         0 => Args::new(),
-        1 => Args::one(istr(r, C)?),
+        1 => Args::one(next(r)?),
         // One argument is every measured task: built directly, it decodes
         // in half the time the general `collect` takes. `collect` and not
         // `push` for the rest: a push re-boxes the whole list.
-        n => (0..n).map(|_| istr(r, C)).collect::<Result<Args, _>>()?,
+        n => (0..n).map(|_| next(r)).collect::<Result<Args, _>>()?,
     };
-    let nenv = r.len(C)?;
+    let nenv = r.len(TASK)?;
     let mut env = Vec::with_capacity(nenv.min(1024));
     for _ in 0..nenv {
-        let k = istr(r, C)?;
-        let v = istr(r, C)?;
-        env.push((k, v));
+        env.push((next(r)?, next(r)?));
     }
-    let working_dir = istr(r, C)?;
-    let estimated_runtime_us = r.opt_u64(C)?;
-    let data = match r.u8(C)? {
+    let working_dir = next(r)?;
+    let estimated_runtime_us = r.opt_u64(TASK)?;
+    let data = match r.u8(TASK)? {
         0 => None,
         1 => {
-            let object = r.u64(C)?;
-            let bytes = r.u64(C)?;
-            let location = match r.u8(C)? {
+            let object = r.u64(TASK)?;
+            let bytes = r.u64(TASK)?;
+            let location = match r.u8(TASK)? {
                 0 => DataLocation::SharedFs,
                 1 => DataLocation::LocalDisk,
-                tag => return Err(CodecError::UnknownTag { context: C, tag }),
+                tag => return Err(CodecError::UnknownTag { context: TASK, tag }),
             };
-            let access = match r.u8(C)? {
+            let access = match r.u8(TASK)? {
                 0 => DataAccess::Read,
                 1 => DataAccess::ReadWrite,
-                tag => return Err(CodecError::UnknownTag { context: C, tag }),
+                tag => return Err(CodecError::UnknownTag { context: TASK, tag }),
             };
             Some(DataSpec {
                 object,
@@ -214,7 +261,7 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
                 access,
             })
         }
-        tag => return Err(CodecError::UnknownTag { context: C, tag }),
+        tag => return Err(CodecError::UnknownTag { context: TASK, tag }),
     };
     Ok(TaskSpec {
         id,
@@ -246,36 +293,24 @@ fn decode_result(r: &mut Reader<'_>) -> Result<TaskResult, CodecError> {
     Ok(res)
 }
 
-fn encode_tasks<S: Sink>(s: &mut S, tasks: &[TaskSpec]) {
-    s.put_len(tasks.len());
-    for t in tasks {
-        // Each task is appended individually: with the grow-by-copy sink
-        // this is where the quadratic cost accumulates.
-        encode_task(s, t);
+/// A length-prefixed array. Each element is appended individually: with
+/// the grow-by-copy sink this is where the quadratic cost accumulates.
+fn encode_vec<S: Sink, T>(s: &mut S, items: &[T], item: impl Fn(&mut S, &T)) {
+    s.put_len(items.len());
+    for t in items {
+        item(s, t);
     }
 }
 
-fn decode_tasks(r: &mut Reader<'_>) -> Result<Vec<TaskSpec>, CodecError> {
-    let n = r.len("tasks")?;
+fn decode_vec<'a, T>(
+    r: &mut Reader<'a>,
+    context: &'static str,
+    item: impl Fn(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.len(context)?;
     let mut v = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
-        v.push(decode_task(r)?);
-    }
-    Ok(v)
-}
-
-fn encode_results<S: Sink>(s: &mut S, results: &[TaskResult]) {
-    s.put_len(results.len());
-    for res in results {
-        encode_result(s, res);
-    }
-}
-
-fn decode_results(r: &mut Reader<'_>) -> Result<Vec<TaskResult>, CodecError> {
-    let n = r.len("results")?;
-    let mut v = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        v.push(decode_result(r)?);
+        v.push(item(r)?);
     }
     Ok(v)
 }
@@ -290,7 +325,7 @@ fn encode_message<S: Sink>(s: &mut S, msg: &Message) {
         Message::Submit { instance, tasks } => {
             s.put_u8(tag::SUBMIT);
             s.put_u64(instance.0);
-            encode_tasks(s, tasks);
+            encode_vec(s, tasks, encode_task);
         }
         Message::SubmitAck { instance, accepted } => {
             s.put_u8(tag::SUBMIT_ACK);
@@ -308,16 +343,16 @@ fn encode_message<S: Sink>(s: &mut S, msg: &Message) {
         }
         Message::Work { tasks } => {
             s.put_u8(tag::WORK);
-            encode_tasks(s, tasks);
+            encode_vec(s, tasks, encode_task);
         }
         Message::Result { executor, results } => {
             s.put_u8(tag::RESULT);
             s.put_u64(executor.0);
-            encode_results(s, results);
+            encode_vec(s, results, encode_result);
         }
         Message::ResultAck { piggybacked } => {
             s.put_u8(tag::RESULT_ACK);
-            encode_tasks(s, piggybacked);
+            encode_vec(s, piggybacked, encode_task);
         }
         Message::ClientNotify { instance, ready } => {
             s.put_u8(tag::CLIENT_NOTIFY);
@@ -330,7 +365,7 @@ fn encode_message<S: Sink>(s: &mut S, msg: &Message) {
         }
         Message::Results { results } => {
             s.put_u8(tag::RESULTS);
-            encode_results(s, results);
+            encode_vec(s, results, encode_result);
         }
         Message::ResultsAck { instance, count } => {
             s.put_u8(tag::RESULTS_ACK);
@@ -375,7 +410,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
         },
         tag::SUBMIT => Message::Submit {
             instance: InstanceId(r.u64(C)?),
-            tasks: decode_tasks(r)?,
+            tasks: decode_vec(r, "tasks", decode_task)?,
         },
         tag::SUBMIT_ACK => Message::SubmitAck {
             instance: InstanceId(r.u64(C)?),
@@ -389,14 +424,14 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             key: NotifyKey(r.u64(C)?),
         },
         tag::WORK => Message::Work {
-            tasks: decode_tasks(r)?,
+            tasks: decode_vec(r, "tasks", decode_task)?,
         },
         tag::RESULT => Message::Result {
             executor: ExecutorId(r.u64(C)?),
-            results: decode_results(r)?,
+            results: decode_vec(r, "results", decode_result)?,
         },
         tag::RESULT_ACK => Message::ResultAck {
-            piggybacked: decode_tasks(r)?,
+            piggybacked: decode_vec(r, "tasks", decode_task)?,
         },
         tag::CLIENT_NOTIFY => Message::ClientNotify {
             instance: InstanceId(r.u64(C)?),
@@ -406,7 +441,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             instance: InstanceId(r.u64(C)?),
         },
         tag::RESULTS => Message::Results {
-            results: decode_results(r)?,
+            results: decode_vec(r, "results", decode_result)?,
         },
         tag::RESULTS_ACK => Message::ResultsAck {
             instance: InstanceId(r.u64(C)?),

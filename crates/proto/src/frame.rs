@@ -16,9 +16,7 @@
 //! the consumed prefix is at least as large as the live tail, never per
 //! frame. Each compaction moves fewer bytes than were consumed since the
 //! previous one, so the total copy traffic is bounded by the total stream
-//! length (amortized O(1) per byte), unlike the old per-frame
-//! `Vec::drain` which re-memmoved the entire buffered tail for every frame
-//! a bursty peer delivered.
+//! length (amortized O(1) per byte).
 //!
 //! Drivers that read straight from a socket skip the intermediate read
 //! buffer entirely: [`FrameCursor::space`] hands out the spare tail of the
@@ -116,9 +114,7 @@ impl FrameCursor {
     }
 
     /// Reclaim the consumed prefix, but only when it dominates the live
-    /// tail — each compaction then moves fewer bytes than were consumed
-    /// since the last one, keeping the total copy traffic linear in the
-    /// stream length.
+    /// tail (the module docs' amortized compaction).
     fn compact(&mut self) {
         if self.start == self.end {
             self.start = 0;

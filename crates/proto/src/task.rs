@@ -58,16 +58,17 @@ pub struct DataSpec {
     pub access: DataAccess,
 }
 
-/// A shared task string, 16 bytes: either a thin pointer to an entry of
-/// the static intern tables or a reference-counted heap string.
+/// A shared task string, 16 bytes: a thin pointer to an entry of the
+/// static intern tables, or a span of a reference-counted `String`.
 ///
 /// The microbenchmark workloads funnel millions of `sleep N /tmp` tasks
 /// through encode→decode→clone→drop cycles, and a queued task holds three
 /// of these. An interned [`IStr`] points at the `'static` place that holds
 /// the table's `&'static str`, so cloning and dropping it is free, decode
 /// touches no shared cache line, and the pointer fits in the word beside
-/// the `Arc`'s niche. Strings outside the interned set are one `Arc<str>`
-/// allocation.
+/// the `Arc`'s niche. `From<String>` moves any other string into an `Arc`
+/// whole; a decoded task's other strings are spans of one buffer, two
+/// allocations however many, which lives while any of them does.
 #[derive(Clone)]
 pub struct IStr(Repr);
 
@@ -75,8 +76,9 @@ pub struct IStr(Repr);
 enum Repr {
     /// An entry of the intern tables.
     Static(&'static &'static str),
-    /// An owned, reference-counted string.
-    Shared(Arc<str>),
+    /// Bytes `offset..offset + len` of a shared string; both ends are char
+    /// boundaries.
+    Shared(Arc<String>, u32, u32),
 }
 
 // The sizes in this file are pinned without `assert!` (the decode-path lint
@@ -85,12 +87,34 @@ enum Repr {
 const _: [(); 16] = [(); std::mem::size_of::<IStr>()];
 
 impl IStr {
+    /// Bytes `start..end` of `buf`, or `None` unless both ends are char
+    /// boundaries of it (and fit the span's `u32`s).
+    pub(crate) fn span(buf: &Arc<String>, start: usize, end: usize) -> Option<IStr> {
+        let len = u32::try_from(buf.get(start..end)?.len()).ok()?;
+        let start = u32::try_from(start).ok()?;
+        Some(IStr(Repr::Shared(Arc::clone(buf), start, len)))
+    }
+
+    /// An owned string that skips the intern tables, moved in whole.
+    fn owned(s: String) -> IStr {
+        // A hard check, like the encoder's: the wire caps a string at
+        // 64 MiB, so a span's `u32`s only ever fail on a string no peer
+        // could be sent.
+        assert!(s.len() <= u32::MAX as usize, "task string exceeds 4 GiB");
+        let len = s.len() as u32;
+        IStr(Repr::Shared(Arc::new(s), 0, len))
+    }
+
     /// The string contents.
     #[inline]
     pub(crate) fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Static(s) => s,
-            Repr::Shared(s) => s,
+            Repr::Shared(buf, offset, len) => {
+                let start = *offset as usize;
+                // Never `None`: `span` checked both ends.
+                buf.get(start..start + *len as usize).unwrap_or_default()
+            }
         }
     }
 
@@ -101,7 +125,7 @@ impl IStr {
     }
 
     /// Whether two `IStr`s share the same backing memory (interned strings
-    /// from the same table entry, or clones of one `Arc`).
+    /// from the same table entry, or clones of one span).
     pub fn ptr_eq(&self, other: &IStr) -> bool {
         let a = self.as_str();
         let b = other.as_str();
@@ -109,11 +133,12 @@ impl IStr {
     }
 
     /// How many `IStr`s share this one's heap string (`None` when interned,
-    /// which is not counted): tells a move from a clone.
+    /// which is not counted): tells a move from a clone, and the strings
+    /// of one decoded task all read the same count.
     pub fn strong_count(&self) -> Option<usize> {
         match &self.0 {
             Repr::Static(_) => None,
-            Repr::Shared(s) => Some(Arc::strong_count(s)),
+            Repr::Shared(buf, ..) => Some(Arc::strong_count(buf)),
         }
     }
 }
@@ -169,13 +194,13 @@ impl fmt::Display for IStr {
 
 impl From<&str> for IStr {
     fn from(s: &str) -> IStr {
-        interned(s).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(s))))
+        interned(s.as_bytes()).unwrap_or_else(|| IStr::owned(s.to_owned()))
     }
 }
 
 impl From<String> for IStr {
     fn from(s: String) -> IStr {
-        interned(&s).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(s))))
+        interned(s.as_bytes()).unwrap_or_else(|| IStr::owned(s))
     }
 }
 
@@ -322,13 +347,13 @@ static SLEEP_COMMAND: &str = "sleep";
 /// The constructors' canonical working directory.
 static TMP_DIR: &str = "/tmp";
 
-/// Interned decimal strings for small durations: the paper's microbenchmark
-/// workloads use a handful of distinct `sleep` arguments ("0", "1", "4",
-/// "8"…) across millions of tasks. The 64 strings are leaked exactly once
-/// (a few hundred bytes for the process lifetime) so interned values are
-/// `'static` and carry no refcount.
+/// Interned decimal strings for small durations: the paper's workloads use
+/// a handful of distinct `sleep` arguments ("0", "1", "4", "8"…, Figure 9's
+/// "480") across millions of tasks, and a heap `IStr` of three bytes holds
+/// 80 B of heap. The 1,000 strings are leaked exactly once (≈32 KiB for the
+/// process lifetime) so interned values are `'static` and carry no refcount.
 fn small_decimal(n: u64) -> Option<IStr> {
-    static TABLE: OnceLock<[&'static str; 64]> = OnceLock::new();
+    static TABLE: OnceLock<[&'static str; 1000]> = OnceLock::new();
     let table =
         TABLE.get_or_init(|| std::array::from_fn(|i| &*i.to_string().leak() as &'static str));
     Some(IStr(Repr::Static(table.get(n as usize)?)))
@@ -337,30 +362,29 @@ fn small_decimal(n: u64) -> Option<IStr> {
 /// Decode-side interning: map a wire string back onto the static table the
 /// constructors use, so decoding a `sleep N /tmp` bundle allocates nothing
 /// and bumps no refcounts. Returns `None` for anything outside the interned
-/// set (the caller allocates normally). Exactness matters: only canonical
-/// decimal forms intern (`"07"` must stay `"07"`), so leading zeros are
-/// rejected.
-fn interned(s: &str) -> Option<IStr> {
-    if s == SLEEP_COMMAND {
-        return Some(IStr(Repr::Static(&SLEEP_COMMAND)));
-    }
-    if s == TMP_DIR {
-        return Some(IStr(Repr::Static(&TMP_DIR)));
-    }
-    let b = s.as_bytes();
-    let canonical_decimal = matches!(b.len(), 1 | 2)
-        && b.iter().all(|c| c.is_ascii_digit())
-        && (b.len() == 1 || b.first() != Some(&b'0'));
-    if canonical_decimal {
-        small_decimal(s.parse().ok()?)
-    } else {
-        None
+/// set (the caller allocates normally). It reads bytes, not a `str`: every
+/// interned string is ASCII, so a match is valid UTF-8 whatever the bytes
+/// around it. Exactness matters: only canonical decimal forms intern
+/// (`"07"` must stay `"07"`), so leading zeros are rejected.
+pub(crate) fn interned(b: &[u8]) -> Option<IStr> {
+    match b {
+        b"" => Some(IStr::default()),
+        b"sleep" => Some(IStr(Repr::Static(&SLEEP_COMMAND))),
+        b"/tmp" => Some(IStr(Repr::Static(&TMP_DIR))),
+        [d @ b'0'..=b'9'] => small_decimal(u64::from(d - b'0')),
+        [t @ b'1'..=b'9', u @ b'0'..=b'9'] => {
+            small_decimal(u64::from(t - b'0') * 10 + u64::from(u - b'0'))
+        }
+        [h @ b'1'..=b'9', t @ b'0'..=b'9', u @ b'0'..=b'9'] => small_decimal(
+            u64::from(h - b'0') * 100 + u64::from(t - b'0') * 10 + u64::from(u - b'0'),
+        ),
+        _ => None,
     }
 }
 
 /// The decimal form of `n`, interned when small.
 fn decimal(n: u64) -> IStr {
-    small_decimal(n).unwrap_or_else(|| IStr(Repr::Shared(Arc::from(n.to_string()))))
+    small_decimal(n).unwrap_or_else(|| IStr::owned(n.to_string()))
 }
 
 impl TaskSpec {
@@ -383,7 +407,7 @@ impl TaskSpec {
         let arg = if us.is_multiple_of(1_000_000) {
             decimal(us / 1_000_000)
         } else {
-            IStr(Repr::Shared(Arc::from(format!("{}", us as f64 / 1e6))))
+            IStr::owned(format!("{}", us as f64 / 1e6))
         };
         TaskSpec {
             id: TaskId(id),
@@ -553,8 +577,14 @@ mod tests {
         assert!(i.is_interned());
         let d = IStr::from("42");
         assert!(d.is_interned());
-        // Non-canonical decimals and arbitrary strings allocate.
+        // Every canonical decimal below 1,000 interns, as the constructors'
+        // do: Figure 9's `sleep 480` tasks share one string.
+        assert!(IStr::from("480").is_interned() && IStr::from("999").is_interned());
+        let a = TaskSpec::sleep(1, 480);
+        assert!(a.args[0].is_interned() && a.args[0].ptr_eq(&TaskSpec::sleep(2, 480).args[0]));
+        // Non-canonical decimals, larger ones and arbitrary strings allocate.
         assert!(!IStr::from("07").is_interned());
+        assert!(!IStr::from("0480").is_interned() && !IStr::from("1000").is_interned());
         let owned = IStr::from("custom-binary");
         assert!(!owned.is_interned());
         assert_eq!(&*owned, "custom-binary");

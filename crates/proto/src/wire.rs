@@ -10,6 +10,7 @@ use crate::error::CodecError;
 pub(crate) const MAX_LEN: u64 = 64 * 1024 * 1024;
 
 /// A bounds-checked cursor over an input buffer.
+#[derive(Clone)]
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -18,10 +19,6 @@ pub(crate) struct Reader<'a> {
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
@@ -78,14 +75,6 @@ impl<'a> Reader<'a> {
             .map_err(|_| CodecError::InvalidUtf8 { context })
     }
 
-    /// A borrowed, UTF-8-validated view of a length-prefixed string: lets
-    /// decode paths inspect (e.g. intern) the text before deciding whether
-    /// to allocate.
-    pub(crate) fn str_slice(&mut self, context: &'static str) -> Result<&'a str, CodecError> {
-        let b = self.bytes(context)?;
-        std::str::from_utf8(b).map_err(|_| CodecError::InvalidUtf8 { context })
-    }
-
     pub(crate) fn opt_string(
         &mut self,
         context: &'static str,
@@ -107,12 +96,9 @@ impl<'a> Reader<'a> {
 
     /// Fail if any input remains unconsumed.
     pub fn finish(self) -> Result<(), CodecError> {
-        if self.remaining() != 0 {
-            Err(CodecError::TrailingBytes {
-                remaining: self.remaining(),
-            })
-        } else {
-            Ok(())
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            remaining => Err(CodecError::TrailingBytes { remaining }),
         }
     }
 }
@@ -170,9 +156,9 @@ pub(crate) trait Sink {
 
 /// The standard amortized-growth sink: a plain `Vec<u8>` appends in place,
 /// so a driver-owned scratch buffer can be reused across encodes without
-/// reallocating. Scalar puts are overridden so each compiles to a single
-/// fixed-width store, and `put_bytes` reserves header + payload in one
-/// step so every length-prefixed field costs one growth check, not two.
+/// reallocating. `put` inlines, so a scalar put is one fixed-width append,
+/// and `put_bytes` reserves header + payload in one step so every
+/// length-prefixed field costs one growth check, not two.
 impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, data: &[u8]) {
@@ -182,21 +168,6 @@ impl Sink for Vec<u8> {
     #[inline]
     fn put_u8(&mut self, v: u8) {
         self.push(v);
-    }
-
-    #[inline]
-    fn put_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    fn put_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    fn put_i32(&mut self, v: i32) {
-        self.extend_from_slice(&v.to_le_bytes());
     }
 
     #[inline]

@@ -7,13 +7,118 @@
 //! `unwrap`/`expect` or `panic!` anywhere in the crate) this pins the
 //! "untrusted bytes never crash a peer" invariant from both sides:
 //! statically and dynamically.
+//!
+//! A task's strings are checked as UTF-8 once, over the one buffer they are
+//! copied into, so two cases pin that this equals checking each string on
+//! its own: two strings that split one code point between them, and every
+//! bit flip inside a string.
 
 use falkon_proto::codec::{AxisCodec, Codec, EfficientCodec};
+use falkon_proto::error::CodecError;
 use falkon_proto::frame::FrameCursor;
 use falkon_proto::message::{DispatcherStatus, ExecutorId, InstanceId, Message};
 use falkon_proto::security::{established_pair, SecureChannel};
-use falkon_proto::task::{TaskResult, TaskSpec};
+use falkon_proto::task::{IStr, TaskResult, TaskSpec};
 use proptest::prelude::*;
+
+/// A one-task `Work` message whose string fields are `strings` in wire
+/// order (command, two arguments, one environment pair, working
+/// directory), and where each field's bytes sit in the encoding.
+fn work_of(strings: [&str; 6]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    let [command, a0, a1, k, v, dir] = strings;
+    let mut t = TaskSpec::sleep(1, 0);
+    t.command = command.into();
+    t.args = [a0, a1].into_iter().collect();
+    t.env = vec![(k.into(), v.into())];
+    t.working_dir = dir.into();
+    let bytes = EfficientCodec.encode(&Message::Work { tasks: vec![t] });
+    let mut from = 0;
+    let spans = strings
+        .iter()
+        .map(|s| {
+            let at = from
+                + bytes[from..]
+                    .windows(s.len())
+                    .position(|w| w == s.as_bytes())
+                    .expect("field in the encoding");
+            from = at + s.len();
+            at..from
+        })
+        .collect();
+    (bytes, spans)
+}
+
+/// The decoded task's string fields in wire order.
+fn fields(msg: &Message) -> Vec<IStr> {
+    let Message::Work { tasks } = msg else {
+        panic!("decoded another message");
+    };
+    let t = &tasks[0];
+    let mut out = vec![t.command.clone()];
+    out.extend(t.args.iter().cloned());
+    out.extend(t.env.iter().flat_map(|(k, v)| [k.clone(), v.clone()]));
+    out.push(t.working_dir.clone());
+    out
+}
+
+#[test]
+fn strings_that_split_a_code_point_between_them_are_rejected() {
+    // "é" is C3 A9: the first argument ends with its lead byte and the
+    // second starts with its continuation byte. Neither is UTF-8 alone;
+    // the two side by side, as the decode buffer holds them, are.
+    let (mut bytes, spans) = work_of(["cmd-x", "arg-0", "arg-1", "KEY", "value", "/dir"]);
+    let (first, second) = (spans[1].clone(), spans[2].clone());
+    bytes[first.end - 1] = 0xC3;
+    bytes[second.start] = 0xA9;
+    for decoded in [EfficientCodec.decode(&bytes), AxisCodec.decode(&bytes)] {
+        assert_eq!(
+            decoded,
+            Err(CodecError::InvalidUtf8 {
+                context: "TaskSpec"
+            })
+        );
+    }
+    // The same two bytes inside one string are a valid "é".
+    let (mut bytes, spans) = work_of(["cmd-x", "arg-0", "arg-1", "KEY", "value", "/dir"]);
+    bytes[spans[1].start + 1] = 0xC3;
+    bytes[spans[1].start + 2] = 0xA9;
+    let decoded = EfficientCodec.decode(&bytes).expect("valid UTF-8");
+    assert_eq!(&*fields(&decoded)[1], "aé-0");
+}
+
+#[test]
+fn a_bit_flip_inside_a_string_fails_exactly_when_that_string_is_not_utf8() {
+    // Multi-byte characters in every field, so flips land on lead and
+    // continuation bytes alike; no field is short enough to flip into an
+    // interned string.
+    let strings = ["cmd-é", "ärg", "€-1", "KÉY", "vâlüe-€", "/wörk"];
+    let (clean, spans) = work_of(strings);
+    for span in &spans {
+        for i in span.clone() {
+            for bit in 0..8 {
+                let mut bytes = clean.clone();
+                bytes[i] ^= 1 << bit;
+                let each: Option<Vec<&str>> = spans
+                    .iter()
+                    .map(|s| std::str::from_utf8(&bytes[s.clone()]).ok())
+                    .collect();
+                match (EfficientCodec.decode(&bytes), each) {
+                    (Ok(msg), Some(want)) => {
+                        let got = fields(&msg);
+                        assert_eq!(got.iter().map(|s| &**s).collect::<Vec<_>>(), want);
+                    }
+                    (Err(e), None) => assert_eq!(
+                        e,
+                        CodecError::InvalidUtf8 {
+                            context: "TaskSpec"
+                        }
+                    ),
+                    (got, want) => panic!("byte {i} bit {bit}: decoded {got:?}, fields {want:?}"),
+                }
+            }
+        }
+    }
+}
 
 /// A compact pool of representative valid messages — enough structural
 /// variety (length-prefixed vectors, options, strings, nested specs) to

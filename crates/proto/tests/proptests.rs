@@ -1,6 +1,7 @@
 //! Property-based tests for the wire protocol: arbitrary messages round-trip
-//! through both codecs, framing survives arbitrary stream chunkings, and the
-//! secure channel is lossless for arbitrary payloads.
+//! through both codecs, a decoded task's heap strings share one buffer,
+//! framing survives arbitrary stream chunkings, and the secure channel is
+//! lossless for arbitrary payloads.
 
 use falkon_proto::*;
 use proptest::prelude::*;
@@ -95,6 +96,35 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Any task string: empty, multi-byte, an interned one, or a look-alike of
+/// one that must not intern (`"07"`, `"/tmp/"`).
+fn arb_field() -> impl Strategy<Value = String> {
+    const PICKS: [&str; 8] = ["", "0", "07", "42", "sleep", "sleeps", "/tmp", "/tmp/"];
+    prop_oneof![
+        (0..PICKS.len()).prop_map(|i| PICKS[i].to_string()),
+        "[ -~é-ÿ€-₿🦀]{0,12}",
+        "[a-zé€🦀]{1,6}",
+    ]
+}
+
+fn arb_string_task() -> impl Strategy<Value = TaskSpec> {
+    (
+        any::<u64>(),
+        arb_field(),
+        prop::collection::vec(arb_field(), 0..4),
+        prop::collection::vec((arb_field(), arb_field()), 0..4),
+        arb_field(),
+    )
+        .prop_map(|(id, command, args, env, working_dir)| {
+            let mut t = TaskSpec::sleep(id, 0);
+            t.command = command.into();
+            t.args = args.into_iter().collect();
+            t.env = env.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
+            t.working_dir = working_dir.into();
+            t
+        })
+}
+
 /// One step against an [`Args`] and its `Vec<IStr>` model: push a string
 /// (`Some`) or clear (`None`).
 fn arb_args_op() -> impl Strategy<Value = Option<String>> {
@@ -141,6 +171,24 @@ proptest! {
     fn efficient_codec_roundtrips(msg in arb_message()) {
         let bytes = EfficientCodec.encode(&msg);
         prop_assert_eq!(EfficientCodec.decode(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn a_decoded_tasks_heap_strings_share_one_buffer(task in arb_string_task()) {
+        let bytes = EfficientCodec.encode(&Message::Work { tasks: vec![task.clone()] });
+        let Message::Work { tasks } = EfficientCodec.decode(&bytes).unwrap() else {
+            panic!("decoded another message");
+        };
+        let [back] = &tasks[..] else { panic!("one task in, {} out", tasks.len()) };
+        prop_assert_eq!(back, &task);
+        let strings = std::iter::once(&back.command)
+            .chain(back.args.iter())
+            .chain(back.env.iter().flat_map(|(k, v)| [k, v]))
+            .chain(std::iter::once(&back.working_dir));
+        // The task holds the only references: n heap strings of one buffer
+        // count n each.
+        let counts: Vec<usize> = strings.filter_map(IStr::strong_count).collect();
+        prop_assert!(counts.iter().all(|&c| c == counts.len()), "{:?}", counts);
     }
 
     #[test]

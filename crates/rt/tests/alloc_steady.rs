@@ -21,11 +21,12 @@
 //! hundreds of registered, idle executor connections cost the server a
 //! few bytes each, not a 64 KiB read space each.
 //!
-//! A third counts the whole deployment — dispatcher server, sixteen
-//! multiplexed executors and a client, every thread of the process — and
-//! holds a sleep-0 task to the four allocations its messages need; a fourth
-//! pins that a non-interned [`falkon_proto::IStr`] is one allocation and an
-//! interned one none.
+//! Two more count the whole deployment — dispatcher server, sixteen
+//! multiplexed executors and a client, every thread of the process. One
+//! holds a sleep-0 task to the four allocations its messages need, the
+//! other a fat secure task to one allocation for each decode's strings. A
+//! last pins what a non-interned [`falkon_proto::IStr`] costs, and that an
+//! interned one costs nothing.
 //!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter
 //! and the live-byte tally are `Relaxed`; the tests take turns (`SERIAL`)
@@ -251,6 +252,49 @@ fn idle_registered_connections_hold_no_read_buffer() {
     );
 }
 
+/// Allocations per task, over every thread of the process, of a window of
+/// tasks run through a dispatcher server, sixteen multiplexed executors and
+/// a client, after a warm-up wave that grows every long-lived buffer
+/// (batches, scratch, the running map, the recorder). Every task is built
+/// before the count starts.
+fn deployment_allocs_per_task(
+    task: impl Fn(u64) -> TaskSpec,
+    security: Option<u64>,
+    warmup: u64,
+    window: u64,
+) -> f64 {
+    const EXECUTORS: usize = 16;
+    let config = ServerConfig::builder()
+        .dispatcher(DispatcherConfig {
+            client_notify_batch: 1000,
+            ..DispatcherConfig::default()
+        })
+        .security(security)
+        .build()
+        .expect("valid config");
+    let server = DispatcherServer::start(config).expect("bind");
+    let addr = server.addr;
+    let executors = std::thread::spawn(move || {
+        run_executors_mux(addr, 0, EXECUTORS, ExecutorConfig::default(), security)
+    });
+    let bundle = BundleConfig::of(300);
+
+    let warm = run_client(addr, (0..warmup).map(&task).collect(), bundle, security);
+    assert_eq!(warm.expect("warm-up").done, warmup);
+
+    let tasks = (warmup..warmup + window).map(&task).collect();
+    let before = allocs();
+    let out = run_client(addr, tasks, bundle, security).expect("window");
+    let per_task = (allocs() - before) as f64 / window as f64;
+    assert_eq!(out.done, window);
+
+    let (records, ..) = server.shutdown();
+    assert_eq!(records.len() as u64, warmup + window);
+    let ran = executors.join().expect("executor thread").expect("mux");
+    assert_eq!(ran.tasks, warmup + window);
+    per_task
+}
+
 /// A sleep-0 task through a whole deployment costs the four one-task
 /// `Vec`s its `Vec`-carrying [`Message`]s need and nothing else: the
 /// dispatcher's `take_work` (the `Work`/`ResultAck` it sends), the
@@ -262,42 +306,8 @@ fn idle_registered_connections_hold_no_read_buffer() {
 /// made it seven.
 #[test]
 fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
-    const EXECUTORS: usize = 16;
-    const WARMUP: u64 = 5_000;
-    const WINDOW: u64 = 20_000;
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-
-    let config = ServerConfig::builder()
-        .dispatcher(DispatcherConfig {
-            client_notify_batch: 1000,
-            ..DispatcherConfig::default()
-        })
-        .build()
-        .expect("valid config");
-    let server = DispatcherServer::start(config).expect("bind");
-    let addr = server.addr;
-    let executors = std::thread::spawn(move || {
-        run_executors_mux(addr, 0, EXECUTORS, ExecutorConfig::default(), None)
-    });
-    let tasks = |ids: std::ops::Range<u64>| ids.map(|i| TaskSpec::sleep(i, 0)).collect();
-    let bundle = BundleConfig::of(300);
-
-    // The warm-up wave grows every long-lived buffer: batches, scratch,
-    // the running map, the recorder.
-    let warm = run_client(addr, tasks(0..WARMUP), bundle, None).expect("warm-up");
-    assert_eq!(warm.done, WARMUP);
-
-    let window = tasks(WARMUP..WARMUP + WINDOW);
-    let before = allocs();
-    let out = run_client(addr, window, bundle, None).expect("window");
-    let per_task = (allocs() - before) as f64 / WINDOW as f64;
-    assert_eq!(out.done, WINDOW);
-
-    let (records, ..) = server.shutdown();
-    assert_eq!(records.len() as u64, WARMUP + WINDOW);
-    let ran = executors.join().expect("executor thread").expect("mux");
-    assert_eq!(ran.tasks, WARMUP + WINDOW);
-
+    let per_task = deployment_allocs_per_task(|i| TaskSpec::sleep(i, 0), None, 5_000, 20_000);
     eprintln!("allocations per task, whole process: {per_task:.2}");
     assert!(
         per_task <= 4.5,
@@ -306,8 +316,64 @@ fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
     );
 }
 
+/// A task carrying 8 environment pairs of 128 bytes that no intern table
+/// holds, over secure connections: the byte-bound security experiment's
+/// task. Each of its two decodes (at the dispatcher and at the executor)
+/// copies the 16 strings into one buffer, so it costs three allocations —
+/// the buffer, its `Arc`, the `env` `Vec` — where a string apiece cost 17.
+/// Beside the four of a sleep-0 task, two are its shape's: the wait queue's
+/// `Arc` around its run, and the `env` `Vec` of the copy that is
+/// dispatched. ≈40 when each string was an allocation of its own.
 #[test]
-fn istr_allocates_once_unless_interned() {
+fn a_fat_secure_task_allocates_each_decoded_strings_once() {
+    const POOL: usize = 64;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Distinct environments the tasks draw from, as the benchmark's do:
+    // a task's copy shares its environment's strings (a reference count
+    // each), but every decode copies them afresh.
+    let text = |tag: &str, i: usize, len: usize| {
+        let mut s = format!("{tag}{i:04}_");
+        while s.len() < len {
+            s.push(char::from(b'a' + (s.len() * 7 + i) as u8 % 26));
+        }
+        IStr::from(s)
+    };
+    let envs: Vec<Vec<(IStr, IStr)>> = (0..POOL)
+        .map(|e| {
+            (0..8)
+                .map(|p| (text("FK_", e * 8 + p, 16), text("V", e * 8 + p, 112)))
+                .collect()
+        })
+        .collect();
+    let fat = |i: u64| {
+        let mut t = TaskSpec::sleep(i, 0);
+        t.env = envs[i as usize % POOL].clone();
+        t
+    };
+    let wire = EfficientCodec.encoded_len(&Message::Work {
+        tasks: vec![fat(0)],
+    });
+    assert!(
+        (1024..2048).contains(&wire),
+        "a fat task is {wire} B, not ≈1 KiB"
+    );
+
+    let per_task = deployment_allocs_per_task(fat, Some(0x5EC), 1_000, 4_000);
+    eprintln!("allocations per fat secure task, whole process: {per_task:.2}");
+    assert!(
+        per_task <= 13.0,
+        "a fat secure task allocated {per_task:.2} times end to end; \
+         its decoded strings are allocating one by one again"
+    );
+}
+
+/// A heap [`IStr`] is an `Arc` around a `String`: made from a `String` it
+/// moves the string in (one allocation, the `Arc`), made from a `&str` it
+/// copies it first (two), and a clone is a reference count. One `Arc`
+/// around a `str` was one allocation either way, but a decoded task's
+/// strings could not share it.
+#[test]
+fn istr_from_string_is_one_allocation_from_str_two_and_a_clone_none() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Populate the decimal table outside the count.
     assert!(IStr::from("7").is_interned());
@@ -318,14 +384,16 @@ fn istr_allocates_once_unless_interned() {
     assert_eq!(allocs() - before, 0, "interned strings allocate nothing");
     drop((interned, copies));
 
+    let string = String::from("custom-binary");
     let before = allocs();
-    let owned = IStr::from("custom-binary");
-    assert_eq!(
-        allocs() - before,
-        1,
-        "a non-interned string is one `Arc<str>`"
-    );
-    let copy = owned.clone();
-    assert_eq!(allocs() - before, 1, "a clone is a reference count");
-    assert!(!owned.is_interned() && owned.ptr_eq(&copy));
+    let moved = IStr::from(string);
+    assert_eq!(allocs() - before, 1, "a `String` moves into one `Arc`");
+
+    let before = allocs();
+    let copied = IStr::from("custom-binary");
+    assert_eq!(allocs() - before, 2, "a `&str` is copied into a `String`");
+    let copy = copied.clone();
+    assert_eq!(allocs() - before, 2, "a clone is a reference count");
+    assert!(!copied.is_interned() && copied.ptr_eq(&copy) && !copied.ptr_eq(&moved));
+    assert_eq!(moved, copied);
 }
