@@ -17,10 +17,12 @@
 
 use crate::ids::{InstanceId, TaskId};
 use crate::table::FxHashMap;
+use crate::waitqueue::{same_shape, with_id};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, Probe};
 use falkon_proto::task::{TaskResult, TaskSpec};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifies a downstream dispatcher (index into the driver's table).
 pub(crate) type DispatcherIndex = usize;
@@ -83,13 +85,14 @@ pub enum ForwarderAction {
     },
 }
 
-/// One task accepted from a client and not yet delivered back.
+/// One task accepted from a client and not yet delivered back, keyed by its
+/// id. As in the wait queue, a bundle's run of same-shaped tasks shares one spec.
 struct InFlight {
     instance: InstanceId,
     /// The slot it was routed to; `None` while it waits for one to come up.
     slot: Option<DispatcherIndex>,
-    /// Kept for re-routing after the slot is lost.
-    spec: TaskSpec,
+    /// Its run's shared shape (whose own `id` means nothing), for re-routing.
+    shape: Arc<TaskSpec>,
 }
 
 /// The forwarder state machine. See module docs.
@@ -171,11 +174,15 @@ impl<P: Probe> Forwarder<P> {
             return;
         }
         let slot = self.least_loaded();
+        let mut shape = Arc::new(tasks[0].clone());
         for spec in &tasks {
+            if !same_shape(&shape, spec) {
+                shape = Arc::new(spec.clone());
+            }
             let entry = InFlight {
                 instance,
                 slot,
-                spec: spec.clone(),
+                shape: Arc::clone(&shape),
             };
             self.in_flight.insert(spec.id, entry);
         }
@@ -193,8 +200,9 @@ impl<P: Probe> Forwarder<P> {
             self.in_flight.extract_if(|_, t| t.slot == slot).collect();
         taken.sort_unstable_by_key(|&(id, _)| id);
         let mut by_instance: BTreeMap<InstanceId, Vec<TaskSpec>> = BTreeMap::new();
-        for (_, t) in taken {
-            by_instance.entry(t.instance).or_default().push(t.spec);
+        for (id, t) in taken {
+            let spec = with_id(&t.shape, id);
+            by_instance.entry(t.instance).or_default().push(spec);
         }
         by_instance
     }

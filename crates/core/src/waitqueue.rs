@@ -160,7 +160,7 @@ impl WaitQueue {
 /// apart come first; the destructuring makes a new `TaskSpec` field a
 /// compile error here rather than a silently merged run.
 #[inline]
-fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
+pub(crate) fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
     let TaskSpec {
         id: _,
         command,

@@ -8,7 +8,7 @@ use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
 use falkon_obs::Counters;
 use falkon_proto::message::{DispatcherStatus, ExecutorId, InstanceId, NotifyKey};
-use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
+use falkon_proto::task::{DataAccess, DataLocation, TaskId, TaskResult, TaskSpec};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -184,8 +184,25 @@ proptest! {
 // Forwarder: across arbitrary interleavings of submissions, results,
 // dispatcher losses and readmissions — every slot down included — every
 // task is delivered exactly once, no bundle goes to a slot that is down,
-// and in-flight accounting drains to zero.
+// every task a bundle carries, first routed or re-routed, is the task the
+// client submitted, and in-flight accounting drains to zero.
 // ---------------------------------------------------------------------------
+
+/// Task `id` of one of four shapes: `sleep 0`, `sleep 1`, one with an
+/// environment of its own, and one that stages a shared data object.
+fn shaped(id: u64, shape: u8) -> TaskSpec {
+    match shape {
+        0 => TaskSpec::sleep(id, 0),
+        1 => TaskSpec::sleep(id, 1),
+        2 => TaskSpec {
+            env: vec![("FALKON_SHAPE".into(), "env".into())],
+            ..TaskSpec::sleep(id, 0)
+        },
+        _ => {
+            TaskSpec::sleep(id, 0).with_object(7, 1 << 20, DataLocation::SharedFs, DataAccess::Read)
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -193,23 +210,29 @@ proptest! {
     #[test]
     fn forwarder_delivers_exactly_once(
         k in 1usize..5,
-        script in prop::collection::vec((0u8..4, any::<u16>()), 1..80),
+        script in prop::collection::vec(
+            (0u8..4, any::<u16>(), prop::collection::vec((0u8..4, 1u64..4), 1..4)),
+            1..80,
+        ),
     ) {
         let mut f = Forwarder::new(k);
-        let mut next_task = 0u64;
+        // Every task submitted, indexed by id.
+        let mut sent: Vec<TaskSpec> = Vec::new();
         // What each dispatcher currently holds (driver-side mirror), and
         // which slots the script has taken down.
         let mut held: Vec<Vec<TaskId>> = vec![Vec::new(); k];
         let mut down = vec![false; k];
         let mut delivered: Vec<TaskId> = Vec::new();
         let mut out = Vec::new();
-        let mut submitted = 0usize;
-        let mut apply = |f: &mut Forwarder, ev: ForwarderEvent, held: &mut Vec<Vec<TaskId>>, down: &[bool]| {
+        let mut apply = |f: &mut Forwarder, ev: ForwarderEvent, held: &mut Vec<Vec<TaskId>>, down: &[bool], sent: &[TaskSpec]| {
             f.on_event(0, ev, &mut out);
             for act in out.drain(..) {
                 match act {
                     ForwarderAction::SubmitTo { dispatcher, tasks } => {
                         prop_assert!(!down[dispatcher], "bundle routed to down slot {}", dispatcher);
+                        for t in &tasks {
+                            prop_assert_eq!(t, &sent[t.id.0 as usize]);
+                        }
                         held[dispatcher].extend(tasks.iter().map(|t| t.id));
                     }
                     ForwarderAction::DeliverResults { results, .. } => {
@@ -220,19 +243,18 @@ proptest! {
             }
             Ok(())
         };
-        for (op, x) in script {
+        for (op, x, runs) in script {
             let d = x as usize % k;
             let ev = match op {
-                // Submit a small bundle.
+                // Submit a small bundle: runs of tasks of one shape each.
                 0 => {
-                    let n = (x % 4) as u64 + 1;
-                    let tasks: Vec<TaskSpec> = (0..n)
-                        .map(|_| {
-                            next_task += 1;
-                            submitted += 1;
-                            TaskSpec::sleep(next_task, 0)
-                        })
-                        .collect();
+                    let first = sent.len();
+                    for (shape, n) in runs {
+                        for _ in 0..n {
+                            sent.push(shaped(sent.len() as u64, shape));
+                        }
+                    }
+                    let tasks = sent[first..].to_vec();
                     ForwarderEvent::ClientSubmit { instance: InstanceId(1), tasks }
                 }
                 // A dispatcher finishes everything it holds.
@@ -256,16 +278,16 @@ proptest! {
                     ForwarderEvent::DispatcherReadmitted { dispatcher: d }
                 }
             };
-            apply(&mut f, ev, &mut held, &down)?;
+            apply(&mut f, ev, &mut held, &down, &sent)?;
         }
         // Every slot comes back, then completes its remaining work.
         for d in 0..k {
             down[d] = false;
-            apply(&mut f, ForwarderEvent::DispatcherReadmitted { dispatcher: d }, &mut held, &down)?;
+            apply(&mut f, ForwarderEvent::DispatcherReadmitted { dispatcher: d }, &mut held, &down, &sent)?;
         }
         for d in 0..k {
             let results: Vec<TaskResult> = held[d].drain(..).map(TaskResult::success).collect();
-            apply(&mut f, ForwarderEvent::DispatcherResults { dispatcher: d, results }, &mut held, &down)?;
+            apply(&mut f, ForwarderEvent::DispatcherResults { dispatcher: d, results }, &mut held, &down, &sent)?;
         }
         // Exactly once.
         let mut ids: Vec<u64> = delivered.iter().map(|t| t.0).collect();
@@ -273,7 +295,7 @@ proptest! {
         let before = ids.len();
         ids.dedup();
         prop_assert_eq!(before, ids.len(), "duplicate deliveries");
-        prop_assert_eq!(ids.len(), submitted, "lost tasks");
+        prop_assert_eq!(ids.len(), sent.len(), "lost tasks");
         prop_assert_eq!(f.in_flight(), 0);
     }
 }

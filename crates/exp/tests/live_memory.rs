@@ -11,6 +11,11 @@
 //! is bounded per registered executor — its machine, its row in the
 //! dispatcher's tables, the `running` entry and the timers of its one task.
 //!
+//! Forwarded tasks: 100 bundles of 300 `sleep 0` tasks routed through a
+//! [`Forwarder`] over 2 slots, none of them finished. What the forwarder
+//! keeps is bounded per task in flight: the book that re-routes them when a
+//! slot is lost.
+//!
 //! Calibration. Tasks (quick scale: 120,000 tasks, peak queue 82,549): this
 //! tree peaks at 1.60 MB — an 8-byte id per queued task and one 144-byte
 //! shared shape per bundle of 300, under 20 B per queued task with every
@@ -23,7 +28,11 @@
 //! 16.4 MB, 821 B per executor, and fails; so does every tree before it
 //! (1,229 B per executor
 //! with a spec clone in every `running` entry, 2,683 B for a 616-byte
-//! machine with a 512-byte backlog block and a record per task).
+//! machine with a 512-byte backlog block and a record per task). Forwarded
+//! tasks (30,000): this tree holds 2.7 MB, 90 B per task — a 40-byte book
+//! entry in a table of 65,536 slots, and one shared 144-byte shape per
+//! bundle — against a bound of 3.84 MB. Its parent booked a whole
+//! `TaskSpec` per task in 160-byte slots, 352 B per task, and fails.
 //!
 //! Ordering protocol: no synchronizes-with edges. The two byte tallies are
 //! `Relaxed` counters bumped and read on the one thread this file's single
@@ -32,10 +41,12 @@
 // A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
 #![allow(unsafe_code)]
 
+use falkon_core::forwarder::{Forwarder, ForwarderEvent};
 use falkon_core::DispatcherConfig;
 use falkon_exp::costs::CostModel;
 use falkon_exp::experiments::Scale;
 use falkon_exp::simfalkon::{SimFalkon, SimFalkonConfig};
+use falkon_proto::message::InstanceId;
 use falkon_proto::task::TaskSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,6 +116,13 @@ const PER_QUEUED: usize = 32;
 /// The dispatcher's tables and the wheel's slab grow by doubling and 20,000
 /// rows sit in 32,768 slots, so each of those counts 1.64 times.
 const PER_EXECUTOR: usize = 700;
+
+/// Bytes the forwarder may hold per task in flight: its 40-byte book entry
+/// (id, instance, slot, and a handle on its run's shape) in a table that
+/// grows by doubling, so 30,000 tasks sit in 65,536 slots, and its share of
+/// one 144-byte shape per bundle. A whole `TaskSpec` per task crosses it, as
+/// does a shape of its own per task.
+const PER_FORWARDED: usize = 128;
 
 /// Everything that does not scale: executors (in the paced run), the event
 /// wheel, the recorder's bucket arrays, the bundles in flight.
@@ -195,9 +213,47 @@ fn pool_is_bounded_per_executor() {
     drop(sim);
 }
 
+fn forwarder_is_bounded_per_task_in_flight() {
+    const BUNDLES: u64 = 100;
+    const BUNDLE: u64 = 300;
+    let mut f = Forwarder::new(2);
+    let mut out = Vec::with_capacity(1);
+    let base = mark();
+    for b in 0..BUNDLES {
+        let tasks = (b * BUNDLE..(b + 1) * BUNDLE)
+            .map(|i| TaskSpec::sleep(i, 0))
+            .collect();
+        let instance = InstanceId(1);
+        f.on_event(
+            0,
+            ForwarderEvent::ClientSubmit { instance, tasks },
+            &mut out,
+        );
+        // The dispatchers take the bundles.
+        assert_eq!(out.len(), 1);
+        out.clear();
+    }
+    let (_, held) = since(base);
+    let in_flight = f.in_flight();
+    assert_eq!(in_flight as u64, BUNDLES * BUNDLE);
+
+    let bound = in_flight * PER_FORWARDED;
+    eprintln!(
+        "{in_flight} tasks in flight, forwarder holds {held} B = {} B each (bound {bound} B)",
+        held / in_flight
+    );
+    assert!(
+        held <= bound,
+        "the forwarder holds {held} B for {in_flight} tasks in flight, more than \
+         {PER_FORWARDED} B each: it books more than an id and a shared shape per task"
+    );
+    drop(f);
+}
+
 /// One test, so the cases have the allocator's tallies to themselves.
 #[test]
 fn memory_follows_live_work() {
     paced_run_follows_the_live_queue();
     pool_is_bounded_per_executor();
+    forwarder_is_bounded_per_task_in_flight();
 }

@@ -364,8 +364,8 @@ fn small_decimal(n: u64) -> Option<IStr> {
 /// and bumps no refcounts. Returns `None` for anything outside the interned
 /// set (the caller allocates normally). It reads bytes, not a `str`: every
 /// interned string is ASCII, so a match is valid UTF-8 whatever the bytes
-/// around it. Exactness matters: only canonical decimal forms intern
-/// (`"07"` must stay `"07"`), so leading zeros are rejected.
+/// around it. Exactness matters: only canonical forms intern (`"07"` and
+/// `"0.50"` stay as sent), so a spelling that is not a table's own is rejected.
 pub(crate) fn interned(b: &[u8]) -> Option<IStr> {
     match b {
         b"" => Some(IStr::default()),
@@ -378,8 +378,29 @@ pub(crate) fn interned(b: &[u8]) -> Option<IStr> {
         [h @ b'1'..=b'9', t @ b'0'..=b'9', u @ b'0'..=b'9'] => small_decimal(
             u64::from(h - b'0') * 100 + u64::from(t - b'0') * 10 + u64::from(u - b'0'),
         ),
+        [b'0', b'.', _, ..] if b.len() <= 5 => {
+            let secs: f64 = std::str::from_utf8(b).ok()?.parse().ok()?;
+            small_fraction((secs * 1e6).round() as u64).filter(|s| s.as_bytes() == b)
+        }
         _ => None,
     }
+}
+
+/// Interned `sleep_us` arguments for the whole milliseconds below a second,
+/// `"0.001"` to `"0.999"` as [`seconds`] formats them: Figure 6's 1 ms tasks
+/// would otherwise hold two heap blocks each for `"0.001"`.
+fn small_fraction(us: u64) -> Option<IStr> {
+    static TABLE: OnceLock<[&'static str; 999]> = OnceLock::new();
+    let ms = usize::try_from(us / 1000).ok()?.checked_sub(1)?;
+    let table =
+        TABLE.get_or_init(|| std::array::from_fn(|i| &*seconds(i as u64 * 1000 + 1000).leak()));
+    let s = table.get(ms).filter(|_| us.is_multiple_of(1000))?;
+    Some(IStr(Repr::Static(s)))
+}
+
+/// `us` microseconds as the decimal seconds `sleep` takes.
+fn seconds(us: u64) -> String {
+    format!("{}", us as f64 / 1e6)
 }
 
 /// The decimal form of `n`, interned when small.
@@ -407,7 +428,7 @@ impl TaskSpec {
         let arg = if us.is_multiple_of(1_000_000) {
             decimal(us / 1_000_000)
         } else {
-            IStr::owned(format!("{}", us as f64 / 1e6))
+            small_fraction(us).unwrap_or_else(|| IStr::owned(seconds(us)))
         };
         TaskSpec {
             id: TaskId(id),
@@ -538,6 +559,28 @@ mod tests {
         let t = TaskSpec::sleep_us(1, 1_500_000);
         assert_eq!(&*t.args[0], "1.5");
         assert_eq!(t.runtime_us(), 1_500_000);
+        assert!(!t.args[0].is_interned());
+    }
+
+    /// Every whole millisecond below a second interns as the plain decimal
+    /// it always formatted to, and decodes back onto the same entry; any
+    /// other spelling of it, and any other fraction, stays a heap string.
+    #[test]
+    fn whole_milliseconds_intern_their_canonical_decimal() {
+        for ms in 1..1000u64 {
+            let want = format!("0.{ms:03}").trim_end_matches('0').to_owned();
+            let t = TaskSpec::sleep_us(ms, ms * 1000);
+            assert_eq!(&*t.args[0], want, "{ms} ms");
+            assert!(t.args[0].is_interned(), "{ms} ms");
+            assert!(interned(want.as_bytes()).is_some_and(|s| s.ptr_eq(&t.args[0])));
+            assert!(interned(format!("0.{ms:03}0").as_bytes()).is_none());
+        }
+        for s in [
+            "0.", "0.0", "0.000", "0.50", "0.0010", "00.5", "0.00a", "0.0001", "1.5",
+        ] {
+            assert!(interned(s.as_bytes()).is_none(), "{s:?} interned");
+        }
+        assert!(!TaskSpec::sleep_us(1, 1_500).args[0].is_interned());
     }
 
     #[test]

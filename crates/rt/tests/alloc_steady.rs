@@ -397,3 +397,35 @@ fn istr_from_string_is_one_allocation_from_str_two_and_a_clone_none() {
     assert!(!copied.is_interned() && copied.ptr_eq(&copy) && !copied.ptr_eq(&moved));
     assert_eq!(moved, copied);
 }
+
+/// Figure 6's 1 ms task, `sleep 0.001`, interns its argument as a whole
+/// second's does: building one allocates nothing, and decoding a bundle of
+/// them allocates the bundle's task `Vec` and no string. A heap string
+/// would be two blocks per task at each end.
+#[test]
+fn a_one_millisecond_task_allocates_no_string_at_either_end() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Populate the fraction table outside the count.
+    let warm = TaskSpec::sleep_us(0, 1_000);
+
+    let before = allocs();
+    let tasks: [TaskSpec; 300] = std::array::from_fn(|i| TaskSpec::sleep_us(i as u64, 1_000));
+    assert_eq!(allocs() - before, 0, "building a 1 ms task allocates");
+    assert!(tasks[299].args[0].is_interned() && tasks[299].args[0].ptr_eq(&warm.args[0]));
+
+    let wire = EfficientCodec.encode(&Message::Work {
+        tasks: tasks.to_vec(),
+    });
+    let before = allocs();
+    let decoded = EfficientCodec.decode(&wire).expect("decode");
+    assert_eq!(
+        allocs() - before,
+        1,
+        "decoding 300 1 ms tasks allocates a string"
+    );
+    let Message::Work { tasks: got } = decoded else {
+        panic!("expected work");
+    };
+    assert_eq!(got, tasks);
+    assert!(got.iter().all(|t| t.args[0].ptr_eq(&warm.args[0])));
+}
