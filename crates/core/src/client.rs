@@ -364,4 +364,45 @@ mod tests {
             ]
         ));
     }
+
+    /// The ack goes out when exactly `ACK_EVERY` results are waiting.
+    #[test]
+    fn acknowledges_at_exactly_ack_every_results() {
+        let mut c = with_instance(ACK_EVERY + 1);
+        let acts = deliver(&mut c, 0..ACK_EVERY);
+        assert!(matches!(
+            &acts[..],
+            [ClientAction::Send(Message::ResultsAck {
+                count: ACK_EVERY,
+                ..
+            })]
+        ));
+    }
+
+    /// Results delivered to a client holding none are taken as they came,
+    /// without a copy; later ones join them.
+    #[test]
+    fn results_delivered_to_an_empty_client_are_kept_without_a_copy() {
+        let mut c = with_instance(3);
+        let results: Vec<TaskResult> = (0..2).map(|i| TaskResult::success(TaskId(i))).collect();
+        let buffer = results.as_ptr();
+        step(&mut c, 1, ClientEvent::Results { results });
+        assert_eq!(c.completions().as_ptr(), buffer);
+        deliver(&mut c, 2..3);
+        let ids: Vec<u64> = c.take_results().iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+    }
+
+    /// A reconnecting client can be sent results it already has: more
+    /// results than are outstanding complete the workload once.
+    #[test]
+    fn more_results_than_outstanding_complete_the_workload_once() {
+        let mut c = with_instance(1);
+        let acts = deliver(&mut c, 0..2);
+        assert!(matches!(
+            &acts[..],
+            [ClientAction::Send(_), ClientAction::WorkloadComplete]
+        ));
+        assert_eq!(c.outstanding(), 0);
+    }
 }

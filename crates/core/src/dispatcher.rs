@@ -314,7 +314,7 @@ impl<P: Probe> Dispatcher<P> {
 
     /// Change an executor's status, maintaining the busy/notified counters
     /// and the idle queue. Returns false if the executor is unknown.
-    fn set_status(&mut self, now: Micros, executor: ExecutorId, new: ExecStatus) -> bool {
+    fn set_status(&mut self, executor: ExecutorId, new: ExecStatus) -> bool {
         let Some(st) = self.executors.get_mut(executor) else {
             return false;
         };
@@ -329,15 +329,9 @@ impl<P: Probe> Dispatcher<P> {
             ExecStatus::Idle => {}
         }
         match new {
-            ExecStatus::Busy => {
-                self.busy_count += 1;
-                self.emit(now, ObsEvent::ExecutorBusy);
-            }
+            ExecStatus::Busy => self.busy_count += 1,
             ExecStatus::Notified => self.notified_count += 1,
-            ExecStatus::Idle => {
-                self.idle.push_back(executor);
-                self.emit(now, ObsEvent::ExecutorIdle);
-            }
+            ExecStatus::Idle => self.idle.push_back(executor),
         }
         true
     }
@@ -409,12 +403,6 @@ impl<P: Probe> Dispatcher<P> {
                     msg: Message::SubmitAck { instance, accepted },
                 });
                 self.pump(now, out);
-                self.emit(
-                    now,
-                    ObsEvent::QueueDepth {
-                        depth: self.queue.len() as u64,
-                    },
-                );
             }
             DispatcherEvent::Register { executor } => {
                 // The id arrives on the wire; the dense table below indexes
@@ -447,11 +435,6 @@ impl<P: Probe> Dispatcher<P> {
             }
             DispatcherEvent::GetWork { executor, key: _ } => {
                 if !self.executors.contains_key(executor) {
-                    // Unknown executor: tell it there is nothing.
-                    out.push(DispatcherAction::ToExecutor {
-                        executor,
-                        msg: Message::Work { tasks: Vec::new() },
-                    });
                     return;
                 }
                 let tasks = self.take_work(now, executor);
@@ -465,22 +448,17 @@ impl<P: Probe> Dispatcher<P> {
                         .outstanding
                         == 0
                     {
-                        self.set_idle(now, executor);
+                        self.set_idle(executor);
                     }
                 } else {
-                    self.set_busy(now, executor, tasks.len());
+                    self.set_busy(executor, tasks.len());
                 }
+                // No pump: a `GetWork` leaves no queued task without a
+                // notified executor while another sits idle.
                 out.push(DispatcherAction::ToExecutor {
                     executor,
                     msg: Message::Work { tasks },
                 });
-                self.pump(now, out);
-                self.emit(
-                    now,
-                    ObsEvent::QueueDepth {
-                        depth: self.queue.len() as u64,
-                    },
-                );
             }
             DispatcherEvent::Result { executor, results } => {
                 for result in results {
@@ -491,7 +469,7 @@ impl<P: Probe> Dispatcher<P> {
                 {
                     let tasks = self.take_work(now, executor);
                     if !tasks.is_empty() {
-                        self.set_busy(now, executor, tasks.len());
+                        self.set_busy(executor, tasks.len());
                         self.emit(
                             now,
                             ObsEvent::TaskPiggybacked {
@@ -506,7 +484,7 @@ impl<P: Probe> Dispatcher<P> {
                 if piggybacked.is_empty() {
                     if let Some(st) = self.executors.get(executor) {
                         if st.outstanding == 0 {
-                            self.set_idle(now, executor);
+                            self.set_idle(executor);
                         }
                     }
                 }
@@ -515,12 +493,6 @@ impl<P: Probe> Dispatcher<P> {
                     msg: Message::ResultAck { piggybacked },
                 });
                 self.pump(now, out);
-                self.emit(
-                    now,
-                    ObsEvent::QueueDepth {
-                        depth: self.queue.len() as u64,
-                    },
-                );
             }
             DispatcherEvent::Deregister { executor }
             | DispatcherEvent::ExecutorLost { executor } => {
@@ -565,7 +537,7 @@ impl<P: Probe> Dispatcher<P> {
                 orphaned.sort_unstable();
                 for id in orphaned {
                     let r = self.running.remove(&id).expect("collected above");
-                    self.release_executor_slot(now, r.executor);
+                    self.release_executor_slot(r.executor);
                 }
                 self.pump(now, out);
             }
@@ -642,12 +614,12 @@ impl<P: Probe> Dispatcher<P> {
             .is_some_and(|r| self.deadline_of(r) == dl)
     }
 
-    fn set_idle(&mut self, now: Micros, executor: ExecutorId) {
-        self.set_status(now, executor, ExecStatus::Idle);
+    fn set_idle(&mut self, executor: ExecutorId) {
+        self.set_status(executor, ExecStatus::Idle);
     }
 
-    fn set_busy(&mut self, now: Micros, executor: ExecutorId, added: usize) {
-        if self.set_status(now, executor, ExecStatus::Busy) {
+    fn set_busy(&mut self, executor: ExecutorId, added: usize) {
+        if self.set_status(executor, ExecStatus::Busy) {
             if let Some(st) = self.executors.get_mut(executor) {
                 st.outstanding += added as u32;
             }
@@ -655,16 +627,15 @@ impl<P: Probe> Dispatcher<P> {
     }
 
     /// One of `executor`'s in-flight tasks is no longer its responsibility:
-    /// decrement `outstanding` and return it to the idle pool at zero.
-    fn release_executor_slot(&mut self, now: Micros, executor: ExecutorId) {
-        let freed = if let Some(st) = self.executors.get_mut(executor) {
+    /// decrement `outstanding` and return it to the idle pool at zero (an
+    /// executor with tasks outstanding is `Busy`).
+    fn release_executor_slot(&mut self, executor: ExecutorId) {
+        let freed = self.executors.get_mut(executor).is_some_and(|st| {
             st.outstanding = st.outstanding.saturating_sub(1);
-            st.outstanding == 0 && st.status == ExecStatus::Busy
-        } else {
-            false
-        };
+            st.outstanding == 0
+        });
         if freed {
-            self.set_idle(now, executor);
+            self.set_idle(executor);
         }
     }
 
@@ -683,7 +654,6 @@ impl<P: Probe> Dispatcher<P> {
                 ExecStatus::Notified => self.notified_count -= 1,
                 ExecStatus::Idle => {}
             }
-            self.emit(now, ObsEvent::ExecutorReleased);
         }
         // Replay any tasks that were outstanding on this executor, in task-id
         // order so replays are deterministic.
@@ -743,7 +713,6 @@ impl<P: Probe> Dispatcher<P> {
         self.emit(
             now,
             ObsEvent::TaskCompleted {
-                queue_us: r.dispatched_us.saturating_sub(r.enqueued_us),
                 exec_us: result.executor_time_us,
                 overhead_us: now
                     .saturating_sub(r.enqueued_us)
@@ -832,7 +801,7 @@ impl<P: Probe> Dispatcher<P> {
             }
             let r = self.running.remove(&task).expect("checked above");
             // The executor that lost the task has one fewer outstanding.
-            self.release_executor_slot(now, r.executor);
+            self.release_executor_slot(r.executor);
             self.replay(now, task, r, out);
         }
     }
@@ -860,7 +829,7 @@ impl<P: Probe> Dispatcher<P> {
             };
             let key = NotifyKey(self.next_notify_key);
             self.next_notify_key += 1;
-            self.set_status(now, executor, ExecStatus::Notified);
+            self.set_status(executor, ExecStatus::Notified);
             self.emit(now, ObsEvent::NotifySent);
             out.push(DispatcherAction::ToExecutor {
                 executor,
@@ -1565,5 +1534,363 @@ mod tests {
             })
             .count();
         assert_eq!(notifies, 50);
+    }
+
+    fn register(d: &mut Dispatcher, now: Micros, e: u64) -> Vec<DispatcherAction> {
+        let executor = ExecutorId(e);
+        step(d, now, DispatcherEvent::Register { executor })
+    }
+
+    fn submit(
+        d: &mut Dispatcher,
+        now: Micros,
+        instance: InstanceId,
+        ids: impl IntoIterator<Item = u64>,
+    ) -> Vec<DispatcherAction> {
+        let tasks = ids.into_iter().map(|i| TaskSpec::sleep(i, 0)).collect();
+        step(d, now, DispatcherEvent::Submit { instance, tasks })
+    }
+
+    fn get_work(d: &mut Dispatcher, now: Micros, e: u64) -> Vec<DispatcherAction> {
+        let (executor, key) = (ExecutorId(e), NotifyKey(0));
+        step(d, now, DispatcherEvent::GetWork { executor, key })
+    }
+
+    fn report(d: &mut Dispatcher, now: Micros, e: u64, ids: &[u64]) -> Vec<DispatcherAction> {
+        let executor = ExecutorId(e);
+        let results = ids
+            .iter()
+            .map(|&i| TaskResult::success(TaskId(i)))
+            .collect();
+        step(d, now, DispatcherEvent::Result { executor, results })
+    }
+
+    /// Ids of the tasks `acts` hands out, in order.
+    fn handed(acts: &[DispatcherAction]) -> Vec<u64> {
+        let tasks = |a: &DispatcherAction| match a {
+            DispatcherAction::ToExecutor {
+                msg: Message::Work { tasks } | Message::ResultAck { piggybacked: tasks },
+                ..
+            } => tasks.iter().map(|t| t.id.0).collect(),
+            _ => Vec::new(),
+        };
+        acts.iter().flat_map(tasks).collect()
+    }
+
+    /// The executors `acts` notifies, in order.
+    fn notified(acts: &[DispatcherAction]) -> Vec<u64> {
+        let notify = |a: &DispatcherAction| match a {
+            DispatcherAction::ToExecutor {
+                executor,
+                msg: Message::Notify { .. },
+            } => Some(executor.0),
+            _ => None,
+        };
+        acts.iter().filter_map(notify).collect()
+    }
+
+    /// Only a registered executor's `ResultAck` carries work: an unknown
+    /// reporter's results are duplicates and the queue keeps its task.
+    #[test]
+    fn a_result_from_an_unregistered_executor_carries_no_work() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        submit(&mut d, 1, inst, [1]);
+        let acts = report(&mut d, 2, 9, &[1]);
+        assert!(matches!(
+            &acts[..],
+            [DispatcherAction::ToExecutor {
+                msg: Message::ResultAck { piggybacked },
+                ..
+            }] if piggybacked.is_empty()
+        ));
+        assert_eq!(d.status().queued_tasks, 1);
+        assert_eq!(d.stats().duplicate_results, 1);
+    }
+
+    /// A `GetWork` from an executor the dispatcher does not know is not
+    /// answered and takes nothing from the queue.
+    #[test]
+    fn a_get_work_from_an_unregistered_executor_takes_nothing() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        submit(&mut d, 1, inst, [1]);
+        assert!(get_work(&mut d, 2, 9).is_empty());
+        assert_eq!(d.status().queued_tasks, 1);
+    }
+
+    /// Eight executors each run one of an instance's tasks, executor 8 the
+    /// lowest id. Destroying the instance frees them in task-id order, so
+    /// the next instance's notifications go out in that order too.
+    #[test]
+    fn destroying_an_instance_frees_its_executors_in_task_id_order() {
+        let mut d = dispatcher();
+        let (a, b) = (create_instance(&mut d), create_instance(&mut d));
+        for e in 1..=8 {
+            register(&mut d, 0, e);
+        }
+        assert_eq!(
+            notified(&submit(&mut d, 1, a, 100..108)),
+            [1, 2, 3, 4, 5, 6, 7, 8]
+        );
+        for e in (1..=8).rev() {
+            get_work(&mut d, 2, e);
+        }
+        assert_eq!(d.status().busy_executors, 8);
+        step(&mut d, 3, DispatcherEvent::DestroyInstance { instance: a });
+        assert_eq!(d.status().busy_executors, 0);
+        let acts = submit(&mut d, 4, b, 200..208);
+        assert_eq!(notified(&acts), [8, 7, 6, 5, 4, 3, 2, 1]);
+    }
+
+    /// An executor that was running an instance's task is told of another
+    /// instance's queued work as soon as that instance is destroyed.
+    #[test]
+    fn destroying_an_instance_notifies_its_freed_executor_of_other_work() {
+        let mut d = dispatcher();
+        let (a, b) = (create_instance(&mut d), create_instance(&mut d));
+        register(&mut d, 0, 1);
+        submit(&mut d, 1, a, [1]);
+        get_work(&mut d, 2, 1);
+        assert!(notified(&submit(&mut d, 3, b, [2])).is_empty());
+        let acts = step(&mut d, 4, DispatcherEvent::DestroyInstance { instance: a });
+        assert_eq!(notified(&acts), [1]);
+    }
+
+    /// The tasks of a lost executor go back to the queue in task-id order.
+    #[test]
+    fn a_lost_executor_s_tasks_are_replayed_in_task_id_order() {
+        let mut d = Dispatcher::new(DispatcherConfig {
+            work_bundle: 16,
+            ..DispatcherConfig::default()
+        });
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        let ids: Vec<u64> = (100..116).collect();
+        submit(&mut d, 1, inst, ids.clone());
+        assert_eq!(handed(&get_work(&mut d, 2, 1)), ids);
+        let executor = ExecutorId(1);
+        step(&mut d, 3, DispatcherEvent::ExecutorLost { executor });
+        register(&mut d, 4, 2);
+        assert_eq!(handed(&get_work(&mut d, 5, 2)), ids);
+        assert_eq!(d.stats().retries, 16);
+    }
+
+    /// An idle executor that finds the queue empty keeps its one idle
+    /// entry, and a busy one stays busy while it piggy-backs one task after
+    /// another.
+    #[test]
+    fn an_executor_changes_status_only_when_its_work_does() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        assert!(handed(&get_work(&mut d, 1, 1)).is_empty());
+        assert_eq!(d.idle.len(), 1, "one idle entry for the one idle executor");
+        submit(&mut d, 2, inst, [1, 2, 3]);
+        assert_eq!(handed(&get_work(&mut d, 3, 1)), [1]);
+        assert_eq!(handed(&report(&mut d, 4, 1, &[1])), [2]);
+        assert_eq!(handed(&report(&mut d, 5, 1, &[2])), [3]);
+        assert_eq!((d.status().busy_executors, d.busy_count), (1, 1));
+        report(&mut d, 6, 1, &[3]);
+        assert_eq!(d.status().busy_executors, 0);
+    }
+
+    /// An executor holding a task stays busy when its pre-fetch `GetWork`
+    /// finds the queue empty, and when it reports one of two tasks with
+    /// nothing left to piggy-back.
+    #[test]
+    fn an_executor_with_tasks_outstanding_stays_busy() {
+        let mut d = Dispatcher::new(DispatcherConfig {
+            work_bundle: 2,
+            ..DispatcherConfig::default()
+        });
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        submit(&mut d, 1, inst, [1, 2]);
+        assert_eq!(handed(&get_work(&mut d, 2, 1)), [1, 2]);
+        assert!(handed(&get_work(&mut d, 3, 1)).is_empty());
+        assert_eq!(d.status().busy_executors, 1);
+        assert!(handed(&report(&mut d, 4, 1, &[1])).is_empty());
+        assert_eq!(d.status().busy_executors, 1);
+        report(&mut d, 5, 1, &[2]);
+        assert_eq!(d.status().busy_executors, 0);
+    }
+
+    /// Without `retry_on_failure`, a failed result is final: delivered on
+    /// its first attempt, not replayed.
+    #[test]
+    fn a_failed_result_is_final_without_retry_on_failure() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        submit(&mut d, 1, inst, [3]);
+        get_work(&mut d, 2, 1);
+        let executor = ExecutorId(1);
+        let results = vec![TaskResult::failure(TaskId(3), 1)];
+        let acts = step(&mut d, 3, DispatcherEvent::Result { executor, results });
+        let done = acts.iter().find_map(|a| match a {
+            DispatcherAction::TaskDone { record, .. } => Some(record),
+            _ => None,
+        });
+        assert_eq!(done.map(|r| (r.attempts, r.result.exit_code)), Some((1, 1)));
+        assert_eq!(d.stats().retries, 0);
+    }
+
+    /// What executors have staged is remembered only for data-aware
+    /// dispatch: without it, a data task's completion leaves no entry.
+    #[test]
+    fn staged_objects_are_remembered_only_for_data_aware_dispatch() {
+        use falkon_proto::task::{DataAccess, DataLocation};
+        for data_aware in [false, true] {
+            let mut d = Dispatcher::new(DispatcherConfig {
+                data_aware,
+                ..DispatcherConfig::default()
+            });
+            let inst = create_instance(&mut d);
+            register(&mut d, 0, 1);
+            let task =
+                TaskSpec::sleep(1, 0).with_object(7, 1, DataLocation::SharedFs, DataAccess::Read);
+            step(
+                &mut d,
+                1,
+                DispatcherEvent::Submit {
+                    instance: inst,
+                    tasks: vec![task],
+                },
+            );
+            get_work(&mut d, 2, 1);
+            report(&mut d, 3, 1, &[1]);
+            assert_eq!(
+                d.object_cache.len(),
+                usize::from(data_aware),
+                "data_aware {data_aware}"
+            );
+        }
+    }
+
+    /// An executor whose notification lost the race for the queue is idle
+    /// again, and is the one told of the next task.
+    #[test]
+    fn a_notified_executor_that_finds_the_queue_empty_is_idle_again() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        register(&mut d, 0, 2);
+        assert_eq!(notified(&submit(&mut d, 1, inst, [1])), [1]);
+        assert_eq!(handed(&get_work(&mut d, 2, 2)), [1]);
+        assert!(handed(&get_work(&mut d, 3, 1)).is_empty());
+        assert_eq!(notified(&submit(&mut d, 4, inst, [2])), [1]);
+    }
+
+    /// A `work_bundle` of 0 is read as 1: one notification per queued task
+    /// and one task per `Work`.
+    #[test]
+    fn a_work_bundle_of_zero_hands_out_one_task_at_a_time() {
+        let mut d = Dispatcher::new(DispatcherConfig {
+            work_bundle: 0,
+            ..DispatcherConfig::default()
+        });
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        register(&mut d, 0, 2);
+        assert_eq!(notified(&submit(&mut d, 1, inst, [1])), [1]);
+        assert_eq!(handed(&get_work(&mut d, 2, 1)), [1]);
+    }
+
+    /// A replay slack as long as time never expires a task, however late
+    /// it was dispatched.
+    #[test]
+    fn an_endless_replay_slack_never_expires_a_task() {
+        let mut d = Dispatcher::new(DispatcherConfig {
+            replay: ReplayPolicy {
+                timeout_slack_us: Micros::MAX,
+                ..ReplayPolicy::default()
+            },
+            ..DispatcherConfig::default()
+        });
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        submit(&mut d, 1, inst, [1]);
+        get_work(&mut d, 1_000, 1);
+        assert_eq!(d.next_deadline(), Some(Micros::MAX));
+        step(&mut d, Micros::MAX - 1, DispatcherEvent::CheckDeadlines);
+        assert_eq!(d.stats().retries, 0);
+    }
+
+    /// Queue time is dispatch minus enqueue, and overhead is what the
+    /// executor's own run time leaves of the turnaround: nothing when it
+    /// reports more time than passed here.
+    #[test]
+    fn queue_time_and_overhead_are_measured_from_enqueue() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        submit(&mut d, 10, inst, [1, 2]);
+        get_work(&mut d, 25, 1);
+        let executor = ExecutorId(1);
+        let mut result = TaskResult::success(TaskId(1));
+        result.executor_time_us = 5;
+        let acts = step(
+            &mut d,
+            40,
+            DispatcherEvent::Result {
+                executor,
+                results: vec![result],
+            },
+        );
+        assert_eq!(handed(&acts), [2]);
+        let mut late = TaskResult::success(TaskId(2));
+        late.executor_time_us = 1_000;
+        step(
+            &mut d,
+            50,
+            DispatcherEvent::Result {
+                executor,
+                results: vec![late],
+            },
+        );
+        let c = d.counters();
+        assert_eq!(c.value(ObsEventKind::TaskDispatched), 15 + 30);
+        assert_eq!(c.value(ObsEventKind::TaskCompleted), 40 - 10 - 5);
+    }
+
+    /// Results are pushed `client_notify_batch` at a time, and the rest as
+    /// soon as nothing is pending.
+    #[test]
+    fn results_are_pushed_in_batches_and_when_none_are_pending() {
+        let mut d = Dispatcher::new(DispatcherConfig {
+            client_notify_batch: 2,
+            work_bundle: 3,
+            ..DispatcherConfig::default()
+        });
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        submit(&mut d, 1, inst, [1, 2, 3]);
+        get_work(&mut d, 2, 1);
+        let pushes = |acts: &[DispatcherAction]| pushed(acts).map(|r| r.len());
+        assert_eq!(pushes(&report(&mut d, 3, 1, &[1])), None);
+        assert_eq!(pushes(&report(&mut d, 4, 1, &[2])), Some(2));
+        assert_eq!(pushes(&report(&mut d, 5, 1, &[3])), Some(1));
+    }
+
+    /// Each notification carries a key of its own, and is counted.
+    #[test]
+    fn every_notification_carries_a_fresh_key() {
+        let mut d = dispatcher();
+        let inst = create_instance(&mut d);
+        register(&mut d, 0, 1);
+        register(&mut d, 0, 2);
+        let keys: Vec<NotifyKey> = submit(&mut d, 1, inst, [1, 2])
+            .into_iter()
+            .filter_map(|a| match a {
+                DispatcherAction::ToExecutor {
+                    msg: Message::Notify { key },
+                    ..
+                } => Some(key),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(keys, [NotifyKey(1), NotifyKey(2)]);
+        assert_eq!(d.stats().notifies, 2);
     }
 }

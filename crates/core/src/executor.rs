@@ -133,8 +133,6 @@ pub struct Executor<P: Probe = NoopProbe> {
     /// sum of what they carried).
     reports: u64,
     phase: Phase,
-    /// A task is running (one at a time: the 1:1 executor-to-CPU mapping).
-    running: bool,
     /// [`ExecutorConfig::prefetch`].
     prefetch: bool,
     /// A pre-fetch `GetWork` is in flight.
@@ -174,7 +172,6 @@ impl<P: Probe> Executor<P> {
             stats: ExecutorStats::default(),
             reports: 0,
             phase: Phase::New,
-            running: false,
             prefetch: config.prefetch,
             prefetch_inflight: false,
             probe,
@@ -289,10 +286,11 @@ impl<P: Probe> Executor<P> {
                             self.start_next(now, tasks, out);
                         }
                     }
-                    // Pre-fetch answer while running: queue the work locally
-                    // so it starts the moment the current task finishes
-                    // (Section 6 "Pre-fetching").
-                    Phase::Running if self.prefetch_inflight => {
+                    // A `Work` that reaches a running executor answers its
+                    // pre-fetch: queue the work locally so it starts the
+                    // moment the current task finishes (Section 6
+                    // "Pre-fetching").
+                    Phase::Running => {
                         self.prefetch_inflight = false;
                         self.defer(tasks.into_iter());
                     }
@@ -301,7 +299,7 @@ impl<P: Probe> Executor<P> {
                     // Reporting (awaiting the result ack) or Idle. The work
                     // must not be dropped — queue it, and start immediately
                     // when idle.
-                    Phase::Reporting | Phase::Idle if self.prefetch_inflight => {
+                    Phase::Reporting | Phase::Idle => {
                         self.prefetch_inflight = false;
                         if self.phase == Phase::Idle && !tasks.is_empty() {
                             self.idle_since_us = NEVER;
@@ -314,7 +312,6 @@ impl<P: Probe> Executor<P> {
                 }
             }
             ExecutorEvent::TaskCompleted { result } => {
-                self.running = false;
                 self.finished.push(result);
                 self.emit(now, ObsEvent::TaskFinished);
                 if self.prefetch {
@@ -338,16 +335,17 @@ impl<P: Probe> Executor<P> {
             ExecutorEvent::ResultAcked { piggybacked } => {
                 match self.phase {
                     Phase::Reporting => {
-                        if piggybacked.is_empty() && self.backlog_is_empty() && !self.running {
+                        if piggybacked.is_empty() && self.backlog_is_empty() {
                             self.phase = Phase::Idle;
                             self.idle_since_us = now;
                         } else {
                             self.start_next(now, piggybacked, out);
                         }
                     }
-                    // Pre-fetch mode: acks (possibly piggy-backing work)
-                    // arrive while the next task is already running.
-                    Phase::Running if self.prefetch => {
+                    // Only a pre-fetching executor reports while a task
+                    // runs: the ack (possibly piggy-backing work) arrives
+                    // while the next task is already running.
+                    Phase::Running => {
                         self.defer(piggybacked.into_iter());
                     }
                     _ => {}
@@ -380,22 +378,18 @@ impl<P: Probe> Executor<P> {
     }
 
     /// Take `delivered` work (FIFO behind the backlog) and start the next
-    /// task if none is running. A free executor starts the head of the
-    /// delivery straight from the message, so the usual one-task `Work`
-    /// never allocates a backlog.
+    /// task. No task is running here: one runs exactly while the phase is
+    /// `Running`, which only this enters (the 1:1 executor-to-CPU
+    /// mapping). A free executor starts the head of the delivery straight
+    /// from the message, so the usual one-task `Work` never allocates a
+    /// backlog.
     fn start_next(&mut self, now: Micros, delivered: Vec<TaskSpec>, out: &mut Vec<ExecutorAction>) {
         self.phase = Phase::Running;
         let mut delivered = delivered.into_iter();
-        // One task at a time per executor (1:1 executor-to-CPU mapping).
-        let next = if self.running {
-            None
-        } else {
-            let queued = self.backlog.as_mut().and_then(|b| b.pop_front());
-            queued.or_else(|| delivered.next())
-        };
+        let queued = self.backlog.as_mut().and_then(|b| b.pop_front());
+        let next = queued.or_else(|| delivered.next());
         self.defer(delivered);
         if let Some(task) = next {
-            self.running = true;
             self.emit(now, ObsEvent::TaskStarted);
             out.push(ExecutorAction::Run(task));
         }
@@ -692,6 +686,125 @@ mod tests {
         let e = registered_executor(ExecutorConfig::default());
         assert_eq!(e.idle_deadline_us(), None);
     }
+
+    /// The timer that fires at the deadline itself releases.
+    #[test]
+    fn an_idle_timeout_at_its_deadline_releases() {
+        let cfg = ExecutorConfig {
+            idle_release_us: Some(100),
+            prefetch: false,
+        };
+        let mut e = registered_executor(cfg);
+        assert_eq!(e.idle_deadline_us(), Some(101));
+        let acts = step(&mut e, 101, ExecutorEvent::IdleTimeout);
+        assert!(matches!(
+            &acts[..],
+            [
+                ExecutorAction::Send(Message::Deregister { .. }),
+                ExecutorAction::Shutdown
+            ]
+        ));
+    }
+
+    /// A `RegisterAck` that arrives while a task runs changes nothing: no
+    /// idle timer starts and a notification is still ignored.
+    #[test]
+    fn a_stray_register_ack_leaves_a_running_executor_running() {
+        let cfg = ExecutorConfig {
+            idle_release_us: Some(100),
+            prefetch: false,
+        };
+        let mut e = registered_executor(cfg);
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        step(&mut e, 30, ExecutorEvent::RegisterAcked);
+        assert_eq!(e.idle_deadline_us(), None);
+        assert!(!answers_notify(&mut e));
+    }
+
+    fn idle_releasing(limit: Micros) -> Executor {
+        registered_executor(ExecutorConfig {
+            idle_release_us: Some(limit),
+            prefetch: false,
+        })
+    }
+
+    /// An executor without pre-fetch asks for work once per notification,
+    /// runs a bundle one task at a time, reports it in one `Result`, and
+    /// counts each of those steps once.
+    #[test]
+    fn a_plain_executor_asks_once_per_notification_and_counts_each_step() {
+        let mut e = idle_releasing(100);
+        let acts = step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        assert!(matches!(
+            &acts[..],
+            [ExecutorAction::Send(Message::GetWork { .. })]
+        ));
+        assert_eq!(e.idle_deadline_us(), None, "not idle while pulling");
+        let tasks = vec![TaskSpec::sleep(1, 0), TaskSpec::sleep(2, 0)];
+        let acts = step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        assert!(matches!(&acts[..], [ExecutorAction::Run(t)] if t.id == TaskId(1)));
+        let result = TaskResult::success(TaskId(1));
+        let acts = step(&mut e, 30, ExecutorEvent::TaskCompleted { result });
+        assert!(matches!(&acts[..], [ExecutorAction::Run(t)] if t.id == TaskId(2)));
+        let result = TaskResult::success(TaskId(2));
+        let acts = step(&mut e, 40, ExecutorEvent::TaskCompleted { result });
+        assert!(matches!(
+            &acts[..],
+            [ExecutorAction::Send(Message::Result { .. })]
+        ));
+        use ObsEventKind as Kind;
+        let c = e.counters();
+        let counted = [Kind::TaskStarted, Kind::TaskFinished, Kind::WorkRequested]
+            .map(|k| (c.count(k), c.value(k)));
+        assert_eq!(counted, [(2, 2), (2, 2), (1, 1)]);
+        assert_eq!(c.count(Kind::ResultsReported), 1);
+        assert_eq!(c.value(Kind::ResultsReported), 2);
+    }
+
+    /// The idle timer restarts when a pull finds nothing and when the
+    /// last result is acknowledged.
+    #[test]
+    fn the_idle_timer_starts_whenever_the_executor_becomes_idle() {
+        let mut e = idle_releasing(100);
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        step(&mut e, 50, ExecutorEvent::WorkReceived { tasks: vec![] });
+        assert_eq!(e.idle_deadline_us(), Some(150));
+        step(&mut e, 60, ExecutorEvent::Notified { key: NotifyKey(2) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        step(&mut e, 70, ExecutorEvent::WorkReceived { tasks });
+        let result = TaskResult::success(TaskId(1));
+        step(&mut e, 80, ExecutorEvent::TaskCompleted { result });
+        let piggybacked = vec![];
+        step(&mut e, 90, ExecutorEvent::ResultAcked { piggybacked });
+        assert_eq!(e.idle_deadline_us(), Some(190));
+    }
+
+    /// A released executor answers nothing and releases only once.
+    #[test]
+    fn a_released_executor_stays_released() {
+        let mut e = idle_releasing(100);
+        assert_eq!(step(&mut e, 101, ExecutorEvent::IdleTimeout).len(), 2);
+        assert!(step(&mut e, 300, ExecutorEvent::IdleTimeout).is_empty());
+        assert!(!answers_notify(&mut e));
+    }
+
+    /// An idle limit as long as time puts the deadline at the end of time.
+    #[test]
+    fn an_endless_idle_limit_never_comes_due() {
+        let mut e = Executor::new(
+            ExecutorId(1),
+            "n1",
+            ExecutorConfig {
+                idle_release_us: Some(Micros::MAX - 1),
+                prefetch: false,
+            },
+        );
+        step(&mut e, 0, ExecutorEvent::Start);
+        step(&mut e, 10, ExecutorEvent::RegisterAcked);
+        assert_eq!(e.idle_deadline_us(), Some(Micros::MAX));
+    }
 }
 
 #[cfg(test)]
@@ -776,6 +889,34 @@ mod prefetch_tests {
             .any(|a| matches!(a, ExecutorAction::Run(t) if t.id == TaskId(2))));
     }
 
+    /// A pre-fetch answer that reaches the executor after its last task's
+    /// ack made it idle starts at once, with no notification.
+    #[test]
+    fn a_prefetched_work_that_reaches_an_idle_executor_starts_at_once() {
+        let mut e = Executor::new(
+            ExecutorId(1),
+            "n1",
+            ExecutorConfig {
+                idle_release_us: Some(100),
+                prefetch: true,
+            },
+        );
+        step(&mut e, 0, ExecutorEvent::Start);
+        step(&mut e, 1, ExecutorEvent::RegisterAcked);
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        let result = TaskResult::success(TaskId(1));
+        step(&mut e, 30, ExecutorEvent::TaskCompleted { result });
+        let piggybacked = vec![];
+        step(&mut e, 40, ExecutorEvent::ResultAcked { piggybacked });
+        assert_eq!(e.idle_deadline_us(), Some(140));
+        let tasks = vec![TaskSpec::sleep(2, 0)];
+        let acts = step(&mut e, 50, ExecutorEvent::WorkReceived { tasks });
+        assert!(matches!(&acts[0], ExecutorAction::Run(t) if t.id == TaskId(2)));
+        assert_eq!(e.idle_deadline_us(), None);
+    }
+
     #[test]
     fn empty_prefetch_answer_is_harmless() {
         let mut e = prefetching_executor();
@@ -856,5 +997,69 @@ mod prefetch_tests {
             .iter()
             .any(|a| matches!(a, ExecutorAction::Run(t) if t.id == TaskId(3))));
         assert_eq!(e.stats().tasks_run, 2);
+    }
+
+    /// The `GetWork`s the executor has sent.
+    fn requests(e: &Executor) -> u64 {
+        e.counters().count(ObsEventKind::WorkRequested)
+    }
+
+    fn finish(e: &mut Executor, now: Micros, id: u64) -> Vec<ExecutorAction> {
+        let result = TaskResult::success(TaskId(id));
+        step(e, now, ExecutorEvent::TaskCompleted { result })
+    }
+
+    /// An empty pre-fetch answer that reaches an idle executor leaves it
+    /// idle: it still answers a notification.
+    #[test]
+    fn an_empty_prefetch_answer_to_an_idle_executor_leaves_it_idle() {
+        let mut e = prefetching_executor();
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        finish(&mut e, 30, 1);
+        let piggybacked = vec![];
+        step(&mut e, 40, ExecutorEvent::ResultAcked { piggybacked });
+        assert!(step(&mut e, 50, ExecutorEvent::WorkReceived { tasks: vec![] }).is_empty());
+        assert!(answers_notify(&mut e));
+    }
+
+    /// Each answered pre-fetch lets the next one go, whether the answer
+    /// came while a task ran or after it finished.
+    #[test]
+    fn each_prefetch_answer_lets_the_next_prefetch_go() {
+        let mut e = prefetching_executor();
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0)];
+        step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        assert_eq!(requests(&e), 2);
+        let tasks = vec![TaskSpec::sleep(2, 0)];
+        step(&mut e, 25, ExecutorEvent::WorkReceived { tasks });
+        finish(&mut e, 30, 1);
+        assert_eq!(requests(&e), 3, "the answer came while task 1 ran");
+        finish(&mut e, 40, 2);
+        let tasks = vec![TaskSpec::sleep(3, 0)];
+        step(&mut e, 45, ExecutorEvent::WorkReceived { tasks });
+        let piggybacked = vec![];
+        step(&mut e, 50, ExecutorEvent::ResultAcked { piggybacked });
+        assert_eq!(requests(&e), 4, "the answer came after task 2 finished");
+    }
+
+    /// No pre-fetch goes out while a backlog waits, nor while one is
+    /// already in flight.
+    #[test]
+    fn a_prefetch_waits_for_the_backlog_and_for_the_last_prefetch() {
+        let mut e = prefetching_executor();
+        step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
+        let tasks = vec![TaskSpec::sleep(1, 0), TaskSpec::sleep(2, 0)];
+        let acts = step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
+        assert!(matches!(&acts[..], [ExecutorAction::Run(_)]), "{acts:?}");
+        assert_eq!(requests(&e), 1);
+        finish(&mut e, 30, 1);
+        assert_eq!(requests(&e), 2, "the backlog ran dry");
+        let piggybacked = vec![TaskSpec::sleep(3, 0)];
+        step(&mut e, 35, ExecutorEvent::ResultAcked { piggybacked });
+        finish(&mut e, 40, 2);
+        assert_eq!(requests(&e), 2, "one pre-fetch in flight at a time");
     }
 }

@@ -235,6 +235,10 @@ impl<P: Probe> Forwarder<P> {
                     }
                     by_instance.entry(t.instance).or_default().push(r);
                 }
+                // A drained book gives its peak's table back.
+                if self.in_flight.is_empty() {
+                    self.in_flight = FxHashMap::default();
+                }
                 for (instance, results) in by_instance {
                     self.emit(
                         now,
@@ -538,6 +542,68 @@ mod tests {
         assert_eq!(c.value(ObsEventKind::TaskRerouted), 4);
     }
 
+    /// A slot's delivered results take their load off it: after bundle 1
+    /// comes back from slot 0, slot 0 is again the least loaded, and a
+    /// third bundle goes there rather than beside bundle 2.
+    #[test]
+    fn delivered_results_take_their_load_off_the_slot() {
+        let mut f = Forwarder::new(2);
+        let instance = InstanceId(1);
+        let submit = |f: &mut Forwarder, range| {
+            let tasks = tasks(range);
+            submitted_to(&step(f, ForwarderEvent::ClientSubmit { instance, tasks }))
+        };
+        assert_eq!(submit(&mut f, 0..4), [(0, 4)]);
+        let results = (0..4).map(|i| TaskResult::success(TaskId(i))).collect();
+        let dispatcher = 0;
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherResults {
+                dispatcher,
+                results,
+            },
+        );
+        assert_eq!(submit(&mut f, 4..6), [(0, 2)]);
+        assert_eq!(submit(&mut f, 6..9), [(1, 3)]);
+    }
+
+    /// An empty bundle from a client routes nothing and books nothing.
+    #[test]
+    fn an_empty_bundle_routes_nothing() {
+        let mut f = Forwarder::new(2);
+        let (instance, tasks) = (InstanceId(1), Vec::new());
+        assert!(step(&mut f, ForwarderEvent::ClientSubmit { instance, tasks }).is_empty());
+        assert_eq!(f.in_flight(), 0);
+        assert_eq!(f.counters().count(ObsEventKind::BundleRouted), 0);
+    }
+
+    /// A book whose every task is delivered holds no table.
+    #[test]
+    fn a_drained_book_gives_its_table_back() {
+        let mut f = Forwarder::new(1);
+        let (instance, tasks) = (InstanceId(1), tasks(0..100));
+        step(&mut f, ForwarderEvent::ClientSubmit { instance, tasks });
+        let results = (0..99).map(|i| TaskResult::success(TaskId(i))).collect();
+        let dispatcher = 0;
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherResults {
+                dispatcher,
+                results,
+            },
+        );
+        assert!(f.in_flight.capacity() >= 100, "not drained yet");
+        let results = vec![TaskResult::success(TaskId(99))];
+        step(
+            &mut f,
+            ForwarderEvent::DispatcherResults {
+                dispatcher,
+                results,
+            },
+        );
+        assert_eq!(f.in_flight.capacity(), 0);
+    }
+
     #[test]
     #[should_panic(expected = "at least one dispatcher")]
     fn zero_dispatchers_rejected() {
@@ -596,5 +662,35 @@ mod loss_regressions {
             ForwarderAction::SubmitTo { dispatcher, .. } => assert_eq!(*dispatcher, 0),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A lost slot's tasks are routed again in task-id order, however
+    /// their bundle had them.
+    #[test]
+    fn a_lost_slot_s_tasks_are_routed_again_in_task_id_order() {
+        let mut f = Forwarder::new(2);
+        let tasks: Vec<TaskSpec> = (100..132).rev().map(|i| TaskSpec::sleep(i, 0)).collect();
+        let instance = InstanceId(1);
+        let mut out = Vec::new();
+        f.on_event(
+            0,
+            ForwarderEvent::ClientSubmit { instance, tasks },
+            &mut out,
+        );
+        out.clear();
+        f.on_event(
+            0,
+            ForwarderEvent::DispatcherLost { dispatcher: 0 },
+            &mut out,
+        );
+        let [ForwarderAction::SubmitTo {
+            dispatcher: 1,
+            tasks,
+        }] = &out[..]
+        else {
+            panic!("one bundle to slot 1: {out:?}");
+        };
+        let ids: Vec<u64> = tasks.iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, (100..132).collect::<Vec<_>>());
     }
 }

@@ -144,7 +144,6 @@ impl<E: Copy + PartialEq, P: Probe> ForwarderNode<E, P> {
         let client = Client::new(BundleConfig::of(usize::MAX));
         self.links[d] = Some(Link { at, client });
         self.step(now, d, |c, out| c.on_event(now, ClientEvent::Start, out));
-        self.deliver(now, None);
     }
 
     /// `msg` arrived from endpoint `from`: a slot's link, or a client.
@@ -341,12 +340,13 @@ mod tests {
         }
     }
 
-    /// A `Register` at the dense tables' cap binds nothing and registers
+    /// A `Register` at or above the dense tables' cap binds nothing and registers
     /// nothing, and the executor that registers next is served.
     #[test]
     fn a_dispatcher_node_refuses_an_executor_id_at_the_dense_cap() {
         let mut node: DispatcherNode<u8> =
             DispatcherNode::new(DispatcherConfig::default(), NoopProbe);
+        node.heard(0, 1, register(u64::MAX));
         node.heard(0, 1, register(crate::table::DENSE_ID_CAP));
         assert_eq!(registered(&mut node), 0);
         assert_eq!(sent(&mut node.outbox), [], "no RegisterAck");
@@ -398,5 +398,110 @@ mod tests {
             node.machine().counters().value(ObsEventKind::ResultsRouted),
             1
         );
+    }
+
+    /// The node keeps its action buffer between messages.
+    #[test]
+    fn a_forwarder_node_reuses_its_action_buffer() {
+        let mut node: ForwarderNode<u8> = ForwarderNode::new(1, NoopProbe);
+        node.heard(0, 1, Message::CreateInstance);
+        assert!(node.actions.is_empty() && node.actions.capacity() > 0);
+    }
+
+    /// A client's empty `Submit` reaches no link.
+    #[test]
+    fn a_forwarder_node_ignores_an_empty_submit() {
+        let mut node: ForwarderNode<u8> = ForwarderNode::new(1, NoopProbe);
+        node.admit(0, 0, 10);
+        let instance = InstanceId(1);
+        node.heard(0, 10, Message::InstanceCreated { instance });
+        node.heard(1, 1, Message::CreateInstance);
+        let tasks = Vec::new();
+        node.heard(1, 1, Message::Submit { instance, tasks });
+        let want = [(10, "CreateInstance"), (1, "InstanceCreated")];
+        assert_eq!(sent(&mut node.outbox), want);
+        assert_eq!(node.machine().in_flight(), 0);
+    }
+
+    /// A slot admitted on a new endpoint while its old link is still in
+    /// place loses the old link first: what was there goes to the new one
+    /// once it is up.
+    #[test]
+    fn a_forwarder_node_readmitting_a_linked_slot_moves_its_tasks() {
+        let mut node: ForwarderNode<u8> = ForwarderNode::new(1, NoopProbe);
+        let instance = InstanceId(1);
+        node.admit(0, 0, 10);
+        node.heard(0, 10, Message::InstanceCreated { instance });
+        node.heard(1, 1, Message::CreateInstance);
+        let tasks = vec![TaskSpec::sleep(7, 0)];
+        node.heard(1, 1, Message::Submit { instance, tasks });
+        node.outbox.clear();
+        node.admit(2, 0, 12);
+        node.heard(3, 12, Message::InstanceCreated { instance });
+        let want = [(12, "CreateInstance"), (12, "Submit")];
+        assert_eq!(sent(&mut node.outbox), want);
+        let news: Vec<_> = node.link_news.drain(..).collect();
+        assert_eq!(news, [(0, true), (0, true)]);
+    }
+
+    /// The node's deadline is its machine's: at it, a task whose executor
+    /// went silent is replayed, and the executor, freed of it, is told.
+    #[test]
+    fn a_dispatcher_node_replays_at_its_deadline() {
+        let config = DispatcherConfig {
+            replay: ReplayPolicy {
+                timeout_slack_us: 100,
+                ..ReplayPolicy::default()
+            },
+            ..DispatcherConfig::default()
+        };
+        let mut node: DispatcherNode<u8> = DispatcherNode::new(config, NoopProbe);
+        node.heard(0, 1, register(1));
+        node.heard(0, 2, Message::CreateInstance);
+        let (instance, tasks) = (InstanceId(1), vec![TaskSpec::sleep(7, 0)]);
+        node.heard(0, 2, Message::Submit { instance, tasks });
+        let (executor, key) = (ExecutorId(1), falkon_proto::message::NotifyKey(1));
+        node.heard(10, 1, Message::GetWork { executor, key });
+        node.outbox.clear();
+        assert_eq!(node.next_deadline(), Some(110));
+        node.on_deadline(110);
+        assert_eq!(node.machine().stats().retries, 1);
+        assert_eq!(sent(&mut node.outbox), [(1, "Notify")]);
+    }
+
+    /// A link that closes has its tasks sent on to a live slot at once.
+    #[test]
+    fn a_forwarder_node_sends_a_closed_link_s_tasks_on_at_once() {
+        let mut node: ForwarderNode<u8> = ForwarderNode::new(2, NoopProbe);
+        let instance = InstanceId(1);
+        for (d, at) in [(0, 10), (1, 11)] {
+            node.admit(0, d, at);
+            node.heard(0, at, Message::InstanceCreated { instance });
+        }
+        node.heard(1, 1, Message::CreateInstance);
+        let tasks = vec![TaskSpec::sleep(7, 0)];
+        node.heard(1, 1, Message::Submit { instance, tasks });
+        node.outbox.clear();
+        node.closed(2, 10);
+        assert_eq!(sent(&mut node.outbox), [(11, "Submit")]);
+    }
+
+    /// A client that comes back on a new endpoint is answered there: its
+    /// fetch binds its instance, and results go where it now is.
+    #[test]
+    fn a_forwarder_node_answers_a_client_where_it_reconnected() {
+        let mut node: ForwarderNode<u8> = ForwarderNode::new(1, NoopProbe);
+        let instance = InstanceId(1);
+        node.admit(0, 0, 10);
+        node.heard(0, 10, Message::InstanceCreated { instance });
+        node.heard(1, 1, Message::CreateInstance);
+        let tasks = vec![TaskSpec::sleep(7, 0)];
+        node.heard(1, 1, Message::Submit { instance, tasks });
+        node.closed(2, 1);
+        node.heard(3, 2, Message::GetResults { instance });
+        node.outbox.clear();
+        let results = vec![TaskResult::success(falkon_proto::task::TaskId(7))];
+        node.heard(4, 10, Message::Results { results });
+        assert_eq!(sent(&mut node.outbox), [(10, "ResultsAck"), (2, "Results")]);
     }
 }

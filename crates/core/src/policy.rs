@@ -255,6 +255,22 @@ mod tests {
         assert_eq!(p.request_sizes(10, Some(0)), vec![1]); // at least one
     }
 
+    /// A first request of 0 asks for one, and growth saturates rather
+    /// than overflowing.
+    #[test]
+    fn growing_requests_start_at_one_and_saturate() {
+        let additive = |base, step| AcquisitionPolicy::Additive { base, step };
+        let exponential = |base| AcquisitionPolicy::Exponential { base };
+        assert_eq!(additive(0, 0).request_sizes(3, None), vec![1, 1, 1]);
+        assert_eq!(exponential(0).request_sizes(3, None), vec![1, 2]);
+        assert_eq!(additive(1, u32::MAX).request_sizes(5, None), vec![1, 4]);
+        let half = 1 << 31;
+        assert_eq!(
+            exponential(half).request_sizes(u32::MAX, None),
+            vec![half, half - 1]
+        );
+    }
+
     #[test]
     fn request_sizes_always_sum_to_at_most_needed_or_capped() {
         for policy in [
@@ -299,5 +315,23 @@ mod deadline_io_tests {
         let p = ReplayPolicy::default();
         let t = TaskSpec::sleep(1, 0).with_data(1, DataLocation::SharedFs, DataAccess::Read);
         assert_eq!(p.deadline_for(&t), p.deadline_us(0) + p.io_slack_us_per_mib);
+    }
+
+    /// Limits as long as time saturate instead of overflowing.
+    #[test]
+    fn endless_slacks_saturate() {
+        let p = ReplayPolicy {
+            timeout_slack_us: Micros::MAX,
+            io_slack_us_per_mib: Micros::MAX,
+            ..ReplayPolicy::default()
+        };
+        let t = TaskSpec::sleep(1, 10).with_data(2 << 20, DataLocation::SharedFs, DataAccess::Read);
+        assert_eq!(p.deadline_us(10), Micros::MAX);
+        assert_eq!(p.deadline_for(&t), Micros::MAX);
+        let io_only = ReplayPolicy {
+            timeout_slack_us: 0,
+            ..p
+        };
+        assert_eq!(io_only.deadline_for(&t), Micros::MAX);
     }
 }

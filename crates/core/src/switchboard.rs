@@ -236,4 +236,15 @@ mod tests {
         assert_eq!(heard(&mut sb, 5, destroy), []);
         assert_eq!(heard(&mut sb, 5, submit(4)), []);
     }
+
+    /// An empty `Results` is not kept: an instance that moves is sent
+    /// nothing ahead of its answer.
+    #[test]
+    fn an_empty_results_message_is_not_kept() {
+        let mut sb = Switchboard::default();
+        assert_eq!(heard(&mut sb, 1, submit(4)), []);
+        let empty = to_client(4, Message::Results { results: vec![] });
+        assert_eq!(sent(&mut sb, vec![empty], None), [1]);
+        assert_eq!(heard(&mut sb, 2, submit(4)), []);
+    }
 }

@@ -80,7 +80,7 @@ impl WaitQueue {
         for task in tasks {
             ids.push_back(task.id);
             match runs.back_mut() {
-                Some((shape, n)) if *n < u32::MAX && same_shape(shape, &task) => *n += 1,
+                Some((shape, n)) if same_shape(shape, &task) => *n += 1,
                 _ => runs.push_back((Arc::new(task), 1)),
             }
         }
@@ -339,6 +339,30 @@ mod tests {
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         for (i, (t, env)) in out.iter().zip(&held).enumerate() {
             assert_eq!((t.id.0, &t.env[0]), (i as u64, env));
+        }
+    }
+
+    /// Two specs are one shape only if every field but the id agrees.
+    #[test]
+    fn same_shape_tells_apart_every_field_but_the_id() {
+        let base = TaskSpec::sleep(1, 0);
+        assert!(same_shape(&base, &TaskSpec::sleep(2, 0)));
+        let differ: [fn(&mut TaskSpec); 6] = [
+            |t| t.command = "true".into(),
+            |t| t.args = falkon_proto::task::Args::from_iter(["1"]),
+            |t| t.env = vec![("K".into(), "V".into())],
+            |t| t.working_dir = "/work".into(),
+            |t| t.estimated_runtime_us = Some(7),
+            |t| {
+                *t = t
+                    .clone()
+                    .with_object(1, 1, DataLocation::SharedFs, DataAccess::Read)
+            },
+        ];
+        for (field, change) in differ.iter().enumerate() {
+            let mut other = TaskSpec::sleep(2, 0);
+            change(&mut other);
+            assert!(!same_shape(&base, &other), "field {field}");
         }
     }
 }

@@ -188,14 +188,19 @@ proptest! {
 // client submitted, and in-flight accounting drains to zero.
 // ---------------------------------------------------------------------------
 
-/// Task `id` of one of four shapes: `sleep 0`, `sleep 1`, one with an
-/// environment of its own, and one that stages a shared data object.
+/// Task `id` of one of five shapes: `sleep 0`, `sleep 1`, one with an
+/// environment of its own, one with a working directory of its own, and one
+/// that stages a shared data object.
 fn shaped(id: u64, shape: u8) -> TaskSpec {
     match shape {
         0 => TaskSpec::sleep(id, 0),
         1 => TaskSpec::sleep(id, 1),
         2 => TaskSpec {
             env: vec![("FALKON_SHAPE".into(), "env".into())],
+            ..TaskSpec::sleep(id, 0)
+        },
+        3 => TaskSpec {
+            working_dir: "/work/shape".into(),
             ..TaskSpec::sleep(id, 0)
         },
         _ => {
@@ -211,7 +216,7 @@ proptest! {
     fn forwarder_delivers_exactly_once(
         k in 1usize..5,
         script in prop::collection::vec(
-            (0u8..4, any::<u16>(), prop::collection::vec((0u8..4, 1u64..4), 1..4)),
+            (0u8..4, any::<u16>(), prop::collection::vec((0u8..5, 1u64..4), 1..4)),
             1..80,
         ),
     ) {

@@ -14,7 +14,8 @@
 //! Forwarded tasks: 100 bundles of 300 `sleep 0` tasks routed through a
 //! [`Forwarder`] over 2 slots, none of them finished. What the forwarder
 //! keeps is bounded per task in flight: the book that re-routes them when a
-//! slot is lost.
+//! slot is lost. Once every result has come back through it, the forwarder
+//! holds next to nothing: the book gives its table back as it drains.
 //!
 //! Calibration. Tasks (quick scale: 120,000 tasks, peak queue 82,549): this
 //! tree peaks at 1.60 MB — an 8-byte id per queued task and one 144-byte
@@ -32,7 +33,9 @@
 //! tasks (30,000): this tree holds 2.7 MB, 90 B per task — a 40-byte book
 //! entry in a table of 65,536 slots, and one shared 144-byte shape per
 //! bundle — against a bound of 3.84 MB. Its parent booked a whole
-//! `TaskSpec` per task in 160-byte slots, 352 B per task, and fails.
+//! `TaskSpec` per task in 160-byte slots, 352 B per task, and fails. After
+//! the drain this tree holds 0 B against a bound of 4 KiB; a book that kept
+//! its capacity held 2.69 MB there, and fails.
 //!
 //! Ordering protocol: no synchronizes-with edges. The two byte tallies are
 //! `Relaxed` counters bumped and read on the one thread this file's single
@@ -41,13 +44,13 @@
 // A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
 #![allow(unsafe_code)]
 
-use falkon_core::forwarder::{Forwarder, ForwarderEvent};
+use falkon_core::forwarder::{Forwarder, ForwarderAction, ForwarderEvent};
 use falkon_core::DispatcherConfig;
 use falkon_exp::costs::CostModel;
 use falkon_exp::experiments::Scale;
 use falkon_exp::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon_proto::message::InstanceId;
-use falkon_proto::task::TaskSpec;
+use falkon_proto::task::{TaskId, TaskResult, TaskSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -123,6 +126,10 @@ const PER_EXECUTOR: usize = 700;
 /// one 144-byte shape per bundle. A whole `TaskSpec` per task crosses it, as
 /// does a shape of its own per task.
 const PER_FORWARDED: usize = 128;
+
+/// Bytes the forwarder may hold once every task it took is delivered: the
+/// drained book's table is given back, not kept at its peak's capacity.
+const DRAINED_FORWARDER: usize = 4 << 10;
 
 /// Everything that does not scale: executors (in the paced run), the event
 /// wheel, the recorder's bucket arrays, the bundles in flight.
@@ -218,6 +225,8 @@ fn forwarder_is_bounded_per_task_in_flight() {
     const BUNDLE: u64 = 300;
     let mut f = Forwarder::new(2);
     let mut out = Vec::with_capacity(1);
+    // Where each bundle went, for its results.
+    let mut routed = Vec::with_capacity(BUNDLES as usize);
     let base = mark();
     for b in 0..BUNDLES {
         let tasks = (b * BUNDLE..(b + 1) * BUNDLE)
@@ -230,7 +239,10 @@ fn forwarder_is_bounded_per_task_in_flight() {
             &mut out,
         );
         // The dispatchers take the bundles.
-        assert_eq!(out.len(), 1);
+        let [ForwarderAction::SubmitTo { dispatcher, .. }] = out[..] else {
+            panic!("one bundle routed whole: {out:?}");
+        };
+        routed.push(dispatcher);
         out.clear();
     }
     let (_, held) = since(base);
@@ -246,6 +258,28 @@ fn forwarder_is_bounded_per_task_in_flight() {
         held <= bound,
         "the forwarder holds {held} B for {in_flight} tasks in flight, more than \
          {PER_FORWARDED} B each: it books more than an id and a shared shape per task"
+    );
+
+    // Every result comes back through the forwarder to its client.
+    for (b, &dispatcher) in (0..BUNDLES).zip(&routed) {
+        let results = (b * BUNDLE..(b + 1) * BUNDLE)
+            .map(|i| TaskResult::success(TaskId(i)))
+            .collect();
+        let results = ForwarderEvent::DispatcherResults {
+            dispatcher,
+            results,
+        };
+        f.on_event(0, results, &mut out);
+        assert!(matches!(out[..], [ForwarderAction::DeliverResults { .. }]));
+        out.clear();
+    }
+    let (_, held) = since(base);
+    assert_eq!(f.in_flight(), 0);
+    eprintln!("every result delivered, forwarder holds {held} B");
+    assert!(
+        held <= DRAINED_FORWARDER,
+        "the forwarder holds {held} B with nothing in flight, more than \
+         {DRAINED_FORWARDER} B: its drained book keeps its peak's table"
     );
     drop(f);
 }

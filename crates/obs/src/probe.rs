@@ -33,8 +33,6 @@ pub enum ObsEvent {
     TaskFinished,
     /// The dispatcher accepted a first (non-duplicate) result for a task.
     TaskCompleted {
-        /// Time the task spent queued before dispatch, in microseconds.
-        queue_us: u64,
         /// Self-reported executor-side execution time, in microseconds.
         exec_us: u64,
         /// Round-trip overhead: total lifetime minus execution time.
@@ -61,19 +59,8 @@ pub enum ObsEvent {
     /// The data-aware scheduler found a task whose input is cached on the
     /// requesting executor.
     DataLocalityHit,
-    /// Wait-queue depth sampled after a queue-mutating message.
-    QueueDepth {
-        /// Tasks in the wait queue.
-        depth: u64,
-    },
     /// An executor registered with the dispatcher.
     ExecutorRegistered,
-    /// A registered executor transitioned to idle.
-    ExecutorIdle,
-    /// A registered executor transitioned to busy.
-    ExecutorBusy,
-    /// An executor was deregistered (released or lost).
-    ExecutorReleased,
     /// An executor asked the dispatcher for work.
     WorkRequested,
     /// An executor reported `count` finished tasks in one message.
@@ -143,11 +130,7 @@ pub enum ObsEventKind {
     NotifySent,
     TaskPiggybacked,
     DataLocalityHit,
-    QueueDepth,
     ExecutorRegistered,
-    ExecutorIdle,
-    ExecutorBusy,
-    ExecutorReleased,
     WorkRequested,
     ResultsReported,
     AllocationRequested,
@@ -166,7 +149,7 @@ pub enum ObsEventKind {
 }
 
 /// Every kind with its stable snake_case name, in declaration order.
-const TABLE: [(ObsEventKind, &str); 32] = [
+const TABLE: [(ObsEventKind, &str); 28] = [
     (ObsEventKind::TaskSubmitted, "task_submitted"),
     (ObsEventKind::TaskDispatched, "task_dispatched"),
     (ObsEventKind::TaskStarted, "task_started"),
@@ -179,11 +162,7 @@ const TABLE: [(ObsEventKind, &str); 32] = [
     (ObsEventKind::NotifySent, "notify_sent"),
     (ObsEventKind::TaskPiggybacked, "task_piggybacked"),
     (ObsEventKind::DataLocalityHit, "data_locality_hit"),
-    (ObsEventKind::QueueDepth, "queue_depth"),
     (ObsEventKind::ExecutorRegistered, "executor_registered"),
-    (ObsEventKind::ExecutorIdle, "executor_idle"),
-    (ObsEventKind::ExecutorBusy, "executor_busy"),
-    (ObsEventKind::ExecutorReleased, "executor_released"),
     (ObsEventKind::WorkRequested, "work_requested"),
     (ObsEventKind::ResultsReported, "results_reported"),
     (ObsEventKind::AllocationRequested, "allocation_requested"),
@@ -236,11 +215,7 @@ impl ObsEvent {
             ObsEvent::NotifySent => ObsEventKind::NotifySent,
             ObsEvent::TaskPiggybacked { .. } => ObsEventKind::TaskPiggybacked,
             ObsEvent::DataLocalityHit => ObsEventKind::DataLocalityHit,
-            ObsEvent::QueueDepth { .. } => ObsEventKind::QueueDepth,
             ObsEvent::ExecutorRegistered => ObsEventKind::ExecutorRegistered,
-            ObsEvent::ExecutorIdle => ObsEventKind::ExecutorIdle,
-            ObsEvent::ExecutorBusy => ObsEventKind::ExecutorBusy,
-            ObsEvent::ExecutorReleased => ObsEventKind::ExecutorReleased,
             ObsEvent::WorkRequested => ObsEventKind::WorkRequested,
             ObsEvent::ResultsReported { .. } => ObsEventKind::ResultsReported,
             ObsEvent::AllocationRequested { .. } => ObsEventKind::AllocationRequested,
@@ -270,7 +245,6 @@ impl ObsEvent {
             | ObsEvent::TaskRerouted { count } => count,
             ObsEvent::TaskDispatched { queue_us } => queue_us,
             ObsEvent::TaskCompleted { overhead_us, .. } => overhead_us,
-            ObsEvent::QueueDepth { depth } => depth,
             ObsEvent::AllocationRequested { executors }
             | ObsEvent::AllocationGranted { executors } => executors,
             ObsEvent::BundleRouted { tasks } => tasks,
@@ -283,9 +257,6 @@ impl ObsEvent {
             | ObsEvent::NotifySent
             | ObsEvent::DataLocalityHit
             | ObsEvent::ExecutorRegistered
-            | ObsEvent::ExecutorIdle
-            | ObsEvent::ExecutorBusy
-            | ObsEvent::ExecutorReleased
             | ObsEvent::WorkRequested
             | ObsEvent::AllocationReleased
             | ObsEvent::DispatcherLost
@@ -416,7 +387,6 @@ mod tests {
         assert_eq!(ObsEvent::TaskDispatched { queue_us: 42 }.value(), 42);
         assert_eq!(
             ObsEvent::TaskCompleted {
-                queue_us: 5,
                 exec_us: 10,
                 overhead_us: 9
             }

@@ -53,7 +53,6 @@ impl Probe for Recorder {
             ObsEvent::TaskCompleted {
                 exec_us,
                 overhead_us,
-                ..
             } => {
                 self.exec_time_us.record(exec_us);
                 self.overhead_us.record(overhead_us);
@@ -75,19 +74,18 @@ mod tests {
         r.on_event(
             200,
             &ObsEvent::TaskCompleted {
-                queue_us: 50,
                 exec_us: 40,
                 overhead_us: 60,
             },
         );
-        r.on_event(300, &ObsEvent::QueueDepth { depth: 4 });
+        r.on_event(300, &ObsEvent::TaskSubmitted { count: 4 });
         r.on_event(300, &ObsEvent::TaskStarted);
 
         assert_eq!(r.counters.count(ObsEventKind::TaskDispatched), 1);
         assert_eq!(r.queue_time_us.count(), 1);
         assert_eq!(r.exec_time_us.count(), 1);
         assert_eq!(r.overhead_us.max(), 60);
-        assert_eq!(r.counters.value(ObsEventKind::QueueDepth), 4);
+        assert_eq!(r.counters.value(ObsEventKind::TaskSubmitted), 4);
         assert_eq!(r.counters.count(ObsEventKind::TaskStarted), 1);
     }
 
@@ -97,10 +95,10 @@ mod tests {
         let mut b = Recorder::new();
         a.on_event(10, &ObsEvent::TaskDispatched { queue_us: 5 });
         b.on_event(20, &ObsEvent::TaskDispatched { queue_us: 15 });
-        b.on_event(25, &ObsEvent::QueueDepth { depth: 1 });
+        b.on_event(25, &ObsEvent::TaskSubmitted { count: 1 });
         a.merge(&b);
         assert_eq!(a.counters.count(ObsEventKind::TaskDispatched), 2);
         assert_eq!(a.queue_time_us.count(), 2);
-        assert_eq!(a.counters.count(ObsEventKind::QueueDepth), 1);
+        assert_eq!(a.counters.count(ObsEventKind::TaskSubmitted), 1);
     }
 }

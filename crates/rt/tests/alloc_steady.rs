@@ -36,6 +36,11 @@
 //! the atomics — sequences the reads. The deployment test's other threads
 //! only work between `run_client`'s first write and its last read, both on
 //! the counting thread.
+//!
+//! The two tests that assert an exact count of one thread's work read that
+//! thread's own tally (`thread_allocs`), not the process-wide one: the test
+//! harness's other threads may allocate inside their window, and `SERIAL`
+//! orders only the tests.
 // A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
 #![allow(unsafe_code)]
 
@@ -48,6 +53,7 @@ use falkon_rt::muxpeer::run_executors_mux;
 use falkon_rt::poll::{poll_wait, PollFd, POLLIN};
 use falkon_rt::tcp::{run_client, DispatcherServer, ServerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -64,6 +70,17 @@ static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 /// The tallies are process-wide: one test at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised with no
+    /// destructor, so bumping it from the allocator never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_thread_alloc() {
+    // A thread past its TLS teardown is not one a test measures.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: delegates every operation unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -71,6 +88,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // Relaxed: monotonic tally read on the same thread that bumps it
         // during the measured region; no data is published over this edge.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_thread_alloc();
         // Relaxed: as above.
         LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `layout` is the caller's layout.
@@ -88,6 +106,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Relaxed: as above, all three.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_thread_alloc();
         LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim per the caller's contract.
@@ -100,6 +119,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations made by the calling thread.
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 fn live_bytes() -> u64 {
@@ -378,22 +402,34 @@ fn istr_from_string_is_one_allocation_from_str_two_and_a_clone_none() {
     // Populate the decimal table outside the count.
     assert!(IStr::from("7").is_interned());
 
-    let before = allocs();
+    let before = thread_allocs();
     let interned = [IStr::from("sleep"), IStr::from("/tmp"), IStr::from("42")];
     let copies = interned.clone();
-    assert_eq!(allocs() - before, 0, "interned strings allocate nothing");
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "interned strings allocate nothing"
+    );
     drop((interned, copies));
 
     let string = String::from("custom-binary");
-    let before = allocs();
+    let before = thread_allocs();
     let moved = IStr::from(string);
-    assert_eq!(allocs() - before, 1, "a `String` moves into one `Arc`");
+    assert_eq!(
+        thread_allocs() - before,
+        1,
+        "a `String` moves into one `Arc`"
+    );
 
-    let before = allocs();
+    let before = thread_allocs();
     let copied = IStr::from("custom-binary");
-    assert_eq!(allocs() - before, 2, "a `&str` is copied into a `String`");
+    assert_eq!(
+        thread_allocs() - before,
+        2,
+        "a `&str` is copied into a `String`"
+    );
     let copy = copied.clone();
-    assert_eq!(allocs() - before, 2, "a clone is a reference count");
+    assert_eq!(thread_allocs() - before, 2, "a clone is a reference count");
     assert!(!copied.is_interned() && copied.ptr_eq(&copy) && !copied.ptr_eq(&moved));
     assert_eq!(moved, copied);
 }
@@ -408,18 +444,22 @@ fn a_one_millisecond_task_allocates_no_string_at_either_end() {
     // Populate the fraction table outside the count.
     let warm = TaskSpec::sleep_us(0, 1_000);
 
-    let before = allocs();
+    let before = thread_allocs();
     let tasks: [TaskSpec; 300] = std::array::from_fn(|i| TaskSpec::sleep_us(i as u64, 1_000));
-    assert_eq!(allocs() - before, 0, "building a 1 ms task allocates");
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "building a 1 ms task allocates"
+    );
     assert!(tasks[299].args[0].is_interned() && tasks[299].args[0].ptr_eq(&warm.args[0]));
 
     let wire = EfficientCodec.encode(&Message::Work {
         tasks: tasks.to_vec(),
     });
-    let before = allocs();
+    let before = thread_allocs();
     let decoded = EfficientCodec.decode(&wire).expect("decode");
     assert_eq!(
-        allocs() - before,
+        thread_allocs() - before,
         1,
         "decoding 300 1 ms tasks allocates a string"
     );

@@ -197,3 +197,39 @@ fn simulated_executor_failures_are_replayed() {
     ids.dedup();
     assert_eq!(ids.len() as u64, out.tasks);
 }
+
+/// What one task costs on the wire in `flat_sat`'s shape (sleep-0 tasks,
+/// bundles of 300, results pushed 1,000 at a time): about two frames, two
+/// socket writes and two reads — its `Work` or `ResultAck` out and its
+/// `Result` back — and ≈159 wire bytes. Summed over every end of every
+/// connection from the merged counters. Twenty runs each in debug and
+/// release read frames 2.0623, bytes 158.77, writes 2.0555–2.0563 and reads
+/// 2.0993–2.1098 per task; each ceiling is 5 % above the worst of them, so
+/// one more frame or socket call per task on any hop crosses it.
+#[test]
+fn a_flat_sat_task_costs_two_frames_and_two_socket_calls_each_way() {
+    use ObsEventKind::{BundleEncoded, SocketRead, SocketWrite};
+    const TASKS: u64 = 6_000;
+    let config = InprocConfig {
+        executors: 64,
+        bundle: BundleConfig::of(300),
+        dispatcher: DispatcherConfig {
+            client_notify_batch: 1000,
+            ..DispatcherConfig::default()
+        },
+        ..InprocConfig::default()
+    };
+    let out = run_sleep_workload(&config, TASKS, 0);
+    assert!(completed_exactly_once(&out, TASKS));
+    let c = &out.obs.counters;
+    let per_task = |n: u64| n as f64 / TASKS as f64;
+    let frames = per_task(c.count(BundleEncoded));
+    let bytes = per_task(c.value(BundleEncoded));
+    let writes = per_task(c.count(SocketWrite));
+    let reads = per_task(c.count(SocketRead));
+    eprintln!("per task: {frames:.4} frames, {bytes:.2} B, {writes:.4} writes, {reads:.4} reads");
+    assert!(frames <= 2.17, "{frames:.4} frames per task");
+    assert!(bytes <= 167.0, "{bytes:.2} wire bytes per task");
+    assert!(writes <= 2.16, "{writes:.4} socket writes per task");
+    assert!(reads <= 2.22, "{reads:.4} socket reads per task");
+}
