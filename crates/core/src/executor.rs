@@ -98,8 +98,6 @@ pub struct ExecutorStats {
     pub tasks_run: u64,
     /// Tasks started (equals `tasks_run` unless one is in flight).
     tasks_started: u64,
-    /// `GetWork` requests sent (notifications answered + pre-fetches).
-    work_requests: u64,
     /// Results delivered to the dispatcher.
     results_reported: u64,
 }
@@ -107,7 +105,7 @@ pub struct ExecutorStats {
 /// The Falkon executor state machine. See module docs.
 ///
 /// Generic over a [`Probe`] like [`crate::dispatcher::Dispatcher`]; the machine counts
-/// the four event kinds it emits itself, so [`Executor::stats`] and
+/// the three event kinds it emits itself, so [`Executor::stats`] and
 /// [`Executor::counters`] work with the default [`NoopProbe`].
 pub struct Executor<P: Probe = NoopProbe> {
     id: ExecutorId,
@@ -183,7 +181,6 @@ impl<P: Probe> Executor<P> {
         match event {
             ObsEvent::TaskStarted => self.stats.tasks_started += 1,
             ObsEvent::TaskFinished => self.stats.tasks_run += 1,
-            ObsEvent::WorkRequested => self.stats.work_requests += 1,
             ObsEvent::ResultsReported { count } => {
                 self.reports += 1;
                 self.stats.results_reported += count;
@@ -211,7 +208,6 @@ impl<P: Probe> Executor<P> {
         let mut c = Counters::new();
         c.add(Kind::TaskStarted, s.tasks_started, s.tasks_started);
         c.add(Kind::TaskFinished, s.tasks_run, s.tasks_run);
-        c.add(Kind::WorkRequested, s.work_requests, s.work_requests);
         c.add(Kind::ResultsReported, self.reports, s.results_reported);
         c
     }
@@ -268,7 +264,6 @@ impl<P: Probe> Executor<P> {
                 if self.phase == Phase::Idle {
                     self.phase = Phase::Pulling;
                     self.idle_since_us = NEVER;
-                    self.emit(now, ObsEvent::WorkRequested);
                     out.push(ExecutorAction::Send(Message::GetWork {
                         executor: self.id,
                         key,
@@ -397,7 +392,6 @@ impl<P: Probe> Executor<P> {
         // completes, overlapping communication and execution.
         if self.prefetch && self.backlog_is_empty() && !self.prefetch_inflight {
             self.prefetch_inflight = true;
-            self.emit(now, ObsEvent::WorkRequested);
             out.push(ExecutorAction::Send(Message::GetWork {
                 executor: self.id,
                 key: NotifyKey(0),
@@ -742,6 +736,8 @@ mod tests {
             [ExecutorAction::Send(Message::GetWork { .. })]
         ));
         assert_eq!(e.idle_deadline_us(), None, "not idle while pulling");
+        // A second notification while it pulls asks nothing more.
+        assert!(step(&mut e, 15, ExecutorEvent::Notified { key: NotifyKey(2) }).is_empty());
         let tasks = vec![TaskSpec::sleep(1, 0), TaskSpec::sleep(2, 0)];
         let acts = step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
         assert!(matches!(&acts[..], [ExecutorAction::Run(t)] if t.id == TaskId(1)));
@@ -756,9 +752,8 @@ mod tests {
         ));
         use ObsEventKind as Kind;
         let c = e.counters();
-        let counted = [Kind::TaskStarted, Kind::TaskFinished, Kind::WorkRequested]
-            .map(|k| (c.count(k), c.value(k)));
-        assert_eq!(counted, [(2, 2), (2, 2), (1, 1)]);
+        let counted = [Kind::TaskStarted, Kind::TaskFinished].map(|k| (c.count(k), c.value(k)));
+        assert_eq!(counted, [(2, 2), (2, 2)]);
         assert_eq!(c.count(Kind::ResultsReported), 1);
         assert_eq!(c.value(Kind::ResultsReported), 2);
     }
@@ -812,10 +807,21 @@ mod prefetch_tests {
     use super::tests::answers_notify;
     use super::*;
     use falkon_proto::task::TaskId;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The `GetWork`s this test's executor has sent.
+        static GET_WORK_SENT: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn step(e: &mut Executor, now: Micros, ev: ExecutorEvent) -> Vec<ExecutorAction> {
         let mut out = Vec::new();
         e.on_event(now, ev, &mut out);
+        let asks = out
+            .iter()
+            .filter(|a| matches!(a, ExecutorAction::Send(Message::GetWork { .. })))
+            .count();
+        GET_WORK_SENT.with(|n| n.set(n.get() + asks as u64));
         out
     }
 
@@ -999,9 +1005,9 @@ mod prefetch_tests {
         assert_eq!(e.stats().tasks_run, 2);
     }
 
-    /// The `GetWork`s the executor has sent.
-    fn requests(e: &Executor) -> u64 {
-        e.counters().count(ObsEventKind::WorkRequested)
+    /// The `GetWork`s the executor has sent (one executor per test thread).
+    fn requests() -> u64 {
+        GET_WORK_SENT.with(Cell::get)
     }
 
     fn finish(e: &mut Executor, now: Micros, id: u64) -> Vec<ExecutorAction> {
@@ -1032,17 +1038,17 @@ mod prefetch_tests {
         step(&mut e, 10, ExecutorEvent::Notified { key: NotifyKey(1) });
         let tasks = vec![TaskSpec::sleep(1, 0)];
         step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
-        assert_eq!(requests(&e), 2);
+        assert_eq!(requests(), 2);
         let tasks = vec![TaskSpec::sleep(2, 0)];
         step(&mut e, 25, ExecutorEvent::WorkReceived { tasks });
         finish(&mut e, 30, 1);
-        assert_eq!(requests(&e), 3, "the answer came while task 1 ran");
+        assert_eq!(requests(), 3, "the answer came while task 1 ran");
         finish(&mut e, 40, 2);
         let tasks = vec![TaskSpec::sleep(3, 0)];
         step(&mut e, 45, ExecutorEvent::WorkReceived { tasks });
         let piggybacked = vec![];
         step(&mut e, 50, ExecutorEvent::ResultAcked { piggybacked });
-        assert_eq!(requests(&e), 4, "the answer came after task 2 finished");
+        assert_eq!(requests(), 4, "the answer came after task 2 finished");
     }
 
     /// No pre-fetch goes out while a backlog waits, nor while one is
@@ -1054,12 +1060,12 @@ mod prefetch_tests {
         let tasks = vec![TaskSpec::sleep(1, 0), TaskSpec::sleep(2, 0)];
         let acts = step(&mut e, 20, ExecutorEvent::WorkReceived { tasks });
         assert!(matches!(&acts[..], [ExecutorAction::Run(_)]), "{acts:?}");
-        assert_eq!(requests(&e), 1);
+        assert_eq!(requests(), 1);
         finish(&mut e, 30, 1);
-        assert_eq!(requests(&e), 2, "the backlog ran dry");
+        assert_eq!(requests(), 2, "the backlog ran dry");
         let piggybacked = vec![TaskSpec::sleep(3, 0)];
         step(&mut e, 35, ExecutorEvent::ResultAcked { piggybacked });
         finish(&mut e, 40, 2);
-        assert_eq!(requests(&e), 2, "one pre-fetch in flight at a time");
+        assert_eq!(requests(), 2, "one pre-fetch in flight at a time");
     }
 }

@@ -117,8 +117,11 @@ const PER_QUEUED: usize = 32;
 /// bundle), the 128-byte spec in its `Work` while the message waits on the
 /// dispatcher's CPU, its result waiting for the client, two 56-byte timers.
 /// The dispatcher's tables and the wheel's slab grow by doubling and 20,000
-/// rows sit in 32,768 slots, so each of those counts 1.64 times.
-const PER_EXECUTOR: usize = 700;
+/// rows sit in 32,768 slots, so each of those counts 1.64 times. The run
+/// reads 628 B each; the bound is sized to catch 56 more heap bytes per
+/// executor (a third timer, or any field of that size boxed beside the
+/// machine), which reads 692.
+const PER_EXECUTOR: usize = 560;
 
 /// Bytes the forwarder may hold per task in flight: its 40-byte book entry
 /// (id, instance, slot, and a handle on its run's shape) in a table that

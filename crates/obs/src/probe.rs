@@ -61,8 +61,6 @@ pub enum ObsEvent {
     DataLocalityHit,
     /// An executor registered with the dispatcher.
     ExecutorRegistered,
-    /// An executor asked the dispatcher for work.
-    WorkRequested,
     /// An executor reported `count` finished tasks in one message.
     ResultsReported {
         /// Results carried by the message.
@@ -131,7 +129,6 @@ pub enum ObsEventKind {
     TaskPiggybacked,
     DataLocalityHit,
     ExecutorRegistered,
-    WorkRequested,
     ResultsReported,
     AllocationRequested,
     AllocationGranted,
@@ -149,7 +146,7 @@ pub enum ObsEventKind {
 }
 
 /// Every kind with its stable snake_case name, in declaration order.
-const TABLE: [(ObsEventKind, &str); 28] = [
+const TABLE: [(ObsEventKind, &str); 27] = [
     (ObsEventKind::TaskSubmitted, "task_submitted"),
     (ObsEventKind::TaskDispatched, "task_dispatched"),
     (ObsEventKind::TaskStarted, "task_started"),
@@ -163,7 +160,6 @@ const TABLE: [(ObsEventKind, &str); 28] = [
     (ObsEventKind::TaskPiggybacked, "task_piggybacked"),
     (ObsEventKind::DataLocalityHit, "data_locality_hit"),
     (ObsEventKind::ExecutorRegistered, "executor_registered"),
-    (ObsEventKind::WorkRequested, "work_requested"),
     (ObsEventKind::ResultsReported, "results_reported"),
     (ObsEventKind::AllocationRequested, "allocation_requested"),
     (ObsEventKind::AllocationGranted, "allocation_granted"),
@@ -216,7 +212,6 @@ impl ObsEvent {
             ObsEvent::TaskPiggybacked { .. } => ObsEventKind::TaskPiggybacked,
             ObsEvent::DataLocalityHit => ObsEventKind::DataLocalityHit,
             ObsEvent::ExecutorRegistered => ObsEventKind::ExecutorRegistered,
-            ObsEvent::WorkRequested => ObsEventKind::WorkRequested,
             ObsEvent::ResultsReported { .. } => ObsEventKind::ResultsReported,
             ObsEvent::AllocationRequested { .. } => ObsEventKind::AllocationRequested,
             ObsEvent::AllocationGranted { .. } => ObsEventKind::AllocationGranted,
@@ -257,7 +252,6 @@ impl ObsEvent {
             | ObsEvent::NotifySent
             | ObsEvent::DataLocalityHit
             | ObsEvent::ExecutorRegistered
-            | ObsEvent::WorkRequested
             | ObsEvent::AllocationReleased
             | ObsEvent::DispatcherLost
             | ObsEvent::DispatcherReadmitted => 1,

@@ -136,17 +136,17 @@ mod tag {
 
 fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
     s.put_u64(t.id.0);
-    s.put_string(&t.command);
+    s.put_bytes(t.command.wire_bytes());
     s.put_len(t.args.len());
     for a in &t.args {
-        s.put_string(a);
+        s.put_bytes(a.wire_bytes());
     }
     s.put_len(t.env.len());
     for (k, v) in &t.env {
-        s.put_string(k);
-        s.put_string(v);
+        s.put_bytes(k.wire_bytes());
+        s.put_bytes(v.wire_bytes());
     }
-    s.put_string(&t.working_dir);
+    s.put_bytes(t.working_dir.wire_bytes());
     s.put_opt_u64(&t.estimated_runtime_us);
     match &t.data {
         None => s.put_u8(0),
@@ -225,11 +225,10 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
     };
     let command = next(r)?;
     let args = match r.len(TASK)? {
-        0 => Args::new(),
         1 => Args::one(next(r)?),
         // One argument is every measured task: built directly, it decodes
         // in half the time the general `collect` takes. `collect` and not
-        // `push` for the rest: a push re-boxes the whole list.
+        // `push` for none or several: a push re-boxes the whole list.
         n => (0..n).map(|_| next(r)).collect::<Result<Args, _>>()?,
     };
     let nenv = r.len(TASK)?;
@@ -640,6 +639,58 @@ mod tests {
         EfficientCodec.encode_append(&msg, &mut buf);
         assert_eq!(&buf[..2], &[0xEE, 0xFF]);
         assert_eq!(&buf[2..], &EfficientCodec.encode(&msg)[..]);
+    }
+
+    /// `encode_into` replaces whatever the scratch buffer held with what
+    /// `encode` returns.
+    fn encodes_into_a_dirty_buffer_as_encode_does(codec: &dyn Codec) {
+        for msg in sample_messages() {
+            let mut scratch = vec![0xEE; 3];
+            codec.encode_into(&msg, &mut scratch);
+            assert_eq!(scratch, EfficientCodec.encode(&msg), "{}", msg.kind());
+        }
+    }
+
+    #[test]
+    fn the_efficient_encode_into_replaces_a_dirty_buffer() {
+        encodes_into_a_dirty_buffer_as_encode_does(&EfficientCodec);
+    }
+
+    #[test]
+    fn the_default_encode_into_replaces_a_dirty_buffer() {
+        encodes_into_a_dirty_buffer_as_encode_does(&AxisCodec);
+    }
+
+    /// `encode_append` keeps what the buffer held and appends `encode`'s
+    /// bytes behind it, for the default as for the override.
+    #[test]
+    fn the_default_encode_append_appends_behind_a_prefix() {
+        for msg in sample_messages() {
+            let mut buf = vec![0xEE, 0xFF];
+            AxisCodec.encode_append(&msg, &mut buf);
+            assert_eq!(&buf[..2], &[0xEE, 0xFF]);
+            assert_eq!(
+                &buf[2..],
+                &EfficientCodec.encode(&msg)[..],
+                "{}",
+                msg.kind()
+            );
+        }
+    }
+
+    /// Every argument count decodes: none, the one-argument fast path, and
+    /// the general path.
+    #[test]
+    fn tasks_of_every_argument_count_round_trip() {
+        for n in 0..4 {
+            let mut task = TaskSpec::sleep(1, 0);
+            task.args = (0..n).map(|i| format!("arg-{i}")).collect();
+            let msg = Message::Work { tasks: vec![task] };
+            assert_eq!(
+                EfficientCodec.decode(&EfficientCodec.encode(&msg)).unwrap(),
+                msg
+            );
+        }
     }
 
     #[test]

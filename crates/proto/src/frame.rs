@@ -91,11 +91,8 @@ impl FrameCursor {
     /// Create a cursor backed by a recycled buffer (its contents are
     /// ignored, its capacity is reused). Pairs with [`FrameCursor::into_buf`]
     /// so connection churn does not re-allocate read buffers.
-    pub fn with_buf(mut buf: Vec<u8>) -> Self {
-        // Storage must stay fully initialized: `resize` (not `clear`) keeps
-        // every byte of the capacity we intend to hand out as `space`.
-        let cap = buf.capacity();
-        buf.resize(cap, 0);
+    pub fn with_buf(buf: Vec<u8>) -> Self {
+        // `space` zero-fills up to the capacity before it hands any out.
         FrameCursor {
             buf,
             start: 0,
@@ -349,6 +346,108 @@ mod tests {
         read.space(4)[..4].copy_from_slice(&header);
         read.commit(4);
         assert!(read.next_frame().is_err());
+    }
+
+    /// A payload of exactly `MAX_FRAME_LEN` is one `write_frame` writes.
+    #[test]
+    fn write_frame_takes_a_payload_of_exactly_max_frame_len() {
+        // A zeroed allocation: its pages are touched only by the copy.
+        let mut out = Vec::new();
+        write_frame(&mut out, &vec![0u8; MAX_FRAME_LEN]);
+        assert_eq!(out.len(), 4 + MAX_FRAME_LEN);
+        assert_eq!(out[..4], (MAX_FRAME_LEN as u32).to_le_bytes());
+    }
+
+    /// A payload of exactly `MAX_FRAME_LEN` is one `end_frame` closes.
+    #[test]
+    fn end_frame_takes_a_payload_of_exactly_max_frame_len() {
+        // Zeroed and never touched: no 64 MiB is written.
+        let mut out = vec![0u8; 4 + MAX_FRAME_LEN];
+        end_frame(&mut out, 0);
+        assert_eq!(out[..4], (MAX_FRAME_LEN as u32).to_le_bytes());
+    }
+
+    /// A header that declares exactly `MAX_FRAME_LEN` is one the cursor
+    /// waits on, not one it refuses.
+    #[test]
+    fn the_cursor_awaits_a_frame_of_exactly_max_frame_len() {
+        let mut cur = FrameCursor::new();
+        cur.feed(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        assert!(cur.next_frame().unwrap().is_none(), "waits for the payload");
+    }
+
+    #[test]
+    #[should_panic(expected = "frame too large")]
+    fn end_frame_refuses_a_payload_past_max_frame_len() {
+        // Zeroed and never touched: no 64 MiB is written.
+        let mut out = vec![0u8; 4 + MAX_FRAME_LEN + 1];
+        end_frame(&mut out, 0);
+    }
+
+    /// A stream whose reads never end on a frame boundary leaves part of a
+    /// frame buffered after every read, so the buffer is never empty; the
+    /// consumed prefix is still reclaimed, and the buffer is at most twice
+    /// what one read needs beside a frame, however long the stream.
+    #[test]
+    fn compaction_reclaims_the_prefix_behind_a_partial_frame() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &[1u8; 1000]);
+        let stream = frame.repeat(1000);
+        let mut cur = FrameCursor::new();
+        let mut frames = 0;
+        for chunk in stream.chunks(frame.len() + 1) {
+            cur.feed(chunk);
+            while let Some(f) = cur.next_frame().unwrap() {
+                assert_eq!(f, &[1u8; 1000][..]);
+                frames += 1;
+            }
+        }
+        assert_eq!((frames, cur.buffered()), (1000, 0));
+        let len = cur.into_buf().len();
+        assert!(len <= 2 * (frame.len() + MIN_READ_SPACE), "{len} B");
+    }
+
+    /// A fresh cursor hands a read at least `MIN_READ_SPACE`, however
+    /// little is asked for.
+    #[test]
+    fn space_is_at_least_min_read_space() {
+        assert!(FrameCursor::new().space(1).len() >= MIN_READ_SPACE);
+    }
+
+    /// `space` hands out at least `MIN_READ_SPACE` behind whatever is
+    /// buffered, growing the buffer to do so.
+    #[test]
+    fn space_is_min_read_space_behind_the_buffered_bytes() {
+        let mut cur = FrameCursor::new();
+        cur.space(1);
+        cur.commit(40_000);
+        assert!(cur.space(1).len() >= MIN_READ_SPACE, "behind 40,000 B");
+        assert_eq!(cur.buffered(), 40_000);
+    }
+
+    /// The buffer grows by amortized doubling of what a read needs, no
+    /// more.
+    #[test]
+    fn space_grows_the_buffer_by_doubling_no_more() {
+        let mut cur = FrameCursor::new();
+        cur.space(1);
+        cur.commit(40_000);
+        cur.space(1);
+        assert!(cur.into_buf().len() <= 2 * (40_000 + MIN_READ_SPACE));
+    }
+
+    /// The buffer a cursor is given back is the one it hands out again.
+    #[test]
+    fn a_recycled_buffer_is_the_same_allocation() {
+        let mut cur = FrameCursor::new();
+        cur.space(1);
+        let buf = cur.into_buf();
+        let at = buf.as_ptr();
+        let mut cur = FrameCursor::with_buf(buf);
+        cur.feed(b"\x01\0\0\0x");
+        assert_eq!(cur.next_frame().unwrap().unwrap(), b"x");
+        let buf = cur.into_buf();
+        assert_eq!(buf.as_ptr(), at);
     }
 
     #[test]

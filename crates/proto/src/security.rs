@@ -352,6 +352,34 @@ mod tests {
         assert!(SecureChannel::new(1, 1).into_halves().is_err());
     }
 
+    /// The first `n` frames of a fixed session, each a word and a tail,
+    /// sealed and in hex.
+    fn known_frames(n: usize) -> Vec<String> {
+        let ((mut seal, _), _) = split_pair(0x5EC);
+        let hex = |b: Vec<u8>| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        (0..n)
+            .map(|_| hex(sealed(&mut seal, b"falkon frame")))
+            .collect()
+    }
+
+    /// The first frame of a session, sealed, is a function of the session
+    /// key alone: a change to the keystream or the tag changes it.
+    #[test]
+    fn a_session_s_first_sealed_frame_is_a_known_answer() {
+        assert_eq!(
+            known_frames(1),
+            ["7f4260515c26926a913088e21f771338cf895eb8"]
+        );
+    }
+
+    /// The second frame's keystream and tag also fold in the frame counter:
+    /// a change to how the counter is mixed in changes it.
+    #[test]
+    fn a_session_s_second_sealed_frame_is_a_known_answer() {
+        let second = &known_frames(2)[1];
+        assert_eq!(second, "bba7bfac7b38965bda75d284548770335bf152f2");
+    }
+
     #[test]
     fn distinct_frames_use_distinct_keystreams() {
         let ((mut seal, _), _) = split_pair(42);

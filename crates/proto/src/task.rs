@@ -118,6 +118,21 @@ impl IStr {
         }
     }
 
+    /// The string's bytes, for the encoder: bounds-checked, but not
+    /// re-checked for char boundaries as `as_str` is (`span` checked both).
+    #[inline]
+    pub(crate) fn wire_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Static(s) => s.as_bytes(),
+            Repr::Shared(buf, at, len) => {
+                let at = *at as usize;
+                buf.as_bytes()
+                    .get(at..at + *len as usize)
+                    .unwrap_or_default()
+            }
+        }
+    }
+
     /// Whether this string is backed by the static intern tables (clone and
     /// drop are free).
     pub fn is_interned(&self) -> bool {
@@ -151,12 +166,6 @@ impl Deref for IStr {
     }
 }
 
-impl AsRef<str> for IStr {
-    fn as_ref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl Default for IStr {
     fn default() -> IStr {
         IStr(Repr::Static(&""))
@@ -173,12 +182,6 @@ impl PartialEq for IStr {
 }
 
 impl Eq for IStr {}
-
-impl std::hash::Hash for IStr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state)
-    }
-}
 
 impl fmt::Debug for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -665,6 +668,81 @@ mod tests {
         assert_eq!((err.stdout(), err.stderr()), (None, Some("boom")));
         // Capturing nothing is the same value as never having asked.
         assert_eq!(err.with_output(None, None), plain);
+    }
+
+    /// Each canonical decimal in `range` maps to the table entry that
+    /// spells it, from the wire as from the constructors.
+    fn decimals_intern_as_themselves(range: std::ops::Range<u64>) {
+        for n in range {
+            let s = n.to_string();
+            let i = interned(s.as_bytes()).unwrap_or_else(|| panic!("{s} not interned"));
+            assert_eq!(&*i, s);
+            assert!(i.ptr_eq(&TaskSpec::sleep(1, n).args[0]), "{s}");
+        }
+    }
+
+    #[test]
+    fn single_digits_intern_as_themselves() {
+        decimals_intern_as_themselves(0..10);
+    }
+
+    #[test]
+    fn two_digit_decimals_intern_as_themselves() {
+        decimals_intern_as_themselves(10..100);
+    }
+
+    #[test]
+    fn three_digit_decimals_intern_as_themselves() {
+        decimals_intern_as_themselves(100..1000);
+    }
+
+    /// `ptr_eq` is identity: clones of one string are identical; equal
+    /// contents in two places, and different strings of one length, are not.
+    #[test]
+    fn ptr_eq_is_identity() {
+        let a = IStr::from("custom-binary");
+        assert!(a.ptr_eq(&a.clone()));
+        assert!(!a.ptr_eq(&IStr::from("custom-binary")));
+        assert!(!a.ptr_eq(&IStr::from("custom-binarz")));
+    }
+
+    /// Two spans of one buffer that start together are not identical
+    /// unless they also end together.
+    #[test]
+    fn spans_that_start_together_are_identical_only_if_they_end_together() {
+        let buf = Arc::new(String::from("abcdef"));
+        let span = |end| IStr::span(&buf, 0, end).expect("in bounds");
+        assert!(span(2).ptr_eq(&span(2)));
+        assert!(!span(2).ptr_eq(&span(3)));
+    }
+
+    /// Equality is by contents, whatever holds them.
+    #[test]
+    fn istrs_are_equal_by_contents() {
+        let a = IStr::from("custom-binary");
+        assert_eq!(a, IStr::from("custom-binary"));
+        assert_ne!(a, IStr::from("custom-binarz"));
+        assert_ne!(IStr::from("sleep"), IStr::from("/tmp"));
+        let buf = Arc::new(String::from("custom-binary!"));
+        assert_eq!(IStr::span(&buf, 0, 13), Some(a));
+    }
+
+    /// A heap string counts the `IStr`s that hold it; an interned one is
+    /// not counted.
+    #[test]
+    fn strong_count_counts_the_holders_of_a_heap_string() {
+        let a = IStr::from("custom-binary");
+        assert_eq!(a.strong_count(), Some(1));
+        let b = a.clone();
+        assert_eq!((a.strong_count(), b.strong_count()), (Some(2), Some(2)));
+        assert_eq!(IStr::from("sleep").strong_count(), None);
+    }
+
+    /// Standard output captured alone is kept, as standard error alone is.
+    #[test]
+    fn captured_stdout_alone_is_kept() {
+        let out = TaskResult::success(TaskId(1)).with_output(Some("hi".into()), None);
+        assert_eq!((out.stdout(), out.stderr()), (Some("hi"), None));
     }
 
     #[test]

@@ -156,9 +156,7 @@ pub(crate) trait Sink {
 
 /// The standard amortized-growth sink: a plain `Vec<u8>` appends in place,
 /// so a driver-owned scratch buffer can be reused across encodes without
-/// reallocating. `put` inlines, so a scalar put is one fixed-width append,
-/// and `put_bytes` reserves header + payload in one step so every
-/// length-prefixed field costs one growth check, not two.
+/// reallocating. `put` inlines, so a scalar put is one fixed-width append.
 impl Sink for Vec<u8> {
     #[inline]
     fn put(&mut self, data: &[u8]) {
@@ -168,15 +166,6 @@ impl Sink for Vec<u8> {
     #[inline]
     fn put_u8(&mut self, v: u8) {
         self.push(v);
-    }
-
-    #[inline]
-    fn put_bytes(&mut self, b: &[u8]) {
-        self.reserve(4 + b.len());
-        // `put_len` keeps the MAX_LEN check in one place; its u32 append
-        // and the payload append below both land in the reserved space.
-        self.put_len(b.len());
-        self.extend_from_slice(b);
     }
 }
 
@@ -272,6 +261,38 @@ mod tests {
             r.len("arr"),
             Err(CodecError::LengthOverflow { .. })
         ));
+    }
+
+    /// A length of exactly `MAX_LEN` is a claim the reader accepts: it
+    /// then wants the bytes.
+    #[test]
+    fn a_length_of_max_len_is_read() {
+        let mut s = Vec::new();
+        s.put_u32(MAX_LEN as u32);
+        assert_eq!(Reader::new(&s).len("arr").unwrap(), MAX_LEN as usize);
+        assert!(matches!(
+            Reader::new(&s).bytes("arr"),
+            Err(CodecError::Truncated { .. })
+        ));
+    }
+
+    /// One more than `MAX_LEN` is refused before any byte is looked for.
+    #[test]
+    fn a_length_past_max_len_is_refused() {
+        let mut s = Vec::new();
+        s.put_u32(MAX_LEN as u32 + 1);
+        assert!(matches!(
+            Reader::new(&s).bytes("arr"),
+            Err(CodecError::LengthOverflow { .. })
+        ));
+    }
+
+    /// The writer refuses a length the reader would refuse, rather than
+    /// send a stream its peer must drop.
+    #[test]
+    #[should_panic(expected = "exceeds protocol maximum")]
+    fn put_len_refuses_a_length_past_max_len() {
+        Vec::new().put_len(MAX_LEN as usize + 1);
     }
 
     #[test]

@@ -32,8 +32,11 @@
 //!
 //! There is exactly one outbound path, and it encodes no further ahead
 //! than the socket. [`Conn::enqueue`] encodes (and seals) a frame into the
-//! batch while that holds under `FLUSH_HIGH_WATER` bytes and no message
-//! waits; otherwise the message joins, unencoded, a FIFO behind the batch.
+//! batch while that holds under `FLUSH_HIGH_WATER` bytes; otherwise the
+//! message joins, unencoded, a FIFO behind the batch. A message waits only
+//! behind a batch at the cap, which leaves the socket before the FIFO is
+//! encoded, so the FIFO is never passed and is empty whenever nothing is
+//! pending.
 //! [`Conn::flush`], the only writer, writes as much of the batch as the
 //! socket takes in one call (the paper's §3.1 bundling, at the syscall
 //! layer) and encodes from the FIFO as the batch empties. The tap is
@@ -53,7 +56,7 @@ use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NONCE: AtomicU64 = AtomicU64::new(0x9E37_79B9);
@@ -186,13 +189,13 @@ impl Conn {
 
     /// Queue one message: encoded straight into the batch — sealed there
     /// in place on a secure connection, no per-message allocation or copy —
-    /// below `FLUSH_HIGH_WATER` with no message waiting, else it waits
-    /// unencoded for [`Conn::flush`]. Nothing is written here.
+    /// below `FLUSH_HIGH_WATER`, else it waits unencoded for
+    /// [`Conn::flush`]. Nothing is written here.
     pub fn enqueue(&mut self, msg: Message) -> io::Result<()> {
         if !matches!(self.phase, Phase::Ready) {
             return Err(ErrorKind::NotConnected.into());
         }
-        if self.deferred.is_empty() && self.batchbuf.len() < FLUSH_HIGH_WATER {
+        if self.batchbuf.len() < FLUSH_HIGH_WATER {
             self.encode(&msg);
         } else {
             self.deferred.push_back(msg);
@@ -253,9 +256,9 @@ impl Conn {
     /// byte count (0 = EOF); `WouldBlock` surfaces as an error.
     pub fn fill(&mut self) -> io::Result<usize> {
         if self.cursor.buffered() == 0 {
-            // Nothing to keep: read into the thread's buffer (after giving
-            // back one this connection may still hold behind a last frame).
-            self.release_read_buf();
+            // Nothing to keep: read into the thread's buffer. Every caller
+            // has already seen `poll_inbound` come up empty, which gave back
+            // any buffer this connection held behind a last frame.
             self.cursor = FrameCursor::with_buf(READ_BUF.take());
         }
         let read = self.stream.read(self.cursor.space(1));
@@ -347,13 +350,13 @@ impl Conn {
     }
 
     /// `poll(2)` interest: readable unless draining, writable only while
-    /// bytes are pending or messages wait.
+    /// bytes are pending (messages wait only behind pending bytes).
     pub(crate) fn interest(&self) -> i16 {
         let mut events = 0;
         if !self.is_draining() {
             events |= crate::poll::POLLIN;
         }
-        if self.pending() > 0 || !self.deferred.is_empty() {
+        if self.pending() > 0 {
             events |= crate::poll::POLLOUT;
         }
         events
@@ -366,7 +369,7 @@ impl Conn {
     /// ours, breaking the exact wire balance the soak tests pin. The
     /// messages themselves go nowhere — the owner is done with this
     /// connection. The socket is nonblocking, so an open peer ends the
-    /// drain at `WouldBlock`.
+    /// drain at `WouldBlock`; it closes as the connection drops here.
     pub fn finish(mut self, cause: Option<io::Error>) -> Closed {
         let opened = matches!(self.phase, Phase::Ready | Phase::Draining);
         let local = self.is_draining();
@@ -380,7 +383,6 @@ impl Conn {
                 break;
             }
         }
-        self.stream.shutdown(Shutdown::Both).ok();
         Closed {
             opened,
             local,
@@ -393,9 +395,10 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::{POLLIN, POLLOUT};
     use falkon_obs::ObsEventKind::{BundleDecoded, BundleEncoded, SendDeferred};
     use falkon_obs::ObsEventKind::{SocketRead, SocketWrite};
-    use falkon_proto::message::InstanceId;
+    use falkon_proto::message::{ExecutorId, InstanceId};
     use falkon_proto::task::{IStr, TaskSpec};
     use std::net::TcpListener;
 
@@ -549,5 +552,167 @@ mod tests {
             while take(&mut b, &mut Vec::new()) {}
             assert_eq!(b.finish(None).wire.value(SocketRead), wa.value(SocketWrite));
         }
+    }
+
+    /// Every connection sends its small frames at once: Nagle is off.
+    #[test]
+    fn a_new_connection_disables_nagle() {
+        for security in [None, Some(0xFA1C0)] {
+            let (a, b) = pair(security);
+            assert!(a.stream.nodelay().expect("nodelay") && b.stream.nodelay().expect("nodelay"));
+        }
+    }
+
+    /// A connection that has not met its peer's hello, and the clock's
+    /// reading just before it was made.
+    fn handshaking() -> (Conn, u64) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dialed = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let clock = Clock::start();
+        let before = clock.now_us();
+        (
+            Conn::new(dialed, Some(0xFA1C0), clock).expect("conn"),
+            before,
+        )
+    }
+
+    /// A secure connection waits `PEER_PATIENCE_US` for the peer's hello.
+    #[test]
+    fn the_hello_is_awaited_with_patience() {
+        let (conn, before) = handshaking();
+        let due = conn.deadline_us().expect("a hello deadline");
+        let waited = due - PEER_PATIENCE_US;
+        assert!((before..=conn.clock.now_us()).contains(&waited));
+    }
+
+    /// The verified hello ends the wait: an established connection has no
+    /// deadline of its own.
+    #[test]
+    fn a_verified_hello_ends_the_wait() {
+        let (a, b) = pair(Some(0xFA1C0));
+        assert_eq!((a.deadline_us(), b.deadline_us()), (None, None));
+    }
+
+    fn refuses_messages(conn: &mut Conn) -> bool {
+        let refused = conn.enqueue(Message::StatusPoll).expect_err("enqueued");
+        refused.kind() == ErrorKind::NotConnected
+    }
+
+    /// A connection waiting for the peer's hello takes no message.
+    #[test]
+    fn a_handshaking_connection_takes_no_message() {
+        assert!(refuses_messages(&mut handshaking().0));
+    }
+
+    /// A draining connection takes no more messages.
+    #[test]
+    fn a_draining_connection_takes_no_message() {
+        let (mut a, _b) = pair(None);
+        a.enqueue(Message::StatusPoll).expect("established");
+        a.begin_drain();
+        assert!(refuses_messages(&mut a));
+    }
+
+    /// Draining is bounded: the final flush gets `PEER_PATIENCE_US`.
+    #[test]
+    fn a_drain_is_given_patience() {
+        let (mut a, _b) = pair(None);
+        let before = a.clock.now_us();
+        a.begin_drain();
+        let due = a.deadline_us().expect("a drain deadline");
+        assert!((before..=a.clock.now_us()).contains(&(due - PEER_PATIENCE_US)));
+    }
+
+    /// An idle connection asks only to read: no busy poll on a writable
+    /// socket.
+    #[test]
+    fn an_idle_connection_asks_only_to_read() {
+        let (mut a, _b) = pair(None);
+        assert_eq!(a.interest(), POLLIN);
+        a.enqueue(Message::StatusPoll).expect("enqueue");
+        assert!(a.flush().expect("flush"));
+        assert_eq!(a.interest(), POLLIN, "flushed");
+    }
+
+    /// Encoded bytes not yet written ask to write as well.
+    #[test]
+    fn pending_bytes_ask_to_write() {
+        let (mut a, _b) = pair(None);
+        a.enqueue(Message::StatusPoll).expect("enqueue");
+        assert_eq!(a.interest(), POLLIN | POLLOUT);
+    }
+
+    /// A draining connection reads no more: it asks only to write, and for
+    /// nothing once its batch has left.
+    #[test]
+    fn a_draining_connection_asks_only_to_write() {
+        let (mut a, _b) = pair(None);
+        a.enqueue(Message::StatusPoll).expect("enqueue");
+        a.begin_drain();
+        assert_eq!(a.interest(), POLLOUT);
+        assert!(a.flush().expect("flush"));
+        assert_eq!(a.interest(), 0);
+    }
+
+    /// A peer that is gone fails a flush, rather than leaving the batch
+    /// waiting for a socket that will never take it.
+    #[test]
+    fn a_flush_to_a_reset_peer_fails() {
+        use crate::poll::{poll_wait, PollFd};
+        let readable = |conn: &Conn| {
+            let mut fds = [PollFd {
+                fd: conn.raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            }];
+            poll_wait(&mut fds, 10_000).expect("poll") == 1
+        };
+        let (mut a, b) = pair(None);
+        a.enqueue(Message::StatusPoll).expect("enqueue");
+        assert!(a.flush().expect("flush"));
+        // Closed with our frame unread, the peer resets the connection,
+        // and the reset makes our end readable.
+        assert!(readable(&b), "the frame arrived");
+        drop(b);
+        assert!(readable(&a), "the reset arrived");
+        a.enqueue(Message::StatusPoll).expect("enqueue");
+        assert!(a.flush().is_err());
+    }
+
+    /// A message never passes one that waits, even with the batch at exactly
+    /// `FLUSH_HIGH_WATER`, where a refill of same-sized frames stops: the
+    /// batch takes a message only below the cap.
+    #[test]
+    fn a_message_never_passes_the_fifo_at_exactly_the_cap() {
+        // 1,024-byte frames: 256 of them fill the batch to the cap.
+        let register = |i| Message::Register {
+            executor: ExecutorId(i),
+            host: "h".repeat(1007),
+        };
+        let (mut a, mut b) = pair(None);
+        let sent: Vec<Message> = (0..258).map(register).collect();
+        for msg in &sent[..256] {
+            a.enqueue(msg.clone()).expect("enqueue");
+        }
+        assert_eq!(a.pending(), FLUSH_HIGH_WATER);
+        // The state a refill leaves: the batch at the cap, a message waiting.
+        a.deferred.push_back(sent[256].clone());
+        a.enqueue(sent[257].clone()).expect("enqueue");
+        let mut got = Vec::new();
+        while got.len() < sent.len() {
+            a.flush().expect("flush");
+            assert!(take(&mut b, &mut got), "early EOF");
+        }
+        assert!(got == sent, "lost, duplicated or reordered");
+    }
+
+    /// A read that finds nothing leaves the connection holding no buffer:
+    /// the thread's is handed back at once.
+    #[test]
+    fn a_read_that_would_block_keeps_no_buffer() {
+        let (_a, mut b) = pair(None);
+        let err = b.fill().expect_err("nothing was sent");
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+        assert_eq!(std::mem::take(&mut b.cursor).into_buf().capacity(), 0);
     }
 }

@@ -24,9 +24,10 @@
 //! Two more count the whole deployment — dispatcher server, sixteen
 //! multiplexed executors and a client, every thread of the process. One
 //! holds a sleep-0 task to the four allocations its messages need, the
-//! other a fat secure task to one allocation for each decode's strings. A
-//! last pins what a non-interned [`falkon_proto::IStr`] costs, and that an
-//! interned one costs nothing.
+//! other a fat secure task to one allocation for each decode's strings.
+//! Others pin what a non-interned [`falkon_proto::IStr`] costs, that an
+//! interned one costs nothing, and what a hostile length prefix can make
+//! the decoder reserve.
 //!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter
 //! and the live-byte tally are `Relaxed`; the tests take turns (`SERIAL`)
@@ -71,14 +72,17 @@ static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
 
 thread_local! {
-    /// Allocations made by this thread. `const`-initialised with no
-    /// destructor, so bumping it from the allocator never allocates.
+    /// Allocations made by this thread, and the bytes they asked for.
+    /// `const`-initialised with no destructor, so bumping them from the
+    /// allocator never allocates.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_thread_alloc() {
+fn count_thread_alloc(bytes: usize) {
     // A thread past its TLS teardown is not one a test measures.
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: delegates every operation unchanged to `System`, which upholds
@@ -88,7 +92,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // Relaxed: monotonic tally read on the same thread that bumps it
         // during the measured region; no data is published over this edge.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        count_thread_alloc();
+        count_thread_alloc(layout.size());
         // Relaxed: as above.
         LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `layout` is the caller's layout.
@@ -106,7 +110,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // Relaxed: as above, all three.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        count_thread_alloc();
+        count_thread_alloc(new_size);
         LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim per the caller's contract.
@@ -124,6 +128,11 @@ fn allocs() -> u64 {
 /// Allocations made by the calling thread.
 fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread's allocations asked for.
+fn thread_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
 }
 
 fn live_bytes() -> u64 {
@@ -327,14 +336,15 @@ fn deployment_allocs_per_task(
 /// Everything else per task — the submit bundle, `records`, the instance's
 /// ready list, the client's bookkeeping — is amortized growth. The executor
 /// pump's two scratch vectors used to be re-grown for every message, which
-/// made it seven.
+/// made it seven. It reads 4.05; the bound is sized to catch one more
+/// allocation per four tasks anywhere on the path, which reads 4.30.
 #[test]
 fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let per_task = deployment_allocs_per_task(|i| TaskSpec::sleep(i, 0), None, 5_000, 20_000);
     eprintln!("allocations per task, whole process: {per_task:.2}");
     assert!(
-        per_task <= 4.5,
+        per_task <= 4.25,
         "a sleep-0 task allocated {per_task:.2} times end to end; \
          something per message has crept in beside the four message `Vec`s"
     );
@@ -347,7 +357,9 @@ fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
 /// the buffer, its `Arc`, the `env` `Vec` — where a string apiece cost 17.
 /// Beside the four of a sleep-0 task, two are its shape's: the wait queue's
 /// `Arc` around its run, and the `env` `Vec` of the copy that is
-/// dispatched. ≈40 when each string was an allocation of its own.
+/// dispatched. ≈40 when each string was an allocation of its own. It reads
+/// 12.09; the bound is sized, like the sleep-0 one, to catch one more
+/// allocation per four tasks, which reads 12.34.
 #[test]
 fn a_fat_secure_task_allocates_each_decoded_strings_once() {
     const POOL: usize = 64;
@@ -385,7 +397,7 @@ fn a_fat_secure_task_allocates_each_decoded_strings_once() {
     let per_task = deployment_allocs_per_task(fat, Some(0x5EC), 1_000, 4_000);
     eprintln!("allocations per fat secure task, whole process: {per_task:.2}");
     assert!(
-        per_task <= 13.0,
+        per_task <= 12.25,
         "a fat secure task allocated {per_task:.2} times end to end; \
          its decoded strings are allocating one by one again"
     );
@@ -468,4 +480,59 @@ fn a_one_millisecond_task_allocates_no_string_at_either_end() {
     };
     assert_eq!(got, tasks);
     assert!(got.iter().all(|t| t.args[0].ptr_eq(&warm.args[0])));
+}
+
+/// Asks the decoder to decode `wire` and returns the bytes the attempt
+/// reserved, having checked that it failed.
+fn bytes_reserved_by_a_failed_decode(wire: &[u8]) -> u64 {
+    let before = thread_bytes();
+    assert!(EfficientCodec.decode(wire).is_err(), "decoded");
+    thread_bytes() - before
+}
+
+/// A length prefix is a claim, not a size: the most a length may say.
+const CLAIM: u32 = 64 << 20;
+
+/// What a hostile claim may make a decode reserve.
+const RESERVE_BOUND: u64 = 1 << 20;
+
+/// A 13-byte `Submit` that declares 64 Mi tasks fails to decode having
+/// asked for under 1 MiB: the decoder reserves at most 4,096 tasks
+/// (512 KiB) ahead of the bytes that carry them. Uncapped, it is 8 GiB.
+#[test]
+fn a_hostile_task_count_reserves_bounded_memory() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Tag 3 (`Submit`), the instance, and the task count.
+    let mut submit = vec![3];
+    submit.extend_from_slice(&1u64.to_le_bytes());
+    submit.extend_from_slice(&CLAIM.to_le_bytes());
+    assert_eq!(submit.len(), 13);
+    let asked = bytes_reserved_by_a_failed_decode(&submit);
+    assert!(
+        asked < RESERVE_BOUND,
+        "a claim of {CLAIM} tasks reserved {asked} B"
+    );
+}
+
+/// A task that declares 64 Mi environment pairs fails to decode having
+/// asked for under 1 MiB: the decoder reserves at most 1,024 pairs
+/// (32 KiB) ahead of the bytes that carry them. Uncapped, it is 2 GiB.
+#[test]
+fn a_hostile_environment_count_reserves_bounded_memory() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A one-task `Work` cut after its environment count, which is followed
+    // by the working directory (4 + 4 B), the runtime (1 + 8) and the data
+    // tag (1).
+    let mut work = EfficientCodec.encode(&Message::Work {
+        tasks: vec![TaskSpec::sleep(1, 0)],
+    });
+    let at = work.len() - 18 - 4;
+    assert_eq!(work[at..at + 4], [0; 4], "no environment");
+    work.truncate(at);
+    work.extend_from_slice(&CLAIM.to_le_bytes());
+    let asked = bytes_reserved_by_a_failed_decode(&work);
+    assert!(
+        asked < RESERVE_BOUND,
+        "a claim of {CLAIM} pairs reserved {asked} B"
+    );
 }
