@@ -101,19 +101,25 @@ impl Client {
 
     /// Queue tasks for submission. If the instance already exists, returns
     /// the submit actions immediately; otherwise tasks are staged until
-    /// [`ClientEvent::InstanceCreated`] arrives. The client keeps no
-    /// timestamps, so `_now` is unused.
+    /// [`ClientEvent::InstanceCreated`] arrives, moved in whole if nothing
+    /// is staged yet. The client keeps no timestamps, so `_now` is unused.
     pub fn enqueue(&mut self, _now: Micros, tasks: Vec<TaskSpec>, out: &mut Vec<ClientAction>) {
         self.outstanding += tasks.len() as u64;
         match self.instance {
             Some(instance) => self.submit(instance, tasks, out),
+            None if self.staged.is_empty() => self.staged = tasks,
             None => self.staged.extend(tasks),
         }
     }
 
+    /// One `Submit` per bundle; tasks that fit one bundle are sent as they
+    /// came, with no list of bundles made around them.
     fn submit(&self, instance: InstanceId, tasks: Vec<TaskSpec>, out: &mut Vec<ClientAction>) {
-        for tasks in bundles(tasks, self.bundle.max_bundle) {
-            out.push(ClientAction::Send(Message::Submit { instance, tasks }));
+        let send = |tasks| ClientAction::Send(Message::Submit { instance, tasks });
+        match tasks.len() {
+            0 => {}
+            n if n <= self.bundle.max_bundle => out.push(send(tasks)),
+            _ => out.extend(bundles(tasks, self.bundle.max_bundle).into_iter().map(send)),
         }
     }
 

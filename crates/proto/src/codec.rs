@@ -168,6 +168,16 @@ fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
 
 const TASK: &str = "TaskSpec";
 
+/// The fewest bytes an encoded task takes: its id, four empty lengths
+/// (command, arguments, environment, working directory) and two absent
+/// options. A count is a claim; the bytes left in the frame, divided by
+/// this, are what a decode reserves for it at most.
+const MIN_TASK_WIRE: usize = 26;
+/// The fewest bytes of a result: id, exit code, two absent outputs, time.
+const MIN_RESULT_WIRE: usize = 22;
+/// The fewest bytes of an environment pair: two empty lengths.
+const MIN_PAIR_WIRE: usize = 8;
+
 /// Hand `visit` each string field of a task that the intern tables do not
 /// hold, in wire order: command, arguments, environment, working directory.
 /// Reads a copy of the caller's cursor, positioned after the task id.
@@ -232,7 +242,7 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
         n => (0..n).map(|_| next(r)).collect::<Result<Args, _>>()?,
     };
     let nenv = r.len(TASK)?;
-    let mut env = Vec::with_capacity(nenv.min(1024));
+    let mut env = Vec::with_capacity(nenv.min(r.remaining() / MIN_PAIR_WIRE));
     for _ in 0..nenv {
         env.push((next(r)?, next(r)?));
     }
@@ -301,13 +311,16 @@ fn encode_vec<S: Sink, T>(s: &mut S, items: &[T], item: impl Fn(&mut S, &T)) {
     }
 }
 
+/// A length-prefixed array of elements at least `min_wire` bytes each:
+/// room is reserved only for as many as the frame's bytes can hold.
 fn decode_vec<'a, T>(
     r: &mut Reader<'a>,
     context: &'static str,
+    min_wire: usize,
     item: impl Fn(&mut Reader<'a>) -> Result<T, CodecError>,
 ) -> Result<Vec<T>, CodecError> {
     let n = r.len(context)?;
-    let mut v = Vec::with_capacity(n.min(4096));
+    let mut v = Vec::with_capacity(n.min(r.remaining() / min_wire));
     for _ in 0..n {
         v.push(item(r)?);
     }
@@ -409,7 +422,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
         },
         tag::SUBMIT => Message::Submit {
             instance: InstanceId(r.u64(C)?),
-            tasks: decode_vec(r, "tasks", decode_task)?,
+            tasks: decode_vec(r, "tasks", MIN_TASK_WIRE, decode_task)?,
         },
         tag::SUBMIT_ACK => Message::SubmitAck {
             instance: InstanceId(r.u64(C)?),
@@ -423,14 +436,14 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             key: NotifyKey(r.u64(C)?),
         },
         tag::WORK => Message::Work {
-            tasks: decode_vec(r, "tasks", decode_task)?,
+            tasks: decode_vec(r, "tasks", MIN_TASK_WIRE, decode_task)?,
         },
         tag::RESULT => Message::Result {
             executor: ExecutorId(r.u64(C)?),
-            results: decode_vec(r, "results", decode_result)?,
+            results: decode_vec(r, "results", MIN_RESULT_WIRE, decode_result)?,
         },
         tag::RESULT_ACK => Message::ResultAck {
-            piggybacked: decode_vec(r, "tasks", decode_task)?,
+            piggybacked: decode_vec(r, "tasks", MIN_TASK_WIRE, decode_task)?,
         },
         tag::CLIENT_NOTIFY => Message::ClientNotify {
             instance: InstanceId(r.u64(C)?),
@@ -440,7 +453,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             instance: InstanceId(r.u64(C)?),
         },
         tag::RESULTS => Message::Results {
-            results: decode_vec(r, "results", decode_result)?,
+            results: decode_vec(r, "results", MIN_RESULT_WIRE, decode_result)?,
         },
         tag::RESULTS_ACK => Message::ResultsAck {
             instance: InstanceId(r.u64(C)?),
@@ -691,6 +704,36 @@ mod tests {
                 msg
             );
         }
+    }
+
+    /// The smallest task, result and environment pair encode to exactly
+    /// the sizes a decode reserves by, so a frame of the smallest tasks is
+    /// reserved for exactly: no more, and no regrowth.
+    #[test]
+    fn the_smallest_elements_are_the_sizes_a_decode_reserves_by() {
+        let mut task = TaskSpec::sleep(0, 0);
+        task.command = "".into();
+        task.args = Args::new();
+        task.working_dir = "".into();
+        task.estimated_runtime_us = None;
+        let work = |tasks: Vec<TaskSpec>| EfficientCodec.encode(&Message::Work { tasks });
+        let none = work(vec![]).len();
+        assert_eq!(work(vec![task.clone()]).len() - none, MIN_TASK_WIRE);
+        let mut paired = task.clone();
+        paired.env = vec![("".into(), "".into())];
+        assert_eq!(
+            work(vec![paired]).len() - none,
+            MIN_TASK_WIRE + MIN_PAIR_WIRE
+        );
+        let results =
+            |results: Vec<TaskResult>| EfficientCodec.encode(&Message::Results { results }).len();
+        let result = TaskResult::success(TaskId(0));
+        assert_eq!(results(vec![result]) - results(vec![]), MIN_RESULT_WIRE);
+
+        let Ok(Message::Work { tasks }) = EfficientCodec.decode(&work(vec![task; 100])) else {
+            panic!("100 of the smallest tasks did not decode");
+        };
+        assert_eq!(tasks.capacity(), 100);
     }
 
     #[test]

@@ -94,9 +94,14 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Fail if any input remains unconsumed.
     pub fn finish(self) -> Result<(), CodecError> {
-        match self.buf.len() - self.pos {
+        match self.remaining() {
             0 => Ok(()),
             remaining => Err(CodecError::TrailingBytes { remaining }),
         }

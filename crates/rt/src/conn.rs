@@ -195,7 +195,7 @@ impl Conn {
         if !matches!(self.phase, Phase::Ready) {
             return Err(ErrorKind::NotConnected.into());
         }
-        if self.batchbuf.len() < FLUSH_HIGH_WATER {
+        if self.has_room() {
             self.encode(&msg);
         } else {
             self.deferred.push_back(msg);
@@ -250,6 +250,14 @@ impl Conn {
     /// Encoded bytes not yet written (waiting messages are not counted).
     pub(crate) fn pending(&self) -> usize {
         self.batchbuf.len() - self.batch_pos
+    }
+
+    /// A message enqueued now is encoded at once: the batch, written part
+    /// included, holds fewer than `FLUSH_HIGH_WATER` bytes. (`pending` can
+    /// be under the cap while a half-written batch is over it, and then a
+    /// message waits unencoded.)
+    pub(crate) fn has_room(&self) -> bool {
+        self.batchbuf.len() < FLUSH_HIGH_WATER
     }
 
     /// One `read()` straight into the frame cursor's buffer. Returns the

@@ -285,46 +285,67 @@ pub fn run_executor_probe<P: Probe>(
 struct ClientRun {
     clock: Clock,
     client: Client,
-    /// The workload, until `Opened` submits it.
-    tasks: Vec<TaskSpec>,
+    /// Tasks per `Submit`.
+    bundle: usize,
+    /// The workload as it was handed in, cut into bundles as the socket
+    /// takes them: nothing is copied, and nothing is encoded far ahead.
+    tasks: std::vec::IntoIter<TaskSpec>,
     actions: Vec<ClientAction>,
     t0: u64,
+    /// Results taken from the machine so far.
+    completed: u64,
     /// `(completions, elapsed µs)` once the workload completed; the run ends.
     done: Option<(u64, u64)>,
     closed: Option<Closed>,
 }
 
+impl ClientRun {
+    /// Queue the machine's messages on `conn`. The machine reports the
+    /// workload complete each time nothing is outstanding; with tasks left
+    /// to cut, that is not the end of the run.
+    fn send(&mut self, conn: &mut Conn) -> io::Result<()> {
+        for act in self.actions.drain(..) {
+            match act {
+                ClientAction::Send(msg) => conn.enqueue(msg)?,
+                ClientAction::WorkloadComplete if self.tasks.len() == 0 => {
+                    self.done = Some((self.completed, self.clock.now_us() - self.t0));
+                }
+                ClientAction::WorkloadComplete => {}
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Handler<()> for ClientRun {
     fn inbound(&mut self, _: Token, conn: &mut Conn, _: &mut (), ev: Inbound) -> io::Result<bool> {
+        let now = self.clock.now_us();
         match ev {
             Inbound::Opened => {
                 self.client
-                    .on_event(self.clock.now_us(), ClientEvent::Start, &mut self.actions);
-                self.t0 = self.clock.now_us();
-                let tasks = std::mem::take(&mut self.tasks);
-                if tasks.is_empty() {
+                    .on_event(now, ClientEvent::Start, &mut self.actions);
+                self.t0 = now;
+                if self.tasks.len() == 0 {
                     self.done = Some((0, 0));
                 }
-                self.client.enqueue(self.t0, tasks, &mut self.actions);
             }
             Inbound::Msg(msg) => {
                 if let Some(ev) = falkon_core::mapping::message_to_client_event(msg) {
-                    self.client
-                        .on_event(self.clock.now_us(), ev, &mut self.actions);
+                    self.client.on_event(now, ev, &mut self.actions);
+                    self.completed += self.client.take_results().len() as u64;
                 }
             }
             Inbound::Deadline => {}
         }
-        // Everything queued here is written from the next turn on, encoded
-        // as the socket drains, while results keep being read.
-        for act in self.actions.drain(..) {
-            match act {
-                ClientAction::Send(msg) => conn.enqueue(msg)?,
-                ClientAction::WorkloadComplete => {
-                    let done = self.client.completions().len() as u64;
-                    self.done = Some((done, self.clock.now_us() - self.t0));
-                }
-            }
+        self.send(conn)?;
+        // Cut the next bundle whenever the batch has room for it. Every
+        // bundle sent is answered — a dispatcher acknowledges it, a
+        // forwarder pushes its results — so an inbound event always
+        // follows the socket taking what is queued here.
+        while self.client.instance().is_some() && self.tasks.len() > 0 && conn.has_room() {
+            let bundle = self.tasks.by_ref().take(self.bundle).collect();
+            self.client.enqueue(now, bundle, &mut self.actions);
+            self.send(conn)?;
         }
         Ok(self.done.is_some())
     }
@@ -335,9 +356,12 @@ impl Handler<()> for ClientRun {
 }
 
 /// Run a client workload against a TCP dispatcher, returning completions,
-/// elapsed µs, and the connection's wire counters. (The client machine
-/// mounts no probe — its observable behaviour is the completion records
-/// the dispatcher keeps.)
+/// elapsed µs, and the connection's wire counters. The workload is moved
+/// in and cut into bundles of `bundle.max_bundle` as the connection's batch
+/// has room, and results are counted as they arrive, so the client's heap
+/// follows its socket, not its workload. (The client machine mounts no
+/// probe — its observable behaviour is the completion records the
+/// dispatcher keeps.)
 pub fn run_client(
     addr: SocketAddr,
     tasks: Vec<TaskSpec>,
@@ -350,9 +374,11 @@ pub fn run_client(
     let mut run = ClientRun {
         clock,
         client: Client::new(bundle),
-        tasks,
+        bundle: bundle.max_bundle,
+        tasks: tasks.into_iter(),
         actions: Vec::new(),
         t0: 0,
+        completed: 0,
         done: None,
         closed: None,
     };

@@ -25,9 +25,11 @@
 //! multiplexed executors and a client, every thread of the process. One
 //! holds a sleep-0 task to the four allocations its messages need, the
 //! other a fat secure task to one allocation for each decode's strings.
-//! Others pin what a non-interned [`falkon_proto::IStr`] costs, that an
-//! interned one costs nothing, and what a hostile length prefix can make
-//! the decoder reserve.
+//! A third holds the client thread's own peak live heap to what its socket
+//! takes, whatever the size of its workload. Others pin what a non-interned
+//! [`falkon_proto::IStr`] costs, that an interned one costs nothing, and
+//! what a hostile length prefix can make the decoder reserve. Every test
+//! with a socket runs under the suites' wall-clock bound (`within`).
 //!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter
 //! and the live-byte tally are `Relaxed`; the tests take turns (`SERIAL`)
@@ -38,10 +40,10 @@
 //! only work between `run_client`'s first write and its last read, both on
 //! the counting thread.
 //!
-//! The two tests that assert an exact count of one thread's work read that
-//! thread's own tally (`thread_allocs`), not the process-wide one: the test
-//! harness's other threads may allocate inside their window, and `SERIAL`
-//! orders only the tests.
+//! The tests that assert an exact count or a peak of one thread's work read
+//! that thread's own tally (`thread_allocs`, `thread_peak`), not the
+//! process-wide one: the test harness's other threads may allocate inside
+//! their window, and `SERIAL` orders only the tests.
 // A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
 #![allow(unsafe_code)]
 
@@ -58,6 +60,10 @@ use std::cell::Cell;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use within::{within, DEPLOYMENT_LIMIT};
+
+#[path = "../../../tests/common/within.rs"]
+mod within;
 
 /// Counts allocations (not frees) — the steady-state inbound path must
 /// request no fresh memory per task — and tallies live bytes, for what an
@@ -77,12 +83,25 @@ thread_local! {
     /// allocator never allocates.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less those it freed, whoever allocated
+    /// them, and the highest that has stood since the last
+    /// `reset_thread_peak`.
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+    static THREAD_PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_thread_alloc(bytes: usize) {
     // A thread past its TLS teardown is not one a test measures.
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// Move this thread's live tally by `delta` bytes, raising its peak.
+fn count_thread_live(delta: i64) {
+    let _ = THREAD_LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = THREAD_PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: delegates every operation unchanged to `System`, which upholds
@@ -93,6 +112,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // during the measured region; no data is published over this edge.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         count_thread_alloc(layout.size());
+        count_thread_live(layout.size() as i64);
         // Relaxed: as above.
         LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `layout` is the caller's layout.
@@ -100,6 +120,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_thread_live(-(layout.size() as i64));
         // Relaxed: as above.
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim; `ptr`/`layout` came from this
@@ -108,9 +129,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_thread_alloc(new_size);
+        count_thread_live(new_size as i64 - layout.size() as i64);
         // Relaxed: as above, all three.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        count_thread_alloc(new_size);
         LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded verbatim per the caller's contract.
@@ -133,6 +155,20 @@ fn thread_allocs() -> u64 {
 /// Bytes the calling thread's allocations asked for.
 fn thread_bytes() -> u64 {
     THREAD_BYTES.with(Cell::get)
+}
+
+/// Start a new peak of the calling thread's live heap from where it stands,
+/// and return where that is.
+fn reset_thread_peak() -> i64 {
+    let live = THREAD_LIVE.with(Cell::get);
+    THREAD_PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The highest the calling thread's live heap has stood since
+/// `reset_thread_peak`.
+fn thread_peak() -> i64 {
+    THREAD_PEAK.with(Cell::get)
 }
 
 fn live_bytes() -> u64 {
@@ -167,122 +203,126 @@ fn recv(conn: &mut Conn) -> Message {
 
 #[test]
 fn inbound_tcp_path_is_allocation_free_per_task() {
-    const TASKS_PER_BUNDLE: u64 = 500;
-    const BUNDLES: u64 = 20;
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    within(DEPLOYMENT_LIMIT, || {
+        const TASKS_PER_BUNDLE: u64 = 500;
+        const BUNDLES: u64 = 20;
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let client = TcpStream::connect(addr).expect("connect");
-    let (server, _) = listener.accept().expect("accept");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = TcpStream::connect(addr).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
 
-    let clock = Clock::start();
-    let mut conn = Conn::new(server, None, clock).expect("conn");
+        let clock = Clock::start();
+        let mut conn = Conn::new(server, None, clock).expect("conn");
 
-    // The peer writes raw framed bytes directly (no Conn on that side, so
-    // its own encode allocations cannot be confused with the reader's).
-    // All bundles are pre-filled into the socket before the reader drains,
-    // exercising the multi-frame-per-read + compaction path.
-    let bundle = Message::Work {
-        tasks: (0..TASKS_PER_BUNDLE)
-            .map(|i| TaskSpec::sleep(i, 0))
-            .collect(),
-    };
-    let payload = EfficientCodec.encode(&bundle);
-    let mut framed = Vec::new();
-    falkon_proto::write_frame(&mut framed, &payload);
-    let mut client = client;
-    use std::io::Write;
-    for _ in 0..BUNDLES + 1 {
-        client.write_all(&framed).expect("write");
-    }
-
-    // Warm-up: first recv may grow the cursor buffer and populate the
-    // intern tables.
-    let warm = recv(&mut conn);
-    assert!(
-        matches!(warm, Message::Work { ref tasks } if tasks.len() == TASKS_PER_BUNDLE as usize)
-    );
-    drop(warm);
-
-    let before = allocs();
-    for _ in 0..BUNDLES {
-        let msg = recv(&mut conn);
-        match &msg {
-            Message::Work { tasks } => assert_eq!(tasks.len(), TASKS_PER_BUNDLE as usize),
-            other => panic!("unexpected message {other:?}"),
+        // The peer writes raw framed bytes directly (no Conn on that side, so
+        // its own encode allocations cannot be confused with the reader's).
+        // All bundles are pre-filled into the socket before the reader drains,
+        // exercising the multi-frame-per-read + compaction path.
+        let bundle = Message::Work {
+            tasks: (0..TASKS_PER_BUNDLE)
+                .map(|i| TaskSpec::sleep(i, 0))
+                .collect(),
+        };
+        let payload = EfficientCodec.encode(&bundle);
+        let mut framed = Vec::new();
+        falkon_proto::write_frame(&mut framed, &payload);
+        let mut client = client;
+        use std::io::Write;
+        for _ in 0..BUNDLES + 1 {
+            client.write_all(&framed).expect("write");
         }
-        drop(msg);
-    }
-    let per_message = (allocs() - before) as f64 / BUNDLES as f64;
 
-    eprintln!("per-message allocations: {per_message}");
+        // Warm-up: first recv may grow the cursor buffer and populate the
+        // intern tables.
+        let warm = recv(&mut conn);
+        assert!(
+            matches!(warm, Message::Work { ref tasks } if tasks.len() == TASKS_PER_BUNDLE as usize)
+        );
+        drop(warm);
 
-    // Each decoded bundle legitimately allocates its task `Vec` (one or two
-    // allocations with growth); anything scaling with the 500 tasks inside
-    // would blow far past this bound.
-    assert!(
-        per_message <= 8.0,
-        "inbound path allocated {per_message} times per 500-task message; \
-         per-task allocations have crept back in"
-    );
+        let before = allocs();
+        for _ in 0..BUNDLES {
+            let msg = recv(&mut conn);
+            match &msg {
+                Message::Work { tasks } => assert_eq!(tasks.len(), TASKS_PER_BUNDLE as usize),
+                other => panic!("unexpected message {other:?}"),
+            }
+            drop(msg);
+        }
+        let per_message = (allocs() - before) as f64 / BUNDLES as f64;
+
+        eprintln!("per-message allocations: {per_message}");
+
+        // Each decoded bundle legitimately allocates its task `Vec` (one or two
+        // allocations with growth); anything scaling with the 500 tasks inside
+        // would blow far past this bound.
+        assert!(
+            per_message <= 8.0,
+            "inbound path allocated {per_message} times per 500-task message; \
+             per-task allocations have crept back in"
+        );
+    })
 }
 
 #[test]
 fn idle_registered_connections_hold_no_read_buffer() {
-    const CONNS: usize = 256;
-    const PER_CONN_BUDGET: u64 = 16 * 1024;
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    within(DEPLOYMENT_LIMIT, || {
+        const CONNS: usize = 256;
+        const PER_CONN_BUDGET: u64 = 16 * 1024;
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let clock = Clock::start();
-    // The executors' ends are raw sockets, and everything either end needs
-    // exists before the tally starts: only the server's `Conn`s are counted.
-    let mut peers = Vec::with_capacity(CONNS);
-    let mut accepted = Vec::with_capacity(CONNS);
-    let mut registrations = Vec::with_capacity(CONNS);
-    for id in 0..CONNS as u64 {
-        peers.push(TcpStream::connect(addr).expect("connect"));
-        accepted.push(listener.accept().expect("accept").0);
-        let register = Message::Register {
-            executor: falkon_proto::message::ExecutorId(id),
-            host: format!("node-{id}"),
-        };
-        let mut framed = Vec::new();
-        falkon_proto::write_frame(&mut framed, &EfficientCodec.encode(&register));
-        registrations.push(framed);
-    }
-    let mut conns: Vec<Conn> = Vec::with_capacity(CONNS);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let clock = Clock::start();
+        // The executors' ends are raw sockets, and everything either end needs
+        // exists before the tally starts: only the server's `Conn`s are counted.
+        let mut peers = Vec::with_capacity(CONNS);
+        let mut accepted = Vec::with_capacity(CONNS);
+        let mut registrations = Vec::with_capacity(CONNS);
+        for id in 0..CONNS as u64 {
+            peers.push(TcpStream::connect(addr).expect("connect"));
+            accepted.push(listener.accept().expect("accept").0);
+            let register = Message::Register {
+                executor: falkon_proto::message::ExecutorId(id),
+                host: format!("node-{id}"),
+            };
+            let mut framed = Vec::new();
+            falkon_proto::write_frame(&mut framed, &EfficientCodec.encode(&register));
+            registrations.push(framed);
+        }
+        let mut conns: Vec<Conn> = Vec::with_capacity(CONNS);
 
-    let before = live_bytes();
-    use std::io::Write;
-    for ((stream, peer), framed) in accepted.into_iter().zip(&mut peers).zip(&registrations) {
-        let mut conn = Conn::new(stream, None, clock).expect("conn");
-        peer.write_all(framed).expect("write");
-        // Register, acknowledge, and go idle: the server's side of an
-        // executor that is waiting for work.
-        let Message::Register { executor, .. } = recv(&mut conn) else {
-            panic!("expected a registration");
-        };
-        conn.enqueue(Message::RegisterAck { executor })
-            .expect("enqueue");
-        assert!(conn.flush().expect("flush"), "a small ack leaves at once");
-        // The engine polls once more after the last frame before it waits.
-        assert!(conn.poll_inbound().expect("decode").is_none());
-        conns.push(conn);
-    }
-    let held = live_bytes().wrapping_sub(before);
+        let before = live_bytes();
+        use std::io::Write;
+        for ((stream, peer), framed) in accepted.into_iter().zip(&mut peers).zip(&registrations) {
+            let mut conn = Conn::new(stream, None, clock).expect("conn");
+            peer.write_all(framed).expect("write");
+            // Register, acknowledge, and go idle: the server's side of an
+            // executor that is waiting for work.
+            let Message::Register { executor, .. } = recv(&mut conn) else {
+                panic!("expected a registration");
+            };
+            conn.enqueue(Message::RegisterAck { executor })
+                .expect("enqueue");
+            assert!(conn.flush().expect("flush"), "a small ack leaves at once");
+            // The engine polls once more after the last frame before it waits.
+            assert!(conn.poll_inbound().expect("decode").is_none());
+            conns.push(conn);
+        }
+        let held = live_bytes().wrapping_sub(before);
 
-    eprintln!(
-        "{CONNS} idle connections hold {held} B ({} B each)",
-        held / CONNS as u64
-    );
-    assert!(
-        held < CONNS as u64 * PER_CONN_BUDGET,
-        "{CONNS} registered, idle connections hold {held} B of heap: \
-         more than {PER_CONN_BUDGET} B each — read buffers are being kept per connection"
-    );
+        eprintln!(
+            "{CONNS} idle connections hold {held} B ({} B each)",
+            held / CONNS as u64
+        );
+        assert!(
+            held < CONNS as u64 * PER_CONN_BUDGET,
+            "{CONNS} registered, idle connections hold {held} B of heap: \
+             more than {PER_CONN_BUDGET} B each — read buffers are being kept per connection"
+        );
+    })
 }
 
 /// Allocations per task, over every thread of the process, of a window of
@@ -340,14 +380,16 @@ fn deployment_allocs_per_task(
 /// allocation per four tasks anywhere on the path, which reads 4.30.
 #[test]
 fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let per_task = deployment_allocs_per_task(|i| TaskSpec::sleep(i, 0), None, 5_000, 20_000);
-    eprintln!("allocations per task, whole process: {per_task:.2}");
-    assert!(
-        per_task <= 4.25,
-        "a sleep-0 task allocated {per_task:.2} times end to end; \
-         something per message has crept in beside the four message `Vec`s"
-    );
+    within(DEPLOYMENT_LIMIT, || {
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let per_task = deployment_allocs_per_task(|i| TaskSpec::sleep(i, 0), None, 5_000, 20_000);
+        eprintln!("allocations per task, whole process: {per_task:.2}");
+        assert!(
+            per_task <= 4.25,
+            "a sleep-0 task allocated {per_task:.2} times end to end; \
+             something per message has crept in beside the four message `Vec`s"
+        );
+    })
 }
 
 /// A task carrying 8 environment pairs of 128 bytes that no intern table
@@ -362,45 +404,95 @@ fn a_task_through_a_tcp_deployment_allocates_about_four_times() {
 /// allocation per four tasks, which reads 12.34.
 #[test]
 fn a_fat_secure_task_allocates_each_decoded_strings_once() {
-    const POOL: usize = 64;
-    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Distinct environments the tasks draw from, as the benchmark's do:
-    // a task's copy shares its environment's strings (a reference count
-    // each), but every decode copies them afresh.
-    let text = |tag: &str, i: usize, len: usize| {
-        let mut s = format!("{tag}{i:04}_");
-        while s.len() < len {
-            s.push(char::from(b'a' + (s.len() * 7 + i) as u8 % 26));
-        }
-        IStr::from(s)
-    };
-    let envs: Vec<Vec<(IStr, IStr)>> = (0..POOL)
-        .map(|e| {
-            (0..8)
-                .map(|p| (text("FK_", e * 8 + p, 16), text("V", e * 8 + p, 112)))
-                .collect()
-        })
-        .collect();
-    let fat = |i: u64| {
-        let mut t = TaskSpec::sleep(i, 0);
-        t.env = envs[i as usize % POOL].clone();
-        t
-    };
-    let wire = EfficientCodec.encoded_len(&Message::Work {
-        tasks: vec![fat(0)],
-    });
-    assert!(
-        (1024..2048).contains(&wire),
-        "a fat task is {wire} B, not ≈1 KiB"
-    );
+    within(DEPLOYMENT_LIMIT, || {
+        const POOL: usize = 64;
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        // Distinct environments the tasks draw from, as the benchmark's do:
+        // a task's copy shares its environment's strings (a reference count
+        // each), but every decode copies them afresh.
+        let text = |tag: &str, i: usize, len: usize| {
+            let mut s = format!("{tag}{i:04}_");
+            while s.len() < len {
+                s.push(char::from(b'a' + (s.len() * 7 + i) as u8 % 26));
+            }
+            IStr::from(s)
+        };
+        let envs: Vec<Vec<(IStr, IStr)>> = (0..POOL)
+            .map(|e| {
+                (0..8)
+                    .map(|p| (text("FK_", e * 8 + p, 16), text("V", e * 8 + p, 112)))
+                    .collect()
+            })
+            .collect();
+        let fat = |i: u64| {
+            let mut t = TaskSpec::sleep(i, 0);
+            t.env = envs[i as usize % POOL].clone();
+            t
+        };
+        let wire = EfficientCodec.encoded_len(&Message::Work {
+            tasks: vec![fat(0)],
+        });
+        assert!(
+            (1024..2048).contains(&wire),
+            "a fat task is {wire} B, not ≈1 KiB"
+        );
 
-    let per_task = deployment_allocs_per_task(fat, Some(0x5EC), 1_000, 4_000);
-    eprintln!("allocations per fat secure task, whole process: {per_task:.2}");
-    assert!(
-        per_task <= 12.25,
-        "a fat secure task allocated {per_task:.2} times end to end; \
-         its decoded strings are allocating one by one again"
-    );
+        let per_task = deployment_allocs_per_task(fat, Some(0x5EC), 1_000, 4_000);
+        eprintln!("allocations per fat secure task, whole process: {per_task:.2}");
+        assert!(
+            per_task <= 12.25,
+            "a fat secure task allocated {per_task:.2} times end to end; \
+             its decoded strings are allocating one by one again"
+        );
+    })
+}
+
+/// The highest the calling thread's live heap stands above where it stood
+/// when `run_client` was handed `n` sleep-0 tasks, built before.
+fn client_peak_above_start(addr: std::net::SocketAddr, n: u64) -> i64 {
+    let tasks: Vec<TaskSpec> = (0..n).map(|i| TaskSpec::sleep(i, 0)).collect();
+    let start = reset_thread_peak();
+    let out = run_client(addr, tasks, BundleConfig::of(300), None).expect("client");
+    assert_eq!(out.done, n);
+    thread_peak() - start
+}
+
+/// A client cuts each bundle from the workload it was handed when its
+/// connection's batch has room, and counts results as they come, so its
+/// own heap holds a batch and a bundle, whatever the workload: 20,000
+/// tasks and 200,000 peak within 64 KiB of each other, each under 1 MiB
+/// above where the call began (≈552 KiB: a batch grown past
+/// `FLUSH_HIGH_WATER` to 512 KiB, and a 300-task bundle). A client that
+/// copies the wave into its staging list, cuts every bundle at once and
+/// keeps every result peaks ≈217 B per task higher: 4.1 MiB and 41.6 MiB.
+#[test]
+fn a_client_holds_what_its_socket_takes_not_its_workload() {
+    within(DEPLOYMENT_LIMIT, || {
+        const LIMIT: i64 = 1 << 20;
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let server =
+            DispatcherServer::start(ServerConfig::builder().build().expect("valid config"))
+                .expect("bind");
+        let addr = server.addr;
+        let executors = std::thread::spawn(move || {
+            run_executors_mux(addr, 0, 16, ExecutorConfig::default(), None)
+        });
+        // The thread's read buffer is grown once and kept (`Conn::fill`).
+        client_peak_above_start(addr, 1_000);
+        let small = client_peak_above_start(addr, 20_000);
+        let large = client_peak_above_start(addr, 200_000);
+        server.shutdown();
+        executors.join().expect("executor thread").expect("mux");
+        eprintln!("client peak above start: {small} B for 20,000 tasks, {large} B for 200,000");
+        assert!(
+            small <= LIMIT && large <= LIMIT,
+            "a client held {small} B over 20,000 tasks and {large} B over 200,000"
+        );
+        assert!(
+            small.abs_diff(large) < 64 << 10,
+            "a client's heap grows with its workload: {small} B → {large} B"
+        );
+    })
 }
 
 /// A heap [`IStr`] is an `Arc` around a `String`: made from a `String` it
@@ -493,12 +585,10 @@ fn bytes_reserved_by_a_failed_decode(wire: &[u8]) -> u64 {
 /// A length prefix is a claim, not a size: the most a length may say.
 const CLAIM: u32 = 64 << 20;
 
-/// What a hostile claim may make a decode reserve.
-const RESERVE_BOUND: u64 = 1 << 20;
-
 /// A 13-byte `Submit` that declares 64 Mi tasks fails to decode having
-/// asked for under 1 MiB: the decoder reserves at most 4,096 tasks
-/// (512 KiB) ahead of the bytes that carry them. Uncapped, it is 8 GiB.
+/// reserved nothing: a task takes at least 26 bytes, and the frame has no
+/// byte left after the count. Capped at 4,096 tasks ahead of the bytes that
+/// carry them, it reserved 512 KiB; uncapped, 8 GiB.
 #[test]
 fn a_hostile_task_count_reserves_bounded_memory() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -508,15 +598,13 @@ fn a_hostile_task_count_reserves_bounded_memory() {
     submit.extend_from_slice(&CLAIM.to_le_bytes());
     assert_eq!(submit.len(), 13);
     let asked = bytes_reserved_by_a_failed_decode(&submit);
-    assert!(
-        asked < RESERVE_BOUND,
-        "a claim of {CLAIM} tasks reserved {asked} B"
-    );
+    assert_eq!(asked, 0, "a claim of {CLAIM} tasks reserved {asked} B");
 }
 
-/// A task that declares 64 Mi environment pairs fails to decode having
-/// asked for under 1 MiB: the decoder reserves at most 1,024 pairs
-/// (32 KiB) ahead of the bytes that carry them. Uncapped, it is 2 GiB.
+/// A task that declares 64 Mi environment pairs, with no byte after the
+/// count, fails to decode having reserved room for the one task its frame
+/// has bytes for and no pair. Capped at 1,024 pairs ahead of the bytes that
+/// carry them, it reserved 32 KiB more; uncapped, 2 GiB.
 #[test]
 fn a_hostile_environment_count_reserves_bounded_memory() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -531,8 +619,9 @@ fn a_hostile_environment_count_reserves_bounded_memory() {
     work.truncate(at);
     work.extend_from_slice(&CLAIM.to_le_bytes());
     let asked = bytes_reserved_by_a_failed_decode(&work);
+    let one_task = std::mem::size_of::<TaskSpec>() as u64;
     assert!(
-        asked < RESERVE_BOUND,
+        asked <= one_task,
         "a claim of {CLAIM} pairs reserved {asked} B"
     );
 }

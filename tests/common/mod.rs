@@ -1,5 +1,8 @@
 //! Shared by the TCP deployment tests: ask a running dispatcher for its
-//! status over a bare engine connection.
+//! status over a bare engine connection, and bound a deployment's wall
+//! time.
+
+pub mod within;
 
 use falkon::obs::Counters;
 use falkon::proto::message::{DispatcherStatus, Message};

@@ -22,6 +22,7 @@
 
 mod common;
 
+use common::within::{within, DEPLOYMENT_LIMIT};
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
 use falkon::obs::{Counters, ObsEventKind};
@@ -126,14 +127,18 @@ fn fanout(conns: usize, n_tasks: u64, security: TcpSecurity) {
 
 #[test]
 fn fanout_1000_conns_plain() {
-    fanout(1_000, 3_000, None);
+    within(DEPLOYMENT_LIMIT, || {
+        fanout(1_000, 3_000, None);
+    })
 }
 
 #[test]
 fn fanout_secure() {
-    // The secure arm soaks fewer connections to keep CI time down; the
-    // invariants are identical.
-    fanout(300, 900, Some(0xFA1C0));
+    within(DEPLOYMENT_LIMIT, || {
+        // The secure arm soaks fewer connections to keep CI time down; the
+        // invariants are identical.
+        fanout(300, 900, Some(0xFA1C0));
+    })
 }
 
 /// Kill the dispatcher while 200 peers hold live work: the server loop
@@ -141,69 +146,71 @@ fn fanout_secure() {
 /// the partial accounting must be consistent.
 #[test]
 fn fanout_shutdown_under_load_joins_cleanly() {
-    let config = ServerConfig::builder()
-        .dispatcher(DispatcherConfig {
-            client_notify_batch: 1_000,
-            ..DispatcherConfig::default()
-        })
-        .build()
-        .expect("valid config");
-    let server = DispatcherServer::start(config).expect("bind");
-    let addr = server.addr;
-    let mux =
-        thread::spawn(move || run_executors_mux(addr, 0, 200, ExecutorConfig::default(), None));
-    // 2000 × 1 ms tasks: the shutdown below lands while submits,
-    // dispatches, and results are all in flight.
-    let client = thread::spawn(move || {
-        run_client(
-            addr,
-            (0..2_000).map(|i| TaskSpec::sleep_us(i, 1_000)).collect(),
-            BundleConfig::of(100),
-            None,
-        )
-    });
-    thread::sleep(Duration::from_millis(50));
+    within(DEPLOYMENT_LIMIT, || {
+        let config = ServerConfig::builder()
+            .dispatcher(DispatcherConfig {
+                client_notify_batch: 1_000,
+                ..DispatcherConfig::default()
+            })
+            .build()
+            .expect("valid config");
+        let server = DispatcherServer::start(config).expect("bind");
+        let addr = server.addr;
+        let mux =
+            thread::spawn(move || run_executors_mux(addr, 0, 200, ExecutorConfig::default(), None));
+        // 2000 × 1 ms tasks: the shutdown below lands while submits,
+        // dispatches, and results are all in flight.
+        let client = thread::spawn(move || {
+            run_client(
+                addr,
+                (0..2_000).map(|i| TaskSpec::sleep_us(i, 1_000)).collect(),
+                BundleConfig::of(100),
+                None,
+            )
+        });
+        thread::sleep(Duration::from_millis(50));
 
-    let (records, stats, obs) = server.shutdown();
+        let (records, stats, obs) = server.shutdown();
 
-    // Peers must unwind too: the server's final flush + close gives every
-    // mux peer an EOF. If the shutdown landed while the mux was still in
-    // its connect storm, the refused connect is the expected outcome — the
-    // already-connected peers are dropped and their sockets closed.
-    let mux_tasks = match mux.join().expect("mux thread") {
-        Ok(out) => Some(out.tasks),
-        Err(e) => {
-            assert!(
-                matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionRefused
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::BrokenPipe
-                        | std::io::ErrorKind::UnexpectedEof
-                ),
-                "mux failed with a non-shutdown error: {e}"
-            );
-            None
+        // Peers must unwind too: the server's final flush + close gives every
+        // mux peer an EOF. If the shutdown landed while the mux was still in
+        // its connect storm, the refused connect is the expected outcome — the
+        // already-connected peers are dropped and their sockets closed.
+        let mux_tasks = match mux.join().expect("mux thread") {
+            Ok(out) => Some(out.tasks),
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e.kind(),
+                        std::io::ErrorKind::ConnectionRefused
+                            | std::io::ErrorKind::ConnectionReset
+                            | std::io::ErrorKind::BrokenPipe
+                            | std::io::ErrorKind::UnexpectedEof
+                    ),
+                    "mux failed with a non-shutdown error: {e}"
+                );
+                None
+            }
+        };
+        if let Ok(c) = client.join().expect("client thread") {
+            assert_eq!(c.done, 2_000);
         }
-    };
-    if let Ok(c) = client.join().expect("client thread") {
-        assert_eq!(c.done, 2_000);
-    }
 
-    // Accounting stayed consistent at the instant of death.
-    assert_eq!(records.len() as u64, stats.completed);
-    assert_eq!(
-        obs.counters.count(ObsEventKind::TaskCompleted),
-        stats.completed
-    );
-    let ids: HashSet<_> = records.iter().map(|r| r.result.id).collect();
-    assert_eq!(ids.len(), records.len(), "duplicate task records");
-    // A result can only reach the dispatcher if some executor ran the task,
-    // so the pool's run count bounds the dispatcher's completion count.
-    if let Some(tasks) = mux_tasks {
-        assert!(
-            tasks >= stats.completed,
-            "dispatcher recorded unreported tasks"
+        // Accounting stayed consistent at the instant of death.
+        assert_eq!(records.len() as u64, stats.completed);
+        assert_eq!(
+            obs.counters.count(ObsEventKind::TaskCompleted),
+            stats.completed
         );
-    }
+        let ids: HashSet<_> = records.iter().map(|r| r.result.id).collect();
+        assert_eq!(ids.len(), records.len(), "duplicate task records");
+        // A result can only reach the dispatcher if some executor ran the task,
+        // so the pool's run count bounds the dispatcher's completion count.
+        if let Some(tasks) = mux_tasks {
+            assert!(
+                tasks >= stats.completed,
+                "dispatcher recorded unreported tasks"
+            );
+        }
+    })
 }

@@ -18,6 +18,7 @@
 
 mod common;
 
+use common::within::{within, DEPLOYMENT_LIMIT};
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
 use falkon::obs::{Counters, ObsEventKind};
@@ -134,34 +135,41 @@ fn soak(n_exec: u64, tasks: Vec<TaskSpec>, security: TcpSecurity) -> u64 {
 
 #[test]
 fn soak_plain_wire_bytes_balance() {
-    soak(4, mixed_size_tasks(1200), None);
+    within(DEPLOYMENT_LIMIT, || {
+        soak(4, mixed_size_tasks(1200), None);
+    })
 }
 
 #[test]
 fn soak_secure_wire_bytes_balance() {
-    // Same invariants through the sealed path: per-frame MAC bytes are
-    // charged symmetrically, so the balance must still be exact.
-    soak(3, mixed_size_tasks(900), Some(0xFA1C0));
+    within(DEPLOYMENT_LIMIT, || {
+        // Same invariants through the sealed path: per-frame MAC bytes are
+        // charged symmetrically, so the balance must still be exact.
+        soak(3, mixed_size_tasks(900), Some(0xFA1C0));
+    })
 }
 
-/// Backpressure: a client queues its whole workload before it reads a
-/// single reply, here several times what the kernel will buffer for one
-/// socket (the send buffer tops out at 4 MiB). The submit batch can only
-/// leave in partial nonblocking writes, `POLLOUT` by `POLLOUT`, while acks
-/// and results stream back on the same connection — a client that blocked
-/// in `write` instead would deadlock against a server blocked writing to
-/// it. Every invariant of the soak must hold through that.
+/// Backpressure: a workload several times what the kernel will buffer for
+/// one socket (the send buffer tops out at 4 MiB). The client cuts each
+/// bundle only when its connection's batch has room, so the workload
+/// leaves batch by batch in nonblocking writes, `POLLOUT` by `POLLOUT`
+/// whenever the socket is full, while acks and results stream back on the
+/// same connection — a client that blocked in `write` instead would
+/// deadlock against a server blocked writing to it. Every invariant of the
+/// soak must hold through that.
 #[test]
 fn soak_client_backlog_several_times_the_socket_buffers() {
-    let tasks: Vec<TaskSpec> = (0..6_000)
-        .map(|i| {
-            let mut spec = TaskSpec::sleep_us(i, 0);
-            spec.env = vec![("FALKON_SOAK_PAD".into(), "y".repeat(4096).into())];
-            spec
-        })
-        .collect();
-    let sent = soak(4, tasks, None);
-    assert!(sent > 20 << 20, "only {sent} bytes: not a backlog");
+    within(DEPLOYMENT_LIMIT, || {
+        let tasks: Vec<TaskSpec> = (0..6_000)
+            .map(|i| {
+                let mut spec = TaskSpec::sleep_us(i, 0);
+                spec.env = vec![("FALKON_SOAK_PAD".into(), "y".repeat(4096).into())];
+                spec
+            })
+            .collect();
+        let sent = soak(4, tasks, None);
+        assert!(sent > 20 << 20, "only {sent} bytes: not a backlog");
+    })
 }
 
 /// Kill the dispatcher mid-workload: every thread must unwind — the
@@ -170,48 +178,50 @@ fn soak_client_backlog_several_times_the_socket_buffers() {
 /// nothing half-recorded).
 #[test]
 fn shutdown_under_load_joins_cleanly() {
-    let config = ServerConfig::builder().build().expect("valid config");
-    let server = DispatcherServer::start(config).expect("bind");
-    let addr = server.addr;
-    let execs: Vec<_> = (0..4)
-        .map(|i| {
-            thread::spawn(move || {
-                run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+    within(DEPLOYMENT_LIMIT, || {
+        let config = ServerConfig::builder().build().expect("valid config");
+        let server = DispatcherServer::start(config).expect("bind");
+        let addr = server.addr;
+        let execs: Vec<_> = (0..4)
+            .map(|i| {
+                thread::spawn(move || {
+                    run_executor(addr, ExecutorId(i), ExecutorConfig::default(), None)
+                })
             })
-        })
-        .collect();
-    // 2000 × 1 ms tasks on 4 executors ≈ 500 ms of work: the shutdown below
-    // lands while submits, dispatches, and results are all in flight.
-    let client = thread::spawn(move || {
-        run_client(
-            addr,
-            (0..2000).map(|i| TaskSpec::sleep_us(i, 1_000)).collect(),
-            BundleConfig::of(100),
-            None,
-        )
-    });
-    thread::sleep(Duration::from_millis(50));
+            .collect();
+        // 2000 × 1 ms tasks on 4 executors ≈ 500 ms of work: the shutdown below
+        // lands while submits, dispatches, and results are all in flight.
+        let client = thread::spawn(move || {
+            run_client(
+                addr,
+                (0..2000).map(|i| TaskSpec::sleep_us(i, 1_000)).collect(),
+                BundleConfig::of(100),
+                None,
+            )
+        });
+        thread::sleep(Duration::from_millis(50));
 
-    // Must return: the server thread is joined once it has closed every
-    // connection. A leaked or deadlocked thread hangs the test right here.
-    let (records, stats, obs) = server.shutdown();
+        // Must return: the server thread is joined once it has closed every
+        // connection. A leaked or deadlocked thread hangs the test right here.
+        let (records, stats, obs) = server.shutdown();
 
-    // Peers must unwind too. The client either finished before the
-    // shutdown landed (then nothing may be lost) or observed the close as
-    // an error; an executor sees EOF as a normal release either way.
-    if let Ok(out) = client.join().expect("client thread") {
-        assert_eq!(out.done, 2000);
-    }
-    for e in execs {
-        e.join().expect("executor thread").expect("executor run");
-    }
+        // Peers must unwind too. The client either finished before the
+        // shutdown landed (then nothing may be lost) or observed the close as
+        // an error; an executor sees EOF as a normal release either way.
+        if let Ok(out) = client.join().expect("client thread") {
+            assert_eq!(out.done, 2000);
+        }
+        for e in execs {
+            e.join().expect("executor thread").expect("executor run");
+        }
 
-    // Accounting stayed consistent at the instant of death.
-    assert_eq!(records.len() as u64, stats.completed);
-    assert_eq!(
-        obs.counters.count(ObsEventKind::TaskCompleted),
-        stats.completed
-    );
-    let ids: HashSet<_> = records.iter().map(|r| r.result.id).collect();
-    assert_eq!(ids.len(), records.len(), "duplicate task records");
+        // Accounting stayed consistent at the instant of death.
+        assert_eq!(records.len() as u64, stats.completed);
+        assert_eq!(
+            obs.counters.count(ObsEventKind::TaskCompleted),
+            stats.completed
+        );
+        let ids: HashSet<_> = records.iter().map(|r| r.result.id).collect();
+        assert_eq!(ids.len(), records.len(), "duplicate task records");
+    })
 }
