@@ -17,7 +17,7 @@
 use crate::config::DispatcherConfig;
 use crate::ids::{ExecutorId, InstanceId, NotifyKey, TaskId};
 use crate::table::{DenseMap, FxHashMap, FxHashSet, DENSE_ID_CAP};
-use crate::waitqueue::{with_id, Queued, WaitQueue};
+use crate::waitqueue::{Queued, WaitQueue};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, ObsEventKind, Probe};
 use falkon_proto::message::{DispatcherStatus, Message};
@@ -587,7 +587,7 @@ impl<P: Probe> Dispatcher<P> {
             };
             self.deadlines
                 .push(std::cmp::Reverse((self.deadline_of(&r), q.id)));
-            tasks.push(with_id(&r.shape, q.id));
+            tasks.push(r.shape.with_id(q.id));
             self.running.insert(q.id, r);
             self.emit(
                 now,
@@ -695,7 +695,7 @@ impl<P: Probe> Dispatcher<P> {
         }
         // Data-aware dispatch: this executor now has the task's data staged.
         if self.config.data_aware {
-            if let Some(data) = r.shape.data {
+            if let Some(data) = r.shape.data() {
                 self.object_cache
                     .entry(data.object)
                     .or_default()
@@ -737,7 +737,7 @@ impl<P: Probe> Dispatcher<P> {
     /// Put task `id` back on the queue for attempt `r.attempts + 1`.
     fn requeue(&mut self, now: Micros, id: TaskId, r: &Running) {
         self.emit(now, ObsEvent::TaskRetried);
-        let spec = with_id(&r.shape, id);
+        let spec = r.shape.with_id(id);
         self.queue
             .push(r.instance, r.enqueued_us, r.attempts, vec![spec]);
     }

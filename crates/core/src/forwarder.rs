@@ -17,7 +17,6 @@
 
 use crate::ids::{InstanceId, TaskId};
 use crate::table::FxHashMap;
-use crate::waitqueue::{same_shape, with_id};
 use crate::Micros;
 use falkon_obs::{Counters, NoopProbe, ObsEvent, Probe};
 use falkon_proto::task::{TaskResult, TaskSpec};
@@ -176,7 +175,7 @@ impl<P: Probe> Forwarder<P> {
         let slot = self.least_loaded();
         let mut shape = Arc::new(tasks[0].clone());
         for spec in &tasks {
-            if !same_shape(&shape, spec) {
+            if !shape.same_shape(spec) {
                 shape = Arc::new(spec.clone());
             }
             let entry = InFlight {
@@ -201,7 +200,7 @@ impl<P: Probe> Forwarder<P> {
         taken.sort_unstable_by_key(|&(id, _)| id);
         let mut by_instance: BTreeMap<InstanceId, Vec<TaskSpec>> = BTreeMap::new();
         for (id, t) in taken {
-            let spec = with_id(&t.shape, id);
+            let spec = t.shape.with_id(id);
             by_instance.entry(t.instance).or_default().push(spec);
         }
         by_instance

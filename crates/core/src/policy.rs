@@ -60,7 +60,7 @@ impl ReplayPolicy {
     /// allowance for its declared data staging.
     pub fn deadline_for(&self, spec: &falkon_proto::task::TaskSpec) -> Micros {
         let io = spec
-            .data
+            .data()
             .map(|d| {
                 let mib = d.bytes.div_ceil(1 << 20);
                 mib.saturating_mul(self.io_slack_us_per_mib)

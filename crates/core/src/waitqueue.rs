@@ -80,7 +80,7 @@ impl WaitQueue {
         for task in tasks {
             ids.push_back(task.id);
             match runs.back_mut() {
-                Some((shape, n)) if same_shape(shape, &task) => *n += 1,
+                Some((shape, n)) if shape.same_shape(&task) => *n += 1,
                 _ => runs.push_back((Arc::new(task), 1)),
             }
         }
@@ -113,7 +113,7 @@ impl WaitQueue {
                 if seen >= window {
                     return None;
                 }
-                if wanted(shape.data) {
+                if wanted(shape.data()) {
                     return Some(self.take(b, r, at));
                 }
                 seen += *n as usize;
@@ -153,35 +153,6 @@ impl WaitQueue {
         self.batches.retain(|b| b.instance != instance);
         self.len = self.batches.iter().map(|b| b.ids.len()).sum();
     }
-}
-
-/// Whether `a` and `b` differ in nothing but their id: one *shape*, which
-/// a parameter sweep's tasks share. The cheap fields that tell sweeps
-/// apart come first; the destructuring makes a new `TaskSpec` field a
-/// compile error here rather than a silently merged run.
-#[inline]
-pub(crate) fn same_shape(a: &TaskSpec, b: &TaskSpec) -> bool {
-    let TaskSpec {
-        id: _,
-        command,
-        args,
-        env,
-        working_dir,
-        estimated_runtime_us,
-        data,
-    } = a;
-    *data == b.data
-        && *estimated_runtime_us == b.estimated_runtime_us
-        && *args == b.args
-        && *command == b.command
-        && *working_dir == b.working_dir
-        && *env == b.env
-}
-
-/// Task `id` of `spec`'s shape.
-#[inline]
-pub(crate) fn with_id(spec: &TaskSpec, id: TaskId) -> TaskSpec {
-    TaskSpec { id, ..spec.clone() }
 }
 
 #[cfg(test)]
@@ -256,7 +227,7 @@ mod tests {
         let counts: Vec<u32> = q.batches[0].runs.iter().map(|r| r.1).collect();
         assert_eq!(counts, vec![2, 1, 2, 1]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| with_id(&t.shape, t.id))
+            .map(|t| t.shape.with_id(t.id))
             .collect();
         assert_eq!(out, tasks);
     }
@@ -284,7 +255,7 @@ mod tests {
         q.push(InstanceId(1), 0, 0, tasks);
         for want in 2..5 {
             let hit = q.take_first(3, wants(7)).unwrap();
-            assert_eq!(with_id(&hit.shape, hit.id), reads(want, 7));
+            assert_eq!(hit.shape.with_id(hit.id), reads(want, 7));
         }
         assert!(q.take_first(3, wants(7)).is_none());
         assert_eq!(q.batches[0].runs.len(), 2, "the drained run is gone");
@@ -334,35 +305,11 @@ mod tests {
         assert_eq!(q.batches[0].runs.len(), 4);
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         let out: Vec<TaskSpec> = std::iter::from_fn(|| q.pop_front())
-            .map(|t| with_id(&t.shape, t.id))
+            .map(|t| t.shape.with_id(t.id))
             .collect();
         assert_eq!(counts(), vec![(Some(2), Some(2)); 4]);
         for (i, (t, env)) in out.iter().zip(&held).enumerate() {
             assert_eq!((t.id.0, &t.env[0]), (i as u64, env));
-        }
-    }
-
-    /// Two specs are one shape only if every field but the id agrees.
-    #[test]
-    fn same_shape_tells_apart_every_field_but_the_id() {
-        let base = TaskSpec::sleep(1, 0);
-        assert!(same_shape(&base, &TaskSpec::sleep(2, 0)));
-        let differ: [fn(&mut TaskSpec); 6] = [
-            |t| t.command = "true".into(),
-            |t| t.args = falkon_proto::task::Args::from_iter(["1"]),
-            |t| t.env = vec![("K".into(), "V".into())],
-            |t| t.working_dir = "/work".into(),
-            |t| t.estimated_runtime_us = Some(7),
-            |t| {
-                *t = t
-                    .clone()
-                    .with_object(1, 1, DataLocation::SharedFs, DataAccess::Read)
-            },
-        ];
-        for (field, change) in differ.iter().enumerate() {
-            let mut other = TaskSpec::sleep(2, 0);
-            change(&mut other);
-            assert!(!same_shape(&base, &other), "field {field}");
         }
     }
 }

@@ -195,14 +195,12 @@ fn shaped(id: u64, shape: u8) -> TaskSpec {
     match shape {
         0 => TaskSpec::sleep(id, 0),
         1 => TaskSpec::sleep(id, 1),
-        2 => TaskSpec {
-            env: vec![("FALKON_SHAPE".into(), "env".into())],
-            ..TaskSpec::sleep(id, 0)
-        },
-        3 => TaskSpec {
-            working_dir: "/work/shape".into(),
-            ..TaskSpec::sleep(id, 0)
-        },
+        2 => {
+            let mut t = TaskSpec::sleep(id, 0);
+            t.env = vec![("FALKON_SHAPE".into(), "env".into())];
+            t
+        }
+        3 => TaskSpec::sleep(id, 0).with_working_dir("/work/shape"),
         _ => {
             TaskSpec::sleep(id, 0).with_object(7, 1 << 20, DataLocation::SharedFs, DataAccess::Read)
         }

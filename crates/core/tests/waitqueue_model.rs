@@ -101,7 +101,7 @@ impl Model {
                 .find(|&i| {
                     self.queue[i]
                         .1
-                        .data
+                        .data()
                         .is_some_and(|d| self.staged.contains(&(d.object, executor)))
                 })
                 .unwrap_or(0);
@@ -146,7 +146,7 @@ impl Model {
             .is_some_and(|r| r.executor == executor)
         {
             let r = self.running.remove(&result.id).expect("checked");
-            if let (true, Some(data)) = (self.cfg.data_aware, r.spec.data) {
+            if let (true, Some(data)) = (self.cfg.data_aware, r.spec.data()) {
                 self.staged.insert((data.object, executor));
             }
             let replay = &self.cfg.replay;

@@ -899,7 +899,7 @@ impl SimFalkon {
     fn run_task(&mut self, e: u32, spec: TaskSpec) {
         let node = e / self.config.executors_per_node.max(1);
         let mut duration = spec.runtime_us();
-        if let Some(mut data) = spec.data {
+        if let Some(mut data) = spec.data() {
             if self.config.data_caching {
                 if self.node_caches.len() <= node as usize {
                     self.node_caches

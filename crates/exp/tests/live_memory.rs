@@ -18,12 +18,12 @@
 //! holds next to nothing: the book gives its table back as it drains.
 //!
 //! Calibration. Tasks (quick scale: 120,000 tasks, peak queue 82,549): this
-//! tree peaks at 1.60 MB — an 8-byte id per queued task and one 144-byte
+//! tree peaks at 1.62 MB — an 8-byte id per queued task and one 64-byte
 //! shared shape per bundle of 300, under 20 B per queued task with every
 //! constant counted in — against a bound of 4.74 MB, and holds 0.16 MB
 //! after the drain. A tree that queued a 128-byte `TaskSpec` per task read
 //! 11.4 MB at the peak (138 B per queued task) and fails. Executors
-//! (20,000): this tree peaks at 12.4 MB, 622 B per executor with every
+//! (20,000): this tree peaks at 12.1 MB, 603 B per executor with every
 //! constant counted in, against a bound of 16.1 MB. Its parent — a
 //! 184-byte machine, 80-byte wheel nodes and a 56-byte `Running` — read
 //! 16.4 MB, 821 B per executor, and fails; so does every tree before it
@@ -31,7 +31,7 @@
 //! with a spec clone in every `running` entry, 2,683 B for a 616-byte
 //! machine with a 512-byte backlog block and a record per task). Forwarded
 //! tasks (30,000): this tree holds 2.7 MB, 90 B per task — a 40-byte book
-//! entry in a table of 65,536 slots, and one shared 144-byte shape per
+//! entry in a table of 65,536 slots, and one shared 64-byte shape per
 //! bundle — against a bound of 3.84 MB. Its parent booked a whole
 //! `TaskSpec` per task in 160-byte slots, 352 B per task, and fails. After
 //! the drain this tree holds 0 B against a bound of 4 KiB; a book that kept
@@ -106,7 +106,7 @@ fn live() -> usize {
 }
 
 /// Bytes a queued task may hold live: its 8-byte id, its share of its
-/// run's 144-byte shape and of its bundle's bookkeeping, with room for a
+/// run's 64-byte shape and of its bundle's bookkeeping, with room for a
 /// bundle's id column kept whole behind its last few tasks. Any
 /// per-queued-task structure heavier than ≈16 B on top of the id crosses it.
 const PER_QUEUED: usize = 32;
@@ -114,11 +114,11 @@ const PER_QUEUED: usize = 32;
 /// Bytes a registered executor with one task in flight may hold live: its
 /// 120-byte machine and table row, the dispatcher's 57-byte `running` slot
 /// (an id, and a handle on the shape its task shares with the rest of its
-/// bundle), the 128-byte spec in its `Work` while the message waits on the
+/// bundle), the 48-byte spec in its `Work` while the message waits on the
 /// dispatcher's CPU, its result waiting for the client, two 56-byte timers.
 /// The dispatcher's tables and the wheel's slab grow by doubling and 20,000
 /// rows sit in 32,768 slots, so each of those counts 1.64 times. The run
-/// reads 628 B each; the bound is sized to catch 56 more heap bytes per
+/// reads 603 B each (628 with a 128-byte spec); the bound is sized to catch 56 more heap bytes per
 /// executor (a third timer, or any field of that size boxed beside the
 /// machine), which reads 692.
 const PER_EXECUTOR: usize = 560;
@@ -126,7 +126,7 @@ const PER_EXECUTOR: usize = 560;
 /// Bytes the forwarder may hold per task in flight: its 40-byte book entry
 /// (id, instance, slot, and a handle on its run's shape) in a table that
 /// grows by doubling, so 30,000 tasks sit in 65,536 slots, and its share of
-/// one 144-byte shape per bundle. A whole `TaskSpec` per task crosses it, as
+/// one 64-byte shape per bundle. A whole `TaskSpec` per task crosses it, as
 /// does a shape of its own per task.
 const PER_FORWARDED: usize = 128;
 

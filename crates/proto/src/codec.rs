@@ -16,7 +16,7 @@
 use crate::error::CodecError;
 use crate::message::{DispatcherStatus, ExecutorId, InstanceId, Message, NotifyKey};
 use crate::task::{
-    interned, Args, DataAccess, DataLocation, DataSpec, IStr, TaskId, TaskResult, TaskSpec,
+    interned, Args, DataAccess, DataLocation, DataSpec, IStr, Shape, TaskId, TaskResult, TaskSpec,
 };
 use crate::wire::{CountSink, GrowByCopySink, Reader, Sink};
 use std::sync::Arc;
@@ -135,10 +135,11 @@ mod tag {
 }
 
 fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
+    let shape = t.shape();
     s.put_u64(t.id.0);
-    s.put_bytes(t.command.wire_bytes());
-    s.put_len(t.args.len());
-    for a in &t.args {
+    s.put_bytes(shape.command.wire_bytes());
+    s.put_len(shape.args.len());
+    for a in &shape.args {
         s.put_bytes(a.wire_bytes());
     }
     s.put_len(t.env.len());
@@ -146,9 +147,9 @@ fn encode_task<S: Sink>(s: &mut S, t: &TaskSpec) {
         s.put_bytes(k.wire_bytes());
         s.put_bytes(v.wire_bytes());
     }
-    s.put_bytes(t.working_dir.wire_bytes());
-    s.put_opt_u64(&t.estimated_runtime_us);
-    match &t.data {
+    s.put_bytes(shape.working_dir.wire_bytes());
+    s.put_opt_u64(&shape.estimated_runtime_us);
+    match shape.data {
         None => s.put_u8(0),
         Some(d) => {
             s.put_u8(1);
@@ -208,7 +209,9 @@ fn task_strings(r: &Reader<'_>) -> Result<Arc<String>, CodecError> {
     Ok(Arc::new(buf))
 }
 
-fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
+/// One task; `prev`, the task decoded before it in its message, lends it
+/// its shape when the two are equal.
+fn decode_task(r: &mut Reader<'_>, prev: Option<&TaskSpec>) -> Result<TaskSpec, CodecError> {
     let id = TaskId(r.u64(TASK)?);
     // Each string is an interned entry or the next span of the buffer, which
     // is made when the first string the tables do not hold is met: a
@@ -272,15 +275,14 @@ fn decode_task(r: &mut Reader<'_>) -> Result<TaskSpec, CodecError> {
         }
         tag => return Err(CodecError::UnknownTag { context: TASK, tag }),
     };
-    Ok(TaskSpec {
-        id,
-        command,
-        args,
-        env,
-        working_dir,
-        estimated_runtime_us,
+    let shape = Shape {
         data,
-    })
+        estimated_runtime_us,
+        args,
+        command,
+        working_dir,
+    };
+    Ok(TaskSpec::decoded(id, env, shape, prev))
 }
 
 fn encode_result<S: Sink>(s: &mut S, res: &TaskResult) {
@@ -312,17 +314,19 @@ fn encode_vec<S: Sink, T>(s: &mut S, items: &[T], item: impl Fn(&mut S, &T)) {
 }
 
 /// A length-prefixed array of elements at least `min_wire` bytes each:
-/// room is reserved only for as many as the frame's bytes can hold.
+/// room is reserved only for as many as the frame's bytes can hold. Each
+/// element is read beside the one before it.
 fn decode_vec<'a, T>(
     r: &mut Reader<'a>,
     context: &'static str,
     min_wire: usize,
-    item: impl Fn(&mut Reader<'a>) -> Result<T, CodecError>,
+    item: impl Fn(&mut Reader<'a>, Option<&T>) -> Result<T, CodecError>,
 ) -> Result<Vec<T>, CodecError> {
     let n = r.len(context)?;
     let mut v = Vec::with_capacity(n.min(r.remaining() / min_wire));
     for _ in 0..n {
-        v.push(item(r)?);
+        let next = item(r, v.last())?;
+        v.push(next);
     }
     Ok(v)
 }
@@ -440,7 +444,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
         },
         tag::RESULT => Message::Result {
             executor: ExecutorId(r.u64(C)?),
-            results: decode_vec(r, "results", MIN_RESULT_WIRE, decode_result)?,
+            results: decode_vec(r, "results", MIN_RESULT_WIRE, |r, _| decode_result(r))?,
         },
         tag::RESULT_ACK => Message::ResultAck {
             piggybacked: decode_vec(r, "tasks", MIN_TASK_WIRE, decode_task)?,
@@ -453,7 +457,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, CodecError> {
             instance: InstanceId(r.u64(C)?),
         },
         tag::RESULTS => Message::Results {
-            results: decode_vec(r, "results", MIN_RESULT_WIRE, decode_result)?,
+            results: decode_vec(r, "results", MIN_RESULT_WIRE, |r, _| decode_result(r))?,
         },
         tag::RESULTS_ACK => Message::ResultsAck {
             instance: InstanceId(r.u64(C)?),
@@ -691,13 +695,39 @@ mod tests {
         }
     }
 
+    /// A decoded task of the same shape as the one before it shares that
+    /// one's handle, so a decoded sweep of a custom command holds one shape;
+    /// a task of another shape starts a new one.
+    #[test]
+    fn a_decoded_sweep_shares_one_shape() {
+        let custom = |i| TaskSpec::sleep(i, 0).with_command("custom-binary");
+        let sent = vec![
+            custom(1),
+            custom(2),
+            TaskSpec::sleep(3, 0),
+            custom(4),
+            custom(5),
+        ];
+        let msg = Message::Work {
+            tasks: sent.clone(),
+        };
+        let Message::Work { tasks } = EfficientCodec.decode(&EfficientCodec.encode(&msg)).unwrap()
+        else {
+            panic!("decoded another message");
+        };
+        assert_eq!(tasks, sent);
+        let shared = |a: usize, b: usize| tasks[a].command().ptr_eq(tasks[b].command());
+        assert!(shared(1, 0) && shared(4, 3));
+        assert!(!shared(3, 0));
+    }
+
     /// Every argument count decodes: none, the one-argument fast path, and
     /// the general path.
     #[test]
     fn tasks_of_every_argument_count_round_trip() {
         for n in 0..4 {
-            let mut task = TaskSpec::sleep(1, 0);
-            task.args = (0..n).map(|i| format!("arg-{i}")).collect();
+            let task =
+                TaskSpec::sleep(1, 0).with_args((0..n).map(|i| format!("arg-{i}")).collect());
             let msg = Message::Work { tasks: vec![task] };
             assert_eq!(
                 EfficientCodec.decode(&EfficientCodec.encode(&msg)).unwrap(),
@@ -711,11 +741,11 @@ mod tests {
     /// reserved for exactly: no more, and no regrowth.
     #[test]
     fn the_smallest_elements_are_the_sizes_a_decode_reserves_by() {
-        let mut task = TaskSpec::sleep(0, 0);
-        task.command = "".into();
-        task.args = Args::new();
-        task.working_dir = "".into();
-        task.estimated_runtime_us = None;
+        let task = TaskSpec::sleep(0, 0)
+            .with_command("")
+            .with_args(Args::new())
+            .with_working_dir("")
+            .with_estimate(None);
         let work = |tasks: Vec<TaskSpec>| EfficientCodec.encode(&Message::Work { tasks });
         let none = work(vec![]).len();
         assert_eq!(work(vec![task.clone()]).len() - none, MIN_TASK_WIRE);

@@ -310,38 +310,128 @@ impl<'a> IntoIterator for &'a Args {
     }
 }
 
-/// A unit of work dispatched by Falkon: an executable invocation, 128
-/// bytes in memory.
+/// A unit of work dispatched by Falkon: an executable invocation, 48 bytes
+/// in memory — its id, its environment and a handle on its shape.
 ///
-/// The dispatcher holds one of these per run of same-shaped tasks, shared
-/// by the run's queued tasks (an 8-byte id each) and its tasks in flight
-/// (an id and a handle each), and every hop of the enqueue→dispatch→complete
-/// pipeline clones one, so the struct is kept small and shallow: string
-/// fields are [`IStr`]s and the argument list is an [`Args`]. The canonical
-/// `sleep` constructors and the decode path intern their strings, so
-/// building, cloning, or decoding a microbenchmark spec allocates nothing
-/// and bumps no refcounts at all.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A parameter sweep's tasks differ in their id and nothing else, and a
+/// client holds millions of them (Figure 8 submits 2 M), so what they share
+/// is kept once: the command, arguments, working directory, runtime
+/// estimate and data staging are a *shape*, immutable and shared, and a
+/// task holds a 16-byte handle on it. The handle points at a static shape
+/// for every canonical `sleep` task whose argument the intern tables hold
+/// (0–999 s and 1–999 ms), built or decoded, so building, cloning or
+/// decoding a microbenchmark spec allocates nothing and bumps no refcounts;
+/// any other shape is one `Arc`, shared by the clones of the task. The
+/// environment stays per task. A changed field is a new shape
+/// (`with_command`, `with_args`…): nothing edits a shape another task
+/// holds.
+#[derive(Clone)]
 pub struct TaskSpec {
     /// Unique id.
     pub id: TaskId,
-    /// Executable name (the microbenchmarks use `sleep`).
-    pub command: IStr,
-    /// Command-line arguments.
-    pub args: Args,
     /// Environment variables.
     pub env: Vec<(IStr, IStr)>,
-    /// Working directory on the executor.
-    pub working_dir: IStr,
-    /// Client-estimated runtime in microseconds, if known. The paper notes
-    /// that dispatcher→executor bundling requires runtime estimates; absent
-    /// ones, only client→dispatcher bundling is used.
-    pub estimated_runtime_us: Option<u64>,
-    /// Optional synthetic data staging (Section 4.2).
-    pub data: Option<DataSpec>,
+    shape: ShapeRef,
 }
 
-const _: usize = 128 - std::mem::size_of::<TaskSpec>();
+// The sizes in this file are pinned without `assert!` (see `IStr`).
+const _: [(); 48] = [(); std::mem::size_of::<TaskSpec>()];
+
+/// What a task runs, shared by the tasks of one sweep. Compared field by
+/// field in this order: the cheap fields that tell sweeps apart first.
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) struct Shape {
+    pub(crate) data: Option<DataSpec>,
+    pub(crate) estimated_runtime_us: Option<u64>,
+    pub(crate) args: Args,
+    pub(crate) command: IStr,
+    pub(crate) working_dir: IStr,
+}
+
+/// A handle on a shape, 16 bytes: a static canonical `sleep` shape, or a
+/// shared one.
+#[derive(Clone)]
+enum ShapeRef {
+    Static(&'static Shape),
+    Shared(Arc<Shape>),
+}
+
+impl Deref for ShapeRef {
+    type Target = Shape;
+    #[inline]
+    fn deref(&self) -> &Shape {
+        match self {
+            ShapeRef::Static(shape) => shape,
+            ShapeRef::Shared(shape) => shape,
+        }
+    }
+}
+
+impl ShapeRef {
+    /// A handle on `shape`: the static one when it is a canonical `sleep`.
+    fn new(shape: Shape) -> ShapeRef {
+        match shape.canonical() {
+            Some(canonical) => ShapeRef::Static(canonical),
+            None => ShapeRef::Shared(Arc::new(shape)),
+        }
+    }
+
+    /// Whether the two shapes are one: the same handle, or equal contents.
+    #[inline]
+    fn same(&self, other: &ShapeRef) -> bool {
+        std::ptr::eq::<Shape>(&**self, &**other) || **self == **other
+    }
+}
+
+impl Shape {
+    /// The static shape equal to this one, when it is a canonical `sleep`.
+    /// Told by the identity of its strings, not their bytes: a canonical
+    /// string is interned however it was made (`From`, or the decoder).
+    fn canonical(&self) -> Option<&'static Shape> {
+        let us = self.estimated_runtime_us.filter(|_| self.data.is_none())?;
+        let canonical = static_sleep(us)?;
+        let [arg] = &*self.args else {
+            return None;
+        };
+        let same = self.command.ptr_eq(&canonical.command)
+            && self.working_dir.ptr_eq(&canonical.working_dir)
+            && canonical.args.first().is_some_and(|a| a.ptr_eq(arg));
+        same.then_some(canonical)
+    }
+
+    /// `sleep` for `us` microseconds in `/tmp`, its runtime estimated.
+    fn sleep(us: u64) -> Shape {
+        let arg = if us.is_multiple_of(1_000_000) {
+            decimal(us / 1_000_000)
+        } else {
+            small_fraction(us).unwrap_or_else(|| IStr::owned(seconds(us)))
+        };
+        Shape {
+            command: IStr(Repr::Static(&SLEEP_COMMAND)),
+            args: Args::one(arg),
+            working_dir: IStr(Repr::Static(&TMP_DIR)),
+            estimated_runtime_us: Some(us),
+            data: None,
+        }
+    }
+}
+
+/// The static shape of `sleep` for `us` microseconds, when the intern
+/// tables hold its argument: whole seconds below 1,000 and whole
+/// milliseconds below a second. A shape is leaked on first use, once per
+/// duration (96 B each), so a process pays only for the durations it runs.
+fn static_sleep(us: u64) -> Option<&'static Shape> {
+    static SECONDS: [OnceLock<&Shape>; 1000] = [const { OnceLock::new() }; 1000];
+    static MILLIS: [OnceLock<&Shape>; 999] = [const { OnceLock::new() }; 999];
+    let slot = if us.is_multiple_of(1_000_000) {
+        SECONDS.get(usize::try_from(us / 1_000_000).ok()?)?
+    } else if us.is_multiple_of(1000) {
+        MILLIS.get(usize::try_from(us / 1000).ok()?.checked_sub(1)?)?
+    } else {
+        return None;
+    };
+    Some(slot.get_or_init(|| Box::leak(Box::new(Shape::sleep(us)))))
+}
 
 /// The canonical command the benchmark constructors build. A `static`, like
 /// the decimal table below: an interned [`IStr`] points at the place.
@@ -415,68 +505,176 @@ impl TaskSpec {
     /// A canonical `sleep <secs>` task, the paper's microbenchmark workload.
     /// `sleep 0` measures pure dispatch overhead.
     pub fn sleep(id: u64, secs: u64) -> TaskSpec {
-        TaskSpec {
-            id: TaskId(id),
-            command: IStr(Repr::Static(&SLEEP_COMMAND)),
-            args: Args::one(decimal(secs)),
-            env: Vec::new(),
-            working_dir: IStr(Repr::Static(&TMP_DIR)),
-            estimated_runtime_us: Some(secs * 1_000_000),
-            data: None,
-        }
+        TaskSpec::sleep_us(id, secs * 1_000_000)
     }
 
     /// A sleep task with sub-second resolution (microseconds).
     pub fn sleep_us(id: u64, us: u64) -> TaskSpec {
-        let arg = if us.is_multiple_of(1_000_000) {
-            decimal(us / 1_000_000)
-        } else {
-            small_fraction(us).unwrap_or_else(|| IStr::owned(seconds(us)))
-        };
         TaskSpec {
             id: TaskId(id),
-            command: IStr(Repr::Static(&SLEEP_COMMAND)),
-            args: Args::one(arg),
             env: Vec::new(),
-            working_dir: IStr(Repr::Static(&TMP_DIR)),
-            estimated_runtime_us: Some(us),
-            data: None,
+            shape: static_sleep(us).map_or_else(
+                || ShapeRef::Shared(Arc::new(Shape::sleep(us))),
+                ShapeRef::Static,
+            ),
         }
+    }
+
+    /// Task `id` of this task's shape and environment.
+    #[inline]
+    pub fn with_id(&self, id: TaskId) -> TaskSpec {
+        TaskSpec {
+            id,
+            env: self.env.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Whether the two differ in nothing but their id: one *shape* and one
+    /// environment, which a parameter sweep's tasks share. The handles are
+    /// compared before the contents, and the environment last; the
+    /// destructuring makes a new field a compile error here rather than a
+    /// silently merged run.
+    #[inline]
+    pub fn same_shape(&self, other: &TaskSpec) -> bool {
+        let TaskSpec { id: _, env, shape } = self;
+        shape.same(&other.shape) && *env == other.env
+    }
+
+    /// The shape, for the encoder to read in one step.
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// Executable name (the microbenchmarks use `sleep`).
+    pub fn command(&self) -> &IStr {
+        &self.shape.command
+    }
+
+    /// Command-line arguments.
+    pub fn args(&self) -> &Args {
+        &self.shape.args
+    }
+
+    /// Working directory on the executor.
+    pub fn working_dir(&self) -> &IStr {
+        &self.shape.working_dir
+    }
+
+    /// Client-estimated runtime in microseconds, if known. The paper notes
+    /// that dispatcher→executor bundling requires runtime estimates; absent
+    /// ones, only client→dispatcher bundling is used.
+    pub fn estimated_runtime_us(&self) -> Option<u64> {
+        self.shape.estimated_runtime_us
+    }
+
+    /// Optional synthetic data staging (Section 4.2).
+    pub fn data(&self) -> Option<DataSpec> {
+        self.shape.data
+    }
+
+    /// This task with its shape edited by `edit`: a new shape, since the
+    /// old one may be shared.
+    fn reshape(mut self, edit: impl FnOnce(&mut Shape)) -> TaskSpec {
+        let mut shape = Shape::clone(&self.shape);
+        edit(&mut shape);
+        self.shape = ShapeRef::new(shape);
+        self
+    }
+
+    /// Run `command` instead (builder style).
+    pub fn with_command(self, command: impl Into<IStr>) -> TaskSpec {
+        let command = command.into();
+        self.reshape(|s| s.command = command)
+    }
+
+    /// Pass `args` instead (builder style).
+    pub fn with_args(self, args: Args) -> TaskSpec {
+        self.reshape(|s| s.args = args)
+    }
+
+    /// Run in `dir` instead (builder style).
+    pub fn with_working_dir(self, dir: impl Into<IStr>) -> TaskSpec {
+        let dir = dir.into();
+        self.reshape(|s| s.working_dir = dir)
+    }
+
+    /// Estimate the runtime as `us` microseconds, or not at all (builder
+    /// style).
+    pub fn with_estimate(self, us: Option<u64>) -> TaskSpec {
+        self.reshape(|s| s.estimated_runtime_us = us)
     }
 
     /// Attach a data-staging spec (builder style). The object id defaults
     /// to the task id (all objects distinct); use [`TaskSpec::with_object`]
     /// when tasks share data.
-    pub fn with_data(mut self, bytes: u64, location: DataLocation, access: DataAccess) -> Self {
-        self.data = Some(DataSpec {
-            object: self.id.0,
-            bytes,
-            location,
-            access,
-        });
-        self
+    pub fn with_data(self, bytes: u64, location: DataLocation, access: DataAccess) -> Self {
+        let object = self.id.0;
+        self.with_object(object, bytes, location, access)
     }
 
     /// Attach a data-staging spec for a shared, named object.
     pub fn with_object(
-        mut self,
+        self,
         object: u64,
         bytes: u64,
         location: DataLocation,
         access: DataAccess,
     ) -> Self {
-        self.data = Some(DataSpec {
-            object,
-            bytes,
-            location,
-            access,
-        });
-        self
+        self.reshape(|s| {
+            s.data = Some(DataSpec {
+                object,
+                bytes,
+                location,
+                access,
+            })
+        })
     }
 
     /// The declared runtime for simulation purposes (zero when unknown).
     pub fn runtime_us(&self) -> u64 {
-        self.estimated_runtime_us.unwrap_or(0)
+        self.shape.estimated_runtime_us.unwrap_or(0)
+    }
+
+    /// The task the decoder read. Its shape is the handle of the task
+    /// decoded before it when the two are equal, so a decoded sweep holds
+    /// one shape however many tasks it has, and static when canonical.
+    pub(crate) fn decoded(
+        id: TaskId,
+        env: Vec<(IStr, IStr)>,
+        shape: Shape,
+        prev: Option<&TaskSpec>,
+    ) -> TaskSpec {
+        let shape = match (shape.canonical(), prev) {
+            (Some(canonical), _) => ShapeRef::Static(canonical),
+            (None, Some(prev)) if *prev.shape == shape => prev.shape.clone(),
+            (None, _) => ShapeRef::Shared(Arc::new(shape)),
+        };
+        TaskSpec { id, env, shape }
+    }
+}
+
+impl PartialEq for TaskSpec {
+    /// Equal by contents: a static shape equals a shared one that holds
+    /// the same fields.
+    fn eq(&self, other: &TaskSpec) -> bool {
+        self.id == other.id && self.same_shape(other)
+    }
+}
+
+impl Eq for TaskSpec {}
+
+impl fmt::Debug for TaskSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskSpec")
+            .field("id", &self.id)
+            .field("command", self.command())
+            .field("args", self.args())
+            .field("env", &self.env)
+            .field("working_dir", self.working_dir())
+            .field("estimated_runtime_us", &self.estimated_runtime_us())
+            .field("data", &self.data())
+            .finish()
     }
 }
 
@@ -552,17 +750,17 @@ mod tests {
     fn sleep_task_shape() {
         let t = TaskSpec::sleep(7, 480);
         assert_eq!(t.id, TaskId(7));
-        assert_eq!(&*t.command, "sleep");
-        assert_eq!(&*t.args[0], "480");
+        assert_eq!(&**t.command(), "sleep");
+        assert_eq!(&*t.args()[0], "480");
         assert_eq!(t.runtime_us(), 480_000_000);
     }
 
     #[test]
     fn sleep_us_fractional() {
         let t = TaskSpec::sleep_us(1, 1_500_000);
-        assert_eq!(&*t.args[0], "1.5");
+        assert_eq!(&*t.args()[0], "1.5");
         assert_eq!(t.runtime_us(), 1_500_000);
-        assert!(!t.args[0].is_interned());
+        assert!(!t.args()[0].is_interned());
     }
 
     /// Every whole millisecond below a second interns as the plain decimal
@@ -573,9 +771,9 @@ mod tests {
         for ms in 1..1000u64 {
             let want = format!("0.{ms:03}").trim_end_matches('0').to_owned();
             let t = TaskSpec::sleep_us(ms, ms * 1000);
-            assert_eq!(&*t.args[0], want, "{ms} ms");
-            assert!(t.args[0].is_interned(), "{ms} ms");
-            assert!(interned(want.as_bytes()).is_some_and(|s| s.ptr_eq(&t.args[0])));
+            assert_eq!(&*t.args()[0], want, "{ms} ms");
+            assert!(t.args()[0].is_interned(), "{ms} ms");
+            assert!(interned(want.as_bytes()).is_some_and(|s| s.ptr_eq(&t.args()[0])));
             assert!(interned(format!("0.{ms:03}0").as_bytes()).is_none());
         }
         for s in [
@@ -583,14 +781,14 @@ mod tests {
         ] {
             assert!(interned(s.as_bytes()).is_none(), "{s:?} interned");
         }
-        assert!(!TaskSpec::sleep_us(1, 1_500).args[0].is_interned());
+        assert!(!TaskSpec::sleep_us(1, 1_500).args()[0].is_interned());
     }
 
     #[test]
     fn with_data_builder() {
         let t =
             TaskSpec::sleep(1, 0).with_data(1 << 20, DataLocation::SharedFs, DataAccess::ReadWrite);
-        let d = t.data.unwrap();
+        let d = t.data().unwrap();
         assert_eq!(d.bytes, 1 << 20);
         assert_eq!(d.location, DataLocation::SharedFs);
         assert_eq!(d.access, DataAccess::ReadWrite);
@@ -608,13 +806,13 @@ mod tests {
     fn sleep_constructors_intern_strings() {
         let a = TaskSpec::sleep(1, 0);
         let b = TaskSpec::sleep(2, 0);
-        assert!(a.command.is_interned() && a.command.ptr_eq(&b.command));
-        assert!(a.working_dir.is_interned() && a.working_dir.ptr_eq(&b.working_dir));
-        assert!(a.args[0].is_interned() && a.args[0].ptr_eq(&b.args[0]));
+        assert!(a.command().is_interned() && a.command().ptr_eq(b.command()));
+        assert!(a.working_dir().is_interned() && a.working_dir().ptr_eq(b.working_dir()));
+        assert!(a.args()[0].is_interned() && a.args()[0].ptr_eq(&b.args()[0]));
         // Whole-second `sleep_us` calls share the same interned digits.
         let c = TaskSpec::sleep_us(3, 2_000_000);
-        assert_eq!(&*c.args[0], "2");
-        assert!(c.args[0].ptr_eq(&TaskSpec::sleep(4, 2).args[0]));
+        assert_eq!(&*c.args()[0], "2");
+        assert!(c.args()[0].ptr_eq(&TaskSpec::sleep(4, 2).args()[0]));
     }
 
     #[test]
@@ -627,7 +825,9 @@ mod tests {
         // do: Figure 9's `sleep 480` tasks share one string.
         assert!(IStr::from("480").is_interned() && IStr::from("999").is_interned());
         let a = TaskSpec::sleep(1, 480);
-        assert!(a.args[0].is_interned() && a.args[0].ptr_eq(&TaskSpec::sleep(2, 480).args[0]));
+        assert!(
+            a.args()[0].is_interned() && a.args()[0].ptr_eq(&TaskSpec::sleep(2, 480).args()[0])
+        );
         // Non-canonical decimals, larger ones and arbitrary strings allocate.
         assert!(!IStr::from("07").is_interned());
         assert!(!IStr::from("0480").is_interned() && !IStr::from("1000").is_interned());
@@ -677,7 +877,7 @@ mod tests {
             let s = n.to_string();
             let i = interned(s.as_bytes()).unwrap_or_else(|| panic!("{s} not interned"));
             assert_eq!(&*i, s);
-            assert!(i.ptr_eq(&TaskSpec::sleep(1, n).args[0]), "{s}");
+            assert!(i.ptr_eq(&TaskSpec::sleep(1, n).args()[0]), "{s}");
         }
     }
 
@@ -743,6 +943,71 @@ mod tests {
     fn captured_stdout_alone_is_kept() {
         let out = TaskResult::success(TaskId(1)).with_output(Some("hi".into()), None);
         assert_eq!((out.stdout(), out.stderr()), (Some("hi"), None));
+    }
+
+    /// Two specs are one shape only if every field but the id agrees.
+    #[test]
+    fn same_shape_tells_apart_every_field_but_the_id() {
+        let base = TaskSpec::sleep(1, 0);
+        assert!(base.same_shape(&TaskSpec::sleep(2, 0)));
+        let differ: [fn(TaskSpec) -> TaskSpec; 6] = [
+            |t| t.with_command("true"),
+            |t| t.with_args(Args::one("1")),
+            |t| TaskSpec {
+                env: vec![("K".into(), "V".into())],
+                ..t
+            },
+            |t| t.with_working_dir("/work"),
+            |t| t.with_estimate(Some(7)),
+            |t| t.with_object(1, 1, DataLocation::SharedFs, DataAccess::Read),
+        ];
+        for (field, change) in differ.iter().enumerate() {
+            let other = change(TaskSpec::sleep(2, 0));
+            assert!(!base.same_shape(&other), "field {field}");
+            assert!(other.with_id(TaskId(1)).same_shape(&other));
+        }
+    }
+
+    /// A canonical `sleep` is one static shape, built or rebuilt: equal
+    /// contents, the same handle, and no allocation to clone.
+    #[test]
+    fn canonical_sleeps_share_a_static_shape() {
+        for us in [0, 1_000, 999_000, 1_000_000, 999_000_000] {
+            let a = TaskSpec::sleep_us(1, us);
+            assert!(matches!(a.shape, ShapeRef::Static(_)), "{us} us");
+            assert!(std::ptr::eq::<Shape>(
+                &*a.shape,
+                &*TaskSpec::sleep_us(2, us).shape
+            ));
+            // Edited back to the canonical fields, a shape is static again.
+            let b = a.clone().with_estimate(None).with_estimate(Some(us));
+            assert!(matches!(b.shape, ShapeRef::Static(_)), "{us} us rebuilt");
+        }
+        for us in [1, 1_500, 1_500_000, 1_000_000_000] {
+            let a = TaskSpec::sleep_us(1, us);
+            assert!(matches!(a.shape, ShapeRef::Shared(_)), "{us} us");
+            assert_eq!(a, TaskSpec::sleep_us(1, us));
+        }
+        assert_eq!(TaskSpec::sleep(3, 2), TaskSpec::sleep_us(3, 2_000_000));
+    }
+
+    /// A static shape equals a shared one with the same contents, and a
+    /// task's `Debug` names every field, shape fields included.
+    #[test]
+    fn equality_is_by_contents_and_debug_names_every_field() {
+        let canonical = TaskSpec::sleep(5, 0);
+        let shared = TaskSpec {
+            shape: ShapeRef::Shared(Arc::new(Shape::sleep(0))),
+            ..canonical.clone()
+        };
+        assert_eq!(shared, canonical);
+        assert!(shared.same_shape(&canonical) && canonical.same_shape(&shared));
+        assert_ne!(shared.with_estimate(Some(1)), canonical);
+        assert_eq!(
+            format!("{canonical:?}"),
+            "TaskSpec { id: task#5, command: \"sleep\", args: [\"0\"], env: [], \
+             working_dir: \"/tmp\", estimated_runtime_us: Some(0), data: None }"
+        );
     }
 
     #[test]

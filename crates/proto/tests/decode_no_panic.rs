@@ -26,11 +26,11 @@ use proptest::prelude::*;
 /// directory), and where each field's bytes sit in the encoding.
 fn work_of(strings: [&str; 6]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
     let [command, a0, a1, k, v, dir] = strings;
-    let mut t = TaskSpec::sleep(1, 0);
-    t.command = command.into();
-    t.args = [a0, a1].into_iter().collect();
+    let mut t = TaskSpec::sleep(1, 0)
+        .with_command(command)
+        .with_args([a0, a1].into_iter().collect())
+        .with_working_dir(dir);
     t.env = vec![(k.into(), v.into())];
-    t.working_dir = dir.into();
     let bytes = EfficientCodec.encode(&Message::Work { tasks: vec![t] });
     let mut from = 0;
     let spans = strings
@@ -54,10 +54,10 @@ fn fields(msg: &Message) -> Vec<IStr> {
         panic!("decoded another message");
     };
     let t = &tasks[0];
-    let mut out = vec![t.command.clone()];
-    out.extend(t.args.iter().cloned());
+    let mut out = vec![t.command().clone()];
+    out.extend(t.args().iter().cloned());
     out.extend(t.env.iter().flat_map(|(k, v)| [k.clone(), v.clone()]));
-    out.push(t.working_dir.clone());
+    out.push(t.working_dir().clone());
     out
 }
 

@@ -8,12 +8,11 @@ use falkon_proto::message::{ExecutorId, InstanceId, Message};
 use falkon_proto::task::{DataAccess, DataLocation, IStr, TaskId, TaskResult, TaskSpec};
 
 fn three_args() -> TaskSpec {
-    let mut t = TaskSpec::sleep(3, 7);
-    t.command = "convert".into();
-    t.args = ["-resize", "50%", "in.fits"].into_iter().collect();
-    t.working_dir = "/scratch/run".into();
-    t.estimated_runtime_us = None;
-    t
+    TaskSpec::sleep(3, 7)
+        .with_command("convert")
+        .with_args(["-resize", "50%", "in.fits"].into_iter().collect())
+        .with_working_dir("/scratch/run")
+        .with_estimate(None)
 }
 
 fn env_task() -> TaskSpec {

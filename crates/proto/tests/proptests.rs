@@ -16,30 +16,31 @@ fn arb_task() -> BoxedStrategy<TaskSpec> {
         prop::option::of(any::<u64>()),
         prop::option::of((any::<u64>(), any::<u64>(), any::<bool>(), any::<bool>())),
     )
-        .prop_map(
-            |(id, command, args, env, working_dir, est, data)| TaskSpec {
-                id: TaskId(id),
-                command: command.into(),
-                args: args.into_iter().map(IStr::from).collect(),
-                env: env.into_iter().map(|(k, v)| (k.into(), v.into())).collect(),
-                working_dir: working_dir.into(),
-                estimated_runtime_us: est,
-                data: data.map(|(object, bytes, loc, acc)| DataSpec {
+        .prop_map(|(id, command, args, env, working_dir, est, data)| {
+            let mut t = TaskSpec::sleep(id, 0)
+                .with_command(command)
+                .with_args(args.into_iter().map(IStr::from).collect())
+                .with_working_dir(working_dir)
+                .with_estimate(est);
+            t.env = env.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
+            match data {
+                None => t,
+                Some((object, bytes, loc, acc)) => t.with_object(
                     object,
                     bytes,
-                    location: if loc {
+                    if loc {
                         DataLocation::SharedFs
                     } else {
                         DataLocation::LocalDisk
                     },
-                    access: if acc {
+                    if acc {
                         DataAccess::Read
                     } else {
                         DataAccess::ReadWrite
                     },
-                }),
-            },
-        )
+                ),
+            }
+        })
         .boxed()
 }
 
@@ -116,11 +117,11 @@ fn arb_string_task() -> impl Strategy<Value = TaskSpec> {
         arb_field(),
     )
         .prop_map(|(id, command, args, env, working_dir)| {
-            let mut t = TaskSpec::sleep(id, 0);
-            t.command = command.into();
-            t.args = args.into_iter().collect();
+            let mut t = TaskSpec::sleep(id, 0)
+                .with_command(command)
+                .with_args(args.into_iter().collect())
+                .with_working_dir(working_dir);
             t.env = env.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
-            t.working_dir = working_dir.into();
             t
         })
 }
@@ -181,10 +182,10 @@ proptest! {
         };
         let [back] = &tasks[..] else { panic!("one task in, {} out", tasks.len()) };
         prop_assert_eq!(back, &task);
-        let strings = std::iter::once(&back.command)
-            .chain(back.args.iter())
+        let strings = std::iter::once(back.command())
+            .chain(back.args().iter())
             .chain(back.env.iter().flat_map(|(k, v)| [k, v]))
-            .chain(std::iter::once(&back.working_dir));
+            .chain(std::iter::once(back.working_dir()));
         // The task holds the only references: n heap strings of one buffer
         // count n each.
         let counts: Vec<usize> = strings.filter_map(IStr::strong_count).collect();

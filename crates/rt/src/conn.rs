@@ -52,7 +52,7 @@ use falkon_obs::{Counters, WireTap};
 use falkon_proto::codec::{Codec, EfficientCodec};
 use falkon_proto::frame::{begin_frame, end_frame, write_frame, FrameCursor};
 use falkon_proto::message::Message;
-use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel};
+use falkon_proto::security::{OpenHalf, SealHalf, SecureChannel, MAC_LEN};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -205,6 +205,7 @@ impl Conn {
 
     /// Frame, encode and seal `msg` onto the batch; charge and return its size.
     fn encode(&mut self, msg: &Message) -> u64 {
+        self.make_room(msg);
         let pos = begin_frame(&mut self.batchbuf);
         self.codec.encode_append(msg, &mut self.batchbuf);
         if let Some(seal) = self.sealer.as_mut() {
@@ -214,6 +215,20 @@ impl Conn {
         let framed = (self.batchbuf.len() - pos - 4) as u64;
         self.wire.encoded(framed);
         framed
+    }
+
+    /// Grow the batch for `msg`'s frame as a `Vec` grows, but never by
+    /// doubling past `FLUSH_HIGH_WATER`: a frame that crosses the cap gets
+    /// room for exactly itself, so the batch holds at most the cap plus
+    /// one frame (`alloc_steady`'s client case). Measuring a frame adds its
+    /// lengths; it copies nothing.
+    fn make_room(&mut self, msg: &Message) {
+        let (len, cap) = (self.batchbuf.len(), self.batchbuf.capacity());
+        let frame = 4 + self.codec.encoded_len(msg) + MAC_LEN;
+        if len + frame > cap {
+            let grown = (2 * cap).min(FLUSH_HIGH_WATER).max(len + frame);
+            self.batchbuf.reserve_exact(grown - len);
+        }
     }
 
     /// Write as much as the socket accepts, encoding the waiting messages
@@ -234,6 +249,13 @@ impl Conn {
             }
             self.batchbuf.clear();
             self.batch_pos = 0;
+            // A batch grown for an outsized frame gives back what is above
+            // the cap; one that kept room for a frame of up to the cap's
+            // size keeps it for the next, or every such frame would cost a
+            // grow and a shrink.
+            if self.batchbuf.capacity() > 2 * FLUSH_HIGH_WATER {
+                self.batchbuf.shrink_to(FLUSH_HIGH_WATER);
+            }
             while let Some(msg) = self.deferred.pop_front() {
                 let framed = self.encode(&msg);
                 self.wire.deferred(framed);

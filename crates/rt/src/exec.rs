@@ -11,8 +11,8 @@ use std::time::Duration;
     reason = "the sleep is the task body (the paper's `sleep N` workload), not transport pacing"
 )]
 pub(crate) fn execute_builtin(spec: &TaskSpec) -> TaskResult {
-    if &*spec.command == "sleep" {
-        if let Some(secs) = spec.args.first().and_then(|a| a.parse::<f64>().ok()) {
+    if &**spec.command() == "sleep" {
+        if let Some(secs) = spec.args().first().and_then(|a| a.parse::<f64>().ok()) {
             if secs > 0.0 {
                 thread::sleep(Duration::from_secs_f64(secs));
             }
@@ -23,8 +23,8 @@ pub(crate) fn execute_builtin(spec: &TaskSpec) -> TaskResult {
 
 /// Execute a task by spawning the real OS process and waiting for it.
 pub(crate) fn execute_process(spec: &TaskSpec) -> TaskResult {
-    match std::process::Command::new(&*spec.command)
-        .args(spec.args.iter().map(|a| &**a))
+    match std::process::Command::new(&**spec.command())
+        .args(spec.args().iter().map(|a| &**a))
         .output()
     {
         Ok(o) => TaskResult::failure(spec.id, o.status.code().unwrap_or(-1)),
@@ -35,6 +35,7 @@ pub(crate) fn execute_process(spec: &TaskSpec) -> TaskResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falkon_proto::task::Args;
 
     #[test]
     fn builtin_sleep_zero_is_instant_success() {
@@ -44,25 +45,24 @@ mod tests {
 
     #[test]
     fn builtin_unknown_command_is_noop_success() {
-        let mut t = TaskSpec::sleep(2, 0);
-        t.command = "whatever".into();
+        let t = TaskSpec::sleep(2, 0).with_command("whatever");
         assert!(execute_builtin(&t).is_success());
     }
 
     #[test]
     fn process_failure_reports_exit_code() {
-        let mut t = TaskSpec::sleep(3, 0);
-        t.command = "false".into();
-        t.args.clear();
+        let t = TaskSpec::sleep(3, 0)
+            .with_command("false")
+            .with_args(Args::new());
         let r = execute_process(&t);
         assert!(!r.is_success());
     }
 
     #[test]
     fn process_missing_binary_reports_127() {
-        let mut t = TaskSpec::sleep(4, 0);
-        t.command = "definitely-not-a-real-binary-xyz".into();
-        t.args.clear();
+        let t = TaskSpec::sleep(4, 0)
+            .with_command("definitely-not-a-real-binary-xyz")
+            .with_args(Args::new());
         assert_eq!(execute_process(&t).exit_code, 127);
     }
 }

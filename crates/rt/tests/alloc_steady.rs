@@ -26,9 +26,11 @@
 //! holds a sleep-0 task to the four allocations its messages need, the
 //! other a fat secure task to one allocation for each decode's strings.
 //! A third holds the client thread's own peak live heap to what its socket
-//! takes, whatever the size of its workload. Others pin what a non-interned
-//! [`falkon_proto::IStr`] costs, that an interned one costs nothing, and
-//! what a hostile length prefix can make the decoder reserve. Every test
+//! takes, whatever the size of its workload, and a fourth a server's live
+//! heap to a record per completed task. Others pin what a non-interned
+//! [`falkon_proto::IStr`] costs, that an interned one and a canonical task's
+//! shape cost nothing, and what a hostile length prefix can make the decoder
+//! reserve. Every test
 //! with a socket runs under the suites' wall-clock bound (`within`).
 //!
 //! Ordering protocol: no synchronizes-with edges. The allocation counter
@@ -47,8 +49,10 @@
 // A counting `GlobalAlloc` is an `unsafe impl`; it forwards to `System`.
 #![allow(unsafe_code)]
 
+use falkon_core::dispatcher::TaskRecord;
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::DispatcherConfig;
+use falkon_proto::message::InstanceId;
 use falkon_proto::{BundleConfig, Codec, EfficientCodec, IStr, Message, TaskSpec};
 use falkon_rt::clock::Clock;
 use falkon_rt::conn::{Conn, Inbound};
@@ -460,15 +464,17 @@ fn client_peak_above_start(addr: std::net::SocketAddr, n: u64) -> i64 {
 /// A client cuts each bundle from the workload it was handed when its
 /// connection's batch has room, and counts results as they come, so its
 /// own heap holds a batch and a bundle, whatever the workload: 20,000
-/// tasks and 200,000 peak within 64 KiB of each other, each under 1 MiB
-/// above where the call began (≈552 KiB: a batch grown past
-/// `FLUSH_HIGH_WATER` to 512 KiB, and a 300-task bundle). A client that
-/// copies the wave into its staging list, cuts every bundle at once and
-/// keeps every result peaks ≈217 B per task higher: 4.1 MiB and 41.6 MiB.
+/// tasks and 200,000 peak within 64 KiB of each other, each under 300 KiB
+/// above where the call began (≈285 KiB: a batch at the 256 KiB
+/// `FLUSH_HIGH_WATER` plus the frame that crossed it, and a 300-task
+/// bundle of 14 KiB). A batch that doubles past the cap, as it did, peaks
+/// at ≈529 KiB. A client that copies the wave into its staging list, cuts
+/// every bundle at once and keeps every result peaks ≈217 B per task
+/// higher: 4.1 MiB and 41.6 MiB.
 #[test]
 fn a_client_holds_what_its_socket_takes_not_its_workload() {
     within(DEPLOYMENT_LIMIT, || {
-        const LIMIT: i64 = 1 << 20;
+        const LIMIT: i64 = 300 << 10;
         let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let server =
             DispatcherServer::start(ServerConfig::builder().build().expect("valid config"))
@@ -493,6 +499,113 @@ fn a_client_holds_what_its_socket_takes_not_its_workload() {
             "a client's heap grows with its workload: {small} B → {large} B"
         );
     })
+}
+
+/// The heap a dispatcher server keeps per completed task of a run of `n`
+/// sleep-0 tasks, after a warm-up run: its live-heap growth, less the
+/// spare room of its records `Vec` (which doubles as it grows), per task.
+fn server_heap_per_task(n: u64) -> f64 {
+    const WARM: u64 = 1_000;
+    let server = DispatcherServer::start(ServerConfig::builder().build().expect("valid config"))
+        .expect("bind");
+    let addr = server.addr;
+    let executors =
+        std::thread::spawn(move || run_executors_mux(addr, 0, 16, ExecutorConfig::default(), None));
+    let bundle = BundleConfig::of(300);
+    let warm = run_client(
+        addr,
+        (0..WARM).map(|i| TaskSpec::sleep(i, 0)).collect(),
+        bundle,
+        None,
+    );
+    assert_eq!(warm.expect("warm-up").done, WARM);
+    // The workload is built and dropped inside the window.
+    let before = live_bytes();
+    let tasks = (WARM..WARM + n).map(|i| TaskSpec::sleep(i, 0)).collect();
+    let out = run_client(addr, tasks, bundle, None).expect("run");
+    assert_eq!(out.done, n);
+    let grown = live_bytes().wrapping_sub(before) as f64;
+    let (records, ..) = server.shutdown();
+    executors.join().expect("executor thread").expect("mux");
+    assert_eq!(records.len() as u64, WARM + n);
+    let spare = (records.capacity() - records.len()) * std::mem::size_of::<TaskRecord>();
+    (grown - spare as f64) / n as f64
+}
+
+/// What a dispatcher server keeps of a completed task is its 72-byte
+/// [`TaskRecord`], and that is all: over runs of 20,000 and 200,000 tasks
+/// its heap grows ≈72 B per task either way. The bound, 80 B, is broken by
+/// a record that keeps the task's spec again (48 B more), or by anything
+/// else the server holds per task once the task is done.
+#[test]
+fn a_server_keeps_a_record_per_completed_task_and_nothing_else() {
+    within(DEPLOYMENT_LIMIT, || {
+        const LIMIT: f64 = 80.0;
+        let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let small = server_heap_per_task(20_000);
+        let large = server_heap_per_task(200_000);
+        eprintln!(
+            "server heap per completed task: {small:.1} B over 20,000, {large:.1} B over 200,000"
+        );
+        assert!(
+            small <= LIMIT && large <= LIMIT,
+            "a server kept {small:.1} B per task over 20,000 tasks and {large:.1} B over 200,000"
+        );
+    })
+}
+
+/// A canonical task is its id, an empty environment and a handle on a
+/// static shape: 100,000 `sleep 0` tasks, or `sleep 0.001` ones, cost their
+/// `Vec` and nothing else, 48 B a task; and decoding a 300-task `Submit` of
+/// them allocates its `Vec` and no shape. A task that held its own shape
+/// would cost a block per task at each end. A sweep of another shape,
+/// `sleep 1.5`, decodes to one shared shape: each task's strings are still
+/// copied (a buffer and its `Arc`), but its shape is the one before it.
+#[test]
+fn a_canonical_task_allocates_nothing_but_its_vec() {
+    const N: u64 = 100_000;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let builds: [fn(u64) -> TaskSpec; 2] =
+        [|i| TaskSpec::sleep(i, 0), |i| TaskSpec::sleep_us(i, 1_000)];
+    for build in builds {
+        // Fill the shape's static slot outside the count.
+        let warm = build(0);
+        let (allocs, bytes) = (thread_allocs(), thread_bytes());
+        let tasks: Vec<TaskSpec> = (0..N).map(build).collect();
+        assert_eq!(
+            (thread_allocs() - allocs, thread_bytes() - bytes),
+            (1, N * std::mem::size_of::<TaskSpec>() as u64),
+            "building {N} tasks like {warm:?}"
+        );
+        let submit = Message::Submit {
+            instance: InstanceId(1),
+            tasks: tasks[..300].to_vec(),
+        };
+        let wire = EfficientCodec.encode(&submit);
+        let before = thread_allocs();
+        let decoded = EfficientCodec.decode(&wire).expect("decode");
+        assert_eq!(
+            thread_allocs() - before,
+            1,
+            "decoding 300 tasks like {warm:?} allocated a shape"
+        );
+        assert_eq!(decoded, submit);
+    }
+    assert_eq!(std::mem::size_of::<TaskSpec>(), 48);
+
+    let submit = Message::Submit {
+        instance: InstanceId(1),
+        tasks: (0..300).map(|i| TaskSpec::sleep_us(i, 1_500_000)).collect(),
+    };
+    let wire = EfficientCodec.encode(&submit);
+    let before = thread_allocs();
+    let decoded = EfficientCodec.decode(&wire).expect("decode");
+    assert_eq!(
+        thread_allocs() - before,
+        1 + 300 * 2 + 1,
+        "decoding 300 `sleep 1.5` tasks allocated a shape per task"
+    );
+    assert_eq!(decoded, submit);
 }
 
 /// A heap [`IStr`] is an `Arc` around a `String`: made from a `String` it
@@ -555,7 +668,7 @@ fn a_one_millisecond_task_allocates_no_string_at_either_end() {
         0,
         "building a 1 ms task allocates"
     );
-    assert!(tasks[299].args[0].is_interned() && tasks[299].args[0].ptr_eq(&warm.args[0]));
+    assert!(tasks[299].args()[0].is_interned() && tasks[299].args()[0].ptr_eq(&warm.args()[0]));
 
     let wire = EfficientCodec.encode(&Message::Work {
         tasks: tasks.to_vec(),
@@ -571,7 +684,7 @@ fn a_one_millisecond_task_allocates_no_string_at_either_end() {
         panic!("expected work");
     };
     assert_eq!(got, tasks);
-    assert!(got.iter().all(|t| t.args[0].ptr_eq(&warm.args[0])));
+    assert!(got.iter().all(|t| t.args()[0].ptr_eq(&warm.args()[0])));
 }
 
 /// Asks the decoder to decode `wire` and returns the bytes the attempt

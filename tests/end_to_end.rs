@@ -6,7 +6,7 @@ use falkon::core::DispatcherConfig;
 use falkon::exp::simfalkon::{SimFalkon, SimFalkonConfig};
 use falkon::obs::ObsEventKind;
 use falkon::proto::bundle::BundleConfig;
-use falkon::proto::task::TaskSpec;
+use falkon::proto::task::{Args, TaskSpec};
 use falkon::rt::inproc::{run_sleep_workload, run_workload, InprocConfig, RunOutcome};
 use falkon::rt::WireMode;
 
@@ -128,9 +128,9 @@ fn real_process_execution() {
 fn failing_command_reports_nonzero_exit() {
     let mut cfg = quick(2, WireMode::Encoded);
     cfg.spawn_processes = true;
-    let mut task = TaskSpec::sleep(1, 0);
-    task.command = "false".into();
-    task.args.clear();
+    let task = TaskSpec::sleep(1, 0)
+        .with_command("false")
+        .with_args(Args::new());
     let out = run_workload(&cfg, vec![task]);
     assert_eq!(out.tasks, 1);
     assert!(!out.records[0].result.is_success());
