@@ -86,10 +86,10 @@ pub enum DispatcherEvent {
 
 /// Per-task accounting record attached to completions (drives Tables 3/4 and
 /// the throughput figures).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TaskRecord {
-    /// The task's result as reported by the executor.
-    pub result: TaskResult,
+    /// What the record keeps of the task's result.
+    pub result: TaskOutcome,
     /// When the task first entered the wait queue.
     pub enqueued_us: Micros,
     /// When it was last dispatched to an executor.
@@ -98,11 +98,30 @@ pub struct TaskRecord {
     pub completed_us: Micros,
     /// The executor that ran it.
     pub executor: ExecutorId,
+}
+
+const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 56);
+
+/// The fields of a [`TaskResult`] a record's readers read, and its attempt
+/// count; no captured output (the client still gets that in `Results`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TaskOutcome {
+    /// The task.
+    pub id: TaskId,
+    /// As [`TaskResult::executor_time_us`].
+    pub executor_time_us: u64,
+    /// Process exit code; 0 means success.
+    pub exit_code: i32,
     /// Total dispatch attempts (1 = no retries).
     pub attempts: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 72);
+impl TaskOutcome {
+    /// Whether the task exited successfully.
+    pub fn is_success(&self) -> bool {
+        self.exit_code == 0
+    }
+}
 
 impl TaskRecord {
     /// Time spent waiting in the dispatch queue (µs).
@@ -441,13 +460,7 @@ impl<P: Probe> Dispatcher<P> {
                 if tasks.is_empty() {
                     // Only transition to idle if nothing is still outstanding
                     // (an executor with in-flight work stays busy).
-                    if self
-                        .executors
-                        .get(executor)
-                        .expect("checked above")
-                        .outstanding
-                        == 0
-                    {
+                    if self.executors.get(executor).map(|st| st.outstanding) == Some(0) {
                         self.set_idle(executor);
                     }
                 } else {
@@ -470,23 +483,17 @@ impl<P: Probe> Dispatcher<P> {
                     let tasks = self.take_work(now, executor);
                     if !tasks.is_empty() {
                         self.set_busy(executor, tasks.len());
-                        self.emit(
-                            now,
-                            ObsEvent::TaskPiggybacked {
-                                count: tasks.len() as u64,
-                            },
-                        );
+                        let count = tasks.len() as u64;
+                        self.emit(now, ObsEvent::TaskPiggybacked { count });
                     }
                     tasks
                 } else {
                     Vec::new()
                 };
-                if piggybacked.is_empty() {
-                    if let Some(st) = self.executors.get(executor) {
-                        if st.outstanding == 0 {
-                            self.set_idle(executor);
-                        }
-                    }
+                if piggybacked.is_empty()
+                    && self.executors.get(executor).map(|st| st.outstanding) == Some(0)
+                {
+                    self.set_idle(executor);
                 }
                 out.push(DispatcherAction::ToExecutor {
                     executor,
@@ -526,17 +533,7 @@ impl<P: Probe> Dispatcher<P> {
                 // but their executors' bookkeeping must be released now or
                 // those executors would stay Busy forever.
                 self.queue.purge(instance);
-                // Sorted so executor-slot release order (and thus the idle
-                // queue) never depends on map iteration order.
-                let mut orphaned: Vec<TaskId> = self
-                    .running
-                    .iter()
-                    .filter(|(_, r)| r.instance == instance)
-                    .map(|(id, _)| *id)
-                    .collect();
-                orphaned.sort_unstable();
-                for id in orphaned {
-                    let r = self.running.remove(&id).expect("collected above");
+                for (_, r) in self.take_running(|r| r.instance == instance) {
                     self.release_executor_slot(r.executor);
                 }
                 self.pump(now, out);
@@ -589,12 +586,8 @@ impl<P: Probe> Dispatcher<P> {
                 .push(std::cmp::Reverse((self.deadline_of(&r), q.id)));
             tasks.push(r.shape.with_id(q.id));
             self.running.insert(q.id, r);
-            self.emit(
-                now,
-                ObsEvent::TaskDispatched {
-                    queue_us: now.saturating_sub(q.enqueued_us),
-                },
-            );
+            let queue_us = now.saturating_sub(q.enqueued_us);
+            self.emit(now, ObsEvent::TaskDispatched { queue_us });
         }
         tasks
     }
@@ -655,19 +648,19 @@ impl<P: Probe> Dispatcher<P> {
                 ExecStatus::Idle => {}
             }
         }
-        // Replay any tasks that were outstanding on this executor, in task-id
-        // order so replays are deterministic.
-        let mut orphaned: Vec<TaskId> = self
-            .running
-            .iter()
-            .filter(|(_, r)| r.executor == executor)
-            .map(|(id, _)| *id)
-            .collect();
-        orphaned.sort_unstable();
-        for id in orphaned {
-            let r = self.running.remove(&id).expect("collected above");
+        // Replay any tasks that were outstanding on this executor.
+        for (id, r) in self.take_running(|r| r.executor == executor) {
             self.replay(now, id, r, out);
         }
+    }
+
+    /// Remove the running tasks `pick` selects, in task-id order, so what
+    /// is done with them (executor slots, the idle queue, replays) never
+    /// depends on map iteration order.
+    fn take_running(&mut self, pick: impl Fn(&Running) -> bool) -> Vec<(TaskId, Running)> {
+        let mut taken: Vec<_> = self.running.extract_if(|_, r| pick(r)).collect();
+        taken.sort_unstable_by_key(|(id, _)| *id);
+        taken
     }
 
     /// Record a completed task and update executor bookkeeping.
@@ -678,14 +671,10 @@ impl<P: Probe> Dispatcher<P> {
         result: TaskResult,
         out: &mut Vec<DispatcherAction>,
     ) {
-        let Some(r) = self.running.get(&result.id) else {
-            self.emit(now, ObsEvent::DuplicateResult);
-            return;
-        };
-        // A result from a different executor than the one we dispatched to
-        // means the task was replayed; the original owner's late result is a
-        // duplicate.
-        if r.executor != executor {
+        // A result for a task not running, or from another executor than the
+        // one it was dispatched to (the task was replayed: this is the
+        // original owner's late result), is a duplicate.
+        if self.running.get(&result.id).map(|r| r.executor) != Some(executor) {
             self.emit(now, ObsEvent::DuplicateResult);
             return;
         }
@@ -702,8 +691,7 @@ impl<P: Probe> Dispatcher<P> {
                     .insert(executor);
             }
         }
-        let failed = !result.is_success();
-        if failed
+        if !result.is_success()
             && self.config.replay.retry_on_failure
             && r.attempts <= self.config.replay.max_retries
         {
@@ -720,12 +708,16 @@ impl<P: Probe> Dispatcher<P> {
             },
         );
         let record = TaskRecord {
-            result: result.clone(),
+            result: TaskOutcome {
+                id: result.id,
+                executor_time_us: result.executor_time_us,
+                exit_code: result.exit_code,
+                attempts: r.attempts,
+            },
             enqueued_us: r.enqueued_us,
             dispatched_us: r.dispatched_us,
             completed_us: now,
             executor,
-            attempts: r.attempts,
         };
         out.push(DispatcherAction::TaskDone {
             instance: r.instance,
@@ -1732,7 +1724,10 @@ mod tests {
             DispatcherAction::TaskDone { record, .. } => Some(record),
             _ => None,
         });
-        assert_eq!(done.map(|r| (r.attempts, r.result.exit_code)), Some((1, 1)));
+        assert_eq!(
+            done.map(|r| (r.result.attempts, r.result.exit_code)),
+            Some((1, 1))
+        );
         assert_eq!(d.stats().retries, 0);
     }
 

@@ -51,7 +51,7 @@ fn feed(d: &mut Dispatcher, now: u64, ev: DispatcherEvent) -> Effects {
                     record.result.id,
                     instance,
                     record.enqueued_us,
-                    record.attempts,
+                    record.result.attempts,
                 ));
             }
             DispatcherAction::TaskFailed { task, attempts, .. } => fx.failed.push((task, attempts)),

@@ -35,10 +35,8 @@ pub(crate) fn begin_run() {
 /// Report one completed task. No-op unless capturing.
 pub fn record(r: &TaskRecord) {
     SINK.with(|s| {
-        if let Some(runs) = s.borrow_mut().as_mut() {
-            if let Some(run) = runs.last_mut() {
-                run.push(r.clone());
-            }
+        if let Some(run) = s.borrow_mut().as_mut().and_then(|runs| runs.last_mut()) {
+            run.push(*r);
         }
     });
 }
@@ -62,7 +60,7 @@ pub fn render_tsv(runs: &[Vec<TaskRecord>]) -> String {
                 run,
                 r.result.id.0,
                 r.executor.0,
-                r.attempts,
+                r.result.attempts,
                 r.enqueued_us,
                 r.dispatched_us,
                 r.completed_us,
@@ -79,19 +77,22 @@ pub fn render_tsv(runs: &[Vec<TaskRecord>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falkon_core::dispatcher::TaskOutcome;
     use falkon_proto::message::ExecutorId;
-    use falkon_proto::task::{TaskId, TaskResult};
+    use falkon_proto::task::TaskId;
 
     fn rec(id: u64) -> TaskRecord {
-        let mut result = TaskResult::success(TaskId(id));
-        result.executor_time_us = 5;
         TaskRecord {
-            result,
+            result: TaskOutcome {
+                id: TaskId(id),
+                executor_time_us: 5,
+                exit_code: 0,
+                attempts: 1,
+            },
             enqueued_us: 10,
             dispatched_us: 30,
             completed_us: 90,
             executor: ExecutorId(2),
-            attempts: 1,
         }
     }
 

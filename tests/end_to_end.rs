@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full Falkon stack driven end-to-end
 //! through the facade crate, over both loopback sockets and the simulator.
 
+use falkon::core::dispatcher::TaskRecord;
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::DispatcherConfig;
 use falkon::exp::simfalkon::{SimFalkon, SimFalkonConfig};
@@ -40,13 +41,26 @@ fn inproc_and_sim_agree_on_accounting() {
     sim.submit(0, (0..n).map(|i| TaskSpec::sleep(i, 0)).collect());
     let so = sim.run_until_drained();
     assert_eq!(so.tasks, n);
-    // Exactly-once in both worlds.
-    let mut rt_ids: Vec<u64> = rt.records.iter().map(|r| r.result.id.0).collect();
-    rt_ids.sort_unstable();
-    let mut sim_ids: Vec<u64> = so.records.iter().map(|r| r.result.id.0).collect();
-    sim_ids.sort_unstable();
-    assert_eq!(rt_ids, (0..n).collect::<Vec<_>>());
-    assert_eq!(sim_ids, (0..n).collect::<Vec<_>>());
+    // Exactly-once in both worlds, and every task's record agrees on its
+    // id, exit code and attempts.
+    let outcomes = |records: &[TaskRecord]| {
+        let mut v: Vec<(u64, i32, u32)> = records
+            .iter()
+            .map(|r| (r.result.id.0, r.result.exit_code, r.result.attempts))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let rt_outcomes = outcomes(&rt.records);
+    let ids: Vec<u64> = rt_outcomes.iter().map(|o| o.0).collect();
+    assert_eq!(ids, (0..n).collect::<Vec<_>>());
+    assert_eq!(rt_outcomes, outcomes(&so.records));
+    // A record's lifecycle runs forward, from at least one attempt.
+    for r in rt.records.iter().chain(&so.records) {
+        assert!(r.result.attempts >= 1, "{r:?}");
+        assert!(r.enqueued_us <= r.dispatched_us, "{r:?}");
+        assert!(r.dispatched_us <= r.completed_us, "{r:?}");
+    }
 }
 
 /// Every task id in `0..n`, each exactly once.

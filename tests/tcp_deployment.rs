@@ -629,7 +629,7 @@ fn tcp_work_bundles_with_prefetch_complete_exactly_once_and_replay_on_time() {
         );
         for task in &held {
             let record = records.iter().find(|r| r.result.id == task.id);
-            assert_eq!(record.map(|r| r.attempts), Some(2), "{task:?}");
+            assert_eq!(record.map(|r| r.result.attempts), Some(2), "{task:?}");
         }
 
         // Wire balance, the hand-driven socket's tallies included.
