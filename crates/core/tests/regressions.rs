@@ -389,38 +389,3 @@ fn late_prefetch_answer_is_not_dropped() {
         "pre-fetched task must run after the ack: {out:?}"
     );
 }
-
-/// Bug: GRAM `Cancel` overtook a `Submit` still queued in the gateway
-/// pipeline, so the job later started anyway.
-#[test]
-fn gram_cancel_before_forward_prevents_the_job() {
-    use falkon_lrm::gram::{Gram, GramInput, GramOutput};
-    use falkon_lrm::job::{JobId, JobSpec, JobState};
-    use falkon_lrm::profile::PBS_V2_1_8;
-    use falkon_lrm::scheduler::BatchScheduler;
-
-    let mut g = Gram::new(BatchScheduler::new(PBS_V2_1_8, 4));
-    let mut out = Vec::new();
-    g.handle(0, GramInput::Submit(JobSpec::task(1, 60_000_000)), &mut out);
-    // Cancel immediately, long before the 2 s gateway forward fires.
-    g.handle(100, GramInput::Cancel(JobId(1)), &mut out);
-    // Drain the gateway.
-    let mut guard = 0;
-    while let Some(t) = g.next_wakeup() {
-        g.handle(t, GramInput::Tick, &mut out);
-        guard += 1;
-        assert!(guard < 10_000);
-    }
-    // The job must never become Active; it must end Cancelled.
-    let states: Vec<JobState> = out
-        .iter()
-        .map(|GramOutput::Notification { state, .. }| *state)
-        .collect();
-    assert!(
-        !states.contains(&JobState::Active),
-        "cancelled-before-forward job became Active: {states:?}"
-    );
-    assert!(states
-        .iter()
-        .any(|s| matches!(s, JobState::Done(falkon_lrm::job::DoneReason::Cancelled))));
-}

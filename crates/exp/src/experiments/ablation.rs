@@ -11,16 +11,16 @@
 
 use crate::costs::CostModel;
 use crate::experiments::Scale;
+use crate::lrm::profile::PBS_V2_1_8;
 use crate::providers::FalkonProvider;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
+use crate::workflow::apps::synthetic;
+use crate::workflow::engine::WorkflowEngine;
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
 use falkon_core::DispatcherConfig;
-use falkon_lrm::profile::PBS_V2_1_8;
 use falkon_proto::task::{DataAccess, DataLocation, TaskSpec};
 use falkon_sim::table::Table;
-use falkon_workflow::apps::synthetic;
-use falkon_workflow::engine::WorkflowEngine;
 
 // ---------------------------------------------------------------------------
 // Data diffusion

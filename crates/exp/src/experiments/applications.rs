@@ -3,12 +3,12 @@
 
 use crate::costs::CostModel;
 use crate::experiments::Scale;
+use crate::lrm::profile::PBS_V2_1_8;
 use crate::providers::{FalkonProvider, GramProvider};
 use crate::simfalkon::SimFalkonConfig;
-use falkon_lrm::profile::PBS_V2_1_8;
+use crate::workflow::apps::{fmri, montage};
+use crate::workflow::engine::WorkflowEngine;
 use falkon_sim::table::Table;
-use falkon_workflow::apps::{fmri, montage};
-use falkon_workflow::engine::WorkflowEngine;
 
 /// One Figure 14 group: end-to-end times at one problem size.
 #[derive(Clone, Copy, Debug)]
@@ -118,7 +118,7 @@ pub(crate) fn fig15(scale: Scale) -> Fig15 {
     });
     let falkon_report = WorkflowEngine::new().run(&dag, &mut falkon);
 
-    let stage_map = |report: &falkon_workflow::engine::RunReport| -> Vec<(String, f64)> {
+    let stage_map = |report: &crate::workflow::engine::RunReport| -> Vec<(String, f64)> {
         report
             .stage_spans
             .iter()

@@ -11,15 +11,15 @@
 
 use crate::costs::CostModel;
 use crate::experiments::Scale;
+use crate::lrm::gram;
+use crate::lrm::profile::PBS_V2_1_8;
 use crate::providers::{FalkonProvider, GramProvider};
 use crate::simfalkon::SimFalkonConfig;
+use crate::workflow::apps::synthetic;
+use crate::workflow::engine::WorkflowEngine;
 use falkon_core::executor::ExecutorConfig;
 use falkon_core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
-use falkon_lrm::gram;
-use falkon_lrm::profile::PBS_V2_1_8;
 use falkon_sim::table::{pct, series_tsv, Table};
-use falkon_workflow::apps::synthetic;
-use falkon_workflow::engine::WorkflowEngine;
 
 /// One provisioning configuration's results (a column of Tables 3/4).
 #[derive(Clone, Debug)]
@@ -129,8 +129,8 @@ fn run_gram() -> ProvisioningRun {
 /// execution time is payload + GRAM done-delay − active-delay; everything
 /// else between readiness and completion is queueing.
 fn gram_per_task_times(
-    dag: &falkon_workflow::dag::Dag,
-    report: &falkon_workflow::engine::RunReport,
+    dag: &crate::workflow::dag::Dag,
+    report: &crate::workflow::engine::RunReport,
 ) -> (f64, f64, f64) {
     let visible_overhead_s = (gram::DONE_DELAY_US - gram::ACTIVE_DELAY_US) as f64 / 1e6;
     let n = dag.len() as f64;

@@ -1,8 +1,8 @@
 //! Table 1 (platforms) and Table 5 (Swift application catalogue).
 
+use crate::workflow::apps::table5;
 use falkon_sim::platform;
 use falkon_sim::table::Table;
-use falkon_workflow::apps::table5;
 
 /// Render Table 1.
 pub(crate) fn render_table1() -> String {

@@ -3,9 +3,9 @@
 
 use crate::costs::CostModel;
 use crate::experiments::Scale;
+use crate::lrm::profile::{CONDOR_V6_7_2, PBS_V2_1_8};
 use crate::lrmdirect::run_direct;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
-use falkon_lrm::profile::{CONDOR_V6_7_2, PBS_V2_1_8};
 use falkon_proto::task::TaskSpec;
 use falkon_sim::table::{series_tsv, Table};
 

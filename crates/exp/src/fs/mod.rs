@@ -23,11 +23,9 @@
 
 mod resource;
 
+use crate::Micros;
 use falkon_proto::task::{DataAccess, DataLocation, DataSpec};
 use resource::IoResource;
-
-/// Microsecond timestamps, matching `falkon-core`.
-type Micros = u64;
 
 /// GPFS I/O nodes in the paper's testbed (§4.2).
 const GPFS_IO_NODES: u32 = 8;
@@ -58,7 +56,7 @@ const LOCAL_WRITE_OP_US: Micros = 1_000;
 
 /// Data-staging model for one cluster: a GPFS bank shared by all nodes plus
 /// one local-disk resource per compute node.
-pub struct ClusterFs {
+pub(crate) struct ClusterFs {
     gpfs_read: IoResource,
     gpfs_write: IoResource,
     local: Vec<IoResource>,
@@ -66,7 +64,7 @@ pub struct ClusterFs {
 
 impl ClusterFs {
     /// Build the model for `nodes` compute nodes.
-    pub fn new(nodes: u32) -> Self {
+    pub(crate) fn new(nodes: u32) -> Self {
         let per_io_node = |bps: f64| bps / GPFS_IO_NODES as f64;
         ClusterFs {
             gpfs_read: IoResource::new(GPFS_IO_NODES, per_io_node(GPFS_READ_BPS), GPFS_READ_OP_US),
@@ -84,7 +82,7 @@ impl ClusterFs {
     /// Perform the staging a task requires before/after compute: returns the
     /// completion time of all its I/O, starting at `now`, on compute node
     /// `node`.
-    pub fn stage(&mut self, now: Micros, node: usize, data: DataSpec) -> Micros {
+    pub(crate) fn stage(&mut self, now: Micros, node: usize, data: DataSpec) -> Micros {
         match data.location {
             DataLocation::SharedFs => {
                 let read_done = self.gpfs_read.request(now, data.bytes);

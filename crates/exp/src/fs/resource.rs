@@ -20,7 +20,7 @@ pub(crate) struct IoResource {
 
 impl IoResource {
     /// Create a bank of `servers` servers.
-    pub fn new(servers: u32, bandwidth_bps: f64, op_cost_us: Micros) -> Self {
+    pub(crate) fn new(servers: u32, bandwidth_bps: f64, op_cost_us: Micros) -> Self {
         assert!(servers > 0, "need at least one server");
         assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
         IoResource {

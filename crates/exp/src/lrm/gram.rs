@@ -8,8 +8,8 @@
 //! includes GRAM-side staging/cleanup, which is why GRAM4+PBS shows 56.5 s
 //! of visible execution for tasks whose payload averages 17.8 s.
 
-use crate::job::{JobId, JobSpec, JobState};
-use crate::scheduler::{BatchScheduler, LrmInput, LrmOutput};
+use crate::lrm::job::{JobId, JobSpec, JobState};
+use crate::lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use crate::Micros;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -19,27 +19,25 @@ use std::collections::BinaryHeap;
 const SUBMIT_OVERHEAD_US: Micros = 2_000_000;
 /// Delay before the client sees the `Active` notification, µs; the Table 3
 /// execution time GRAM reports starts here.
-pub const ACTIVE_DELAY_US: Micros = 2_000_000;
+pub(crate) const ACTIVE_DELAY_US: Micros = 2_000_000;
 /// Delay before the client sees the `Done` notification, µs. It includes
 /// GRAM stage-out and cleanup, the bulk of the ≈41 s per task (41,040 s
 /// over 1,000 tasks) that Tables 3/4 charge GRAM4+PBS between payload exit
 /// and the client-visible Done.
-pub const DONE_DELAY_US: Micros = 38_000_000;
+pub(crate) const DONE_DELAY_US: Micros = 38_000_000;
 
 /// Inputs to the gateway.
 #[derive(Clone, Debug)]
-pub enum GramInput {
+pub(crate) enum GramInput {
     /// Submit a job through GRAM.
     Submit(JobSpec),
-    /// Cancel a job through GRAM.
-    Cancel(JobId),
     /// Timer.
     Tick,
 }
 
 /// Client-visible gateway outputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GramOutput {
+pub(crate) enum GramOutput {
     /// A (delayed) job state-change notification.
     Notification {
         /// The job.
@@ -50,7 +48,7 @@ pub enum GramOutput {
 }
 
 /// GRAM4 gateway wrapping a [`BatchScheduler`].
-pub struct Gram {
+pub(crate) struct Gram {
     lrm: BatchScheduler,
     /// Serial submission pipeline: next submission forwarded no earlier.
     gateway_free_at_us: Micros,
@@ -59,8 +57,6 @@ pub struct Gram {
     next_seq: u64,
     /// Specs stashed between submit and forward.
     specs: std::collections::HashMap<JobId, JobSpec>,
-    /// Jobs cancelled while their Submit was still queued in the gateway.
-    cancelled_before_forward: std::collections::HashSet<JobId>,
     /// Latest observed LRM state per job (reported in delayed notifications).
     last_state: std::collections::HashMap<JobId, JobState>,
 }
@@ -81,20 +77,19 @@ enum NotifyState {
 
 impl Gram {
     /// Wrap a scheduler with a GRAM gateway.
-    pub fn new(lrm: BatchScheduler) -> Self {
+    pub(crate) fn new(lrm: BatchScheduler) -> Self {
         Gram {
             lrm,
             gateway_free_at_us: 0,
             pending: BinaryHeap::new(),
             next_seq: 0,
             specs: std::collections::HashMap::new(),
-            cancelled_before_forward: std::collections::HashSet::new(),
             last_state: std::collections::HashMap::new(),
         }
     }
 
     /// The next instant at which `Tick` must be delivered.
-    pub fn next_wakeup(&self) -> Option<Micros> {
+    pub(crate) fn next_wakeup(&self) -> Option<Micros> {
         let mine = self.pending.peek().map(|Reverse((t, _, _))| *t);
         match (mine, self.lrm.next_wakeup()) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -103,7 +98,7 @@ impl Gram {
     }
 
     /// Feed one input at time `now`; outputs are appended to `out`.
-    pub fn handle(&mut self, now: Micros, input: GramInput, out: &mut Vec<GramOutput>) {
+    pub(crate) fn handle(&mut self, now: Micros, input: GramInput, out: &mut Vec<GramOutput>) {
         match input {
             GramInput::Submit(spec) => {
                 // Serial gateway pipeline.
@@ -114,23 +109,6 @@ impl Gram {
                     .push(Reverse((forward_at, seq, Pending::Forward(spec.id))));
                 // The heap entries stay Copy; specs live in a side table.
                 self.specs.insert(spec.id, spec);
-            }
-            GramInput::Cancel(job) => {
-                if self.specs.contains_key(&job) && self.lrm.job_state(job).is_none() {
-                    // The Submit is still queued in the gateway pipeline:
-                    // cancel must not overtake it and silently no-op. Mark
-                    // it so the Forward is skipped and report Done.
-                    self.cancelled_before_forward.insert(job);
-                    let seq = self.bump();
-                    self.last_state
-                        .insert(job, JobState::Done(crate::job::DoneReason::Cancelled));
-                    self.pending
-                        .push(Reverse((now, seq, Pending::Notify(job, NotifyState::Done))));
-                } else {
-                    let mut lrm_out = Vec::new();
-                    self.lrm.handle(now, LrmInput::Cancel(job), &mut lrm_out);
-                    self.relay(now, lrm_out);
-                }
             }
             GramInput::Tick => {}
         }
@@ -169,14 +147,10 @@ impl Gram {
                     let Reverse((t, _, p)) = self.pending.pop().expect("peeked");
                     match p {
                         Pending::Forward(job) => {
-                            if self.cancelled_before_forward.remove(&job) {
-                                // Cancelled while queued: never reaches the LRM.
-                            } else {
-                                let spec = *self.specs.get(&job).expect("spec stashed at submit");
-                                let mut lrm_out = Vec::new();
-                                self.lrm.handle(t, LrmInput::Submit(spec), &mut lrm_out);
-                                self.relay(t, lrm_out);
-                            }
+                            let spec = self.specs.remove(&job).expect("spec stashed at submit");
+                            let mut lrm_out = Vec::new();
+                            self.lrm.handle(t, LrmInput::Submit(spec), &mut lrm_out);
+                            self.relay(t, lrm_out);
                         }
                         Pending::Notify(job, ns) => {
                             // Report the state this notification was queued
@@ -206,9 +180,9 @@ impl Gram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::PBS_V2_1_8;
+    use crate::lrm::profile::PBS_V2_1_8;
 
-    fn drive(g: &mut Gram, until_quiet: bool) -> Vec<(Micros, GramOutput)> {
+    fn drive(g: &mut Gram) -> Vec<(Micros, GramOutput)> {
         let mut log = Vec::new();
         let mut out = Vec::new();
         let mut guard = 0;
@@ -219,9 +193,6 @@ mod tests {
             }
             guard += 1;
             assert!(guard < 100_000, "runaway gateway");
-            if !until_quiet {
-                break;
-            }
         }
         log
     }
@@ -232,7 +203,7 @@ mod tests {
         let mut g = Gram::new(lrm);
         let mut out = Vec::new();
         g.handle(0, GramInput::Submit(JobSpec::task(1, 10_000_000)), &mut out);
-        let log = drive(&mut g, true);
+        let log = drive(&mut g);
         let states: Vec<_> = log
             .iter()
             .map(|(_, GramOutput::Notification { state, .. })| *state)
@@ -268,7 +239,7 @@ mod tests {
             g.handle(0, GramInput::Submit(JobSpec::task(i, 0)), &mut out);
         }
         // The 5th submission reaches the LRM no earlier than 5 × 2 s.
-        let log = drive(&mut g, true);
+        let log = drive(&mut g);
         let queued: Vec<Micros> = log
             .iter()
             .filter(|(_, GramOutput::Notification { state, .. })| *state == JobState::Queued)
@@ -276,27 +247,5 @@ mod tests {
             .collect();
         assert_eq!(queued.len(), 5);
         assert!(queued[4] >= 10_000_000);
-    }
-
-    #[test]
-    fn cancel_relays_done() {
-        let lrm = BatchScheduler::new(PBS_V2_1_8, 4);
-        let mut g = Gram::new(lrm);
-        let mut out = Vec::new();
-        g.handle(
-            0,
-            GramInput::Submit(JobSpec::service(1, 4, 3_600_000_000)),
-            &mut out,
-        );
-        // Let it activate, then cancel.
-        let _ = drive(&mut g, false);
-        let mut out = Vec::new();
-        g.handle(200_000_000, GramInput::Cancel(JobId(1)), &mut out);
-        let log = drive(&mut g, true);
-        assert!(log
-            .iter()
-            .any(|(_, GramOutput::Notification { state, .. })| {
-                matches!(state, JobState::Done(_))
-            }));
     }
 }

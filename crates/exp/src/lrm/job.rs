@@ -30,7 +30,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A single-node task job (the PBS/Condor baseline workload shape).
-    pub fn task(id: u64, runtime_us: Micros) -> JobSpec {
+    pub(crate) fn task(id: u64, runtime_us: Micros) -> JobSpec {
         JobSpec {
             id: JobId(id),
             nodes: 1,
@@ -41,7 +41,7 @@ impl JobSpec {
 
     /// A service job holding `nodes` nodes until cancelled or expired
     /// (how the Falkon provisioner acquires executors).
-    pub fn service(id: u64, nodes: u32, walltime_us: Micros) -> JobSpec {
+    pub(crate) fn service(id: u64, nodes: u32, walltime_us: Micros) -> JobSpec {
         JobSpec {
             id: JobId(id),
             nodes,

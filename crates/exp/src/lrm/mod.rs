@@ -3,7 +3,7 @@
 //! The Falkon paper's baselines and its provisioning path both go through
 //! conventional batch schedulers: PBS v2.1.8 and Condor v6.7.2 manage the
 //! TeraGrid testbed and GRAM4 fronts them for grid submission. None of those
-//! systems can be linked into a Rust reproduction, so this crate implements
+//! systems can be linked into a Rust reproduction, so this module implements
 //! discrete-event models of them, calibrated to the paper's own
 //! measurements:
 //!
@@ -19,10 +19,7 @@
 //! `falkon-core`: explicit timestamps in, actions out, a `next_wakeup` hook
 //! for the simulator.
 
-pub mod gram;
+pub(crate) mod gram;
 pub mod job;
 pub mod profile;
 pub mod scheduler;
-
-/// Microsecond timestamps, matching `falkon-core`.
-type Micros = u64;

@@ -40,7 +40,7 @@ pub const PBS_V2_1_8: LrmProfile = LrmProfile {
 };
 
 /// Condor v6.7.2 (Table 2: 0.49 tasks/sec via a MyCluster personal pool).
-pub const CONDOR_V6_7_2: LrmProfile = LrmProfile {
+pub(crate) const CONDOR_V6_7_2: LrmProfile = LrmProfile {
     name: "Condor v6.7.2",
     poll_interval_us: 20_000_000,    // negotiation cycle
     dispatch_overhead_us: 1_750_000, // ≈0.49 jobs/s sustained incl. cycles

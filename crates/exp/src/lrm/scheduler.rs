@@ -8,8 +8,8 @@
 //! run until cancelled or wall-time expiry. Freed nodes return to the pool
 //! only after the profile's release latency.
 
-use crate::job::{DoneReason, JobId, JobSpec, JobState};
-use crate::profile::LrmProfile;
+use crate::lrm::job::{DoneReason, JobId, JobSpec, JobState};
+use crate::lrm::profile::LrmProfile;
 use crate::Micros;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -93,11 +93,6 @@ impl BatchScheduler {
     /// Nodes currently free (what `showq`-style system functions report).
     pub fn free_nodes(&self) -> u32 {
         self.free_nodes
-    }
-
-    /// A job's current state, if known.
-    pub(crate) fn job_state(&self, job: JobId) -> Option<JobState> {
-        self.jobs.get(&job).map(|j| j.state)
     }
 
     /// The next instant at which `Tick` must be delivered.
@@ -302,7 +297,7 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{IDEAL, PBS_V2_1_8};
+    use crate::lrm::profile::{IDEAL, PBS_V2_1_8};
 
     fn run_until_quiet(
         s: &mut BatchScheduler,
@@ -392,11 +387,15 @@ mod tests {
         );
     }
 
+    /// Job `j`'s current state, if known.
+    fn state(s: &BatchScheduler, j: u64) -> Option<JobState> {
+        s.jobs.get(&JobId(j)).map(|job| job.state)
+    }
+
     /// How many of `jobs` wait in the queue.
     fn queued(s: &BatchScheduler, jobs: impl IntoIterator<Item = u64>) -> usize {
-        let state = |j| s.job_state(JobId(j));
         jobs.into_iter()
-            .filter(|&j| state(j) == Some(JobState::Queued))
+            .filter(|&j| state(s, j) == Some(JobState::Queued))
             .count()
     }
 
@@ -458,7 +457,7 @@ mod tests {
             &mut out,
         );
         s.handle(5_000, LrmInput::Tick, &mut out);
-        assert_eq!(s.job_state(JobId(1)), Some(JobState::Active));
+        assert_eq!(state(&s, 1), Some(JobState::Active));
         assert_eq!(s.free_nodes(), 0);
         out.clear();
         s.handle(100_000, LrmInput::Cancel(JobId(1)), &mut out);

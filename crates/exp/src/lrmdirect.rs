@@ -1,10 +1,10 @@
 //! Baselines that submit every task straight to the batch scheduler —
 //! what the paper compares Falkon against in Table 2 and Figure 7.
 
+use crate::lrm::job::{JobId, JobSpec, JobState};
+use crate::lrm::profile::LrmProfile;
+use crate::lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use crate::Micros;
-use falkon_lrm::job::{JobId, JobSpec, JobState};
-use falkon_lrm::profile::LrmProfile;
-use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use std::collections::HashSet;
 
 /// Outcome of submitting a batch of tasks directly to an LRM.
@@ -70,7 +70,7 @@ pub(crate) fn run_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falkon_lrm::profile::{CONDOR_V6_7_2, CONDOR_V6_9_3, PBS_V2_1_8};
+    use crate::lrm::profile::{CONDOR_V6_7_2, CONDOR_V6_9_3, PBS_V2_1_8};
 
     #[test]
     fn pbs_table2_rate() {

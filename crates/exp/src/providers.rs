@@ -1,26 +1,26 @@
-//! `falkon-workflow` providers backed by the simulator.
+//! Workflow providers backed by the simulator.
 //!
 //! These are the three execution paths of the Section 5 application
 //! experiments: submit through Falkon, submit each task straight through
 //! GRAM4+PBS, or submit clustered batches through GRAM4+PBS (the engine
 //! does the clustering; the provider just runs bigger submissions).
 
+use crate::lrm::gram::{Gram, GramInput, GramOutput};
+use crate::lrm::job::{JobSpec, JobState};
+use crate::lrm::profile::LrmProfile;
+use crate::lrm::scheduler::BatchScheduler;
 use crate::simfalkon::{SimFalkon, SimFalkonConfig};
+use crate::workflow::dag::NodeId;
+use crate::workflow::provider::{Provider, Submission};
 use crate::Micros;
-use falkon_lrm::gram::{Gram, GramInput, GramOutput};
-use falkon_lrm::job::{JobSpec, JobState};
-use falkon_lrm::profile::LrmProfile;
-use falkon_lrm::scheduler::BatchScheduler;
 use falkon_proto::task::TaskSpec;
-use falkon_workflow::dag::NodeId;
-use falkon_workflow::provider::{Completion, Provider, Submission, SubmissionId};
 use std::collections::HashMap;
 
 /// The open submissions of a simulated provider, by the downstream id
 /// (Falkon task, GRAM job) each went out as.
 #[derive(Default)]
 struct Ledger {
-    subs: HashMap<u64, (SubmissionId, Vec<(NodeId, Micros)>)>,
+    subs: HashMap<u64, Vec<(NodeId, Micros)>>,
     next_id: u64,
 }
 
@@ -31,31 +31,24 @@ impl Ledger {
         let id = self.next_id;
         self.next_id += 1;
         let tasks = sub.tasks.iter().map(|(n, t)| (*n, t.runtime_us)).collect();
-        self.subs.insert(id, (sub.id, tasks));
+        self.subs.insert(id, tasks);
         (id, sub.runtime_us())
     }
 
-    /// Close downstream `id`, finished at `finished_us`; `None` if it is not
-    /// open. The cluster ran serially on one resource, so each task finished
-    /// earlier than the whole by the runtimes of the tasks after it.
-    fn close(&mut self, id: u64, finished_us: Micros) -> Option<Completion> {
-        let (sub, tasks) = self.subs.remove(&id)?;
-        let mut end = finished_us;
-        let mut task_finish_us: Vec<_> = tasks
-            .iter()
-            .rev()
-            .map(|&(node, runtime)| {
-                let at = end;
-                end = end.saturating_sub(runtime);
-                (node, at)
-            })
-            .collect();
-        task_finish_us.reverse();
-        Some(Completion {
-            id: sub,
-            task_finish_us,
-            finished_us,
-        })
+    /// Close downstream `id`, finished at `finished_us`, onto `done`;
+    /// nothing if it is not open. The cluster ran serially on one resource,
+    /// so each task finished earlier than the whole by the runtimes of the
+    /// tasks after it.
+    fn close(&mut self, id: u64, finished_us: Micros, done: &mut Vec<(NodeId, Micros)>) {
+        let Some(tasks) = self.subs.remove(&id) else {
+            return;
+        };
+        let (first, mut end) = (done.len(), finished_us);
+        for &(node, runtime) in tasks.iter().rev() {
+            done.push((node, end));
+            end = end.saturating_sub(runtime);
+        }
+        done[first..].reverse();
     }
 }
 
@@ -87,7 +80,7 @@ impl Provider for FalkonProvider {
         self.sim.submit(now.max(self.sim.now()), spec);
     }
 
-    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+    fn advance(&mut self) -> Option<(Micros, Vec<(NodeId, Micros)>)> {
         let mut done = Vec::new();
         // A provisioned deployment always has a next event: stop once
         // nothing is open.
@@ -95,7 +88,7 @@ impl Provider for FalkonProvider {
             let t = self.sim.next_wakeup()?;
             let ledger = &mut self.ledger;
             self.sim.advance_to(t, |r| {
-                done.extend(ledger.close(r.result.id.0, r.completed_us));
+                ledger.close(r.result.id.0, r.completed_us, &mut done);
             });
             // A permanently failed task would otherwise deadlock the
             // workflow engine (it waits for a completion that never
@@ -120,7 +113,7 @@ pub struct GramProvider {
     ledger: Ledger,
     now: Micros,
     /// Completed and not yet handed out by `advance`.
-    done: Vec<Completion>,
+    done: Vec<(NodeId, Micros)>,
 }
 
 impl GramProvider {
@@ -151,7 +144,7 @@ impl GramProvider {
     fn close(&mut self, at: Micros, out: Vec<GramOutput>) {
         for GramOutput::Notification { job, state } in out {
             if let JobState::Done(_) = state {
-                self.done.extend(self.ledger.close(job.0, at));
+                self.ledger.close(job.0, at, &mut self.done);
             }
         }
     }
@@ -170,7 +163,7 @@ impl Provider for GramProvider {
         self.close(now, out);
     }
 
-    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+    fn advance(&mut self) -> Option<(Micros, Vec<(NodeId, Micros)>)> {
         while self.done.is_empty() && !self.ledger.subs.is_empty() {
             let t = self.gram.next_wakeup()?;
             while self.tick(t) {}
@@ -182,51 +175,53 @@ impl Provider for GramProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falkon_lrm::profile::PBS_V2_1_8;
-    use falkon_workflow::apps::fmri;
-    use falkon_workflow::engine::WorkflowEngine;
+    use crate::lrm::profile::PBS_V2_1_8;
+    use crate::workflow::apps::fmri;
+    use crate::workflow::engine::WorkflowEngine;
 
-    /// Submission `id` of one task per runtime (a cluster when several).
-    fn sub(id: u64, runtimes_s: &[u64]) -> Submission {
-        use falkon_workflow::dag::WfTask;
-        let tasks = runtimes_s.iter().enumerate();
+    /// Tasks `first..`, one per runtime (a cluster when several).
+    fn sub(first: usize, runtimes_s: &[u64]) -> Submission {
+        use crate::workflow::dag::WfTask;
+        let tasks = (first..).zip(runtimes_s);
         Submission {
-            id: SubmissionId(id),
             tasks: tasks
                 .map(|(i, &r)| (NodeId(i), WfTask::new(format!("t{i}"), "s", r * 1_000_000)))
                 .collect(),
         }
     }
 
-    /// Three submissions at 0, one of them a cluster of three, and a fourth
-    /// ten minutes after the first completion, past what else is due by
-    /// then: each completes exactly once, at instants that never decrease,
-    /// and `advance` has nothing more once all are in.
+    /// Three submissions at 0, one of them a cluster of tasks 1–3, and a
+    /// fourth ten minutes after the first completion, past what else is due
+    /// by then: each task completes exactly once, a cluster's together, at
+    /// instants that never decrease, and `advance` has nothing more once all
+    /// are in.
     fn keeps_the_contract(p: &mut impl Provider) {
-        let sizes = [1, 3, 1, 1];
         p.submit(0, sub(0, &[5]));
         p.submit(0, sub(1, &[1, 2, 3]));
-        p.submit(0, sub(2, &[4]));
-        let mut late = Some(sub(3, &[2]));
-        let (mut seen, mut last) = ([0; 4], 0);
+        p.submit(0, sub(4, &[4]));
+        let mut late = Some(sub(5, &[2]));
+        let (mut seen, mut last) = ([None; 6], 0);
         while let Some((at, done)) = p.advance() {
             assert!(at >= last, "instant {at} after {last}");
             last = at;
-            for c in done {
-                seen[c.id.0 as usize] += 1;
-                assert_eq!(c.task_finish_us.len(), sizes[c.id.0 as usize]);
+            for (node, _) in done {
+                assert_eq!(seen[node.0].replace(at), None, "{node:?} completes twice");
             }
             if let Some(s) = late.take() {
                 p.submit(at + 600_000_000, s);
             }
         }
-        assert_eq!(seen, [1; 4], "each submission completes exactly once");
+        assert!(seen.iter().all(Option::is_some), "each task completes");
+        assert!(
+            seen[1] == seen[2] && seen[2] == seen[3],
+            "a cluster completes together"
+        );
         assert!(p.advance().is_none());
     }
 
     #[test]
     fn providers_keep_the_contract() {
-        keeps_the_contract(&mut falkon_workflow::IdealProvider::new(2));
+        keeps_the_contract(&mut crate::workflow::provider::IdealProvider::new(2));
         let config = SimFalkonConfig {
             executors: 2,
             ..SimFalkonConfig::default()
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn gram_provider_runs_small_fan() {
-        use falkon_workflow::dag::{Dag, WfTask};
+        use crate::workflow::dag::{Dag, WfTask};
         let mut dag = Dag::new();
         for i in 0..4 {
             dag.add(WfTask::new(format!("t{i}"), "s", 10_000_000));
@@ -284,7 +279,7 @@ mod tests {
 
     #[test]
     fn clustering_reduces_gram_submissions() {
-        use falkon_workflow::dag::{Dag, WfTask};
+        use crate::workflow::dag::{Dag, WfTask};
         let build = || {
             let mut dag = Dag::new();
             for i in 0..16 {

@@ -4,7 +4,7 @@
 //! [`DispatcherNode`] per dispatcher host and, with
 //! [`SimFalkonConfig::forwarder`], a [`ForwarderNode`] over them (paper
 //! Section 6) — in a discrete-event loop with the calibrated [`CostModel`],
-//! the `falkon-lrm` batch scheduler (when provisioning) and the `falkon-fs`
+//! the `lrm` batch scheduler (when provisioning) and the `fs`
 //! staging model (when tasks declare data): the paper's at-scale
 //! experiments, 54,000 executors, 2,000,000 tasks, and the Table 3/4
 //! provisioning study.
@@ -22,6 +22,10 @@
 //!   node's answer to them is uncosted.
 
 use crate::costs::{CostModel, ALLOC_REQUEST_OVERHEAD_US};
+use crate::fs::ClusterFs;
+use crate::lrm::job::{JobId, JobSpec, JobState};
+use crate::lrm::profile::LrmProfile;
+use crate::lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use crate::Micros;
 use falkon_core::client::{Client, ClientAction, ClientEvent};
 use falkon_core::dispatcher::{DispatcherStats, TaskRecord};
@@ -31,10 +35,6 @@ use falkon_core::mapping;
 use falkon_core::policy::ProvisionerPolicy;
 use falkon_core::provisioner::{Provisioner, ProvisionerAction, ProvisionerEvent};
 use falkon_core::{DenseMap, DispatcherConfig, DispatcherNode, ForwarderNode};
-use falkon_fs::ClusterFs;
-use falkon_lrm::job::{JobId, JobSpec, JobState};
-use falkon_lrm::profile::LrmProfile;
-use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use falkon_obs::{ObsEventKind, Recorder};
 use falkon_proto::bundle::BundleConfig;
 use falkon_proto::message::{ExecutorId, Message};
@@ -1146,7 +1146,7 @@ mod tests {
                     allocation_duration_us: 3_600_000_000,
                     poll_interval_us: 1_000_000,
                 },
-                falkon_lrm::profile::PBS_V2_1_8,
+                crate::lrm::profile::PBS_V2_1_8,
                 8,
             )),
             executor: ExecutorConfig {
@@ -1374,7 +1374,7 @@ mod tests {
                     allocation_duration_us: 3_600_000_000,
                     poll_interval_us: 1_000_000,
                 },
-                falkon_lrm::profile::PBS_V2_1_8,
+                crate::lrm::profile::PBS_V2_1_8,
                 8,
             )),
             ..SimFalkonConfig::default()

@@ -13,7 +13,7 @@
 //! over 240 volumes (matching the paper's 1,960-task count at 480 volumes
 //! only approximately; the published numbers are rounded).
 
-use crate::dag::{Dag, NodeId, WfTask};
+use crate::workflow::dag::{Dag, NodeId, WfTask};
 use crate::Micros;
 
 /// Per-task runtime used for the pipeline stages ("a few seconds" on
@@ -49,7 +49,7 @@ pub fn dag(volumes: u32) -> Dag {
 }
 
 /// Task count for a problem size (paper: 480 tasks at 120 volumes).
-pub fn task_count(volumes: u32) -> u32 {
+pub(crate) fn task_count(volumes: u32) -> u32 {
     volumes * 4
 }
 
@@ -59,8 +59,8 @@ pub const PROBLEM_SIZES: [u32; 4] = [120, 240, 360, 480];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::WorkflowEngine;
-    use crate::provider::IdealProvider;
+    use crate::workflow::engine::WorkflowEngine;
+    use crate::workflow::provider::IdealProvider;
 
     #[test]
     fn task_counts_match_paper() {

@@ -3,4 +3,4 @@
 pub mod fmri;
 pub mod montage;
 pub mod synthetic;
-pub mod table5;
+pub(crate) mod table5;

@@ -13,7 +13,7 @@
 //! DAG shape (fan-out widths, barrier points) is what drives the Figure 15
 //! comparison, not the specific pair choices.
 
-use crate::dag::{Dag, NodeId, WfTask};
+use crate::workflow::dag::{Dag, NodeId, WfTask};
 use crate::Micros;
 
 /// Input image count for the M16 3°×3° mosaic.
@@ -169,8 +169,8 @@ pub fn mpi_makespan_us(workers: u32, per_stage_overhead_us: Micros) -> Micros {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::WorkflowEngine;
-    use crate::provider::IdealProvider;
+    use crate::workflow::engine::WorkflowEngine;
+    use crate::workflow::provider::IdealProvider;
 
     #[test]
     fn topology_counts_match_paper() {

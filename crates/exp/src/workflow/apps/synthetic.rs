@@ -14,10 +14,10 @@
 //! shape — with an ideal 32-machine makespan of 1,266 s (the paper's exact
 //! per-stage counts are not published; 1,266 vs 1,260 is the residual).
 
-use crate::dag::{Dag, WfTask};
+use crate::workflow::dag::{Dag, WfTask};
 
 /// `(tasks, runtime_seconds)` for each of the 18 stages.
-pub const STAGES: [(u32, u32); 18] = [
+pub(crate) const STAGES: [(u32, u32); 18] = [
     (1, 60),   // 1  exponential ramp-up…
     (2, 60),   // 2
     (4, 60),   // 3
@@ -50,7 +50,7 @@ pub fn total_cpu_secs() -> u64 {
 
 /// Machines needed per stage when each task maps to its own machine, capped
 /// at `cap` (Figure 11 plots this with cap = 32).
-pub fn machines_per_stage(cap: u32) -> Vec<u32> {
+pub(crate) fn machines_per_stage(cap: u32) -> Vec<u32> {
     STAGES.iter().map(|&(n, _)| n.min(cap)).collect()
 }
 
@@ -68,7 +68,7 @@ pub fn ideal_makespan_secs(machines: u32) -> u64 {
 /// stage are independent — exactly how the paper's client submits it.
 pub fn dag() -> Dag {
     let mut g = Dag::new();
-    let mut prev_stage: Vec<crate::dag::NodeId> = Vec::new();
+    let mut prev_stage: Vec<crate::workflow::dag::NodeId> = Vec::new();
     for (idx, &(n, r)) in STAGES.iter().enumerate() {
         let stage_name = format!("stage{:02}", idx + 1);
         let mut cur = Vec::with_capacity(n as usize);
@@ -91,8 +91,8 @@ pub fn dag() -> Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::WorkflowEngine;
-    use crate::provider::IdealProvider;
+    use crate::workflow::engine::WorkflowEngine;
+    use crate::workflow::provider::IdealProvider;
 
     #[test]
     fn totals_match_paper() {
@@ -157,7 +157,7 @@ mod tests {
     fn dag_has_stage_barriers() {
         let g = dag();
         // The single stage-18 task must transitively depend on stage 1.
-        let last = crate::dag::NodeId(g.len() - 1);
+        let last = crate::workflow::dag::NodeId(g.len() - 1);
         assert_eq!(g.preds(last).len(), STAGES[16].0 as usize);
     }
 }

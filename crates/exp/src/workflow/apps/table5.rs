@@ -2,22 +2,22 @@
 
 /// One row of Table 5.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SwiftApp {
+pub(crate) struct SwiftApp {
     /// Application name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Typical tasks per workflow (representative midpoint of the paper's
     /// ranges).
     tasks: u64,
     /// The paper's verbatim task-count description.
-    pub tasks_text: &'static str,
+    pub(crate) tasks_text: &'static str,
     /// Pipeline stages (midpoint where the paper gives a range).
     stages: u32,
     /// The paper's verbatim stage description.
-    pub stages_text: &'static str,
+    pub(crate) stages_text: &'static str,
 }
 
 /// Table 5, in paper order.
-pub const APPLICATIONS: [SwiftApp; 11] = [
+pub(crate) const APPLICATIONS: [SwiftApp; 11] = [
     SwiftApp {
         name: "ATLAS: High Energy Physics Event Simulation",
         tasks: 500_000,

@@ -6,7 +6,7 @@
 //! than 4× under GRAM4+PBS — while still losing to Falkon, whose per-task
 //! dispatch is cheap enough not to need clustering.
 
-use crate::dag::{NodeId, WfTask};
+use crate::workflow::dag::{NodeId, WfTask};
 
 /// Group `ready` tasks into clusters of at most `cluster_size`, keeping
 /// tasks of the same stage together (clusters never mix stages, mirroring

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Index of a task within a [`Dag`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub usize);
+pub struct NodeId(pub(crate) usize);
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -7,9 +7,9 @@
 //! execution model of Swift/Karajan that the paper's Section 5 experiments
 //! rely on.
 
-use crate::cluster::cluster_ready;
-use crate::dag::{Dag, NodeId};
-use crate::provider::{Provider, Submission, SubmissionId};
+use crate::workflow::cluster::cluster_ready;
+use crate::workflow::dag::{Dag, NodeId};
+use crate::workflow::provider::{Provider, Submission};
 use crate::Micros;
 use std::collections::HashMap;
 
@@ -21,7 +21,7 @@ pub struct RunReport {
     /// Per-task finish times.
     pub finish_us: Vec<(NodeId, Micros)>,
     /// Per-stage `(first_submit, last_finish)` spans.
-    pub stage_spans: Vec<(String, Micros, Micros)>,
+    pub(crate) stage_spans: Vec<(String, Micros, Micros)>,
     /// Submissions issued (tasks, or clusters when clustering).
     pub submissions: u64,
 }
@@ -83,28 +83,25 @@ impl WorkflowEngine {
                     }
                 }
                 for cluster in cluster_ready(batch, self.cluster_size) {
-                    let id = SubmissionId(submissions);
                     submissions += 1;
-                    provider.submit(now, Submission { id, tasks: cluster });
+                    provider.submit(now, Submission { tasks: cluster });
                 }
             }
             let (at, done) = provider
                 .advance()
                 .expect("provider deadlock: tasks remain but nothing is open");
             now = now.max(at);
-            for completion in done {
-                for (node, t_fin) in completion.task_finish_us {
-                    assert!(finish[node.0].is_none(), "task completed twice");
-                    finish[node.0] = Some(t_fin);
-                    completed += 1;
-                    let stage = &dag.task(node).stage;
-                    let e = stage_last_finish.entry(stage.clone()).or_insert(0);
-                    *e = (*e).max(t_fin);
-                    for &succ in dag.succs(node) {
-                        indeg[succ.0] -= 1;
-                        if indeg[succ.0] == 0 {
-                            ready.push(succ);
-                        }
+            for (node, t_fin) in done {
+                assert!(finish[node.0].is_none(), "task completed twice");
+                finish[node.0] = Some(t_fin);
+                completed += 1;
+                let stage = &dag.task(node).stage;
+                let e = stage_last_finish.entry(stage.clone()).or_insert(0);
+                *e = (*e).max(t_fin);
+                for &succ in dag.succs(node) {
+                    indeg[succ.0] -= 1;
+                    if indeg[succ.0] == 0 {
+                        ready.push(succ);
                     }
                 }
             }
@@ -144,8 +141,8 @@ impl Default for WorkflowEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::WfTask;
-    use crate::provider::IdealProvider;
+    use crate::workflow::dag::WfTask;
+    use crate::workflow::provider::IdealProvider;
 
     fn chain(n: usize, runtime: Micros) -> Dag {
         let mut g = Dag::new();

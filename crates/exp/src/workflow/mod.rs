@@ -5,7 +5,7 @@
 //! Montage pipelines through the Swift parallel programming system, which
 //! dispatches logically-ready tasks either straight to GRAM4+PBS, to
 //! GRAM4+PBS with *clustering* (several small tasks wrapped into one batch
-//! job), or to Falkon. This crate provides the equivalent substrate:
+//! job), or to Falkon. This module provides the equivalent substrate:
 //!
 //! * [`dag`] — task graphs with data dependencies;
 //! * [`engine`] — the data-driven executor: tasks whose inputs are ready are
@@ -21,8 +21,3 @@ mod cluster;
 pub mod dag;
 pub mod engine;
 pub mod provider;
-
-pub use provider::{IdealProvider, Provider, Submission, SubmissionId};
-
-/// Microsecond timestamps, matching `falkon-core`.
-type Micros = u64;

@@ -6,54 +6,30 @@
 //! the same shape, two calls: [`Provider::submit`] accepts a [`Submission`]
 //! (one or more tasks executed serially as a unit — a unit of one task
 //! normally, several when clustering), and [`Provider::advance`] runs to the
-//! next instant at which submissions complete and reports them.
+//! next instant at which submissions complete and reports their tasks.
 //!
-//! Simulation-backed providers (Falkon, GRAM4+PBS) live in `falkon-exp`;
-//! this module provides [`IdealProvider`], a zero-overhead fixed-size worker
-//! pool used for unit tests, ideal baselines, and the MPI-style comparison.
+//! Simulation-backed providers (Falkon, GRAM4+PBS) live in
+//! [`crate::providers`]; this module provides [`IdealProvider`], a
+//! zero-overhead fixed-size worker pool, the tests' reference provider.
 
-use crate::dag::{NodeId, WfTask};
+use crate::workflow::dag::{NodeId, WfTask};
 use crate::Micros;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::fmt;
-
-/// Identifies a submission within one provider.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SubmissionId(pub u64);
-
-impl fmt::Debug for SubmissionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sub#{}", self.0)
-    }
-}
 
 /// A unit of work handed to a provider: its tasks run serially on one
 /// resource (a cluster of size 1 is a plain task).
 #[derive(Clone, Debug)]
 pub struct Submission {
-    /// Engine-assigned id.
-    pub id: SubmissionId,
     /// The tasks, in execution order.
-    pub tasks: Vec<(NodeId, WfTask)>,
+    pub(crate) tasks: Vec<(NodeId, WfTask)>,
 }
 
 impl Submission {
     /// Total serial runtime of the bundled tasks.
-    pub fn runtime_us(&self) -> Micros {
+    pub(crate) fn runtime_us(&self) -> Micros {
         self.tasks.iter().map(|(_, t)| t.runtime_us).sum()
     }
-}
-
-/// A completed submission with its per-task finish times.
-#[derive(Clone, Debug)]
-pub struct Completion {
-    /// Which submission finished.
-    pub id: SubmissionId,
-    /// Finish time of each contained task (same order as submitted).
-    pub task_finish_us: Vec<(NodeId, Micros)>,
-    /// When the whole submission finished.
-    pub finished_us: Micros,
 }
 
 /// Where the engine sends ready work. Implementations decide scheduling,
@@ -63,9 +39,9 @@ pub trait Provider {
     fn submit(&mut self, now: Micros, submission: Submission);
 
     /// Run to the next instant at which submissions complete and return
-    /// that instant with everything that completed there, or `None` once
-    /// no submission is open.
-    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)>;
+    /// that instant with each task of theirs and its finish time, or
+    /// `None` once no submission is open.
+    fn advance(&mut self) -> Option<(Micros, Vec<(NodeId, Micros)>)>;
 }
 
 /// A zero-overhead pool of `slots` workers: a submission starts as soon as
@@ -73,9 +49,11 @@ pub trait Provider {
 pub struct IdealProvider {
     /// Worker next-free times.
     workers: Vec<Micros>,
-    /// Open submissions by finish time, and their completions.
+    /// Open submissions by finish time and number, and their tasks'
+    /// finish times.
     done: BinaryHeap<Reverse<(Micros, u64)>>,
-    records: HashMap<u64, Completion>,
+    records: HashMap<u64, Vec<(NodeId, Micros)>>,
+    submitted: u64,
 }
 
 impl IdealProvider {
@@ -86,6 +64,7 @@ impl IdealProvider {
             workers: vec![0; slots as usize],
             done: BinaryHeap::new(),
             records: HashMap::new(),
+            submitted: 0,
         }
     }
 }
@@ -106,23 +85,17 @@ impl Provider for IdealProvider {
             finishes.push((*node, t));
         }
         self.workers[idx] = t;
-        self.done.push(Reverse((t, sub.id.0)));
-        self.records.insert(
-            sub.id.0,
-            Completion {
-                id: sub.id,
-                task_finish_us: finishes,
-                finished_us: t,
-            },
-        );
+        self.done.push(Reverse((t, self.submitted)));
+        self.records.insert(self.submitted, finishes);
+        self.submitted += 1;
     }
 
-    fn advance(&mut self) -> Option<(Micros, Vec<Completion>)> {
+    fn advance(&mut self) -> Option<(Micros, Vec<(NodeId, Micros)>)> {
         let &Reverse((at, _)) = self.done.peek()?;
         let mut out = Vec::new();
         while self.done.peek().is_some_and(|&Reverse((t, _))| t == at) {
             let Reverse((_, id)) = self.done.pop().expect("peeked");
-            out.push(self.records.remove(&id).expect("recorded"));
+            out.extend(self.records.remove(&id).expect("recorded"));
         }
         Some((at, out))
     }
@@ -132,12 +105,11 @@ impl Provider for IdealProvider {
 mod tests {
     use super::*;
 
-    fn sub(id: u64, runtimes: &[Micros]) -> Submission {
+    /// Tasks `first..`, one per runtime.
+    fn sub(first: usize, runtimes: &[Micros]) -> Submission {
         Submission {
-            id: SubmissionId(id),
-            tasks: runtimes
-                .iter()
-                .enumerate()
+            tasks: (first..)
+                .zip(runtimes)
                 .map(|(i, &r)| (NodeId(i), WfTask::new(format!("t{i}"), "s", r)))
                 .collect(),
         }
@@ -149,9 +121,9 @@ mod tests {
         p.submit(0, sub(1, &[10]));
         p.submit(0, sub(2, &[10]));
         let (t, done) = p.advance().expect("two open");
-        assert_eq!((t, done.len(), done[0].id), (10, 1, SubmissionId(1)));
+        assert_eq!((t, done), (10, vec![(NodeId(1), 10)]));
         let (t, done) = p.advance().expect("one open");
-        assert_eq!((t, done[0].finished_us), (20, 20));
+        assert_eq!((t, done), (20, vec![(NodeId(2), 20)]));
         assert!(p.advance().is_none());
     }
 
@@ -170,11 +142,7 @@ mod tests {
         let mut p = IdealProvider::new(1);
         p.submit(5, sub(1, &[10, 20, 30]));
         let (_, done) = p.advance().expect("one open");
-        assert_eq!(done.len(), 1);
-        let f = &done[0].task_finish_us;
-        assert_eq!(f[0].1, 15);
-        assert_eq!(f[1].1, 35);
-        assert_eq!(f[2].1, 65);
-        assert_eq!(done[0].finished_us, 65);
+        let finishes: Vec<Micros> = done.iter().map(|&(_, t)| t).collect();
+        assert_eq!(finishes, [15, 35, 65]);
     }
 }

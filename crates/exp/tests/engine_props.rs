@@ -2,9 +2,9 @@
 //! exactly once, dependencies are never violated, and clustering preserves
 //! semantics while only changing submission counts.
 
-use falkon_workflow::dag::{Dag, NodeId, WfTask};
-use falkon_workflow::engine::WorkflowEngine;
-use falkon_workflow::provider::IdealProvider;
+use falkon_exp::workflow::dag::{Dag, NodeId, WfTask};
+use falkon_exp::workflow::engine::WorkflowEngine;
+use falkon_exp::workflow::provider::IdealProvider;
 use proptest::prelude::*;
 use std::collections::HashMap;
 

@@ -2,9 +2,9 @@
 //! states progress monotonically, and arbitrary submit/cancel interleavings
 //! quiesce with the full pool free.
 
-use falkon_lrm::job::{JobId, JobSpec, JobState};
-use falkon_lrm::profile::{LrmProfile, CONDOR_V6_9_3, IDEAL, PBS_V2_1_8};
-use falkon_lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
+use falkon_exp::lrm::job::{JobId, JobSpec, JobState};
+use falkon_exp::lrm::profile::{LrmProfile, CONDOR_V6_9_3, IDEAL, PBS_V2_1_8};
+use falkon_exp::lrm::scheduler::{BatchScheduler, LrmInput, LrmOutput};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

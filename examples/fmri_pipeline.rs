@@ -6,11 +6,11 @@
 //! cargo run --release --example fmri_pipeline
 //! ```
 
+use falkon::exp::lrm::profile::PBS_V2_1_8;
 use falkon::exp::providers::{FalkonProvider, GramProvider};
 use falkon::exp::simfalkon::SimFalkonConfig;
-use falkon::lrm::profile::PBS_V2_1_8;
-use falkon::workflow::apps::fmri;
-use falkon::workflow::engine::WorkflowEngine;
+use falkon::exp::workflow::apps::fmri;
+use falkon::exp::workflow::engine::WorkflowEngine;
 
 fn main() {
     println!("fMRI AIRSN pipeline (4 stages per volume), end-to-end time:\n");

@@ -6,11 +6,11 @@
 //! cargo run --release --example montage_mosaic
 //! ```
 
+use falkon::exp::lrm::profile::PBS_V2_1_8;
 use falkon::exp::providers::{FalkonProvider, GramProvider};
 use falkon::exp::simfalkon::SimFalkonConfig;
-use falkon::lrm::profile::PBS_V2_1_8;
-use falkon::workflow::apps::montage;
-use falkon::workflow::engine::WorkflowEngine;
+use falkon::exp::workflow::apps::montage;
+use falkon::exp::workflow::engine::WorkflowEngine;
 
 fn main() {
     let dag = montage::dag();

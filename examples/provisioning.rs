@@ -10,12 +10,12 @@
 
 use falkon::core::executor::ExecutorConfig;
 use falkon::core::policy::{AcquisitionPolicy, ProvisionerPolicy, ReleasePolicy};
+use falkon::exp::lrm::profile::PBS_V2_1_8;
 use falkon::exp::providers::FalkonProvider;
 use falkon::exp::simfalkon::SimFalkonConfig;
-use falkon::lrm::profile::PBS_V2_1_8;
+use falkon::exp::workflow::apps::synthetic;
+use falkon::exp::workflow::engine::WorkflowEngine;
 use falkon::sim::table::ascii_plot;
-use falkon::workflow::apps::synthetic;
-use falkon::workflow::engine::WorkflowEngine;
 
 fn main() {
     let idle_s: u64 = match std::env::args().nth(1) {

@@ -34,10 +34,7 @@
 
 pub use falkon_core as core;
 pub use falkon_exp as exp;
-pub use falkon_fs as fs;
-pub use falkon_lrm as lrm;
 pub use falkon_obs as obs;
 pub use falkon_proto as proto;
 pub use falkon_rt as rt;
 pub use falkon_sim as sim;
-pub use falkon_workflow as workflow;
